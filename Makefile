@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-alloc bench-throughput bench-reshard bench-c10k bench-raft bench-observe bench-full fuzz examples vet fmt-check lint reshard-soak observe-smoke sim sim-curves test-unsafe ci clean
+.PHONY: all build test race bench bench-alloc bench-selftest bench-e2e bench-throughput bench-reshard bench-c10k bench-raft bench-observe bench-full fuzz examples vet fmt-check lint reshard-soak observe-smoke sim sim-curves test-unsafe ci clean
 
 all: build test
 
@@ -99,12 +99,29 @@ bench:
 # traced-but-unsampled forward <= 2 with tracers installed, the margo
 # forward with the resilience layer enabled adding zero over its plain
 # baseline, and the yokan multi-op per-key deltas — PutMulti <= 0.5,
-# GetMulti <= 1.5 per key over sm transport) regress. Also prints the
-# -benchmem numbers for the same paths for context.
+# GetMulti <= 1.5 per key over sm transport) regress, and for the
+# per-byte path of a shard flip: a 4 MiB bulk pull over TCP allocates
+# O(1) (TestBulkPullAllocsPinned), and a 4 MiB flip at most 4x its
+# payload (TestReshardAllocBytesPinned). Also prints the -benchmem
+# numbers for the same paths for context.
 bench-alloc:
-	$(GO) test -run 'AllocsPinned' -count=1 -v ./internal/codec/ ./internal/mercury/ ./internal/margo/ ./internal/yokan/ ./internal/raft/
+	$(GO) test -run 'AllocsPinned|AllocBytesPinned' -count=1 -v ./internal/codec/ ./internal/mercury/ ./internal/margo/ ./internal/yokan/... ./internal/raft/
 	$(GO) test -run 'AllocsPinned' -count=1 -tags mochi_unsafe ./internal/codec/ ./internal/mercury/
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkForward|BenchmarkMulti' -benchtime=1000x -benchmem ./internal/codec/ ./internal/mercury/ ./internal/margo/ ./internal/yokan/
+
+# The standing benchmark (bench/, BENCHMARK.json) is a Go module of its
+# own, so `go test ./...` never descends into it: vet and self-test it
+# here (CI job bench-selftest).
+bench-selftest:
+	cd bench && $(GO) vet . && $(GO) test -count=1 .
+
+# One end-to-end run of a standing-benchmark workload, exactly as the
+# driver runs it (15 s, tracing off): make bench-e2e W=reshard-churn.
+# BENCH_FLAGS adds to or overrides the flags, e.g. "--trace 1".
+W ?= kv-small-tcp
+BENCH_FLAGS ?=
+bench-e2e:
+	bash bench/run.sh --workload $(W) --seed 1 --seconds 15 --trace 0 $(BENCH_FLAGS)
 
 # Fuzz every hostile-input parser for FUZZTIME each — the pooled codec
 # decoder, the TCP frame parser, the raft/yokan/ssg wire messages, the

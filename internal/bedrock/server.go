@@ -570,7 +570,12 @@ return $found;`, name)
 
 // receiveMigrated is the REMI completion callback: it instantiates a
 // provider over the received fileset using the module's receiver hook.
-func (s *Server) receiveMigrated(fs *remi.FileSet) {
+// Modules reopen their resource from files, so a fileset that arrived
+// in memory only is not a provider migration.
+func (s *Server) receiveMigrated(_ context.Context, fs *remi.FileSet) {
+	if fs.InMemory() {
+		return
+	}
 	typ := fs.Metadata["bedrock_type"]
 	mod, ok := LookupModule(typ)
 	if !ok {

@@ -3,6 +3,7 @@ package mercury
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"mochi/internal/codec"
 )
@@ -45,6 +46,9 @@ type Bulk struct {
 	id     uint64
 	mem    []byte
 	access BulkAccess
+	// busy is held for read by every remote access to mem while it
+	// copies (or the transport gathers) and for write, once, by Free.
+	busy sync.RWMutex
 }
 
 // BulkDescriptor names a remote bulk region; it is what travels inside
@@ -100,18 +104,32 @@ func (b *Bulk) Descriptor() BulkDescriptor {
 // Size returns the region length in bytes.
 func (b *Bulk) Size() int { return len(b.mem) }
 
-// Free deregisters the region. Outstanding remote transfers that race
-// with Free may fail with ErrBadBulk, as with real RDMA deregistration.
+// Free deregisters the region. Remote transfers that arrive afterwards
+// fail with ErrBadBulk, as with real RDMA deregistration; one already
+// reading or writing the memory is waited out, so when Free returns
+// the memory is the caller's alone again — the transport sends large
+// regions straight from it, without a private copy.
 func (b *Bulk) Free() {
 	b.class.bulkMu.Lock()
 	delete(b.class.bulks, b.id)
 	b.class.bulkMu.Unlock()
+	b.busy.Lock() // barrier: wait out the readers, admit no new ones
+	//lint:ignore SA2001 the empty critical section is the barrier
+	b.busy.Unlock()
 }
 
-func (c *Class) bulkByID(id uint64) *Bulk {
+// acquireBulk returns region id pinned against Free (nil if it is not
+// registered); the caller unpins it with b.busy.RUnlock. The pin is
+// taken under bulkMu so it cannot slip in after a Free that has
+// already removed the region.
+func (c *Class) acquireBulk(id uint64) *Bulk {
 	c.bulkMu.RLock()
 	defer c.bulkMu.RUnlock()
-	return c.bulks[id]
+	b := c.bulks[id]
+	if b != nil {
+		b.busy.RLock()
+	}
+	return b
 }
 
 // BulkTransfer moves size bytes between the local region and the
@@ -140,7 +158,7 @@ func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor
 	}
 	// Local fast path: both regions live in this class.
 	if desc.Addr == c.Addr() {
-		remote := c.bulkByID(desc.ID)
+		remote := c.acquireBulk(desc.ID)
 		if remote == nil {
 			return ErrBadBulk
 		}
@@ -149,6 +167,7 @@ func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor
 		} else {
 			copy(remote.mem[remoteOff:remoteOff+size], local.mem[localOff:localOff+size])
 		}
+		remote.busy.RUnlock()
 		if m := c.mon(); m != nil {
 			m.BulkTransferred(op, desc.Addr, int(size))
 		}
@@ -159,6 +178,11 @@ func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor
 	seq := c.seq.Add(1)
 	ch := getReplyChan()
 	c.pending.add(seq, ch)
+	if op == BulkPull {
+		c.landMu.Lock()
+		c.landings[seq] = local.mem[localOff : localOff+size]
+		c.landMu.Unlock()
+	}
 
 	msg := getMessage()
 	msg.seq = seq
@@ -175,48 +199,76 @@ func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor
 	err := c.send(ctx, desc.Addr, msg)
 	msg.payload = nil // borrowed from the local region
 	putMessage(msg)
+	var resp *message
+	if err == nil {
+		select {
+		case resp = <-ch:
+		case <-ctx.Done():
+			err = fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
+		}
+	}
+	if op == BulkPull && !c.cancelLanding(seq) && resp == nil {
+		// A transport reader claimed the region and is filling it: the
+		// memory is not the caller's again until that reader is done.
+		// It always delivers — the ack, or a failure if its connection
+		// breaks mid-payload.
+		resp, err = <-ch, nil
+	}
+	c.pending.remove(seq)
+	putReplyChan(ch)
 	if err != nil {
-		c.pending.remove(seq)
-		putReplyChan(ch)
 		return err
 	}
-	select {
-	case resp := <-ch:
-		c.pending.remove(seq)
-		putReplyChan(ch)
-		status, errmsg := resp.status, resp.errmsg
-		if status != 0 {
-			resp.releasePayload()
-			putMessage(resp)
-			return fmt.Errorf("%w: %s", ErrBadBulk, errmsg)
+	status, errmsg := resp.status, resp.errmsg
+	if status == 0 && op == BulkPull && !resp.landed {
+		if uint64(len(resp.payload)) != size {
+			status, errmsg = 1, "short bulk read"
+		} else {
+			copy(local.mem[localOff:localOff+size], resp.payload)
 		}
-		var copyErr error
-		if op == BulkPull {
-			if uint64(len(resp.payload)) != size {
-				copyErr = fmt.Errorf("%w: short bulk read", ErrBulkBounds)
-			} else {
-				copy(local.mem[localOff:localOff+size], resp.payload)
-			}
-		}
-		resp.releasePayload()
-		putMessage(resp)
-		if copyErr != nil {
-			return copyErr
-		}
-		if m := c.mon(); m != nil {
-			m.BulkTransferred(op, desc.Addr, int(size))
-		}
-		c.recordBulk(op, int(size))
-		return nil
-	case <-ctx.Done():
-		c.pending.remove(seq)
-		putReplyChan(ch)
-		return fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
 	}
+	resp.releasePayload()
+	putMessage(resp)
+	if status != 0 {
+		return fmt.Errorf("%w: %s", ErrBadBulk, errmsg)
+	}
+	if m := c.mon(); m != nil {
+		m.BulkTransferred(op, desc.Addr, int(size))
+	}
+	c.recordBulk(op, int(size))
+	return nil
+}
+
+// claimLanding hands the registered memory of in-flight pull seq to a
+// transport reader about to copy an ack payload of n bytes into it,
+// and reports false when there is nothing to fill: the pull finished
+// or timed out (a late ack), another ack for it was already claimed (a
+// duplicate), or the sizes disagree. Claiming removes the entry, so at
+// most one reader ever writes the region, and the initiator can tell a
+// claimed region (absent) from an unclaimed one (cancelLanding).
+func (c *Class) claimLanding(seq, n uint64) ([]byte, bool) {
+	c.landMu.Lock()
+	defer c.landMu.Unlock()
+	dst, ok := c.landings[seq]
+	if !ok || uint64(len(dst)) != n {
+		return nil, false
+	}
+	delete(c.landings, seq)
+	return dst, true
+}
+
+// cancelLanding withdraws pull seq's region. It reports false when a
+// reader claimed it first.
+func (c *Class) cancelLanding(seq uint64) bool {
+	c.landMu.Lock()
+	defer c.landMu.Unlock()
+	_, ok := c.landings[seq]
+	delete(c.landings, seq)
+	return ok
 }
 
 func (c *Class) handleBulkRead(m *message) {
-	b := c.bulkByID(m.bulkID)
+	b := c.acquireBulk(m.bulkID)
 	resp := getMessage()
 	resp.kind = msgBulkAck
 	resp.seq = m.seq
@@ -235,6 +287,9 @@ func (c *Class) handleBulkRead(m *message) {
 		resp.payload = b.mem[m.bulkOff : m.bulkOff+m.bulkLen]
 	}
 	_ = c.send(context.Background(), m.src, resp)
+	if b != nil {
+		b.busy.RUnlock()
+	}
 	resp.payload = nil // borrowed from the registered region
 	putMessage(resp)
 	m.releasePayload()
@@ -242,7 +297,7 @@ func (c *Class) handleBulkRead(m *message) {
 }
 
 func (c *Class) handleBulkWrite(m *message) {
-	b := c.bulkByID(m.bulkID)
+	b := c.acquireBulk(m.bulkID)
 	resp := getMessage()
 	resp.kind = msgBulkAck
 	resp.seq = m.seq
@@ -259,6 +314,9 @@ func (c *Class) handleBulkWrite(m *message) {
 		resp.errmsg = "bulk write out of bounds"
 	default:
 		copy(b.mem[m.bulkOff:], m.payload)
+	}
+	if b != nil {
+		b.busy.RUnlock()
 	}
 	_ = c.send(context.Background(), m.src, resp)
 	putMessage(resp)

@@ -1,7 +1,6 @@
 package mercury
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -272,15 +271,15 @@ func TestTCPDialRefusedClassified(t *testing.T) {
 }
 
 // TestReadFrameHostileLength feeds a frame header claiming 32 MiB with
-// almost no body behind it: readFrame must fail on the truncated
+// almost no body behind it: the read path must fail on the truncated
 // stream without ever allocating the advertised size.
 func TestReadFrameHostileLength(t *testing.T) {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], 32<<20)
-	r := bytes.NewReader(append(hdr[:], make([]byte, 100)...))
+	tr, br := frameReader(append(hdr[:], make([]byte, 100)...))
 	var scratch []byte
-	if _, err := readFrame(r, &scratch); err == nil {
-		t.Fatal("readFrame accepted a truncated 32 MiB frame")
+	if _, err := tr.readMessage(br, &scratch); err == nil {
+		t.Fatal("readMessage accepted a truncated 32 MiB frame")
 	}
 	if cap(scratch) > 1<<20 {
 		t.Fatalf("hostile length prefix allocated %d bytes up front, want <= 1 MiB chunk", cap(scratch))
@@ -288,7 +287,8 @@ func TestReadFrameHostileLength(t *testing.T) {
 
 	// Over the hard cap: rejected before any body read.
 	binary.LittleEndian.PutUint32(hdr[:], maxFrame+1)
-	_, err := readFrame(bytes.NewReader(hdr[:]), &scratch)
+	tr, br = frameReader(hdr[:])
+	_, err := tr.readMessage(br, &scratch)
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversize frame err = %v, want limit error", err)
 	}

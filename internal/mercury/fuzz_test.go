@@ -1,6 +1,7 @@
 package mercury
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"testing"
@@ -8,11 +9,23 @@ import (
 	"mochi/internal/codec"
 )
 
+// frameReader returns an unconnected TCP transport and a reader over
+// data, to drive the connection read path (readMessage) from bytes.
+func frameReader(data []byte) (*tcpTransport, *bufio.Reader) {
+	tr := &tcpTransport{opts: TCPOptions{}.withDefaults()}
+	tr.class = newClass(tr)
+	return tr, bufio.NewReaderSize(bytes.NewReader(data), tr.opts.ReadBuffer)
+}
+
 // validFrame encodes one message exactly as tcpTransport.send does:
 // 4-byte little-endian length prefix, then the codec encoding.
 func validFrame(payload []byte) []byte {
+	return validFrameKind(msgRequest, payload)
+}
+
+func validFrameKind(kind msgKind, payload []byte) []byte {
 	m := getMessage()
-	m.kind = msgRequest
+	m.kind = kind
 	m.seq = 7
 	m.id = NameToID("fuzz")
 	m.src = "sm://fuzz-src"
@@ -41,17 +54,38 @@ func FuzzFrameDecode(f *testing.F) {
 	hostile := make([]byte, 4, 104)
 	binary.LittleEndian.PutUint32(hostile, 32<<20)
 	f.Add(append(hostile, make([]byte, 100)...)) // huge length, short body
+	ack := validFrameKind(msgBulkAck, make([]byte, fuzzLanding))
+	f.Add(ack)                                                     // lands in the registered region
+	f.Add(append(append([]byte(nil), ack...), ack...))             // then its duplicate, drained
+	f.Add(ack[:len(ack)/2])                                        // connection lost mid-payload
+	f.Add(validFrameKind(msgBulkAck, make([]byte, fuzzLanding+1))) // wrong size for the region
+	f.Add(validFrameKind(msgBulkWrite, make([]byte, fuzzLanding))) // large, but not an ack
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
+		tr, br := frameReader(data)
+		// validFrameKind's seq has a pull in flight: its ack must fill
+		// this region and nothing else, whatever the stream holds.
+		region := make([]byte, fuzzLanding, fuzzLanding+1)
+		region[:cap(region)][fuzzLanding] = 0xA5
+		tr.class.landings[7] = region
 		var scratch []byte
 		for {
-			m, err := readFrame(r, &scratch)
+			m, err := tr.readMessage(br, &scratch)
+			if region[:cap(region)][fuzzLanding] != 0xA5 {
+				t.Fatal("ack payload written past the registered region")
+			}
 			if err != nil {
 				return
+			}
+			if m.landed && m.payload != nil {
+				t.Fatal("landed ack still carries a payload")
 			}
 			m.releasePayload()
 			putMessage(m)
 		}
 	})
 }
+
+// fuzzLanding is the size of the region FuzzFrameDecode registers:
+// large enough for the direct path.
+const fuzzLanding = bulkFrameMin + 1024

@@ -107,6 +107,10 @@ type message struct {
 	// recyclable by whoever consumes the message. It never travels on
 	// the wire.
 	payloadPooled bool
+	// landed marks a bulk ack whose payload the transport already
+	// wrote into the initiator's registered region (payload is nil).
+	// It never travels on the wire.
+	landed bool
 	// bulk fields
 	bulkID  uint64
 	bulkOff uint64
@@ -145,7 +149,17 @@ func (m *message) releasePayload() {
 	m.payloadPooled = false
 }
 
+// The wire layout is head, length-prefixed payload, tail. The three
+// parts are encoded and decoded separately so the TCP transport can
+// put a large payload on the wire, and take a bulk ack's payload off
+// it, without copying it through a frame buffer (see tcp.go).
 func (m *message) MarshalMochi(e *codec.Encoder) {
+	m.marshalHead(e)
+	e.BytesField(m.payload)
+	m.marshalTail(e)
+}
+
+func (m *message) marshalHead(e *codec.Encoder) {
 	e.Uint8(uint8(m.kind))
 	e.Uint64(m.seq)
 	e.Uint32(uint32(m.id))
@@ -154,7 +168,12 @@ func (m *message) MarshalMochi(e *codec.Encoder) {
 	e.Uint8(m.status)
 	e.String(m.errmsg)
 	e.String(m.auth)
-	e.BytesField(m.payload)
+}
+
+// messageTailLen is the encoded size of the fields after the payload.
+const messageTailLen = 5*8 + 1
+
+func (m *message) marshalTail(e *codec.Encoder) {
 	e.Uint64(m.bulkID)
 	e.Uint64(m.bulkOff)
 	e.Uint64(m.bulkLen)
@@ -164,16 +183,7 @@ func (m *message) MarshalMochi(e *codec.Encoder) {
 }
 
 func (m *message) UnmarshalMochi(d *codec.Decoder) {
-	m.kind = msgKind(d.Uint8())
-	m.seq = d.Uint64()
-	m.id = RPCID(d.Uint32())
-	m.provider = d.Uint16()
-	// src and auth repeat the same few values for a connection's whole
-	// lifetime; interning makes their steady-state decode free.
-	m.src = d.StringIntern()
-	m.status = d.Uint8()
-	m.errmsg = d.String()
-	m.auth = d.StringIntern()
+	m.unmarshalHead(d)
 	// The frame buffer is transport-owned and reused for the next
 	// frame, so the payload is copied out — into pooled scratch that
 	// the message's consumer recycles (Handle.release, bulk handlers).
@@ -184,6 +194,23 @@ func (m *message) UnmarshalMochi(d *codec.Decoder) {
 		m.payload = nil
 		m.payloadPooled = false
 	}
+	m.unmarshalTail(d)
+}
+
+func (m *message) unmarshalHead(d *codec.Decoder) {
+	m.kind = msgKind(d.Uint8())
+	m.seq = d.Uint64()
+	m.id = RPCID(d.Uint32())
+	m.provider = d.Uint16()
+	// src and auth repeat the same few values for a connection's whole
+	// lifetime; interning makes their steady-state decode free.
+	m.src = d.StringIntern()
+	m.status = d.Uint8()
+	m.errmsg = d.String()
+	m.auth = d.StringIntern()
+}
+
+func (m *message) unmarshalTail(d *codec.Decoder) {
 	m.bulkID = d.Uint64()
 	m.bulkOff = d.Uint64()
 	m.bulkLen = d.Uint64()
@@ -288,6 +315,11 @@ type Class struct {
 	bulks   map[uint64]*Bulk
 	bulkSeq atomic.Uint64
 
+	// landings maps an in-flight remote pull to the local registered
+	// memory its ack fills (see claimLanding).
+	landMu   sync.Mutex
+	landings map[uint64][]byte
+
 	monitor   atomic.Pointer[monitorHolder]
 	bulkBytes atomic.Pointer[bulkMetrics]
 	tracer    atomic.Pointer[trace.Tracer]
@@ -353,6 +385,7 @@ func newClass(tr transport) *Class {
 		tr:       tr,
 		handlers: map[rpcKey]*rpcEntry{},
 		bulks:    map[uint64]*Bulk{},
+		landings: map[uint64][]byte{},
 		workCh:   make(chan *message), // unbuffered: hand off only to an idle worker
 		workDone: make(chan struct{}),
 	}

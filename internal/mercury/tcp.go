@@ -22,6 +22,14 @@ import (
 // corrupt length prefixes.
 const maxFrame = 64 << 20
 
+// bulkFrameMin is the payload size from which a frame stops passing
+// through frame buffers: above it the sender gathers the payload
+// straight from the caller's memory and the receiver lands a bulk
+// ack's payload straight in the initiator's registered region. It is
+// the codec pools' retention limit — a larger payload would grow a
+// pooled buffer only for the pool to drop it.
+const bulkFrameMin = 64 << 10
+
 // TCPOptions tunes the TCP transport for scale. The zero value selects
 // defaults sized for the host (see each field); NewTCPClass uses it.
 type TCPOptions struct {
@@ -229,9 +237,11 @@ func newTCPConn(c net.Conn, t *tcpTransport) *tcpConn {
 var ackChanPool = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // writeFrame sends one encoded frame, blocking until it is on the wire
-// (or failed). The frame buffer is borrowed for the duration of the
-// call only.
-func (tc *tcpConn) writeFrame(frame []byte) error {
+// (or failed). A frame is head alone, or head, body and tail written
+// back to back — how a large payload goes out as its own gather entry
+// instead of being copied into the frame buffer. All three are
+// borrowed for the duration of the call only.
+func (tc *tcpConn) writeFrame(head, body, tail []byte) error {
 	tc.mu.Lock()
 	if tc.werr != nil {
 		err := tc.werr
@@ -240,10 +250,13 @@ func (tc *tcpConn) writeFrame(frame []byte) error {
 	}
 	if !tc.writing {
 		tc.writing = true
-		return tc.drainAndUnlock(frame)
+		return tc.drainAndUnlock(head, body, tail)
 	}
 	ch := ackChanPool.Get().(chan error)
-	tc.queue = append(tc.queue, frame)
+	tc.queue = append(tc.queue, head)
+	if body != nil {
+		tc.queue = append(tc.queue, body, tail)
+	}
 	tc.acks = append(tc.acks, ch)
 	tc.mu.Unlock()
 	err := <-ch
@@ -252,50 +265,47 @@ func (tc *tcpConn) writeFrame(frame []byte) error {
 }
 
 // drainAndUnlock runs the drain leader. Entered with tc.mu held and
-// tc.writing freshly set; own is the leader's frame. It returns the
-// write result that applied to own's batch after the queue is empty
-// and leadership is released.
-func (tc *tcpConn) drainAndUnlock(own []byte) error {
+// tc.writing freshly set; head (with body and tail, if any) is the
+// leader's frame. It returns the write result that applied to the
+// leader's batch after the queue is empty and leadership is released.
+func (tc *tcpConn) drainAndUnlock(head, body, tail []byte) error {
 	var ownErr error
-	first := own
+	own := true
 	for {
 		q, a := tc.queue, tc.acks
 		tc.queue, tc.acks = tc.spareQ, tc.spareA
 		werr := tc.werr
 		tc.mu.Unlock()
 
-		n := len(q)
-		if first != nil {
-			n++
+		iov := tc.iovs[:0]
+		frames := len(a)
+		if own {
+			frames++
+			iov = append(iov, head)
+			if body != nil {
+				iov = append(iov, body, tail)
+			}
 		}
+		iov = append(iov, q...)
+		tc.iovs = iov
 		var err error
 		switch {
 		case werr != nil:
 			err = werr
-		case n == 1:
-			f := first
-			if f == nil {
-				f = q[0]
-			}
-			_, err = tc.c.Write(f)
+		case len(iov) == 1:
+			_, err = tc.c.Write(iov[0])
 		default:
-			iov := tc.iovs[:0]
-			if first != nil {
-				iov = append(iov, first)
-			}
-			iov = append(iov, q...)
-			tc.iovs = iov
 			bufs := iov // WriteTo consumes its receiver; keep iovs' header
 			_, err = bufs.WriteTo(tc.c)
 		}
 		if werr == nil {
 			if met := tc.t.metrics(); met != nil {
-				met.writevBatch.Observe(float64(n))
+				met.writevBatch.Observe(float64(frames))
 			}
 		}
-		if first != nil {
+		if own {
 			ownErr = err
-			first = nil
+			own = false
 		}
 		for i, ch := range a {
 			ch <- err
@@ -303,6 +313,9 @@ func (tc *tcpConn) drainAndUnlock(own []byte) error {
 		}
 		for i := range q {
 			q[i] = nil
+		}
+		for i := range iov {
+			iov[i] = nil // borrowed frames must not outlive their write
 		}
 
 		tc.mu.Lock()
@@ -380,14 +393,9 @@ func (t *tcpTransport) serveInbound(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, t.opts.ReadBuffer)
 	var scratch []byte
 	for {
-		m, err := readFrame(br, &scratch)
+		m, err := t.readMessage(br, &scratch)
 		if err != nil {
 			return
-		}
-		if cap(scratch) > t.opts.ScratchCap {
-			// An oversized frame grew the scratch; release it so the
-			// next frame re-allocates at the normal chunk size.
-			scratch = nil
 		}
 		if src == "" && m.src != "" && m.src != t.address {
 			src = m.src
@@ -538,12 +546,9 @@ func (t *tcpTransport) dial(ctx context.Context, dst string, slot int, pd *pendi
 		br := bufio.NewReaderSize(conn, t.opts.ReadBuffer)
 		var scratch []byte
 		for {
-			m, err := readFrame(br, &scratch)
+			m, err := t.readMessage(br, &scratch)
 			if err != nil {
 				return
-			}
-			if cap(scratch) > t.opts.ScratchCap {
-				scratch = nil
 			}
 			t.class.dispatch(m)
 		}
@@ -602,21 +607,33 @@ func (t *tcpTransport) send(ctx context.Context, dst string, m *message) error {
 			return err
 		}
 	}
-	// Serialize header + body into one pooled buffer so each frame is
-	// a single gather entry: a 4-byte little-endian length prefix
-	// followed by the encoded message.
+	// Serialize the message into one pooled buffer so each frame is a
+	// single gather entry: a 4-byte little-endian length prefix
+	// followed by the encoded message. A payload the encoder pool
+	// would not keep anyway (a bulk region, a large RPC argument) is
+	// not copied in: the buffer holds what precedes and what follows
+	// it, and the payload rides between the two as its own entry.
 	enc := codec.GetEncoder()
 	enc.Uint32(0) // length placeholder
-	m.MarshalMochi(enc)
-	frame := enc.Bytes()
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-	err := tc.writeFrame(frame)
+	var head, body, tail []byte
+	if len(m.payload) >= bulkFrameMin {
+		m.marshalHead(enc)
+		enc.Uvarint(uint64(len(m.payload)))
+		split := enc.Len()
+		m.marshalTail(enc)
+		head, body, tail = enc.Bytes()[:split], m.payload, enc.Bytes()[split:]
+	} else {
+		m.MarshalMochi(enc)
+		head = enc.Bytes()
+	}
+	binary.LittleEndian.PutUint32(head[:4], uint32(len(head)-4+len(body)+len(tail)))
+	err := tc.writeFrame(head, body, tail)
 	if err != nil && fromRoute {
 		// The inbound route died under us; fall back to the pool once
 		// (the frame stays valid until the encoder is recycled).
 		tc.c.Close()
 		if tc2, derr := t.getConn(ctx, dst, m.seq); derr == nil {
-			if err = tc2.writeFrame(frame); err != nil {
+			if err = tc2.writeFrame(head, body, tail); err != nil {
 				t.evictPool(dst, int(m.seq%uint64(t.opts.PoolSize)), tc2)
 				tc2.c.Close()
 			}
@@ -703,17 +720,102 @@ func (t *tcpTransport) close() error {
 	return nil
 }
 
-// readFrame reads one length-prefixed frame into *scratch (grown as
-// needed, reused across frames) and decodes it into a pooled message.
-func readFrame(r io.Reader, scratch *[]byte) (*message, error) {
+// readMessage reads the connection's next message for dispatch.
+func (t *tcpTransport) readMessage(br *bufio.Reader, scratch *[]byte) (*message, error) {
+	for {
+		n, err := readFrameLen(br)
+		if err != nil {
+			return nil, err
+		}
+		if n >= bulkFrameMin {
+			if m, handled, err := t.class.readBulkAck(br, n); handled {
+				if m == nil && err == nil {
+					continue // a late or duplicate ack, dropped
+				}
+				return m, err
+			}
+		}
+		m, err := readFrameBody(br, n, scratch)
+		if cap(*scratch) > t.opts.ScratchCap {
+			// An oversized frame grew the scratch; release it so the
+			// next frame re-allocates at the normal chunk size.
+			*scratch = nil
+		}
+		return m, err
+	}
+}
+
+// bulkAckPeek is how much of a large frame readBulkAck looks at to
+// find the payload: an ack's head is 20 bytes plus the sender's
+// address, comfortably inside it (and inside every read buffer).
+const bulkAckPeek = 512
+
+// readBulkAck takes a successful bulk ack of n bytes off the wire with
+// its payload read straight into the memory the initiator registered
+// for it (claimLanding) — no frame scratch, no pooled copy. handled is
+// false, with nothing consumed, when the frame is anything else. A
+// late or duplicate ack has no region to fill any more: it is drained
+// and dropped (nil message), never written anywhere.
+func (c *Class) readBulkAck(br *bufio.Reader, n int) (m *message, handled bool, err error) {
+	peek, err := br.Peek(min(bulkAckPeek, br.Size()))
+	if err != nil {
+		return nil, true, err
+	}
+	m = getMessage()
+	d := codec.GetDecoder(peek)
+	m.unmarshalHead(d)
+	size := d.Uvarint()
+	head := len(peek) - d.Remaining()
+	isAck := d.Err() == nil && m.kind == msgBulkAck && m.status == 0 &&
+		uint64(n) == uint64(head)+size+messageTailLen
+	codec.PutDecoder(d)
+	if !isAck {
+		putMessage(m)
+		return nil, false, nil
+	}
+	dst, ok := c.claimLanding(m.seq, size)
+	if !ok {
+		putMessage(m)
+		_, err := br.Discard(n)
+		return nil, true, err
+	}
+	// From here the initiator waits for a delivery, whatever happens
+	// to the connection.
+	var tail [messageTailLen]byte
+	if _, err = br.Discard(head); err == nil {
+		if _, err = io.ReadFull(br, dst); err == nil {
+			_, err = io.ReadFull(br, tail[:])
+		}
+	}
+	if err != nil {
+		m.status, m.errmsg = 1, "connection lost mid-transfer"
+		if !c.pending.deliver(m.seq, m) {
+			putMessage(m)
+		}
+		return nil, true, err
+	}
+	d = codec.GetDecoder(tail[:])
+	m.unmarshalTail(d)
+	codec.PutDecoder(d)
+	m.landed = true
+	return m, true, nil
+}
+
+func readFrameLen(r io.Reader) (int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n > maxFrame {
-		return nil, fmt.Errorf("mercury: frame of %d bytes exceeds limit", n)
+		return 0, fmt.Errorf("mercury: frame of %d bytes exceeds limit", n)
 	}
+	return n, nil
+}
+
+// readFrameBody reads an n-byte frame into *scratch (grown as needed,
+// reused across frames) and decodes it into a pooled message.
+func readFrameBody(r io.Reader, n int, scratch *[]byte) (*message, error) {
 	// Grow the body buffer only as bytes actually arrive (doubling,
 	// starting at one chunk): a hostile length prefix on a short
 	// stream then costs at most one chunk of allocation, not an

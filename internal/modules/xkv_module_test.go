@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"mochi/internal/bedrock"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
+	"mochi/internal/testutil"
 	"mochi/internal/yokan/router"
 )
 
@@ -37,9 +39,17 @@ func xkvServerConfig(owners []string) string {
 // hosting one sharded keyspace (two owners, one spare), routes
 // traffic through a client, then moves one shard to the spare via the
 // remote reshard RPC and verifies the keyspace is intact under the
-// bumped epoch.
+// bumped epoch. Every process shows its node's migration pool in its
+// live configuration, and shutting the deployment down leaves no
+// goroutine behind (the pool's xstream, a commanded reshard).
 func TestXkvModuleBedrockReshard(t *testing.T) {
 	RegisterBuiltins()
+	before := testutil.GoroutineCount()
+	t.Run("keyspace", xkvBedrockReshard)
+	testutil.WaitGoroutinesSettle(t, before, 2)
+}
+
+func xkvBedrockReshard(t *testing.T) {
 	f := mercury.NewFabric()
 	names := []string{"xkv-bed-0", "xkv-bed-1", "xkv-bed-2"}
 	owners := []string{"sm://xkv-bed-0", "sm://xkv-bed-1"}
@@ -70,6 +80,18 @@ func TestXkvModuleBedrockReshard(t *testing.T) {
 	t.Cleanup(inst.Finalize)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	t.Cleanup(cancel)
+
+	for _, name := range names {
+		_, raw, err := bedrock.NewClient(inst).MakeServiceHandle("sm://" + name).GetConfig(ctx)
+		if err != nil {
+			t.Fatalf("config of %s: %v", name, err)
+		}
+		for _, want := range []string{`"xkv-40-migration"`, `"xkv-40-migration-es"`} {
+			if !strings.Contains(string(raw), want) {
+				t.Fatalf("%s's live configuration lacks %s: %s", name, want, raw)
+			}
+		}
+	}
 
 	r, err := router.Bootstrap(ctx, inst, owners, 40)
 	if err != nil {

@@ -61,10 +61,21 @@ func (c *Client) Migrate(ctx context.Context, addr string, providerID uint16, fs
 	start := time.Now()
 	method := opts.Method
 	if method == MethodAuto {
-		if len(fs.Files) == 0 || fs.TotalBytes()/int64(max(len(fs.Files), 1)) >= AutoThreshold {
+		// Chunks are reassembled in files, so memory goes by bulk.
+		if fs.InMemory() || len(fs.Files) == 0 || fs.TotalBytes()/int64(max(len(fs.Files), 1)) >= AutoThreshold {
 			method = MethodBulk
 		} else {
 			method = MethodChunked
+		}
+	}
+	if fs.InMemory() {
+		if method != MethodBulk {
+			return Stats{}, fmt.Errorf("%w: an in-memory fileset moves by %s only", ErrBadFileSet, MethodBulk)
+		}
+		for _, fi := range fs.Files {
+			if fi.Data == nil && fi.Size != 0 {
+				return Stats{}, fmt.Errorf("%w: in-memory entry %q carries no data", ErrBadFileSet, fi.RelPath)
+			}
 		}
 	}
 	var (
@@ -83,7 +94,7 @@ func (c *Client) Migrate(ctx context.Context, addr string, providerID uint16, fs
 		return stats, err
 	}
 	stats.Duration = time.Since(start)
-	if opts.RemoveSource {
+	if opts.RemoveSource && !fs.InMemory() {
 		for _, fi := range fs.Files {
 			if rerr := os.Remove(filepath.Join(fs.Root, fi.RelPath)); rerr != nil && err == nil {
 				err = rerr
@@ -93,11 +104,24 @@ func (c *Client) Migrate(ctx context.Context, addr string, providerID uint16, fs
 	return stats, err
 }
 
-// migrateBulk loads each file into a registered bulk region and lets
+// sourceData returns the content of one fileset entry: the bytes the
+// fileset already holds, else the file.
+func sourceData(fs *FileSet, fi *FileInfo) ([]byte, error) {
+	if fi.Data != nil || fs.InMemory() {
+		return fi.Data, nil
+	}
+	data, err := os.ReadFile(filepath.Join(fs.Root, fi.RelPath))
+	if err != nil {
+		return nil, fmt.Errorf("remi: read %s: %w", fi.RelPath, err)
+	}
+	return data, nil
+}
+
+// migrateBulk registers each file's bytes as a bulk region and lets
 // the destination pull them ("memory mapping the files and using RDMA
 // to transfer the data").
 func (c *Client) migrateBulk(ctx context.Context, addr string, providerID uint16, fs *FileSet) (Stats, error) {
-	args := beginArgs{Method: uint8(MethodBulk), Class: fs.Class, Meta: fs.Metadata}
+	args := beginArgs{Method: uint8(MethodBulk), InMemory: fs.InMemory(), Class: fs.Class, Meta: fs.Metadata}
 	var bulks []*mercury.Bulk
 	defer func() {
 		for _, b := range bulks {
@@ -105,10 +129,11 @@ func (c *Client) migrateBulk(ctx context.Context, addr string, providerID uint16
 		}
 	}()
 	var total int64
-	for _, fi := range fs.Files {
-		data, err := os.ReadFile(filepath.Join(fs.Root, fi.RelPath))
+	for i := range fs.Files {
+		fi := &fs.Files[i]
+		data, err := sourceData(fs, fi)
 		if err != nil {
-			return Stats{}, fmt.Errorf("remi: read %s: %w", fi.RelPath, err)
+			return Stats{}, err
 		}
 		b := c.inst.Class().CreateBulk(data, mercury.BulkReadOnly)
 		bulks = append(bulks, b)
@@ -206,8 +231,8 @@ func (c *Client) migrateChunked(ctx context.Context, addr string, providerID uin
 		return true
 	}
 loop:
-	for idx, fi := range fs.Files {
-		data, err := os.ReadFile(filepath.Join(fs.Root, fi.RelPath))
+	for idx := range fs.Files {
+		data, err := sourceData(fs, &fs.Files[idx])
 		if err != nil {
 			mu.Lock()
 			if firstErr == nil {

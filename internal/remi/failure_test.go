@@ -3,8 +3,11 @@ package remi
 import (
 	"bytes"
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"mochi/internal/margo"
 )
 
 // TestMigrationDestinationDiesMidTransfer: killing the destination
@@ -17,11 +20,13 @@ func TestMigrationDestinationDiesMidTransfer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	// Kill the destination shortly after the transfer starts.
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		env.fabric.Kill(env.dst.Addr())
-	}()
+	// Kill the destination once the chunk stream is under way.
+	var chunks atomic.Int32
+	env.dst.AddHook(&margo.Hook{OnHandlerStart: func(info margo.RPCInfo, _ time.Duration) {
+		if info.Name == rpcChunk && chunks.Add(1) == 8 {
+			env.fabric.Kill(env.dst.Addr())
+		}
+	}})
 	_, err := env.client.Migrate(ctx, env.dst.Addr(), 4, fs, Options{
 		Method:    MethodChunked,
 		ChunkSize: 4 << 10, // many chunks so the kill lands mid-flight
@@ -43,7 +48,7 @@ func TestMigrationDestinationDiesMidTransfer(t *testing.T) {
 func TestMigrationChecksumFailureRejectsFileset(t *testing.T) {
 	env := newMigEnv(t)
 	fired := false
-	env.prov.OnMigrated(func(*FileSet) { fired = true })
+	env.prov.OnMigrated(func(context.Context, *FileSet) { fired = true })
 	files := map[string][]byte{"f.dat": []byte("correct content")}
 	fs := writeSourceFiles(t, "x", files)
 	fs.Files[0].CRC++ // corrupt the declared checksum

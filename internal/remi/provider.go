@@ -16,9 +16,15 @@ import (
 )
 
 // MigratedCallback is invoked on the destination once a fileset has
-// fully arrived and verified. Bedrock uses it to instantiate a new
-// provider over the received files (§6 Observation 5).
-type MigratedCallback func(fs *FileSet)
+// fully arrived and verified, on the ULT of the handler that completed
+// it and under that handler's context (so spans it records join the
+// migration's trace). Every entry carries the verified bytes in Data,
+// valid until the callback returns (the provider receives the next
+// fileset into the same memory); unless the fileset is in-memory they
+// are also on disk under Root.
+// Bedrock uses it to instantiate a new provider over the received
+// files (§6 Observation 5).
+type MigratedCallback func(ctx context.Context, fs *FileSet)
 
 // Provider is the destination side of migrations: it owns a root
 // directory where incoming filesets are written.
@@ -32,6 +38,11 @@ type Provider struct {
 	inflight map[uint64]*incoming
 	callback MigratedCallback
 	closed   bool
+	// spare is the largest receive buffer a finished bulk migration
+	// handed back: a provider that receives filesets of one size over
+	// and over (a shard ping-ponging between two nodes) pulls each into
+	// memory it already owns.
+	spare []byte
 }
 
 type incoming struct {
@@ -40,7 +51,10 @@ type incoming struct {
 }
 
 // NewProvider creates a REMI provider writing incoming filesets under
-// root.
+// root. Its handlers run on pool (nil selects the instance's RPC
+// pool): a bulk migration pulls, verifies and hands over the whole
+// fileset inside one handler, so a node that must keep serving while
+// it receives gives REMI a pool of its own.
 func NewProvider(inst *margo.Instance, id uint16, pool *argobots.Pool, root string) (*Provider, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, err
@@ -111,6 +125,9 @@ func respondStatus(h *mercury.Handle, err error) {
 
 func (p *Provider) makeFileSet(args *beginArgs) (*FileSet, error) {
 	fs := &FileSet{Class: args.Class, Root: p.root, Metadata: args.Meta}
+	if args.InMemory {
+		fs.Root = ""
+	}
 	for _, wf := range args.Files {
 		if err := validateRelPath(wf.RelPath); err != nil {
 			return nil, err
@@ -142,10 +159,15 @@ func (p *Provider) handleBegin(ctx context.Context, h *mercury.Handle) {
 			reply.Status = 1
 			reply.Err = err.Error()
 		} else {
-			p.notify(fs)
+			p.notify(ctx, fs)
 		}
+		p.recycle(fs)
 		_ = h.Respond(codec.Marshal(&reply))
 	case MethodChunked:
+		if fs.InMemory() {
+			_ = h.Respond(codec.Marshal(&beginReply{Status: 1, Err: "remi: chunked transfer of an in-memory fileset"}))
+			return
+		}
 		id, err := p.beginChunked(fs)
 		reply := beginReply{XferID: id}
 		if err != nil {
@@ -161,8 +183,10 @@ func (p *Provider) handleBegin(ctx context.Context, h *mercury.Handle) {
 // pullTimeout bounds one destination-side bulk pull when the handler
 // context carries no deadline of its own. Handler contexts normally
 // don't: without this bound, a lost bulk frame would park the handler
-// forever — and handlers run on the instance's RPC execution stream,
-// so one wedged pull starves every other RPC on the node.
+// forever — and with it the execution stream of the pool the provider
+// was registered on, so one wedged pull starves every later migration
+// into this provider (and, on the default RPC pool, every other RPC
+// on the node).
 const pullTimeout = 10 * time.Second
 
 // pullAll runs under the handler context so the bulk pulls inherit its
@@ -175,7 +199,10 @@ func (p *Provider) pullAll(ctx context.Context, h *mercury.Handle, args *beginAr
 		return ErrClosed
 	}
 	for i, wf := range args.Files {
-		buf := make([]byte, wf.Size)
+		// The region the pull fills is the buffer that is checksummed,
+		// written out and handed to the callback.
+		buf := p.receiveBuffer(wf.Size)
+		fs.Files[i].Data = buf
 		local := h.Class().CreateBulk(buf, mercury.BulkReadWrite)
 		pctx := ctx
 		var cancel context.CancelFunc
@@ -193,6 +220,9 @@ func (p *Provider) pullAll(ctx context.Context, h *mercury.Handle, args *beginAr
 		if crc32.ChecksumIEEE(buf) != wf.CRC {
 			return fmt.Errorf("%w: %s", ErrChecksum, wf.RelPath)
 		}
+		if fs.InMemory() {
+			continue
+		}
 		dst := filepath.Join(p.root, wf.RelPath)
 		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 			return err
@@ -200,9 +230,39 @@ func (p *Provider) pullAll(ctx context.Context, h *mercury.Handle, args *beginAr
 		if err := os.WriteFile(dst, buf, 0o644); err != nil {
 			return err
 		}
-		_ = i
 	}
 	return nil
+}
+
+// receiveBuffer returns n bytes to pull a file into: the spare buffer
+// if it is large enough, else fresh memory.
+func (p *Provider) receiveBuffer(n int64) []byte {
+	p.mu.Lock()
+	buf := p.spare
+	p.spare = nil
+	p.mu.Unlock()
+	if int64(cap(buf)) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
+}
+
+// maxSpare bounds the receive buffer a provider keeps between
+// migrations, so that one huge fileset does not pin its size forever.
+const maxSpare = 64 << 20
+
+// recycle keeps the largest receive buffer (up to maxSpare) of a
+// fileset whose callback has returned, or that failed, as the next
+// spare.
+func (p *Provider) recycle(fs *FileSet) {
+	p.mu.Lock()
+	for i := range fs.Files {
+		if c := cap(fs.Files[i].Data); c > cap(p.spare) && c <= maxSpare {
+			p.spare = fs.Files[i].Data
+		}
+		fs.Files[i].Data = nil
+	}
+	p.mu.Unlock()
 }
 
 func (p *Provider) beginChunked(fs *FileSet) (uint64, error) {
@@ -258,7 +318,7 @@ func (p *Provider) handleChunk(_ context.Context, h *mercury.Handle) {
 	respondStatus(h, nil)
 }
 
-func (p *Provider) handleEnd(_ context.Context, h *mercury.Handle) {
+func (p *Provider) handleEnd(ctx context.Context, h *mercury.Handle) {
 	var args endArgs
 	if err := codec.Unmarshal(h.Input(), &args); err != nil {
 		_ = h.RespondError(err)
@@ -286,18 +346,19 @@ func (p *Provider) handleEnd(_ context.Context, h *mercury.Handle) {
 		if rerr == nil && crc32.ChecksumIEEE(data) != fi.CRC && err == nil {
 			err = fmt.Errorf("%w: %s", ErrChecksum, fi.RelPath)
 		}
+		in.fs.Files[i].Data = data
 	}
 	if err == nil {
-		p.notify(in.fs)
+		p.notify(ctx, in.fs)
 	}
 	respondStatus(h, err)
 }
 
-func (p *Provider) notify(fs *FileSet) {
+func (p *Provider) notify(ctx context.Context, fs *FileSet) {
 	p.mu.Lock()
 	cb := p.callback
 	p.mu.Unlock()
 	if cb != nil {
-		cb(fs)
+		cb(ctx, fs)
 	}
 }

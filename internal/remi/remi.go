@@ -7,9 +7,9 @@
 // discussion:
 //
 //   - MethodBulk ("RDMA"): the source memory-maps each file (here:
-//     reads it into a registered bulk region) and the destination
-//     pulls it in a single bulk operation per file — efficient for
-//     large files.
+//     registers the bytes it read as a bulk region) and the
+//     destination pulls it in a single bulk operation per file —
+//     efficient for large files.
 //   - MethodChunked: the source streams fixed-size chunks over
 //     pipelined RPCs, packing small files together — efficient for
 //     many small files since chunks are pipelined and the per-file
@@ -70,6 +70,13 @@ type FileInfo struct {
 	RelPath string
 	Size    int64
 	CRC     uint32
+	// Data is the file's content when REMI holds it in memory: on the
+	// source, the bytes Size and CRC were computed from, which are the
+	// bytes Migrate sends (a file is read once, and what arrives is
+	// what was checksummed); on the destination, the bytes that arrived
+	// and passed the CRC, so a MigratedCallback need not read them
+	// back. Nil on the source means Migrate reads RelPath under Root.
+	Data []byte
 }
 
 // FileSet names a set of files rooted at a directory, plus free-form
@@ -77,14 +84,34 @@ type FileInfo struct {
 // needed to re-instantiate the resource at the destination).
 type FileSet struct {
 	// Class tags what kind of resource these files back (e.g. "yokan").
-	Class    string
+	Class string
+	// Root is the directory the files live under. Empty marks an
+	// in-memory fileset (see AddBytes): every entry carries its Data,
+	// nothing is read from or written to disk on either side, and
+	// RelPath is only a name.
 	Root     string
 	Files    []FileInfo
 	Metadata map[string]string
 }
 
-// BuildFileSet scans the given absolute paths (all under root) into a
-// FileSet, computing sizes and checksums.
+// InMemory reports whether the fileset lives in memory only.
+func (fs *FileSet) InMemory() bool { return fs.Root == "" }
+
+// AddBytes appends data to an in-memory fileset as the entry named
+// relPath. data is shared, not copied: it must stay unchanged until
+// Migrate returns.
+func (fs *FileSet) AddBytes(relPath string, data []byte) {
+	fs.Files = append(fs.Files, FileInfo{
+		RelPath: relPath,
+		Size:    int64(len(data)),
+		CRC:     crc32.ChecksumIEEE(data),
+		Data:    data,
+	})
+}
+
+// BuildFileSet reads the given absolute paths (all under root) into a
+// FileSet, computing sizes and checksums. The fileset keeps what it
+// read: it is a snapshot of the files as of this call.
 func BuildFileSet(class, root string, paths []string, metadata map[string]string) (*FileSet, error) {
 	fs := &FileSet{Class: class, Root: root, Metadata: metadata}
 	for _, p := range paths {
@@ -100,6 +127,7 @@ func BuildFileSet(class, root string, paths []string, metadata map[string]string
 			RelPath: rel,
 			Size:    int64(len(data)),
 			CRC:     crc32.ChecksumIEEE(data),
+			Data:    data,
 		})
 	}
 	return fs, nil
@@ -142,14 +170,16 @@ type wireFile struct {
 }
 
 type beginArgs struct {
-	Method uint8
-	Class  string
-	Meta   map[string]string
-	Files  []wireFile
+	Method   uint8
+	InMemory bool
+	Class    string
+	Meta     map[string]string
+	Files    []wireFile
 }
 
 func (a *beginArgs) MarshalMochi(e *codec.Encoder) {
 	e.Uint8(a.Method)
+	e.Bool(a.InMemory)
 	e.String(a.Class)
 	e.Uvarint(uint64(len(a.Meta)))
 	for k, v := range a.Meta {
@@ -168,6 +198,7 @@ func (a *beginArgs) MarshalMochi(e *codec.Encoder) {
 
 func (a *beginArgs) UnmarshalMochi(d *codec.Decoder) {
 	a.Method = d.Uint8()
+	a.InMemory = d.Bool()
 	a.Class = d.String()
 	nm := d.Uvarint()
 	if nm > uint64(d.Remaining()) {

@@ -3,6 +3,7 @@ package remi
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -186,7 +187,7 @@ func TestMigrateZeroLengthFile(t *testing.T) {
 func TestMigratedCallbackFires(t *testing.T) {
 	env := newMigEnv(t)
 	got := make(chan *FileSet, 1)
-	env.prov.OnMigrated(func(fs *FileSet) { got <- fs })
+	env.prov.OnMigrated(func(_ context.Context, fs *FileSet) { got <- fs })
 	files := testFiles(false)
 	fs := writeSourceFiles(t, "yokan", files)
 	if _, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{Method: MethodChunked}); err != nil {
@@ -311,7 +312,10 @@ func TestMethodTradeoffShape(t *testing.T) {
 	run := func(files map[string][]byte, m Method) time.Duration {
 		f := mercury.NewFabric()
 		f.SetModel(&mercury.HPCModel{
-			RPCOverhead:  200 * time.Microsecond,
+			// Per-message cost an order of magnitude above this box's
+			// scheduling jitter, so that the model decides the outcome:
+			// 16 chunk round trips against one bulk handshake.
+			RPCOverhead:  time.Millisecond,
 			BulkOverhead: 20 * time.Microsecond,
 			BytesPerSec:  2e9,
 			EagerLimit:   4096,
@@ -346,3 +350,90 @@ func TestMethodTradeoffShape(t *testing.T) {
 func mustMarshal(m codec.Marshaler) []byte { return codec.Marshal(m) }
 
 func unmarshal(b []byte, m codec.Unmarshaler) error { return codec.Unmarshal(b, m) }
+
+// TestInMemoryFileSetTouchesNoDisk: a fileset built from bytes moves
+// by bulk, arrives as bytes, and neither side reads or writes a file;
+// the callback sees exactly the source's bytes, and only while it
+// runs — the provider receives the next fileset into the same memory.
+func TestInMemoryFileSetTouchesNoDisk(t *testing.T) {
+	env := newMigEnv(t)
+	type arrival struct {
+		root, name string
+		data       []byte // copied during the callback
+		held       []byte // retained past it
+	}
+	got := make(chan arrival, 2)
+	env.prov.OnMigrated(func(_ context.Context, fs *FileSet) {
+		f := fs.Files[0]
+		got <- arrival{fs.Root, f.RelPath, append([]byte(nil), f.Data...), f.Data}
+	})
+	send := func(fill byte) []byte {
+		data := bytes.Repeat([]byte{fill}, 300<<10)
+		fs := &FileSet{Class: "mem", Metadata: map[string]string{"k": "v"}}
+		fs.AddBytes("shard.snap", data)
+		if !fs.InMemory() {
+			t.Fatal("a fileset without a root is not in-memory")
+		}
+		// MethodAuto must not pick chunks: they are reassembled in files.
+		stats, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{Method: MethodAuto, RemoveSource: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Method != MethodBulk || stats.Bytes != int64(len(data)) {
+			t.Fatalf("stats = %+v", stats)
+		}
+		return data
+	}
+	first := send(1)
+	a := <-got
+	if a.root != "" || a.name != "shard.snap" || !bytes.Equal(a.data, first) {
+		t.Fatalf("first arrival: root %q name %q, %d bytes", a.root, a.name, len(a.data))
+	}
+	second := send(2)
+	b := <-got
+	if !bytes.Equal(b.data, second) {
+		t.Fatal("second arrival differs from its source")
+	}
+	if &a.held[0] != &b.held[0] {
+		t.Fatal("the second fileset was not received into the first one's buffer")
+	}
+	if entries, err := os.ReadDir(env.root); err != nil || len(entries) != 0 {
+		t.Fatalf("destination root holds %d entries (%v), want none", len(entries), err)
+	}
+
+	fs := &FileSet{Class: "mem"}
+	fs.AddBytes("x", []byte("abc"))
+	if _, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{Method: MethodChunked}); !errors.Is(err, ErrBadFileSet) {
+		t.Fatalf("chunked in-memory migration: %v, want ErrBadFileSet", err)
+	}
+	fs.Files[0].Data = nil
+	if _, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{}); !errors.Is(err, ErrBadFileSet) {
+		t.Fatalf("in-memory entry without data: %v, want ErrBadFileSet", err)
+	}
+}
+
+// TestFileSetIsSnapshotOfItsFiles: BuildFileSet reads each file once
+// and migrates what it read — a file rewritten (or removed) afterwards
+// cannot make the bytes that arrive disagree with the checksum — and
+// the callback gets the verified bytes as well as the files.
+func TestFileSetIsSnapshotOfItsFiles(t *testing.T) {
+	for _, m := range []Method{MethodBulk, MethodChunked} {
+		env := newMigEnv(t)
+		var data []byte
+		env.prov.OnMigrated(func(_ context.Context, fs *FileSet) {
+			data = append([]byte(nil), fs.Files[0].Data...)
+		})
+		files := map[string][]byte{"db.log": bytes.Repeat([]byte("built"), 1000)}
+		fs := writeSourceFiles(t, "x", files)
+		if err := os.Remove(filepath.Join(fs.Root, "db.log")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{Method: m}); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		verifyArrived(t, env.root, files)
+		if !bytes.Equal(data, files["db.log"]) {
+			t.Fatalf("%v: callback saw %d bytes, want the file's %d", m, len(data), len(files["db.log"]))
+		}
+	}
+}

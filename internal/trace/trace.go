@@ -103,6 +103,11 @@ const (
 	// KindBulk measures one bulk (RDMA-like) transfer issued from a
 	// handler, with Bytes carrying the transfer size.
 	KindBulk Kind = "bulk"
+	// KindPhase measures a named step inside a component's operation
+	// (a reshard's snapshot, transfer, merge, promote): where a long
+	// handler or client call spent its time. RPCs and bulk transfers
+	// issued during the step are its children.
+	KindPhase Kind = "phase"
 	// KindRetry measures one failed attempt that the resilience layer
 	// retried; it is a child of the client span covering the whole
 	// logical forward, and always carries Err.

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 )
 
@@ -71,6 +72,51 @@ type Database interface {
 	Close() error
 	// Destroy closes and removes any backing files.
 	Destroy() error
+}
+
+// scanner is implemented by backends that visit their pairs better
+// than by paging through ListKeyValues.
+type scanner interface {
+	Scan(fn func(key, value []byte)) error
+}
+
+// scanPage is how many pairs Scan's generic path reads per hold of
+// the backend's lock.
+const scanPage = 256
+
+// Scan calls fn for every pair of db without ever holding the
+// backend's lock for more than one bounded step — one pair, or one
+// page of scanPage pairs — so a scan of a large database never makes
+// a concurrent operation wait for O(database). It yields the
+// processor every scanPage pairs for the same reason: a scan is
+// milliseconds of uninterrupted work, and on a busy host the
+// goroutines serving requests would otherwise queue behind it until
+// the runtime's 10 ms preemption. The price is that it
+// is not a point-in-time view: a pair written or erased while the scan
+// runs may be visited in either state or not at all (callers that need
+// consistency pair the scan with a log of concurrent writes, as the
+// router's dual-write window does). key and value are valid only
+// during the call and must not be modified; fn may run under the
+// backend's read lock, so it must be short and must not call into db.
+func Scan(db Database, fn func(key, value []byte)) error {
+	if s, ok := db.(scanner); ok {
+		return s.Scan(fn)
+	}
+	var from []byte
+	for {
+		page, err := db.ListKeyValues(from, nil, scanPage)
+		if err != nil {
+			return err
+		}
+		for _, kv := range page {
+			fn(kv.Key, kv.Value)
+		}
+		if len(page) < scanPage {
+			return nil
+		}
+		from = page[len(page)-1].Key
+		runtime.Gosched()
+	}
 }
 
 // Config selects and parameterizes a backend.

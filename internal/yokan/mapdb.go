@@ -2,6 +2,7 @@ package yokan
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -48,6 +49,47 @@ func (d *mapDB) Get(key []byte) ([]byte, error) {
 		return nil, ErrKeyNotFound
 	}
 	return append([]byte(nil), v...), nil
+}
+
+// testHookScan, when non-nil, runs between Scan's key collection and
+// its first value fetch.
+var testHookScan func()
+
+// Scan implements scanner. A Go map cannot be iterated in resumable
+// pages, so the keys are collected under one read lock (the strings
+// are shared with the map, not copied) and each pair is then visited
+// under a read lock of its own, straight from the stored bytes.
+func (d *mapDB) Scan(fn func(key, value []byte)) error {
+	d.mu.RLock()
+	if d.closed {
+		d.mu.RUnlock()
+		return ErrClosed
+	}
+	keys := make([]string, 0, len(d.m))
+	for k := range d.m {
+		keys = append(keys, k)
+	}
+	d.mu.RUnlock()
+	if testHookScan != nil {
+		testHookScan()
+	}
+	var kb []byte
+	for i, k := range keys {
+		if i%scanPage == scanPage-1 {
+			runtime.Gosched() // see Scan: bounded steps of the processor too
+		}
+		d.mu.RLock()
+		if d.closed {
+			d.mu.RUnlock()
+			return ErrClosed
+		}
+		if v, ok := d.m[k]; ok {
+			kb = append(kb[:0], k...)
+			fn(kb, v)
+		}
+		d.mu.RUnlock()
+	}
+	return nil
 }
 
 func (d *mapDB) Erase(key []byte) error {

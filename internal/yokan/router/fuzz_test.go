@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mochi/internal/codec"
+	"mochi/internal/yokan"
 )
 
 // FuzzShardMapWire decodes arbitrary bytes as a shard map. The map
@@ -49,8 +50,9 @@ func FuzzShardMapWire(f *testing.F) {
 }
 
 // FuzzRouterWireMessages decodes arbitrary bytes as each router wire
-// message, mirroring the ssg fuzz harness: decoders must be
-// allocation-bounded and panic-free on hostile input.
+// message — and as a shard snapshot, which a peer's REMI transfer
+// delivers to the merge — mirroring the ssg fuzz harness: decoders
+// must be allocation-bounded and panic-free on hostile input.
 func FuzzRouterWireMessages(f *testing.F) {
 	seed := func(m codec.Marshaler) []byte { return codec.Marshal(m) }
 	f.Add(uint8(0), seed(&opArgs{Epoch: 1, Shard: 2, Keys: [][]byte{[]byte("k")}}))
@@ -61,10 +63,33 @@ func FuzzRouterWireMessages(f *testing.F) {
 	f.Add(uint8(5), seed(&prepareReply{Status: 0, RemiProvider: 10}))
 	f.Add(uint8(6), seed(&installArgs{Bootstrap: true, Map: []byte{9}}))
 	f.Add(uint8(7), seed(&reshardArgs{Shard: 3, Dst: Owner{Addr: "sm://x", Provider: 1}}))
+	snap := codec.NewEncoder(nil)
+	snap.BytesField([]byte("key"))
+	snap.BytesField([]byte("value"))
+	f.Add(uint8(8), snap.Bytes())
+	f.Add(uint8(8), snap.Bytes()[:snap.Len()-1])
 
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
+		if sel%9 == 8 {
+			db, err := yokan.Open(yokan.Config{Type: "map", Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			inc := &staging{db: db, tombstones: map[string]struct{}{}, lastSeq: map[string]uint64{}}
+			d := codec.NewDecoder(data)
+			for done := false; !done; {
+				if done, err = mergeBatch(inc, d, mergeBatchKeys); err != nil {
+					if inc.merged {
+						t.Fatal("a snapshot that failed to decode was marked merged")
+					}
+					return
+				}
+			}
+			return
+		}
 		var m codec.Unmarshaler
-		switch sel % 8 {
+		switch sel % 9 {
 		case 0:
 			m = &opArgs{}
 		case 1:

@@ -1,0 +1,708 @@
+package router
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io/fs"
+	"math/rand"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"mochi/internal/codec"
+	"mochi/internal/margo"
+	"mochi/internal/mercury"
+	"mochi/internal/remi"
+	"mochi/internal/testutil"
+	"mochi/internal/trace"
+	"mochi/internal/yokan"
+)
+
+// keyOnShard returns a key of the given prefix that routes to shard.
+func keyOnShard(m *Map, shard uint32, prefix string) []byte {
+	for i := 0; ; i++ {
+		k := []byte(fmt.Sprintf("%s-%d", prefix, i))
+		if m.ShardOf(k) == shard {
+			return k
+		}
+	}
+}
+
+// shardOwnedBy returns a shard the map assigns to owner.
+func shardOwnedBy(t *testing.T, m *Map, owner Owner) uint32 {
+	t.Helper()
+	for s, o := range m.Owners {
+		if o == owner {
+			return uint32(s)
+		}
+	}
+	t.Fatalf("%v owns no shard", owner)
+	return 0
+}
+
+// TestDataPathServesWhileMergeParked is the head-of-line test: with
+// the destination's snapshot receive parked on its migration xstream,
+// Put and Get to the migrating shard (whose writes dual-forward to the
+// destination's Stage handler), to another shard on the source and to
+// a shard the destination owns all complete. When the REMI provider
+// shared the RPC execution stream none of the calls to the destination
+// could, and the ones below timed out.
+func TestDataPathServesWhileMergeParked(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 8})
+	ctx := tctx(t, 20*time.Second)
+	src, dst := c.nodes[0], c.nodes[1]
+	moving := shardOwnedBy(t, c.initial, src.Self())
+	var other uint32
+	for s, o := range c.initial.Owners {
+		if o == src.Self() && uint32(s) != moving {
+			other = uint32(s)
+		}
+	}
+	keys := [][]byte{
+		keyOnShard(c.initial, moving, "moving"),
+		keyOnShard(c.initial, other, "source"),
+		keyOnShard(c.initial, shardOwnedBy(t, c.initial, dst.Self()), "dest"),
+	}
+	r := c.router()
+	for _, k := range keys {
+		if err := r.Put(ctx, k, []byte("before")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	testHookMerge = func() { close(parked); <-release }
+	t.Cleanup(func() { testHookMerge = nil })
+	flipped := make(chan error, 1)
+	go func() { flipped <- src.Reshard(ctx, moving, dst.Self()) }()
+	select {
+	case <-parked:
+	case err := <-flipped:
+		t.Fatalf("reshard ended before its snapshot arrived: %v", err)
+	}
+
+	octx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	for _, k := range keys {
+		if err := r.Put(octx, k, []byte("during")); err != nil {
+			t.Fatalf("put %s with the merge parked: %v", k, err)
+		}
+		if v, err := r.Get(octx, k); err != nil || string(v) != "during" {
+			t.Fatalf("get %s with the merge parked: %q, %v", k, v, err)
+		}
+	}
+	cancel()
+	if src.Stats().DualWrites == 0 {
+		t.Fatal("the put to the migrating shard did not dual-forward")
+	}
+
+	close(release)
+	if err := <-flipped; err != nil {
+		t.Fatalf("reshard: %v", err)
+	}
+	for _, k := range keys {
+		if v, err := r.Get(ctx, k); err != nil || string(v) != "during" {
+			t.Fatalf("get %s after the flip: %q, %v", k, v, err)
+		}
+	}
+}
+
+// TestCommandedReshardLeavesNodeServing: a reshard commanded over RPC
+// (the balancer's path) runs on neither the source's RPC execution
+// stream — a Get to the source completes while the flip is parked in
+// its dual-write window — nor its migration stream: two nodes
+// commanded toward each other, both held in their windows until both
+// are there, each still receive the other's snapshot and finish.
+func TestCommandedReshardLeavesNodeServing(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 8})
+	ctx := tctx(t, 20*time.Second)
+	a, b := c.nodes[0], c.nodes[1]
+	sa, sb := shardOwnedBy(t, c.initial, a.Self()), shardOwnedBy(t, c.initial, b.Self())
+	r := c.router()
+	ka, kb := keyOnShard(c.initial, sa, "a"), keyOnShard(c.initial, sb, "b")
+	for _, k := range [][]byte{ka, kb} {
+		if err := r.Put(ctx, k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var both sync.WaitGroup
+	both.Add(2)
+	inWindow, gate := make(chan struct{}), make(chan struct{})
+	go func() { both.Wait(); close(inWindow) }()
+	testHookDualWindow = func() { both.Done(); <-gate }
+	t.Cleanup(func() { testHookDualWindow = nil })
+
+	bal := NewBalancer(c.client, nil)
+	errs := make(chan error, 2)
+	go func() { errs <- bal.Execute(ctx, &Decision{Shard: sa, From: a.Self(), To: b.Self()}) }()
+	go func() { errs <- bal.Execute(ctx, &Decision{Shard: sb, From: b.Self(), To: a.Self()}) }()
+	select {
+	case <-inWindow:
+	case err := <-errs:
+		t.Fatalf("a commanded reshard ended before both reached their windows: %v", err)
+	}
+	octx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	for _, k := range [][]byte{ka, kb} {
+		if v, err := r.Get(octx, k); err != nil || string(v) != "v" {
+			t.Fatalf("get %s with both commanded reshards parked: %q, %v", k, v, err)
+		}
+	}
+	cancel()
+	// Both snapshots have crossed. Let the flips commit one after the
+	// other: each derives its map from the node's current one, and two
+	// flips that commit at once would publish different maps under one
+	// epoch (DESIGN.md §9: one move at a time).
+	for i := 0; i < 2; i++ {
+		gate <- struct{}{}
+		if err := <-errs; err != nil {
+			t.Fatalf("commanded reshard: %v", err)
+		}
+	}
+	for _, nd := range c.nodes {
+		if m := nd.CurrentMap(); m.Owners[sa] != b.Self() || m.Owners[sb] != a.Self() {
+			t.Fatalf("%v: shards did not swap: %v", nd.Self(), m.Owners)
+		}
+	}
+	for _, k := range [][]byte{ka, kb} {
+		if v, err := r.Get(ctx, k); err != nil || string(v) != "v" {
+			t.Fatalf("get %s after the swap: %q, %v", k, v, err)
+		}
+	}
+}
+
+// filesUnder lists the regular files below dir (which may not exist).
+func filesUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return nil // absent directory: nothing leaked there
+		}
+		if !d.IsDir() {
+			out = append(out, p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestAbortedMigrationsLeaveNoFiles: neither a flip that aborts on the
+// source (dead destination, after the snapshot was cut) nor a snapshot
+// that reaches a destination whose migration was aborted leaves a file
+// behind — the snapshot lives in memory on both sides.
+func TestAbortedMigrationsLeaveNoFiles(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 4, ownerNodes: 1})
+	ctx := tctx(t, 20*time.Second)
+	src, dst := c.nodes[0], c.nodes[1]
+	r := c.router()
+	for i := 0; i < 200; i++ {
+		if err := r.Put(ctx, []byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte("v"), 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The destination dies between prepare and the snapshot transfer:
+	// its REMI provider goes away, so Migrate fails after the cut.
+	dst.remiP.Close()
+	if err := src.Reshard(ctx, 0, dst.Self()); err == nil {
+		t.Fatal("reshard succeeded without a REMI provider at the destination")
+	}
+
+	// A snapshot that arrives for a migration aborted meanwhile.
+	snap, err := cutSnapshot(src.lookupShard(1).db, nil)
+	if err != nil || len(snap) == 0 {
+		t.Fatalf("cut: %d bytes, %v", len(snap), err)
+	}
+	late := &remi.FileSet{Class: snapshotClass, Metadata: map[string]string{metaShard: "1", metaMig: "12345"}}
+	late.AddBytes("shard.snap", snap)
+	dst.receiveSnapshot(ctx, late)
+
+	for _, nd := range c.nodes {
+		if left := filesUnder(t, nd.dir); len(left) != 0 {
+			t.Fatalf("files left behind under %s: %v", nd.dir, left)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := r.Get(ctx, []byte(fmt.Sprintf("k%d", i))); err != nil {
+			t.Fatalf("get after aborted flip: %v", err)
+		}
+	}
+}
+
+// TestNodeLifecycleOwnsMigrationPool: NewNode adds a pool and an
+// xstream named after its provider (two nodes on one instance do not
+// collide), both show in the instance's live configuration, and Close
+// removes them and leaves no goroutine behind.
+func TestNodeLifecycleOwnsMigrationPool(t *testing.T) {
+	f := mercury.NewFabric()
+	cls, err := f.NewClass("xkv-lifecycle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := margo.New(cls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Finalize()
+	topology := func() (pools, xstreams []string) {
+		raw, err := inst.GetConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cfg margo.Config
+		if err := json.Unmarshal(raw, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range cfg.Argobots.Pools {
+			pools = append(pools, p.Name)
+		}
+		for _, x := range cfg.Argobots.Xstreams {
+			xstreams = append(xstreams, x.Name)
+		}
+		return pools, xstreams
+	}
+	poolsBefore, xsBefore := topology()
+	before := testutil.GoroutineCount()
+
+	var nodes []*Node
+	for _, id := range []uint16{20, 30} {
+		n, err := NewNode(inst, Options{ProviderID: id, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatalf("node %d: %v", id, err)
+		}
+		nodes = append(nodes, n)
+	}
+	pools, xs := topology()
+	contains := func(names []string, want string) bool {
+		for _, n := range names {
+			if n == want {
+				return true
+			}
+		}
+		return false
+	}
+	for _, want := range []string{"xkv-20-migration", "xkv-30-migration"} {
+		if !contains(pools, want) || !contains(xs, want+"-es") {
+			t.Fatalf("%q and its xstream not in the live configuration: %v %v", want, pools, xs)
+		}
+	}
+	if _, err := NewNode(inst, Options{ProviderID: 20, Dir: t.TempDir()}); err == nil {
+		t.Fatal("a second node with the same provider ID was accepted")
+	}
+	if p, _ := topology(); len(p) != len(pools) {
+		t.Fatalf("a rejected NewNode left its pool behind: %v", p)
+	}
+
+	for _, n := range nodes {
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p, x := topology(); fmt.Sprint(p, x) != fmt.Sprint(poolsBefore, xsBefore) {
+		t.Fatalf("Close left topology %v %v, want %v %v", p, x, poolsBefore, xsBefore)
+	}
+	testutil.WaitGoroutinesSettle(t, before, 2)
+}
+
+// TestClusterClosesLeakFree: a cluster that resharded — through the
+// library call and through the commanded RPC — and closed leaves no
+// goroutine behind.
+func TestClusterClosesLeakFree(t *testing.T) {
+	before := testutil.GoroutineCount()
+	t.Run("cluster", func(t *testing.T) {
+		c := newCluster(t, clusterConfig{nodes: 3, shards: 8, ownerNodes: 2})
+		ctx := tctx(t, 20*time.Second)
+		r := c.router()
+		for i := 0; i < 300; i++ {
+			if err := r.Put(ctx, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := shardOwnedBy(t, c.initial, c.nodes[0].Self())
+		if err := c.nodes[0].Reshard(ctx, s, c.nodes[2].Self()); err != nil {
+			t.Fatal(err)
+		}
+		d := &Decision{Shard: s, From: c.nodes[2].Self(), To: c.nodes[0].Self()}
+		if err := NewBalancer(c.client, nil).Execute(ctx, d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	testutil.WaitGoroutinesSettle(t, before, 2)
+}
+
+// stagedOp is one dual-written operation of the merge property test.
+type stagedOp struct {
+	seq   uint64
+	erase bool
+	key   string
+	val   string
+}
+
+func (o stagedOp) args() *stageArgs {
+	a := &stageArgs{Seq: o.seq, Erase: o.erase}
+	if o.erase {
+		a.Keys = [][]byte{[]byte(o.key)}
+	} else {
+		a.Pairs = []yokan.KeyValue{{Key: []byte(o.key), Value: []byte(o.val)}}
+	}
+	return a
+}
+
+func newStaging(t *testing.T) *staging {
+	t.Helper()
+	db, err := yokan.Open(yokan.Config{Type: "map", Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	return &staging{db: db, tombstones: map[string]struct{}{}, lastSeq: map[string]uint64{}}
+}
+
+func dbContents(t *testing.T, db yokan.Database) map[string]string {
+	t.Helper()
+	kvs, err := db.ListKeyValues(nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, kv := range kvs {
+		out[string(kv.Key)] = string(kv.Value)
+	}
+	return out
+}
+
+// TestBatchedMergeInterleavingProperty: whatever way staged puts and
+// erases — delivered out of order and duplicated, as an at-least-once
+// transport may — interleave with the merge's batches, the staging
+// database ends as "the snapshot, then every staged operation in Seq
+// order". Seeded: a failure prints the seed that replays it.
+func TestBatchedMergeInterleavingProperty(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const keyspace = 40
+		key := func() string { return fmt.Sprintf("k%02d", rng.Intn(keyspace)) }
+
+		// The snapshot holds a random subset of the key space.
+		want := map[string]string{}
+		e := codec.NewEncoder(nil)
+		for i := 0; i < keyspace; i++ {
+			if rng.Intn(3) > 0 {
+				k := fmt.Sprintf("k%02d", i)
+				want[k] = "snap-" + k
+				e.BytesField([]byte(k))
+				e.BytesField([]byte(want[k]))
+			}
+		}
+		// The staged stream, and what it makes of the snapshot when
+		// applied in Seq order.
+		var ops []stagedOp
+		for seq := uint64(1); seq <= uint64(rng.Intn(60)); seq++ {
+			op := stagedOp{seq: seq, key: key(), erase: rng.Intn(3) == 0}
+			if op.erase {
+				delete(want, op.key)
+			} else {
+				op.val = fmt.Sprintf("staged-%d", seq)
+				want[op.key] = op.val
+			}
+			ops = append(ops, op)
+		}
+		// Delivery: shuffled, with duplicates.
+		deliver := append([]stagedOp(nil), ops...)
+		for _, op := range ops {
+			if rng.Intn(4) == 0 {
+				deliver = append(deliver, op)
+			}
+		}
+		rng.Shuffle(len(deliver), func(i, j int) { deliver[i], deliver[j] = deliver[j], deliver[i] })
+
+		inc := newStaging(t)
+		d := codec.NewDecoder(e.Bytes())
+		batch := 1 + rng.Intn(7)
+		merged := false
+		for len(deliver) > 0 || !merged {
+			if !merged && (len(deliver) == 0 || rng.Intn(2) == 0) {
+				done, err := mergeBatch(inc, d, batch)
+				if err != nil {
+					t.Fatalf("seed %d: merge: %v", seed, err)
+				}
+				merged = done
+				continue
+			}
+			inc.mu.Lock()
+			err := applyStaged(inc, deliver[0].args())
+			inc.mu.Unlock()
+			if err != nil {
+				t.Fatalf("seed %d: stage: %v", seed, err)
+			}
+			deliver = deliver[1:]
+		}
+		if !inc.merged {
+			t.Fatalf("seed %d: merge finished without marking the staging area merged", seed)
+		}
+		if got := dbContents(t, inc.db); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d (batch %d): staging database\n got %v\nwant %v", seed, batch, got, want)
+		}
+	}
+}
+
+// mutateMidScan is a shard database that changes while a snapshot cut
+// is under way: after the first page of the scan has been read.
+type mutateMidScan struct {
+	yokan.Database
+	mutate func()
+}
+
+func (m *mutateMidScan) ListKeyValues(from, prefix []byte, max int) ([]yokan.KeyValue, error) {
+	page, err := m.Database.ListKeyValues(from, prefix, max)
+	if from == nil {
+		m.mutate()
+	}
+	return page, err
+}
+
+// TestUnlockedCutUnderDualWrite covers what can happen to a key while
+// the cut runs without a lock — erased, overwritten, created, ahead of
+// the scan or behind it — each change also forwarded to the staging
+// area as the dual-write path would: the cut must not fail, and
+// snapshot plus staged stream must reproduce the source.
+func TestUnlockedCutUnderDualWrite(t *testing.T) {
+	src, err := yokan.Open(yokan.Config{Type: "skiplist", Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	const keys = 600 // several scan pages
+	for i := 0; i < keys; i++ {
+		if err := src.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inc := newStaging(t)
+	var seq uint64
+	change := func(key, val string) {
+		seq++
+		op := stagedOp{seq: seq, key: key, val: val, erase: val == ""}
+		if op.erase {
+			err = src.Erase([]byte(key))
+		} else {
+			err = src.Put([]byte(key), []byte(val))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc.mu.Lock()
+		defer inc.mu.Unlock()
+		if err := applyStaged(inc, op.args()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := &mutateMidScan{Database: src, mutate: func() {
+		change("k0003", "")     // erased behind the scan: in the snapshot, dead by tombstone
+		change("k0005", "new")  // overwritten behind the scan: the snapshot has the old value
+		change("k0500", "")     // erased ahead of the scan: skipped
+		change("k0501", "new")  // overwritten ahead of the scan
+		change("k0000a", "new") // created behind the scan: only in the staged stream
+		change("k0599a", "new") // created ahead of the scan
+	}}
+	snap, err := cutSnapshot(db, nil)
+	if err != nil {
+		t.Fatalf("cut across concurrent changes: %v", err)
+	}
+	d := codec.NewDecoder(snap)
+	for done := false; !done; {
+		if done, err = mergeBatch(inc, d, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, got := dbContents(t, src), dbContents(t, inc.db)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("destination differs from source:\n got %v\nwant %v", got, want)
+	}
+	if len(got) != keys || got["k0005"] != "new" || got["k0000a"] != "new" {
+		t.Fatalf("concurrent changes lost (%d keys)", len(got))
+	}
+}
+
+// TestMergeRejectsCorruptSnapshot: a truncated snapshot fails the
+// merge and leaves the staging area unmerged, so promote refuses.
+func TestMergeRejectsCorruptSnapshot(t *testing.T) {
+	e := codec.NewEncoder(nil)
+	e.BytesField([]byte("k"))
+	e.BytesField([]byte("value"))
+	inc := newStaging(t)
+	if done, err := mergeBatch(inc, codec.NewDecoder(e.Bytes()[:e.Len()-2]), mergeBatchKeys); err == nil || done || inc.merged {
+		t.Fatalf("truncated snapshot merged: done=%v err=%v", done, err)
+	}
+}
+
+// tcpPair starts two router nodes over TCP loopback with every shard
+// on the first, plus a client instance.
+func tcpPair(t *testing.T, shards int) (nodes [2]*Node, client *margo.Instance, m *Map) {
+	t.Helper()
+	newInst := func() *margo.Instance {
+		cls, err := mercury.NewTCPClass("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := margo.New(cls, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(inst.Finalize)
+		return inst
+	}
+	for i := range nodes {
+		n, err := NewNode(newInst(), Options{ProviderID: testProviderID, Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		nodes[i] = n
+	}
+	m, err := NewMap(shards, []Owner{nodes[0].Self()}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if err := n.Adopt(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return nodes, newInst(), m
+}
+
+// TestReshardAllocBytesPinned pins the per-byte budget of a flip: over
+// TCP loopback, ping-ponging a 4096 x 1 KiB shard between two nodes
+// allocates at most 4x the shard's payload per flip (it was 16x: a
+// doubling encoder, three reads of a snapshot file, frame scratch
+// growth and two payload copies in the transport). What is left is the
+// destination's receive buffer, the values the destination database
+// stores, and the key listing.
+func TestReshardAllocBytesPinned(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc pinning is meaningless under the race detector")
+	}
+	nodes, client, m := tcpPair(t, 1)
+	ctx := tctx(t, 60*time.Second)
+	r := NewRouter(client, m)
+	const keys, valLen = 4096, 1024
+	value := make([]byte, valLen)
+	payload := 0
+	for i := 0; i < keys; i++ {
+		k := []byte(fmt.Sprintf("key-%016d", i))
+		if err := r.Put(ctx, k, value); err != nil {
+			t.Fatal(err)
+		}
+		payload += len(k) + valLen
+	}
+	flip := func(i int) {
+		src, dst := nodes[i%2], nodes[(i+1)%2]
+		if err := src.Reshard(ctx, 0, dst.Self()); err != nil {
+			t.Fatalf("flip %d: %v", i, err)
+		}
+	}
+	const warm, flips = 4, 20
+	for i := 0; i < warm; i++ {
+		flip(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+flips; i++ {
+		flip(i)
+	}
+	runtime.ReadMemStats(&after)
+	perFlip := float64(after.TotalAlloc-before.TotalAlloc) / flips
+	t.Logf("%.2fx payload allocated per flip (%.0f of %d bytes)", perFlip/float64(payload), perFlip, payload)
+	if perFlip > 4*float64(payload) {
+		t.Fatalf("a flip allocates %.2fx its %d-byte payload, pinned at <= 4x", perFlip/float64(payload), payload)
+	}
+	if got, err := r.Count(ctx); err != nil || got != keys {
+		t.Fatalf("count after %d flips: %d, %v", warm+flips, got, err)
+	}
+}
+
+// TestReshardPhasesTraced: a flip under a head-sampled context records
+// its phases as children of the caller's span — snapshot, transfer
+// and promote on the source, merge under the destination's REMI
+// handler — with the RPCs of a phase nested below it; an unsampled
+// flip records none, and deciding that allocates nothing.
+func TestReshardPhasesTraced(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 2, ownerNodes: 1})
+	ctx := tctx(t, 20*time.Second)
+	src, dst := c.nodes[0], c.nodes[1]
+	r := c.router()
+	for i := 0; i < 100; i++ {
+		if err := r.Put(ctx, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	phases := func(tr *trace.Tracer) map[string]trace.Span {
+		out := map[string]trace.Span{}
+		for _, s := range tr.Spans() {
+			if s.Kind == trace.KindPhase {
+				out[s.Name] = s
+			}
+		}
+		return out
+	}
+
+	if err := src.Reshard(ctx, 0, dst.Self()); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(phases(src.inst.Tracer())) + len(phases(dst.inst.Tracer())); got != 0 {
+		t.Fatalf("an unsampled flip recorded %d phase spans", got)
+	}
+	unsampled := trace.NewContext(ctx, trace.SpanContext{TraceID: 7, Parent: 8})
+	if avg := testing.AllocsPerRun(100, func() {
+		_, end := src.phase(unsampled, "snapshot")
+		end(nil)
+	}); avg != 0 {
+		t.Fatalf("an unsampled phase allocates %.1f times, want 0", avg)
+	}
+
+	const traceID, root = trace.ID(0xABCD), trace.ID(0x1234)
+	sampled := trace.NewContext(ctx, trace.SpanContext{TraceID: traceID, Parent: root, Flags: trace.FlagSampled})
+	if err := src.Reshard(sampled, 1, dst.Self()); err != nil {
+		t.Fatal(err)
+	}
+	onSrc, onDst := phases(src.inst.Tracer()), phases(dst.inst.Tracer())
+	for _, name := range []string{"snapshot", "transfer", "promote"} {
+		s, ok := onSrc[name]
+		if !ok || s.TraceID != traceID || s.Parent != root {
+			t.Fatalf("source phase %q: %+v (recorded: %v)", name, s, onSrc)
+		}
+	}
+	merge, ok := onDst["merge"]
+	if !ok || merge.TraceID != traceID {
+		t.Fatalf("destination recorded no merge phase in the flip's trace: %v", onDst)
+	}
+	// The merge hangs below the REMI handler span, which hangs (via
+	// server and client spans) below the source's transfer phase.
+	parents := map[trace.ID]trace.ID{}
+	for _, tr := range []*trace.Tracer{src.inst.Tracer(), dst.inst.Tracer()} {
+		for _, s := range tr.Spans() {
+			if s.TraceID == traceID {
+				parents[s.SpanID] = s.Parent
+			}
+		}
+	}
+	under := func(id, ancestor trace.ID) bool {
+		for i := 0; id != 0 && i < 16; i++ {
+			if id == ancestor {
+				return true
+			}
+			id = parents[id]
+		}
+		return false
+	}
+	if !under(merge.Parent, onSrc["transfer"].SpanID) {
+		t.Fatal("the merge phase is not a descendant of the transfer phase")
+	}
+}

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"mochi/internal/argobots"
 	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
@@ -67,6 +69,9 @@ type staging struct {
 	// lastSeq records the highest stage sequence applied per key, so
 	// delayed duplicates of older writes cannot clobber newer ones.
 	lastSeq map[string]uint64
+	// merging is set by the one snapshot delivery that merges (a
+	// duplicate delivery finds it set); merged once it has finished.
+	merging bool
 	merged  bool
 }
 
@@ -84,8 +89,9 @@ type Options struct {
 	// gets a per-shard path under Dir. Stripe count defaults to 1:
 	// shards are already the unit of parallelism here.
 	Backend yokan.Config
-	// Dir is the node's scratch root (snapshots, incoming REMI
-	// files, log-backend shards). Empty = a fresh temp directory.
+	// Dir is the node's scratch root (the REMI provider's root,
+	// log-backend shards; shard snapshots travel in memory). Empty = a
+	// fresh temp directory.
 	Dir string
 	// Group, when set, is the SSG group used to disseminate new maps
 	// after a flip.
@@ -106,13 +112,32 @@ type Node struct {
 	remiP *remi.Provider
 	remiC *remi.Client
 
+	// migPool (one pool, one xstream, both created by NewNode) runs
+	// every handler that can take milliseconds — the REMI provider's
+	// (pull, verify and merge a whole snapshot), prepare and abort
+	// (open or destroy a shard database) — so that the data path,
+	// which stays on the instance's RPC pool, never queues behind one:
+	// ULTs here are closures that run to completion on their xstream.
+	migPool *argobots.Pool
+
+	// stop is cancelled by Close; commanded counts the reshards a
+	// remote coordinator started (handleReshard), each on a goroutine
+	// of its own.
+	stop      context.Context
+	cancel    context.CancelFunc
+	commanded sync.WaitGroup
+
 	cur atomic.Pointer[Map]
 
-	mu       sync.Mutex // guards shards, incoming, migSeq, closed
+	mu       sync.Mutex // guards shards, incoming, migSeq, closed, snapBuf
 	shards   map[uint32]*shard
 	incoming map[uint32]*staging
 	migSeq   uint64
 	closed   bool
+	// snapBuf is the spare snapshot buffer: a flip encodes into it (it
+	// doubles as the registered region REMI exposes) and hands it back,
+	// so steady ping-pong encodes into memory already the right size.
+	snapBuf []byte
 
 	// Counters exposed through NodeStats.
 	redirects  atomic.Uint64
@@ -141,7 +166,7 @@ func NewNode(inst *margo.Instance, opts Options) (*Node, error) {
 			return nil, err
 		}
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "out"), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	n := &Node{
@@ -152,8 +177,25 @@ func NewNode(inst *margo.Instance, opts Options) (*Node, error) {
 		shards:   map[uint32]*shard{},
 		incoming: map[uint32]*staging{},
 	}
-	rp, err := remi.NewProvider(inst, opts.RemiProviderID, nil, filepath.Join(dir, "in"))
+	n.stop, n.cancel = context.WithCancel(context.Background())
+	// Online reconfiguration with the paper's own §5 API: the pool and
+	// its xstream are added to the running instance, named after the
+	// provider so that several nodes can share one instance.
+	pool, err := inst.AddPool(argobots.PoolConfig{Name: n.migPoolName()})
 	if err != nil {
+		return nil, fmt.Errorf("router: migration pool: %w", err)
+	}
+	n.migPool = pool
+	if _, err := inst.AddXstream(argobots.XstreamConfig{
+		Name:      n.migXstreamName(),
+		Scheduler: argobots.SchedConfig{Pools: []string{pool.Name()}},
+	}); err != nil {
+		_ = inst.RemovePool(pool.Name())
+		return nil, fmt.Errorf("router: migration xstream: %w", err)
+	}
+	rp, err := remi.NewProvider(inst, opts.RemiProviderID, pool, filepath.Join(dir, "in"))
+	if err != nil {
+		n.removeMigPool()
 		return nil, err
 	}
 	rp.OnMigrated(n.receiveSnapshot)
@@ -161,33 +203,52 @@ func NewNode(inst *margo.Instance, opts Options) (*Node, error) {
 	n.remiC = remi.NewClient(inst)
 	if err := n.register(); err != nil {
 		rp.Close()
+		n.removeMigPool()
 		return nil, err
 	}
 	return n, nil
 }
 
+func (n *Node) migPoolName() string    { return fmt.Sprintf("xkv-%d-migration", n.id) }
+func (n *Node) migXstreamName() string { return n.migPoolName() + "-es" }
+
+// removeMigPool undoes NewNode's reconfiguration once nothing is
+// registered on the pool any more. Errors mean the instance was
+// finalized first and took the pool with it.
+func (n *Node) removeMigPool() {
+	// FIFO barrier: when this ULT has run, every handler queued before
+	// the deregistration has too, and the xstream can be removed
+	// without stranding work.
+	if th, err := n.migPool.Push(func() {}); err == nil {
+		th.Join()
+	}
+	_ = n.inst.RemoveXstream(n.migXstreamName())
+	_ = n.inst.RemovePool(n.migPoolName())
+}
+
 func (n *Node) register() error {
 	type h struct {
 		name string
+		pool *argobots.Pool // nil: the instance's RPC pool
 		fn   margo.Handler
 	}
 	handlers := []h{
-		{RPCPut, n.handlePut},
-		{RPCGet, n.handleGet},
-		{RPCErase, n.handleErase},
-		{RPCExists, n.handleExists},
-		{RPCCount, n.handleCount},
-		{RPCFetchMap, n.handleFetchMap},
-		{RPCInstallMap, n.handleInstallMap},
-		{RPCStats, n.handleStats},
-		{RPCReshard, n.handleReshard},
-		{RPCMigratePrepare, n.handlePrepare},
-		{RPCMigrateStage, n.handleStage},
-		{RPCMigratePromote, n.handlePromote},
-		{RPCMigrateAbort, n.handleAbort},
+		{RPCPut, nil, n.handlePut},
+		{RPCGet, nil, n.handleGet},
+		{RPCErase, nil, n.handleErase},
+		{RPCExists, nil, n.handleExists},
+		{RPCCount, nil, n.handleCount},
+		{RPCFetchMap, nil, n.handleFetchMap},
+		{RPCInstallMap, nil, n.handleInstallMap},
+		{RPCStats, nil, n.handleStats},
+		{RPCReshard, nil, n.handleReshard},
+		{RPCMigratePrepare, n.migPool, n.handlePrepare},
+		{RPCMigrateStage, nil, n.handleStage},
+		{RPCMigratePromote, nil, n.handlePromote},
+		{RPCMigrateAbort, n.migPool, n.handleAbort},
 	}
 	for i, hh := range handlers {
-		if _, err := n.inst.RegisterProvider(hh.name, n.id, nil, hh.fn); err != nil {
+		if _, err := n.inst.RegisterProvider(hh.name, n.id, hh.pool, hh.fn); err != nil {
 			for j := 0; j < i; j++ {
 				n.inst.DeregisterProvider(handlers[j].name, n.id)
 			}
@@ -279,7 +340,9 @@ func (n *Node) installMap(m *Map) bool {
 	}
 }
 
-// Close deregisters the node and releases its databases.
+// Close deregisters the node, waits out the migrations it is running,
+// removes the pool and xstream NewNode added, and releases its
+// databases.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -292,10 +355,13 @@ func (n *Node) Close() error {
 	n.shards = map[uint32]*shard{}
 	n.incoming = map[uint32]*staging{}
 	n.mu.Unlock()
+	n.cancel()
 	for _, name := range routerRPCs {
 		n.inst.DeregisterProvider(name, n.id)
 	}
 	n.remiP.Close()
+	n.commanded.Wait()
+	n.removeMigPool()
 	for _, sh := range shards {
 		sh.mu.Lock()
 		sh.dropped = true
@@ -618,7 +684,13 @@ func (n *Node) handleStats(_ context.Context, h *mercury.Handle) {
 }
 
 // handleReshard lets a remote coordinator (the balancer) command
-// this node to move one of its shards.
+// this node to move one of its shards. The handler only starts the
+// migration: a Reshard lasts a whole flip and waits on the
+// destination's migration xstream, so run as a ULT it would stall the
+// pool it sat on — the RPC pool, and this node serves nothing for the
+// flip; the migration pool, and two nodes commanded toward each other
+// each hold the xstream the other's snapshot needs, until pullTimeout.
+// It runs on a goroutine of its own and answers the RPC when done.
 func (n *Node) handleReshard(ctx context.Context, h *mercury.Handle) {
 	var args reshardArgs
 	var r statusReply
@@ -627,10 +699,27 @@ func (n *Node) handleReshard(ctx context.Context, h *mercury.Handle) {
 		respondReply(h, &r)
 		return
 	}
-	if err := n.Reshard(ctx, args.Shard, args.Dst); err != nil {
-		r.Status, r.Err = statusError, err.Error()
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		r.Status, r.Err = statusError, "router: node closed"
+		respondReply(h, &r)
+		return
 	}
-	respondReply(h, &r)
+	n.commanded.Add(1) // under mu: Close waits only after setting closed
+	n.mu.Unlock()
+	go func() {
+		defer n.commanded.Done()
+		// ctx carries the caller's trace; Close cancels the migration.
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		defer context.AfterFunc(n.stop, cancel)()
+		var r statusReply
+		if err := n.Reshard(ctx, args.Shard, args.Dst); err != nil {
+			r.Status, r.Err = statusError, err.Error()
+		}
+		respondReply(h, &r)
+	}()
 }
 
 // handlePrepare opens a staging area for an incoming shard.
@@ -821,12 +910,26 @@ func (n *Node) handleAbort(_ context.Context, h *mercury.Handle) {
 	respondReply(h, &r)
 }
 
+// mergeBatchKeys bounds how many snapshot entries one hold of a staging
+// area's lock merges, and so how long a Stage handler (a client's
+// dual-written Put, on the RPC pool) can wait for a merge running on
+// the migration pool.
+const mergeBatchKeys = 256
+
+// testHookMerge, when non-nil, runs on the migration xstream after a
+// snapshot has arrived and before it is merged.
+var testHookMerge func()
+
 // receiveSnapshot is the REMI arrival callback: it merges a shard
 // snapshot into the staging area. Staged operations are newer than
 // the snapshot by construction (dual-write starts before the snapshot
 // is cut), so the merge only fills keys the stream has not touched:
-// tombstoned keys stay dead, staged values win.
-func (n *Node) receiveSnapshot(fs *remi.FileSet) {
+// tombstoned keys stay dead, staged values win. That rule is per key,
+// so the merge may release the staging lock between batches and let
+// staged operations interleave: one that lands before its key's batch
+// is found there and wins; one that lands after overwrites (or erases)
+// what the batch wrote.
+func (n *Node) receiveSnapshot(ctx context.Context, fs *remi.FileSet) {
 	if fs.Class != snapshotClass || len(fs.Files) == 0 {
 		return
 	}
@@ -836,56 +939,64 @@ func (n *Node) receiveSnapshot(fs *remi.FileSet) {
 	}
 	n.mu.Lock()
 	inc := n.incoming[shardID]
-	if inc == nil || inc.migID != migID {
-		n.mu.Unlock()
-		return
-	}
 	n.mu.Unlock()
-	path := filepath.Join(fs.Root, fs.Files[0].RelPath)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return
+	if inc == nil || inc.migID != migID {
+		return // aborted, or never prepared
 	}
 	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	if inc.merged {
+	dup := inc.merging
+	inc.merging = true
+	inc.mu.Unlock()
+	if dup {
 		return // duplicate delivery
 	}
-	if err := mergeSnapshot(inc, data); err != nil {
-		return // leaves merged=false: promote will refuse, source aborts
+	if testHookMerge != nil {
+		testHookMerge()
 	}
-	inc.merged = true
-	inc.tombstones = nil
-	os.Remove(path)
+	_, end := n.phase(ctx, "merge")
+	d := codec.NewDecoder(fs.Files[0].Data)
+	for done := false; !done && err == nil; {
+		done, err = mergeBatch(inc, d, mergeBatchKeys)
+		// A ULT is a closure: nothing else preempts a merge for
+		// milliseconds. Yielding between batches lets the goroutines
+		// of the data path (readers, the RPC xstream) run on this
+		// processor, as a yielding Argobots ULT would.
+		runtime.Gosched()
+	}
+	end(err) // an error leaves merged unset: promote refuses, the source aborts
 }
 
-// mergeSnapshot decodes an encoded shard snapshot into the staging
-// database, skipping keys the dual-write stream already decided.
-func mergeSnapshot(inc *staging, data []byte) error {
-	d := codec.NewDecoder(data)
-	count := d.Uvarint()
-	if count > uint64(d.Remaining())+1 {
-		return fmt.Errorf("router: corrupt snapshot header")
-	}
-	for i := uint64(0); i < count; i++ {
+// mergeBatch merges up to max entries of an encoded shard snapshot
+// into the staging database under one hold of the staging lock,
+// skipping keys the dual-write stream already decided. After the last
+// entry it marks the staging area merged and reports done.
+func mergeBatch(inc *staging, d *codec.Decoder, max int) (done bool, err error) {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	for i := 0; i < max && d.Remaining() > 0; i++ {
 		k := d.BytesField()
 		v := d.BytesField()
 		if d.Err() != nil {
-			return d.Err()
+			return false, d.Err()
 		}
 		if _, dead := inc.tombstones[string(k)]; dead {
 			continue
 		}
 		if ok, err := inc.db.Exists(k); err != nil {
-			return err
+			return false, err
 		} else if ok {
 			continue // staged write is newer than the snapshot
 		}
 		if err := inc.db.Put(k, v); err != nil {
-			return err
+			return false, err
 		}
 	}
-	return d.Finish()
+	if d.Remaining() > 0 {
+		return false, nil
+	}
+	inc.merged = true
+	inc.tombstones = nil
+	return true, nil
 }
 
 // call forwards a marshaled request to (owner, rpc) and decodes the

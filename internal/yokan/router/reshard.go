@@ -3,12 +3,13 @@ package router
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
+	"strconv"
 	"time"
 
 	"mochi/internal/codec"
 	"mochi/internal/remi"
+	"mochi/internal/trace"
+	"mochi/internal/yokan"
 )
 
 // snapshotClass is the REMI migration class of shard snapshots.
@@ -36,9 +37,10 @@ var testHookDualWindow func()
 //     (the source stays authoritative) and is synchronously forwarded
 //     to the staging area before it is acked — from here on, any
 //     acked write exists on both sides.
-//  3. snapshot: the shard is dumped and REMI-migrated to dst, which
-//     merges it *under* the staged stream (staged values and
-//     tombstones win — they are newer by construction).
+//  3. snapshot: the shard is encoded into one buffer, without holding
+//     any lock across it (cutSnapshot), and REMI-migrated to dst from
+//     that buffer; dst merges it *under* the staged stream (staged
+//     values and tombstones win — they are newer by construction).
 //  4. flip: under the shard's write lock (which drains in-flight
 //     operations — this is the drain window), the source commits the
 //     new map at dst (promote), marks the local shard dropped, and
@@ -49,6 +51,9 @@ var testHookDualWindow func()
 // Any failure before the flip aborts: dst drops the staging area and
 // the source reverts to exclusive ownership. Nothing is lost — the
 // source applied every acked write locally throughout.
+//
+// Reshard blocks for the whole flip and waits on dst's migration
+// xstream: call it from a goroutine, never from a ULT.
 func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 	m := n.cur.Load()
 	if m == nil {
@@ -110,32 +115,27 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 
 	// 3. snapshot and REMI-migrate. The snapshot is cut after
 	// dual-write is on, so every write it misses is in the staged
-	// stream.
-	pairs, err := sh.db.ListKeyValues(nil, nil, 0)
+	// stream. It never touches disk on either side: the buffer it is
+	// encoded into is the region dst pulls.
+	_, endPhase := n.phase(ctx, "snapshot")
+	snap, err := cutSnapshot(sh.db, n.takeSnapBuf())
+	endPhase(err)
 	if err != nil {
 		return fail("snapshot", err)
 	}
-	e := codec.NewEncoder(nil)
-	e.Uvarint(uint64(len(pairs)))
-	for _, kv := range pairs {
-		e.BytesField(kv.Key)
-		e.BytesField(kv.Value)
-	}
-	outDir := filepath.Join(n.dir, "out")
-	rel := fmt.Sprintf("shard-%d-%d.snap", shardID, mig)
-	snapPath := filepath.Join(outDir, rel)
-	if err := os.WriteFile(snapPath, e.Bytes(), 0o644); err != nil {
-		return fail("snapshot write", err)
-	}
-	fs, err := remi.BuildFileSet(snapshotClass, outDir, []string{snapPath}, map[string]string{
-		metaShard: fmt.Sprintf("%d", shardID),
-		metaMig:   fmt.Sprintf("%d", mig),
-		metaEpoch: fmt.Sprintf("%d", m.Epoch),
-	})
+	fs := &remi.FileSet{Class: snapshotClass, Metadata: map[string]string{
+		metaShard: strconv.FormatUint(uint64(shardID), 10),
+		metaMig:   strconv.FormatUint(mig, 10),
+		metaEpoch: strconv.FormatUint(m.Epoch, 10),
+	}}
+	fs.AddBytes("shard.snap", snap)
+	tctx, endPhase := n.phase(ctx, "transfer")
+	_, err = n.remiC.Migrate(tctx, dst.Addr, prep.RemiProvider, fs, remi.Options{})
+	endPhase(err)
+	// Migrate has deregistered the region, which waits out any reader
+	// still sending from it: the buffer is free for the next flip.
+	n.putSnapBuf(snap)
 	if err != nil {
-		return fail("fileset", err)
-	}
-	if _, err := n.remiC.Migrate(ctx, dst.Addr, prep.RemiProvider, fs, remi.Options{RemoveSource: true}); err != nil {
 		return fail("remi migrate", err)
 	}
 	if testHookDualWindow != nil {
@@ -154,10 +154,12 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 		return fmt.Errorf("router: migration aborted by a failed dual-write")
 	}
 	var pr statusReply
-	perr := n.call(ctx, dst, RPCMigratePromote, &promoteArgs{Shard: shardID, MigID: mig, Map: EncodeMap(newMap)}, &pr)
+	pctx, endPhase := n.phase(ctx, "promote")
+	perr := n.call(pctx, dst, RPCMigratePromote, &promoteArgs{Shard: shardID, MigID: mig, Map: EncodeMap(newMap)}, &pr)
 	if perr == nil && pr.Status != statusOK {
 		perr = fmt.Errorf("%s", pr.Err)
 	}
+	endPhase(perr)
 	if perr != nil {
 		sh.mode = modeOwned
 		sh.mu.Unlock()
@@ -178,6 +180,71 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 	// learns it through a redirect.
 	n.disseminate(ctx, newMap)
 	return nil
+}
+
+// cutSnapshot encodes every pair of db into buf as (key, value) byte
+// fields and returns the encoded bytes. It holds no lock across the
+// cut (yokan.Scan): no operation on the shard ever waits for more than
+// one bounded step of it. The result is not a point-in-time image — it
+// need not be, because dual-write is already on: a key overwritten or
+// created during the cut is in the staged stream, which wins at merge
+// whichever version the cut saw (or missed), and a key erased during
+// the cut is either skipped here or dead at the destination by its
+// staged tombstone.
+func cutSnapshot(db yokan.Database, buf []byte) ([]byte, error) {
+	e := codec.NewEncoder(buf)
+	err := yokan.Scan(db, func(key, value []byte) {
+		e.BytesField(key)
+		e.BytesField(value)
+	})
+	return e.Bytes(), err
+}
+
+func (n *Node) takeSnapBuf() []byte {
+	n.mu.Lock()
+	buf := n.snapBuf
+	n.snapBuf = nil
+	n.mu.Unlock()
+	return buf
+}
+
+func (n *Node) putSnapBuf(buf []byte) {
+	n.mu.Lock()
+	if cap(buf) > cap(n.snapBuf) {
+		n.snapBuf = buf[:0]
+	}
+	n.mu.Unlock()
+}
+
+// noPhase ends a phase that is not being recorded.
+func noPhase(error) {}
+
+// phase opens a child span of ctx's trace named name when, and only
+// when, that trace is head-sampled: the flip's phases (snapshot,
+// transfer, promote on the source; merge on the destination) then
+// show in the trace tree, and RPCs issued under the returned context
+// nest below the phase. The returned func commits the span. An
+// unsampled flip pays one context lookup and allocates nothing.
+func (n *Node) phase(ctx context.Context, name string) (context.Context, func(error)) {
+	sc, ok := trace.FromContext(ctx)
+	if !ok || !sc.Sampled() {
+		return ctx, noPhase
+	}
+	tr := n.inst.Tracer()
+	id, start := tr.NewID(), time.Now()
+	pctx := trace.NewContext(ctx, trace.SpanContext{TraceID: sc.TraceID, Parent: id, Flags: sc.Flags})
+	return pctx, func(err error) {
+		tr.Commit(trace.Span{
+			TraceID:  sc.TraceID,
+			SpanID:   id,
+			Parent:   sc.Parent,
+			Name:     name,
+			Kind:     trace.KindPhase,
+			Start:    start.UnixNano(),
+			Duration: int64(time.Since(start)),
+			Err:      err != nil,
+		})
+	}
 }
 
 // revertDual returns a shard to exclusive local ownership after a

@@ -2,6 +2,7 @@ package yokan
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -454,5 +455,62 @@ func BenchmarkBackendGet(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestScanBoundedAndTolerant: Scan visits every pair of a quiescent
+// database on every backend, and tolerates the database changing
+// underneath it — on the map backend, between the key collection and
+// the value fetches: an erased key is skipped, an overwritten one shows
+// its new value, a created one is not visited.
+func TestScanBoundedAndTolerant(t *testing.T) {
+	const keys = 2*scanPage + 17 // the generic path pages
+	for _, backend := range []string{"map", "skiplist", "btree"} {
+		for _, stripes := range []int{1, 4} {
+			db, err := Open(Config{Type: backend, Shards: stripes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]string{}
+			for i := 0; i < keys; i++ {
+				k, v := fmt.Sprintf("key-%04d", i), fmt.Sprintf("val-%d", i)
+				want[k] = v
+				if err := db.Put([]byte(k), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := map[string]string{}
+			if err := Scan(db, func(k, v []byte) { got[string(k)] = string(v) }); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != keys || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s/%d: scan saw %d of %d pairs", backend, stripes, len(got), keys)
+			}
+			db.Close()
+		}
+	}
+
+	db := newMapDB()
+	for _, k := range []string{"erased", "overwritten", "kept"} {
+		if err := db.Put([]byte(k), []byte("old")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testHookScan = func() {
+		_ = db.Erase([]byte("erased"))
+		_ = db.Put([]byte("overwritten"), []byte("new"))
+		_ = db.Put([]byte("created"), []byte("new"))
+	}
+	defer func() { testHookScan = nil }()
+	got := map[string]string{}
+	if err := db.Scan(func(k, v []byte) { got[string(k)] = string(v) }); err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]string{"overwritten": "new", "kept": "old"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("scan across concurrent changes saw %v, want %v", got, want)
+	}
+	db.Close()
+	if err := db.Scan(func(k, v []byte) {}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("scan of a closed database: %v", err)
 	}
 }
