@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-alloc bench-selftest bench-e2e bench-throughput bench-reshard bench-c10k bench-raft bench-observe bench-full fuzz examples vet fmt-check lint reshard-soak observe-smoke sim sim-curves test-unsafe ci clean
+.PHONY: all build test race bench bench-alloc bench-selftest bench-e2e bench-c10k bench-observe bench-full fuzz examples vet fmt-check lint reshard-soak observe-smoke sim sim-curves test-unsafe ci clean
 
 all: build test
 
@@ -73,16 +73,16 @@ sim:
 	fi
 
 # E14 curves: detection latency and false positives vs cluster size
-# and loss, on the deterministic simulator. The leg runs twice and the
-# trace-identity lines must match — same binary, same seed, same
-# trace. CI uploads both tables as artifacts.
-SIM_CURVE_FLAGS ?= -sim-nodes 1000,4000 -sim-loss 0,0.02,0.10 -sim-minutes 2
+# and loss, on the deterministic simulator (1k and 4k nodes, one
+# virtual minute per cell). The leg runs twice and the trace-identity
+# lines must match — same binary, same seed, same trace. CI uploads
+# both tables as artifacts.
 sim-curves:
-	$(GO) run ./cmd/mochi-bench -sim $(SIM_CURVE_FLAGS) | tee sim-e14-run1.txt
-	$(GO) run ./cmd/mochi-bench -sim $(SIM_CURVE_FLAGS) | tee sim-e14-run2.txt
-	@a=$$(grep '^trace-identity:' sim-e14-run1.txt); \
-	b=$$(grep '^trace-identity:' sim-e14-run2.txt); \
-	if [ "$$a" != "$$b" ]; then \
+	$(GO) run ./cmd/mochi-bench -quick -only E14 | tee sim-e14-run1.txt
+	$(GO) run ./cmd/mochi-bench -quick -only E14 | tee sim-e14-run2.txt
+	@a=$$(grep 'trace-identity:' sim-e14-run1.txt); \
+	b=$$(grep 'trace-identity:' sim-e14-run2.txt); \
+	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
 		echo "trace identity violated:"; echo " run1: $$a"; echo " run2: $$b"; exit 1; \
 	fi; \
 	echo "trace identity holds: $$a"
@@ -147,42 +147,14 @@ fuzz:
 	$(GO) test ./internal/yokan/router/ -run '^FuzzRouterWireMessages$$' -fuzz '^FuzzRouterWireMessages$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/metrics/ -run '^FuzzPrometheusExposition$$' -fuzz '^FuzzPrometheusExposition$$' -fuzztime $(FUZZTIME)
 
-# Concurrent storage-engine throughput sweep, baseline vs striped, for
-# every backend (about 5s per backend at the default 300ms cells ×
-# 4 worker counts × 2 modes). CI runs this and uploads the table;
-# override THROUGHPUT_FLAGS for longer local runs, e.g.
-#   make bench-throughput THROUGHPUT_FLAGS="-duration 1s -log-sync"
-THROUGHPUT_FLAGS ?= -duration 300ms
-bench-throughput:
-	$(GO) run ./cmd/mochi-bench -throughput $(THROUGHPUT_FLAGS)
-
-# Online-resharding throughput leg: live traffic against a 3-node
-# sharded deployment with a migration fired mid-run; reports tail
-# latency before/during/after the move and fails on any lost acked
-# write. CI runs this in bench-smoke and uploads the table.
-RESHARD_FLAGS ?= -duration 1s -reshard-at 300ms
-bench-reshard:
-	$(GO) run ./cmd/mochi-bench -throughput $(RESHARD_FLAGS)
-
 # Transport connection-scaling sweep (EXPERIMENTS.md E12): real TCP
-# sockets from hundreds of client classes against one server, sweeping
-# per-destination pool size and GOMAXPROCS. The default includes a
-# thousand-socket leg (256 clients × pool 4). CI runs this in
-# bench-smoke and uploads the table; override for longer local runs:
-#   make bench-c10k C10K_FLAGS="-conns 256 -c10k-workers 1024 -pools 4"
-C10K_FLAGS ?= -conns 16,64,256 -c10k-workers 256 -pools 1,4 -gomaxprocs 1,2,4 -duration 500ms
+# sockets from tens to hundreds of client classes against one server,
+# pool size 1 vs 4. No standing workload opens more than a handful of
+# sockets, so this is where the pool_size/accept_loops shape shows.
+# CI runs this in bench-smoke and uploads the table; drop -quick for
+# the thousand-socket cells at three GOMAXPROCS widths.
 bench-c10k:
-	$(GO) run ./cmd/mochi-bench -c10k $(C10K_FLAGS)
-
-# Raft hot-path sweep (EXPERIMENTS.md E15): a 3-member RaftKV group,
-# before (single-entry appends, gets through the log) vs after (group
-# commit + batched apply + ReadIndex gets), reporting ops/s and leader
-# fsyncs per op. CI runs this in bench-smoke and uploads the table;
-# override for the full table, e.g.
-#   make bench-raft RAFT_FLAGS="-duration 1s"
-RAFT_FLAGS ?= -raft-clients 1,8,64 -raft-stores file,mem -raft-mixes 0,0.9 -duration 400ms
-bench-raft:
-	$(GO) run ./cmd/mochi-bench -raft $(RAFT_FLAGS)
+	$(GO) run ./cmd/mochi-bench -quick -only E12
 
 # The introspection-plane smoke (EXPERIMENTS.md E13): the multi-node
 # metrics federation, exemplar→trace resolution, SLO burn-rate health

@@ -1,45 +1,18 @@
-// Command mochi-bench runs the evaluation suite (EXPERIMENTS.md,
-// E1–E10) and prints one table per experiment. With -throughput it
-// instead runs the storage-engine concurrency sweep: configurable
-// worker counts, read/write mix and value size against every backend,
-// baseline (single lock / direct commit) vs striped (sharded / group
-// commit) side by side.
+// Command mochi-bench runs the evaluation suite (EXPERIMENTS.md) and
+// prints one table per experiment. The standing, gated benchmark is
+// bench/ (BENCHMARK.json); this tool reproduces the shapes the paper
+// predicts.
 //
 // Usage:
 //
-//	mochi-bench [-quick] [-only E3,E5]
-//	mochi-bench -throughput [-backends map,log] [-workers 1,2,4,8]
-//	            [-read-frac 0.5] [-value-size 128] [-duration 1s]
-//	            [-shards N] [-batch-window 200us] [-log-sync]
-//	mochi-bench -throughput -reshard-at 300ms [-duration 1s]
-//	            [-workers 4] [-shards 8] [-read-frac 0.5]
-//	mochi-bench -c10k [-conns 64,256] [-c10k-workers 256] [-pools 1,4]
-//	            [-gomaxprocs 1,2,4] [-duration 1s] [-payload 64]
-//	mochi-bench -sim [-sim-nodes 1000,4000,10000] [-sim-loss 0,0.02,0.10]
-//	            [-sim-minutes 3] [-sim-seed 42]
-//	mochi-bench -raft [-raft-clients 1,8,64] [-raft-stores file,mem]
-//	            [-raft-mixes 0,0.9] [-duration 1s] [-value-size 64]
-//
-// With -raft it runs the replicated-KV hot-path sweep (E15): a
-// 3-member RaftKV group, before (single-entry appends, gets through
-// the log) vs after (group commit + batched apply + ReadIndex gets),
-// reporting ops/s and leader fsyncs per op.
-//
-// With -reshard-at the throughput leg runs against a live 3-node
-// sharded deployment instead of a local engine, fires an online
-// resharding at the given offset, and reports tail latency before,
-// during, and after the migration window.
-//
-// With -c10k it runs the transport-scaling sweep (E12): hundreds to
-// thousands of real TCP connections against one server class,
-// sweeping per-destination pool size and GOMAXPROCS.
+//	mochi-bench [-quick] [-only E3,E12]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -47,267 +20,59 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "run reduced sweeps (CI mode)")
-	only := flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
-	throughput := flag.Bool("throughput", false, "run the concurrent storage-engine throughput sweep instead of the experiment suite")
-	backends := flag.String("backends", "map,skiplist,btree,log", "throughput: comma-separated backends to sweep")
-	workers := flag.String("workers", "1,2,4,8", "throughput: comma-separated goroutine counts")
-	readFrac := flag.Float64("read-frac", 0.5, "throughput: fraction of ops that are reads")
-	valueSize := flag.Int("value-size", 128, "throughput: value size in bytes")
-	duration := flag.Duration("duration", time.Second, "throughput: time per (backend, mode, workers) cell")
-	shards := flag.Int("shards", 0, "throughput: stripe count for the sharded mode (0 = default)")
-	batchWindow := flag.String("batch-window", "", "throughput: log group-commit window, e.g. 200us")
-	logSync := flag.Bool("log-sync", false, "throughput: fsync log commits (measures group commit against real commit latency)")
-	reshardAt := flag.Duration("reshard-at", 0, "throughput: fire an online resharding at this offset into the run (0 = off)")
-	simSweep := flag.Bool("sim", false, "run the deterministic SWIM simulation sweep (E14) instead of the experiment suite")
-	simNodes := flag.String("sim-nodes", "1000,4000,10000", "sim: comma-separated cluster sizes")
-	simLoss := flag.String("sim-loss", "0,0.02,0.10", "sim: comma-separated message drop rates")
-	simMinutes := flag.Int("sim-minutes", 3, "sim: virtual minutes per cell")
-	simSeed := flag.Int64("sim-seed", 42, "sim: master seed (same seed => identical traces)")
-	c10k := flag.Bool("c10k", false, "run the transport connection-scaling sweep (E12) instead of the experiment suite")
-	conns := flag.String("conns", "64,256", "c10k: comma-separated client-class counts")
-	c10kWorkers := flag.Int("c10k-workers", 256, "c10k: concurrent forwarders striped over the clients")
-	pools := flag.String("pools", "1,4", "c10k: comma-separated per-destination pool sizes")
-	gomaxprocs := flag.String("gomaxprocs", "", "c10k: comma-separated GOMAXPROCS values (default: current)")
-	payload := flag.Int("payload", 64, "c10k: payload size in bytes per direction")
-	raftSweep := flag.Bool("raft", false, "run the raft hot-path sweep (E15) instead of the experiment suite")
-	raftClients := flag.String("raft-clients", "1,8,64", "raft: comma-separated concurrent client-session counts")
-	raftStores := flag.String("raft-stores", "file,mem", "raft: comma-separated log stores to sweep (file = fsync enabled)")
-	raftMixes := flag.String("raft-mixes", "0,0.9", "raft: comma-separated read fractions (0 = write-heavy)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *raftSweep {
-		os.Exit(runRaftBench(*raftClients, *raftStores, *raftMixes, *duration, *valueSize))
+// run is main with the process edges (args, stdio, exit code) made
+// explicit so tests can drive the tool in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mochi-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "run reduced sweeps (CI mode)")
+	only := fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *simSweep {
-		os.Exit(runSwimSim(*simNodes, *simLoss, *simMinutes, *simSeed))
-	}
-	if *c10k {
-		os.Exit(runC10K(*conns, *c10kWorkers, *pools, *gomaxprocs, *duration, *payload))
-	}
-	if *throughput && *reshardAt > 0 {
-		os.Exit(runReshard(*workers, *readFrac, *valueSize, *duration, *shards, *reshardAt))
-	}
-	if *throughput {
-		os.Exit(runThroughput(*backends, *workers, *readFrac, *valueSize, *duration, *shards, *batchWindow, *logSync))
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "mochi-bench: unexpected argument %q\n", fs.Arg(0))
+		return 2
 	}
 
+	all := experiments.All()
 	want := map[string]bool{}
 	if *only != "" {
+		valid := make([]string, len(all))
+		known := make(map[string]bool, len(all))
+		for i, r := range all {
+			valid[i], known[r.ID] = r.ID, true
+		}
 		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if !known[id] {
+				fmt.Fprintf(stderr, "mochi-bench: unknown experiment %q (valid: %s)\n", id, strings.Join(valid, ", "))
+				return 2
+			}
+			want[id] = true
 		}
 	}
 
 	failed := 0
-	for _, r := range experiments.All() {
+	for _, r := range all {
 		if len(want) > 0 && !want[r.ID] {
 			continue
 		}
-		fmt.Printf("running %s: %s ...\n", r.ID, r.Name)
+		fmt.Fprintf(stdout, "running %s: %s ...\n", r.ID, r.Name)
 		start := time.Now()
 		table, err := r.Run(*quick)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n\n", r.ID, err)
+			fmt.Fprintf(stderr, "%s FAILED: %v\n\n", r.ID, err)
 			failed++
 			continue
 		}
-		table.Render(os.Stdout)
-		fmt.Printf("(%s completed in %s)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
+		table.Render(stdout)
+		fmt.Fprintf(stdout, "(%s completed in %s)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
 	if failed > 0 {
-		os.Exit(1)
-	}
-}
-
-func runThroughput(backends, workers string, readFrac float64, valueSize int, duration time.Duration, shards int, batchWindow string, logSync bool) int {
-	opts := experiments.ThroughputOptions{
-		ReadFraction: readFrac,
-		ValueSize:    valueSize,
-		Duration:     duration,
-		Shards:       shards,
-		BatchWindow:  batchWindow,
-		LogSync:      logSync,
-	}
-	for _, b := range strings.Split(backends, ",") {
-		if b = strings.TrimSpace(b); b != "" {
-			opts.Backends = append(opts.Backends, b)
-		}
-	}
-	for _, w := range strings.Split(workers, ",") {
-		w = strings.TrimSpace(w)
-		if w == "" {
-			continue
-		}
-		n, err := strconv.Atoi(w)
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "bad -workers entry %q\n", w)
-			return 2
-		}
-		opts.Workers = append(opts.Workers, n)
-	}
-	table, err := experiments.RunThroughput(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "throughput sweep FAILED: %v\n", err)
-		return 1
-	}
-	table.Render(os.Stdout)
-	return 0
-}
-
-// parseIntList parses a comma-separated list of positive integers.
-func parseIntList(flagName, s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -%s entry %q", flagName, part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// runSwimSim drives the deterministic simulation leg (E14). The
-// trailing "trace-identity:" line lists one hash per cell in sweep
-// order; CI runs a leg twice and diffs the two lines to prove
-// same-seed replay identity (wall-time columns differ, hashes do not).
-func runSwimSim(nodes, loss string, minutes int, seed int64) int {
-	opts := experiments.SwimSimOptions{
-		Seed:     seed,
-		Duration: time.Duration(minutes) * time.Minute,
-	}
-	var err error
-	if opts.Nodes, err = parseIntList("sim-nodes", nodes); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	for _, part := range strings.Split(loss, ",") {
-		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || f < 0 || f >= 1 {
-			fmt.Fprintf(os.Stderr, "bad -sim-loss entry %q\n", part)
-			return 2
-		}
-		opts.DropRate = append(opts.DropRate, f)
-	}
-	table, err := experiments.RunSwimSim(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sim sweep FAILED: %v\n", err)
-		return 1
-	}
-	table.Render(os.Stdout)
-	hashes := make([]string, 0, len(table.Rows))
-	for _, row := range table.Rows {
-		hashes = append(hashes, row[len(row)-1])
-	}
-	fmt.Printf("trace-identity: %s\n", strings.Join(hashes, " "))
-	return 0
-}
-
-// runRaftBench drives the raft hot-path leg (E15).
-func runRaftBench(clients, stores, mixes string, duration time.Duration, valueSize int) int {
-	opts := experiments.RaftBenchOptions{
-		Duration:  duration,
-		ValueSize: valueSize,
-	}
-	var err error
-	if opts.Clients, err = parseIntList("raft-clients", clients); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	for _, part := range strings.Split(stores, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if part != "file" && part != "mem" {
-			fmt.Fprintf(os.Stderr, "bad -raft-stores entry %q (want file or mem)\n", part)
-			return 2
-		}
-		opts.Stores = append(opts.Stores, part)
-	}
-	for _, part := range strings.Split(mixes, ",") {
-		f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || f < 0 || f > 1 {
-			fmt.Fprintf(os.Stderr, "bad -raft-mixes entry %q\n", part)
-			return 2
-		}
-		opts.ReadFracs = append(opts.ReadFracs, f)
-	}
-	table, err := experiments.RunRaftBench(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "raft sweep FAILED: %v\n", err)
-		return 1
-	}
-	table.Render(os.Stdout)
-	return 0
-}
-
-// runC10K drives the transport-scaling leg (E12).
-func runC10K(conns string, workers int, pools, gomaxprocs string, duration time.Duration, payload int) int {
-	opts := experiments.C10KOptions{
-		Workers:     workers,
-		Duration:    duration,
-		PayloadSize: payload,
-	}
-	var err error
-	if opts.Conns, err = parseIntList("conns", conns); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if opts.Pools, err = parseIntList("pools", pools); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if gomaxprocs != "" {
-		if opts.GOMAXPROCS, err = parseIntList("gomaxprocs", gomaxprocs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	table, err := experiments.RunC10K(opts)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "c10k sweep FAILED: %v\n", err)
-		return 1
-	}
-	table.Render(os.Stdout)
-	return 0
-}
-
-// runReshard drives the online-resharding leg: live traffic against a
-// sharded 3-node deployment with a mid-run migration. The first entry
-// of -workers picks the client goroutine count.
-func runReshard(workers string, readFrac float64, valueSize int, duration time.Duration, shards int, reshardAt time.Duration) int {
-	opts := experiments.ReshardOptions{
-		ReadFraction: readFrac,
-		ValueSize:    valueSize,
-		Duration:     duration,
-		ReshardAt:    reshardAt,
-		Shards:       shards,
-	}
-	// Only honor an explicit -workers; the sweep's default list is for
-	// the engine sweep, not this leg (ReshardOptions defaults to 4).
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			set = true
-		}
-	})
-	if w := strings.Split(workers, ","); set && len(w) > 0 {
-		if n, err := strconv.Atoi(strings.TrimSpace(w[0])); err == nil && n > 0 {
-			opts.Workers = n
-		}
-	}
-	table, err := experiments.RunReshardThroughput(opts)
-	if table != nil {
-		table.Render(os.Stdout)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "reshard leg FAILED: %v\n", err)
 		return 1
 	}
 	return 0

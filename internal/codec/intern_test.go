@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"mochi/internal/testutil"
 )
 
 func TestInternReturnsEqualString(t *testing.T) {
@@ -34,7 +36,7 @@ func TestInternHitSharesStorage(t *testing.T) {
 	if first != second {
 		t.Fatalf("interned values differ: %q vs %q", first, second)
 	}
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("alloc accounting is meaningless under the race detector")
 	}
 	key := []byte("intern-steady-state-key")

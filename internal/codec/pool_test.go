@@ -3,6 +3,8 @@ package codec
 import (
 	"bytes"
 	"testing"
+
+	"mochi/internal/testutil"
 )
 
 func TestPooledEncoderRoundTrip(t *testing.T) {
@@ -140,7 +142,7 @@ func TestPooledBufferMutationAfterPut(t *testing.T) {
 // TestCodecAllocsPinned fails if the pooled encode/decode round trip
 // regresses from allocation-free steady state.
 func TestCodecAllocsPinned(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("alloc pinning is meaningless under the race detector")
 	}
 	payload := []byte("0123456789abcdef")

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -63,12 +65,9 @@ func kvHistory(t *testing.T, seed int64, opsPerClient int) []sim.Op {
 		t.Cleanup(inst.Finalize)
 		clients[ci] = NewRaftKVClient(inst, "lin", r.addrs)
 	}
-	// Client 0 keeps reading through the log (the kvOpGet fallback);
-	// the rest use the default ReadIndex path. Every history therefore
-	// interleaves both read protocols against the same writes, so the
-	// checker re-verifies ReadIndex under loss, partitions, leader
-	// churn, and crash-restarts on every seed.
-	clients[0].LogReads = true
+	// Every client's gets are ReadIndex reads, so the checker
+	// re-verifies that protocol under loss, partitions, leader churn,
+	// and crash-restarts on every seed.
 
 	// Warm-up: make sure the group has a leader before faults start.
 	if !r.put("warm", "up", 10*time.Second) {
@@ -280,14 +279,17 @@ func TestKVFSMDeduplicatesRetries(t *testing.T) {
 		t.Fatalf("duplicate apply resurrected a stale value: k=%q, %v (want v2)", v, err)
 	}
 	// The duplicate's reply is the cached first-apply result, not a
-	// fresh execution: a duplicated Get answers as of its original
-	// linearization point.
-	if res := apply("B", 2, kvOpGet, ""); string(res.Value) != "v2" {
-		t.Fatalf("get = %q, want v2", res.Value)
+	// fresh execution: a duplicated Erase answers as of its original
+	// linearization point (found), and does not erase again.
+	if res := apply("B", 2, kvOpErase, ""); res.Status != 0 {
+		t.Fatalf("erase status = %d, want 0 (found)", res.Status)
 	}
 	apply("A", 2, kvOpPut, "v3")
-	if res := apply("B", 2, kvOpGet, ""); string(res.Value) != "v2" {
-		t.Fatalf("duplicate get re-executed: got %q, want cached v2", res.Value)
+	if res := apply("B", 2, kvOpErase, ""); res.Status != 0 {
+		t.Fatalf("duplicate erase re-executed: status %d, want the cached 0", res.Status)
+	}
+	if v, err := db.Get([]byte("k")); err != nil || string(v) != "v3" {
+		t.Fatalf("duplicate erase removed a newer value: k=%q, %v (want v3)", v, err)
 	}
 	// Sessions survive snapshot/restore: a replica rebuilt from a
 	// snapshot must still recognize duplicates of covered commands.
@@ -304,6 +306,74 @@ func TestKVFSMDeduplicatesRetries(t *testing.T) {
 	f2.Apply(2, codec.Marshal(&cmd)) // duplicate of A's last put
 	if v, err := db2.Get([]byte("k")); err != nil || string(v) != "v3" {
 		t.Fatalf("restored replica mishandled duplicate: k=%q, %v (want v3)", v, err)
+	}
+}
+
+// TestKVFSMUnknownOpIsADeterministicError: a log written when gets
+// could still travel through the log may hold kvOpGet entries, and a
+// log written by a newer binary may hold ops this one has never heard
+// of. Applying either must answer status 2 — the same bytes on every
+// replica and on every replay — leave the database untouched, and keep
+// the session table in step (the entry still consumed its Seq).
+func TestKVFSMUnknownOpIsADeterministicError(t *testing.T) {
+	// Hand-encoded, so the test pins the wire numbers: op 2 is the
+	// reserved kvOpGet, op 9 has never existed.
+	encode := func(op uint8, cid string, seq uint64) []byte {
+		e := codec.NewEncoder(nil)
+		e.Uint8(op)
+		e.String(cid)
+		e.Uvarint(seq)
+		e.BytesField([]byte("k"))
+		e.BytesField(nil)
+		return e.Bytes()
+	}
+	if kvOpPut != 0 || kvOpErase != 1 || kvOpGet != 2 {
+		t.Fatalf("log op numbers moved: put=%d erase=%d get=%d", kvOpPut, kvOpErase, kvOpGet)
+	}
+	replicas := make([]*kvFSM, 2)
+	for i := range replicas {
+		db, _ := yokan.Open(yokan.Config{Type: "map"})
+		replicas[i] = &kvFSM{db: db}
+		put := kvCommand{Op: kvOpPut, CID: "A", Seq: 1, Key: []byte("k"), Value: []byte("v1")}
+		replicas[i].Apply(1, codec.Marshal(&put))
+	}
+	for _, op := range []uint8{2, 9} {
+		var first []byte
+		for i, f := range replicas {
+			entry := encode(op, "B", uint64(op))
+			out := f.Apply(2, entry)
+			var res kvResult
+			if err := codec.Unmarshal(out, &res); err != nil {
+				t.Fatal(err)
+			}
+			if res.Status != 2 || res.Err == "" || len(res.Value) != 0 {
+				t.Fatalf("op %d on replica %d: result %+v, want status 2 with a message and no value", op, i, res)
+			}
+			if again := f.Apply(2, entry); !bytes.Equal(again, out) {
+				t.Fatalf("op %d replayed on replica %d: %x then %x", op, i, out, again)
+			}
+			if i == 0 {
+				first = out
+			} else if !bytes.Equal(first, out) {
+				t.Fatalf("op %d: replicas diverge: %x vs %x", op, first, out)
+			}
+			if v, err := f.db.Get([]byte("k")); err != nil || string(v) != "v1" {
+				t.Fatalf("op %d changed the database: k=%q, %v", op, v, err)
+			}
+		}
+	}
+	// ApplyBatch takes the same path.
+	outs := replicas[0].ApplyBatch([]raft.Command{{Index: 3, Data: encode(2, "C", 1)}})
+	var res kvResult
+	if err := codec.Unmarshal(outs[0], &res); err != nil || res.Status != 2 {
+		t.Fatalf("batched kvOpGet entry: %+v, %v", res, err)
+	}
+	// Snapshots of the two replicas stay byte-identical.
+	a, _ := replicas[0].Snapshot()
+	replicas[1].Apply(3, encode(2, "C", 1))
+	b, _ := replicas[1].Snapshot()
+	if !bytes.Equal(a, b) {
+		t.Fatal("replicas' snapshots diverge after applying unknown ops")
 	}
 }
 
@@ -407,18 +477,21 @@ func TestLinearizabilityCheckerCatchesBrokenStore(t *testing.T) {
 }
 
 // TestBrokenReadIndexStaleReadsRejected proves the checker guards the
-// ReadIndex protocol itself: raft.Config.UnsafeLocalReads skips the
-// leadership-confirmation quorum round, so a deposed leader that has
-// not heard about the new term keeps serving reads from its stale
-// state machine. The recorded history — put v1, read v1, put v2 (new
-// leader), read v1 (old leader) — is sequential, so only the
-// linearizability checker can reject it.
+// ReadIndex protocol itself, in two halves. The positive half: a
+// deposed leader that has not heard about the new term must refuse a
+// real Node.Read — its leadership-confirmation round cannot reach a
+// quorum — while the majority serves the new value. The negative half
+// is the protocol's broken twin, built here in the test rather than as
+// a switch in raft: a "leader" that skips the confirmation round
+// answers from its local state machine, which is exactly a direct read
+// of the deposed leader's database. The recorded history — put v1,
+// read v1, put v2 (new leader), read v2, read v1 (old leader's state)
+// — is sequential, so only the linearizability checker can reject it.
 func TestBrokenReadIndexStaleReadsRejected(t *testing.T) {
 	f := mercury.NewFabric()
 	var addrs []string
 	nodes := map[string]*raft.Node{}
-	cfg := chaosRaftCfg()
-	cfg.UnsafeLocalReads = true // the deliberate protocol break
+	dbs := map[string]yokan.Database{}
 	var insts []*margo.Instance
 	for i := 0; i < 3; i++ {
 		cls, err := f.NewClass(fmt.Sprintf("stale-%d", i))
@@ -435,14 +508,15 @@ func TestBrokenReadIndexStaleReadsRejected(t *testing.T) {
 	}
 	for _, inst := range insts {
 		db, _ := yokan.Open(yokan.Config{Type: "map"})
-		node, err := NewRaftKVNode(inst, "stale", addrs, raft.NewMemoryStore(), db, cfg)
+		node, err := NewRaftKVNode(inst, "stale", addrs, raft.NewMemoryStore(), db, chaosRaftCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(node.Stop)
 		nodes[inst.Addr()] = node
+		dbs[inst.Addr()] = db
 	}
-	newClient := func(name string, seeds []string) (*RaftKVClient, string) {
+	newClient := func(name string, seeds []string) *RaftKVClient {
 		cls, err := f.NewClass(name)
 		if err != nil {
 			t.Fatal(err)
@@ -452,9 +526,9 @@ func TestBrokenReadIndexStaleReadsRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(inst.Finalize)
-		return NewRaftKVClient(inst, "stale", seeds), inst.Addr()
+		return NewRaftKVClient(inst, "stale", seeds)
 	}
-	writer, _ := newClient("stale-writer", addrs)
+	client := newClient("stale-client", addrs)
 
 	ctx := sctx(t)
 	epoch := time.Now()
@@ -463,15 +537,30 @@ func TestBrokenReadIndexStaleReadsRejected(t *testing.T) {
 	record := func(in sim.KVInput, out sim.KVOutput, call int64) {
 		ops = append(ops, sim.Op{Client: 0, Input: in, Output: out, Call: call, Return: ts()})
 	}
-
-	call := ts()
-	if err := writer.Put(ctx, []byte("k"), []byte("v1")); err != nil {
-		t.Fatal(err)
+	put := func(kv *RaftKVClient, val string) {
+		t.Helper()
+		call := ts()
+		if err := kv.Put(ctx, []byte("k"), []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		record(sim.KVInput{Op: sim.KVPut, Key: "k", Value: val}, sim.KVOutput{}, call)
 	}
-	record(sim.KVInput{Op: sim.KVPut, Key: "k", Value: "v1"}, sim.KVOutput{}, call)
+	get := func(kv *RaftKVClient, want string) {
+		t.Helper()
+		call := ts()
+		v, err := kv.Get(ctx, []byte("k"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(sim.KVInput{Op: sim.KVGet, Key: "k"}, sim.KVOutput{Value: string(v), Found: true}, call)
+		if string(v) != want {
+			t.Fatalf("get = %q, want %q", v, want)
+		}
+	}
 
-	// Find the leader, then give a dedicated reader client that only
-	// knows the leader's address and gets partitioned with it.
+	put(client, "v1")
+	get(client, "v1")
+
 	var oldLeader string
 	if !pollUntil(2000, 5*time.Millisecond, func() bool {
 		for addr, n := range nodes {
@@ -484,29 +573,20 @@ func TestBrokenReadIndexStaleReadsRejected(t *testing.T) {
 	}) {
 		t.Fatal("no leader")
 	}
-	reader, readerAddr := newClient("stale-reader", []string{oldLeader})
-	// A post-partition writer seeded with the majority only: a forward
+	// A post-partition client seeded with the majority only: a forward
 	// into the partition is silently dropped (it would burn the whole
-	// op deadline), so the writer must never address the old leader.
+	// op deadline), so it must never address the old leader.
 	var majorityAddrs []string
 	for _, a := range addrs {
 		if a != oldLeader {
 			majorityAddrs = append(majorityAddrs, a)
 		}
 	}
-	majorityWriter, _ := newClient("stale-writer2", majorityAddrs)
+	majority := newClient("stale-majority", majorityAddrs)
 
-	call = ts()
-	v, err := reader.Get(ctx, []byte("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	record(sim.KVInput{Op: sim.KVGet, Key: "k"}, sim.KVOutput{Value: string(v), Found: true}, call)
-
-	// Isolate the leader together with its reader; the majority elects
-	// a new leader and accepts a write the old leader never sees.
-	minority := []string{oldLeader, readerAddr}
-	f.Partition(minority)
+	// Isolate the leader; the majority elects a new one and accepts a
+	// write the old leader never sees.
+	f.Partition([]string{oldLeader})
 	if !pollUntil(4000, 5*time.Millisecond, func() bool {
 		for addr, n := range nodes {
 			if addr != oldLeader && n.IsLeader() {
@@ -517,22 +597,35 @@ func TestBrokenReadIndexStaleReadsRejected(t *testing.T) {
 	}) {
 		t.Fatal("majority never elected a new leader")
 	}
-	call = ts()
-	if err := majorityWriter.Put(ctx, []byte("k"), []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	record(sim.KVInput{Op: sim.KVPut, Key: "k", Value: "v2"}, sim.KVOutput{}, call)
+	put(majority, "v2")
+	get(majority, "v2")
 
-	// The deposed leader, with quorum confirmation disabled, still
-	// thinks it leads and serves its stale state.
-	call = ts()
-	v, err = reader.Get(ctx, []byte("k"))
+	// Positive half: the real read path on the deposed leader refuses
+	// within one op deadline. It may still believe it leads — nothing
+	// told it otherwise — and that is exactly when the confirmation
+	// round has to stop it.
+	query := codec.Marshal(&kvCommand{Op: kvOpGet, Key: []byte("k")})
+	rctx, cancel := context.WithTimeout(ctx, time.Second)
+	out, err := nodes[oldLeader].Read(rctx, query)
+	cancel()
+	if err == nil {
+		t.Fatalf("deposed leader served a ReadIndex read: %x", out)
+	}
+	if !errors.Is(err, raft.ErrTimeout) && !errors.Is(err, raft.ErrNotLeader) && !errors.Is(err, raft.ErrNoLeader) {
+		t.Fatalf("deposed leader refused with %v, want a timeout or a not-leader error", err)
+	}
+	t.Logf("deposed leader (IsLeader=%v) refused the read: %v", nodes[oldLeader].IsLeader(), err)
+
+	// Negative half, the broken twin: answer from the deposed leader's
+	// local state without confirming leadership.
+	call := ts()
+	v, err := dbs[oldLeader].Get([]byte("k"))
 	if err != nil {
-		t.Fatalf("deposed leader refused the read (UnsafeLocalReads should have served it): %v", err)
+		t.Fatal(err)
 	}
 	record(sim.KVInput{Op: sim.KVGet, Key: "k"}, sim.KVOutput{Value: string(v), Found: true}, call)
 	if string(v) != "v1" {
-		t.Fatalf("expected the stale v1 from the deposed leader, got %q", v)
+		t.Fatalf("expected the stale v1 in the deposed leader's state machine, got %q", v)
 	}
 
 	res := sim.Check(sim.KVModel(), ops)

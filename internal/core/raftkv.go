@@ -22,11 +22,15 @@ import (
 // order. Yokan itself is unaware of the replication — the composable
 // design the paper argues for.
 
-// kvCommand ops.
+// kvCommand ops. The numbers are part of the log format (a FileStore
+// outlives the binary that wrote it): never renumber.
 const (
 	kvOpPut uint8 = iota
 	kvOpErase
-	kvOpGet // reads via the log are linearizable
+	// kvOpGet is the ReadIndex query op (kvFSM.Read); it is never
+	// proposed. Logs written when gets could still travel through the
+	// log may hold such entries: applying one reports an error.
+	kvOpGet
 )
 
 type kvCommand struct {
@@ -172,16 +176,11 @@ func (f *kvFSM) applyOne(cmd []byte) []byte {
 		default:
 			res.Status, res.Err = 2, err.Error()
 		}
-	case kvOpGet:
-		v, err := f.db.Get(c.Key)
-		switch err {
-		case nil:
-			res.Value = v
-		case yokan.ErrKeyNotFound:
-			res.Status = 1
-		default:
-			res.Status, res.Err = 2, err.Error()
-		}
+	default:
+		// Not a command this state machine applies (kvOpGet replayed
+		// from an old log, or a number from a newer binary): every
+		// replica answers the same error and leaves the database alone.
+		res.Status, res.Err = 2, fmt.Sprintf("unknown command op %d", c.Op)
 	}
 	out := codec.Marshal(&res)
 	if c.CID != "" {
@@ -277,13 +276,6 @@ type RaftKVClient struct {
 	rc  *raft.Client
 	cid string
 	seq uint64
-
-	// LogReads routes Get through the replicated log (a kvOpGet
-	// command with full session bookkeeping) instead of the default
-	// ReadIndex path. Reads through the log pay an append, an fsync,
-	// and a replication round each; keep this off unless replaying old
-	// histories or A/B-benchmarking the two paths (EXPERIMENTS.md E15).
-	LogReads bool
 }
 
 // kvClientCtr disambiguates multiple clients on one instance address.
@@ -302,6 +294,12 @@ func (c *RaftKVClient) do(ctx context.Context, cmd kvCommand) (*kvResult, error)
 	if err != nil {
 		return nil, err
 	}
+	return decodeKVResult(out)
+}
+
+// decodeKVResult decodes a state-machine reply, turning an error
+// status into an error.
+func decodeKVResult(out []byte) (*kvResult, error) {
 	var res kvResult
 	if err := codec.Unmarshal(out, &res); err != nil {
 		return nil, err
@@ -318,21 +316,17 @@ func (c *RaftKVClient) Put(ctx context.Context, key, value []byte) error {
 	return err
 }
 
-// Get reads linearizably. By default it uses the ReadIndex path: no
-// log entry, no fsync — the leader confirms leadership with one
-// heartbeat quorum round (shared across concurrent reads) and answers
-// from the state machine. With LogReads set, the get is serialized
-// through the log like a write.
+// Get reads linearizably through the ReadIndex path: no log entry, no
+// fsync — the leader confirms leadership with one heartbeat quorum
+// round (shared across concurrent reads) and answers from the state
+// machine. The query carries no CID/Seq: reads have no side effects,
+// so they need no at-most-once session bookkeeping.
 func (c *RaftKVClient) Get(ctx context.Context, key []byte) ([]byte, error) {
-	var res *kvResult
-	var err error
-	if c.LogReads {
-		res, err = c.do(ctx, kvCommand{Op: kvOpGet, Key: key})
-	} else {
-		// No CID/Seq: reads have no side effects, so they need no
-		// at-most-once session bookkeeping.
-		res, err = c.read(ctx, kvCommand{Op: kvOpGet, Key: key})
+	out, err := c.rc.Read(ctx, codec.Marshal(&kvCommand{Op: kvOpGet, Key: key}))
+	if err != nil {
+		return nil, err
 	}
+	res, err := decodeKVResult(out)
 	if err != nil {
 		return nil, err
 	}
@@ -340,21 +334,6 @@ func (c *RaftKVClient) Get(ctx context.Context, key []byte) ([]byte, error) {
 		return nil, yokan.ErrKeyNotFound
 	}
 	return res.Value, nil
-}
-
-func (c *RaftKVClient) read(ctx context.Context, cmd kvCommand) (*kvResult, error) {
-	out, err := c.rc.Read(ctx, codec.Marshal(&cmd))
-	if err != nil {
-		return nil, err
-	}
-	var res kvResult
-	if err := codec.Unmarshal(out, &res); err != nil {
-		return nil, err
-	}
-	if res.Status == 2 {
-		return nil, fmt.Errorf("core: raft kv: %s", res.Err)
-	}
-	return &res, nil
 }
 
 // Erase removes a key through the log.

@@ -19,74 +19,39 @@ import (
 	"mochi/internal/mercury"
 )
 
-// C10KOptions configures the connection-scaling sweep.
-type C10KOptions struct {
-	// Conns lists client-class counts to sweep. Each client class owns
-	// one listener and PoolSize outbound connections to the server, so
-	// total sockets per cell ≈ conns × pool.
-	Conns []int
-	// Workers is the number of concurrent forwarders, striped over the
-	// client classes round-robin.
-	Workers int
-	// Pools lists per-destination pool sizes to sweep. 1 reproduces the
-	// single-connection-per-peer baseline.
-	Pools []int
-	// GOMAXPROCS lists scheduler widths to sweep (0 entries are
-	// replaced by the current value).
-	GOMAXPROCS []int
-	// Duration is the measured window per cell.
-	Duration time.Duration
-	// PayloadSize is the request/response payload in bytes.
-	PayloadSize int
-}
+// c10kPayload is the request/response payload in bytes.
+const c10kPayload = 64
 
-func (o C10KOptions) withDefaults() C10KOptions {
-	if len(o.Conns) == 0 {
-		o.Conns = []int{64, 256}
+// E12Transport runs the connection-scaling sweep. Each client class
+// owns one listener and pool outbound connections to the server, so
+// total sockets per cell ≈ conns × pool; the workers are concurrent
+// forwarders striped over the client classes round-robin. Quick mode
+// shrinks the sweep to CI scale at the current GOMAXPROCS; full mode
+// runs the thousand-socket cells at three scheduler widths.
+func E12Transport(quick bool) (*Table, error) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	conns, workers, widths, d := []int{16, 64, 256}, 256, []int{1, 2, 4}, 500*time.Millisecond
+	if quick {
+		conns, workers, widths, d = []int{16, 64}, 64, []int{prev}, 300*time.Millisecond
 	}
-	if o.Workers <= 0 {
-		o.Workers = 256
-	}
-	if len(o.Pools) == 0 {
-		o.Pools = []int{1, 4}
-	}
-	if len(o.GOMAXPROCS) == 0 {
-		o.GOMAXPROCS = []int{runtime.GOMAXPROCS(0)}
-	}
-	if o.Duration <= 0 {
-		o.Duration = time.Second
-	}
-	if o.PayloadSize <= 0 {
-		o.PayloadSize = 64
-	}
-	return o
-}
-
-// RunC10K runs the connection-scaling sweep and returns the E12 table.
-func RunC10K(opts C10KOptions) (*Table, error) {
-	opts = opts.withDefaults()
 	table := &Table{
 		ID:      "E12",
 		Title:   "Transport scaling: connections × pool size × GOMAXPROCS",
 		Columns: []string{"conns", "sockets", "workers", "pool", "gomaxprocs", "ops", "throughput"},
 	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, gmp := range opts.GOMAXPROCS {
-		if gmp <= 0 {
-			gmp = prev
-		}
+	for _, gmp := range widths {
 		runtime.GOMAXPROCS(gmp)
-		for _, pool := range opts.Pools {
-			for _, conns := range opts.Conns {
-				ops, elapsed, err := runC10KCell(conns, opts.Workers, pool, opts.Duration, opts.PayloadSize)
+		for _, pool := range []int{1, 4} {
+			for _, n := range conns {
+				ops, elapsed, err := runC10KCell(n, workers, pool, d)
 				if err != nil {
-					return nil, fmt.Errorf("conns=%d pool=%d gomaxprocs=%d: %w", conns, pool, gmp, err)
+					return nil, fmt.Errorf("conns=%d pool=%d gomaxprocs=%d: %w", n, pool, gmp, err)
 				}
 				table.AddRow(
-					fmt.Sprintf("%d", conns),
-					fmt.Sprintf("%d", conns*pool),
-					fmt.Sprintf("%d", opts.Workers),
+					fmt.Sprintf("%d", n),
+					fmt.Sprintf("%d", n*pool),
+					fmt.Sprintf("%d", workers),
 					fmt.Sprintf("%d", pool),
 					fmt.Sprintf("%d", gmp),
 					fmt.Sprintf("%d", ops),
@@ -95,14 +60,14 @@ func RunC10K(opts C10KOptions) (*Table, error) {
 			}
 		}
 	}
-	table.Note("payload %dB per direction; pool=1 approximates the pre-pool single-connection transport", opts.PayloadSize)
+	table.Note("payload %dB per direction; pool=1 approximates the pre-pool single-connection transport", c10kPayload)
 	table.Note("sockets = client classes × pool size (responses ride the same connections back)")
 	return table, nil
 }
 
 // runC10KCell measures one (conns, workers, pool) cell: conns client
 // classes forwarding an echo RPC to one server class for d seconds.
-func runC10KCell(conns, workers, pool int, d time.Duration, payloadSize int) (int64, time.Duration, error) {
+func runC10KCell(conns, workers, pool int, d time.Duration) (int64, time.Duration, error) {
 	topts := mercury.TCPOptions{PoolSize: pool}
 	server, err := mercury.NewTCPClassOptions("127.0.0.1:0", topts)
 	if err != nil {
@@ -128,7 +93,7 @@ func runC10KCell(conns, workers, pool int, d time.Duration, payloadSize int) (in
 		}
 	}()
 
-	payload := make([]byte, payloadSize)
+	payload := make([]byte, c10kPayload)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
@@ -178,22 +143,4 @@ func runC10KCell(conns, workers, pool int, d time.Duration, payloadSize int) (in
 		return 0, 0, err
 	}
 	return ops.Load(), elapsed, nil
-}
-
-// E12Transport adapts RunC10K to the experiment Runner shape. Quick
-// mode shrinks the sweep to CI scale; full mode runs the thousand-
-// socket cells.
-func E12Transport(quick bool) (*Table, error) {
-	opts := C10KOptions{
-		Conns:    []int{16, 64, 256},
-		Workers:  256,
-		Pools:    []int{1, 4},
-		Duration: time.Second,
-	}
-	if quick {
-		opts.Conns = []int{16, 64}
-		opts.Workers = 64
-		opts.Duration = 300 * time.Millisecond
-	}
-	return RunC10K(opts)
 }

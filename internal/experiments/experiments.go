@@ -158,6 +158,7 @@ func All() []Runner {
 		{"E8", "Virtual-resource replication overhead", E8VirtualKV},
 		{"E9", "Yokan backend comparison", E9Backends},
 		{"E10", "Dynamic vs static HEPnOS workflow", E10Hepnos},
+		{"E12", "Transport scaling at high connection counts", E12Transport},
 		{"E14", "SWIM at scale on the deterministic simulator", E14SwimSim},
 	}
 }

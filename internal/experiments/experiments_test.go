@@ -48,6 +48,13 @@ func TestE8Quick(t *testing.T)  { runQuick(t, "E8") }
 func TestE9Quick(t *testing.T)  { runQuick(t, "E9") }
 func TestE10Quick(t *testing.T) { runQuick(t, "E10") }
 
+func TestE12Quick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("opens ~300 real TCP sockets")
+	}
+	runQuick(t, "E12")
+}
+
 func TestE4Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SWIM timing experiment")

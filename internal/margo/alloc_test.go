@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mochi/internal/mercury"
+	"mochi/internal/testutil"
 )
 
 // TestForwardResilientAllocsPinned extends the hot-path allocation
@@ -19,7 +20,7 @@ import (
 // context allocates, so the pin runs with attempt_timeout_ms unset,
 // the default.)
 func TestForwardResilientAllocsPinned(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("alloc pinning is meaningless under the race detector")
 	}
 	f := mercury.NewFabric()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"mochi/internal/testutil"
 	"mochi/internal/trace"
 )
 
@@ -14,7 +15,7 @@ import (
 // caller-owned copy of the response payload). `make bench-alloc` runs
 // this; treat a failure as a hot-path regression, not a flaky test.
 func TestForwardAllocsPinned(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("alloc pinning is meaningless under the race detector")
 	}
 	fabric := NewFabric()
@@ -65,7 +66,7 @@ func TestForwardAllocsPinned(t *testing.T) {
 // pooled message and handle, the sampler decision is an atomic read,
 // and no span is committed — so the budget stays the same ≤ 2.
 func TestForwardTracedUnsampledAllocsPinned(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("alloc pinning is meaningless under the race detector")
 	}
 	fabric := NewFabric()
@@ -124,7 +125,7 @@ func TestForwardTracedUnsampledAllocsPinned(t *testing.T) {
 // in the two read loops). The egress path itself — frame encode,
 // drain-leader batching, ack channels — is allocation-free once warm.
 func TestTCPForwardAllocsPinned(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("alloc pinning is meaningless under the race detector")
 	}
 	a, err := NewTCPClass("127.0.0.1:0")

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"mochi/internal/testutil"
 )
 
 func fillPattern(b []byte, salt byte) {
@@ -176,7 +178,7 @@ func TestTCPBulkPullUnderChaos(t *testing.T) {
 // Before, each pull cost ~5x its size (encoder growth on the source,
 // frame scratch growth and a payload copy on the initiator).
 func TestBulkPullAllocsPinned(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("alloc pinning is meaningless under the race detector")
 	}
 	a, b := newTCPPair(t)

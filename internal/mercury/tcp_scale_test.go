@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mochi/internal/metrics"
+	"mochi/internal/testutil"
 )
 
 // TestTCPConcurrentSendClose races in-flight forwards against Close:
@@ -135,7 +136,7 @@ func TestTCPWriteErrorEvictsPooledConn(t *testing.T) {
 // shared read buffers must never leak bytes across frames.
 func TestTCPManyConnFrameIntegrity(t *testing.T) {
 	clients, perClient := 64, 20
-	if raceEnabled || testing.Short() {
+	if testutil.RaceEnabled || testing.Short() {
 		clients, perClient = 12, 10
 	}
 	srv, err := NewTCPClassOptions("127.0.0.1:0", TCPOptions{PoolSize: 4})

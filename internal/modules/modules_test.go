@@ -2,11 +2,17 @@ package modules
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mochi/internal/bedrock"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
+	"mochi/internal/remi"
+	"mochi/internal/yokan"
 )
 
 func TestRegisterBuiltinsIdempotent(t *testing.T) {
@@ -90,6 +96,78 @@ func TestModuleBadConfigRejected(t *testing.T) {
 		}); err == nil {
 			t.Fatalf("%s accepted broken config", typ)
 		}
+	}
+}
+
+// TestYokanStaleConfigKeysRejected: a yokan database config carrying a
+// key the engine does not know (here the two log-engine options that
+// no longer exist) is refused at every site that parses one — provider
+// start, provider receive after a migration, the xkv "backend" block,
+// and a whole bedrock process description — with yokan.ErrBadConfig
+// naming the key. Silently ignoring it would run a different engine
+// than the config's author asked for.
+func TestYokanStaleConfigKeysRejected(t *testing.T) {
+	RegisterBuiltins()
+	f := mercury.NewFabric()
+	cls, _ := f.NewClass("mods-stale")
+	inst, err := margo.New(cls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Finalize()
+	logPath := filepath.Join(t.TempDir(), "stale.log")
+	args := func(cfg string) bedrock.ProviderArgs {
+		return bedrock.ProviderArgs{Instance: inst, Name: "stale", ProviderID: 7, Config: json.RawMessage(cfg)}
+	}
+	yk, _ := bedrock.LookupModule("yokan")
+	xkv, _ := bedrock.LookupModule("xkv")
+	cases := []struct {
+		site, key string
+		start     func() (bedrock.ProviderInstance, error)
+	}{
+		{"yokan start", "direct_commit", func() (bedrock.ProviderInstance, error) {
+			return yk.StartProvider(args(fmt.Sprintf(`{"type":"log","path":%q,"direct_commit":true}`, logPath)))
+		}},
+		{"yokan start", "batch_window", func() (bedrock.ProviderInstance, error) {
+			return yk.StartProvider(args(fmt.Sprintf(`{"type":"log","path":%q,"batch_window":"200us"}`, logPath)))
+		}},
+		{"yokan receive", "batch_window", func() (bedrock.ProviderInstance, error) {
+			fs := &remi.FileSet{Root: t.TempDir(), Files: []remi.FileInfo{{RelPath: "stale.log"}}}
+			return yk.(bedrock.MigrationReceiver).ReceiveProvider(args(`{"type":"log","batch_window":"200us"}`), fs)
+		}},
+		{"xkv backend", "direct_commit", func() (bedrock.ProviderInstance, error) {
+			return xkv.StartProvider(args(`{"backend":{"type":"map","direct_commit":true}}`))
+		}},
+		{"bedrock process", "batch_window", func() (bedrock.ProviderInstance, error) {
+			cls, _ := f.NewClass("mods-stale-proc")
+			srv, err := bedrock.NewServer(cls, []byte(fmt.Sprintf(`{
+  "libraries": {"yokan": "libyokan.so"},
+  "providers": [{"name": "db", "type": "yokan", "provider_id": 1,
+                 "config": {"type": "log", "path": %q, "batch_window": "200us"}}]}`, logPath)))
+			if err == nil {
+				srv.Shutdown()
+			}
+			return nil, err
+		}},
+	}
+	for _, c := range cases {
+		pi, err := c.start()
+		if err == nil {
+			if pi != nil {
+				pi.Close()
+			}
+			t.Fatalf("%s: config with stale key %q accepted", c.site, c.key)
+		}
+		// bedrock's dependency resolver reports provider errors as
+		// text, so the process case can only be matched by message.
+		isBad := errors.Is(err, yokan.ErrBadConfig) ||
+			(c.site == "bedrock process" && containsStr(err.Error(), yokan.ErrBadConfig.Error()))
+		if !isBad || !containsStr(err.Error(), `"`+c.key+`"`) {
+			t.Fatalf("%s: got %v, want yokan.ErrBadConfig naming %q", c.site, err, c.key)
+		}
+	}
+	if _, err := os.Stat(logPath); !os.IsNotExist(err) {
+		t.Fatalf("a rejected config still opened the log (%v)", err)
 	}
 }
 

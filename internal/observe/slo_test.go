@@ -6,6 +6,7 @@ import (
 
 	"mochi/internal/clock"
 	"mochi/internal/metrics"
+	"mochi/internal/testutil"
 )
 
 func newTestTracker(t *testing.T, objs []Objective) (*Tracker, *clock.Sim) {
@@ -118,7 +119,7 @@ func TestTrackerRegister(t *testing.T) {
 }
 
 func TestTrackerObserveAllocs(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	tr, _ := newTestTracker(t, []Objective{{RPC: "hot", TargetMS: 1, ErrorBudget: 0.01}})

@@ -13,6 +13,7 @@ import (
 
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
+	"mochi/internal/testutil"
 )
 
 // ApplyBatch implements BatchFSM for the test kvFSM: the node hands a
@@ -83,50 +84,119 @@ func singleNode(t *testing.T, store Store, fsm FSM, cfg Config) *Node {
 	return nil
 }
 
-// TestApplyGroupCommitBatches proves the tentpole's fsync claim at the
-// store level: N concurrent proposals on a sync-enabled FileStore must
-// complete with fewer than N fsyncs, because the group-commit leader
-// persists whole batches with one Append.
+// gatedStore wraps a Store, records the size of every Append, and can
+// park one Append (the next after arm) until the test releases it.
+type gatedStore struct {
+	Store
+	mu      sync.Mutex
+	sizes   []int
+	hold    chan struct{} // non-nil: the next Append parks on it
+	entered chan struct{} // closed when that Append has parked
+}
+
+func (s *gatedStore) arm() (entered <-chan struct{}, release func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sizes = nil
+	s.hold, s.entered = make(chan struct{}), make(chan struct{})
+	hold := s.hold
+	return s.entered, func() { close(hold) }
+}
+
+func (s *gatedStore) Append(entries []LogEntry) error {
+	s.mu.Lock()
+	hold := s.hold
+	s.hold = nil
+	s.sizes = append(s.sizes, len(entries))
+	s.mu.Unlock()
+	if hold != nil {
+		close(s.entered)
+		<-hold
+	}
+	return s.Store.Append(entries)
+}
+
+func (s *gatedStore) appendSizes() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]int(nil), s.sizes...)
+}
+
+// pendingProposals is how many proposals sit in the forming batch.
+func (n *Node) pendingProposals() int {
+	n.propMu.Lock()
+	defer n.propMu.Unlock()
+	if n.propPending == nil {
+		return 0
+	}
+	return len(n.propPending.props)
+}
+
+// TestApplyGroupCommitBatches proves the group-commit claim at the
+// store level, with no timing involved: one proposal's store.Append is
+// parked on a hook, N more proposals enqueue behind it, and when the
+// hook releases the N must reach the sync-enabled FileStore as one
+// Append — one fsync — and the FSM as one ApplyBatch run.
 func TestApplyGroupCommitBatches(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir(), false) // sync enabled
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	cfg := fastRaftCfg()
-	cfg.BatchWindow = 2 * time.Millisecond
+	gs := &gatedStore{Store: fs}
 	fsm := newKVFSM()
-	node := singleNode(t, fs, fsm, cfg)
-
-	const ops = 64
-	base := fs.Syncs() // election no-op etc.
+	node := singleNode(t, gs, fsm, fastRaftCfg())
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
+	// Settle: the election no-op is applied, so nothing but this test's
+	// proposals is in the pipeline.
+	if _, err := node.Apply(ctx, []byte("set warm up")); err != nil {
+		t.Fatal(err)
+	}
+
+	const ops = 48 // below maxBatchEntries: all of them fit one batch
+	entered, release := gs.arm()
 	var wg sync.WaitGroup
-	errs := make(chan error, ops)
-	for i := 0; i < ops; i++ {
+	errs := make(chan error, ops+1)
+	propose := func(cmd string) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			if _, err := node.Apply(ctx, []byte(fmt.Sprintf("set k%d v%d", i, i))); err != nil {
+			if _, err := node.Apply(ctx, []byte(cmd)); err != nil {
 				errs <- err
 			}
-		}(i)
+		}()
 	}
+	propose("set gate open")
+	<-entered // the gate proposal holds the commit pipeline inside Append
+	for i := 0; i < ops; i++ {
+		propose(fmt.Sprintf("set k%d v%d", i, i))
+	}
+	for node.pendingProposals() < ops {
+		if ctx.Err() != nil {
+			release() // or the parked Append keeps the node mutex and Stop hangs
+			t.Fatalf("only %d of %d proposals enqueued", node.pendingProposals(), ops)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	base := fs.Syncs()
+	release()
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	syncs := fs.Syncs() - base
-	if syncs >= ops {
-		t.Fatalf("%d fsyncs for %d concurrent applies; group commit should need fewer than one per op", syncs, ops)
+	if sizes := gs.appendSizes(); len(sizes) != 2 || sizes[0] != 1 || sizes[1] != ops {
+		t.Fatalf("store.Append sizes = %v, want [1 %d]: the %d queued proposals must share one append", sizes, ops, ops)
 	}
-	if fsm.get("k63") != "v63" {
+	if syncs := fs.Syncs() - base; syncs != 2 {
+		t.Fatalf("%d fsyncs for the gate entry plus %d batched proposals, want 2", syncs, ops)
+	}
+	if fsm.get("k47") != "v47" {
 		t.Fatal("command not applied")
 	}
-	if fsm.maxBatch() < 2 {
-		t.Fatalf("largest ApplyBatch run = %d; batched apply never coalesced", fsm.maxBatch())
+	if fsm.maxBatch() != ops {
+		t.Fatalf("largest ApplyBatch run = %d, want %d: the batch commits at once and must apply at once", fsm.maxBatch(), ops)
 	}
 }
 
@@ -291,7 +361,7 @@ func TestClientReadFollowsLeader(t *testing.T) {
 // apply. The pin has headroom for scheduler jitter; blowing past it
 // means a per-entry copy or per-wakeup slice crept into the path.
 func TestApplyBatchedAllocsPinned(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("alloc pinning is meaningless under the race detector")
 	}
 	node := singleNode(t, NewMemoryStore(), newKVFSM(), fastRaftCfg())

@@ -5,7 +5,7 @@ import (
 )
 
 // batchBuckets spans 1 to 512 entries in factor-2 steps — group-commit
-// and apply batches are capped by MaxBatchEntries (default 64), so the
+// and apply batches are capped by maxBatchEntries (64), so the
 // interesting range is small and dense.
 var batchBuckets = metrics.ExpBuckets(1, 2, 10)
 

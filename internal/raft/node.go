@@ -30,28 +30,13 @@ type Config struct {
 	// MaxEntriesPerAppend caps entries per AppendEntries RPC
 	// (default 64).
 	MaxEntriesPerAppend int
-	// MaxBatchEntries caps how many concurrent proposals coalesce into
-	// one leader group commit — one store.Append (one fsync on
-	// FileStore) and one waiter registration pass (default 64). It
-	// also caps the committed run the applier drains per wakeup.
-	// 1 restores the pre-batching behavior (every proposal pays its
-	// own append), kept as the A/B baseline for the E15 tables.
-	MaxBatchEntries int
-	// BatchWindow makes a group-commit leader linger before appending
-	// so more concurrent proposals can join its batch (default 0:
-	// batches still form naturally while an earlier append holds the
-	// node mutex). Wall-clock, like logdb's batch_window — it
-	// amortizes real fsync latency, not protocol time.
-	BatchWindow time.Duration
-	// UnsafeLocalReads skips the ReadIndex leadership-confirmation
-	// quorum round, so a leader answers reads from local state alone
-	// and a deposed leader serves stale reads — a real
-	// linearizability violation. The knob exists so the simulation
-	// harness can prove its checker rejects exactly that history
-	// (internal/core TestBrokenReadIndexStaleReadsRejected); never
-	// enable it in production.
-	UnsafeLocalReads bool
 }
+
+// maxBatchEntries caps how many concurrent proposals coalesce into one
+// leader group commit — one store.Append (one fsync on FileStore) and
+// one waiter registration pass. It also caps the committed run the
+// applier drains per wakeup.
+const maxBatchEntries = 64
 
 func (c Config) withDefaults() Config {
 	if c.ElectionTimeoutMin <= 0 {
@@ -65,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxEntriesPerAppend <= 0 {
 		c.MaxEntriesPerAppend = 64
-	}
-	if c.MaxBatchEntries <= 0 {
-		c.MaxBatchEntries = 64
 	}
 	return c
 }
@@ -207,9 +189,8 @@ type Node struct {
 	// batch, never held across I/O or n.mu. commitMu serializes batch
 	// leaders; a leader detaches its batch only after acquiring it, so
 	// the forming batch keeps absorbing proposals for as long as the
-	// previous batch's append (and fsync) is in flight — that window,
-	// not the optional BatchWindow linger, is what grows batches under
-	// load.
+	// previous batch's append (and fsync) is in flight — that window is
+	// what grows batches under load.
 	propMu      sync.Mutex
 	propPending *proposalBatch
 	commitMu    sync.Mutex
@@ -873,7 +854,7 @@ func (n *Node) applier() {
 }
 
 // applyCommitted drains the committed range in runs of up to
-// MaxBatchEntries: one mutex acquisition reads the run, the FSM
+// maxBatchEntries: one mutex acquisition reads the run, the FSM
 // applies it outside the lock (through ApplyBatch when supported), and
 // one re-acquisition advances lastApplied, collects every waiter, and
 // releases ReadIndex reads that the run satisfied.
@@ -886,8 +867,8 @@ func (n *Node) applyCommitted() {
 		}
 		lo := n.lastApplied + 1
 		hi := n.commitIndex
-		if span := uint64(n.cfg.MaxBatchEntries); hi-lo+1 > span {
-			hi = lo + span - 1
+		if hi-lo+1 > maxBatchEntries {
+			hi = lo + maxBatchEntries - 1
 		}
 		entries, err := n.store.Entries(lo, hi)
 		n.mu.Unlock()
@@ -1029,7 +1010,7 @@ func (n *Node) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
 func (n *Node) enqueueProposal(p *proposal) (*proposalBatch, bool) {
 	n.propMu.Lock()
 	b := n.propPending
-	lead := b == nil || len(b.props) >= n.cfg.MaxBatchEntries
+	lead := b == nil || len(b.props) >= maxBatchEntries
 	if lead {
 		b = &proposalBatch{done: make(chan struct{})}
 		n.propPending = b
@@ -1039,49 +1020,42 @@ func (n *Node) enqueueProposal(p *proposal) (*proposalBatch, bool) {
 	return b, lead
 }
 
-// leadProposals runs one group commit: optionally linger so more
-// proposals join, wait for the previous batch leader to finish, detach
-// the batch, then assign contiguous indexes and persist every entry
-// with a single store.Append under one node-mutex acquisition.
+// leadProposals runs one group commit: wait for the previous batch
+// leader to finish, linger while earlier entries are still in the
+// pipeline, detach the batch, then assign contiguous indexes and
+// persist every entry with a single store.Append under one node-mutex
+// acquisition.
 //
 // The detach happens only after commitMu is held: while an earlier
 // batch's fsync is in flight, this batch stays pending and keeps
 // absorbing concurrent proposals, which is where multi-entry batches
-// come from even with BatchWindow 0.
+// come from.
 func (n *Node) leadProposals(b *proposalBatch) {
-	if n.cfg.BatchWindow > 0 {
-		// Wall-clock on purpose (like logdb's batch window): the
-		// linger amortizes real fsync latency, which the simulated
-		// clock does not model.
-		time.Sleep(n.cfg.BatchWindow)
-	}
 	n.commitMu.Lock()
 	defer n.commitMu.Unlock()
-	if n.cfg.BatchWindow == 0 {
-		// Adaptive linger: while earlier entries are appended but not
-		// yet applied, hold off detaching — commit latency is gated on
-		// their replication anyway, and every proposal arriving in the
-		// meantime joins this batch. Without this gate the group is
-		// metastable: once proposals start arriving one replication
-		// round apart, each finds the pipeline idle, appends alone, and
-		// keeps the one-fsync-per-op lockstep going. The wait is
-		// bounded so a stalled pipeline (lost leadership mid-wait)
-		// degrades to the role check below instead of hanging.
-		n.mu.Lock()
-		if last := n.store.LastIndex(); last > n.lastApplied && !n.stopped && n.role == Leader {
-			ch := make(chan struct{})
-			n.applyWaiters = append(n.applyWaiters, applyWaiter{index: last, ch: ch})
-			n.mu.Unlock()
-			t := n.clk.NewTimer(n.cfg.HeartbeatInterval)
-			select {
-			case <-ch:
-			case <-t.C():
-			case <-n.stopCh:
-			}
-			t.Stop()
-		} else {
-			n.mu.Unlock()
+	// Adaptive linger: while earlier entries are appended but not yet
+	// applied, hold off detaching — commit latency is gated on their
+	// replication anyway, and every proposal arriving in the meantime
+	// joins this batch. Without this gate the group is metastable: once
+	// proposals start arriving one replication round apart, each finds
+	// the pipeline idle, appends alone, and keeps the one-fsync-per-op
+	// lockstep going. The wait is bounded so a stalled pipeline (lost
+	// leadership mid-wait) degrades to the role check below instead of
+	// hanging.
+	n.mu.Lock()
+	if last := n.store.LastIndex(); last > n.lastApplied && !n.stopped && n.role == Leader {
+		ch := make(chan struct{})
+		n.applyWaiters = append(n.applyWaiters, applyWaiter{index: last, ch: ch})
+		n.mu.Unlock()
+		t := n.clk.NewTimer(n.cfg.HeartbeatInterval)
+		select {
+		case <-ch:
+		case <-t.C():
+		case <-n.stopCh:
 		}
+		t.Stop()
+	} else {
+		n.mu.Unlock()
 	}
 	n.propMu.Lock()
 	if n.propPending == b {
@@ -1184,10 +1158,8 @@ func (n *Node) Read(ctx context.Context, query []byte) ([]byte, error) {
 			// term is committed (the no-op appended at election
 			// guarantees this happens promptly), so commitIndex covers
 			// everything committed by earlier leaders.
-			if !n.cfg.UnsafeLocalReads {
-				if err := n.confirmLeadership(ctx, term); err != nil {
-					return nil, err
-				}
+			if err := n.confirmLeadership(ctx, term); err != nil {
+				return nil, err
 			}
 			if err := n.waitApplied(ctx, readIndex); err != nil {
 				return nil, err

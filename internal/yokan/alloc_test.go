@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"mochi/internal/testutil"
 )
 
 // The multi-op pins are differential in batch size: a whole RPC has a
@@ -80,7 +82,7 @@ func perKeyAllocs(t *testing.T, get bool) float64 {
 }
 
 func TestPutMultiAllocsPinned(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("alloc pinning is meaningless under the race detector")
 	}
 	// Steady-state overwrites alias the decode buffer and reuse stored
@@ -92,7 +94,7 @@ func TestPutMultiAllocsPinned(t *testing.T) {
 }
 
 func TestGetMultiAllocsPinned(t *testing.T) {
-	if raceEnabled {
+	if testutil.RaceEnabled {
 		t.Skip("alloc pinning is meaningless under the race detector")
 	}
 	// One allocation per key is the value copy the backend hands out —

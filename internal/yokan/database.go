@@ -17,11 +17,11 @@
 package yokan
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 )
 
 // Errors returned by databases and clients.
@@ -134,16 +134,24 @@ type Config struct {
 	// merge-sorted across stripes and byte-identical to an unsharded
 	// database. Ignored by the "log" backend.
 	Shards int `json:"shards,omitempty"`
-	// BatchWindow is how long a group-commit leader of the "log"
-	// backend lingers for more writers to join its batch before the
-	// shared fsync, as a Go duration string (e.g. "200us"). Empty or
-	// "0" commits as soon as the leader reaches the log, which still
-	// batches whatever arrived while the previous commit was syncing.
-	BatchWindow string `json:"batch_window,omitempty"`
-	// DirectCommit restores the serial one-fsync-per-op write path of
-	// the "log" backend; kept as the measured baseline for the
-	// group-commit throughput experiments.
-	DirectCommit bool `json:"direct_commit,omitempty"`
+}
+
+// UnmarshalJSON is the one place a yokan Config is parsed from JSON —
+// by OpenJSON/NewProviderJSON, by Bedrock's yokan module, and as the
+// "backend" block of an xkv provider. It rejects keys it does not know
+// with ErrBadConfig naming the key: a config written for an engine
+// option that no longer exists must fail loudly, not quietly run a
+// different engine than its author asked for.
+func (c *Config) UnmarshalJSON(data []byte) error {
+	type plain Config // same fields, no UnmarshalJSON: no recursion
+	p := plain(*c)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	*c = Config(p)
+	return nil
 }
 
 // Open creates a database from a config.
@@ -172,15 +180,7 @@ func Open(cfg Config) (Database, error) {
 		if cfg.Path == "" {
 			return nil, fmt.Errorf("%w: log backend needs a path", ErrBadConfig)
 		}
-		var window time.Duration
-		if cfg.BatchWindow != "" {
-			var err error
-			window, err = time.ParseDuration(cfg.BatchWindow)
-			if err != nil || window < 0 {
-				return nil, fmt.Errorf("%w: bad batch_window %q", ErrBadConfig, cfg.BatchWindow)
-			}
-		}
-		return openLogDB(cfg.Path, cfg.NoSync, window, cfg.DirectCommit)
+		return openLogDB(cfg.Path, cfg.NoSync)
 	default:
 		return nil, fmt.Errorf("%w: unknown backend %q", ErrBadConfig, cfg.Type)
 	}
@@ -189,11 +189,24 @@ func Open(cfg Config) (Database, error) {
 // OpenJSON creates a database from a JSON configuration string, as a
 // Bedrock module would receive it.
 func OpenJSON(raw []byte) (Database, error) {
-	var cfg Config
-	if len(raw) > 0 {
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
+	cfg, err := parseConfig(raw)
+	if err != nil {
+		return nil, err
 	}
 	return Open(cfg)
+}
+
+// parseConfig decodes a JSON config; empty input is the zero Config.
+// Every failure is an ErrBadConfig: json.Unmarshal reports malformed
+// documents itself and hands well-formed ones to Config.UnmarshalJSON.
+func parseConfig(raw []byte) (Config, error) {
+	var cfg Config
+	if len(raw) == 0 {
+		return cfg, nil
+	}
+	err := json.Unmarshal(raw, &cfg)
+	if err != nil && !errors.Is(err, ErrBadConfig) {
+		err = fmt.Errorf("%w: %v", ErrBadConfig, err)
+	}
+	return cfg, err
 }

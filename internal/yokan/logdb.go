@@ -6,7 +6,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mochi/internal/codec"
 )
@@ -22,18 +21,14 @@ import (
 // writes every record with one file write and one fsync, then applies
 // the index updates in enqueue order and wakes the batch. While a
 // leader is inside the commit, later writers form the next batch, so
-// under load the fsync cost is amortised over the whole convoy; an
-// optional batch_window makes the leader linger to widen batches
-// further. Reads never queue behind a commit — they go straight to
-// the internally locked index.
+// under load the fsync cost is amortised over the whole convoy. With
+// no_sync there is no fsync to amortise, so writers skip the batch
+// machinery and commit one at a time under commitMu (same
+// commitLocked, identical semantics). Reads never queue behind a
+// commit — they go straight to the internally locked index.
 type logDB struct {
 	path   string
 	noSync bool
-	window time.Duration
-	// direct restores the pre-group-commit serial path (one write +
-	// one fsync per op under a lock); kept as an A/B baseline for the
-	// throughput benchmarks.
-	direct bool
 
 	index  *skipDB
 	closed atomic.Bool
@@ -94,19 +89,12 @@ type logBatch struct {
 	done chan struct{}
 }
 
-func openLogDB(path string, noSync bool, window time.Duration, direct bool) (*logDB, error) {
+func openLogDB(path string, noSync bool) (*logDB, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("yokan: open log: %w", err)
 	}
-	// Group commit amortizes fsync; with syncing disabled and no
-	// window requested there is nothing to amortize, so the leader/
-	// follower machinery would be pure coordination overhead — take
-	// the serial path (identical semantics, same commitLocked).
-	if noSync && window == 0 {
-		direct = true
-	}
-	d := &logDB{path: path, file: f, index: newSkipDB(), noSync: noSync, window: window, direct: direct}
+	d := &logDB{path: path, file: f, index: newSkipDB(), noSync: noSync}
 	if err := d.replay(); err != nil {
 		f.Close()
 		return nil, err
@@ -196,15 +184,10 @@ func (d *logDB) enqueue(ops ...*logOp) (*logBatch, bool) {
 	return b, leader
 }
 
-// lead runs one group commit: optionally linger to let more writers
-// join, detach the batch, then write + sync + apply under commitMu.
+// lead runs one group commit: wait out the previous commit (the batch
+// keeps absorbing writers meanwhile), detach the batch, then write +
+// sync + apply under commitMu.
 func (d *logDB) lead(b *logBatch) {
-	if d.window > 0 {
-		// wall-clock: the linger window is a storage-throughput knob
-		// (batching real fsync latency), not a protocol timeout — it
-		// stays on real time even inside simulations.
-		time.Sleep(d.window)
-	}
 	d.commitMu.Lock()
 	d.batchMu.Lock()
 	if d.pending == b {
@@ -300,10 +283,10 @@ func (d *logDB) commitLocked(b *logBatch) {
 	}
 }
 
-// run pushes ops through a group commit (or the serial baseline) and
-// returns the first op's error.
+// run pushes ops through a group commit (serially when there is no
+// fsync to share) and returns the first op's error.
 func (d *logDB) run(ops ...*logOp) error {
-	if d.direct {
+	if d.noSync {
 		d.commitMu.Lock()
 		b := logBatch{ops: ops}
 		d.commitLocked(&b)

@@ -94,11 +94,9 @@ func NewProviderWithDatabase(inst *margo.Instance, id uint16, pool *argobots.Poo
 // NewProviderJSON is NewProvider taking the database config as JSON,
 // the form Bedrock uses.
 func NewProviderJSON(inst *margo.Instance, id uint16, pool *argobots.Pool, raw []byte) (*Provider, error) {
-	var cfg Config
-	if len(raw) > 0 {
-		if err := json.Unmarshal(raw, &cfg); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
+	cfg, err := parseConfig(raw)
+	if err != nil {
+		return nil, err
 	}
 	return NewProvider(inst, id, pool, cfg)
 }

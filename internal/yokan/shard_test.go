@@ -2,9 +2,13 @@ package yokan
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -186,8 +190,9 @@ func TestShardedBatchOps(t *testing.T) {
 }
 
 // TestShardConfigValidation pins the config surface: Shards<0 is
-// rejected, Shards:0 picks the core-scaled default, and the log
-// backend rejects malformed batch windows.
+// rejected, Shards:0 picks the core-scaled default, and JSON configs
+// carrying a key the engine does not know — a typo, or an option that
+// no longer exists — are rejected with ErrBadConfig naming the key.
 func TestShardConfigValidation(t *testing.T) {
 	if _, err := Open(Config{Type: "map", Shards: -1}); err == nil {
 		t.Fatal("Shards:-1 accepted")
@@ -197,10 +202,21 @@ func TestShardConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Close()
-	if _, err := Open(Config{Type: "log", Path: t.TempDir() + "/x.log", BatchWindow: "bogus"}); err == nil {
-		t.Fatal("bogus batch_window accepted")
+	path := filepath.Join(t.TempDir(), "x.log")
+	for _, key := range []string{"batch_window", "direct_commit", "shard"} {
+		raw := fmt.Sprintf(`{"type":"log","path":%q,"no_sync":true,%q:"1ms"}`, path, key)
+		_, err := OpenJSON([]byte(raw))
+		if !errors.Is(err, ErrBadConfig) || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Fatalf("unknown key %q: got %v, want ErrBadConfig naming it", key, err)
+		}
+		if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+			t.Fatalf("rejected config %s still created the log file", raw)
+		}
 	}
-	if _, err := Open(Config{Type: "log", Path: t.TempDir() + "/y.log", BatchWindow: "-1ms"}); err == nil {
-		t.Fatal("negative batch_window accepted")
+	// The same document without the stray key opens.
+	db, err = OpenJSON([]byte(fmt.Sprintf(`{"type":"log","path":%q,"no_sync":true,"shards":4}`, path)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	db.Destroy()
 }

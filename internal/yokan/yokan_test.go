@@ -172,8 +172,10 @@ func TestOpenBadConfig(t *testing.T) {
 	if _, err := Open(Config{Type: "log"}); err == nil {
 		t.Fatal("log without path accepted")
 	}
-	if _, err := OpenJSON([]byte(`{bad json`)); err == nil {
-		t.Fatal("bad json accepted")
+	for _, raw := range []string{`{bad json`, `{"type":"map"} trailing`, `{"type":7}`} {
+		if _, err := OpenJSON([]byte(raw)); !errors.Is(err, ErrBadConfig) {
+			t.Fatalf("OpenJSON(%s) = %v, want ErrBadConfig", raw, err)
+		}
 	}
 	db, err := OpenJSON([]byte(`{"type":"skiplist"}`))
 	if err != nil {
