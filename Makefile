@@ -44,15 +44,20 @@ reshard-soak:
 		-timeout 900s ./internal/yokan/router/
 
 # Deterministic simulation suite (DESIGN.md §14, EXPERIMENTS.md E14).
-# Four legs, in order:
+# Five legs, in order:
 #   1. the 1k-node SWIM seed matrix (SIM_SEEDS seeds) plus the replay
 #      and partition-heal tests, under the race detector;
-#   2. the raft linearizability harness under -race at a few seeds
+#   2. the raft core on sim.Net: SIM_SEEDS seeds of 3- and 5-member
+#      groups under loss/dup/delay, a partition and crash-restarts with
+#      the four safety invariants checked after every event and a
+#      linearizable history per seed, plus the replay-identity test,
+#      under the race detector;
+#   3. the live-raft linearizability harness under -race at a few seeds
 #      (races surface independent of history count);
-#   3. the full SIM_HISTORIES-seed linearizability sweep plus the
+#   4. the full SIM_HISTORIES-seed linearizability sweep plus the
 #      broken-store and FSM-dedup companions, without -race so 100
 #      histories stay inside minutes;
-#   4. the 10k-endpoint, 10-virtual-minute scale run with its <60s
+#   5. the 10k-endpoint, 10-virtual-minute scale run with its <60s
 #      wall-time gate.
 # Optionally SIM_SOAK_MS runs a long virtual-time soak (e.g. 3600000
 # for an hour of protocol time). Every failing run prints a
@@ -63,6 +68,8 @@ SIM_SOAK_MS ?=
 sim:
 	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
 		-run 'TestSwimSeedMatrix1k|TestSwimDeterministicReplay|TestSwimPartitionHeals' ./internal/sim/
+	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
+		-run 'TestRaftSimSeedMatrix|TestRaftSimDeterministicReplay' ./internal/raft/
 	SIM_HISTORIES=8 $(GO) test -race -count=1 -timeout 1200s \
 		-run 'TestRaftKVLinearizableUnderFaults|TestLinearizabilityCheckerCatchesBrokenStore|TestKVFSMDeduplicatesRetries' ./internal/core/
 	SIM_HISTORIES=$(SIM_HISTORIES) $(GO) test -count=1 -timeout 1200s \

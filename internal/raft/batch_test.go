@@ -122,14 +122,12 @@ func (s *gatedStore) appendSizes() []int {
 	return append([]int(nil), s.sizes...)
 }
 
-// pendingProposals is how many proposals sit in the forming batch.
+// pendingProposals is how many proposals wait in the driver's queue for
+// the node mutex.
 func (n *Node) pendingProposals() int {
-	n.propMu.Lock()
-	defer n.propMu.Unlock()
-	if n.propPending == nil {
-		return 0
-	}
-	return len(n.propPending.props)
+	n.qmu.Lock()
+	defer n.qmu.Unlock()
+	return len(n.queue)
 }
 
 // TestApplyGroupCommitBatches proves the group-commit claim at the

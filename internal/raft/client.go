@@ -2,6 +2,7 @@ package raft
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -65,10 +66,34 @@ func (c *Client) retryWait(ctx context.Context) bool {
 	}
 }
 
-// Apply submits a command, retrying until ctx expires.
-func (c *Client) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
-	args := applyArgs{Group: c.group, Cmd: cmd}
-	payload := codec.Marshal(&args)
+// remoteError is a member's refusal as it came over the wire, mapped
+// back to the sentinel it was made from so callers can use errors.Is.
+type remoteError struct {
+	sentinel error
+	msg      string
+}
+
+func (e *remoteError) Error() string { return e.msg }
+func (e *remoteError) Unwrap() error { return e.sentinel }
+
+// replyError rebuilds the error behind a failed applyReply. The wire
+// carries err.Error(); every sentinel's text is a prefix of the errors
+// wrapping it, which is what this matches.
+func replyError(msg string) error {
+	for _, s := range []error{ErrNotLeader, ErrNoLeader, ErrStopped, ErrTimeout, ErrBadConfig, ErrInProgress, ErrNoReader} {
+		if strings.HasPrefix(msg, s.Error()) {
+			return &remoteError{sentinel: s, msg: msg}
+		}
+	}
+	return &remoteError{msg: "raft: " + msg}
+}
+
+// call sends one client RPC until a member accepts it, terminal says
+// the refusal is final, or ctx expires. It tries the cached leader
+// first, then the seeds; a refusal that names a different leader
+// redirects there without sleeping (bounded, so mutually stale hints
+// cannot hot-loop), anything else paces the retry.
+func (c *Client) call(ctx context.Context, rpc string, payload []byte, terminal func(error) bool) ([]byte, error) {
 	target := c.cachedLeader()
 	var lastErr error
 	fast := 0
@@ -79,7 +104,7 @@ func (c *Client) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
 		}
 		hinted := false
 		for _, addr := range candidates {
-			out, err := c.inst.Forward(ctx, addr, rpcApply, payload)
+			out, err := c.inst.Forward(ctx, addr, rpc, payload)
 			if err != nil {
 				lastErr = err
 				continue
@@ -93,7 +118,10 @@ func (c *Client) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
 				c.storeLeader(addr)
 				return reply.Result, nil
 			}
-			lastErr = fmt.Errorf("raft: %s", reply.Err)
+			lastErr = replyError(reply.Err)
+			if terminal(lastErr) {
+				return nil, lastErr
+			}
 			if reply.LeaderHint != "" && reply.LeaderHint != addr {
 				target = reply.LeaderHint
 				c.storeLeader(target)
@@ -101,8 +129,6 @@ func (c *Client) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
 				break // try the hinted leader next round
 			}
 		}
-		// A fresh hint retries without sleeping (bounded, so mutually
-		// stale hints cannot hot-loop); otherwise pace the retry.
 		if hinted && fast < 3 {
 			fast++
 			continue
@@ -117,61 +143,18 @@ func (c *Client) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
 	}
 }
 
+// Apply submits a command, retrying until ctx expires.
+func (c *Client) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
+	return c.call(ctx, rpcApply, codec.Marshal(&applyArgs{Group: c.group, Cmd: cmd}),
+		func(error) bool { return false })
+}
+
 // Read submits a read-only query over the ReadIndex path (no log
 // entry, no fsync), retrying until ctx expires. The group's FSM must
 // implement ReaderFSM.
 func (c *Client) Read(ctx context.Context, query []byte) ([]byte, error) {
-	args := readArgs{Group: c.group, Query: query}
-	payload := codec.Marshal(&args)
-	target := c.cachedLeader()
-	var lastErr error
-	fast := 0
-	for {
-		candidates := c.seeds
-		if target != "" {
-			candidates = append([]string{target}, c.seeds...)
-		}
-		hinted := false
-		for _, addr := range candidates {
-			out, err := c.inst.Forward(ctx, addr, rpcRead, payload)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			var reply applyReply
-			if err := codec.Unmarshal(out, &reply); err != nil {
-				lastErr = err
-				continue
-			}
-			if reply.OK {
-				c.storeLeader(addr)
-				return reply.Result, nil
-			}
-			lastErr = fmt.Errorf("raft: %s", reply.Err)
-			if strings.Contains(reply.Err, "does not support read-only") {
-				return nil, ErrNoReader // terminal: retrying cannot help
-			}
-			if reply.LeaderHint != "" && reply.LeaderHint != addr {
-				target = reply.LeaderHint
-				c.storeLeader(target)
-				hinted = true
-				break // try the hinted leader next round
-			}
-		}
-		// A fresh hint retries without sleeping (bounded, so mutually
-		// stale hints cannot hot-loop); otherwise pace the retry.
-		if hinted && fast < 3 {
-			fast++
-			continue
-		}
-		fast = 0
-		if !c.retryWait(ctx) {
-			if lastErr != nil {
-				return nil, fmt.Errorf("%w (last: %v)", ErrTimeout, lastErr)
-			}
-			return nil, ErrTimeout
-		}
-	}
+	return c.call(ctx, rpcRead, codec.Marshal(&readArgs{Group: c.group, Query: query}),
+		func(err error) bool { return errors.Is(err, ErrNoReader) }) // retrying cannot help
 }
 
 // AddServer asks the group to add a member.
@@ -184,35 +167,12 @@ func (c *Client) RemoveServer(ctx context.Context, addr string) error {
 	return c.configChange(ctx, addr, true)
 }
 
+// configChange retries across elections only: any refusal other than
+// "not the leader" is the answer.
 func (c *Client) configChange(ctx context.Context, addr string, remove bool) error {
-	args := configChangeArgs{Group: c.group, Addr: addr, Remove: remove}
-	payload := codec.Marshal(&args)
-	var lastErr error
-	for {
-		for _, seed := range c.seeds {
-			out, err := c.inst.Forward(ctx, seed, rpcConfigChange, payload)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			var reply applyReply
-			if err := codec.Unmarshal(out, &reply); err != nil {
-				lastErr = err
-				continue
-			}
-			if reply.OK {
-				return nil
-			}
-			lastErr = fmt.Errorf("raft: %s", reply.Err)
-			// Config errors other than leadership are terminal.
-			if !strings.Contains(reply.Err, "not the leader") && !strings.Contains(reply.Err, "no known leader") {
-				return lastErr
-			}
-		}
-		if !c.retryWait(ctx) {
-			return fmt.Errorf("%w (last: %v)", ErrTimeout, lastErr)
-		}
-	}
+	_, err := c.call(ctx, rpcConfigChange, codec.Marshal(&configChangeArgs{Group: c.group, Addr: addr, Remove: remove}),
+		func(err error) bool { return !errors.Is(err, ErrNotLeader) && !errors.Is(err, ErrNoLeader) })
+	return err
 }
 
 // Status fetches the protocol status of the member at addr.

@@ -30,7 +30,12 @@ var (
 )
 
 // FSM is the replicated state machine. Apply is invoked exactly once
-// per committed entry, in index order, on a single goroutine.
+// per committed entry, in index order. Apply, ApplyBatch, Restore and
+// Snapshot are all called from the node's one applier goroutine, never
+// concurrently with one another: a snapshot taken after the entry at
+// index i was applied holds the effects of exactly the entries up to
+// i, and entries handed over after a Restore start right after the
+// restored snapshot's index.
 type FSM interface {
 	// Apply executes a committed command and returns its result.
 	Apply(index uint64, cmd []byte) []byte
@@ -125,7 +130,8 @@ func (r Role) String() string {
 
 // Store is the persistence layer: term/vote metadata, the log, and
 // the most recent snapshot. Implementations must be safe for use from
-// one goroutine (the node serializes access).
+// one goroutine at a time (the node calls it only while stepping its
+// Core, under one lock).
 type Store interface {
 	// SetState durably records the current term and vote.
 	SetState(term uint64, votedFor string) error

@@ -1,46 +1,68 @@
 package raft
 
 import (
+	"encoding/json"
+	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
-	"mochi/internal/margo"
-	"mochi/internal/mercury"
+	"mochi/internal/codec"
 )
 
-// loneNode builds a node with huge election timeouts so the protocol
-// never interferes while we drive the RPC handlers directly.
-func loneNode(t *testing.T, entries []LogEntry, term uint64) *Node {
+// The rule tables in this file drive a Core directly: no fabric, no
+// margo instance, no timers. The clock is the constant t0 unless a
+// test moves it.
+
+var t0 = time.Unix(1000, 0)
+
+const ruleSelf = "sm://self"
+
+var rulePeers = []string{ruleSelf, "sm://peer-a", "sm://peer-b"}
+
+// ruleCore builds a three-member core whose log holds entries and whose
+// persisted term is term.
+func ruleCore(t *testing.T, store Store, entries []LogEntry, term uint64) *Core {
 	t.Helper()
-	f := mercury.NewFabric()
-	cls, err := f.NewClass("rules")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := margo.New(cls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewMemoryStore()
 	if err := store.SetState(term, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Append(entries); err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(inst, "rules", []string{inst.Addr(), "sm://peer-a", "sm://peer-b"}, store, newKVFSM(), Config{
-		ElectionTimeoutMin: time.Hour,
-		ElectionTimeoutMax: 2 * time.Hour,
-		HeartbeatInterval:  time.Hour,
-	})
+	c, err := NewCore("rules", ruleSelf, rulePeers, store, Config{}, rand.New(rand.NewSource(1)), t0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		n.Stop()
-		inst.Finalize()
-	})
-	return n
+	return c
+}
+
+// elect makes c the leader of term c.term+1: its election timer fires
+// and peer-a grants its vote (at t0, where the tests' clock stays).
+func elect(t *testing.T, c *Core) {
+	t.Helper()
+	c.Tick(c.Deadline())
+	for _, m := range c.Take().Msgs {
+		if m.To == "sm://peer-a" {
+			c.VoteReply(t0, m, &requestVoteReply{Term: m.Vote.Term, Granted: true})
+		}
+	}
+	if !c.IsLeader() {
+		t.Fatal("core did not become leader")
+	}
+}
+
+// ackAll answers every log message in msgs with success, as a follower
+// whose log matches would, and returns what those replies made the
+// leader send.
+func ackAll(c *Core, msgs []Message) []Message {
+	for _, m := range msgs {
+		if m.Append != nil && m.Round == 0 {
+			c.AppendReply(t0, m, &appendEntriesReply{Term: m.Append.Term, Success: true})
+		}
+	}
+	return c.Take().Msgs
 }
 
 func entriesUpTo(n int, term uint64) []LogEntry {
@@ -51,8 +73,17 @@ func entriesUpTo(n int, term uint64) []LogEntry {
 	return out
 }
 
-// TestVoteRules drives onRequestVote through the Raft §5.2/§5.4.1
-// rule table.
+func configEntry(t *testing.T, index, term uint64, peers ...string) LogEntry {
+	t.Helper()
+	data, err := json.Marshal(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return LogEntry{Index: index, Term: term, Type: EntryConfig, Data: data}
+}
+
+// TestVoteRules drives RequestVote through the Raft §5.2/§5.4.1 rule
+// table.
 func TestVoteRules(t *testing.T) {
 	base := entriesUpTo(3, 2) // log: 3 entries at term 2; current term 2
 	cases := []struct {
@@ -73,12 +104,15 @@ func TestVoteRules(t *testing.T) {
 		{"older last term rejected",
 			requestVoteArgs{Term: 3, Candidate: "sm://c", LastLogIndex: 99, LastLogTerm: 1}, false},
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			n := loneNode(t, base, 2)
-			reply := n.onRequestVote(&c.args)
-			if reply.Granted != c.granted {
-				t.Fatalf("granted = %v, want %v (reply term %d)", reply.Granted, c.granted, reply.Term)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := ruleCore(t, NewMemoryStore(), base, 2)
+			reply, err := c.RequestVote(t0, &tc.args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply.Granted != tc.granted {
+				t.Fatalf("granted = %v, want %v (reply term %d)", reply.Granted, tc.granted, reply.Term)
 			}
 		})
 	}
@@ -87,40 +121,56 @@ func TestVoteRules(t *testing.T) {
 // TestVoteOncePerTerm: a node grants at most one vote per term, but
 // re-grants to the same candidate (needed for retried requests).
 func TestVoteOncePerTerm(t *testing.T) {
-	n := loneNode(t, nil, 0)
-	a := requestVoteArgs{Term: 5, Candidate: "sm://alice", LastLogIndex: 0, LastLogTerm: 0}
-	if !n.onRequestVote(&a).Granted {
+	c := ruleCore(t, NewMemoryStore(), nil, 0)
+	vote := func(a requestVoteArgs) bool {
+		t.Helper()
+		r, err := c.RequestVote(t0, &a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Granted
+	}
+	a := requestVoteArgs{Term: 5, Candidate: "sm://alice"}
+	if !vote(a) {
 		t.Fatal("first vote denied")
 	}
-	bArgs := requestVoteArgs{Term: 5, Candidate: "sm://bob", LastLogIndex: 9, LastLogTerm: 9}
-	if n.onRequestVote(&bArgs).Granted {
+	if vote(requestVoteArgs{Term: 5, Candidate: "sm://bob", LastLogIndex: 9, LastLogTerm: 9}) {
 		t.Fatal("second candidate granted in same term")
 	}
-	if !n.onRequestVote(&a).Granted {
+	if !vote(a) {
 		t.Fatal("retry by the voted-for candidate denied")
 	}
 	// A new term resets the vote.
-	cArgs := requestVoteArgs{Term: 6, Candidate: "sm://bob", LastLogIndex: 9, LastLogTerm: 9}
-	if !n.onRequestVote(&cArgs).Granted {
+	if !vote(requestVoteArgs{Term: 6, Candidate: "sm://bob", LastLogIndex: 9, LastLogTerm: 9}) {
 		t.Fatal("vote in new term denied")
 	}
 }
 
-// TestAppendEntriesRules drives onAppendEntries through the log
+// TestAppendEntriesRules drives AppendEntries through the log
 // consistency table (§5.3).
 func TestAppendEntriesRules(t *testing.T) {
-	mk := func() *Node { return loneNode(t, entriesUpTo(3, 2), 2) }
+	mk := func(t *testing.T) (*Core, *MemoryStore) {
+		s := NewMemoryStore()
+		return ruleCore(t, s, entriesUpTo(3, 2), 2), s
+	}
+	appendTo := func(t *testing.T, c *Core, a *appendEntriesArgs) *appendEntriesReply {
+		t.Helper()
+		r, err := c.AppendEntries(t0, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
 
 	t.Run("stale term rejected", func(t *testing.T) {
-		n := mk()
-		r := n.onAppendEntries(&appendEntriesArgs{Term: 1, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 2})
-		if r.Success {
+		c, _ := mk(t)
+		if appendTo(t, c, &appendEntriesArgs{Term: 1, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 2}).Success {
 			t.Fatal("accepted stale leader")
 		}
 	})
 	t.Run("matching prev accepts", func(t *testing.T) {
-		n := mk()
-		r := n.onAppendEntries(&appendEntriesArgs{
+		c, _ := mk(t)
+		r := appendTo(t, c, &appendEntriesArgs{
 			Term: 2, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 2,
 			Entries:      []LogEntry{{Index: 4, Term: 2, Type: EntryCommand, Data: []byte("x")}},
 			LeaderCommit: 4,
@@ -128,13 +178,16 @@ func TestAppendEntriesRules(t *testing.T) {
 		if !r.Success {
 			t.Fatal("rejected valid append")
 		}
-		if n.Status().CommitIndex != 4 {
-			t.Fatalf("commit = %d", n.Status().CommitIndex)
+		if c.Status().CommitIndex != 4 {
+			t.Fatalf("commit = %d", c.Status().CommitIndex)
+		}
+		if !c.Take().Apply {
+			t.Fatal("commit advanced without an Apply effect")
 		}
 	})
 	t.Run("gap returns conflict hint", func(t *testing.T) {
-		n := mk()
-		r := n.onAppendEntries(&appendEntriesArgs{Term: 2, Leader: "sm://l", PrevLogIndex: 9, PrevLogTerm: 2})
+		c, _ := mk(t)
+		r := appendTo(t, c, &appendEntriesArgs{Term: 2, Leader: "sm://l", PrevLogIndex: 9, PrevLogTerm: 2})
 		if r.Success {
 			t.Fatal("accepted gapped append")
 		}
@@ -142,10 +195,17 @@ func TestAppendEntriesRules(t *testing.T) {
 			t.Fatalf("conflict hint = %d, want 4 (last+1)", r.ConflictIndex)
 		}
 	})
+	t.Run("prev term mismatch hints at the term's first index", func(t *testing.T) {
+		c, _ := mk(t)
+		r := appendTo(t, c, &appendEntriesArgs{Term: 3, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 3})
+		if r.Success || r.ConflictIndex != 1 {
+			t.Fatalf("reply = %+v, want a conflict at 1 (term 2 starts there)", r)
+		}
+	})
 	t.Run("term mismatch truncates on overwrite", func(t *testing.T) {
-		n := mk()
+		c, s := mk(t)
 		// Leader overwrites index 2 and 3 with a newer term.
-		r := n.onAppendEntries(&appendEntriesArgs{
+		r := appendTo(t, c, &appendEntriesArgs{
 			Term: 3, Leader: "sm://l", PrevLogIndex: 1, PrevLogTerm: 2,
 			Entries: []LogEntry{
 				{Index: 2, Term: 3, Type: EntryCommand, Data: []byte("new2")},
@@ -155,30 +215,429 @@ func TestAppendEntriesRules(t *testing.T) {
 		if !r.Success {
 			t.Fatal("overwrite rejected")
 		}
-		e, err := n.store.Entry(3)
+		e, err := s.Entry(3)
 		if err != nil || e.Term != 3 || string(e.Data) != "new3" {
 			t.Fatalf("entry 3 = %+v, %v", e, err)
 		}
 	})
 	t.Run("duplicate append is idempotent", func(t *testing.T) {
-		n := mk()
+		c, s := mk(t)
 		args := &appendEntriesArgs{
 			Term: 2, Leader: "sm://l", PrevLogIndex: 2, PrevLogTerm: 2,
 			Entries: []LogEntry{{Index: 3, Term: 2, Type: EntryCommand, Data: []byte{2}}},
 		}
-		if !n.onAppendEntries(args).Success || !n.onAppendEntries(args).Success {
+		if !appendTo(t, c, args).Success || !appendTo(t, c, args).Success {
 			t.Fatal("idempotent append failed")
 		}
-		if n.store.LastIndex() != 3 {
-			t.Fatalf("last = %d", n.store.LastIndex())
+		if s.LastIndex() != 3 {
+			t.Fatalf("last = %d", s.LastIndex())
 		}
 	})
 	t.Run("append makes follower adopt leader", func(t *testing.T) {
-		n := mk()
-		n.onAppendEntries(&appendEntriesArgs{Term: 4, Leader: "sm://new-leader", PrevLogIndex: 3, PrevLogTerm: 2})
-		st := n.Status()
+		c, _ := mk(t)
+		appendTo(t, c, &appendEntriesArgs{Term: 4, Leader: "sm://new-leader", PrevLogIndex: 3, PrevLogTerm: 2})
+		st := c.Status()
 		if st.Leader != "sm://new-leader" || st.Term != 4 || st.Role != Follower {
 			t.Fatalf("status = %+v", st)
 		}
 	})
+}
+
+// stateFailStore fails SetState on demand; what it holds is what a
+// restart would find.
+type stateFailStore struct {
+	*MemoryStore
+	fail bool
+}
+
+func (s *stateFailStore) SetState(term uint64, votedFor string) error {
+	if s.fail {
+		return errors.New("injected meta.bin write failure")
+	}
+	return s.MemoryStore.SetState(term, votedFor)
+}
+
+// TestNoGrantWithoutPersistedVote: a member whose term/vote write fails
+// must not answer at all — not grant, not acknowledge an append, not
+// report a term it could not record — or after a restart it may vote
+// twice in one term. Each case checks the step sent nothing and that
+// memory still mirrors the store.
+func TestNoGrantWithoutPersistedVote(t *testing.T) {
+	check := func(t *testing.T, c *Core, s *stateFailStore, replied bool, err error) {
+		t.Helper()
+		if err == nil || replied {
+			t.Fatalf("replied = %v, err = %v; want no reply and an error", replied, err)
+		}
+		eff := c.Take()
+		if len(eff.Msgs) != 0 {
+			t.Fatalf("step sent %d messages after a failed SetState", len(eff.Msgs))
+		}
+		if eff.StoreErrors != 1 {
+			t.Fatalf("StoreErrors = %d, want 1", eff.StoreErrors)
+		}
+		term, voted, _ := s.State()
+		st := c.Status()
+		if st.Term != term || c.votedFor != voted || st.Role != Follower {
+			t.Fatalf("core at term %d voted %q role %v; store holds term %d voted %q", st.Term, c.votedFor, st.Role, term, voted)
+		}
+	}
+	mk := func(t *testing.T) (*Core, *stateFailStore) {
+		s := &stateFailStore{MemoryStore: NewMemoryStore()}
+		c := ruleCore(t, s, entriesUpTo(3, 2), 2)
+		s.fail = true
+		return c, s
+	}
+	t.Run("vote", func(t *testing.T) {
+		c, s := mk(t)
+		a := requestVoteArgs{Term: 3, Candidate: "sm://alice", LastLogIndex: 3, LastLogTerm: 2}
+		r, err := c.RequestVote(t0, &a)
+		check(t, c, s, r != nil, err)
+		// The disk recovers; a different candidate of the same term asks.
+		// Nothing was promised to alice, so bob may have the vote — and
+		// alice, asking again, may not.
+		s.fail = false
+		b := requestVoteArgs{Term: 3, Candidate: "sm://bob", LastLogIndex: 3, LastLogTerm: 2}
+		if r, err := c.RequestVote(t0, &b); err != nil || !r.Granted {
+			t.Fatalf("bob: %+v, %v", r, err)
+		}
+		if r, err := c.RequestVote(t0, &a); err != nil || r.Granted {
+			t.Fatalf("alice got a second vote in term 3: %+v, %v", r, err)
+		}
+	})
+	t.Run("vote in the current term", func(t *testing.T) {
+		c, s := mk(t)
+		r, err := c.RequestVote(t0, &requestVoteArgs{Term: 2, Candidate: "sm://alice", LastLogIndex: 3, LastLogTerm: 2})
+		check(t, c, s, r != nil, err)
+	})
+	t.Run("append entries", func(t *testing.T) {
+		c, s := mk(t)
+		r, err := c.AppendEntries(t0, &appendEntriesArgs{
+			Term: 3, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 2,
+			Entries: []LogEntry{{Index: 4, Term: 3, Type: EntryCommand}},
+		})
+		check(t, c, s, r != nil, err)
+		if s.LastIndex() != 3 {
+			t.Fatal("entries of an unrecorded term were appended")
+		}
+	})
+	t.Run("install snapshot", func(t *testing.T) {
+		c, s := mk(t)
+		r, err := c.InstallSnapshot(t0, &installSnapshotArgs{Term: 3, Leader: "sm://l", LastIndex: 9, LastTerm: 2})
+		check(t, c, s, r != nil, err)
+	})
+	t.Run("higher term in a reply", func(t *testing.T) {
+		s := &stateFailStore{MemoryStore: NewMemoryStore()}
+		c := ruleCore(t, s, nil, 0)
+		elect(t, c)
+		msgs := c.Take().Msgs
+		s.fail = true
+		c.AppendReply(t0, msgs[0], &appendEntriesReply{Term: 7})
+		eff := c.Take()
+		if st := c.Status(); st.Role != Follower || st.Term != 1 || eff.StoreErrors != 1 || len(eff.Msgs) != 0 {
+			t.Fatalf("status %+v, effects %+v: want a silent follower still in term 1", st, eff)
+		}
+	})
+	t.Run("campaign", func(t *testing.T) {
+		c, s := mk(t)
+		c.Tick(c.Deadline())
+		eff := c.Take()
+		if st := c.Status(); st.Role != Follower || st.Term != 2 || len(eff.Msgs) != 0 || eff.StoreErrors != 1 {
+			t.Fatalf("status %+v, effects %+v: a candidacy that was not recorded must not be announced", st, eff)
+		}
+		s.fail = false
+		c.Tick(c.Deadline())
+		if st := c.Status(); st.Role != Candidate || st.Term != 3 || len(c.Take().Msgs) != 2 {
+			t.Fatalf("after recovery: %+v", st)
+		}
+	})
+}
+
+// TestTruncatedConfigEntryRevertsMembership: membership is the latest
+// config entry in the log, so when a new leader's conflicting entries
+// truncate an uncommitted one, the old peer set is back.
+func TestTruncatedConfigEntryRevertsMembership(t *testing.T) {
+	four := append(append([]string(nil), rulePeers...), "sm://peer-c")
+	two := []string{ruleSelf, "sm://peer-a"}
+	cases := []struct {
+		name string
+		// overwrite is what the term-3 leader sends; the config entry
+		// under test is at index 3.
+		overwrite    []LogEntry
+		wantPeers    []string
+		wantPending  uint64
+		wantLastTerm uint64
+	}{
+		{"conflict at the config entry",
+			[]LogEntry{{Index: 3, Term: 3, Type: EntryCommand, Data: []byte("x")}},
+			rulePeers, 0, 3},
+		{"conflict replaces it with another config",
+			[]LogEntry{configEntry(t, 3, 3, two...)},
+			two, 3, 3},
+		{"conflict after the config entry keeps it",
+			[]LogEntry{{Index: 4, Term: 3, Type: EntryCommand, Data: []byte("y")}},
+			four, 3, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewMemoryStore()
+			c := ruleCore(t, s, entriesUpTo(2, 2), 2)
+			// The term-2 leader replicates "add peer-c" at 3 and one more
+			// command at 4; nothing past 2 is committed.
+			r, err := c.AppendEntries(t0, &appendEntriesArgs{
+				Term: 2, Leader: "sm://peer-a", PrevLogIndex: 2, PrevLogTerm: 2, LeaderCommit: 2,
+				Entries: []LogEntry{configEntry(t, 3, 2, four...), {Index: 4, Term: 2, Type: EntryCommand}},
+			})
+			if err != nil || !r.Success {
+				t.Fatalf("append: %+v, %v", r, err)
+			}
+			if got := c.Status().Peers; !reflect.DeepEqual(got, four) || c.pendingConfig() != 3 {
+				t.Fatalf("after the config entry: peers %v pending %d", got, c.pendingConfig())
+			}
+			// A term-3 leader that never saw it overwrites the suffix.
+			prev := tc.overwrite[0].Index - 1
+			r, err = c.AppendEntries(t0, &appendEntriesArgs{
+				Term: 3, Leader: "sm://peer-b", PrevLogIndex: prev, PrevLogTerm: 2, LeaderCommit: 2,
+				Entries: tc.overwrite,
+			})
+			if err != nil || !r.Success {
+				t.Fatalf("overwrite: %+v, %v", r, err)
+			}
+			if got := c.Status().Peers; !reflect.DeepEqual(got, tc.wantPeers) {
+				t.Fatalf("peers = %v, want %v", got, tc.wantPeers)
+			}
+			if c.pendingConfig() != tc.wantPending {
+				t.Fatalf("pendingConfig = %d, want %d", c.pendingConfig(), tc.wantPending)
+			}
+			if lt, _ := s.Term(s.LastIndex()); lt != tc.wantLastTerm {
+				t.Fatalf("last term = %d", lt)
+			}
+		})
+	}
+}
+
+// TestLeaderLingersWhilePipelineBusy pins the group-commit rules: a
+// proposal that finds the pipeline idle is appended at once; proposals
+// that find earlier entries appended but not applied are held, join
+// one another, and are appended with a single Store.Append when Applied
+// catches up — or when one heartbeat interval has passed.
+func TestLeaderLingersWhilePipelineBusy(t *testing.T) {
+	s := NewMemoryStore()
+	c := ruleCore(t, s, nil, 0)
+	elect(t, c)
+	noop := c.Take().Msgs
+	// The election no-op (index 1) is in the pipeline: not applied yet.
+	c.Propose(t0, []Proposal{{Data: []byte("a"), Tag: "a"}})
+	c.Propose(t0, []Proposal{{Data: []byte("b"), Tag: "b"}, {Data: []byte("c"), Tag: "c"}})
+	if eff := c.Take(); len(eff.Accepted) != 0 || s.LastIndex() != 1 {
+		t.Fatalf("proposals appended behind an unapplied entry: %+v, last %d", eff.Accepted, s.LastIndex())
+	}
+	if want := t0.Add(c.cfg.HeartbeatInterval); !c.Deadline().Equal(want) {
+		t.Fatalf("linger deadline %v, want one heartbeat interval (%v)", c.Deadline(), want)
+	}
+	// The no-op commits (and the followers hear so) and is applied: the
+	// three held proposals go out as one batch.
+	ackAll(c, ackAll(c, noop))
+	if c.Status().CommitIndex != 1 {
+		t.Fatalf("commit = %d", c.Status().CommitIndex)
+	}
+	c.Applied(t0, 1)
+	eff := c.Take()
+	if len(eff.Accepted) != 1 || !reflect.DeepEqual(eff.Accepted[0].Tags, []interface{}{"a", "b", "c"}) || eff.Accepted[0].First != 2 {
+		t.Fatalf("accepted = %+v, want one batch [a b c] at 2", eff.Accepted)
+	}
+	if len(eff.Msgs) == 0 || len(eff.Msgs[0].Append.Entries) != 3 {
+		t.Fatalf("the batch must ship in one AppendEntries: %+v", eff.Msgs)
+	}
+	// Busy again (2..4 unapplied) and nobody reports Applied: the linger
+	// is bounded by one heartbeat interval.
+	c.Propose(t0, []Proposal{{Data: []byte("d"), Tag: "d"}})
+	if len(c.Take().Accepted) != 0 {
+		t.Fatal("d appended while 2..4 are in the pipeline")
+	}
+	c.Tick(t0.Add(c.cfg.HeartbeatInterval))
+	eff = c.Take()
+	if len(eff.Accepted) != 1 || eff.Accepted[0].First != 5 {
+		t.Fatalf("linger did not expire: %+v", eff.Accepted)
+	}
+	// Idle pipeline: append immediately.
+	ackAll(c, ackAll(c, eff.Msgs))
+	c.Applied(t0, 5)
+	c.Take()
+	c.Propose(t0, []Proposal{{Data: []byte("e"), Tag: "e"}})
+	if eff := c.Take(); len(eff.Accepted) != 1 || eff.Accepted[0].First != 6 {
+		t.Fatalf("idle pipeline held the proposal: %+v", eff)
+	}
+	// More than maxBatchEntries held: the batch is capped, the rest
+	// lingers behind it.
+	c.Applied(t0, 6)
+	big := make([]Proposal, maxBatchEntries+5)
+	for i := range big {
+		big[i] = Proposal{Data: []byte{byte(i)}, Tag: i}
+	}
+	c.Propose(t0, big)
+	if eff := c.Take(); len(eff.Accepted) != 1 || len(eff.Accepted[0].Tags) != maxBatchEntries || len(c.held) != 5 {
+		t.Fatalf("accepted %+v, held %d", eff.Accepted, len(c.held))
+	}
+}
+
+// TestLeaderStoreAppendFailureDemotes: a leader that cannot write its
+// own log rejects the batch with the store's error, rejects whatever
+// else it held with a leader hint, and stops leading.
+func TestLeaderStoreAppendFailureDemotes(t *testing.T) {
+	fs := &failingStore{Store: NewMemoryStore()}
+	c := ruleCore(t, fs, nil, 0)
+	elect(t, c)
+	ackAll(c, c.Take().Msgs)
+	c.Applied(t0, 1)
+	c.Take()
+	fs.fail.Store(true)
+	big := make([]Proposal, maxBatchEntries+1)
+	for i := range big {
+		big[i] = Proposal{Tag: i}
+	}
+	c.Propose(t0, big)
+	eff := c.Take()
+	if c.IsLeader() || eff.StoreErrors != 1 || len(eff.Rejected) != len(big) || len(eff.Accepted) != 0 {
+		t.Fatalf("leader=%v effects=%+v", c.IsLeader(), eff)
+	}
+	stored := 0
+	for _, r := range eff.Rejected {
+		if !errors.Is(r.Err, ErrNoLeader) && !errors.Is(r.Err, ErrNotLeader) {
+			stored++
+		}
+	}
+	if stored != maxBatchEntries {
+		t.Fatalf("%d proposals carry the store error, want the %d of the failed batch", stored, maxBatchEntries)
+	}
+}
+
+// TestReadIndexRounds pins the ReadIndex bookkeeping: every read
+// pending when a round starts shares it; a read that arrives while a
+// round is in flight waits for the next one; the probe is a message of
+// its own; a round confirms only with a quorum in the current term and
+// resolves only once its read index is applied.
+func TestReadIndexRounds(t *testing.T) {
+	c := ruleCore(t, NewMemoryStore(), nil, 0)
+	elect(t, c)
+	// Reads before the term's first commit have no read index yet: they
+	// form a round that cannot start.
+	r1, err := c.Read(t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1b, _ := c.Read(t0)
+	if r1b != r1 {
+		t.Fatalf("reads pending together got rounds %d and %d", r1, r1b)
+	}
+	logMsgs := c.Take().Msgs
+	for _, m := range logMsgs {
+		if m.Round != 0 {
+			t.Fatal("round started before the no-op committed")
+		}
+	}
+	// The no-op commits: the round starts, one probe per peer, both
+	// reads in it.
+	probes := ackAll(c, logMsgs)
+	var round []Message
+	for _, m := range probes {
+		if m.Round != 0 {
+			if m.Round != r1 || len(m.Append.Entries) != 0 || m.Append.LeaderCommit != 0 {
+				t.Fatalf("probe = %+v", m)
+			}
+			round = append(round, m)
+		}
+	}
+	if len(round) != 2 {
+		t.Fatalf("%d probes, want one per peer", len(round))
+	}
+	// A read arriving now must not ride the round in flight.
+	r2, _ := c.Read(t0)
+	if r2 == r1 {
+		t.Fatal("late read joined a round that had already started")
+	}
+	// One ack is a quorum of three, but index 1 is not applied yet.
+	c.AppendReply(t0, round[0], &appendEntriesReply{Term: 1})
+	eff := c.Take()
+	if len(eff.Reads) != 0 {
+		t.Fatalf("round resolved before its read index was applied: %+v", eff.Reads)
+	}
+	// ...and the next round started the moment this one was confirmed.
+	var next []Message
+	for _, m := range eff.Msgs {
+		if m.Round == r2 {
+			next = append(next, m)
+		}
+	}
+	if len(next) != 2 {
+		t.Fatalf("round %d did not start after round %d: %+v", r2, r1, eff.Msgs)
+	}
+	c.Applied(t0, 1)
+	if eff := c.Take(); len(eff.Reads) != 1 || eff.Reads[0] != (ReadRound{ID: r1, Reads: 2}) {
+		t.Fatalf("reads = %+v, want round %d with 2 reads", eff.Reads, r1)
+	}
+	// A stale ack for round 1 does not confirm round 2.
+	c.AppendReply(t0, round[1], &appendEntriesReply{Term: 1})
+	if len(c.Take().Reads) != 0 {
+		t.Fatal("an ack for an earlier round confirmed a later one")
+	}
+	// No quorum within ElectionTimeoutMin: the round fails.
+	c.Tick(t0.Add(c.cfg.ElectionTimeoutMin))
+	if eff := c.Take(); len(eff.Reads) != 1 || eff.Reads[0].ID != r2 || !errors.Is(eff.Reads[0].Err, ErrTimeout) {
+		t.Fatalf("reads = %+v, want round %d timed out", eff.Reads, r2)
+	}
+	// A probe reply from a higher term deposes the leader and fails the
+	// round with it.
+	r3, _ := c.Read(t0)
+	var probe Message
+	for _, m := range c.Take().Msgs {
+		if m.Round == r3 {
+			probe = m
+		}
+	}
+	c.AppendReply(t0, probe, &appendEntriesReply{Term: 9})
+	if eff := c.Take(); c.IsLeader() || len(eff.Reads) != 1 || eff.Reads[0].Err == nil {
+		t.Fatalf("leader=%v reads=%+v", c.IsLeader(), eff.Reads)
+	}
+	if _, err := c.Read(t0); !errors.Is(err, ErrNoLeader) {
+		t.Fatalf("read on a follower: %v", err)
+	}
+}
+
+// TestRestoreThenApplyOrder: a state machine behind the log's first
+// index is asked to restore before it is handed any entry, and the run
+// that follows starts right after the snapshot.
+func TestRestoreThenApplyOrder(t *testing.T) {
+	c := ruleCore(t, NewMemoryStore(), entriesUpTo(3, 2), 2)
+	if _, err := c.AppendEntries(t0, &appendEntriesArgs{Term: 2, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 2, LeaderCommit: 2}); err != nil {
+		t.Fatal(err)
+	}
+	run, ok := c.NextApply()
+	if !ok || run.Restore || run.Index != 2 {
+		t.Fatalf("first task = %+v", run)
+	}
+	// While that run is with the FSM, the leader installs a snapshot at
+	// 10.
+	snap := snapshotEnvelope{Peers: rulePeers, FSM: []byte("state@10")}
+	r, err := c.InstallSnapshot(t0, &installSnapshotArgs{Term: 2, Leader: "sm://l", LastIndex: 10, LastTerm: 2, Data: codec.Marshal(&snap)})
+	if err != nil || !r.Success {
+		t.Fatalf("install: %+v, %v", r, err)
+	}
+	c.Applied(t0, run.Index)
+	task, ok := c.NextApply()
+	if !ok || !task.Restore || task.Index != 10 || string(task.Snapshot) != "state@10" {
+		t.Fatalf("task after install = %+v, want a restore at 10", task)
+	}
+	c.Applied(t0, task.Index)
+	if _, ok := c.NextApply(); ok {
+		t.Fatal("work left after the restore")
+	}
+	if _, err := c.AppendEntries(t0, &appendEntriesArgs{
+		Term: 2, Leader: "sm://l", PrevLogIndex: 10, PrevLogTerm: 2, LeaderCommit: 11,
+		Entries: []LogEntry{{Index: 11, Term: 2, Type: EntryCommand}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if task, ok := c.NextApply(); !ok || task.Restore || task.Entries[0].Index != 11 {
+		t.Fatalf("task = %+v, want the run starting at 11", task)
+	}
 }

@@ -1,0 +1,859 @@
+package raft
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"mochi/internal/codec"
+	"mochi/internal/mercury"
+	"mochi/internal/sim"
+)
+
+// This file runs the production Core, unmodified, as a group of
+// single-threaded event handlers on sim.Sim + sim.Net with MemoryStore:
+// every message, timer, fault, crash and client operation of a run
+// derives from one seed, so two runs of a seed execute the same events
+// in the same order (checked by trace hash) and a failing seed is its
+// own reproduction. After every event the harness checks election
+// safety, log matching, leader completeness and state-machine safety;
+// at the end it feeds the clients' history to the linearizability
+// checker. There is no goroutine, no sleep and no wall clock in here.
+
+// Trace event kinds (sim.Trace).
+const (
+	evDeliver uint8 = iota + 1
+	evReply
+	evRole
+	evCommit
+	evCrash
+	evRestart
+	evClientOp
+)
+
+type raftSimConfig struct {
+	Nodes    int
+	Seed     int64
+	Duration time.Duration
+	Protocol Config
+	Faults   mercury.ChaosConfig
+	Clients  int
+	// forgetVotes is the deliberately broken rule for
+	// TestRaftSimCatchesBrokenRule: the harness wipes a member's
+	// in-memory vote just before it handles a RequestVote, so it grants
+	// a second vote in the same term.
+	forgetVotes bool
+}
+
+func testRaftSimConfig(nodes int, seed int64) raftSimConfig {
+	return raftSimConfig{
+		Nodes:    nodes,
+		Seed:     seed,
+		Duration: 12 * time.Second,
+		Protocol: Config{
+			ElectionTimeoutMin: 150 * time.Millisecond,
+			ElectionTimeoutMax: 300 * time.Millisecond,
+			HeartbeatInterval:  50 * time.Millisecond,
+			SnapshotThreshold:  24,
+			// Small enough that a member returning from a partition
+			// needs several rounds to catch up.
+			MaxEntriesPerAppend: 8,
+		},
+		Faults: mercury.ChaosConfig{
+			DropRate:  0.05,
+			DupRate:   0.03,
+			DelayRate: 0.10,
+			DelayMin:  time.Millisecond,
+			DelayMax:  40 * time.Millisecond,
+		},
+		Clients: 3,
+	}
+}
+
+// versionedStore counts log mutations so the harness re-checks log
+// matching only when a log changed.
+type versionedStore struct {
+	*MemoryStore
+	version int
+}
+
+func (s *versionedStore) Append(entries []LogEntry) error {
+	s.version++
+	return s.MemoryStore.Append(entries)
+}
+
+func (s *versionedStore) TruncateFrom(index uint64) error {
+	s.version++
+	return s.MemoryStore.TruncateFrom(index)
+}
+
+func (s *versionedStore) SaveSnapshot(index, term uint64, data []byte) error {
+	s.version++
+	return s.MemoryStore.SaveSnapshot(index, term, data)
+}
+
+// simFSM is a map of registers. Commands are "key=value".
+type simFSM struct {
+	kv   map[string]string
+	last uint64 // index of the last applied (or restored-to) entry
+}
+
+func (f *simFSM) snapshot() []byte {
+	keys := make([]string, 0, len(f.kv))
+	for k := range f.kv {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys) // a snapshot's bytes must not depend on map order
+	e := codec.NewEncoder(nil)
+	e.Uint64(f.last)
+	e.Uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		e.String(k)
+		e.String(f.kv[k])
+	}
+	return e.Bytes()
+}
+
+func (f *simFSM) restore(data []byte) error {
+	d := codec.NewDecoder(data)
+	f.last = d.Uint64()
+	n := d.Uvarint()
+	f.kv = make(map[string]string, n)
+	for i := uint64(0); i < n; i++ {
+		k := d.String()
+		f.kv[k] = d.String()
+	}
+	return d.Finish()
+}
+
+// clientOp is one client operation in flight.
+type clientOp struct {
+	client int
+	put    bool
+	key    string
+	value  string
+	call   int64
+	// gen invalidates a registration: an op that was retried, timed out
+	// or finished ignores whatever an earlier attempt still delivers.
+	gen      int
+	done     bool
+	deadline time.Time
+}
+
+type opReg struct {
+	op   *clientOp
+	gen  int
+	term uint64
+}
+
+type simMember struct {
+	id    int32
+	addr  string
+	store *versionedStore // survives crashes
+	core  *Core           // nil while crashed
+	fsm   *simFSM
+	// epoch counts incarnations: a reply addressed to an earlier one is
+	// dropped, like an RPC whose caller died.
+	epoch   int
+	armed   time.Time
+	waiters map[uint64]opReg   // appended proposals by index
+	reads   map[uint64][]opReg // reads by ReadIndex round
+
+	// What the invariant checks saw last.
+	role       Role
+	seenCommit uint64
+	checkedVer int
+}
+
+type simClient struct {
+	id    int
+	rng   *rand.Rand
+	guess int32 // the member it believes leads
+	seq   int
+	// putFrac is the share of puts. Client 0 only reads: a reader never
+	// times out on a leader that cannot commit, so it is the one still
+	// asking a deposed leader after the others have moved on.
+	putFrac float64
+}
+
+type raftSim struct {
+	cfg     raftSimConfig
+	sim     *sim.Sim
+	net     *sim.Net
+	start   time.Time
+	members []*simMember
+	byAddr  map[string]int32
+	clients []*simClient
+	history []sim.Op
+
+	// Invariant state.
+	leaderOf     map[uint64]int32    // term -> the member that led it
+	committed    map[uint64]LogEntry // index -> the entry committed there
+	maxCommitted uint64
+	applied      map[uint64]LogEntry // index -> the entry some FSM applied there
+
+	elections, restores int
+	err                 error
+}
+
+type raftSimResult struct {
+	TraceHash, TraceCount, Events uint64
+	Ops, Elections, Restores      int
+	History                       []sim.Op
+	Err                           error
+}
+
+func (r *raftSimResult) String() string {
+	return fmt.Sprintf("raft-sim events=%d trace=%016x/%d ops=%d elections=%d restores=%d",
+		r.Events, r.TraceHash, r.TraceCount, r.Ops, r.Elections, r.Restores)
+}
+
+func runRaftSim(cfg raftSimConfig) *raftSimResult {
+	s := sim.New(cfg.Seed)
+	h := &raftSim{
+		cfg:       cfg,
+		sim:       s,
+		start:     s.Now(),
+		byAddr:    map[string]int32{},
+		leaderOf:  map[uint64]int32{},
+		committed: map[uint64]LogEntry{},
+		applied:   map[uint64]LogEntry{},
+	}
+	// One partition window isolating a minority, drawn from the seed.
+	perm := s.Rand().Perm(cfg.Nodes)
+	var left []int32
+	for _, i := range perm[:cfg.Nodes/2] {
+		left = append(left, int32(i))
+	}
+	partStart := 2*time.Second + time.Duration(s.Rand().Int63n(int64(time.Second)))
+	partitions := []sim.PartitionWindow{{Start: partStart, End: partStart + 1500*time.Millisecond, Left: left}}
+	h.net = sim.NewNet(cfg.Nodes, cfg.Seed, time.Millisecond, time.Millisecond, cfg.Faults, h.start, partitions)
+
+	var addrs []string
+	for i := 0; i < cfg.Nodes; i++ {
+		addrs = append(addrs, fmt.Sprintf("sim://n%d", i))
+		h.byAddr[addrs[i]] = int32(i)
+	}
+	for i := 0; i < cfg.Nodes; i++ {
+		m := &simMember{id: int32(i), addr: addrs[i], store: &versionedStore{MemoryStore: NewMemoryStore()}}
+		h.members = append(h.members, m)
+		h.boot(m, addrs)
+	}
+	// A seeded victim crashes and restarts on a seeded schedule. Later
+	// whoever leads is cut off from everyone while it keeps running — the
+	// deposed leader that still believes it leads — and later still
+	// whoever leads then crashes.
+	victim := int32(perm[cfg.Nodes-1])
+	crashAt := 5*time.Second + time.Duration(s.Rand().Int63n(int64(time.Second)))
+	s.At(crashAt, func() { h.crash(victim) })
+	s.At(crashAt+800*time.Millisecond, func() { h.restart(victim, addrs) })
+	s.At(7500*time.Millisecond, func() {
+		if m := h.leader(); m != nil {
+			h.net.SetDown(m.id, true)
+			s.At(1200*time.Millisecond, func() { h.net.SetDown(m.id, m.core == nil) })
+		}
+	})
+	s.At(9500*time.Millisecond, func() {
+		if m := h.leader(); m != nil {
+			h.crash(m.id)
+			s.At(700*time.Millisecond, func() { h.restart(m.id, addrs) })
+		}
+	})
+	for i := 0; i < cfg.Clients; i++ {
+		cl := &simClient{id: i, rng: rand.New(rand.NewSource(cfg.Seed*31 + int64(i))), guess: int32(i % cfg.Nodes), putFrac: 0.5}
+		if i == 0 {
+			cl.putFrac = 0
+		}
+		h.clients = append(h.clients, cl)
+		s.At(500*time.Millisecond+time.Duration(i)*7*time.Millisecond, func() { h.nextOp(cl) })
+	}
+
+	s.RunFor(cfg.Duration)
+	if h.err == nil {
+		h.checkHistory()
+	}
+	return &raftSimResult{
+		TraceHash: s.Trace.Hash(), TraceCount: s.Trace.Count(), Events: s.Events(),
+		Ops: len(h.history), Elections: h.elections, Restores: h.restores,
+		History: h.history, Err: h.err,
+	}
+}
+
+// leader returns a running member that believes it leads, if any.
+func (h *raftSim) leader() *simMember {
+	for _, m := range h.members {
+		if m.core != nil && m.core.IsLeader() {
+			return m
+		}
+	}
+	return nil
+}
+
+func (h *raftSim) failf(format string, args ...interface{}) {
+	if h.err == nil {
+		h.err = fmt.Errorf("at %s: %s", h.sim.Now().Sub(h.start), fmt.Sprintf(format, args...))
+	}
+}
+
+// boot starts (or restarts) a member on its surviving store with a
+// fresh state machine.
+func (h *raftSim) boot(m *simMember, addrs []string) {
+	rng := rand.New(rand.NewSource(h.cfg.Seed*1_000_003 + int64(m.id)*101 + int64(m.epoch)))
+	core, err := NewCore("sim", m.addr, addrs, m.store, h.cfg.Protocol, rng, h.sim.Now())
+	if err != nil {
+		h.failf("n%d: NewCore: %v", m.id, err)
+		return
+	}
+	m.core, m.fsm = core, &simFSM{kv: map[string]string{}}
+	m.waiters, m.reads = map[uint64]opReg{}, map[uint64][]opReg{}
+	m.role, m.seenCommit, m.armed = Follower, 0, time.Time{}
+	h.settle(m)
+}
+
+func (h *raftSim) crash(id int32) {
+	m := h.members[id]
+	if m.core == nil || h.err != nil {
+		return
+	}
+	h.sim.Trace.Record(h.sim.Now(), evCrash, id, -1, m.core.term)
+	h.net.SetDown(id, true)
+	m.core, m.fsm = nil, nil
+	m.epoch++
+	// Ops registered here are in limbo: their clients time out.
+	m.waiters, m.reads = nil, nil
+}
+
+func (h *raftSim) restart(id int32, addrs []string) {
+	if h.err != nil {
+		return
+	}
+	h.sim.Trace.Record(h.sim.Now(), evRestart, id, -1, 0)
+	h.net.SetDown(id, false)
+	h.boot(h.members[id], addrs)
+}
+
+// settle is what a driver does after a step: carry out the effects, run
+// the state machine, re-arm the timer — then check the invariants.
+func (h *raftSim) settle(m *simMember) {
+	for h.err == nil {
+		h.dispatch(m, m.core.Take())
+		task, ok := m.core.NextApply()
+		if !ok {
+			break
+		}
+		h.apply(m, task)
+		m.core.Applied(h.sim.Now(), task.Index)
+		if m.core.SnapshotDue() {
+			if err := m.core.Compact(m.fsm.snapshot()); err != nil {
+				h.failf("n%d: compact: %v", m.id, err)
+			}
+		}
+	}
+	if h.err != nil {
+		return
+	}
+	if d := m.core.Deadline(); m.armed.IsZero() || d.Before(m.armed) {
+		h.arm(m, d)
+	}
+	h.checkInvariants(m)
+}
+
+func (h *raftSim) dispatch(m *simMember, eff Effects) {
+	for _, msg := range eff.Msgs {
+		h.send(m, msg)
+	}
+	for _, a := range eff.Accepted {
+		for i, tag := range a.Tags {
+			reg := tag.(opReg)
+			reg.term = a.Term
+			m.waiters[a.First+uint64(i)] = reg
+		}
+	}
+	for _, r := range eff.Rejected {
+		h.retry(r.Tag.(opReg), r.Err)
+	}
+	for _, r := range eff.Reads {
+		regs := m.reads[r.ID]
+		delete(m.reads, r.ID)
+		if len(regs) != r.Reads {
+			h.failf("n%d: round %d resolved %d reads, %d joined it", m.id, r.ID, r.Reads, len(regs))
+		}
+		for _, reg := range regs {
+			if r.Err != nil {
+				h.retry(reg, r.Err)
+			} else if reg.op.gen == reg.gen && !reg.op.done {
+				v, found := m.fsm.kv[reg.op.key]
+				h.finish(reg.op, sim.KVOutput{Value: v, Found: found})
+			}
+		}
+	}
+}
+
+func (h *raftSim) arm(m *simMember, d time.Time) {
+	m.armed = d
+	epoch := m.epoch
+	h.sim.At(d.Sub(h.sim.Now()), func() {
+		if h.err != nil || m.epoch != epoch || m.core == nil || !m.armed.Equal(d) {
+			return
+		}
+		m.armed = time.Time{}
+		if now := h.sim.Now(); !m.core.Deadline().After(now) {
+			m.core.Tick(now)
+		}
+		h.settle(m)
+	})
+}
+
+// apply runs one task on the member's state machine, checking
+// state-machine safety: indexes arrive in order, never at or below a
+// restored index, and every FSM sees the same entry at an index.
+func (h *raftSim) apply(m *simMember, task ApplyTask) {
+	if task.Restore {
+		if task.Index <= m.fsm.last {
+			h.failf("n%d: restore to %d but the FSM is already at %d", m.id, task.Index, m.fsm.last)
+		}
+		if err := m.fsm.restore(task.Snapshot); err != nil {
+			h.failf("n%d: restore: %v", m.id, err)
+		}
+		if m.fsm.last != task.Index {
+			h.failf("n%d: snapshot labelled %d holds state at %d", m.id, task.Index, m.fsm.last)
+		}
+		h.restores++
+		return
+	}
+	for _, e := range task.Entries {
+		if e.Index != m.fsm.last+1 {
+			h.failf("n%d: FSM at %d handed index %d", m.id, m.fsm.last, e.Index)
+			return
+		}
+		if ref, ok := h.applied[e.Index]; !ok {
+			h.applied[e.Index] = e
+		} else if ref.Term != e.Term || !bytes.Equal(ref.Data, e.Data) {
+			h.failf("state-machine safety: n%d applies %d/%q at index %d, another member applied %d/%q",
+				m.id, e.Term, e.Data, e.Index, ref.Term, ref.Data)
+			return
+		}
+		m.fsm.last = e.Index
+		if e.Type == EntryCommand {
+			k, v, _ := strings.Cut(string(e.Data), "=")
+			m.fsm.kv[k] = v
+		}
+		if reg, ok := m.waiters[e.Index]; ok {
+			delete(m.waiters, e.Index)
+			if reg.term != e.Term {
+				h.retry(reg, ErrNotLeader) // overwritten, so never executed
+			} else if reg.op.gen == reg.gen && !reg.op.done {
+				h.finish(reg.op, sim.KVOutput{})
+			}
+		}
+	}
+}
+
+// --- network ---
+
+// send puts one request on the simulated wire; the receiver's reply
+// travels back the same way, each leg with its own fault draw.
+func (h *raftSim) send(from *simMember, msg Message) {
+	to := h.byAddr[msg.To]
+	epoch := from.epoch
+	h.transmit(from.id, to, func() {
+		dst := h.members[to]
+		if dst.core == nil {
+			return
+		}
+		now := h.sim.Now()
+		var vote *requestVoteReply
+		var app *appendEntriesReply
+		var err error
+		switch {
+		case msg.Vote != nil:
+			if h.cfg.forgetVotes {
+				dst.core.votedFor = ""
+			}
+			h.sim.Trace.Record(now, evDeliver, from.id, to, msg.Vote.Term<<8|1)
+			vote, err = dst.core.RequestVote(now, msg.Vote)
+		case msg.Snapshot != nil:
+			h.sim.Trace.Record(now, evDeliver, from.id, to, msg.Snapshot.LastIndex<<8|2)
+			app, err = dst.core.InstallSnapshot(now, msg.Snapshot)
+		default:
+			h.sim.Trace.Record(now, evDeliver, from.id, to, (msg.Append.PrevLogIndex+uint64(len(msg.Append.Entries)))<<8|3)
+			app, err = dst.core.AppendEntries(now, msg.Append)
+		}
+		h.settle(dst)
+		if err != nil {
+			return // the member could not persist: it stays silent
+		}
+		h.transmit(to, from.id, func() {
+			if from.core == nil || from.epoch != epoch {
+				return
+			}
+			now := h.sim.Now()
+			if vote != nil {
+				h.sim.Trace.Record(now, evReply, to, from.id, vote.Term<<1|b2u(vote.Granted))
+				from.core.VoteReply(now, msg, vote)
+			} else {
+				h.sim.Trace.Record(now, evReply, to, from.id, app.Term<<1|b2u(app.Success))
+				from.core.AppendReply(now, msg, app)
+			}
+			h.settle(from)
+		})
+	})
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func (h *raftSim) transmit(from, to int32, deliver func()) {
+	lat, dup, ok := h.net.Deliver(from, to, h.sim.Now())
+	if !ok {
+		return
+	}
+	guarded := func() {
+		if h.err == nil {
+			deliver()
+		}
+	}
+	h.sim.At(lat, guarded)
+	if dup {
+		h.sim.At(lat+3*time.Millisecond, guarded)
+	}
+}
+
+// --- clients ---
+
+var simKeys = []string{"a", "b", "c", "d"}
+
+// nextOp starts a client's next operation after its think time.
+func (h *raftSim) nextOp(cl *simClient) {
+	if h.err != nil || h.sim.Now().Sub(h.start) > h.cfg.Duration-time.Second {
+		return // leave the last second for operations in flight to settle
+	}
+	now := h.sim.Now()
+	op := &clientOp{
+		client:   cl.id,
+		put:      cl.rng.Float64() < cl.putFrac,
+		key:      simKeys[cl.rng.Intn(len(simKeys))],
+		call:     now.UnixNano(),
+		deadline: now.Add(600 * time.Millisecond),
+	}
+	if op.put {
+		cl.seq++
+		op.value = fmt.Sprintf("c%d-%d", cl.id, cl.seq)
+	}
+	h.sim.At(600*time.Millisecond, func() { h.timeout(op) })
+	h.submit(op)
+}
+
+// submit hands op to the member its client believes leads.
+func (h *raftSim) submit(op *clientOp) {
+	if h.err != nil || op.done {
+		return
+	}
+	cl := h.clients[op.client]
+	m := h.members[cl.guess]
+	op.gen++
+	reg := opReg{op: op, gen: op.gen}
+	if m.core == nil {
+		h.retry(reg, ErrNoLeader)
+		return
+	}
+	now := h.sim.Now()
+	if op.put {
+		m.core.Propose(now, []Proposal{{Data: []byte(op.key + "=" + op.value), Tag: reg}})
+	} else if id, err := m.core.Read(now); err != nil {
+		h.retry(reg, err)
+	} else {
+		m.reads[id] = append(m.reads[id], reg)
+	}
+	h.settle(m)
+}
+
+// retry re-submits an attempt that certainly did not execute, following
+// the leader hint when the refusal carries one.
+func (h *raftSim) retry(reg opReg, err error) {
+	op := reg.op
+	if op.done || op.gen != reg.gen {
+		return
+	}
+	cl := h.clients[op.client]
+	hint := ""
+	if i := strings.Index(err.Error(), "(leader: "); i >= 0 && errors.Is(err, ErrNotLeader) {
+		hint = strings.TrimSuffix(err.Error()[i+len("(leader: "):], ")")
+	}
+	if id, ok := h.byAddr[hint]; ok {
+		cl.guess = id
+	} else {
+		cl.guess = (cl.guess + 1) % int32(h.cfg.Nodes)
+	}
+	h.sim.At(10*time.Millisecond, func() {
+		if op.gen == reg.gen && h.sim.Now().Before(op.deadline) {
+			h.submit(op)
+		}
+	})
+}
+
+func (h *raftSim) finish(op *clientOp, out sim.KVOutput) {
+	op.done = true
+	now := h.sim.Now()
+	in := sim.KVInput{Op: sim.KVGet, Key: op.key}
+	if op.put {
+		in = sim.KVInput{Op: sim.KVPut, Key: op.key, Value: op.value}
+	}
+	h.history = append(h.history, sim.Op{Client: op.client, Input: in, Output: out, Call: op.call, Return: now.UnixNano()})
+	h.sim.Trace.Record(now, evClientOp, int32(op.client), -1, uint64(len(h.history)))
+	cl := h.clients[op.client]
+	h.sim.At(time.Duration(10+cl.rng.Intn(40))*time.Millisecond, func() { h.nextOp(cl) })
+}
+
+// timeout gives up on op. A put that some member appended may still
+// commit: it stays in the history as ambiguous, concurrent with
+// everything after it. A read that never returned observed nothing.
+func (h *raftSim) timeout(op *clientOp) {
+	if op.done || h.err != nil {
+		return
+	}
+	op.done = true
+	if op.put {
+		h.history = append(h.history, sim.Op{
+			Client: op.client, Input: sim.KVInput{Op: sim.KVPut, Key: op.key, Value: op.value},
+			Output: sim.Unobserved, Call: op.call, Return: sim.PendingReturn, Maybe: true,
+		})
+	}
+	cl := h.clients[op.client]
+	cl.guess = (cl.guess + 1) % int32(h.cfg.Nodes)
+	h.nextOp(cl)
+}
+
+// --- invariants ---
+
+func (h *raftSim) checkInvariants(m *simMember) {
+	st := m.core.Status()
+	now := h.sim.Now()
+	// Election safety: at most one leader per term.
+	if st.Role == Leader {
+		if prev, ok := h.leaderOf[st.Term]; ok && prev != m.id {
+			h.failf("election safety: n%d and n%d both led term %d", prev, m.id, st.Term)
+			return
+		}
+		h.leaderOf[st.Term] = m.id
+	}
+	if st.Role != m.role {
+		h.sim.Trace.Record(now, evRole, m.id, -1, st.Term<<2|uint64(st.Role))
+		if st.Role == Leader {
+			h.elections++
+			h.checkLeaderCompleteness(m, st.Term)
+		}
+		m.role = st.Role
+	}
+	// Committed entries are committed for good, and identically
+	// everywhere.
+	if st.CommitIndex > m.seenCommit {
+		h.sim.Trace.Record(now, evCommit, m.id, -1, st.CommitIndex)
+		for idx := max(m.seenCommit+1, m.store.FirstIndex()); idx <= st.CommitIndex; idx++ {
+			e, err := m.store.Entry(idx)
+			if err != nil {
+				h.failf("n%d: commit index %d beyond its log: %v", m.id, st.CommitIndex, err)
+				return
+			}
+			if ref, ok := h.committed[idx]; !ok {
+				h.committed[idx] = e
+				h.maxCommitted = max(h.maxCommitted, idx)
+			} else if ref.Term != e.Term || !bytes.Equal(ref.Data, e.Data) {
+				h.failf("n%d commits %d/%q at index %d, %d/%q was committed there", m.id, e.Term, e.Data, idx, ref.Term, ref.Data)
+				return
+			}
+		}
+		m.seenCommit = st.CommitIndex
+	}
+	// Log matching, against every other log (crashed members' logs are
+	// still on their disks).
+	if m.store.version != m.checkedVer {
+		m.checkedVer = m.store.version
+		for _, o := range h.members {
+			if o != m {
+				h.checkLogMatching(m, o)
+			}
+		}
+	}
+}
+
+// checkLeaderCompleteness: the leader of a term holds every entry
+// committed before it was elected (or a snapshot that covers it).
+func (h *raftSim) checkLeaderCompleteness(m *simMember, term uint64) {
+	if m.store.LastIndex() < h.maxCommitted {
+		h.failf("leader completeness: n%d leads term %d with last index %d, index %d is committed",
+			m.id, term, m.store.LastIndex(), h.maxCommitted)
+		return
+	}
+	for idx := m.store.FirstIndex(); idx <= h.maxCommitted; idx++ {
+		ref, ok := h.committed[idx]
+		if !ok {
+			continue // committed while every observer had it compacted
+		}
+		if e, err := m.store.Entry(idx); err != nil || e.Term != ref.Term || !bytes.Equal(e.Data, ref.Data) {
+			h.failf("leader completeness: n%d leads term %d without committed entry %d (%d/%q): has %d/%q, %v",
+				m.id, term, idx, ref.Term, ref.Data, e.Term, e.Data, err)
+			return
+		}
+	}
+}
+
+// checkLogMatching: if two logs hold an entry with the same index and
+// term, they are identical in all entries up to that index.
+func (h *raftSim) checkLogMatching(a, b *simMember) {
+	lo := max(a.store.FirstIndex(), b.store.FirstIndex())
+	hi := min(a.store.LastIndex(), b.store.LastIndex())
+	agree := uint64(0)
+	for idx := hi; idx >= lo && idx > 0; idx-- {
+		ta, _ := a.store.Term(idx)
+		tb, _ := b.store.Term(idx)
+		if ta == tb {
+			agree = idx
+			break
+		}
+	}
+	for idx := lo; idx <= agree; idx++ {
+		ea, _ := a.store.Entry(idx)
+		eb, _ := b.store.Entry(idx)
+		if ea.Term != eb.Term || ea.Type != eb.Type || !bytes.Equal(ea.Data, eb.Data) {
+			h.failf("log matching: n%d and n%d agree at index %d (term %d) but differ at %d: %d/%q vs %d/%q",
+				a.id, b.id, agree, ea.Term, idx, ea.Term, ea.Data, eb.Term, eb.Data)
+			return
+		}
+	}
+}
+
+func (h *raftSim) checkHistory() {
+	if res := sim.Check(sim.KVModel(), h.history); !res.Ok {
+		h.failf("history of %d ops is not linearizable; bad window:\n%s", len(h.history), sim.FormatOps(res.Bad))
+	}
+}
+
+// --- tests ---
+
+// raftSimSeeds returns the seed matrix: SIM_SEED pins a single seed
+// (the replay path printed on failures), SIM_SEEDS sets the count.
+func raftSimSeeds(t *testing.T, def int) []int64 {
+	if v := os.Getenv("SIM_SEED"); v != "" {
+		s, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			t.Fatalf("bad SIM_SEED %q: %v", v, err)
+		}
+		return []int64{s}
+	}
+	n := def
+	if v := os.Getenv("SIM_SEEDS"); v != "" {
+		p, err := strconv.Atoi(v)
+		if err != nil {
+			t.Fatalf("bad SIM_SEEDS %q: %v", v, err)
+		}
+		n = p
+	}
+	seeds := make([]int64, n)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	return seeds
+}
+
+// replayLine is the reproduction line every failing sim run prints,
+// in the SWIM suite's format.
+func replayLine(t *testing.T, seed int64) string {
+	return fmt.Sprintf("replay: SIM_SEED=%d go test -run %s ./internal/raft/", seed, t.Name())
+}
+
+// TestRaftSimSeedMatrix: 3- and 5-member groups under loss,
+// duplication, delay, a partition window and two crash-restarts per
+// seed. Every invariant holds after every event and every client
+// history is linearizable. Deterministic per seed: a seed that passes
+// once always passes.
+func TestRaftSimSeedMatrix(t *testing.T) {
+	for _, nodes := range []int{3, 5} {
+		for _, seed := range raftSimSeeds(t, 8) {
+			t.Run(fmt.Sprintf("n=%d/seed=%d", nodes, seed), func(t *testing.T) {
+				r := runRaftSim(testRaftSimConfig(nodes, seed))
+				t.Logf("%s", r)
+				if r.Err != nil {
+					t.Log(replayLine(t, seed))
+					t.Fatal(r.Err)
+				}
+				// The schedule must have exercised what it claims to.
+				if r.Ops < 100 || r.Elections < 2 || r.Restores == 0 {
+					t.Log(replayLine(t, seed))
+					t.Fatalf("thin run: %s", r)
+				}
+			})
+		}
+	}
+}
+
+// TestRaftSimDeterministicReplay: two runs at one seed produce the same
+// trace — same events, same rolling hash, same history; another seed
+// produces a different one.
+func TestRaftSimDeterministicReplay(t *testing.T) {
+	seed := raftSimSeeds(t, 1)[0]
+	a := runRaftSim(testRaftSimConfig(5, seed))
+	b := runRaftSim(testRaftSimConfig(5, seed))
+	t.Logf("run1: %s", a)
+	t.Logf("run2: %s", b)
+	if a.Err != nil {
+		t.Log(replayLine(t, seed))
+		t.Fatal(a.Err)
+	}
+	if a.String() != b.String() || len(a.History) != len(b.History) {
+		t.Fatalf("replay diverged:\n  run1: %s\n  run2: %s", a, b)
+	}
+	for i := range a.History {
+		if a.History[i] != b.History[i] {
+			t.Fatalf("histories differ at op %d: %+v vs %+v", i, a.History[i], b.History[i])
+		}
+	}
+	if c := runRaftSim(testRaftSimConfig(5, seed+1)); c.TraceHash == a.TraceHash {
+		t.Fatal("different seeds produced identical traces")
+	}
+}
+
+// TestRaftSimCatchesBrokenRule proves the invariant checks have teeth:
+// with members that forget whom they voted for (the hook lives in this
+// file, the Core is untouched) and election timeouts close enough to
+// collide, two members win the same term — and the run must stop at
+// that event with an election-safety violation, identically on replay.
+func TestRaftSimCatchesBrokenRule(t *testing.T) {
+	broken := func(seed int64) raftSimConfig {
+		cfg := testRaftSimConfig(5, seed)
+		cfg.forgetVotes = true
+		cfg.Protocol.ElectionTimeoutMax = cfg.Protocol.ElectionTimeoutMin + 2*time.Millisecond
+		return cfg
+	}
+	for _, seed := range raftSimSeeds(t, 8) {
+		r := runRaftSim(broken(seed))
+		if r.Err == nil {
+			continue
+		}
+		if !strings.Contains(r.Err.Error(), "election safety") {
+			t.Fatalf("seed %d: broken vote rule surfaced as %v, want an election-safety violation", seed, r.Err)
+		}
+		line := replayLine(t, seed)
+		t.Logf("caught: %v\n%s", r.Err, line)
+		if !strings.Contains(line, fmt.Sprintf("SIM_SEED=%d go test", seed)) {
+			t.Fatalf("replay line %q does not pin the seed", line)
+		}
+		// The line is only worth printing if the seed reproduces.
+		if again := runRaftSim(broken(seed)); again.Err == nil || again.Err.Error() != r.Err.Error() || again.TraceHash != r.TraceHash {
+			t.Fatalf("seed %d did not replay: %v (trace %016x) then %v (trace %016x)", seed, r.Err, r.TraceHash, again.Err, again.TraceHash)
+		}
+		return
+	}
+	t.Fatal("a member granting two votes per term went unnoticed on every seed")
+}
