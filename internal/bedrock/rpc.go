@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mochi/internal/argobots"
+	"mochi/internal/margo"
 	"mochi/internal/mercury"
 	"mochi/internal/observe"
 	"mochi/internal/remi"
@@ -75,39 +76,32 @@ func respondErr(h *mercury.Handle, err error) {
 	_ = h.Respond(mustJSON(rpcReply{Error: err.Error()}))
 }
 
+// registerRPCs installs the control RPCs (JSON payloads) as one set; the
+// instance is finalized with the server, which is what removes them.
 func (s *Server) registerRPCs() error {
-	type entry struct {
-		name string
-		fn   func(ctx context.Context, h *mercury.Handle)
-	}
-	entries := []entry{
-		{rpcGetConfig, s.rpcGetConfig},
-		{rpcQueryConfig, s.rpcQueryConfig},
-		{rpcAddPool, s.rpcAddPool},
-		{rpcRemovePool, s.rpcRemovePool},
-		{rpcAddXstream, s.rpcAddXstream},
-		{rpcRemoveXstream, s.rpcRemoveXstream},
-		{rpcLoadModule, s.rpcLoadModule},
-		{rpcStartProvider, s.rpcStartProvider},
-		{rpcStopProvider, s.rpcStopProvider},
-		{rpcMigrate, s.rpcMigrate},
-		{rpcCheckpoint, s.rpcCheckpoint},
-		{rpcRestore, s.rpcRestore},
-		{rpcPin, s.rpcPin},
-		{rpcUnpin, s.rpcUnpin},
-		{rpcShutdown, s.rpcShutdown},
-		{rpcGetStats, s.rpcGetStats},
-		{rpcGetMetrics, s.rpcGetMetrics},
-		{rpcGetTraces, s.rpcGetTraces},
-		{rpcGetCluster, s.rpcGetClusterMetrics},
-		{rpcGetProfile, s.rpcGetProfile},
-	}
-	for _, e := range entries {
-		if _, err := s.inst.Register(e.name, e.fn); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := s.inst.RegisterSet(mercury.AnyProvider, nil,
+		margo.RPC{Name: rpcGetConfig, Handler: s.rpcGetConfig},
+		margo.RPC{Name: rpcQueryConfig, Handler: s.rpcQueryConfig},
+		margo.RPC{Name: rpcAddPool, Handler: s.rpcAddPool},
+		margo.RPC{Name: rpcRemovePool, Handler: s.rpcRemovePool},
+		margo.RPC{Name: rpcAddXstream, Handler: s.rpcAddXstream},
+		margo.RPC{Name: rpcRemoveXstream, Handler: s.rpcRemoveXstream},
+		margo.RPC{Name: rpcLoadModule, Handler: s.rpcLoadModule},
+		margo.RPC{Name: rpcStartProvider, Handler: s.rpcStartProvider},
+		margo.RPC{Name: rpcStopProvider, Handler: s.rpcStopProvider},
+		margo.RPC{Name: rpcMigrate, Handler: s.rpcMigrate},
+		margo.RPC{Name: rpcCheckpoint, Handler: s.rpcCheckpoint},
+		margo.RPC{Name: rpcRestore, Handler: s.rpcRestore},
+		margo.RPC{Name: rpcPin, Handler: s.rpcPin},
+		margo.RPC{Name: rpcUnpin, Handler: s.rpcUnpin},
+		margo.RPC{Name: rpcShutdown, Handler: s.rpcShutdown},
+		margo.RPC{Name: rpcGetStats, Handler: s.rpcGetStats},
+		margo.RPC{Name: rpcGetMetrics, Handler: s.rpcGetMetrics},
+		margo.RPC{Name: rpcGetTraces, Handler: s.rpcGetTraces},
+		margo.RPC{Name: rpcGetCluster, Handler: s.rpcGetClusterMetrics},
+		margo.RPC{Name: rpcGetProfile, Handler: s.rpcGetProfile},
+	)
+	return err
 }
 
 func (s *Server) rpcGetConfig(_ context.Context, h *mercury.Handle) {

@@ -252,18 +252,32 @@ func (d *Decoder) StringIntern() string {
 	return Intern(b)
 }
 
+// Count decodes an element count whose elements each occupy at least
+// minBytes (≥ 1) of input. A count the remaining input cannot hold
+// fails the decoder with ErrOverflow and returns 0, so the caller may
+// size an allocation by the result and loop to it without a check of
+// its own: a hostile count neither allocates past the input nor — when
+// nothing follows it — decodes as a valid empty collection.
+func (d *Decoder) Count(minBytes int) int {
+	n := d.Uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(d.Remaining()/minBytes) {
+		d.fail(ErrOverflow)
+		return 0
+	}
+	return int(n)
+}
+
 // StringSlice decodes a count-prefixed slice of strings.
 func (d *Decoder) StringSlice() []string {
-	n := d.Uvarint()
+	n := d.Count(1) // each string needs ≥1 length byte
 	if d.err != nil {
 		return nil
 	}
-	if n > uint64(d.Remaining()) { // each string needs ≥1 length byte
-		d.fail(ErrOverflow)
-		return nil
-	}
 	ss := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		ss = append(ss, d.String())
 		if d.err != nil {
 			return nil

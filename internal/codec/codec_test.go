@@ -113,6 +113,38 @@ func TestCorruptStringSliceCount(t *testing.T) {
 	}
 }
 
+// TestCount: a count is accepted exactly when the remaining input can
+// hold that many minimum-size elements; otherwise the decoder fails —
+// including when nothing at all follows the count, the case a guard
+// that merely returned would let through as an empty message.
+func TestCount(t *testing.T) {
+	for _, tc := range []struct {
+		count    uint64
+		trailing int
+		minBytes int
+		ok       bool
+	}{
+		{0, 0, 1, true},
+		{3, 3, 1, true},
+		{3, 2, 1, false},
+		{5, 0, 1, false}, // truncated right after the count
+		{2, 16, 8, true},
+		{2, 15, 8, false},
+		{1 << 50, 4, 1, false},
+	} {
+		e := NewEncoder(nil)
+		e.Uvarint(tc.count)
+		d := NewDecoder(append(e.Bytes(), make([]byte, tc.trailing)...))
+		n := d.Count(tc.minBytes)
+		if tc.ok && (d.Err() != nil || uint64(n) != tc.count) {
+			t.Errorf("Count(%d) of %d with %d bytes left = %d, %v; want accepted", tc.minBytes, tc.count, tc.trailing, n, d.Err())
+		}
+		if !tc.ok && (d.Err() != ErrOverflow || n != 0) {
+			t.Errorf("Count(%d) of %d with %d bytes left = %d, %v; want 0, ErrOverflow", tc.minBytes, tc.count, tc.trailing, n, d.Err())
+		}
+	}
+}
+
 func TestTrailingBytesDetected(t *testing.T) {
 	e := NewEncoder(nil)
 	e.Uint8(1)

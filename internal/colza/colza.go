@@ -93,6 +93,7 @@ type Provider struct {
 	inst  *margo.Instance
 	id    uint16
 	group *ssg.Group
+	rpcs  *margo.RPCSet
 
 	mu       sync.Mutex
 	staged   map[uint64]map[uint64][]byte // iteration -> blockID -> data
@@ -117,21 +118,15 @@ func NewProvider(inst *margo.Instance, id uint16, pool *argobots.Pool, group *ss
 		prepared: map[uint64]bool{},
 		results:  map[uint64]IterationResult{},
 	}
-	handlers := map[string]margo.Handler{
-		rpcStage:   p.handleStage,
-		rpcPrepare: p.handlePrepare,
-		rpcCommit:  p.handleCommit,
-		rpcAbort:   p.handleAbort,
-	}
-	var done []string
-	for name, h := range handlers {
-		if _, err := inst.RegisterProvider(name, id, pool, h); err != nil {
-			for _, n := range done {
-				inst.DeregisterProvider(n, id)
-			}
-			return nil, err
-		}
-		done = append(done, name)
+	var err error
+	p.rpcs, err = inst.RegisterSet(id, pool,
+		margo.RPC{Name: rpcStage, Handler: margo.Serve(p.handleStage)},
+		margo.RPC{Name: rpcPrepare, Handler: margo.Serve(p.handlePrepare)},
+		margo.RPC{Name: rpcCommit, Handler: margo.Serve(p.handleCommit)},
+		margo.RPC{Name: rpcAbort, Handler: margo.Serve(p.handleAbort)},
+	)
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -152,14 +147,12 @@ func (p *Provider) Result(iter uint64) (IterationResult, bool) {
 
 // Close deregisters the provider.
 func (p *Provider) Close() error {
-	for _, name := range []string{rpcStage, rpcPrepare, rpcCommit, rpcAbort} {
-		p.inst.DeregisterProvider(name, p.id)
-	}
+	p.rpcs.Close()
 	return nil
 }
 
 // checkView compares the client's hash against ours — the Colza
-// staleness protocol.
+// staleness protocol. A stale client gets the reply to send it.
 func (p *Provider) checkView(clientHash uint64) *stageReply {
 	mine := p.ViewHash()
 	if clientHash != mine {
@@ -168,15 +161,9 @@ func (p *Provider) checkView(clientHash uint64) *stageReply {
 	return nil
 }
 
-func (p *Provider) handleStage(_ context.Context, h *mercury.Handle) {
-	var args stageArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleStage(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Marshaler, error) {
 	if r := p.checkView(args.ViewHash); r != nil {
-		_ = h.Respond(codec.Marshal(r))
-		return
+		return r, nil
 	}
 	p.mu.Lock()
 	if p.staged[args.Iteration] == nil {
@@ -184,36 +171,24 @@ func (p *Provider) handleStage(_ context.Context, h *mercury.Handle) {
 	}
 	p.staged[args.Iteration][args.BlockID] = args.Data
 	p.mu.Unlock()
-	_ = h.Respond(codec.Marshal(&stageReply{ViewHash: p.ViewHash()}))
+	return &stageReply{ViewHash: p.ViewHash()}, nil
 }
 
-func (p *Provider) handlePrepare(_ context.Context, h *mercury.Handle) {
-	var args stageArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handlePrepare(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Marshaler, error) {
 	if r := p.checkView(args.ViewHash); r != nil {
-		_ = h.Respond(codec.Marshal(r))
-		return
+		return r, nil
 	}
 	p.mu.Lock()
 	p.prepared[args.Iteration] = true
 	p.mu.Unlock()
-	_ = h.Respond(codec.Marshal(&stageReply{ViewHash: p.ViewHash()}))
+	return &stageReply{ViewHash: p.ViewHash()}, nil
 }
 
-func (p *Provider) handleCommit(_ context.Context, h *mercury.Handle) {
-	var args stageArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleCommit(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Marshaler, error) {
 	p.mu.Lock()
 	if !p.prepared[args.Iteration] {
 		p.mu.Unlock()
-		_ = h.Respond(codec.Marshal(&stageReply{Status: 2, Err: "commit without prepare"}))
-		return
+		return &stageReply{Status: 2, Err: "commit without prepare"}, nil
 	}
 	blocks := p.staged[args.Iteration]
 	var res IterationResult
@@ -225,19 +200,14 @@ func (p *Provider) handleCommit(_ context.Context, h *mercury.Handle) {
 	delete(p.staged, args.Iteration)
 	delete(p.prepared, args.Iteration)
 	p.mu.Unlock()
-	_ = h.Respond(codec.Marshal(&stageReply{Blocks: res.Blocks, Bytes: res.Bytes, ViewHash: p.ViewHash()}))
+	return &stageReply{Blocks: res.Blocks, Bytes: res.Bytes, ViewHash: p.ViewHash()}, nil
 }
 
-func (p *Provider) handleAbort(_ context.Context, h *mercury.Handle) {
-	var args stageArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleAbort(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Marshaler, error) {
 	p.mu.Lock()
 	delete(p.prepared, args.Iteration)
 	p.mu.Unlock()
-	_ = h.Respond(codec.Marshal(&stageReply{}))
+	return &stageReply{}, nil
 }
 
 // Client stages data into an elastic pipeline, tracking the view with
@@ -307,17 +277,13 @@ func (c *Client) Stage(ctx context.Context, iteration, blockID uint64, data []by
 			continue
 		}
 		args := stageArgs{ViewHash: hash, Iteration: iteration, BlockID: blockID, Data: data}
-		out, err := c.inst.ForwardProvider(ctx, addr, rpcStage, c.providerID, codec.Marshal(&args))
-		if err != nil {
+		var reply stageReply
+		if err := c.inst.Call(ctx, addr, rpcStage, c.providerID, &args, &reply); err != nil {
 			// Member may have died: refresh and retry.
 			if rerr := c.RefreshView(ctx); rerr != nil {
 				return rerr
 			}
 			continue
-		}
-		var reply stageReply
-		if err := codec.Unmarshal(out, &reply); err != nil {
-			return err
 		}
 		switch reply.Status {
 		case 0:
@@ -345,20 +311,16 @@ func (c *Client) Commit(ctx context.Context, iteration uint64) (IterationResult,
 		return IterationResult{}, ErrNoMembers
 	}
 	args := stageArgs{ViewHash: hash, Iteration: iteration}
-	payload := codec.Marshal(&args)
 
 	// Phase 1: prepare.
 	for _, addr := range live {
-		out, err := c.inst.ForwardProvider(ctx, addr, rpcPrepare, c.providerID, payload)
-		if err == nil {
-			var reply stageReply
-			if uerr := codec.Unmarshal(out, &reply); uerr == nil && reply.Status == 0 {
-				continue
-			}
+		var reply stageReply
+		if err := c.inst.Call(ctx, addr, rpcPrepare, c.providerID, &args, &reply); err == nil && reply.Status == 0 {
+			continue
 		}
 		// Abort everyone we prepared.
 		for _, a := range live {
-			_, _ = c.inst.ForwardProvider(ctx, a, rpcAbort, c.providerID, payload)
+			_ = c.inst.Call(ctx, a, rpcAbort, c.providerID, &args, nil)
 		}
 		_ = c.RefreshView(ctx)
 		return IterationResult{}, fmt.Errorf("%w: prepare failed at %s", ErrAborted, addr)
@@ -367,12 +329,8 @@ func (c *Client) Commit(ctx context.Context, iteration uint64) (IterationResult,
 	// Phase 2: commit.
 	var total IterationResult
 	for _, addr := range live {
-		out, err := c.inst.ForwardProvider(ctx, addr, rpcCommit, c.providerID, payload)
-		if err != nil {
-			return total, err
-		}
 		var reply stageReply
-		if err := codec.Unmarshal(out, &reply); err != nil {
+		if err := c.inst.Call(ctx, addr, rpcCommit, c.providerID, &args, &reply); err != nil {
 			return total, err
 		}
 		if reply.Status != 0 {

@@ -104,60 +104,30 @@ func (ab *AutoBalancer) loop() {
 	}
 }
 
-// evaluate computes the current placement metrics with a dry-run plan
-// (all movement forbidden), then executes a real plan if thresholds
-// are crossed.
+// evaluate measures the standing placement and executes a plan if a
+// threshold is crossed.
 func (ab *AutoBalancer) evaluate() {
 	ab.mu.Lock()
 	ab.evals++
 	ab.mu.Unlock()
 
-	// Dry run: an all-WTime plan never moves anything but reports the
-	// imbalance of the current placement.
-	current, err := ab.svc.planOnly(pufferscale.Objectives{WTime: 1})
-	if err != nil || current == nil {
+	_, resources, nodes, err := ab.svc.inventory()
+	if err != nil {
 		return
 	}
-	if current.DataImbalance() < ab.cfg.DataImbalanceThreshold &&
-		current.LoadImbalance() < ab.cfg.LoadImbalanceThreshold {
+	load, data := pufferscale.Imbalance(resources, nodes)
+	if data < ab.cfg.DataImbalanceThreshold && load < ab.cfg.LoadImbalanceThreshold {
 		return
 	}
+	// Counted before the plan runs: whoever sees its moves sees the
+	// trigger.
+	ab.mu.Lock()
+	ab.triggers++
+	ab.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	plan, err := ab.svc.Rebalance(ctx, ab.cfg.Objectives)
 	cancel()
 	ab.mu.Lock()
-	ab.triggers++
 	ab.lastPlan, ab.lastErr = plan, err
 	ab.mu.Unlock()
-}
-
-// planOnly computes a Pufferscale plan without executing it.
-func (s *Service) planOnly(obj pufferscale.Objectives) (*pufferscale.Plan, error) {
-	s.mu.Lock()
-	procs := map[string]*Process{}
-	for n, p := range s.procs {
-		procs[n] = p
-	}
-	s.mu.Unlock()
-	if len(procs) == 0 {
-		return nil, ErrNotStarted
-	}
-	var resources []pufferscale.Resource
-	nodes := make([]string, 0, len(procs))
-	for node, p := range procs {
-		nodes = append(nodes, node)
-		stats := p.Server.Instance().Stats()
-		for _, info := range p.Server.ResourceInventory() {
-			if !info.Migratable {
-				continue
-			}
-			resources = append(resources, pufferscale.Resource{
-				ID:   info.Name,
-				Node: node,
-				Load: providerLoad(stats, info.ProviderID),
-				Size: float64(info.Bytes),
-			})
-		}
-	}
-	return pufferscale.Rebalance(resources, nodes, obj)
 }

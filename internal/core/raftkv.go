@@ -238,8 +238,8 @@ func (f *kvFSM) Restore(snap []byte) error {
 		}
 	}
 	d := codec.NewDecoder(snap)
-	n := d.Uvarint()
-	for i := uint64(0); i < n; i++ {
+	n := d.Count(2)
+	for i := 0; i < n; i++ {
 		k := append([]byte(nil), d.BytesField()...)
 		v := append([]byte(nil), d.BytesField()...)
 		if d.Err() != nil {
@@ -250,8 +250,8 @@ func (f *kvFSM) Restore(snap []byte) error {
 		}
 	}
 	f.sessions = map[string]kvSession{}
-	ns := d.Uvarint()
-	for i := uint64(0); i < ns; i++ {
+	ns := d.Count(3) // per session: id length, seq, result length
+	for i := 0; i < ns; i++ {
 		cid := d.String()
 		seq := d.Uvarint()
 		res := append([]byte(nil), d.BytesField()...)

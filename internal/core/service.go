@@ -358,23 +358,19 @@ func providerLoad(st *margo.StatsSnapshot, providerID uint16) float64 {
 	return load
 }
 
-// Rebalance computes a Pufferscale plan over the service's migratable
-// resources — using monitored load and on-disk size — and executes it
-// with REMI-backed migrations (§6, Observation 6: "externalized
-// rebalancing decisions" carried out "by calling functions provided
-// via dependency injection").
-func (s *Service) Rebalance(ctx context.Context, obj pufferscale.Objectives) (*pufferscale.Plan, error) {
+// inventory lists the service's processes, their migratable resources
+// (monitored load, bytes on disk) and the sorted node names: the input
+// of every Pufferscale question asked about the service.
+func (s *Service) inventory() (procs map[string]*Process, resources []pufferscale.Resource, nodes []string, err error) {
 	s.mu.Lock()
-	procs := map[string]*Process{}
+	procs = make(map[string]*Process, len(s.procs))
 	for n, p := range s.procs {
 		procs[n] = p
 	}
 	s.mu.Unlock()
 	if len(procs) == 0 {
-		return nil, ErrNotStarted
+		return nil, nil, nil, ErrNotStarted
 	}
-	var resources []pufferscale.Resource
-	nodes := make([]string, 0, len(procs))
 	for node, p := range procs {
 		nodes = append(nodes, node)
 		stats := p.Server.Instance().Stats()
@@ -391,6 +387,19 @@ func (s *Service) Rebalance(ctx context.Context, obj pufferscale.Objectives) (*p
 		}
 	}
 	sort.Strings(nodes)
+	return procs, resources, nodes, nil
+}
+
+// Rebalance computes a Pufferscale plan over the service's migratable
+// resources — using monitored load and on-disk size — and executes it
+// with REMI-backed migrations (§6, Observation 6: "externalized
+// rebalancing decisions" carried out "by calling functions provided
+// via dependency injection").
+func (s *Service) Rebalance(ctx context.Context, obj pufferscale.Objectives) (*pufferscale.Plan, error) {
+	procs, resources, nodes, err := s.inventory()
+	if err != nil {
+		return nil, err
+	}
 	plan, err := pufferscale.Rebalance(resources, nodes, obj)
 	if err != nil {
 		return nil, err

@@ -172,27 +172,13 @@ type regKey struct {
 // RegisterProvider registers an RPC handler for (name, providerID),
 // executed on the given pool (nil selects the configured rpc pool).
 // It mirrors MARGO_REGISTER_PROVIDER: incoming requests are turned
-// into ULTs submitted to the pool, as in Figure 2.
+// into ULTs submitted to the pool, as in Figure 2. It is a RegisterSet
+// of one whose handle is dropped; DeregisterProvider removes it.
 func (m *Instance) RegisterProvider(name string, providerID uint16, pool *argobots.Pool, h Handler) (mercury.RPCID, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.finalized {
-		return 0, ErrFinalized
+	if _, err := m.RegisterSet(providerID, pool, RPC{Name: name, Handler: h}); err != nil {
+		return 0, err
 	}
-	if pool == nil {
-		pool = m.rpcPool
-	}
-	key := regKey{name, providerID}
-	if _, ok := m.regs[key]; ok {
-		return 0, fmt.Errorf("%w: %s provider %d", ErrProviderRegistered, name, providerID)
-	}
-	pool.Retain()
-	m.regs[key] = rpcReg{name: name, provider: providerID, pool: pool}
-
-	id := m.class.RegisterProvider(name, providerID, func(hd *mercury.Handle) {
-		m.dispatch(pool, h, hd)
-	})
-	return id, nil
+	return mercury.NameToID(name), nil
 }
 
 // Register registers an RPC handler matching any provider ID on the

@@ -42,6 +42,7 @@ type Provider struct {
 	inst *margo.Instance
 	id   uint16
 	cfg  Config
+	rpcs *margo.RPCSet
 
 	mu  sync.Mutex
 	env map[string]jx9.Value
@@ -56,11 +57,12 @@ func NewProvider(inst *margo.Instance, id uint16, pool *argobots.Pool, cfg Confi
 		cfg.MaxSteps = 1e6
 	}
 	p := &Provider{inst: inst, id: id, cfg: cfg, env: map[string]jx9.Value{}}
-	if _, err := inst.RegisterProvider(RPCExecute, id, pool, p.handleExecute); err != nil {
-		return nil, err
-	}
-	if _, err := inst.RegisterProvider(RPCReset, id, pool, p.handleReset); err != nil {
-		inst.DeregisterProvider(RPCExecute, id)
+	var err error
+	p.rpcs, err = inst.RegisterSet(id, pool,
+		margo.RPC{Name: RPCExecute, Handler: margo.Serve(p.handleExecute)},
+		margo.RPC{Name: RPCReset, Handler: p.handleReset},
+	)
+	if err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -74,8 +76,7 @@ func (p *Provider) Config() ([]byte, error) { return json.Marshal(p.cfg) }
 
 // Close deregisters the provider.
 func (p *Provider) Close() error {
-	p.inst.DeregisterProvider(RPCExecute, p.id)
-	p.inst.DeregisterProvider(RPCReset, p.id)
+	p.rpcs.Close()
 	return nil
 }
 
@@ -107,12 +108,7 @@ func (r *execReply) UnmarshalMochi(d *codec.Decoder) {
 	r.Output = d.String()
 }
 
-func (p *Provider) handleExecute(_ context.Context, h *mercury.Handle) {
-	var args execArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleExecute(_ context.Context, _ *mercury.Handle, args *execArgs) (codec.Marshaler, error) {
 	engine := jx9.Engine{MaxSteps: p.cfg.MaxSteps}
 	p.mu.Lock()
 	globals := make(map[string]jx9.Value, len(p.env))
@@ -134,14 +130,14 @@ func (p *Provider) handleExecute(_ context.Context, h *mercury.Handle) {
 		reply.Result = res.Return.String()
 		reply.Output = res.Output
 	}
-	_ = h.Respond(codec.Marshal(&reply))
+	return &reply, nil
 }
 
 func (p *Provider) handleReset(_ context.Context, h *mercury.Handle) {
 	p.mu.Lock()
 	p.env = map[string]jx9.Value{}
 	p.mu.Unlock()
-	_ = h.Respond(codec.Marshal(&execReply{OK: true}))
+	margo.Reply(h, &execReply{OK: true})
 }
 
 // Client executes scripts on remote poesie providers.
@@ -168,12 +164,8 @@ func (c *Client) Handle(addr string, providerID uint16) *Handle {
 
 // Execute runs a script remotely and returns (result JSON, output).
 func (h *Handle) Execute(ctx context.Context, script string) (string, string, error) {
-	out, err := h.client.inst.ForwardProvider(ctx, h.addr, RPCExecute, h.provider, codec.Marshal(&execArgs{Script: script}))
-	if err != nil {
-		return "", "", err
-	}
 	var reply execReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
+	if err := h.client.inst.Call(ctx, h.addr, RPCExecute, h.provider, &execArgs{Script: script}, &reply); err != nil {
 		return "", "", err
 	}
 	if !reply.OK {
@@ -184,10 +176,5 @@ func (h *Handle) Execute(ctx context.Context, script string) (string, string, er
 
 // Reset clears the remote interpreter's environment.
 func (h *Handle) Reset(ctx context.Context) error {
-	out, err := h.client.inst.ForwardProvider(ctx, h.addr, RPCReset, h.provider, nil)
-	if err != nil {
-		return err
-	}
-	var reply execReply
-	return codec.Unmarshal(out, &reply)
+	return h.client.inst.Call(ctx, h.addr, RPCReset, h.provider, nil, &execReply{})
 }

@@ -89,6 +89,30 @@ func (p *Plan) DataImbalance() float64 {
 	return p.MaxData / p.MeanData
 }
 
+// Imbalance measures the standing placement without planning anything:
+// max/mean node load and max/mean node data over nodes (1.0 = perfectly
+// balanced, and what an empty or idle placement reports).
+func Imbalance(resources []Resource, nodes []string) (load, data float64) {
+	perLoad, perData := map[string]float64{}, map[string]float64{}
+	var totalLoad, totalData, maxLoad, maxData float64
+	for _, r := range resources {
+		perLoad[r.Node] += r.Load
+		perData[r.Node] += r.Size
+		totalLoad += r.Load
+		totalData += r.Size
+		maxLoad = max(maxLoad, perLoad[r.Node])
+		maxData = max(maxData, perData[r.Node])
+	}
+	load, data = 1, 1
+	if totalLoad > 0 && len(nodes) > 0 {
+		load = maxLoad / (totalLoad / float64(len(nodes)))
+	}
+	if totalData > 0 && len(nodes) > 0 {
+		data = maxData / (totalData / float64(len(nodes)))
+	}
+	return load, data
+}
+
 // Rebalance computes a placement of resources onto nodes.
 //
 // The heuristic (after Pufferscale) processes resources in decreasing

@@ -259,3 +259,37 @@ func BenchmarkRebalance1000Resources(b *testing.B) {
 		}
 	}
 }
+
+// Imbalance replaces the move-averse "dry run" plans the two balancer
+// loops used to compute just to read these two ratios off them: on
+// placements whose resources all sit on listed nodes it must agree with
+// such a plan exactly.
+func TestImbalanceMatchesDryRunPlan(t *testing.T) {
+	nodes := []string{"a", "b", "c"}
+	for name, rs := range map[string][]Resource{
+		"skewed": {
+			{ID: "r0", Node: "a", Load: 9, Size: 100},
+			{ID: "r1", Node: "a", Load: 1, Size: 900},
+			{ID: "r2", Node: "b", Load: 2, Size: 50},
+		},
+		"even": {
+			{ID: "r0", Node: "a", Load: 1, Size: 1},
+			{ID: "r1", Node: "b", Load: 1, Size: 1},
+			{ID: "r2", Node: "c", Load: 1, Size: 1},
+		},
+		"idle": {{ID: "r0", Node: "a"}, {ID: "r1", Node: "b"}},
+		"none": nil,
+	} {
+		dry, err := Rebalance(rs, nodes, Objectives{WTime: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		load, data := Imbalance(rs, nodes)
+		if load != dry.LoadImbalance() || data != dry.DataImbalance() {
+			t.Errorf("%s: Imbalance = (%v, %v), dry-run plan says (%v, %v)", name, load, data, dry.LoadImbalance(), dry.DataImbalance())
+		}
+	}
+	if load, data := Imbalance([]Resource{{ID: "r", Node: "a", Load: 1, Size: 1}}, nil); load != 1 || data != 1 {
+		t.Errorf("no nodes: Imbalance = (%v, %v), want (1, 1)", load, data)
+	}
+}

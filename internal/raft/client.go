@@ -11,6 +11,7 @@ import (
 	"mochi/internal/clock"
 	"mochi/internal/codec"
 	"mochi/internal/margo"
+	"mochi/internal/mercury"
 )
 
 // Client submits commands to a Raft group from any process, following
@@ -93,7 +94,7 @@ func replyError(msg string) error {
 // first, then the seeds; a refusal that names a different leader
 // redirects there without sleeping (bounded, so mutually stale hints
 // cannot hot-loop), anything else paces the retry.
-func (c *Client) call(ctx context.Context, rpc string, payload []byte, terminal func(error) bool) ([]byte, error) {
+func (c *Client) call(ctx context.Context, rpc string, args codec.Marshaler, terminal func(error) bool) ([]byte, error) {
 	target := c.cachedLeader()
 	var lastErr error
 	fast := 0
@@ -104,13 +105,8 @@ func (c *Client) call(ctx context.Context, rpc string, payload []byte, terminal 
 		}
 		hinted := false
 		for _, addr := range candidates {
-			out, err := c.inst.Forward(ctx, addr, rpc, payload)
-			if err != nil {
-				lastErr = err
-				continue
-			}
 			var reply applyReply
-			if err := codec.Unmarshal(out, &reply); err != nil {
+			if err := c.inst.Call(ctx, addr, rpc, mercury.AnyProvider, args, &reply); err != nil {
 				lastErr = err
 				continue
 			}
@@ -145,7 +141,7 @@ func (c *Client) call(ctx context.Context, rpc string, payload []byte, terminal 
 
 // Apply submits a command, retrying until ctx expires.
 func (c *Client) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
-	return c.call(ctx, rpcApply, codec.Marshal(&applyArgs{Group: c.group, Cmd: cmd}),
+	return c.call(ctx, rpcApply, &applyArgs{Group: c.group, Cmd: cmd},
 		func(error) bool { return false })
 }
 
@@ -153,7 +149,7 @@ func (c *Client) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
 // entry, no fsync), retrying until ctx expires. The group's FSM must
 // implement ReaderFSM.
 func (c *Client) Read(ctx context.Context, query []byte) ([]byte, error) {
-	return c.call(ctx, rpcRead, codec.Marshal(&readArgs{Group: c.group, Query: query}),
+	return c.call(ctx, rpcRead, &readArgs{Group: c.group, Query: query},
 		func(err error) bool { return errors.Is(err, ErrNoReader) }) // retrying cannot help
 }
 
@@ -170,19 +166,15 @@ func (c *Client) RemoveServer(ctx context.Context, addr string) error {
 // configChange retries across elections only: any refusal other than
 // "not the leader" is the answer.
 func (c *Client) configChange(ctx context.Context, addr string, remove bool) error {
-	_, err := c.call(ctx, rpcConfigChange, codec.Marshal(&configChangeArgs{Group: c.group, Addr: addr, Remove: remove}),
+	_, err := c.call(ctx, rpcConfigChange, &configChangeArgs{Group: c.group, Addr: addr, Remove: remove},
 		func(err error) bool { return !errors.Is(err, ErrNotLeader) && !errors.Is(err, ErrNoLeader) })
 	return err
 }
 
 // Status fetches the protocol status of the member at addr.
 func (c *Client) Status(ctx context.Context, addr string) (Status, error) {
-	out, err := c.inst.Forward(ctx, addr, rpcStatus, codec.Marshal(&statusArgs{Group: c.group}))
-	if err != nil {
-		return Status{}, err
-	}
 	var reply statusReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
+	if err := c.inst.Call(ctx, addr, rpcStatus, mercury.AnyProvider, &statusArgs{Group: c.group}, &reply); err != nil {
 		return Status{}, err
 	}
 	if !reply.OK {

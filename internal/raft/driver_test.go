@@ -376,3 +376,67 @@ func TestNodeGoroutinesJoinedByStop(t *testing.T) {
 	})
 	testutil.WaitGoroutinesSettle(t, before, 2)
 }
+
+// raftRPCs is every name the group multiplexer installs on an instance.
+var raftRPCs = []string{rpcRequestVote, rpcAppendEntries, rpcInstallSnapshot, rpcApply, rpcRead, rpcConfigChange, rpcStatus}
+
+// TestHandlersFollowMemberLifetime: the per-instance multiplexer is
+// installed all-or-nothing by the first member and removed by the last
+// one to stop. Before, a failed install was remembered as done (the
+// next NewNode "succeeded" on a half-registered instance) and nothing
+// was ever removed, so every finalized instance stayed reachable.
+func TestHandlersFollowMemberLifetime(t *testing.T) {
+	h := newHandDriven(t)
+	registered := func(name string) bool { return h.member.Class().Registered(name, mercury.AnyProvider) }
+	newNode := func(group string) (*Node, error) {
+		return NewNode(h.member, group, h.peers, NewMemoryStore(), newKVFSM(), quietCfg())
+	}
+
+	// A forced mid-install failure leaves nothing registered.
+	if _, err := h.member.Register(rpcStatus, func(context.Context, *mercury.Handle) {}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := newNode("a"); err == nil {
+		n.Stop()
+		t.Fatal("NewNode succeeded although one of its RPC names was taken")
+	}
+	for _, name := range raftRPCs[:len(raftRPCs)-1] {
+		if registered(name) {
+			t.Fatalf("failed install left %s registered", name)
+		}
+	}
+	h.member.DeregisterProvider(rpcStatus, mercury.AnyProvider)
+
+	// The failure is not remembered: the next member installs everything.
+	a, err := newNode("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newNode("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range raftRPCs {
+		if !registered(name) {
+			t.Fatalf("%s not registered with two members running", name)
+		}
+	}
+	a.Stop()
+	if !registered(rpcAppendEntries) {
+		t.Fatal("handlers removed while a member is still running")
+	}
+	b.Stop()
+	b.Stop()
+	for _, name := range raftRPCs {
+		if registered(name) {
+			t.Fatalf("last Stop left %s registered", name)
+		}
+	}
+
+	// A fresh member on the same instance works again.
+	h.start(NewMemoryStore(), newKVFSM())
+	var reply requestVoteReply
+	if err := h.call(rpcRequestVote, &requestVoteArgs{Group: "hand", Term: 1, Candidate: h.peer.Addr()}, &reply); err != nil || !reply.Granted {
+		t.Fatalf("vote request to a member started after a full teardown: %+v, %v", reply, err)
+	}
+}

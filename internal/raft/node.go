@@ -96,48 +96,89 @@ type lanes struct {
 	log, probe chan Message
 }
 
-type raftRegistry struct {
-	mu    sync.Mutex
+// registry maps group names to members within one margo instance, so
+// all groups share one set of RPC handlers. It exists exactly as long
+// as the instance hosts a member: the first member installs the
+// handlers, the last one to stop removes them and the registry with
+// them, so a finalized instance is not kept reachable from here.
+type registry struct {
+	rpcs *margo.RPCSet
+
+	mu    sync.Mutex // guards nodes
 	nodes map[string]*Node
 }
 
-var raftRegistries sync.Map // *margo.Instance -> *raftRegistry
+var (
+	registriesMu sync.Mutex // serializes attach/detach, handler install included
+	registries   = map[*margo.Instance]*registry{}
+)
 
-func raftRegistryFor(inst *margo.Instance) (*raftRegistry, error) {
-	if r, ok := raftRegistries.Load(inst); ok {
-		return r.(*raftRegistry), nil
-	}
-	r := &raftRegistry{nodes: map[string]*Node{}}
-	actual, loaded := raftRegistries.LoadOrStore(inst, r)
-	reg := actual.(*raftRegistry)
-	if !loaded {
-		handlers := map[string]margo.Handler{
-			rpcRequestVote: protocolHandler(reg,
-				func(a *requestVoteArgs) string { return a.Group }, (*Core).RequestVote),
-			rpcAppendEntries: protocolHandler(reg,
-				func(a *appendEntriesArgs) string { return a.Group }, (*Core).AppendEntries),
-			rpcInstallSnapshot: protocolHandler(reg,
-				func(a *installSnapshotArgs) string { return a.Group }, (*Core).InstallSnapshot),
-			rpcApply: clientHandler(reg, func(a *applyArgs) string { return a.Group },
-				func(ctx context.Context, n *Node, a *applyArgs) ([]byte, error) { return n.Apply(ctx, a.Cmd) }),
-			rpcRead: clientHandler(reg, func(a *readArgs) string { return a.Group },
-				func(ctx context.Context, n *Node, a *readArgs) ([]byte, error) { return n.Read(ctx, a.Query) }),
-			rpcConfigChange: clientHandler(reg, func(a *configChangeArgs) string { return a.Group },
+// attach enters n into its instance's registry, installing the RPC
+// handlers first if n is the instance's only member. A failed install
+// leaves nothing behind.
+func attach(n *Node) error {
+	registriesMu.Lock()
+	defer registriesMu.Unlock()
+	reg := registries[n.inst]
+	if reg == nil {
+		reg = &registry{nodes: map[string]*Node{}}
+		var err error
+		reg.rpcs, err = n.inst.RegisterSet(mercury.AnyProvider, nil,
+			margo.RPC{Name: rpcRequestVote, Handler: margo.Serve(protocol(reg,
+				func(a *requestVoteArgs) string { return a.Group }, (*Core).RequestVote))},
+			margo.RPC{Name: rpcAppendEntries, Handler: margo.Serve(protocol(reg,
+				func(a *appendEntriesArgs) string { return a.Group }, (*Core).AppendEntries))},
+			margo.RPC{Name: rpcInstallSnapshot, Handler: margo.Serve(protocol(reg,
+				func(a *installSnapshotArgs) string { return a.Group }, (*Core).InstallSnapshot))},
+			margo.RPC{Name: rpcApply, Handler: margo.Serve(client(reg,
+				func(a *applyArgs) string { return a.Group },
+				func(ctx context.Context, n *Node, a *applyArgs) ([]byte, error) { return n.Apply(ctx, a.Cmd) }))},
+			margo.RPC{Name: rpcRead, Handler: margo.Serve(client(reg,
+				func(a *readArgs) string { return a.Group },
+				func(ctx context.Context, n *Node, a *readArgs) ([]byte, error) { return n.Read(ctx, a.Query) }))},
+			margo.RPC{Name: rpcConfigChange, Handler: margo.Serve(client(reg,
+				func(a *configChangeArgs) string { return a.Group },
 				func(ctx context.Context, n *Node, a *configChangeArgs) ([]byte, error) {
 					return nil, n.changeConfig(ctx, a.Addr, a.Remove)
-				}),
-			rpcStatus: reg.handleStatus,
+				}))},
+			margo.RPC{Name: rpcStatus, Handler: margo.Serve(reg.handleStatus)},
+		)
+		if err != nil {
+			return err
 		}
-		for name, h := range handlers {
-			if _, err := inst.Register(name, h); err != nil {
-				return nil, err
-			}
-		}
+		registries[n.inst] = reg
 	}
-	return reg, nil
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	if _, dup := reg.nodes[n.group]; dup {
+		return fmt.Errorf("raft: group %q already exists on %s", n.group, n.id)
+	}
+	reg.nodes[n.group] = n
+	return nil
 }
 
-func (r *raftRegistry) lookup(group string) *Node {
+// detach removes n from its registry and, if it was the last member on
+// the instance, the handlers and the registry too.
+func detach(n *Node) {
+	registriesMu.Lock()
+	defer registriesMu.Unlock()
+	reg := registries[n.inst]
+	if reg == nil {
+		return
+	}
+	reg.mu.Lock()
+	if reg.nodes[n.group] == n {
+		delete(reg.nodes, n.group)
+	}
+	empty := len(reg.nodes) == 0
+	reg.mu.Unlock()
+	if empty {
+		reg.rpcs.Close()
+		delete(registries, n.inst)
+	}
+}
+
+func (r *registry) lookup(group string) *Node {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.nodes[group]
@@ -187,10 +228,6 @@ type Node struct {
 // configuration (must be identical on every member and include this
 // node's address). A store with existing state resumes from it.
 func NewNode(inst *margo.Instance, group string, peers []string, store Store, fsm FSM, cfg Config) (*Node, error) {
-	reg, err := raftRegistryFor(inst)
-	if err != nil {
-		return nil, err
-	}
 	n := &Node{
 		inst:      inst,
 		clk:       inst.Clock(),
@@ -208,19 +245,14 @@ func NewNode(inst *margo.Instance, group string, peers []string, store Store, fs
 	}
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	rng := rand.New(rand.NewSource(int64(mercury.NameToID(n.id + "/" + group))))
+	var err error
 	if n.core, err = NewCore(group, n.id, peers, store, n.cfg, rng, n.clk.Now()); err == nil {
 		// Bring the FSM up to the stored snapshot before anything can
 		// race with it.
 		err = n.applyPending()
 	}
 	if err == nil {
-		reg.mu.Lock()
-		if _, dup := reg.nodes[group]; dup {
-			err = fmt.Errorf("raft: group %q already exists on %s", group, n.id)
-		} else {
-			reg.nodes[group] = n
-		}
-		reg.mu.Unlock()
+		err = attach(n)
 	}
 	if err != nil {
 		n.cancel()
@@ -278,14 +310,7 @@ func (n *Node) Stop() {
 		n.cancel()
 	})
 	n.wg.Wait()
-	if r, ok := raftRegistries.Load(n.inst); ok {
-		reg := r.(*raftRegistry)
-		reg.mu.Lock()
-		if reg.nodes[n.group] == n {
-			delete(reg.nodes, n.group)
-		}
-		reg.mu.Unlock()
-	}
+	detach(n)
 }
 
 // --- stepping the core ---
@@ -420,33 +445,26 @@ func (n *Node) sender(box <-chan Message) {
 // RPC is not reported: the core retransmits on its own timers.
 func (n *Node) send(m Message) {
 	rpc, timeout := rpcAppendEntries, 2*n.cfg.HeartbeatInterval
-	var payload []byte
+	var args codec.Marshaler = m.Append
 	switch {
 	case m.Vote != nil:
-		rpc, timeout, payload = rpcRequestVote, n.cfg.ElectionTimeoutMin, codec.Marshal(m.Vote)
+		rpc, timeout, args = rpcRequestVote, n.cfg.ElectionTimeoutMin, m.Vote
 	case m.Snapshot != nil:
-		rpc, timeout, payload = rpcInstallSnapshot, 4*n.cfg.HeartbeatInterval, codec.Marshal(m.Snapshot)
-	default:
-		if m.Round != 0 {
-			timeout = n.cfg.ElectionTimeoutMin
-		}
-		payload = codec.Marshal(m.Append)
+		rpc, timeout, args = rpcInstallSnapshot, 4*n.cfg.HeartbeatInterval, m.Snapshot
+	case m.Round != 0:
+		timeout = n.cfg.ElectionTimeoutMin
 	}
 	ctx, cancel := context.WithTimeout(n.ctx, timeout)
 	defer cancel()
-	out, err := n.inst.Forward(ctx, m.To, rpc, payload)
-	if err != nil {
-		return
-	}
 	if m.Vote != nil {
 		var r requestVoteReply
-		if codec.Unmarshal(out, &r) == nil {
+		if n.inst.Call(ctx, m.To, rpc, mercury.AnyProvider, args, &r) == nil {
 			n.step(func(c *Core, now time.Time) { c.VoteReply(now, m, &r) })
 		}
 		return
 	}
 	var r appendEntriesReply
-	if codec.Unmarshal(out, &r) == nil {
+	if n.inst.Call(ctx, m.To, rpc, mercury.AnyProvider, args, &r) == nil {
 		n.step(func(c *Core, now time.Time) { c.AppendReply(now, m, &r) })
 	}
 }
@@ -689,78 +707,54 @@ func (n *Node) changeConfig(ctx context.Context, addr string, remove bool) error
 
 // --- RPC handlers ---
 
-// request is the pointer to an RPC's argument struct A.
-type request[A any] interface {
-	*A
-	codec.Unmarshaler
-}
-
-// protocolHandler serves one member-to-member RPC by stepping the core.
-// The core returns an error instead of a reply when it could not
-// persist what the reply would say; the caller then gets no reply.
-func protocolHandler[A any, PA request[A], R codec.Marshaler](r *raftRegistry, group func(PA) string, input func(*Core, time.Time, PA) (R, error)) margo.Handler {
-	return func(_ context.Context, h *mercury.Handle) {
-		args := PA(new(A))
-		if err := codec.Unmarshal(h.Input(), args); err != nil {
-			_ = h.RespondError(err)
-			return
-		}
+// protocol serves one member-to-member RPC by stepping the core of the
+// group it names. The core returns an error instead of a reply when it
+// could not persist what the reply would say; the caller then gets no
+// reply.
+func protocol[A any, R codec.Marshaler](r *registry, group func(*A) string, input func(*Core, time.Time, *A) (R, error)) func(context.Context, *mercury.Handle, *A) (codec.Marshaler, error) {
+	return func(_ context.Context, _ *mercury.Handle, args *A) (codec.Marshaler, error) {
 		n := r.lookup(group(args))
 		if n == nil {
-			_ = h.RespondError(fmt.Errorf("raft: unknown group %q", group(args)))
-			return
+			return nil, fmt.Errorf("raft: unknown group %q", group(args))
 		}
 		var reply R
 		err := error(ErrStopped)
 		n.step(func(c *Core, now time.Time) { reply, err = input(c, now, args) })
 		if err != nil {
-			_ = h.RespondError(err)
-			return
+			return nil, err
 		}
-		_ = h.Respond(codec.Marshal(reply))
+		return reply, nil
 	}
 }
 
-// clientHandler serves one client RPC: it runs op on the member and
-// answers with an applyReply carrying the result, or the error and a
-// leader hint.
-func clientHandler[A any, PA request[A]](r *raftRegistry, group func(PA) string, op func(context.Context, *Node, PA) ([]byte, error)) margo.Handler {
-	return func(_ context.Context, h *mercury.Handle) {
-		args := PA(new(A))
-		if err := codec.Unmarshal(h.Input(), args); err != nil {
-			_ = h.RespondError(err)
-			return
-		}
+// client serves one client RPC: it runs op on the member and answers
+// with an applyReply carrying the result, or the error and a leader
+// hint.
+func client[A any](r *registry, group func(*A) string, op func(context.Context, *Node, *A) ([]byte, error)) func(context.Context, *mercury.Handle, *A) (codec.Marshaler, error) {
+	return func(_ context.Context, _ *mercury.Handle, args *A) (codec.Marshaler, error) {
 		n := r.lookup(group(args))
 		if n == nil {
-			_ = h.Respond(codec.Marshal(&applyReply{Err: "unknown group"}))
-			return
+			return &applyReply{Err: "unknown group"}, nil
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*n.cfg.ElectionTimeoutMax)
 		defer cancel()
 		result, err := op(ctx, n, args)
-		reply := applyReply{OK: err == nil, Result: result}
+		reply := &applyReply{OK: err == nil, Result: result}
 		if err != nil {
 			reply.Err = err.Error()
 			reply.LeaderHint = n.Leader()
 		}
-		_ = h.Respond(codec.Marshal(&reply))
+		return reply, nil
 	}
 }
 
-func (r *raftRegistry) handleStatus(_ context.Context, h *mercury.Handle) {
-	var args statusArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (r *registry) handleStatus(_ context.Context, _ *mercury.Handle, args *statusArgs) (codec.Marshaler, error) {
 	n := r.lookup(args.Group)
 	if n == nil {
-		_ = h.Respond(codec.Marshal(&statusReply{}))
-		return
+		return &statusReply{}, nil
 	}
 	st := n.Status()
-	_ = h.Respond(codec.Marshal(&statusReply{
+	return &statusReply{
 		OK:          true,
 		Role:        uint8(st.Role),
 		Term:        st.Term,
@@ -768,5 +762,5 @@ func (r *raftRegistry) handleStatus(_ context.Context, h *mercury.Handle) {
 		CommitIndex: st.CommitIndex,
 		LastApplied: st.LastApplied,
 		Peers:       st.Peers,
-	}))
+	}, nil
 }

@@ -641,3 +641,20 @@ func TestRestoreThenApplyOrder(t *testing.T) {
 		t.Fatalf("task = %+v, want the run starting at 11", task)
 	}
 }
+
+// An AppendEntries cut off right after its entry count used to decode
+// as a heartbeat with LeaderCommit 0: the count guard bailed out without
+// failing the decoder and nothing was left for Finish to complain about.
+func TestAppendEntriesTruncatedAfterCountIsRejected(t *testing.T) {
+	e := codec.NewEncoder(nil)
+	e.String("g")
+	e.Uint64(3) // term
+	e.String("sm://a")
+	e.Uint64(8) // prev index
+	e.Uint64(2) // prev term
+	e.Uvarint(3)
+	var a appendEntriesArgs
+	if err := codec.Unmarshal(e.Bytes(), &a); err == nil {
+		t.Fatalf("truncated appendEntriesArgs decoded as %+v", a)
+	}
+}

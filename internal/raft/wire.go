@@ -81,12 +81,9 @@ func (a *appendEntriesArgs) UnmarshalMochi(d *codec.Decoder) {
 	a.Leader = d.String()
 	a.PrevLogIndex = d.Uint64()
 	a.PrevLogTerm = d.Uint64()
-	n := d.Uvarint()
-	if n > uint64(d.Remaining())+1 {
-		return
-	}
+	n := d.Count(18) // per entry: index, term, type, data length
 	a.Entries = make([]LogEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var le LogEntry
 		le.UnmarshalMochi(d)
 		if d.Err() != nil {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
 )
@@ -117,6 +116,18 @@ func sourceData(fs *FileSet, fi *FileInfo) ([]byte, error) {
 	return data, nil
 }
 
+// begin opens a transfer at the destination and returns its ID.
+func (c *Client) begin(ctx context.Context, addr string, providerID uint16, args *beginArgs) (uint64, error) {
+	var reply beginReply
+	if err := c.inst.Call(ctx, addr, rpcBegin, providerID, args, &reply); err != nil {
+		return 0, err
+	}
+	if reply.Status != 0 {
+		return 0, fmt.Errorf("remi: destination error: %s", reply.Err)
+	}
+	return reply.XferID, nil
+}
+
 // migrateBulk registers each file's bytes as a bulk region and lets
 // the destination pull them ("memory mapping the files and using RDMA
 // to transfer the data").
@@ -145,16 +156,8 @@ func (c *Client) migrateBulk(ctx context.Context, addr string, providerID uint16
 		})
 		total += int64(len(data))
 	}
-	out, err := c.inst.ForwardProvider(ctx, addr, rpcBegin, providerID, codec.Marshal(&args))
-	if err != nil {
+	if _, err := c.begin(ctx, addr, providerID, &args); err != nil {
 		return Stats{}, err
-	}
-	var reply beginReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
-		return Stats{}, err
-	}
-	if reply.Status != 0 {
-		return Stats{}, fmt.Errorf("remi: destination error: %s", reply.Err)
 	}
 	return Stats{Method: MethodBulk, Files: len(fs.Files), Bytes: total}, nil
 }
@@ -165,18 +168,10 @@ func (c *Client) migrateChunked(ctx context.Context, addr string, providerID uin
 	for _, fi := range fs.Files {
 		args.Files = append(args.Files, wireFile{RelPath: fi.RelPath, Size: fi.Size, CRC: fi.CRC})
 	}
-	out, err := c.inst.ForwardProvider(ctx, addr, rpcBegin, providerID, codec.Marshal(&args))
+	xfer, err := c.begin(ctx, addr, providerID, &args)
 	if err != nil {
 		return Stats{}, err
 	}
-	var reply beginReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
-		return Stats{}, err
-	}
-	if reply.Status != 0 {
-		return Stats{}, fmt.Errorf("remi: destination error: %s", reply.Err)
-	}
-	xfer := reply.XferID
 
 	sem := make(chan struct{}, opts.Pipeline)
 	var wg sync.WaitGroup
@@ -188,15 +183,10 @@ func (c *Client) migrateChunked(ctx context.Context, addr string, providerID uin
 	send := func(segs []segment) {
 		defer wg.Done()
 		defer func() { <-sem }()
-		cargs := chunkArgs{XferID: xfer, Segments: segs}
-		out, err := c.inst.ForwardProvider(ctx, addr, rpcChunk, providerID, codec.Marshal(&cargs))
-		if err == nil {
-			var r statusReply
-			if uerr := codec.Unmarshal(out, &r); uerr != nil {
-				err = uerr
-			} else if r.Status != 0 {
-				err = fmt.Errorf("remi: chunk rejected: %s", r.Err)
-			}
+		var r statusReply
+		err := c.inst.Call(ctx, addr, rpcChunk, providerID, &chunkArgs{XferID: xfer, Segments: segs}, &r)
+		if err == nil && r.Status != 0 {
+			err = fmt.Errorf("remi: chunk rejected: %s", r.Err)
 		}
 		if err != nil {
 			mu.Lock()
@@ -267,23 +257,12 @@ loop:
 		return Stats{Method: MethodChunked}, firstErr
 	}
 
-	eout, err := c.inst.ForwardProvider(ctx, addr, rpcEnd, providerID, codec.Marshal(&endArgs{XferID: xfer}))
-	if err != nil {
-		return Stats{}, err
-	}
 	var er statusReply
-	if err := codec.Unmarshal(eout, &er); err != nil {
+	if err := c.inst.Call(ctx, addr, rpcEnd, providerID, &endArgs{XferID: xfer}, &er); err != nil {
 		return Stats{}, err
 	}
 	if er.Status != 0 {
 		return Stats{}, fmt.Errorf("remi: finalize failed: %s", er.Err)
 	}
 	return Stats{Method: MethodChunked, Files: len(fs.Files), Bytes: total, Chunks: chunks}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

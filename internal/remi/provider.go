@@ -2,6 +2,7 @@ package remi
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -32,6 +33,7 @@ type Provider struct {
 	inst *margo.Instance
 	id   uint16
 	root string
+	rpcs *margo.RPCSet
 
 	mu       sync.Mutex
 	xferSeq  uint64
@@ -60,20 +62,14 @@ func NewProvider(inst *margo.Instance, id uint16, pool *argobots.Pool, root stri
 		return nil, err
 	}
 	p := &Provider{inst: inst, id: id, root: root, inflight: map[uint64]*incoming{}}
-	handlers := map[string]margo.Handler{
-		rpcBegin: p.handleBegin,
-		rpcChunk: p.handleChunk,
-		rpcEnd:   p.handleEnd,
-	}
-	var done []string
-	for name, h := range handlers {
-		if _, err := inst.RegisterProvider(name, id, pool, h); err != nil {
-			for _, n := range done {
-				inst.DeregisterProvider(n, id)
-			}
-			return nil, err
-		}
-		done = append(done, name)
+	var err error
+	p.rpcs, err = inst.RegisterSet(id, pool,
+		margo.RPC{Name: rpcBegin, Handler: margo.Serve(p.handleBegin)},
+		margo.RPC{Name: rpcChunk, Handler: margo.Serve(p.handleChunk)},
+		margo.RPC{Name: rpcEnd, Handler: margo.Serve(p.handleEnd)},
+	)
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -108,19 +104,18 @@ func (p *Provider) Close() error {
 	}
 	p.inflight = map[uint64]*incoming{}
 	p.mu.Unlock()
-	for _, name := range []string{rpcBegin, rpcChunk, rpcEnd} {
-		p.inst.DeregisterProvider(name, p.id)
-	}
+	p.rpcs.Close()
 	return nil
 }
 
-func respondStatus(h *mercury.Handle, err error) {
+// status is the reply of the chunk and end RPCs.
+func status(err error) (codec.Marshaler, error) {
 	var r statusReply
 	if err != nil {
 		r.Status = 1
 		r.Err = err.Error()
 	}
-	_ = h.Respond(codec.Marshal(&r))
+	return &r, nil
 }
 
 func (p *Provider) makeFileSet(args *beginArgs) (*FileSet, error) {
@@ -140,44 +135,28 @@ func (p *Provider) makeFileSet(args *beginArgs) (*FileSet, error) {
 // handleBegin starts a transfer. For MethodBulk the whole migration
 // completes inside this handler: the destination pulls each exposed
 // file in one bulk operation, verifies it, and writes it out.
-func (p *Provider) handleBegin(ctx context.Context, h *mercury.Handle) {
-	var args beginArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
+func (p *Provider) handleBegin(ctx context.Context, _ *mercury.Handle, args *beginArgs) (codec.Marshaler, error) {
+	var reply beginReply
+	fs, err := p.makeFileSet(args)
+	if err == nil {
+		switch {
+		case Method(args.Method) == MethodBulk:
+			if err = p.pullAll(ctx, args, fs); err == nil {
+				p.notify(ctx, fs)
+			}
+			p.recycle(fs)
+		case Method(args.Method) != MethodChunked:
+			err = errors.New("remi: begin with unresolved method")
+		case fs.InMemory():
+			err = errors.New("remi: chunked transfer of an in-memory fileset")
+		default:
+			reply.XferID, err = p.beginChunked(fs)
+		}
 	}
-	fs, err := p.makeFileSet(&args)
 	if err != nil {
-		_ = h.Respond(codec.Marshal(&beginReply{Status: 1, Err: err.Error()}))
-		return
+		reply.Status, reply.Err = 1, err.Error()
 	}
-	switch Method(args.Method) {
-	case MethodBulk:
-		err := p.pullAll(ctx, h, &args, fs)
-		reply := beginReply{}
-		if err != nil {
-			reply.Status = 1
-			reply.Err = err.Error()
-		} else {
-			p.notify(ctx, fs)
-		}
-		p.recycle(fs)
-		_ = h.Respond(codec.Marshal(&reply))
-	case MethodChunked:
-		if fs.InMemory() {
-			_ = h.Respond(codec.Marshal(&beginReply{Status: 1, Err: "remi: chunked transfer of an in-memory fileset"}))
-			return
-		}
-		id, err := p.beginChunked(fs)
-		reply := beginReply{XferID: id}
-		if err != nil {
-			reply.Status = 1
-			reply.Err = err.Error()
-		}
-		_ = h.Respond(codec.Marshal(&reply))
-	default:
-		_ = h.Respond(codec.Marshal(&beginReply{Status: 1, Err: "remi: begin with unresolved method"}))
-	}
+	return &reply, nil
 }
 
 // pullTimeout bounds one destination-side bulk pull when the handler
@@ -191,7 +170,7 @@ const pullTimeout = 10 * time.Second
 
 // pullAll runs under the handler context so the bulk pulls inherit its
 // trace context (each transfer records a bulk phase span when sampled).
-func (p *Provider) pullAll(ctx context.Context, h *mercury.Handle, args *beginArgs, fs *FileSet) error {
+func (p *Provider) pullAll(ctx context.Context, args *beginArgs, fs *FileSet) error {
 	p.mu.Lock()
 	closed := p.closed
 	p.mu.Unlock()
@@ -203,13 +182,13 @@ func (p *Provider) pullAll(ctx context.Context, h *mercury.Handle, args *beginAr
 		// written out and handed to the callback.
 		buf := p.receiveBuffer(wf.Size)
 		fs.Files[i].Data = buf
-		local := h.Class().CreateBulk(buf, mercury.BulkReadWrite)
+		local := p.inst.Class().CreateBulk(buf, mercury.BulkReadWrite)
 		pctx := ctx
 		var cancel context.CancelFunc
 		if _, ok := ctx.Deadline(); !ok {
 			pctx, cancel = context.WithTimeout(ctx, pullTimeout)
 		}
-		err := h.Class().BulkTransfer(pctx, mercury.BulkPull, wf.Bulk, 0, local, 0, uint64(wf.Size))
+		err := p.inst.Class().BulkTransfer(pctx, mercury.BulkPull, wf.Bulk, 0, local, 0, uint64(wf.Size))
 		if cancel != nil {
 			cancel()
 		}
@@ -292,45 +271,31 @@ func (p *Provider) beginChunked(fs *FileSet) (uint64, error) {
 	return p.xferSeq, nil
 }
 
-func (p *Provider) handleChunk(_ context.Context, h *mercury.Handle) {
-	var args chunkArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleChunk(_ context.Context, _ *mercury.Handle, args *chunkArgs) (codec.Marshaler, error) {
 	p.mu.Lock()
 	in, ok := p.inflight[args.XferID]
 	p.mu.Unlock()
 	if !ok {
-		respondStatus(h, ErrNoTransfer)
-		return
+		return status(ErrNoTransfer)
 	}
 	for _, seg := range args.Segments {
 		if int(seg.FileIdx) >= len(in.files) {
-			respondStatus(h, fmt.Errorf("%w: file index %d", ErrBadFileSet, seg.FileIdx))
-			return
+			return status(fmt.Errorf("%w: file index %d", ErrBadFileSet, seg.FileIdx))
 		}
 		if _, err := in.files[seg.FileIdx].WriteAt(seg.Data, seg.Offset); err != nil {
-			respondStatus(h, err)
-			return
+			return status(err)
 		}
 	}
-	respondStatus(h, nil)
+	return status(nil)
 }
 
-func (p *Provider) handleEnd(ctx context.Context, h *mercury.Handle) {
-	var args endArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleEnd(ctx context.Context, _ *mercury.Handle, args *endArgs) (codec.Marshaler, error) {
 	p.mu.Lock()
 	in, ok := p.inflight[args.XferID]
 	delete(p.inflight, args.XferID)
 	p.mu.Unlock()
 	if !ok {
-		respondStatus(h, ErrNoTransfer)
-		return
+		return status(ErrNoTransfer)
 	}
 	// Verify checksums. Durability policy is the receiving provider's
 	// concern (it flushes when it adopts the files), so no per-file
@@ -351,7 +316,7 @@ func (p *Provider) handleEnd(ctx context.Context, h *mercury.Handle) {
 	if err == nil {
 		p.notify(ctx, in.fs)
 	}
-	respondStatus(h, err)
+	return status(err)
 }
 
 func (p *Provider) notify(ctx context.Context, fs *FileSet) {

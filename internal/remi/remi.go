@@ -200,12 +200,9 @@ func (a *beginArgs) UnmarshalMochi(d *codec.Decoder) {
 	a.Method = d.Uint8()
 	a.InMemory = d.Bool()
 	a.Class = d.String()
-	nm := d.Uvarint()
-	if nm > uint64(d.Remaining()) {
-		return
-	}
+	nm := d.Count(2)
 	a.Meta = make(map[string]string, nm)
-	for i := uint64(0); i < nm; i++ {
+	for i := 0; i < nm; i++ {
 		k := d.String()
 		v := d.String()
 		if d.Err() != nil {
@@ -213,12 +210,9 @@ func (a *beginArgs) UnmarshalMochi(d *codec.Decoder) {
 		}
 		a.Meta[k] = v
 	}
-	nf := d.Uvarint()
-	if nf > uint64(d.Remaining()) {
-		return
-	}
+	nf := d.Count(31) // per file: path length, size, crc, bulk descriptor
 	a.Files = make([]wireFile, 0, nf)
-	for i := uint64(0); i < nf; i++ {
+	for i := 0; i < nf; i++ {
 		var f wireFile
 		f.RelPath = d.String()
 		f.Size = d.Int64()
@@ -276,12 +270,9 @@ func (a *chunkArgs) MarshalMochi(e *codec.Encoder) {
 
 func (a *chunkArgs) UnmarshalMochi(d *codec.Decoder) {
 	a.XferID = d.Uint64()
-	n := d.Uvarint()
-	if n > uint64(d.Remaining())+1 {
-		return
-	}
+	n := d.Count(13) // per segment: file index, offset, data length
 	a.Segments = make([]segment, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var s segment
 		s.FileIdx = d.Uint32()
 		s.Offset = d.Int64()

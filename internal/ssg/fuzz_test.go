@@ -3,39 +3,20 @@ package ssg
 import (
 	"testing"
 
-	"mochi/internal/codec"
+	"mochi/internal/codec/codectest"
 )
 
-// FuzzWireMessages decodes every SWIM wire message type from
-// arbitrary bytes: gossip from a malfunctioning member must produce
-// decode errors, never panics.
+// FuzzWireMessages runs every SWIM wire message type under the shared
+// hostile-input harness: gossip from a malfunctioning member must
+// produce decode errors, never panics.
 func FuzzWireMessages(f *testing.F) {
 	ups := []Update{{Addr: "sm://a", Incarnation: 2, State: StateSuspect}}
-	seed := func(sel uint8, m codec.Marshaler) { f.Add(sel, codec.Marshal(m)) }
-	seed(0, &pingArgs{Group: "g", From: "sm://a", Updates: ups})
-	seed(1, &ackReply{OK: true, Updates: ups})
-	seed(2, &pingReqArgs{Group: "g", From: "sm://a", Target: "sm://b", Updates: ups})
-	seed(3, &joinArgs{Group: "g", Addr: "sm://c"})
-	seed(4, &viewReply{OK: true, Version: 5, Members: []wireUpdate{{Addr: "sm://a", Incarnation: 2, State: 1}}})
 	f.Add(uint8(0), []byte{0x01, 0x61, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-
-	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
-		switch sel % 5 {
-		case 0:
-			var v pingArgs
-			_ = codec.Unmarshal(data, &v)
-		case 1:
-			var v ackReply
-			_ = codec.Unmarshal(data, &v)
-		case 2:
-			var v pingReqArgs
-			_ = codec.Unmarshal(data, &v)
-		case 3:
-			var v joinArgs
-			_ = codec.Unmarshal(data, &v)
-		case 4:
-			var v viewReply
-			_ = codec.Unmarshal(data, &v)
-		}
-	})
+	codectest.FuzzMessages(f,
+		&pingArgs{Group: "g", From: "sm://a", Updates: ups},
+		&ackReply{OK: true, Updates: ups},
+		&pingReqArgs{Group: "g", From: "sm://a", Target: "sm://b", Updates: ups},
+		&joinArgs{Group: "g", Addr: "sm://c"},
+		&viewReply{OK: true, Version: 5, Members: []wireUpdate{{Addr: "sm://a", Incarnation: 2, State: 1}}},
+	)
 }

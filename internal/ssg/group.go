@@ -14,37 +14,72 @@ import (
 )
 
 // registry maps group names to groups within one margo instance, so
-// all groups share one set of RPC handlers.
+// all groups share one set of RPC handlers. It exists exactly as long
+// as the instance hosts a group: the first group installs the handlers,
+// the last one to stop removes them and the registry with them, so a
+// finalized instance is not kept reachable from here.
 type registry struct {
-	mu     sync.Mutex
+	rpcs *margo.RPCSet
+
+	mu     sync.Mutex // guards groups
 	groups map[string]*Group
 }
 
-var registries sync.Map // *margo.Instance -> *registry
+var (
+	registriesMu sync.Mutex // serializes attach/detach, handler install included
+	registries   = map[*margo.Instance]*registry{}
+)
 
-func registryFor(inst *margo.Instance) (*registry, error) {
-	if r, ok := registries.Load(inst); ok {
-		return r.(*registry), nil
-	}
-	r := &registry{groups: map[string]*Group{}}
-	actual, loaded := registries.LoadOrStore(inst, r)
-	reg := actual.(*registry)
-	if !loaded {
-		// First group on this instance: install the handlers.
-		handlers := map[string]margo.Handler{
-			rpcPing:    reg.handlePing,
-			rpcPingReq: reg.handlePingReq,
-			rpcJoin:    reg.handleJoin,
-			rpcLeave:   reg.handleLeave,
-			rpcGetView: reg.handleGetView,
+// attach enters g into its instance's registry, installing the RPC
+// handlers first if g is the instance's only group. A failed install
+// leaves nothing behind.
+func attach(g *Group) error {
+	registriesMu.Lock()
+	defer registriesMu.Unlock()
+	reg := registries[g.inst]
+	if reg == nil {
+		reg = &registry{groups: map[string]*Group{}}
+		var err error
+		reg.rpcs, err = g.inst.RegisterSet(mercury.AnyProvider, nil,
+			margo.RPC{Name: rpcPing, Handler: margo.Serve(reg.handlePing)},
+			margo.RPC{Name: rpcPingReq, Handler: margo.Serve(reg.handlePingReq)},
+			margo.RPC{Name: rpcJoin, Handler: margo.Serve(reg.handleJoin)},
+			margo.RPC{Name: rpcLeave, Handler: margo.Serve(reg.handleLeave)},
+			margo.RPC{Name: rpcGetView, Handler: margo.Serve(reg.handleGetView)},
+		)
+		if err != nil {
+			return err
 		}
-		for name, h := range handlers {
-			if _, err := inst.Register(name, h); err != nil {
-				return nil, err
-			}
-		}
+		registries[g.inst] = reg
 	}
-	return reg, nil
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	if _, dup := reg.groups[g.name]; dup {
+		return fmt.Errorf("ssg: group %q already exists on %s", g.name, g.self)
+	}
+	reg.groups[g.name] = g
+	return nil
+}
+
+// detach removes g from its registry and, if it was the last group on
+// the instance, the handlers and the registry too.
+func detach(g *Group) {
+	registriesMu.Lock()
+	defer registriesMu.Unlock()
+	reg := registries[g.inst]
+	if reg == nil {
+		return
+	}
+	reg.mu.Lock()
+	if reg.groups[g.name] == g {
+		delete(reg.groups, g.name)
+	}
+	empty := len(reg.groups) == 0
+	reg.mu.Unlock()
+	if empty {
+		reg.rpcs.Close()
+		delete(registries, g.inst)
+	}
 }
 
 func (r *registry) lookup(name string) *Group {
@@ -95,10 +130,6 @@ func Create(inst *margo.Instance, name string, bootstrap []string, cfg Config) (
 }
 
 func create(inst *margo.Instance, name string, bootstrap []string, cfg Config, clk clock.Clock) (*Group, error) {
-	reg, err := registryFor(inst)
-	if err != nil {
-		return nil, err
-	}
 	g := &Group{
 		inst: inst,
 		clk:  clk,
@@ -120,13 +151,9 @@ func create(inst *margo.Instance, name string, bootstrap []string, cfg Config, c
 			}
 		}()
 	})
-	reg.mu.Lock()
-	if _, dup := reg.groups[name]; dup {
-		reg.mu.Unlock()
-		return nil, fmt.Errorf("ssg: group %q already exists on %s", name, g.self)
+	if err := attach(g); err != nil {
+		return nil, err
 	}
-	reg.groups[name] = g
-	reg.mu.Unlock()
 
 	g.wg.Add(1)
 	go g.protocolLoop()
@@ -137,14 +164,9 @@ func create(inst *margo.Instance, name string, bootstrap []string, cfg Config, c
 // group (§6: "when adding ... a node, the view will be updated in all
 // the service's processes").
 func Join(ctx context.Context, inst *margo.Instance, name, seedAddr string, cfg Config) (*Group, error) {
-	args := joinArgs{Group: name, Addr: inst.Addr()}
-	out, err := inst.Forward(ctx, seedAddr, rpcJoin, codec.Marshal(&args))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrJoinFailed, err)
-	}
 	var reply viewReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
-		return nil, err
+	if err := inst.Call(ctx, seedAddr, rpcJoin, mercury.AnyProvider, &joinArgs{Group: name, Addr: inst.Addr()}, &reply); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrJoinFailed, err)
 	}
 	if !reply.OK {
 		return nil, fmt.Errorf("%w: %s", ErrJoinFailed, reply.Err)
@@ -208,13 +230,12 @@ func (g *Group) Leave(ctx context.Context) error {
 		From:    g.self,
 		Updates: []Update{{Addr: g.self, Incarnation: inc, State: StateLeft}},
 	}
-	payload := codec.Marshal(&args)
 	n := 0
 	for _, p := range peers {
 		if n >= 3 {
 			break
 		}
-		if _, err := g.inst.Forward(ctx, p, rpcLeave, payload); err == nil {
+		if g.inst.Call(ctx, p, rpcLeave, mercury.AnyProvider, &args, nil) == nil {
 			n++
 		}
 	}
@@ -227,27 +248,16 @@ func (g *Group) Leave(ctx context.Context) error {
 func (g *Group) Stop() {
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
-	if r, ok := registries.Load(g.inst); ok {
-		reg := r.(*registry)
-		reg.mu.Lock()
-		if reg.groups[g.name] == g {
-			delete(reg.groups, g.name)
-		}
-		reg.mu.Unlock()
-	}
+	detach(g)
 }
 
 // FetchView retrieves the group view as seen by the member at addr —
 // the "explicit function that the application needs to call" strategy
 // for clients tracking an elastic service.
 func FetchView(ctx context.Context, inst *margo.Instance, addr, name string) (View, error) {
-	args := joinArgs{Group: name} // Addr empty: just a view request
-	out, err := inst.Forward(ctx, addr, rpcGetView, codec.Marshal(&args))
-	if err != nil {
-		return View{}, err
-	}
 	var reply viewReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
+	// Addr empty: just a view request.
+	if err := inst.Call(ctx, addr, rpcGetView, mercury.AnyProvider, &joinArgs{Group: name}, &reply); err != nil {
 		return View{}, err
 	}
 	if !reply.OK {
@@ -332,12 +342,8 @@ func (g *Group) pingDirect(target string) bool {
 	defer cancel()
 	args := pingArgs{Group: g.name, From: g.self, Updates: g.takeGossip()}
 	g.stats.PingsSent.Add(1)
-	out, err := g.inst.Forward(ctx, target, rpcPing, codec.Marshal(&args))
-	if err != nil {
-		return false
-	}
 	var reply ackReply
-	if err := codec.Unmarshal(out, &reply); err != nil || !reply.OK {
+	if err := g.inst.Call(ctx, target, rpcPing, mercury.AnyProvider, &args, &reply); err != nil || !reply.OK {
 		return false
 	}
 	g.stats.AcksReceived.Add(1)
@@ -356,12 +362,8 @@ func (g *Group) pingIndirect(via, target string) bool {
 	defer cancel()
 	args := pingReqArgs{Group: g.name, From: g.self, Target: target, Updates: g.takeGossip()}
 	g.stats.PingReqsSent.Add(1)
-	out, err := g.inst.Forward(ctx, via, rpcPingReq, codec.Marshal(&args))
-	if err != nil {
-		return false
-	}
 	var reply ackReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
+	if err := g.inst.Call(ctx, via, rpcPingReq, mercury.AnyProvider, &args, &reply); err != nil {
 		return false
 	}
 	g.applyUpdates(reply.Updates)
@@ -401,16 +403,10 @@ func (g *Group) applyUpdates(ups []Update) {
 
 // --- RPC handlers (registry level) ---
 
-func (r *registry) handlePing(_ context.Context, h *mercury.Handle) {
-	var args pingArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (r *registry) handlePing(_ context.Context, _ *mercury.Handle, args *pingArgs) (codec.Marshaler, error) {
 	g := r.lookup(args.Group)
 	if g == nil {
-		_ = h.Respond(codec.Marshal(&ackReply{OK: false}))
-		return
+		return &ackReply{}, nil
 	}
 	g.applyUpdates(args.Updates)
 	ups := g.takeGossip()
@@ -421,37 +417,22 @@ func (r *registry) handlePing(_ context.Context, h *mercury.Handle) {
 	g.mu.Lock()
 	ups = append(ups, g.eng.PingExtras(args.From)...)
 	g.mu.Unlock()
-	_ = h.Respond(codec.Marshal(&ackReply{OK: true, Updates: ups}))
+	return &ackReply{OK: true, Updates: ups}, nil
 }
 
-func (r *registry) handlePingReq(_ context.Context, h *mercury.Handle) {
-	var args pingReqArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (r *registry) handlePingReq(_ context.Context, _ *mercury.Handle, args *pingReqArgs) (codec.Marshaler, error) {
 	g := r.lookup(args.Group)
 	if g == nil {
-		_ = h.Respond(codec.Marshal(&ackReply{OK: false}))
-		return
+		return &ackReply{}, nil
 	}
 	g.applyUpdates(args.Updates)
 	ok := g.pingDirect(args.Target)
-	_ = h.Respond(codec.Marshal(&ackReply{OK: ok, Updates: g.takeGossip()}))
+	return &ackReply{OK: ok, Updates: g.takeGossip()}, nil
 }
 
-func (r *registry) handleJoin(_ context.Context, h *mercury.Handle) {
-	var args joinArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (r *registry) handleJoin(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Marshaler, error) {
 	g := r.lookup(args.Group)
-	if g == nil {
-		_ = h.Respond(codec.Marshal(&viewReply{OK: false, Err: "no such group"}))
-		return
-	}
-	if args.Addr != "" {
+	if g != nil && args.Addr != "" {
 		g.mu.Lock()
 		inc := uint64(0)
 		if old, ok := g.eng.Incarnation(args.Addr); ok {
@@ -460,39 +441,27 @@ func (r *registry) handleJoin(_ context.Context, h *mercury.Handle) {
 		g.eng.ApplyOne(Update{Addr: args.Addr, Incarnation: inc, State: StateAlive})
 		g.mu.Unlock()
 	}
-	_ = h.Respond(codec.Marshal(g.viewReplyNow()))
+	return g.viewReplyNow(), nil
 }
 
-func (r *registry) handleLeave(_ context.Context, h *mercury.Handle) {
-	var args pingArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (r *registry) handleLeave(_ context.Context, _ *mercury.Handle, args *pingArgs) (codec.Marshaler, error) {
 	g := r.lookup(args.Group)
-	if g == nil {
-		_ = h.Respond(codec.Marshal(&ackReply{OK: false}))
-		return
+	if g != nil {
+		g.applyUpdates(args.Updates)
 	}
-	g.applyUpdates(args.Updates)
-	_ = h.Respond(codec.Marshal(&ackReply{OK: true}))
+	return &ackReply{OK: g != nil}, nil
 }
 
-func (r *registry) handleGetView(_ context.Context, h *mercury.Handle) {
-	var args joinArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
-	g := r.lookup(args.Group)
-	if g == nil {
-		_ = h.Respond(codec.Marshal(&viewReply{OK: false, Err: "no such group"}))
-		return
-	}
-	_ = h.Respond(codec.Marshal(g.viewReplyNow()))
+func (r *registry) handleGetView(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Marshaler, error) {
+	return r.lookup(args.Group).viewReplyNow(), nil
 }
 
+// viewReplyNow is the current view on the wire, or the "no such group"
+// refusal for a nil group.
 func (g *Group) viewReplyNow() *viewReply {
+	if g == nil {
+		return &viewReply{Err: "no such group"}
+	}
 	v := g.View()
 	reply := &viewReply{OK: true, Version: v.Version}
 	for _, m := range v.Members {

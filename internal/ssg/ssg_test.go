@@ -388,3 +388,84 @@ func TestLeaveTwiceFails(t *testing.T) {
 		t.Fatalf("second leave: %v", err)
 	}
 }
+
+// ssgRPCs is every name the group multiplexer installs on an instance.
+var ssgRPCs = []string{rpcPing, rpcPingReq, rpcJoin, rpcLeave, rpcGetView}
+
+// TestHandlersFollowGroupLifetime: the per-instance multiplexer is
+// installed all-or-nothing by the first group and removed by the last
+// one to stop or leave. Before, a failed install was remembered as done
+// (the next Create "succeeded" on a half-registered instance) and
+// nothing was ever removed, so every finalized instance stayed
+// reachable.
+func TestHandlersFollowGroupLifetime(t *testing.T) {
+	f := mercury.NewFabric()
+	var insts [2]*margo.Instance
+	for i := range insts {
+		cls, err := f.NewClass(fmt.Sprintf("life-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if insts[i], err = margo.New(cls, nil); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(insts[i].Finalize)
+	}
+	inst, client := insts[0], insts[1]
+	registered := func(name string) bool { return inst.Class().Registered(name, mercury.AnyProvider) }
+	create := func(name string) (*Group, error) { return Create(inst, name, []string{inst.Addr()}, fastCfg()) }
+
+	// A forced mid-install failure leaves nothing registered.
+	if _, err := inst.Register(rpcGetView, func(context.Context, *mercury.Handle) {}); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := create("a"); err == nil {
+		g.Stop()
+		t.Fatal("Create succeeded although one of its RPC names was taken")
+	}
+	for _, name := range ssgRPCs[:len(ssgRPCs)-1] {
+		if registered(name) {
+			t.Fatalf("failed install left %s registered", name)
+		}
+	}
+	inst.DeregisterProvider(rpcGetView, mercury.AnyProvider)
+
+	// The failure is not remembered: the next group installs everything.
+	a, err := create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := create("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range ssgRPCs {
+		if !registered(name) {
+			t.Fatalf("%s not registered with two groups running", name)
+		}
+	}
+	a.Stop()
+	if !registered(rpcPing) {
+		t.Fatal("handlers removed while a group is still running")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := b.Leave(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range ssgRPCs {
+		if registered(name) {
+			t.Fatalf("last Leave left %s registered", name)
+		}
+	}
+
+	// A fresh group on the same instance works again.
+	c, err := create("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	if v, err := FetchView(ctx, client, inst.Addr(), "c"); err != nil || len(v.Members) != 1 {
+		t.Fatalf("view of a group created after a full teardown: %+v, %v", v, err)
+	}
+}

@@ -28,12 +28,9 @@ func encodeUpdates(e *codec.Encoder, ups []Update) {
 }
 
 func decodeUpdates(d *codec.Decoder) []Update {
-	n := d.Uvarint()
-	if n > uint64(d.Remaining()) {
-		return nil
-	}
+	n := d.Count(10) // per update: address length, incarnation, state
 	ups := make([]Update, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var u Update
 		u.Addr = d.String()
 		u.Incarnation = d.Uint64()
@@ -138,12 +135,9 @@ func (r *viewReply) UnmarshalMochi(d *codec.Decoder) {
 	r.OK = d.Bool()
 	r.Err = d.String()
 	r.Version = d.Uint64()
-	n := d.Uvarint()
-	if n > uint64(d.Remaining())+1 {
-		return
-	}
+	n := d.Count(10)
 	r.Members = make([]wireUpdate, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var m wireUpdate
 		m.Addr = d.String()
 		m.Incarnation = d.Uint64()

@@ -3,7 +3,6 @@ package warabi
 import (
 	"context"
 
-	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
 )
@@ -37,12 +36,8 @@ func (h *TargetHandle) Addr() string { return h.addr }
 func (h *TargetHandle) ProviderID() uint16 { return h.provider }
 
 func (h *TargetHandle) call(ctx context.Context, rpc string, args *ioArgs) (*ioReply, error) {
-	out, err := h.client.inst.ForwardProvider(ctx, h.addr, rpc, h.provider, codec.Marshal(args))
-	if err != nil {
-		return nil, err
-	}
 	var reply ioReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
+	if err := h.client.inst.Call(ctx, h.addr, rpc, h.provider, args, &reply); err != nil {
 		return nil, err
 	}
 	if err := statusErr(reply.Status, reply.Err); err != nil {

@@ -84,12 +84,9 @@ func (r *ioReply) UnmarshalMochi(d *codec.Decoder) {
 	r.Region = RegionID(d.Uint64())
 	r.Size = d.Int64()
 	r.Data = append([]byte(nil), d.BytesField()...)
-	n := d.Uvarint()
-	if n > uint64(d.Remaining())/8+1 {
-		return
-	}
+	n := d.Count(8)
 	r.IDs = make([]RegionID, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		r.IDs = append(r.IDs, RegionID(d.Uint64()))
 	}
 }
@@ -124,7 +121,7 @@ func statusErr(status uint8, msg string) error {
 type Provider struct {
 	inst *margo.Instance
 	id   uint16
-	pool *argobots.Pool
+	rpcs *margo.RPCSet
 
 	mu     sync.RWMutex
 	target Target
@@ -138,29 +135,43 @@ func NewProvider(inst *margo.Instance, id uint16, pool *argobots.Pool, cfg Confi
 	if err != nil {
 		return nil, err
 	}
-	p := &Provider{inst: inst, id: id, pool: pool, target: target, cfg: cfg}
-	names := map[string]margo.Handler{
-		RPCCreate:    p.handleCreate,
-		RPCWrite:     p.handleWrite,
-		RPCWriteBulk: p.handleWriteBulk,
-		RPCRead:      p.handleRead,
-		RPCReadBulk:  p.handleReadBulk,
-		RPCSize:      p.handleSize,
-		RPCPersist:   p.handlePersist,
-		RPCErase:     p.handleErase,
-		RPCList:      p.handleList,
-		RPCGetConfig: p.handleGetConfig,
+	p := &Provider{inst: inst, id: id, target: target, cfg: cfg}
+	op := func(name string, fn func(context.Context, Target, *ioArgs, *ioReply) error) margo.RPC {
+		return margo.RPC{Name: name, Handler: margo.Serve(p.serve(fn))}
 	}
-	var registered []string
-	for name, h := range names {
-		if _, err := inst.RegisterProvider(name, id, pool, h); err != nil {
-			for _, r := range registered {
-				inst.DeregisterProvider(r, id)
-			}
-			target.Close()
-			return nil, err
-		}
-		registered = append(registered, name)
+	p.rpcs, err = inst.RegisterSet(id, pool,
+		op(RPCCreate, func(_ context.Context, t Target, a *ioArgs, r *ioReply) (err error) {
+			r.Region, err = t.Create(a.Size)
+			return err
+		}),
+		op(RPCWrite, func(_ context.Context, t Target, a *ioArgs, _ *ioReply) error {
+			return t.Write(a.Region, a.Offset, a.Data)
+		}),
+		op(RPCWriteBulk, p.writeBulk),
+		op(RPCRead, func(_ context.Context, t Target, a *ioArgs, r *ioReply) (err error) {
+			r.Data, err = t.Read(a.Region, a.Offset, a.Size)
+			return err
+		}),
+		op(RPCReadBulk, p.readBulk),
+		op(RPCSize, func(_ context.Context, t Target, a *ioArgs, r *ioReply) (err error) {
+			r.Size, err = t.Size(a.Region)
+			return err
+		}),
+		op(RPCPersist, func(_ context.Context, t Target, a *ioArgs, _ *ioReply) error {
+			return t.Persist(a.Region)
+		}),
+		op(RPCErase, func(_ context.Context, t Target, a *ioArgs, _ *ioReply) error {
+			return t.Erase(a.Region)
+		}),
+		op(RPCList, func(_ context.Context, t Target, _ *ioArgs, r *ioReply) (err error) {
+			r.IDs, err = t.List()
+			return err
+		}),
+		margo.RPC{Name: RPCGetConfig, Handler: p.handleGetConfig},
+	)
+	if err != nil {
+		target.Close()
+		return nil, err
 	}
 	return p, nil
 }
@@ -202,9 +213,7 @@ func (p *Provider) Close() error {
 	p.closed = true
 	t := p.target
 	p.mu.Unlock()
-	for _, name := range []string{RPCCreate, RPCWrite, RPCWriteBulk, RPCRead, RPCReadBulk, RPCSize, RPCPersist, RPCErase, RPCList, RPCGetConfig} {
-		p.inst.DeregisterProvider(name, p.id)
-	}
+	p.rpcs.Close()
 	return t.Close()
 }
 
@@ -217,147 +226,44 @@ func (p *Provider) tgt() (Target, error) {
 	return p.target, nil
 }
 
-func (p *Provider) respond(h *mercury.Handle, reply *ioReply, err error) {
-	reply.Status, reply.Err = errStatus(err)
-	_ = h.Respond(codec.Marshal(reply))
-}
-
-func (p *Provider) handleCreate(_ context.Context, h *mercury.Handle) {
-	var args ioArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
-	var reply ioReply
-	t, err := p.tgt()
-	if err == nil {
-		reply.Region, err = t.Create(args.Size)
-	}
-	p.respond(h, &reply, err)
-}
-
-func (p *Provider) handleWrite(_ context.Context, h *mercury.Handle) {
-	var args ioArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
-	var reply ioReply
-	t, err := p.tgt()
-	if err == nil {
-		err = t.Write(args.Region, args.Offset, args.Data)
-	}
-	p.respond(h, &reply, err)
-}
-
-// handleWriteBulk pulls the client's exposed buffer, then writes it.
-// The handler context flows into the bulk transfer so the pull records
-// a bulk phase span under the surrounding trace (when sampled).
-func (p *Provider) handleWriteBulk(ctx context.Context, h *mercury.Handle) {
-	var args ioArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
-	var reply ioReply
-	t, err := p.tgt()
-	if err == nil {
-		buf := make([]byte, args.Size)
-		local := h.Class().CreateBulk(buf, mercury.BulkReadWrite)
-		err = h.Class().BulkTransfer(ctx, mercury.BulkPull, args.Bulk, 0, local, 0, uint64(args.Size))
-		local.Free()
+// serve binds one region operation: it resolves the live target, runs
+// op and folds its error into the reply's status.
+func (p *Provider) serve(op func(context.Context, Target, *ioArgs, *ioReply) error) func(context.Context, *mercury.Handle, *ioArgs) (codec.Marshaler, error) {
+	return func(ctx context.Context, _ *mercury.Handle, args *ioArgs) (codec.Marshaler, error) {
+		reply := &ioReply{}
+		t, err := p.tgt()
 		if err == nil {
-			err = t.Write(args.Region, args.Offset, buf)
+			err = op(ctx, t, args, reply)
 		}
+		reply.Status, reply.Err = errStatus(err)
+		return reply, nil
 	}
-	p.respond(h, &reply, err)
 }
 
-func (p *Provider) handleRead(_ context.Context, h *mercury.Handle) {
-	var args ioArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
+// writeBulk pulls the client's exposed buffer, then writes it. The
+// handler context flows into the bulk transfer so the pull records a
+// bulk phase span under the surrounding trace (when sampled).
+func (p *Provider) writeBulk(ctx context.Context, t Target, args *ioArgs, _ *ioReply) error {
+	buf := make([]byte, args.Size)
+	local := p.inst.Class().CreateBulk(buf, mercury.BulkReadWrite)
+	err := p.inst.Class().BulkTransfer(ctx, mercury.BulkPull, args.Bulk, 0, local, 0, uint64(args.Size))
+	local.Free()
+	if err != nil {
+		return err
 	}
-	var reply ioReply
-	t, err := p.tgt()
-	if err == nil {
-		reply.Data, err = t.Read(args.Region, args.Offset, args.Size)
-	}
-	p.respond(h, &reply, err)
+	return t.Write(args.Region, args.Offset, buf)
 }
 
-// handleReadBulk reads the region and pushes it into the client's
-// exposed buffer.
-func (p *Provider) handleReadBulk(ctx context.Context, h *mercury.Handle) {
-	var args ioArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
+// readBulk reads the region and pushes it into the client's exposed
+// buffer.
+func (p *Provider) readBulk(ctx context.Context, t Target, args *ioArgs, _ *ioReply) error {
+	data, err := t.Read(args.Region, args.Offset, args.Size)
+	if err != nil {
+		return err
 	}
-	var reply ioReply
-	t, err := p.tgt()
-	var data []byte
-	if err == nil {
-		data, err = t.Read(args.Region, args.Offset, args.Size)
-	}
-	if err == nil {
-		local := h.Class().CreateBulk(data, mercury.BulkReadOnly)
-		err = h.Class().BulkTransfer(ctx, mercury.BulkPush, args.Bulk, 0, local, 0, uint64(len(data)))
-		local.Free()
-	}
-	p.respond(h, &reply, err)
-}
-
-func (p *Provider) handleSize(_ context.Context, h *mercury.Handle) {
-	var args ioArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
-	var reply ioReply
-	t, err := p.tgt()
-	if err == nil {
-		reply.Size, err = t.Size(args.Region)
-	}
-	p.respond(h, &reply, err)
-}
-
-func (p *Provider) handlePersist(_ context.Context, h *mercury.Handle) {
-	var args ioArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
-	var reply ioReply
-	t, err := p.tgt()
-	if err == nil {
-		err = t.Persist(args.Region)
-	}
-	p.respond(h, &reply, err)
-}
-
-func (p *Provider) handleErase(_ context.Context, h *mercury.Handle) {
-	var args ioArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
-	var reply ioReply
-	t, err := p.tgt()
-	if err == nil {
-		err = t.Erase(args.Region)
-	}
-	p.respond(h, &reply, err)
-}
-
-func (p *Provider) handleList(_ context.Context, h *mercury.Handle) {
-	var reply ioReply
-	t, err := p.tgt()
-	if err == nil {
-		reply.IDs, err = t.List()
-	}
-	p.respond(h, &reply, err)
+	local := p.inst.Class().CreateBulk(data, mercury.BulkReadOnly)
+	defer local.Free()
+	return p.inst.Class().BulkTransfer(ctx, mercury.BulkPush, args.Bulk, 0, local, 0, uint64(len(data)))
 }
 
 func (p *Provider) handleGetConfig(_ context.Context, h *mercury.Handle) {

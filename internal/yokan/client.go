@@ -52,19 +52,9 @@ func replyErr(status uint8, msg string) error {
 	}
 }
 
-// forward marshals m into a pooled encoder and sends the RPC. Forward
-// borrows the input only for the duration of the call and the reply is
-// a fresh caller-owned buffer, so the encode buffer is reused across
-// Put/Get calls instead of being allocated per operation.
-func (h *DatabaseHandle) forward(ctx context.Context, rpc string, m codec.Marshaler) ([]byte, error) {
-	if m == nil {
-		return h.client.inst.ForwardProvider(ctx, h.addr, rpc, h.provider, nil)
-	}
-	e := codec.GetEncoder()
-	m.MarshalMochi(e)
-	out, err := h.client.inst.ForwardProvider(ctx, h.addr, rpc, h.provider, e.Bytes())
-	codec.PutEncoder(e)
-	return out, err
+// call runs one RPC against the handle's provider.
+func (h *DatabaseHandle) call(ctx context.Context, rpc string, args codec.Marshaler, reply codec.Unmarshaler) error {
+	return h.client.inst.Call(ctx, h.addr, rpc, h.provider, args, reply)
 }
 
 // Put stores one pair.
@@ -78,12 +68,8 @@ func (h *DatabaseHandle) PutMulti(ctx context.Context, pairs []KeyValue) error {
 }
 
 func (h *DatabaseHandle) putRPC(ctx context.Context, rpc string, pairs []KeyValue) error {
-	out, err := h.forward(ctx, rpc, &putArgs{Pairs: pairs})
-	if err != nil {
-		return err
-	}
 	var reply statusReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
+	if err := h.call(ctx, rpc, &putArgs{Pairs: pairs}, &reply); err != nil {
 		return err
 	}
 	return replyErr(reply.Status, reply.Err)
@@ -91,12 +77,8 @@ func (h *DatabaseHandle) putRPC(ctx context.Context, rpc string, pairs []KeyValu
 
 // Get fetches the value for one key.
 func (h *DatabaseHandle) Get(ctx context.Context, key []byte) ([]byte, error) {
-	out, err := h.forward(ctx, RPCGet, &keysArgs{Keys: [][]byte{key}})
-	if err != nil {
-		return nil, err
-	}
 	var reply valueReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
+	if err := h.call(ctx, RPCGet, &keysArgs{Keys: [][]byte{key}}, &reply); err != nil {
 		return nil, err
 	}
 	if err := replyErr(reply.Status, reply.Err); err != nil {
@@ -108,12 +90,8 @@ func (h *DatabaseHandle) Get(ctx context.Context, key []byte) ([]byte, error) {
 // GetMulti fetches several keys; missing keys yield nil values and
 // found[i]=false.
 func (h *DatabaseHandle) GetMulti(ctx context.Context, keys [][]byte) (values [][]byte, found []bool, err error) {
-	out, err := h.forward(ctx, RPCGetMulti, &keysArgs{Keys: keys})
-	if err != nil {
-		return nil, nil, err
-	}
 	var reply valuesReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
+	if err := h.call(ctx, RPCGetMulti, &keysArgs{Keys: keys}, &reply); err != nil {
 		return nil, nil, err
 	}
 	if err := replyErr(reply.Status, reply.Err); err != nil {
@@ -124,12 +102,8 @@ func (h *DatabaseHandle) GetMulti(ctx context.Context, keys [][]byte) (values []
 
 // Erase removes one key.
 func (h *DatabaseHandle) Erase(ctx context.Context, key []byte) error {
-	out, err := h.forward(ctx, RPCErase, &keysArgs{Keys: [][]byte{key}})
-	if err != nil {
-		return err
-	}
 	var reply statusReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
+	if err := h.call(ctx, RPCErase, &keysArgs{Keys: [][]byte{key}}, &reply); err != nil {
 		return err
 	}
 	return replyErr(reply.Status, reply.Err)
@@ -137,56 +111,40 @@ func (h *DatabaseHandle) Erase(ctx context.Context, key []byte) error {
 
 // Exists reports whether key is present.
 func (h *DatabaseHandle) Exists(ctx context.Context, key []byte) (bool, error) {
-	out, err := h.forward(ctx, RPCExists, &keysArgs{Keys: [][]byte{key}})
-	if err != nil {
-		return false, err
-	}
 	var reply boolReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
+	if err := h.call(ctx, RPCExists, &keysArgs{Keys: [][]byte{key}}, &reply); err != nil {
 		return false, err
 	}
-	if err := replyErr(reply.Status, reply.Err); err != nil {
-		return false, err
-	}
-	return reply.Value, nil
+	return reply.Value, replyErr(reply.Status, reply.Err)
 }
 
 // Count returns the number of pairs.
 func (h *DatabaseHandle) Count(ctx context.Context) (int, error) {
-	out, err := h.forward(ctx, RPCCount, nil)
-	if err != nil {
-		return 0, err
-	}
 	var reply countReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
+	if err := h.call(ctx, RPCCount, nil, &reply); err != nil {
 		return 0, err
 	}
-	if err := replyErr(reply.Status, reply.Err); err != nil {
-		return 0, err
+	return int(reply.Count), replyErr(reply.Status, reply.Err)
+}
+
+// list runs one of the two listing RPCs.
+func (h *DatabaseHandle) list(ctx context.Context, rpc string, fromKey, prefix []byte, max int) ([]KeyValue, error) {
+	args := listArgs{HasFrom: fromKey != nil, FromKey: fromKey, Prefix: prefix, Max: uint32(max)}
+	var reply kvListReply
+	if err := h.call(ctx, rpc, &args, &reply); err != nil {
+		return nil, err
 	}
-	return int(reply.Count), nil
+	return reply.Pairs, replyErr(reply.Status, reply.Err)
 }
 
 // ListKeys lists up to max keys greater than fromKey with the prefix.
 func (h *DatabaseHandle) ListKeys(ctx context.Context, fromKey, prefix []byte, max int) ([][]byte, error) {
-	args := &listArgs{Prefix: prefix, Max: uint32(max)}
-	if fromKey != nil {
-		args.HasFrom = true
-		args.FromKey = fromKey
-	}
-	out, err := h.forward(ctx, RPCListKeys, args)
+	pairs, err := h.list(ctx, RPCListKeys, fromKey, prefix, max)
 	if err != nil {
 		return nil, err
 	}
-	var reply kvListReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
-		return nil, err
-	}
-	if err := replyErr(reply.Status, reply.Err); err != nil {
-		return nil, err
-	}
-	keys := make([][]byte, len(reply.Pairs))
-	for i, kv := range reply.Pairs {
+	keys := make([][]byte, len(pairs))
+	for i, kv := range pairs {
 		keys[i] = kv.Key
 	}
 	return keys, nil
@@ -195,36 +153,18 @@ func (h *DatabaseHandle) ListKeys(ctx context.Context, fromKey, prefix []byte, m
 // ListKeyValues lists up to max pairs greater than fromKey with the
 // prefix.
 func (h *DatabaseHandle) ListKeyValues(ctx context.Context, fromKey, prefix []byte, max int) ([]KeyValue, error) {
-	args := &listArgs{Prefix: prefix, Max: uint32(max)}
-	if fromKey != nil {
-		args.HasFrom = true
-		args.FromKey = fromKey
-	}
-	out, err := h.forward(ctx, RPCListKeyValues, args)
-	if err != nil {
-		return nil, err
-	}
-	var reply kvListReply
-	if err := codec.Unmarshal(out, &reply); err != nil {
-		return nil, err
-	}
-	if err := replyErr(reply.Status, reply.Err); err != nil {
-		return nil, err
-	}
-	return reply.Pairs, nil
+	return h.list(ctx, RPCListKeyValues, fromKey, prefix, max)
 }
 
-// RemoteConfig fetches the provider's database configuration.
+// RemoteConfig fetches the provider's database configuration (JSON on
+// the wire, so it goes through the byte-level forward).
 func (h *DatabaseHandle) RemoteConfig(ctx context.Context) (Config, error) {
-	out, err := h.forward(ctx, RPCGetConfig, nil)
-	if err != nil {
-		return Config{}, err
-	}
 	var cfg Config
-	if err := jsonUnmarshal(out, &cfg); err != nil {
-		return Config{}, err
+	out, err := h.client.inst.ForwardProvider(ctx, h.addr, RPCGetConfig, h.provider, nil)
+	if err == nil {
+		err = json.Unmarshal(out, &cfg)
 	}
-	return cfg, nil
+	return cfg, err
 }
 
 // IsNotFound reports whether err is the key-not-found condition,
@@ -232,5 +172,3 @@ func (h *DatabaseHandle) RemoteConfig(ctx context.Context) (Config, error) {
 func IsNotFound(err error) bool {
 	return errors.Is(err, ErrKeyNotFound)
 }
-
-func jsonUnmarshal(data []byte, v any) error { return json.Unmarshal(data, v) }

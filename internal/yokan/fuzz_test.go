@@ -3,58 +3,24 @@ package yokan
 import (
 	"testing"
 
-	"mochi/internal/codec"
+	"mochi/internal/codec/codectest"
 )
 
-// FuzzWireMessages decodes every yokan wire message type — and the
-// log backend's on-disk record — from arbitrary bytes. Corrupt RPC
-// payloads and torn log tails must fail cleanly, never panic.
+// FuzzWireMessages runs every yokan wire message type — and the log
+// backend's on-disk record — under the shared hostile-input harness.
+// Corrupt RPC payloads and torn log tails must fail cleanly.
 func FuzzWireMessages(f *testing.F) {
-	seed := func(sel uint8, m codec.Marshaler) { f.Add(sel, codec.Marshal(m)) }
-	seed(0, &putArgs{Pairs: []KeyValue{{Key: []byte("k"), Value: []byte("v")}}})
-	seed(1, &keysArgs{Keys: [][]byte{[]byte("a"), []byte("b")}})
-	seed(2, &listArgs{FromKey: []byte("a"), HasFrom: true, Prefix: []byte("p"), Max: 10})
-	seed(3, &statusReply{Status: 2, Err: "boom"})
-	seed(4, &valueReply{Status: 0, Value: []byte("v")})
-	seed(5, &valuesReply{Found: []bool{true, false}, Values: [][]byte{[]byte("v"), nil}})
-	seed(6, &boolReply{Value: true})
-	seed(7, &countReply{Count: 99})
-	seed(8, &kvListReply{Pairs: []KeyValue{{Key: []byte("k"), Value: []byte("v")}}})
-	seed(9, &logRecord{op: 0, key: []byte("k"), value: []byte("v")})
 	f.Add(uint8(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-
-	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
-		switch sel % 10 {
-		case 0:
-			var v putArgs
-			_ = codec.Unmarshal(data, &v)
-		case 1:
-			var v keysArgs
-			_ = codec.Unmarshal(data, &v)
-		case 2:
-			var v listArgs
-			_ = codec.Unmarshal(data, &v)
-		case 3:
-			var v statusReply
-			_ = codec.Unmarshal(data, &v)
-		case 4:
-			var v valueReply
-			_ = codec.Unmarshal(data, &v)
-		case 5:
-			var v valuesReply
-			_ = codec.Unmarshal(data, &v)
-		case 6:
-			var v boolReply
-			_ = codec.Unmarshal(data, &v)
-		case 7:
-			var v countReply
-			_ = codec.Unmarshal(data, &v)
-		case 8:
-			var v kvListReply
-			_ = codec.Unmarshal(data, &v)
-		case 9:
-			var v logRecord
-			_ = codec.Unmarshal(data, &v)
-		}
-	})
+	codectest.FuzzMessages(f,
+		&putArgs{Pairs: []KeyValue{{Key: []byte("k"), Value: []byte("v")}}},
+		&keysArgs{Keys: [][]byte{[]byte("a"), []byte("b")}},
+		&listArgs{FromKey: []byte("a"), HasFrom: true, Prefix: []byte("p"), Max: 10},
+		&statusReply{Status: 2, Err: "boom"},
+		&valueReply{Status: 0, Value: []byte("v")},
+		&valuesReply{Found: []bool{true, false}, Values: [][]byte{[]byte("v"), nil}},
+		&boolReply{Value: true},
+		&countReply{Count: 99},
+		&kvListReply{Pairs: []KeyValue{{Key: []byte("k"), Value: []byte("v")}}},
+		&logRecord{op: 0, key: []byte("k"), value: []byte("v")},
+	)
 }

@@ -29,6 +29,7 @@ type Provider struct {
 	inst *margo.Instance
 	id   uint16
 	pool *argobots.Pool
+	rpcs *margo.RPCSet
 
 	state atomic.Pointer[providerState]
 	// swapMu serializes Close/Destroy/SwapDatabase against each
@@ -139,42 +140,20 @@ func (p *Provider) SwapDatabase(db Database, cfg Config) (Database, error) {
 	return st.db, nil
 }
 
-func (p *Provider) register() error {
-	type h struct {
-		name string
-		fn   margo.Handler
-	}
-	handlers := []h{
-		{RPCPut, p.handlePut},
-		{RPCPutMulti, p.handlePut},
-		{RPCGet, p.handleGet},
-		{RPCGetMulti, p.handleGetMulti},
-		{RPCErase, p.handleErase},
-		{RPCExists, p.handleExists},
-		{RPCCount, p.handleCount},
-		{RPCListKeys, p.handleListKeys},
-		{RPCListKeyValues, p.handleListKeyValues},
-		{RPCGetConfig, p.handleGetConfig},
-	}
-	for i, hh := range handlers {
-		if _, err := p.inst.RegisterProvider(hh.name, p.id, p.pool, hh.fn); err != nil {
-			// Roll back earlier registrations.
-			for j := 0; j < i; j++ {
-				p.inst.DeregisterProvider(handlers[j].name, p.id)
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-func (p *Provider) deregister() {
-	for _, name := range []string{
-		RPCPut, RPCPutMulti, RPCGet, RPCGetMulti, RPCErase, RPCExists,
-		RPCCount, RPCListKeys, RPCListKeyValues, RPCGetConfig,
-	} {
-		p.inst.DeregisterProvider(name, p.id)
-	}
+func (p *Provider) register() (err error) {
+	p.rpcs, err = p.inst.RegisterSet(p.id, p.pool,
+		margo.RPC{Name: RPCPut, Handler: margo.Serve(p.handlePut)},
+		margo.RPC{Name: RPCPutMulti, Handler: margo.Serve(p.handlePut)},
+		margo.RPC{Name: RPCGet, Handler: margo.Serve(p.handleGet)},
+		margo.RPC{Name: RPCGetMulti, Handler: margo.Serve(p.handleGetMulti)},
+		margo.RPC{Name: RPCErase, Handler: margo.Serve(p.handleErase)},
+		margo.RPC{Name: RPCExists, Handler: margo.Serve(p.handleExists)},
+		margo.RPC{Name: RPCCount, Handler: p.handleCount},
+		margo.RPC{Name: RPCListKeys, Handler: margo.Serve(p.handleListKeys)},
+		margo.RPC{Name: RPCListKeyValues, Handler: margo.Serve(p.handleListKeyValues)},
+		margo.RPC{Name: RPCGetConfig, Handler: p.handleGetConfig},
+	)
+	return err
 }
 
 // Close deregisters the provider and closes its database.
@@ -185,7 +164,7 @@ func (p *Provider) Close() error {
 	if st == nil {
 		return nil
 	}
-	p.deregister()
+	p.rpcs.Close()
 	return st.db.Close()
 }
 
@@ -197,7 +176,7 @@ func (p *Provider) Destroy() error {
 	if st == nil {
 		return nil
 	}
-	p.deregister()
+	p.rpcs.Close()
 	return st.db.Destroy()
 }
 
@@ -212,17 +191,6 @@ func statusFromErr(err error) (uint8, string) {
 	}
 }
 
-// respondReply marshals reply through a pooled encoder and sends it.
-// Respond borrows the encoded bytes only for the duration of the call,
-// so the buffer goes straight back to the pool: the steady-state
-// response path does not allocate a marshal buffer per RPC.
-func respondReply(h *mercury.Handle, reply codec.Marshaler) {
-	e := codec.GetEncoder()
-	reply.MarshalMochi(e)
-	_ = h.Respond(e.Bytes())
-	codec.PutEncoder(e)
-}
-
 // database resolves the served resource with a single atomic load —
 // the whole cost the provider layer adds to the storage hot path.
 func (p *Provider) database() (Database, error) {
@@ -233,12 +201,7 @@ func (p *Provider) database() (Database, error) {
 	return st.db, nil
 }
 
-func (p *Provider) handlePut(_ context.Context, h *mercury.Handle) {
-	var args putArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handlePut(_ context.Context, _ *mercury.Handle, args *putArgs) (codec.Marshaler, error) {
 	db, err := p.database()
 	if err == nil {
 		if bw, ok := db.(BatchWriter); ok && len(args.Pairs) > 1 {
@@ -254,15 +217,10 @@ func (p *Provider) handlePut(_ context.Context, h *mercury.Handle) {
 		}
 	}
 	st, msg := statusFromErr(err)
-	respondReply(h, &statusReply{Status: st, Err: msg})
+	return &statusReply{Status: st, Err: msg}, nil
 }
 
-func (p *Provider) handleGet(_ context.Context, h *mercury.Handle) {
-	var args keysArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleGet(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Marshaler, error) {
 	var reply valueReply
 	db, err := p.database()
 	if err == nil {
@@ -273,15 +231,10 @@ func (p *Provider) handleGet(_ context.Context, h *mercury.Handle) {
 		}
 	}
 	reply.Status, reply.Err = statusFromErr(err)
-	respondReply(h, &reply)
+	return &reply, nil
 }
 
-func (p *Provider) handleGetMulti(_ context.Context, h *mercury.Handle) {
-	var args keysArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleGetMulti(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Marshaler, error) {
 	var reply valuesReply
 	db, err := p.database()
 	if err == nil {
@@ -307,15 +260,10 @@ func (p *Provider) handleGetMulti(_ context.Context, h *mercury.Handle) {
 		}
 	}
 	reply.Status, reply.Err = statusFromErr(err)
-	respondReply(h, &reply)
+	return &reply, nil
 }
 
-func (p *Provider) handleErase(_ context.Context, h *mercury.Handle) {
-	var args keysArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleErase(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Marshaler, error) {
 	db, err := p.database()
 	if err == nil {
 		for _, k := range args.Keys {
@@ -325,15 +273,10 @@ func (p *Provider) handleErase(_ context.Context, h *mercury.Handle) {
 		}
 	}
 	st, msg := statusFromErr(err)
-	respondReply(h, &statusReply{Status: st, Err: msg})
+	return &statusReply{Status: st, Err: msg}, nil
 }
 
-func (p *Provider) handleExists(_ context.Context, h *mercury.Handle) {
-	var args keysArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleExists(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Marshaler, error) {
 	var reply boolReply
 	db, err := p.database()
 	if err == nil {
@@ -344,7 +287,7 @@ func (p *Provider) handleExists(_ context.Context, h *mercury.Handle) {
 		}
 	}
 	reply.Status, reply.Err = statusFromErr(err)
-	respondReply(h, &reply)
+	return &reply, nil
 }
 
 func (p *Provider) handleCount(_ context.Context, h *mercury.Handle) {
@@ -356,15 +299,10 @@ func (p *Provider) handleCount(_ context.Context, h *mercury.Handle) {
 		reply.Count = uint64(n)
 	}
 	reply.Status, reply.Err = statusFromErr(err)
-	respondReply(h, &reply)
+	margo.Reply(h, &reply)
 }
 
-func (p *Provider) handleListKeys(_ context.Context, h *mercury.Handle) {
-	var args listArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleListKeys(_ context.Context, _ *mercury.Handle, args *listArgs) (codec.Marshaler, error) {
 	var reply kvListReply
 	db, err := p.database()
 	if err == nil {
@@ -379,15 +317,10 @@ func (p *Provider) handleListKeys(_ context.Context, h *mercury.Handle) {
 		}
 	}
 	reply.Status, reply.Err = statusFromErr(err)
-	respondReply(h, &reply)
+	return &reply, nil
 }
 
-func (p *Provider) handleListKeyValues(_ context.Context, h *mercury.Handle) {
-	var args listArgs
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		_ = h.RespondError(err)
-		return
-	}
+func (p *Provider) handleListKeyValues(_ context.Context, _ *mercury.Handle, args *listArgs) (codec.Marshaler, error) {
 	var reply kvListReply
 	db, err := p.database()
 	if err == nil {
@@ -398,7 +331,7 @@ func (p *Provider) handleListKeyValues(_ context.Context, h *mercury.Handle) {
 		reply.Pairs, err = db.ListKeyValues(from, args.Prefix, int(args.Max))
 	}
 	reply.Status, reply.Err = statusFromErr(err)
-	respondReply(h, &reply)
+	return &reply, nil
 }
 
 func (p *Provider) handleGetConfig(_ context.Context, h *mercury.Handle) {
@@ -450,8 +383,8 @@ func (p *Provider) Restore(dir string) error {
 		return err
 	}
 	d := codec.NewDecoder(raw)
-	n := d.Uvarint()
-	for i := uint64(0); i < n; i++ {
+	n := d.Count(2)
+	for i := 0; i < n; i++ {
 		k := append([]byte(nil), d.BytesField()...)
 		v := append([]byte(nil), d.BytesField()...)
 		if d.Err() != nil {

@@ -4,8 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
-	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/pufferscale"
 )
@@ -50,13 +50,9 @@ func (b *Balancer) sample(ctx context.Context, m *Map) (map[uint32]ShardStat, er
 	}
 	out := map[uint32]ShardStat{}
 	for o := range owners {
-		raw, err := b.inst.ForwardProvider(ctx, o.Addr, RPCStats, o.Provider, nil)
-		if err != nil {
-			return nil, fmt.Errorf("router: stats from %s: %w", o, err)
-		}
 		var reply statsReply
-		if err := codec.Unmarshal(raw, &reply); err != nil {
-			return nil, err
+		if err := b.inst.Call(ctx, o.Addr, RPCStats, o.Provider, nil, &reply); err != nil {
+			return nil, fmt.Errorf("router: stats from %s: %w", o, err)
 		}
 		if reply.Status != statusOK {
 			return nil, fmt.Errorf("router: stats from %s: %s", o, reply.Err)
@@ -118,28 +114,23 @@ func (b *Balancer) Plan(ctx context.Context, m *Map) (*Decision, error) {
 	}
 	sort.Strings(nodes)
 
-	resources := make([]pufferscale.Resource, 0, m.NumShards())
-	for s := 0; s < m.NumShards(); s++ {
-		st := stats[uint32(s)]
-		resources = append(resources, pufferscale.Resource{
-			ID:   fmt.Sprintf("shard-%d", s),
+	resources := make([]pufferscale.Resource, m.NumShards())
+	shardOf := make(map[string]uint32, len(resources)) // resource ID -> position
+	for s := range resources {
+		id := strconv.Itoa(s)
+		shardOf[id] = uint32(s)
+		resources[s] = pufferscale.Resource{
+			ID:   id,
 			Node: m.Owners[s].Addr,
 			Load: loads[uint32(s)],
-			Size: float64(st.Bytes),
-		})
-	}
-	// Measure the imbalance of the *current* placement first: a
-	// move-averse dry run keeps everything in place and reports the
-	// standing max/mean ratio.
-	dry, err := pufferscale.Rebalance(resources, nodes, pufferscale.Objectives{WTime: 1})
-	if err != nil {
-		return nil, err
+			Size: float64(stats[uint32(s)].Bytes),
+		}
 	}
 	threshold := b.Threshold
 	if threshold <= 0 {
 		threshold = 1.25
 	}
-	imbalance := dry.LoadImbalance()
+	imbalance, _ := pufferscale.Imbalance(resources, nodes)
 	if imbalance <= threshold {
 		return nil, nil
 	}
@@ -147,47 +138,30 @@ func (b *Balancer) Plan(ctx context.Context, m *Map) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(plan.Moves) == 0 {
-		return nil, nil
-	}
-	// One move at a time: pick the hottest shard pufferscale wants
-	// relocated.
-	best := -1
-	var bestLoad float64 = -1
-	for i, mv := range plan.Moves {
-		var sid uint32
-		if _, err := fmt.Sscanf(mv.ResourceID, "shard-%d", &sid); err != nil {
-			continue
-		}
-		if l := loads[sid]; l > bestLoad {
-			bestLoad, best = l, i
+	// One move at a time: the hottest shard pufferscale wants relocated.
+	var best *pufferscale.Move
+	for i := range plan.Moves {
+		mv := &plan.Moves[i]
+		if best == nil || loads[shardOf[mv.ResourceID]] > loads[shardOf[best.ResourceID]] {
+			best = mv
 		}
 	}
-	if best < 0 {
+	if best == nil {
 		return nil, nil
 	}
-	mv := plan.Moves[best]
-	var sid uint32
-	fmt.Sscanf(mv.ResourceID, "shard-%d", &sid)
+	sid := shardOf[best.ResourceID]
 	return &Decision{
 		Shard:     sid,
 		From:      m.Owners[sid],
-		To:        byAddr[mv.To],
+		To:        byAddr[best.To],
 		Imbalance: imbalance,
 	}, nil
 }
 
 // Execute commands the owning node to perform the move.
 func (b *Balancer) Execute(ctx context.Context, d *Decision) error {
-	e := codec.GetEncoder()
-	(&reshardArgs{Shard: d.Shard, Dst: d.To}).MarshalMochi(e)
-	raw, err := b.inst.ForwardProvider(ctx, d.From.Addr, RPCReshard, d.From.Provider, e.Bytes())
-	codec.PutEncoder(e)
-	if err != nil {
-		return err
-	}
 	var reply statusReply
-	if err := codec.Unmarshal(raw, &reply); err != nil {
+	if err := b.inst.Call(ctx, d.From.Addr, RPCReshard, d.From.Provider, &reshardArgs{Shard: d.Shard, Dst: d.To}, &reply); err != nil {
 		return err
 	}
 	if reply.Status != statusOK {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mochi/internal/codec"
+	"mochi/internal/codec/codectest"
 	"mochi/internal/yokan"
 )
 
@@ -49,64 +50,52 @@ func FuzzShardMapWire(f *testing.F) {
 	})
 }
 
-// FuzzRouterWireMessages decodes arbitrary bytes as each router wire
-// message — and as a shard snapshot, which a peer's REMI transfer
-// delivers to the merge — mirroring the ssg fuzz harness: decoders
-// must be allocation-bounded and panic-free on hostile input.
+// FuzzRouterWireMessages runs every router wire message under the
+// shared hostile-input harness.
 func FuzzRouterWireMessages(f *testing.F) {
-	seed := func(m codec.Marshaler) []byte { return codec.Marshal(m) }
-	f.Add(uint8(0), seed(&opArgs{Epoch: 1, Shard: 2, Keys: [][]byte{[]byte("k")}}))
-	f.Add(uint8(1), seed(&opReply{Status: statusStale, Map: []byte{1, 2}}))
-	f.Add(uint8(2), seed(&stageArgs{Shard: 1, MigID: 99, Pairs: nil}))
-	f.Add(uint8(3), seed(&promoteArgs{Shard: 1, MigID: 99, Map: []byte{3}}))
-	f.Add(uint8(4), seed(&statsReply{Epoch: 7, Stats: []ShardStat{{Shard: 1, Ops: 2, Bytes: 3}}}))
-	f.Add(uint8(5), seed(&prepareReply{Status: 0, RemiProvider: 10}))
-	f.Add(uint8(6), seed(&installArgs{Bootstrap: true, Map: []byte{9}}))
-	f.Add(uint8(7), seed(&reshardArgs{Shard: 3, Dst: Owner{Addr: "sm://x", Provider: 1}}))
+	codectest.FuzzMessages(f,
+		&opArgs{Epoch: 1, Shard: 2, Keys: [][]byte{[]byte("k")}},
+		&opReply{Status: statusStale, Map: []byte{1, 2}},
+		&stageArgs{Shard: 1, MigID: 99, Pairs: nil},
+		&promoteArgs{Shard: 1, MigID: 99, Map: []byte{3}},
+		&statsReply{Epoch: 7, Stats: []ShardStat{{Shard: 1, Ops: 2, Bytes: 3}}},
+		&prepareReply{Status: 0, RemiProvider: 10},
+		&installArgs{Bootstrap: true, Map: []byte{9}},
+		&reshardArgs{Shard: 3, Dst: Owner{Addr: "sm://x", Provider: 1}},
+		&opArgs{Epoch: 1, Shard: 2, Pairs: []yokan.KeyValue{{Key: []byte("k"), Value: []byte("v")}}},
+		&stageArgs{Shard: 1, MigID: 99, Seq: 4, Erase: true, Keys: [][]byte{[]byte("k")}},
+		&mapReply{Map: []byte{1}},
+		&statusReply{Status: statusError, Err: "boom"},
+		&prepareArgs{Shard: 1, MigID: 99},
+		&abortArgs{Shard: 1, MigID: 99},
+	)
+}
+
+// FuzzSnapshotMerge feeds arbitrary bytes to the merge as a shard
+// snapshot, which a peer's REMI transfer delivers: a snapshot that
+// fails to decode must never be marked merged.
+func FuzzSnapshotMerge(f *testing.F) {
 	snap := codec.NewEncoder(nil)
 	snap.BytesField([]byte("key"))
 	snap.BytesField([]byte("value"))
-	f.Add(uint8(8), snap.Bytes())
-	f.Add(uint8(8), snap.Bytes()[:snap.Len()-1])
+	f.Add(snap.Bytes())
+	f.Add(snap.Bytes()[:snap.Len()-1])
 
-	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
-		if sel%9 == 8 {
-			db, err := yokan.Open(yokan.Config{Type: "map", Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer db.Close()
-			inc := &staging{db: db, tombstones: map[string]struct{}{}, lastSeq: map[string]uint64{}}
-			d := codec.NewDecoder(data)
-			for done := false; !done; {
-				if done, err = mergeBatch(inc, d, mergeBatchKeys); err != nil {
-					if inc.merged {
-						t.Fatal("a snapshot that failed to decode was marked merged")
-					}
-					return
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := yokan.Open(yokan.Config{Type: "map", Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		inc := &staging{db: db, tombstones: map[string]struct{}{}, lastSeq: map[string]uint64{}}
+		d := codec.NewDecoder(data)
+		for done := false; !done; {
+			if done, err = mergeBatch(inc, d, mergeBatchKeys); err != nil {
+				if inc.merged {
+					t.Fatal("a snapshot that failed to decode was marked merged")
 				}
+				return
 			}
-			return
 		}
-		var m codec.Unmarshaler
-		switch sel % 9 {
-		case 0:
-			m = &opArgs{}
-		case 1:
-			m = &opReply{}
-		case 2:
-			m = &stageArgs{}
-		case 3:
-			m = &promoteArgs{}
-		case 4:
-			m = &statsReply{}
-		case 5:
-			m = &prepareReply{}
-		case 6:
-			m = &installArgs{}
-		case 7:
-			m = &reshardArgs{}
-		}
-		_ = codec.Unmarshal(data, m)
 	})
 }

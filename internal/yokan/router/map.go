@@ -199,11 +199,11 @@ func (m *Map) MarshalMochi(e *codec.Encoder) {
 func (m *Map) UnmarshalMochi(d *codec.Decoder) {
 	m.Epoch = d.Uint64()
 	vn := d.Uvarint()
-	n := d.Uvarint()
+	n := d.Count(3) // per owner: address length byte + provider
 	if d.Err() != nil {
 		return
 	}
-	if vn < 1 || vn > MaxVNodes || n < 1 || n > MaxShards || n > uint64(d.Remaining())+1 {
+	if vn < 1 || vn > MaxVNodes || n < 1 || n > MaxShards {
 		// Leave Owners nil: Unmarshal's Finish rejects trailing
 		// bytes and DecodeMap rejects empty maps, so out-of-range
 		// headers never yield a usable map.
@@ -211,7 +211,7 @@ func (m *Map) UnmarshalMochi(d *codec.Decoder) {
 	}
 	m.VNodes = int(vn)
 	m.Owners = make([]Owner, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		addr := d.String()
 		prov := d.Uint16()
 		if d.Err() != nil {

@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -109,6 +110,7 @@ type Node struct {
 	opts Options
 	dir  string
 
+	rpcs  *margo.RPCSet
 	remiP *remi.Provider
 	remiC *remi.Client
 
@@ -143,12 +145,6 @@ type Node struct {
 	redirects  atomic.Uint64
 	dualWrites atomic.Uint64
 	reshards   atomic.Uint64
-}
-
-var routerRPCs = []string{
-	RPCPut, RPCGet, RPCErase, RPCExists, RPCCount,
-	RPCFetchMap, RPCInstallMap, RPCStats, RPCReshard,
-	RPCMigratePrepare, RPCMigrateStage, RPCMigratePromote, RPCMigrateAbort,
 }
 
 // NewNode creates a router node. It owns no shards until a map is
@@ -226,36 +222,26 @@ func (n *Node) removeMigPool() {
 	_ = n.inst.RemovePool(n.migPoolName())
 }
 
-func (n *Node) register() error {
-	type h struct {
-		name string
-		pool *argobots.Pool // nil: the instance's RPC pool
-		fn   margo.Handler
-	}
-	handlers := []h{
-		{RPCPut, nil, n.handlePut},
-		{RPCGet, nil, n.handleGet},
-		{RPCErase, nil, n.handleErase},
-		{RPCExists, nil, n.handleExists},
-		{RPCCount, nil, n.handleCount},
-		{RPCFetchMap, nil, n.handleFetchMap},
-		{RPCInstallMap, nil, n.handleInstallMap},
-		{RPCStats, nil, n.handleStats},
-		{RPCReshard, nil, n.handleReshard},
-		{RPCMigratePrepare, n.migPool, n.handlePrepare},
-		{RPCMigrateStage, nil, n.handleStage},
-		{RPCMigratePromote, nil, n.handlePromote},
-		{RPCMigrateAbort, n.migPool, n.handleAbort},
-	}
-	for i, hh := range handlers {
-		if _, err := n.inst.RegisterProvider(hh.name, n.id, hh.pool, hh.fn); err != nil {
-			for j := 0; j < i; j++ {
-				n.inst.DeregisterProvider(handlers[j].name, n.id)
-			}
-			return err
-		}
-	}
-	return nil
+// register installs the node's RPCs: everything on the instance's RPC
+// pool except prepare and abort, which open or destroy a shard
+// database and so belong on the migration pool.
+func (n *Node) register() (err error) {
+	n.rpcs, err = n.inst.RegisterSet(n.id, nil,
+		margo.RPC{Name: RPCPut, Handler: n.serveShard(n.put)},
+		margo.RPC{Name: RPCGet, Handler: n.serveShard(n.get)},
+		margo.RPC{Name: RPCErase, Handler: n.serveShard(n.erase)},
+		margo.RPC{Name: RPCExists, Handler: n.serveShard(n.exists)},
+		margo.RPC{Name: RPCCount, Handler: n.serveShard(n.count)},
+		margo.RPC{Name: RPCFetchMap, Handler: n.handleFetchMap},
+		margo.RPC{Name: RPCInstallMap, Handler: margo.Serve(n.handleInstallMap)},
+		margo.RPC{Name: RPCStats, Handler: n.handleStats},
+		margo.RPC{Name: RPCReshard, Handler: margo.Serve(n.handleReshard)},
+		margo.RPC{Name: RPCMigratePrepare, Pool: n.migPool, Handler: margo.Serve(n.handlePrepare)},
+		margo.RPC{Name: RPCMigrateStage, Handler: margo.Serve(n.handleStage)},
+		margo.RPC{Name: RPCMigratePromote, Handler: margo.Serve(n.handlePromote)},
+		margo.RPC{Name: RPCMigrateAbort, Pool: n.migPool, Handler: margo.Serve(n.handleAbort)},
+	)
+	return err
 }
 
 // Self returns this node's owner identity.
@@ -356,9 +342,7 @@ func (n *Node) Close() error {
 	n.incoming = map[uint32]*staging{}
 	n.mu.Unlock()
 	n.cancel()
-	for _, name := range routerRPCs {
-		n.inst.DeregisterProvider(name, n.id)
-	}
+	n.rpcs.Close()
 	n.remiP.Close()
 	n.commanded.Wait()
 	n.removeMigPool()
@@ -374,13 +358,6 @@ func (n *Node) Close() error {
 		inc.mu.Unlock()
 	}
 	return nil
-}
-
-func respondReply(h *mercury.Handle, reply codec.Marshaler) {
-	e := codec.GetEncoder()
-	reply.MarshalMochi(e)
-	_ = h.Respond(e.Bytes())
-	codec.PutEncoder(e)
 }
 
 // lookupShard resolves the target shard for a data operation. nil
@@ -439,7 +416,7 @@ func (n *Node) dualForward(ctx context.Context, sh *shard, erase bool, keys [][]
 	sctx, cancel := context.WithTimeout(ctx, msDuration(stageTimeout))
 	defer cancel()
 	var reply statusReply
-	err := n.call(sctx, sh.dualDst, RPCMigrateStage, args, &reply)
+	err := n.inst.Call(sctx, sh.dualDst.Addr, RPCMigrateStage, sh.dualDst.Provider, args, &reply)
 	if err == nil && reply.Status != statusOK {
 		err = fmt.Errorf("router: stage rejected: %s", reply.Err)
 	}
@@ -452,30 +429,31 @@ func (n *Node) dualForward(ctx context.Context, sh *shard, erase bool, keys [][]
 	}
 }
 
-// handlePut applies a put to the local shard, dual-forwarding it
-// during a migration window.
-func (n *Node) handlePut(ctx context.Context, h *mercury.Handle) {
-	var args opArgs
-	var r opReply
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
-	sh := n.lookupShard(args.Shard)
-	if sh == nil {
-		n.redirect(args.Shard, &r)
-		respondReply(h, &r)
-		return
-	}
-	sh.mu.RLock()
-	if sh.dropped {
-		sh.mu.RUnlock()
-		n.redirect(args.Shard, &r)
-		respondReply(h, &r)
-		return
-	}
-	var err error
+// serveShard binds one data operation: it resolves the shard the
+// client routed to, runs op under the shard's read lock (the
+// reconfiguration fence) and answers with op's outcome, or with a
+// redirect when the shard is not, or no longer, served here.
+func (n *Node) serveShard(op func(ctx context.Context, sh *shard, args *opArgs, r *opReply) error) margo.Handler {
+	return margo.Serve(func(ctx context.Context, _ *mercury.Handle, args *opArgs) (codec.Marshaler, error) {
+		r := &opReply{}
+		if sh := n.lookupShard(args.Shard); sh != nil {
+			sh.mu.RLock()
+			if !sh.dropped {
+				err := op(ctx, sh, args, r)
+				sh.mu.RUnlock()
+				r.Status, r.Err = statusFromErr(err)
+				return r, nil
+			}
+			sh.mu.RUnlock()
+		}
+		n.redirect(args.Shard, r)
+		return r, nil
+	})
+}
+
+// put applies a put to the local shard, dual-forwarding it during a
+// migration window.
+func (n *Node) put(ctx context.Context, sh *shard, args *opArgs, _ *opReply) (err error) {
 	var delta int64
 	for _, kv := range args.Pairs {
 		if err = sh.db.Put(kv.Key, kv.Value); err != nil {
@@ -488,35 +466,12 @@ func (n *Node) handlePut(ctx context.Context, h *mercury.Handle) {
 	}
 	sh.ops.Add(1)
 	sh.bytes.Add(delta)
-	sh.mu.RUnlock()
-	r.Status, r.Err = statusFromErr(err)
-	respondReply(h, &r)
+	return err
 }
 
-// handleErase removes a key, dual-forwarding the erase during a
-// migration window (the staging side records a tombstone).
-func (n *Node) handleErase(ctx context.Context, h *mercury.Handle) {
-	var args opArgs
-	var r opReply
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
-	sh := n.lookupShard(args.Shard)
-	if sh == nil {
-		n.redirect(args.Shard, &r)
-		respondReply(h, &r)
-		return
-	}
-	sh.mu.RLock()
-	if sh.dropped {
-		sh.mu.RUnlock()
-		n.redirect(args.Shard, &r)
-		respondReply(h, &r)
-		return
-	}
-	var err error
+// erase removes a key, dual-forwarding the erase during a migration
+// window (the staging side records a tombstone).
+func (n *Node) erase(ctx context.Context, sh *shard, args *opArgs, _ *opReply) (err error) {
 	for _, k := range args.Keys {
 		if err = sh.db.Erase(k); err != nil {
 			break
@@ -528,107 +483,31 @@ func (n *Node) handleErase(ctx context.Context, h *mercury.Handle) {
 		n.dualForward(ctx, sh, true, args.Keys, nil)
 	}
 	sh.ops.Add(1)
-	sh.mu.RUnlock()
-	r.Status, r.Err = statusFromErr(err)
-	respondReply(h, &r)
+	return err
 }
 
-func (n *Node) handleGet(_ context.Context, h *mercury.Handle) {
-	var args opArgs
-	var r opReply
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
-	sh := n.lookupShard(args.Shard)
-	if sh == nil {
-		n.redirect(args.Shard, &r)
-		respondReply(h, &r)
-		return
-	}
-	sh.mu.RLock()
-	if sh.dropped {
-		sh.mu.RUnlock()
-		n.redirect(args.Shard, &r)
-		respondReply(h, &r)
-		return
-	}
-	var v []byte
-	var err error
-	if len(args.Keys) == 1 {
-		v, err = sh.db.Get(args.Keys[0])
-	} else {
-		err = fmt.Errorf("router: get wants exactly one key")
-	}
+func (n *Node) get(_ context.Context, sh *shard, args *opArgs, r *opReply) (err error) {
 	sh.ops.Add(1)
-	sh.mu.RUnlock()
-	r.Status, r.Err = statusFromErr(err)
-	r.Value = v
-	respondReply(h, &r)
+	if len(args.Keys) != 1 {
+		return fmt.Errorf("router: get wants exactly one key")
+	}
+	r.Value, err = sh.db.Get(args.Keys[0])
+	return err
 }
 
-func (n *Node) handleExists(_ context.Context, h *mercury.Handle) {
-	var args opArgs
-	var r opReply
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
-	sh := n.lookupShard(args.Shard)
-	if sh == nil {
-		n.redirect(args.Shard, &r)
-		respondReply(h, &r)
-		return
-	}
-	sh.mu.RLock()
-	if sh.dropped {
-		sh.mu.RUnlock()
-		n.redirect(args.Shard, &r)
-		respondReply(h, &r)
-		return
-	}
-	var found bool
-	var err error
-	if len(args.Keys) == 1 {
-		found, err = sh.db.Exists(args.Keys[0])
-	} else {
-		err = fmt.Errorf("router: exists wants exactly one key")
-	}
+func (n *Node) exists(_ context.Context, sh *shard, args *opArgs, r *opReply) (err error) {
 	sh.ops.Add(1)
-	sh.mu.RUnlock()
-	r.Status, r.Err = statusFromErr(err)
-	r.Found = found
-	respondReply(h, &r)
+	if len(args.Keys) != 1 {
+		return fmt.Errorf("router: exists wants exactly one key")
+	}
+	r.Found, err = sh.db.Exists(args.Keys[0])
+	return err
 }
 
-func (n *Node) handleCount(_ context.Context, h *mercury.Handle) {
-	var args opArgs
-	var r opReply
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
-	sh := n.lookupShard(args.Shard)
-	if sh == nil {
-		n.redirect(args.Shard, &r)
-		respondReply(h, &r)
-		return
-	}
-	sh.mu.RLock()
-	if sh.dropped {
-		sh.mu.RUnlock()
-		n.redirect(args.Shard, &r)
-		respondReply(h, &r)
-		return
-	}
+func (n *Node) count(_ context.Context, sh *shard, _ *opArgs, r *opReply) error {
 	c, err := sh.db.Count()
-	sh.mu.RUnlock()
-	r.Status, r.Err = statusFromErr(err)
 	r.Count = uint64(c)
-	respondReply(h, &r)
+	return err
 }
 
 func (n *Node) handleFetchMap(_ context.Context, h *mercury.Handle) {
@@ -639,31 +518,26 @@ func (n *Node) handleFetchMap(_ context.Context, h *mercury.Handle) {
 		r.Status = statusError
 		r.Err = "router: node has no shard map"
 	}
-	respondReply(h, &r)
+	margo.Reply(h, &r)
 }
 
-func (n *Node) handleInstallMap(_ context.Context, h *mercury.Handle) {
-	var args installArgs
-	var r statusReply
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
+// status is the reply of a control RPC that returns no payload.
+func status(err error) (codec.Marshaler, error) {
+	r := &statusReply{}
+	r.Status, r.Err = statusFromErr(err)
+	return r, nil
+}
+
+func (n *Node) handleInstallMap(_ context.Context, _ *mercury.Handle, args *installArgs) (codec.Marshaler, error) {
 	m, err := DecodeMap(args.Map)
-	if err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
-	if args.Bootstrap {
-		if err := n.bootstrap(m); err != nil {
-			r.Status, r.Err = statusError, err.Error()
-		}
-	} else {
+	switch {
+	case err != nil:
+	case args.Bootstrap:
+		err = n.bootstrap(m)
+	default:
 		n.installMap(m)
 	}
-	respondReply(h, &r)
+	return status(err)
 }
 
 func (n *Node) handleStats(_ context.Context, h *mercury.Handle) {
@@ -680,7 +554,7 @@ func (n *Node) handleStats(_ context.Context, h *mercury.Handle) {
 		r.Stats = append(r.Stats, ShardStat{Shard: sh.id, Ops: sh.ops.Load(), Bytes: uint64(b)})
 	}
 	n.mu.Unlock()
-	respondReply(h, &r)
+	margo.Reply(h, &r)
 }
 
 // handleReshard lets a remote coordinator (the balancer) command
@@ -690,21 +564,13 @@ func (n *Node) handleStats(_ context.Context, h *mercury.Handle) {
 // pool it sat on — the RPC pool, and this node serves nothing for the
 // flip; the migration pool, and two nodes commanded toward each other
 // each hold the xstream the other's snapshot needs, until pullTimeout.
-// It runs on a goroutine of its own and answers the RPC when done.
-func (n *Node) handleReshard(ctx context.Context, h *mercury.Handle) {
-	var args reshardArgs
-	var r statusReply
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
+// It runs on a goroutine of its own, which keeps the handle and answers
+// the RPC when done.
+func (n *Node) handleReshard(ctx context.Context, h *mercury.Handle, args *reshardArgs) (codec.Marshaler, error) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		r.Status, r.Err = statusError, "router: node closed"
-		respondReply(h, &r)
-		return
+		return status(errors.New("router: node closed"))
 	}
 	n.commanded.Add(1) // under mu: Close waits only after setting closed
 	n.mu.Unlock()
@@ -718,43 +584,36 @@ func (n *Node) handleReshard(ctx context.Context, h *mercury.Handle) {
 		if err := n.Reshard(ctx, args.Shard, args.Dst); err != nil {
 			r.Status, r.Err = statusError, err.Error()
 		}
-		respondReply(h, &r)
+		margo.Reply(h, &r)
 	}()
+	return nil, nil
 }
 
 // handlePrepare opens a staging area for an incoming shard.
-func (n *Node) handlePrepare(_ context.Context, h *mercury.Handle) {
-	var args prepareArgs
-	r := prepareReply{RemiProvider: n.opts.RemiProviderID}
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
+func (n *Node) handlePrepare(_ context.Context, _ *mercury.Handle, args *prepareArgs) (codec.Marshaler, error) {
+	r := &prepareReply{RemiProvider: n.opts.RemiProviderID}
+	r.Status, r.Err = statusFromErr(n.prepare(args))
+	return r, nil
+}
+
+func (n *Node) prepare(args *prepareArgs) error {
 	n.mu.Lock()
-	defer func() {
-		n.mu.Unlock()
-		respondReply(h, &r)
-	}()
+	defer n.mu.Unlock()
 	if n.closed {
-		r.Status, r.Err = statusError, "router: node closed"
-		return
+		return errors.New("router: node closed")
 	}
 	if _, own := n.shards[args.Shard]; own {
-		r.Status, r.Err = statusError, "router: destination already owns shard"
-		return
+		return errors.New("router: destination already owns shard")
 	}
 	if inc := n.incoming[args.Shard]; inc != nil {
 		if inc.migID == args.MigID {
-			return // duplicate prepare: idempotent
+			return nil // duplicate prepare: idempotent
 		}
-		r.Status, r.Err = statusError, "router: shard already staging under another migration"
-		return
+		return errors.New("router: shard already staging under another migration")
 	}
 	db, err := n.openShardDB(args.Shard)
 	if err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		return
+		return err
 	}
 	n.incoming[args.Shard] = &staging{
 		migID:      args.MigID,
@@ -762,6 +621,7 @@ func (n *Node) handlePrepare(_ context.Context, h *mercury.Handle) {
 		tombstones: map[string]struct{}{},
 		lastSeq:    map[string]uint64{},
 	}
+	return nil
 }
 
 // handleStage applies one dual-written operation to the staging area.
@@ -772,30 +632,17 @@ func (n *Node) handlePrepare(_ context.Context, h *mercury.Handle) {
 // promote was issued. Rejecting late arrivals (rather than applying
 // them to the now-owned shard) is what keeps a chaos-delayed
 // duplicate of an *older* write from clobbering a newer one.
-func (n *Node) handleStage(_ context.Context, h *mercury.Handle) {
-	var args stageArgs
-	var r statusReply
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
+func (n *Node) handleStage(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Marshaler, error) {
 	n.mu.Lock()
 	inc := n.incoming[args.Shard]
-	if inc != nil && inc.migID != args.MigID {
-		inc = nil
-	}
 	n.mu.Unlock()
-	if inc == nil {
-		r.Status, r.Err = statusError, "router: no such migration"
-		respondReply(h, &r)
-		return
+	if inc == nil || inc.migID != args.MigID {
+		return status(errors.New("router: no such migration"))
 	}
 	inc.mu.Lock()
-	err := applyStaged(inc, &args)
+	err := applyStaged(inc, args)
 	inc.mu.Unlock()
-	r.Status, r.Err = statusFromErr(err)
-	respondReply(h, &r)
+	return status(err)
 }
 
 // applyStaged applies one dual-written operation to a staging area.
@@ -840,60 +687,39 @@ func applyStaged(inc *staging, args *stageArgs) error {
 // becomes the owned shard, and the attached map (which names this
 // node the owner) becomes current *before* the source stops serving —
 // the ordering that makes the redirect chain always land.
-func (n *Node) handlePromote(_ context.Context, h *mercury.Handle) {
-	var args promoteArgs
-	var r statusReply
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
+func (n *Node) handlePromote(_ context.Context, _ *mercury.Handle, args *promoteArgs) (codec.Marshaler, error) {
 	m, err := DecodeMap(args.Map)
 	if err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
+		return status(err)
 	}
 	n.mu.Lock()
 	if sh := n.shards[args.Shard]; sh != nil && sh.migID == args.MigID {
 		// Duplicate promote (retried RPC): already committed.
 		n.mu.Unlock()
 		n.installMap(m)
-		respondReply(h, &r)
-		return
+		return status(nil)
 	}
 	inc := n.incoming[args.Shard]
 	if inc == nil || inc.migID != args.MigID {
 		n.mu.Unlock()
-		r.Status, r.Err = statusError, "router: no such migration"
-		respondReply(h, &r)
-		return
+		return status(errors.New("router: no such migration"))
 	}
 	inc.mu.Lock()
 	merged := inc.merged
 	inc.mu.Unlock()
 	if !merged {
 		n.mu.Unlock()
-		r.Status, r.Err = statusError, "router: snapshot not merged"
-		respondReply(h, &r)
-		return
+		return status(errors.New("router: snapshot not merged"))
 	}
 	delete(n.incoming, args.Shard)
 	n.shards[args.Shard] = &shard{id: args.Shard, db: inc.db, migID: args.MigID}
 	n.mu.Unlock()
 	n.installMap(m)
-	respondReply(h, &r)
+	return status(nil)
 }
 
 // handleAbort tears down a staging area after a failed migration.
-func (n *Node) handleAbort(_ context.Context, h *mercury.Handle) {
-	var args abortArgs
-	var r statusReply
-	if err := codec.Unmarshal(h.Input(), &args); err != nil {
-		r.Status, r.Err = statusError, err.Error()
-		respondReply(h, &r)
-		return
-	}
+func (n *Node) handleAbort(_ context.Context, _ *mercury.Handle, args *abortArgs) (codec.Marshaler, error) {
 	n.mu.Lock()
 	inc := n.incoming[args.Shard]
 	if inc != nil && inc.migID == args.MigID {
@@ -907,7 +733,7 @@ func (n *Node) handleAbort(_ context.Context, h *mercury.Handle) {
 		inc.db.Destroy()
 		inc.mu.Unlock()
 	}
-	respondReply(h, &r)
+	return status(nil)
 }
 
 // mergeBatchKeys bounds how many snapshot entries one hold of a staging
@@ -997,19 +823,4 @@ func mergeBatch(inc *staging, d *codec.Decoder, max int) (done bool, err error) 
 	inc.merged = true
 	inc.tombstones = nil
 	return true, nil
-}
-
-// call forwards a marshaled request to (owner, rpc) and decodes the
-// reply into out.
-func (n *Node) call(ctx context.Context, dst Owner, rpc string, args codec.Marshaler, out codec.Unmarshaler) error {
-	e := codec.GetEncoder()
-	if args != nil {
-		args.MarshalMochi(e)
-	}
-	raw, err := n.inst.ForwardProvider(ctx, dst.Addr, rpc, dst.Provider, e.Bytes())
-	codec.PutEncoder(e)
-	if err != nil {
-		return err
-	}
-	return codec.Unmarshal(raw, out)
 }

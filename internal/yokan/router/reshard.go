@@ -87,7 +87,7 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 
 	// 1. prepare.
 	var prep prepareReply
-	if err := n.call(ctx, dst, RPCMigratePrepare, &prepareArgs{Shard: shardID, MigID: mig}, &prep); err != nil {
+	if err := n.inst.Call(ctx, dst.Addr, RPCMigratePrepare, dst.Provider, &prepareArgs{Shard: shardID, MigID: mig}, &prep); err != nil {
 		return fmt.Errorf("router: prepare: %w", err)
 	}
 	if prep.Status != statusOK {
@@ -155,7 +155,7 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 	}
 	var pr statusReply
 	pctx, endPhase := n.phase(ctx, "promote")
-	perr := n.call(pctx, dst, RPCMigratePromote, &promoteArgs{Shard: shardID, MigID: mig, Map: EncodeMap(newMap)}, &pr)
+	perr := n.inst.Call(pctx, dst.Addr, RPCMigratePromote, dst.Provider, &promoteArgs{Shard: shardID, MigID: mig, Map: EncodeMap(newMap)}, &pr)
 	if perr == nil && pr.Status != statusOK {
 		perr = fmt.Errorf("%s", pr.Err)
 	}
@@ -262,7 +262,7 @@ func (n *Node) abortRemote(dst Owner, shardID uint32, mig uint64) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	var r statusReply
-	_ = n.call(ctx, dst, RPCMigrateAbort, &abortArgs{Shard: shardID, MigID: mig}, &r)
+	_ = n.inst.Call(ctx, dst.Addr, RPCMigrateAbort, dst.Provider, &abortArgs{Shard: shardID, MigID: mig}, &r)
 }
 
 // disseminate pushes a freshly committed map to the rest of the
@@ -291,7 +291,7 @@ func (n *Node) disseminate(ctx context.Context, m *Map) {
 	for o := range targets {
 		ictx, cancel := context.WithTimeout(ctx, 2*time.Second)
 		var r statusReply
-		_ = n.call(ictx, o, RPCInstallMap, &installArgs{Map: enc}, &r)
+		_ = n.inst.Call(ictx, o.Addr, RPCInstallMap, o.Provider, &installArgs{Map: enc}, &r)
 		cancel()
 	}
 }

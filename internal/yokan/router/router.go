@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/yokan"
 )
@@ -67,12 +67,8 @@ func Bootstrap(ctx context.Context, inst *margo.Instance, addrs []string, provid
 
 // FetchMap asks one node for its current shard map.
 func FetchMap(ctx context.Context, inst *margo.Instance, addr string, provider uint16) (*Map, error) {
-	raw, err := inst.ForwardProvider(ctx, addr, RPCFetchMap, provider, nil)
-	if err != nil {
-		return nil, err
-	}
 	var reply mapReply
-	if err := codec.Unmarshal(raw, &reply); err != nil {
+	if err := inst.Call(ctx, addr, RPCFetchMap, provider, nil, &reply); err != nil {
 		return nil, err
 	}
 	if reply.Status != statusOK {
@@ -128,37 +124,52 @@ func (r *Router) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-// op runs one data RPC against the key's owner, following redirects.
-// Transport-level retries (drops, resets, timeouts) belong to the
-// margo resilience layer underneath; this loop only handles the
+// opArgsPool recycles argument frames, and with them their one-element
+// key and pair slices: Call takes its arguments as an interface, so a
+// frame built per operation would be two heap allocations per Get/Put.
+var opArgsPool = sync.Pool{New: func() any { return new(opArgs) }}
+
+// op runs one data RPC against the owner of key (of shard, when key is
+// nil), following redirects, and returns the reply once it reports
+// success. Transport-level retries (drops, resets, timeouts) belong to
+// the margo resilience layer underneath; this loop only handles the
 // routing protocol: statusStale installs the newer map and re-routes,
 // statusRetry backs off through the flip window.
-func (r *Router) op(ctx context.Context, rpc string, key []byte, args *opArgs) (*opReply, error) {
+func (r *Router) op(ctx context.Context, rpc string, shard uint32, key, value []byte) (*opReply, error) {
+	args := opArgsPool.Get().(*opArgs)
+	defer func() {
+		clear(args.Keys) // the pool must not pin the caller's key and value
+		clear(args.Pairs)
+		*args = opArgs{Keys: args.Keys[:0], Pairs: args.Pairs[:0]}
+		opArgsPool.Put(args)
+	}()
+	switch {
+	case rpc == RPCPut:
+		args.Pairs = append(args.Pairs, yokan.KeyValue{Key: key, Value: value})
+	case key != nil:
+		args.Keys = append(args.Keys, key)
+	}
 	retries := 0
 	for attempt := 0; attempt <= r.MaxRedirects; attempt++ {
 		m := r.cur.Load()
 		if m == nil {
 			return nil, ErrNoMap
 		}
-		shard := args.Shard
 		if key != nil {
 			shard = m.ShardOf(key)
 		}
 		args.Epoch = m.Epoch
 		args.Shard = shard
 		owner := m.Owners[shard]
-		e := codec.GetEncoder()
-		args.MarshalMochi(e)
-		raw, err := r.inst.ForwardProvider(ctx, owner.Addr, rpc, owner.Provider, e.Bytes())
-		codec.PutEncoder(e)
-		if err != nil {
-			return nil, err
-		}
 		reply := &opReply{}
-		if err := codec.Unmarshal(raw, reply); err != nil {
+		if err := r.inst.Call(ctx, owner.Addr, rpc, owner.Provider, args, reply); err != nil {
 			return nil, err
 		}
 		switch reply.Status {
+		case statusOK:
+			return reply, nil
+		case statusNotFound:
+			return nil, yokan.ErrKeyNotFound
 		case statusStale:
 			r.redirects.Add(1)
 			nm, err := DecodeMap(reply.Map)
@@ -180,39 +191,22 @@ func (r *Router) op(ctx context.Context, rpc string, key []byte, args *opArgs) (
 				return nil, err
 			}
 		default:
-			return reply, nil
+			return nil, fmt.Errorf("router: remote error: %s", reply.Err)
 		}
 	}
 	return nil, ErrTooManyRedirects
 }
 
-func replyErr(r *opReply) error {
-	switch r.Status {
-	case statusOK:
-		return nil
-	case statusNotFound:
-		return yokan.ErrKeyNotFound
-	default:
-		return fmt.Errorf("router: remote error: %s", r.Err)
-	}
-}
-
 // Put stores one pair.
 func (r *Router) Put(ctx context.Context, key, value []byte) error {
-	reply, err := r.op(ctx, RPCPut, key, &opArgs{Pairs: []yokan.KeyValue{{Key: key, Value: value}}})
-	if err != nil {
-		return err
-	}
-	return replyErr(reply)
+	_, err := r.op(ctx, RPCPut, 0, key, value)
+	return err
 }
 
 // Get fetches one key.
 func (r *Router) Get(ctx context.Context, key []byte) ([]byte, error) {
-	reply, err := r.op(ctx, RPCGet, key, &opArgs{Keys: [][]byte{key}})
+	reply, err := r.op(ctx, RPCGet, 0, key, nil)
 	if err != nil {
-		return nil, err
-	}
-	if err := replyErr(reply); err != nil {
 		return nil, err
 	}
 	return reply.Value, nil
@@ -220,20 +214,14 @@ func (r *Router) Get(ctx context.Context, key []byte) ([]byte, error) {
 
 // Erase removes one key.
 func (r *Router) Erase(ctx context.Context, key []byte) error {
-	reply, err := r.op(ctx, RPCErase, key, &opArgs{Keys: [][]byte{key}})
-	if err != nil {
-		return err
-	}
-	return replyErr(reply)
+	_, err := r.op(ctx, RPCErase, 0, key, nil)
+	return err
 }
 
 // Exists reports whether key is present.
 func (r *Router) Exists(ctx context.Context, key []byte) (bool, error) {
-	reply, err := r.op(ctx, RPCExists, key, &opArgs{Keys: [][]byte{key}})
+	reply, err := r.op(ctx, RPCExists, 0, key, nil)
 	if err != nil {
-		return false, err
-	}
-	if err := replyErr(reply); err != nil {
 		return false, err
 	}
 	return reply.Found, nil
@@ -249,11 +237,8 @@ func (r *Router) Count(ctx context.Context) (int, error) {
 	}
 	total := 0
 	for s := 0; s < m.NumShards(); s++ {
-		reply, err := r.op(ctx, RPCCount, nil, &opArgs{Shard: uint32(s)})
+		reply, err := r.op(ctx, RPCCount, uint32(s), nil, nil)
 		if err != nil {
-			return 0, err
-		}
-		if err := replyErr(reply); err != nil {
 			return 0, err
 		}
 		total += int(reply.Count)

@@ -54,48 +54,45 @@ type opArgs struct {
 func (a *opArgs) MarshalMochi(e *codec.Encoder) {
 	e.Uint64(a.Epoch)
 	e.Uint32(a.Shard)
-	e.Uvarint(uint64(len(a.Keys)))
-	for _, k := range a.Keys {
-		e.BytesField(k)
-	}
-	e.Uvarint(uint64(len(a.Pairs)))
-	for _, kv := range a.Pairs {
-		e.BytesField(kv.Key)
-		e.BytesField(kv.Value)
-	}
+	encodeKeysPairs(e, a.Keys, a.Pairs)
 }
 
 func (a *opArgs) UnmarshalMochi(d *codec.Decoder) {
 	a.Epoch = d.Uint64()
 	a.Shard = d.Uint32()
-	n := d.Uvarint()
-	if n > uint64(d.Remaining()) {
-		return
+	a.Keys, a.Pairs = decodeKeysPairs(d)
+}
+
+// encodeKeysPairs and decodeKeysPairs are the payload shared by opArgs
+// and stageArgs: a key list (get/erase/exists) then a pair list (put).
+// Decoded slices alias the decoder's buffer; an empty list decodes as
+// nil.
+func encodeKeysPairs(e *codec.Encoder, keys [][]byte, pairs []yokan.KeyValue) {
+	e.Uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		e.BytesField(k)
 	}
-	if n > 0 {
-		a.Keys = make([][]byte, 0, n)
-		for i := uint64(0); i < n; i++ {
-			a.Keys = append(a.Keys, d.BytesField())
-			if d.Err() != nil {
-				return
-			}
+	e.Uvarint(uint64(len(pairs)))
+	for _, kv := range pairs {
+		e.BytesField(kv.Key)
+		e.BytesField(kv.Value)
+	}
+}
+
+func decodeKeysPairs(d *codec.Decoder) (keys [][]byte, pairs []yokan.KeyValue) {
+	if n := d.Count(1); n > 0 {
+		keys = make([][]byte, 0, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			keys = append(keys, d.BytesField())
 		}
 	}
-	n = d.Uvarint()
-	if n > uint64(d.Remaining()) {
-		return
-	}
-	if n > 0 {
-		a.Pairs = make([]yokan.KeyValue, 0, n)
-		for i := uint64(0); i < n; i++ {
-			k := d.BytesField()
-			v := d.BytesField()
-			if d.Err() != nil {
-				return
-			}
-			a.Pairs = append(a.Pairs, yokan.KeyValue{Key: k, Value: v})
+	if n := d.Count(2); n > 0 {
+		pairs = make([]yokan.KeyValue, 0, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			pairs = append(pairs, yokan.KeyValue{Key: d.BytesField(), Value: d.BytesField()})
 		}
 	}
+	return keys, pairs
 }
 
 // opReply answers every data RPC. Map is only set with statusStale.
@@ -238,15 +235,7 @@ func (a *stageArgs) MarshalMochi(e *codec.Encoder) {
 	e.Uint64(a.MigID)
 	e.Uvarint(a.Seq)
 	e.Bool(a.Erase)
-	e.Uvarint(uint64(len(a.Keys)))
-	for _, k := range a.Keys {
-		e.BytesField(k)
-	}
-	e.Uvarint(uint64(len(a.Pairs)))
-	for _, kv := range a.Pairs {
-		e.BytesField(kv.Key)
-		e.BytesField(kv.Value)
-	}
+	encodeKeysPairs(e, a.Keys, a.Pairs)
 }
 
 func (a *stageArgs) UnmarshalMochi(d *codec.Decoder) {
@@ -254,34 +243,7 @@ func (a *stageArgs) UnmarshalMochi(d *codec.Decoder) {
 	a.MigID = d.Uint64()
 	a.Seq = d.Uvarint()
 	a.Erase = d.Bool()
-	n := d.Uvarint()
-	if n > uint64(d.Remaining()) {
-		return
-	}
-	if n > 0 {
-		a.Keys = make([][]byte, 0, n)
-		for i := uint64(0); i < n; i++ {
-			a.Keys = append(a.Keys, d.BytesField())
-			if d.Err() != nil {
-				return
-			}
-		}
-	}
-	n = d.Uvarint()
-	if n > uint64(d.Remaining()) {
-		return
-	}
-	if n > 0 {
-		a.Pairs = make([]yokan.KeyValue, 0, n)
-		for i := uint64(0); i < n; i++ {
-			k := d.BytesField()
-			v := d.BytesField()
-			if d.Err() != nil {
-				return
-			}
-			a.Pairs = append(a.Pairs, yokan.KeyValue{Key: k, Value: v})
-		}
-	}
+	a.Keys, a.Pairs = decodeKeysPairs(d)
 }
 
 // promoteArgs commits the flip at the destination: the staging area
@@ -371,12 +333,9 @@ func (r *statsReply) UnmarshalMochi(d *codec.Decoder) {
 	r.Status = d.Uint8()
 	r.Err = d.String()
 	r.Epoch = d.Uint64()
-	n := d.Uvarint()
-	if n > uint64(d.Remaining())+1 {
-		return
-	}
+	n := d.Count(6) // uint32 + two varints
 	r.Stats = make([]ShardStat, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		var s ShardStat
 		s.Shard = d.Uint32()
 		s.Ops = d.Uvarint()

@@ -42,12 +42,9 @@ func (a *putArgs) MarshalMochi(e *codec.Encoder) {
 }
 
 func (a *putArgs) UnmarshalMochi(d *codec.Decoder) {
-	n := d.Uvarint()
-	if n > uint64(d.Remaining()) {
-		return
-	}
+	n := d.Count(2)
 	a.Pairs = make([]KeyValue, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k := d.BytesField()
 		v := d.BytesField()
 		if d.Err() != nil {
@@ -69,12 +66,9 @@ func (a *keysArgs) MarshalMochi(e *codec.Encoder) {
 }
 
 func (a *keysArgs) UnmarshalMochi(d *codec.Decoder) {
-	n := d.Uvarint()
-	if n > uint64(d.Remaining()) {
-		return
-	}
+	n := d.Count(1)
 	a.Keys = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		a.Keys = append(a.Keys, d.BytesField())
 		if d.Err() != nil {
 			return
@@ -157,13 +151,10 @@ func (r *valuesReply) MarshalMochi(e *codec.Encoder) {
 func (r *valuesReply) UnmarshalMochi(d *codec.Decoder) {
 	r.Status = d.Uint8()
 	r.Err = d.String()
-	n := d.Uvarint()
-	if n > uint64(d.Remaining())+1 {
-		return
-	}
+	n := d.Count(2)
 	r.Found = make([]bool, 0, n)
 	r.Values = make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		r.Found = append(r.Found, d.Bool())
 		r.Values = append(r.Values, d.BytesField())
 		if d.Err() != nil {
@@ -227,12 +218,9 @@ func (r *kvListReply) MarshalMochi(e *codec.Encoder) {
 func (r *kvListReply) UnmarshalMochi(d *codec.Decoder) {
 	r.Status = d.Uint8()
 	r.Err = d.String()
-	n := d.Uvarint()
-	if n > uint64(d.Remaining())+1 {
-		return
-	}
+	n := d.Count(2)
 	r.Pairs = make([]KeyValue, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k := d.BytesField()
 		v := d.BytesField()
 		if d.Err() != nil {
