@@ -45,8 +45,10 @@ reshard-soak:
 
 # Deterministic simulation suite (DESIGN.md §14, EXPERIMENTS.md E14).
 # Five legs, in order:
-#   1. the 1k-node SWIM seed matrix (SIM_SEEDS seeds) plus the replay
-#      and partition-heal tests, under the race detector;
+#   1. the SWIM core: its purity check and probe-round rule tables
+#      (internal/ssg), then on sim.Net the 1k-node seed matrix (SIM_SEEDS
+#      seeds), the replay and partition-heal tests and the broken-
+#      refutation twin, under the race detector;
 #   2. the raft core on sim.Net: SIM_SEEDS seeds of 3- and 5-member
 #      groups under loss/dup/delay, a partition and crash-restarts with
 #      the four safety invariants checked after every event and a
@@ -67,8 +69,10 @@ SIM_SEEDS ?= 8
 SIM_HISTORIES ?= 100
 SIM_SOAK_MS ?=
 sim:
+	$(GO) test -race -count=1 -timeout 300s \
+		-run 'TestEngineIsPure|TestProbeRoundRules|TestRelayRules|TestRefutationBumpsIncarnation|TestPingerBelievedDeadIsTold|TestOversleptRoundRendersNoVerdict|TestSuspicionWindowFollowsGroupSize' ./internal/ssg/
 	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
-		-run 'TestSwimSeedMatrix1k|TestSwimDeterministicReplay|TestSwimPartitionHeals' ./internal/sim/
+		-run 'TestSwimSeedMatrix1k|TestSwimDeterministicReplay|TestSwimPartitionHeals|TestSwimCatchesBrokenRefutation' ./internal/sim/
 	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
 		-run 'TestRaftSimSeedMatrix|TestRaftSimDeterministicReplay' ./internal/raft/
 	SIM_HISTORIES=8 $(GO) test -race -count=1 -timeout 1200s \

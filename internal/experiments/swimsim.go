@@ -39,7 +39,12 @@ func swimSimCell(nodes int, drop float64, dur time.Duration) sim.SwimConfig {
 		Nodes:    nodes,
 		Seed:     swimSimSeed,
 		Duration: dur,
-		Protocol: ssg.Config{ProtocolPeriod: period},
+		// ssg's PiggybackLimit default of 8 models tiny control messages;
+		// at thousands of members the rumor arrival rate exceeds that
+		// pipe and dissemination stalls. 32 updates is roughly one
+		// 1400-byte UDP datagram at ~40 bytes per update — what
+		// memberlist-style implementations actually piggyback.
+		Protocol: ssg.Config{ProtocolPeriod: period, PiggybackLimit: 32},
 		Faults: mercury.ChaosConfig{
 			DropRate:  drop,
 			DelayRate: 0.05,

@@ -4,10 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,52 +16,11 @@ import (
 )
 
 // TestCoreIsPure keeps core.go a pure state machine: it may import
-// only what cannot reach a clock, a lock, a goroutine or the network,
-// must not start a goroutine, must not read the wall clock through the
-// time package, and must not draw from math/rand's global source.
+// only what cannot reach a clock, a lock, a goroutine or the network
+// (time for Time and Duration values, math/rand for the injected
+// *rand.Rand), and must not start a goroutine.
 func TestCoreIsPure(t *testing.T) {
-	allowed := map[string]bool{
-		"encoding/json":        true,
-		"fmt":                  true,
-		"math/rand":            true, // the injected *rand.Rand only, see below
-		"sort":                 true,
-		"time":                 true, // Time and Duration values only, see below
-		"mochi/internal/codec": true,
-	}
-	// Selectors on an allowed package that are still off limits.
-	allowedSel := map[string]map[string]bool{
-		"time": {"Time": true, "Duration": true},
-		"rand": {"Rand": true},
-	}
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "core.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, imp := range f.Imports {
-		path, _ := strconv.Unquote(imp.Path.Value)
-		if !allowed[path] {
-			t.Errorf("%s: core.go imports %q", fset.Position(imp.Pos()), path)
-		}
-		if imp.Name != nil {
-			t.Errorf("%s: renamed import %q defeats this check", fset.Position(imp.Pos()), path)
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			t.Errorf("%s: core.go starts a goroutine", fset.Position(n.Pos()))
-		case *ast.SelectorExpr:
-			pkg, ok := n.X.(*ast.Ident)
-			if !ok || pkg.Obj != nil { // a local identifier shadows the package name
-				return true
-			}
-			if sels, limited := allowedSel[pkg.Name]; limited && !sels[n.Sel.Name] {
-				t.Errorf("%s: core.go uses %s.%s", fset.Position(n.Pos()), pkg.Name, n.Sel.Name)
-			}
-		}
-		return true
-	})
+	testutil.CheckPure(t, "core.go", "encoding/json", "fmt", "math/rand", "sort", "time", "mochi/internal/codec")
 }
 
 // quietCfg keeps the protocol's own timers out of a test that drives a

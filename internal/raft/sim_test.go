@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +13,7 @@ import (
 	"mochi/internal/codec"
 	"mochi/internal/mercury"
 	"mochi/internal/sim"
+	"mochi/internal/testutil"
 )
 
 // This file runs the production Core, unmodified, as a group of
@@ -742,35 +741,9 @@ func (h *raftSim) checkHistory() {
 
 // --- tests ---
 
-// raftSimSeeds returns the seed matrix: SIM_SEED pins a single seed
-// (the replay path printed on failures), SIM_SEEDS sets the count.
-func raftSimSeeds(t *testing.T, def int) []int64 {
-	if v := os.Getenv("SIM_SEED"); v != "" {
-		s, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SIM_SEED %q: %v", v, err)
-		}
-		return []int64{s}
-	}
-	n := def
-	if v := os.Getenv("SIM_SEEDS"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil {
-			t.Fatalf("bad SIM_SEEDS %q: %v", v, err)
-		}
-		n = p
-	}
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
-	}
-	return seeds
-}
-
-// replayLine is the reproduction line every failing sim run prints,
-// in the SWIM suite's format.
+// replayLine is the reproduction line every failing sim run prints.
 func replayLine(t *testing.T, seed int64) string {
-	return fmt.Sprintf("replay: SIM_SEED=%d go test -run %s ./internal/raft/", seed, t.Name())
+	return testutil.ReplayLine(t, seed, "./internal/raft/")
 }
 
 // TestRaftSimSeedMatrix: 3- and 5-member groups under loss,
@@ -780,7 +753,7 @@ func replayLine(t *testing.T, seed int64) string {
 // once always passes.
 func TestRaftSimSeedMatrix(t *testing.T) {
 	for _, nodes := range []int{3, 5} {
-		for _, seed := range raftSimSeeds(t, 8) {
+		for _, seed := range testutil.SimSeeds(t, 8) {
 			t.Run(fmt.Sprintf("n=%d/seed=%d", nodes, seed), func(t *testing.T) {
 				r := runRaftSim(testRaftSimConfig(nodes, seed))
 				t.Logf("%s", r)
@@ -802,7 +775,7 @@ func TestRaftSimSeedMatrix(t *testing.T) {
 // trace — same events, same rolling hash, same history; another seed
 // produces a different one.
 func TestRaftSimDeterministicReplay(t *testing.T) {
-	seed := raftSimSeeds(t, 1)[0]
+	seed := testutil.SimSeeds(t, 1)[0]
 	a := runRaftSim(testRaftSimConfig(5, seed))
 	b := runRaftSim(testRaftSimConfig(5, seed))
 	t.Logf("run1: %s", a)
@@ -836,7 +809,7 @@ func TestRaftSimCatchesBrokenRule(t *testing.T) {
 		cfg.Protocol.ElectionTimeoutMax = cfg.Protocol.ElectionTimeoutMin + 2*time.Millisecond
 		return cfg
 	}
-	for _, seed := range raftSimSeeds(t, 8) {
+	for _, seed := range testutil.SimSeeds(t, 8) {
 		r := runRaftSim(broken(seed))
 		if r.Err == nil {
 			continue

@@ -24,8 +24,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"time"
-
-	"mochi/internal/clock"
 )
 
 // event is one scheduled action on virtual time. Events are stored by
@@ -90,10 +88,10 @@ func (s *Sim) pop() event {
 // advancing the simulated clock gives a total order over everything
 // that happens in the cluster.
 type Sim struct {
-	Clock *clock.Sim
 	Trace *Trace
 
 	rng    *rand.Rand
+	now    int64 // virtual time, nanoseconds since the simulation epoch
 	events []event
 	seq    uint64
 	ran    uint64
@@ -104,14 +102,13 @@ type Sim struct {
 // nanosecond offsets.
 func New(seed int64) *Sim {
 	return &Sim{
-		Clock: clock.NewSim(time.Unix(0, 0)),
 		Trace: &Trace{},
 		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
 
 // Now returns the current virtual time.
-func (s *Sim) Now() time.Time { return s.Clock.Now() }
+func (s *Sim) Now() time.Time { return time.Unix(0, s.now) }
 
 // Rand returns the master RNG. Use it only during setup (deriving
 // per-node seeds); protocol-time randomness should come from per-node
@@ -121,14 +118,14 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // At schedules fn to run after d of virtual time.
 func (s *Sim) At(d time.Duration, fn func()) {
 	s.seq++
-	s.push(event{at: s.Clock.Now().Add(d).UnixNano(), seq: s.seq, fn: fn})
+	s.push(event{at: s.now + int64(d), seq: s.seq, fn: fn})
 }
 
 // Events returns how many events have executed.
 func (s *Sim) Events() uint64 { return s.ran }
 
 // Run executes events in order until the queue drains or virtual time
-// reaches end, advancing the simulated clock to each event's instant.
+// reaches end, advancing virtual time to each event's instant.
 func (s *Sim) Run(end time.Time) {
 	endNano := end.UnixNano()
 	for len(s.events) > 0 {
@@ -136,17 +133,17 @@ func (s *Sim) Run(end time.Time) {
 			break
 		}
 		next := s.pop()
-		s.Clock.AdvanceTo(time.Unix(0, next.at))
+		s.now = next.at
 		s.ran++
 		next.fn()
 	}
-	if s.Clock.Now().Before(end) {
-		s.Clock.AdvanceTo(end)
+	if s.now < endNano {
+		s.now = endNano
 	}
 }
 
 // RunFor runs for d of virtual time.
-func (s *Sim) RunFor(d time.Duration) { s.Run(s.Clock.Now().Add(d)) }
+func (s *Sim) RunFor(d time.Duration) { s.Run(s.Now().Add(d)) }
 
 // Trace accumulates a rolling FNV-1a hash over every recorded
 // simulation event. Two runs with the same seed must produce the same

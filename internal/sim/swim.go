@@ -13,11 +13,10 @@ import (
 
 // Trace event kinds.
 const (
-	evProbe uint8 = iota + 1
+	evSend uint8 = iota + 1
 	evTransition
 	evKill
 	evFlap
-	evRefute
 )
 
 // KillEvent crashes one node at a virtual-time offset.
@@ -51,6 +50,11 @@ type SwimConfig struct {
 	FlapDown   time.Duration
 	// Partitions are split-brain windows.
 	Partitions []PartitionWindow
+
+	// tamper, set only by tests, may rewrite a message as it leaves
+	// node from: the broken-rule twins use it to prove that the checks
+	// a run ends with can fail.
+	tamper func(from int32, m *ssg.Msg)
 }
 
 func (c SwimConfig) withDefaults() SwimConfig {
@@ -68,25 +72,6 @@ func (c SwimConfig) withDefaults() SwimConfig {
 	}
 	if c.FlapDown <= 0 {
 		c.FlapDown = 2 * time.Second
-	}
-	if c.Protocol.PiggybackLimit <= 0 {
-		// ssg's default of 8 models tiny control messages; at thousands
-		// of members the rumor arrival rate exceeds that pipe and
-		// dissemination stalls. 32 updates is roughly one 1400-byte UDP
-		// datagram at ~40 bytes per update — what memberlist-style
-		// implementations actually piggyback.
-		c.Protocol.PiggybackLimit = 32
-	}
-	if c.Protocol.SuspicionPeriods <= 0 {
-		// The suspicion window must cover a rumor round trip — the
-		// suspicion gossiping out to the suspect and the refutation
-		// gossiping back — and epidemic spread time grows with log n.
-		// Lifeguard-style scaling: 4 periods per decade of cluster size,
-		// which recovers ssg's default of 4 for small groups.
-		c.Protocol.SuspicionPeriods = 4 * int(math.Ceil(math.Log10(float64(c.Nodes)+1)))
-		if c.Protocol.SuspicionPeriods < 4 {
-			c.Protocol.SuspicionPeriods = 4
-		}
 	}
 	return c
 }
@@ -111,7 +96,7 @@ type SwimResult struct {
 	Disseminated         int // kills known to >= 99% of survivors
 
 	// False positives. FalseSuspicions counts first-hand suspicion
-	// events: a probe round ending in SuspectID against a target that
+	// events: a probe round ending in suspicion of a target that
 	// was up and reachable from the prober (gossip-propagated copies of
 	// the same rumor are not re-counted). FalseDeaths counts distinct
 	// live nodes that any observer declared dead — the refutation
@@ -141,32 +126,18 @@ type killRec struct {
 	deadSeen  int
 }
 
-type probeState struct {
-	target         int32
-	acked          bool
-	directDeadline time.Time
-	checkAt        time.Time
-}
-
 type swimDriver struct {
 	sim     *Sim
 	net     *Net
 	cfg     SwimConfig
-	tbl     *ssg.AddrTable
 	engines []*ssg.Engine
 	stats   ssg.Stats
-
-	period      time.Duration
-	pingTimeout time.Duration
-	k           int
+	// armed[i] is the deadline node i's pending wake-up is for (zero:
+	// none pending — the node is parked until something steps it).
+	armed []time.Time
 
 	killed  []bool
 	killRec map[int32]*killRec
-	flapper []bool
-	// pending[i] is node i's in-flight probe; its suspicion decision is
-	// folded into the node's next tick (same instant, same ordering as a
-	// separate end-of-period event, but half as many heap operations).
-	pending []*probeState
 
 	falseSuspicions int64
 	falseDeadVict   map[int32]bool
@@ -176,54 +147,38 @@ type swimDriver struct {
 // RunSwim executes one simulation and returns its metrics. The same
 // config (seed included) yields a bit-identical run: same TraceHash,
 // same counters, same curves.
+//
+// The driver decides nothing about the protocol: it steps each node's
+// ssg.Engine with what reaches it, carries the engine's messages over
+// Net, wakes it at its own Deadline, and keeps score.
 func RunSwim(cfg SwimConfig) *SwimResult {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	s := New(cfg.Seed)
-
-	proto := cfg.Protocol
 	d := &swimDriver{
 		sim:           s,
 		cfg:           cfg,
-		tbl:           ssg.NewAddrTable(),
 		engines:       make([]*ssg.Engine, cfg.Nodes),
+		armed:         make([]time.Time, cfg.Nodes),
 		killed:        make([]bool, cfg.Nodes),
 		killRec:       map[int32]*killRec{},
-		flapper:       make([]bool, cfg.Nodes),
-		pending:       make([]*probeState, cfg.Nodes),
 		falseDeadVict: map[int32]bool{},
 	}
 	d.net = NewNet(cfg.Nodes, cfg.Seed, cfg.Latency, cfg.Jitter, cfg.Faults, s.Now(), cfg.Partitions)
 
 	// Bootstrap: every node knows the full member list (the paper's
 	// static bootstrap). Interning all addresses up front fixes the
-	// ID space; engines share the table so each address exists once.
+	// ID space (node i is member ID i); engines share the table so each
+	// address exists once. Each engine draws the phase of its first
+	// period from its own RNG, like processes started a moment apart.
+	tbl := ssg.NewAddrTable()
 	ids := make([]int32, cfg.Nodes)
 	for i := range ids {
-		ids[i] = d.tbl.Intern(fmt.Sprintf("n%05d", i))
+		ids[i] = tbl.Intern(fmt.Sprintf("n%05d", i))
 	}
-	for i := 0; i < cfg.Nodes; i++ {
+	for i := range d.engines {
 		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-		e := ssg.NewEngineFromIDs(d.tbl, ids[i], ids, proto, s.Clock, rng, &d.stats)
-		d.engines[i] = e
-		self := int32(i)
-		e.SetTransitionHookID(func(id int32, inc uint64, old, new ssg.State) {
-			d.onTransition(self, id, inc, new)
-		})
-	}
-	// Resolve protocol defaults from a throwaway engine's view of cfg:
-	// ssg keeps withDefaults private, so mirror the two we need.
-	d.period = proto.ProtocolPeriod
-	if d.period <= 0 {
-		d.period = 200 * time.Millisecond
-	}
-	d.pingTimeout = proto.PingTimeout
-	if d.pingTimeout <= 0 {
-		d.pingTimeout = d.period / 4
-	}
-	d.k = proto.IndirectPings
-	if d.k <= 0 {
-		d.k = 3
+		d.engines[i] = ssg.NewEngine(tbl, ids[i], ids, cfg.Protocol, rng, &d.stats, s.Now())
 	}
 
 	// Kill schedule.
@@ -252,7 +207,6 @@ func RunSwim(cfg SwimConfig) *SwimResult {
 		if killedSet[int32(i)] {
 			continue
 		}
-		d.flapper[i] = true
 		flapped++
 		id := int32(i)
 		// Stagger flap cycles so flappers do not move in lockstep.
@@ -260,34 +214,11 @@ func RunSwim(cfg SwimConfig) *SwimResult {
 		s.At(cfg.FlapPeriod+offset, func() { d.flapDown(id) })
 	}
 
-	// Stagger protocol ticks across the period, like real processes
-	// starting at slightly different instants.
-	for i := 0; i < cfg.Nodes; i++ {
-		id := int32(i)
-		offset := time.Duration(s.Rand().Int63n(int64(d.period)))
-		s.At(offset, func() { d.tick(id) })
+	for i := range d.engines {
+		d.settle(int32(i), s.Now(), false)
 	}
-
 	s.RunFor(cfg.Duration)
 	return d.result(start)
-}
-
-func (d *swimDriver) onTransition(observer, id int32, inc uint64, new ssg.State) {
-	now := d.sim.Now()
-	d.sim.Trace.Record(now, evTransition, observer, id, uint64(new)<<32|inc&0xffffffff)
-	if new == ssg.StateDead {
-		if rec := d.killRec[id]; rec != nil {
-			if rec.deadSeen == 0 {
-				rec.firstDead = now
-			}
-			rec.deadSeen++
-			if rec.deadSeen >= d.dissemTarget && rec.dissemAt.IsZero() {
-				rec.dissemAt = now
-			}
-		} else if !d.killed[id] && !d.net.Down(id) {
-			d.falseDeadVict[id] = true
-		}
-	}
 }
 
 func (d *swimDriver) kill(id int32) {
@@ -297,6 +228,9 @@ func (d *swimDriver) kill(id int32) {
 	d.sim.Trace.Record(d.sim.Now(), evKill, id, -1, 0)
 }
 
+// flapDown freezes a node — no messages in or out, no timers — for
+// FlapDown; flapUp thaws it with its protocol state intact, so what it
+// believed and what was said about it meanwhile have to be reconciled.
 func (d *swimDriver) flapDown(id int32) {
 	if d.killed[id] {
 		return
@@ -313,184 +247,95 @@ func (d *swimDriver) flapUp(id int32) {
 	d.net.SetDown(id, false)
 	d.sim.Trace.Record(d.sim.Now(), evFlap, id, -1, 1)
 	d.sim.At(d.cfg.FlapPeriod, func() { d.flapDown(id) })
+	d.tick(id)
 }
 
-// tick is one protocol period on one node: decide the previous probe
-// (the suspicion check runs exactly one period after the probe, before
-// anything else this period — the live Group's ordering), expire
-// suspicions, pick a probe target, run the probe sequence, re-arm.
+// tick fires node i's due timers, if any, and settles.
 func (d *swimDriver) tick(i int32) {
-	if d.killed[i] {
-		return
+	now := d.sim.Now()
+	if !d.engines[i].Deadline().After(now) {
+		d.engines[i].Tick(now)
 	}
-	if st := d.pending[i]; st != nil {
-		d.pending[i] = nil
-		if !st.acked && !d.net.Down(i) {
-			j := st.target
-			// First-hand false positive: the target was reachable and
-			// still believed alive, yet the whole probe round failed
-			// (message loss ate every leg).
-			if !d.killed[j] && !d.net.Down(j) && !d.net.Partitioned(i, j, d.sim.Now()) {
-				if s, _, ok := d.engines[i].StateByID(j); ok && s == ssg.StateAlive {
-					d.falseSuspicions++
-				}
-			}
-			d.engines[i].SuspectID(j)
+	d.settle(i, now, true)
+}
+
+// settle is what a driver does after a step: report the transitions,
+// send the messages, re-arm the timer. ticked says the step was a
+// Tick, the only step in which an engine suspects first-hand.
+func (d *swimDriver) settle(i int32, now time.Time, ticked bool) {
+	eff := d.engines[i].Take()
+	for _, t := range eff.Transitions {
+		d.onTransition(i, now, t, ticked)
+	}
+	for _, m := range eff.Msgs {
+		if d.cfg.tamper != nil {
+			d.cfg.tamper(i, &m)
 		}
-	}
-	if !d.net.Down(i) {
-		e := d.engines[i]
-		e.ExpireSuspicions()
-		if j, ok := e.NextProbeTargetID(); ok {
-			d.probe(i, j)
-		}
-	}
-	d.sim.At(d.period, func() { d.tick(i) })
-}
-
-// probe models the full SWIM probe sequence i -> j on virtual time:
-// direct ping with piggybacked gossip, ping timeout, k indirect
-// relays, and the end-of-period suspicion decision — the same state
-// transitions the live Group drives through RPCs.
-func (d *swimDriver) probe(i, j int32) {
-	now := d.sim.Now()
-	d.sim.Trace.Record(now, evProbe, i, j, 0)
-	d.stats.PingsSent.Add(1)
-	st := &probeState{
-		target:         j,
-		directDeadline: now.Add(d.pingTimeout),
-		checkAt:        now.Add(d.period),
-	}
-	d.pending[i] = st
-	payload := d.engines[i].TakeGossipIDs()
-	lat, dup, ok := d.net.Deliver(i, j, now)
-	if ok {
-		d.sim.At(lat, func() { d.deliverPing(i, j, payload, st, true) })
-		if dup {
-			d.sim.At(lat+d.cfg.Jitter, func() { d.deliverPing(i, j, payload, st, false) })
-		}
-	}
-	d.sim.At(d.pingTimeout, func() { d.directTimeout(i, j, st) })
-}
-
-// deliverPing lands the direct ping at j; wantAck=false marks a
-// network-duplicated copy whose gossip is applied but whose ack is
-// not modeled a second time.
-func (d *swimDriver) deliverPing(i, j int32, payload []ssg.WireUpdate, st *probeState, wantAck bool) {
-	if d.killed[j] || d.net.Down(j) {
-		return
-	}
-	e := d.engines[j]
-	e.ApplyIDs(payload)
-	if !wantAck {
-		return
-	}
-	reply := append(e.TakeGossipIDs(), e.PingExtrasID(i)...)
-	now := d.sim.Now()
-	lat, _, ok := d.net.Deliver(j, i, now)
-	if !ok {
-		return
-	}
-	d.sim.At(lat, func() { d.deliverDirectAck(i, j, reply, st) })
-}
-
-func (d *swimDriver) deliverDirectAck(i, j int32, reply []ssg.WireUpdate, st *probeState) {
-	now := d.sim.Now()
-	if now.After(st.directDeadline) {
-		return // the live pinger's context expired; the ack is discarded
-	}
-	d.ackProbe(i, j, reply, st)
-}
-
-func (d *swimDriver) ackProbe(i, j int32, reply []ssg.WireUpdate, st *probeState) {
-	if d.killed[i] || d.net.Down(i) || st.acked {
-		return
-	}
-	st.acked = true
-	d.stats.AcksReceived.Add(1)
-	e := d.engines[i]
-	e.NoteAckID(j)
-	e.ApplyIDs(reply)
-}
-
-// directTimeout fires when the direct ack window closes: fan out
-// ping-req relays through k random peers, each a 4-leg exchange
-// (i->v, v->j, j->v, v->i) that must complete before the period ends.
-func (d *swimDriver) directTimeout(i, j int32, st *probeState) {
-	if st.acked || d.killed[i] || d.net.Down(i) {
-		return
-	}
-	e := d.engines[i]
-	vias := e.IndirectViaIDs(j, d.k)
-	now := d.sim.Now()
-	for _, v := range vias {
-		v := v
-		d.stats.PingReqsSent.Add(1)
-		payload := e.TakeGossipIDs()
-		lat, _, ok := d.net.Deliver(i, v, now)
+		d.sim.Trace.Record(now, evSend, i, m.To, uint64(m.Kind)<<56|m.Seq)
+		lat, dup, ok := d.net.Deliver(i, m.To, now)
 		if !ok {
 			continue
 		}
-		d.sim.At(lat, func() { d.relayPingReq(i, v, j, payload, st) })
-	}
-}
-
-// relayPingReq is the via node receiving the ping-req: apply the
-// requester's gossip, then ping the target directly on its behalf.
-func (d *swimDriver) relayPingReq(i, v, j int32, payload []ssg.WireUpdate, st *probeState) {
-	if d.killed[v] || d.net.Down(v) {
-		return
-	}
-	ev := d.engines[v]
-	ev.ApplyIDs(payload)
-	d.stats.PingsSent.Add(1)
-	viaPayload := ev.TakeGossipIDs()
-	now := d.sim.Now()
-	lat, _, ok := d.net.Deliver(v, j, now)
-	if !ok {
-		return
-	}
-	d.sim.At(lat, func() { d.relayPing(i, v, j, viaPayload, st) })
-}
-
-// relayPing lands the relayed ping at the target j, which acks back
-// to the via.
-func (d *swimDriver) relayPing(i, v, j int32, payload []ssg.WireUpdate, st *probeState) {
-	if d.killed[j] || d.net.Down(j) {
-		return
-	}
-	ej := d.engines[j]
-	ej.ApplyIDs(payload)
-	reply := append(ej.TakeGossipIDs(), ej.PingExtrasID(v)...)
-	now := d.sim.Now()
-	lat, _, ok := d.net.Deliver(j, v, now)
-	if !ok {
-		return
-	}
-	d.sim.At(lat, func() { d.relayAck(i, v, j, reply, st) })
-}
-
-// relayAck is the via receiving the target's ack: fold it in, then
-// forward the ack (with the via's own gossip) to the requester.
-func (d *swimDriver) relayAck(i, v, j int32, reply []ssg.WireUpdate, st *probeState) {
-	if d.killed[v] || d.net.Down(v) {
-		return
-	}
-	ev := d.engines[v]
-	ev.NoteAckID(j)
-	ev.ApplyIDs(reply)
-	forward := ev.TakeGossipIDs()
-	now := d.sim.Now()
-	lat, _, ok := d.net.Deliver(v, i, now)
-	if !ok {
-		return
-	}
-	d.sim.At(lat, func() {
-		if d.sim.Now().After(st.checkAt) {
-			return // past the suspicion decision; too late to count
+		d.sim.At(lat, func() { d.deliver(i, m) })
+		if dup {
+			d.sim.At(lat+d.cfg.Jitter, func() { d.deliver(i, m) })
 		}
-		d.ackProbe(i, j, forward, st)
-	})
+	}
+	if at := d.engines[i].Deadline(); d.armed[i].IsZero() || at.Before(d.armed[i]) {
+		d.armed[i] = at
+		d.sim.At(at.Sub(now), func() {
+			// A killed node's timers never fire again; a frozen one
+			// stays parked until flapUp; a superseded wake-up is void.
+			if d.killed[i] || !d.armed[i].Equal(at) {
+				return
+			}
+			d.armed[i] = time.Time{}
+			if !d.net.Down(i) {
+				d.tick(i)
+			}
+		})
+	}
+}
+
+// deliver lands one message at its destination.
+func (d *swimDriver) deliver(from int32, m ssg.Msg) {
+	if d.killed[m.To] || d.net.Down(m.To) {
+		return
+	}
+	e, now := d.engines[m.To], d.sim.Now()
+	switch m.Kind {
+	case ssg.MsgPing:
+		e.Ping(now, from, m.Seq, m.Updates)
+	case ssg.MsgPingReq:
+		e.PingReq(now, from, m.Seq, m.Target, m.Updates)
+	case ssg.MsgAck:
+		e.Ack(now, from, m.Seq, m.OK, m.Updates)
+	}
+	d.settle(m.To, now, false)
+}
+
+func (d *swimDriver) onTransition(observer int32, now time.Time, t ssg.Transition, ticked bool) {
+	d.sim.Trace.Record(now, evTransition, observer, t.ID, uint64(t.New)<<32|t.Incarnation&0xffffffff)
+	switch {
+	case t.New == ssg.StateSuspect && ticked:
+		// First-hand false positive: the target was up and reachable,
+		// yet the whole probe round failed (message loss ate every leg).
+		if !d.killed[t.ID] && !d.net.Down(t.ID) && !d.net.Partitioned(observer, t.ID, now) {
+			d.falseSuspicions++
+		}
+	case t.New == ssg.StateDead:
+		if rec := d.killRec[t.ID]; rec != nil {
+			if rec.deadSeen == 0 {
+				rec.firstDead = now
+			}
+			rec.deadSeen++
+			if rec.deadSeen >= d.dissemTarget && rec.dissemAt.IsZero() {
+				rec.dissemAt = now
+			}
+		} else if !d.killed[t.ID] && !d.net.Down(t.ID) {
+			d.falseDeadVict[t.ID] = true
+		}
+	}
 }
 
 func (d *swimDriver) result(start time.Time) *SwimResult {
@@ -519,7 +364,7 @@ func (d *swimDriver) result(start time.Time) *SwimResult {
 			if j == i || d.killed[j] {
 				continue
 			}
-			if st, _, ok := d.engines[i].StateByID(int32(j)); ok && st == ssg.StateDead {
+			if st, _, ok := d.engines[i].State(int32(j)); ok && st == ssg.StateDead {
 				r.StaleDeadBeliefs++
 			}
 		}

@@ -1,13 +1,16 @@
 package sim
 
 import (
+	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"mochi/internal/mercury"
 	"mochi/internal/ssg"
+	"mochi/internal/testutil"
 )
 
 // testSwimConfig is the shared base scenario: 2% message loss (harsh
@@ -20,7 +23,9 @@ func testSwimConfig(nodes int, seed int64, dur time.Duration) SwimConfig {
 		Nodes:    nodes,
 		Seed:     seed,
 		Duration: dur,
-		Protocol: ssg.Config{ProtocolPeriod: time.Second},
+		// 32 updates per message is about one 1400-byte datagram; ssg's
+		// default of 8 cannot carry a thousand members' rumor rate.
+		Protocol: ssg.Config{ProtocolPeriod: time.Second, PiggybackLimit: 32},
 		Faults: mercury.ChaosConfig{
 			DropRate:  0.02,
 			DelayRate: 0.05,
@@ -55,31 +60,6 @@ func TestSwimDeterministicReplay(t *testing.T) {
 	}
 }
 
-// simSeeds returns the seed matrix: SIM_SEED pins a single seed (the
-// replay path printed on failures), SIM_SEEDS sets the count.
-func simSeeds(t *testing.T, def int) []int64 {
-	if v := os.Getenv("SIM_SEED"); v != "" {
-		s, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SIM_SEED %q: %v", v, err)
-		}
-		return []int64{s}
-	}
-	n := def
-	if v := os.Getenv("SIM_SEEDS"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil {
-			t.Fatalf("bad SIM_SEEDS %q: %v", v, err)
-		}
-		n = p
-	}
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = int64(i + 1)
-	}
-	return seeds
-}
-
 // TestSwimSeedMatrix1k: the CI matrix — 1k nodes, several seeds, under
 // loss/kill/flap. Every kill must be detected and disseminated, and
 // false deaths must stay rare. Deterministic per seed: a threshold
@@ -89,7 +69,7 @@ func TestSwimSeedMatrix1k(t *testing.T) {
 		t.Skip("1k-node matrix is a CI/sim-smoke test")
 	}
 	nodes, dur := 1000, 3*time.Minute
-	for _, seed := range simSeeds(t, 8) {
+	for _, seed := range testutil.SimSeeds(t, 8) {
 		seed := seed
 		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
 			r := RunSwim(testSwimConfig(nodes, seed, dur))
@@ -120,7 +100,7 @@ func TestSwimSeedMatrix1k(t *testing.T) {
 // contract: every failing run names its seed.
 func fail(t *testing.T, seed int64, format string, args ...interface{}) {
 	t.Helper()
-	t.Logf("replay: SIM_SEED=%d go test -run %s ./internal/sim/", seed, t.Name())
+	t.Log(testutil.ReplayLine(t, seed, "./internal/sim/"))
 	t.Fatalf(format, args...)
 }
 
@@ -157,8 +137,8 @@ func TestSwim10k(t *testing.T) {
 
 // The 10k run's pinned outcome at seed 42.
 const (
-	swim10kEvents    = 13277263
-	swim10kTraceHash = 0x508d556d6ad2926a
+	swim10kEvents    = 14607068
+	swim10kTraceHash = 0x0f956029845edc82
 )
 
 // TestSwimSoak is the variable-length soak for the sim CI job:
@@ -187,6 +167,50 @@ func TestSwimSoak(t *testing.T) {
 	if r.StaleDeadBeliefs != 0 {
 		fail(t, cfg.Seed, "%d stale dead beliefs at end of soak", r.StaleDeadBeliefs)
 	}
+}
+
+// TestSwimCatchesBrokenRefutation proves the end-of-run checks have
+// teeth: a flapper that "refutes" its death without bumping its
+// incarnation (the hook lives in this file and rewrites the assertion
+// on its way out; the Engine is untouched) is never believed, so the
+// run ends with observers still holding a live member dead — where the
+// same seed with the rule intact ends with none — identically on replay.
+func TestSwimCatchesBrokenRefutation(t *testing.T) {
+	scenario := func(seed int64, broken bool) SwimConfig {
+		cfg := testSwimConfig(200, seed, 200*time.Second)
+		cfg.KillCount, cfg.Flappers = 0, 1
+		// Down long enough to be declared dead, then up for the rest.
+		cfg.FlapPeriod, cfg.FlapDown = 100*time.Second, 30*time.Second
+		if broken {
+			cfg.tamper = func(from int32, m *ssg.Msg) {
+				for i := range m.Updates {
+					if u := &m.Updates[i]; u.ID == from && u.State == ssg.StateAlive {
+						u.Incarnation = 0
+					}
+				}
+			}
+		}
+		return cfg
+	}
+	for _, seed := range testutil.SimSeeds(t, 8) {
+		// A seed shows the difference when its flapper came back early
+		// enough for an honest refutation to reach everyone.
+		r := RunSwim(scenario(seed, true))
+		if r.StaleDeadBeliefs == 0 || RunSwim(scenario(seed, false)).StaleDeadBeliefs != 0 {
+			continue
+		}
+		line := testutil.ReplayLine(t, seed, "./internal/sim/")
+		t.Logf("caught: %d observers still hold the flapper dead (%d refutations sent)\n%s", r.StaleDeadBeliefs, r.Refutations, line)
+		if !strings.Contains(line, fmt.Sprintf("SIM_SEED=%d go test", seed)) {
+			t.Fatalf("replay line %q does not pin the seed", line)
+		}
+		// The line is only worth printing if the seed reproduces.
+		if again := RunSwim(scenario(seed, true)); again.StaleDeadBeliefs != r.StaleDeadBeliefs || again.TraceHash != r.TraceHash {
+			t.Fatalf("seed %d did not replay: %s then %s", seed, r, again)
+		}
+		return
+	}
+	t.Fatal("a refutation that does not bump the incarnation went unnoticed on every seed")
 }
 
 // TestSwimPartitionHeals: a 40-second split isolating a quarter of the

@@ -5,31 +5,35 @@ import (
 	"math/rand"
 	"sort"
 	"time"
-
-	"mochi/internal/clock"
 )
 
 // This file holds the transport-free SWIM protocol core. Engine owns
 // every protocol rule — the membership table, incarnation arithmetic,
-// suspicion clocks, gossip budgets, and probe-target selection — but
-// performs no I/O and starts no goroutines. Two drivers run it:
+// suspicion clocks, gossip budgets, probe-target selection and the
+// probe round itself (direct ping, ack window, k ping-reqs, relays on
+// behalf of others, the verdict at the end of the period) — but
+// performs no I/O, reads no clock and starts no goroutines. Inputs are
+// events carrying the current time (a timer tick, a ping, a ping-req or
+// an ack from a peer, membership assertions); outputs are the Effects
+// each step leaves behind plus the next timer deadline. Members are
+// dense int32 IDs throughout; addresses exist only in the AddrTable.
+// Two drivers run it:
 //
-//   - the live Group (group.go), which wraps an Engine in a mutex and
-//     wires it to margo RPCs and real goroutines; and
+//   - the live Group (group.go), which wraps one Engine in a mutex and
+//     wires it to margo RPCs, a timer goroutine, a few senders and the
+//     one notifier goroutine that calls membership callbacks; and
 //   - the deterministic simulator (internal/sim), which runs thousands
-//     of engines sequentially on virtual time, so the exact code that
-//     decides "suspect", "dead", and "refute" in production is what is
-//     model-checked at 10k nodes.
+//     of engines single-threaded on sim.Sim + sim.Net, so the code that
+//     decides "ping-req", "suspect", "dead" and "refute" in production
+//     is the code that is checked at 10k nodes.
 //
-// Engines are NOT safe for concurrent use: the caller serializes all
-// calls (Group under its mutex, the simulator by being single-threaded).
+// An Engine is NOT safe for concurrent use: the caller serializes all
+// calls, and consumes the Effects of one step before the next input.
 //
 // Memory layout is deliberately compact so a 10k-node simulation
 // (10k engines x 10k members = 100M membership records) stays within a
-// couple of GB: members are keyed by dense int32 IDs interned in an
-// AddrTable that all engines of one simulation share, and per-member
-// state is a 16-byte slot in a flat slice indexed by ID — no per-member
-// allocation, no per-engine string storage.
+// couple of GB: per-member state is an 8-byte slot in a flat slice
+// indexed by ID — no per-member allocation, no per-engine strings.
 
 // AddrTable interns member addresses into dense int32 IDs. A table may
 // be shared by many engines (the simulator shares one across the whole
@@ -55,35 +59,65 @@ func (t *AddrTable) Intern(addr string) int32 {
 	return id
 }
 
-// Lookup returns the ID for addr without interning it.
-func (t *AddrTable) Lookup(addr string) (int32, bool) {
-	id, ok := t.ids[addr]
-	return id, ok
-}
-
 // Addr returns the address for a previously interned ID.
 func (t *AddrTable) Addr(id int32) string { return t.addrs[id] }
 
 // Len returns the number of interned addresses.
 func (t *AddrTable) Len() int { return len(t.addrs) }
 
-// Update is a gossiped membership assertion: "addr is in this state at
-// this incarnation". It is both the wire payload riding piggyback on
-// probe traffic and the unit the protocol rules consume.
-type Update struct {
-	Addr        string
+// IDUpdate is a gossiped membership assertion: "ID is in this state at
+// this incarnation". It rides piggyback on probe traffic and is the
+// unit the update rules consume; Update (wire.go) is its address-keyed
+// wire form.
+type IDUpdate struct {
+	ID          int32
 	Incarnation uint64
 	State       State
 }
 
-// WireUpdate is the ID-keyed form of Update, for callers that share
-// the engine's AddrTable (the simulator runs millions of gossip
-// exchanges per virtual minute; address-string round trips through the
-// intern map dominate its profile). The live RPC path keeps Update.
-type WireUpdate struct {
+// MsgKind says which of the three SWIM messages a Msg is.
+type MsgKind uint8
+
+const (
+	// MsgPing asks To for an ack.
+	MsgPing MsgKind = iota + 1
+	// MsgPingReq asks To to ping Target and report back.
+	MsgPingReq
+	// MsgAck answers the ping or ping-req the receiver sent as Seq.
+	MsgAck
+)
+
+// Msg is one message the engine wants delivered. Seq is the sender's
+// number for a ping or ping-req and comes back unchanged in the ack
+// that answers it.
+type Msg struct {
+	Kind   MsgKind
+	To     int32
+	Target int32 // MsgPingReq only
+	Seq    uint64
+	// OK on an ack to a ping-req says the target answered the relayed
+	// ping; an ack to a ping always carries true.
+	OK bool
+	// Timeout, on a ping or ping-req, is how long an answer can still
+	// matter: a driver that holds resources for the exchange may drop
+	// them after that.
+	Timeout time.Duration
+	Updates []IDUpdate
+}
+
+// Transition is one membership change as seen by this member. A newly
+// discovered member arrives as a transition from StateDead.
+type Transition struct {
 	ID          int32
 	Incarnation uint64
-	State       State
+	Old, New    State
+}
+
+// Effects is what a step asks its driver to do: deliver Msgs (loss is
+// tolerated) and report Transitions, both in order.
+type Effects struct {
+	Msgs        []Msg
+	Transitions []Transition
 }
 
 // slot is one member's state as seen by one engine: 8 bytes, indexed
@@ -118,7 +152,7 @@ func clampInc(v uint64) uint32 {
 // probe hot path.
 //
 // Each bucket entry carries the full assertion inline (gEntry), so a
-// TakeGossip scan reads sequentially; the only random access per entry
+// takeGossip scan reads sequentially; the only random access per entry
 // is one packed meta word (gen<<16 | budget) that decides liveness: an
 // entry is current iff its generation matches the member's. Enqueueing
 // bumps the generation, which lazily invalidates every older copy.
@@ -131,18 +165,34 @@ type gEntry struct {
 	inc   uint32
 }
 
+// round is the probe this member started in the current period.
+type round struct {
+	pending bool // no ack yet: a verdict is due at the end of the period
+	target  int32
+	seq     uint64 // of the direct ping
+	reqLo   uint64 // the ping-reqs took seqs (reqLo, reqHi]
+	reqHi   uint64
+}
+
+// relay is a ping in flight on behalf of a ping-req.
+type relay struct {
+	seq      uint64 // of our ping to target
+	from     int32  // who asked
+	reqSeq   uint64 // their number for the ping-req
+	target   int32
+	deadline time.Time
+}
+
 // Engine is one member's SWIM protocol state machine.
 type Engine struct {
 	tbl   *AddrTable
 	cfg   Config
-	clk   clock.Clock
 	rng   *rand.Rand
-	stats *Stats // optional; nil disables counting
+	stats *Stats
 
-	self     int32
-	selfAddr string
-	selfInc  uint64
-	version  uint64
+	self    int32
+	selfInc uint64
+	version uint64
 
 	slots []slot
 	order []int32 // present member IDs, sorted by address
@@ -153,7 +203,7 @@ type Engine struct {
 	gTop     int        // highest bucket that may hold live entries
 	buckets  [][]gEntry // buckets[b]: assertions enqueued at budget b, FIFO
 	heads    []int      // per-bucket scan offset past consumed/stale entries
-	lens     []int      // scratch: bucket-length snapshot for one TakeGossip call
+	lens     []int      // scratch: bucket-length snapshot for one takeGossip call
 
 	dead []int32 // members seen transitioning to dead (lazily cleaned)
 
@@ -163,86 +213,87 @@ type Engine struct {
 	probe    []int32
 	probeIdx int
 
-	onTransition   func(m Member, old, new State)
-	onTransitionID func(id int32, inc uint64, old, new State)
+	// The three timers. periodAt ends the current protocol period: the
+	// round gets its verdict and the next one starts. ackAt, non-zero
+	// while the direct ack is awaited, fans the ping-reqs out. relays
+	// are in deadline order; a due one is answered "no".
+	periodAt time.Time
+	ackAt    time.Time
+	relays   []relay
+	round    round
+	seq      uint64
+
+	eff Effects
 }
 
 // NewEngine creates the protocol core for self, bootstrapped with the
-// given member addresses (self is added if absent). cfg defaults are
-// applied. rng drives probe-order shuffling and must be seeded by the
-// caller; stats may be nil.
-func NewEngine(tbl *AddrTable, self string, bootstrap []string, cfg Config, clk clock.Clock, rng *rand.Rand, stats *Stats) *Engine {
-	ids := make([]int32, len(bootstrap))
-	for i, a := range bootstrap {
-		ids[i] = tbl.Intern(a)
-	}
-	return NewEngineFromIDs(tbl, tbl.Intern(self), ids, cfg, clk, rng, stats)
-}
-
-// NewEngineFromIDs is NewEngine with a pre-interned bootstrap list, for
-// callers that build many engines over one shared table (the simulator
-// creates 10k engines from the same 10k addresses; re-interning every
-// address per engine would be 100M map lookups of pure setup).
-func NewEngineFromIDs(tbl *AddrTable, self int32, bootstrap []int32, cfg Config, clk clock.Clock, rng *rand.Rand, stats *Stats) *Engine {
+// given members (self is added if absent); every ID must come from
+// tbl. cfg defaults are applied. rng drives probe-order shuffling and
+// the phase of the first period — members started together must not
+// probe in lockstep — and must be seeded by the caller; stats is where
+// the engine counts (engines may share one).
+func NewEngine(tbl *AddrTable, self int32, members []int32, cfg Config, rng *rand.Rand, stats *Stats, now time.Time) *Engine {
 	e := &Engine{
 		tbl:       tbl,
 		cfg:       cfg.withDefaults(),
-		clk:       clk,
 		rng:       rng,
 		stats:     stats,
 		self:      self,
-		selfAddr:  tbl.Addr(self),
 		suspectAt: map[int32]time.Time{},
 	}
 	// Bulk bootstrap: append members unsorted and sort once, instead of
 	// one sorted-insert (an O(n) memmove) per member — at 10k members
 	// x 10k simulated engines the incremental path is minutes of setup.
-	e.order = make([]int32, 0, len(bootstrap)+1)
-	for _, id := range bootstrap {
-		e.ensure(id)
-		if e.slots[id].present {
-			continue
+	e.ensure(self)
+	e.order = make([]int32, 0, len(members)+1)
+	boot := func(id int32) {
+		if !e.slots[id].present {
+			e.slots[id] = slot{present: true, state: StateAlive}
+			e.order = append(e.order, id)
 		}
-		e.slots[id] = slot{present: true, state: StateAlive}
-		e.order = append(e.order, id)
 	}
+	for _, id := range members {
+		boot(id)
+	}
+	boot(self)
 	byAddr := func(i, j int) bool { return tbl.Addr(e.order[i]) < tbl.Addr(e.order[j]) }
 	if !sort.SliceIsSorted(e.order, byAddr) {
 		sort.Slice(e.order, byAddr)
 	}
-	e.ensure(e.self)
-	if !e.slots[e.self].present {
-		e.addLocked(e.self, 0, StateAlive, false)
-	}
 	e.version++
+	e.periodAt = now.Add(time.Duration(rng.Int63n(int64(e.cfg.ProtocolPeriod))))
 	return e
 }
 
-// SetTransitionHook installs the membership-transition observer. The
-// hook runs synchronously inside the protocol call that caused the
-// transition (the live Group defers callback fan-out to a goroutine;
-// the simulator records events in place).
-func (e *Engine) SetTransitionHook(fn func(m Member, old, new State)) { e.onTransition = fn }
-
-// SetTransitionHookID installs an ID-keyed transition observer that
-// takes precedence over the Member-based hook; it avoids constructing
-// a Member (and its address string) per transition, which matters when
-// the simulator records millions of them.
-func (e *Engine) SetTransitionHookID(fn func(id int32, inc uint64, old, new State)) {
-	e.onTransitionID = fn
+// Config returns the configuration in force, defaults resolved.
+func (e *Engine) Config() Config {
+	c := e.cfg
+	c.SuspicionPeriods = e.suspicionPeriods()
+	return c
 }
 
-// Self returns this engine's address.
-func (e *Engine) Self() string { return e.selfAddr }
+// suspicionPeriods is the refutation window in protocol periods. Left
+// unset it follows the group's size: the window must cover a rumor
+// round trip — the suspicion gossiping out to the suspect and the
+// refutation gossiping back — and epidemic spread time grows with
+// log n. Lifeguard-style scaling: 4 periods per decade of membership.
+func (e *Engine) suspicionPeriods() int {
+	if e.cfg.SuspicionPeriods > 0 {
+		return e.cfg.SuspicionPeriods
+	}
+	if n := 4 * int(math.Ceil(math.Log10(float64(len(e.order))+1))); n > 4 {
+		return n
+	}
+	return 4
+}
 
-// SelfID returns this engine's interned ID.
-func (e *Engine) SelfID() int32 { return e.self }
-
-// SelfIncarnation returns the current self incarnation number.
-func (e *Engine) SelfIncarnation() uint64 { return e.selfInc }
-
-// Version returns the local view version.
-func (e *Engine) Version() uint64 { return e.version }
+// Take returns the effects accumulated since the last call. They alias
+// the engine's buffers: use them before the next input.
+func (e *Engine) Take() Effects {
+	eff := e.eff
+	e.eff.Msgs, e.eff.Transitions = e.eff.Msgs[:0], e.eff.Transitions[:0]
+	return eff
+}
 
 // ensure grows the per-member arrays to cover id.
 func (e *Engine) ensure(id int32) {
@@ -257,53 +308,43 @@ func (e *Engine) ensure(id int32) {
 	}
 }
 
-// addLocked registers a newly discovered member. fire controls whether
-// the transition hook runs (bootstrap members do not fire it).
-func (e *Engine) addLocked(id int32, inc uint64, s State, fire bool) {
-	sl := &e.slots[id]
-	sl.present = true
-	sl.inc = clampInc(inc)
-	sl.state = s
+// add registers a newly discovered member: it arrives as a transition
+// from StateDead.
+func (e *Engine) add(now time.Time, id int32, inc uint64, s State) {
+	e.slots[id] = slot{present: true, state: StateDead}
 	addr := e.tbl.Addr(id)
 	i := sort.Search(len(e.order), func(i int) bool { return e.tbl.Addr(e.order[i]) >= addr })
 	e.order = append(e.order, 0)
 	copy(e.order[i+1:], e.order[i:])
 	e.order[i] = id
-	e.version++
-	if s == StateSuspect {
-		e.setSuspectDeadline(id)
-	}
-	if s == StateDead {
-		e.dead = append(e.dead, id)
-	}
-	if fire {
-		if e.onTransitionID != nil {
-			e.onTransitionID(id, inc, StateDead, s)
-		} else if e.onTransition != nil {
-			e.onTransition(Member{Addr: addr, Incarnation: inc, State: s}, StateDead, s)
-		}
-	}
+	e.transition(now, id, s, inc)
 }
 
 // transition applies a state change to a known member, bumping the
-// view version and firing the hook.
-func (e *Engine) transition(id int32, s State, inc uint64) {
+// view version and (re)arming or clearing its refutation window.
+func (e *Engine) transition(now time.Time, id int32, s State, inc uint64) {
 	sl := &e.slots[id]
 	old := sl.state
 	sl.state = s
 	sl.inc = clampInc(inc)
 	e.version++
-	if s != StateSuspect {
+	switch s {
+	case StateSuspect:
+		// Track the earliest pending deadline so expireSuspicions can
+		// skip its map scan on the overwhelmingly common period where
+		// nothing is due.
+		dl := now.Add(time.Duration(e.suspicionPeriods()) * e.cfg.ProtocolPeriod)
+		e.suspectAt[id] = dl
+		if e.suspectNext.IsZero() || dl.Before(e.suspectNext) {
+			e.suspectNext = dl
+		}
+	case StateDead:
+		e.dead = append(e.dead, id)
+		fallthrough
+	default:
 		delete(e.suspectAt, id)
 	}
-	if s == StateDead {
-		e.dead = append(e.dead, id)
-	}
-	if e.onTransitionID != nil {
-		e.onTransitionID(id, inc, old, s)
-	} else if e.onTransition != nil {
-		e.onTransition(Member{Addr: e.tbl.Addr(id), Incarnation: inc, State: s}, old, s)
-	}
+	e.eff.Transitions = append(e.eff.Transitions, Transition{ID: id, Incarnation: inc, Old: old, New: s})
 }
 
 // View returns a snapshot of the membership, sorted by address.
@@ -316,8 +357,8 @@ func (e *Engine) View() View {
 	return v
 }
 
-// StateByID returns a member's state and incarnation.
-func (e *Engine) StateByID(id int32) (State, uint64, bool) {
+// State returns a member's state and incarnation.
+func (e *Engine) State(id int32) (State, uint64, bool) {
 	if int(id) >= len(e.slots) || !e.slots[id].present {
 		return 0, 0, false
 	}
@@ -325,30 +366,136 @@ func (e *Engine) StateByID(id int32) (State, uint64, bool) {
 	return sl.state, uint64(sl.inc), true
 }
 
-// Incarnation returns the known incarnation for addr.
-func (e *Engine) Incarnation(addr string) (uint64, bool) {
-	id, ok := e.tbl.Lookup(addr)
-	if !ok {
-		return 0, false
-	}
-	_, inc, ok := e.StateByID(id)
-	return inc, ok
+// probeable reports whether id is a peer worth pinging: present and
+// alive or suspect.
+func (e *Engine) probeable(id int32) bool {
+	sl := e.slots[id]
+	return id != e.self && sl.present && (sl.state == StateAlive || sl.state == StateSuspect)
 }
 
-// AlivePeers returns the addresses of alive-or-suspect peers (not
-// self), sorted by address.
-func (e *Engine) AlivePeers() []string {
-	var out []string
-	for _, id := range e.order {
-		if id == e.self {
-			continue
+// --- time and the probe round ---
+
+// Deadline is when Tick next has something to do.
+func (e *Engine) Deadline() time.Time {
+	d := e.periodAt
+	if !e.ackAt.IsZero() && e.ackAt.Before(d) {
+		d = e.ackAt
+	}
+	if len(e.relays) > 0 && e.relays[0].deadline.Before(d) {
+		d = e.relays[0].deadline
+	}
+	return d
+}
+
+// Tick fires every timer that is due at now.
+func (e *Engine) Tick(now time.Time) {
+	for len(e.relays) > 0 && !now.Before(e.relays[0].deadline) {
+		r := e.relays[0]
+		e.relays = e.relays[1:]
+		e.send(Msg{Kind: MsgAck, To: r.from, Seq: r.reqSeq, Updates: e.takeGossip()})
+	}
+	switch {
+	case !now.Before(e.periodAt):
+		// The SWIM verdict: a round that saw no ack, direct or relayed,
+		// by the end of its period suspects its target. A member that
+		// slept through a whole further period (a stalled process, a
+		// paused VM) cannot tell a dead peer from its own absence and
+		// renders none.
+		if e.round.pending && now.Sub(e.periodAt) < e.cfg.ProtocolPeriod {
+			e.suspect(now, e.round.target)
 		}
-		s := e.slots[id].state
-		if s == StateAlive || s == StateSuspect {
-			out = append(out, e.tbl.Addr(id))
+		e.expireSuspicions(now)
+		e.startRound(now)
+	case !e.ackAt.IsZero() && !now.Before(e.ackAt):
+		e.ackAt = time.Time{}
+		left := e.periodAt.Sub(now)
+		e.round.reqLo = e.seq
+		for _, via := range e.indirectVia(e.round.target, e.cfg.IndirectPings) {
+			e.seq++
+			e.stats.PingReqsSent.Add(1)
+			e.send(Msg{Kind: MsgPingReq, To: via, Target: e.round.target, Seq: e.seq, Timeout: left, Updates: e.takeGossip()})
+		}
+		e.round.reqHi = e.seq
+	}
+}
+
+// startRound opens the next protocol period with a direct ping.
+func (e *Engine) startRound(now time.Time) {
+	e.periodAt = now.Add(e.cfg.ProtocolPeriod)
+	e.round, e.ackAt = round{}, time.Time{}
+	target, ok := e.nextProbeTarget()
+	if !ok {
+		return
+	}
+	e.seq++
+	e.round = round{pending: true, target: target, seq: e.seq}
+	e.ackAt = now.Add(e.cfg.PingTimeout)
+	e.stats.PingsSent.Add(1)
+	e.send(Msg{Kind: MsgPing, To: target, Seq: e.seq, Timeout: e.cfg.ProtocolPeriod, Updates: e.takeGossip()})
+}
+
+func (e *Engine) send(m Msg) { e.eff.Msgs = append(e.eff.Msgs, m) }
+
+// Ping handles a ping from a peer: fold its gossip in and ack with
+// ours. If the pinger itself is locally believed suspect or dead the
+// ack says so: telling it triggers its refutation, SWIM's mechanism
+// for recovering from false positives.
+func (e *Engine) Ping(now time.Time, from int32, seq uint64, ups []IDUpdate) {
+	e.Apply(now, ups)
+	reply := e.takeGossip()
+	if s, inc, ok := e.State(from); ok && (s == StateDead || s == StateSuspect) {
+		reply = append(reply, IDUpdate{ID: from, Incarnation: inc, State: s})
+	}
+	e.send(Msg{Kind: MsgAck, To: from, Seq: seq, OK: true, Updates: reply})
+}
+
+// PingReq handles a request to probe target on from's behalf: ping it
+// and remember whom to tell. The answer is an ack to from carrying seq,
+// sent when target acks or, with OK false, when PingTimeout runs out.
+func (e *Engine) PingReq(now time.Time, from int32, seq uint64, target int32, ups []IDUpdate) {
+	e.Apply(now, ups)
+	e.seq++
+	e.relays = append(e.relays, relay{seq: e.seq, from: from, reqSeq: seq, target: target, deadline: now.Add(e.cfg.PingTimeout)})
+	e.stats.PingsSent.Add(1)
+	e.send(Msg{Kind: MsgPing, To: target, Seq: e.seq, Timeout: e.cfg.PingTimeout, Updates: e.takeGossip()})
+}
+
+// Ack handles the answer to the ping or ping-req this member sent as
+// seq. A positive answer to the open round settles it, however late in
+// the period; one to a relayed ping is passed on to whoever asked.
+// Duplicates and answers to anything older only contribute gossip.
+func (e *Engine) Ack(now time.Time, from int32, seq uint64, ok bool, ups []IDUpdate) {
+	r := &e.round
+	if ok && r.pending && (seq == r.seq || (seq > r.reqLo && seq <= r.reqHi)) {
+		r.pending, e.ackAt = false, time.Time{}
+		e.stats.AcksReceived.Add(1)
+		e.noteAlive(now, r.target)
+	}
+	relayed := -1
+	for i := range e.relays {
+		if e.relays[i].seq == seq {
+			relayed = i
+			break
 		}
 	}
-	return out
+	if relayed >= 0 && ok {
+		e.noteAlive(now, e.relays[relayed].target)
+	}
+	e.Apply(now, ups)
+	if relayed >= 0 {
+		rl := e.relays[relayed]
+		e.relays = append(e.relays[:relayed], e.relays[relayed+1:]...)
+		e.send(Msg{Kind: MsgAck, To: rl.from, Seq: rl.reqSeq, OK: ok, Updates: e.takeGossip()})
+	}
+}
+
+// noteAlive records an ack as evidence of life: a member we believed
+// dead is resurrected (its refutation gossip will follow with a higher
+// incarnation).
+func (e *Engine) noteAlive(now time.Time, id int32) {
+	if s, inc, ok := e.State(id); ok && s == StateDead {
+		e.transition(now, id, StateAlive, inc)
+	}
 }
 
 // pickDead returns a uniformly random member currently believed dead,
@@ -366,19 +513,19 @@ func (e *Engine) pickDead() (int32, bool) {
 	return 0, false
 }
 
-// NextProbeTargetID implements SWIM's randomized round-robin: a
-// shuffled pass over all alive peers, reshuffled when exhausted. With
-// no alive peers it falls back to a random dead member so a fully
-// partitioned member can rediscover the group after healing.
+// nextProbeTarget implements SWIM's randomized round-robin: a shuffled
+// pass over all alive peers, reshuffled when exhausted. With no alive
+// peers it falls back to a random dead member so a fully partitioned
+// member can rediscover the group after healing.
 //
 // Even with alive peers, roughly one probe round in 16 targets a dead
 // member instead: on a large bisected cluster both halves keep plenty
 // of alive peers, so the no-alive-peers fallback never fires and the
 // sides would otherwise never re-contact each other after the
-// partition heals. A direct ack from a "dead" member resurrects it
-// (NoteAck) and the ack's PingExtras trigger the incarnation-bump
-// refutations that spread the resurrection.
-func (e *Engine) NextProbeTargetID() (int32, bool) {
+// partition heals. An ack from a "dead" member resurrects it
+// (noteAlive) and the ack's extra assertion triggers the
+// incarnation-bump refutations that spread the resurrection.
+func (e *Engine) nextProbeTarget() (int32, bool) {
 	if len(e.dead) > 0 && e.rng.Intn(16) == 0 {
 		if id, ok := e.pickDead(); ok {
 			return id, true
@@ -387,11 +534,7 @@ func (e *Engine) NextProbeTargetID() (int32, bool) {
 	if e.probeIdx >= len(e.probe) {
 		e.probe = e.probe[:0]
 		for _, id := range e.order {
-			if id == e.self {
-				continue
-			}
-			s := e.slots[id].state
-			if s == StateAlive || s == StateSuspect {
+			if e.probeable(id) {
 				e.probe = append(e.probe, id)
 			}
 		}
@@ -401,48 +544,26 @@ func (e *Engine) NextProbeTargetID() (int32, bool) {
 	for e.probeIdx < len(e.probe) {
 		id := e.probe[e.probeIdx]
 		e.probeIdx++
-		s := e.slots[id].state
-		if e.slots[id].present && (s == StateAlive || s == StateSuspect) {
+		if e.probeable(id) {
 			return id, true
 		}
 	}
-	var dead []int32
-	for _, id := range e.order {
-		if id != e.self && e.slots[id].state == StateDead {
-			dead = append(dead, id)
-		}
-	}
-	if len(dead) == 0 {
-		return 0, false
-	}
-	return dead[e.rng.Intn(len(dead))], true
+	return e.pickDead()
 }
 
-// NextProbeTarget is NextProbeTargetID resolved to an address.
-func (e *Engine) NextProbeTarget() (string, bool) {
-	id, ok := e.NextProbeTargetID()
-	if !ok {
-		return "", false
-	}
-	return e.tbl.Addr(id), true
-}
-
-// IndirectViaIDs returns up to k random alive peers to relay an
-// indirect probe of target. For large clusters it rejection-samples
-// from the member table instead of materializing and shuffling the
-// full candidate list (an O(n) allocation on every failed direct
-// ping); dense membership means a handful of draws find k alive
-// peers. Sparse or tiny clusters fall back to the exact scan.
-func (e *Engine) IndirectViaIDs(target int32, k int) []int32 {
+// indirectVia returns up to k random alive peers to relay an indirect
+// probe of target. For large clusters it rejection-samples from the
+// member table instead of materializing and shuffling the full
+// candidate list (an O(n) allocation on every failed direct ping);
+// dense membership means a handful of draws find k alive peers. Sparse
+// or tiny clusters fall back to the exact scan.
+func (e *Engine) indirectVia(target int32, k int) []int32 {
 	if n := len(e.order); n >= 64 {
 		var out []int32
 	sample:
 		for tries := 0; tries < 8*k+16 && len(out) < k; tries++ {
 			id := e.order[e.rng.Intn(n)]
-			if id == e.self || id == target {
-				continue
-			}
-			if s := e.slots[id].state; s != StateAlive && s != StateSuspect {
+			if id == target || !e.probeable(id) {
 				continue
 			}
 			for _, o := range out {
@@ -458,11 +579,7 @@ func (e *Engine) IndirectViaIDs(target int32, k int) []int32 {
 	}
 	var peers []int32
 	for _, id := range e.order {
-		if id == e.self || id == target {
-			continue
-		}
-		s := e.slots[id].state
-		if s == StateAlive || s == StateSuspect {
+		if id != target && e.probeable(id) {
 			peers = append(peers, id)
 		}
 	}
@@ -473,19 +590,7 @@ func (e *Engine) IndirectViaIDs(target int32, k int) []int32 {
 	return peers
 }
 
-// IndirectViaAddrs is IndirectViaIDs resolved to addresses.
-func (e *Engine) IndirectViaAddrs(target string, k int) []string {
-	tid := int32(-1)
-	if id, ok := e.tbl.Lookup(target); ok {
-		tid = id
-	}
-	ids := e.IndirectViaIDs(tid, k)
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = e.tbl.Addr(id)
-	}
-	return out
-}
+// --- gossip ---
 
 // enqueueGossip queues an assertion for piggybacking with a budget of
 // RetransmitMult*log2(N+1) transmissions, superseding any older
@@ -521,7 +626,7 @@ func (e *Engine) bucketPut(b int, en gEntry) {
 	}
 }
 
-// TakeGossip selects up to PiggybackLimit updates to send, consuming
+// takeGossip selects up to PiggybackLimit updates to send, consuming
 // transmission budget. Selection prefers the rumors with the MOST
 // remaining budget — i.e. the least-transmitted, freshest ones — with
 // enqueue order as the deterministic tie-break (the same policy as
@@ -531,8 +636,9 @@ func (e *Engine) bucketPut(b int, en gEntry) {
 // of sends) while fresh rumors — deaths, refutations — starve behind
 // them, and a cluster-wide rumor never reaches everyone. Freshest-
 // first gets a new rumor onto the wire on the very next send, which
-// is what epidemic dissemination time bounds assume.
-func (e *Engine) TakeGossipIDs() []WireUpdate {
+// is what epidemic dissemination time bounds assume. The result is
+// the message's own: it travels while the engine moves on.
+func (e *Engine) takeGossip() []IDUpdate {
 	if e.gLive == 0 {
 		return nil
 	}
@@ -540,7 +646,7 @@ func (e *Engine) TakeGossipIDs() []WireUpdate {
 	if e.gLive < max {
 		max = e.gLive
 	}
-	out := make([]WireUpdate, 0, max)
+	out := make([]IDUpdate, 0, max)
 	// Trim the top-bucket hint past trailing fully-consumed buckets so
 	// the scan starts where live entries can actually be.
 	for e.gTop >= 1 && e.heads[e.gTop] >= len(e.buckets[e.gTop]) {
@@ -567,34 +673,18 @@ func (e *Engine) TakeGossipIDs() []WireUpdate {
 			if uint16(e.gMeta[en.id]>>16) != en.gen {
 				continue // stale copy: superseded, spent, or evicted
 			}
-			out = append(out, WireUpdate{ID: en.id, Incarnation: uint64(en.inc), State: en.state})
+			out = append(out, IDUpdate{ID: en.id, Incarnation: uint64(en.inc), State: en.state})
 			e.gMeta[en.id] = uint32(en.gen)<<16 | uint32(b-1)
 			if b-1 >= 1 {
 				e.bucketPut(b-1, en)
 			} else {
 				e.gLive--
 			}
-			if e.stats != nil {
-				e.stats.UpdatesGossiped.Add(1)
-			}
+			e.stats.UpdatesGossiped.Add(1)
 		}
 		e.heads[b] = h
 	}
 	e.compactGossip()
-	return out
-}
-
-// TakeGossip is TakeGossipIDs resolved to addresses (the live RPC
-// path).
-func (e *Engine) TakeGossip() []Update {
-	ids := e.TakeGossipIDs()
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]Update, len(ids))
-	for i, u := range ids {
-		out[i] = Update{Addr: e.tbl.Addr(u.ID), Incarnation: u.Incarnation, State: u.State}
-	}
 	return out
 }
 
@@ -648,47 +738,24 @@ func (e *Engine) AnnounceSelf() {
 	e.enqueueGossip(e.self, e.selfInc, StateAlive)
 }
 
-// Suspect marks target suspected after a failed probe round and
-// gossips the suspicion.
-func (e *Engine) Suspect(addr string) {
-	if id, ok := e.tbl.Lookup(addr); ok {
-		e.SuspectID(id)
-	}
-}
+// --- suspicion ---
 
-// SuspectID is Suspect by interned ID.
-func (e *Engine) SuspectID(id int32) {
-	if int(id) >= len(e.slots) || !e.slots[id].present || e.slots[id].state != StateAlive {
+// suspect marks id suspected after a failed probe round and gossips
+// the suspicion.
+func (e *Engine) suspect(now time.Time, id int32) {
+	s, inc, ok := e.State(id)
+	if !ok || s != StateAlive {
 		return
 	}
-	if e.stats != nil {
-		e.stats.SuspectsRaised.Add(1)
-	}
-	inc := uint64(e.slots[id].inc)
-	e.transition(id, StateSuspect, inc)
-	e.setSuspectDeadline(id)
+	e.stats.SuspectsRaised.Add(1)
+	e.transition(now, id, StateSuspect, inc)
 	e.enqueueGossip(id, inc, StateSuspect)
 }
 
-// setSuspectDeadline (re)arms id's refutation window, tracking the
-// earliest pending deadline so ExpireSuspicions can skip its map scan
-// on the overwhelmingly common tick where nothing is due.
-func (e *Engine) setSuspectDeadline(id int32) {
-	dl := e.clk.Now().Add(time.Duration(e.cfg.SuspicionPeriods) * e.cfg.ProtocolPeriod)
-	e.suspectAt[id] = dl
-	if e.suspectNext.IsZero() || dl.Before(e.suspectNext) {
-		e.suspectNext = dl
-	}
-}
-
-// ExpireSuspicions declares dead every suspect whose refutation window
-// has passed.
-func (e *Engine) ExpireSuspicions() {
-	if len(e.suspectAt) == 0 {
-		return
-	}
-	now := e.clk.Now()
-	if !now.After(e.suspectNext) {
+// expireSuspicions declares dead every suspect whose refutation window
+// has passed. It runs once per protocol period.
+func (e *Engine) expireSuspicions(now time.Time) {
+	if len(e.suspectAt) == 0 || !now.After(e.suspectNext) {
 		return // earliest deadline still pending; deletions only raise it
 	}
 	var due []int32
@@ -703,93 +770,31 @@ func (e *Engine) ExpireSuspicions() {
 	e.suspectNext = next
 	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] }) // deterministic order
 	for _, id := range due {
-		if e.stats != nil {
-			e.stats.DeathsDeclared.Add(1)
-		}
+		e.stats.DeathsDeclared.Add(1)
 		inc := uint64(e.slots[id].inc)
-		e.transition(id, StateDead, inc)
+		e.transition(now, id, StateDead, inc)
 		e.enqueueGossip(id, inc, StateDead)
 	}
 }
 
-// NoteAck records first-hand evidence of life from a direct ack:
-// a member we believed dead is resurrected (its refutation gossip will
-// follow with a higher incarnation).
-func (e *Engine) NoteAck(addr string) {
-	id, ok := e.tbl.Lookup(addr)
-	if !ok {
-		return
-	}
-	e.NoteAckID(id)
-}
-
-// NoteAckID is NoteAck by interned ID.
-func (e *Engine) NoteAckID(id int32) {
-	if int(id) < len(e.slots) && e.slots[id].present && e.slots[id].state == StateDead {
-		e.transition(id, StateAlive, uint64(e.slots[id].inc))
-	}
-}
-
-// PingExtras returns the assertion to piggyback on an ack when the
-// pinger itself is locally believed suspect or dead: telling it
-// triggers its refutation, SWIM's mechanism for recovering from false
-// positives.
-func (e *Engine) PingExtras(from string) []Update {
-	id, ok := e.tbl.Lookup(from)
-	if !ok {
-		return nil
-	}
-	ids := e.PingExtrasID(id)
-	if len(ids) == 0 {
-		return nil
-	}
-	return []Update{{Addr: from, Incarnation: ids[0].Incarnation, State: ids[0].State}}
-}
-
-// PingExtrasID is PingExtras by interned ID.
-func (e *Engine) PingExtrasID(id int32) []WireUpdate {
-	if int(id) >= len(e.slots) || !e.slots[id].present {
-		return nil
-	}
-	sl := e.slots[id]
-	if sl.state == StateDead || sl.state == StateSuspect {
-		return []WireUpdate{{ID: id, Incarnation: uint64(sl.inc), State: sl.state}}
-	}
-	return nil
-}
+// --- the update rules ---
 
 // Apply folds received membership assertions into local state (the
 // SWIM update rules with incarnation numbers).
-func (e *Engine) Apply(ups []Update) {
+func (e *Engine) Apply(now time.Time, ups []IDUpdate) {
 	for _, u := range ups {
-		e.ApplyOne(u)
+		e.applyOne(now, u)
 	}
 }
 
-// ApplyOne applies a single assertion, interning unknown addresses.
-func (e *Engine) ApplyOne(u Update) {
-	e.ApplyOneID(WireUpdate{ID: e.tbl.Intern(u.Addr), Incarnation: u.Incarnation, State: u.State})
-}
-
-// ApplyIDs folds ID-keyed assertions (IDs must come from the shared
-// AddrTable).
-func (e *Engine) ApplyIDs(ups []WireUpdate) {
-	for _, u := range ups {
-		e.ApplyOneID(u)
-	}
-}
-
-// ApplyOneID applies a single ID-keyed assertion.
-func (e *Engine) ApplyOneID(u WireUpdate) {
+func (e *Engine) applyOne(now time.Time, u IDUpdate) {
 	id := u.ID
 	e.ensure(id)
 	if id == e.self {
 		// Refute rumors of our demise with a higher incarnation.
 		if (u.State == StateSuspect || u.State == StateDead) && u.Incarnation >= e.selfInc {
 			e.selfInc = u.Incarnation + 1
-			if e.stats != nil {
-				e.stats.RefutationsSent.Add(1)
-			}
+			e.stats.RefutationsSent.Add(1)
 			e.slots[e.self].inc = clampInc(e.selfInc)
 			e.enqueueGossip(e.self, e.selfInc, StateAlive)
 		}
@@ -798,7 +803,7 @@ func (e *Engine) ApplyOneID(u WireUpdate) {
 	sl := &e.slots[id]
 	if !sl.present {
 		// Newly discovered member.
-		e.addLocked(id, u.Incarnation, u.State, true)
+		e.add(now, id, u.Incarnation, u.State)
 		e.enqueueGossip(id, u.Incarnation, u.State)
 		return
 	}
@@ -809,19 +814,18 @@ func (e *Engine) ApplyOneID(u WireUpdate) {
 		// same incarnation as a death rumor must not resurrect the
 		// member (refutation always bumps the incarnation first).
 		if u.Incarnation > inc {
-			e.transition(id, StateAlive, u.Incarnation)
+			e.transition(now, id, StateAlive, u.Incarnation)
 			e.enqueueGossip(id, u.Incarnation, StateAlive)
 		}
 	case StateSuspect:
 		if (sl.state == StateAlive && u.Incarnation >= inc) ||
 			(sl.state == StateSuspect && u.Incarnation > inc) {
-			e.transition(id, StateSuspect, u.Incarnation)
-			e.setSuspectDeadline(id)
+			e.transition(now, id, StateSuspect, u.Incarnation)
 			e.enqueueGossip(id, u.Incarnation, StateSuspect)
 		}
 	case StateDead, StateLeft:
 		if sl.state != StateDead && sl.state != StateLeft && u.Incarnation >= inc {
-			e.transition(id, u.State, u.Incarnation)
+			e.transition(now, id, u.State, u.Incarnation)
 			e.enqueueGossip(id, u.Incarnation, u.State)
 		}
 	}

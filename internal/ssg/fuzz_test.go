@@ -17,6 +17,6 @@ func FuzzWireMessages(f *testing.F) {
 		&ackReply{OK: true, Updates: ups},
 		&pingReqArgs{Group: "g", From: "sm://a", Target: "sm://b", Updates: ups},
 		&joinArgs{Group: "g", Addr: "sm://c"},
-		&viewReply{OK: true, Version: 5, Members: []wireUpdate{{Addr: "sm://a", Incarnation: 2, State: 1}}},
+		&viewReply{OK: true, Version: 5, Members: []Member{{Addr: "sm://a", Incarnation: 2, State: StateSuspect}}},
 	)
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mochi/internal/clock"
 	"mochi/internal/codec"
@@ -99,22 +100,62 @@ type Stats struct {
 	RefutationsSent atomic.Int64
 }
 
-// Group is one process's membership in a named SSG group. All protocol
-// rules live in Engine (engine.go); Group owns the transport, the
-// goroutines, and the mutex that serializes engine access.
+// call is one ping or ping-req on its way to a sender.
+type call struct {
+	to      int32
+	seq     uint64
+	addr    string
+	rpc     string
+	args    codec.Marshaler
+	timeout time.Duration
+}
+
+// reply is the answer to a kept handle, sent once mu is released.
+type reply struct {
+	h   *mercury.Handle
+	ack *ackReply
+}
+
+// change is one transition on its way to the membership callbacks.
+type change struct {
+	m        Member
+	old, new State
+}
+
+// Group is one process's membership in a named SSG group: the driver
+// of one Engine. It owns no protocol state and decides nothing. mu
+// serializes every step of the engine and guards the driver's tables
+// and the address table. Three kinds of goroutine exist, all started
+// by create and joined by Stop: the timer loop, the senders (a ping or
+// ping-req is a blocking RPC whose reply is the ack), and the notifier,
+// the only caller of membership callbacks. Addresses become IDs, and
+// back, here and nowhere else.
 type Group struct {
 	inst *margo.Instance
 	clk  clock.Clock
 	name string
-	cfg  Config
 	self string
 
 	mu        sync.Mutex
+	tbl       *AddrTable
 	eng       *Engine
 	callbacks []MembershipCallback
 	left      bool
+	// handles are the pings and ping-reqs the engine has not answered
+	// yet, by the number this driver gave them: the wire carries none,
+	// the RPC pairs request and reply. A ping-req's handle waits here
+	// for the relayed ping's outcome while its execution stream is free.
+	handles map[uint64]*mercury.Handle
+	hseq    uint64
+	changes []change  // not yet delivered, in order
+	armed   time.Time // the deadline the timer loop sleeps on
 
-	stop     chan struct{}
+	out    chan call     // to the senders; full means lost, as on any datagram fabric
+	notify chan struct{} // buffered(1): changes is non-empty
+	rearm  chan struct{} // buffered(1): the engine's deadline moved earlier
+
+	ctx      context.Context // cancelled by Stop
+	cancel   context.CancelFunc
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
@@ -126,37 +167,37 @@ type Group struct {
 // addresses"): every process calls Create with the same list. The
 // local address is added if absent.
 func Create(inst *margo.Instance, name string, bootstrap []string, cfg Config) (*Group, error) {
-	return create(inst, name, bootstrap, cfg, inst.Clock())
-}
-
-func create(inst *margo.Instance, name string, bootstrap []string, cfg Config, clk clock.Clock) (*Group, error) {
 	g := &Group{
-		inst: inst,
-		clk:  clk,
-		name: name,
-		cfg:  cfg.withDefaults(),
-		self: inst.Addr(),
-		stop: make(chan struct{}),
+		inst:    inst,
+		clk:     inst.Clock(),
+		name:    name,
+		self:    inst.Addr(),
+		tbl:     NewAddrTable(),
+		handles: map[uint64]*mercury.Handle{},
+		notify:  make(chan struct{}, 1),
+		rearm:   make(chan struct{}, 1),
 	}
-	rng := rand.New(rand.NewSource(int64(mercury.NameToID(inst.Addr() + "/" + name))))
-	g.eng = NewEngine(NewAddrTable(), g.self, bootstrap, g.cfg, clk, rng, &g.stats)
-	// The hook fires inside engine calls, which always run under g.mu;
-	// callback fan-out moves to a goroutine so callbacks never observe
-	// (or deadlock on) the group lock.
-	g.eng.SetTransitionHook(func(m Member, old, new State) {
-		cbs := append([]MembershipCallback(nil), g.callbacks...)
-		go func() {
-			for _, cb := range cbs {
-				cb(m, old, new)
-			}
-		}()
-	})
+	g.ctx, g.cancel = context.WithCancel(context.Background())
+	ids := make([]int32, len(bootstrap))
+	for i, a := range bootstrap {
+		ids[i] = g.tbl.Intern(a)
+	}
+	rng := rand.New(rand.NewSource(int64(mercury.NameToID(g.self + "/" + name))))
+	g.eng = NewEngine(g.tbl, g.tbl.Intern(g.self), ids, cfg, rng, &g.stats, g.clk.Now())
+	// One sender per RPC a member can have outstanding in a quiet group:
+	// its own round's ping and k ping-reqs, and as many relayed pings.
+	senders := 1 + 2*g.eng.Config().IndirectPings
+	g.out = make(chan call, senders)
 	if err := attach(g); err != nil {
+		g.cancel()
 		return nil, err
 	}
-
-	g.wg.Add(1)
-	go g.protocolLoop()
+	g.wg.Add(2 + senders)
+	go g.timerLoop()
+	go g.notifier()
+	for i := 0; i < senders; i++ {
+		go g.sender()
+	}
 	return g, nil
 }
 
@@ -171,21 +212,13 @@ func Join(ctx context.Context, inst *margo.Instance, name, seedAddr string, cfg 
 	if !reply.OK {
 		return nil, fmt.Errorf("%w: %s", ErrJoinFailed, reply.Err)
 	}
-	var addrs []string
-	for _, m := range reply.Members {
-		if State(m.State) == StateAlive || State(m.State) == StateSuspect {
-			addrs = append(addrs, m.Addr)
-		}
-	}
-	g, err := create(inst, name, addrs, cfg, inst.Clock())
+	g, err := Create(inst, name, View{Members: reply.Members}.Alive(), cfg)
 	if err != nil {
 		return nil, err
 	}
 	// Announce ourselves so the join propagates even if the seed's
 	// gossip is slow.
-	g.mu.Lock()
-	g.eng.AnnounceSelf()
-	g.mu.Unlock()
+	g.step(func(e *Engine, _ time.Time) { e.AnnounceSelf() })
 	return g, nil
 }
 
@@ -198,8 +231,10 @@ func (g *Group) Self() string { return g.self }
 // Stats returns the protocol counters.
 func (g *Group) Stats() *Stats { return &g.stats }
 
-// OnChange registers a membership callback. Callbacks run on protocol
-// goroutines and must not block.
+// OnChange registers a membership callback. Callbacks run one at a
+// time, in the order the transitions happened, on the group's notifier
+// goroutine: a slow one delays the ones behind it (and Stop), never
+// the protocol.
 func (g *Group) OnChange(cb MembershipCallback) {
 	g.mu.Lock()
 	g.callbacks = append(g.callbacks, cb)
@@ -222,8 +257,8 @@ func (g *Group) Leave(ctx context.Context) error {
 		return ErrLeft
 	}
 	g.left = true
-	inc := g.eng.SelfIncarnation()
-	peers := g.eng.AlivePeers()
+	_, inc, _ := g.eng.State(g.tbl.Intern(g.self))
+	peers := g.eng.View().Alive()
 	g.mu.Unlock()
 	args := pingArgs{
 		Group:   g.name,
@@ -232,10 +267,7 @@ func (g *Group) Leave(ctx context.Context) error {
 	}
 	n := 0
 	for _, p := range peers {
-		if n >= 3 {
-			break
-		}
-		if g.inst.Call(ctx, p, rpcLeave, mercury.AnyProvider, &args, nil) == nil {
+		if n < 3 && p != g.self && g.inst.Call(ctx, p, rpcLeave, mercury.AnyProvider, &args, nil) == nil {
 			n++
 		}
 	}
@@ -244,9 +276,19 @@ func (g *Group) Leave(ctx context.Context) error {
 }
 
 // Stop halts the protocol without announcing departure (a crash, from
-// the group's perspective).
+// the group's perspective) and waits for the group's goroutines.
 func (g *Group) Stop() {
-	g.stopOnce.Do(func() { close(g.stop) })
+	g.stopOnce.Do(func() {
+		g.cancel() // no step runs from here on
+		g.mu.Lock()
+		var unanswered []reply
+		for seq, h := range g.handles {
+			unanswered = append(unanswered, reply{h, &ackReply{}})
+			delete(g.handles, seq)
+		}
+		g.mu.Unlock()
+		send(unanswered)
+	})
 	g.wg.Wait()
 	detach(g)
 }
@@ -263,183 +305,204 @@ func FetchView(ctx context.Context, inst *margo.Instance, addr, name string) (Vi
 	if !reply.OK {
 		return View{}, fmt.Errorf("%w: %s", ErrNoSuchGroup, reply.Err)
 	}
-	v := View{Version: reply.Version}
-	for _, m := range reply.Members {
-		v.Members = append(v.Members, Member{Addr: m.Addr, Incarnation: m.Incarnation, State: State(m.State)})
-	}
+	v := View{Version: reply.Version, Members: reply.Members}
 	sortMembers(v.Members)
 	return v, nil
 }
 
-// --- protocol internals ---
+// --- stepping the engine ---
 
-func (g *Group) protocolLoop() {
-	defer g.wg.Done()
-	tick := g.clk.NewTicker(g.cfg.ProtocolPeriod)
-	defer tick.Stop()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-tick.C():
-			g.expireSuspicions()
-			target := g.nextProbeTarget()
-			if target != "" {
-				g.wg.Add(1)
-				go func() {
-					defer g.wg.Done()
-					g.probe(target)
-				}()
-			}
-		}
-	}
-}
-
-// nextProbeTarget implements SWIM's randomized round-robin.
-func (g *Group) nextProbeTarget() string {
+// step runs one engine input under mu and carries out its effects. A
+// stopped group runs nothing and reports false.
+func (g *Group) step(f func(e *Engine, now time.Time)) bool {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	t, ok := g.eng.NextProbeTarget()
-	if !ok {
-		return ""
-	}
-	return t
-}
-
-// probe runs one SWIM probe sequence against target.
-func (g *Group) probe(target string) {
-	if g.pingDirect(target) {
-		return
-	}
-	// Indirect probes through k random peers.
-	g.mu.Lock()
-	vias := g.eng.IndirectViaAddrs(target, g.cfg.IndirectPings)
-	g.mu.Unlock()
-	acked := make(chan bool, g.cfg.IndirectPings)
-	for _, p := range vias {
-		go func(p string) { acked <- g.pingIndirect(p, target) }(p)
-	}
-	deadline := g.clk.NewTimer(g.cfg.ProtocolPeriod - g.cfg.PingTimeout)
-	defer deadline.Stop()
-	for i := 0; i < len(vias); i++ {
-		select {
-		case ok := <-acked:
-			if ok {
-				return
-			}
-		case <-deadline.C():
-			g.suspect(target)
-			return
-		case <-g.stop:
-			return
-		}
-	}
-	g.suspect(target)
-}
-
-func (g *Group) pingDirect(target string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.PingTimeout)
-	defer cancel()
-	args := pingArgs{Group: g.name, From: g.self, Updates: g.takeGossip()}
-	g.stats.PingsSent.Add(1)
-	var reply ackReply
-	if err := g.inst.Call(ctx, target, rpcPing, mercury.AnyProvider, &args, &reply); err != nil || !reply.OK {
+	if g.ctx.Err() != nil {
+		g.mu.Unlock()
 		return false
 	}
-	g.stats.AcksReceived.Add(1)
-	// A direct ack is first-hand evidence of life: resurrect a member
-	// we believed dead (its refutation gossip will follow with a
-	// higher incarnation).
-	g.mu.Lock()
-	g.eng.NoteAck(target)
+	f(g.eng, g.clk.Now())
+	replies := g.dispatch()
 	g.mu.Unlock()
-	g.applyUpdates(reply.Updates)
+	send(replies)
 	return true
 }
 
-func (g *Group) pingIndirect(via, target string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProtocolPeriod-g.cfg.PingTimeout)
-	defer cancel()
-	args := pingReqArgs{Group: g.name, From: g.self, Target: target, Updates: g.takeGossip()}
-	g.stats.PingReqsSent.Add(1)
-	var reply ackReply
-	if err := g.inst.Call(ctx, via, rpcPingReq, mercury.AnyProvider, &args, &reply); err != nil {
-		return false
+// dispatch carries out what the last step asked for, except for the
+// answers to kept handles, which it returns: they go out once mu is
+// released. Caller holds mu.
+func (g *Group) dispatch() []reply {
+	eff := g.eng.Take()
+	var replies []reply
+	for _, m := range eff.Msgs {
+		ups := g.addrs(m.Updates)
+		if m.Kind == MsgAck {
+			if h := g.handles[m.Seq]; h != nil {
+				delete(g.handles, m.Seq)
+				replies = append(replies, reply{h, &ackReply{OK: m.OK, Updates: ups}})
+			}
+			continue
+		}
+		c := call{to: m.To, seq: m.Seq, addr: g.tbl.Addr(m.To), timeout: m.Timeout,
+			rpc: rpcPing, args: &pingArgs{Group: g.name, From: g.self, Updates: ups}}
+		if m.Kind == MsgPingReq {
+			c.rpc, c.args = rpcPingReq, &pingReqArgs{Group: g.name, From: g.self, Target: g.tbl.Addr(m.Target), Updates: ups}
+		}
+		select {
+		case g.out <- c:
+		default:
+		}
 	}
-	g.applyUpdates(reply.Updates)
-	return reply.OK
-}
-
-// suspect marks target as suspected and gossips it.
-func (g *Group) suspect(target string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.eng.Suspect(target)
-}
-
-func (g *Group) expireSuspicions() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.eng.ExpireSuspicions()
-}
-
-// takeGossip selects up to PiggybackLimit updates to send.
-func (g *Group) takeGossip() []Update {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.eng.TakeGossip()
-}
-
-// applyUpdates folds received membership assertions into local state
-// (the SWIM update rules with incarnation numbers).
-func (g *Group) applyUpdates(ups []Update) {
-	if len(ups) == 0 {
-		return
+	for _, t := range eff.Transitions {
+		g.changes = append(g.changes, change{Member{Addr: g.tbl.Addr(t.ID), Incarnation: t.Incarnation, State: t.New}, t.Old, t.New})
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.eng.Apply(ups)
+	if len(g.changes) > 0 {
+		signal(g.notify)
+	}
+	if g.eng.Deadline().Before(g.armed) {
+		signal(g.rearm)
+	}
+	return replies
+}
+
+func send(replies []reply) {
+	for _, r := range replies {
+		margo.Reply(r.h, r.ack)
+	}
+}
+
+func signal(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
+// addrs and ids translate assertions at the wire edge: IDs to addresses
+// on the way out, addresses interned on the way in. Caller holds mu.
+func (g *Group) addrs(ups []IDUpdate) []Update {
+	out := make([]Update, len(ups))
+	for i, u := range ups {
+		out[i] = Update{Addr: g.tbl.Addr(u.ID), Incarnation: u.Incarnation, State: u.State}
+	}
+	return out
+}
+
+func (g *Group) ids(ups []Update) []IDUpdate {
+	out := make([]IDUpdate, len(ups))
+	for i, u := range ups {
+		out[i] = IDUpdate{ID: g.tbl.Intern(u.Addr), Incarnation: u.Incarnation, State: u.State}
+	}
+	return out
+}
+
+// timerLoop sleeps until the engine's deadline and ticks it.
+func (g *Group) timerLoop() {
+	defer g.wg.Done()
+	t := g.clk.NewTimer(time.Hour)
+	defer t.Stop()
+	for {
+		var wait time.Duration
+		if !g.step(func(e *Engine, now time.Time) {
+			if !e.Deadline().After(now) {
+				e.Tick(now)
+			}
+			g.armed = e.Deadline()
+			wait = g.armed.Sub(now)
+		}) {
+			return
+		}
+		t.Reset(wait)
+		select {
+		case <-t.C():
+		case <-g.rearm:
+		case <-g.ctx.Done():
+			return
+		}
+	}
+}
+
+// sender performs the engine's pings and ping-reqs. The RPC's reply is
+// the ack; a failed RPC is not reported: the engine's own timers cover
+// silence.
+func (g *Group) sender() {
+	defer g.wg.Done()
+	for {
+		select {
+		case <-g.ctx.Done():
+			return
+		case c := <-g.out:
+			ctx, cancel := context.WithTimeout(g.ctx, c.timeout)
+			var r ackReply
+			err := g.inst.Call(ctx, c.addr, c.rpc, mercury.AnyProvider, c.args, &r)
+			cancel()
+			if err == nil {
+				g.step(func(e *Engine, now time.Time) { e.Ack(now, c.to, c.seq, r.OK, g.ids(r.Updates)) })
+			}
+		}
+	}
+}
+
+// notifier delivers transitions to the membership callbacks, in order.
+func (g *Group) notifier() {
+	defer g.wg.Done()
+	for {
+		select {
+		case <-g.ctx.Done():
+			return
+		case <-g.notify:
+		}
+		g.mu.Lock()
+		changes, cbs := g.changes, g.callbacks // callbacks only ever grows: the header is a snapshot
+		g.changes = nil
+		g.mu.Unlock()
+		for _, c := range changes {
+			for _, cb := range cbs {
+				cb(c.m, c.old, c.new)
+			}
+		}
+	}
 }
 
 // --- RPC handlers (registry level) ---
 
-func (r *registry) handlePing(_ context.Context, _ *mercury.Handle, args *pingArgs) (codec.Marshaler, error) {
-	g := r.lookup(args.Group)
-	if g == nil {
+// keep registers h as unanswered and runs f with the number the
+// engine's ack will carry. The handler that called it returns without
+// replying; a stopped or unknown group answers "no" at once.
+func (g *Group) keep(h *mercury.Handle, f func(e *Engine, now time.Time, seq uint64)) (codec.Marshaler, error) {
+	if g == nil || !g.step(func(e *Engine, now time.Time) {
+		g.hseq++
+		g.handles[g.hseq] = h
+		f(e, now, g.hseq)
+	}) {
 		return &ackReply{}, nil
 	}
-	g.applyUpdates(args.Updates)
-	ups := g.takeGossip()
-	// If we believe the pinger is dead (e.g. it was partitioned away
-	// and declared failed), tell it so: it will refute with a higher
-	// incarnation and be resurrected across the group, the SWIM
-	// mechanism for recovering from false positives.
-	g.mu.Lock()
-	ups = append(ups, g.eng.PingExtras(args.From)...)
-	g.mu.Unlock()
-	return &ackReply{OK: true, Updates: ups}, nil
+	return nil, nil
 }
 
-func (r *registry) handlePingReq(_ context.Context, _ *mercury.Handle, args *pingReqArgs) (codec.Marshaler, error) {
+func (r *registry) handlePing(_ context.Context, h *mercury.Handle, args *pingArgs) (codec.Marshaler, error) {
 	g := r.lookup(args.Group)
-	if g == nil {
-		return &ackReply{}, nil
-	}
-	g.applyUpdates(args.Updates)
-	ok := g.pingDirect(args.Target)
-	return &ackReply{OK: ok, Updates: g.takeGossip()}, nil
+	return g.keep(h, func(e *Engine, now time.Time, seq uint64) {
+		e.Ping(now, g.tbl.Intern(args.From), seq, g.ids(args.Updates))
+	})
+}
+
+func (r *registry) handlePingReq(_ context.Context, h *mercury.Handle, args *pingReqArgs) (codec.Marshaler, error) {
+	g := r.lookup(args.Group)
+	return g.keep(h, func(e *Engine, now time.Time, seq uint64) {
+		e.PingReq(now, g.tbl.Intern(args.From), seq, g.tbl.Intern(args.Target), g.ids(args.Updates))
+	})
 }
 
 func (r *registry) handleJoin(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Marshaler, error) {
 	g := r.lookup(args.Group)
 	if g != nil && args.Addr != "" {
-		g.mu.Lock()
-		inc := uint64(0)
-		if old, ok := g.eng.Incarnation(args.Addr); ok {
-			inc = old + 1
-		}
-		g.eng.ApplyOne(Update{Addr: args.Addr, Incarnation: inc, State: StateAlive})
-		g.mu.Unlock()
+		g.step(func(e *Engine, now time.Time) {
+			up := IDUpdate{ID: g.tbl.Intern(args.Addr), State: StateAlive}
+			if _, old, ok := e.State(up.ID); ok {
+				up.Incarnation = old + 1
+			}
+			e.Apply(now, []IDUpdate{up})
+		})
 	}
 	return g.viewReplyNow(), nil
 }
@@ -447,7 +510,7 @@ func (r *registry) handleJoin(_ context.Context, _ *mercury.Handle, args *joinAr
 func (r *registry) handleLeave(_ context.Context, _ *mercury.Handle, args *pingArgs) (codec.Marshaler, error) {
 	g := r.lookup(args.Group)
 	if g != nil {
-		g.applyUpdates(args.Updates)
+		g.step(func(e *Engine, now time.Time) { e.Apply(now, g.ids(args.Updates)) })
 	}
 	return &ackReply{OK: g != nil}, nil
 }
@@ -463,9 +526,5 @@ func (g *Group) viewReplyNow() *viewReply {
 		return &viewReply{Err: "no such group"}
 	}
 	v := g.View()
-	reply := &viewReply{OK: true, Version: v.Version}
-	for _, m := range v.Members {
-		reply.Members = append(reply.Members, wireUpdate{Addr: m.Addr, Incarnation: m.Incarnation, State: uint8(m.State)})
-	}
-	return reply
+	return &viewReply{OK: true, Version: v.Version, Members: v.Members}
 }

@@ -21,8 +21,8 @@ func TestPiggybackLimitRespected(t *testing.T) {
 	}
 	g.applyUpdates(ups)
 	batch := g.takeGossip()
-	if len(batch) > g.cfg.PiggybackLimit {
-		t.Fatalf("gossip batch of %d exceeds limit %d", len(batch), g.cfg.PiggybackLimit)
+	if limit := fastCfg().PiggybackLimit; len(batch) > limit {
+		t.Fatalf("gossip batch of %d exceeds limit %d", len(batch), limit)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // These tests drive full ssg Groups (real goroutines, real fabric) on
 // a shared clock.Sim: protocol periods elapse only when the test calls
 // Advance, so timing-sensitive assertions cannot flake on a loaded
-// machine. WaitForWaiters paces each round — every group keeps its
-// protocol ticker armed, so n groups means n standing waiters.
+// machine. WaitForWaiters paces each round — every group's timer loop
+// keeps one timer armed, so n groups means n standing waiters.
 
 type simCluster struct {
 	clk    *clock.Sim
@@ -66,7 +66,7 @@ func newSimCluster(t *testing.T, n int, cfg Config) *simCluster {
 func (c *simCluster) step(t *testing.T, period time.Duration) {
 	t.Helper()
 	if !c.clk.WaitForWaiters(len(c.groups), 5*time.Second) {
-		t.Fatal("protocol tickers never armed on the sim clock")
+		t.Fatal("protocol timers never armed on the sim clock")
 	}
 	c.clk.Advance(period)
 	time.Sleep(200 * time.Microsecond)
@@ -82,6 +82,18 @@ func TestProtocolLoadOnSimClock(t *testing.T) {
 	const rounds = 30
 	for i := 0; i < rounds; i++ {
 		c.step(t, cfg.ProtocolPeriod)
+		// The ack window is virtual time now: let this period's ping go
+		// out and its ack land (wall time) before the next Advance
+		// closes the window, or a slow machine turns a healthy round
+		// into ping-reqs.
+		eventually(t, 5*time.Second, func() bool {
+			for _, g := range c.groups {
+				if st := g.Stats(); st.PingsSent.Load() <= int64(i) || st.AcksReceived.Load() != st.PingsSent.Load() {
+					return false
+				}
+			}
+			return true
+		}, "a ping on a healthy fabric went unsent or unacked")
 	}
 	for i, g := range c.groups {
 		pings := g.Stats().PingsSent.Load()
@@ -122,8 +134,8 @@ func TestFailureDetectionOnSimClock(t *testing.T) {
 	const maxRounds = 200
 	for i := 0; i < maxRounds && !allDead(); i++ {
 		c.step(t, cfg.ProtocolPeriod)
-		// Probe goroutines race their (wall-clock) ping timeouts;
-		// give nacks a moment to land before the next virtual period.
+		// Sends happen in wall time; give them a moment to land before
+		// the next virtual period.
 		if i%10 == 9 {
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -134,8 +146,8 @@ func TestFailureDetectionOnSimClock(t *testing.T) {
 }
 
 // TestGroupShutdownLeaksNoGoroutines asserts Stop/Finalize reap every
-// goroutine the membership layer started: the protocol loop, probe
-// workers, and the instance's RPC machinery.
+// goroutine the membership layer started: the timer loop, the senders,
+// the notifier, and the instance's RPC machinery.
 func TestGroupShutdownLeaksNoGoroutines(t *testing.T) {
 	before := testutil.GoroutineCount()
 	func() {
@@ -162,7 +174,7 @@ func TestGroupShutdownLeaksNoGoroutines(t *testing.T) {
 			}
 			groups = append(groups, g)
 		}
-		// Let a few protocol rounds run so probe goroutines exist.
+		// Let a few protocol rounds run so RPCs are in flight.
 		time.Sleep(50 * time.Millisecond)
 		for _, g := range groups {
 			g.Stop()

@@ -116,7 +116,8 @@ type Config struct {
 	// IndirectPings is SWIM's k (default 3).
 	IndirectPings int
 	// SuspicionPeriods is the number of protocol periods a suspect
-	// has to refute before being declared dead (default 4).
+	// has to refute before being declared dead (default: 4 per decade
+	// of group size, max(4, 4·⌈log10(N+1)⌉) — 4 up to nine members).
 	SuspicionPeriods int
 	// PiggybackLimit caps membership updates per message (default 8).
 	PiggybackLimit int
@@ -125,6 +126,8 @@ type Config struct {
 	RetransmitMult int
 }
 
+// withDefaults resolves every default that is a constant;
+// SuspicionPeriods follows the membership (Engine.suspicionPeriods).
 func (c Config) withDefaults() Config {
 	if c.ProtocolPeriod <= 0 {
 		c.ProtocolPeriod = 200 * time.Millisecond
@@ -134,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IndirectPings <= 0 {
 		c.IndirectPings = 3
-	}
-	if c.SuspicionPeriods <= 0 {
-		c.SuspicionPeriods = 4
 	}
 	if c.PiggybackLimit <= 0 {
 		c.PiggybackLimit = 8

@@ -22,6 +22,19 @@ func fastCfg() Config {
 	}
 }
 
+// applyUpdates steps the group's engine with assertions as if a peer
+// had sent them, and takeGossip drains one message's worth of its
+// gossip queue: the tests' way in to the update rules of a live group.
+func (g *Group) applyUpdates(ups []Update) {
+	g.step(func(e *Engine, now time.Time) { e.Apply(now, g.ids(ups)) })
+}
+
+func (g *Group) takeGossip() []Update {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.addrs(g.eng.takeGossip())
+}
+
 type cluster struct {
 	fabric *mercury.Fabric
 	insts  []*margo.Instance

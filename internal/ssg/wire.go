@@ -12,11 +12,10 @@ const (
 	rpcGetView = "ssg_get_view"
 )
 
-type wireUpdate struct {
-	Addr        string
-	Incarnation uint64
-	State       uint8
-}
+// Update is the wire form of a gossiped membership assertion: "Addr is
+// in this state at this incarnation" (IDUpdate inside the engine) —
+// the same triple a view lists per member.
+type Update = Member
 
 func encodeUpdates(e *codec.Encoder, ups []Update) {
 	e.Uvarint(uint64(len(ups)))
@@ -116,35 +115,19 @@ type viewReply struct {
 	OK      bool
 	Err     string
 	Version uint64
-	Members []wireUpdate
+	Members []Member
 }
 
 func (r *viewReply) MarshalMochi(e *codec.Encoder) {
 	e.Bool(r.OK)
 	e.String(r.Err)
 	e.Uint64(r.Version)
-	e.Uvarint(uint64(len(r.Members)))
-	for _, m := range r.Members {
-		e.String(m.Addr)
-		e.Uint64(m.Incarnation)
-		e.Uint8(m.State)
-	}
+	encodeUpdates(e, r.Members)
 }
 
 func (r *viewReply) UnmarshalMochi(d *codec.Decoder) {
 	r.OK = d.Bool()
 	r.Err = d.String()
 	r.Version = d.Uint64()
-	n := d.Count(10)
-	r.Members = make([]wireUpdate, 0, n)
-	for i := 0; i < n; i++ {
-		var m wireUpdate
-		m.Addr = d.String()
-		m.Incarnation = d.Uint64()
-		m.State = d.Uint8()
-		if d.Err() != nil {
-			return
-		}
-		r.Members = append(r.Members, m)
-	}
+	r.Members = decodeUpdates(d)
 }
