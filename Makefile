@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-alloc bench-selftest bench-e2e bench-c10k bench-observe bench-full fuzz examples vet fmt-check lint reshard-soak observe-smoke sim sim-curves test-unsafe ci clean
+.PHONY: all build test race bench bench-alloc bench-selftest bench-e2e bench-pairs bench-c10k bench-observe bench-full fuzz examples vet fmt-check lint reshard-soak observe-smoke sim sim-curves test-unsafe ci clean
 
 all: build test
 
@@ -50,10 +50,13 @@ reshard-soak:
 #      seeds), the replay and partition-heal tests and the broken-
 #      refutation twin, under the race detector;
 #   2. the raft core on sim.Net: SIM_SEEDS seeds of 3- and 5-member
-#      groups under loss/dup/delay, a partition and crash-restarts with
-#      the four safety invariants checked after every event and a
-#      linearizable history per seed, plus the replay-identity test,
-#      under the race detector;
+#      groups, each on a simulated disk faster and on one slower than
+#      the network, under loss/dup/delay, a partition, crash-restarts
+#      and a power cut with the four safety invariants checked after
+#      every event and a linearizable history per seed, plus the
+#      replay-identity test and the broken twins (two votes in a term;
+#      leader self-count and follower acknowledgement before the disk
+#      has the entry), each of which must fail, under the race detector;
 #   3. the live-raft linearizability harness under -race at a few seeds
 #      (races surface independent of history count);
 #   4. the full SIM_HISTORIES-seed linearizability sweep plus the
@@ -74,7 +77,7 @@ sim:
 	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
 		-run 'TestSwimSeedMatrix1k|TestSwimDeterministicReplay|TestSwimPartitionHeals|TestSwimCatchesBrokenRefutation' ./internal/sim/
 	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
-		-run 'TestRaftSimSeedMatrix|TestRaftSimDeterministicReplay' ./internal/raft/
+		-run 'TestRaftSimSeedMatrix|TestRaftSimDeterministicReplay|TestRaftSimCatchesBroken' ./internal/raft/
 	SIM_HISTORIES=8 $(GO) test -race -count=1 -timeout 1200s \
 		-run 'TestRaftKVLinearizableUnderFaults|TestLinearizabilityCheckerCatchesBrokenStore|TestKVFSMDeduplicatesRetries' ./internal/core/
 	SIM_HISTORIES=$(SIM_HISTORIES) $(GO) test -count=1 -timeout 1200s \
@@ -134,6 +137,16 @@ W ?= kv-small-tcp
 BENCH_FLAGS ?=
 bench-e2e:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 15 --trace 0 $(BENCH_FLAGS)
+
+# How a performance change is judged (bench/README.md): PAIRS
+# alternating runs of PARENT and this checkout on workload W, printing
+# each side's median and quartiles and the pairs the change won, and
+# keeping every run as JSON:
+#   make bench-pairs PARENT=origin/main W=raft-read-heavy
+PARENT ?= HEAD
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(PARENT) $(W) $(PAIRS) -- $(BENCH_FLAGS)
 
 # Fuzz every hostile-input parser for FUZZTIME each — the pooled codec
 # decoder, the TCP frame parser, every wire message of every component

@@ -56,6 +56,13 @@ func (f *kvFSM) maxBatch() int {
 // given store, returning the node once it leads.
 func singleNode(t *testing.T, store Store, fsm FSM, cfg Config) *Node {
 	t.Helper()
+	node, _ := singleNodeOnFabric(t, store, fsm, cfg)
+	return node
+}
+
+// singleNodeOnFabric is singleNode for tests that add clients.
+func singleNodeOnFabric(t *testing.T, store Store, fsm FSM, cfg Config) (*Node, *mercury.Fabric) {
+	t.Helper()
 	fabric := mercury.NewFabric()
 	cls, err := fabric.NewClass("raft-single")
 	if err != nil {
@@ -76,16 +83,18 @@ func singleNode(t *testing.T, store Store, fsm FSM, cfg Config) *Node {
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		if node.IsLeader() {
-			return node
+			return node, fabric
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("single node never became leader")
-	return nil
+	return nil, nil
 }
 
 // gatedStore wraps a Store, records the size of every Append, and can
-// park one Append (the next after arm) until the test releases it.
+// park one Append (the next after arm) until the test releases it. A
+// test that arms it must release it before its node is stopped: Stop
+// joins the writer.
 type gatedStore struct {
 	Store
 	mu      sync.Mutex
@@ -100,7 +109,8 @@ func (s *gatedStore) arm() (entered <-chan struct{}, release func()) {
 	s.sizes = nil
 	s.hold, s.entered = make(chan struct{}), make(chan struct{})
 	hold := s.hold
-	return s.entered, func() { close(hold) }
+	var once sync.Once
+	return s.entered, func() { once.Do(func() { close(hold) }) }
 }
 
 func (s *gatedStore) Append(entries []LogEntry) error {
@@ -122,19 +132,19 @@ func (s *gatedStore) appendSizes() []int {
 	return append([]int(nil), s.sizes...)
 }
 
-// pendingProposals is how many proposals wait in the driver's queue for
-// the node mutex.
-func (n *Node) pendingProposals() int {
-	n.qmu.Lock()
-	defer n.qmu.Unlock()
+// queuedWrites is how many Persists wait for the writer.
+func (n *Node) queuedWrites() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return len(n.queue)
 }
 
 // TestApplyGroupCommitBatches proves the group-commit claim at the
 // store level, with no timing involved: one proposal's store.Append is
-// parked on a hook, N more proposals enqueue behind it, and when the
-// hook releases the N must reach the sync-enabled FileStore as one
-// Append — one fsync — and the FSM as one ApplyBatch run.
+// parked on a hook, N more proposals are appended by the core meanwhile
+// and queue at the writer, and when the hook releases the N must reach
+// the sync-enabled FileStore as one Append — one fsync — and the FSM as
+// one ApplyBatch run.
 func TestApplyGroupCommitBatches(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir(), false) // sync enabled
 	if err != nil {
@@ -166,14 +176,14 @@ func TestApplyGroupCommitBatches(t *testing.T) {
 		}()
 	}
 	propose("set gate open")
-	<-entered // the gate proposal holds the commit pipeline inside Append
+	<-entered // the gate proposal holds the writer inside Append
 	for i := 0; i < ops; i++ {
 		propose(fmt.Sprintf("set k%d v%d", i, i))
 	}
-	for node.pendingProposals() < ops {
+	for node.queuedWrites() < ops {
 		if ctx.Err() != nil {
-			release() // or the parked Append keeps the node mutex and Stop hangs
-			t.Fatalf("only %d of %d proposals enqueued", node.pendingProposals(), ops)
+			release()
+			t.Fatalf("only %d of %d proposals queued at the writer", node.queuedWrites(), ops)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -211,10 +221,10 @@ func (s *failingStore) Append(entries []LogEntry) error {
 	return s.Store.Append(entries)
 }
 
-// TestAppendLocalSurfacesStoreError covers the satellite fix: a
-// persistent-store write failure on the leader must surface the store
-// error to the caller and step the leader down — not return a generic
-// "append failed" while staying leader.
+// TestAppendLocalSurfacesStoreError: a persistent-store write failure
+// on the leader must surface the store error to the caller and step the
+// leader down — not return a generic "append failed" while staying
+// leader.
 func TestAppendLocalSurfacesStoreError(t *testing.T) {
 	fs := &failingStore{Store: NewMemoryStore()}
 	node := singleNode(t, fs, newKVFSM(), fastRaftCfg())

@@ -74,6 +74,23 @@ func BenchmarkRaftApply3(b *testing.B) {
 	}
 }
 
+func BenchmarkRaftRead3(b *testing.B) {
+	leader, cleanup := benchCluster(b, 3)
+	defer cleanup()
+	ctx := context.Background()
+	if _, err := leader.Apply(ctx, []byte("set bench value")); err != nil {
+		b.Fatal(err)
+	}
+	query := []byte("get bench")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := leader.Read(ctx, query); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMemoryStoreAppend(b *testing.B) {
 	s := NewMemoryStore()
 	data := make([]byte, 64)

@@ -13,27 +13,37 @@ import (
 // This file holds the transport-free Raft protocol core. Core owns
 // every protocol rule — role/term/vote, elections, log matching and
 // conflict hints, commit advance, single-server membership, snapshot
-// install, the leader's group-commit linger and ReadIndex rounds — but
-// performs no network I/O, reads no clock and starts no goroutines.
-// Inputs are events carrying the current time (a timer tick, a request
-// or a reply from a peer, proposals, reads, a configuration change,
-// "applied through index i"); outputs are the Effects each step leaves
-// behind plus the next timer deadline. Two drivers run it:
+// install, what may leave before it is durable and what may not, and
+// ReadIndex rounds — but performs no network I/O, writes no log, reads
+// no clock and starts no goroutines. Inputs are events carrying the
+// current time (a timer tick, a request or a reply from a peer,
+// proposals, reads, a configuration change, "applied through index i",
+// "persisted through write n"); outputs are the Effects each step
+// leaves behind plus the next timer deadline. Two drivers run it:
 //
 //   - the live Node (node.go), which wraps one Core in a mutex and wires
-//     it to margo RPCs, a timer goroutine, per-peer senders and the one
-//     applier goroutine that calls the FSM; and
+//     it to margo RPCs, a timer goroutine, per-peer senders, the one
+//     store-writer goroutine and the one applier goroutine that calls
+//     the FSM; and
 //   - the deterministic simulator (sim_test.go), which runs a group of
-//     Cores single-threaded on sim.Sim + sim.Net, so the code that
-//     grants votes and advances commit indexes in production is the
-//     code whose safety invariants are checked under seeded faults.
+//     Cores single-threaded on sim.Sim + sim.Net with a disk whose
+//     writes take seeded virtual time, so the code that grants votes and
+//     advances commit indexes in production is the code whose safety
+//     invariants are checked under seeded faults.
 //
 // A Core is NOT safe for concurrent use: the caller serializes all
-// calls. It calls the Store synchronously inside a step: a vote or a
-// term is persisted before any message that carries it exists, entries
-// are appended before they are acknowledged or counted towards a
-// quorum. A step whose Store write failed changes no persistent-state
-// mirror and emits nothing that depends on the write.
+// calls. Of the Store it writes only term and vote, synchronously inside
+// the step (Store.SetState): a vote or a term is persisted before any
+// message that carries it exists, and a step whose SetState failed
+// changes no mirror and emits nothing that depends on it. The log and
+// the snapshot it only reads. What a step appends goes into an
+// in-memory tail the core reads its own log through, and leaves as a
+// Persist effect next to the AppendEntries that ship the same entries;
+// the driver writes Persists in order, outside whatever serializes the
+// core, and reports back with Persisted. Raft needs an entry durable
+// before it is acknowledged or self-counted, not before it is sent: the
+// leader counts itself, and a follower's success reply leaves, only for
+// indexes Persisted has covered. A crash loses exactly the tail.
 
 // Message is one request the core wants sent to a peer. Exactly one of
 // Vote, Append and Snapshot is set. The peer's reply is handed back
@@ -57,10 +67,10 @@ type Proposal struct {
 	Tag  interface{}
 }
 
-// Accepted reports one group commit: the tagged proposals were appended
-// with a single Store.Append at First, First+1, … in term Term. An
-// entry later applied at one of those indexes under a different term
-// means the proposal was overwritten by a newer leader.
+// Accepted reports that the tagged proposals are in the leader's log at
+// First, First+1, … in term Term. An entry later applied at one of
+// those indexes under a different term means the proposal was
+// overwritten by a newer leader.
 type Accepted struct {
 	Tags  []interface{}
 	First uint64
@@ -81,16 +91,54 @@ type ReadRound struct {
 	Err   error
 }
 
+// StoredSnapshot is a snapshot as the Store keeps it: Data (a
+// snapshotEnvelope) covers the log through Index, whose entry had Term.
+type StoredSnapshot struct {
+	Index, Term uint64
+	Data        []byte
+}
+
+// Persist is one write the core wants made durable. The driver carries
+// Persists out in Seq order and reports with Persisted. Exactly one of
+// Entries and Snapshot is set.
+type Persist struct {
+	Seq uint64
+	// Entries become the log from Entries[0].Index on: whatever the
+	// store holds at or above that index goes first.
+	Entries []LogEntry
+	// Snapshot replaces the log through its Index.
+	Snapshot *StoredSnapshot
+}
+
+// Ack is the answer to one AppendEntries or InstallSnapshot request,
+// identified by the tag it came with. Err is set instead of Reply when
+// the member could not record the leader's term: it must stay silent.
+type Ack struct {
+	Tag   uint64
+	Reply *appendEntriesReply
+	Err   error
+}
+
+// Dropped reports that a Persist failed and the log from index From on
+// was forgotten with it: whoever waits for an entry there gets Err.
+type Dropped struct {
+	From uint64
+	Err  error
+}
+
 // Effects is what a step asks its driver to do.
 type Effects struct {
 	Msgs     []Message
+	Persist  []Persist
+	Acks     []Ack
 	Accepted []Accepted
 	Rejected []Rejected
 	Reads    []ReadRound
+	Dropped  *Dropped
 	// Apply is set when NextApply has new work.
 	Apply bool
-	// StoreErrors counts Store.SetState and Store.Append calls that
-	// failed during the step.
+	// StoreErrors counts the Store.SetState calls and the Persists that
+	// failed.
 	StoreErrors int
 }
 
@@ -123,6 +171,18 @@ type readRound struct {
 	acks     map[string]bool
 }
 
+// write is one Persist the driver has not reported yet: once it is
+// durable, so is the log through last.
+type write struct {
+	seq, last uint64
+}
+
+// heldAck is a success reply waiting for the disk: it may leave once
+// the log is durable through need. term is the term it was granted in.
+type heldAck struct {
+	tag, need, term uint64
+}
+
 // Core is one member's Raft state machine.
 type Core struct {
 	group string
@@ -135,6 +195,24 @@ type Core struct {
 	term     uint64 // mirrors the Store
 	votedFor string // mirrors the Store
 	leader   string
+
+	// The log is the snapshot (through snapIndex), what the store holds
+	// below offset, and tail from offset on. tail is everything not known
+	// durable yet — after a conflict that includes the entries shadowing
+	// a stored suffix the driver has still to remove. persisted is the
+	// highest index through which the log is durable; writes are the
+	// Persists in flight, oldest first. snap is the snapshot while the
+	// store does not have it (snapSeq 0: its Persist failed, and it goes
+	// out again ahead of the next one).
+	snapIndex, snapTerm uint64
+	offset              uint64
+	tail                []LogEntry
+	persisted           uint64
+	seq                 uint64
+	writes              []write
+	snap                *StoredSnapshot
+	snapSeq             uint64
+	acks                []heldAck
 
 	// Membership is whatever the latest EntryConfig in the log says,
 	// committed or not; base is the configuration below the log's first
@@ -150,11 +228,6 @@ type Core struct {
 
 	electionAt  time.Time
 	heartbeatAt time.Time
-
-	// held are proposals not appended yet; lingerAt is non-zero while
-	// they wait for earlier entries to leave the pipeline.
-	held     []Proposal
-	lingerAt time.Time
 
 	// ReadIndex: forming reads join round nextRound; round is the one
 	// in flight (id 0: none); confirmed rounds wait for lastApplied.
@@ -184,14 +257,17 @@ func NewCore(group, id string, peers []string, store Store, cfg Config, rng *ran
 	if c.term, c.votedFor, err = store.State(); err != nil {
 		return nil, err
 	}
-	if data, idx, _, err := store.Snapshot(); err == nil && idx > 0 {
+	if data, idx, term, err := store.Snapshot(); err == nil && idx > 0 {
 		var env snapshotEnvelope
 		if err := codec.Unmarshal(data, &env); err != nil {
 			return nil, fmt.Errorf("raft: corrupt snapshot: %w", err)
 		}
 		c.base = env.Peers
 		c.commitIndex = idx
+		c.snapIndex, c.snapTerm = idx, term
 	}
+	c.persisted = store.LastIndex()
+	c.offset = c.persisted + 1
 	c.reloadConfig()
 	c.electionAt = now.Add(c.electionTimeout())
 	return c, nil
@@ -234,9 +310,6 @@ func (c *Core) Deadline() time.Time {
 	if c.round.id != 0 && c.round.deadline.Before(d) {
 		d = c.round.deadline
 	}
-	if !c.lingerAt.IsZero() && c.lingerAt.Before(d) {
-		d = c.lingerAt
-	}
 	return d
 }
 
@@ -260,14 +333,228 @@ func (c *Core) Tick(now time.Time) {
 	if c.round.id != 0 && !now.Before(c.round.deadline) {
 		c.finishRound(now, fmt.Errorf("%w: readindex quorum", ErrTimeout))
 	}
-	if !c.lingerAt.IsZero() && !now.Before(c.lingerAt) {
-		c.flushHeld(now)
-	}
 }
 
 func (c *Core) electionTimeout() time.Duration {
 	span := c.cfg.ElectionTimeoutMax - c.cfg.ElectionTimeoutMin
 	return c.cfg.ElectionTimeoutMin + time.Duration(c.rng.Int63n(int64(span)+1))
+}
+
+// --- the log ---
+
+func (c *Core) firstIndex() uint64 { return c.snapIndex + 1 }
+
+func (c *Core) lastIndex() uint64 { return c.offset + uint64(len(c.tail)) - 1 }
+
+// entryAt returns the log entry at index.
+func (c *Core) entryAt(index uint64) (LogEntry, error) {
+	switch {
+	case index < c.firstIndex():
+		return LogEntry{}, ErrCompacted
+	case index > c.lastIndex():
+		return LogEntry{}, fmt.Errorf("raft: index %d beyond log end %d", index, c.lastIndex())
+	case index >= c.offset:
+		return c.tail[index-c.offset], nil
+	}
+	return c.store.Entry(index)
+}
+
+// termAt returns the term of the entry at index, handling the snapshot
+// boundary.
+func (c *Core) termAt(index uint64) (uint64, error) {
+	switch index {
+	case 0:
+		return 0, nil
+	case c.snapIndex:
+		return c.snapTerm, nil
+	}
+	e, err := c.entryAt(index)
+	return e.Term, err
+}
+
+// entries returns a copy of the log in [lo, hi].
+func (c *Core) entries(lo, hi uint64) ([]LogEntry, error) {
+	switch {
+	case lo > hi:
+		return nil, nil
+	case lo < c.firstIndex():
+		return nil, ErrCompacted
+	case hi > c.lastIndex():
+		return nil, fmt.Errorf("raft: index %d beyond log end %d", hi, c.lastIndex())
+	}
+	var out []LogEntry
+	if lo < c.offset {
+		var err error
+		if out, err = c.store.Entries(lo, min(hi, c.offset-1)); err != nil {
+			return nil, err
+		}
+	}
+	if hi >= c.offset {
+		out = append(out, c.tail[max(lo, c.offset)-c.offset:hi+1-c.offset]...)
+	}
+	return out, nil
+}
+
+// snapshot returns the current snapshot: the one on its way to the
+// store, else the one in it.
+func (c *Core) snapshot() (StoredSnapshot, error) {
+	if c.snap != nil {
+		return *c.snap, nil
+	}
+	data, idx, term, err := c.store.Snapshot()
+	return StoredSnapshot{Index: idx, Term: term, Data: data}, err
+}
+
+// write emits p with the next sequence number; once it is durable the
+// log is durable through last.
+func (c *Core) write(p Persist, last uint64) {
+	c.seq++
+	p.Seq = c.seq
+	c.eff.Persist = append(c.eff.Persist, p)
+	c.writes = append(c.writes, write{seq: c.seq, last: last})
+}
+
+func (c *Core) saveSnapshot() {
+	c.snapSeq = c.seq + 1
+	c.write(Persist{Snapshot: c.snap}, c.snap.Index)
+}
+
+// appendLog makes entries the log from entries[0].Index on — the end of
+// the log, or an earlier index when they replace a conflicting suffix —
+// and emits the Persist for it.
+func (c *Core) appendLog(entries []LogEntry) {
+	from := entries[0].Index
+	if from <= c.lastIndex() {
+		// Whatever is durable from here on, or on its way to the disk,
+		// is about to be removed: none of it counts any more. The tail
+		// is rebuilt, not overwritten: Persists already emitted share
+		// the old one's memory.
+		c.persisted = min(c.persisted, from-1)
+		for i := range c.writes {
+			c.writes[i].last = min(c.writes[i].last, from-1)
+		}
+		c.refuseHeld(from, 0) // they would acknowledge entries that are gone
+		if from > c.offset {
+			c.tail = append([]LogEntry(nil), c.tail[:from-c.offset]...)
+		} else {
+			c.tail, c.offset = nil, from
+		}
+	}
+	if c.snap != nil && c.snapSeq == 0 {
+		c.saveSnapshot() // its Persist failed: the log behind it cannot be stored without it
+	}
+	c.tail = append(c.tail, entries...)
+	c.write(Persist{Entries: c.tail[from-c.offset:]}, c.lastIndex())
+}
+
+// setSnapshot makes s the log's prefix: the log drops what s covers,
+// and s is kept here until Persisted says the store has it.
+func (c *Core) setSnapshot(s *StoredSnapshot, peers []string) {
+	switch {
+	case s.Index >= c.lastIndex():
+		c.tail, c.offset = nil, s.Index+1
+	case s.Index >= c.offset:
+		c.tail, c.offset = c.tail[s.Index+1-c.offset:], s.Index+1
+	}
+	c.snapIndex, c.snapTerm = s.Index, s.Term
+	c.snap = s
+	c.base = peers
+	c.saveSnapshot()
+	c.reloadConfig()
+}
+
+// Persisted reports on the Persists up to seq: with a nil err all of
+// them are durable. Otherwise those before seq are, seq failed, and it
+// and every Persist emitted since are void — the driver must not carry
+// them out. The core then forgets what they held, as a crash would
+// have: held acknowledgements are refused, a leader steps down, and
+// whoever waits for a forgotten entry learns through Dropped.
+func (c *Core) Persisted(now time.Time, seq uint64, err error) {
+	durable := seq
+	if err != nil {
+		durable--
+	}
+	n := 0
+	for n < len(c.writes) && c.writes[n].seq <= durable {
+		c.persisted = max(c.persisted, c.writes[n].last)
+		n++
+	}
+	c.writes = append(c.writes[:0], c.writes[n:]...)
+	if c.snap != nil && c.snapSeq != 0 && c.snapSeq <= durable {
+		c.snap = nil
+	}
+	// What the store holds is read from there.
+	if k := min(c.persisted, c.lastIndex()) + 1; k > c.offset {
+		c.tail, c.offset = c.tail[k-c.offset:], k
+		if len(c.tail) == 0 {
+			c.tail = nil
+		}
+	}
+	if err != nil {
+		c.persistFailed(now, err)
+		return
+	}
+	c.releaseAcks()
+	c.advanceCommit(now)
+}
+
+func (c *Core) persistFailed(now time.Time, err error) {
+	c.eff.StoreErrors++
+	c.writes = c.writes[:0]
+	c.snapSeq = 0
+	if keep := max(c.persisted, c.snapIndex); keep < c.lastIndex() {
+		c.tail = append([]LogEntry(nil), c.tail[:keep+1-c.offset]...)
+		c.eff.Dropped = &Dropped{From: keep + 1, Err: fmt.Errorf("raft: store write: %w", err)}
+		c.reloadConfig()
+	}
+	c.refuseHeld(0, c.lastIndex()+1)
+	// A leader that cannot write its own log must not keep accepting
+	// commands it will never count itself for.
+	c.demote(now)
+}
+
+// ackWhenDurable answers the request tagged tag with success once the
+// log is durable through need: at once when it already is.
+func (c *Core) ackWhenDurable(tag, need uint64) {
+	if need <= c.persisted {
+		c.eff.Acks = append(c.eff.Acks, Ack{Tag: tag, Reply: &appendEntriesReply{Term: c.term, Success: true}})
+		return
+	}
+	if c.snap != nil && c.snapSeq == 0 {
+		c.saveSnapshot() // its Persist failed: the leader's retry is ours
+	}
+	c.acks = append(c.acks, heldAck{tag: tag, need: need, term: c.term})
+}
+
+// refuseHeld answers without success every held reply that waits for
+// index from or beyond.
+func (c *Core) refuseHeld(from, conflict uint64) {
+	n := 0
+	for _, a := range c.acks {
+		if a.need < from {
+			c.acks[n] = a
+			n++
+			continue
+		}
+		c.refuse(a.tag, conflict)
+	}
+	c.acks = c.acks[:n]
+}
+
+// releaseAcks sends the held replies the disk has caught up with. One
+// granted in an earlier term no longer speaks for this member: the
+// leader that asked learns the new term instead.
+func (c *Core) releaseAcks() {
+	n := 0
+	for _, a := range c.acks {
+		if a.need > c.persisted {
+			c.acks[n] = a
+			n++
+			continue
+		}
+		c.eff.Acks = append(c.eff.Acks, Ack{Tag: a.tag, Reply: &appendEntriesReply{Term: c.term, Success: a.term == c.term}})
+	}
+	c.acks = c.acks[:n]
 }
 
 // --- persistent state, membership ---
@@ -309,10 +596,6 @@ func (c *Core) demote(now time.Time) {
 		c.leader = ""
 	}
 	err := leaderError(c.leader)
-	for _, p := range c.held {
-		c.eff.Rejected = append(c.eff.Rejected, Rejected{Tag: p.Tag, Err: err})
-	}
-	c.held, c.lingerAt = nil, time.Time{}
 	if c.round.id != 0 {
 		c.eff.Reads = append(c.eff.Reads, ReadRound{ID: c.round.id, Reads: c.round.reads, Err: err})
 		c.round = readRound{}
@@ -334,8 +617,8 @@ func leaderError(hint string) error {
 // configAt returns the configuration in force at index: the latest
 // EntryConfig at or below it, else base.
 func (c *Core) configAt(index uint64) ([]string, uint64) {
-	for i, first := index, c.store.FirstIndex(); i >= first && i > 0; i-- {
-		e, err := c.store.Entry(i)
+	for i, first := index, c.firstIndex(); i >= first && i > 0; i-- {
+		e, err := c.entryAt(i)
 		if err != nil {
 			break
 		}
@@ -353,9 +636,9 @@ func (c *Core) configAt(index uint64) ([]string, uint64) {
 // function of the log, truncating an uncommitted config entry reverts
 // it with no further bookkeeping.
 func (c *Core) reloadConfig() {
-	c.peers, c.configIndex = c.configAt(c.store.LastIndex())
+	c.peers, c.configIndex = c.configAt(c.lastIndex())
 	if c.role == Leader {
-		last := c.store.LastIndex()
+		last := c.lastIndex()
 		for _, p := range c.peers {
 			if c.prog[p] == nil {
 				c.prog[p] = &progress{next: last + 1}
@@ -411,8 +694,8 @@ func (c *Core) campaign(now time.Time) {
 		c.becomeLeader(now)
 		return
 	}
-	lastIdx := c.store.LastIndex()
-	lastTerm, _ := c.store.Term(lastIdx)
+	lastIdx := c.lastIndex()
+	lastTerm, _ := c.termAt(lastIdx)
 	args := &requestVoteArgs{Group: c.group, Term: c.term, Candidate: c.id, LastLogIndex: lastIdx, LastLogTerm: lastTerm}
 	for _, p := range c.peers {
 		if p != c.id {
@@ -422,7 +705,10 @@ func (c *Core) campaign(now time.Time) {
 }
 
 // RequestVote handles a vote request (§5.2, §5.4.1). An error means the
-// vote or the term could not be persisted: no reply may be sent.
+// vote or the term could not be persisted: no reply may be sent. The
+// candidate's log is compared with all of this member's, tail
+// included: entries on their way to the disk can only make the member
+// harder to convince.
 func (c *Core) RequestVote(now time.Time, a *requestVoteArgs) (*requestVoteReply, error) {
 	if a.Term < c.term {
 		return &requestVoteReply{Term: c.term}, nil
@@ -431,8 +717,8 @@ func (c *Core) RequestVote(now time.Time, a *requestVoteArgs) (*requestVoteReply
 	if a.Term > term {
 		term, vote = a.Term, ""
 	}
-	lastIdx := c.store.LastIndex()
-	lastTerm, _ := c.store.Term(lastIdx)
+	lastIdx := c.lastIndex()
+	lastTerm, _ := c.termAt(lastIdx)
 	upToDate := a.LastLogTerm > lastTerm || (a.LastLogTerm == lastTerm && a.LastLogIndex >= lastIdx)
 	grant := (vote == "" || vote == a.Candidate) && upToDate
 	if grant {
@@ -475,43 +761,34 @@ func (c *Core) becomeLeader(now time.Time) {
 	c.role = Leader
 	c.leader = c.id
 	c.heartbeatAt = now.Add(c.cfg.HeartbeatInterval)
-	last := c.store.LastIndex()
+	last := c.lastIndex()
 	c.prog = make(map[string]*progress, len(c.peers))
 	for _, p := range c.peers {
 		c.prog[p] = &progress{next: last + 1}
 	}
 	// Commit entries from previous terms by appending a no-op at the
-	// current term (§5.4.2). A failed append has already demoted us.
-	if c.appendAsLeader(now, []LogEntry{{Type: EntryNoop}}) != nil {
-		return
-	}
-	c.broadcast()
-	c.advanceCommit(now)
+	// current term (§5.4.2).
+	c.appendAsLeader(now, []LogEntry{{Type: EntryNoop}})
 }
 
 // --- leader: append, replicate, commit ---
 
-// appendAsLeader assigns indexes and the current term to entries and
-// appends them with one Store.Append. A leader that cannot write its
-// own log must not keep acking commands it will never replicate: the
-// failure demotes it and is returned.
-func (c *Core) appendAsLeader(now time.Time, entries []LogEntry) error {
-	base := c.store.LastIndex()
+// appendAsLeader assigns indexes and the current term to entries, adds
+// them to the log and ships them: the Persist and the AppendEntries for
+// the same run leave in the same step.
+func (c *Core) appendAsLeader(now time.Time, entries []LogEntry) {
+	base := c.lastIndex()
 	config := false
 	for i := range entries {
 		entries[i].Index = base + 1 + uint64(i)
 		entries[i].Term = c.term
 		config = config || entries[i].Type == EntryConfig
 	}
-	if err := c.store.Append(entries); err != nil {
-		c.eff.StoreErrors++
-		c.demote(now)
-		return fmt.Errorf("raft: leader store append: %w", err)
-	}
+	c.appendLog(entries)
 	if config {
 		c.reloadConfig()
 	}
-	return nil
+	c.broadcast()
 }
 
 // broadcast sends log traffic to every follower that has none in
@@ -528,29 +805,26 @@ func (c *Core) broadcast() {
 // follower is behind the log's first index) for peer.
 func (c *Core) sendAppend(peer string) {
 	p := c.prog[peer]
-	if p.next < c.store.FirstIndex() {
-		data, sidx, sterm, err := c.store.Snapshot()
-		if err != nil || sidx == 0 {
+	if p.next < c.firstIndex() {
+		s, err := c.snapshot()
+		if err != nil || s.Index == 0 {
 			return
 		}
 		p.inflight, p.sentCommit = true, c.commitIndex
 		c.eff.Msgs = append(c.eff.Msgs, Message{To: peer, Snapshot: &installSnapshotArgs{
 			Group: c.group, Term: c.term, Leader: c.id,
-			LastIndex: sidx, LastTerm: sterm, Peers: c.base, Data: data,
+			LastIndex: s.Index, LastTerm: s.Term, Peers: c.base, Data: s.Data,
 		}})
 		return
 	}
 	prev := p.next - 1
-	prevTerm, err := c.store.Term(prev)
+	prevTerm, err := c.termAt(prev)
 	if err != nil {
 		return
 	}
-	hi := min(c.store.LastIndex(), prev+uint64(c.cfg.MaxEntriesPerAppend))
-	var entries []LogEntry
-	if hi > prev {
-		if entries, err = c.store.Entries(p.next, hi); err != nil {
-			return
-		}
+	entries, err := c.entries(p.next, min(c.lastIndex(), prev+uint64(c.cfg.MaxEntriesPerAppend)))
+	if err != nil {
+		return
 	}
 	p.inflight, p.sentCommit = true, c.commitIndex
 	c.eff.Msgs = append(c.eff.Msgs, Message{To: peer, Append: &appendEntriesArgs{
@@ -606,13 +880,16 @@ func (c *Core) AppendReply(now time.Time, m Message, r *appendEntriesReply) {
 			p.next--
 		}
 	}
-	if c.role == Leader && !p.inflight && (!r.Success || p.next <= c.store.LastIndex() || p.sentCommit < c.commitIndex) {
+	if c.role == Leader && !p.inflight && (!r.Success || p.next <= c.lastIndex() || p.sentCommit < c.commitIndex) {
 		c.sendAppend(m.To)
 	}
 }
 
-// advanceCommit moves commitIndex to the highest index replicated on a
-// majority, if that entry is of the current term (§5.4.2).
+// advanceCommit moves commitIndex to the highest index durable on a
+// majority, if that entry is of the current term (§5.4.2). The leader
+// counts itself through persisted, not through the end of its log:
+// what it has only handed to its disk is no more its own than a
+// follower's unacknowledged copy.
 func (c *Core) advanceCommit(now time.Time) {
 	if c.role != Leader || len(c.peers) == 0 {
 		return
@@ -620,7 +897,7 @@ func (c *Core) advanceCommit(now time.Time) {
 	matches := make([]uint64, 0, len(c.peers))
 	for _, p := range c.peers {
 		if p == c.id {
-			matches = append(matches, c.store.LastIndex())
+			matches = append(matches, c.persisted)
 		} else {
 			matches = append(matches, c.prog[p].match)
 		}
@@ -630,7 +907,7 @@ func (c *Core) advanceCommit(now time.Time) {
 	if candidate <= c.commitIndex {
 		return
 	}
-	if t, err := c.store.Term(candidate); err != nil || t != c.term {
+	if t, err := c.termAt(candidate); err != nil || t != c.term {
 		return
 	}
 	configCommitted := c.pendingConfig() != 0 && candidate >= c.configIndex
@@ -644,8 +921,13 @@ func (c *Core) advanceCommit(now time.Time) {
 	c.broadcast()     // propagate the new commit index promptly
 }
 
-// Propose offers commands to the leader. They are appended now when
-// the pipeline is idle and otherwise held: see flushHeld.
+// Propose offers commands to the leader, which appends them at once:
+// one Persist, and one AppendEntries per follower with nothing in
+// flight. Group commit needs no rule here. Proposals that arrive while
+// a disk write is under way leave as Persists that queue at the
+// driver's writer, which makes one write of all it finds; a follower
+// busy with the previous AppendEntries gets everything since in its
+// next one.
 func (c *Core) Propose(now time.Time, ps []Proposal) {
 	if c.role != Leader {
 		err := leaderError(c.leader)
@@ -654,54 +936,14 @@ func (c *Core) Propose(now time.Time, ps []Proposal) {
 		}
 		return
 	}
-	c.held = append(c.held, ps...)
-	c.flushHeld(now)
-}
-
-// flushHeld runs the leader's group commit: up to maxBatchEntries held
-// proposals get contiguous indexes and are persisted with a single
-// Store.Append.
-//
-// Adaptive linger: while earlier entries are appended but not yet
-// applied, the held proposals wait — commit latency is gated on those
-// entries' replication anyway, and every proposal arriving in the
-// meantime joins the batch. Without this gate the group is metastable:
-// once proposals start arriving one replication round apart, each finds
-// the pipeline idle, appends alone, and keeps the one-fsync-per-op
-// lockstep going. The wait ends when Applied catches up and is bounded
-// by one heartbeat interval, so a stalled pipeline cannot hold
-// proposals forever.
-func (c *Core) flushHeld(now time.Time) {
-	for len(c.held) > 0 {
-		if c.store.LastIndex() > c.lastApplied {
-			if c.lingerAt.IsZero() {
-				c.lingerAt = now.Add(c.cfg.HeartbeatInterval)
-			}
-			if now.Before(c.lingerAt) {
-				return
-			}
-		}
-		c.lingerAt = time.Time{}
-		batch := c.held[:min(len(c.held), maxBatchEntries)]
-		entries := make([]LogEntry, len(batch))
-		tags := make([]interface{}, len(batch))
-		for i, p := range batch {
-			entries[i] = LogEntry{Type: EntryCommand, Data: p.Data}
-			tags[i] = p.Tag
-		}
-		c.held = append(c.held[:0], c.held[len(batch):]...)
-		if err := c.appendAsLeader(now, entries); err != nil {
-			// Demoted: the rest of held was rejected with a leader
-			// hint; this batch gets the store error.
-			for _, tag := range tags {
-				c.eff.Rejected = append(c.eff.Rejected, Rejected{Tag: tag, Err: err})
-			}
-			return
-		}
-		c.eff.Accepted = append(c.eff.Accepted, Accepted{Tags: tags, First: entries[0].Index, Term: c.term})
-		c.broadcast()
-		c.advanceCommit(now) // single-node groups commit immediately
+	entries := make([]LogEntry, len(ps))
+	tags := make([]interface{}, len(ps))
+	for i, p := range ps {
+		entries[i] = LogEntry{Type: EntryCommand, Data: p.Data}
+		tags[i] = p.Tag
 	}
+	c.eff.Accepted = append(c.eff.Accepted, Accepted{Tags: tags, First: c.lastIndex() + 1, Term: c.term})
+	c.appendAsLeader(now, entries)
 }
 
 // ChangeConfig appends a single-server membership change and returns
@@ -737,13 +979,9 @@ func (c *Core) ChangeConfig(now time.Time, addr string, remove bool) (index, ter
 	if err != nil {
 		return 0, 0, err
 	}
-	entries := []LogEntry{{Type: EntryConfig, Data: data}}
-	if err := c.appendAsLeader(now, entries); err != nil {
-		return 0, 0, err
-	}
-	c.broadcast()
-	c.advanceCommit(now)
-	return entries[0].Index, entries[0].Term, nil
+	index = c.lastIndex() + 1
+	c.appendAsLeader(now, []LogEntry{{Type: EntryConfig, Data: data}})
+	return index, c.term, nil
 }
 
 // --- follower ---
@@ -762,118 +1000,104 @@ func (c *Core) follow(now time.Time, term uint64, leader string) error {
 	return nil
 }
 
+// refuse answers the request tagged tag without success.
+func (c *Core) refuse(tag, conflict uint64) {
+	c.eff.Acks = append(c.eff.Acks, Ack{Tag: tag, Reply: &appendEntriesReply{Term: c.term, ConflictIndex: conflict}})
+}
+
 // AppendEntries handles log traffic and heartbeats from a leader
-// (§5.3). An error means the leader's term could not be persisted: no
-// reply may be sent.
-func (c *Core) AppendEntries(now time.Time, a *appendEntriesArgs) (*appendEntriesReply, error) {
+// (§5.3). The answer is the Ack carrying tag: among this step's effects
+// when it is a refusal or acknowledges nothing the disk has yet to
+// see — a ReadIndex probe never does — and otherwise among those of
+// the step that learns the log is durable through what it
+// acknowledges.
+func (c *Core) AppendEntries(now time.Time, a *appendEntriesArgs, tag uint64) {
 	if a.Term < c.term {
-		return &appendEntriesReply{Term: c.term}, nil
+		c.refuse(tag, 0)
+		return
 	}
 	if err := c.follow(now, a.Term, a.Leader); err != nil {
-		return nil, err
+		c.eff.Acks = append(c.eff.Acks, Ack{Tag: tag, Err: err})
+		return
 	}
-	reply := &appendEntriesReply{Term: c.term}
 
 	// Log consistency check.
-	first, last := c.store.FirstIndex(), c.store.LastIndex()
-	switch {
-	case a.PrevLogIndex > last:
-		reply.ConflictIndex = last + 1
-		return reply, nil
-	case a.PrevLogIndex+1 < first:
-		// Inside our snapshot: the leader is behind what we have
-		// compacted; point it past our log.
-		reply.ConflictIndex = last + 1
-		return reply, nil
+	first, last := c.firstIndex(), c.lastIndex()
+	if a.PrevLogIndex > last || a.PrevLogIndex+1 < first {
+		// Past our log, or inside our snapshot (the leader is behind
+		// what we have compacted): point it past our log.
+		c.refuse(tag, last+1)
+		return
 	}
-	pt, err := c.store.Term(a.PrevLogIndex)
+	pt, err := c.termAt(a.PrevLogIndex)
 	if err != nil {
-		reply.ConflictIndex = first
-		return reply, nil
+		c.refuse(tag, first)
+		return
 	}
 	if pt != a.PrevLogTerm {
 		// Hint at the first index of the conflicting term.
 		ci := a.PrevLogIndex
 		for ci > first {
-			if t, err := c.store.Term(ci - 1); err != nil || t != pt {
+			if t, err := c.termAt(ci - 1); err != nil || t != pt {
 				break
 			}
 			ci--
 		}
-		reply.ConflictIndex = ci
-		return reply, nil
+		c.refuse(tag, ci)
+		return
 	}
 
-	// Drop what we already have, truncate at the first conflict, then
-	// append everything new with a single Store.Append.
-	var fresh []LogEntry
-	reload := false
+	// Skip what we already have. What is left replaces the log from its
+	// first index on: the end of the log, or the first conflict.
 	for i, e := range a.Entries {
 		if e.Index < first {
 			continue // covered by our snapshot
 		}
-		if e.Index <= last {
-			if t, err := c.store.Term(e.Index); err == nil && t == e.Term {
-				continue // already have it
-			}
-			if err := c.store.TruncateFrom(e.Index); err != nil {
-				return reply, nil
-			}
-			reload = e.Index <= c.configIndex
+		if t, err := c.termAt(e.Index); err == nil && t == e.Term {
+			continue // already have it
 		}
-		fresh = a.Entries[i:]
+		reload := e.Index <= c.configIndex
+		for _, f := range a.Entries[i:] {
+			reload = reload || f.Type == EntryConfig
+		}
+		c.appendLog(a.Entries[i:])
+		if reload {
+			c.reloadConfig()
+		}
 		break
 	}
-	if len(fresh) > 0 {
-		err = c.store.Append(fresh)
-		for _, e := range fresh {
-			reload = reload || (err == nil && e.Type == EntryConfig)
-		}
-	}
-	if reload {
-		c.reloadConfig()
-	}
-	if err != nil {
-		c.eff.StoreErrors++
-		return reply, nil
-	}
-	reply.Success = true
-	if lastNew := a.PrevLogIndex + uint64(len(a.Entries)); min(a.LeaderCommit, lastNew) > c.commitIndex {
+	lastNew := a.PrevLogIndex + uint64(len(a.Entries))
+	if min(a.LeaderCommit, lastNew) > c.commitIndex {
 		c.commitIndex = min(a.LeaderCommit, lastNew)
 		c.eff.Apply = true
 	}
-	return reply, nil
+	c.ackWhenDurable(tag, lastNew)
 }
 
 // InstallSnapshot replaces the log prefix with the leader's snapshot.
-// The snapshot is durable before the reply exists; the state machine
+// The snapshot is durable before its Ack leaves; the state machine
 // catches up through NextApply, which asks for a restore whenever it is
 // behind the log's first index.
-func (c *Core) InstallSnapshot(now time.Time, a *installSnapshotArgs) (*appendEntriesReply, error) {
+func (c *Core) InstallSnapshot(now time.Time, a *installSnapshotArgs, tag uint64) {
 	if a.Term < c.term {
-		return &appendEntriesReply{Term: c.term}, nil
+		c.refuse(tag, 0)
+		return
 	}
 	if err := c.follow(now, a.Term, a.Leader); err != nil {
-		return nil, err
+		c.eff.Acks = append(c.eff.Acks, Ack{Tag: tag, Err: err})
+		return
 	}
-	reply := &appendEntriesReply{Term: c.term}
-	if a.LastIndex <= c.commitIndex {
-		reply.Success = true
-		return reply, nil
+	if a.LastIndex > c.commitIndex {
+		var env snapshotEnvelope
+		if codec.Unmarshal(a.Data, &env) != nil {
+			c.refuse(tag, 0)
+			return
+		}
+		c.setSnapshot(&StoredSnapshot{Index: a.LastIndex, Term: a.LastTerm, Data: a.Data}, env.Peers)
+		c.commitIndex = a.LastIndex
+		c.eff.Apply = true
 	}
-	var env snapshotEnvelope
-	if codec.Unmarshal(a.Data, &env) != nil {
-		return reply, nil
-	}
-	if err := c.store.SaveSnapshot(a.LastIndex, a.LastTerm, a.Data); err != nil {
-		return reply, nil
-	}
-	c.base = env.Peers
-	c.reloadConfig()
-	c.commitIndex = a.LastIndex
-	c.eff.Apply = true
-	reply.Success = true
-	return reply, nil
+	c.ackWhenDurable(tag, a.LastIndex)
 }
 
 // --- ReadIndex ---
@@ -909,7 +1133,7 @@ func (c *Core) startRound(now time.Time) {
 	if c.role != Leader || c.round.id != 0 || c.forming == 0 {
 		return
 	}
-	if t, err := c.store.Term(c.commitIndex); err != nil || t != c.term {
+	if t, err := c.termAt(c.commitIndex); err != nil || t != c.term {
 		return
 	}
 	c.round = readRound{
@@ -927,7 +1151,8 @@ func (c *Core) startRound(now time.Time) {
 	}
 	// The probe is an empty AppendEntries with LeaderCommit 0: it cannot
 	// move follower state, only the reply's term matters. It is its own
-	// message so a read never queues behind log traffic in flight.
+	// message so a read never queues behind log traffic in flight, and
+	// it acknowledges no entry, so no follower holds it for its disk.
 	probe := &appendEntriesArgs{Group: c.group, Term: c.term, Leader: c.id}
 	for _, p := range c.peers {
 		if p != c.id {
@@ -963,22 +1188,22 @@ func (c *Core) releaseReads() {
 
 // NextApply returns the next task for the state machine, if any.
 // A state machine behind the log's first index (fresh process, or a
-// snapshot was just installed) is restored from the stored snapshot;
+// snapshot was just installed) is restored from the snapshot;
 // otherwise the task is the next run of committed entries.
 func (c *Core) NextApply() (ApplyTask, bool) {
-	if c.lastApplied+1 < c.store.FirstIndex() {
-		data, idx, _, err := c.store.Snapshot()
+	if c.lastApplied+1 < c.firstIndex() {
+		s, err := c.snapshot()
 		var env snapshotEnvelope
-		if err != nil || codec.Unmarshal(data, &env) != nil {
+		if err != nil || codec.Unmarshal(s.Data, &env) != nil {
 			return ApplyTask{}, false
 		}
-		return ApplyTask{Restore: true, Snapshot: env.FSM, Index: idx}, true
+		return ApplyTask{Restore: true, Snapshot: env.FSM, Index: s.Index}, true
 	}
 	if c.lastApplied >= c.commitIndex {
 		return ApplyTask{}, false
 	}
 	hi := min(c.commitIndex, c.lastApplied+maxBatchEntries)
-	entries, err := c.store.Entries(c.lastApplied+1, hi)
+	entries, err := c.entries(c.lastApplied+1, hi)
 	if err != nil || len(entries) == 0 {
 		return ApplyTask{}, false
 	}
@@ -987,43 +1212,38 @@ func (c *Core) NextApply() (ApplyTask, bool) {
 
 // Applied reports that the state machine has finished the task ending
 // at index.
-func (c *Core) Applied(now time.Time, index uint64) {
+func (c *Core) Applied(index uint64) {
 	c.lastApplied = max(c.lastApplied, index)
 	c.releaseReads()
-	if c.role == Leader {
-		c.flushHeld(now)
-	}
 }
 
 // Compactable reports whether a snapshot at lastApplied would shorten
 // the log.
 func (c *Core) Compactable() bool {
-	return c.lastApplied > 0 && c.lastApplied >= c.store.FirstIndex()
+	return c.lastApplied > 0 && c.lastApplied >= c.firstIndex()
 }
 
 // SnapshotDue reports whether SnapshotThreshold applied entries have
 // accumulated in the log.
 func (c *Core) SnapshotDue() bool {
 	return c.cfg.SnapshotThreshold > 0 && c.Compactable() &&
-		c.lastApplied+1-c.store.FirstIndex() >= c.cfg.SnapshotThreshold
+		c.lastApplied+1-c.firstIndex() >= c.cfg.SnapshotThreshold
 }
 
-// Compact stores fsm — the state machine's snapshot at exactly
-// lastApplied — and discards the log through that index.
-func (c *Core) Compact(fsm []byte) error {
+// Compact makes fsm — the state machine's snapshot at exactly
+// lastApplied — the log's prefix and discards the log through that
+// index. It returns the Seq of the Persist that stores it: 0 when a
+// newer snapshot was installed meanwhile and there is nothing to do.
+func (c *Core) Compact(fsm []byte) (uint64, error) {
 	if !c.Compactable() {
-		return nil // a newer snapshot was installed meanwhile
+		return 0, nil
 	}
 	idx := c.lastApplied
-	term, err := c.store.Term(idx)
+	term, err := c.termAt(idx)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	peers, _ := c.configAt(idx)
-	if err := c.store.SaveSnapshot(idx, term, codec.Marshal(&snapshotEnvelope{Peers: peers, FSM: fsm})); err != nil {
-		return err
-	}
-	c.base = peers
-	c.reloadConfig()
-	return nil
+	c.setSnapshot(&StoredSnapshot{Index: idx, Term: term, Data: codec.Marshal(&snapshotEnvelope{Peers: peers, FSM: fsm})}, peers)
+	return c.snapSeq, nil
 }

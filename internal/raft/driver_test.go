@@ -308,8 +308,10 @@ func TestClientConfigChangeFollowsLeaderHint(t *testing.T) {
 }
 
 // TestNodeGoroutinesJoinedByStop: elections, reads and writes leave no
-// goroutine behind once the nodes are stopped and their instances
-// finalized (the cluster's cleanup does both when the subtest ends).
+// goroutine behind — timer loop, writer, applier, senders — once the
+// nodes are stopped and their instances finalized (the cluster's
+// cleanup does both when the subtest ends). One member writes to a
+// real file store, so its writer is stopped in the middle of real work.
 func TestNodeGoroutinesJoinedByStop(t *testing.T) {
 	before := testutil.GoroutineCount()
 	t.Run("cluster", func(t *testing.T) {
@@ -317,6 +319,17 @@ func TestNodeGoroutinesJoinedByStop(t *testing.T) {
 		leader := c.waitLeader()
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
+		fs, err := NewFileStore(t.TempDir(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fs.Close() }) // after the node's own cleanup has stopped it
+		single := singleNode(t, fs, newKVFSM(), fastRaftCfg())
+		go func() {
+			for i := 0; single.ctx.Err() == nil; i++ {
+				_, _ = single.Apply(ctx, []byte(fmt.Sprintf("set s%d v", i)))
+			}
+		}()
 		for i := 0; i < 20; i++ {
 			if _, err := c.apply(ctx, []byte(fmt.Sprintf("set g%d v", i))); err != nil {
 				t.Fatal(err)

@@ -14,11 +14,12 @@ var batchBuckets = metrics.ExpBuckets(1, 2, 10)
 // existing exposition plane (bedrock /metrics, bedrock_get_metrics,
 // bedrock-query -metrics, the cluster federation view) for free.
 type nodeMetrics struct {
-	// commitLatency is the full proposal round trip observed by Apply:
-	// enqueue → group commit → replication → apply → waiter wakeup.
+	// commitLatency is the full proposal round trip at the leader,
+	// blocking caller or RPC alike: arrival → append → disk and
+	// replication → apply → resolution.
 	commitLatency *metrics.Histogram // mochi_raft_commit_latency_seconds{group}
-	// batchEntries is the number of proposals coalesced into one
-	// leader group commit (one store.Append, one fsync).
+	// batchEntries is the number of entries in one leader group commit:
+	// what the writer found queued and made one store.Append, one fsync.
 	batchEntries *metrics.Histogram // mochi_raft_batch_entries{group}
 	// applyEntries is the committed-range run drained per applier
 	// wakeup (the batched-apply mirror of batchEntries).

@@ -11,6 +11,7 @@ import (
 	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
+	"mochi/internal/trace"
 )
 
 // Config tunes protocol timing.
@@ -30,9 +31,8 @@ type Config struct {
 	MaxEntriesPerAppend int
 }
 
-// maxBatchEntries caps how many concurrent proposals coalesce into one
-// leader group commit — one store.Append (one fsync on FileStore). It
-// also caps the committed run the applier is handed per task.
+// maxBatchEntries caps the committed run the applier is handed per
+// task.
 const maxBatchEntries = 64
 
 func (c Config) withDefaults() Config {
@@ -62,28 +62,67 @@ type Status struct {
 	Peers       []string
 }
 
-// outcome is how a proposal ended: the FSM's result, or why there is
-// none.
+// outcome is how a proposal or a read ended: the result, or why there
+// is none.
 type outcome struct {
 	result []byte
 	err    error
 }
 
-// proposal is one command (or configuration change) on its way through
-// the log. index and term say where the core appended it; they are
-// written and read under Node.mu.
-type proposal struct {
-	cmd   []byte
-	index uint64
-	term  uint64
-	done  chan outcome // buffered: whoever resolves it never blocks
+// waiter is one proposal, configuration change or read on its way
+// through the group. It sits in one of the node's tables until whoever
+// takes it out — the applier, the round that confirms it, a failed
+// Persist, the deadline sweep, Stop — calls resolve, once, with mu
+// released. The blocking API's resolve writes to a channel; an RPC's
+// answers its kept handle. index and term say where the core appended a
+// proposal; they are written and read under mu.
+type waiter struct {
+	resolve func(outcome)
+	index   uint64
+	term    uint64
+	// deadline bounds a waiter nobody is blocked on (a caller of the
+	// blocking API has its ctx instead): the timer loop sweeps it.
+	deadline time.Time
+	arrived  time.Time // proposals only: feeds the commit-latency histogram
+	span     *span     // a sampled RPC only
 }
 
-// readBatch is the driver's side of one ReadIndex round: every Read
-// that joined the round waits on done.
-type readBatch struct {
-	err  error
-	done chan struct{}
+// span is what a sampled RPC-borne Apply or Read records about itself.
+// margo's server and handler spans end when the handler returns, which
+// is now long before the request is answered.
+type span struct {
+	sc      trace.SpanContext
+	name    string
+	arrived time.Time
+	ended   [len(phases)]time.Time // by phase; zero: not before the reply
+}
+
+// The phases of a request, each recorded as a child span from arrival
+// to: the leader's own disk has the entry, a quorum has it, the read's
+// round is confirmed.
+const (
+	phasePersist = iota
+	phaseReplicate
+	phaseRound
+)
+
+var phases = [...]string{"persist", "replicate", "round"}
+
+// after is what a step leaves to do once mu is released: answers to
+// kept AppendEntries and InstallSnapshot handles, and resolutions.
+type after struct {
+	acks []keptAck
+	done []resolved
+}
+
+type keptAck struct {
+	h   *mercury.Handle
+	ack Ack
+}
+
+type resolved struct {
+	w *waiter
+	o outcome
 }
 
 // lanes are the two mailboxes of one peer: log traffic (votes,
@@ -124,23 +163,14 @@ func attach(n *Node) error {
 		reg = &registry{nodes: map[string]*Node{}}
 		var err error
 		reg.rpcs, err = n.inst.RegisterSet(mercury.AnyProvider, nil,
-			margo.RPC{Name: rpcRequestVote, Handler: margo.Serve(protocol(reg,
-				func(a *requestVoteArgs) string { return a.Group }, (*Core).RequestVote))},
-			margo.RPC{Name: rpcAppendEntries, Handler: margo.Serve(protocol(reg,
+			margo.RPC{Name: rpcRequestVote, Handler: margo.Serve(reg.handleVote)},
+			margo.RPC{Name: rpcAppendEntries, Handler: margo.Serve(logTraffic(reg,
 				func(a *appendEntriesArgs) string { return a.Group }, (*Core).AppendEntries))},
-			margo.RPC{Name: rpcInstallSnapshot, Handler: margo.Serve(protocol(reg,
+			margo.RPC{Name: rpcInstallSnapshot, Handler: margo.Serve(logTraffic(reg,
 				func(a *installSnapshotArgs) string { return a.Group }, (*Core).InstallSnapshot))},
-			margo.RPC{Name: rpcApply, Handler: margo.Serve(client(reg,
-				func(a *applyArgs) string { return a.Group },
-				func(ctx context.Context, n *Node, a *applyArgs) ([]byte, error) { return n.Apply(ctx, a.Cmd) }))},
-			margo.RPC{Name: rpcRead, Handler: margo.Serve(client(reg,
-				func(a *readArgs) string { return a.Group },
-				func(ctx context.Context, n *Node, a *readArgs) ([]byte, error) { return n.Read(ctx, a.Query) }))},
-			margo.RPC{Name: rpcConfigChange, Handler: margo.Serve(client(reg,
-				func(a *configChangeArgs) string { return a.Group },
-				func(ctx context.Context, n *Node, a *configChangeArgs) ([]byte, error) {
-					return nil, n.changeConfig(ctx, a.Addr, a.Remove)
-				}))},
+			margo.RPC{Name: rpcApply, Handler: margo.Serve(reg.handleApply)},
+			margo.RPC{Name: rpcRead, Handler: margo.Serve(reg.handleRead)},
+			margo.RPC{Name: rpcConfigChange, Handler: margo.Serve(reg.handleConfigChange)},
 			margo.RPC{Name: rpcStatus, Handler: margo.Serve(reg.handleStatus)},
 		)
 		if err != nil {
@@ -186,42 +216,55 @@ func (r *registry) lookup(group string) *Node {
 
 // Node is one member of a Raft group: the driver of one Core. It owns
 // no protocol state. mu serializes every step of the core and guards
-// the driver's tables; qmu guards only the queue of proposals waiting
-// for mu. Four kinds of goroutine exist, all started here or when a
-// peer is first addressed and all joined by Stop: the timer loop, the
-// applier (the only caller of the FSM's Apply, ApplyBatch, Restore and
-// Snapshot), and two senders per peer.
+// the driver's tables, and is never held across a wait: not for the
+// disk (the writer goroutine carries out the core's Persists with mu
+// released), not for a peer, not for the FSM. Five kinds of goroutine
+// exist, all started here or when a peer is first addressed and all
+// joined by Stop: the timer loop, the writer (the only caller of the
+// store's Append, TruncateFrom and SaveSnapshot), the applier (the only
+// caller of the FSM's Apply, ApplyBatch, Restore and Snapshot), and two
+// senders per peer.
 type Node struct {
 	inst  *margo.Instance
 	clk   clock.Clock
 	group string
 	id    string
 	fsm   FSM
+	store Store
 	cfg   Config
 	met   *nodeMetrics
 
 	mu      sync.Mutex
 	core    *Core
 	stopped bool
-	waiters map[uint64]*proposal  // appended proposals by log index
-	reads   map[uint64]*readBatch // ReadIndex rounds by id
-	senders map[string]*lanes     // by peer address
-	armed   time.Time             // the deadline the timer loop sleeps on
-
-	// Group commit: proposals that arrive while a step holds mu — across
-	// an fsync, typically — collect here and reach the core as one
-	// Propose, hence one store.Append.
-	qmu   sync.Mutex
-	queue []*proposal
+	waiters map[uint64]*waiter         // appended proposals by log index
+	reads   map[uint64][]*waiter       // reads by ReadIndex round
+	kept    map[uint64]*mercury.Handle // unanswered AppendEntries/InstallSnapshot by tag
+	tag     uint64                     // the last one handed out
+	spans   int                        // waiters in the proposal table that carry a span
+	sweepAt time.Time                  // the earliest deadline in the tables, zero if none
+	queue   []Persist                  // for the writer, in Seq order
+	run     []LogEntry                 // the writer's own: a run of Persists as one write
+	snap    snapshotWait               // the Persist TakeSnapshot is waiting for
+	senders map[string]*lanes          // by peer address
+	armed   time.Time                  // the deadline the timer loop sleeps on
 
 	applyWake chan struct{}   // buffered(1): the core has work for the applier
-	rearm     chan struct{}   // buffered(1): the core's deadline moved earlier
+	writeWake chan struct{}   // buffered(1): the queue has work for the writer
+	rearm     chan struct{}   // buffered(1): the timer loop's deadline moved earlier
 	snapReq   chan chan error // TakeSnapshot requests, served by the applier
 
 	ctx      context.Context // cancelled by Stop
 	cancel   context.CancelFunc
 	stopOnce sync.Once
 	wg       sync.WaitGroup
+}
+
+// snapshotWait is how the applier learns what became of the snapshot it
+// handed to the core: done receives the writer's verdict on Persist seq.
+type snapshotWait struct {
+	seq  uint64
+	done chan error // buffered(1)
 }
 
 // NewNode creates and starts a Raft member. peers is the initial
@@ -234,12 +277,15 @@ func NewNode(inst *margo.Instance, group string, peers []string, store Store, fs
 		group:     group,
 		id:        inst.Addr(),
 		fsm:       fsm,
+		store:     store,
 		cfg:       cfg.withDefaults(),
 		met:       newNodeMetrics(inst.Metrics(), group),
-		waiters:   map[uint64]*proposal{},
-		reads:     map[uint64]*readBatch{},
+		waiters:   map[uint64]*waiter{},
+		reads:     map[uint64][]*waiter{},
+		kept:      map[uint64]*mercury.Handle{},
 		senders:   map[string]*lanes{},
 		applyWake: make(chan struct{}, 1),
+		writeWake: make(chan struct{}, 1),
 		rearm:     make(chan struct{}, 1),
 		snapReq:   make(chan chan error),
 	}
@@ -258,8 +304,9 @@ func NewNode(inst *margo.Instance, group string, peers []string, store Store, fs
 		n.cancel()
 		return nil, err
 	}
-	n.wg.Add(2)
+	n.wg.Add(3)
 	go n.timerLoop()
+	go n.writer()
 	go n.applier()
 	return n, nil
 }
@@ -291,23 +338,33 @@ func (n *Node) IsLeader() bool {
 	return n.core.IsLeader()
 }
 
-// Stop halts the node and waits for its goroutines. The store is not
-// closed.
+// Stop halts the node and waits for its goroutines: everything still in
+// its tables — blocked callers and kept handles alike — is answered
+// ErrStopped, and what the writer has not written stays unwritten, as
+// after a crash. The store is not closed.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
+		var out after
 		n.mu.Lock()
 		n.stopped = true
-		for idx, p := range n.waiters {
-			p.done <- outcome{err: ErrStopped}
-			delete(n.waiters, idx)
+		for _, w := range n.waiters {
+			out.done = append(out.done, resolved{w, outcome{err: ErrStopped}})
 		}
-		for id, b := range n.reads {
-			b.err = ErrStopped
-			close(b.done)
-			delete(n.reads, id)
+		for _, ws := range n.reads {
+			for _, w := range ws {
+				out.done = append(out.done, resolved{w, outcome{err: ErrStopped}})
+			}
 		}
+		for _, h := range n.kept {
+			out.acks = append(out.acks, keptAck{h, Ack{Err: ErrStopped}})
+		}
+		clear(n.waiters)
+		clear(n.reads)
+		clear(n.kept)
+		n.queue = nil
 		n.mu.Unlock()
 		n.cancel()
+		n.finish(&out)
 	})
 	n.wg.Wait()
 	detach(n)
@@ -315,52 +372,161 @@ func (n *Node) Stop() {
 
 // --- stepping the core ---
 
-// step runs one core input under mu and carries out its effects. A
-// stopped node runs nothing, which is why callers that report a result
-// preset it to ErrStopped.
-func (n *Node) step(f func(c *Core, now time.Time)) {
+// step runs one core input under mu, carries out its effects and, with
+// mu released, sends the answers it produced. A stopped node runs
+// nothing and step says so.
+func (n *Node) step(f func(c *Core, now time.Time)) bool {
+	var out after
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.stopped {
-		f(n.core, n.clk.Now())
-		n.dispatch()
+	if n.stopped {
+		n.mu.Unlock()
+		return false
 	}
+	f(n.core, n.clk.Now())
+	n.dispatch(&out)
+	n.mu.Unlock()
+	n.finish(&out)
+	return true
 }
 
-// dispatch carries out what the last step asked for. Caller holds mu.
-func (n *Node) dispatch() {
+// dispatch carries out what the last step asked for, except for what
+// must not happen under mu, which it adds to out. Caller holds mu.
+func (n *Node) dispatch(out *after) {
 	eff := n.core.Take()
 	for _, m := range eff.Msgs {
 		n.post(m)
 	}
+	if len(eff.Persist) > 0 {
+		n.queue = append(n.queue, eff.Persist...)
+		signal(n.writeWake)
+	}
+	for _, a := range eff.Acks {
+		if h := n.kept[a.Tag]; h != nil {
+			delete(n.kept, a.Tag)
+			out.acks = append(out.acks, keptAck{h, a})
+		}
+	}
 	for _, a := range eff.Accepted {
 		for i, tag := range a.Tags {
-			p := tag.(*proposal)
-			p.index, p.term = a.First+uint64(i), a.Term
-			n.waiters[p.index] = p
+			w := tag.(*waiter)
+			w.index, w.term = a.First+uint64(i), a.Term
+			n.enter(w)
 		}
-		n.met.batchEntries.Observe(float64(len(a.Tags)))
 	}
 	for _, r := range eff.Rejected {
-		r.Tag.(*proposal).done <- outcome{err: r.Err}
+		out.done = append(out.done, resolved{r.Tag.(*waiter), outcome{err: r.Err}})
 	}
 	for _, r := range eff.Reads {
 		n.met.readRounds.Inc()
 		n.met.readBatch.Observe(float64(r.Reads))
-		if b := n.reads[r.ID]; b != nil {
-			b.err = r.Err
-			close(b.done)
-			delete(n.reads, r.ID)
+		for _, w := range n.reads[r.ID] {
+			if w.span != nil {
+				w.span.ended[phaseRound] = n.clk.Now()
+			}
+			out.done = append(out.done, resolved{w, outcome{err: r.Err}})
+		}
+		delete(n.reads, r.ID)
+	}
+	if d := eff.Dropped; d != nil {
+		for idx, w := range n.waiters {
+			if idx >= d.From {
+				n.leave(w)
+				out.done = append(out.done, resolved{w, outcome{err: d.Err}})
+			}
 		}
 	}
 	if eff.StoreErrors > 0 {
 		n.met.appendErrors.Add(float64(eff.StoreErrors))
 	}
 	if eff.Apply {
+		if n.spans > 0 {
+			n.mark(phaseReplicate, n.core.Status().CommitIndex, n.clk.Now())
+		}
 		signal(n.applyWake)
 	}
 	if n.core.Deadline().Before(n.armed) {
 		signal(n.rearm)
+	}
+}
+
+// enter puts a proposal in the table; leave takes it out. Caller holds
+// mu.
+func (n *Node) enter(w *waiter) {
+	n.waiters[w.index] = w
+	if w.span != nil {
+		n.spans++
+	}
+	n.bound(w)
+}
+
+func (n *Node) leave(w *waiter) {
+	delete(n.waiters, w.index)
+	if w.span != nil {
+		n.spans--
+	}
+}
+
+// bound makes sure the sweep runs by w's deadline, if it has one.
+// Caller holds mu.
+func (n *Node) bound(w *waiter) {
+	if w.deadline.IsZero() || (!n.sweepAt.IsZero() && !w.deadline.Before(n.sweepAt)) {
+		return
+	}
+	n.sweepAt = w.deadline
+	if n.sweepAt.Before(n.armed) {
+		signal(n.rearm)
+	}
+}
+
+// mark ends the phase now for every sampled proposal at or below index
+// that is still in it. Caller holds mu.
+func (n *Node) mark(phase int, index uint64, now time.Time) {
+	for idx, w := range n.waiters {
+		if w.span != nil && idx <= index && w.span.ended[phase].IsZero() {
+			w.span.ended[phase] = now
+		}
+	}
+}
+
+// finish does what a step left for after mu: every kept handle is
+// answered and every waiter resolved here, exactly once.
+func (n *Node) finish(out *after) {
+	for _, a := range out.acks {
+		if a.ack.Err != nil {
+			_ = a.h.RespondError(a.ack.Err)
+		} else {
+			margo.Reply(a.h, a.ack.Reply)
+		}
+	}
+	for _, d := range out.done {
+		if d.o.err == nil && !d.w.arrived.IsZero() {
+			n.met.commitLatency.Observe(time.Since(d.w.arrived).Seconds())
+		}
+		d.w.resolve(d.o)
+		if d.w.span != nil {
+			n.commitSpan(d.w.span, d.o.err != nil)
+		}
+	}
+}
+
+// commitSpan records s, arrival to reply, under the handler span that
+// received the request, with a child for each phase that ended before
+// the reply. All of them start at arrival: the phases overlap, which is
+// the point.
+func (n *Node) commitSpan(s *span, failed bool) {
+	tr := n.inst.Tracer()
+	record := func(id, parent trace.ID, name string, end time.Time, failed bool) {
+		tr.Commit(trace.Span{
+			TraceID: s.sc.TraceID, SpanID: id, Parent: parent, Name: name, Kind: trace.KindPhase,
+			Start: s.arrived.UnixNano(), Duration: int64(end.Sub(s.arrived)), Err: failed,
+		})
+	}
+	id := tr.NewID()
+	record(id, s.sc.Parent, s.name, n.clk.Now(), failed)
+	for phase, end := range s.ended {
+		if !end.IsZero() {
+			record(tr.NewID(), id, phases[phase], end, false)
+		}
 	}
 }
 
@@ -371,30 +537,74 @@ func signal(ch chan struct{}) {
 	}
 }
 
-// timerLoop sleeps until the core's deadline and ticks it. A deadline
-// that moves later (every heartbeat pushes a follower's election
-// timeout out) costs nothing: the loop wakes at the old one, finds
-// nothing due and re-arms.
+// timerLoop sleeps until the core's deadline and ticks it, and sweeps
+// the tables for waiters past theirs. A deadline that moves later
+// (every heartbeat pushes a follower's election timeout out) costs
+// nothing: the loop wakes at the old one, finds nothing due and
+// re-arms.
 func (n *Node) timerLoop() {
 	defer n.wg.Done()
 	t := n.clk.NewTimer(time.Hour)
 	defer t.Stop()
 	for {
+		var out after
 		n.mu.Lock()
 		now := n.clk.Now()
 		if !n.core.Deadline().After(now) {
 			n.core.Tick(now)
-			n.dispatch()
+			n.dispatch(&out)
 		}
-		n.armed = n.core.Deadline()
+		if !n.sweepAt.IsZero() && !n.sweepAt.After(now) {
+			n.sweep(now, &out)
+		}
+		armed := n.core.Deadline()
+		if !n.sweepAt.IsZero() && n.sweepAt.Before(armed) {
+			armed = n.sweepAt
+		}
+		n.armed = armed
 		n.mu.Unlock()
-		t.Reset(n.armed.Sub(now))
+		n.finish(&out)
+		t.Reset(armed.Sub(now))
 		select {
 		case <-t.C():
 		case <-n.rearm:
 		case <-n.ctx.Done():
 			return
 		}
+	}
+}
+
+// sweep times out every waiter whose deadline has passed — a kept
+// handle whose entry a deposed leader will never see applied, say — and
+// notes when to come back. Caller holds mu.
+func (n *Node) sweep(now time.Time, out *after) {
+	n.sweepAt = time.Time{}
+	expired := func(w *waiter) bool {
+		if w.deadline.IsZero() {
+			return false
+		}
+		if w.deadline.After(now) {
+			if n.sweepAt.IsZero() || w.deadline.Before(n.sweepAt) {
+				n.sweepAt = w.deadline
+			}
+			return false
+		}
+		out.done = append(out.done, resolved{w, outcome{err: fmt.Errorf("%w: no answer within %v", ErrTimeout, 10*n.cfg.ElectionTimeoutMax)}})
+		return true
+	}
+	for _, w := range n.waiters {
+		if expired(w) {
+			n.leave(w)
+		}
+	}
+	for id, ws := range n.reads {
+		keep := ws[:0]
+		for _, w := range ws {
+			if !expired(w) {
+				keep = append(keep, w)
+			}
+		}
+		n.reads[id] = keep
 	}
 }
 
@@ -469,6 +679,85 @@ func (n *Node) send(m Message) {
 	}
 }
 
+// --- writer ---
+
+// writer carries out the core's Persists, in order, with mu released,
+// and reports each batch back as one Persisted step. It takes
+// everything queued at once: what arrived during the previous write —
+// the proposals of every client that was not waiting on it — becomes
+// one store write, one fsync. That is the whole of group commit.
+func (n *Node) writer() {
+	defer n.wg.Done()
+	var ops, spare []Persist
+	for {
+		n.mu.Lock()
+		ops, n.queue = n.queue, spare[:0]
+		leading := n.core.IsLeader()
+		n.mu.Unlock()
+		if len(ops) == 0 {
+			spare = ops
+			select {
+			case <-n.writeWake:
+				continue
+			case <-n.ctx.Done():
+				return
+			}
+		}
+		seq, through, err := n.write(ops, leading)
+		n.step(func(c *Core, now time.Time) {
+			c.Persisted(now, seq, err)
+			durable := seq
+			if err != nil {
+				n.queue = n.queue[:0] // void, the core has said
+				durable--
+			} else if n.spans > 0 {
+				n.mark(phasePersist, through, now)
+			}
+			if w := n.snap; w.done != nil && (durable >= w.seq || err != nil) {
+				n.snap = snapshotWait{}
+				if durable >= w.seq {
+					w.done <- nil
+				} else {
+					w.done <- err
+				}
+			}
+		})
+		clear(ops)
+		spare = ops
+	}
+}
+
+// write carries out ops on the store — nothing else calls its Append,
+// TruncateFrom or SaveSnapshot. A run of Persists each continuing the
+// log where the one before ends is one store write. It returns the last
+// Seq written and the last index appended, or the Seq that failed.
+func (n *Node) write(ops []Persist, leading bool) (seq, through uint64, err error) {
+	defer func() { clear(n.run) }()
+	for i := 0; i < len(ops); {
+		p, j := ops[i], i+1
+		if p.Snapshot == nil {
+			for ; j < len(ops) && ops[j].Snapshot == nil && ops[j].Entries[0].Index == p.Entries[len(p.Entries)-1].Index+1; j++ {
+				if j == i+1 {
+					n.run = append(n.run[:0], p.Entries...)
+				}
+				n.run = append(n.run, ops[j].Entries...)
+				p.Entries = n.run
+			}
+		}
+		if err := p.writeTo(n.store); err != nil {
+			return ops[i].Seq, through, err
+		}
+		if p.Snapshot == nil {
+			through = p.Entries[len(p.Entries)-1].Index
+			if leading {
+				n.met.batchEntries.Observe(float64(len(p.Entries)))
+			}
+		}
+		seq, i = ops[j-1].Seq, j
+	}
+	return seq, through, nil
+}
+
 // --- applier ---
 
 func (n *Node) applier() {
@@ -487,9 +776,9 @@ func (n *Node) applier() {
 
 // applyPending runs the core's apply tasks until none is left: one
 // lock acquisition fetches a task, the FSM runs it outside the lock,
-// and one re-acquisition reports it applied and resolves every waiter.
-// Only the applier goroutine calls it (and NewNode, before that
-// exists).
+// and one re-acquisition reports it applied and takes out every waiter
+// it resolves. Only the applier goroutine calls it (and NewNode, before
+// that exists).
 func (n *Node) applyPending() error {
 	for {
 		n.mu.Lock()
@@ -505,21 +794,23 @@ func (n *Node) applyPending() error {
 		} else if err := n.fsm.Restore(task.Snapshot); err != nil {
 			return err
 		}
+		var out after
 		n.mu.Lock()
-		n.core.Applied(n.clk.Now(), task.Index)
+		n.core.Applied(task.Index)
 		for i, e := range task.Entries {
-			if p := n.waiters[e.Index]; p != nil {
-				delete(n.waiters, e.Index)
-				if e.Term != p.term {
-					p.done <- outcome{err: ErrNotLeader} // overwritten by a newer leader
+			if w := n.waiters[e.Index]; w != nil {
+				n.leave(w)
+				if e.Term != w.term {
+					out.done = append(out.done, resolved{w, outcome{err: ErrNotLeader}}) // overwritten by a newer leader
 				} else {
-					p.done <- outcome{result: results[i]}
+					out.done = append(out.done, resolved{w, outcome{result: results[i]}})
 				}
 			}
 		}
 		due := n.core.SnapshotDue()
-		n.dispatch()
+		n.dispatch(&out)
 		n.mu.Unlock()
+		n.finish(&out)
 		if due {
 			_ = n.snapshot()
 		}
@@ -553,9 +844,9 @@ func (n *Node) applyRun(entries []LogEntry) [][]byte {
 	return results
 }
 
-// snapshot compacts the log through the last applied entry. It runs on
-// the applier, so the FSM is exactly at that entry while it is
-// captured.
+// snapshot compacts the log through the last applied entry and returns
+// once the store has the snapshot. It runs on the applier, so the FSM
+// is exactly at that entry while it is captured.
 func (n *Node) snapshot() error {
 	n.mu.Lock()
 	ok := n.core.Compactable()
@@ -567,9 +858,21 @@ func (n *Node) snapshot() error {
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.core.Compact(data)
+	done := make(chan error, 1)
+	n.step(func(c *Core, _ time.Time) {
+		var seq uint64
+		if seq, err = c.Compact(data); err == nil && seq != 0 {
+			n.snap = snapshotWait{seq: seq, done: done}
+		} else {
+			done <- err
+		}
+	})
+	select {
+	case err := <-done:
+		return err
+	case <-n.ctx.Done():
+		return ErrStopped
+	}
 }
 
 // TakeSnapshot compacts the log through the last applied entry.
@@ -585,61 +888,73 @@ func (n *Node) TakeSnapshot() error {
 
 // --- client operations ---
 
-// Apply submits a command locally; the caller must be talking to the
-// leader (use Client.Apply for automatic forwarding).
-//
-// Concurrent Apply calls coalesce: whoever finds the queue empty takes
-// mu — waiting out any step in progress, fsync included — and hands
-// everything queued by then to the core as one batch.
-func (n *Node) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
-	if n.ctx.Err() != nil {
-		return nil, ErrStopped // and do not grow a queue nobody will take
+// propose hands w's command to the core. An error means the node is
+// stopped and w will never be resolved; otherwise it will be, possibly
+// before propose returns.
+func (n *Node) propose(w *waiter, cmd []byte) error {
+	w.arrived = time.Now()
+	if !n.step(func(c *Core, now time.Time) { c.Propose(now, []Proposal{{Data: cmd, Tag: w}}) }) {
+		return ErrStopped
 	}
-	start := time.Now()
-	p := &proposal{cmd: cmd, done: make(chan outcome, 1)}
-	n.qmu.Lock()
-	n.queue = append(n.queue, p)
-	first := len(n.queue) == 1
-	n.qmu.Unlock()
-	if first {
-		n.proposeQueued()
-	}
-	result, err := n.await(ctx, p)
-	if err == nil {
-		n.met.commitLatency.Observe(time.Since(start).Seconds())
-	}
-	return result, err
+	return nil
 }
 
-func (n *Node) proposeQueued() {
+// read registers w with the forming ReadIndex round (see Core.Read).
+// An error is final and w will never be resolved.
+func (n *Node) read(w *waiter) error {
+	if _, ok := n.fsm.(ReaderFSM); !ok {
+		return ErrNoReader
+	}
+	err := error(ErrStopped)
 	n.step(func(c *Core, now time.Time) {
-		n.qmu.Lock()
-		batch := n.queue
-		n.queue = nil
-		n.qmu.Unlock()
-		ps := make([]Proposal, len(batch))
-		for i, p := range batch {
-			ps[i] = Proposal{Data: p.cmd, Tag: p}
+		var id uint64
+		if id, err = c.Read(now); err == nil {
+			n.reads[id] = append(n.reads[id], w)
+			n.bound(w)
 		}
-		c.Propose(now, ps)
 	})
+	return err
 }
 
-// await blocks until p is applied, rejected or abandoned.
-func (n *Node) await(ctx context.Context, p *proposal) ([]byte, error) {
+// changeConfig hands a single-server membership change to the core. An
+// error is final and w will never be resolved.
+func (n *Node) changeConfig(w *waiter, addr string, remove bool) error {
+	err := error(ErrStopped)
+	n.step(func(c *Core, now time.Time) {
+		if w.index, w.term, err = c.ChangeConfig(now, addr, remove); err == nil {
+			n.enter(w)
+		}
+	})
+	return err
+}
+
+// block runs start with a waiter that resolves into a channel and waits
+// there: the blocking API over the table the RPCs use.
+func (n *Node) block(ctx context.Context, start func(w *waiter) error) ([]byte, error) {
+	done := make(chan outcome, 1)
+	w := &waiter{resolve: func(o outcome) { done <- o }}
+	if err := start(w); err != nil {
+		return nil, err
+	}
 	select {
-	case o := <-p.done:
+	case o := <-done:
 		return o.result, o.err
 	case <-ctx.Done():
 		n.mu.Lock()
-		if n.waiters[p.index] == p {
-			delete(n.waiters, p.index)
+		if n.waiters[w.index] == w {
+			n.leave(w)
 		}
 		n.mu.Unlock()
 		return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
 	case <-n.ctx.Done():
 		return nil, ErrStopped
 	}
+}
+
+// Apply submits a command locally; the caller must be talking to the
+// leader (use Client.Apply for automatic forwarding).
+func (n *Node) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
+	return n.block(ctx, func(w *waiter) error { return n.propose(w, cmd) })
 }
 
 // Read answers a read-only query linearizably without writing a log
@@ -649,103 +964,115 @@ func (n *Node) await(ctx context.Context, p *proposal) ([]byte, error) {
 // leader (use Client.Read for automatic forwarding). The FSM must
 // implement ReaderFSM.
 func (n *Node) Read(ctx context.Context, query []byte) ([]byte, error) {
-	rf, ok := n.fsm.(ReaderFSM)
-	if !ok {
-		return nil, ErrNoReader
-	}
-	var b *readBatch
-	err := error(ErrStopped)
-	n.step(func(c *Core, now time.Time) {
-		var id uint64
-		if id, err = c.Read(now); err != nil {
-			return
-		}
-		if b = n.reads[id]; b == nil {
-			b = &readBatch{done: make(chan struct{})}
-			n.reads[id] = b
-		}
-	})
-	if err != nil {
+	if _, err := n.block(ctx, n.read); err != nil {
 		return nil, err
 	}
-	select {
-	case <-b.done:
-		if b.err != nil {
-			return nil, b.err
-		}
-		return rf.Read(query), nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-	case <-n.ctx.Done():
-		return nil, ErrStopped
-	}
+	return n.fsm.(ReaderFSM).Read(query), nil
 }
 
 // AddServer adds a member via a single-server configuration change.
 func (n *Node) AddServer(ctx context.Context, addr string) error {
-	return n.changeConfig(ctx, addr, false)
+	_, err := n.block(ctx, func(w *waiter) error { return n.changeConfig(w, addr, false) })
+	return err
 }
 
 // RemoveServer removes a member.
 func (n *Node) RemoveServer(ctx context.Context, addr string) error {
-	return n.changeConfig(ctx, addr, true)
-}
-
-func (n *Node) changeConfig(ctx context.Context, addr string, remove bool) error {
-	p := &proposal{done: make(chan outcome, 1)}
-	err := error(ErrStopped)
-	n.step(func(c *Core, now time.Time) {
-		if p.index, p.term, err = c.ChangeConfig(now, addr, remove); err == nil {
-			n.waiters[p.index] = p
-		}
-	})
-	if err == nil {
-		_, err = n.await(ctx, p)
-	}
+	_, err := n.block(ctx, func(w *waiter) error { return n.changeConfig(w, addr, true) })
 	return err
 }
 
 // --- RPC handlers ---
 
-// protocol serves one member-to-member RPC by stepping the core of the
-// group it names. The core returns an error instead of a reply when it
-// could not persist what the reply would say; the caller then gets no
-// reply.
-func protocol[A any, R codec.Marshaler](r *registry, group func(*A) string, input func(*Core, time.Time, *A) (R, error)) func(context.Context, *mercury.Handle, *A) (codec.Marshaler, error) {
-	return func(_ context.Context, _ *mercury.Handle, args *A) (codec.Marshaler, error) {
-		n := r.lookup(group(args))
+func (r *registry) handleVote(_ context.Context, _ *mercury.Handle, a *requestVoteArgs) (codec.Marshaler, error) {
+	n := r.lookup(a.Group)
+	if n == nil {
+		return nil, fmt.Errorf("raft: unknown group %q", a.Group)
+	}
+	var reply *requestVoteReply
+	err := error(ErrStopped)
+	n.step(func(c *Core, now time.Time) { reply, err = c.RequestVote(now, a) })
+	if err != nil {
+		// The core could not persist what the reply would say: the
+		// candidate gets no reply.
+		return nil, err
+	}
+	return reply, nil
+}
+
+// logTraffic serves AppendEntries and InstallSnapshot: the request is
+// an input of the core, its answer an effect. The handler registers the
+// handle under a tag, steps the core and returns with the handle kept;
+// dispatch answers it when the core emits the tag's Ack — in that same
+// step unless the answer has to wait for the disk.
+func logTraffic[A any](r *registry, group func(*A) string, input func(*Core, time.Time, *A, uint64)) func(context.Context, *mercury.Handle, *A) (codec.Marshaler, error) {
+	return func(_ context.Context, h *mercury.Handle, a *A) (codec.Marshaler, error) {
+		n := r.lookup(group(a))
 		if n == nil {
-			return nil, fmt.Errorf("raft: unknown group %q", group(args))
+			return nil, fmt.Errorf("raft: unknown group %q", group(a))
 		}
-		var reply R
-		err := error(ErrStopped)
-		n.step(func(c *Core, now time.Time) { reply, err = input(c, now, args) })
-		if err != nil {
-			return nil, err
+		if !n.step(func(c *Core, now time.Time) {
+			n.tag++
+			n.kept[n.tag] = h
+			input(c, now, a, n.tag)
+		}) {
+			return nil, ErrStopped
 		}
-		return reply, nil
+		return nil, nil
 	}
 }
 
-// client serves one client RPC: it runs op on the member and answers
-// with an applyReply carrying the result, or the error and a leader
-// hint.
-func client[A any](r *registry, group func(*A) string, op func(context.Context, *Node, *A) ([]byte, error)) func(context.Context, *mercury.Handle, *A) (codec.Marshaler, error) {
-	return func(_ context.Context, _ *mercury.Handle, args *A) (codec.Marshaler, error) {
-		n := r.lookup(group(args))
-		if n == nil {
-			return &applyReply{Err: "unknown group"}, nil
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*n.cfg.ElectionTimeoutMax)
-		defer cancel()
-		result, err := op(ctx, n, args)
-		reply := &applyReply{OK: err == nil, Result: result}
-		if err != nil {
-			reply.Err = err.Error()
-			reply.LeaderHint = n.Leader()
-		}
-		return reply, nil
+// serve is the RPC side of a client operation: it builds the waiter
+// whose resolution answers h — with result() when there is one to
+// compute — hands it to start, and returns with the handle kept, so the
+// execution stream is free while the group works. Whoever resolves the
+// waiter sends the reply; an operation that could not start is answered
+// here.
+func (r *registry) serve(ctx context.Context, h *mercury.Handle, group, name string, result func(*Node) []byte, start func(*Node, *waiter) error) (codec.Marshaler, error) {
+	n := r.lookup(group)
+	if n == nil {
+		return &applyReply{Err: "unknown group"}, nil
 	}
+	now := n.clk.Now()
+	w := &waiter{deadline: now.Add(10 * n.cfg.ElectionTimeoutMax)}
+	w.resolve = func(o outcome) {
+		if o.err == nil && result != nil {
+			o.result = result(n)
+		}
+		margo.Reply(h, n.reply(o))
+	}
+	if sc, ok := trace.FromContext(ctx); ok && sc.Sampled() {
+		w.span = &span{sc: sc, name: name, arrived: now}
+	}
+	if err := start(n, w); err != nil {
+		return n.reply(outcome{err: err}), nil
+	}
+	return nil, nil
+}
+
+// reply is the wire form of o: the result, or the error and a leader
+// hint.
+func (n *Node) reply(o outcome) *applyReply {
+	if o.err != nil {
+		return &applyReply{Err: o.err.Error(), LeaderHint: n.Leader()}
+	}
+	return &applyReply{OK: true, Result: o.result}
+}
+
+func (r *registry) handleApply(ctx context.Context, h *mercury.Handle, a *applyArgs) (codec.Marshaler, error) {
+	return r.serve(ctx, h, a.Group, "raft.apply", nil,
+		func(n *Node, w *waiter) error { return n.propose(w, a.Cmd) })
+}
+
+func (r *registry) handleRead(ctx context.Context, h *mercury.Handle, a *readArgs) (codec.Marshaler, error) {
+	return r.serve(ctx, h, a.Group, "raft.read",
+		func(n *Node) []byte { return n.fsm.(ReaderFSM).Read(a.Query) }, // read has checked the assertion
+		(*Node).read)
+}
+
+func (r *registry) handleConfigChange(ctx context.Context, h *mercury.Handle, a *configChangeArgs) (codec.Marshaler, error) {
+	return r.serve(ctx, h, a.Group, "raft.config_change", nil,
+		func(n *Node, w *waiter) error { return n.changeConfig(w, a.Addr, a.Remove) })
 }
 
 func (r *registry) handleStatus(_ context.Context, _ *mercury.Handle, args *statusArgs) (codec.Marshaler, error) {

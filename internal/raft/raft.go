@@ -64,7 +64,8 @@ type BatchFSM interface {
 
 // ReaderFSM is an optional FSM extension for the ReadIndex path: Read
 // answers a read-only query from current state without writing a log
-// entry. Unlike Apply, Read is called from RPC handler goroutines
+// entry. Unlike Apply, Read is called from whichever goroutine learns
+// that the read is confirmed (or from the caller of Node.Read),
 // concurrently with the applier, so implementations must synchronize
 // reads against Apply/ApplyBatch internally.
 type ReaderFSM interface {
@@ -129,9 +130,12 @@ func (r Role) String() string {
 }
 
 // Store is the persistence layer: term/vote metadata, the log, and
-// the most recent snapshot. Implementations must be safe for use from
-// one goroutine at a time (the node calls it only while stepping its
-// Core, under one lock).
+// the most recent snapshot. A node uses it from two goroutines at a
+// time: whichever steps the Core reads it and calls SetState, and the
+// one writer calls Append, TruncateFrom and SaveSnapshot, so each of
+// those three must be safe to run next to the other methods (never next
+// to one another). A reader must not see a write that a crash could
+// still take back.
 type Store interface {
 	// SetState durably records the current term and vote.
 	SetState(term uint64, votedFor string) error

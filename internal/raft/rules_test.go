@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,6 +64,45 @@ func ackAll(c *Core, msgs []Message) []Message {
 		}
 	}
 	return c.Take().Msgs
+}
+
+// settle plays a disk that is done at once: it carries out the core's
+// Persists on store and reports them until none is left, and returns
+// everything the core emitted on the way.
+func settle(t *testing.T, c *Core, store Store) Effects {
+	t.Helper()
+	var all Effects
+	for {
+		eff := c.Take()
+		all.Msgs = append(all.Msgs, eff.Msgs...)
+		all.Acks = append(all.Acks, eff.Acks...)
+		all.Accepted = append(all.Accepted, eff.Accepted...)
+		all.Rejected = append(all.Rejected, eff.Rejected...)
+		all.Reads = append(all.Reads, eff.Reads...)
+		all.Apply = all.Apply || eff.Apply
+		all.StoreErrors += eff.StoreErrors
+		if len(eff.Persist) == 0 {
+			return all
+		}
+		for _, p := range eff.Persist {
+			if err := p.writeTo(store); err != nil {
+				t.Fatalf("persist %d: %v", p.Seq, err)
+			}
+			c.Persisted(t0, p.Seq, nil)
+		}
+	}
+}
+
+// deliver hands a to c, a follower whose disk is done at once, and
+// returns its answer: the reply, or the error that keeps it silent.
+func deliver(t *testing.T, c *Core, store Store, a *appendEntriesArgs) (*appendEntriesReply, Effects, error) {
+	t.Helper()
+	c.AppendEntries(t0, a, 1)
+	eff := settle(t, c, store)
+	if len(eff.Acks) != 1 || eff.Acks[0].Tag != 1 {
+		t.Fatalf("acks = %+v, want exactly the one for this request", eff.Acks)
+	}
+	return eff.Acks[0].Reply, eff, eff.Acks[0].Err
 }
 
 func entriesUpTo(n int, term uint64) []LogEntry {
@@ -153,24 +193,24 @@ func TestAppendEntriesRules(t *testing.T) {
 		s := NewMemoryStore()
 		return ruleCore(t, s, entriesUpTo(3, 2), 2), s
 	}
-	appendTo := func(t *testing.T, c *Core, a *appendEntriesArgs) *appendEntriesReply {
+	appendTo := func(t *testing.T, c *Core, s Store, a *appendEntriesArgs) (*appendEntriesReply, Effects) {
 		t.Helper()
-		r, err := c.AppendEntries(t0, a)
+		r, eff, err := deliver(t, c, s, a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		return r, eff
 	}
 
 	t.Run("stale term rejected", func(t *testing.T) {
-		c, _ := mk(t)
-		if appendTo(t, c, &appendEntriesArgs{Term: 1, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 2}).Success {
+		c, s := mk(t)
+		if r, _ := appendTo(t, c, s, &appendEntriesArgs{Term: 1, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 2}); r.Success {
 			t.Fatal("accepted stale leader")
 		}
 	})
 	t.Run("matching prev accepts", func(t *testing.T) {
-		c, _ := mk(t)
-		r := appendTo(t, c, &appendEntriesArgs{
+		c, s := mk(t)
+		r, eff := appendTo(t, c, s, &appendEntriesArgs{
 			Term: 2, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 2,
 			Entries:      []LogEntry{{Index: 4, Term: 2, Type: EntryCommand, Data: []byte("x")}},
 			LeaderCommit: 4,
@@ -181,13 +221,13 @@ func TestAppendEntriesRules(t *testing.T) {
 		if c.Status().CommitIndex != 4 {
 			t.Fatalf("commit = %d", c.Status().CommitIndex)
 		}
-		if !c.Take().Apply {
+		if !eff.Apply {
 			t.Fatal("commit advanced without an Apply effect")
 		}
 	})
 	t.Run("gap returns conflict hint", func(t *testing.T) {
-		c, _ := mk(t)
-		r := appendTo(t, c, &appendEntriesArgs{Term: 2, Leader: "sm://l", PrevLogIndex: 9, PrevLogTerm: 2})
+		c, s := mk(t)
+		r, _ := appendTo(t, c, s, &appendEntriesArgs{Term: 2, Leader: "sm://l", PrevLogIndex: 9, PrevLogTerm: 2})
 		if r.Success {
 			t.Fatal("accepted gapped append")
 		}
@@ -196,8 +236,8 @@ func TestAppendEntriesRules(t *testing.T) {
 		}
 	})
 	t.Run("prev term mismatch hints at the term's first index", func(t *testing.T) {
-		c, _ := mk(t)
-		r := appendTo(t, c, &appendEntriesArgs{Term: 3, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 3})
+		c, s := mk(t)
+		r, _ := appendTo(t, c, s, &appendEntriesArgs{Term: 3, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 3})
 		if r.Success || r.ConflictIndex != 1 {
 			t.Fatalf("reply = %+v, want a conflict at 1 (term 2 starts there)", r)
 		}
@@ -205,7 +245,7 @@ func TestAppendEntriesRules(t *testing.T) {
 	t.Run("term mismatch truncates on overwrite", func(t *testing.T) {
 		c, s := mk(t)
 		// Leader overwrites index 2 and 3 with a newer term.
-		r := appendTo(t, c, &appendEntriesArgs{
+		r, _ := appendTo(t, c, s, &appendEntriesArgs{
 			Term: 3, Leader: "sm://l", PrevLogIndex: 1, PrevLogTerm: 2,
 			Entries: []LogEntry{
 				{Index: 2, Term: 3, Type: EntryCommand, Data: []byte("new2")},
@@ -226,16 +266,18 @@ func TestAppendEntriesRules(t *testing.T) {
 			Term: 2, Leader: "sm://l", PrevLogIndex: 2, PrevLogTerm: 2,
 			Entries: []LogEntry{{Index: 3, Term: 2, Type: EntryCommand, Data: []byte{2}}},
 		}
-		if !appendTo(t, c, args).Success || !appendTo(t, c, args).Success {
-			t.Fatal("idempotent append failed")
+		for i := 0; i < 2; i++ {
+			if r, _ := appendTo(t, c, s, args); !r.Success {
+				t.Fatal("idempotent append failed")
+			}
 		}
 		if s.LastIndex() != 3 {
 			t.Fatalf("last = %d", s.LastIndex())
 		}
 	})
 	t.Run("append makes follower adopt leader", func(t *testing.T) {
-		c, _ := mk(t)
-		appendTo(t, c, &appendEntriesArgs{Term: 4, Leader: "sm://new-leader", PrevLogIndex: 3, PrevLogTerm: 2})
+		c, s := mk(t)
+		appendTo(t, c, s, &appendEntriesArgs{Term: 4, Leader: "sm://new-leader", PrevLogIndex: 3, PrevLogTerm: 2})
 		st := c.Status()
 		if st.Leader != "sm://new-leader" || st.Term != 4 || st.Role != Follower {
 			t.Fatalf("status = %+v", st)
@@ -263,14 +305,19 @@ func (s *stateFailStore) SetState(term uint64, votedFor string) error {
 // twice in one term. Each case checks the step sent nothing and that
 // memory still mirrors the store.
 func TestNoGrantWithoutPersistedVote(t *testing.T) {
+	// check looks at a step whose answer was (replied, err); log traffic
+	// is answered through an Ack instead, which check then finds itself.
 	check := func(t *testing.T, c *Core, s *stateFailStore, replied bool, err error) {
 		t.Helper()
+		eff := c.Take()
+		if len(eff.Acks) == 1 {
+			replied, err = eff.Acks[0].Reply != nil, eff.Acks[0].Err
+		}
 		if err == nil || replied {
 			t.Fatalf("replied = %v, err = %v; want no reply and an error", replied, err)
 		}
-		eff := c.Take()
-		if len(eff.Msgs) != 0 {
-			t.Fatalf("step sent %d messages after a failed SetState", len(eff.Msgs))
+		if len(eff.Msgs) != 0 || len(eff.Persist) != 0 {
+			t.Fatalf("step sent %d messages and %d writes after a failed SetState", len(eff.Msgs), len(eff.Persist))
 		}
 		if eff.StoreErrors != 1 {
 			t.Fatalf("StoreErrors = %d, want 1", eff.StoreErrors)
@@ -311,19 +358,19 @@ func TestNoGrantWithoutPersistedVote(t *testing.T) {
 	})
 	t.Run("append entries", func(t *testing.T) {
 		c, s := mk(t)
-		r, err := c.AppendEntries(t0, &appendEntriesArgs{
+		c.AppendEntries(t0, &appendEntriesArgs{
 			Term: 3, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 2,
 			Entries: []LogEntry{{Index: 4, Term: 3, Type: EntryCommand}},
-		})
-		check(t, c, s, r != nil, err)
-		if s.LastIndex() != 3 {
+		}, 1)
+		check(t, c, s, true, nil)
+		if c.lastIndex() != 3 {
 			t.Fatal("entries of an unrecorded term were appended")
 		}
 	})
 	t.Run("install snapshot", func(t *testing.T) {
 		c, s := mk(t)
-		r, err := c.InstallSnapshot(t0, &installSnapshotArgs{Term: 3, Leader: "sm://l", LastIndex: 9, LastTerm: 2})
-		check(t, c, s, r != nil, err)
+		c.InstallSnapshot(t0, &installSnapshotArgs{Term: 3, Leader: "sm://l", LastIndex: 9, LastTerm: 2}, 1)
+		check(t, c, s, true, nil)
 	})
 	t.Run("higher term in a reply", func(t *testing.T) {
 		s := &stateFailStore{MemoryStore: NewMemoryStore()}
@@ -383,7 +430,7 @@ func TestTruncatedConfigEntryRevertsMembership(t *testing.T) {
 			c := ruleCore(t, s, entriesUpTo(2, 2), 2)
 			// The term-2 leader replicates "add peer-c" at 3 and one more
 			// command at 4; nothing past 2 is committed.
-			r, err := c.AppendEntries(t0, &appendEntriesArgs{
+			r, _, err := deliver(t, c, s, &appendEntriesArgs{
 				Term: 2, Leader: "sm://peer-a", PrevLogIndex: 2, PrevLogTerm: 2, LeaderCommit: 2,
 				Entries: []LogEntry{configEntry(t, 3, 2, four...), {Index: 4, Term: 2, Type: EntryCommand}},
 			})
@@ -395,7 +442,7 @@ func TestTruncatedConfigEntryRevertsMembership(t *testing.T) {
 			}
 			// A term-3 leader that never saw it overwrites the suffix.
 			prev := tc.overwrite[0].Index - 1
-			r, err = c.AppendEntries(t0, &appendEntriesArgs{
+			r, _, err = deliver(t, c, s, &appendEntriesArgs{
 				Term: 3, Leader: "sm://peer-b", PrevLogIndex: prev, PrevLogTerm: 2, LeaderCommit: 2,
 				Entries: tc.overwrite,
 			})
@@ -415,99 +462,191 @@ func TestTruncatedConfigEntryRevertsMembership(t *testing.T) {
 	}
 }
 
-// TestLeaderLingersWhilePipelineBusy pins the group-commit rules: a
-// proposal that finds the pipeline idle is appended at once; proposals
-// that find earlier entries appended but not applied are held, join
-// one another, and are appended with a single Store.Append when Applied
-// catches up — or when one heartbeat interval has passed.
-func TestLeaderLingersWhilePipelineBusy(t *testing.T) {
+// TestPersistIsAnEffect pins the durability contract on the leader: a
+// proposal's Persist and the AppendEntries carrying the same entries
+// leave in the same step; the leader counts itself only through
+// Persisted, a follower that answers first is counted first; and every
+// proposal is appended on arrival, whatever is still on its way to the
+// disk.
+func TestPersistIsAnEffect(t *testing.T) {
 	s := NewMemoryStore()
 	c := ruleCore(t, s, nil, 0)
 	elect(t, c)
-	noop := c.Take().Msgs
-	// The election no-op (index 1) is in the pipeline: not applied yet.
+	eff := c.Take()
+	if len(eff.Persist) != 1 || len(eff.Persist[0].Entries) != 1 || eff.Persist[0].Entries[0].Type != EntryNoop || len(eff.Msgs) != 2 {
+		t.Fatalf("election: %+v, want the no-op as one Persist next to an AppendEntries per peer", eff)
+	}
+	if s.LastIndex() != 0 {
+		t.Fatal("the core wrote the log itself")
+	}
+	noop := eff.Persist[0]
+	// One follower has the no-op on disk, the leader does not: no quorum.
+	var fromB Message
+	for _, m := range eff.Msgs {
+		if m.To == "sm://peer-b" {
+			fromB = m
+		} else {
+			c.AppendReply(t0, m, &appendEntriesReply{Term: 1, Success: true})
+		}
+	}
+	if c.Status().CommitIndex != 0 {
+		t.Fatal("the leader counted its own copy before Persisted")
+	}
+	// Proposals arrive meanwhile: each is appended and shipped at once.
 	c.Propose(t0, []Proposal{{Data: []byte("a"), Tag: "a"}})
 	c.Propose(t0, []Proposal{{Data: []byte("b"), Tag: "b"}, {Data: []byte("c"), Tag: "c"}})
-	if eff := c.Take(); len(eff.Accepted) != 0 || s.LastIndex() != 1 {
-		t.Fatalf("proposals appended behind an unapplied entry: %+v, last %d", eff.Accepted, s.LastIndex())
-	}
-	if want := t0.Add(c.cfg.HeartbeatInterval); !c.Deadline().Equal(want) {
-		t.Fatalf("linger deadline %v, want one heartbeat interval (%v)", c.Deadline(), want)
-	}
-	// The no-op commits (and the followers hear so) and is applied: the
-	// three held proposals go out as one batch.
-	ackAll(c, ackAll(c, noop))
-	if c.Status().CommitIndex != 1 {
-		t.Fatalf("commit = %d", c.Status().CommitIndex)
-	}
-	c.Applied(t0, 1)
-	eff := c.Take()
-	if len(eff.Accepted) != 1 || !reflect.DeepEqual(eff.Accepted[0].Tags, []interface{}{"a", "b", "c"}) || eff.Accepted[0].First != 2 {
-		t.Fatalf("accepted = %+v, want one batch [a b c] at 2", eff.Accepted)
-	}
-	if len(eff.Msgs) == 0 || len(eff.Msgs[0].Append.Entries) != 3 {
-		t.Fatalf("the batch must ship in one AppendEntries: %+v", eff.Msgs)
-	}
-	// Busy again (2..4 unapplied) and nobody reports Applied: the linger
-	// is bounded by one heartbeat interval.
-	c.Propose(t0, []Proposal{{Data: []byte("d"), Tag: "d"}})
-	if len(c.Take().Accepted) != 0 {
-		t.Fatal("d appended while 2..4 are in the pipeline")
-	}
-	c.Tick(t0.Add(c.cfg.HeartbeatInterval))
 	eff = c.Take()
-	if len(eff.Accepted) != 1 || eff.Accepted[0].First != 5 {
-		t.Fatalf("linger did not expire: %+v", eff.Accepted)
+	if len(eff.Accepted) != 2 || eff.Accepted[0].First != 2 || eff.Accepted[1].First != 3 || len(eff.Persist) != 2 {
+		t.Fatalf("proposals: %+v, want a at 2, [b c] at 3 and a Persist for each", eff)
 	}
-	// Idle pipeline: append immediately.
-	ackAll(c, ackAll(c, eff.Msgs))
-	c.Applied(t0, 5)
+	if got := eff.Persist[1].Entries; len(got) != 2 || got[0].Index != 3 || string(got[1].Data) != "c" {
+		t.Fatalf("second Persist = %+v", got)
+	}
+	// peer-a was idle, so a's entry went out with its Persist; peer-b
+	// still owes the no-op's reply and gets everything after it.
+	if len(eff.Msgs) != 1 || eff.Msgs[0].To != "sm://peer-a" || len(eff.Msgs[0].Append.Entries) != 1 {
+		t.Fatalf("messages = %+v, want a alone to peer-a", eff.Msgs)
+	}
+	// The leader's disk reports the no-op: with peer-a that is a quorum.
+	if err := noop.writeTo(s); err != nil {
+		t.Fatal(err)
+	}
+	c.Persisted(t0, noop.Seq, nil)
+	if c.Status().CommitIndex != 1 {
+		t.Fatalf("commit = %d after Persisted", c.Status().CommitIndex)
+	}
 	c.Take()
-	c.Propose(t0, []Proposal{{Data: []byte("e"), Tag: "e"}})
-	if eff := c.Take(); len(eff.Accepted) != 1 || eff.Accepted[0].First != 6 {
-		t.Fatalf("idle pipeline held the proposal: %+v", eff)
+	// Both followers hold 2..4 before the leader's own disk does: a
+	// quorum without the leader.
+	c.AppendReply(t0, fromB, &appendEntriesReply{Term: 1, Success: true})
+	for pending := append(eff.Msgs, c.Take().Msgs...); len(pending) > 0; {
+		pending = ackAll(c, pending)
 	}
-	// More than maxBatchEntries held: the batch is capped, the rest
-	// lingers behind it.
-	c.Applied(t0, 6)
-	big := make([]Proposal, maxBatchEntries+5)
-	for i := range big {
-		big[i] = Proposal{Data: []byte{byte(i)}, Tag: i}
+	if c.Status().CommitIndex != 4 {
+		t.Fatalf("commit = %d, want 4 on the followers' word alone", c.Status().CommitIndex)
 	}
-	c.Propose(t0, big)
-	if eff := c.Take(); len(eff.Accepted) != 1 || len(eff.Accepted[0].Tags) != maxBatchEntries || len(c.held) != 5 {
-		t.Fatalf("accepted %+v, held %d", eff.Accepted, len(c.held))
+	if c.persisted != 1 || c.lastIndex() != 4 {
+		t.Fatalf("persisted %d last %d", c.persisted, c.lastIndex())
+	}
+	// The store catches up; the core now reads those entries from it.
+	for _, p := range eff.Persist {
+		if err := p.writeTo(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Persisted(t0, eff.Persist[1].Seq, nil)
+	if c.persisted != 4 || len(c.tail) != 0 {
+		t.Fatalf("persisted %d, %d entries still in the tail", c.persisted, len(c.tail))
+	}
+	if es, err := c.entries(1, 4); err != nil || len(es) != 4 || string(es[3].Data) != "c" {
+		t.Fatalf("log read back through the store: %+v, %v", es, err)
 	}
 }
 
-// TestLeaderStoreAppendFailureDemotes: a leader that cannot write its
-// own log rejects the batch with the store's error, rejects whatever
-// else it held with a leader hint, and stops leading.
-func TestLeaderStoreAppendFailureDemotes(t *testing.T) {
-	fs := &failingStore{Store: NewMemoryStore()}
-	c := ruleCore(t, fs, nil, 0)
-	elect(t, c)
-	ackAll(c, c.Take().Msgs)
-	c.Applied(t0, 1)
-	c.Take()
-	fs.fail.Store(true)
-	big := make([]Proposal, maxBatchEntries+1)
-	for i := range big {
-		big[i] = Proposal{Tag: i}
-	}
-	c.Propose(t0, big)
-	eff := c.Take()
-	if c.IsLeader() || eff.StoreErrors != 1 || len(eff.Rejected) != len(big) || len(eff.Accepted) != 0 {
-		t.Fatalf("leader=%v effects=%+v", c.IsLeader(), eff)
-	}
-	stored := 0
-	for _, r := range eff.Rejected {
-		if !errors.Is(r.Err, ErrNoLeader) && !errors.Is(r.Err, ErrNotLeader) {
-			stored++
+// TestFollowerAcksWhatIsDurable pins the contract on the follower: the
+// success reply for match m leaves when the log is durable through m —
+// a heartbeat acknowledging a suffix still on its way waits with it —
+// while refusals and ReadIndex probes never wait; a conflict refuses the
+// replies held for the suffix it removes and makes what was durable
+// there not count; and a failed Persist refuses everything held and
+// forgets the entries.
+func TestFollowerAcksWhatIsDurable(t *testing.T) {
+	const leader = "sm://peer-a"
+	s := NewMemoryStore()
+	c := ruleCore(t, s, entriesUpTo(3, 2), 2)
+	tags := func(eff Effects) (ok, refused []uint64) {
+		for _, a := range eff.Acks {
+			if a.Reply != nil && a.Reply.Success {
+				ok = append(ok, a.Tag)
+			} else {
+				refused = append(refused, a.Tag)
+			}
 		}
+		return
 	}
-	if stored != maxBatchEntries {
-		t.Fatalf("%d proposals carry the store error, want the %d of the failed batch", stored, maxBatchEntries)
+	c.AppendEntries(t0, &appendEntriesArgs{Term: 2, Leader: leader, PrevLogIndex: 3, PrevLogTerm: 2,
+		Entries: []LogEntry{{Index: 4, Term: 2}, {Index: 5, Term: 2}, {Index: 6, Term: 2}}}, 1)
+	c.AppendEntries(t0, &appendEntriesArgs{Term: 2, Leader: leader, PrevLogIndex: 6, PrevLogTerm: 2}, 2) // heartbeat over the suffix
+	c.AppendEntries(t0, &appendEntriesArgs{Term: 2, Leader: leader}, 3)                                  // ReadIndex probe
+	c.AppendEntries(t0, &appendEntriesArgs{Term: 2, Leader: leader, PrevLogIndex: 9, PrevLogTerm: 2}, 4) // gap
+	c.AppendEntries(t0, &appendEntriesArgs{Term: 2, Leader: leader, PrevLogIndex: 2, PrevLogTerm: 2}, 5) // durable already
+	eff := c.Take()
+	ok, refused := tags(eff)
+	if !reflect.DeepEqual(ok, []uint64{3, 5}) || !reflect.DeepEqual(refused, []uint64{4}) || len(eff.Persist) != 1 {
+		t.Fatalf("before the disk: acked %v refused %v, %d writes; want 3 and 5 acked, 4 refused, 1 and 2 held", ok, refused, len(eff.Persist))
+	}
+	first := eff.Persist[0]
+
+	// A newer leader's entries conflict at 5 while 4..6 are in flight.
+	c.AppendEntries(t0, &appendEntriesArgs{Term: 3, Leader: "sm://peer-b", PrevLogIndex: 4, PrevLogTerm: 2,
+		Entries: []LogEntry{{Index: 5, Term: 3}}}, 6)
+	eff = c.Take()
+	// Tags 1 and 2 were going to acknowledge index 6, which is gone.
+	if ok, refused = tags(eff); len(ok) != 0 || !reflect.DeepEqual(refused, []uint64{1, 2}) {
+		t.Fatalf("conflict: acked %v refused %v; want the replies for the removed suffix refused", ok, refused)
+	}
+	if len(eff.Persist) != 1 || eff.Persist[0].Entries[0].Index != 5 || c.lastIndex() != 5 {
+		t.Fatalf("conflict: %+v, last %d", eff, c.lastIndex())
+	}
+	second := eff.Persist[0]
+	// The first write lands: it made 4..6 durable, but 5 and 6 are no
+	// longer this log.
+	if err := first.writeTo(s); err != nil {
+		t.Fatal(err)
+	}
+	c.Persisted(t0, first.Seq, nil)
+	if eff = c.Take(); c.persisted != 4 || len(eff.Acks) != 0 {
+		t.Fatalf("persisted = %d, acks %+v: a truncated suffix was counted", c.persisted, eff.Acks)
+	}
+	if err := second.writeTo(s); err != nil {
+		t.Fatal(err)
+	}
+	c.Persisted(t0, second.Seq, nil)
+	if ok, refused = tags(c.Take()); !reflect.DeepEqual(ok, []uint64{6}) || len(refused) != 0 {
+		t.Fatalf("after the disk: acked %v refused %v; want 6 acked", ok, refused)
+	}
+	if e, err := s.Entry(5); err != nil || e.Term != 3 || s.LastIndex() != 5 {
+		t.Fatalf("store after the conflict: %+v, %v, last %d", e, err, s.LastIndex())
+	}
+
+	// A write fails: what it held is refused and forgotten, and the next
+	// request is pointed at the end of what is left.
+	c.AppendEntries(t0, &appendEntriesArgs{Term: 3, Leader: "sm://peer-b", PrevLogIndex: 5, PrevLogTerm: 3,
+		Entries: []LogEntry{{Index: 6, Term: 3}, {Index: 7, Term: 3}}}, 7)
+	eff = c.Take()
+	c.Persisted(t0, eff.Persist[0].Seq, errors.New("disk full"))
+	eff = c.Take()
+	if _, refused = tags(eff); !reflect.DeepEqual(refused, []uint64{7}) || eff.Acks[0].Reply.ConflictIndex != 6 || eff.StoreErrors != 1 || c.lastIndex() != 5 {
+		t.Fatalf("failed write: %+v, last %d", eff, c.lastIndex())
+	}
+}
+
+// TestLeaderPersistFailureDemotes: a leader whose disk fails stops
+// leading, forgets what the failed write and every later one held, and
+// says from where, so that whoever waits there learns the store's
+// error.
+func TestLeaderPersistFailureDemotes(t *testing.T) {
+	s := NewMemoryStore()
+	c := ruleCore(t, s, nil, 0)
+	elect(t, c)
+	settle(t, c, s)
+	c.Propose(t0, []Proposal{{Tag: 1}, {Tag: 2}})
+	c.Propose(t0, []Proposal{{Tag: 3}})
+	eff := c.Take()
+	if len(eff.Persist) != 2 || c.lastIndex() != 4 {
+		t.Fatalf("effects %+v, last %d", eff, c.lastIndex())
+	}
+	c.Persisted(t0, eff.Persist[0].Seq, errors.New("injected disk failure"))
+	eff = c.Take()
+	if c.IsLeader() || eff.StoreErrors != 1 || eff.Dropped == nil || eff.Dropped.From != 2 || c.lastIndex() != 1 {
+		t.Fatalf("leader=%v last=%d effects=%+v", c.IsLeader(), c.lastIndex(), eff)
+	}
+	if !strings.Contains(eff.Dropped.Err.Error(), "injected disk failure") {
+		t.Fatalf("the store's error was swallowed: %v", eff.Dropped.Err)
+	}
+	c.Propose(t0, []Proposal{{Tag: 4}})
+	if eff = c.Take(); len(eff.Rejected) != 1 || !errors.Is(eff.Rejected[0].Err, ErrNoLeader) {
+		t.Fatalf("a deposed leader took a proposal: %+v", eff)
 	}
 }
 
@@ -571,7 +710,7 @@ func TestReadIndexRounds(t *testing.T) {
 	if len(next) != 2 {
 		t.Fatalf("round %d did not start after round %d: %+v", r2, r1, eff.Msgs)
 	}
-	c.Applied(t0, 1)
+	c.Applied(1)
 	if eff := c.Take(); len(eff.Reads) != 1 || eff.Reads[0] != (ReadRound{ID: r1, Reads: 2}) {
 		t.Fatalf("reads = %+v, want round %d with 2 reads", eff.Reads, r1)
 	}
@@ -607,8 +746,9 @@ func TestReadIndexRounds(t *testing.T) {
 // index is asked to restore before it is handed any entry, and the run
 // that follows starts right after the snapshot.
 func TestRestoreThenApplyOrder(t *testing.T) {
-	c := ruleCore(t, NewMemoryStore(), entriesUpTo(3, 2), 2)
-	if _, err := c.AppendEntries(t0, &appendEntriesArgs{Term: 2, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 2, LeaderCommit: 2}); err != nil {
+	s := NewMemoryStore()
+	c := ruleCore(t, s, entriesUpTo(3, 2), 2)
+	if _, _, err := deliver(t, c, s, &appendEntriesArgs{Term: 2, Leader: "sm://l", PrevLogIndex: 3, PrevLogTerm: 2, LeaderCommit: 2}); err != nil {
 		t.Fatal(err)
 	}
 	run, ok := c.NextApply()
@@ -618,20 +758,28 @@ func TestRestoreThenApplyOrder(t *testing.T) {
 	// While that run is with the FSM, the leader installs a snapshot at
 	// 10.
 	snap := snapshotEnvelope{Peers: rulePeers, FSM: []byte("state@10")}
-	r, err := c.InstallSnapshot(t0, &installSnapshotArgs{Term: 2, Leader: "sm://l", LastIndex: 10, LastTerm: 2, Data: codec.Marshal(&snap)})
-	if err != nil || !r.Success {
-		t.Fatalf("install: %+v, %v", r, err)
+	c.InstallSnapshot(t0, &installSnapshotArgs{Term: 2, Leader: "sm://l", LastIndex: 10, LastTerm: 2, Data: codec.Marshal(&snap)}, 2)
+	eff := c.Take()
+	if len(eff.Acks) != 0 || len(eff.Persist) != 1 || eff.Persist[0].Snapshot == nil {
+		t.Fatalf("install: %+v, want the snapshot on its way to the disk and no answer yet", eff)
 	}
-	c.Applied(t0, run.Index)
+	if err := eff.Persist[0].writeTo(s); err != nil {
+		t.Fatal(err)
+	}
+	c.Persisted(t0, eff.Persist[0].Seq, nil)
+	if eff = c.Take(); len(eff.Acks) != 1 || !eff.Acks[0].Reply.Success {
+		t.Fatalf("install, once durable: %+v", eff.Acks)
+	}
+	c.Applied(run.Index)
 	task, ok := c.NextApply()
 	if !ok || !task.Restore || task.Index != 10 || string(task.Snapshot) != "state@10" {
 		t.Fatalf("task after install = %+v, want a restore at 10", task)
 	}
-	c.Applied(t0, task.Index)
+	c.Applied(task.Index)
 	if _, ok := c.NextApply(); ok {
 		t.Fatal("work left after the restore")
 	}
-	if _, err := c.AppendEntries(t0, &appendEntriesArgs{
+	if _, _, err := deliver(t, c, s, &appendEntriesArgs{
 		Term: 2, Leader: "sm://l", PrevLogIndex: 10, PrevLogTerm: 2, LeaderCommit: 11,
 		Entries: []LogEntry{{Index: 11, Term: 2, Type: EntryCommand}},
 	}); err != nil {

@@ -17,14 +17,17 @@ import (
 )
 
 // This file runs the production Core, unmodified, as a group of
-// single-threaded event handlers on sim.Sim + sim.Net with MemoryStore:
-// every message, timer, fault, crash and client operation of a run
-// derives from one seed, so two runs of a seed execute the same events
-// in the same order (checked by trace hash) and a failing seed is its
-// own reproduction. After every event the harness checks election
-// safety, log matching, leader completeness and state-machine safety;
-// at the end it feeds the clients' history to the linearizability
-// checker. There is no goroutine, no sleep and no wall clock in here.
+// single-threaded event handlers on sim.Sim + sim.Net with MemoryStore
+// behind a simulated disk: every message, timer, disk write, fault,
+// crash and client operation of a run derives from one seed, so two
+// runs of a seed execute the same events in the same order (checked by
+// trace hash) and a failing seed is its own reproduction. A Persist
+// reaches the store, and the core hears Persisted, after seeded virtual
+// time; a crash takes every write still on its way. After every event
+// the harness checks election safety, log matching, leader completeness
+// and state-machine safety; at the end it feeds the clients' history to
+// the linearizability checker. There is no goroutine, no sleep and no
+// wall clock in here.
 
 // Trace event kinds (sim.Trace).
 const (
@@ -44,18 +47,37 @@ type raftSimConfig struct {
 	Protocol Config
 	Faults   mercury.ChaosConfig
 	Clients  int
-	// forgetVotes is the deliberately broken rule for
-	// TestRaftSimCatchesBrokenRule: the harness wipes a member's
-	// in-memory vote just before it handles a RequestVote, so it grants
-	// a second vote in the same term.
-	forgetVotes bool
+	// PersistMin/Max bound how long the disk takes over one Persist.
+	PersistMin, PersistMax time.Duration
+	// PowerCuts are the times at which every member goes down in the
+	// same instant, with whatever its disk had not finished.
+	PowerCuts []time.Duration
+	// The deliberately broken rules, each a hook in this file on an
+	// untouched Core. forgetVotes (TestRaftSimCatchesBrokenRule): a
+	// member's in-memory vote is wiped just before it handles a
+	// RequestVote, so it grants a second vote in the same term.
+	// selfCountAtPersist and ackBeforeDurable
+	// (TestRaftSimCatchesBrokenDurability): a leader counts its own copy
+	// of an entry, or a follower acknowledges one, when the Persist is
+	// emitted instead of when it is reported.
+	forgetVotes, selfCountAtPersist, ackBeforeDurable bool
+}
+
+// The disks of the seed matrix: one faster than a network round trip
+// (2–4 ms here), one slower.
+var simDisks = []struct {
+	name     string
+	min, max time.Duration
+}{
+	{"fast", 100 * time.Microsecond, time.Millisecond},
+	{"slow", 3 * time.Millisecond, 12 * time.Millisecond},
 }
 
 func testRaftSimConfig(nodes int, seed int64) raftSimConfig {
 	return raftSimConfig{
 		Nodes:    nodes,
 		Seed:     seed,
-		Duration: 12 * time.Second,
+		Duration: 14 * time.Second,
 		Protocol: Config{
 			ElectionTimeoutMin: 150 * time.Millisecond,
 			ElectionTimeoutMax: 300 * time.Millisecond,
@@ -72,30 +94,11 @@ func testRaftSimConfig(nodes int, seed int64) raftSimConfig {
 			DelayMin:  time.Millisecond,
 			DelayMax:  40 * time.Millisecond,
 		},
-		Clients: 3,
+		Clients:    3,
+		PersistMin: simDisks[0].min,
+		PersistMax: simDisks[0].max,
+		PowerCuts:  []time.Duration{11 * time.Second},
 	}
-}
-
-// versionedStore counts log mutations so the harness re-checks log
-// matching only when a log changed.
-type versionedStore struct {
-	*MemoryStore
-	version int
-}
-
-func (s *versionedStore) Append(entries []LogEntry) error {
-	s.version++
-	return s.MemoryStore.Append(entries)
-}
-
-func (s *versionedStore) TruncateFrom(index uint64) error {
-	s.version++
-	return s.MemoryStore.TruncateFrom(index)
-}
-
-func (s *versionedStore) SaveSnapshot(index, term uint64, data []byte) error {
-	s.version++
-	return s.MemoryStore.SaveSnapshot(index, term, data)
 }
 
 // simFSM is a map of registers. Commands are "key=value".
@@ -155,20 +158,49 @@ type opReg struct {
 type simMember struct {
 	id    int32
 	addr  string
-	store *versionedStore // survives crashes
-	core  *Core           // nil while crashed
+	store *MemoryStore // what the disk holds: survives crashes
+	core  *Core        // nil while crashed
 	fsm   *simFSM
 	// epoch counts incarnations: a reply addressed to an earlier one is
-	// dropped, like an RPC whose caller died.
-	epoch   int
-	armed   time.Time
-	waiters map[uint64]opReg   // appended proposals by index
-	reads   map[uint64][]opReg // reads by ReadIndex round
+	// dropped, like an RPC whose caller died, and so is a disk write
+	// issued by one.
+	epoch    int
+	armed    time.Time
+	diskFree time.Time                            // when the disk is done with what it was handed
+	waiters  map[uint64]opReg                     // appended proposals by index
+	reads    map[uint64][]opReg                   // reads by ReadIndex round
+	acks     map[uint64]func(*appendEntriesReply) // unanswered log traffic by tag
+	tag      uint64
 
-	// What the invariant checks saw last.
+	// What the invariant checks saw last. version counts changes of the
+	// log, in memory or on disk.
 	role       Role
 	seenCommit uint64
+	version    int
 	checkedVer int
+}
+
+// The member's log as its core sees it — tail included — or, while it
+// is crashed, as its disk holds it.
+func (m *simMember) firstIndex() uint64 {
+	if m.core != nil {
+		return m.core.firstIndex()
+	}
+	return m.store.FirstIndex()
+}
+
+func (m *simMember) lastIndex() uint64 {
+	if m.core != nil {
+		return m.core.lastIndex()
+	}
+	return m.store.LastIndex()
+}
+
+func (m *simMember) entry(index uint64) (LogEntry, error) {
+	if m.core != nil {
+		return m.core.entryAt(index)
+	}
+	return m.store.Entry(index)
 }
 
 type simClient struct {
@@ -241,14 +273,14 @@ func runRaftSim(cfg raftSimConfig) *raftSimResult {
 		h.byAddr[addrs[i]] = int32(i)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		m := &simMember{id: int32(i), addr: addrs[i], store: &versionedStore{MemoryStore: NewMemoryStore()}}
+		m := &simMember{id: int32(i), addr: addrs[i], store: NewMemoryStore()}
 		h.members = append(h.members, m)
 		h.boot(m, addrs)
 	}
 	// A seeded victim crashes and restarts on a seeded schedule. Later
 	// whoever leads is cut off from everyone while it keeps running — the
-	// deposed leader that still believes it leads — and later still
-	// whoever leads then crashes.
+	// deposed leader that still believes it leads — later still whoever
+	// leads then crashes, and in the end the power fails.
 	victim := int32(perm[cfg.Nodes-1])
 	crashAt := 5*time.Second + time.Duration(s.Rand().Int63n(int64(time.Second)))
 	s.At(crashAt, func() { h.crash(victim) })
@@ -265,6 +297,14 @@ func runRaftSim(cfg raftSimConfig) *raftSimResult {
 			s.At(700*time.Millisecond, func() { h.restart(m.id, addrs) })
 		}
 	})
+	for _, at := range cfg.PowerCuts {
+		s.At(at, func() {
+			for _, m := range h.members {
+				h.crash(m.id)
+				s.At(300*time.Millisecond+time.Duration(m.id)*40*time.Millisecond, func() { h.restart(m.id, addrs) })
+			}
+		})
+	}
 	for i := 0; i < cfg.Clients; i++ {
 		cl := &simClient{id: i, rng: rand.New(rand.NewSource(cfg.Seed*31 + int64(i))), guess: int32(i % cfg.Nodes), putFrac: 0.5}
 		if i == 0 {
@@ -311,8 +351,9 @@ func (h *raftSim) boot(m *simMember, addrs []string) {
 		return
 	}
 	m.core, m.fsm = core, &simFSM{kv: map[string]string{}}
-	m.waiters, m.reads = map[uint64]opReg{}, map[uint64][]opReg{}
-	m.role, m.seenCommit, m.armed = Follower, 0, time.Time{}
+	m.waiters, m.reads, m.acks = map[uint64]opReg{}, map[uint64][]opReg{}, map[uint64]func(*appendEntriesReply){}
+	m.role, m.seenCommit, m.armed, m.diskFree = Follower, 0, time.Time{}, time.Time{}
+	m.version++
 	h.settle(m)
 }
 
@@ -325,13 +366,15 @@ func (h *raftSim) crash(id int32) {
 	h.net.SetDown(id, true)
 	m.core, m.fsm = nil, nil
 	m.epoch++
-	// Ops registered here are in limbo: their clients time out.
-	m.waiters, m.reads = nil, nil
+	// Ops registered here are in limbo: their clients time out. The log
+	// is back to what the disk holds.
+	m.waiters, m.reads, m.acks = nil, nil, nil
+	m.version++
 }
 
 func (h *raftSim) restart(id int32, addrs []string) {
-	if h.err != nil {
-		return
+	if h.err != nil || h.members[id].core != nil {
+		return // two crashes overlapped and the earlier restart got here first
 	}
 	h.sim.Trace.Record(h.sim.Now(), evRestart, id, -1, 0)
 	h.net.SetDown(id, false)
@@ -342,15 +385,23 @@ func (h *raftSim) restart(id int32, addrs []string) {
 // the state machine, re-arm the timer — then check the invariants.
 func (h *raftSim) settle(m *simMember) {
 	for h.err == nil {
+		if h.cfg.selfCountAtPersist && m.core.IsLeader() {
+			// Broken twin: the leader's own copy counts before it is
+			// durable.
+			durable := m.core.persisted
+			m.core.persisted = m.core.lastIndex()
+			m.core.advanceCommit(h.sim.Now())
+			m.core.persisted = durable
+		}
 		h.dispatch(m, m.core.Take())
 		task, ok := m.core.NextApply()
 		if !ok {
 			break
 		}
 		h.apply(m, task)
-		m.core.Applied(h.sim.Now(), task.Index)
+		m.core.Applied(task.Index)
 		if m.core.SnapshotDue() {
-			if err := m.core.Compact(m.fsm.snapshot()); err != nil {
+			if _, err := m.core.Compact(m.fsm.snapshot()); err != nil {
 				h.failf("n%d: compact: %v", m.id, err)
 			}
 		}
@@ -367,6 +418,15 @@ func (h *raftSim) settle(m *simMember) {
 func (h *raftSim) dispatch(m *simMember, eff Effects) {
 	for _, msg := range eff.Msgs {
 		h.send(m, msg)
+	}
+	for _, p := range eff.Persist {
+		h.write(m, p)
+	}
+	for _, a := range eff.Acks {
+		if reply := m.acks[a.Tag]; reply != nil && a.Err == nil {
+			reply(a.Reply)
+		}
+		delete(m.acks, a.Tag) // with an error the member stays silent
 	}
 	for _, a := range eff.Accepted {
 		for i, tag := range a.Tags {
@@ -393,6 +453,32 @@ func (h *raftSim) dispatch(m *simMember, eff Effects) {
 			}
 		}
 	}
+}
+
+// write hands p to the member's disk: one write at a time, each taking
+// seeded time. Only when it is done does the store hold p and the core
+// hear Persisted; a crash before that loses it.
+func (h *raftSim) write(m *simMember, p Persist) {
+	m.version++
+	now := h.sim.Now()
+	took := h.cfg.PersistMin + time.Duration(h.sim.Rand().Int63n(int64(h.cfg.PersistMax-h.cfg.PersistMin)+1))
+	if m.diskFree.Before(now) {
+		m.diskFree = now
+	}
+	m.diskFree = m.diskFree.Add(took)
+	epoch := m.epoch
+	h.sim.At(m.diskFree.Sub(now), func() {
+		if h.err != nil || m.epoch != epoch {
+			return
+		}
+		if err := p.writeTo(m.store); err != nil {
+			h.failf("n%d: persist %d: %v", m.id, p.Seq, err)
+			return
+		}
+		m.version++
+		m.core.Persisted(h.sim.Now(), p.Seq, nil)
+		h.settle(m)
+	})
 }
 
 func (h *raftSim) arm(m *simMember, d time.Time) {
@@ -468,41 +554,54 @@ func (h *raftSim) send(from *simMember, msg Message) {
 			return
 		}
 		now := h.sim.Now()
-		var vote *requestVoteReply
-		var app *appendEntriesReply
-		var err error
-		switch {
-		case msg.Vote != nil:
+		// reply carries the answer back, whenever the member gives it.
+		reply := func(vote *requestVoteReply, app *appendEntriesReply) {
+			h.transmit(to, from.id, func() {
+				if from.core == nil || from.epoch != epoch {
+					return
+				}
+				now := h.sim.Now()
+				if vote != nil {
+					h.sim.Trace.Record(now, evReply, to, from.id, vote.Term<<1|b2u(vote.Granted))
+					from.core.VoteReply(now, msg, vote)
+				} else {
+					h.sim.Trace.Record(now, evReply, to, from.id, app.Term<<1|b2u(app.Success))
+					from.core.AppendReply(now, msg, app)
+				}
+				h.settle(from)
+			})
+		}
+		if msg.Vote != nil {
 			if h.cfg.forgetVotes {
 				dst.core.votedFor = ""
 			}
 			h.sim.Trace.Record(now, evDeliver, from.id, to, msg.Vote.Term<<8|1)
-			vote, err = dst.core.RequestVote(now, msg.Vote)
-		case msg.Snapshot != nil:
+			vote, err := dst.core.RequestVote(now, msg.Vote)
+			h.settle(dst)
+			if err == nil { // else the member could not persist: it stays silent
+				reply(vote, nil)
+			}
+			return
+		}
+		// Log traffic is answered by the Ack carrying its tag: in the
+		// step below, or in the one that hears from the disk.
+		dst.tag++
+		dst.acks[dst.tag] = func(app *appendEntriesReply) { reply(nil, app) }
+		if msg.Snapshot != nil {
 			h.sim.Trace.Record(now, evDeliver, from.id, to, msg.Snapshot.LastIndex<<8|2)
-			app, err = dst.core.InstallSnapshot(now, msg.Snapshot)
-		default:
+			dst.core.InstallSnapshot(now, msg.Snapshot, dst.tag)
+		} else {
 			h.sim.Trace.Record(now, evDeliver, from.id, to, (msg.Append.PrevLogIndex+uint64(len(msg.Append.Entries)))<<8|3)
-			app, err = dst.core.AppendEntries(now, msg.Append)
+			dst.core.AppendEntries(now, msg.Append, dst.tag)
+		}
+		if h.cfg.ackBeforeDurable {
+			// Broken twin: what waits for the disk is acknowledged now.
+			for _, a := range dst.core.acks {
+				dst.core.eff.Acks = append(dst.core.eff.Acks, Ack{Tag: a.tag, Reply: &appendEntriesReply{Term: dst.core.term, Success: true}})
+			}
+			dst.core.acks = nil
 		}
 		h.settle(dst)
-		if err != nil {
-			return // the member could not persist: it stays silent
-		}
-		h.transmit(to, from.id, func() {
-			if from.core == nil || from.epoch != epoch {
-				return
-			}
-			now := h.sim.Now()
-			if vote != nil {
-				h.sim.Trace.Record(now, evReply, to, from.id, vote.Term<<1|b2u(vote.Granted))
-				from.core.VoteReply(now, msg, vote)
-			} else {
-				h.sim.Trace.Record(now, evReply, to, from.id, app.Term<<1|b2u(app.Success))
-				from.core.AppendReply(now, msg, app)
-			}
-			h.settle(from)
-		})
 	})
 }
 
@@ -659,8 +758,8 @@ func (h *raftSim) checkInvariants(m *simMember) {
 	// everywhere.
 	if st.CommitIndex > m.seenCommit {
 		h.sim.Trace.Record(now, evCommit, m.id, -1, st.CommitIndex)
-		for idx := max(m.seenCommit+1, m.store.FirstIndex()); idx <= st.CommitIndex; idx++ {
-			e, err := m.store.Entry(idx)
+		for idx := max(m.seenCommit+1, m.firstIndex()); idx <= st.CommitIndex; idx++ {
+			e, err := m.entry(idx)
 			if err != nil {
 				h.failf("n%d: commit index %d beyond its log: %v", m.id, st.CommitIndex, err)
 				return
@@ -677,8 +776,8 @@ func (h *raftSim) checkInvariants(m *simMember) {
 	}
 	// Log matching, against every other log (crashed members' logs are
 	// still on their disks).
-	if m.store.version != m.checkedVer {
-		m.checkedVer = m.store.version
+	if m.version != m.checkedVer {
+		m.checkedVer = m.version
 		for _, o := range h.members {
 			if o != m {
 				h.checkLogMatching(m, o)
@@ -690,17 +789,17 @@ func (h *raftSim) checkInvariants(m *simMember) {
 // checkLeaderCompleteness: the leader of a term holds every entry
 // committed before it was elected (or a snapshot that covers it).
 func (h *raftSim) checkLeaderCompleteness(m *simMember, term uint64) {
-	if m.store.LastIndex() < h.maxCommitted {
+	if m.lastIndex() < h.maxCommitted {
 		h.failf("leader completeness: n%d leads term %d with last index %d, index %d is committed",
-			m.id, term, m.store.LastIndex(), h.maxCommitted)
+			m.id, term, m.lastIndex(), h.maxCommitted)
 		return
 	}
-	for idx := m.store.FirstIndex(); idx <= h.maxCommitted; idx++ {
+	for idx := m.firstIndex(); idx <= h.maxCommitted; idx++ {
 		ref, ok := h.committed[idx]
 		if !ok {
 			continue // committed while every observer had it compacted
 		}
-		if e, err := m.store.Entry(idx); err != nil || e.Term != ref.Term || !bytes.Equal(e.Data, ref.Data) {
+		if e, err := m.entry(idx); err != nil || e.Term != ref.Term || !bytes.Equal(e.Data, ref.Data) {
 			h.failf("leader completeness: n%d leads term %d without committed entry %d (%d/%q): has %d/%q, %v",
 				m.id, term, idx, ref.Term, ref.Data, e.Term, e.Data, err)
 			return
@@ -711,20 +810,20 @@ func (h *raftSim) checkLeaderCompleteness(m *simMember, term uint64) {
 // checkLogMatching: if two logs hold an entry with the same index and
 // term, they are identical in all entries up to that index.
 func (h *raftSim) checkLogMatching(a, b *simMember) {
-	lo := max(a.store.FirstIndex(), b.store.FirstIndex())
-	hi := min(a.store.LastIndex(), b.store.LastIndex())
+	lo := max(a.firstIndex(), b.firstIndex())
+	hi := min(a.lastIndex(), b.lastIndex())
 	agree := uint64(0)
 	for idx := hi; idx >= lo && idx > 0; idx-- {
-		ta, _ := a.store.Term(idx)
-		tb, _ := b.store.Term(idx)
-		if ta == tb {
+		ea, _ := a.entry(idx)
+		eb, _ := b.entry(idx)
+		if ea.Term == eb.Term {
 			agree = idx
 			break
 		}
 	}
 	for idx := lo; idx <= agree; idx++ {
-		ea, _ := a.store.Entry(idx)
-		eb, _ := b.store.Entry(idx)
+		ea, _ := a.entry(idx)
+		eb, _ := b.entry(idx)
 		if ea.Term != eb.Term || ea.Type != eb.Type || !bytes.Equal(ea.Data, eb.Data) {
 			h.failf("log matching: n%d and n%d agree at index %d (term %d) but differ at %d: %d/%q vs %d/%q",
 				a.id, b.id, agree, ea.Term, idx, ea.Term, ea.Data, eb.Term, eb.Data)
@@ -746,27 +845,32 @@ func replayLine(t *testing.T, seed int64) string {
 	return testutil.ReplayLine(t, seed, "./internal/raft/")
 }
 
-// TestRaftSimSeedMatrix: 3- and 5-member groups under loss,
-// duplication, delay, a partition window and two crash-restarts per
-// seed. Every invariant holds after every event and every client
-// history is linearizable. Deterministic per seed: a seed that passes
-// once always passes.
+// TestRaftSimSeedMatrix: 3- and 5-member groups, on a disk faster and
+// on one slower than the network, under loss, duplication, delay, a
+// partition window, two crash-restarts and a power failure per seed.
+// Every invariant holds after every event and every client history is
+// linearizable. Deterministic per seed: a seed that passes once always
+// passes.
 func TestRaftSimSeedMatrix(t *testing.T) {
 	for _, nodes := range []int{3, 5} {
-		for _, seed := range testutil.SimSeeds(t, 8) {
-			t.Run(fmt.Sprintf("n=%d/seed=%d", nodes, seed), func(t *testing.T) {
-				r := runRaftSim(testRaftSimConfig(nodes, seed))
-				t.Logf("%s", r)
-				if r.Err != nil {
-					t.Log(replayLine(t, seed))
-					t.Fatal(r.Err)
-				}
-				// The schedule must have exercised what it claims to.
-				if r.Ops < 100 || r.Elections < 2 || r.Restores == 0 {
-					t.Log(replayLine(t, seed))
-					t.Fatalf("thin run: %s", r)
-				}
-			})
+		for _, disk := range simDisks {
+			for _, seed := range testutil.SimSeeds(t, 8) {
+				t.Run(fmt.Sprintf("n=%d/disk=%s/seed=%d", nodes, disk.name, seed), func(t *testing.T) {
+					cfg := testRaftSimConfig(nodes, seed)
+					cfg.PersistMin, cfg.PersistMax = disk.min, disk.max
+					r := runRaftSim(cfg)
+					t.Logf("%s", r)
+					if r.Err != nil {
+						t.Log(replayLine(t, seed))
+						t.Fatal(r.Err)
+					}
+					// The schedule must have exercised what it claims to.
+					if r.Ops < 100 || r.Elections < 2 || r.Restores == 0 {
+						t.Log(replayLine(t, seed))
+						t.Fatalf("thin run: %s", r)
+					}
+				})
+			}
 		}
 	}
 }
@@ -797,25 +901,22 @@ func TestRaftSimDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestRaftSimCatchesBrokenRule proves the invariant checks have teeth:
-// with members that forget whom they voted for (the hook lives in this
-// file, the Core is untouched) and election timeouts close enough to
-// collide, two members win the same term — and the run must stop at
-// that event with an election-safety violation, identically on replay.
-func TestRaftSimCatchesBrokenRule(t *testing.T) {
-	broken := func(seed int64) raftSimConfig {
-		cfg := testRaftSimConfig(5, seed)
-		cfg.forgetVotes = true
-		cfg.Protocol.ElectionTimeoutMax = cfg.Protocol.ElectionTimeoutMin + 2*time.Millisecond
-		return cfg
-	}
+// caughtBy runs broken over the seeds until one of them fails, which
+// must be with one of the violations in want, identically on replay,
+// and with a replay line that pins the seed.
+func caughtBy(t *testing.T, broken func(seed int64) raftSimConfig, want ...string) {
+	t.Helper()
 	for _, seed := range testutil.SimSeeds(t, 8) {
 		r := runRaftSim(broken(seed))
 		if r.Err == nil {
 			continue
 		}
-		if !strings.Contains(r.Err.Error(), "election safety") {
-			t.Fatalf("seed %d: broken vote rule surfaced as %v, want an election-safety violation", seed, r.Err)
+		expected := false
+		for _, w := range want {
+			expected = expected || strings.Contains(r.Err.Error(), w)
+		}
+		if !expected {
+			t.Fatalf("seed %d: the broken rule surfaced as %v, want one of %q", seed, r.Err, want)
 		}
 		line := replayLine(t, seed)
 		t.Logf("caught: %v\n%s", r.Err, line)
@@ -828,5 +929,63 @@ func TestRaftSimCatchesBrokenRule(t *testing.T) {
 		}
 		return
 	}
-	t.Fatal("a member granting two votes per term went unnoticed on every seed")
+	t.Fatal("the broken rule went unnoticed on every seed")
+}
+
+// TestRaftSimCatchesBrokenRule proves the invariant checks have teeth:
+// with members that forget whom they voted for (the hook lives in this
+// file, the Core is untouched) and election timeouts close enough to
+// collide, two members win the same term — and the run must stop at
+// that event with an election-safety violation, identically on replay.
+func TestRaftSimCatchesBrokenRule(t *testing.T) {
+	caughtBy(t, func(seed int64) raftSimConfig {
+		cfg := testRaftSimConfig(5, seed)
+		cfg.forgetVotes = true
+		cfg.Protocol.ElectionTimeoutMax = cfg.Protocol.ElectionTimeoutMin + 2*time.Millisecond
+		return cfg
+	}, "election safety")
+}
+
+// TestRaftSimCatchesBrokenDurability: the two ways of getting "durable
+// before it counts" wrong. A leader that counts itself when it hands an
+// entry to its disk, or a follower that acknowledges one then, commits
+// — and answers a client — on copies a power cut erases.
+func TestRaftSimCatchesBrokenDurability(t *testing.T) {
+	// How a committed entry that was erased shows: a leader is elected
+	// without it, another entry is committed or applied in its place, or
+	// a read misses the write.
+	lostWrite := []string{"leader completeness", "was committed there", "state-machine safety", "not linearizable"}
+	// A power cut a second and a disk of very uneven pace, so that a cut
+	// falls between a commit and the disks it was counted on.
+	brownout := func(seed int64) raftSimConfig {
+		cfg := testRaftSimConfig(3, seed)
+		cfg.PersistMin, cfg.PersistMax = time.Millisecond, 40*time.Millisecond
+		cfg.PowerCuts = nil
+		for at := 1500 * time.Millisecond; at < cfg.Duration-time.Second; at += time.Second {
+			cfg.PowerCuts = append(cfg.PowerCuts, at)
+		}
+		return cfg
+	}
+	t.Run("sound", func(t *testing.T) { // the schedule alone breaks nothing
+		for _, seed := range testutil.SimSeeds(t, 8) {
+			if r := runRaftSim(brownout(seed)); r.Err != nil {
+				t.Log(replayLine(t, seed))
+				t.Fatal(r.Err)
+			}
+		}
+	})
+	t.Run("leader counts itself at Persist", func(t *testing.T) {
+		caughtBy(t, func(seed int64) raftSimConfig {
+			cfg := brownout(seed)
+			cfg.selfCountAtPersist = true
+			return cfg
+		}, lostWrite...)
+	})
+	t.Run("follower acknowledges before Persisted", func(t *testing.T) {
+		caughtBy(t, func(seed int64) raftSimConfig {
+			cfg := brownout(seed)
+			cfg.ackBeforeDurable = true
+			return cfg
+		}, lostWrite...)
+	})
 }

@@ -4,13 +4,29 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 
 	"mochi/internal/codec"
 )
 
+// writeTo carries p out on s: the one place a Persist becomes Store
+// calls, shared by the node's writer and the simulator's disk.
+func (p Persist) writeTo(s Store) error {
+	if p.Snapshot != nil {
+		return s.SaveSnapshot(p.Snapshot.Index, p.Snapshot.Term, p.Snapshot.Data)
+	}
+	if from := p.Entries[0].Index; from <= s.LastIndex() {
+		if err := s.TruncateFrom(from); err != nil {
+			return err
+		}
+	}
+	return s.Append(p.Entries)
+}
+
 // MemoryStore is a volatile Store for tests and ephemeral groups.
 type MemoryStore struct {
+	mu       sync.Mutex // the one writer next to whoever steps the core
 	term     uint64
 	votedFor string
 	// log[0] corresponds to index firstIndex.
@@ -27,17 +43,23 @@ func NewMemoryStore() *MemoryStore {
 }
 
 func (s *MemoryStore) SetState(term uint64, votedFor string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.term, s.votedFor = term, votedFor
 	return nil
 }
 
 func (s *MemoryStore) State() (uint64, string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.term, s.votedFor, nil
 }
 
 func (s *MemoryStore) Append(entries []LogEntry) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for _, e := range entries {
-		want := s.LastIndex() + 1
+		want := s.lastIndex() + 1
 		if e.Index != want {
 			return fmt.Errorf("raft: append gap: entry %d, want %d", e.Index, want)
 		}
@@ -52,12 +74,14 @@ func (s *MemoryStore) pos(index uint64) (int, error) {
 	}
 	p := int(index - s.firstIndex)
 	if p >= len(s.log) {
-		return 0, fmt.Errorf("raft: index %d beyond log end %d", index, s.LastIndex())
+		return 0, fmt.Errorf("raft: index %d beyond log end %d", index, s.lastIndex())
 	}
 	return p, nil
 }
 
 func (s *MemoryStore) Entry(index uint64) (LogEntry, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	p, err := s.pos(index)
 	if err != nil {
 		return LogEntry{}, err
@@ -66,6 +90,8 @@ func (s *MemoryStore) Entry(index uint64) (LogEntry, error) {
 }
 
 func (s *MemoryStore) Entries(lo, hi uint64) ([]LogEntry, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if lo > hi {
 		return nil, nil
 	}
@@ -80,9 +106,19 @@ func (s *MemoryStore) Entries(lo, hi uint64) ([]LogEntry, error) {
 	return append([]LogEntry(nil), s.log[plo:phi+1]...), nil
 }
 
-func (s *MemoryStore) FirstIndex() uint64 { return s.firstIndex }
+func (s *MemoryStore) FirstIndex() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.firstIndex
+}
 
 func (s *MemoryStore) LastIndex() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lastIndex()
+}
+
+func (s *MemoryStore) lastIndex() uint64 {
 	if len(s.log) == 0 {
 		return s.snapIndex
 	}
@@ -90,20 +126,24 @@ func (s *MemoryStore) LastIndex() uint64 {
 }
 
 func (s *MemoryStore) Term(index uint64) (uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if index == 0 {
 		return 0, nil
 	}
 	if index == s.snapIndex {
 		return s.snapTerm, nil
 	}
-	e, err := s.Entry(index)
+	p, err := s.pos(index)
 	if err != nil {
 		return 0, err
 	}
-	return e.Term, nil
+	return s.log[p].Term, nil
 }
 
 func (s *MemoryStore) TruncateFrom(index uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if index < s.firstIndex {
 		return ErrCompacted
 	}
@@ -115,6 +155,8 @@ func (s *MemoryStore) TruncateFrom(index uint64) error {
 }
 
 func (s *MemoryStore) SaveSnapshot(index, term uint64, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if index <= s.snapIndex {
 		return nil
 	}
@@ -136,6 +178,8 @@ func (s *MemoryStore) SaveSnapshot(index, term uint64, data []byte) error {
 }
 
 func (s *MemoryStore) Snapshot() ([]byte, uint64, uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.snapData, s.snapIndex, s.snapTerm, nil
 }
 
@@ -143,14 +187,18 @@ func (s *MemoryStore) Close() error { return nil }
 
 // FileStore persists Raft state under a directory: a metadata file
 // (term/vote), an append-only log file, and a snapshot file. It keeps
-// a MemoryStore as its in-RAM image and rewrites the log file on
-// truncation/compaction (simple and crash-safe via rename).
+// a MemoryStore as its in-RAM image — updated once the bytes are on
+// disk, so a reader never sees what a crash could take back — and
+// rewrites the log file on truncation/compaction (simple and
+// crash-safe via rename; every rename is followed by a sync of the
+// directory, or the new name itself could be lost).
 type FileStore struct {
 	dir    string
 	mem    *MemoryStore
 	nosync bool
 	logF   *os.File
 	syncs  atomic.Uint64
+	buf    []byte // Append's frame buffer, reused: there is one writer
 }
 
 // Syncs returns how many fsyncs this store has issued (0 when opened
@@ -244,15 +292,40 @@ func (s *FileStore) sync(f *os.File) error {
 	return f.Sync()
 }
 
+// replaceFile makes data the content of path, atomically and durably:
+// the bytes are synced under a temporary name, renamed over path, and
+// the directory is synced so the rename survives a power loss too.
+func (s *FileStore) replaceFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = s.sync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil || s.nosync {
+		return err
+	}
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return s.sync(d)
+}
+
 func (s *FileStore) SetState(term uint64, votedFor string) error {
 	enc := codec.NewEncoder(nil)
 	enc.Uint64(term)
 	enc.String(votedFor)
-	tmp := s.metaPath() + ".tmp"
-	if err := os.WriteFile(tmp, enc.Bytes(), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.metaPath()); err != nil {
+	if err := s.replaceFile(s.metaPath(), enc.Bytes()); err != nil {
 		return err
 	}
 	return s.mem.SetState(term, votedFor)
@@ -260,17 +333,28 @@ func (s *FileStore) SetState(term uint64, votedFor string) error {
 
 func (s *FileStore) State() (uint64, string, error) { return s.mem.State() }
 
+// appendFrame appends e to buf as the log file holds it: a 4-byte
+// little-endian length, then the encoded entry.
+func appendFrame(buf []byte, e *LogEntry) []byte {
+	at := len(buf)
+	buf = codec.MarshalAppend(append(buf, 0, 0, 0, 0), e)
+	n := len(buf) - at - 4
+	buf[at], buf[at+1], buf[at+2], buf[at+3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
+	return buf
+}
+
 func (s *FileStore) Append(entries []LogEntry) error {
-	// One buffered write and one fsync for the whole batch — the
-	// group-commit path hands multi-entry batches straight through.
-	var buf []byte
-	for i := range entries {
-		body := codec.Marshal(&entries[i])
-		n := len(body)
-		buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-		buf = append(buf, body...)
+	// A gap must be refused before it reaches the file, where it would
+	// make the log unreadable.
+	if len(entries) > 0 && entries[0].Index != s.mem.LastIndex()+1 {
+		return fmt.Errorf("raft: append gap: entry %d, want %d", entries[0].Index, s.mem.LastIndex()+1)
 	}
-	if _, err := s.logF.Write(buf); err != nil {
+	// One write and one fsync for the whole batch.
+	s.buf = s.buf[:0]
+	for i := range entries {
+		s.buf = appendFrame(s.buf, &entries[i])
+	}
+	if _, err := s.logF.Write(s.buf); err != nil {
 		return err
 	}
 	if err := s.sync(s.logF); err != nil {
@@ -287,26 +371,11 @@ func (s *FileStore) Term(i uint64) (uint64, error)             { return s.mem.Te
 
 // rewriteLog persists the in-memory log image atomically.
 func (s *FileStore) rewriteLog() error {
-	tmp := s.logPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
+	var frames []byte
+	for i := range s.mem.log { // no lock: only this, the one writer, ever changes it
+		frames = appendFrame(frames, &s.mem.log[i])
 	}
-	for _, e := range s.mem.log {
-		body := codec.Marshal(&e)
-		n := len(body)
-		frame := append([]byte{byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24)}, body...)
-		if _, err := f.Write(frame); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := s.sync(f); err != nil {
-		f.Close()
-		return err
-	}
-	f.Close()
-	if err := os.Rename(tmp, s.logPath()); err != nil {
+	if err := s.replaceFile(s.logPath(), frames); err != nil {
 		return err
 	}
 	if s.logF != nil {
@@ -332,11 +401,7 @@ func (s *FileStore) SaveSnapshot(index, term uint64, data []byte) error {
 	enc.Uint64(index)
 	enc.Uint64(term)
 	enc.BytesField(data)
-	tmp := s.snapPath() + ".tmp"
-	if err := os.WriteFile(tmp, enc.Bytes(), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.snapPath()); err != nil {
+	if err := s.replaceFile(s.snapPath(), enc.Bytes()); err != nil {
 		return err
 	}
 	if err := s.mem.SaveSnapshot(index, term, data); err != nil {
