@@ -18,28 +18,16 @@ type benchMsg struct {
 	Weight float64
 }
 
-func (m *benchMsg) MarshalMochi(e *Encoder) {
-	e.Uint8(m.Kind)
-	e.Uint64(m.Seq)
-	e.Uint32(m.ID)
-	e.Uint16(m.Prov)
-	e.Bool(m.OK)
-	e.String(m.Name)
-	e.BytesField(m.Key)
-	e.BytesField(m.Value)
-	e.Float64(m.Weight)
-}
-
-func (m *benchMsg) UnmarshalMochi(d *Decoder) {
-	m.Kind = d.Uint8()
-	m.Seq = d.Uint64()
-	m.ID = d.Uint32()
-	m.Prov = d.Uint16()
-	m.OK = d.Bool()
-	m.Name = d.String()
-	m.Key = d.BytesField()
-	m.Value = d.BytesField()
-	m.Weight = d.Float64()
+func (m *benchMsg) Proc(p *Proc) {
+	p.Uint8(&m.Kind)
+	p.Uint64(&m.Seq)
+	p.Uint32(&m.ID)
+	p.Uint16(&m.Prov)
+	p.Bool(&m.OK)
+	p.String(&m.Name)
+	p.Bytes(&m.Key)
+	p.Bytes(&m.Value)
+	p.Float64(&m.Weight)
 }
 
 var benchIn = benchMsg{
@@ -78,17 +66,16 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 
 // BenchmarkCodecPooledRoundTrip measures the hot-path pattern the RPC
 // layers use: pooled encoder + zero-copy decode. The single remaining
-// allocation is the owned copy of the Name string (String(); StringRef
-// would alias). Primitive/bytes-only messages are allocation-free —
-// see TestCodecAllocsPinned.
+// allocation is the owned copy of the Name string. Primitive/bytes-only
+// messages are allocation-free — see TestCodecAllocsPinned.
 func BenchmarkCodecPooledRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	var out benchMsg
 	for i := 0; i < b.N; i++ {
 		e := GetEncoder()
-		benchIn.MarshalMochi(e)
+		benchIn.Proc(e.Proc())
 		d := GetDecoder(e.Bytes())
-		out.UnmarshalMochi(d)
+		out.Proc(d.Proc())
 		if err := d.Finish(); err != nil {
 			b.Fatal(err)
 		}

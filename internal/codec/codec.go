@@ -4,9 +4,11 @@
 // dependencies: little-endian fixed-width integers, unsigned varints
 // for lengths, and length-prefixed byte strings.
 //
-// The format is the moral equivalent of Mercury's "hg_proc"
-// serialization callbacks: each message type implements Marshal/
-// Unmarshal in terms of an Encoder/Decoder pair.
+// It has two layers. Encoder and Decoder are the primitives: append a
+// value, consume a value. On top of them a message states its fields
+// once, as a Proc method (proc.go) that the library runs in encode or
+// in decode mode — Mercury's "hg_proc" serialization callbacks — and
+// Marshal, Unmarshal and margo's RPC binding take any such Message.
 package codec
 
 import (
@@ -29,7 +31,8 @@ const MaxStringLen = 1 << 30
 
 // Encoder appends primitive values to a byte buffer.
 type Encoder struct {
-	buf []byte
+	buf  []byte
+	proc Proc
 }
 
 // NewEncoder returns an encoder writing into buf (may be nil).
@@ -88,18 +91,14 @@ func (e *Encoder) String(s string) {
 }
 
 // StringSlice appends a count-prefixed slice of strings.
-func (e *Encoder) StringSlice(ss []string) {
-	e.Uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		e.String(s)
-	}
-}
+func (e *Encoder) StringSlice(ss []string) { Slice(e.Proc(), &ss, (*Proc).String) }
 
 // Decoder consumes primitive values from a byte buffer.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	proc Proc
 }
 
 // NewDecoder returns a decoder reading from buf.
@@ -172,7 +171,10 @@ func (d *Decoder) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	// A multi-byte encoding that ends in a zero byte is a padded form
+	// of a smaller number. No encoder writes one, and accepting it
+	// would let two different byte strings be the same message.
+	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
 		d.fail(ErrOverflow)
 		return 0
 	}
@@ -181,15 +183,11 @@ func (d *Decoder) Uvarint() uint64 {
 }
 
 func (d *Decoder) Varint() int64 {
-	if d.err != nil {
-		return 0
+	u := d.Uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail(ErrOverflow)
-		return 0
-	}
-	d.off += n
 	return v
 }
 
@@ -252,14 +250,13 @@ func (d *Decoder) StringIntern() string {
 	return Intern(b)
 }
 
-// Count decodes an element count whose elements each occupy at least
-// minBytes (≥ 1) of input. A count the remaining input cannot hold
-// fails the decoder with ErrOverflow and returns 0, so the caller may
-// size an allocation by the result and loop to it without a check of
-// its own: a hostile count neither allocates past the input nor — when
-// nothing follows it — decodes as a valid empty collection.
-func (d *Decoder) Count(minBytes int) int {
-	n := d.Uvarint()
+// fits admits an element count n, just read, whose elements each occupy
+// at least minBytes (≥ 1) of input. A count the remaining input cannot
+// hold fails the decoder with ErrOverflow and returns 0, so Slice may
+// size its allocation by the result: a hostile count neither allocates
+// past the input nor — when nothing follows it — decodes as a valid
+// empty collection.
+func (d *Decoder) fits(n uint64, minBytes int) int {
 	if d.err != nil {
 		return 0
 	}
@@ -271,18 +268,8 @@ func (d *Decoder) Count(minBytes int) int {
 }
 
 // StringSlice decodes a count-prefixed slice of strings.
-func (d *Decoder) StringSlice() []string {
-	n := d.Count(1) // each string needs ≥1 length byte
-	if d.err != nil {
-		return nil
-	}
-	ss := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		ss = append(ss, d.String())
-		if d.err != nil {
-			return nil
-		}
-	}
+func (d *Decoder) StringSlice() (ss []string) {
+	Slice(d.Proc(), &ss, (*Proc).String)
 	return ss
 }
 
@@ -297,20 +284,10 @@ func (d *Decoder) Finish() error {
 	return nil
 }
 
-// Marshaler is implemented by message types that serialize themselves.
-type Marshaler interface {
-	MarshalMochi(e *Encoder)
-}
-
-// Unmarshaler is implemented by message types that deserialize themselves.
-type Unmarshaler interface {
-	UnmarshalMochi(d *Decoder)
-}
-
 // Marshal encodes m into a fresh buffer.
-func Marshal(m Marshaler) []byte {
+func Marshal(m Message) []byte {
 	e := NewEncoder(nil)
-	m.MarshalMochi(e)
+	m.Proc(e.Proc())
 	return e.Bytes()
 }
 
@@ -318,15 +295,23 @@ func Marshal(m Marshaler) []byte {
 // recycled scratch buffer) and returns the extended slice. It is the
 // allocation-free Marshal: steady-state callers pass the previous
 // result truncated with dst[:0].
-func MarshalAppend(dst []byte, m Marshaler) []byte {
-	e := Encoder{buf: dst}
-	m.MarshalMochi(&e)
-	return e.buf
+func MarshalAppend(dst []byte, m Message) []byte {
+	// A pooled encoder, lent dst as its buffer for the one call: one on
+	// the stack would escape through the interface call and allocate.
+	e := GetEncoder()
+	own := e.buf
+	e.buf = dst
+	m.Proc(e.Proc())
+	dst, e.buf = e.buf, own
+	PutEncoder(e)
+	return dst
 }
 
 // Unmarshal decodes buf into m, requiring full consumption.
-func Unmarshal(buf []byte, m Unmarshaler) error {
-	d := Decoder{buf: buf}
-	m.UnmarshalMochi(&d)
-	return d.Finish()
+func Unmarshal(buf []byte, m Message) error {
+	d := GetDecoder(buf)
+	m.Proc(d.Proc())
+	err := d.Finish()
+	PutDecoder(d)
+	return err
 }

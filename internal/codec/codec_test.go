@@ -135,12 +135,36 @@ func TestCount(t *testing.T) {
 		e := NewEncoder(nil)
 		e.Uvarint(tc.count)
 		d := NewDecoder(append(e.Bytes(), make([]byte, tc.trailing)...))
-		n := d.Count(tc.minBytes)
+		n := d.fits(d.Uvarint(), tc.minBytes)
 		if tc.ok && (d.Err() != nil || uint64(n) != tc.count) {
 			t.Errorf("Count(%d) of %d with %d bytes left = %d, %v; want accepted", tc.minBytes, tc.count, tc.trailing, n, d.Err())
 		}
 		if !tc.ok && (d.Err() != ErrOverflow || n != 0) {
 			t.Errorf("Count(%d) of %d with %d bytes left = %d, %v; want 0, ErrOverflow", tc.minBytes, tc.count, tc.trailing, n, d.Err())
+		}
+	}
+}
+
+// TestPaddedVarintRejected: a number has one encoding. The padded
+// forms binary.Uvarint would accept ({0x80, 0x00} for 0, {0x81, 0x00}
+// for 1) are refused, so an accepted message re-encodes to the bytes it
+// came from.
+func TestPaddedVarintRejected(t *testing.T) {
+	for _, in := range [][]byte{{0x80, 0x00}, {0x81, 0x00}, {0xff, 0x80, 0x00}} {
+		if d := NewDecoder(in); d.Uvarint() != 0 || d.Err() != ErrOverflow {
+			t.Errorf("Uvarint(%x) accepted: %v", in, d.Err())
+		}
+		if d := NewDecoder(in); d.Varint() != 0 || d.Err() != ErrOverflow {
+			t.Errorf("Varint(%x) accepted: %v", in, d.Err())
+		}
+	}
+	for _, v := range []int64{0, 1, -1, 63, -64, 64, 1 << 40, -(1 << 40), math.MaxInt64, math.MinInt64} {
+		e := NewEncoder(nil)
+		e.Varint(v)
+		e.Uvarint(uint64(v))
+		d := NewDecoder(e.Bytes())
+		if got, gotU := d.Varint(), d.Uvarint(); got != v || gotU != uint64(v) || d.Finish() != nil {
+			t.Errorf("round trip of %d = %d, %d, %v", v, got, gotU, d.Finish())
 		}
 	}
 }
@@ -240,14 +264,9 @@ type wirePair struct {
 	N    uint64
 }
 
-func (w *wirePair) MarshalMochi(e *Encoder) {
-	e.String(w.Name)
-	e.Uvarint(w.N)
-}
-
-func (w *wirePair) UnmarshalMochi(d *Decoder) {
-	w.Name = d.String()
-	w.N = d.Uvarint()
+func (w *wirePair) Proc(p *Proc) {
+	p.String(&w.Name)
+	p.Uvarint(&w.N)
 }
 
 func TestMarshalUnmarshalHelpers(t *testing.T) {

@@ -1,6 +1,12 @@
-// Package codectest holds the one hostile-input fuzz harness every
-// component's wire messages run under. It must only be imported from
-// _test.go files.
+// Package codectest holds the two checks every component's wire
+// messages run under: the hostile-input fuzz harness (FuzzMessages) and
+// the format pin (Golden). It must only be imported from _test.go
+// files.
+//
+// The rule: a type with a Proc method appears in exactly one package's
+// prototype list (its own package's wireProtos, in fuzz_test.go), and
+// that list goes to both checks. `make fuzz` runs FuzzWireMessages in
+// every package that has one.
 package codectest
 
 import (
@@ -11,11 +17,8 @@ import (
 	"mochi/internal/codec"
 )
 
-// Message is a wire message: both halves of the codec contract.
-type Message interface {
-	codec.Marshaler
-	codec.Unmarshaler
-}
+// Message is a wire message.
+type Message = codec.Message
 
 // allocFactor and allocSlack bound what decoding n input bytes may
 // allocate: the largest in-memory element a two-byte wire element

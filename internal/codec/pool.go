@@ -1,7 +1,7 @@
 // Pooling for the codec hot path. The RPC layers encode and decode a
 // header-sized message per send and per receive; without reuse, every
 // one of those costs an Encoder/Decoder allocation (the values escape
-// through the Marshaler/Unmarshaler interfaces) plus a backing buffer.
+// through the Message interface) plus a backing buffer.
 // The pools below make the steady-state cost zero, mirroring the
 // caller-owned-buffer discipline of Mercury's hg_proc.
 //

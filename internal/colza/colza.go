@@ -49,18 +49,11 @@ type stageArgs struct {
 	Data      []byte
 }
 
-func (a *stageArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uint64(a.ViewHash)
-	e.Uint64(a.Iteration)
-	e.Uint64(a.BlockID)
-	e.BytesField(a.Data)
-}
-
-func (a *stageArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.ViewHash = d.Uint64()
-	a.Iteration = d.Uint64()
-	a.BlockID = d.Uint64()
-	a.Data = append([]byte(nil), d.BytesField()...)
+func (a *stageArgs) Proc(p *codec.Proc) {
+	p.Uint64(&a.ViewHash)
+	p.Uint64(&a.Iteration)
+	p.Uint64(&a.BlockID)
+	p.BytesCopy(&a.Data)
 }
 
 type stageReply struct {
@@ -72,20 +65,12 @@ type stageReply struct {
 	Bytes  uint64
 }
 
-func (r *stageReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.Uint64(r.ViewHash)
-	e.Uint64(r.Blocks)
-	e.Uint64(r.Bytes)
-}
-
-func (r *stageReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	r.ViewHash = d.Uint64()
-	r.Blocks = d.Uint64()
-	r.Bytes = d.Uint64()
+func (r *stageReply) Proc(p *codec.Proc) {
+	p.Uint8(&r.Status)
+	p.String(&r.Err)
+	p.Uint64(&r.ViewHash)
+	p.Uint64(&r.Blocks)
+	p.Uint64(&r.Bytes)
 }
 
 // Provider is one pipeline member.
@@ -161,7 +146,7 @@ func (p *Provider) checkView(clientHash uint64) *stageReply {
 	return nil
 }
 
-func (p *Provider) handleStage(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Marshaler, error) {
+func (p *Provider) handleStage(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Message, error) {
 	if r := p.checkView(args.ViewHash); r != nil {
 		return r, nil
 	}
@@ -174,7 +159,7 @@ func (p *Provider) handleStage(_ context.Context, _ *mercury.Handle, args *stage
 	return &stageReply{ViewHash: p.ViewHash()}, nil
 }
 
-func (p *Provider) handlePrepare(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Marshaler, error) {
+func (p *Provider) handlePrepare(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Message, error) {
 	if r := p.checkView(args.ViewHash); r != nil {
 		return r, nil
 	}
@@ -184,7 +169,7 @@ func (p *Provider) handlePrepare(_ context.Context, _ *mercury.Handle, args *sta
 	return &stageReply{ViewHash: p.ViewHash()}, nil
 }
 
-func (p *Provider) handleCommit(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Marshaler, error) {
+func (p *Provider) handleCommit(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Message, error) {
 	p.mu.Lock()
 	if !p.prepared[args.Iteration] {
 		p.mu.Unlock()
@@ -203,7 +188,7 @@ func (p *Provider) handleCommit(_ context.Context, _ *mercury.Handle, args *stag
 	return &stageReply{Blocks: res.Blocks, Bytes: res.Bytes, ViewHash: p.ViewHash()}, nil
 }
 
-func (p *Provider) handleAbort(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Marshaler, error) {
+func (p *Provider) handleAbort(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Message, error) {
 	p.mu.Lock()
 	delete(p.prepared, args.Iteration)
 	p.mu.Unlock()

@@ -50,20 +50,12 @@ type kvCommand struct {
 	Value []byte
 }
 
-func (c *kvCommand) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(c.Op)
-	e.String(c.CID)
-	e.Uvarint(c.Seq)
-	e.BytesField(c.Key)
-	e.BytesField(c.Value)
-}
-
-func (c *kvCommand) UnmarshalMochi(d *codec.Decoder) {
-	c.Op = d.Uint8()
-	c.CID = d.String()
-	c.Seq = d.Uvarint()
-	c.Key = append([]byte(nil), d.BytesField()...)
-	c.Value = append([]byte(nil), d.BytesField()...)
+func (c *kvCommand) Proc(p *codec.Proc) {
+	p.Uint8(&c.Op)
+	p.String(&c.CID)
+	p.Uvarint(&c.Seq)
+	p.BytesCopy(&c.Key)
+	p.BytesCopy(&c.Value)
 }
 
 type kvResult struct {
@@ -72,16 +64,10 @@ type kvResult struct {
 	Value  []byte
 }
 
-func (r *kvResult) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.BytesField(r.Value)
-}
-
-func (r *kvResult) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	r.Value = append([]byte(nil), d.BytesField()...)
+func (r *kvResult) Proc(p *codec.Proc) {
+	p.Uint8(&r.Status)
+	p.String(&r.Err)
+	p.BytesCopy(&r.Value)
 }
 
 // kvSession is the at-most-once state for one client: the highest
@@ -192,9 +178,32 @@ func (f *kvFSM) applyOne(cmd []byte) []byte {
 	return out
 }
 
-// Snapshot implements raft.FSM. The session table is part of the
-// state machine: a replica restored from a snapshot must still
-// recognize duplicates of commands the snapshot already covers.
+// kvSnapshot is the state machine as raft stores and ships it. The
+// session table is part of it: a replica restored from a snapshot must
+// still recognize duplicates of commands the snapshot already covers.
+type kvSnapshot struct {
+	Pairs    []yokan.KeyValue
+	Sessions []snapshotSession // by CID: the same state is the same bytes
+}
+
+type snapshotSession struct {
+	CID string
+	kvSession
+}
+
+func (s *kvSnapshot) Proc(p *codec.Proc) {
+	codec.Slice(p, &s.Pairs, func(p *codec.Proc, kv *yokan.KeyValue) {
+		p.Bytes(&kv.Key)
+		p.Bytes(&kv.Value)
+	})
+	codec.Slice(p, &s.Sessions, func(p *codec.Proc, e *snapshotSession) {
+		p.String(&e.CID)
+		p.Uvarint(&e.Seq)
+		p.BytesCopy(&e.Result)
+	})
+}
+
+// Snapshot implements raft.FSM.
 func (f *kvFSM) Snapshot() ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -202,29 +211,20 @@ func (f *kvFSM) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := codec.NewEncoder(nil)
-	e.Uvarint(uint64(len(kvs)))
-	for _, kv := range kvs {
-		e.BytesField(kv.Key)
-		e.BytesField(kv.Value)
+	snap := kvSnapshot{Pairs: kvs}
+	for cid, s := range f.sessions {
+		snap.Sessions = append(snap.Sessions, snapshotSession{cid, s})
 	}
-	cids := make([]string, 0, len(f.sessions))
-	for cid := range f.sessions {
-		cids = append(cids, cid)
-	}
-	sort.Strings(cids) // deterministic snapshot bytes
-	e.Uvarint(uint64(len(cids)))
-	for _, cid := range cids {
-		s := f.sessions[cid]
-		e.String(cid)
-		e.Uvarint(s.Seq)
-		e.BytesField(s.Result)
-	}
-	return e.Bytes(), nil
+	sort.Slice(snap.Sessions, func(i, j int) bool { return snap.Sessions[i].CID < snap.Sessions[j].CID })
+	return codec.Marshal(&snap), nil
 }
 
 // Restore implements raft.FSM.
-func (f *kvFSM) Restore(snap []byte) error {
+func (f *kvFSM) Restore(raw []byte) error {
+	var snap kvSnapshot
+	if err := codec.Unmarshal(raw, &snap); err != nil {
+		return err
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	// Clear the database by erasing all keys, then load the snapshot.
@@ -237,30 +237,16 @@ func (f *kvFSM) Restore(snap []byte) error {
 			return err
 		}
 	}
-	d := codec.NewDecoder(snap)
-	n := d.Count(2)
-	for i := 0; i < n; i++ {
-		k := append([]byte(nil), d.BytesField()...)
-		v := append([]byte(nil), d.BytesField()...)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if err := f.db.Put(k, v); err != nil {
+	for _, kv := range snap.Pairs {
+		if err := f.db.Put(kv.Key, kv.Value); err != nil {
 			return err
 		}
 	}
-	f.sessions = map[string]kvSession{}
-	ns := d.Count(3) // per session: id length, seq, result length
-	for i := 0; i < ns; i++ {
-		cid := d.String()
-		seq := d.Uvarint()
-		res := append([]byte(nil), d.BytesField()...)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		f.sessions[cid] = kvSession{Seq: seq, Result: res}
+	f.sessions = make(map[string]kvSession, len(snap.Sessions))
+	for _, s := range snap.Sessions {
+		f.sessions[s.CID] = s.kvSession
 	}
-	return d.Finish()
+	return nil
 }
 
 // NewRaftKVNode starts one member of a Raft-replicated key-value

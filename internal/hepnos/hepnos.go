@@ -58,16 +58,10 @@ type eventMeta struct {
 	Shard  uint32
 }
 
-func (m *eventMeta) MarshalMochi(e *codec.Encoder) {
-	e.Uint64(m.Region)
-	e.Uint64(m.Size)
-	e.Uint32(m.Shard)
-}
-
-func (m *eventMeta) UnmarshalMochi(d *codec.Decoder) {
-	m.Region = d.Uint64()
-	m.Size = d.Uint64()
-	m.Shard = d.Uint32()
+func (m *eventMeta) Proc(p *codec.Proc) {
+	p.Uint64(&m.Region)
+	p.Uint64(&m.Size)
+	p.Uint32(&m.Shard)
 }
 
 // EventStore is a client-side view of the sharded event service.

@@ -13,10 +13,9 @@ import (
 // written against it, the provider's RPC set, a client call.
 type greeting struct{ Text string }
 
-func (g *greeting) MarshalMochi(e *codec.Encoder)   { e.String(g.Text) }
-func (g *greeting) UnmarshalMochi(d *codec.Decoder) { g.Text = d.String() }
+func (g *greeting) Proc(p *codec.Proc) { p.String(&g.Text) }
 
-func hello(_ context.Context, _ *mercury.Handle, in *greeting) (codec.Marshaler, error) {
+func hello(_ context.Context, _ *mercury.Handle, in *greeting) (codec.Message, error) {
 	return &greeting{Text: "hello, " + in.Text}, nil
 }
 

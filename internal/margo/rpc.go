@@ -13,7 +13,7 @@ import (
 // The typed RPC binding: the anatomy every component shares (paper
 // Figure 1 — a provider "registers RPCs and their callbacks", a handle
 // maps to (address, provider ID)), written once. Messages are
-// codec.Marshaler/Unmarshaler values; Register/ForwardProvider remain
+// codec.Message values; Register/ForwardProvider remain
 // the byte-level floor this file is built on. The memory rules live
 // here and nowhere else:
 //
@@ -32,10 +32,10 @@ import (
 // into reply (nil discards it). Transport errors and a handler's
 // RespondError come back as the error; status codes inside reply are
 // the component's to interpret.
-func (m *Instance) Call(ctx context.Context, addr, rpc string, provider uint16, args codec.Marshaler, reply codec.Unmarshaler) error {
+func (m *Instance) Call(ctx context.Context, addr, rpc string, provider uint16, args, reply codec.Message) error {
 	e := codec.GetEncoder()
 	if args != nil {
-		args.MarshalMochi(e)
+		args.Proc(e.Proc())
 	}
 	out, err := m.ForwardProvider(ctx, addr, rpc, provider, e.Bytes())
 	codec.PutEncoder(e)
@@ -49,9 +49,9 @@ func (m *Instance) Call(ctx context.Context, addr, rpc string, provider uint16, 
 // Serve return their reply instead; Reply is for handlers that take no
 // arguments and for a Serve handler that kept the handle to answer
 // later.
-func Reply(h *mercury.Handle, reply codec.Marshaler) {
+func Reply(h *mercury.Handle, reply codec.Message) {
 	e := codec.GetEncoder()
-	reply.MarshalMochi(e)
+	reply.Proc(e.Proc())
 	_ = h.Respond(e.Bytes())
 	codec.PutEncoder(e)
 }
@@ -66,8 +66,8 @@ func Reply(h *mercury.Handle, reply codec.Marshaler) {
 // its own goroutine).
 func Serve[A any, PA interface {
 	*A
-	codec.Unmarshaler
-}](fn func(ctx context.Context, h *mercury.Handle, args *A) (codec.Marshaler, error)) Handler {
+	codec.Message
+}](fn func(ctx context.Context, h *mercury.Handle, args *A) (codec.Message, error)) Handler {
 	return func(ctx context.Context, h *mercury.Handle) {
 		args := new(A)
 		if err := codec.Unmarshal(h.Input(), PA(args)); err != nil {

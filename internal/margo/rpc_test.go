@@ -18,26 +18,16 @@ type note struct {
 	Items [][]byte
 }
 
-func (n *note) MarshalMochi(e *codec.Encoder) {
-	e.String(n.Text)
-	e.Uvarint(uint64(len(n.Items)))
-	for _, it := range n.Items {
-		e.BytesField(it)
-	}
-}
-
-func (n *note) UnmarshalMochi(d *codec.Decoder) {
-	n.Text = d.String()
-	for i, c := 0, d.Count(1); i < c && d.Err() == nil; i++ {
-		n.Items = append(n.Items, d.BytesField())
-	}
+func (n *note) Proc(p *codec.Proc) {
+	p.String(&n.Text)
+	codec.Slice(p, &n.Items, (*codec.Proc).Bytes)
 }
 
 func TestCallServeRoundTrip(t *testing.T) {
 	f := mercury.NewFabric()
 	srv, cli := newInstance(t, f, "srv", ""), newInstance(t, f, "cli", "")
 	set, err := srv.RegisterSet(7, nil, RPC{Name: "echo", Handler: Serve(
-		func(_ context.Context, h *mercury.Handle, in *note) (codec.Marshaler, error) {
+		func(_ context.Context, h *mercury.Handle, in *note) (codec.Message, error) {
 			if h.Provider() != 7 {
 				t.Errorf("handle provider = %d", h.Provider())
 			}
@@ -74,7 +64,7 @@ func TestServeAnswersMalformedInput(t *testing.T) {
 	srv, cli := newInstance(t, f, "srv", ""), newInstance(t, f, "cli", "")
 	var reached atomic.Int32
 	set, err := srv.RegisterSet(1, nil, RPC{Name: "n", Handler: Serve(
-		func(context.Context, *mercury.Handle, *note) (codec.Marshaler, error) {
+		func(context.Context, *mercury.Handle, *note) (codec.Message, error) {
 			reached.Add(1)
 			return &note{}, nil
 		})})
@@ -101,10 +91,10 @@ func TestServeErrorAndDeferredReply(t *testing.T) {
 	srv, cli := newInstance(t, f, "srv", ""), newInstance(t, f, "cli", "")
 	release := make(chan struct{})
 	set, err := srv.RegisterSet(1, nil,
-		RPC{Name: "fail", Handler: Serve(func(context.Context, *mercury.Handle, *note) (codec.Marshaler, error) {
+		RPC{Name: "fail", Handler: Serve(func(context.Context, *mercury.Handle, *note) (codec.Message, error) {
 			return nil, errors.New("no can do")
 		})},
-		RPC{Name: "later", Handler: Serve(func(_ context.Context, h *mercury.Handle, in *note) (codec.Marshaler, error) {
+		RPC{Name: "later", Handler: Serve(func(_ context.Context, h *mercury.Handle, in *note) (codec.Message, error) {
 			go func() {
 				<-release
 				Reply(h, &note{Text: in.Text + ", eventually"})

@@ -60,20 +60,12 @@ type BulkDescriptor struct {
 	Access uint8
 }
 
-// MarshalMochi implements codec.Marshaler.
-func (b *BulkDescriptor) MarshalMochi(e *codec.Encoder) {
-	e.String(b.Addr)
-	e.Uint64(b.ID)
-	e.Uint64(b.Size)
-	e.Uint8(b.Access)
-}
-
-// UnmarshalMochi implements codec.Unmarshaler.
-func (b *BulkDescriptor) UnmarshalMochi(d *codec.Decoder) {
-	b.Addr = d.String()
-	b.ID = d.Uint64()
-	b.Size = d.Uint64()
-	b.Access = d.Uint8()
+// Proc implements codec.Message.
+func (b *BulkDescriptor) Proc(p *codec.Proc) {
+	p.String(&b.Addr)
+	p.Uint64(&b.ID)
+	p.Uint64(&b.Size)
+	p.Uint8(&b.Access)
 }
 
 // CreateBulk registers mem for remote access and returns the handle.

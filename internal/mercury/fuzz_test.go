@@ -7,7 +7,31 @@ import (
 	"testing"
 
 	"mochi/internal/codec"
+	"mochi/internal/codec/codectest"
 )
+
+// wireProtos is one prototype of every message mercury itself encodes,
+// in the order the fuzz selector and testdata/wire.golden number them.
+func wireProtos() []codectest.Message {
+	return []codectest.Message{
+		&BulkDescriptor{Addr: "tcp://127.0.0.1:9999", ID: 7, Size: 1 << 20, Access: uint8(BulkReadWrite)},
+		&message{
+			kind: msgRequest, seq: 7, id: NameToID("fuzz"), provider: 3, src: "sm://fuzz-src",
+			status: 2, errmsg: "boom", auth: "token", payload: []byte("payload"),
+			bulkID: 1, bulkOff: 2, bulkLen: 3, traceID: 4, traceSpan: 5, traceFlag: 1,
+		},
+	}
+}
+
+// FuzzWireMessages runs the bulk descriptor, which travels inside other
+// components' arguments, and the transport's own frame body under the
+// shared hostile-input harness.
+func FuzzWireMessages(f *testing.F) {
+	codectest.FuzzMessages(f, wireProtos()...)
+}
+
+// TestWireGolden fails when the encoding of any of them changes.
+func TestWireGolden(t *testing.T) { codectest.Golden(t, wireProtos()...) }
 
 // frameReader returns an unconnected TCP transport and a reader over
 // data, to drive the connection read path (readMessage) from bytes.
@@ -32,7 +56,7 @@ func validFrameKind(kind msgKind, payload []byte) []byte {
 	m.payload = payload
 	enc := codec.GetEncoder()
 	enc.Uint32(0)
-	m.MarshalMochi(enc)
+	m.Proc(enc.Proc())
 	frame := append([]byte(nil), enc.Bytes()...)
 	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
 	codec.PutEncoder(enc)

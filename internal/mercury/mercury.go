@@ -150,73 +150,50 @@ func (m *message) releasePayload() {
 }
 
 // The wire layout is head, length-prefixed payload, tail. The three
-// parts are encoded and decoded separately so the TCP transport can
-// put a large payload on the wire, and take a bulk ack's payload off
-// it, without copying it through a frame buffer (see tcp.go).
-func (m *message) MarshalMochi(e *codec.Encoder) {
-	m.marshalHead(e)
-	e.BytesField(m.payload)
-	m.marshalTail(e)
+// parts are described separately so the TCP transport can put a large
+// payload on the wire, and take a bulk ack's payload off it, without
+// copying it through a frame buffer (see tcp.go).
+func (m *message) Proc(p *codec.Proc) {
+	m.procHead(p)
+	p.Bytes(&m.payload)
+	if p.Decoding() {
+		// The frame buffer is transport-owned and reused for the next
+		// frame, so the payload is copied out — into pooled scratch
+		// that the message's consumer recycles (Handle.release, bulk
+		// handlers).
+		m.payloadPooled = len(m.payload) > 0
+		if m.payloadPooled {
+			m.payload = codec.AppendBuffer(m.payload)
+		} else {
+			m.payload = nil
+		}
+	}
+	m.procTail(p)
 }
 
-func (m *message) marshalHead(e *codec.Encoder) {
-	e.Uint8(uint8(m.kind))
-	e.Uint64(m.seq)
-	e.Uint32(uint32(m.id))
-	e.Uint16(m.provider)
-	e.String(m.src)
-	e.Uint8(m.status)
-	e.String(m.errmsg)
-	e.String(m.auth)
+func (m *message) procHead(p *codec.Proc) {
+	p.Uint8((*uint8)(&m.kind))
+	p.Uint64(&m.seq)
+	p.Uint32((*uint32)(&m.id))
+	p.Uint16(&m.provider)
+	// src and auth repeat the same few values for a connection's whole
+	// lifetime; interning makes their steady-state decode free.
+	p.StringIntern(&m.src)
+	p.Uint8(&m.status)
+	p.String(&m.errmsg)
+	p.StringIntern(&m.auth)
 }
 
 // messageTailLen is the encoded size of the fields after the payload.
 const messageTailLen = 5*8 + 1
 
-func (m *message) marshalTail(e *codec.Encoder) {
-	e.Uint64(m.bulkID)
-	e.Uint64(m.bulkOff)
-	e.Uint64(m.bulkLen)
-	e.Uint64(m.traceID)
-	e.Uint64(m.traceSpan)
-	e.Uint8(m.traceFlag)
-}
-
-func (m *message) UnmarshalMochi(d *codec.Decoder) {
-	m.unmarshalHead(d)
-	// The frame buffer is transport-owned and reused for the next
-	// frame, so the payload is copied out — into pooled scratch that
-	// the message's consumer recycles (Handle.release, bulk handlers).
-	if b := d.BytesField(); len(b) > 0 {
-		m.payload = codec.AppendBuffer(b)
-		m.payloadPooled = true
-	} else {
-		m.payload = nil
-		m.payloadPooled = false
-	}
-	m.unmarshalTail(d)
-}
-
-func (m *message) unmarshalHead(d *codec.Decoder) {
-	m.kind = msgKind(d.Uint8())
-	m.seq = d.Uint64()
-	m.id = RPCID(d.Uint32())
-	m.provider = d.Uint16()
-	// src and auth repeat the same few values for a connection's whole
-	// lifetime; interning makes their steady-state decode free.
-	m.src = d.StringIntern()
-	m.status = d.Uint8()
-	m.errmsg = d.String()
-	m.auth = d.StringIntern()
-}
-
-func (m *message) unmarshalTail(d *codec.Decoder) {
-	m.bulkID = d.Uint64()
-	m.bulkOff = d.Uint64()
-	m.bulkLen = d.Uint64()
-	m.traceID = d.Uint64()
-	m.traceSpan = d.Uint64()
-	m.traceFlag = d.Uint8()
+func (m *message) procTail(p *codec.Proc) {
+	p.Uint64(&m.bulkID)
+	p.Uint64(&m.bulkOff)
+	p.Uint64(&m.bulkLen)
+	p.Uint64(&m.traceID)
+	p.Uint64(&m.traceSpan)
+	p.Uint8(&m.traceFlag)
 }
 
 // pendingTable maps in-flight sequence numbers to reply channels. It

@@ -617,13 +617,13 @@ func (t *tcpTransport) send(ctx context.Context, dst string, m *message) error {
 	enc.Uint32(0) // length placeholder
 	var head, body, tail []byte
 	if len(m.payload) >= bulkFrameMin {
-		m.marshalHead(enc)
+		m.procHead(enc.Proc())
 		enc.Uvarint(uint64(len(m.payload)))
 		split := enc.Len()
-		m.marshalTail(enc)
+		m.procTail(enc.Proc())
 		head, body, tail = enc.Bytes()[:split], m.payload, enc.Bytes()[split:]
 	} else {
-		m.MarshalMochi(enc)
+		m.Proc(enc.Proc())
 		head = enc.Bytes()
 	}
 	binary.LittleEndian.PutUint32(head[:4], uint32(len(head)-4+len(body)+len(tail)))
@@ -763,7 +763,7 @@ func (c *Class) readBulkAck(br *bufio.Reader, n int) (m *message, handled bool, 
 	}
 	m = getMessage()
 	d := codec.GetDecoder(peek)
-	m.unmarshalHead(d)
+	m.procHead(d.Proc())
 	size := d.Uvarint()
 	head := len(peek) - d.Remaining()
 	isAck := d.Err() == nil && m.kind == msgBulkAck && m.status == 0 &&
@@ -795,7 +795,7 @@ func (c *Class) readBulkAck(br *bufio.Reader, n int) (m *message, handled bool, 
 		return nil, true, err
 	}
 	d = codec.GetDecoder(tail[:])
-	m.unmarshalTail(d)
+	m.procTail(d.Proc())
 	codec.PutDecoder(d)
 	m.landed = true
 	return m, true, nil
@@ -858,7 +858,7 @@ func readFrameBody(r io.Reader, n int, scratch *[]byte) (*message, error) {
 	body = body[:n]
 	m := getMessage()
 	d := codec.GetDecoder(body)
-	m.UnmarshalMochi(d)
+	m.Proc(d.Proc())
 	err := d.Finish()
 	codec.PutDecoder(d)
 	if err != nil {

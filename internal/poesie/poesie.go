@@ -84,8 +84,7 @@ type execArgs struct {
 	Script string
 }
 
-func (a *execArgs) MarshalMochi(e *codec.Encoder)   { e.String(a.Script) }
-func (a *execArgs) UnmarshalMochi(d *codec.Decoder) { a.Script = d.String() }
+func (a *execArgs) Proc(p *codec.Proc) { p.String(&a.Script) }
 
 type execReply struct {
 	OK     bool
@@ -94,21 +93,14 @@ type execReply struct {
 	Output string // print() output
 }
 
-func (r *execReply) MarshalMochi(e *codec.Encoder) {
-	e.Bool(r.OK)
-	e.String(r.Err)
-	e.String(r.Result)
-	e.String(r.Output)
+func (r *execReply) Proc(p *codec.Proc) {
+	p.Bool(&r.OK)
+	p.String(&r.Err)
+	p.String(&r.Result)
+	p.String(&r.Output)
 }
 
-func (r *execReply) UnmarshalMochi(d *codec.Decoder) {
-	r.OK = d.Bool()
-	r.Err = d.String()
-	r.Result = d.String()
-	r.Output = d.String()
-}
-
-func (p *Provider) handleExecute(_ context.Context, _ *mercury.Handle, args *execArgs) (codec.Marshaler, error) {
+func (p *Provider) handleExecute(_ context.Context, _ *mercury.Handle, args *execArgs) (codec.Message, error) {
 	engine := jx9.Engine{MaxSteps: p.cfg.MaxSteps}
 	p.mu.Lock()
 	globals := make(map[string]jx9.Value, len(p.env))

@@ -94,7 +94,7 @@ func replyError(msg string) error {
 // first, then the seeds; a refusal that names a different leader
 // redirects there without sleeping (bounded, so mutually stale hints
 // cannot hot-loop), anything else paces the retry.
-func (c *Client) call(ctx context.Context, rpc string, args codec.Marshaler, terminal func(error) bool) ([]byte, error) {
+func (c *Client) call(ctx context.Context, rpc string, args codec.Message, terminal func(error) bool) ([]byte, error) {
 	target := c.cachedLeader()
 	var lastErr error
 	fast := 0

@@ -68,7 +68,7 @@ func (h *handDriven) start(store Store, fsm FSM) *Node {
 
 // call sends one protocol RPC to the member and decodes the reply; an
 // RPC-level error is returned as is.
-func (h *handDriven) call(rpc string, args codec.Marshaler, reply codec.Unmarshaler) error {
+func (h *handDriven) call(rpc string, args codec.Message, reply codec.Message) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	out, err := h.peer.Forward(ctx, h.member.Addr(), rpc, codec.Marshal(args))

@@ -6,13 +6,10 @@ import (
 	"mochi/internal/codec/codectest"
 )
 
-// FuzzWireMessages runs every Raft wire message type under the shared
-// hostile-input harness: bytes from a compromised or corrupted peer
-// must produce decode errors, never panics, runaway allocations or a
-// different message on re-encoding.
-func FuzzWireMessages(f *testing.F) {
-	f.Add(uint8(2), []byte{0x01, 0x61, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	codectest.FuzzMessages(f,
+// wireProtos is one prototype of every wire message of the package, in
+// the order the fuzz selector and testdata/wire.golden number them.
+func wireProtos() []codectest.Message {
+	return []codectest.Message{
 		&requestVoteArgs{Group: "g", Term: 3, Candidate: "sm://a", LastLogIndex: 9, LastLogTerm: 2},
 		&requestVoteReply{Term: 3, Granted: true},
 		&appendEntriesArgs{
@@ -29,5 +26,18 @@ func FuzzWireMessages(f *testing.F) {
 		&snapshotEnvelope{Peers: []string{"sm://a"}, FSM: []byte("state")},
 		&readArgs{Group: "g", Query: []byte("get k")},
 		&statusArgs{Group: "g"},
-	)
+		&LogEntry{Index: 9, Term: 3, Type: EntryConfig, Data: []byte("sm://a,sm://b")},
+	}
 }
+
+// FuzzWireMessages runs every Raft wire message type under the shared
+// hostile-input harness: bytes from a compromised or corrupted peer
+// must produce decode errors, never panics, runaway allocations or a
+// different message on re-encoding.
+func FuzzWireMessages(f *testing.F) {
+	f.Add(uint8(2), []byte{0x01, 0x61, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	codectest.FuzzMessages(f, wireProtos()...)
+}
+
+// TestWireGolden fails when the encoding of any of them changes.
+func TestWireGolden(t *testing.T) { codectest.Golden(t, wireProtos()...) }

@@ -655,7 +655,7 @@ func (n *Node) sender(box <-chan Message) {
 // RPC is not reported: the core retransmits on its own timers.
 func (n *Node) send(m Message) {
 	rpc, timeout := rpcAppendEntries, 2*n.cfg.HeartbeatInterval
-	var args codec.Marshaler = m.Append
+	var args codec.Message = m.Append
 	switch {
 	case m.Vote != nil:
 		rpc, timeout, args = rpcRequestVote, n.cfg.ElectionTimeoutMin, m.Vote
@@ -984,7 +984,7 @@ func (n *Node) RemoveServer(ctx context.Context, addr string) error {
 
 // --- RPC handlers ---
 
-func (r *registry) handleVote(_ context.Context, _ *mercury.Handle, a *requestVoteArgs) (codec.Marshaler, error) {
+func (r *registry) handleVote(_ context.Context, _ *mercury.Handle, a *requestVoteArgs) (codec.Message, error) {
 	n := r.lookup(a.Group)
 	if n == nil {
 		return nil, fmt.Errorf("raft: unknown group %q", a.Group)
@@ -1005,8 +1005,8 @@ func (r *registry) handleVote(_ context.Context, _ *mercury.Handle, a *requestVo
 // handle under a tag, steps the core and returns with the handle kept;
 // dispatch answers it when the core emits the tag's Ack — in that same
 // step unless the answer has to wait for the disk.
-func logTraffic[A any](r *registry, group func(*A) string, input func(*Core, time.Time, *A, uint64)) func(context.Context, *mercury.Handle, *A) (codec.Marshaler, error) {
-	return func(_ context.Context, h *mercury.Handle, a *A) (codec.Marshaler, error) {
+func logTraffic[A any](r *registry, group func(*A) string, input func(*Core, time.Time, *A, uint64)) func(context.Context, *mercury.Handle, *A) (codec.Message, error) {
+	return func(_ context.Context, h *mercury.Handle, a *A) (codec.Message, error) {
 		n := r.lookup(group(a))
 		if n == nil {
 			return nil, fmt.Errorf("raft: unknown group %q", group(a))
@@ -1028,7 +1028,7 @@ func logTraffic[A any](r *registry, group func(*A) string, input func(*Core, tim
 // execution stream is free while the group works. Whoever resolves the
 // waiter sends the reply; an operation that could not start is answered
 // here.
-func (r *registry) serve(ctx context.Context, h *mercury.Handle, group, name string, result func(*Node) []byte, start func(*Node, *waiter) error) (codec.Marshaler, error) {
+func (r *registry) serve(ctx context.Context, h *mercury.Handle, group, name string, result func(*Node) []byte, start func(*Node, *waiter) error) (codec.Message, error) {
 	n := r.lookup(group)
 	if n == nil {
 		return &applyReply{Err: "unknown group"}, nil
@@ -1059,23 +1059,23 @@ func (n *Node) reply(o outcome) *applyReply {
 	return &applyReply{OK: true, Result: o.result}
 }
 
-func (r *registry) handleApply(ctx context.Context, h *mercury.Handle, a *applyArgs) (codec.Marshaler, error) {
+func (r *registry) handleApply(ctx context.Context, h *mercury.Handle, a *applyArgs) (codec.Message, error) {
 	return r.serve(ctx, h, a.Group, "raft.apply", nil,
 		func(n *Node, w *waiter) error { return n.propose(w, a.Cmd) })
 }
 
-func (r *registry) handleRead(ctx context.Context, h *mercury.Handle, a *readArgs) (codec.Marshaler, error) {
+func (r *registry) handleRead(ctx context.Context, h *mercury.Handle, a *readArgs) (codec.Message, error) {
 	return r.serve(ctx, h, a.Group, "raft.read",
 		func(n *Node) []byte { return n.fsm.(ReaderFSM).Read(a.Query) }, // read has checked the assertion
 		(*Node).read)
 }
 
-func (r *registry) handleConfigChange(ctx context.Context, h *mercury.Handle, a *configChangeArgs) (codec.Marshaler, error) {
+func (r *registry) handleConfigChange(ctx context.Context, h *mercury.Handle, a *configChangeArgs) (codec.Message, error) {
 	return r.serve(ctx, h, a.Group, "raft.config_change", nil,
 		func(n *Node, w *waiter) error { return n.changeConfig(w, a.Addr, a.Remove) })
 }
 
-func (r *registry) handleStatus(_ context.Context, _ *mercury.Handle, args *statusArgs) (codec.Marshaler, error) {
+func (r *registry) handleStatus(_ context.Context, _ *mercury.Handle, args *statusArgs) (codec.Message, error) {
 	n := r.lookup(args.Group)
 	if n == nil {
 		return &statusReply{}, nil

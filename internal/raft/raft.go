@@ -92,20 +92,13 @@ type LogEntry struct {
 	Data  []byte
 }
 
-// MarshalMochi implements codec.Marshaler.
-func (e *LogEntry) MarshalMochi(enc *codec.Encoder) {
-	enc.Uint64(e.Index)
-	enc.Uint64(e.Term)
-	enc.Uint8(uint8(e.Type))
-	enc.BytesField(e.Data)
-}
-
-// UnmarshalMochi implements codec.Unmarshaler.
-func (e *LogEntry) UnmarshalMochi(d *codec.Decoder) {
-	e.Index = d.Uint64()
-	e.Term = d.Uint64()
-	e.Type = EntryType(d.Uint8())
-	e.Data = append([]byte(nil), d.BytesField()...)
+// Proc implements codec.Message: the entry as it travels in
+// AppendEntries and as FileStore frames it on disk.
+func (e *LogEntry) Proc(p *codec.Proc) {
+	p.Uint64(&e.Index)
+	p.Uint64(&e.Term)
+	p.Uint8((*uint8)(&e.Type))
+	p.BytesCopy(&e.Data)
 }
 
 // Role is a node's current protocol role.

@@ -21,20 +21,12 @@ type requestVoteArgs struct {
 	LastLogTerm  uint64
 }
 
-func (a *requestVoteArgs) MarshalMochi(e *codec.Encoder) {
-	e.String(a.Group)
-	e.Uint64(a.Term)
-	e.String(a.Candidate)
-	e.Uint64(a.LastLogIndex)
-	e.Uint64(a.LastLogTerm)
-}
-
-func (a *requestVoteArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Group = d.String()
-	a.Term = d.Uint64()
-	a.Candidate = d.String()
-	a.LastLogIndex = d.Uint64()
-	a.LastLogTerm = d.Uint64()
+func (a *requestVoteArgs) Proc(p *codec.Proc) {
+	p.String(&a.Group)
+	p.Uint64(&a.Term)
+	p.String(&a.Candidate)
+	p.Uint64(&a.LastLogIndex)
+	p.Uint64(&a.LastLogTerm)
 }
 
 type requestVoteReply struct {
@@ -42,14 +34,9 @@ type requestVoteReply struct {
 	Granted bool
 }
 
-func (r *requestVoteReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint64(r.Term)
-	e.Bool(r.Granted)
-}
-
-func (r *requestVoteReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Term = d.Uint64()
-	r.Granted = d.Bool()
+func (r *requestVoteReply) Proc(p *codec.Proc) {
+	p.Uint64(&r.Term)
+	p.Bool(&r.Granted)
 }
 
 type appendEntriesArgs struct {
@@ -62,36 +49,14 @@ type appendEntriesArgs struct {
 	LeaderCommit uint64
 }
 
-func (a *appendEntriesArgs) MarshalMochi(e *codec.Encoder) {
-	e.String(a.Group)
-	e.Uint64(a.Term)
-	e.String(a.Leader)
-	e.Uint64(a.PrevLogIndex)
-	e.Uint64(a.PrevLogTerm)
-	e.Uvarint(uint64(len(a.Entries)))
-	for i := range a.Entries {
-		a.Entries[i].MarshalMochi(e)
-	}
-	e.Uint64(a.LeaderCommit)
-}
-
-func (a *appendEntriesArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Group = d.String()
-	a.Term = d.Uint64()
-	a.Leader = d.String()
-	a.PrevLogIndex = d.Uint64()
-	a.PrevLogTerm = d.Uint64()
-	n := d.Count(18) // per entry: index, term, type, data length
-	a.Entries = make([]LogEntry, 0, n)
-	for i := 0; i < n; i++ {
-		var le LogEntry
-		le.UnmarshalMochi(d)
-		if d.Err() != nil {
-			return
-		}
-		a.Entries = append(a.Entries, le)
-	}
-	a.LeaderCommit = d.Uint64()
+func (a *appendEntriesArgs) Proc(p *codec.Proc) {
+	p.String(&a.Group)
+	p.Uint64(&a.Term)
+	p.String(&a.Leader)
+	p.Uint64(&a.PrevLogIndex)
+	p.Uint64(&a.PrevLogTerm)
+	codec.Slice(p, &a.Entries, func(p *codec.Proc, e *LogEntry) { e.Proc(p) })
+	p.Uint64(&a.LeaderCommit)
 }
 
 type appendEntriesReply struct {
@@ -101,16 +66,10 @@ type appendEntriesReply struct {
 	ConflictIndex uint64
 }
 
-func (r *appendEntriesReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint64(r.Term)
-	e.Bool(r.Success)
-	e.Uint64(r.ConflictIndex)
-}
-
-func (r *appendEntriesReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Term = d.Uint64()
-	r.Success = d.Bool()
-	r.ConflictIndex = d.Uint64()
+func (r *appendEntriesReply) Proc(p *codec.Proc) {
+	p.Uint64(&r.Term)
+	p.Bool(&r.Success)
+	p.Uint64(&r.ConflictIndex)
 }
 
 type installSnapshotArgs struct {
@@ -123,24 +82,14 @@ type installSnapshotArgs struct {
 	Data      []byte
 }
 
-func (a *installSnapshotArgs) MarshalMochi(e *codec.Encoder) {
-	e.String(a.Group)
-	e.Uint64(a.Term)
-	e.String(a.Leader)
-	e.Uint64(a.LastIndex)
-	e.Uint64(a.LastTerm)
-	e.StringSlice(a.Peers)
-	e.BytesField(a.Data)
-}
-
-func (a *installSnapshotArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Group = d.String()
-	a.Term = d.Uint64()
-	a.Leader = d.String()
-	a.LastIndex = d.Uint64()
-	a.LastTerm = d.Uint64()
-	a.Peers = d.StringSlice()
-	a.Data = append([]byte(nil), d.BytesField()...)
+func (a *installSnapshotArgs) Proc(p *codec.Proc) {
+	p.String(&a.Group)
+	p.Uint64(&a.Term)
+	p.String(&a.Leader)
+	p.Uint64(&a.LastIndex)
+	p.Uint64(&a.LastTerm)
+	p.Strings(&a.Peers)
+	p.BytesCopy(&a.Data)
 }
 
 type applyArgs struct {
@@ -148,14 +97,9 @@ type applyArgs struct {
 	Cmd   []byte
 }
 
-func (a *applyArgs) MarshalMochi(e *codec.Encoder) {
-	e.String(a.Group)
-	e.BytesField(a.Cmd)
-}
-
-func (a *applyArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Group = d.String()
-	a.Cmd = append([]byte(nil), d.BytesField()...)
+func (a *applyArgs) Proc(p *codec.Proc) {
+	p.String(&a.Group)
+	p.BytesCopy(&a.Cmd)
 }
 
 // readArgs carries a ReadIndex query; the reply reuses applyReply.
@@ -164,14 +108,9 @@ type readArgs struct {
 	Query []byte
 }
 
-func (a *readArgs) MarshalMochi(e *codec.Encoder) {
-	e.String(a.Group)
-	e.BytesField(a.Query)
-}
-
-func (a *readArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Group = d.String()
-	a.Query = append([]byte(nil), d.BytesField()...)
+func (a *readArgs) Proc(p *codec.Proc) {
+	p.String(&a.Group)
+	p.BytesCopy(&a.Query)
 }
 
 type applyReply struct {
@@ -181,18 +120,11 @@ type applyReply struct {
 	LeaderHint string
 }
 
-func (r *applyReply) MarshalMochi(e *codec.Encoder) {
-	e.Bool(r.OK)
-	e.String(r.Err)
-	e.BytesField(r.Result)
-	e.String(r.LeaderHint)
-}
-
-func (r *applyReply) UnmarshalMochi(d *codec.Decoder) {
-	r.OK = d.Bool()
-	r.Err = d.String()
-	r.Result = append([]byte(nil), d.BytesField()...)
-	r.LeaderHint = d.String()
+func (r *applyReply) Proc(p *codec.Proc) {
+	p.Bool(&r.OK)
+	p.String(&r.Err)
+	p.BytesCopy(&r.Result)
+	p.String(&r.LeaderHint)
 }
 
 type configChangeArgs struct {
@@ -201,25 +133,17 @@ type configChangeArgs struct {
 	Remove bool
 }
 
-func (a *configChangeArgs) MarshalMochi(e *codec.Encoder) {
-	e.String(a.Group)
-	e.String(a.Addr)
-	e.Bool(a.Remove)
-}
-
-func (a *configChangeArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Group = d.String()
-	a.Addr = d.String()
-	a.Remove = d.Bool()
+func (a *configChangeArgs) Proc(p *codec.Proc) {
+	p.String(&a.Group)
+	p.String(&a.Addr)
+	p.Bool(&a.Remove)
 }
 
 type statusArgs struct {
 	Group string
 }
 
-func (a *statusArgs) MarshalMochi(e *codec.Encoder) { e.String(a.Group) }
-
-func (a *statusArgs) UnmarshalMochi(d *codec.Decoder) { a.Group = d.String() }
+func (a *statusArgs) Proc(p *codec.Proc) { p.String(&a.Group) }
 
 type statusReply struct {
 	OK          bool
@@ -231,24 +155,14 @@ type statusReply struct {
 	Peers       []string
 }
 
-func (r *statusReply) MarshalMochi(e *codec.Encoder) {
-	e.Bool(r.OK)
-	e.Uint8(r.Role)
-	e.Uint64(r.Term)
-	e.String(r.Leader)
-	e.Uint64(r.CommitIndex)
-	e.Uint64(r.LastApplied)
-	e.StringSlice(r.Peers)
-}
-
-func (r *statusReply) UnmarshalMochi(d *codec.Decoder) {
-	r.OK = d.Bool()
-	r.Role = d.Uint8()
-	r.Term = d.Uint64()
-	r.Leader = d.String()
-	r.CommitIndex = d.Uint64()
-	r.LastApplied = d.Uint64()
-	r.Peers = d.StringSlice()
+func (r *statusReply) Proc(p *codec.Proc) {
+	p.Bool(&r.OK)
+	p.Uint8(&r.Role)
+	p.Uint64(&r.Term)
+	p.String(&r.Leader)
+	p.Uint64(&r.CommitIndex)
+	p.Uint64(&r.LastApplied)
+	p.Strings(&r.Peers)
 }
 
 // snapshotEnvelope wraps an FSM snapshot with the peer configuration
@@ -258,12 +172,7 @@ type snapshotEnvelope struct {
 	FSM   []byte
 }
 
-func (s *snapshotEnvelope) MarshalMochi(e *codec.Encoder) {
-	e.StringSlice(s.Peers)
-	e.BytesField(s.FSM)
-}
-
-func (s *snapshotEnvelope) UnmarshalMochi(d *codec.Decoder) {
-	s.Peers = d.StringSlice()
-	s.FSM = append([]byte(nil), d.BytesField()...)
+func (s *snapshotEnvelope) Proc(p *codec.Proc) {
+	p.Strings(&s.Peers)
+	p.BytesCopy(&s.FSM)
 }

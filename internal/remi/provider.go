@@ -109,7 +109,7 @@ func (p *Provider) Close() error {
 }
 
 // status is the reply of the chunk and end RPCs.
-func status(err error) (codec.Marshaler, error) {
+func status(err error) (codec.Message, error) {
 	var r statusReply
 	if err != nil {
 		r.Status = 1
@@ -135,7 +135,7 @@ func (p *Provider) makeFileSet(args *beginArgs) (*FileSet, error) {
 // handleBegin starts a transfer. For MethodBulk the whole migration
 // completes inside this handler: the destination pulls each exposed
 // file in one bulk operation, verifies it, and writes it out.
-func (p *Provider) handleBegin(ctx context.Context, _ *mercury.Handle, args *beginArgs) (codec.Marshaler, error) {
+func (p *Provider) handleBegin(ctx context.Context, _ *mercury.Handle, args *beginArgs) (codec.Message, error) {
 	var reply beginReply
 	fs, err := p.makeFileSet(args)
 	if err == nil {
@@ -271,7 +271,7 @@ func (p *Provider) beginChunked(fs *FileSet) (uint64, error) {
 	return p.xferSeq, nil
 }
 
-func (p *Provider) handleChunk(_ context.Context, _ *mercury.Handle, args *chunkArgs) (codec.Marshaler, error) {
+func (p *Provider) handleChunk(_ context.Context, _ *mercury.Handle, args *chunkArgs) (codec.Message, error) {
 	p.mu.Lock()
 	in, ok := p.inflight[args.XferID]
 	p.mu.Unlock()
@@ -289,7 +289,7 @@ func (p *Provider) handleChunk(_ context.Context, _ *mercury.Handle, args *chunk
 	return status(nil)
 }
 
-func (p *Provider) handleEnd(ctx context.Context, _ *mercury.Handle, args *endArgs) (codec.Marshaler, error) {
+func (p *Provider) handleEnd(ctx context.Context, _ *mercury.Handle, args *endArgs) (codec.Message, error) {
 	p.mu.Lock()
 	in, ok := p.inflight[args.XferID]
 	delete(p.inflight, args.XferID)

@@ -22,6 +22,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"mochi/internal/codec"
@@ -177,51 +178,39 @@ type beginArgs struct {
 	Files    []wireFile
 }
 
-func (a *beginArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(a.Method)
-	e.Bool(a.InMemory)
-	e.String(a.Class)
-	e.Uvarint(uint64(len(a.Meta)))
-	for k, v := range a.Meta {
-		e.String(k)
-		e.String(v)
-	}
-	e.Uvarint(uint64(len(a.Files)))
-	for i := range a.Files {
-		f := &a.Files[i]
-		e.String(f.RelPath)
-		e.Int64(f.Size)
-		e.Uint32(f.CRC)
-		f.Bulk.MarshalMochi(e)
-	}
+func (a *beginArgs) Proc(p *codec.Proc) {
+	p.Uint8(&a.Method)
+	p.Bool(&a.InMemory)
+	p.String(&a.Class)
+	procMeta(p, &a.Meta)
+	codec.Slice(p, &a.Files, func(p *codec.Proc, f *wireFile) {
+		p.String(&f.RelPath)
+		p.Int64(&f.Size)
+		p.Uint32(&f.CRC)
+		f.Bulk.Proc(p)
+	})
 }
 
-func (a *beginArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Method = d.Uint8()
-	a.InMemory = d.Bool()
-	a.Class = d.String()
-	nm := d.Count(2)
-	a.Meta = make(map[string]string, nm)
-	for i := 0; i < nm; i++ {
-		k := d.String()
-		v := d.String()
-		if d.Err() != nil {
-			return
+// procMeta carries the map as a list of (key, value) elements, sorted
+// by key so that the same map is the same bytes every time.
+func procMeta(p *codec.Proc, meta *map[string]string) {
+	type entry struct{ k, v string }
+	var entries []entry
+	if !p.Decoding() {
+		for k, v := range *meta {
+			entries = append(entries, entry{k, v})
 		}
-		a.Meta[k] = v
+		sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
 	}
-	nf := d.Count(31) // per file: path length, size, crc, bulk descriptor
-	a.Files = make([]wireFile, 0, nf)
-	for i := 0; i < nf; i++ {
-		var f wireFile
-		f.RelPath = d.String()
-		f.Size = d.Int64()
-		f.CRC = d.Uint32()
-		f.Bulk.UnmarshalMochi(d)
-		if d.Err() != nil {
-			return
+	codec.Slice(p, &entries, func(p *codec.Proc, e *entry) {
+		p.String(&e.k)
+		p.String(&e.v)
+	})
+	if p.Decoding() {
+		*meta = make(map[string]string, len(entries))
+		for _, e := range entries {
+			(*meta)[e.k] = e.v
 		}
-		a.Files = append(a.Files, f)
 	}
 }
 
@@ -231,16 +220,10 @@ type beginReply struct {
 	XferID uint64
 }
 
-func (r *beginReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.Uint64(r.XferID)
-}
-
-func (r *beginReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	r.XferID = d.Uint64()
+func (r *beginReply) Proc(p *codec.Proc) {
+	p.Uint8(&r.Status)
+	p.String(&r.Err)
+	p.Uint64(&r.XferID)
 }
 
 // segment is one piece of one file; a chunk RPC carries several
@@ -257,52 +240,27 @@ type chunkArgs struct {
 	Segments []segment
 }
 
-func (a *chunkArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uint64(a.XferID)
-	e.Uvarint(uint64(len(a.Segments)))
-	for i := range a.Segments {
-		s := &a.Segments[i]
-		e.Uint32(s.FileIdx)
-		e.Int64(s.Offset)
-		e.BytesField(s.Data)
-	}
-}
-
-func (a *chunkArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.XferID = d.Uint64()
-	n := d.Count(13) // per segment: file index, offset, data length
-	a.Segments = make([]segment, 0, n)
-	for i := 0; i < n; i++ {
-		var s segment
-		s.FileIdx = d.Uint32()
-		s.Offset = d.Int64()
-		s.Data = append([]byte(nil), d.BytesField()...)
-		if d.Err() != nil {
-			return
-		}
-		a.Segments = append(a.Segments, s)
-	}
+func (a *chunkArgs) Proc(p *codec.Proc) {
+	p.Uint64(&a.XferID)
+	codec.Slice(p, &a.Segments, func(p *codec.Proc, s *segment) {
+		p.Uint32(&s.FileIdx)
+		p.Int64(&s.Offset)
+		p.BytesCopy(&s.Data)
+	})
 }
 
 type endArgs struct {
 	XferID uint64
 }
 
-func (a *endArgs) MarshalMochi(e *codec.Encoder) { e.Uint64(a.XferID) }
-
-func (a *endArgs) UnmarshalMochi(d *codec.Decoder) { a.XferID = d.Uint64() }
+func (a *endArgs) Proc(p *codec.Proc) { p.Uint64(&a.XferID) }
 
 type statusReply struct {
 	Status uint8
 	Err    string
 }
 
-func (r *statusReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-}
-
-func (r *statusReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
+func (r *statusReply) Proc(p *codec.Proc) {
+	p.Uint8(&r.Status)
+	p.String(&r.Err)
 }

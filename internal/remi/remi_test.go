@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -347,9 +348,29 @@ func TestMethodTradeoffShape(t *testing.T) {
 	}
 }
 
-func mustMarshal(m codec.Marshaler) []byte { return codec.Marshal(m) }
+func mustMarshal(m codec.Message) []byte { return codec.Marshal(m) }
 
-func unmarshal(b []byte, m codec.Unmarshaler) error { return codec.Unmarshal(b, m) }
+// TestBeginArgsEncodingIsDeterministic: the same begin message is the
+// same bytes every time — a retried begin equals its first attempt —
+// whatever order the runtime walks the metadata map in.
+func TestBeginArgsEncodingIsDeterministic(t *testing.T) {
+	a := &beginArgs{Class: "yokan", Meta: map[string]string{}}
+	for i := 0; i < 8; i++ {
+		a.Meta[fmt.Sprintf("key-%d", i)] = fmt.Sprintf("value-%d", i)
+	}
+	first := mustMarshal(a)
+	for i := 0; i < 64; i++ {
+		if again := mustMarshal(a); !bytes.Equal(first, again) {
+			t.Fatalf("attempt %d encodes differently:\n%x\n%x", i, first, again)
+		}
+	}
+	var back beginArgs
+	if err := unmarshal(first, &back); err != nil || !reflect.DeepEqual(back.Meta, a.Meta) {
+		t.Fatalf("metadata did not survive: %v, %v", back.Meta, err)
+	}
+}
+
+func unmarshal(b []byte, m codec.Message) error { return codec.Unmarshal(b, m) }
 
 // TestInMemoryFileSetTouchesNoDisk: a fileset built from bytes moves
 // by bulk, arrives as bytes, and neither side reads or writes a file;

@@ -106,7 +106,7 @@ type call struct {
 	seq     uint64
 	addr    string
 	rpc     string
-	args    codec.Marshaler
+	args    codec.Message
 	timeout time.Duration
 }
 
@@ -468,7 +468,7 @@ func (g *Group) notifier() {
 // keep registers h as unanswered and runs f with the number the
 // engine's ack will carry. The handler that called it returns without
 // replying; a stopped or unknown group answers "no" at once.
-func (g *Group) keep(h *mercury.Handle, f func(e *Engine, now time.Time, seq uint64)) (codec.Marshaler, error) {
+func (g *Group) keep(h *mercury.Handle, f func(e *Engine, now time.Time, seq uint64)) (codec.Message, error) {
 	if g == nil || !g.step(func(e *Engine, now time.Time) {
 		g.hseq++
 		g.handles[g.hseq] = h
@@ -479,21 +479,21 @@ func (g *Group) keep(h *mercury.Handle, f func(e *Engine, now time.Time, seq uin
 	return nil, nil
 }
 
-func (r *registry) handlePing(_ context.Context, h *mercury.Handle, args *pingArgs) (codec.Marshaler, error) {
+func (r *registry) handlePing(_ context.Context, h *mercury.Handle, args *pingArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
 	return g.keep(h, func(e *Engine, now time.Time, seq uint64) {
 		e.Ping(now, g.tbl.Intern(args.From), seq, g.ids(args.Updates))
 	})
 }
 
-func (r *registry) handlePingReq(_ context.Context, h *mercury.Handle, args *pingReqArgs) (codec.Marshaler, error) {
+func (r *registry) handlePingReq(_ context.Context, h *mercury.Handle, args *pingReqArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
 	return g.keep(h, func(e *Engine, now time.Time, seq uint64) {
 		e.PingReq(now, g.tbl.Intern(args.From), seq, g.tbl.Intern(args.Target), g.ids(args.Updates))
 	})
 }
 
-func (r *registry) handleJoin(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Marshaler, error) {
+func (r *registry) handleJoin(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
 	if g != nil && args.Addr != "" {
 		g.step(func(e *Engine, now time.Time) {
@@ -507,7 +507,7 @@ func (r *registry) handleJoin(_ context.Context, _ *mercury.Handle, args *joinAr
 	return g.viewReplyNow(), nil
 }
 
-func (r *registry) handleLeave(_ context.Context, _ *mercury.Handle, args *pingArgs) (codec.Marshaler, error) {
+func (r *registry) handleLeave(_ context.Context, _ *mercury.Handle, args *pingArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
 	if g != nil {
 		g.step(func(e *Engine, now time.Time) { e.Apply(now, g.ids(args.Updates)) })
@@ -515,7 +515,7 @@ func (r *registry) handleLeave(_ context.Context, _ *mercury.Handle, args *pingA
 	return &ackReply{OK: g != nil}, nil
 }
 
-func (r *registry) handleGetView(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Marshaler, error) {
+func (r *registry) handleGetView(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Message, error) {
 	return r.lookup(args.Group).viewReplyNow(), nil
 }
 

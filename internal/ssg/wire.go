@@ -17,29 +17,13 @@ const (
 // the same triple a view lists per member.
 type Update = Member
 
-func encodeUpdates(e *codec.Encoder, ups []Update) {
-	e.Uvarint(uint64(len(ups)))
-	for _, u := range ups {
-		e.String(u.Addr)
-		e.Uint64(u.Incarnation)
-		e.Uint8(uint8(u.State))
-	}
-}
-
-func decodeUpdates(d *codec.Decoder) []Update {
-	n := d.Count(10) // per update: address length, incarnation, state
-	ups := make([]Update, 0, n)
-	for i := 0; i < n; i++ {
-		var u Update
-		u.Addr = d.String()
-		u.Incarnation = d.Uint64()
-		u.State = State(d.Uint8())
-		if d.Err() != nil {
-			return nil
-		}
-		ups = append(ups, u)
-	}
-	return ups
+// procUpdates is the list of assertions every SWIM message ends with.
+func procUpdates(p *codec.Proc, ups *[]Update) {
+	codec.Slice(p, ups, func(p *codec.Proc, u *Update) {
+		p.String(&u.Addr)
+		p.Uint64(&u.Incarnation)
+		p.Uint8((*uint8)(&u.State))
+	})
 }
 
 type pingArgs struct {
@@ -48,16 +32,10 @@ type pingArgs struct {
 	Updates []Update
 }
 
-func (a *pingArgs) MarshalMochi(e *codec.Encoder) {
-	e.String(a.Group)
-	e.String(a.From)
-	encodeUpdates(e, a.Updates)
-}
-
-func (a *pingArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Group = d.String()
-	a.From = d.String()
-	a.Updates = decodeUpdates(d)
+func (a *pingArgs) Proc(p *codec.Proc) {
+	p.String(&a.Group)
+	p.String(&a.From)
+	procUpdates(p, &a.Updates)
 }
 
 type ackReply struct {
@@ -65,14 +43,9 @@ type ackReply struct {
 	Updates []Update
 }
 
-func (r *ackReply) MarshalMochi(e *codec.Encoder) {
-	e.Bool(r.OK)
-	encodeUpdates(e, r.Updates)
-}
-
-func (r *ackReply) UnmarshalMochi(d *codec.Decoder) {
-	r.OK = d.Bool()
-	r.Updates = decodeUpdates(d)
+func (r *ackReply) Proc(p *codec.Proc) {
+	p.Bool(&r.OK)
+	procUpdates(p, &r.Updates)
 }
 
 type pingReqArgs struct {
@@ -82,18 +55,11 @@ type pingReqArgs struct {
 	Updates []Update
 }
 
-func (a *pingReqArgs) MarshalMochi(e *codec.Encoder) {
-	e.String(a.Group)
-	e.String(a.From)
-	e.String(a.Target)
-	encodeUpdates(e, a.Updates)
-}
-
-func (a *pingReqArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Group = d.String()
-	a.From = d.String()
-	a.Target = d.String()
-	a.Updates = decodeUpdates(d)
+func (a *pingReqArgs) Proc(p *codec.Proc) {
+	p.String(&a.Group)
+	p.String(&a.From)
+	p.String(&a.Target)
+	procUpdates(p, &a.Updates)
 }
 
 type joinArgs struct {
@@ -101,14 +67,9 @@ type joinArgs struct {
 	Addr  string
 }
 
-func (a *joinArgs) MarshalMochi(e *codec.Encoder) {
-	e.String(a.Group)
-	e.String(a.Addr)
-}
-
-func (a *joinArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Group = d.String()
-	a.Addr = d.String()
+func (a *joinArgs) Proc(p *codec.Proc) {
+	p.String(&a.Group)
+	p.String(&a.Addr)
 }
 
 type viewReply struct {
@@ -118,16 +79,9 @@ type viewReply struct {
 	Members []Member
 }
 
-func (r *viewReply) MarshalMochi(e *codec.Encoder) {
-	e.Bool(r.OK)
-	e.String(r.Err)
-	e.Uint64(r.Version)
-	encodeUpdates(e, r.Members)
-}
-
-func (r *viewReply) UnmarshalMochi(d *codec.Decoder) {
-	r.OK = d.Bool()
-	r.Err = d.String()
-	r.Version = d.Uint64()
-	r.Members = decodeUpdates(d)
+func (r *viewReply) Proc(p *codec.Proc) {
+	p.Bool(&r.OK)
+	p.String(&r.Err)
+	p.Uint64(&r.Version)
+	procUpdates(p, &r.Members)
 }

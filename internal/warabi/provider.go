@@ -39,22 +39,13 @@ type ioArgs struct {
 	HasBulk bool
 }
 
-func (a *ioArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uint64(uint64(a.Region))
-	e.Int64(a.Offset)
-	e.Int64(a.Size)
-	e.BytesField(a.Data)
-	e.Bool(a.HasBulk)
-	a.Bulk.MarshalMochi(e)
-}
-
-func (a *ioArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Region = RegionID(d.Uint64())
-	a.Offset = d.Int64()
-	a.Size = d.Int64()
-	a.Data = append([]byte(nil), d.BytesField()...)
-	a.HasBulk = d.Bool()
-	a.Bulk.UnmarshalMochi(d)
+func (a *ioArgs) Proc(p *codec.Proc) {
+	p.Uint64((*uint64)(&a.Region))
+	p.Int64(&a.Offset)
+	p.Int64(&a.Size)
+	p.BytesCopy(&a.Data)
+	p.Bool(&a.HasBulk)
+	a.Bulk.Proc(p)
 }
 
 type ioReply struct {
@@ -66,29 +57,13 @@ type ioReply struct {
 	IDs    []RegionID
 }
 
-func (r *ioReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.Uint64(uint64(r.Region))
-	e.Int64(r.Size)
-	e.BytesField(r.Data)
-	e.Uvarint(uint64(len(r.IDs)))
-	for _, id := range r.IDs {
-		e.Uint64(uint64(id))
-	}
-}
-
-func (r *ioReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	r.Region = RegionID(d.Uint64())
-	r.Size = d.Int64()
-	r.Data = append([]byte(nil), d.BytesField()...)
-	n := d.Count(8)
-	r.IDs = make([]RegionID, 0, n)
-	for i := 0; i < n; i++ {
-		r.IDs = append(r.IDs, RegionID(d.Uint64()))
-	}
+func (r *ioReply) Proc(p *codec.Proc) {
+	p.Uint8(&r.Status)
+	p.String(&r.Err)
+	p.Uint64((*uint64)(&r.Region))
+	p.Int64(&r.Size)
+	p.BytesCopy(&r.Data)
+	codec.Slice(p, &r.IDs, func(p *codec.Proc, id *RegionID) { p.Uint64((*uint64)(id)) })
 }
 
 func errStatus(err error) (uint8, string) {
@@ -228,8 +203,8 @@ func (p *Provider) tgt() (Target, error) {
 
 // serve binds one region operation: it resolves the live target, runs
 // op and folds its error into the reply's status.
-func (p *Provider) serve(op func(context.Context, Target, *ioArgs, *ioReply) error) func(context.Context, *mercury.Handle, *ioArgs) (codec.Marshaler, error) {
-	return func(ctx context.Context, _ *mercury.Handle, args *ioArgs) (codec.Marshaler, error) {
+func (p *Provider) serve(op func(context.Context, Target, *ioArgs, *ioReply) error) func(context.Context, *mercury.Handle, *ioArgs) (codec.Message, error) {
+	return func(ctx context.Context, _ *mercury.Handle, args *ioArgs) (codec.Message, error) {
 		reply := &ioReply{}
 		t, err := p.tgt()
 		if err == nil {

@@ -53,7 +53,7 @@ func replyErr(status uint8, msg string) error {
 }
 
 // call runs one RPC against the handle's provider.
-func (h *DatabaseHandle) call(ctx context.Context, rpc string, args codec.Marshaler, reply codec.Unmarshaler) error {
+func (h *DatabaseHandle) call(ctx context.Context, rpc string, args, reply codec.Message) error {
 	return h.client.inst.Call(ctx, h.addr, rpc, h.provider, args, reply)
 }
 

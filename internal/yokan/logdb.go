@@ -59,16 +59,10 @@ type logRecord struct {
 	value []byte
 }
 
-func (r *logRecord) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.op)
-	e.BytesField(r.key)
-	e.BytesField(r.value)
-}
-
-func (r *logRecord) UnmarshalMochi(d *codec.Decoder) {
-	r.op = d.Uint8()
-	r.key = append([]byte(nil), d.BytesField()...)
-	r.value = append([]byte(nil), d.BytesField()...)
+func (r *logRecord) Proc(p *codec.Proc) {
+	p.Uint8(&r.op)
+	p.BytesCopy(&r.key)
+	p.BytesCopy(&r.value)
 }
 
 // logOp is one queued mutation. The key/value slices are borrowed
@@ -160,7 +154,7 @@ func (d *logDB) replay() error {
 func appendFrame(buf []byte, op uint8, key, value []byte) []byte {
 	e := codec.GetEncoder()
 	rec := logRecord{op: op, key: key, value: value}
-	rec.MarshalMochi(e)
+	rec.Proc(e.Proc())
 	body := e.Bytes()
 	n := len(body)
 	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))

@@ -201,7 +201,7 @@ func (p *Provider) database() (Database, error) {
 	return st.db, nil
 }
 
-func (p *Provider) handlePut(_ context.Context, _ *mercury.Handle, args *putArgs) (codec.Marshaler, error) {
+func (p *Provider) handlePut(_ context.Context, _ *mercury.Handle, args *putArgs) (codec.Message, error) {
 	db, err := p.database()
 	if err == nil {
 		if bw, ok := db.(BatchWriter); ok && len(args.Pairs) > 1 {
@@ -220,7 +220,7 @@ func (p *Provider) handlePut(_ context.Context, _ *mercury.Handle, args *putArgs
 	return &statusReply{Status: st, Err: msg}, nil
 }
 
-func (p *Provider) handleGet(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Marshaler, error) {
+func (p *Provider) handleGet(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Message, error) {
 	var reply valueReply
 	db, err := p.database()
 	if err == nil {
@@ -234,7 +234,7 @@ func (p *Provider) handleGet(_ context.Context, _ *mercury.Handle, args *keysArg
 	return &reply, nil
 }
 
-func (p *Provider) handleGetMulti(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Marshaler, error) {
+func (p *Provider) handleGetMulti(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Message, error) {
 	var reply valuesReply
 	db, err := p.database()
 	if err == nil {
@@ -263,7 +263,7 @@ func (p *Provider) handleGetMulti(_ context.Context, _ *mercury.Handle, args *ke
 	return &reply, nil
 }
 
-func (p *Provider) handleErase(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Marshaler, error) {
+func (p *Provider) handleErase(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Message, error) {
 	db, err := p.database()
 	if err == nil {
 		for _, k := range args.Keys {
@@ -276,7 +276,7 @@ func (p *Provider) handleErase(_ context.Context, _ *mercury.Handle, args *keysA
 	return &statusReply{Status: st, Err: msg}, nil
 }
 
-func (p *Provider) handleExists(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Marshaler, error) {
+func (p *Provider) handleExists(_ context.Context, _ *mercury.Handle, args *keysArgs) (codec.Message, error) {
 	var reply boolReply
 	db, err := p.database()
 	if err == nil {
@@ -302,7 +302,7 @@ func (p *Provider) handleCount(_ context.Context, h *mercury.Handle) {
 	margo.Reply(h, &reply)
 }
 
-func (p *Provider) handleListKeys(_ context.Context, _ *mercury.Handle, args *listArgs) (codec.Marshaler, error) {
+func (p *Provider) handleListKeys(_ context.Context, _ *mercury.Handle, args *listArgs) (codec.Message, error) {
 	var reply kvListReply
 	db, err := p.database()
 	if err == nil {
@@ -320,7 +320,7 @@ func (p *Provider) handleListKeys(_ context.Context, _ *mercury.Handle, args *li
 	return &reply, nil
 }
 
-func (p *Provider) handleListKeyValues(_ context.Context, _ *mercury.Handle, args *listArgs) (codec.Marshaler, error) {
+func (p *Provider) handleListKeyValues(_ context.Context, _ *mercury.Handle, args *listArgs) (codec.Message, error) {
 	var reply kvListReply
 	db, err := p.database()
 	if err == nil {
@@ -346,7 +346,8 @@ func (p *Provider) handleGetConfig(_ context.Context, h *mercury.Handle) {
 // Checkpoint writes a consistent snapshot of the database into dir
 // (one file named after the provider ID), the §7 Observation 9
 // "leveraging parallel file systems" path. It is exposed through the
-// provider's Bedrock module.
+// provider's Bedrock module. The file is one put of everything the
+// database holds, in putArgs's encoding.
 func (p *Provider) Checkpoint(dir string) error {
 	db, err := p.database()
 	if err != nil {
@@ -356,15 +357,9 @@ func (p *Provider) Checkpoint(dir string) error {
 	if err != nil {
 		return err
 	}
-	enc := codec.NewEncoder(nil)
-	enc.Uvarint(uint64(len(kvs)))
-	for _, kv := range kvs {
-		enc.BytesField(kv.Key)
-		enc.BytesField(kv.Value)
-	}
 	path := filepath.Join(dir, fmt.Sprintf("yokan-%d.ckpt", p.id))
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, enc.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(tmp, codec.Marshal(&putArgs{Pairs: kvs}), 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
@@ -382,19 +377,16 @@ func (p *Provider) Restore(dir string) error {
 	if err != nil {
 		return err
 	}
-	d := codec.NewDecoder(raw)
-	n := d.Count(2)
-	for i := 0; i < n; i++ {
-		k := append([]byte(nil), d.BytesField()...)
-		v := append([]byte(nil), d.BytesField()...)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		if err := db.Put(k, v); err != nil {
+	var ckpt putArgs
+	if err := codec.Unmarshal(raw, &ckpt); err != nil {
+		return err
+	}
+	for _, kv := range ckpt.Pairs {
+		if err := db.Put(kv.Key, kv.Value); err != nil {
 			return err
 		}
 	}
-	return d.Finish()
+	return nil
 }
 
 // Files returns the database's backing files, for REMI migration.

@@ -183,43 +183,33 @@ func (m *Map) Nodes() []string {
 	return out
 }
 
-// MarshalMochi encodes the map: epoch, vnode density, then the
-// shard→owner table. The ring is derived, never serialized.
-func (m *Map) MarshalMochi(e *codec.Encoder) {
-	e.Uint64(m.Epoch)
-	e.Uvarint(uint64(m.VNodes))
-	e.Uvarint(uint64(len(m.Owners)))
-	for _, o := range m.Owners {
-		e.String(o.Addr)
-		e.Uint16(o.Provider)
+// Proc describes the map: epoch, vnode density, then the shard→owner
+// table. The ring is derived, never serialized; decoding validates the
+// header and rebuilds it.
+func (m *Map) Proc(p *codec.Proc) {
+	p.Uint64(&m.Epoch)
+	vn := uint64(m.VNodes)
+	p.Uvarint(&vn)
+	if p.Decoding() { // a map is shared and immutable: encoding writes nothing
+		if vn < 1 || vn > MaxVNodes {
+			p.Fail(fmt.Errorf("%d vnodes per shard, outside [1,MaxVNodes=%d]", vn, MaxVNodes))
+		}
+		m.VNodes = int(vn)
+	}
+	codec.Slice(p, &m.Owners, procOwner)
+	if p.Decoding() {
+		if n := len(m.Owners); n < 1 || n > MaxShards {
+			p.Fail(fmt.Errorf("%d shards, outside [1,MaxShards=%d]", n, MaxShards))
+			m.Owners = nil
+			return
+		}
+		m.buildRing()
 	}
 }
 
-// UnmarshalMochi decodes and validates a map and rebuilds its ring.
-func (m *Map) UnmarshalMochi(d *codec.Decoder) {
-	m.Epoch = d.Uint64()
-	vn := d.Uvarint()
-	n := d.Count(3) // per owner: address length byte + provider
-	if d.Err() != nil {
-		return
-	}
-	if vn < 1 || vn > MaxVNodes || n < 1 || n > MaxShards {
-		// Leave Owners nil: Unmarshal's Finish rejects trailing
-		// bytes and DecodeMap rejects empty maps, so out-of-range
-		// headers never yield a usable map.
-		return
-	}
-	m.VNodes = int(vn)
-	m.Owners = make([]Owner, 0, n)
-	for i := 0; i < n; i++ {
-		addr := d.String()
-		prov := d.Uint16()
-		if d.Err() != nil {
-			return
-		}
-		m.Owners = append(m.Owners, Owner{Addr: addr, Provider: prov})
-	}
-	m.buildRing()
+func procOwner(p *codec.Proc, o *Owner) {
+	p.String(&o.Addr)
+	p.Uint16(&o.Provider)
 }
 
 // EncodeMap serializes a map to bytes.
@@ -230,9 +220,6 @@ func DecodeMap(b []byte) (*Map, error) {
 	var m Map
 	if err := codec.Unmarshal(b, &m); err != nil {
 		return nil, fmt.Errorf("router: bad shard map: %w", err)
-	}
-	if len(m.Owners) == 0 || m.ring == nil {
-		return nil, fmt.Errorf("router: bad shard map: empty")
 	}
 	return &m, nil
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mochi/internal/codec"
@@ -92,26 +93,35 @@ func TestMapShardSpread(t *testing.T) {
 	}
 }
 
+// TestDecodeMapRejectsGarbage: input that is not a map is refused, and
+// a header outside the bounds is refused by name — at the field that
+// is wrong, not as whatever the rest of the bytes then look like.
 func TestDecodeMapRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{},
-		{1, 2, 3},
-	}
-	// Out-of-range headers: vnodes or shard count beyond bounds.
+	good, _ := NewMap(2, testOwners(2), 4)
+	manyVNodes, manyShards := *good, *good
+	manyVNodes.VNodes = MaxVNodes + 1
+	manyShards.Owners = testOwners(MaxShards + 1)
 	e := codec.NewEncoder(nil)
 	e.Uint64(1)
-	e.Uvarint(uint64(MaxVNodes + 1))
 	e.Uvarint(1)
-	cases = append(cases, append([]byte(nil), e.Bytes()...))
-	e.Reset()
-	e.Uint64(1)
-	e.Uvarint(1)
-	e.Uvarint(uint64(MaxShards + 1))
-	cases = append(cases, append([]byte(nil), e.Bytes()...))
-	for i, b := range cases {
-		if _, err := DecodeMap(b); err == nil {
-			t.Fatalf("case %d: garbage decoded successfully", i)
+	e.Uvarint(uint64(MaxShards + 1)) // a count with no owners behind it
+	cases := []struct {
+		in   []byte
+		want string
+	}{
+		{nil, "short buffer"},
+		{[]byte{}, "short buffer"},
+		{[]byte{1, 2, 3}, "short buffer"},
+		{EncodeMap(&manyVNodes), fmt.Sprintf("%d vnodes per shard, outside [1,MaxVNodes=%d]", MaxVNodes+1, MaxVNodes)},
+		{EncodeMap(&manyShards), fmt.Sprintf("%d shards, outside [1,MaxShards=%d]", MaxShards+1, MaxShards)},
+		{e.Bytes(), "length overflow"},
+		{EncodeMap(&Map{Epoch: 1, VNodes: 4}), "0 shards, outside [1,MaxShards="},
+		{append(EncodeMap(good), 0), "1 trailing bytes"},
+	}
+	for i, c := range cases {
+		_, err := DecodeMap(c.in)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: error %v, want one containing %q", i, err, c.want)
 		}
 	}
 }

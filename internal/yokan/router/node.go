@@ -434,7 +434,7 @@ func (n *Node) dualForward(ctx context.Context, sh *shard, erase bool, keys [][]
 // reconfiguration fence) and answers with op's outcome, or with a
 // redirect when the shard is not, or no longer, served here.
 func (n *Node) serveShard(op func(ctx context.Context, sh *shard, args *opArgs, r *opReply) error) margo.Handler {
-	return margo.Serve(func(ctx context.Context, _ *mercury.Handle, args *opArgs) (codec.Marshaler, error) {
+	return margo.Serve(func(ctx context.Context, _ *mercury.Handle, args *opArgs) (codec.Message, error) {
 		r := &opReply{}
 		if sh := n.lookupShard(args.Shard); sh != nil {
 			sh.mu.RLock()
@@ -522,13 +522,13 @@ func (n *Node) handleFetchMap(_ context.Context, h *mercury.Handle) {
 }
 
 // status is the reply of a control RPC that returns no payload.
-func status(err error) (codec.Marshaler, error) {
+func status(err error) (codec.Message, error) {
 	r := &statusReply{}
 	r.Status, r.Err = statusFromErr(err)
 	return r, nil
 }
 
-func (n *Node) handleInstallMap(_ context.Context, _ *mercury.Handle, args *installArgs) (codec.Marshaler, error) {
+func (n *Node) handleInstallMap(_ context.Context, _ *mercury.Handle, args *installArgs) (codec.Message, error) {
 	m, err := DecodeMap(args.Map)
 	switch {
 	case err != nil:
@@ -566,7 +566,7 @@ func (n *Node) handleStats(_ context.Context, h *mercury.Handle) {
 // each hold the xstream the other's snapshot needs, until pullTimeout.
 // It runs on a goroutine of its own, which keeps the handle and answers
 // the RPC when done.
-func (n *Node) handleReshard(ctx context.Context, h *mercury.Handle, args *reshardArgs) (codec.Marshaler, error) {
+func (n *Node) handleReshard(ctx context.Context, h *mercury.Handle, args *reshardArgs) (codec.Message, error) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -590,7 +590,7 @@ func (n *Node) handleReshard(ctx context.Context, h *mercury.Handle, args *resha
 }
 
 // handlePrepare opens a staging area for an incoming shard.
-func (n *Node) handlePrepare(_ context.Context, _ *mercury.Handle, args *prepareArgs) (codec.Marshaler, error) {
+func (n *Node) handlePrepare(_ context.Context, _ *mercury.Handle, args *prepareArgs) (codec.Message, error) {
 	r := &prepareReply{RemiProvider: n.opts.RemiProviderID}
 	r.Status, r.Err = statusFromErr(n.prepare(args))
 	return r, nil
@@ -632,7 +632,7 @@ func (n *Node) prepare(args *prepareArgs) error {
 // promote was issued. Rejecting late arrivals (rather than applying
 // them to the now-owned shard) is what keeps a chaos-delayed
 // duplicate of an *older* write from clobbering a newer one.
-func (n *Node) handleStage(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Marshaler, error) {
+func (n *Node) handleStage(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Message, error) {
 	n.mu.Lock()
 	inc := n.incoming[args.Shard]
 	n.mu.Unlock()
@@ -687,7 +687,7 @@ func applyStaged(inc *staging, args *stageArgs) error {
 // becomes the owned shard, and the attached map (which names this
 // node the owner) becomes current *before* the source stops serving —
 // the ordering that makes the redirect chain always land.
-func (n *Node) handlePromote(_ context.Context, _ *mercury.Handle, args *promoteArgs) (codec.Marshaler, error) {
+func (n *Node) handlePromote(_ context.Context, _ *mercury.Handle, args *promoteArgs) (codec.Message, error) {
 	m, err := DecodeMap(args.Map)
 	if err != nil {
 		return status(err)
@@ -719,7 +719,7 @@ func (n *Node) handlePromote(_ context.Context, _ *mercury.Handle, args *promote
 }
 
 // handleAbort tears down a staging area after a failed migration.
-func (n *Node) handleAbort(_ context.Context, _ *mercury.Handle, args *abortArgs) (codec.Marshaler, error) {
+func (n *Node) handleAbort(_ context.Context, _ *mercury.Handle, args *abortArgs) (codec.Message, error) {
 	n.mu.Lock()
 	inc := n.incoming[args.Shard]
 	if inc != nil && inc.migID == args.MigID {

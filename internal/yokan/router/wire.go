@@ -51,48 +51,27 @@ type opArgs struct {
 	Pairs []yokan.KeyValue // put
 }
 
-func (a *opArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uint64(a.Epoch)
-	e.Uint32(a.Shard)
-	encodeKeysPairs(e, a.Keys, a.Pairs)
+func (a *opArgs) Proc(p *codec.Proc) {
+	p.Uint64(&a.Epoch)
+	p.Uint32(&a.Shard)
+	procKeysPairs(p, &a.Keys, &a.Pairs)
 }
 
-func (a *opArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Epoch = d.Uint64()
-	a.Shard = d.Uint32()
-	a.Keys, a.Pairs = decodeKeysPairs(d)
+// procKeysPairs is the payload shared by opArgs and stageArgs: a key
+// list (get/erase/exists) then a pair list (put). Decoded slices alias
+// the decoder's buffer.
+func procKeysPairs(p *codec.Proc, keys *[][]byte, pairs *[]yokan.KeyValue) {
+	codec.Slice(p, keys, (*codec.Proc).Bytes)
+	codec.Slice(p, pairs, func(p *codec.Proc, kv *yokan.KeyValue) {
+		p.Bytes(&kv.Key)
+		p.Bytes(&kv.Value)
+	})
 }
 
-// encodeKeysPairs and decodeKeysPairs are the payload shared by opArgs
-// and stageArgs: a key list (get/erase/exists) then a pair list (put).
-// Decoded slices alias the decoder's buffer; an empty list decodes as
-// nil.
-func encodeKeysPairs(e *codec.Encoder, keys [][]byte, pairs []yokan.KeyValue) {
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.BytesField(k)
-	}
-	e.Uvarint(uint64(len(pairs)))
-	for _, kv := range pairs {
-		e.BytesField(kv.Key)
-		e.BytesField(kv.Value)
-	}
-}
-
-func decodeKeysPairs(d *codec.Decoder) (keys [][]byte, pairs []yokan.KeyValue) {
-	if n := d.Count(1); n > 0 {
-		keys = make([][]byte, 0, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			keys = append(keys, d.BytesField())
-		}
-	}
-	if n := d.Count(2); n > 0 {
-		pairs = make([]yokan.KeyValue, 0, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			pairs = append(pairs, yokan.KeyValue{Key: d.BytesField(), Value: d.BytesField()})
-		}
-	}
-	return keys, pairs
+// procStatus is how every reply begins.
+func procStatus(p *codec.Proc, status *uint8, err *string) {
+	p.Uint8(status)
+	p.String(err)
 }
 
 // opReply answers every data RPC. Map is only set with statusStale.
@@ -105,22 +84,12 @@ type opReply struct {
 	Map    []byte
 }
 
-func (r *opReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.Bool(r.Found)
-	e.BytesField(r.Value)
-	e.Uvarint(r.Count)
-	e.BytesField(r.Map)
-}
-
-func (r *opReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	r.Found = d.Bool()
-	r.Value = d.BytesField()
-	r.Count = d.Uvarint()
-	r.Map = d.BytesField()
+func (r *opReply) Proc(p *codec.Proc) {
+	procStatus(p, &r.Status, &r.Err)
+	p.Bool(&r.Found)
+	p.Bytes(&r.Value)
+	p.Uvarint(&r.Count)
+	p.Bytes(&r.Map)
 }
 
 // mapReply answers RPCFetchMap.
@@ -130,16 +99,9 @@ type mapReply struct {
 	Map    []byte
 }
 
-func (r *mapReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.BytesField(r.Map)
-}
-
-func (r *mapReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	r.Map = d.BytesField()
+func (r *mapReply) Proc(p *codec.Proc) {
+	procStatus(p, &r.Status, &r.Err)
+	p.Bytes(&r.Map)
 }
 
 // installArgs carries a map to install. Bootstrap additionally asks
@@ -152,14 +114,9 @@ type installArgs struct {
 	Map       []byte
 }
 
-func (a *installArgs) MarshalMochi(e *codec.Encoder) {
-	e.Bool(a.Bootstrap)
-	e.BytesField(a.Map)
-}
-
-func (a *installArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Bootstrap = d.Bool()
-	a.Map = d.BytesField()
+func (a *installArgs) Proc(p *codec.Proc) {
+	p.Bool(&a.Bootstrap)
+	p.Bytes(&a.Map)
 }
 
 // statusReply answers control RPCs that return no payload.
@@ -168,15 +125,7 @@ type statusReply struct {
 	Err    string
 }
 
-func (r *statusReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-}
-
-func (r *statusReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-}
+func (r *statusReply) Proc(p *codec.Proc) { procStatus(p, &r.Status, &r.Err) }
 
 // prepareArgs opens a staging area for shard at the destination.
 type prepareArgs struct {
@@ -184,14 +133,9 @@ type prepareArgs struct {
 	MigID uint64
 }
 
-func (a *prepareArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uint32(a.Shard)
-	e.Uint64(a.MigID)
-}
-
-func (a *prepareArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Shard = d.Uint32()
-	a.MigID = d.Uint64()
+func (a *prepareArgs) Proc(p *codec.Proc) {
+	p.Uint32(&a.Shard)
+	p.Uint64(&a.MigID)
 }
 
 // prepareReply tells the source which REMI provider to ship the
@@ -202,16 +146,9 @@ type prepareReply struct {
 	RemiProvider uint16
 }
 
-func (r *prepareReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.Uint16(r.RemiProvider)
-}
-
-func (r *prepareReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	r.RemiProvider = d.Uint16()
+func (r *prepareReply) Proc(p *codec.Proc) {
+	procStatus(p, &r.Status, &r.Err)
+	p.Uint16(&r.RemiProvider)
 }
 
 // stageArgs forwards one write of the dual-write window to the
@@ -230,20 +167,12 @@ type stageArgs struct {
 	Pairs []yokan.KeyValue
 }
 
-func (a *stageArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uint32(a.Shard)
-	e.Uint64(a.MigID)
-	e.Uvarint(a.Seq)
-	e.Bool(a.Erase)
-	encodeKeysPairs(e, a.Keys, a.Pairs)
-}
-
-func (a *stageArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Shard = d.Uint32()
-	a.MigID = d.Uint64()
-	a.Seq = d.Uvarint()
-	a.Erase = d.Bool()
-	a.Keys, a.Pairs = decodeKeysPairs(d)
+func (a *stageArgs) Proc(p *codec.Proc) {
+	p.Uint32(&a.Shard)
+	p.Uint64(&a.MigID)
+	p.Uvarint(&a.Seq)
+	p.Bool(&a.Erase)
+	procKeysPairs(p, &a.Keys, &a.Pairs)
 }
 
 // promoteArgs commits the flip at the destination: the staging area
@@ -254,16 +183,10 @@ type promoteArgs struct {
 	Map   []byte
 }
 
-func (a *promoteArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uint32(a.Shard)
-	e.Uint64(a.MigID)
-	e.BytesField(a.Map)
-}
-
-func (a *promoteArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Shard = d.Uint32()
-	a.MigID = d.Uint64()
-	a.Map = d.BytesField()
+func (a *promoteArgs) Proc(p *codec.Proc) {
+	p.Uint32(&a.Shard)
+	p.Uint64(&a.MigID)
+	p.Bytes(&a.Map)
 }
 
 // abortArgs tears down a staging area after a failed migration.
@@ -272,14 +195,9 @@ type abortArgs struct {
 	MigID uint64
 }
 
-func (a *abortArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uint32(a.Shard)
-	e.Uint64(a.MigID)
-}
-
-func (a *abortArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Shard = d.Uint32()
-	a.MigID = d.Uint64()
+func (a *abortArgs) Proc(p *codec.Proc) {
+	p.Uint32(&a.Shard)
+	p.Uint64(&a.MigID)
 }
 
 // reshardArgs asks a node to move one of its shards to dst.
@@ -288,16 +206,9 @@ type reshardArgs struct {
 	Dst   Owner
 }
 
-func (a *reshardArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uint32(a.Shard)
-	e.String(a.Dst.Addr)
-	e.Uint16(a.Dst.Provider)
-}
-
-func (a *reshardArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.Shard = d.Uint32()
-	a.Dst.Addr = d.String()
-	a.Dst.Provider = d.Uint16()
+func (a *reshardArgs) Proc(p *codec.Proc) {
+	p.Uint32(&a.Shard)
+	procOwner(p, &a.Dst)
 }
 
 // ShardStat is one shard's load sample as reported by RPCStats:
@@ -317,32 +228,12 @@ type statsReply struct {
 	Stats  []ShardStat
 }
 
-func (r *statsReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.Uint64(r.Epoch)
-	e.Uvarint(uint64(len(r.Stats)))
-	for _, s := range r.Stats {
-		e.Uint32(s.Shard)
-		e.Uvarint(s.Ops)
-		e.Uvarint(s.Bytes)
-	}
-}
-
-func (r *statsReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	r.Epoch = d.Uint64()
-	n := d.Count(6) // uint32 + two varints
-	r.Stats = make([]ShardStat, 0, n)
-	for i := 0; i < n; i++ {
-		var s ShardStat
-		s.Shard = d.Uint32()
-		s.Ops = d.Uvarint()
-		s.Bytes = d.Uvarint()
-		if d.Err() != nil {
-			return
-		}
-		r.Stats = append(r.Stats, s)
-	}
+func (r *statsReply) Proc(p *codec.Proc) {
+	procStatus(p, &r.Status, &r.Err)
+	p.Uint64(&r.Epoch)
+	codec.Slice(p, &r.Stats, func(p *codec.Proc, s *ShardStat) {
+		p.Uint32(&s.Shard)
+		p.Uvarint(&s.Ops)
+		p.Uvarint(&s.Bytes)
+	})
 }

@@ -19,62 +19,35 @@ const (
 // Wire message types. Status codes: 0 OK, 1 key-not-found, 2 other
 // error (message in Err).
 //
-// Decode ownership (DESIGN.md "Hot-path memory discipline"): both
-// directions alias the underlying buffer instead of copying. Reply
-// types are decoded client-side from the Forward result, which the
-// caller owns and never recycles. Argument types are decoded
-// server-side from a request buffer that mercury recycles only after
-// the handler responds; the Database contract forbids implementations
-// from retaining key/value slices beyond the call, and every handler
-// finishes its database calls before responding, so aliasing is safe
-// and the decode path allocates nothing per byte slice.
+// Decode ownership (DESIGN.md "Hot-path memory discipline"): every byte
+// field below is a Bytes, never a BytesCopy — both directions alias the
+// underlying buffer instead of copying. Reply types are decoded
+// client-side from the Forward result, which the caller owns and never
+// recycles. Argument types are decoded server-side from a request
+// buffer that mercury recycles only after the handler responds; the
+// Database contract forbids implementations from retaining key/value
+// slices beyond the call, and every handler finishes its database
+// calls before responding, so aliasing is safe and the decode path
+// allocates nothing per byte slice.
 
 type putArgs struct {
 	Pairs []KeyValue
 }
 
-func (a *putArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uvarint(uint64(len(a.Pairs)))
-	for _, kv := range a.Pairs {
-		e.BytesField(kv.Key)
-		e.BytesField(kv.Value)
-	}
-}
+func (a *putArgs) Proc(p *codec.Proc) { procPairs(p, &a.Pairs) }
 
-func (a *putArgs) UnmarshalMochi(d *codec.Decoder) {
-	n := d.Count(2)
-	a.Pairs = make([]KeyValue, 0, n)
-	for i := 0; i < n; i++ {
-		k := d.BytesField()
-		v := d.BytesField()
-		if d.Err() != nil {
-			return
-		}
-		a.Pairs = append(a.Pairs, KeyValue{Key: k, Value: v})
-	}
+func procPairs(p *codec.Proc, pairs *[]KeyValue) {
+	codec.Slice(p, pairs, func(p *codec.Proc, kv *KeyValue) {
+		p.Bytes(&kv.Key)
+		p.Bytes(&kv.Value)
+	})
 }
 
 type keysArgs struct {
 	Keys [][]byte
 }
 
-func (a *keysArgs) MarshalMochi(e *codec.Encoder) {
-	e.Uvarint(uint64(len(a.Keys)))
-	for _, k := range a.Keys {
-		e.BytesField(k)
-	}
-}
-
-func (a *keysArgs) UnmarshalMochi(d *codec.Decoder) {
-	n := d.Count(1)
-	a.Keys = make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		a.Keys = append(a.Keys, d.BytesField())
-		if d.Err() != nil {
-			return
-		}
-	}
-}
+func (a *keysArgs) Proc(p *codec.Proc) { codec.Slice(p, &a.Keys, (*codec.Proc).Bytes) }
 
 type listArgs struct {
 	FromKey []byte
@@ -83,18 +56,17 @@ type listArgs struct {
 	Max     uint32
 }
 
-func (a *listArgs) MarshalMochi(e *codec.Encoder) {
-	e.Bool(a.HasFrom)
-	e.BytesField(a.FromKey)
-	e.BytesField(a.Prefix)
-	e.Uint32(a.Max)
+func (a *listArgs) Proc(p *codec.Proc) {
+	p.Bool(&a.HasFrom)
+	p.Bytes(&a.FromKey)
+	p.Bytes(&a.Prefix)
+	p.Uint32(&a.Max)
 }
 
-func (a *listArgs) UnmarshalMochi(d *codec.Decoder) {
-	a.HasFrom = d.Bool()
-	a.FromKey = d.BytesField()
-	a.Prefix = d.BytesField()
-	a.Max = d.Uint32()
+// procStatus is how every reply begins.
+func procStatus(p *codec.Proc, status *uint8, err *string) {
+	p.Uint8(status)
+	p.String(err)
 }
 
 type statusReply struct {
@@ -102,15 +74,7 @@ type statusReply struct {
 	Err    string
 }
 
-func (r *statusReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-}
-
-func (r *statusReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-}
+func (r *statusReply) Proc(p *codec.Proc) { procStatus(p, &r.Status, &r.Err) }
 
 type valueReply struct {
 	Status uint8
@@ -118,16 +82,9 @@ type valueReply struct {
 	Value  []byte
 }
 
-func (r *valueReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.BytesField(r.Value)
-}
-
-func (r *valueReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	r.Value = d.BytesField()
+func (r *valueReply) Proc(p *codec.Proc) {
+	procStatus(p, &r.Status, &r.Err)
+	p.Bytes(&r.Value)
 }
 
 type valuesReply struct {
@@ -138,27 +95,29 @@ type valuesReply struct {
 	Values [][]byte
 }
 
-func (r *valuesReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.Uvarint(uint64(len(r.Found)))
-	for i := range r.Found {
-		e.Bool(r.Found[i])
-		e.BytesField(r.Values[i])
+// Proc carries the two parallel slices as one list of (found, value)
+// elements.
+func (r *valuesReply) Proc(p *codec.Proc) {
+	procStatus(p, &r.Status, &r.Err)
+	type result struct {
+		found bool
+		value []byte
 	}
-}
-
-func (r *valuesReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	n := d.Count(2)
-	r.Found = make([]bool, 0, n)
-	r.Values = make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		r.Found = append(r.Found, d.Bool())
-		r.Values = append(r.Values, d.BytesField())
-		if d.Err() != nil {
-			return
+	var results []result
+	if !p.Decoding() {
+		results = make([]result, len(r.Found))
+		for i := range results {
+			results[i] = result{r.Found[i], r.Values[i]}
+		}
+	}
+	codec.Slice(p, &results, func(p *codec.Proc, e *result) {
+		p.Bool(&e.found)
+		p.Bytes(&e.value)
+	})
+	if p.Decoding() {
+		r.Found, r.Values = make([]bool, len(results)), make([][]byte, len(results))
+		for i, e := range results {
+			r.Found[i], r.Values[i] = e.found, e.value
 		}
 	}
 }
@@ -169,16 +128,9 @@ type boolReply struct {
 	Value  bool
 }
 
-func (r *boolReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.Bool(r.Value)
-}
-
-func (r *boolReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	r.Value = d.Bool()
+func (r *boolReply) Proc(p *codec.Proc) {
+	procStatus(p, &r.Status, &r.Err)
+	p.Bool(&r.Value)
 }
 
 type countReply struct {
@@ -187,16 +139,9 @@ type countReply struct {
 	Count  uint64
 }
 
-func (r *countReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.Uvarint(r.Count)
-}
-
-func (r *countReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	r.Count = d.Uvarint()
+func (r *countReply) Proc(p *codec.Proc) {
+	procStatus(p, &r.Status, &r.Err)
+	p.Uvarint(&r.Count)
 }
 
 type kvListReply struct {
@@ -205,27 +150,7 @@ type kvListReply struct {
 	Pairs  []KeyValue
 }
 
-func (r *kvListReply) MarshalMochi(e *codec.Encoder) {
-	e.Uint8(r.Status)
-	e.String(r.Err)
-	e.Uvarint(uint64(len(r.Pairs)))
-	for _, kv := range r.Pairs {
-		e.BytesField(kv.Key)
-		e.BytesField(kv.Value)
-	}
-}
-
-func (r *kvListReply) UnmarshalMochi(d *codec.Decoder) {
-	r.Status = d.Uint8()
-	r.Err = d.String()
-	n := d.Count(2)
-	r.Pairs = make([]KeyValue, 0, n)
-	for i := 0; i < n; i++ {
-		k := d.BytesField()
-		v := d.BytesField()
-		if d.Err() != nil {
-			return
-		}
-		r.Pairs = append(r.Pairs, KeyValue{Key: k, Value: v})
-	}
+func (r *kvListReply) Proc(p *codec.Proc) {
+	procStatus(p, &r.Status, &r.Err)
+	procPairs(p, &r.Pairs)
 }
