@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-alloc bench-selftest bench-e2e bench-pairs bench-c10k bench-observe bench-full fuzz examples vet fmt-check loc lint reshard-soak observe-smoke sim sim-curves test-unsafe ci clean
+.PHONY: all build test race bench bench-alloc bench-selftest bench-e2e bench-pairs bench-c10k bench-observe bench-full fuzz examples vet fmt-check loc lint reshard-soak observe-smoke sim sim-curves ci clean
 
 all: build test
 
@@ -126,7 +126,6 @@ bench:
 # numbers for the same paths for context.
 bench-alloc:
 	$(GO) test -run 'AllocsPinned|AllocBytesPinned' -count=1 -v ./internal/codec/ ./internal/mercury/ ./internal/margo/ ./internal/yokan/... ./internal/raft/
-	$(GO) test -run 'AllocsPinned' -count=1 -tags mochi_unsafe ./internal/codec/ ./internal/mercury/
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec|BenchmarkForward|BenchmarkMulti' -benchtime=1000x -benchmem ./internal/codec/ ./internal/mercury/ ./internal/margo/ ./internal/yokan/
 
 # The standing benchmark (bench/, BENCHMARK.json) is a Go module of its
@@ -168,8 +167,6 @@ FUZZ_MESSAGE_PKGS = mercury raft yokan yokan/router ssg remi warabi colza poesie
 fuzz:
 	$(GO) test ./internal/codec/   -run '^FuzzDecoder$$'      -fuzz '^FuzzDecoder$$'      -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codec/   -run '^FuzzRoundTrip$$'    -fuzz '^FuzzRoundTrip$$'    -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/codec/   -run '^FuzzZeroCopyParity$$' -fuzz '^FuzzZeroCopyParity$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/codec/   -run '^FuzzZeroCopyParity$$' -fuzz '^FuzzZeroCopyParity$$' -fuzztime $(FUZZTIME) -tags mochi_unsafe
 	$(GO) test ./internal/mercury/ -run '^FuzzFrameDecode$$'  -fuzz '^FuzzFrameDecode$$'  -fuzztime $(FUZZTIME)
 	for p in $(FUZZ_MESSAGE_PKGS); do \
 		$(GO) test ./internal/$$p/ -run '^FuzzWireMessages$$' -fuzz '^FuzzWireMessages$$' -fuzztime $(FUZZTIME) || exit 1; \
@@ -207,15 +204,6 @@ bench-observe:
 	$(GO) test -run '^$$' -bench 'BenchmarkTracker|BenchmarkAggregator|BenchmarkRuntimeScrape' \
 		-benchtime=10000x -benchmem ./internal/observe/
 	$(GO) test -run '^$$' -bench 'BenchmarkForward' -benchtime=10000x -benchmem ./internal/margo/
-
-# Build and test the unsafe zero-copy codec flavor (string decode
-# aliases the frame buffer). CI runs this as its own leg; the
-# differential fuzz seeds in `make fuzz` prove byte-identical behavior
-# with the default build.
-test-unsafe:
-	$(GO) build -tags mochi_unsafe ./...
-	$(GO) vet -tags mochi_unsafe ./...
-	$(GO) test -tags mochi_unsafe -count=1 ./internal/codec/ ./internal/mercury/ ./internal/margo/ ./internal/yokan/
 
 # Full experiment sweeps with pretty tables (minutes).
 bench-full:

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"strconv"
 	"sync"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
 	"mochi/internal/modules"
+	"mochi/internal/pufferscale"
 	"mochi/internal/yokan/router"
 )
 
@@ -105,13 +107,14 @@ func main() {
 	// migration at a time, while the writer keeps going.
 	time.Sleep(100 * time.Millisecond)
 	spare := router.Owner{Addr: "sm://node-2", Provider: providerID}
-	bal := router.NewBalancer(client, nil)
+	reshard := router.Migrator(client)
 	moved := 0
 	for s, o := range r.Map().Owners {
 		if o.Addr != "sm://node-0" {
 			continue
 		}
-		if err := bal.Execute(ctx, &router.Decision{Shard: uint32(s), From: o, To: spare}); err != nil {
+		mv := pufferscale.Move{ResourceID: strconv.Itoa(s), From: o.String(), To: spare.String()}
+		if err := reshard(ctx, mv); err != nil {
 			log.Fatalf("reshard shard %d: %v", s, err)
 		}
 		moved++

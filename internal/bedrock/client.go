@@ -3,7 +3,6 @@ package bedrock
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 
 	"mochi/internal/margo"
 	"mochi/internal/metrics"
@@ -36,86 +35,48 @@ func (c *Client) MakeServiceHandle(addr string) *ServiceHandle {
 // Addr returns the target process address.
 func (sh *ServiceHandle) Addr() string { return sh.addr }
 
-func (sh *ServiceHandle) call(ctx context.Context, rpc string, args any) ([]byte, error) {
-	var payload []byte
-	if args != nil {
-		payload = mustJSON(args)
-	}
-	out, err := sh.client.inst.Forward(ctx, sh.addr, rpc, payload)
-	if err != nil {
-		return nil, err
-	}
-	var reply rpcReply
-	if err := json.Unmarshal(out, &reply); err != nil {
-		return nil, fmt.Errorf("bedrock: bad reply: %w", err)
-	}
-	if !reply.OK {
-		return nil, fmt.Errorf("bedrock: %s: %s", sh.addr, reply.Error)
-	}
-	return reply.Data, nil
+// call sends one control RPC to the handle's process; T is what the
+// reply's data decodes into, returned with the data as it arrived.
+func call[T any](ctx context.Context, sh *ServiceHandle, rpc string, args any) (T, []byte, error) {
+	return callJSON[T](ctx, sh.client.inst, sh.addr, rpc, args)
+}
+
+// do is call for an RPC whose reply carries nothing.
+func (sh *ServiceHandle) do(ctx context.Context, rpc string, args any) error {
+	_, _, err := call[json.RawMessage](ctx, sh, rpc, args)
+	return err
 }
 
 // GetConfig fetches the process's full live configuration.
 func (sh *ServiceHandle) GetConfig(ctx context.Context) (Config, []byte, error) {
-	raw, err := sh.call(ctx, rpcGetConfig, nil)
-	if err != nil {
-		return Config{}, nil, err
-	}
-	var cfg Config
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return Config{}, nil, err
-	}
-	return cfg, raw, nil
+	return call[Config](ctx, sh, rpcGetConfig, nil)
 }
 
 // QueryConfig runs a Jx9 script on the remote process (Listing 4)
 // and returns the result as JSON.
 func (sh *ServiceHandle) QueryConfig(ctx context.Context, script string) ([]byte, error) {
-	return sh.call(ctx, rpcQueryConfig, queryArgs{Script: script})
+	out, _, err := call[json.RawMessage](ctx, sh, rpcQueryConfig, queryArgs{Script: script})
+	return out, err
 }
 
 // AddPool adds a pool from a JSON config ("p.addPool(jsonPoolConfig)").
 func (sh *ServiceHandle) AddPool(ctx context.Context, jsonPoolConfig string) error {
-	out, err := sh.client.inst.Forward(ctx, sh.addr, rpcAddPool, []byte(jsonPoolConfig))
-	if err != nil {
-		return err
-	}
-	var reply rpcReply
-	if err := json.Unmarshal(out, &reply); err != nil {
-		return err
-	}
-	if !reply.OK {
-		return fmt.Errorf("bedrock: %s", reply.Error)
-	}
-	return nil
+	return sh.do(ctx, rpcAddPool, json.RawMessage(jsonPoolConfig))
 }
 
 // RemovePool removes a pool by name ("p.removePool(\"MyPoolX\")").
 func (sh *ServiceHandle) RemovePool(ctx context.Context, name string) error {
-	_, err := sh.call(ctx, rpcRemovePool, nameArgs{Name: name})
-	return err
+	return sh.do(ctx, rpcRemovePool, nameArgs{Name: name})
 }
 
 // AddXstream adds an execution stream from a JSON config.
 func (sh *ServiceHandle) AddXstream(ctx context.Context, jsonXstreamConfig string) error {
-	out, err := sh.client.inst.Forward(ctx, sh.addr, rpcAddXstream, []byte(jsonXstreamConfig))
-	if err != nil {
-		return err
-	}
-	var reply rpcReply
-	if err := json.Unmarshal(out, &reply); err != nil {
-		return err
-	}
-	if !reply.OK {
-		return fmt.Errorf("bedrock: %s", reply.Error)
-	}
-	return nil
+	return sh.do(ctx, rpcAddXstream, json.RawMessage(jsonXstreamConfig))
 }
 
 // RemoveXstream removes an execution stream by name.
 func (sh *ServiceHandle) RemoveXstream(ctx context.Context, name string) error {
-	_, err := sh.call(ctx, rpcRemoveXstream, nameArgs{Name: name})
-	return err
+	return sh.do(ctx, rpcRemoveXstream, nameArgs{Name: name})
 }
 
 // LoadModule makes a provider type available in the remote process
@@ -123,104 +84,69 @@ func (sh *ServiceHandle) RemoveXstream(ctx context.Context, name string) error {
 // for configuration fidelity; types resolve against the in-process
 // module registry.
 func (sh *ServiceHandle) LoadModule(ctx context.Context, typ, path string) error {
-	_, err := sh.call(ctx, rpcLoadModule, loadModuleArgs{Type: typ, Path: path})
-	return err
+	return sh.do(ctx, rpcLoadModule, loadModuleArgs{Type: typ, Path: path})
 }
 
 // StartProvider starts a provider remotely
 // ("p.startProvider(\"myProviderB\", \"B\", ...)").
 func (sh *ServiceHandle) StartProvider(ctx context.Context, pc ProviderConfig) error {
-	_, err := sh.call(ctx, rpcStartProvider, pc)
-	return err
+	return sh.do(ctx, rpcStartProvider, pc)
 }
 
 // StopProvider stops a provider remotely.
 func (sh *ServiceHandle) StopProvider(ctx context.Context, name string) error {
-	_, err := sh.call(ctx, rpcStopProvider, nameArgs{Name: name})
-	return err
+	return sh.do(ctx, rpcStopProvider, nameArgs{Name: name})
 }
 
 // MigrateProvider moves a provider's resource to another bedrock
 // process and stops it locally (§6).
 func (sh *ServiceHandle) MigrateProvider(ctx context.Context, name, destAddr string, destRemiID uint16, method string, removeSource bool) error {
-	_, err := sh.call(ctx, rpcMigrate, migrateArgs{
+	return sh.do(ctx, rpcMigrate, migrateArgs{
 		Name:         name,
 		DestAddr:     destAddr,
 		DestRemiID:   destRemiID,
 		Method:       method,
 		RemoveSource: removeSource,
 	})
-	return err
 }
 
 // CheckpointProvider saves a provider's state under dir (§7 Obs. 9).
 func (sh *ServiceHandle) CheckpointProvider(ctx context.Context, name, dir string) error {
-	_, err := sh.call(ctx, rpcCheckpoint, checkpointArgs{Name: name, Dir: dir})
-	return err
+	return sh.do(ctx, rpcCheckpoint, checkpointArgs{Name: name, Dir: dir})
 }
 
 // RestoreProvider loads a provider's state from dir.
 func (sh *ServiceHandle) RestoreProvider(ctx context.Context, name, dir string) error {
-	_, err := sh.call(ctx, rpcRestore, checkpointArgs{Name: name, Dir: dir})
-	return err
+	return sh.do(ctx, rpcRestore, checkpointArgs{Name: name, Dir: dir})
 }
 
 // GetStats fetches the remote process's monitoring snapshot
 // (Listing 1's schema), §4's runtime statistics API.
 func (sh *ServiceHandle) GetStats(ctx context.Context) (*margo.StatsSnapshot, []byte, error) {
-	raw, err := sh.call(ctx, rpcGetStats, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	var snap margo.StatsSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, nil, err
-	}
-	return &snap, raw, nil
+	return call[*margo.StatsSnapshot](ctx, sh, rpcGetStats, nil)
 }
 
 // GetMetrics fetches the remote process's metrics registry rendered
 // in Prometheus text format (the RPC twin of its /metrics endpoint).
 func (sh *ServiceHandle) GetMetrics(ctx context.Context) (string, error) {
-	raw, err := sh.call(ctx, rpcGetMetrics, nil)
-	if err != nil {
-		return "", err
-	}
-	var text string
-	if err := json.Unmarshal(raw, &text); err != nil {
-		return "", fmt.Errorf("bedrock: bad metrics reply: %w", err)
-	}
-	return text, nil
+	text, _, err := call[string](ctx, sh, rpcGetMetrics, nil)
+	return text, err
 }
 
 // GetMetricsSnapshot fetches the remote process's metrics registry in
 // structured snapshot form — the same data the federation aggregator
 // pulls and merges.
 func (sh *ServiceHandle) GetMetricsSnapshot(ctx context.Context) ([]metrics.FamilySnapshot, error) {
-	raw, err := sh.call(ctx, rpcGetMetrics, metricsArgs{Format: "snapshot"})
-	if err != nil {
-		return nil, err
-	}
-	var snap []metrics.FamilySnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("bedrock: bad metrics snapshot reply: %w", err)
-	}
-	return snap, nil
+	snap, _, err := call[[]metrics.FamilySnapshot](ctx, sh, rpcGetMetrics, metricsArgs{Format: "snapshot"})
+	return snap, err
 }
 
 // GetClusterMetrics asks the remote process for its federated cluster
 // view: every member it knows about, scraped and merged under a node
 // label. Render with metrics.WriteText for Prometheus text.
 func (sh *ServiceHandle) GetClusterMetrics(ctx context.Context) ([]metrics.FamilySnapshot, error) {
-	raw, err := sh.call(ctx, rpcGetCluster, nil)
-	if err != nil {
-		return nil, err
-	}
-	var snap []metrics.FamilySnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("bedrock: bad cluster metrics reply: %w", err)
-	}
-	return snap, nil
+	snap, _, err := call[[]metrics.FamilySnapshot](ctx, sh, rpcGetCluster, nil)
+	return snap, err
 }
 
 // GetProfile fetches one pprof profile (binary protobuf bytes) from
@@ -228,15 +154,8 @@ func (sh *ServiceHandle) GetClusterMetrics(ctx context.Context) ([]metrics.Famil
 // seconds; pass 0 for the server default. Requires
 // monitoring.profiling.pprof on the target.
 func (sh *ServiceHandle) GetProfile(ctx context.Context, name string, seconds int) ([]byte, error) {
-	raw, err := sh.call(ctx, rpcGetProfile, profileArgs{Name: name, Seconds: seconds})
-	if err != nil {
-		return nil, err
-	}
-	var data []byte
-	if err := json.Unmarshal(raw, &data); err != nil {
-		return nil, fmt.Errorf("bedrock: bad profile reply: %w", err)
-	}
-	return data, nil
+	data, _, err := call[[]byte](ctx, sh, rpcGetProfile, profileArgs{Name: name, Seconds: seconds})
+	return data, err
 }
 
 // GetTraces fetches the remote process's buffered trace spans (oldest
@@ -244,19 +163,10 @@ func (sh *ServiceHandle) GetProfile(ctx context.Context, name string, seconds in
 // from several processes — with trace.ChromeJSON for Perfetto or
 // about://tracing.
 func (sh *ServiceHandle) GetTraces(ctx context.Context) ([]trace.Span, []byte, error) {
-	raw, err := sh.call(ctx, rpcGetTraces, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	var spans []trace.Span
-	if err := json.Unmarshal(raw, &spans); err != nil {
-		return nil, nil, fmt.Errorf("bedrock: bad traces reply: %w", err)
-	}
-	return spans, raw, nil
+	return call[[]trace.Span](ctx, sh, rpcGetTraces, nil)
 }
 
 // Shutdown asks the remote process to shut down.
 func (sh *ServiceHandle) Shutdown(ctx context.Context) error {
-	_, err := sh.call(ctx, rpcShutdown, nil)
-	return err
+	return sh.do(ctx, rpcShutdown, nil)
 }

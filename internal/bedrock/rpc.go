@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"mochi/internal/argobots"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
 	"mochi/internal/observe"
@@ -60,160 +59,143 @@ type pinArgs struct {
 	Holder     string `json:"holder"`
 }
 
-func mustJSON(v any) []byte {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		panic(err) // all control structs are marshalable
+// respond sends the reply envelope: err's text, or data (nil for none)
+// as the reply's JSON.
+func respond(h *mercury.Handle, data any, err error) {
+	reply := rpcReply{OK: err == nil}
+	if err == nil && data != nil {
+		reply.Data, err = json.Marshal(data)
 	}
-	return raw
+	if err != nil {
+		reply = rpcReply{Error: err.Error()}
+	}
+	raw, _ := json.Marshal(reply) // a bool, a string and already-valid JSON
+	_ = h.Respond(raw)
 }
 
-func respondOK(h *mercury.Handle, data []byte) {
-	_ = h.Respond(mustJSON(rpcReply{OK: true, Data: data}))
+// serveJSON is the server half of the control plane: it turns fn,
+// written against decoded arguments, into a handler. Input that is not
+// A's JSON is answered here and never reaches fn; no input at all is
+// the zero A, which is what an RPC without arguments sends. fn's result
+// becomes the reply's data (a json.RawMessage goes out as it is), its
+// error the reply's error.
+func serveJSON[A any](fn func(ctx context.Context, args *A) (any, error)) margo.Handler {
+	return func(ctx context.Context, h *mercury.Handle) {
+		args := new(A)
+		if in := h.Input(); len(in) > 0 {
+			if err := json.Unmarshal(in, args); err != nil {
+				respond(h, nil, err)
+				return
+			}
+		}
+		data, err := fn(ctx, args)
+		respond(h, data, err)
+	}
 }
 
-func respondErr(h *mercury.Handle, err error) {
-	_ = h.Respond(mustJSON(rpcReply{Error: err.Error()}))
+// callJSON is the client half: it sends args (nil for none) to the
+// bedrock process at addr and decodes the reply's data into an R,
+// returning the data as it arrived too. A reply without data leaves R
+// zero.
+func callJSON[R any](ctx context.Context, inst *margo.Instance, addr, rpc string, args any) (out R, data []byte, err error) {
+	var payload []byte
+	if args != nil {
+		if payload, err = json.Marshal(args); err != nil {
+			return out, nil, fmt.Errorf("bedrock: %s arguments: %w", rpc, err)
+		}
+	}
+	raw, err := inst.Forward(ctx, addr, rpc, payload)
+	if err != nil {
+		return out, nil, err
+	}
+	var reply rpcReply
+	if err := json.Unmarshal(raw, &reply); err != nil {
+		return out, nil, fmt.Errorf("bedrock: bad %s reply: %w", rpc, err)
+	}
+	if !reply.OK {
+		return out, nil, fmt.Errorf("bedrock: %s: %s", addr, reply.Error)
+	}
+	if len(reply.Data) > 0 {
+		if err := json.Unmarshal(reply.Data, &out); err != nil {
+			return out, nil, fmt.Errorf("bedrock: bad %s reply: %w", rpc, err)
+		}
+	}
+	return out, reply.Data, nil
 }
+
+// noArgs is what an RPC without arguments decodes.
+type noArgs struct{}
 
 // registerRPCs installs the control RPCs (JSON payloads) as one set; the
 // instance is finalized with the server, which is what removes them.
 func (s *Server) registerRPCs() error {
 	_, err := s.inst.RegisterSet(mercury.AnyProvider, nil,
-		margo.RPC{Name: rpcGetConfig, Handler: s.rpcGetConfig},
-		margo.RPC{Name: rpcQueryConfig, Handler: s.rpcQueryConfig},
-		margo.RPC{Name: rpcAddPool, Handler: s.rpcAddPool},
-		margo.RPC{Name: rpcRemovePool, Handler: s.rpcRemovePool},
-		margo.RPC{Name: rpcAddXstream, Handler: s.rpcAddXstream},
-		margo.RPC{Name: rpcRemoveXstream, Handler: s.rpcRemoveXstream},
-		margo.RPC{Name: rpcLoadModule, Handler: s.rpcLoadModule},
-		margo.RPC{Name: rpcStartProvider, Handler: s.rpcStartProvider},
-		margo.RPC{Name: rpcStopProvider, Handler: s.rpcStopProvider},
-		margo.RPC{Name: rpcMigrate, Handler: s.rpcMigrate},
-		margo.RPC{Name: rpcCheckpoint, Handler: s.rpcCheckpoint},
-		margo.RPC{Name: rpcRestore, Handler: s.rpcRestore},
-		margo.RPC{Name: rpcPin, Handler: s.rpcPin},
-		margo.RPC{Name: rpcUnpin, Handler: s.rpcUnpin},
+		margo.RPC{Name: rpcGetConfig, Handler: serveJSON(func(context.Context, *noArgs) (any, error) {
+			raw, err := s.GetConfig()
+			return json.RawMessage(raw), err
+		})},
+		margo.RPC{Name: rpcQueryConfig, Handler: serveJSON(func(_ context.Context, a *queryArgs) (any, error) {
+			out, err := s.QueryConfig(a.Script)
+			return json.RawMessage(out), err
+		})},
+		margo.RPC{Name: rpcAddPool, Handler: serveJSON(func(_ context.Context, cfg *json.RawMessage) (any, error) {
+			_, err := s.inst.AddPoolFromJSON(*cfg)
+			return nil, err
+		})},
+		margo.RPC{Name: rpcRemovePool, Handler: serveJSON(func(_ context.Context, a *nameArgs) (any, error) {
+			return nil, s.inst.RemovePool(a.Name)
+		})},
+		margo.RPC{Name: rpcAddXstream, Handler: serveJSON(func(_ context.Context, cfg *json.RawMessage) (any, error) {
+			_, err := s.inst.AddXstreamFromJSON(*cfg)
+			return nil, err
+		})},
+		margo.RPC{Name: rpcRemoveXstream, Handler: serveJSON(func(_ context.Context, a *nameArgs) (any, error) {
+			return nil, s.inst.RemoveXstream(a.Name)
+		})},
+		margo.RPC{Name: rpcLoadModule, Handler: serveJSON(func(_ context.Context, a *loadModuleArgs) (any, error) {
+			return nil, s.loadModule(a.Type)
+		})},
+		margo.RPC{Name: rpcStartProvider, Handler: serveJSON(func(_ context.Context, pc *ProviderConfig) (any, error) {
+			return nil, s.StartProvider(*pc)
+		})},
+		margo.RPC{Name: rpcStopProvider, Handler: serveJSON(func(_ context.Context, a *nameArgs) (any, error) {
+			return nil, s.StopProvider(a.Name)
+		})},
+		margo.RPC{Name: rpcMigrate, Handler: serveJSON(s.rpcMigrate)},
+		margo.RPC{Name: rpcCheckpoint, Handler: serveJSON(func(_ context.Context, a *checkpointArgs) (any, error) {
+			return nil, s.CheckpointProvider(a.Name, a.Dir)
+		})},
+		margo.RPC{Name: rpcRestore, Handler: serveJSON(func(_ context.Context, a *checkpointArgs) (any, error) {
+			return nil, s.RestoreProvider(a.Name, a.Dir)
+		})},
+		margo.RPC{Name: rpcPin, Handler: serveJSON(s.rpcPin)},
+		margo.RPC{Name: rpcUnpin, Handler: serveJSON(s.rpcUnpin)},
 		margo.RPC{Name: rpcShutdown, Handler: s.rpcShutdown},
-		margo.RPC{Name: rpcGetStats, Handler: s.rpcGetStats},
-		margo.RPC{Name: rpcGetMetrics, Handler: s.rpcGetMetrics},
-		margo.RPC{Name: rpcGetTraces, Handler: s.rpcGetTraces},
-		margo.RPC{Name: rpcGetCluster, Handler: s.rpcGetClusterMetrics},
-		margo.RPC{Name: rpcGetProfile, Handler: s.rpcGetProfile},
+		// The process's Listing-1 monitoring snapshot, the remote entry
+		// point to §4's "available at run time via an API".
+		margo.RPC{Name: rpcGetStats, Handler: serveJSON(func(context.Context, *noArgs) (any, error) {
+			raw, err := s.inst.Stats().JSON()
+			return json.RawMessage(raw), err
+		})},
+		margo.RPC{Name: rpcGetMetrics, Handler: serveJSON(s.rpcGetMetrics)},
+		// The buffered spans of this process's trace ring, oldest first
+		// — the RPC twin of the /traces HTTP endpoint. Callers merge
+		// spans from several processes and render them with
+		// trace.ChromeJSON (`bedrock-query -traces` does exactly that).
+		margo.RPC{Name: rpcGetTraces, Handler: serveJSON(func(context.Context, *noArgs) (any, error) {
+			return s.inst.Tracer().Spans(), nil
+		})},
+		// The merged, node-labelled snapshot of every federation member
+		// — the RPC twin of GET /metrics/cluster.
+		margo.RPC{Name: rpcGetCluster, Handler: serveJSON(func(ctx context.Context, _ *noArgs) (any, error) {
+			return s.ClusterMetrics(ctx)
+		})},
+		margo.RPC{Name: rpcGetProfile, Handler: serveJSON(s.rpcGetProfile)},
 	)
 	return err
 }
 
-func (s *Server) rpcGetConfig(_ context.Context, h *mercury.Handle) {
-	raw, err := s.GetConfig()
-	if err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, raw)
-}
-
-func (s *Server) rpcQueryConfig(_ context.Context, h *mercury.Handle) {
-	var args queryArgs
-	if err := json.Unmarshal(h.Input(), &args); err != nil {
-		respondErr(h, err)
-		return
-	}
-	out, err := s.QueryConfig(args.Script)
-	if err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, out)
-}
-
-func (s *Server) rpcAddPool(_ context.Context, h *mercury.Handle) {
-	if _, err := s.inst.AddPoolFromJSON(h.Input()); err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, nil)
-}
-
-func (s *Server) rpcRemovePool(_ context.Context, h *mercury.Handle) {
-	var args nameArgs
-	if err := json.Unmarshal(h.Input(), &args); err != nil {
-		respondErr(h, err)
-		return
-	}
-	if err := s.inst.RemovePool(args.Name); err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, nil)
-}
-
-func (s *Server) rpcAddXstream(_ context.Context, h *mercury.Handle) {
-	if _, err := s.inst.AddXstreamFromJSON(h.Input()); err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, nil)
-}
-
-func (s *Server) rpcRemoveXstream(_ context.Context, h *mercury.Handle) {
-	var args nameArgs
-	if err := json.Unmarshal(h.Input(), &args); err != nil {
-		respondErr(h, err)
-		return
-	}
-	if err := s.inst.RemoveXstream(args.Name); err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, nil)
-}
-
-func (s *Server) rpcLoadModule(_ context.Context, h *mercury.Handle) {
-	var args loadModuleArgs
-	if err := json.Unmarshal(h.Input(), &args); err != nil {
-		respondErr(h, err)
-		return
-	}
-	if err := s.loadModule(args.Type); err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, nil)
-}
-
-func (s *Server) rpcStartProvider(_ context.Context, h *mercury.Handle) {
-	var pc ProviderConfig
-	if err := json.Unmarshal(h.Input(), &pc); err != nil {
-		respondErr(h, err)
-		return
-	}
-	if err := s.StartProvider(pc); err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, nil)
-}
-
-func (s *Server) rpcStopProvider(_ context.Context, h *mercury.Handle) {
-	var args nameArgs
-	if err := json.Unmarshal(h.Input(), &args); err != nil {
-		respondErr(h, err)
-		return
-	}
-	if err := s.StopProvider(args.Name); err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, nil)
-}
-
-func (s *Server) rpcMigrate(ctx context.Context, h *mercury.Handle) {
-	var args migrateArgs
-	if err := json.Unmarshal(h.Input(), &args); err != nil {
-		respondErr(h, err)
-		return
-	}
+func (s *Server) rpcMigrate(ctx context.Context, args *migrateArgs) (any, error) {
 	method := remi.MethodAuto
 	switch args.Method {
 	case "bulk":
@@ -226,66 +208,25 @@ func (s *Server) rpcMigrate(ctx context.Context, h *mercury.Handle) {
 	// bulk transfers — a migration shows up as one tree.
 	mctx, cancel := context.WithTimeout(ctx, 5*time.Minute)
 	defer cancel()
-	if err := s.MigrateProvider(mctx, args.Name, args.DestAddr, args.DestRemiID, method, args.RemoveSource); err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, nil)
-}
-
-func (s *Server) rpcCheckpoint(_ context.Context, h *mercury.Handle) {
-	var args checkpointArgs
-	if err := json.Unmarshal(h.Input(), &args); err != nil {
-		respondErr(h, err)
-		return
-	}
-	if err := s.CheckpointProvider(args.Name, args.Dir); err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, nil)
-}
-
-func (s *Server) rpcRestore(_ context.Context, h *mercury.Handle) {
-	var args checkpointArgs
-	if err := json.Unmarshal(h.Input(), &args); err != nil {
-		respondErr(h, err)
-		return
-	}
-	if err := s.RestoreProvider(args.Name, args.Dir); err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, nil)
+	return nil, s.MigrateProvider(mctx, args.Name, args.DestAddr, args.DestRemiID, method, args.RemoveSource)
 }
 
 // rpcPin handles remote dependency pinning (phase 1 of the
 // cross-process two-phase provider creation).
-func (s *Server) rpcPin(_ context.Context, h *mercury.Handle) {
-	var args pinArgs
-	if err := json.Unmarshal(h.Input(), &args); err != nil {
-		respondErr(h, err)
-		return
-	}
+func (s *Server) rpcPin(_ context.Context, args *pinArgs) (any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, rec := range s.providers {
 		if (args.Name != "" && rec.cfg.Name == args.Name) ||
 			(args.Name == "" && rec.cfg.ProviderID == args.ProviderID && (args.Type == "" || rec.cfg.Type == args.Type)) {
 			rec.pins[args.Holder]++
-			respondOK(h, nil)
-			return
+			return nil, nil
 		}
 	}
-	respondErr(h, ErrNoSuchProvider)
+	return nil, ErrNoSuchProvider
 }
 
-func (s *Server) rpcUnpin(_ context.Context, h *mercury.Handle) {
-	var args pinArgs
-	if err := json.Unmarshal(h.Input(), &args); err != nil {
-		respondErr(h, err)
-		return
-	}
+func (s *Server) rpcUnpin(_ context.Context, args *pinArgs) (any, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, rec := range s.providers {
@@ -297,27 +238,16 @@ func (s *Server) rpcUnpin(_ context.Context, h *mercury.Handle) {
 					delete(rec.pins, args.Holder)
 				}
 			}
-			respondOK(h, nil)
-			return
+			return nil, nil
 		}
 	}
-	respondErr(h, ErrNoSuchProvider)
+	return nil, ErrNoSuchProvider
 }
 
+// rpcShutdown answers before it shuts down what would carry the answer.
 func (s *Server) rpcShutdown(_ context.Context, h *mercury.Handle) {
-	respondOK(h, nil)
+	respond(h, nil, nil)
 	go s.Shutdown()
-}
-
-// rpcGetStats returns the process's Listing-1 monitoring snapshot,
-// the remote entry point to §4's "available at run time via an API".
-func (s *Server) rpcGetStats(_ context.Context, h *mercury.Handle) {
-	raw, err := s.inst.Stats().JSON()
-	if err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, raw)
 }
 
 // metricsArgs selects the wire form of a bedrock_get_metrics reply.
@@ -339,61 +269,23 @@ type profileArgs struct {
 // `bedrock-query -metrics` works over the fabric without an HTTP
 // listener configured), or the structured snapshot form when asked,
 // which is what peer aggregators pull and merge.
-func (s *Server) rpcGetMetrics(_ context.Context, h *mercury.Handle) {
-	var args metricsArgs
-	if in := h.Input(); len(in) > 0 {
-		if err := json.Unmarshal(in, &args); err != nil {
-			respondErr(h, err)
-			return
-		}
-	}
+func (s *Server) rpcGetMetrics(_ context.Context, args *metricsArgs) (any, error) {
 	if args.Format == "snapshot" {
-		respondOK(h, mustJSON(s.inst.Metrics().Snapshot()))
-		return
+		return s.inst.Metrics().Snapshot(), nil
 	}
-	respondOK(h, mustJSON(string(s.inst.Metrics().PrometheusText())))
-}
-
-// rpcGetClusterMetrics returns the merged, node-labelled snapshot of
-// every federation member — the RPC twin of GET /metrics/cluster.
-func (s *Server) rpcGetClusterMetrics(ctx context.Context, h *mercury.Handle) {
-	fams, err := s.ClusterMetrics(ctx)
-	if err != nil {
-		respondErr(h, err)
-		return
-	}
-	respondOK(h, mustJSON(fams))
+	return string(s.inst.Metrics().PrometheusText()), nil
 }
 
 // rpcGetProfile returns one pprof profile (binary protobuf, base64 in
 // the JSON envelope). Gated on monitoring.profiling.pprof, like the
 // HTTP endpoints.
-func (s *Server) rpcGetProfile(_ context.Context, h *mercury.Handle) {
+func (s *Server) rpcGetProfile(_ context.Context, args *profileArgs) (any, error) {
 	if !s.pprofEnabled {
-		respondErr(h, fmt.Errorf("bedrock: profiling disabled (set monitoring.profiling.pprof)"))
-		return
-	}
-	var args profileArgs
-	if err := json.Unmarshal(h.Input(), &args); err != nil {
-		respondErr(h, err)
-		return
+		return nil, fmt.Errorf("bedrock: profiling disabled (set monitoring.profiling.pprof)")
 	}
 	var buf bytes.Buffer
 	if err := observe.WriteProfile(&buf, args.Name, args.Seconds); err != nil {
-		respondErr(h, err)
-		return
+		return nil, err
 	}
-	respondOK(h, mustJSON(buf.Bytes()))
+	return buf.Bytes(), nil
 }
-
-// rpcGetTraces returns the buffered spans of this process's trace
-// ring, oldest first — the RPC twin of the /traces HTTP endpoint.
-// Callers merge spans from several processes and render them with
-// trace.ChromeJSON (`bedrock-query -traces` does exactly that).
-func (s *Server) rpcGetTraces(_ context.Context, h *mercury.Handle) {
-	respondOK(h, mustJSON(s.inst.Tracer().Spans()))
-}
-
-// Ensure argobots types stay referenced (pool configs travel as raw
-// JSON through the add-pool/add-xstream RPCs).
-var _ = argobots.PoolConfig{}

@@ -412,16 +412,8 @@ func (s *Server) pinDependency(depName, spec, holder string) (Dependency, error)
 	args := pinArgs{ProviderID: id, Type: typ, Holder: holder}
 	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
 	defer cancel()
-	raw, err := s.inst.Forward(ctx, addr, rpcPin, mustJSON(args))
-	if err != nil {
+	if _, _, err := callJSON[json.RawMessage](ctx, s.inst, addr, rpcPin, args); err != nil {
 		return Dependency{}, err
-	}
-	var reply rpcReply
-	if err := json.Unmarshal(raw, &reply); err != nil {
-		return Dependency{}, err
-	}
-	if !reply.OK {
-		return Dependency{}, fmt.Errorf("%s", reply.Error)
 	}
 	return Dependency{Name: depName, Spec: spec, Address: addr, ProviderID: id}, nil
 }
@@ -444,7 +436,9 @@ func (s *Server) unpinDependency(d Dependency, holder string) {
 	args := pinArgs{ProviderID: d.ProviderID, Holder: holder}
 	ctx, cancel := context.WithTimeout(context.Background(), rpcTimeout)
 	defer cancel()
-	_, _ = s.inst.Forward(ctx, d.Address, rpcUnpin, mustJSON(args))
+	// Best effort: the holder is going away whether or not the pin's
+	// owner can still be told.
+	_, _, _ = callJSON[json.RawMessage](ctx, s.inst, d.Address, rpcUnpin, args)
 }
 
 // StopProvider stops a provider; it fails while other providers
@@ -551,18 +545,11 @@ $found = false;
 foreach ($__config__.providers as $p) {
     if ($p.name == %q) { $found = true; } }
 return $found;`, name)
-	raw, err := s.inst.Forward(ctx, destAddr, rpcQueryConfig, mustJSON(queryArgs{Script: script}))
+	found, _, err := callJSON[bool](ctx, s.inst, destAddr, rpcQueryConfig, queryArgs{Script: script})
 	if err != nil {
 		return err
 	}
-	var reply rpcReply
-	if err := json.Unmarshal(raw, &reply); err != nil {
-		return err
-	}
-	if !reply.OK {
-		return fmt.Errorf("%s", reply.Error)
-	}
-	if string(reply.Data) != "true" {
+	if !found {
 		return fmt.Errorf("provider %q absent at destination", name)
 	}
 	return nil

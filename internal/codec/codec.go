@@ -219,26 +219,8 @@ func (d *Decoder) BytesFieldCopy() []byte {
 }
 
 // String decodes a length-prefixed string. Strings are immutable, so
-// this always copies; use StringRef on hot paths where the result
-// provably does not outlive the input buffer.
+// this always copies.
 func (d *Decoder) String() string { return string(d.BytesField()) }
-
-// StringRef decodes a length-prefixed string for transient use inside
-// a single decode scope (map keys checked and dropped, comparisons).
-// Under the mochi_unsafe build tag it is zero-copy: the returned
-// string's bytes alias the decoder's buffer, and the caller must
-// guarantee the buffer is neither mutated nor recycled while the
-// string is live — violating this breaks Go's string immutability
-// invariant. The default build copies, trading one allocation for
-// immunity to lifetime bugs; both builds return byte-identical values
-// (FuzzZeroCopyParity).
-func (d *Decoder) StringRef() string {
-	b := d.BytesField()
-	if len(b) == 0 {
-		return ""
-	}
-	return bytesToString(b)
-}
 
 // StringIntern decodes a length-prefixed string through the small-
 // string intern table: repeated wire values (source addresses, RPC

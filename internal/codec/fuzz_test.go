@@ -70,7 +70,14 @@ func FuzzDecoder(f *testing.F) {
 					t.Fatalf("StringSlice returned %d strings from %d bytes", len(ss), len(data))
 				}
 			case 13:
-				d.StringRef()
+				// The intern table is a cache: what it returns is what
+				// the plain decode of the same bytes returns.
+				ref := NewDecoder(data[len(data)-d.Remaining():])
+				want, got := ref.String(), d.StringIntern()
+				if got != want || (d.Err() == nil) != (ref.Err() == nil) || d.Remaining() != ref.Remaining() {
+					t.Fatalf("StringIntern %q (err %v, %d left), String %q (err %v, %d left)",
+						got, d.Err(), d.Remaining(), want, ref.Err(), ref.Remaining())
+				}
 			}
 			if d.Err() != nil {
 				// Failure is sticky and everything after it is inert.

@@ -108,50 +108,20 @@ func TestStringInternDecode(t *testing.T) {
 	}
 }
 
-// TestZeroCopyParity runs the active StringRef path against the
-// always-safe reference decode on a fixed corpus: whatever build tag
-// is in effect, the decoded values must match byte for byte. The fuzz
-// target FuzzZeroCopyParity extends this to arbitrary inputs.
-func TestZeroCopyParity(t *testing.T) {
+// TestInternParity runs StringIntern against the plain decode on a
+// fixed corpus: the decoded values must match byte for byte. FuzzDecoder
+// extends this to arbitrary inputs.
+func TestInternParity(t *testing.T) {
 	corpus := []string{"", "a", "tcp://127.0.0.1:1", "\x00\xff\xfe", "日本語", string(make([]byte, 300))}
 	for _, s := range corpus {
 		e := NewEncoder(nil)
 		e.String(s)
 		buf := e.Bytes()
-
-		active := NewDecoder(buf)
-		got := active.StringRef()
-		ref := NewDecoder(buf)
-		want := ref.String()
-		if got != want || got != s {
-			t.Fatalf("ZeroCopyStrings=%v: StringRef %q, String %q, input %q", ZeroCopyStrings, got, want, s)
+		if want := NewDecoder(buf).String(); want != s {
+			t.Fatalf("String %q, input %q", want, s)
 		}
-		gi := NewDecoder(buf)
-		if v := gi.StringIntern(); v != s {
+		if v := NewDecoder(buf).StringIntern(); v != s {
 			t.Fatalf("StringIntern %q != %q", v, s)
-		}
-	}
-}
-
-// TestStringRefLifetime pins the per-build contract: the default build
-// must return an owned copy that survives buffer mutation; the
-// mochi_unsafe build must alias the buffer (that is the optimization).
-func TestStringRefLifetime(t *testing.T) {
-	e := NewEncoder(nil)
-	e.String("lifetime")
-	buf := append([]byte(nil), e.Bytes()...)
-	d := NewDecoder(buf)
-	s := d.StringRef()
-	for i := range buf {
-		buf[i] = 'Z'
-	}
-	if ZeroCopyStrings {
-		if s == "lifetime" {
-			t.Fatal("mochi_unsafe StringRef did not alias the buffer")
-		}
-	} else {
-		if s != "lifetime" {
-			t.Fatalf("safe StringRef aliased the buffer: %q", s)
 		}
 	}
 }

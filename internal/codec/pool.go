@@ -7,8 +7,8 @@
 //
 // Ownership rules (see DESIGN.md "Hot-path memory discipline"):
 //
-//   - After PutEncoder/PutDecoder, every slice or StringRef obtained
-//     from the value is invalid: the backing buffer will be reused.
+//   - After PutEncoder/PutDecoder, every slice obtained from the
+//     value is invalid: the backing buffer will be reused.
 //     Copy anything that must survive before calling Put.
 //   - GetBuffer/PutBuffer recycle payload-sized scratch; a buffer may
 //     only be Put once, by whoever holds ownership last.
@@ -44,7 +44,7 @@ func PutEncoder(e *Encoder) {
 var decoderPool = sync.Pool{New: func() any { return &Decoder{} }}
 
 // GetDecoder returns a pooled Decoder reading from buf. Pair with
-// PutDecoder; zero-copy results (BytesField, StringRef) remain valid
+// PutDecoder; zero-copy results (BytesField) remain valid
 // afterwards only as long as buf itself is.
 func GetDecoder(buf []byte) *Decoder {
 	d := decoderPool.Get().(*Decoder)

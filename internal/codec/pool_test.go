@@ -64,26 +64,6 @@ func TestBytesFieldAliasesInput(t *testing.T) {
 	}
 }
 
-func TestStringRefZeroCopy(t *testing.T) {
-	e := GetEncoder()
-	e.String("hello")
-	e.String("")
-	buf := append([]byte(nil), e.Bytes()...)
-	PutEncoder(e)
-
-	d := NewDecoder(buf)
-	s := d.StringRef()
-	if s != "hello" {
-		t.Fatalf("got %q", s)
-	}
-	if empty := d.StringRef(); empty != "" {
-		t.Fatalf("empty StringRef got %q", empty)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMarshalAppendReusesScratch(t *testing.T) {
 	m := &benchMsg{Seq: 1, Key: []byte("abc"), Name: "s"}
 	scratch := make([]byte, 0, 256)

@@ -271,41 +271,31 @@ func (s *Service) Expand(ctx context.Context) (*Process, error) {
 	return proc, nil
 }
 
-// Shrink drains a node — migrating its providers to the remaining
-// members round-robin — then removes it from the group and releases
-// it to the cluster (§6: "Removing nodes first requires their data to
-// be sent to remaining nodes").
+// drainObjectives plan a drain: what is on the leaving node has to move
+// whatever the weights say, and it goes where load and data are
+// lightest; nothing on a survivor is worth the time of moving it.
+var drainObjectives = pufferscale.Objectives{WLoad: 1, WData: 1, WTime: 10}
+
+// Shrink drains a node — a Pufferscale plan over the remaining members
+// moves its providers to them — then removes it from the group and
+// releases it to the cluster (§6: "Removing nodes first requires their
+// data to be sent to remaining nodes").
 func (s *Service) Shrink(ctx context.Context, node string) error {
-	s.mu.Lock()
-	victim, ok := s.procs[node]
+	victim, ok := s.Process(node)
 	if !ok {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNoSuchNode, node)
 	}
-	if len(s.procs) <= 1 {
-		s.mu.Unlock()
+	var survivors []string
+	for _, n := range s.Nodes() {
+		if n != node {
+			survivors = append(survivors, n)
+		}
+	}
+	if len(survivors) == 0 {
 		return ErrLastNode
 	}
-	var targets []*Process
-	for n, p := range s.procs {
-		if n != node {
-			targets = append(targets, p)
-		}
-	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].Node < targets[j].Node })
-	s.mu.Unlock()
-
-	// Drain migratable providers.
-	i := 0
-	for _, info := range victim.Server.ResourceInventory() {
-		if !info.Migratable {
-			continue
-		}
-		dst := targets[i%len(targets)]
-		i++
-		if err := victim.Server.MigrateProvider(ctx, info.Name, dst.Addr(), dst.Server.RemiProviderID(), remi.MethodAuto, true); err != nil {
-			return fmt.Errorf("core: draining %s off %s: %w", info.Name, node, err)
-		}
+	if _, err := s.Controller(drainObjectives).Apply(ctx, survivors); err != nil {
+		return fmt.Errorf("core: draining %s: %w", node, err)
 	}
 	_ = victim.Group.Leave(ctx)
 	victim.Server.Shutdown()
@@ -343,8 +333,8 @@ func (s *Service) EnableMonitoring() {
 	}
 }
 
-// providerLoad extracts a per-provider request count from a stats
-// snapshot (target-side ULT executions).
+// providerLoad extracts a provider's cumulative request count from a
+// stats snapshot (target-side ULT executions).
 func providerLoad(st *margo.StatsSnapshot, providerID uint16) float64 {
 	var load float64
 	for _, rs := range st.RPCs {
@@ -358,21 +348,20 @@ func providerLoad(st *margo.StatsSnapshot, providerID uint16) float64 {
 	return load
 }
 
-// inventory lists the service's processes, their migratable resources
-// (monitored load, bytes on disk) and the sorted node names: the input
-// of every Pufferscale question asked about the service.
-func (s *Service) inventory() (procs map[string]*Process, resources []pufferscale.Resource, nodes []string, err error) {
-	s.mu.Lock()
-	procs = make(map[string]*Process, len(s.procs))
-	for n, p := range s.procs {
-		procs[n] = p
+// inventory is the service as a pufferscale.Controller sees it: every
+// migratable provider (its node, bytes on disk, monitored request
+// count so far) and the sorted node names.
+func (s *Service) inventory(context.Context) ([]pufferscale.Resource, []string, error) {
+	nodes := s.Nodes()
+	if len(nodes) == 0 {
+		return nil, nil, ErrNotStarted
 	}
-	s.mu.Unlock()
-	if len(procs) == 0 {
-		return nil, nil, nil, ErrNotStarted
-	}
-	for node, p := range procs {
-		nodes = append(nodes, node)
+	var resources []pufferscale.Resource
+	for _, node := range nodes {
+		p, ok := s.Process(node)
+		if !ok {
+			continue // left since Nodes was read
+		}
 		stats := p.Server.Instance().Stats()
 		for _, info := range p.Server.ResourceInventory() {
 			if !info.Migratable {
@@ -386,36 +375,36 @@ func (s *Service) inventory() (procs map[string]*Process, resources []pufferscal
 			})
 		}
 	}
-	sort.Strings(nodes)
-	return procs, resources, nodes, nil
+	return resources, nodes, nil
 }
 
-// Rebalance computes a Pufferscale plan over the service's migratable
-// resources — using monitored load and on-disk size — and executes it
-// with REMI-backed migrations (§6, Observation 6: "externalized
-// rebalancing decisions" carried out "by calling functions provided
-// via dependency injection").
+// migrate moves one provider between members with a REMI-backed
+// Bedrock migration.
+func (s *Service) migrate(ctx context.Context, m pufferscale.Move) error {
+	src, ok := s.Process(m.From)
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoSuchNode, m.From)
+	}
+	dst, ok := s.Process(m.To)
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoSuchNode, m.To)
+	}
+	return src.Server.MigrateProvider(ctx, m.ResourceID, dst.Addr(), dst.Server.RemiProviderID(), remi.MethodAuto, true)
+}
+
+// Controller returns the service's feedback loop (§2.3, §6
+// Observation 6): monitored per-provider load (§4) and on-disk sizes
+// are its inventory, REMI-backed migrations its mover. Run it for
+// introspection-driven rebalancing with no operator in the loop; Step
+// and Apply drive it by hand.
+func (s *Service) Controller(obj pufferscale.Objectives) *pufferscale.Controller {
+	return &pufferscale.Controller{Inventory: s.inventory, Migrate: s.migrate, Objectives: obj}
+}
+
+// Rebalance plans a placement of the service's migratable providers
+// over all its nodes and executes it, whatever the current imbalance.
 func (s *Service) Rebalance(ctx context.Context, obj pufferscale.Objectives) (*pufferscale.Plan, error) {
-	procs, resources, nodes, err := s.inventory()
-	if err != nil {
-		return nil, err
-	}
-	plan, err := pufferscale.Rebalance(resources, nodes, obj)
-	if err != nil {
-		return nil, err
-	}
-	_, err = plan.Execute(ctx, func(ctx context.Context, m pufferscale.Move) error {
-		src, ok := procs[m.From]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNoSuchNode, m.From)
-		}
-		dst, ok := procs[m.To]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNoSuchNode, m.To)
-		}
-		return src.Server.MigrateProvider(ctx, m.ResourceID, dst.Addr(), dst.Server.RemiProviderID(), remi.MethodAuto, true)
-	}, 1)
-	return plan, err
+	return s.Controller(obj).Apply(ctx, s.Nodes())
 }
 
 // CheckpointAll saves every checkpointable provider of every member

@@ -91,7 +91,7 @@ func (m *Instance) forwardResilient(ctx context.Context, mgr *resilience.Manager
 				Tail:     !tc.Sampled(),
 			})
 		}
-		if !mgr.Sleep(ctx, mgr.Backoff(attempt)) {
+		if !resilience.Sleep(ctx, m.clk, mgr.Backoff(attempt)) {
 			return nil, err
 		}
 	}

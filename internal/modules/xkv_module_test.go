@@ -11,6 +11,7 @@ import (
 	"mochi/internal/bedrock"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
+	"mochi/internal/pufferscale"
 	"mochi/internal/testutil"
 	"mochi/internal/yokan/router"
 )
@@ -106,11 +107,11 @@ func xkvBedrockReshard(t *testing.T) {
 	}
 
 	// Move shard 0 from its owner to the spare through the same RPC
-	// path the balancer uses.
+	// path a pufferscale.Controller uses.
 	m := r.Map()
 	spare := router.Owner{Addr: "sm://xkv-bed-2", Provider: 40}
-	dec := &router.Decision{Shard: 0, From: m.Owners[0], To: spare}
-	if err := router.NewBalancer(inst, nil).Execute(ctx, dec); err != nil {
+	mv := pufferscale.Move{ResourceID: "0", From: m.Owners[0].String(), To: spare.String()}
+	if err := router.Migrator(inst)(ctx, mv); err != nil {
 		t.Fatalf("remote reshard: %v", err)
 	}
 

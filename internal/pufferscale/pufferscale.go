@@ -222,13 +222,15 @@ func (p *Plan) Execute(ctx context.Context, migrate Migrator, parallelism int) (
 	var wg sync.WaitGroup
 	var firstErr error
 	for _, m := range p.Moves {
+		// The slot first: only then are the moves before this one
+		// known to have ended, and whether one of them failed.
+		sem <- struct{}{}
 		mu.Lock()
 		failed := firstErr != nil
 		mu.Unlock()
 		if failed {
 			break
 		}
-		sem <- struct{}{}
 		wg.Add(1)
 		go func(m Move) {
 			defer wg.Done()

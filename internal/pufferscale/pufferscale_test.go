@@ -205,6 +205,10 @@ func TestExecuteStopsOnError(t *testing.T) {
 	if len(done) >= len(p.Moves) {
 		t.Fatal("all moves completed despite error")
 	}
+	// One at a time means nothing starts after the move that failed.
+	if count != 3 {
+		t.Fatalf("%d moves started, the third failed", count)
+	}
 }
 
 // Property: rebalancing never loses or invents resources, and removed

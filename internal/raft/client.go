@@ -12,7 +12,12 @@ import (
 	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
+	"mochi/internal/resilience"
 )
+
+// retryInterval is the client's wait between two rounds over the
+// members when none of them led or hinted at a leader.
+const retryInterval = 50 * time.Millisecond
 
 // Client submits commands to a Raft group from any process, following
 // leader hints and retrying across elections.
@@ -22,8 +27,6 @@ type Client struct {
 	group string
 	// seeds are addresses of known members.
 	seeds []string
-	// RetryInterval between attempts (default 50ms).
-	RetryInterval time.Duration
 
 	// leaderMu guards leader, the last address that answered (or was
 	// hinted) as leader. Caching it across calls keeps the steady state
@@ -50,21 +53,7 @@ func (c *Client) storeLeader(addr string) {
 // pacing uses the instance's clock, so clients inside a simulation
 // back off on virtual time.
 func NewClient(inst *margo.Instance, group string, seeds []string) *Client {
-	return &Client{inst: inst, clk: inst.Clock(), group: group, seeds: seeds, RetryInterval: 50 * time.Millisecond}
-}
-
-// retryWait blocks for one RetryInterval on the injected clock,
-// releasing the timer immediately when ctx fires (a bare time.After
-// here leaked one timer per retry for the full interval).
-func (c *Client) retryWait(ctx context.Context) bool {
-	t := c.clk.NewTimer(c.RetryInterval)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C():
-		return true
-	}
+	return &Client{inst: inst, clk: inst.Clock(), group: group, seeds: seeds}
 }
 
 // remoteError is a member's refusal as it came over the wire, mapped
@@ -130,7 +119,7 @@ func (c *Client) call(ctx context.Context, rpc string, args codec.Message, termi
 			continue
 		}
 		fast = 0
-		if !c.retryWait(ctx) {
+		if !resilience.Sleep(ctx, c.clk, retryInterval) {
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last: %v)", ErrTimeout, lastErr)
 			}

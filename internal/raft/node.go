@@ -135,84 +135,29 @@ type lanes struct {
 	log, probe chan Message
 }
 
-// registry maps group names to members within one margo instance, so
-// all groups share one set of RPC handlers. It exists exactly as long
-// as the instance hosts a member: the first member installs the
-// handlers, the last one to stop removes them and the registry with
-// them, so a finalized instance is not kept reachable from here.
-type registry struct {
-	rpcs *margo.RPCSet
-
-	mu    sync.Mutex // guards nodes
-	nodes map[string]*Node
+// handlers serve every member an instance hosts: a request names its
+// group and lookup finds the member, nil when the instance has none by
+// that name.
+type handlers struct {
+	lookup func(group string) *Node
 }
 
-var (
-	registriesMu sync.Mutex // serializes attach/detach, handler install included
-	registries   = map[*margo.Instance]*registry{}
-)
-
-// attach enters n into its instance's registry, installing the RPC
-// handlers first if n is the instance's only member. A failed install
-// leaves nothing behind.
-func attach(n *Node) error {
-	registriesMu.Lock()
-	defer registriesMu.Unlock()
-	reg := registries[n.inst]
-	if reg == nil {
-		reg = &registry{nodes: map[string]*Node{}}
-		var err error
-		reg.rpcs, err = n.inst.RegisterSet(mercury.AnyProvider, nil,
-			margo.RPC{Name: rpcRequestVote, Handler: margo.Serve(reg.handleVote)},
-			margo.RPC{Name: rpcAppendEntries, Handler: margo.Serve(logTraffic(reg,
-				func(a *appendEntriesArgs) string { return a.Group }, (*Core).AppendEntries))},
-			margo.RPC{Name: rpcInstallSnapshot, Handler: margo.Serve(logTraffic(reg,
-				func(a *installSnapshotArgs) string { return a.Group }, (*Core).InstallSnapshot))},
-			margo.RPC{Name: rpcApply, Handler: margo.Serve(reg.handleApply)},
-			margo.RPC{Name: rpcRead, Handler: margo.Serve(reg.handleRead)},
-			margo.RPC{Name: rpcConfigChange, Handler: margo.Serve(reg.handleConfigChange)},
-			margo.RPC{Name: rpcStatus, Handler: margo.Serve(reg.handleStatus)},
-		)
-		if err != nil {
-			return err
-		}
-		registries[n.inst] = reg
-	}
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, dup := reg.nodes[n.group]; dup {
-		return fmt.Errorf("raft: group %q already exists on %s", n.group, n.id)
-	}
-	reg.nodes[n.group] = n
-	return nil
-}
-
-// detach removes n from its registry and, if it was the last member on
-// the instance, the handlers and the registry too.
-func detach(n *Node) {
-	registriesMu.Lock()
-	defer registriesMu.Unlock()
-	reg := registries[n.inst]
-	if reg == nil {
-		return
-	}
-	reg.mu.Lock()
-	if reg.nodes[n.group] == n {
-		delete(reg.nodes, n.group)
-	}
-	empty := len(reg.nodes) == 0
-	reg.mu.Unlock()
-	if empty {
-		reg.rpcs.Close()
-		delete(registries, n.inst)
-	}
-}
-
-func (r *registry) lookup(group string) *Node {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nodes[group]
-}
+// members registers this process's nodes, per margo instance and group
+// name; an instance's handlers live as long as it hosts a member.
+var members = margo.NewGroups(func(inst *margo.Instance, lookup func(string) *Node) (*margo.RPCSet, error) {
+	r := &handlers{lookup}
+	return inst.RegisterSet(mercury.AnyProvider, nil,
+		margo.RPC{Name: rpcRequestVote, Handler: margo.Serve(r.handleVote)},
+		margo.RPC{Name: rpcAppendEntries, Handler: margo.Serve(logTraffic(r,
+			func(a *appendEntriesArgs) string { return a.Group }, (*Core).AppendEntries))},
+		margo.RPC{Name: rpcInstallSnapshot, Handler: margo.Serve(logTraffic(r,
+			func(a *installSnapshotArgs) string { return a.Group }, (*Core).InstallSnapshot))},
+		margo.RPC{Name: rpcApply, Handler: margo.Serve(r.handleApply)},
+		margo.RPC{Name: rpcRead, Handler: margo.Serve(r.handleRead)},
+		margo.RPC{Name: rpcConfigChange, Handler: margo.Serve(r.handleConfigChange)},
+		margo.RPC{Name: rpcStatus, Handler: margo.Serve(r.handleStatus)},
+	)
+})
 
 // Node is one member of a Raft group: the driver of one Core. It owns
 // no protocol state. mu serializes every step of the core and guards
@@ -298,7 +243,7 @@ func NewNode(inst *margo.Instance, group string, peers []string, store Store, fs
 		err = n.applyPending()
 	}
 	if err == nil {
-		err = attach(n)
+		err = members.Attach(inst, group, n)
 	}
 	if err != nil {
 		n.cancel()
@@ -367,7 +312,7 @@ func (n *Node) Stop() {
 		n.finish(&out)
 	})
 	n.wg.Wait()
-	detach(n)
+	members.Detach(n.inst, n.group, n)
 }
 
 // --- stepping the core ---
@@ -984,7 +929,7 @@ func (n *Node) RemoveServer(ctx context.Context, addr string) error {
 
 // --- RPC handlers ---
 
-func (r *registry) handleVote(_ context.Context, _ *mercury.Handle, a *requestVoteArgs) (codec.Message, error) {
+func (r *handlers) handleVote(_ context.Context, _ *mercury.Handle, a *requestVoteArgs) (codec.Message, error) {
 	n := r.lookup(a.Group)
 	if n == nil {
 		return nil, fmt.Errorf("raft: unknown group %q", a.Group)
@@ -1005,7 +950,7 @@ func (r *registry) handleVote(_ context.Context, _ *mercury.Handle, a *requestVo
 // handle under a tag, steps the core and returns with the handle kept;
 // dispatch answers it when the core emits the tag's Ack — in that same
 // step unless the answer has to wait for the disk.
-func logTraffic[A any](r *registry, group func(*A) string, input func(*Core, time.Time, *A, uint64)) func(context.Context, *mercury.Handle, *A) (codec.Message, error) {
+func logTraffic[A any](r *handlers, group func(*A) string, input func(*Core, time.Time, *A, uint64)) func(context.Context, *mercury.Handle, *A) (codec.Message, error) {
 	return func(_ context.Context, h *mercury.Handle, a *A) (codec.Message, error) {
 		n := r.lookup(group(a))
 		if n == nil {
@@ -1028,7 +973,7 @@ func logTraffic[A any](r *registry, group func(*A) string, input func(*Core, tim
 // execution stream is free while the group works. Whoever resolves the
 // waiter sends the reply; an operation that could not start is answered
 // here.
-func (r *registry) serve(ctx context.Context, h *mercury.Handle, group, name string, result func(*Node) []byte, start func(*Node, *waiter) error) (codec.Message, error) {
+func (r *handlers) serve(ctx context.Context, h *mercury.Handle, group, name string, result func(*Node) []byte, start func(*Node, *waiter) error) (codec.Message, error) {
 	n := r.lookup(group)
 	if n == nil {
 		return &applyReply{Err: "unknown group"}, nil
@@ -1059,23 +1004,23 @@ func (n *Node) reply(o outcome) *applyReply {
 	return &applyReply{OK: true, Result: o.result}
 }
 
-func (r *registry) handleApply(ctx context.Context, h *mercury.Handle, a *applyArgs) (codec.Message, error) {
+func (r *handlers) handleApply(ctx context.Context, h *mercury.Handle, a *applyArgs) (codec.Message, error) {
 	return r.serve(ctx, h, a.Group, "raft.apply", nil,
 		func(n *Node, w *waiter) error { return n.propose(w, a.Cmd) })
 }
 
-func (r *registry) handleRead(ctx context.Context, h *mercury.Handle, a *readArgs) (codec.Message, error) {
+func (r *handlers) handleRead(ctx context.Context, h *mercury.Handle, a *readArgs) (codec.Message, error) {
 	return r.serve(ctx, h, a.Group, "raft.read",
 		func(n *Node) []byte { return n.fsm.(ReaderFSM).Read(a.Query) }, // read has checked the assertion
 		(*Node).read)
 }
 
-func (r *registry) handleConfigChange(ctx context.Context, h *mercury.Handle, a *configChangeArgs) (codec.Message, error) {
+func (r *handlers) handleConfigChange(ctx context.Context, h *mercury.Handle, a *configChangeArgs) (codec.Message, error) {
 	return r.serve(ctx, h, a.Group, "raft.config_change", nil,
 		func(n *Node, w *waiter) error { return n.changeConfig(w, a.Addr, a.Remove) })
 }
 
-func (r *registry) handleStatus(_ context.Context, _ *mercury.Handle, args *statusArgs) (codec.Message, error) {
+func (r *handlers) handleStatus(_ context.Context, _ *mercury.Handle, args *statusArgs) (codec.Message, error) {
 	n := r.lookup(args.Group)
 	if n == nil {
 		return &statusReply{}, nil

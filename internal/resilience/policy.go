@@ -206,13 +206,15 @@ func (m *Manager) Backoff(attempt int) time.Duration {
 	return d
 }
 
-// Sleep waits for d on the manager's clock, returning false if ctx is
-// canceled first.
-func (m *Manager) Sleep(ctx context.Context, d time.Duration) bool {
+// Sleep waits for d on clk, returning false if ctx is canceled first.
+// It is the one timer wait transport retries (margo), protocol retries
+// (the shard router's flip window) and the raft client's leader search
+// share; how long each waits, and why, is its own.
+func Sleep(ctx context.Context, clk clock.Clock, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
 	}
-	t := m.clk.NewTimer(d)
+	t := clk.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C():

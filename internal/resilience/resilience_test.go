@@ -76,17 +76,16 @@ func TestBackoffJitterBounded(t *testing.T) {
 
 func TestSleepHonorsContext(t *testing.T) {
 	sim := clock.NewSim(time.Time{})
-	m := testManager(t, &Config{}, sim)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan bool, 1)
-	go func() { done <- m.Sleep(ctx, time.Hour) }()
+	go func() { done <- Sleep(ctx, sim, time.Hour) }()
 	cancel()
 	if ok := <-done; ok {
 		t.Fatal("Sleep returned true after context cancellation")
 	}
 
 	done2 := make(chan bool, 1)
-	go func() { done2 <- m.Sleep(context.Background(), 50*time.Millisecond) }()
+	go func() { done2 <- Sleep(context.Background(), sim, 50*time.Millisecond) }()
 	for sim.PendingTimers() == 0 {
 		time.Sleep(time.Millisecond)
 	}

@@ -14,80 +14,25 @@ import (
 	"mochi/internal/mercury"
 )
 
-// registry maps group names to groups within one margo instance, so
-// all groups share one set of RPC handlers. It exists exactly as long
-// as the instance hosts a group: the first group installs the handlers,
-// the last one to stop removes them and the registry with them, so a
-// finalized instance is not kept reachable from here.
-type registry struct {
-	rpcs *margo.RPCSet
-
-	mu     sync.Mutex // guards groups
-	groups map[string]*Group
+// handlers serve every group an instance hosts: a request names its
+// group and lookup finds it, nil when the instance has none by that
+// name.
+type handlers struct {
+	lookup func(name string) *Group
 }
 
-var (
-	registriesMu sync.Mutex // serializes attach/detach, handler install included
-	registries   = map[*margo.Instance]*registry{}
-)
-
-// attach enters g into its instance's registry, installing the RPC
-// handlers first if g is the instance's only group. A failed install
-// leaves nothing behind.
-func attach(g *Group) error {
-	registriesMu.Lock()
-	defer registriesMu.Unlock()
-	reg := registries[g.inst]
-	if reg == nil {
-		reg = &registry{groups: map[string]*Group{}}
-		var err error
-		reg.rpcs, err = g.inst.RegisterSet(mercury.AnyProvider, nil,
-			margo.RPC{Name: rpcPing, Handler: margo.Serve(reg.handlePing)},
-			margo.RPC{Name: rpcPingReq, Handler: margo.Serve(reg.handlePingReq)},
-			margo.RPC{Name: rpcJoin, Handler: margo.Serve(reg.handleJoin)},
-			margo.RPC{Name: rpcLeave, Handler: margo.Serve(reg.handleLeave)},
-			margo.RPC{Name: rpcGetView, Handler: margo.Serve(reg.handleGetView)},
-		)
-		if err != nil {
-			return err
-		}
-		registries[g.inst] = reg
-	}
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, dup := reg.groups[g.name]; dup {
-		return fmt.Errorf("ssg: group %q already exists on %s", g.name, g.self)
-	}
-	reg.groups[g.name] = g
-	return nil
-}
-
-// detach removes g from its registry and, if it was the last group on
-// the instance, the handlers and the registry too.
-func detach(g *Group) {
-	registriesMu.Lock()
-	defer registriesMu.Unlock()
-	reg := registries[g.inst]
-	if reg == nil {
-		return
-	}
-	reg.mu.Lock()
-	if reg.groups[g.name] == g {
-		delete(reg.groups, g.name)
-	}
-	empty := len(reg.groups) == 0
-	reg.mu.Unlock()
-	if empty {
-		reg.rpcs.Close()
-		delete(registries, g.inst)
-	}
-}
-
-func (r *registry) lookup(name string) *Group {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.groups[name]
-}
+// groups registers this process's groups, per margo instance and group
+// name; an instance's handlers live as long as it hosts a group.
+var groups = margo.NewGroups(func(inst *margo.Instance, lookup func(string) *Group) (*margo.RPCSet, error) {
+	r := &handlers{lookup}
+	return inst.RegisterSet(mercury.AnyProvider, nil,
+		margo.RPC{Name: rpcPing, Handler: margo.Serve(r.handlePing)},
+		margo.RPC{Name: rpcPingReq, Handler: margo.Serve(r.handlePingReq)},
+		margo.RPC{Name: rpcJoin, Handler: margo.Serve(r.handleJoin)},
+		margo.RPC{Name: rpcLeave, Handler: margo.Serve(r.handleLeave)},
+		margo.RPC{Name: rpcGetView, Handler: margo.Serve(r.handleGetView)},
+	)
+})
 
 // Stats counts protocol messages, for the E4 experiment.
 type Stats struct {
@@ -188,7 +133,7 @@ func Create(inst *margo.Instance, name string, bootstrap []string, cfg Config) (
 	// its own round's ping and k ping-reqs, and as many relayed pings.
 	senders := 1 + 2*g.eng.Config().IndirectPings
 	g.out = make(chan call, senders)
-	if err := attach(g); err != nil {
+	if err := groups.Attach(g.inst, g.name, g); err != nil {
 		g.cancel()
 		return nil, err
 	}
@@ -290,7 +235,7 @@ func (g *Group) Stop() {
 		send(unanswered)
 	})
 	g.wg.Wait()
-	detach(g)
+	groups.Detach(g.inst, g.name, g)
 }
 
 // FetchView retrieves the group view as seen by the member at addr —
@@ -479,21 +424,21 @@ func (g *Group) keep(h *mercury.Handle, f func(e *Engine, now time.Time, seq uin
 	return nil, nil
 }
 
-func (r *registry) handlePing(_ context.Context, h *mercury.Handle, args *pingArgs) (codec.Message, error) {
+func (r *handlers) handlePing(_ context.Context, h *mercury.Handle, args *pingArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
 	return g.keep(h, func(e *Engine, now time.Time, seq uint64) {
 		e.Ping(now, g.tbl.Intern(args.From), seq, g.ids(args.Updates))
 	})
 }
 
-func (r *registry) handlePingReq(_ context.Context, h *mercury.Handle, args *pingReqArgs) (codec.Message, error) {
+func (r *handlers) handlePingReq(_ context.Context, h *mercury.Handle, args *pingReqArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
 	return g.keep(h, func(e *Engine, now time.Time, seq uint64) {
 		e.PingReq(now, g.tbl.Intern(args.From), seq, g.tbl.Intern(args.Target), g.ids(args.Updates))
 	})
 }
 
-func (r *registry) handleJoin(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Message, error) {
+func (r *handlers) handleJoin(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
 	if g != nil && args.Addr != "" {
 		g.step(func(e *Engine, now time.Time) {
@@ -507,7 +452,7 @@ func (r *registry) handleJoin(_ context.Context, _ *mercury.Handle, args *joinAr
 	return g.viewReplyNow(), nil
 }
 
-func (r *registry) handleLeave(_ context.Context, _ *mercury.Handle, args *pingArgs) (codec.Message, error) {
+func (r *handlers) handleLeave(_ context.Context, _ *mercury.Handle, args *pingArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
 	if g != nil {
 		g.step(func(e *Engine, now time.Time) { e.Apply(now, g.ids(args.Updates)) })
@@ -515,7 +460,7 @@ func (r *registry) handleLeave(_ context.Context, _ *mercury.Handle, args *pingA
 	return &ackReply{OK: g != nil}, nil
 }
 
-func (r *registry) handleGetView(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Message, error) {
+func (r *handlers) handleGetView(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Message, error) {
 	return r.lookup(args.Group).viewReplyNow(), nil
 }
 

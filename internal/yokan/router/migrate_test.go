@@ -136,10 +136,10 @@ func TestCommandedReshardLeavesNodeServing(t *testing.T) {
 	testHookDualWindow = func() { both.Done(); <-gate }
 	t.Cleanup(func() { testHookDualWindow = nil })
 
-	bal := NewBalancer(c.client, nil)
+	reshard := Migrator(c.client)
 	errs := make(chan error, 2)
-	go func() { errs <- bal.Execute(ctx, &Decision{Shard: sa, From: a.Self(), To: b.Self()}) }()
-	go func() { errs <- bal.Execute(ctx, &Decision{Shard: sb, From: b.Self(), To: a.Self()}) }()
+	go func() { errs <- reshard(ctx, move(sa, a.Self(), b.Self())) }()
+	go func() { errs <- reshard(ctx, move(sb, b.Self(), a.Self())) }()
 	select {
 	case <-inWindow:
 	case err := <-errs:
@@ -329,8 +329,7 @@ func TestClusterClosesLeakFree(t *testing.T) {
 		if err := c.nodes[0].Reshard(ctx, s, c.nodes[2].Self()); err != nil {
 			t.Fatal(err)
 		}
-		d := &Decision{Shard: s, From: c.nodes[2].Self(), To: c.nodes[0].Self()}
-		if err := NewBalancer(c.client, nil).Execute(ctx, d); err != nil {
+		if err := Migrator(c.client)(ctx, move(s, c.nodes[2].Self(), c.nodes[0].Self())); err != nil {
 			t.Fatal(err)
 		}
 	})

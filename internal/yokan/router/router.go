@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mochi/internal/margo"
+	"mochi/internal/resilience"
 	"mochi/internal/yokan"
 )
 
@@ -20,6 +21,16 @@ var ErrNoMap = errors.New("router: no shard map")
 // the client's map and the cluster disagree pathologically.
 var ErrTooManyRedirects = errors.New("router: too many redirects")
 
+const (
+	// maxRedirects bounds the redirect/retry loop per operation.
+	maxRedirects = 16
+	// retryBase and retryCap pace the waits through a flip window: the
+	// nth statusRetry waits min(retryBase<<n, retryCap). Redirects retry
+	// immediately with the new map.
+	retryBase = 2 * time.Millisecond
+	retryCap  = 100 * time.Millisecond
+)
+
 // Router is the client-side consistent-hash router: it holds the
 // current shard map (lock-free, swapped on redirects) and forwards
 // each operation to the shard's owner. A stale-epoch redirect carries
@@ -29,12 +40,6 @@ type Router struct {
 	inst *margo.Instance
 	cur  atomic.Pointer[Map]
 
-	// MaxRedirects bounds the redirect/retry loop per operation.
-	MaxRedirects int
-	// RetryBase paces statusRetry backoff (flip window); redirects
-	// retry immediately with the new map.
-	RetryBase time.Duration
-
 	redirects atomic.Uint64
 	installs  atomic.Uint64
 }
@@ -42,7 +47,7 @@ type Router struct {
 // NewRouter creates a router over a seed map (from NewMap or
 // Bootstrap).
 func NewRouter(inst *margo.Instance, seed *Map) *Router {
-	r := &Router{inst: inst, MaxRedirects: 16, RetryBase: 2 * time.Millisecond}
+	r := &Router{inst: inst}
 	if seed != nil {
 		r.cur.Store(seed)
 	}
@@ -100,28 +105,14 @@ func (r *Router) install(m *Map) bool {
 	}
 }
 
-// backoff sleeps before a retry attempt, preferring the instance's
-// resilience manager (jittered exponential policy, honors context and
-// simulated clocks) over a bare timer.
-func (r *Router) backoff(ctx context.Context, attempt int) error {
-	if mgr := r.inst.Resilience(); mgr != nil {
-		if !mgr.Sleep(ctx, mgr.Backoff(attempt)) {
-			return ctx.Err()
-		}
-		return nil
-	}
-	d := r.RetryBase << uint(attempt)
-	if d > 100*time.Millisecond {
-		d = 100 * time.Millisecond
-	}
-	t := r.inst.Clock().NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
+// backoff waits out the nth retry of an operation inside a flip
+// window. The schedule is the protocol's own: the peer is alive and has
+// answered "not yet", so the transport's retry policy has no say here.
+func (r *Router) backoff(ctx context.Context, n int) error {
+	if !resilience.Sleep(ctx, r.inst.Clock(), min(retryBase<<uint(n), retryCap)) {
 		return ctx.Err()
-	case <-t.C():
-		return nil
 	}
+	return nil
 }
 
 // opArgsPool recycles argument frames, and with them their one-element
@@ -150,7 +141,7 @@ func (r *Router) op(ctx context.Context, rpc string, shard uint32, key, value []
 		args.Keys = append(args.Keys, key)
 	}
 	retries := 0
-	for attempt := 0; attempt <= r.MaxRedirects; attempt++ {
+	for attempt := 0; attempt <= maxRedirects; attempt++ {
 		m := r.cur.Load()
 		if m == nil {
 			return nil, ErrNoMap

@@ -2,12 +2,17 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
+	"mochi/internal/clock"
+	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
+	"mochi/internal/pufferscale"
 	"mochi/internal/resilience"
 	"mochi/internal/yokan"
 )
@@ -242,57 +247,75 @@ func TestReshardToDeadDestinationAborts(t *testing.T) {
 	}
 }
 
-// The balancer must detect a hot node from the per-shard counters and
-// move its hottest shard to a spare via pufferscale, not a hardcoded
-// plan.
-func TestBalancerMovesHottestShard(t *testing.T) {
+// move is shard s going from one owner to another, as a
+// pufferscale.Controller hands it to Migrator.
+func move(s uint32, from, to Owner) pufferscale.Move {
+	return pufferscale.Move{ResourceID: strconv.Itoa(int(s)), From: from.String(), To: to.String()}
+}
+
+// A controller over the router's Inventory and Migrator must detect a
+// hot node from the per-shard counters, as a rate, and reshard its hot
+// shards onto the spares through pufferscale, not a hardcoded plan.
+func TestControllerMovesHotShards(t *testing.T) {
 	c := newCluster(t, clusterConfig{nodes: 3, shards: 8, ownerNodes: 1})
 	ctx := tctx(t, 20*time.Second)
 	r := c.router()
-
-	// Drive skewed traffic: every key lands on node 0 (it owns all
-	// shards), with shard-skew from repeated hot keys.
-	for i := 0; i < 500; i++ {
-		k := []byte(fmt.Sprintf("key-%d", i%40))
-		if err := r.Put(ctx, k, []byte("v")); err != nil {
-			t.Fatal(err)
+	// Every key lands on node 0 (it owns all shards), with shard skew
+	// from repeated hot keys.
+	traffic := func() {
+		for i := 0; i < 500; i++ {
+			k := []byte(fmt.Sprintf("key-%d", i%40))
+			if err := r.Put(ctx, k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	traffic()
 
-	candidates := []Owner{c.nodes[0].Self(), c.nodes[1].Self(), c.nodes[2].Self()}
-	b := NewBalancer(c.client, candidates)
-	d, err := b.Step(ctx, r.Map())
+	hot, spares := c.nodes[0].Self(), []Owner{c.nodes[1].Self(), c.nodes[2].Self()}
+	ctl := &pufferscale.Controller{
+		Inventory:  Inventory(r, spares),
+		Migrate:    Migrator(c.client),
+		Objectives: pufferscale.Objectives{WLoad: 1, WTime: 0.1},
+	}
+	if plan, err := ctl.Step(ctx); plan != nil || err != nil {
+		t.Fatalf("priming step: plan %+v, err %v", plan, err)
+	}
+	traffic()
+	plan, err := ctl.Step(ctx)
 	if err != nil {
-		t.Fatalf("balancer step: %v", err)
+		t.Fatalf("controller step: %v", err)
 	}
-	if d == nil {
-		t.Fatal("balancer saw no imbalance with every shard on one node")
+	if plan == nil || len(plan.Moves) == 0 {
+		t.Fatal("controller saw no imbalance with every shard on one node")
 	}
-	if d.From != c.nodes[0].Self() {
-		t.Fatalf("balancer moved from %v, want node 0", d.From)
+	for _, mv := range plan.Moves {
+		if mv.From != hot.String() || mv.To == hot.String() {
+			t.Fatalf("move %+v, want a shard off node 0", mv)
+		}
 	}
-	if d.To == c.nodes[0].Self() {
-		t.Fatal("balancer moved a shard onto the hot node")
-	}
-	if d.Imbalance <= 1.25 {
-		t.Fatalf("reported imbalance %.2f under threshold", d.Imbalance)
+	if after := plan.LoadImbalance(); after >= 3 {
+		t.Fatalf("planned load imbalance %.2f no better than all on one of three", after)
 	}
 
-	// The flip must be visible and lossless.
-	m, err := FetchMap(ctx, c.client, d.To.Addr, d.To.Provider)
+	// Every flip must be visible and lossless.
+	m, err := FetchMap(ctx, c.client, hot.Addr, hot.Provider)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Epoch != 1 {
-		t.Fatalf("epoch after balancer move: %d", m.Epoch)
+	if m.Epoch != uint64(len(plan.Moves)) {
+		t.Fatalf("epoch after %d moves: %d", len(plan.Moves), m.Epoch)
 	}
-	if m.Owners[d.Shard] != d.To {
-		t.Fatalf("shard %d owned by %v, want %v", d.Shard, m.Owners[d.Shard], d.To)
+	for _, mv := range plan.Moves {
+		s, _ := strconv.Atoi(mv.ResourceID)
+		if m.Owners[s].String() != mv.To {
+			t.Fatalf("shard %d owned by %v, want %s", s, m.Owners[s], mv.To)
+		}
 	}
 	for i := 0; i < 40; i++ {
 		k := []byte(fmt.Sprintf("key-%d", i))
 		if _, err := r.Get(ctx, k); err != nil {
-			t.Fatalf("get %d after move: %v", i, err)
+			t.Fatalf("get %d after the moves: %v", i, err)
 		}
 	}
 }
@@ -311,5 +334,73 @@ func TestBootstrapFromNode(t *testing.T) {
 	v, err := r.Get(ctx, []byte("a"))
 	if err != nil || string(v) != "b" {
 		t.Fatalf("get: %q %v", v, err)
+	}
+}
+
+// A statusRetry is a protocol answer from a live peer, not a transport
+// failure: the waits through a flip window follow the router's own
+// schedule, min(2ms<<n, 100ms) for the nth retry, whether or not the
+// process has a transport retry policy configured.
+func TestFlipWindowPacingIgnoresTransportPolicy(t *testing.T) {
+	f := mercury.NewFabric()
+	scls, err := f.NewClass("pacing-server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := margo.New(scls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Finalize()
+	notYet := margo.Serve(func(context.Context, *mercury.Handle, *opArgs) (codec.Message, error) {
+		return &opReply{Status: statusRetry}, nil
+	})
+	if _, err := server.RegisterSet(testProviderID, nil, margo.RPC{Name: RPCGet, Handler: notYet}); err != nil {
+		t.Fatal(err)
+	}
+	ccls, err := f.NewClass("pacing-client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := clock.NewSim(time.Time{})
+	client, err := margo.NewWithClock(ccls, nil, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Finalize()
+	client.SetResilience(&resilience.Config{}) // defaults: 10ms·2ⁿ ≤ 1s ± 20 %
+	m, err := NewMap(1, []Owner{{Addr: server.Addr(), Provider: testProviderID}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRouter(client, m)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Get(tctx(t, 20*time.Second), []byte("k"))
+		done <- err
+	}()
+	var waits []time.Duration
+	for err == nil {
+		select {
+		case err = <-done:
+		default:
+			if sim.WaitForWaiters(1, 5*time.Millisecond) {
+				at, _ := sim.NextDeadline()
+				waits = append(waits, at.Sub(sim.Now()))
+				sim.AdvanceTo(at)
+			}
+		}
+	}
+	if !errors.Is(err, ErrTooManyRedirects) {
+		t.Fatalf("get against a node that always says retry: %v", err)
+	}
+	if len(waits) != 17 {
+		t.Fatalf("%d waits, want one after each of 17 attempts: %v", len(waits), waits)
+	}
+	for i, got := range waits {
+		if want := min(2*time.Millisecond<<uint(i+1), 100*time.Millisecond); got != want {
+			t.Fatalf("wait %d was %v, want %v (all: %v)", i+1, got, want, waits)
+		}
 	}
 }
