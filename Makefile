@@ -61,7 +61,10 @@ reshard-soak:
 #      every event and a linearizable history per seed, plus the
 #      replay-identity test and the broken twins (two votes in a term;
 #      leader self-count and follower acknowledgement before the disk
-#      has the entry), each of which must fail, under the race detector;
+#      has the entry; a restarted member as impatient as a virgin one; a
+#      held request never released), each of which must fail, and the
+#      no-fault scenarios for cold start, planned leader exits and held
+#      requests, under the race detector;
 #   3. the live-raft linearizability harness under -race at a few seeds
 #      (races surface independent of history count);
 #   4. the full SIM_HISTORIES-seed linearizability sweep plus the
@@ -82,7 +85,7 @@ sim:
 	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
 		-run 'TestSwimSeedMatrix1k|TestSwimDeterministicReplay|TestSwimPartitionHeals|TestSwimCatchesBrokenRefutation' ./internal/sim/
 	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
-		-run 'TestRaftSimSeedMatrix|TestRaftSimDeterministicReplay|TestRaftSimCatchesBroken' ./internal/raft/
+		-run 'TestRaftSim' ./internal/raft/
 	SIM_HISTORIES=8 $(GO) test -race -count=1 -timeout 1200s \
 		-run 'TestRaftKVLinearizableUnderFaults|TestLinearizabilityCheckerCatchesBrokenStore|TestKVFSMDeduplicatesRetries' ./internal/core/
 	SIM_HISTORIES=$(SIM_HISTORIES) $(GO) test -count=1 -timeout 1200s \

@@ -15,7 +15,7 @@ type benchMsg struct {
 	Name   string
 	Key    []byte
 	Value  []byte
-	Weight float64
+	Weight uint64
 }
 
 func (m *benchMsg) Proc(p *Proc) {
@@ -27,7 +27,7 @@ func (m *benchMsg) Proc(p *Proc) {
 	p.String(&m.Name)
 	p.Bytes(&m.Key)
 	p.Bytes(&m.Value)
-	p.Float64(&m.Weight)
+	p.Uint64(&m.Weight)
 }
 
 var benchIn = benchMsg{
@@ -39,7 +39,7 @@ var benchIn = benchMsg{
 	Name:   "yokan_put",
 	Key:    []byte("bench-key-0123456789"),
 	Value:  []byte("bench-value-abcdefghijklmnopqrstuvwxyz"),
-	Weight: 3.14159,
+	Weight: 0x400921f9f01b866e,
 }
 
 // BenchmarkCodecMarshal measures a fresh-buffer Marshal per op, the

@@ -64,17 +64,15 @@ func field[T any](p *Proc, v *T, decode func(*Decoder) T, encode func(*Encoder, 
 	}
 }
 
-func (p *Proc) Uint8(v *uint8)     { field(p, v, (*Decoder).Uint8, (*Encoder).Uint8) }
-func (p *Proc) Bool(v *bool)       { field(p, v, (*Decoder).Bool, (*Encoder).Bool) }
-func (p *Proc) Uint16(v *uint16)   { field(p, v, (*Decoder).Uint16, (*Encoder).Uint16) }
-func (p *Proc) Uint32(v *uint32)   { field(p, v, (*Decoder).Uint32, (*Encoder).Uint32) }
-func (p *Proc) Uint64(v *uint64)   { field(p, v, (*Decoder).Uint64, (*Encoder).Uint64) }
-func (p *Proc) Int64(v *int64)     { field(p, v, (*Decoder).Int64, (*Encoder).Int64) }
-func (p *Proc) Float64(v *float64) { field(p, v, (*Decoder).Float64, (*Encoder).Float64) }
+func (p *Proc) Uint8(v *uint8)   { field(p, v, (*Decoder).Uint8, (*Encoder).Uint8) }
+func (p *Proc) Bool(v *bool)     { field(p, v, (*Decoder).Bool, (*Encoder).Bool) }
+func (p *Proc) Uint16(v *uint16) { field(p, v, (*Decoder).Uint16, (*Encoder).Uint16) }
+func (p *Proc) Uint32(v *uint32) { field(p, v, (*Decoder).Uint32, (*Encoder).Uint32) }
+func (p *Proc) Uint64(v *uint64) { field(p, v, (*Decoder).Uint64, (*Encoder).Uint64) }
+func (p *Proc) Int64(v *int64)   { field(p, v, (*Decoder).Int64, (*Encoder).Int64) }
 
-// Uvarint is an unsigned LEB128 integer, Varint a zig-zag one.
+// Uvarint is an unsigned LEB128 integer.
 func (p *Proc) Uvarint(v *uint64) { field(p, v, (*Decoder).Uvarint, (*Encoder).Uvarint) }
-func (p *Proc) Varint(v *int64)   { field(p, v, (*Decoder).Varint, (*Encoder).Varint) }
 
 // String is a length-prefixed string; decoding copies it. StringIntern
 // decodes through the intern table instead, for values that repeat

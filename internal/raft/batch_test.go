@@ -80,15 +80,8 @@ func singleNodeOnFabric(t *testing.T, store Store, fsm FSM, cfg Config) (*Node, 
 		node.Stop()
 		inst.Finalize()
 	})
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if node.IsLeader() {
-			return node, fabric
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("single node never became leader")
-	return nil, nil
+	await(t, "the single node to lead", []*Node{node}, node.IsLeader)
+	return node, fabric
 }
 
 // gatedStore wraps a Store, records the size of every Append, and can
@@ -180,13 +173,8 @@ func TestApplyGroupCommitBatches(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		propose(fmt.Sprintf("set k%d v%d", i, i))
 	}
-	for node.queuedWrites() < ops {
-		if ctx.Err() != nil {
-			release()
-			t.Fatalf("only %d of %d proposals queued at the writer", node.queuedWrites(), ops)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	t.Cleanup(release) // idempotent; a writer still parked would keep Stop waiting
+	await(t, "every proposal to queue at the writer", []*Node{node}, func() bool { return node.queuedWrites() >= ops })
 	base := fs.Syncs()
 	release()
 	wg.Wait()
@@ -250,10 +238,7 @@ func TestAppendLocalSurfacesStoreError(t *testing.T) {
 	// Once the store recovers, the node wins its next election and
 	// accepts commands again.
 	fs.fail.Store(false)
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) && !node.IsLeader() {
-		time.Sleep(5 * time.Millisecond)
-	}
+	await(t, "the node to win its next election", []*Node{node}, node.IsLeader)
 	if _, err := node.Apply(ctx, []byte("set c 3")); err != nil {
 		t.Fatalf("apply after store recovery: %v", err)
 	}

@@ -40,24 +40,19 @@ func benchCluster(b *testing.B, n int) (*Node, func()) {
 		}
 		nodes = append(nodes, node)
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
+	var leader *Node
+	await(b, "a leader", nodes, func() bool {
+		leader = leaderAmong(nodes, len(nodes))
+		return leader != nil
+	})
+	return leader, func() {
 		for _, n := range nodes {
-			if n.IsLeader() {
-				return n, func() {
-					for _, n := range nodes {
-						n.Stop()
-					}
-					for _, inst := range insts {
-						inst.Finalize()
-					}
-				}
-			}
+			n.Stop()
 		}
-		time.Sleep(5 * time.Millisecond)
+		for _, inst := range insts {
+			inst.Finalize()
+		}
 	}
-	b.Fatal("no leader")
-	return nil, nil
 }
 
 func BenchmarkRaftApply3(b *testing.B) {

@@ -15,8 +15,11 @@ import (
 	"mochi/internal/resilience"
 )
 
-// retryInterval is the client's wait between two rounds over the
-// members when none of them led or hinted at a leader.
+// retryInterval is the least time a round over the members takes when
+// none of them led or hinted at a leader. A member that knows no leader
+// holds the request until it does, or for an election timeout, so what
+// this paces is the rounds that found nobody to hold it: transport
+// failures, and refusals that came at once.
 const retryInterval = 50 * time.Millisecond
 
 // Client submits commands to a Raft group from any process, following
@@ -25,8 +28,12 @@ type Client struct {
 	inst  *margo.Instance
 	clk   clock.Clock
 	group string
-	// seeds are addresses of known members.
+	// seeds are addresses of known members. A round tries each once,
+	// starting at seeds[first] and one further every round, so that
+	// sessions spread over the members and a dead one is not what every
+	// round begins with.
 	seeds []string
+	first int
 
 	// leaderMu guards leader, the last address that answered (or was
 	// hinted) as leader. Caching it across calls keeps the steady state
@@ -53,7 +60,11 @@ func (c *Client) storeLeader(addr string) {
 // pacing uses the instance's clock, so clients inside a simulation
 // back off on virtual time.
 func NewClient(inst *margo.Instance, group string, seeds []string) *Client {
-	return &Client{inst: inst, clk: inst.Clock(), group: group, seeds: seeds}
+	c := &Client{inst: inst, clk: inst.Clock(), group: group, seeds: seeds}
+	if len(seeds) > 0 {
+		c.first = int(mercury.NameToID(inst.Addr())) % len(seeds)
+	}
+	return c
 }
 
 // remoteError is a member's refusal as it came over the wire, mapped
@@ -79,18 +90,25 @@ func replyError(msg string) error {
 }
 
 // call sends one client RPC until a member accepts it, terminal says
-// the refusal is final, or ctx expires. It tries the cached leader
+// the refusal is final, or ctx expires. A round tries the cached leader
 // first, then the seeds; a refusal that names a different leader
-// redirects there without sleeping (bounded, so mutually stale hints
-// cannot hot-loop), anything else paces the retry.
+// redirects there at once (bounded, so mutually stale hints cannot
+// hot-loop), anything else starts the next round, no sooner than
+// retryInterval after this one began.
 func (c *Client) call(ctx context.Context, rpc string, args codec.Message, terminal func(error) bool) ([]byte, error) {
 	target := c.cachedLeader()
 	var lastErr error
 	fast := 0
-	for {
-		candidates := c.seeds
+	for round := 0; ; round++ {
+		began := c.clk.Now()
+		candidates := make([]string, 0, len(c.seeds)+1)
 		if target != "" {
-			candidates = append([]string{target}, c.seeds...)
+			candidates = append(candidates, target)
+		}
+		for i := range c.seeds {
+			if addr := c.seeds[(c.first+round+i)%len(c.seeds)]; addr != target {
+				candidates = append(candidates, addr)
+			}
 		}
 		hinted := false
 		for _, addr := range candidates {
@@ -119,7 +137,7 @@ func (c *Client) call(ctx context.Context, rpc string, args codec.Message, termi
 			continue
 		}
 		fast = 0
-		if !resilience.Sleep(ctx, c.clk, retryInterval) {
+		if !resilience.Sleep(ctx, c.clk, retryInterval-c.clk.Now().Sub(began)) {
 			if lastErr != nil {
 				return nil, fmt.Errorf("%w (last: %v)", ErrTimeout, lastErr)
 			}

@@ -13,13 +13,16 @@ import (
 // This file holds the transport-free Raft protocol core. Core owns
 // every protocol rule — role/term/vote, elections, log matching and
 // conflict hints, commit advance, single-server membership, snapshot
-// install, what may leave before it is durable and what may not, and
-// ReadIndex rounds — but performs no network I/O, writes no log, reads
+// install, what may leave before it is durable and what may not,
+// ReadIndex rounds, and what makes a planned event (a cold start, a
+// request that finds no leader, a leader's exit) cost round trips
+// instead of timers — but performs no network I/O, writes no log, reads
 // no clock and starts no goroutines. Inputs are events carrying the
 // current time (a timer tick, a request or a reply from a peer,
-// proposals, reads, a configuration change, "applied through index i",
-// "persisted through write n"); outputs are the Effects each step
-// leaves behind plus the next timer deadline. Two drivers run it:
+// proposals, reads, a configuration change, a request to hold, "applied
+// through index i", "persisted through write n"); outputs are the
+// Effects each step leaves behind plus the next timer deadline. Two
+// drivers run it:
 //
 //   - the live Node (node.go), which wraps one Core in a mutex and wires
 //     it to margo RPCs, a timer goroutine, per-peer senders, the one
@@ -46,15 +49,17 @@ import (
 // indexes Persisted has covered. A crash loses exactly the tail.
 
 // Message is one request the core wants sent to a peer. Exactly one of
-// Vote, Append and Snapshot is set. The peer's reply is handed back
-// together with the message that caused it (VoteReply, AppendReply),
-// the way an RPC layer pairs them: the wire replies do not repeat what
-// was asked.
+// Vote, Append, Snapshot and TimeoutNow is set. The peer's reply is
+// handed back together with the message that caused it (VoteReply,
+// AppendReply), the way an RPC layer pairs them: the wire replies do
+// not repeat what was asked. Nobody waits for the reply to a
+// TimeoutNow: its sender is on its way out.
 type Message struct {
-	To       string
-	Vote     *requestVoteArgs
-	Append   *appendEntriesArgs
-	Snapshot *installSnapshotArgs
+	To         string
+	Vote       *requestVoteArgs
+	Append     *appendEntriesArgs
+	Snapshot   *installSnapshotArgs
+	TimeoutNow *timeoutNowArgs
 	// Round is non-zero when Append is the leadership probe of that
 	// ReadIndex round rather than log traffic.
 	Round uint64
@@ -126,6 +131,14 @@ type Dropped struct {
 	Err  error
 }
 
+// Transition is the member's role, term and leader hint right after one
+// of them changed.
+type Transition struct {
+	Role   Role
+	Term   uint64
+	Leader string
+}
+
 // Effects is what a step asks its driver to do.
 type Effects struct {
 	Msgs     []Message
@@ -135,6 +148,10 @@ type Effects struct {
 	Rejected []Rejected
 	Reads    []ReadRound
 	Dropped  *Dropped
+	// Transitions are the changes of role, term and leader, in order.
+	Transitions []Transition
+	// Released are the tags of the held requests (Hold) to start again.
+	Released []interface{}
 	// Apply is set when NextApply has new work.
 	Apply bool
 	// StoreErrors counts the Store.SetState calls and the Persists that
@@ -183,6 +200,12 @@ type heldAck struct {
 	tag, need, term uint64
 }
 
+// hold is one client request parked while the member knows no leader.
+type hold struct {
+	tag   interface{}
+	until time.Time
+}
+
 // Core is one member's Raft state machine.
 type Core struct {
 	group string
@@ -195,6 +218,8 @@ type Core struct {
 	term     uint64 // mirrors the Store
 	votedFor string // mirrors the Store
 	leader   string
+	seen     Transition // the last one emitted
+	held     []hold     // oldest first
 
 	// The log is the snapshot (through snapIndex), what the store holds
 	// below offset, and tail from offset on. tail is everything not known
@@ -269,7 +294,15 @@ func NewCore(group, id string, peers []string, store Store, cfg Config, rng *ran
 	c.persisted = store.LastIndex()
 	c.offset = c.persisted + 1
 	c.reloadConfig()
-	c.electionAt = now.Add(c.electionTimeout())
+	c.seen = Transition{Term: c.term}
+	if c.term == 0 && c.lastIndex() == 0 {
+		// A virgin member — no term, no log, no snapshot — has never had
+		// a leader to be patient with: its first deadline, and only that
+		// one, falls within a heartbeat.
+		c.electionAt = now.Add(time.Duration(c.rng.Int63n(int64(c.cfg.HeartbeatInterval))))
+	} else {
+		c.electionAt = now.Add(c.electionTimeout())
+	}
 	return c, nil
 }
 
@@ -304,6 +337,9 @@ func (c *Core) IsLeader() bool { return c.role == Leader }
 // Deadline is when Tick next has something to do.
 func (c *Core) Deadline() time.Time {
 	if c.role != Leader {
+		if len(c.held) > 0 && c.held[0].until.Before(c.electionAt) {
+			return c.held[0].until
+		}
 		return c.electionAt
 	}
 	d := c.heartbeatAt
@@ -316,6 +352,11 @@ func (c *Core) Deadline() time.Time {
 // Tick fires every timer that is due at now.
 func (c *Core) Tick(now time.Time) {
 	if c.role != Leader {
+		n := 0
+		for n < len(c.held) && !now.Before(c.held[n].until) {
+			n++
+		}
+		c.release(n)
 		if !now.Before(c.electionAt) {
 			c.campaign(now)
 		}
@@ -568,6 +609,9 @@ func (c *Core) persist(term uint64, votedFor string) error {
 		c.eff.StoreErrors++
 		return fmt.Errorf("raft: persist term %d: %w", term, err)
 	}
+	if term != c.term {
+		c.leader = "" // whoever led the old term does not lead this one
+	}
 	c.term, c.votedFor = term, votedFor
 	return nil
 }
@@ -589,22 +633,62 @@ func (c *Core) demote(now time.Time) {
 	if was != Follower {
 		c.electionAt = now.Add(c.electionTimeout())
 	}
-	if was != Leader {
+	if was == Leader {
+		if c.leader == c.id {
+			c.leader = ""
+		}
+		err := leaderError(c.leader)
+		if c.round.id != 0 {
+			c.eff.Reads = append(c.eff.Reads, ReadRound{ID: c.round.id, Reads: c.round.reads, Err: err})
+			c.round = readRound{}
+		}
+		if c.forming > 0 {
+			c.eff.Reads = append(c.eff.Reads, ReadRound{ID: c.nextRound, Reads: c.forming, Err: err})
+			c.nextRound++
+			c.forming = 0
+		}
+	}
+	c.note()
+}
+
+// note emits a Transition if role, term or leader moved since the last
+// one. Once a leader is known — this member or another — every held
+// request goes back to its driver, to be started here or refused with
+// the hint.
+func (c *Core) note() {
+	t := Transition{Role: c.role, Term: c.term, Leader: c.leader}
+	if t == c.seen {
 		return
 	}
-	if c.leader == c.id {
-		c.leader = ""
+	c.seen = t
+	c.eff.Transitions = append(c.eff.Transitions, t)
+	if c.leader != "" {
+		c.release(len(c.held))
 	}
-	err := leaderError(c.leader)
-	if c.round.id != 0 {
-		c.eff.Reads = append(c.eff.Reads, ReadRound{ID: c.round.id, Reads: c.round.reads, Err: err})
-		c.round = readRound{}
+}
+
+// Hold parks a client request, known to the core only as tag, at a
+// member that has no leader to name: refusing it would send the client
+// round the group on its own timer, while the answer is at most an
+// election away. The tag comes back in Released at the next transition
+// that names a leader, or after ElectionTimeoutMax. Hold reports false,
+// and keeps nothing, when the member leads or knows who does — or is
+// outside the configuration, where no leader will ever make itself
+// known.
+func (c *Core) Hold(now time.Time, tag interface{}) bool {
+	if c.leader != "" || !c.inConfig() {
+		return false
 	}
-	if c.forming > 0 {
-		c.eff.Reads = append(c.eff.Reads, ReadRound{ID: c.nextRound, Reads: c.forming, Err: err})
-		c.nextRound++
-		c.forming = 0
+	c.held = append(c.held, hold{tag: tag, until: now.Add(c.cfg.ElectionTimeoutMax)})
+	return true
+}
+
+// release hands the n oldest held requests back.
+func (c *Core) release(n int) {
+	for _, h := range c.held[:n] {
+		c.eff.Released = append(c.eff.Released, h.tag)
 	}
+	c.held = append(c.held[:0], c.held[n:]...)
 }
 
 func leaderError(hint string) error {
@@ -688,8 +772,8 @@ func (c *Core) campaign(now time.Time) {
 		return
 	}
 	c.role = Candidate
-	c.leader = ""
 	c.votes = map[string]bool{c.id: true}
+	c.note()
 	if c.quorum(c.votes) {
 		c.becomeLeader(now)
 		return
@@ -760,6 +844,7 @@ func (c *Core) VoteReply(now time.Time, m Message, r *requestVoteReply) {
 func (c *Core) becomeLeader(now time.Time) {
 	c.role = Leader
 	c.leader = c.id
+	c.note()
 	c.heartbeatAt = now.Add(c.cfg.HeartbeatInterval)
 	last := c.lastIndex()
 	c.prog = make(map[string]*progress, len(c.peers))
@@ -817,21 +902,30 @@ func (c *Core) sendAppend(peer string) {
 		}})
 		return
 	}
-	prev := p.next - 1
-	prevTerm, err := c.termAt(prev)
-	if err != nil {
-		return
-	}
-	entries, err := c.entries(p.next, min(c.lastIndex(), prev+uint64(c.cfg.MaxEntriesPerAppend)))
-	if err != nil {
+	a := c.appendArgs(p.next-1, min(c.lastIndex(), p.next-1+uint64(c.cfg.MaxEntriesPerAppend)))
+	if a == nil {
 		return
 	}
 	p.inflight, p.sentCommit = true, c.commitIndex
-	c.eff.Msgs = append(c.eff.Msgs, Message{To: peer, Append: &appendEntriesArgs{
+	c.eff.Msgs = append(c.eff.Msgs, Message{To: peer, Append: a})
+}
+
+// appendArgs builds the AppendEntries that carries the log in (prev,
+// hi]: nil when the log does not reach back to prev any more.
+func (c *Core) appendArgs(prev, hi uint64) *appendEntriesArgs {
+	prevTerm, err := c.termAt(prev)
+	if err != nil {
+		return nil
+	}
+	entries, err := c.entries(prev+1, hi)
+	if err != nil {
+		return nil
+	}
+	return &appendEntriesArgs{
 		Group: c.group, Term: c.term, Leader: c.id,
 		PrevLogIndex: prev, PrevLogTerm: prevTerm,
 		Entries: entries, LeaderCommit: c.commitIndex,
-	}})
+	}
 }
 
 // AppendReply handles the reply to m, which is log traffic
@@ -914,7 +1008,9 @@ func (c *Core) advanceCommit(now time.Time) {
 	c.commitIndex = candidate
 	c.eff.Apply = true
 	if configCommitted && !c.inConfig() {
-		c.demote(now) // removed by the configuration that just committed
+		// Removed by the configuration that just committed.
+		c.Transfer()
+		c.demote(now)
 		return
 	}
 	c.startRound(now) // reads parked until the term's first commit
@@ -929,8 +1025,13 @@ func (c *Core) advanceCommit(now time.Time) {
 // busy with the previous AppendEntries gets everything since in its
 // next one.
 func (c *Core) Propose(now time.Time, ps []Proposal) {
-	if c.role != Leader {
+	if c.role != Leader || !c.inConfig() {
 		err := leaderError(c.leader)
+		if c.role == Leader {
+			// It has appended its own removal and will not be there to
+			// report on anything it takes now; its successor is not known.
+			err = ErrNoLeader
+		}
 		for _, p := range ps {
 			c.eff.Rejected = append(c.eff.Rejected, Rejected{Tag: p.Tag, Err: err})
 		}
@@ -984,7 +1085,50 @@ func (c *Core) ChangeConfig(now time.Time, addr string, remove bool) (index, ter
 	return index, c.term, nil
 }
 
+// Transfer is what a leader on its way out — removed by the
+// configuration it just committed, or about to be stopped — does
+// instead of leaving the group to wait out an election timeout: it
+// tells the voter whose log is furthest along to campaign at once, and
+// sends along whatever of its own log that voter has not acknowledged,
+// so that the successor stands on the leader's whole log and no voter
+// holds anything that would make it refuse.
+func (c *Core) Transfer() {
+	if c.role != Leader {
+		return
+	}
+	to := ""
+	for _, p := range c.peers {
+		if p != c.id && (to == "" || c.prog[p].match > c.prog[to].match) {
+			to = p
+		}
+	}
+	if to == "" {
+		return
+	}
+	a := c.appendArgs(c.prog[to].match, c.lastIndex())
+	if a == nil {
+		// A leader this new has heard from nobody, and the log that far
+		// back is compacted: the successor stands on the log it has.
+		a = c.appendArgs(c.lastIndex(), c.lastIndex())
+	}
+	if a != nil {
+		c.eff.Msgs = append(c.eff.Msgs, Message{To: to, TimeoutNow: &timeoutNowArgs{*a}})
+	}
+}
+
 // --- follower ---
+
+// TimeoutNow handles a departing leader's last AppendEntries, which
+// names this member its successor: take the entries, then campaign now
+// instead of when the election timer says. Nobody waits for the
+// acknowledgement (tag 0). A stale request changes nothing.
+func (c *Core) TimeoutNow(now time.Time, a *timeoutNowArgs) *timeoutNowReply {
+	c.AppendEntries(now, &a.appendEntriesArgs, 0)
+	if a.Term == c.term && a.Leader == c.leader && c.role == Follower {
+		c.campaign(now)
+	}
+	return &timeoutNowReply{Term: c.term}
+}
 
 // follow accepts leader as the leader of term (>= c.term).
 func (c *Core) follow(now time.Time, term uint64, leader string) error {

@@ -221,13 +221,7 @@ func TestFSMHasOneCaller(t *testing.T) {
 	}, &ack); err != nil || !ack.Success {
 		t.Fatalf("append after install: %+v, %v", ack, err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for n.Status().LastApplied < 11 {
-		if time.Now().After(deadline) {
-			t.Fatalf("status %+v: never applied 11", n.Status())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	await(t, "index 11 to be applied", []*Node{n}, func() bool { return n.Status().LastApplied >= 11 })
 	if fsm.overlapped.Load() {
 		t.Fatal("two FSM calls overlapped")
 	}
@@ -406,5 +400,75 @@ func TestHandlersFollowMemberLifetime(t *testing.T) {
 	var reply requestVoteReply
 	if err := h.call(rpcRequestVote, &requestVoteArgs{Group: "hand", Term: 1, Candidate: h.peer.Addr()}, &reply); err != nil || !reply.Granted {
 		t.Fatalf("vote request to a member started after a full teardown: %+v, %v", reply, err)
+	}
+}
+
+// TestPlannedEventsCostRoundTripsNotTimers runs a group through its
+// whole planned life — formed from nothing, asked before it has a
+// leader, its leader removed, the next one stopped — with election
+// timeouts no test could wait out. Whatever got it back into service
+// each time was a message: the virgin members' first deadline, the
+// request held until the election ended, TimeoutNow from a leader on its
+// way out. The metrics say the same: no election without a winner, and
+// nobody without a leader for anywhere near a timeout.
+func TestPlannedEventsCostRoundTripsNotTimers(t *testing.T) {
+	cfg := Config{ElectionTimeoutMin: 8 * time.Second, ElectionTimeoutMax: 16 * time.Second, HeartbeatInterval: 20 * time.Millisecond}
+	began := time.Now()
+	c := newRaftCluster(t, 5, cfg)
+	cls, _ := c.fabric.NewClass("planned-client")
+	inst, err := margo.New(cls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Finalize()
+	client := NewClient(inst, "g", c.addrs)
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.ElectionTimeoutMin)
+	defer cancel()
+	apply := func(cmd string) {
+		t.Helper()
+		if _, err := client.Apply(ctx, []byte(cmd)); err != nil {
+			t.Fatalf("%s, %v after the group was started: %v", cmd, time.Since(began), err)
+		}
+	}
+
+	apply("set formed yes") // nobody waited for a leader first
+	first := c.waitLeader()
+	if err := client.RemoveServer(ctx, first.ID()); err != nil {
+		t.Fatal(err)
+	}
+	apply("set removed yes")
+	second := c.waitLeader(first.ID())
+	second.Stop()
+	apply("set stopped yes")
+	third := c.waitLeader(first.ID(), second.ID())
+	if got := c.fsms[third.ID()].get("formed") + c.fsms[third.ID()].get("removed"); got != "yesyes" {
+		t.Fatalf("the third leader's state machine lost something: %q", got)
+	}
+	if took := time.Since(began); took >= cfg.ElectionTimeoutMin {
+		t.Fatalf("took %v: something waited for an election timeout", took)
+	}
+
+	outcomes := map[string]float64{}
+	var episodes uint64
+	var leaderless float64
+	for _, inst := range c.insts {
+		for _, f := range inst.Metrics().Snapshot() {
+			for _, s := range f.Series {
+				switch f.Name {
+				case "mochi_raft_elections_total":
+					outcomes[s.LabelValues[1]] += s.Value
+				case "mochi_raft_leaderless_seconds":
+					episodes += s.Hist.Count
+					leaderless += s.Hist.Sum
+				}
+			}
+		}
+	}
+	if outcomes["won"] != 3 || outcomes["no_winner"] != 0 {
+		t.Fatalf("elections by outcome: %v, want 3 won and none without a winner", outcomes)
+	}
+	// Every member at start-up, and four, then three, at each handover.
+	if episodes < 5+3+2 || leaderless >= cfg.ElectionTimeoutMin.Seconds() {
+		t.Fatalf("%d leaderless episodes, %.3fs in all", episodes, leaderless)
 	}
 }

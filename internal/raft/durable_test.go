@@ -238,17 +238,11 @@ func TestStopAnswersEveryKeptHandle(t *testing.T) {
 		}()
 	}
 	<-entered
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+	await(t, "every request to reach the log", []*Node{node}, func() bool {
 		node.mu.Lock()
-		n := len(node.waiters)
-		node.mu.Unlock()
-		if n == kept {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d requests reached the log", n, kept)
-		}
-	}
+		defer node.mu.Unlock()
+		return len(node.waiters) == kept
+	})
 	stopped := make(chan struct{})
 	go func() {
 		node.Stop() // returns once the writer is out of the store
@@ -325,11 +319,7 @@ func TestStoreWritesHappenOutsideTheLock(t *testing.T) {
 	}})
 	send(&appendEntriesArgs{Group: "hand", Term: 2, Leader: h.peer.Addr(), PrevLogIndex: 1, PrevLogTerm: 1, LeaderCommit: 2,
 		Entries: []LogEntry{{Index: 2, Term: 2, Type: EntryCommand, Data: []byte("set a two")}}})
-	for deadline := time.Now().Add(10 * time.Second); n.Status().LastApplied < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("status %+v: never applied 2", n.Status())
-		}
-	}
+	await(t, "index 2 to be applied", []*Node{n}, func() bool { return n.Status().LastApplied >= 2 })
 	if err := n.TakeSnapshot(); err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,8 @@ func wireProtos() []codectest.Message {
 		&readArgs{Group: "g", Query: []byte("get k")},
 		&statusArgs{Group: "g"},
 		&LogEntry{Index: 9, Term: 3, Type: EntryConfig, Data: []byte("sm://a,sm://b")},
+		&timeoutNowArgs{appendEntriesArgs{Group: "g", Term: 3, Leader: "sm://a", PrevLogIndex: 9, PrevLogTerm: 3, LeaderCommit: 9}},
+		&timeoutNowReply{Term: 3},
 	}
 }
 

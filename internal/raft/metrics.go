@@ -31,6 +31,14 @@ type nodeMetrics struct {
 	// appendErrors counts persistent-store write failures (each one
 	// steps a leader down rather than silently dropping the command).
 	appendErrors *metrics.Counter // mochi_raft_store_append_errors_total{group}
+	// elections counts this member's candidacies by how they ended: won,
+	// lost (somebody else leads, or a higher term turned up) or no_winner
+	// (the election timed out and the member stood again). leaderless is
+	// how long the member went each time with no leader to name, from
+	// start-up or from losing one to the transition that named the next:
+	// time without service, as this member saw it.
+	elections  *metrics.CounterVec // mochi_raft_elections_total{group,outcome}
+	leaderless *metrics.Histogram  // mochi_raft_leaderless_seconds{group}
 }
 
 func newNodeMetrics(reg *metrics.Registry, group string) *nodeMetrics {
@@ -53,5 +61,11 @@ func newNodeMetrics(reg *metrics.Registry, group string) *nodeMetrics {
 		appendErrors: reg.Counter("mochi_raft_store_append_errors_total",
 			"Persistent-store append failures on the leader (each steps the leader down), by group.",
 			"group").With(group),
+		elections: reg.Counter("mochi_raft_elections_total",
+			"Candidacies of this member by outcome (won, lost, no_winner), by group.",
+			"group", "outcome"),
+		leaderless: reg.Histogram("mochi_raft_leaderless_seconds",
+			"Time this member knew no leader, per episode: from start-up or from losing one until the next is known, by group.",
+			metrics.LatencyBuckets, "group").With(group),
 	}
 }

@@ -2,6 +2,7 @@ package raft
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -74,12 +75,18 @@ type outcome struct {
 // takes it out — the applier, the round that confirms it, a failed
 // Persist, the deadline sweep, Stop — calls resolve, once, with mu
 // released. The blocking API's resolve writes to a channel; an RPC's
-// answers its kept handle. index and term say where the core appended a
-// proposal; they are written and read under mu.
+// answers its kept handle, unless the answer is "no leader" and the
+// request can still be held. index and term say where the core appended
+// a proposal; they are written and read under mu.
 type waiter struct {
 	resolve func(outcome)
 	index   uint64
 	term    uint64
+	// start hands an RPC's operation to the core, again when the core
+	// releases it after it was held for want of a leader (Core.Hold),
+	// which happens to a request once.
+	start func(*Node, *waiter) error
+	held  bool
 	// deadline bounds a waiter nobody is blocked on (a caller of the
 	// blocking API has its ctx instead): the timer loop sweeps it.
 	deadline time.Time
@@ -109,10 +116,12 @@ const (
 var phases = [...]string{"persist", "replicate", "round"}
 
 // after is what a step leaves to do once mu is released: answers to
-// kept AppendEntries and InstallSnapshot handles, and resolutions.
+// kept AppendEntries and InstallSnapshot handles, resolutions, and held
+// requests to start again.
 type after struct {
-	acks []keptAck
-	done []resolved
+	acks  []keptAck
+	done  []resolved
+	again []*waiter
 }
 
 type keptAck struct {
@@ -148,6 +157,7 @@ var members = margo.NewGroups(func(inst *margo.Instance, lookup func(string) *No
 	r := &handlers{lookup}
 	return inst.RegisterSet(mercury.AnyProvider, nil,
 		margo.RPC{Name: rpcRequestVote, Handler: margo.Serve(r.handleVote)},
+		margo.RPC{Name: rpcTimeoutNow, Handler: margo.Serve(r.handleTimeoutNow)},
 		margo.RPC{Name: rpcAppendEntries, Handler: margo.Serve(logTraffic(r,
 			func(a *appendEntriesArgs) string { return a.Group }, (*Core).AppendEntries))},
 		margo.RPC{Name: rpcInstallSnapshot, Handler: margo.Serve(logTraffic(r,
@@ -186,6 +196,10 @@ type Node struct {
 	reads   map[uint64][]*waiter       // reads by ReadIndex round
 	kept    map[uint64]*mercury.Handle // unanswered AppendEntries/InstallSnapshot by tag
 	tag     uint64                     // the last one handed out
+	held    map[*waiter]struct{}       // client RPCs parked in the core for want of a leader
+	seen    Transition                 // the core's last, for the election metrics
+	since   time.Time                  // when the member last lost sight of a leader
+	watch   chan struct{}              // closed at the next step, when somebody asked (changed)
 	spans   int                        // waiters in the proposal table that carry a span
 	sweepAt time.Time                  // the earliest deadline in the tables, zero if none
 	queue   []Persist                  // for the writer, in Seq order
@@ -228,6 +242,7 @@ func NewNode(inst *margo.Instance, group string, peers []string, store Store, fs
 		waiters:   map[uint64]*waiter{},
 		reads:     map[uint64][]*waiter{},
 		kept:      map[uint64]*mercury.Handle{},
+		held:      map[*waiter]struct{}{},
 		senders:   map[string]*lanes{},
 		applyWake: make(chan struct{}, 1),
 		writeWake: make(chan struct{}, 1),
@@ -237,7 +252,9 @@ func NewNode(inst *margo.Instance, group string, peers []string, store Store, fs
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	rng := rand.New(rand.NewSource(int64(mercury.NameToID(n.id + "/" + group))))
 	var err error
-	if n.core, err = NewCore(group, n.id, peers, store, n.cfg, rng, n.clk.Now()); err == nil {
+	n.since = n.clk.Now()
+	if n.core, err = NewCore(group, n.id, peers, store, n.cfg, rng, n.since); err == nil {
+		n.seen = Transition{Term: n.core.Status().Term}
 		// Bring the FSM up to the stored snapshot before anything can
 		// race with it.
 		err = n.applyPending()
@@ -286,11 +303,15 @@ func (n *Node) IsLeader() bool {
 // Stop halts the node and waits for its goroutines: everything still in
 // its tables — blocked callers and kept handles alike — is answered
 // ErrStopped, and what the writer has not written stays unwritten, as
-// after a crash. The store is not closed.
+// after a crash. A leader first names its successor (Core.Transfer), an
+// RPC nobody waits on for longer than a heartbeat interval. The store is
+// not closed.
 func (n *Node) Stop() {
 	n.stopOnce.Do(func() {
 		var out after
 		n.mu.Lock()
+		n.core.Transfer()
+		handover := n.core.Take().Msgs
 		n.stopped = true
 		for _, w := range n.waiters {
 			out.done = append(out.done, resolved{w, outcome{err: ErrStopped}})
@@ -303,11 +324,18 @@ func (n *Node) Stop() {
 		for _, h := range n.kept {
 			out.acks = append(out.acks, keptAck{h, Ack{Err: ErrStopped}})
 		}
+		for w := range n.held {
+			out.done = append(out.done, resolved{w, outcome{err: ErrStopped}})
+		}
 		clear(n.waiters)
 		clear(n.reads)
 		clear(n.kept)
+		clear(n.held)
 		n.queue = nil
 		n.mu.Unlock()
+		for _, m := range handover {
+			n.send(m)
+		}
 		n.cancel()
 		n.finish(&out)
 	})
@@ -383,6 +411,14 @@ func (n *Node) dispatch(out *after) {
 	if eff.StoreErrors > 0 {
 		n.met.appendErrors.Add(float64(eff.StoreErrors))
 	}
+	for _, t := range eff.Transitions {
+		n.observe(t)
+	}
+	for _, tag := range eff.Released {
+		w := tag.(*waiter)
+		delete(n.held, w)
+		out.again = append(out.again, w)
+	}
 	if eff.Apply {
 		if n.spans > 0 {
 			n.mark(phaseReplicate, n.core.Status().CommitIndex, n.clk.Now())
@@ -392,6 +428,38 @@ func (n *Node) dispatch(out *after) {
 	if n.core.Deadline().Before(n.armed) {
 		signal(n.rearm)
 	}
+	if n.watch != nil {
+		close(n.watch)
+		n.watch = nil
+	}
+}
+
+// observe feeds one transition to the election metrics: how a candidacy
+// ended, and how long the member went without a leader to name. Caller
+// holds mu.
+func (n *Node) observe(t Transition) {
+	if n.seen.Role == Candidate {
+		outcome := [...]string{Follower: "lost", Candidate: "no_winner", Leader: "won"}[t.Role]
+		n.met.elections.With(n.group, outcome).Inc()
+	}
+	switch now := n.clk.Now(); {
+	case n.seen.Leader != "" && t.Leader == "":
+		n.since = now
+	case n.seen.Leader == "" && t.Leader != "":
+		n.met.leaderless.Observe(now.Sub(n.since).Seconds())
+	}
+	n.seen = t
+}
+
+// changed returns a channel that is closed after the node's next step:
+// what a test waits on between two looks at Status or at its FSM.
+func (n *Node) changed() <-chan struct{} {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.watch == nil {
+		n.watch = make(chan struct{})
+	}
+	return n.watch
 }
 
 // enter puts a proposal in the table; leave takes it out. Caller holds
@@ -448,8 +516,10 @@ func (n *Node) finish(out *after) {
 			n.met.commitLatency.Observe(time.Since(d.w.arrived).Seconds())
 		}
 		d.w.resolve(d.o)
-		if d.w.span != nil {
-			n.commitSpan(d.w.span, d.o.err != nil)
+	}
+	for _, w := range out.again {
+		if err := w.start(n, w); err != nil {
+			w.resolve(outcome{err: err})
 		}
 	}
 }
@@ -604,6 +674,8 @@ func (n *Node) send(m Message) {
 	switch {
 	case m.Vote != nil:
 		rpc, timeout, args = rpcRequestVote, n.cfg.ElectionTimeoutMin, m.Vote
+	case m.TimeoutNow != nil:
+		rpc, timeout, args = rpcTimeoutNow, n.cfg.HeartbeatInterval, m.TimeoutNow
 	case m.Snapshot != nil:
 		rpc, timeout, args = rpcInstallSnapshot, 4*n.cfg.HeartbeatInterval, m.Snapshot
 	case m.Round != 0:
@@ -611,6 +683,10 @@ func (n *Node) send(m Message) {
 	}
 	ctx, cancel := context.WithTimeout(n.ctx, timeout)
 	defer cancel()
+	if m.TimeoutNow != nil {
+		_ = n.inst.Call(ctx, m.To, rpc, mercury.AnyProvider, args, nil) // the successor's election is the answer
+		return
+	}
 	if m.Vote != nil {
 		var r requestVoteReply
 		if n.inst.Call(ctx, m.To, rpc, mercury.AnyProvider, args, &r) == nil {
@@ -929,6 +1005,18 @@ func (n *Node) RemoveServer(ctx context.Context, addr string) error {
 
 // --- RPC handlers ---
 
+func (r *handlers) handleTimeoutNow(_ context.Context, _ *mercury.Handle, a *timeoutNowArgs) (codec.Message, error) {
+	n := r.lookup(a.Group)
+	if n == nil {
+		return nil, fmt.Errorf("raft: unknown group %q", a.Group)
+	}
+	var reply *timeoutNowReply
+	if !n.step(func(c *Core, now time.Time) { reply = c.TimeoutNow(now, a) }) {
+		return nil, ErrStopped
+	}
+	return reply, nil
+}
+
 func (r *handlers) handleVote(_ context.Context, _ *mercury.Handle, a *requestVoteArgs) (codec.Message, error) {
 	n := r.lookup(a.Group)
 	if n == nil {
@@ -971,28 +1059,47 @@ func logTraffic[A any](r *handlers, group func(*A) string, input func(*Core, tim
 // whose resolution answers h — with result() when there is one to
 // compute — hands it to start, and returns with the handle kept, so the
 // execution stream is free while the group works. Whoever resolves the
-// waiter sends the reply; an operation that could not start is answered
-// here.
+// waiter sends the reply. A member with no leader to name does not
+// refuse the first time round: the waiter is parked in the core and
+// started again when the core lets it go (Core.Hold).
 func (r *handlers) serve(ctx context.Context, h *mercury.Handle, group, name string, result func(*Node) []byte, start func(*Node, *waiter) error) (codec.Message, error) {
 	n := r.lookup(group)
 	if n == nil {
 		return &applyReply{Err: "unknown group"}, nil
 	}
 	now := n.clk.Now()
-	w := &waiter{deadline: now.Add(10 * n.cfg.ElectionTimeoutMax)}
+	w := &waiter{start: start, deadline: now.Add(10 * n.cfg.ElectionTimeoutMax)}
 	w.resolve = func(o outcome) {
+		if errors.Is(o.err, ErrNoLeader) && !w.held && n.hold(w) {
+			return
+		}
 		if o.err == nil && result != nil {
 			o.result = result(n)
 		}
 		margo.Reply(h, n.reply(o))
+		if w.span != nil {
+			n.commitSpan(w.span, o.err != nil)
+		}
 	}
 	if sc, ok := trace.FromContext(ctx); ok && sc.Sampled() {
 		w.span = &span{sc: sc, name: name, arrived: now}
 	}
 	if err := start(n, w); err != nil {
-		return n.reply(outcome{err: err}), nil
+		w.resolve(outcome{err: err})
 	}
 	return nil, nil
+}
+
+// hold parks w in the core if the member still knows no leader, and
+// says whether it did.
+func (n *Node) hold(w *waiter) (held bool) {
+	w.held = true
+	n.step(func(c *Core, now time.Time) {
+		if held = c.Hold(now, w); held {
+			n.held[w] = struct{}{}
+		}
+	})
+	return held
 }
 
 // reply is the wire form of o: the result, or the error and a leader

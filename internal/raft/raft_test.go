@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -145,44 +146,73 @@ func newRaftCluster(t *testing.T, n int, cfg Config) *raftCluster {
 	return c
 }
 
-// waitLeader blocks until exactly one live node is leader and a
-// majority agrees on it.
+// await blocks until cond holds, looking again each time one of nodes
+// has taken a step — a transition, a commit, an apply, a finished disk
+// write — and fails the test after 20 seconds. Nothing in this package
+// waits out a guess at how long an election takes.
+func await(t testing.TB, what string, nodes []*Node, cond func() bool) {
+	t.Helper()
+	timeout := reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(time.After(20 * time.Second))}
+	for {
+		cases := []reflect.SelectCase{timeout}
+		for _, n := range nodes {
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(n.changed())})
+		}
+		if cond() { // after the channels were taken: no step is missed
+			return
+		}
+		if i, _, _ := reflect.Select(cases); i == 0 {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// leaderAmong returns the node of nodes that leads and is named leader
+// by a majority of total members, if there is one.
+func leaderAmong(nodes []*Node, total int) *Node {
+	for _, l := range nodes {
+		if !l.IsLeader() {
+			continue
+		}
+		agree := 0
+		for _, n := range nodes {
+			if n.Leader() == l.ID() {
+				agree++
+			}
+		}
+		if agree > total/2 {
+			return l
+		}
+	}
+	return nil
+}
+
+// all returns the cluster's nodes but those at the excluded addresses.
+func (c *raftCluster) all(exclude ...string) []*Node {
+	var nodes []*Node
+	for addr, n := range c.nodes {
+		skip := false
+		for _, e := range exclude {
+			skip = skip || e == addr
+		}
+		if !skip {
+			nodes = append(nodes, n)
+		}
+	}
+	return nodes
+}
+
+// waitLeader blocks until a live node is leader and a majority agrees
+// on it.
 func (c *raftCluster) waitLeader(exclude ...string) *Node {
 	c.t.Helper()
-	skip := map[string]bool{}
-	for _, e := range exclude {
-		skip[e] = true
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		var leader *Node
-		for addr, n := range c.nodes {
-			if skip[addr] {
-				continue
-			}
-			if n.IsLeader() {
-				leader = n
-			}
-		}
-		if leader != nil {
-			// A majority must acknowledge this leader.
-			agree := 0
-			for addr, n := range c.nodes {
-				if skip[addr] {
-					continue
-				}
-				if n.Leader() == leader.ID() {
-					agree++
-				}
-			}
-			if agree > len(c.addrs)/2 {
-				return leader
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	c.t.Fatal("no leader elected")
-	return nil
+	var leader *Node
+	nodes := c.all(exclude...)
+	await(c.t, "a leader", nodes, func() bool {
+		leader = leaderAmong(nodes, len(c.addrs))
+		return leader != nil
+	})
+	return leader
 }
 
 // apply submits a command through whichever node currently leads,
@@ -198,8 +228,7 @@ func (c *raftCluster) apply(ctx context.Context, cmd []byte) ([]byte, error) {
 		}
 		lastErr = err
 		if errors.Is(err, ErrNotLeader) || errors.Is(err, ErrNoLeader) || errors.Is(err, ErrTimeout) {
-			time.Sleep(10 * time.Millisecond)
-			continue
+			continue // waitLeader waits for whoever leads next
 		}
 		return nil, err
 	}
@@ -252,19 +281,14 @@ func TestReplicationToAllNodes(t *testing.T) {
 		}
 	}
 	// All FSMs converge to the same state.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		done := true
+	await(t, "every FSM to apply k19", c.all(), func() bool {
 		for _, fsm := range c.fsms {
 			if fsm.get("k19") != "v19" {
-				done = false
+				return false
 			}
 		}
-		if done {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return true
+	})
 	for addr, fsm := range c.fsms {
 		for i := 0; i < 20; i++ {
 			if got := fsm.get(fmt.Sprintf("k%d", i)); got != fmt.Sprintf("v%d", i) {
@@ -286,19 +310,14 @@ func TestStateMachineSafety(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		all := true
+	await(t, "every FSM to apply 30 commands", c.all(), func() bool {
 		for _, fsm := range c.fsms {
 			if len(fsm.appliedSeq()) < 30 {
-				all = false
+				return false
 			}
 		}
-		if all {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return true
+	})
 	ref := c.fsms[c.addrs[0]].appliedSeq()
 	for addr, fsm := range c.fsms {
 		seq := fsm.appliedSeq()
@@ -428,22 +447,7 @@ func TestPartitionedLeaderCannotCommit(t *testing.T) {
 		t.Fatal("partitioned leader committed a write")
 	}
 	// The majority side elects a new leader and commits.
-	var newLeader *Node
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, a := range majority {
-			if c.nodes[a].IsLeader() {
-				newLeader = c.nodes[a]
-			}
-		}
-		if newLeader != nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if newLeader == nil {
-		t.Fatal("majority never elected a leader")
-	}
+	newLeader := c.waitLeader(minority...)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel2()
 	if _, err := newLeader.Apply(ctx2, []byte("set real write")); err != nil {
@@ -452,16 +456,9 @@ func TestPartitionedLeaderCannotCommit(t *testing.T) {
 	// Heal: the old leader steps down and converges; the lost write
 	// must not survive.
 	c.fabric.Heal()
-	deadline = time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.fsms[leader.ID()].get("real") == "write" {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if c.fsms[leader.ID()].get("real") != "write" {
-		t.Fatal("old leader never converged after heal")
-	}
+	await(t, "the old leader to converge after heal", c.all(), func() bool {
+		return c.fsms[leader.ID()].get("real") == "write"
+	})
 	if c.fsms[leader.ID()].get("lost") == "write" {
 		t.Fatal("uncommitted write from deposed leader survived")
 	}
@@ -482,7 +479,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 		addrs = append(addrs, inst.Addr())
 		dirs[inst.Addr()] = t.TempDir()
 	}
-	nodes := map[string]*Node{}
+	var nodes []*Node
 	fsms := map[string]*kvFSM{}
 	stores := map[string]*FileStore{}
 	for _, a := range addrs {
@@ -495,7 +492,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[a] = n
+		nodes = append(nodes, n)
 		fsms[a] = fsm
 		stores[a] = st
 	}
@@ -507,18 +504,10 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 
 	// Find a leader, commit entries.
 	var leader *Node
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) && leader == nil {
-		for _, n := range nodes {
-			if n.IsLeader() {
-				leader = n
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if leader == nil {
-		t.Fatal("no leader")
-	}
+	await(t, "a leader", nodes, func() bool {
+		leader = leaderAmong(nodes, len(addrs))
+		return leader != nil
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for i := 0; i < 10; i++ {
@@ -534,7 +523,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	for _, s := range stores {
 		s.Close()
 	}
-	nodes2 := map[string]*Node{}
+	var nodes2 []*Node
 	fsms2 := map[string]*kvFSM{}
 	for _, a := range addrs {
 		st, err := NewFileStore(dirs[a], true)
@@ -546,7 +535,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes2[a] = n
+		nodes2 = append(nodes2, n)
 		fsms2[a] = fsm
 	}
 	defer func() {
@@ -556,31 +545,16 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}()
 	// A leader re-emerges and the state machine is recovered after
 	// replay (entries are re-applied from the persisted log).
-	deadline = time.Now().Add(20 * time.Second)
 	var leader2 *Node
-	for time.Now().Before(deadline) && leader2 == nil {
-		for _, n := range nodes2 {
-			if n.IsLeader() {
-				leader2 = n
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if leader2 == nil {
-		t.Fatal("no leader after restart")
-	}
+	await(t, "a leader after restart", nodes2, func() bool {
+		leader2 = leaderAmong(nodes2, len(addrs))
+		return leader2 != nil
+	})
 	if _, err := leader2.Apply(ctx, []byte("set post restart")); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if fsms2[leader2.ID()].get("p9") == "v9" {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 	if fsms2[leader2.ID()].get("p9") != "v9" {
-		t.Fatal("pre-restart entries lost")
+		t.Fatal("pre-restart entries lost") // "post" was applied after them
 	}
 }
 
@@ -597,19 +571,10 @@ func TestSnapshotAndInstall(t *testing.T) {
 		}
 	}
 	// The (current) leader's log must have been compacted.
-	leader := c.waitLeader()
-	compacted := false
-	for i := 0; i < 500 && !compacted; i++ {
-		leader = c.waitLeader()
-		if c.stores[leader.ID()].FirstIndex() > 1 {
-			compacted = true
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if !compacted {
-		t.Fatal("log never compacted")
-	}
+	await(t, "the leader's log to be compacted", c.all(), func() bool {
+		leader := leaderAmong(c.all(), len(c.addrs))
+		return leader != nil && c.stores[leader.ID()].FirstIndex() > 1
+	})
 
 	// A brand-new member must catch up via InstallSnapshot.
 	cls, _ := c.fabric.NewClass("raft-late")
@@ -628,13 +593,9 @@ func TestSnapshotAndInstall(t *testing.T) {
 	if err := client.AddServer(ctx, inst.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1000; i++ {
-		if fsm.get("s0") == "v0" && fsm.get("s24") == "v24" {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("late joiner never caught up: s0=%q s24=%q", fsm.get("s0"), fsm.get("s24"))
+	await(t, "the late joiner to catch up", []*Node{node}, func() bool {
+		return fsm.get("s0") == "v0" && fsm.get("s24") == "v24"
+	})
 }
 
 func TestMembershipChangeAddRemove(t *testing.T) {
@@ -665,16 +626,7 @@ func TestMembershipChangeAddRemove(t *testing.T) {
 	if _, err := leader.Apply(ctx, []byte("set joined yes")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if fsm.get("joined") == "yes" {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if fsm.get("joined") != "yes" {
-		t.Fatal("new member never received entries")
-	}
+	await(t, "the new member to receive entries", []*Node{node}, func() bool { return fsm.get("joined") == "yes" })
 
 	// Remove it again.
 	if err := leader.RemoveServer(ctx, inst.Addr()); err != nil {

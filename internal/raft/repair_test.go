@@ -45,19 +45,7 @@ func TestFollowerLogRepair(t *testing.T) {
 	}
 
 	// The majority elects a new leader and commits real entries.
-	var newLeader *Node
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) && newLeader == nil {
-		for _, a := range majority {
-			if c.nodes[a].IsLeader() {
-				newLeader = c.nodes[a]
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if newLeader == nil {
-		t.Fatal("majority has no leader")
-	}
+	newLeader := c.waitLeader(minority...)
 	for i := 0; i < 5; i++ {
 		if _, err := newLeader.Apply(ctx, []byte(fmt.Sprintf("set real %d", i))); err != nil {
 			t.Fatal(err)
@@ -67,13 +55,9 @@ func TestFollowerLogRepair(t *testing.T) {
 	// Heal: the deposed nodes must truncate their doomed entries and
 	// adopt the committed log.
 	c.fabric.Heal()
-	deadline = time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.fsms[leader.ID()].get("real") == "4" && c.fsms[leader.ID()].get("doomed") == "" {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	await(t, "the deposed leader to be repaired", c.all(), func() bool {
+		return c.fsms[leader.ID()].get("real") == "4"
+	})
 	if got := c.fsms[leader.ID()].get("real"); got != "4" {
 		t.Fatalf("deposed leader never repaired: real=%q", got)
 	}

@@ -79,6 +79,8 @@ func settle(t *testing.T, c *Core, store Store) Effects {
 		all.Accepted = append(all.Accepted, eff.Accepted...)
 		all.Rejected = append(all.Rejected, eff.Rejected...)
 		all.Reads = append(all.Reads, eff.Reads...)
+		all.Transitions = append(all.Transitions, eff.Transitions...)
+		all.Released = append(all.Released, eff.Released...)
 		all.Apply = all.Apply || eff.Apply
 		all.StoreErrors += eff.StoreErrors
 		if len(eff.Persist) == 0 {
@@ -804,5 +806,195 @@ func TestAppendEntriesTruncatedAfterCountIsRejected(t *testing.T) {
 	var a appendEntriesArgs
 	if err := codec.Unmarshal(e.Bytes(), &a); err == nil {
 		t.Fatalf("truncated appendEntriesArgs decoded as %+v", a)
+	}
+}
+
+// TestFirstDeadline: a member that has never had a leader — no term,
+// no log, no snapshot — waits at most a heartbeat interval before it
+// campaigns, and only the first time; one that restarts with anything in
+// its store is as patient as ever.
+func TestFirstDeadline(t *testing.T) {
+	for seed := int64(0); seed < 32; seed++ {
+		virgin, err := NewCore("rules", ruleSelf, rulePeers, NewMemoryStore(), Config{}, rand.New(rand.NewSource(seed)), t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := virgin.Deadline().Sub(t0); d < 0 || d >= virgin.cfg.HeartbeatInterval {
+			t.Fatalf("seed %d: a virgin member's first deadline is %v away, want less than %v", seed, d, virgin.cfg.HeartbeatInterval)
+		}
+		at := virgin.Deadline()
+		virgin.Tick(at)
+		if d := virgin.Deadline().Sub(at); virgin.role != Candidate || d < virgin.cfg.ElectionTimeoutMin || d > virgin.cfg.ElectionTimeoutMax {
+			t.Fatalf("seed %d: role %v, second deadline %v away", seed, virgin.role, d)
+		}
+	}
+	for name, c := range map[string]*Core{
+		"a term":   ruleCore(t, NewMemoryStore(), nil, 1),
+		"a log":    ruleCore(t, NewMemoryStore(), entriesUpTo(1, 0), 0),
+		"a leader": ruleCore(t, NewMemoryStore(), entriesUpTo(3, 2), 2),
+	} {
+		if d := c.Deadline().Sub(t0); d < c.cfg.ElectionTimeoutMin || d > c.cfg.ElectionTimeoutMax {
+			t.Fatalf("a member that restarts with %s has its first deadline %v away", name, d)
+		}
+	}
+}
+
+// TestHeldRequests: a member with no leader to name keeps a request
+// until a transition names one — itself or another — or for
+// ElectionTimeoutMax, whichever comes first; it keeps nothing when it
+// can name a leader, or is no member.
+func TestHeldRequests(t *testing.T) {
+	released := func(c *Core) []interface{} { return c.Take().Released }
+
+	c := ruleCore(t, NewMemoryStore(), nil, 0)
+	if !c.Hold(t0, "a") || !c.Hold(t0.Add(time.Millisecond), "b") {
+		t.Fatal("a leaderless member refused to hold")
+	}
+	if got := released(c); len(got) != 0 {
+		t.Fatalf("released %v with no leader in sight", got)
+	}
+	// It wins: both come back, oldest first, to be started here.
+	elect(t, c)
+	if got := released(c); !reflect.DeepEqual(got, []interface{}{"a", "b"}) {
+		t.Fatalf("released %v on winning, want [a b]", got)
+	}
+	if c.Hold(t0, "c") {
+		t.Fatal("a leader held a request")
+	}
+
+	// Somebody else wins: the first AppendEntries names them.
+	s := NewMemoryStore()
+	c = ruleCore(t, s, nil, 0)
+	c.Hold(t0, "a")
+	if _, eff, err := deliver(t, c, s, &appendEntriesArgs{Term: 1, Leader: "sm://peer-a"}); err != nil || !reflect.DeepEqual(eff.Released, []interface{}{"a"}) {
+		t.Fatalf("released %v (%v) on hearing from a leader, want [a]", eff.Released, err)
+	}
+	if c.Hold(t0, "b") {
+		t.Fatal("a follower that can name its leader held a request")
+	}
+	// A vote request from a newer term un-names the leader: the member
+	// holds again, and nothing happens until the bound.
+	if _, err := c.RequestVote(t0, &requestVoteArgs{Term: 2, Candidate: "sm://peer-b"}); err != nil || c.Leader() != "" {
+		t.Fatalf("leader %q after voting in a newer term (%v)", c.Leader(), err)
+	}
+	c.Take()
+	c.Hold(t0, "b")
+	c.Hold(t0.Add(10*time.Millisecond), "c")
+	if d := c.Deadline(); !d.Equal(t0.Add(c.cfg.ElectionTimeoutMax)) && !d.Equal(c.electionAt) {
+		t.Fatalf("deadline %v is neither the hold's nor the election's", d)
+	}
+	c.electionAt = t0.Add(time.Hour) // keep the election out of the way
+	c.Tick(t0.Add(c.cfg.ElectionTimeoutMax - 1))
+	if got := released(c); len(got) != 0 {
+		t.Fatalf("released %v before the bound", got)
+	}
+	c.Tick(t0.Add(c.cfg.ElectionTimeoutMax))
+	if got := released(c); !reflect.DeepEqual(got, []interface{}{"b"}) {
+		t.Fatalf("released %v at b's bound, want [b]", got)
+	}
+	if d := c.Deadline(); !d.Equal(t0.Add(10*time.Millisecond + c.cfg.ElectionTimeoutMax)) {
+		t.Fatalf("next deadline %v, want c's bound", d.Sub(t0))
+	}
+
+	// Nobody will ever tell a non-member who leads.
+	out, err := NewCore("rules", "sm://stranger", rulePeers, NewMemoryStore(), Config{}, rand.New(rand.NewSource(1)), t0)
+	if err != nil || out.Hold(t0, "a") {
+		t.Fatalf("a member outside the configuration held a request (%v)", err)
+	}
+}
+
+// TestLeadershipTransfer: a leader on its way out sends the voter that
+// is furthest along everything that voter has not acknowledged, and the
+// voter campaigns on it at once; a leader that has appended its own
+// removal takes nothing more, and hands over when the removal commits.
+func TestLeadershipTransfer(t *testing.T) {
+	s := NewMemoryStore()
+	c := ruleCore(t, s, nil, 0)
+	elect(t, c)
+	settle(t, c, s)
+	// peer-b acknowledges the no-op, peer-a nothing; two more entries.
+	c.prog["sm://peer-b"].match = 1
+	c.Propose(t0, []Proposal{{Data: []byte("x"), Tag: 1}, {Data: []byte("y"), Tag: 2}})
+	settle(t, c, s)
+	c.Transfer()
+	msgs := c.Take().Msgs
+	if len(msgs) != 1 || msgs[0].To != "sm://peer-b" || msgs[0].TimeoutNow == nil {
+		t.Fatalf("transfer sent %+v, want one TimeoutNow to peer-b", msgs)
+	}
+	a := msgs[0].TimeoutNow
+	if a.PrevLogIndex != 1 || a.PrevLogTerm != 1 || len(a.Entries) != 2 || a.Entries[1].Index != 3 || a.Term != 1 {
+		t.Fatalf("TimeoutNow = %+v, want entries 2 and 3 after index 1", a)
+	}
+
+	// The successor: takes the entries, campaigns on all three.
+	fs := NewMemoryStore()
+	f := ruleCore(t, fs, []LogEntry{{Index: 1, Term: 1, Type: EntryNoop}}, 1)
+	f.AppendEntries(t0, &appendEntriesArgs{Term: 1, Leader: ruleSelf, PrevLogIndex: 1, PrevLogTerm: 1}, 1)
+	f.Take()
+	if r := f.TimeoutNow(t0, a); r.Term != 2 || f.role != Candidate {
+		t.Fatalf("after TimeoutNow: reply %+v, role %v", r, f.role)
+	}
+	var vote *requestVoteArgs
+	for _, m := range f.Take().Msgs {
+		vote = m.Vote
+	}
+	if vote == nil || vote.Term != 2 || vote.LastLogIndex != 3 {
+		t.Fatalf("vote request = %+v, want term 2 on a log through 3", vote)
+	}
+	// The same request again, or one from a term gone by, changes nothing.
+	f.TimeoutNow(t0, a)
+	if eff := f.Take(); f.term != 2 || len(eff.Msgs) != 0 {
+		t.Fatalf("a stale TimeoutNow: term %d, sent %+v", f.term, eff.Msgs)
+	}
+
+	// Removal of the leader itself.
+	idx, _, err := c.ChangeConfig(t0, ruleSelf, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Propose(t0, []Proposal{{Data: []byte("z"), Tag: 3}})
+	eff := settle(t, c, s)
+	if len(eff.Rejected) != 1 || !errors.Is(eff.Rejected[0].Err, ErrNoLeader) || c.lastIndex() != idx {
+		t.Fatalf("a leader that is leaving: rejected %+v, log through %d (removal at %d)", eff.Rejected, c.lastIndex(), idx)
+	}
+	for _, peer := range rulePeers[1:] {
+		c.AppendReply(t0, Message{To: peer, Append: &appendEntriesArgs{Term: 1, PrevLogIndex: idx}}, &appendEntriesReply{Term: 1, Success: true})
+	}
+	eff = c.Take()
+	if c.IsLeader() || c.commitIndex != idx {
+		t.Fatalf("removal committed: leader=%v commit=%d", c.IsLeader(), c.commitIndex)
+	}
+	handover := 0
+	for _, m := range eff.Msgs {
+		if m.TimeoutNow != nil {
+			handover++
+			if m.TimeoutNow.LeaderCommit != idx || m.TimeoutNow.PrevLogIndex != idx {
+				t.Fatalf("TimeoutNow = %+v, want commit and log through %d", m.TimeoutNow, idx)
+			}
+		}
+	}
+	if handover != 1 {
+		t.Fatalf("%d TimeoutNow on removal, want 1 (%+v)", handover, eff.Msgs)
+	}
+}
+
+// TestTransitions: every change of role, term or leader is reported
+// once, in order — what the driver's election metrics are fed from.
+func TestTransitions(t *testing.T) {
+	s := NewMemoryStore()
+	c := ruleCore(t, s, nil, 0)
+	c.Tick(c.Deadline())
+	got := c.Take().Transitions
+	c.VoteReply(t0, Message{To: "sm://peer-a", Vote: &requestVoteArgs{Term: 1}}, &requestVoteReply{Term: 1, Granted: true})
+	got = append(got, c.Take().Transitions...)
+	c.AppendReply(t0, Message{To: "sm://peer-a", Append: &appendEntriesArgs{Term: 1}}, &appendEntriesReply{Term: 3})
+	got = append(got, c.Take().Transitions...)
+	for i := 0; i < 2; i++ { // the second heartbeat changes nothing
+		_, eff, _ := deliver(t, c, s, &appendEntriesArgs{Term: 3, Leader: "sm://peer-a"})
+		got = append(got, eff.Transitions...)
+	}
+	want := []Transition{{Candidate, 1, ""}, {Leader, 1, ruleSelf}, {Follower, 3, ""}, {Follower, 3, "sm://peer-a"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("transitions = %+v, want %+v", got, want)
 	}
 }

@@ -11,6 +11,7 @@ const (
 	rpcRead            = "raft_read"
 	rpcConfigChange    = "raft_config_change"
 	rpcStatus          = "raft_status"
+	rpcTimeoutNow      = "raft_timeout_now"
 )
 
 type requestVoteArgs struct {
@@ -164,6 +165,18 @@ func (r *statusReply) Proc(p *codec.Proc) {
 	p.Uint64(&r.LastApplied)
 	p.Strings(&r.Peers)
 }
+
+// timeoutNowArgs is the last AppendEntries of a leader on its way out:
+// whoever receives it takes the entries and campaigns at once.
+type timeoutNowArgs struct {
+	appendEntriesArgs
+}
+
+type timeoutNowReply struct {
+	Term uint64
+}
+
+func (r *timeoutNowReply) Proc(p *codec.Proc) { p.Uint64(&r.Term) }
 
 // snapshotEnvelope wraps an FSM snapshot with the peer configuration
 // current at the snapshot index.

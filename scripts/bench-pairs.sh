@@ -5,20 +5,23 @@
 #
 #   scripts/bench-pairs.sh <parent-ref> <workload> [pairs=10] [-- extra run.sh flags]
 #
-# The parent is exported (git archive) into a throw-away directory next
-# to the results and built from there by its own bench/run.sh, exactly as
-# the driver does it. Every run is kept: <out>/<pair>-<side>.json is what
-# `-out` wrote (metrics and host facts), and <out>/pairs.json collects
-# them, both sides of every pair, in the order they ran. Printed at the
-# end, per end-to-end metric: each side's median and quartiles, and in
-# how many pairs the change was the better one.
+# Both sides are exported the same way — git archive into a throw-away
+# directory next to the results: the parent from its ref, the change
+# from the working tree as it stands (tracked and new files, staged or
+# not, minus what .gitignore names), written as a tree through a scratch
+# index — and each is built once, the way its own bench/run.sh builds,
+# before the first pair runs. Every run is kept: <out>/<pair>-<side>.json
+# is what `-out` wrote (metrics and host facts), and <out>/pairs.json
+# collects them, both sides of every pair, in the order they ran. Printed
+# at the end, per end-to-end metric: each side's median and quartiles,
+# and in how many pairs the change was the better one.
 #
 # OUT=<dir> chooses where results go (default: a fresh directory under
 # ${TMPDIR:-/tmp}).
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+	sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
 	exit 2
 fi
 parent_ref=$1
@@ -36,18 +39,30 @@ fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 out="${OUT:-$(mktemp -d "${TMPDIR:-/tmp}/bench-pairs.XXXXXX")}"
 mkdir -p "$out"
-parent="$out/parent"
-rm -rf "$parent"
-mkdir -p "$parent"
-git -C "$root" archive "$parent_ref" | tar -x -C "$parent"
 parent_commit="$(git -C "$root" rev-parse "$parent_ref")"
-trap 'rm -rf "$parent"' EXIT
+cp "$(git -C "$root" rev-parse --absolute-git-dir)/index" "$out/index"
+change_tree="$(GIT_INDEX_FILE="$out/index" git -C "$root" add -A && GIT_INDEX_FILE="$out/index" git -C "$root" write-tree)"
+trap 'rm -rf "$out/parent" "$out/change" "$out/index"' EXIT
 
-# run <side> <checkout> <file>: one run, its JSON in <file>.
+# checkout <side> <tree-ish>: the side's sources in <out>/<side>, and its
+# benchmark built there with bench/run.sh's own settings.
+checkout() {
+	local dir="$out/$1" build="$out/$1/.bench_build"
+	rm -rf "$dir"
+	mkdir -p "$build/tmp"
+	git -C "$root" archive "$2" | tar -x -C "$dir"
+	(cd "$dir/bench" && GOCACHE="$build/gocache" GOMODCACHE="$build/gomod" GOPATH="$build/gopath" \
+		GOPROXY=off GOTOOLCHAIN=local TMPDIR="$build/tmp" go build -o "$build/mochi-bench" .)
+}
+checkout parent "$parent_ref"
+checkout change "$change_tree"
+
+# run <side> <file>: one run of the side's binary, its JSON in <file>.
 run() {
 	echo "-- pair $pair: $1" >&2
-	bash "$2/bench/run.sh" --workload "$workload" -out "$3" "${@:4}" >"$3.log" 2>&1 ||
-		{ echo "run failed, see $3.log" >&2; exit 1; }
+	TMPDIR="$out/$1/.bench_build/tmp" "$out/$1/.bench_build/mochi-bench" -dir "$out/$1/bench" \
+		--workload "$workload" -out "$2" "${@:3}" >"$2.log" 2>&1 ||
+		{ echo "run failed, see $2.log" >&2; exit 1; }
 }
 
 : >"$out/order"
@@ -57,9 +72,7 @@ for pair in $(seq 1 "$pairs"); do
 		first=change second=parent
 	fi
 	for side in $first $second; do
-		dir="$root"
-		[ "$side" = parent ] && dir="$parent"
-		run "$side" "$dir" "$out/$pair-$side.json" "$@"
+		run "$side" "$out/$pair-$side.json" "$@"
 		echo "$pair $side" >>"$out/order"
 	done
 done
@@ -77,6 +90,7 @@ metric() {
 	echo "{"
 	echo "  \"workload\": \"$workload\","
 	echo "  \"parent\": \"$parent_commit\","
+	echo "  \"change_tree\": \"$change_tree\","
 	echo "  \"pairs\": $pairs,"
 	echo "  \"runs\": ["
 	n=$(wc -l <"$out/order")
