@@ -57,12 +57,14 @@ reshard-soak:
 #   2. the raft core on sim.Net: SIM_SEEDS seeds of 3- and 5-member
 #      groups, each on a simulated disk faster and on one slower than
 #      the network, under loss/dup/delay, a partition, crash-restarts
-#      and a power cut with the four safety invariants checked after
-#      every event and a linearizable history per seed, plus the
+#      and a power cut with the four safety invariants and the ledger
+#      check (tags a core was handed = tags handed back + tags it holds)
+#      after every event and a linearizable history per seed, plus the
 #      replay-identity test and the broken twins (two votes in a term;
 #      leader self-count and follower acknowledgement before the disk
 #      has the entry; a restarted member as impatient as a virgin one; a
-#      held request never released), each of which must fail, and the
+#      held request never released; the tag of an overwritten entry
+#      forgotten), each of which must fail, and the
 #      no-fault scenarios for cold start, planned leader exits and held
 #      requests, under the race detector;
 #   3. the live-raft linearizability harness under -race at a few seeds
@@ -147,8 +149,10 @@ bench-e2e:
 
 # How a performance change is judged (bench/README.md): PAIRS
 # alternating runs of PARENT and this checkout on workload W, printing
-# each side's median and quartiles and the pairs the change won, and
-# keeping every run as JSON:
+# each side's median and quartiles, the pairs the change won and lost,
+# per metric the verdict that follows from them and BENCHMARK.json's
+# bound (better, worse, unresolved or within bound) and `make loc` of
+# both sides, and keeping every run as JSON:
 #   make bench-pairs PARENT=origin/main W=raft-read-heavy
 PARENT ?= HEAD
 PAIRS ?= 10

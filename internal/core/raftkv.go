@@ -192,10 +192,7 @@ type snapshotSession struct {
 }
 
 func (s *kvSnapshot) Proc(p *codec.Proc) {
-	codec.Slice(p, &s.Pairs, func(p *codec.Proc, kv *yokan.KeyValue) {
-		p.Bytes(&kv.Key)
-		p.Bytes(&kv.Value)
-	})
+	yokan.ProcPairs(p, &s.Pairs)
 	codec.Slice(p, &s.Sessions, func(p *codec.Proc, e *snapshotSession) {
 		p.String(&e.CID)
 		p.Uvarint(&e.Seq)

@@ -316,7 +316,6 @@ func (m *Instance) dispatch(pool *argobots.Pool, h Handler, hd *mercury.Handle) 
 	// before the handle can be released.)
 	t.tc = hd.Trace()
 	t.queuedAt = m.clk.Now()
-	m.hooks.onHandlerQueued(t.info)
 	if err := pool.Submit(t.run); err != nil {
 		*t = dispatchTask{run: t.run}
 		dispatchTaskPool.Put(t)

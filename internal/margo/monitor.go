@@ -36,8 +36,6 @@ type Hook struct {
 	OnForwardStart func(RPCInfo)
 	// OnForwardEnd fires when the response arrives (or fails).
 	OnForwardEnd func(RPCInfo, time.Duration, error)
-	// OnHandlerQueued fires when an incoming RPC is submitted as a ULT.
-	OnHandlerQueued func(RPCInfo)
 	// OnHandlerStart fires when the ULT begins, with its queueing delay.
 	OnHandlerStart func(RPCInfo, time.Duration)
 	// OnHandlerEnd fires when the ULT completes, with its run time.
@@ -81,16 +79,6 @@ func (s *hookSet) onForwardEnd(i RPCInfo, d time.Duration, err error) {
 	for _, h := range s.hooks {
 		if h.OnForwardEnd != nil {
 			h.OnForwardEnd(i, d, err)
-		}
-	}
-}
-
-func (s *hookSet) onHandlerQueued(i RPCInfo) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, h := range s.hooks {
-		if h.OnHandlerQueued != nil {
-			h.OnHandlerQueued(i)
 		}
 	}
 }
@@ -270,13 +258,6 @@ func (mo *Monitor) BulkTransferred(op mercury.BulkOp, peer string, bytes int) {
 		bs.BytesOut += int64(bytes)
 	}
 }
-
-// The remaining mercury.Monitor methods are no-ops: RPC events come
-// through the richer margo hook points instead.
-func (mo *Monitor) SentRequest(mercury.RPCID, uint16, string, int)      {}
-func (mo *Monitor) ReceivedRequest(mercury.RPCID, uint16, string, int)  {}
-func (mo *Monitor) SentResponse(mercury.RPCID, uint16, string, int)     {}
-func (mo *Monitor) ReceivedResponse(mercury.RPCID, uint16, string, int) {}
 
 var _ mercury.Monitor = (*Monitor)(nil)
 

@@ -325,17 +325,10 @@ type Class struct {
 // interface value.
 type monitorHolder struct{ m Monitor }
 
-// Monitor observes wire-level events; the margo layer installs one to
-// implement the paper's §4 performance-introspection infrastructure.
+// Monitor observes bulk transfers; the margo layer installs one for the
+// bulk statistics of the paper's §4 performance introspection (RPC
+// events it takes from its own hook points).
 type Monitor interface {
-	// SentRequest fires when a request leaves this class.
-	SentRequest(id RPCID, provider uint16, dst string, bytes int)
-	// ReceivedRequest fires when a request arrives, before the handler.
-	ReceivedRequest(id RPCID, provider uint16, src string, bytes int)
-	// SentResponse fires when a handler responds.
-	SentResponse(id RPCID, provider uint16, dst string, bytes int)
-	// ReceivedResponse fires when a response arrives back at the caller.
-	ReceivedResponse(id RPCID, provider uint16, src string, bytes int)
 	// BulkTransferred fires on completion of a bulk operation.
 	BulkTransferred(op BulkOp, peer string, bytes int)
 }
@@ -462,9 +455,6 @@ func (c *Class) forwardProvider(ctx context.Context, dst string, id RPCID, provi
 	req.traceID = uint64(tc.TraceID)
 	req.traceSpan = uint64(tc.Parent)
 	req.traceFlag = tc.Flags
-	if m := c.mon(); m != nil {
-		m.SentRequest(id, provider, dst, len(input))
-	}
 	err := c.send(ctx, dst, req)
 	req.payload = nil // borrowed from the caller, not ours to recycle
 	putMessage(req)
@@ -489,9 +479,6 @@ func (c *Class) forwardProvider(ctx context.Context, dst string, id RPCID, provi
 	{
 		c.pending.remove(seq)
 		putReplyChan(ch)
-		if m := c.mon(); m != nil {
-			m.ReceivedResponse(id, provider, dst, len(resp.payload))
-		}
 		status, errmsg, payload := resp.status, resp.errmsg, resp.payload
 		if status == 0 {
 			// Ownership of the payload moves to the caller; it must
@@ -611,9 +598,6 @@ func (c *Class) handleRequest(m *message) {
 		return
 	}
 	entry := c.lookup(m.id, m.provider)
-	if mon := c.mon(); mon != nil {
-		mon.ReceivedRequest(m.id, m.provider, m.src, len(m.payload))
-	}
 	if entry == nil {
 		c.respondStatus(m, 1)
 		return
@@ -734,9 +718,6 @@ func (h *Handle) RespondError(err error) error {
 func (h *Handle) respond(status uint8, errmsg string, output []byte) error {
 	if !h.responded.CompareAndSwap(false, true) {
 		return errors.New("mercury: handle already responded")
-	}
-	if m := h.class.mon(); m != nil {
-		m.SentResponse(h.id, h.provider, h.src, len(output))
 	}
 	resp := getMessage()
 	resp.kind = msgResponse

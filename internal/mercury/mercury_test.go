@@ -398,15 +398,9 @@ func TestBulkDescriptorRoundTrip(t *testing.T) {
 	}
 }
 
-type countingMonitor struct {
-	sentReq, recvReq, sentResp, recvResp, bulk atomic.Int64
-}
+type countingMonitor struct{ bulk atomic.Int64 }
 
-func (m *countingMonitor) SentRequest(RPCID, uint16, string, int)      { m.sentReq.Add(1) }
-func (m *countingMonitor) ReceivedRequest(RPCID, uint16, string, int)  { m.recvReq.Add(1) }
-func (m *countingMonitor) SentResponse(RPCID, uint16, string, int)     { m.sentResp.Add(1) }
-func (m *countingMonitor) ReceivedResponse(RPCID, uint16, string, int) { m.recvResp.Add(1) }
-func (m *countingMonitor) BulkTransferred(BulkOp, string, int)         { m.bulk.Add(1) }
+func (m *countingMonitor) BulkTransferred(BulkOp, string, int) { m.bulk.Add(1) }
 
 func TestMonitorCallbacks(t *testing.T) {
 	_, a, b := newPair(t)
@@ -422,11 +416,8 @@ func TestMonitorCallbacks(t *testing.T) {
 	if err := a.BulkTransfer(ctxShort(t), BulkPull, remote.Descriptor(), 0, local, 0, 16); err != nil {
 		t.Fatal(err)
 	}
-	if ma.sentReq.Load() != 1 || ma.recvResp.Load() != 1 || ma.bulk.Load() != 1 {
-		t.Fatalf("initiator monitor: %+v", ma)
-	}
-	if mb.recvReq.Load() != 1 || mb.sentResp.Load() != 1 {
-		t.Fatalf("target monitor counts: recvReq=%d sentResp=%d", mb.recvReq.Load(), mb.sentResp.Load())
+	if ma.bulk.Load() != 1 || mb.bulk.Load() != 0 {
+		t.Fatalf("bulk transfers seen: initiator %d, target %d; want 1 and 0", ma.bulk.Load(), mb.bulk.Load())
 	}
 	a.SetMonitor(nil) // uninstall must not panic
 	if _, err := a.Forward(ctxShort(t), b.Addr(), NameToID("echo"), nil); err != nil {

@@ -14,25 +14,29 @@ import (
 // every protocol rule — role/term/vote, elections, log matching and
 // conflict hints, commit advance, single-server membership, snapshot
 // install, what may leave before it is durable and what may not,
-// ReadIndex rounds, and what makes a planned event (a cold start, a
-// request that finds no leader, a leader's exit) cost round trips
-// instead of timers — but performs no network I/O, writes no log, reads
-// no clock and starts no goroutines. Inputs are events carrying the
-// current time (a timer tick, a request or a reply from a peer,
-// proposals, reads, a configuration change, a request to hold, "applied
-// through index i", "persisted through write n"); outputs are the
-// Effects each step leaves behind plus the next timer deadline. Two
-// drivers run it:
+// ReadIndex rounds, what makes a planned event (a cold start, a request
+// that finds no leader, a leader's exit) cost round trips instead of
+// timers, and who is waiting for what — but performs no network I/O,
+// writes no log, reads no clock and starts no goroutines. Every input
+// carries the current time; the outputs are the Effects a step leaves
+// behind plus the next timer deadline.
 //
-//   - the live Node (node.go), which wraps one Core in a mutex and wires
-//     it to margo RPCs, a timer goroutine, per-peer senders, the one
-//     store-writer goroutine and the one applier goroutine that calls
-//     the FSM; and
-//   - the deterministic simulator (sim_test.go), which runs a group of
-//     Cores single-threaded on sim.Sim + sim.Net with a disk whose
-//     writes take seeded virtual time, so the code that grants votes and
-//     advances commit indexes in production is the code whose safety
-//     invariants are checked under seeded faults.
+// With a driver the contract is tag in, tag out. An input somebody waits
+// on — Propose, Read, ChangeConfig, Compact, Hold, AppendEntries,
+// InstallSnapshot — carries an opaque tag (nil: nobody waits), the first
+// three an optional deadline. The core enters it in its ledger and hands
+// it back exactly once: beside the entry that commits it
+// (ApplyTask.Tags), with the round that confirms or fails it
+// (ReadRound), or in a Done with what ended it otherwise; log traffic in
+// its Ack, a held request in Released. Surrender takes whatever is left.
+// A driver therefore keeps no table of requests. Two drivers run it: the
+// live Node (node.go), which wraps one Core in a mutex and wires it to
+// margo RPCs, a timer goroutine, per-peer senders, the one store writer
+// and the one applier; and the deterministic simulator (sim_test.go),
+// which runs a group of Cores single-threaded on sim.Sim + sim.Net with
+// a disk whose writes take seeded virtual time, so the code that grants
+// votes in production is the code whose invariants, the ledger's
+// included, are checked under seeded faults.
 //
 // A Core is NOT safe for concurrent use: the caller serializes all
 // calls. Of the Store it writes only term and vote, synchronously inside
@@ -65,35 +69,19 @@ type Message struct {
 	Round uint64
 }
 
-// Proposal is one command offered to the leader. Tag is opaque to the
-// core and comes back in Accepted or Rejected.
-type Proposal struct {
-	Data []byte
-	Tag  interface{}
-}
-
-// Accepted reports that the tagged proposals are in the leader's log at
-// First, First+1, … in term Term. An entry later applied at one of
-// those indexes under a different term means the proposal was
-// overwritten by a newer leader.
-type Accepted struct {
-	Tags  []interface{}
-	First uint64
-	Term  uint64
-}
-
-// Rejected reports a proposal that was not appended.
-type Rejected struct {
+// Done hands a tag back with what ended its request: it was refused,
+// overwritten by a newer leader, dropped by a failed store write, timed
+// out or surrendered; a nil Err is a Compact whose snapshot is durable.
+type Done struct {
 	Tag interface{}
 	Err error
 }
 
 // ReadRound reports the outcome of one ReadIndex round: with a nil Err
-// the Reads reads that joined it may now be served from the FSM.
+// the reads that joined it, Tags, may now be served from the FSM.
 type ReadRound struct {
-	ID    uint64
-	Reads int
-	Err   error
+	Tags []interface{}
+	Err  error
 }
 
 // StoredSnapshot is a snapshot as the Store keeps it: Data (a
@@ -117,18 +105,12 @@ type Persist struct {
 
 // Ack is the answer to one AppendEntries or InstallSnapshot request,
 // identified by the tag it came with. Err is set instead of Reply when
-// the member could not record the leader's term: it must stay silent.
+// the member could not record the leader's term, or was surrendered: it
+// must stay silent.
 type Ack struct {
-	Tag   uint64
+	Tag   interface{}
 	Reply *appendEntriesReply
 	Err   error
-}
-
-// Dropped reports that a Persist failed and the log from index From on
-// was forgotten with it: whoever waits for an entry there gets Err.
-type Dropped struct {
-	From uint64
-	Err  error
 }
 
 // Transition is the member's role, term and leader hint right after one
@@ -141,13 +123,11 @@ type Transition struct {
 
 // Effects is what a step asks its driver to do.
 type Effects struct {
-	Msgs     []Message
-	Persist  []Persist
-	Acks     []Ack
-	Accepted []Accepted
-	Rejected []Rejected
-	Reads    []ReadRound
-	Dropped  *Dropped
+	Msgs    []Message
+	Persist []Persist
+	Acks    []Ack
+	Reads   []ReadRound
+	Done    []Done
 	// Transitions are the changes of role, term and leader, in order.
 	Transitions []Transition
 	// Released are the tags of the held requests (Hold) to start again.
@@ -161,12 +141,15 @@ type Effects struct {
 
 // ApplyTask is the next piece of work for the state machine: either
 // replace its state with a snapshot taken at Index, or apply Entries
-// (which end at Index). The driver must finish it and call Applied
-// before asking for the next one.
+// (which end at Index). Tags is nil or as long as Entries: Tags[i] is
+// the tag of the proposal Entries[i] commits, if somebody here waits for
+// it. The driver must finish the task and call Applied before asking for
+// the next one.
 type ApplyTask struct {
 	Restore  bool
 	Snapshot []byte
 	Entries  []LogEntry
+	Tags     []interface{}
 	Index    uint64
 }
 
@@ -180,9 +163,20 @@ type progress struct {
 	inflight bool
 }
 
+// request is one line of the ledger: a tag the core owes an answer, by
+// deadline if that is not zero. index and term are where a proposal was
+// appended; for a success reply waiting for the disk, the index the log
+// must be durable through before it may leave and the term it was
+// granted in.
+type request struct {
+	tag         interface{}
+	deadline    time.Time
+	index, term uint64
+}
+
 type readRound struct {
 	id       uint64
-	reads    int
+	reads    []request
 	index    uint64
 	deadline time.Time
 	acks     map[string]bool
@@ -192,18 +186,6 @@ type readRound struct {
 // durable, so is the log through last.
 type write struct {
 	seq, last uint64
-}
-
-// heldAck is a success reply waiting for the disk: it may leave once
-// the log is durable through need. term is the term it was granted in.
-type heldAck struct {
-	tag, need, term uint64
-}
-
-// hold is one client request parked while the member knows no leader.
-type hold struct {
-	tag   interface{}
-	until time.Time
 }
 
 // Core is one member's Raft state machine.
@@ -219,7 +201,7 @@ type Core struct {
 	votedFor string // mirrors the Store
 	leader   string
 	seen     Transition // the last one emitted
-	held     []hold     // oldest first
+	held     []request  // parked for want of a leader until their deadline, oldest first
 
 	// The log is the snapshot (through snapIndex), what the store holds
 	// below offset, and tail from offset on. tail is everything not known
@@ -237,7 +219,7 @@ type Core struct {
 	writes              []write
 	snap                *StoredSnapshot
 	snapSeq             uint64
-	acks                []heldAck
+	acks                []request
 
 	// Membership is whatever the latest EntryConfig in the log says,
 	// committed or not; base is the configuration below the log's first
@@ -256,10 +238,20 @@ type Core struct {
 
 	// ReadIndex: forming reads join round nextRound; round is the one
 	// in flight (id 0: none); confirmed rounds wait for lastApplied.
-	forming   int
+	forming   []request
 	nextRound uint64
 	round     readRound
 	confirmed []readRound
+
+	// The rest of the ledger: the proposals appended here and not applied
+	// yet, the Compact waiting for its Persist, and the earliest deadline
+	// among proposals and reads (zero: none).
+	pending []request
+	compact struct {
+		seq uint64
+		tag interface{}
+	}
+	expireAt time.Time
 
 	eff Effects
 }
@@ -336,24 +328,34 @@ func (c *Core) IsLeader() bool { return c.role == Leader }
 
 // Deadline is when Tick next has something to do.
 func (c *Core) Deadline() time.Time {
-	if c.role != Leader {
-		if len(c.held) > 0 && c.held[0].until.Before(c.electionAt) {
-			return c.held[0].until
+	if c.role == Leader {
+		return earliest(c.heartbeatAt, c.round.deadline, c.expireAt)
+	}
+	var hold time.Time
+	if len(c.held) > 0 {
+		hold = c.held[0].deadline
+	}
+	return earliest(c.electionAt, hold, c.expireAt)
+}
+
+// earliest returns the first of ts; a zero time is none.
+func earliest(ts ...time.Time) (first time.Time) {
+	for _, t := range ts {
+		if !t.IsZero() && (first.IsZero() || t.Before(first)) {
+			first = t
 		}
-		return c.electionAt
 	}
-	d := c.heartbeatAt
-	if c.round.id != 0 && c.round.deadline.Before(d) {
-		d = c.round.deadline
-	}
-	return d
+	return first
 }
 
 // Tick fires every timer that is due at now.
 func (c *Core) Tick(now time.Time) {
+	if !c.expireAt.IsZero() && !now.Before(c.expireAt) {
+		c.expire(now)
+	}
 	if c.role != Leader {
 		n := 0
-		for n < len(c.held) && !now.Before(c.held[n].until) {
+		for n < len(c.held) && !now.Before(c.held[n].deadline) {
 			n++
 		}
 		c.release(n)
@@ -379,6 +381,115 @@ func (c *Core) Tick(now time.Time) {
 func (c *Core) electionTimeout() time.Duration {
 	span := c.cfg.ElectionTimeoutMax - c.cfg.ElectionTimeoutMin
 	return c.cfg.ElectionTimeoutMin + time.Duration(c.rng.Int63n(int64(span)+1))
+}
+
+// --- the ledger ---
+
+// done hands tag back with err; ack answers the log traffic tagged tag.
+// A nil tag is a request nobody waits on.
+func (c *Core) done(tag interface{}, err error) {
+	if tag != nil {
+		c.eff.Done = append(c.eff.Done, Done{Tag: tag, Err: err})
+	}
+}
+
+func (c *Core) ack(tag interface{}, reply *appendEntriesReply, err error) {
+	if tag != nil {
+		c.eff.Acks = append(c.eff.Acks, Ack{Tag: tag, Reply: reply, Err: err})
+	}
+}
+
+// keepIf drops from s, in place, what keep refuses.
+func keepIf[T any](s []T, keep func(T) bool) []T {
+	n := 0
+	for _, v := range s {
+		if keep(v) {
+			s[n] = v
+			n++
+		}
+	}
+	clear(s[n:])
+	return s[:n]
+}
+
+// sweep hands back every proposal and read verdict has an error for.
+func (c *Core) sweep(verdict func(request) error) {
+	live := func(r request) bool {
+		err := verdict(r)
+		if err != nil {
+			c.done(r.tag, err)
+		}
+		return err == nil
+	}
+	c.pending = keepIf(c.pending, live)
+	c.forming = keepIf(c.forming, live)
+	c.round.reads = keepIf(c.round.reads, live)
+	for i := range c.confirmed {
+		c.confirmed[i].reads = keepIf(c.confirmed[i].reads, live)
+	}
+}
+
+// expire times out every request whose deadline has passed — the kept
+// requests of a leader cut off from its quorum, whose entries nobody
+// will ever tell it the fate of — and notes when to come back.
+func (c *Core) expire(now time.Time) {
+	c.expireAt = time.Time{}
+	c.sweep(func(r request) error {
+		if r.deadline.IsZero() || r.deadline.After(now) {
+			c.expireAt = earliest(c.expireAt, r.deadline)
+			return nil
+		}
+		return fmt.Errorf("%w: no answer by its deadline", ErrTimeout)
+	})
+}
+
+// Surrender empties the ledger: every tag the core holds leaves with
+// err, log traffic in an Ack and everything else in a Done. It is what a
+// driver that stops calls last.
+func (c *Core) Surrender(err error) {
+	c.sweep(func(request) error { return err })
+	for _, a := range c.acks {
+		c.ack(a.tag, nil, err)
+	}
+	for _, h := range c.held {
+		c.done(h.tag, err)
+	}
+	c.done(c.compact.tag, err)
+	c.acks, c.held, c.compact.tag = nil, nil, nil
+}
+
+// claim takes out of the ledger the proposals at or below through, the
+// index entries end at, and returns the tags of those that entries
+// commit. One whose index holds an entry of another term was overwritten
+// by a newer leader and never ran; one below entries went into a
+// snapshot installed over it, and nobody here can say what became of it.
+func (c *Core) claim(entries []LogEntry, through uint64) (tags []interface{}) {
+	lo := through + 1 - uint64(len(entries))
+	c.pending = keepIf(c.pending, func(p request) bool {
+		switch {
+		case p.index > through:
+			return true
+		case p.index < lo:
+			c.done(p.tag, fmt.Errorf("%w: index %d is behind an installed snapshot", ErrTimeout, p.index))
+		case entries[p.index-lo].Term != p.term:
+			c.done(p.tag, ErrNotLeader)
+		default:
+			if tags == nil {
+				tags = make([]interface{}, len(entries))
+			}
+			tags[p.index-lo] = p.tag
+		}
+		return false
+	})
+	return tags
+}
+
+func tagsOf(reads []request) []interface{} {
+	tags := make([]interface{}, len(reads))
+	for i, r := range reads {
+		tags[i] = r.tag
+	}
+	return tags
 }
 
 // --- the log ---
@@ -509,7 +620,8 @@ func (c *Core) setSnapshot(s *StoredSnapshot, peers []string) {
 // and every Persist emitted since are void — the driver must not carry
 // them out. The core then forgets what they held, as a crash would
 // have: held acknowledgements are refused, a leader steps down, and
-// whoever waits for a forgotten entry learns through Dropped.
+// whoever waits for a forgotten entry, or for a snapshot that did not
+// make it, learns the store's error.
 func (c *Core) Persisted(now time.Time, seq uint64, err error) {
 	durable := seq
 	if err != nil {
@@ -523,6 +635,10 @@ func (c *Core) Persisted(now time.Time, seq uint64, err error) {
 	c.writes = append(c.writes[:0], c.writes[n:]...)
 	if c.snap != nil && c.snapSeq != 0 && c.snapSeq <= durable {
 		c.snap = nil
+	}
+	if c.compact.seq <= durable {
+		c.done(c.compact.tag, nil)
+		c.compact.tag = nil
 	}
 	// What the store holds is read from there.
 	if k := min(c.persisted, c.lastIndex()) + 1; k > c.offset {
@@ -541,11 +657,18 @@ func (c *Core) Persisted(now time.Time, seq uint64, err error) {
 
 func (c *Core) persistFailed(now time.Time, err error) {
 	c.eff.StoreErrors++
+	c.done(c.compact.tag, err)
+	c.compact.tag = nil
 	c.writes = c.writes[:0]
 	c.snapSeq = 0
 	if keep := max(c.persisted, c.snapIndex); keep < c.lastIndex() {
 		c.tail = append([]LogEntry(nil), c.tail[:keep+1-c.offset]...)
-		c.eff.Dropped = &Dropped{From: keep + 1, Err: fmt.Errorf("raft: store write: %w", err)}
+		c.sweep(func(r request) error {
+			if r.index > keep {
+				return fmt.Errorf("raft: store write: %w", err)
+			}
+			return nil
+		})
 		c.reloadConfig()
 	}
 	c.refuseHeld(0, c.lastIndex()+1)
@@ -556,46 +679,40 @@ func (c *Core) persistFailed(now time.Time, err error) {
 
 // ackWhenDurable answers the request tagged tag with success once the
 // log is durable through need: at once when it already is.
-func (c *Core) ackWhenDurable(tag, need uint64) {
+func (c *Core) ackWhenDurable(tag interface{}, need uint64) {
 	if need <= c.persisted {
-		c.eff.Acks = append(c.eff.Acks, Ack{Tag: tag, Reply: &appendEntriesReply{Term: c.term, Success: true}})
+		c.ack(tag, &appendEntriesReply{Term: c.term, Success: true}, nil)
 		return
 	}
 	if c.snap != nil && c.snapSeq == 0 {
 		c.saveSnapshot() // its Persist failed: the leader's retry is ours
 	}
-	c.acks = append(c.acks, heldAck{tag: tag, need: need, term: c.term})
+	if tag != nil {
+		c.acks = append(c.acks, request{tag: tag, index: need, term: c.term})
+	}
 }
 
 // refuseHeld answers without success every held reply that waits for
 // index from or beyond.
 func (c *Core) refuseHeld(from, conflict uint64) {
-	n := 0
-	for _, a := range c.acks {
-		if a.need < from {
-			c.acks[n] = a
-			n++
-			continue
+	c.acks = keepIf(c.acks, func(a request) bool {
+		if a.index >= from {
+			c.refuse(a.tag, conflict)
 		}
-		c.refuse(a.tag, conflict)
-	}
-	c.acks = c.acks[:n]
+		return a.index < from
+	})
 }
 
 // releaseAcks sends the held replies the disk has caught up with. One
 // granted in an earlier term no longer speaks for this member: the
 // leader that asked learns the new term instead.
 func (c *Core) releaseAcks() {
-	n := 0
-	for _, a := range c.acks {
-		if a.need > c.persisted {
-			c.acks[n] = a
-			n++
-			continue
+	c.acks = keepIf(c.acks, func(a request) bool {
+		if a.index <= c.persisted {
+			c.ack(a.tag, &appendEntriesReply{Term: c.term, Success: a.term == c.term}, nil)
 		}
-		c.eff.Acks = append(c.eff.Acks, Ack{Tag: a.tag, Reply: &appendEntriesReply{Term: c.term, Success: a.term == c.term}})
-	}
-	c.acks = c.acks[:n]
+		return a.index > c.persisted
+	})
 }
 
 // --- persistent state, membership ---
@@ -639,13 +756,12 @@ func (c *Core) demote(now time.Time) {
 		}
 		err := leaderError(c.leader)
 		if c.round.id != 0 {
-			c.eff.Reads = append(c.eff.Reads, ReadRound{ID: c.round.id, Reads: c.round.reads, Err: err})
+			c.eff.Reads = append(c.eff.Reads, ReadRound{Tags: tagsOf(c.round.reads), Err: err})
 			c.round = readRound{}
 		}
-		if c.forming > 0 {
-			c.eff.Reads = append(c.eff.Reads, ReadRound{ID: c.nextRound, Reads: c.forming, Err: err})
-			c.nextRound++
-			c.forming = 0
+		if len(c.forming) > 0 {
+			c.eff.Reads = append(c.eff.Reads, ReadRound{Tags: tagsOf(c.forming), Err: err})
+			c.forming = nil
 		}
 	}
 	c.note()
@@ -679,7 +795,7 @@ func (c *Core) Hold(now time.Time, tag interface{}) bool {
 	if c.leader != "" || !c.inConfig() {
 		return false
 	}
-	c.held = append(c.held, hold{tag: tag, until: now.Add(c.cfg.ElectionTimeoutMax)})
+	c.held = append(c.held, request{tag: tag, deadline: now.Add(c.cfg.ElectionTimeoutMax)})
 	return true
 }
 
@@ -853,27 +969,27 @@ func (c *Core) becomeLeader(now time.Time) {
 	}
 	// Commit entries from previous terms by appending a no-op at the
 	// current term (§5.4.2).
-	c.appendAsLeader(now, []LogEntry{{Type: EntryNoop}})
+	c.appendAsLeader(LogEntry{Type: EntryNoop}, nil, time.Time{})
 }
 
 // --- leader: append, replicate, commit ---
 
-// appendAsLeader assigns indexes and the current term to entries, adds
-// them to the log and ships them: the Persist and the AppendEntries for
-// the same run leave in the same step.
-func (c *Core) appendAsLeader(now time.Time, entries []LogEntry) {
-	base := c.lastIndex()
-	config := false
-	for i := range entries {
-		entries[i].Index = base + 1 + uint64(i)
-		entries[i].Term = c.term
-		config = config || entries[i].Type == EntryConfig
+// appendAsLeader gives e the next index and the current term, adds it
+// to the log and ships it: the Persist and the AppendEntries for it
+// leave in the same step. A tag enters the ledger at that index, which
+// is returned.
+func (c *Core) appendAsLeader(e LogEntry, tag interface{}, deadline time.Time) uint64 {
+	e.Index, e.Term = c.lastIndex()+1, c.term
+	if tag != nil {
+		c.pending = append(c.pending, request{tag, deadline, e.Index, e.Term})
+		c.expireAt = earliest(c.expireAt, deadline)
 	}
-	c.appendLog(entries)
-	if config {
+	c.appendLog([]LogEntry{e})
+	if e.Type == EntryConfig {
 		c.reloadConfig()
 	}
 	c.broadcast()
+	return e.Index
 }
 
 // broadcast sends log traffic to every follower that has none in
@@ -1017,14 +1133,15 @@ func (c *Core) advanceCommit(now time.Time) {
 	c.broadcast()     // propagate the new commit index promptly
 }
 
-// Propose offers commands to the leader, which appends them at once:
-// one Persist, and one AppendEntries per follower with nothing in
-// flight. Group commit needs no rule here. Proposals that arrive while
-// a disk write is under way leave as Persists that queue at the
-// driver's writer, which makes one write of all it finds; a follower
-// busy with the previous AppendEntries gets everything since in its
-// next one.
-func (c *Core) Propose(now time.Time, ps []Proposal) {
+// Propose offers a command to the leader, which appends it at once: one
+// Persist, and one AppendEntries per follower with nothing in flight.
+// Group commit needs no rule here. Proposals that arrive while a disk
+// write is under way leave as Persists that queue at the driver's
+// writer, which makes one write of all it finds; a follower busy with
+// the previous AppendEntries gets everything since in its next one. The
+// index the command went to is returned for whoever observes the log (0:
+// refused); the answer comes through tag.
+func (c *Core) Propose(now time.Time, data []byte, tag interface{}, deadline time.Time) uint64 {
 	if c.role != Leader || !c.inConfig() {
 		err := leaderError(c.leader)
 		if c.role == Leader {
@@ -1032,31 +1149,15 @@ func (c *Core) Propose(now time.Time, ps []Proposal) {
 			// report on anything it takes now; its successor is not known.
 			err = ErrNoLeader
 		}
-		for _, p := range ps {
-			c.eff.Rejected = append(c.eff.Rejected, Rejected{Tag: p.Tag, Err: err})
-		}
-		return
+		c.done(tag, err)
+		return 0
 	}
-	entries := make([]LogEntry, len(ps))
-	tags := make([]interface{}, len(ps))
-	for i, p := range ps {
-		entries[i] = LogEntry{Type: EntryCommand, Data: p.Data}
-		tags[i] = p.Tag
-	}
-	c.eff.Accepted = append(c.eff.Accepted, Accepted{Tags: tags, First: c.lastIndex() + 1, Term: c.term})
-	c.appendAsLeader(now, entries)
+	return c.appendAsLeader(LogEntry{Type: EntryCommand, Data: data}, tag, deadline)
 }
 
-// ChangeConfig appends a single-server membership change and returns
-// where: the change is done when that index has been applied under
-// that term.
-func (c *Core) ChangeConfig(now time.Time, addr string, remove bool) (index, term uint64, err error) {
-	if c.role != Leader {
-		return 0, 0, leaderError(c.leader)
-	}
-	if c.pendingConfig() != 0 {
-		return 0, 0, ErrInProgress
-	}
+// ChangeConfig appends a single-server membership change: tag comes back
+// beside the entry once it is applied. Like Propose it returns the index.
+func (c *Core) ChangeConfig(now time.Time, addr string, remove bool, tag interface{}, deadline time.Time) uint64 {
 	var peers []string
 	found := false
 	for _, p := range c.peers {
@@ -1068,21 +1169,25 @@ func (c *Core) ChangeConfig(now time.Time, addr string, remove bool) (index, ter
 		}
 		peers = append(peers, p)
 	}
-	switch {
-	case remove && !found:
-		return 0, 0, fmt.Errorf("%w: %s not a member", ErrBadConfig, addr)
-	case !remove && found:
-		return 0, 0, fmt.Errorf("%w: %s already a member", ErrBadConfig, addr)
-	case !remove:
+	if !remove {
 		peers = append(peers, addr)
 	}
 	data, err := json.Marshal(peers)
-	if err != nil {
-		return 0, 0, err
+	switch {
+	case c.role != Leader:
+		err = leaderError(c.leader)
+	case c.pendingConfig() != 0:
+		err = ErrInProgress
+	case remove && !found:
+		err = fmt.Errorf("%w: %s not a member", ErrBadConfig, addr)
+	case !remove && found:
+		err = fmt.Errorf("%w: %s already a member", ErrBadConfig, addr)
 	}
-	index = c.lastIndex() + 1
-	c.appendAsLeader(now, []LogEntry{{Type: EntryConfig, Data: data}})
-	return index, c.term, nil
+	if err != nil {
+		c.done(tag, err)
+		return 0
+	}
+	return c.appendAsLeader(LogEntry{Type: EntryConfig, Data: data}, tag, deadline)
 }
 
 // Transfer is what a leader on its way out — removed by the
@@ -1121,9 +1226,9 @@ func (c *Core) Transfer() {
 // TimeoutNow handles a departing leader's last AppendEntries, which
 // names this member its successor: take the entries, then campaign now
 // instead of when the election timer says. Nobody waits for the
-// acknowledgement (tag 0). A stale request changes nothing.
+// acknowledgement (a nil tag). A stale request changes nothing.
 func (c *Core) TimeoutNow(now time.Time, a *timeoutNowArgs) *timeoutNowReply {
-	c.AppendEntries(now, &a.appendEntriesArgs, 0)
+	c.AppendEntries(now, &a.appendEntriesArgs, nil)
 	if a.Term == c.term && a.Leader == c.leader && c.role == Follower {
 		c.campaign(now)
 	}
@@ -1145,8 +1250,8 @@ func (c *Core) follow(now time.Time, term uint64, leader string) error {
 }
 
 // refuse answers the request tagged tag without success.
-func (c *Core) refuse(tag, conflict uint64) {
-	c.eff.Acks = append(c.eff.Acks, Ack{Tag: tag, Reply: &appendEntriesReply{Term: c.term, ConflictIndex: conflict}})
+func (c *Core) refuse(tag interface{}, conflict uint64) {
+	c.ack(tag, &appendEntriesReply{Term: c.term, ConflictIndex: conflict}, nil)
 }
 
 // AppendEntries handles log traffic and heartbeats from a leader
@@ -1155,13 +1260,13 @@ func (c *Core) refuse(tag, conflict uint64) {
 // see — a ReadIndex probe never does — and otherwise among those of
 // the step that learns the log is durable through what it
 // acknowledges.
-func (c *Core) AppendEntries(now time.Time, a *appendEntriesArgs, tag uint64) {
+func (c *Core) AppendEntries(now time.Time, a *appendEntriesArgs, tag interface{}) {
 	if a.Term < c.term {
 		c.refuse(tag, 0)
 		return
 	}
 	if err := c.follow(now, a.Term, a.Leader); err != nil {
-		c.eff.Acks = append(c.eff.Acks, Ack{Tag: tag, Err: err})
+		c.ack(tag, nil, err)
 		return
 	}
 
@@ -1222,13 +1327,13 @@ func (c *Core) AppendEntries(now time.Time, a *appendEntriesArgs, tag uint64) {
 // The snapshot is durable before its Ack leaves; the state machine
 // catches up through NextApply, which asks for a restore whenever it is
 // behind the log's first index.
-func (c *Core) InstallSnapshot(now time.Time, a *installSnapshotArgs, tag uint64) {
+func (c *Core) InstallSnapshot(now time.Time, a *installSnapshotArgs, tag interface{}) {
 	if a.Term < c.term {
 		c.refuse(tag, 0)
 		return
 	}
 	if err := c.follow(now, a.Term, a.Leader); err != nil {
-		c.eff.Acks = append(c.eff.Acks, Ack{Tag: tag, Err: err})
+		c.ack(tag, nil, err)
 		return
 	}
 	if a.LastIndex > c.commitIndex {
@@ -1246,25 +1351,24 @@ func (c *Core) InstallSnapshot(now time.Time, a *installSnapshotArgs, tag uint64
 
 // --- ReadIndex ---
 
-// Read registers a linearizable read and returns the round that will
-// confirm it; the ReadRound effect with that ID says when (and
-// whether) it may be served. A read only ever joins a round that has
-// not started: the safety argument needs its read index recorded
-// before the round sends a single probe.
+// Read registers a linearizable read; the ReadRound effect that carries
+// tag says when (and whether) it may be served. A read only ever joins
+// a round that has not started: the safety argument needs its read
+// index recorded before the round sends a single probe.
 //
 // Safety does not need a leader lease: once a quorum acknowledges the
 // term, every write that completed before the read began is covered by
 // the round's read index (a later leader needs a quorum at a higher
 // term, which the round would have observed), so serving the query is
 // linearizable even if this node is deposed right after.
-func (c *Core) Read(now time.Time) (uint64, error) {
+func (c *Core) Read(now time.Time, tag interface{}, deadline time.Time) {
 	if c.role != Leader {
-		return 0, leaderError(c.leader)
+		c.done(tag, leaderError(c.leader))
+		return
 	}
-	c.forming++
-	id := c.nextRound
+	c.forming = append(c.forming, request{tag: tag, deadline: deadline})
+	c.expireAt = earliest(c.expireAt, deadline)
 	c.startRound(now)
-	return id, nil
 }
 
 // startRound starts the next ReadIndex round if reads are waiting and
@@ -1274,7 +1378,7 @@ func (c *Core) Read(now time.Time) (uint64, error) {
 // appended at election gets there promptly); until then reads stay
 // forming and advanceCommit calls back.
 func (c *Core) startRound(now time.Time) {
-	if c.role != Leader || c.round.id != 0 || c.forming == 0 {
+	if c.role != Leader || c.round.id != 0 || len(c.forming) == 0 {
 		return
 	}
 	if t, err := c.termAt(c.commitIndex); err != nil || t != c.term {
@@ -1288,7 +1392,7 @@ func (c *Core) startRound(now time.Time) {
 		acks:     map[string]bool{c.id: true},
 	}
 	c.nextRound++
-	c.forming = 0
+	c.forming = nil
 	if c.quorum(c.round.acks) {
 		c.finishRound(now, nil) // single-node group
 		return
@@ -1309,7 +1413,7 @@ func (c *Core) finishRound(now time.Time, err error) {
 	r := c.round
 	c.round = readRound{}
 	if err != nil {
-		c.eff.Reads = append(c.eff.Reads, ReadRound{ID: r.id, Reads: r.reads, Err: err})
+		c.eff.Reads = append(c.eff.Reads, ReadRound{Tags: tagsOf(r.reads), Err: err})
 	} else {
 		c.confirmed = append(c.confirmed, r)
 		c.releaseReads()
@@ -1322,7 +1426,7 @@ func (c *Core) finishRound(now time.Time, err error) {
 func (c *Core) releaseReads() {
 	n := 0
 	for n < len(c.confirmed) && c.confirmed[n].index <= c.lastApplied {
-		c.eff.Reads = append(c.eff.Reads, ReadRound{ID: c.confirmed[n].id, Reads: c.confirmed[n].reads})
+		c.eff.Reads = append(c.eff.Reads, ReadRound{Tags: tagsOf(c.confirmed[n].reads)})
 		n++
 	}
 	c.confirmed = append(c.confirmed[:0], c.confirmed[n:]...)
@@ -1341,6 +1445,7 @@ func (c *Core) NextApply() (ApplyTask, bool) {
 		if err != nil || codec.Unmarshal(s.Data, &env) != nil {
 			return ApplyTask{}, false
 		}
+		c.claim(nil, s.Index)
 		return ApplyTask{Restore: true, Snapshot: env.FSM, Index: s.Index}, true
 	}
 	if c.lastApplied >= c.commitIndex {
@@ -1351,7 +1456,7 @@ func (c *Core) NextApply() (ApplyTask, bool) {
 	if err != nil || len(entries) == 0 {
 		return ApplyTask{}, false
 	}
-	return ApplyTask{Entries: entries, Index: hi}, true
+	return ApplyTask{Entries: entries, Tags: c.claim(entries, hi), Index: hi}, true
 }
 
 // Applied reports that the state machine has finished the task ending
@@ -1376,18 +1481,22 @@ func (c *Core) SnapshotDue() bool {
 
 // Compact makes fsm — the state machine's snapshot at exactly
 // lastApplied — the log's prefix and discards the log through that
-// index. It returns the Seq of the Persist that stores it: 0 when a
-// newer snapshot was installed meanwhile and there is nothing to do.
-func (c *Core) Compact(fsm []byte) (uint64, error) {
+// index. tag comes back in a Done once the store has the snapshot (or
+// has failed to take it): at once when a newer snapshot was installed
+// meanwhile and there is nothing to do. The state machine's one caller
+// asks for one at a time.
+func (c *Core) Compact(fsm []byte, tag interface{}) {
 	if !c.Compactable() {
-		return 0, nil
+		c.done(tag, nil)
+		return
 	}
 	idx := c.lastApplied
 	term, err := c.termAt(idx)
 	if err != nil {
-		return 0, err
+		c.done(tag, err)
+		return
 	}
 	peers, _ := c.configAt(idx)
 	c.setSnapshot(&StoredSnapshot{Index: idx, Term: term, Data: codec.Marshal(&snapshotEnvelope{Peers: peers, FSM: fsm})}, peers)
-	return c.snapSeq, nil
+	c.compact.seq, c.compact.tag = c.snapSeq, tag
 }

@@ -241,7 +241,7 @@ func TestStopAnswersEveryKeptHandle(t *testing.T) {
 	await(t, "every request to reach the log", []*Node{node}, func() bool {
 		node.mu.Lock()
 		defer node.mu.Unlock()
-		return len(node.waiters) == kept
+		return node.core.outstanding() == kept
 	})
 	stopped := make(chan struct{})
 	go func() {

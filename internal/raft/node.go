@@ -70,29 +70,31 @@ type outcome struct {
 	err    error
 }
 
-// waiter is one proposal, configuration change or read on its way
-// through the group. It sits in one of the node's tables until whoever
-// takes it out — the applier, the round that confirms it, a failed
-// Persist, the deadline sweep, Stop — calls resolve, once, with mu
-// released. The blocking API's resolve writes to a channel; an RPC's
-// answers its kept handle, unless the answer is "no leader" and the
-// request can still be held. index and term say where the core appended
-// a proposal; they are written and read under mu.
+// waiter is one proposal, configuration change, read or snapshot on its
+// way through the group, and the tag the core knows it by: the node
+// keeps it nowhere. When the core hands it back — beside its entry, with
+// its round, in a Done — resolve is called, once, with mu released. The
+// blocking API's resolve writes to a channel; an RPC's answers its kept
+// handle, unless the answer is "no leader" and the request can still be
+// held.
 type waiter struct {
 	resolve func(outcome)
-	index   uint64
-	term    uint64
-	// start hands an RPC's operation to the core, again when the core
-	// releases it after it was held for want of a leader (Core.Hold),
-	// which happens to a request once.
-	start func(*Node, *waiter) error
+	// start hands the operation to the core, again when the core releases
+	// it after it was held for want of a leader (Core.Hold), which happens
+	// to a request once.
+	start operation
 	held  bool
 	// deadline bounds a waiter nobody is blocked on (a caller of the
-	// blocking API has its ctx instead): the timer loop sweeps it.
+	// blocking API has its ctx instead): the core times it out.
 	deadline time.Time
 	arrived  time.Time // proposals only: feeds the commit-latency histogram
 	span     *span     // a sampled RPC only
 }
+
+// operation is one of propose, read and changeConfig: it hands w's
+// request to the core, which answers it through w, the tag. An error is
+// final instead: the core was not asked.
+type operation func(n *Node, c *Core, now time.Time, w *waiter) error
 
 // span is what a sampled RPC-borne Apply or Read records about itself.
 // margo's server and handler spans end when the handler returns, which
@@ -101,6 +103,7 @@ type span struct {
 	sc      trace.SpanContext
 	name    string
 	arrived time.Time
+	index   uint64                 // where the core appended it; 0: nowhere
 	ended   [len(phases)]time.Time // by phase; zero: not before the reply
 }
 
@@ -119,14 +122,9 @@ var phases = [...]string{"persist", "replicate", "round"}
 // kept AppendEntries and InstallSnapshot handles, resolutions, and held
 // requests to start again.
 type after struct {
-	acks  []keptAck
+	acks  []Ack
 	done  []resolved
-	again []*waiter
-}
-
-type keptAck struct {
-	h   *mercury.Handle
-	ack Ack
+	again []interface{}
 }
 
 type resolved struct {
@@ -170,8 +168,10 @@ var members = margo.NewGroups(func(inst *margo.Instance, lookup func(string) *No
 })
 
 // Node is one member of a Raft group: the driver of one Core. It owns
-// no protocol state. mu serializes every step of the core and guards
-// the driver's tables, and is never held across a wait: not for the
+// no protocol state and no table of requests: a request goes into the
+// core as a tag — its *waiter, or the *mercury.Handle of log traffic —
+// and is answered when the core hands the tag back. mu serializes every
+// step of the core, and is never held across a wait: not for the
 // disk (the writer goroutine carries out the core's Persists with mu
 // released), not for a peer, not for the FSM. Five kinds of goroutine
 // exist, all started here or when a peer is first addressed and all
@@ -192,21 +192,14 @@ type Node struct {
 	mu      sync.Mutex
 	core    *Core
 	stopped bool
-	waiters map[uint64]*waiter         // appended proposals by log index
-	reads   map[uint64][]*waiter       // reads by ReadIndex round
-	kept    map[uint64]*mercury.Handle // unanswered AppendEntries/InstallSnapshot by tag
-	tag     uint64                     // the last one handed out
-	held    map[*waiter]struct{}       // client RPCs parked in the core for want of a leader
-	seen    Transition                 // the core's last, for the election metrics
-	since   time.Time                  // when the member last lost sight of a leader
-	watch   chan struct{}              // closed at the next step, when somebody asked (changed)
-	spans   int                        // waiters in the proposal table that carry a span
-	sweepAt time.Time                  // the earliest deadline in the tables, zero if none
-	queue   []Persist                  // for the writer, in Seq order
-	run     []LogEntry                 // the writer's own: a run of Persists as one write
-	snap    snapshotWait               // the Persist TakeSnapshot is waiting for
-	senders map[string]*lanes          // by peer address
-	armed   time.Time                  // the deadline the timer loop sleeps on
+	seen    Transition        // the core's last, for the election metrics
+	since   time.Time         // when the member last lost sight of a leader
+	watch   chan struct{}     // closed at the next step, when somebody asked (changed)
+	sampled []*waiter         // the proposals in the core that carry a span, for mark
+	queue   []Persist         // for the writer, in Seq order
+	run     []LogEntry        // the writer's own: a run of Persists as one write
+	senders map[string]*lanes // by peer address
+	armed   time.Time         // the deadline the timer loop sleeps on
 
 	applyWake chan struct{}   // buffered(1): the core has work for the applier
 	writeWake chan struct{}   // buffered(1): the queue has work for the writer
@@ -217,13 +210,6 @@ type Node struct {
 	cancel   context.CancelFunc
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-}
-
-// snapshotWait is how the applier learns what became of the snapshot it
-// handed to the core: done receives the writer's verdict on Persist seq.
-type snapshotWait struct {
-	seq  uint64
-	done chan error // buffered(1)
 }
 
 // NewNode creates and starts a Raft member. peers is the initial
@@ -239,10 +225,6 @@ func NewNode(inst *margo.Instance, group string, peers []string, store Store, fs
 		store:     store,
 		cfg:       cfg.withDefaults(),
 		met:       newNodeMetrics(inst.Metrics(), group),
-		waiters:   map[uint64]*waiter{},
-		reads:     map[uint64][]*waiter{},
-		kept:      map[uint64]*mercury.Handle{},
-		held:      map[*waiter]struct{}{},
 		senders:   map[string]*lanes{},
 		applyWake: make(chan struct{}, 1),
 		writeWake: make(chan struct{}, 1),
@@ -300,8 +282,8 @@ func (n *Node) IsLeader() bool {
 	return n.core.IsLeader()
 }
 
-// Stop halts the node and waits for its goroutines: everything still in
-// its tables — blocked callers and kept handles alike — is answered
+// Stop halts the node and waits for its goroutines: everything the core
+// still holds — blocked callers and kept handles alike — is answered
 // ErrStopped, and what the writer has not written stays unwritten, as
 // after a crash. A leader first names its successor (Core.Transfer), an
 // RPC nobody waits on for longer than a heartbeat interval. The store is
@@ -313,24 +295,8 @@ func (n *Node) Stop() {
 		n.core.Transfer()
 		handover := n.core.Take().Msgs
 		n.stopped = true
-		for _, w := range n.waiters {
-			out.done = append(out.done, resolved{w, outcome{err: ErrStopped}})
-		}
-		for _, ws := range n.reads {
-			for _, w := range ws {
-				out.done = append(out.done, resolved{w, outcome{err: ErrStopped}})
-			}
-		}
-		for _, h := range n.kept {
-			out.acks = append(out.acks, keptAck{h, Ack{Err: ErrStopped}})
-		}
-		for w := range n.held {
-			out.done = append(out.done, resolved{w, outcome{err: ErrStopped}})
-		}
-		clear(n.waiters)
-		clear(n.reads)
-		clear(n.kept)
-		clear(n.held)
+		n.core.Surrender(ErrStopped)
+		n.dispatch(&out)
 		n.queue = nil
 		n.mu.Unlock()
 		for _, m := range handover {
@@ -373,40 +339,20 @@ func (n *Node) dispatch(out *after) {
 		n.queue = append(n.queue, eff.Persist...)
 		signal(n.writeWake)
 	}
-	for _, a := range eff.Acks {
-		if h := n.kept[a.Tag]; h != nil {
-			delete(n.kept, a.Tag)
-			out.acks = append(out.acks, keptAck{h, a})
-		}
-	}
-	for _, a := range eff.Accepted {
-		for i, tag := range a.Tags {
-			w := tag.(*waiter)
-			w.index, w.term = a.First+uint64(i), a.Term
-			n.enter(w)
-		}
-	}
-	for _, r := range eff.Rejected {
-		out.done = append(out.done, resolved{r.Tag.(*waiter), outcome{err: r.Err}})
-	}
+	out.acks = append(out.acks, eff.Acks...)
 	for _, r := range eff.Reads {
 		n.met.readRounds.Inc()
-		n.met.readBatch.Observe(float64(r.Reads))
-		for _, w := range n.reads[r.ID] {
+		n.met.readBatch.Observe(float64(len(r.Tags)))
+		for _, tag := range r.Tags {
+			w := tag.(*waiter)
 			if w.span != nil {
 				w.span.ended[phaseRound] = n.clk.Now()
 			}
 			out.done = append(out.done, resolved{w, outcome{err: r.Err}})
 		}
-		delete(n.reads, r.ID)
 	}
-	if d := eff.Dropped; d != nil {
-		for idx, w := range n.waiters {
-			if idx >= d.From {
-				n.leave(w)
-				out.done = append(out.done, resolved{w, outcome{err: d.Err}})
-			}
-		}
+	for _, d := range eff.Done {
+		n.answer(out, d.Tag, outcome{err: d.Err})
 	}
 	if eff.StoreErrors > 0 {
 		n.met.appendErrors.Add(float64(eff.StoreErrors))
@@ -414,13 +360,9 @@ func (n *Node) dispatch(out *after) {
 	for _, t := range eff.Transitions {
 		n.observe(t)
 	}
-	for _, tag := range eff.Released {
-		w := tag.(*waiter)
-		delete(n.held, w)
-		out.again = append(out.again, w)
-	}
+	out.again = append(out.again, eff.Released...)
 	if eff.Apply {
-		if n.spans > 0 {
+		if len(n.sampled) > 0 {
 			n.mark(phaseReplicate, n.core.Status().CommitIndex, n.clk.Now())
 		}
 		signal(n.applyWake)
@@ -462,40 +404,33 @@ func (n *Node) changed() <-chan struct{} {
 	return n.watch
 }
 
-// enter puts a proposal in the table; leave takes it out. Caller holds
+// sample puts w on the list mark walks, if it is a sampled request the
+// core appended at index; answer takes it off as it queues o, the
+// outcome of the request the core has handed back as tag. Caller holds
 // mu.
-func (n *Node) enter(w *waiter) {
-	n.waiters[w.index] = w
-	if w.span != nil {
-		n.spans++
-	}
-	n.bound(w)
-}
-
-func (n *Node) leave(w *waiter) {
-	delete(n.waiters, w.index)
-	if w.span != nil {
-		n.spans--
+func (n *Node) sample(w *waiter, index uint64) {
+	if w.span != nil && index != 0 {
+		w.span.index = index
+		n.sampled = append(n.sampled, w)
 	}
 }
 
-// bound makes sure the sweep runs by w's deadline, if it has one.
-// Caller holds mu.
-func (n *Node) bound(w *waiter) {
-	if w.deadline.IsZero() || (!n.sweepAt.IsZero() && !w.deadline.Before(n.sweepAt)) {
-		return
+func (n *Node) answer(out *after, tag interface{}, o outcome) {
+	w := tag.(*waiter)
+	for i := range n.sampled {
+		if n.sampled[i] == w {
+			n.sampled = append(n.sampled[:i], n.sampled[i+1:]...)
+			break
+		}
 	}
-	n.sweepAt = w.deadline
-	if n.sweepAt.Before(n.armed) {
-		signal(n.rearm)
-	}
+	out.done = append(out.done, resolved{w, o})
 }
 
 // mark ends the phase now for every sampled proposal at or below index
 // that is still in it. Caller holds mu.
 func (n *Node) mark(phase int, index uint64, now time.Time) {
-	for idx, w := range n.waiters {
-		if w.span != nil && idx <= index && w.span.ended[phase].IsZero() {
+	for _, w := range n.sampled {
+		if w.span.index <= index && w.span.ended[phase].IsZero() {
 			w.span.ended[phase] = now
 		}
 	}
@@ -505,10 +440,10 @@ func (n *Node) mark(phase int, index uint64, now time.Time) {
 // answered and every waiter resolved here, exactly once.
 func (n *Node) finish(out *after) {
 	for _, a := range out.acks {
-		if a.ack.Err != nil {
-			_ = a.h.RespondError(a.ack.Err)
+		if h := a.Tag.(*mercury.Handle); a.Err != nil {
+			_ = h.RespondError(a.Err)
 		} else {
-			margo.Reply(a.h, a.ack.Reply)
+			margo.Reply(h, a.Reply)
 		}
 	}
 	for _, d := range out.done {
@@ -517,10 +452,8 @@ func (n *Node) finish(out *after) {
 		}
 		d.w.resolve(d.o)
 	}
-	for _, w := range out.again {
-		if err := w.start(n, w); err != nil {
-			w.resolve(outcome{err: err})
-		}
+	for _, tag := range out.again {
+		n.begin(tag.(*waiter))
 	}
 }
 
@@ -552,11 +485,10 @@ func signal(ch chan struct{}) {
 	}
 }
 
-// timerLoop sleeps until the core's deadline and ticks it, and sweeps
-// the tables for waiters past theirs. A deadline that moves later
-// (every heartbeat pushes a follower's election timeout out) costs
-// nothing: the loop wakes at the old one, finds nothing due and
-// re-arms.
+// timerLoop sleeps until the core's deadline and ticks it. A deadline
+// that moves later (every heartbeat pushes a follower's election timeout
+// out) costs nothing: the loop wakes at the old one, finds nothing due
+// and re-arms.
 func (n *Node) timerLoop() {
 	defer n.wg.Done()
 	t := n.clk.NewTimer(time.Hour)
@@ -569,13 +501,7 @@ func (n *Node) timerLoop() {
 			n.core.Tick(now)
 			n.dispatch(&out)
 		}
-		if !n.sweepAt.IsZero() && !n.sweepAt.After(now) {
-			n.sweep(now, &out)
-		}
 		armed := n.core.Deadline()
-		if !n.sweepAt.IsZero() && n.sweepAt.Before(armed) {
-			armed = n.sweepAt
-		}
 		n.armed = armed
 		n.mu.Unlock()
 		n.finish(&out)
@@ -586,40 +512,6 @@ func (n *Node) timerLoop() {
 		case <-n.ctx.Done():
 			return
 		}
-	}
-}
-
-// sweep times out every waiter whose deadline has passed — a kept
-// handle whose entry a deposed leader will never see applied, say — and
-// notes when to come back. Caller holds mu.
-func (n *Node) sweep(now time.Time, out *after) {
-	n.sweepAt = time.Time{}
-	expired := func(w *waiter) bool {
-		if w.deadline.IsZero() {
-			return false
-		}
-		if w.deadline.After(now) {
-			if n.sweepAt.IsZero() || w.deadline.Before(n.sweepAt) {
-				n.sweepAt = w.deadline
-			}
-			return false
-		}
-		out.done = append(out.done, resolved{w, outcome{err: fmt.Errorf("%w: no answer within %v", ErrTimeout, 10*n.cfg.ElectionTimeoutMax)}})
-		return true
-	}
-	for _, w := range n.waiters {
-		if expired(w) {
-			n.leave(w)
-		}
-	}
-	for id, ws := range n.reads {
-		keep := ws[:0]
-		for _, w := range ws {
-			if !expired(w) {
-				keep = append(keep, w)
-			}
-		}
-		n.reads[id] = keep
 	}
 }
 
@@ -727,20 +619,10 @@ func (n *Node) writer() {
 		seq, through, err := n.write(ops, leading)
 		n.step(func(c *Core, now time.Time) {
 			c.Persisted(now, seq, err)
-			durable := seq
 			if err != nil {
 				n.queue = n.queue[:0] // void, the core has said
-				durable--
-			} else if n.spans > 0 {
+			} else if len(n.sampled) > 0 {
 				n.mark(phasePersist, through, now)
-			}
-			if w := n.snap; w.done != nil && (durable >= w.seq || err != nil) {
-				n.snap = snapshotWait{}
-				if durable >= w.seq {
-					w.done <- nil
-				} else {
-					w.done <- err
-				}
 			}
 		})
 		clear(ops)
@@ -796,15 +678,19 @@ func (n *Node) applier() {
 }
 
 // applyPending runs the core's apply tasks until none is left: one
-// lock acquisition fetches a task, the FSM runs it outside the lock,
-// and one re-acquisition reports it applied and takes out every waiter
-// it resolves. Only the applier goroutine calls it (and NewNode, before
-// that exists).
+// lock acquisition fetches a task (and answers whom the core found
+// overwritten on the way), the FSM runs it outside the lock, and one
+// re-acquisition reports it applied and answers the tags that came with
+// it. Only the applier goroutine calls it (and NewNode, before that
+// exists).
 func (n *Node) applyPending() error {
 	for {
+		var out after
 		n.mu.Lock()
 		task, ok := n.core.NextApply()
+		n.dispatch(&out)
 		n.mu.Unlock()
+		n.finish(&out)
 		if !ok {
 			return nil
 		}
@@ -815,17 +701,12 @@ func (n *Node) applyPending() error {
 		} else if err := n.fsm.Restore(task.Snapshot); err != nil {
 			return err
 		}
-		var out after
+		out = after{}
 		n.mu.Lock()
 		n.core.Applied(task.Index)
-		for i, e := range task.Entries {
-			if w := n.waiters[e.Index]; w != nil {
-				n.leave(w)
-				if e.Term != w.term {
-					out.done = append(out.done, resolved{w, outcome{err: ErrNotLeader}}) // overwritten by a newer leader
-				} else {
-					out.done = append(out.done, resolved{w, outcome{result: results[i]}})
-				}
+		for i, tag := range task.Tags {
+			if tag != nil {
+				n.answer(&out, tag, outcome{result: results[i]})
 			}
 		}
 		due := n.core.SnapshotDue()
@@ -879,21 +760,11 @@ func (n *Node) snapshot() error {
 	if err != nil {
 		return err
 	}
-	done := make(chan error, 1)
-	n.step(func(c *Core, _ time.Time) {
-		var seq uint64
-		if seq, err = c.Compact(data); err == nil && seq != 0 {
-			n.snap = snapshotWait{seq: seq, done: done}
-		} else {
-			done <- err
-		}
+	_, err = n.block(context.Background(), func(_ *Node, c *Core, _ time.Time, w *waiter) error {
+		c.Compact(data, w)
+		return nil
 	})
-	select {
-	case err := <-done:
-		return err
-	case <-n.ctx.Done():
-		return ErrStopped
-	}
+	return err
 }
 
 // TakeSnapshot compacts the log through the last applied entry.
@@ -909,63 +780,49 @@ func (n *Node) TakeSnapshot() error {
 
 // --- client operations ---
 
-// propose hands w's command to the core. An error means the node is
-// stopped and w will never be resolved; otherwise it will be, possibly
-// before propose returns.
-func (n *Node) propose(w *waiter, cmd []byte) error {
-	w.arrived = time.Now()
-	if !n.step(func(c *Core, now time.Time) { c.Propose(now, []Proposal{{Data: cmd, Tag: w}}) }) {
-		return ErrStopped
+func propose(cmd []byte) operation {
+	return func(n *Node, c *Core, now time.Time, w *waiter) error {
+		w.arrived = time.Now()
+		n.sample(w, c.Propose(now, cmd, w, w.deadline))
+		return nil
 	}
-	return nil
 }
 
 // read registers w with the forming ReadIndex round (see Core.Read).
-// An error is final and w will never be resolved.
-func (n *Node) read(w *waiter) error {
+func read(n *Node, c *Core, now time.Time, w *waiter) error {
 	if _, ok := n.fsm.(ReaderFSM); !ok {
 		return ErrNoReader
 	}
-	err := error(ErrStopped)
-	n.step(func(c *Core, now time.Time) {
-		var id uint64
-		if id, err = c.Read(now); err == nil {
-			n.reads[id] = append(n.reads[id], w)
-			n.bound(w)
-		}
-	})
-	return err
+	c.Read(now, w, w.deadline)
+	return nil
 }
 
-// changeConfig hands a single-server membership change to the core. An
-// error is final and w will never be resolved.
-func (n *Node) changeConfig(w *waiter, addr string, remove bool) error {
-	err := error(ErrStopped)
-	n.step(func(c *Core, now time.Time) {
-		if w.index, w.term, err = c.ChangeConfig(now, addr, remove); err == nil {
-			n.enter(w)
-		}
-	})
-	return err
-}
-
-// block runs start with a waiter that resolves into a channel and waits
-// there: the blocking API over the table the RPCs use.
-func (n *Node) block(ctx context.Context, start func(w *waiter) error) ([]byte, error) {
-	done := make(chan outcome, 1)
-	w := &waiter{resolve: func(o outcome) { done <- o }}
-	if err := start(w); err != nil {
-		return nil, err
+func changeConfig(addr string, remove bool) operation {
+	return func(n *Node, c *Core, now time.Time, w *waiter) error {
+		n.sample(w, c.ChangeConfig(now, addr, remove, w, w.deadline))
+		return nil
 	}
+}
+
+// begin steps the core with w's start. A stopped node, or a start that
+// did not ask the core, is w's answer.
+func (n *Node) begin(w *waiter) {
+	err := error(ErrStopped)
+	n.step(func(c *Core, now time.Time) { err = w.start(n, c, now, w) })
+	if err != nil {
+		w.resolve(outcome{err: err})
+	}
+}
+
+// block begins start with a waiter that resolves into a channel and
+// waits there: the blocking API over the tags the RPCs use.
+func (n *Node) block(ctx context.Context, start operation) ([]byte, error) {
+	done := make(chan outcome, 1)
+	n.begin(&waiter{start: start, resolve: func(o outcome) { done <- o }})
 	select {
 	case o := <-done:
 		return o.result, o.err
 	case <-ctx.Done():
-		n.mu.Lock()
-		if n.waiters[w.index] == w {
-			n.leave(w)
-		}
-		n.mu.Unlock()
 		return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
 	case <-n.ctx.Done():
 		return nil, ErrStopped
@@ -975,7 +832,7 @@ func (n *Node) block(ctx context.Context, start func(w *waiter) error) ([]byte, 
 // Apply submits a command locally; the caller must be talking to the
 // leader (use Client.Apply for automatic forwarding).
 func (n *Node) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
-	return n.block(ctx, func(w *waiter) error { return n.propose(w, cmd) })
+	return n.block(ctx, propose(cmd))
 }
 
 // Read answers a read-only query linearizably without writing a log
@@ -985,7 +842,7 @@ func (n *Node) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
 // leader (use Client.Read for automatic forwarding). The FSM must
 // implement ReaderFSM.
 func (n *Node) Read(ctx context.Context, query []byte) ([]byte, error) {
-	if _, err := n.block(ctx, n.read); err != nil {
+	if _, err := n.block(ctx, read); err != nil {
 		return nil, err
 	}
 	return n.fsm.(ReaderFSM).Read(query), nil
@@ -993,13 +850,13 @@ func (n *Node) Read(ctx context.Context, query []byte) ([]byte, error) {
 
 // AddServer adds a member via a single-server configuration change.
 func (n *Node) AddServer(ctx context.Context, addr string) error {
-	_, err := n.block(ctx, func(w *waiter) error { return n.changeConfig(w, addr, false) })
+	_, err := n.block(ctx, changeConfig(addr, false))
 	return err
 }
 
 // RemoveServer removes a member.
 func (n *Node) RemoveServer(ctx context.Context, addr string) error {
-	_, err := n.block(ctx, func(w *waiter) error { return n.changeConfig(w, addr, true) })
+	_, err := n.block(ctx, changeConfig(addr, true))
 	return err
 }
 
@@ -1034,21 +891,17 @@ func (r *handlers) handleVote(_ context.Context, _ *mercury.Handle, a *requestVo
 }
 
 // logTraffic serves AppendEntries and InstallSnapshot: the request is
-// an input of the core, its answer an effect. The handler registers the
-// handle under a tag, steps the core and returns with the handle kept;
-// dispatch answers it when the core emits the tag's Ack — in that same
-// step unless the answer has to wait for the disk.
-func logTraffic[A any](r *handlers, group func(*A) string, input func(*Core, time.Time, *A, uint64)) func(context.Context, *mercury.Handle, *A) (codec.Message, error) {
+// an input of the core, its answer an effect. The handler steps the core
+// with the handle as the tag and returns with the handle kept; finish
+// answers it when the core emits the tag's Ack — in that same step
+// unless the answer has to wait for the disk.
+func logTraffic[A any](r *handlers, group func(*A) string, input func(*Core, time.Time, *A, interface{})) func(context.Context, *mercury.Handle, *A) (codec.Message, error) {
 	return func(_ context.Context, h *mercury.Handle, a *A) (codec.Message, error) {
 		n := r.lookup(group(a))
 		if n == nil {
 			return nil, fmt.Errorf("raft: unknown group %q", group(a))
 		}
-		if !n.step(func(c *Core, now time.Time) {
-			n.tag++
-			n.kept[n.tag] = h
-			input(c, now, a, n.tag)
-		}) {
+		if !n.step(func(c *Core, now time.Time) { input(c, now, a, h) }) {
 			return nil, ErrStopped
 		}
 		return nil, nil
@@ -1062,7 +915,7 @@ func logTraffic[A any](r *handlers, group func(*A) string, input func(*Core, tim
 // waiter sends the reply. A member with no leader to name does not
 // refuse the first time round: the waiter is parked in the core and
 // started again when the core lets it go (Core.Hold).
-func (r *handlers) serve(ctx context.Context, h *mercury.Handle, group, name string, result func(*Node) []byte, start func(*Node, *waiter) error) (codec.Message, error) {
+func (r *handlers) serve(ctx context.Context, h *mercury.Handle, group, name string, result func(*Node) []byte, start operation) (codec.Message, error) {
 	n := r.lookup(group)
 	if n == nil {
 		return &applyReply{Err: "unknown group"}, nil
@@ -1084,9 +937,7 @@ func (r *handlers) serve(ctx context.Context, h *mercury.Handle, group, name str
 	if sc, ok := trace.FromContext(ctx); ok && sc.Sampled() {
 		w.span = &span{sc: sc, name: name, arrived: now}
 	}
-	if err := start(n, w); err != nil {
-		w.resolve(outcome{err: err})
-	}
+	n.begin(w)
 	return nil, nil
 }
 
@@ -1094,11 +945,7 @@ func (r *handlers) serve(ctx context.Context, h *mercury.Handle, group, name str
 // says whether it did.
 func (n *Node) hold(w *waiter) (held bool) {
 	w.held = true
-	n.step(func(c *Core, now time.Time) {
-		if held = c.Hold(now, w); held {
-			n.held[w] = struct{}{}
-		}
-	})
+	n.step(func(c *Core, now time.Time) { held = c.Hold(now, w) })
 	return held
 }
 
@@ -1112,19 +959,17 @@ func (n *Node) reply(o outcome) *applyReply {
 }
 
 func (r *handlers) handleApply(ctx context.Context, h *mercury.Handle, a *applyArgs) (codec.Message, error) {
-	return r.serve(ctx, h, a.Group, "raft.apply", nil,
-		func(n *Node, w *waiter) error { return n.propose(w, a.Cmd) })
+	return r.serve(ctx, h, a.Group, "raft.apply", nil, propose(a.Cmd))
 }
 
 func (r *handlers) handleRead(ctx context.Context, h *mercury.Handle, a *readArgs) (codec.Message, error) {
 	return r.serve(ctx, h, a.Group, "raft.read",
 		func(n *Node) []byte { return n.fsm.(ReaderFSM).Read(a.Query) }, // read has checked the assertion
-		(*Node).read)
+		read)
 }
 
 func (r *handlers) handleConfigChange(ctx context.Context, h *mercury.Handle, a *configChangeArgs) (codec.Message, error) {
-	return r.serve(ctx, h, a.Group, "raft.config_change", nil,
-		func(n *Node, w *waiter) error { return n.changeConfig(w, a.Addr, a.Remove) })
+	return r.serve(ctx, h, a.Group, "raft.config_change", nil, changeConfig(a.Addr, a.Remove))
 }
 
 func (r *handlers) handleStatus(_ context.Context, _ *mercury.Handle, args *statusArgs) (codec.Message, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -76,9 +77,8 @@ func settle(t *testing.T, c *Core, store Store) Effects {
 		eff := c.Take()
 		all.Msgs = append(all.Msgs, eff.Msgs...)
 		all.Acks = append(all.Acks, eff.Acks...)
-		all.Accepted = append(all.Accepted, eff.Accepted...)
-		all.Rejected = append(all.Rejected, eff.Rejected...)
 		all.Reads = append(all.Reads, eff.Reads...)
+		all.Done = append(all.Done, eff.Done...)
 		all.Transitions = append(all.Transitions, eff.Transitions...)
 		all.Released = append(all.Released, eff.Released...)
 		all.Apply = all.Apply || eff.Apply
@@ -495,14 +495,17 @@ func TestPersistIsAnEffect(t *testing.T) {
 		t.Fatal("the leader counted its own copy before Persisted")
 	}
 	// Proposals arrive meanwhile: each is appended and shipped at once.
-	c.Propose(t0, []Proposal{{Data: []byte("a"), Tag: "a"}})
-	c.Propose(t0, []Proposal{{Data: []byte("b"), Tag: "b"}, {Data: []byte("c"), Tag: "c"}})
-	eff = c.Take()
-	if len(eff.Accepted) != 2 || eff.Accepted[0].First != 2 || eff.Accepted[1].First != 3 || len(eff.Persist) != 2 {
-		t.Fatalf("proposals: %+v, want a at 2, [b c] at 3 and a Persist for each", eff)
+	at := []uint64{
+		c.Propose(t0, []byte("a"), "a", time.Time{}),
+		c.Propose(t0, []byte("b"), "b", time.Time{}),
+		c.Propose(t0, []byte("c"), "c", time.Time{}),
 	}
-	if got := eff.Persist[1].Entries; len(got) != 2 || got[0].Index != 3 || string(got[1].Data) != "c" {
-		t.Fatalf("second Persist = %+v", got)
+	eff = c.Take()
+	if !reflect.DeepEqual(at, []uint64{2, 3, 4}) || len(eff.Done) != 0 || len(eff.Persist) != 3 {
+		t.Fatalf("proposals at %v: %+v, want a, b and c at 2, 3 and 4, a Persist for each and no answer yet", at, eff)
+	}
+	if got := eff.Persist[2].Entries; len(got) != 1 || got[0].Index != 4 || string(got[0].Data) != "c" {
+		t.Fatalf("third Persist = %+v", got)
 	}
 	// peer-a was idle, so a's entry went out with its Persist; peer-b
 	// still owes the no-op's reply and gets everything after it.
@@ -536,7 +539,7 @@ func TestPersistIsAnEffect(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Persisted(t0, eff.Persist[1].Seq, nil)
+	c.Persisted(t0, eff.Persist[2].Seq, nil)
 	if c.persisted != 4 || len(c.tail) != 0 {
 		t.Fatalf("persisted %d, %d entries still in the tail", c.persisted, len(c.tail))
 	}
@@ -556,12 +559,12 @@ func TestFollowerAcksWhatIsDurable(t *testing.T) {
 	const leader = "sm://peer-a"
 	s := NewMemoryStore()
 	c := ruleCore(t, s, entriesUpTo(3, 2), 2)
-	tags := func(eff Effects) (ok, refused []uint64) {
+	tags := func(eff Effects) (ok, refused []int) {
 		for _, a := range eff.Acks {
 			if a.Reply != nil && a.Reply.Success {
-				ok = append(ok, a.Tag)
+				ok = append(ok, a.Tag.(int))
 			} else {
-				refused = append(refused, a.Tag)
+				refused = append(refused, a.Tag.(int))
 			}
 		}
 		return
@@ -574,7 +577,7 @@ func TestFollowerAcksWhatIsDurable(t *testing.T) {
 	c.AppendEntries(t0, &appendEntriesArgs{Term: 2, Leader: leader, PrevLogIndex: 2, PrevLogTerm: 2}, 5) // durable already
 	eff := c.Take()
 	ok, refused := tags(eff)
-	if !reflect.DeepEqual(ok, []uint64{3, 5}) || !reflect.DeepEqual(refused, []uint64{4}) || len(eff.Persist) != 1 {
+	if !reflect.DeepEqual(ok, []int{3, 5}) || !reflect.DeepEqual(refused, []int{4}) || len(eff.Persist) != 1 {
 		t.Fatalf("before the disk: acked %v refused %v, %d writes; want 3 and 5 acked, 4 refused, 1 and 2 held", ok, refused, len(eff.Persist))
 	}
 	first := eff.Persist[0]
@@ -584,7 +587,7 @@ func TestFollowerAcksWhatIsDurable(t *testing.T) {
 		Entries: []LogEntry{{Index: 5, Term: 3}}}, 6)
 	eff = c.Take()
 	// Tags 1 and 2 were going to acknowledge index 6, which is gone.
-	if ok, refused = tags(eff); len(ok) != 0 || !reflect.DeepEqual(refused, []uint64{1, 2}) {
+	if ok, refused = tags(eff); len(ok) != 0 || !reflect.DeepEqual(refused, []int{1, 2}) {
 		t.Fatalf("conflict: acked %v refused %v; want the replies for the removed suffix refused", ok, refused)
 	}
 	if len(eff.Persist) != 1 || eff.Persist[0].Entries[0].Index != 5 || c.lastIndex() != 5 {
@@ -604,7 +607,7 @@ func TestFollowerAcksWhatIsDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Persisted(t0, second.Seq, nil)
-	if ok, refused = tags(c.Take()); !reflect.DeepEqual(ok, []uint64{6}) || len(refused) != 0 {
+	if ok, refused = tags(c.Take()); !reflect.DeepEqual(ok, []int{6}) || len(refused) != 0 {
 		t.Fatalf("after the disk: acked %v refused %v; want 6 acked", ok, refused)
 	}
 	if e, err := s.Entry(5); err != nil || e.Term != 3 || s.LastIndex() != 5 {
@@ -618,36 +621,38 @@ func TestFollowerAcksWhatIsDurable(t *testing.T) {
 	eff = c.Take()
 	c.Persisted(t0, eff.Persist[0].Seq, errors.New("disk full"))
 	eff = c.Take()
-	if _, refused = tags(eff); !reflect.DeepEqual(refused, []uint64{7}) || eff.Acks[0].Reply.ConflictIndex != 6 || eff.StoreErrors != 1 || c.lastIndex() != 5 {
+	if _, refused = tags(eff); !reflect.DeepEqual(refused, []int{7}) || eff.Acks[0].Reply.ConflictIndex != 6 || eff.StoreErrors != 1 || c.lastIndex() != 5 {
 		t.Fatalf("failed write: %+v, last %d", eff, c.lastIndex())
 	}
 }
 
 // TestLeaderPersistFailureDemotes: a leader whose disk fails stops
 // leading, forgets what the failed write and every later one held, and
-// says from where, so that whoever waits there learns the store's
-// error.
+// whoever waits there learns the store's error.
 func TestLeaderPersistFailureDemotes(t *testing.T) {
 	s := NewMemoryStore()
 	c := ruleCore(t, s, nil, 0)
 	elect(t, c)
 	settle(t, c, s)
-	c.Propose(t0, []Proposal{{Tag: 1}, {Tag: 2}})
-	c.Propose(t0, []Proposal{{Tag: 3}})
+	for tag := 1; tag <= 3; tag++ {
+		c.Propose(t0, nil, tag, time.Time{})
+	}
 	eff := c.Take()
-	if len(eff.Persist) != 2 || c.lastIndex() != 4 {
+	if len(eff.Persist) != 3 || c.lastIndex() != 4 {
 		t.Fatalf("effects %+v, last %d", eff, c.lastIndex())
 	}
 	c.Persisted(t0, eff.Persist[0].Seq, errors.New("injected disk failure"))
 	eff = c.Take()
-	if c.IsLeader() || eff.StoreErrors != 1 || eff.Dropped == nil || eff.Dropped.From != 2 || c.lastIndex() != 1 {
+	if c.IsLeader() || eff.StoreErrors != 1 || len(eff.Done) != 3 || c.lastIndex() != 1 || c.outstanding() != 0 {
 		t.Fatalf("leader=%v last=%d effects=%+v", c.IsLeader(), c.lastIndex(), eff)
 	}
-	if !strings.Contains(eff.Dropped.Err.Error(), "injected disk failure") {
-		t.Fatalf("the store's error was swallowed: %v", eff.Dropped.Err)
+	for i, d := range eff.Done {
+		if d.Tag != i+1 || !strings.Contains(d.Err.Error(), "injected disk failure") {
+			t.Fatalf("answer %d = %+v: the store's error was swallowed", i, d)
+		}
 	}
-	c.Propose(t0, []Proposal{{Tag: 4}})
-	if eff = c.Take(); len(eff.Rejected) != 1 || !errors.Is(eff.Rejected[0].Err, ErrNoLeader) {
+	c.Propose(t0, nil, 4, time.Time{})
+	if eff = c.Take(); len(eff.Done) != 1 || !errors.Is(eff.Done[0].Err, ErrNoLeader) {
 		t.Fatalf("a deposed leader took a proposal: %+v", eff)
 	}
 }
@@ -660,41 +665,38 @@ func TestLeaderPersistFailureDemotes(t *testing.T) {
 func TestReadIndexRounds(t *testing.T) {
 	c := ruleCore(t, NewMemoryStore(), nil, 0)
 	elect(t, c)
+	read := func(tag string) { c.Read(t0, tag, time.Time{}) }
+	// probes returns the ReadIndex probes among msgs, which must all
+	// belong to one round, and that round.
+	probes := func(msgs []Message) (round []Message, id uint64) {
+		for _, m := range msgs {
+			if m.Round != 0 {
+				if (id != 0 && m.Round != id) || len(m.Append.Entries) != 0 || m.Append.LeaderCommit != 0 {
+					t.Fatalf("probe = %+v", m)
+				}
+				round, id = append(round, m), m.Round
+			}
+		}
+		return round, id
+	}
 	// Reads before the term's first commit have no read index yet: they
 	// form a round that cannot start.
-	r1, err := c.Read(t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1b, _ := c.Read(t0)
-	if r1b != r1 {
-		t.Fatalf("reads pending together got rounds %d and %d", r1, r1b)
-	}
+	read("a")
+	read("b")
 	logMsgs := c.Take().Msgs
-	for _, m := range logMsgs {
-		if m.Round != 0 {
-			t.Fatal("round started before the no-op committed")
-		}
+	if round, _ := probes(logMsgs); len(round) != 0 {
+		t.Fatal("round started before the no-op committed")
 	}
 	// The no-op commits: the round starts, one probe per peer, both
 	// reads in it.
-	probes := ackAll(c, logMsgs)
-	var round []Message
-	for _, m := range probes {
-		if m.Round != 0 {
-			if m.Round != r1 || len(m.Append.Entries) != 0 || m.Append.LeaderCommit != 0 {
-				t.Fatalf("probe = %+v", m)
-			}
-			round = append(round, m)
-		}
-	}
+	round, r1 := probes(ackAll(c, logMsgs))
 	if len(round) != 2 {
 		t.Fatalf("%d probes, want one per peer", len(round))
 	}
 	// A read arriving now must not ride the round in flight.
-	r2, _ := c.Read(t0)
-	if r2 == r1 {
-		t.Fatal("late read joined a round that had already started")
+	read("c")
+	if late, _ := probes(c.Take().Msgs); len(late) != 0 {
+		t.Fatal("late read started a round beside the one in flight")
 	}
 	// One ack is a quorum of three, but index 1 is not applied yet.
 	c.AppendReply(t0, round[0], &appendEntriesReply{Term: 1})
@@ -703,18 +705,13 @@ func TestReadIndexRounds(t *testing.T) {
 		t.Fatalf("round resolved before its read index was applied: %+v", eff.Reads)
 	}
 	// ...and the next round started the moment this one was confirmed.
-	var next []Message
-	for _, m := range eff.Msgs {
-		if m.Round == r2 {
-			next = append(next, m)
-		}
-	}
-	if len(next) != 2 {
+	next, r2 := probes(eff.Msgs)
+	if len(next) != 2 || r2 == r1 {
 		t.Fatalf("round %d did not start after round %d: %+v", r2, r1, eff.Msgs)
 	}
 	c.Applied(1)
-	if eff := c.Take(); len(eff.Reads) != 1 || eff.Reads[0] != (ReadRound{ID: r1, Reads: 2}) {
-		t.Fatalf("reads = %+v, want round %d with 2 reads", eff.Reads, r1)
+	if eff := c.Take(); len(eff.Reads) != 1 || !reflect.DeepEqual(eff.Reads[0], ReadRound{Tags: []interface{}{"a", "b"}}) {
+		t.Fatalf("reads = %+v, want one round with a and b", eff.Reads)
 	}
 	// A stale ack for round 1 does not confirm round 2.
 	c.AppendReply(t0, round[1], &appendEntriesReply{Term: 1})
@@ -723,24 +720,20 @@ func TestReadIndexRounds(t *testing.T) {
 	}
 	// No quorum within ElectionTimeoutMin: the round fails.
 	c.Tick(t0.Add(c.cfg.ElectionTimeoutMin))
-	if eff := c.Take(); len(eff.Reads) != 1 || eff.Reads[0].ID != r2 || !errors.Is(eff.Reads[0].Err, ErrTimeout) {
-		t.Fatalf("reads = %+v, want round %d timed out", eff.Reads, r2)
+	if eff := c.Take(); len(eff.Reads) != 1 || !reflect.DeepEqual(eff.Reads[0].Tags, []interface{}{"c"}) || !errors.Is(eff.Reads[0].Err, ErrTimeout) {
+		t.Fatalf("reads = %+v, want c's round timed out", eff.Reads)
 	}
 	// A probe reply from a higher term deposes the leader and fails the
 	// round with it.
-	r3, _ := c.Read(t0)
-	var probe Message
-	for _, m := range c.Take().Msgs {
-		if m.Round == r3 {
-			probe = m
-		}
-	}
-	c.AppendReply(t0, probe, &appendEntriesReply{Term: 9})
+	read("d")
+	probe, _ := probes(c.Take().Msgs)
+	c.AppendReply(t0, probe[0], &appendEntriesReply{Term: 9})
 	if eff := c.Take(); c.IsLeader() || len(eff.Reads) != 1 || eff.Reads[0].Err == nil {
 		t.Fatalf("leader=%v reads=%+v", c.IsLeader(), eff.Reads)
 	}
-	if _, err := c.Read(t0); !errors.Is(err, ErrNoLeader) {
-		t.Fatalf("read on a follower: %v", err)
+	read("e")
+	if eff := c.Take(); len(eff.Done) != 1 || eff.Done[0].Tag != "e" || !errors.Is(eff.Done[0].Err, ErrNoLeader) || c.outstanding() != 0 {
+		t.Fatalf("read on a follower: %+v", eff.Done)
 	}
 }
 
@@ -914,7 +907,8 @@ func TestLeadershipTransfer(t *testing.T) {
 	settle(t, c, s)
 	// peer-b acknowledges the no-op, peer-a nothing; two more entries.
 	c.prog["sm://peer-b"].match = 1
-	c.Propose(t0, []Proposal{{Data: []byte("x"), Tag: 1}, {Data: []byte("y"), Tag: 2}})
+	c.Propose(t0, []byte("x"), 1, time.Time{})
+	c.Propose(t0, []byte("y"), 2, time.Time{})
 	settle(t, c, s)
 	c.Transfer()
 	msgs := c.Take().Msgs
@@ -948,14 +942,11 @@ func TestLeadershipTransfer(t *testing.T) {
 	}
 
 	// Removal of the leader itself.
-	idx, _, err := c.ChangeConfig(t0, ruleSelf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Propose(t0, []Proposal{{Data: []byte("z"), Tag: 3}})
+	idx := c.ChangeConfig(t0, ruleSelf, true, "leave", time.Time{})
+	c.Propose(t0, []byte("z"), 3, time.Time{})
 	eff := settle(t, c, s)
-	if len(eff.Rejected) != 1 || !errors.Is(eff.Rejected[0].Err, ErrNoLeader) || c.lastIndex() != idx {
-		t.Fatalf("a leader that is leaving: rejected %+v, log through %d (removal at %d)", eff.Rejected, c.lastIndex(), idx)
+	if idx == 0 || len(eff.Done) != 1 || eff.Done[0].Tag != 3 || !errors.Is(eff.Done[0].Err, ErrNoLeader) || c.lastIndex() != idx {
+		t.Fatalf("a leader that is leaving: refused %+v, log through %d (removal at %d)", eff.Done, c.lastIndex(), idx)
 	}
 	for _, peer := range rulePeers[1:] {
 		c.AppendReply(t0, Message{To: peer, Append: &appendEntriesArgs{Term: 1, PrevLogIndex: idx}}, &appendEntriesReply{Term: 1, Success: true})
@@ -996,5 +987,196 @@ func TestTransitions(t *testing.T) {
 	want := []Transition{{Candidate, 1, ""}, {Leader, 1, ruleSelf}, {Follower, 3, ""}, {Follower, 3, "sm://peer-a"}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("transitions = %+v, want %+v", got, want)
+	}
+}
+
+// outstanding counts the tags the core holds.
+func (c *Core) outstanding() int {
+	n := len(c.acks) + len(c.held)
+	c.sweep(func(request) error {
+		n++
+		return nil
+	})
+	if c.compact.tag != nil {
+		n++
+	}
+	return n
+}
+
+// exit is one tag leaving the core: by which door, and with what.
+type exit struct {
+	door string // "task", "round", "done", "ack", "released"
+	tag  interface{}
+	err  error
+}
+
+// exits lists the tags eff and task carry, in the order a driver meets
+// them.
+func exits(eff Effects, task ApplyTask) (out []exit) {
+	for _, a := range eff.Acks {
+		out = append(out, exit{"ack", a.Tag, a.Err})
+	}
+	for _, r := range eff.Reads {
+		for _, tag := range r.Tags {
+			out = append(out, exit{"round", tag, r.Err})
+		}
+	}
+	for _, d := range eff.Done {
+		out = append(out, exit{"done", d.Tag, d.Err})
+	}
+	for _, tag := range eff.Released {
+		out = append(out, exit{"released", tag, nil})
+	}
+	for _, tag := range task.Tags {
+		if tag != nil {
+			out = append(out, exit{"task", tag, nil})
+		}
+	}
+	return out
+}
+
+// TestLedgerRules has one row per way a tag leaves the core. A row hands
+// its tags in, plays the event that ends them and returns what the core
+// then emitted; the table checks that each tag came out of the door the
+// row names, with the error a caller must see there, that none came out
+// twice, and that the core is left holding nothing.
+func TestLedgerRules(t *testing.T) {
+	never := time.Time{}
+	// replicate lets the disk and both followers catch up with c's log.
+	replicate := func(t *testing.T, c *Core, s Store) {
+		for msgs := settle(t, c, s).Msgs; len(msgs) > 0; msgs = ackAll(c, msgs) {
+		}
+	}
+	// leading returns a leader of term 1 whose no-op is committed.
+	leading := func(t *testing.T) (*Core, *MemoryStore) {
+		s := NewMemoryStore()
+		c := ruleCore(t, s, nil, 0)
+		elect(t, c)
+		replicate(t, c, s)
+		return c, s
+	}
+	storeErr := errors.New("injected disk failure")
+	rows := []struct {
+		name string
+		play func(t *testing.T) (*Core, Effects, ApplyTask)
+		want []exit
+	}{
+		{"applied", func(t *testing.T) (*Core, Effects, ApplyTask) {
+			c, s := leading(t)
+			c.Propose(t0, []byte("x"), "w", never)
+			replicate(t, c, s)
+			task, _ := c.NextApply() // the no-op and x
+			if len(task.Tags) != 2 || task.Tags[1] != "w" {
+				t.Fatalf("tags = %v, want w beside the second entry", task.Tags)
+			}
+			return c, c.Take(), task
+		}, []exit{{"task", "w", nil}}},
+		{"overwritten", func(t *testing.T) (*Core, Effects, ApplyTask) {
+			c, s := leading(t)
+			c.Propose(t0, []byte("x"), "w", never) // at 2 in term 1, never acknowledged
+			settle(t, c, s)
+			deliver(t, c, s, &appendEntriesArgs{Term: 2, Leader: "sm://peer-b", PrevLogIndex: 1, PrevLogTerm: 1,
+				Entries: []LogEntry{{Index: 2, Term: 2, Type: EntryNoop}}, LeaderCommit: 2})
+			if c.outstanding() != 1 {
+				t.Fatal("the proposal was answered before anything was applied at its index")
+			}
+			task, _ := c.NextApply()
+			return c, c.Take(), task
+		}, []exit{{"done", "w", ErrNotLeader}}},
+		{"persist failed", func(t *testing.T) (*Core, Effects, ApplyTask) {
+			c, _ := leading(t)
+			c.Propose(t0, []byte("x"), "w", never)
+			c.Persisted(t0, c.Take().Persist[0].Seq, storeErr)
+			return c, c.Take(), ApplyTask{}
+		}, []exit{{"done", "w", storeErr}}},
+		{"round confirmed", func(t *testing.T) (*Core, Effects, ApplyTask) {
+			c, _ := leading(t)
+			c.Read(t0, "r", never)
+			for _, m := range c.Take().Msgs {
+				c.AppendReply(t0, m, &appendEntriesReply{Term: 1})
+			}
+			if eff := c.Take(); len(eff.Reads) != 0 {
+				t.Fatalf("round resolved before its read index was applied: %+v", eff.Reads)
+			}
+			c.Applied(1)
+			return c, c.Take(), ApplyTask{}
+		}, []exit{{"round", "r", nil}}},
+		{"round failed", func(t *testing.T) (*Core, Effects, ApplyTask) {
+			c, _ := leading(t)
+			c.Read(t0, "r", never)
+			c.Tick(t0.Add(c.cfg.ElectionTimeoutMin))
+			return c, c.Take(), ApplyTask{}
+		}, []exit{{"round", "r", ErrTimeout}}},
+		{"deadline passed at a leader cut off from its quorum", func(t *testing.T) (*Core, Effects, ApplyTask) {
+			// Elected, then silence: the no-op never commits, so the read has
+			// no round to fail with and the proposal nobody to overwrite it.
+			s := NewMemoryStore()
+			c := ruleCore(t, s, nil, 0)
+			elect(t, c)
+			by := t0.Add(10 * c.cfg.ElectionTimeoutMax)
+			c.Propose(t0, []byte("x"), "w", by)
+			c.Read(t0, "r", by)
+			c.Propose(t0, []byte("y"), "blocked", never) // a caller with its own clock
+			for settle(t, c, s); c.Deadline().Before(by); settle(t, c, s) {
+				c.Tick(c.Deadline())
+			}
+			if eff := c.Take(); len(exits(eff, ApplyTask{})) != 0 || !c.Deadline().Equal(by) {
+				t.Fatalf("before the deadline: %+v, next tick in %v", eff, c.Deadline().Sub(t0))
+			}
+			c.Tick(by)
+			eff := c.Take()
+			if !c.IsLeader() || c.outstanding() != 1 || !c.Deadline().After(by) {
+				t.Fatalf("leader=%v outstanding=%d", c.IsLeader(), c.outstanding())
+			}
+			c.Surrender(ErrStopped) // "blocked" has no deadline and stays: the last row's business
+			c.Take()
+			return c, eff, ApplyTask{}
+		}, []exit{{"done", "r", ErrTimeout}, {"done", "w", ErrTimeout}}},
+		{"released from a hold", func(t *testing.T) (*Core, Effects, ApplyTask) {
+			s := NewMemoryStore()
+			c := ruleCore(t, s, nil, 0)
+			if !c.Hold(t0, "h") {
+				t.Fatal("a leaderless member refused to hold")
+			}
+			_, eff, _ := deliver(t, c, s, &appendEntriesArgs{Term: 1, Leader: "sm://peer-a"})
+			eff.Acks = nil // deliver's own tag
+			return c, eff, ApplyTask{}
+		}, []exit{{"released", "h", nil}}},
+		{"surrendered at stop", func(t *testing.T) (*Core, Effects, ApplyTask) {
+			c, s := leading(t)
+			c.Applied(1)
+			c.Compact([]byte("fsm"), "s")
+			c.Propose(t0, []byte("x"), "w", never)
+			c.Read(t0, "r", never)
+			// Log traffic waiting for the disk, as a follower keeps it.
+			c.acks = append(c.acks, request{tag: "a", index: 9, term: 1})
+			if eff := c.Take(); len(exits(eff, ApplyTask{})) != 0 || c.outstanding() != 4 || s.LastIndex() != 1 {
+				t.Fatalf("before the stop: %+v, %d outstanding", eff, c.outstanding())
+			}
+			c.Surrender(ErrStopped)
+			return c, c.Take(), ApplyTask{}
+		}, []exit{{"ack", "a", ErrStopped}, {"done", "r", ErrStopped}, {"done", "s", ErrStopped}, {"done", "w", ErrStopped}}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			c, eff, task := row.play(t)
+			got := exits(eff, task)
+			sort.Slice(got, func(i, j int) bool { return got[i].tag.(string) < got[j].tag.(string) })
+			if len(got) != len(row.want) {
+				t.Fatalf("tags out = %+v, want %+v", got, row.want)
+			}
+			for i, w := range row.want {
+				if g := got[i]; g.door != w.door || g.tag != w.tag || !errors.Is(g.err, w.err) || (w.err == nil) != (g.err == nil) {
+					t.Fatalf("tag %d out = %+v, want %+v", i, g, w)
+				}
+			}
+			if n := c.outstanding(); n != 0 {
+				t.Fatalf("the core still holds %d tags", n)
+			}
+			c.Surrender(ErrStopped)
+			if again := exits(c.Take(), ApplyTask{}); len(again) != 0 {
+				t.Fatalf("handed back twice: %+v", again)
+			}
+		})
 	}
 }

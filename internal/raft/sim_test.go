@@ -26,9 +26,9 @@ import (
 // reaches the store, and the core hears Persisted, after seeded virtual
 // time; a crash takes every write still on its way. After every event
 // the harness checks election safety, log matching, leader completeness
-// and state-machine safety; at the end it feeds the clients' history to
-// the linearizability checker. There is no goroutine, no sleep and no
-// wall clock in here.
+// and state-machine safety, and that every tag a core was handed is back,
+// once, or still in its ledger; at the end it feeds the clients' history
+// to the linearizability checker. No goroutine, sleep or wall clock here.
 
 // Trace event kinds (sim.Trace).
 const (
@@ -71,8 +71,10 @@ type raftSimConfig struct {
 	forgetVotes, selfCountAtPersist, ackBeforeDurable bool
 	// fastRestart and neverRelease (TestRaftSimCatchesBrokenTiming): a
 	// member that restarts with a term draws the first deadline of a
-	// virgin one, and the driver loses what the core releases.
-	fastRestart, neverRelease bool
+	// virgin one, and a hold's bound is an hour away. forgetOverwritten
+	// (TestRaftSimCatchesForgottenTag): a proposal whose entry a newer
+	// leader overwrote drops out of the ledger unanswered.
+	fastRestart, neverRelease, forgetOverwritten bool
 }
 
 // The disks of the seed matrix: one faster than a network round trip
@@ -161,11 +163,14 @@ type clientOp struct {
 	deadline time.Time
 }
 
+// opReg is one attempt of a client operation or, with reply set, one
+// request of log traffic; a pointer to a copy is the tag a core gets.
 type opReg struct {
-	op   *clientOp
-	gen  int
-	term uint64
-	held bool // has been parked for want of a leader: a member does that once
+	op    *clientOp
+	gen   int
+	held  bool // has been parked for want of a leader: a member does that once
+	reply func(*appendEntriesReply)
+	since time.Time // when a core got it
 }
 
 type simMember struct {
@@ -179,12 +184,8 @@ type simMember struct {
 	// issued by one.
 	epoch    int
 	armed    time.Time
-	diskFree time.Time                            // when the disk is done with what it was handed
-	waiters  map[uint64]opReg                     // appended proposals by index
-	reads    map[uint64][]opReg                   // reads by ReadIndex round
-	acks     map[uint64]func(*appendEntriesReply) // unanswered log traffic by tag
-	holds    map[*clientOp]time.Time              // held operations, by when they were parked
-	tag      uint64
+	diskFree time.Time // when the disk is done with what it was handed
+	in, out  int       // tags this incarnation's core was handed, and has handed back
 
 	// What the invariant checks saw last. version counts changes of the
 	// log, in memory or on disk.
@@ -339,7 +340,9 @@ func runRaftSim(cfg raftSimConfig) *raftSimResult {
 
 	s.RunFor(cfg.Duration)
 	if h.err == nil {
-		h.checkHistory()
+		if res := sim.Check(sim.KVModel(), h.history); !res.Ok {
+			h.failf("history of %d ops is not linearizable; bad window:\n%s", len(h.history), sim.FormatOps(res.Bad))
+		}
 	}
 	r := &raftSimResult{
 		TraceHash: s.Trace.Hash(), TraceCount: s.Trace.Count(), Events: s.Events(),
@@ -416,9 +419,7 @@ func (h *raftSim) boot(m *simMember) {
 		// one that never did.
 		core.electionAt = now.Add(time.Duration(h.sim.Rand().Int63n(int64(h.cfg.Protocol.HeartbeatInterval))))
 	}
-	m.core, m.fsm = core, &simFSM{kv: map[string]string{}}
-	m.waiters, m.reads, m.acks = map[uint64]opReg{}, map[uint64][]opReg{}, map[uint64]func(*appendEntriesReply){}
-	m.holds = map[*clientOp]time.Time{}
+	m.core, m.fsm, m.in, m.out = core, &simFSM{kv: map[string]string{}}, 0, 0
 	m.role, m.seenCommit, m.armed, m.diskFree = Follower, 0, time.Time{}, time.Time{}
 	m.version++
 	h.settle(m)
@@ -435,7 +436,6 @@ func (h *raftSim) crash(id int32) {
 	m.epoch++
 	// Ops registered here are in limbo: their clients time out. The log
 	// is back to what the disk holds.
-	m.waiters, m.reads, m.acks, m.holds = nil, nil, nil, nil
 	m.version++
 	if id == h.exiting && h.exitAt.IsZero() {
 		h.exitAt = h.sim.Now()
@@ -475,6 +475,13 @@ func (h *raftSim) settle(m *simMember) {
 			m.core.advanceCommit(h.sim.Now())
 			m.core.persisted = durable
 		}
+		if h.cfg.forgetOverwritten {
+			// Broken twin: whoever waits where another term's entry now is.
+			m.core.pending = keepIf(m.core.pending, func(p request) bool {
+				e, err := m.core.entryAt(p.index)
+				return err != nil || e.Term == p.term
+			})
+		}
 		eff := m.core.Take()
 		h.dispatch(m, eff)
 		task, ok := m.core.NextApply()
@@ -487,9 +494,7 @@ func (h *raftSim) settle(m *simMember) {
 		h.apply(m, task)
 		m.core.Applied(task.Index)
 		if m.core.SnapshotDue() {
-			if _, err := m.core.Compact(m.fsm.snapshot()); err != nil {
-				h.failf("n%d: compact: %v", m.id, err)
-			}
+			m.core.Compact(m.fsm.snapshot(), nil)
 		}
 	}
 	if h.err != nil {
@@ -509,37 +514,22 @@ func (h *raftSim) dispatch(m *simMember, eff Effects) {
 		h.write(m, p)
 	}
 	for _, a := range eff.Acks {
-		if reply := m.acks[a.Tag]; reply != nil && a.Err == nil {
-			reply(a.Reply)
-		}
-		delete(m.acks, a.Tag) // with an error the member stays silent
-	}
-	for _, a := range eff.Accepted {
-		for i, tag := range a.Tags {
-			reg := tag.(opReg)
-			reg.term = a.Term
-			m.waiters[a.First+uint64(i)] = reg
+		if reg := h.back(m, a.Tag); a.Err == nil { // with an error the member stays silent
+			reg.reply(a.Reply)
 		}
 	}
-	for _, r := range eff.Rejected {
-		h.retry(r.Tag.(opReg), r.Err)
+	for _, d := range eff.Done {
+		// What a snapshot was installed over may have executed: no retry.
+		if reg := h.back(m, d.Tag); !errors.Is(d.Err, ErrTimeout) {
+			h.retry(reg, d.Err)
+		}
 	}
 	for _, tag := range eff.Released {
-		if h.cfg.neverRelease {
-			break // broken twin: the driver loses them
-		}
-		reg := tag.(opReg)
-		delete(m.holds, reg.op)
-		h.begin(m, reg)
+		h.begin(m, h.back(m, tag))
 	}
 	for _, r := range eff.Reads {
-		regs := m.reads[r.ID]
-		delete(m.reads, r.ID)
-		if len(regs) != r.Reads {
-			h.failf("n%d: round %d resolved %d reads, %d joined it", m.id, r.ID, r.Reads, len(regs))
-		}
-		for _, reg := range regs {
-			if r.Err != nil {
+		for _, tag := range r.Tags {
+			if reg := h.back(m, tag); r.Err != nil {
 				h.retry(reg, r.Err)
 			} else if reg.op.gen == reg.gen && !reg.op.done {
 				v, found := m.fsm.kv[reg.op.key]
@@ -547,6 +537,13 @@ func (h *raftSim) dispatch(m *simMember, eff Effects) {
 			}
 		}
 	}
+}
+
+// back counts out again a tag that was counted into m's core (m.in) with
+// the input it went with.
+func (h *raftSim) back(m *simMember, tag interface{}) opReg {
+	m.out++
+	return *tag.(*opReg)
 }
 
 // write hands p to the member's disk: one write at a time, each taking
@@ -607,7 +604,7 @@ func (h *raftSim) apply(m *simMember, task ApplyTask) {
 		h.restores++
 		return
 	}
-	for _, e := range task.Entries {
+	for i, e := range task.Entries {
 		if e.Index != m.fsm.last+1 {
 			h.failf("n%d: FSM at %d handed index %d", m.id, m.fsm.last, e.Index)
 			return
@@ -624,11 +621,8 @@ func (h *raftSim) apply(m *simMember, task ApplyTask) {
 			k, v, _ := strings.Cut(string(e.Data), "=")
 			m.fsm.kv[k] = v
 		}
-		if reg, ok := m.waiters[e.Index]; ok {
-			delete(m.waiters, e.Index)
-			if reg.term != e.Term {
-				h.retry(reg, ErrNotLeader) // overwritten, so never executed
-			} else if reg.op.gen == reg.gen && !reg.op.done {
+		if task.Tags != nil && task.Tags[i] != nil {
+			if reg := h.back(m, task.Tags[i]); reg.op.gen == reg.gen && !reg.op.done {
 				h.finish(reg.op, sim.KVOutput{})
 			}
 		}
@@ -685,14 +679,14 @@ func (h *raftSim) send(from *simMember, msg Message) {
 		}
 		// Log traffic is answered by the Ack carrying its tag: in the
 		// step below, or in the one that hears from the disk.
-		dst.tag++
-		dst.acks[dst.tag] = func(app *appendEntriesReply) { reply(nil, app) }
+		dst.in++
+		tag := &opReg{reply: func(app *appendEntriesReply) { reply(nil, app) }}
 		if msg.Snapshot != nil {
 			h.sim.Trace.Record(now, evDeliver, from.id, to, msg.Snapshot.LastIndex<<8|2)
-			dst.core.InstallSnapshot(now, msg.Snapshot, dst.tag)
+			dst.core.InstallSnapshot(now, msg.Snapshot, tag)
 		} else {
 			h.sim.Trace.Record(now, evDeliver, from.id, to, (msg.Append.PrevLogIndex+uint64(len(msg.Append.Entries)))<<8|3)
-			dst.core.AppendEntries(now, msg.Append, dst.tag)
+			dst.core.AppendEntries(now, msg.Append, tag)
 		}
 		if h.cfg.ackBeforeDurable {
 			// Broken twin: what waits for the disk is acknowledged now.
@@ -776,21 +770,18 @@ func (h *raftSim) submit(op *clientOp) {
 // begin hands reg's operation to m's core — which, having no leader to
 // name, parks it the first time round instead.
 func (h *raftSim) begin(m *simMember, reg opReg) {
-	op, now := reg.op, h.sim.Now()
-	if !reg.held {
-		reg.held = true
-		if m.core.Hold(now, reg) {
-			m.holds[op] = now
-			h.holds++
-			return
+	op, now, first, t := reg.op, h.sim.Now(), !reg.held, &reg
+	reg.held, reg.since = true, now
+	m.in++
+	if first && m.core.Hold(now, t) {
+		if h.holds++; h.cfg.neverRelease {
+			// Broken twin: the bound that lets a hold go never comes.
+			m.core.held[len(m.core.held)-1].deadline = now.Add(time.Hour)
 		}
-	}
-	if op.put {
-		m.core.Propose(now, []Proposal{{Data: []byte(op.key + "=" + op.value), Tag: reg}})
-	} else if id, err := m.core.Read(now); err != nil {
-		h.retry(reg, err)
+	} else if op.put {
+		m.core.Propose(now, []byte(op.key+"="+op.value), t, time.Time{})
 	} else {
-		m.reads[id] = append(m.reads[id], reg)
+		m.core.Read(now, t, time.Time{})
 	}
 }
 
@@ -880,11 +871,16 @@ func (h *raftSim) checkInvariants(m *simMember) {
 		h.failf("n%d moved to term %d: a follower restart deposed the healthy leader of term %d", m.id, st.Term, h.settledTerm)
 		return
 	}
-	for op, at := range m.holds {
-		if now.Sub(at) > h.cfg.Protocol.ElectionTimeoutMax {
-			h.failf("n%d has held client %d's operation for %v: the bound is %v", m.id, op.client, now.Sub(at), h.cfg.Protocol.ElectionTimeoutMax)
+	for _, hd := range m.core.held {
+		if reg := hd.tag.(*opReg); now.Sub(reg.since) > h.cfg.Protocol.ElectionTimeoutMax {
+			h.failf("n%d has held client %d's operation for %v: the bound is %v", m.id, reg.op.client, now.Sub(reg.since), h.cfg.Protocol.ElectionTimeoutMax)
 			return
 		}
+	}
+	// The ledger: tags in = tags out + tags held; one back twice is one out too many.
+	if k := m.core.outstanding(); m.in != m.out+k {
+		h.failf("ledger: n%d was handed %d tags, has handed back %d and holds %d", m.id, m.in, m.out, k)
+		return
 	}
 	// Committed entries are committed for good, and identically
 	// everywhere.
@@ -967,12 +963,6 @@ func (h *raftSim) checkLogMatching(a, b *simMember) {
 				a.id, b.id, agree, ea.Term, idx, ea.Term, ea.Data, eb.Term, eb.Data)
 			return
 		}
-	}
-}
-
-func (h *raftSim) checkHistory() {
-	if res := sim.Check(sim.KVModel(), h.history); !res.Ok {
-		h.failf("history of %d ops is not linearizable; bad window:\n%s", len(h.history), sim.FormatOps(res.Bad))
 	}
 }
 
@@ -1197,8 +1187,8 @@ func TestRaftSimPlannedExit(t *testing.T) {
 	exits := map[string]func(h *raftSim, m *simMember){
 		"stop": func(h *raftSim, m *simMember) { h.stop(m.id) },
 		"remove": func(h *raftSim, m *simMember) {
-			if _, _, err := m.core.ChangeConfig(h.sim.Now(), m.addr, true); err != nil {
-				h.failf("n%d: remove itself: %v", m.id, err)
+			if m.core.ChangeConfig(h.sim.Now(), m.addr, true, nil, time.Time{}) == 0 {
+				h.failf("n%d: the leader refused to remove itself", m.id)
 			}
 			h.settle(m)
 		},
@@ -1303,12 +1293,22 @@ func followerRestart(h *raftSim) {
 	})
 }
 
+// TestRaftSimCatchesForgottenTag: a core that forgets who waits for an
+// entry a newer leader overwrote hands one tag too few back.
+func TestRaftSimCatchesForgottenTag(t *testing.T) {
+	caughtBy(t, func(seed int64) raftSimConfig {
+		cfg := testRaftSimConfig(3, seed)
+		cfg.forgetOverwritten = true
+		return cfg
+	}, "ledger: ")
+}
+
 // TestRaftSimCatchesBrokenTiming: the two ways of getting the timing
 // rules wrong, each a hook in this file on an untouched Core. The fast
 // first deadline is for a member that never had a leader; given to one
 // that restarts with a term, it campaigns before the next heartbeat
 // reaches it and deposes a leader nothing was wrong with. And a held
-// request the driver never hears of again outlives its bound.
+// request whose bound never comes outlives it.
 func TestRaftSimCatchesBrokenTiming(t *testing.T) {
 	t.Run("sound", func(t *testing.T) { // the schedules alone break nothing
 		for _, seed := range testutil.SimSeeds(t, 8) {

@@ -14,11 +14,7 @@ type bulkCounter struct {
 	bulks atomic.Int64
 }
 
-func (m *bulkCounter) SentRequest(mercury.RPCID, uint16, string, int)      {}
-func (m *bulkCounter) ReceivedRequest(mercury.RPCID, uint16, string, int)  {}
-func (m *bulkCounter) SentResponse(mercury.RPCID, uint16, string, int)     {}
-func (m *bulkCounter) ReceivedResponse(mercury.RPCID, uint16, string, int) {}
-func (m *bulkCounter) BulkTransferred(mercury.BulkOp, string, int)         { m.bulks.Add(1) }
+func (m *bulkCounter) BulkTransferred(mercury.BulkOp, string, int) { m.bulks.Add(1) }
 
 // TestEagerBulkThreshold: writes and reads at the threshold stay on
 // the eager path; one byte over switches to the bulk path — the

@@ -62,10 +62,7 @@ func (a *opArgs) Proc(p *codec.Proc) {
 // the decoder's buffer.
 func procKeysPairs(p *codec.Proc, keys *[][]byte, pairs *[]yokan.KeyValue) {
 	codec.Slice(p, keys, (*codec.Proc).Bytes)
-	codec.Slice(p, pairs, func(p *codec.Proc, kv *yokan.KeyValue) {
-		p.Bytes(&kv.Key)
-		p.Bytes(&kv.Value)
-	})
+	yokan.ProcPairs(p, pairs)
 }
 
 // procStatus is how every reply begins.

@@ -34,9 +34,11 @@ type putArgs struct {
 	Pairs []KeyValue
 }
 
-func (a *putArgs) Proc(p *codec.Proc) { procPairs(p, &a.Pairs) }
+func (a *putArgs) Proc(p *codec.Proc) { ProcPairs(p, &a.Pairs) }
 
-func procPairs(p *codec.Proc, pairs *[]KeyValue) {
+// ProcPairs is the wire and disk form of a pair list, here and wherever
+// else pairs travel (the router's data RPCs, the raft KV snapshot).
+func ProcPairs(p *codec.Proc, pairs *[]KeyValue) {
 	codec.Slice(p, pairs, func(p *codec.Proc, kv *KeyValue) {
 		p.Bytes(&kv.Key)
 		p.Bytes(&kv.Value)
@@ -152,5 +154,5 @@ type kvListReply struct {
 
 func (r *kvListReply) Proc(p *codec.Proc) {
 	procStatus(p, &r.Status, &r.Err)
-	procPairs(p, &r.Pairs)
+	ProcPairs(p, &r.Pairs)
 }

@@ -13,15 +13,21 @@
 # before the first pair runs. Every run is kept: <out>/<pair>-<side>.json
 # is what `-out` wrote (metrics and host facts), and <out>/pairs.json
 # collects them, both sides of every pair, in the order they ran. Printed
-# at the end, per end-to-end metric: each side's median and quartiles,
-# and in how many pairs the change was the better one.
+# at the end, per end-to-end metric of BENCHMARK.json: each side's median
+# and quartiles, in how many pairs the change was the better and the
+# worse one, and the verdict that follows from those and the metric's
+# bound — better (ten pairs or more, at least 9/10 of them won and medians
+# further apart than the parent's quartiles), worse (the change's median beyond the
+# bound), unresolved (the parent's quartiles further apart than the
+# bound, or a lean that is neither), else within bound — and `make loc`
+# of both sides.
 #
 # OUT=<dir> chooses where results go (default: a fresh directory under
 # ${TMPDIR:-/tmp}).
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+	sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
 	exit 2
 fi
 parent_ref=$1
@@ -113,23 +119,51 @@ quartiles() {
 	}'
 }
 
+# verdict <better> <wins> <losses> <parent q1 median q3> <change median> <bound>:
+# the rules of the simplicity-review guide, applied mechanically. Ties
+# count for neither side.
+verdict() {
+	awk -v b="$1" -v w="$2" -v l="$3" -v n="$pairs" -v q1="$4" -v pm="$5" -v q3="$6" -v cm="$7" -v bound="$8" 'BEGIN {
+		iqr = q3 - q1
+		gain = (b == "higher") ? cm - pm : pm - cm # above zero: the change is the better one
+		if (n >= 10 && 10 * w >= 9 * n && gain > iqr) print "better"
+		else if (-gain > bound * pm) print "worse"
+		else if (iqr > bound * pm) print "unresolved (the parent\047s quartiles are further apart than the bound)"
+		else if (10 * w >= 9 * n || 10 * l >= 9 * n) print "unresolved (a lean that is neither better nor worse)"
+		else print "within bound"
+	}'
+}
+
+# loc <side>: what `make loc` counts, in the side's export.
+loc() {
+	(cd "$out/$1" && find . -name '*.go' ! -path './bench/*' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)
+}
+
 echo
 echo "$workload: $pairs pairs, parent $parent_commit"
 printf '%-10s %-7s %12s %12s %12s   %s\n' metric side q1 median q3 "change better in"
-for m in ops_per_s:higher p50_us:lower setup_s:lower; do
-	name=${m%%:*} better=${m##*:}
-	wins=0
-	for pair in $(seq 1 "$pairs"); do
-		p=$(metric "$out/$pair-parent.json" "$name")
-		c=$(metric "$out/$pair-change.json" "$name")
-		wins=$((wins + $(awk -v p="$p" -v c="$c" -v b="$better" 'BEGIN { print (((b == "higher" && c > p) || (b == "lower" && c < p)) ? 1 : 0) }')))
+# The end-to-end metrics, which way is better and the bound on each are
+# BENCHMARK.json's.
+awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+	on { gsub(/[",]/, "", $2) }
+	on && $1 == "\"name\":" { name = $2 }
+	on && $1 == "\"better\":" { better = $2 }
+	on && $1 == "\"bound\":" { print name, better, $2 }' "$root/BENCHMARK.json" |
+	while read -r name better bound; do
+		wins=0 losses=0
+		for pair in $(seq 1 "$pairs"); do
+			p=$(metric "$out/$pair-parent.json" "$name")
+			c=$(metric "$out/$pair-change.json" "$name")
+			[ "$better" = lower ] && { t=$p p=$c c=$t; }
+			wins=$((wins + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c > p) ? 1 : 0 }')))
+			losses=$((losses + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c < p) ? 1 : 0 }')))
+		done
+		read -r pq1 pmed pq3 < <(for pair in $(seq 1 "$pairs"); do metric "$out/$pair-parent.json" "$name"; done | quartiles)
+		read -r cq1 cmed cq3 < <(for pair in $(seq 1 "$pairs"); do metric "$out/$pair-change.json" "$name"; done | quartiles)
+		printf '%-10s %-7s %12s %12s %12s\n' "$name" parent "$pq1" "$pmed" "$pq3"
+		printf '%-10s %-7s %12s %12s %12s   %s\n' "$name" change "$cq1" "$cmed" "$cq3" "$wins/$pairs pairs, worse in $losses"
+		printf '%-10s %-7s %s (bound %s)\n' "$name" verdict "$(verdict "$better" "$wins" "$losses" "$pq1" "$pmed" "$pq3" "$cmed" "$bound")" "$bound"
 	done
-	for side in parent change; do
-		read -r q1 med q3 < <(for pair in $(seq 1 "$pairs"); do metric "$out/$pair-$side.json" "$name"; done | quartiles)
-		note=""
-		[ "$side" = change ] && note="$wins/$pairs pairs"
-		printf '%-10s %-7s %12s %12s %12s   %s\n' "$name" "$side" "$q1" "$med" "$q3" "$note"
-	done
-done
 echo
+echo "make loc: parent $(loc parent), change $(loc change)"
 echo "every run: $out/pairs.json"
