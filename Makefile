@@ -64,9 +64,13 @@ reshard-soak:
 #      leader self-count and follower acknowledgement before the disk
 #      has the entry; a restarted member as impatient as a virgin one; a
 #      held request never released; the tag of an overwritten entry
-#      forgotten), each of which must fail, and the
+#      forgotten; and, each under the scripted attack on the leader's
+#      lease it enables, a voter that does not withhold, a restart that
+#      forgets it may have promised, a lease that survives a transfer and
+#      one counted from the reply), each of which must fail, and the
 #      no-fault scenarios for cold start, planned leader exits and held
-#      requests, under the race detector;
+#      requests, every member on a clock of its own pace, under the race
+#      detector;
 #   3. the live-raft linearizability harness under -race at a few seeds
 #      (races surface independent of history count);
 #   4. the full SIM_HISTORIES-seed linearizability sweep plus the

@@ -299,11 +299,11 @@ func (c *RaftKVClient) Put(ctx context.Context, key, value []byte) error {
 	return err
 }
 
-// Get reads linearizably through the ReadIndex path: no log entry, no
-// fsync — the leader confirms leadership with one heartbeat quorum
-// round (shared across concurrent reads) and answers from the state
-// machine. The query carries no CID/Seq: reads have no side effects,
-// so they need no at-most-once session bookkeeping.
+// Get reads linearizably through raft.Client.Read: no log entry, no
+// fsync — the leader answers from the state machine under its lease, or
+// after confirming leadership with one heartbeat quorum round (shared
+// across concurrent reads). The query carries no CID/Seq: reads have no
+// side effects, so they need no at-most-once session bookkeeping.
 func (c *RaftKVClient) Get(ctx context.Context, key []byte) ([]byte, error) {
 	out, err := c.rc.Read(ctx, codec.Marshal(&kvCommand{Op: kvOpGet, Key: key}))
 	if err != nil {

@@ -14,9 +14,10 @@ import (
 // every protocol rule — role/term/vote, elections, log matching and
 // conflict hints, commit advance, single-server membership, snapshot
 // install, what may leave before it is durable and what may not,
-// ReadIndex rounds, what makes a planned event (a cold start, a request
-// that finds no leader, a leader's exit) cost round trips instead of
-// timers, and who is waiting for what — but performs no network I/O,
+// the leader's lease and the ReadIndex rounds behind it, what makes a
+// planned event (a cold start, a request that finds no leader, a
+// leader's exit) cost round trips instead of timers, and who is waiting
+// for what — but performs no network I/O,
 // writes no log, reads no clock and starts no goroutines. Every input
 // carries the current time; the outputs are the Effects a step leaves
 // behind plus the next timer deadline.
@@ -67,6 +68,10 @@ type Message struct {
 	// Round is non-zero when Append is the leadership probe of that
 	// ReadIndex round rather than log traffic.
 	Round uint64
+	// Sent is the time of the step that emitted the message (zero on a
+	// TimeoutNow): what the leader's lease counts from when the peer's
+	// reply comes back.
+	Sent time.Time
 }
 
 // Done hands a tag back with what ended its request: it was refused,
@@ -77,11 +82,14 @@ type Done struct {
 	Err error
 }
 
-// ReadRound reports the outcome of one ReadIndex round: with a nil Err
-// the reads that joined it, Tags, may now be served from the FSM.
+// ReadRound hands back the reads that were confirmed or failed together:
+// with a nil Err, Tags may now be served from the FSM. Round is the
+// ReadIndex round that was run for them; 0 when none was — they were
+// confirmed under the leader's lease, or failed before a round started.
 type ReadRound struct {
-	Tags []interface{}
-	Err  error
+	Tags  []interface{}
+	Err   error
+	Round uint64
 }
 
 // StoredSnapshot is a snapshot as the Store keeps it: Data (a
@@ -161,6 +169,9 @@ type progress struct {
 	// inflight: a request is outstanding. Its reply clears it; so does
 	// the next heartbeat, which is the retransmission timer.
 	inflight bool
+	// acked is the newest Sent among this term's messages the follower has
+	// answered: it had accepted this leader no earlier than that.
+	acked time.Time
 }
 
 // request is one line of the ledger: a tag the core owes an answer, by
@@ -202,6 +213,13 @@ type Core struct {
 	leader   string
 	seen     Transition // the last one emitted
 	held     []request  // parked for want of a leader until their deadline, oldest first
+	// contact is when this member last accepted a leader, or booted with a
+	// term: it grants no vote for ElectionTimeoutMin after, and askedTerm is
+	// the highest term it was asked for one meanwhile. transferred: as
+	// leader of this term it has told a successor to campaign.
+	contact     time.Time
+	askedTerm   uint64
+	transferred bool
 
 	// The log is the snapshot (through snapIndex), what the store holds
 	// below offset, and tail from offset on. tail is everything not known
@@ -287,6 +305,11 @@ func NewCore(group, id string, peers []string, store Store, cfg Config, rng *ran
 	c.offset = c.persisted + 1
 	c.reloadConfig()
 	c.seen = Transition{Term: c.term}
+	if c.term > 0 {
+		// What it promised a leader before the restart it no longer knows:
+		// the most it can have promised is a contact just now.
+		c.contact = now
+	}
 	if c.term == 0 && c.lastIndex() == 0 {
 		// A virgin member — no term, no log, no snapshot — has never had
 		// a leader to be patient with: its first deadline, and only that
@@ -360,7 +383,7 @@ func (c *Core) Tick(now time.Time) {
 		}
 		c.release(n)
 		if !now.Before(c.electionAt) {
-			c.campaign(now)
+			c.campaign(now, false)
 		}
 		return
 	}
@@ -369,7 +392,7 @@ func (c *Core) Tick(now time.Time) {
 		for _, p := range c.peers {
 			if p != c.id {
 				c.prog[p].inflight = false
-				c.sendAppend(p)
+				c.sendAppend(now, p)
 			}
 		}
 	}
@@ -756,7 +779,7 @@ func (c *Core) demote(now time.Time) {
 		}
 		err := leaderError(c.leader)
 		if c.round.id != 0 {
-			c.eff.Reads = append(c.eff.Reads, ReadRound{Tags: tagsOf(c.round.reads), Err: err})
+			c.eff.Reads = append(c.eff.Reads, ReadRound{Tags: tagsOf(c.round.reads), Err: err, Round: c.round.id})
 			c.round = readRound{}
 		}
 		if len(c.forming) > 0 {
@@ -879,12 +902,16 @@ func (c *Core) quorum(set map[string]bool) bool {
 
 // --- election ---
 
-func (c *Core) campaign(now time.Time) {
+// campaign starts an election. transfer: the leader asked for it
+// (TimeoutNow), which voters must know to grant inside its lease.
+func (c *Core) campaign(now time.Time, transfer bool) {
 	c.electionAt = now.Add(c.electionTimeout())
 	if !c.inConfig() {
 		return
 	}
-	if c.persist(c.term+1, c.id) != nil {
+	// Past any term it withheld its vote in: whoever asked has voted for
+	// itself there, and would refuse this member in turn.
+	if c.persist(max(c.term, c.askedTerm)+1, c.id) != nil {
 		return
 	}
 	c.role = Candidate
@@ -896,10 +923,10 @@ func (c *Core) campaign(now time.Time) {
 	}
 	lastIdx := c.lastIndex()
 	lastTerm, _ := c.termAt(lastIdx)
-	args := &requestVoteArgs{Group: c.group, Term: c.term, Candidate: c.id, LastLogIndex: lastIdx, LastLogTerm: lastTerm}
+	args := &requestVoteArgs{Group: c.group, Term: c.term, Candidate: c.id, LastLogIndex: lastIdx, LastLogTerm: lastTerm, Transfer: transfer}
 	for _, p := range c.peers {
 		if p != c.id {
-			c.eff.Msgs = append(c.eff.Msgs, Message{To: p, Vote: args})
+			c.eff.Msgs = append(c.eff.Msgs, Message{To: p, Vote: args, Sent: now})
 		}
 	}
 }
@@ -909,8 +936,17 @@ func (c *Core) campaign(now time.Time) {
 // candidate's log is compared with all of this member's, tail
 // included: entries on their way to the disk can only make the member
 // harder to convince.
+//
+// A member that accepted a leader less than ElectionTimeoutMin ago by its
+// own clock, and a leader whose lease is valid, withhold: the answer is a
+// refusal in the member's own term, and the candidate's term is not
+// adopted — only remembered, for campaign. That is the promise a leader's
+// lease rests on (see Read), and it keeps a member that merely lost touch
+// from deposing a leader the rest still hear. The campaign a departing
+// leader asked for is exempt.
 func (c *Core) RequestVote(now time.Time, a *requestVoteArgs) (*requestVoteReply, error) {
-	if a.Term < c.term {
+	if a.Term < c.term || !a.Transfer && (now.Sub(c.contact) < c.cfg.ElectionTimeoutMin || c.leased(now)) {
+		c.askedTerm = max(c.askedTerm, a.Term)
 		return &requestVoteReply{Term: c.term}, nil
 	}
 	term, vote := c.term, c.votedFor
@@ -960,6 +996,7 @@ func (c *Core) VoteReply(now time.Time, m Message, r *requestVoteReply) {
 func (c *Core) becomeLeader(now time.Time) {
 	c.role = Leader
 	c.leader = c.id
+	c.transferred = false
 	c.note()
 	c.heartbeatAt = now.Add(c.cfg.HeartbeatInterval)
 	last := c.lastIndex()
@@ -969,7 +1006,7 @@ func (c *Core) becomeLeader(now time.Time) {
 	}
 	// Commit entries from previous terms by appending a no-op at the
 	// current term (§5.4.2).
-	c.appendAsLeader(LogEntry{Type: EntryNoop}, nil, time.Time{})
+	c.appendAsLeader(now, LogEntry{Type: EntryNoop}, nil, time.Time{})
 }
 
 // --- leader: append, replicate, commit ---
@@ -978,7 +1015,7 @@ func (c *Core) becomeLeader(now time.Time) {
 // to the log and ships it: the Persist and the AppendEntries for it
 // leave in the same step. A tag enters the ledger at that index, which
 // is returned.
-func (c *Core) appendAsLeader(e LogEntry, tag interface{}, deadline time.Time) uint64 {
+func (c *Core) appendAsLeader(now time.Time, e LogEntry, tag interface{}, deadline time.Time) uint64 {
 	e.Index, e.Term = c.lastIndex()+1, c.term
 	if tag != nil {
 		c.pending = append(c.pending, request{tag, deadline, e.Index, e.Term})
@@ -988,23 +1025,23 @@ func (c *Core) appendAsLeader(e LogEntry, tag interface{}, deadline time.Time) u
 	if e.Type == EntryConfig {
 		c.reloadConfig()
 	}
-	c.broadcast()
+	c.broadcast(now)
 	return e.Index
 }
 
 // broadcast sends log traffic to every follower that has none in
 // flight.
-func (c *Core) broadcast() {
+func (c *Core) broadcast(now time.Time) {
 	for _, p := range c.peers {
 		if p != c.id && !c.prog[p].inflight {
-			c.sendAppend(p)
+			c.sendAppend(now, p)
 		}
 	}
 }
 
 // sendAppend emits one AppendEntries (or InstallSnapshot, when the
 // follower is behind the log's first index) for peer.
-func (c *Core) sendAppend(peer string) {
+func (c *Core) sendAppend(now time.Time, peer string) {
 	p := c.prog[peer]
 	if p.next < c.firstIndex() {
 		s, err := c.snapshot()
@@ -1012,7 +1049,7 @@ func (c *Core) sendAppend(peer string) {
 			return
 		}
 		p.inflight, p.sentCommit = true, c.commitIndex
-		c.eff.Msgs = append(c.eff.Msgs, Message{To: peer, Snapshot: &installSnapshotArgs{
+		c.eff.Msgs = append(c.eff.Msgs, Message{To: peer, Sent: now, Snapshot: &installSnapshotArgs{
 			Group: c.group, Term: c.term, Leader: c.id,
 			LastIndex: s.Index, LastTerm: s.Term, Peers: c.base, Data: s.Data,
 		}})
@@ -1023,7 +1060,7 @@ func (c *Core) sendAppend(peer string) {
 		return
 	}
 	p.inflight, p.sentCommit = true, c.commitIndex
-	c.eff.Msgs = append(c.eff.Msgs, Message{To: peer, Append: a})
+	c.eff.Msgs = append(c.eff.Msgs, Message{To: peer, Append: a, Sent: now})
 }
 
 // appendArgs builds the AppendEntries that carries the log in (prev,
@@ -1057,8 +1094,15 @@ func (c *Core) AppendReply(now time.Time, m Message, r *appendEntriesReply) {
 	} else {
 		term, match = m.Append.Term, m.Append.PrevLogIndex+uint64(len(m.Append.Entries))
 	}
-	if c.role != Leader || term != c.term {
+	p := c.prog[m.To]
+	if c.role != Leader || term != c.term || p == nil {
 		return
+	}
+	// Success or refusal, the follower accepted this leader when the
+	// request reached it, which was after it was sent: the lease counts
+	// from there, not from now, so a late reply can only shorten it.
+	if m.Sent.After(p.acked) {
+		p.acked = m.Sent
 	}
 	if m.Round != 0 {
 		if m.Round == c.round.id {
@@ -1067,10 +1111,6 @@ func (c *Core) AppendReply(now time.Time, m Message, r *appendEntriesReply) {
 				c.finishRound(now, nil)
 			}
 		}
-		return
-	}
-	p := c.prog[m.To]
-	if p == nil {
 		return
 	}
 	p.inflight = false
@@ -1091,7 +1131,7 @@ func (c *Core) AppendReply(now time.Time, m Message, r *appendEntriesReply) {
 		}
 	}
 	if c.role == Leader && !p.inflight && (!r.Success || p.next <= c.lastIndex() || p.sentCommit < c.commitIndex) {
-		c.sendAppend(m.To)
+		c.sendAppend(now, m.To)
 	}
 }
 
@@ -1129,8 +1169,8 @@ func (c *Core) advanceCommit(now time.Time) {
 		c.demote(now)
 		return
 	}
-	c.startRound(now) // reads parked until the term's first commit
-	c.broadcast()     // propagate the new commit index promptly
+	c.confirmReads(now) // those parked until the term's first commit
+	c.broadcast(now)    // propagate the new commit index promptly
 }
 
 // Propose offers a command to the leader, which appends it at once: one
@@ -1152,7 +1192,7 @@ func (c *Core) Propose(now time.Time, data []byte, tag interface{}, deadline tim
 		c.done(tag, err)
 		return 0
 	}
-	return c.appendAsLeader(LogEntry{Type: EntryCommand, Data: data}, tag, deadline)
+	return c.appendAsLeader(now, LogEntry{Type: EntryCommand, Data: data}, tag, deadline)
 }
 
 // ChangeConfig appends a single-server membership change: tag comes back
@@ -1187,7 +1227,7 @@ func (c *Core) ChangeConfig(now time.Time, addr string, remove bool, tag interfa
 		c.done(tag, err)
 		return 0
 	}
-	return c.appendAsLeader(LogEntry{Type: EntryConfig, Data: data}, tag, deadline)
+	return c.appendAsLeader(now, LogEntry{Type: EntryConfig, Data: data}, tag, deadline)
 }
 
 // Transfer is what a leader on its way out — removed by the
@@ -1196,7 +1236,9 @@ func (c *Core) ChangeConfig(now time.Time, addr string, remove bool, tag interfa
 // tells the voter whose log is furthest along to campaign at once, and
 // sends along whatever of its own log that voter has not acknowledged,
 // so that the successor stands on the leader's whole log and no voter
-// holds anything that would make it refuse.
+// holds anything that would make it refuse — its promise to this leader
+// included, which is why this leader's lease ends here: for the rest of
+// the term it confirms reads by rounds only.
 func (c *Core) Transfer() {
 	if c.role != Leader {
 		return
@@ -1217,6 +1259,7 @@ func (c *Core) Transfer() {
 		a = c.appendArgs(c.lastIndex(), c.lastIndex())
 	}
 	if a != nil {
+		c.transferred = true
 		c.eff.Msgs = append(c.eff.Msgs, Message{To: to, TimeoutNow: &timeoutNowArgs{*a}})
 	}
 }
@@ -1230,7 +1273,7 @@ func (c *Core) Transfer() {
 func (c *Core) TimeoutNow(now time.Time, a *timeoutNowArgs) *timeoutNowReply {
 	c.AppendEntries(now, &a.appendEntriesArgs, nil)
 	if a.Term == c.term && a.Leader == c.leader && c.role == Follower {
-		c.campaign(now)
+		c.campaign(now, true)
 	}
 	return &timeoutNowReply{Term: c.term}
 }
@@ -1245,6 +1288,7 @@ func (c *Core) follow(now time.Time, term uint64, leader string) error {
 	}
 	c.leader = leader
 	c.demote(now)
+	c.contact = now
 	c.electionAt = now.Add(c.electionTimeout())
 	return nil
 }
@@ -1349,17 +1393,45 @@ func (c *Core) InstallSnapshot(now time.Time, a *installSnapshotArgs, tag interf
 	c.ackWhenDurable(tag, a.LastIndex)
 }
 
-// --- ReadIndex ---
+// --- reads: the lease, and the ReadIndex round behind it ---
+
+// leased reports whether the leader's lease covers now. The lease rests
+// on what it has heard from its voters: a quorum of the current
+// configuration — itself, and every peer that has answered a message of
+// this term sent less than an eighth short of ElectionTimeoutMin ago —
+// accepted it as leader no earlier than that, and none of them grants a
+// vote for a full ElectionTimeoutMin after (RequestVote). Clocks may
+// differ arbitrarily in value; the eighth is what their rates may differ
+// by over one election timeout.
+func (c *Core) leased(now time.Time) bool {
+	if c.role != Leader || c.transferred {
+		return false
+	}
+	from, n := now.Add(c.cfg.ElectionTimeoutMin/8-c.cfg.ElectionTimeoutMin), 0
+	for _, p := range c.peers {
+		if p == c.id || c.prog[p].acked.After(from) {
+			n++
+		}
+	}
+	return n >= len(c.peers)/2+1
+}
 
 // Read registers a linearizable read; the ReadRound effect that carries
-// tag says when (and whether) it may be served. A read only ever joins
-// a round that has not started: the safety argument needs its read
-// index recorded before the round sends a single probe.
+// tag says when (and whether) it may be served: in this very step when
+// the lease is valid and the state machine has caught up.
 //
-// Safety does not need a leader lease: once a quorum acknowledges the
-// term, every write that completed before the read began is covered by
-// the round's read index (a later leader needs a quorum at a higher
-// term, which the round would have observed), so serving the query is
+// Safety: a read is served at a read index recorded while no other
+// leader can exist, or confirmed by a quorum afterwards. Under a valid
+// lease (leased) a quorum is inside its promise to grant no vote, every
+// election needs one of them, so no later term has a leader yet and
+// commitIndex covers every write that completed before the read began.
+// Without one — a new leader, lost replies, a leader that has started a
+// transfer, whose successor's campaign voters do not withhold from — the
+// read joins a round that has not started (its read index must be
+// recorded before the first probe leaves), and a quorum of answers in
+// this term proves the same of the moment the probes left: a later leader
+// needs a quorum at a higher term, which the round would have observed.
+// The round's answers renew the lease. Either way serving the query is
 // linearizable even if this node is deposed right after.
 func (c *Core) Read(now time.Time, tag interface{}, deadline time.Time) {
 	if c.role != Leader {
@@ -1368,20 +1440,35 @@ func (c *Core) Read(now time.Time, tag interface{}, deadline time.Time) {
 	}
 	c.forming = append(c.forming, request{tag: tag, deadline: deadline})
 	c.expireAt = earliest(c.expireAt, deadline)
-	c.startRound(now)
+	c.confirmReads(now)
 }
 
-// startRound starts the next ReadIndex round if reads are waiting and
-// none is in flight: record commitIndex as the read index of every
-// forming read, then probe the peers. The read index is only
-// meaningful once an entry of the current term is committed (the no-op
-// appended at election gets there promptly); until then reads stay
-// forming and advanceCommit calls back.
-func (c *Core) startRound(now time.Time) {
-	if c.role != Leader || c.round.id != 0 || len(c.forming) == 0 {
+// confirmReads gives the forming reads their read index, commitIndex,
+// which is only meaningful once an entry of the current term is committed
+// (the no-op appended at election gets there promptly; until then reads
+// stay forming and advanceCommit calls back): confirmed here and now under
+// the lease, else by the next round.
+func (c *Core) confirmReads(now time.Time) {
+	if len(c.forming) == 0 {
 		return
 	}
 	if t, err := c.termAt(c.commitIndex); err != nil || t != c.term {
+		return
+	}
+	if !c.leased(now) {
+		c.startRound(now)
+		return
+	}
+	c.confirmed = append(c.confirmed, readRound{reads: c.forming, index: c.commitIndex})
+	c.forming = nil
+	c.releaseReads()
+}
+
+// startRound starts the next ReadIndex round if none is in flight:
+// record commitIndex as the read index of every forming read, then probe
+// the peers.
+func (c *Core) startRound(now time.Time) {
+	if c.round.id != 0 {
 		return
 	}
 	c.round = readRound{
@@ -1393,10 +1480,6 @@ func (c *Core) startRound(now time.Time) {
 	}
 	c.nextRound++
 	c.forming = nil
-	if c.quorum(c.round.acks) {
-		c.finishRound(now, nil) // single-node group
-		return
-	}
 	// The probe is an empty AppendEntries with LeaderCommit 0: it cannot
 	// move follower state, only the reply's term matters. It is its own
 	// message so a read never queues behind log traffic in flight, and
@@ -1404,7 +1487,7 @@ func (c *Core) startRound(now time.Time) {
 	probe := &appendEntriesArgs{Group: c.group, Term: c.term, Leader: c.id}
 	for _, p := range c.peers {
 		if p != c.id {
-			c.eff.Msgs = append(c.eff.Msgs, Message{To: p, Append: probe, Round: c.round.id})
+			c.eff.Msgs = append(c.eff.Msgs, Message{To: p, Append: probe, Round: c.round.id, Sent: now})
 		}
 	}
 }
@@ -1413,20 +1496,20 @@ func (c *Core) finishRound(now time.Time, err error) {
 	r := c.round
 	c.round = readRound{}
 	if err != nil {
-		c.eff.Reads = append(c.eff.Reads, ReadRound{Tags: tagsOf(r.reads), Err: err})
+		c.eff.Reads = append(c.eff.Reads, ReadRound{Tags: tagsOf(r.reads), Err: err, Round: r.id})
 	} else {
 		c.confirmed = append(c.confirmed, r)
 		c.releaseReads()
 	}
-	c.startRound(now)
+	c.confirmReads(now)
 }
 
-// releaseReads resolves confirmed rounds whose read index has been
+// releaseReads resolves confirmed reads whose read index has been
 // applied, i.e. whose effects are visible in the state machine.
 func (c *Core) releaseReads() {
 	n := 0
 	for n < len(c.confirmed) && c.confirmed[n].index <= c.lastApplied {
-		c.eff.Reads = append(c.eff.Reads, ReadRound{Tags: tagsOf(c.confirmed[n].reads)})
+		c.eff.Reads = append(c.eff.Reads, ReadRound{Tags: tagsOf(c.confirmed[n].reads), Round: c.confirmed[n].id})
 		n++
 	}
 	c.confirmed = append(c.confirmed[:0], c.confirmed[n:]...)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mochi/internal/clock"
 	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
@@ -470,5 +471,56 @@ func TestPlannedEventsCostRoundTripsNotTimers(t *testing.T) {
 	// Every member at start-up, and four, then three, at each handover.
 	if episodes < 5+3+2 || leaderless >= cfg.ElectionTimeoutMin.Seconds() {
 		t.Fatalf("%d leaderless episodes, %.3fs in all", episodes, leaderless)
+	}
+}
+
+// TestCommitLatencyReadsTheNodesClock: the commit-latency histogram
+// measures a proposal on the clock the node was given, like everything
+// else the node times. On a simulated clock that stands still but for the
+// seven milliseconds the leader's disk is made to take, the one proposal's
+// one observation is seven milliseconds exactly; read off the wall clock it
+// was however long the test happened to run.
+func TestCommitLatencyReadsTheNodesClock(t *testing.T) {
+	cls, err := mercury.NewFabric().NewClass("raft-sim-clock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := clock.NewSim(time.Unix(1000, 0))
+	inst, err := margo.NewWithClock(cls, nil, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &gatedStore{Store: NewMemoryStore()}
+	node, err := NewNode(inst, "g", []string{inst.Addr()}, store, newKVFSM(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		node.Stop()
+		inst.Finalize()
+	})
+	// A virgin member campaigns within a heartbeat interval of its clock.
+	for limit := time.Now().Add(10 * time.Second); !node.IsLeader(); {
+		if time.Now().After(limit) {
+			t.Fatal("the single node never led")
+		}
+		sim.WaitForWaiters(1, time.Second) // the timer loop sleeps on the simulated clock
+		sim.Advance(node.cfg.HeartbeatInterval)
+	}
+	entered, release := store.arm()
+	defer release()
+	applied := make(chan error, 1)
+	go func() {
+		_, err := node.Apply(context.Background(), []byte("set k v"))
+		applied <- err
+	}()
+	<-entered
+	sim.Advance(7 * time.Millisecond)
+	release()
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	if n, sum := node.met.commitLatency.Count(), node.met.commitLatency.Sum(); n != 1 || sum != (7*time.Millisecond).Seconds() {
+		t.Fatalf("%d observations summing to %v s, want one of exactly 0.007 s", n, sum)
 	}
 }

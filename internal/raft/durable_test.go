@@ -136,9 +136,10 @@ func TestFollowerAnswersWhileItsDiskIsBusy(t *testing.T) {
 	})
 	within(t, 5*time.Second, "a vote request", func() {
 		var vote requestVoteReply
-		// The candidate's log is shorter than the follower's, entry in
-		// flight included: denied, in the new term.
-		if err := h.call(rpcRequestVote, &requestVoteArgs{Group: "hand", Term: 2, Candidate: "sm://absent"}, &vote); err != nil || vote.Granted || vote.Term != 2 {
+		// The leader's own successor, or the follower would not listen so
+		// soon after hearing from the leader. Its log is shorter than the
+		// follower's, entry in flight included: denied, in the new term.
+		if err := h.call(rpcRequestVote, &requestVoteArgs{Group: "hand", Term: 2, Candidate: "sm://absent", Transfer: true}, &vote); err != nil || vote.Granted || vote.Term != 2 {
 			t.Errorf("vote: %+v, %v", vote, err)
 		}
 	})
@@ -373,7 +374,8 @@ func TestFileStoreAppendAllocsPinned(t *testing.T) {
 // or Read returns long before the request is answered, so margo's
 // handler span no longer covers it; on a sampled request the node
 // commits a span of its own, arrival to reply, under that handler span,
-// with a child per phase — and nothing at all on an unsampled one.
+// with a child per phase — a read has its round child only when a round
+// was run for it — and nothing at all on an unsampled one.
 func TestSampledRequestRecordsItsOwnSpan(t *testing.T) {
 	c := newRaftCluster(t, 3, fastRaftCfg())
 	leader := c.waitLeader()
@@ -407,6 +409,16 @@ func TestSampledRequestRecordsItsOwnSpan(t *testing.T) {
 	if out, err := client.Read(ctx, []byte("get k")); err != nil || string(out) != "w" {
 		t.Fatalf("read: %q, %v", out, err)
 	}
+	if got := phases(); len(got["round"]) != 0 {
+		t.Fatalf("a read served under the lease recorded a round: %v", got["round"])
+	}
+	// The same leader without its lease, as after a transfer: a round.
+	leader.mu.Lock()
+	leader.core.transferred = true
+	leader.mu.Unlock()
+	if out, err := client.Read(ctx, []byte("get k")); err != nil || string(out) != "w" {
+		t.Fatalf("read: %q, %v", out, err)
+	}
 	got := phases()
 	handlers := map[trace.ID]bool{}
 	for _, s := range c.insts[leader.ID()].Tracer().Spans() {
@@ -414,22 +426,24 @@ func TestSampledRequestRecordsItsOwnSpan(t *testing.T) {
 			handlers[s.SpanID] = true
 		}
 	}
-	for name, children := range map[string][]string{"raft.apply": {"replicate"}, "raft.read": {"round"}} {
-		if len(got[name]) != 1 {
-			t.Fatalf("%d %s spans, want 1 (all phases: %v)", len(got[name]), name, got)
+	for _, want := range []struct {
+		name  string
+		n     int
+		child string // of the last one
+	}{{"raft.apply", 1, "replicate"}, {"raft.read", 2, "round"}} {
+		if len(got[want.name]) != want.n {
+			t.Fatalf("%d %s spans, want %d (all phases: %v)", len(got[want.name]), want.name, want.n, got)
 		}
-		s := got[name][0]
+		s := got[want.name][want.n-1]
 		if !handlers[s.Parent] {
-			t.Errorf("%s is not a child of the handler span that received the request", name)
+			t.Errorf("%s is not a child of the handler span that received the request", want.name)
 		}
-		for _, child := range children {
-			found := false
-			for _, k := range got[child] {
-				found = found || (k.Parent == s.SpanID && k.TraceID == s.TraceID && k.Start == s.Start && k.Duration <= s.Duration)
-			}
-			if !found {
-				t.Errorf("%s has no %q child inside it: %v", name, child, got[child])
-			}
+		found := false
+		for _, k := range got[want.child] {
+			found = found || (k.Parent == s.SpanID && k.TraceID == s.TraceID && k.Start == s.Start && k.Duration <= s.Duration)
+		}
+		if !found {
+			t.Errorf("%s has no %q child inside it: %v", want.name, want.child, got[want.child])
 		}
 	}
 }

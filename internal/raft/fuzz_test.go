@@ -10,7 +10,7 @@ import (
 // the order the fuzz selector and testdata/wire.golden number them.
 func wireProtos() []codectest.Message {
 	return []codectest.Message{
-		&requestVoteArgs{Group: "g", Term: 3, Candidate: "sm://a", LastLogIndex: 9, LastLogTerm: 2},
+		&requestVoteArgs{Group: "g", Term: 3, Candidate: "sm://a", LastLogIndex: 9, LastLogTerm: 2, Transfer: true},
 		&requestVoteReply{Term: 3, Granted: true},
 		&appendEntriesArgs{
 			Group: "g", Term: 3, Leader: "sm://a", PrevLogIndex: 8, PrevLogTerm: 2,

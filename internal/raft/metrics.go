@@ -25,9 +25,11 @@ type nodeMetrics struct {
 	// wakeup (the batched-apply mirror of batchEntries).
 	applyEntries *metrics.Histogram // mochi_raft_apply_entries{group}
 	// readRounds counts ReadIndex leadership-confirmation heartbeat
-	// rounds; readBatch is how many pending reads each round served.
+	// rounds; readBatch is how many pending reads each round served;
+	// leaseReads counts the reads that needed none.
 	readRounds *metrics.Counter   // mochi_raft_readindex_rounds_total{group}
 	readBatch  *metrics.Histogram // mochi_raft_readindex_batch{group}
+	leaseReads *metrics.Counter   // mochi_raft_lease_reads_total{group}
 	// appendErrors counts persistent-store write failures (each one
 	// steps a leader down rather than silently dropping the command).
 	appendErrors *metrics.Counter // mochi_raft_store_append_errors_total{group}
@@ -58,6 +60,9 @@ func newNodeMetrics(reg *metrics.Registry, group string) *nodeMetrics {
 		readBatch: reg.Histogram("mochi_raft_readindex_batch",
 			"Pending linearizable reads served per ReadIndex confirmation round, by group.",
 			batchBuckets, "group").With(group),
+		leaseReads: reg.Counter("mochi_raft_lease_reads_total",
+			"Linearizable reads confirmed under the leader's lease, without a ReadIndex round, by group.",
+			"group").With(group),
 		appendErrors: reg.Counter("mochi_raft_store_append_errors_total",
 			"Persistent-store append failures on the leader (each steps the leader down), by group.",
 			"group").With(group),

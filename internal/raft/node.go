@@ -109,7 +109,7 @@ type span struct {
 
 // The phases of a request, each recorded as a child span from arrival
 // to: the leader's own disk has the entry, a quorum has it, the read's
-// round is confirmed.
+// round is confirmed (a read served under the lease had none).
 const (
 	phasePersist = iota
 	phaseReplicate
@@ -341,11 +341,15 @@ func (n *Node) dispatch(out *after) {
 	}
 	out.acks = append(out.acks, eff.Acks...)
 	for _, r := range eff.Reads {
-		n.met.readRounds.Inc()
-		n.met.readBatch.Observe(float64(len(r.Tags)))
+		if r.Round != 0 {
+			n.met.readRounds.Inc()
+			n.met.readBatch.Observe(float64(len(r.Tags)))
+		} else if r.Err == nil {
+			n.met.leaseReads.Add(float64(len(r.Tags)))
+		}
 		for _, tag := range r.Tags {
 			w := tag.(*waiter)
-			if w.span != nil {
+			if w.span != nil && r.Round != 0 {
 				w.span.ended[phaseRound] = n.clk.Now()
 			}
 			out.done = append(out.done, resolved{w, outcome{err: r.Err}})
@@ -448,7 +452,7 @@ func (n *Node) finish(out *after) {
 	}
 	for _, d := range out.done {
 		if d.o.err == nil && !d.w.arrived.IsZero() {
-			n.met.commitLatency.Observe(time.Since(d.w.arrived).Seconds())
+			n.met.commitLatency.Observe(n.clk.Now().Sub(d.w.arrived).Seconds())
 		}
 		d.w.resolve(d.o)
 	}
@@ -782,13 +786,13 @@ func (n *Node) TakeSnapshot() error {
 
 func propose(cmd []byte) operation {
 	return func(n *Node, c *Core, now time.Time, w *waiter) error {
-		w.arrived = time.Now()
+		w.arrived = now
 		n.sample(w, c.Propose(now, cmd, w, w.deadline))
 		return nil
 	}
 }
 
-// read registers w with the forming ReadIndex round (see Core.Read).
+// read hands w to Core.Read.
 func read(n *Node, c *Core, now time.Time, w *waiter) error {
 	if _, ok := n.fsm.(ReaderFSM); !ok {
 		return ErrNoReader
@@ -836,9 +840,9 @@ func (n *Node) Apply(ctx context.Context, cmd []byte) ([]byte, error) {
 }
 
 // Read answers a read-only query linearizably without writing a log
-// entry (the ReadIndex protocol, see Core.Read): join the forming
-// confirmation round, wait until it has a quorum and its read index has
-// been applied, then query the FSM. The caller must be talking to the
+// entry (see Core.Read): under the leader's lease at once, else after the
+// next ReadIndex round has its quorum; in both cases once the read index
+// has been applied, query the FSM. The caller must be talking to the
 // leader (use Client.Read for automatic forwarding). The FSM must
 // implement ReaderFSM.
 func (n *Node) Read(ctx context.Context, query []byte) ([]byte, error) {

@@ -19,6 +19,11 @@ import (
 
 var t0 = time.Unix(1000, 0)
 
+// lapsed is a time by which whatever was promised at t0 has run out: a
+// member's refusal to vote against the leader it heard from, or booted
+// under, and a leader's lease.
+var lapsed = t0.Add(Config{}.withDefaults().ElectionTimeoutMin)
+
 const ruleSelf = "sm://self"
 
 var rulePeers = []string{ruleSelf, "sm://peer-a", "sm://peer-b"}
@@ -149,7 +154,7 @@ func TestVoteRules(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := ruleCore(t, NewMemoryStore(), base, 2)
-			reply, err := c.RequestVote(t0, &tc.args)
+			reply, err := c.RequestVote(lapsed, &tc.args)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,23 +344,23 @@ func TestNoGrantWithoutPersistedVote(t *testing.T) {
 	t.Run("vote", func(t *testing.T) {
 		c, s := mk(t)
 		a := requestVoteArgs{Term: 3, Candidate: "sm://alice", LastLogIndex: 3, LastLogTerm: 2}
-		r, err := c.RequestVote(t0, &a)
+		r, err := c.RequestVote(lapsed, &a)
 		check(t, c, s, r != nil, err)
 		// The disk recovers; a different candidate of the same term asks.
 		// Nothing was promised to alice, so bob may have the vote — and
 		// alice, asking again, may not.
 		s.fail = false
 		b := requestVoteArgs{Term: 3, Candidate: "sm://bob", LastLogIndex: 3, LastLogTerm: 2}
-		if r, err := c.RequestVote(t0, &b); err != nil || !r.Granted {
+		if r, err := c.RequestVote(lapsed, &b); err != nil || !r.Granted {
 			t.Fatalf("bob: %+v, %v", r, err)
 		}
-		if r, err := c.RequestVote(t0, &a); err != nil || r.Granted {
+		if r, err := c.RequestVote(lapsed, &a); err != nil || r.Granted {
 			t.Fatalf("alice got a second vote in term 3: %+v, %v", r, err)
 		}
 	})
 	t.Run("vote in the current term", func(t *testing.T) {
 		c, s := mk(t)
-		r, err := c.RequestVote(t0, &requestVoteArgs{Term: 2, Candidate: "sm://alice", LastLogIndex: 3, LastLogTerm: 2})
+		r, err := c.RequestVote(lapsed, &requestVoteArgs{Term: 2, Candidate: "sm://alice", LastLogIndex: 3, LastLogTerm: 2})
 		check(t, c, s, r != nil, err)
 	})
 	t.Run("append entries", func(t *testing.T) {
@@ -657,21 +662,30 @@ func TestLeaderPersistFailureDemotes(t *testing.T) {
 	}
 }
 
-// TestReadIndexRounds pins the ReadIndex bookkeeping: every read
-// pending when a round starts shares it; a read that arrives while a
-// round is in flight waits for the next one; the probe is a message of
-// its own; a round confirms only with a quorum in the current term and
-// resolves only once its read index is applied.
+// TestReadIndexRounds pins the bookkeeping of the path a read takes when
+// the leader has no valid lease (every read below arrives after the last
+// one has lapsed): a read that arrives while a round is in flight does
+// not ride it; every read waiting when a round starts shares it; the
+// probe is a message of its own; a round confirms only with a quorum in
+// the current term, fails without one and resolves only once its read
+// index is applied. Two rows that used to be here describe what the lease
+// now does and moved to TestLeaseRules: reads parked before the term's
+// first commit (confirmed by the acknowledgements that commit it, no
+// probe), and "the next round starts the moment this one is confirmed"
+// (a confirmed round's acknowledgements re-arm the lease, and whoever
+// waited is confirmed under it).
 func TestReadIndexRounds(t *testing.T) {
 	c := ruleCore(t, NewMemoryStore(), nil, 0)
 	elect(t, c)
-	read := func(tag string) { c.Read(t0, tag, time.Time{}) }
+	ackAll(c, c.Take().Msgs) // the no-op commits; what the lease rests on is of t0
+	now := lapsed
+	read := func(tag string) { c.Read(now, tag, time.Time{}) }
 	// probes returns the ReadIndex probes among msgs, which must all
 	// belong to one round, and that round.
 	probes := func(msgs []Message) (round []Message, id uint64) {
 		for _, m := range msgs {
 			if m.Round != 0 {
-				if (id != 0 && m.Round != id) || len(m.Append.Entries) != 0 || m.Append.LeaderCommit != 0 {
+				if (id != 0 && m.Round != id) || len(m.Append.Entries) != 0 || m.Append.LeaderCommit != 0 || !m.Sent.Equal(now) {
 					t.Fatalf("probe = %+v", m)
 				}
 				round, id = append(round, m), m.Round
@@ -679,62 +693,309 @@ func TestReadIndexRounds(t *testing.T) {
 		}
 		return round, id
 	}
-	// Reads before the term's first commit have no read index yet: they
-	// form a round that cannot start.
+	// The lease has lapsed: a read starts a round, one probe per peer.
 	read("a")
-	read("b")
-	logMsgs := c.Take().Msgs
-	if round, _ := probes(logMsgs); len(round) != 0 {
-		t.Fatal("round started before the no-op committed")
-	}
-	// The no-op commits: the round starts, one probe per peer, both
-	// reads in it.
-	round, r1 := probes(ackAll(c, logMsgs))
+	round, r1 := probes(c.Take().Msgs)
 	if len(round) != 2 {
 		t.Fatalf("%d probes, want one per peer", len(round))
 	}
-	// A read arriving now must not ride the round in flight.
+	// Reads arriving now must not ride the round in flight.
+	read("b")
 	read("c")
 	if late, _ := probes(c.Take().Msgs); len(late) != 0 {
-		t.Fatal("late read started a round beside the one in flight")
+		t.Fatal("a late read started a round beside the one in flight")
 	}
-	// One ack is a quorum of three, but index 1 is not applied yet.
-	c.AppendReply(t0, round[0], &appendEntriesReply{Term: 1})
+	// No quorum within ElectionTimeoutMin: the round fails, and the next
+	// one starts with every read that was waiting.
+	now = now.Add(c.cfg.ElectionTimeoutMin)
+	c.Tick(now)
 	eff := c.Take()
-	if len(eff.Reads) != 0 {
-		t.Fatalf("round resolved before its read index was applied: %+v", eff.Reads)
+	if len(eff.Reads) != 1 || !reflect.DeepEqual(eff.Reads[0].Tags, []interface{}{"a"}) || !errors.Is(eff.Reads[0].Err, ErrTimeout) || eff.Reads[0].Round != r1 {
+		t.Fatalf("reads = %+v, want a's round timed out", eff.Reads)
 	}
-	// ...and the next round started the moment this one was confirmed.
-	next, r2 := probes(eff.Msgs)
-	if len(next) != 2 || r2 == r1 {
+	round, r2 := probes(eff.Msgs)
+	if len(round) != 2 || r2 == r1 {
 		t.Fatalf("round %d did not start after round %d: %+v", r2, r1, eff.Msgs)
 	}
-	c.Applied(1)
-	if eff := c.Take(); len(eff.Reads) != 1 || !reflect.DeepEqual(eff.Reads[0], ReadRound{Tags: []interface{}{"a", "b"}}) {
-		t.Fatalf("reads = %+v, want one round with a and b", eff.Reads)
+	// One ack is a quorum of three, but index 1 is not applied yet.
+	c.AppendReply(now, round[0], &appendEntriesReply{Term: 1})
+	if eff := c.Take(); len(eff.Reads) != 0 || len(eff.Msgs) != 0 {
+		t.Fatalf("round resolved before its read index was applied: %+v", eff)
 	}
-	// A stale ack for round 1 does not confirm round 2.
-	c.AppendReply(t0, round[1], &appendEntriesReply{Term: 1})
+	c.Applied(1)
+	if eff := c.Take(); !reflect.DeepEqual(eff.Reads, []ReadRound{{Tags: []interface{}{"b", "c"}, Round: r2}}) {
+		t.Fatalf("reads = %+v, want b and c with round %d", eff.Reads, r2)
+	}
+	// A stale ack for round 2 does not confirm round 3.
+	now = now.Add(c.cfg.ElectionTimeoutMin)
+	read("d")
+	if next, r3 := probes(c.Take().Msgs); len(next) != 2 || r3 == r2 {
+		t.Fatalf("round %d after round %d: %+v", r3, r2, next)
+	}
+	c.AppendReply(now, round[1], &appendEntriesReply{Term: 1})
 	if len(c.Take().Reads) != 0 {
 		t.Fatal("an ack for an earlier round confirmed a later one")
 	}
-	// No quorum within ElectionTimeoutMin: the round fails.
-	c.Tick(t0.Add(c.cfg.ElectionTimeoutMin))
-	if eff := c.Take(); len(eff.Reads) != 1 || !reflect.DeepEqual(eff.Reads[0].Tags, []interface{}{"c"}) || !errors.Is(eff.Reads[0].Err, ErrTimeout) {
-		t.Fatalf("reads = %+v, want c's round timed out", eff.Reads)
-	}
+	now = now.Add(c.cfg.ElectionTimeoutMin)
+	c.Tick(now)
+	c.Take()
 	// A probe reply from a higher term deposes the leader and fails the
 	// round with it.
-	read("d")
+	read("e")
 	probe, _ := probes(c.Take().Msgs)
-	c.AppendReply(t0, probe[0], &appendEntriesReply{Term: 9})
+	c.AppendReply(now, probe[0], &appendEntriesReply{Term: 9})
 	if eff := c.Take(); c.IsLeader() || len(eff.Reads) != 1 || eff.Reads[0].Err == nil {
 		t.Fatalf("leader=%v reads=%+v", c.IsLeader(), eff.Reads)
 	}
-	read("e")
-	if eff := c.Take(); len(eff.Done) != 1 || eff.Done[0].Tag != "e" || !errors.Is(eff.Done[0].Err, ErrNoLeader) || c.outstanding() != 0 {
+	read("f")
+	if eff := c.Take(); len(eff.Done) != 1 || eff.Done[0].Tag != "f" || !errors.Is(eff.Done[0].Err, ErrNoLeader) || c.outstanding() != 0 {
 		t.Fatalf("read on a follower: %+v", eff.Done)
 	}
+}
+
+// TestLeaseRules: what makes a leader's lease valid, and what keeps it
+// safe. The leader rows start from a three-member leader of term 1 whose
+// no-op both followers acknowledged at t0: its lease runs 7/8 of
+// ElectionTimeoutMin from there.
+func TestLeaseRules(t *testing.T) {
+	never := time.Time{}
+	etmin := Config{}.withDefaults().ElectionTimeoutMin
+	span := etmin - etmin/8
+	leading := func(t *testing.T) *Core {
+		c := ruleCore(t, NewMemoryStore(), nil, 0)
+		elect(t, c)
+		ackAll(c, c.Take().Msgs)
+		c.Applied(1)
+		c.Take()
+		return c
+	}
+	// following returns a member that accepted peer-a as leader of term 1
+	// at t0.
+	following := func(t *testing.T) *Core {
+		s := NewMemoryStore()
+		c := ruleCore(t, s, nil, 0)
+		if _, _, err := deliver(t, c, s, &appendEntriesArgs{Term: 1, Leader: "sm://peer-a"}); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// served reports how a read at now came out: in that step under the
+	// lease, or waiting for the round it made the leader probe for.
+	served := func(t *testing.T, c *Core, now time.Time) (lease bool, probes []Message) {
+		t.Helper()
+		c.Read(now, "r", never)
+		eff := c.Take()
+		for _, m := range eff.Msgs {
+			if m.Round != 0 {
+				probes = append(probes, m)
+			}
+		}
+		lease = len(eff.Reads) == 1 && reflect.DeepEqual(eff.Reads[0], ReadRound{Tags: []interface{}{"r"}})
+		if lease == (len(probes) > 0) {
+			t.Fatalf("a read at +%v: reads %+v, %d probes; want it served in the step or probed for", now.Sub(t0), eff.Reads, len(probes))
+		}
+		return lease, probes
+	}
+	vote := func(t *testing.T, c *Core, now time.Time, a requestVoteArgs) *requestVoteReply {
+		t.Helper()
+		r, err := c.RequestVote(now, &a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	withheld := func(c *Core, r *requestVoteReply, term uint64, leader string) bool {
+		return !r.Granted && r.Term == term && c.term == term && c.leader == leader
+	}
+	candidate := requestVoteArgs{Term: 5, Candidate: "sm://peer-b", LastLogIndex: 9, LastLogTerm: 4}
+
+	t.Run("a read inside the lease is served in its own step, no message", func(t *testing.T) {
+		c := leading(t)
+		if lease, _ := served(t, c, t0.Add(span-1)); !lease {
+			t.Fatal("probed inside the lease")
+		}
+		if lease, _ := served(t, c, t0.Add(span)); lease {
+			t.Fatal("served under a lease that had run out")
+		}
+	})
+	t.Run("reads parked before the term's first commit ride the acknowledgements that commit it", func(t *testing.T) {
+		c := ruleCore(t, NewMemoryStore(), nil, 0)
+		elect(t, c)
+		c.Read(t0, "a", never)
+		c.Read(t0, "b", never)
+		eff := c.Take()
+		if len(eff.Reads) != 0 || len(c.forming) != 2 {
+			t.Fatalf("before the no-op committed: %+v, %d forming", eff.Reads, len(c.forming))
+		}
+		for _, m := range ackAll(c, eff.Msgs) {
+			if m.Round != 0 {
+				t.Fatalf("probe %+v although the no-op's acknowledgements are a lease", m)
+			}
+		}
+		c.Applied(1)
+		if eff := c.Take(); !reflect.DeepEqual(eff.Reads, []ReadRound{{Tags: []interface{}{"a", "b"}}}) {
+			t.Fatalf("reads = %+v, want a and b once index 1 is applied", eff.Reads)
+		}
+	})
+	t.Run("a lapsed lease: the next read starts a round, whose acknowledgements re-arm it", func(t *testing.T) {
+		c := leading(t)
+		_, probes := served(t, c, lapsed)
+		if len(probes) != 2 {
+			t.Fatalf("%d probes, want one per peer", len(probes))
+		}
+		c.Read(lapsed, "w", never) // waits out the round in flight
+		c.AppendReply(lapsed.Add(time.Millisecond), probes[0], &appendEntriesReply{Term: 1})
+		want := []ReadRound{{Tags: []interface{}{"r"}, Round: probes[0].Round}, {Tags: []interface{}{"w"}}}
+		if eff := c.Take(); !reflect.DeepEqual(eff.Reads, want) || len(eff.Msgs) != 0 {
+			t.Fatalf("effects = %+v, want the round confirmed and w under the lease it re-armed, no second round", eff)
+		}
+		if lease, _ := served(t, c, lapsed.Add(span-1)); !lease {
+			t.Fatal("the round's acknowledgement did not renew the lease")
+		}
+	})
+	t.Run("the lease starts when the acknowledged message was sent, not when its reply came", func(t *testing.T) {
+		c := leading(t)
+		sent := t0.Add(c.cfg.HeartbeatInterval)
+		c.Tick(sent)
+		beats := c.Take().Msgs
+		if len(beats) != 2 || !beats[0].Sent.Equal(sent) {
+			t.Fatalf("heartbeats = %+v, want two stamped %v", beats, sent.Sub(t0))
+		}
+		// Emitted, or even sent, renews nothing: only an answer does.
+		if lease, _ := served(t, c, t0.Add(span)); lease {
+			t.Fatal("an unanswered heartbeat renewed the lease")
+		}
+		c.Tick(lapsed.Add(etmin)) // that read's round fails; the stage is clear
+		c.Take()
+		late := sent.Add(100 * time.Millisecond)
+		c.AppendReply(late, beats[0], &appendEntriesReply{Term: 1, Success: true})
+		c.Take()
+		if lease, _ := served(t, c, sent.Add(span-1)); !lease {
+			t.Fatal("a late reply renewed nothing")
+		}
+		if lease, _ := served(t, c, sent.Add(span)); lease {
+			t.Fatalf("the lease outlived %v from the send: it was counted from the reply", span)
+		}
+		// A duplicate of an older reply does not move the stamp back.
+		c.Tick(lapsed.Add(2 * etmin))
+		c.Take()
+		c.AppendReply(late, Message{To: beats[0].To, Append: beats[0].Append, Sent: t0}, &appendEntriesReply{Term: 1, Success: true})
+		if got := c.prog[beats[0].To].acked; !got.Equal(sent) {
+			t.Fatalf("stamp = +%v after an older reply's duplicate, want +%v", got.Sub(t0), sent.Sub(t0))
+		}
+	})
+	t.Run("a refusal counts, a reply to another term's message does not", func(t *testing.T) {
+		c := leading(t)
+		at := lapsed.Add(time.Second)
+		c.AppendReply(at, Message{To: "sm://peer-a", Append: &appendEntriesArgs{Term: 0}, Sent: at}, &appendEntriesReply{Term: 1, Success: true})
+		if lease, _ := served(t, c, at); lease {
+			t.Fatal("a reply to a message of an earlier term renewed the lease")
+		}
+		c.Tick(at.Add(etmin))
+		c.Take()
+		at = at.Add(time.Second)
+		c.AppendReply(at, Message{To: "sm://peer-a", Append: &appendEntriesArgs{Term: 1, PrevLogIndex: 7}, Sent: at}, &appendEntriesReply{Term: 1, ConflictIndex: 2})
+		c.Take()
+		if lease, _ := served(t, c, at); !lease {
+			t.Fatal("a refusal in this term did not count: the follower reset its timer all the same")
+		}
+	})
+	t.Run("the quorum is the configuration's from the step that appends the change", func(t *testing.T) {
+		c := leading(t)
+		c.prog["sm://peer-b"].acked = time.Time{} // only peer-a has answered: 2 of 3
+		if lease, _ := served(t, c, t0); !lease {
+			t.Fatal("no lease on two of three")
+		}
+		if c.ChangeConfig(t0, "sm://peer-c", false, nil, never) == 0 {
+			t.Fatal("the leader refused to add a member")
+		}
+		c.Take()
+		_, probes := served(t, c, t0)
+		if len(probes) != 3 {
+			t.Fatalf("%d probes, want 3: two stamps are no quorum of four", len(probes))
+		}
+		c.AppendReply(t0, Message{To: "sm://peer-b", Append: &appendEntriesArgs{Term: 1}, Sent: t0}, &appendEntriesReply{Term: 1})
+		c.round, c.forming = readRound{}, nil
+		c.Take()
+		if lease, _ := served(t, c, t0); !lease {
+			t.Fatal("no lease on three of four")
+		}
+	})
+	t.Run("a leader that started a transfer confirms by rounds for the rest of its term", func(t *testing.T) {
+		c := leading(t)
+		c.Transfer()
+		if msgs := c.Take().Msgs; len(msgs) != 1 || msgs[0].TimeoutNow == nil {
+			t.Fatalf("transfer sent %+v", msgs)
+		}
+		if lease, _ := served(t, c, t0); lease {
+			t.Fatal("served under the lease its successor's voters no longer honour")
+		}
+	})
+	t.Run("a voter withholds for ElectionTimeoutMin after it accepted a leader", func(t *testing.T) {
+		c := following(t)
+		if r := vote(t, c, t0.Add(etmin-1), candidate); !withheld(c, r, 1, "sm://peer-a") {
+			t.Fatalf("reply %+v, member at term %d following %q: want a refusal in term 1 and nothing adopted", r, c.term, c.leader)
+		}
+		// Left alone it campaigns past the term it was asked in: the one who
+		// asked voted for itself there.
+		c.Tick(c.Deadline())
+		if msgs := c.Take().Msgs; c.term != 6 || len(msgs) != 2 || msgs[0].Vote.Term != 6 {
+			t.Fatalf("campaign in term %d after withholding in term 5: %+v", c.term, msgs)
+		}
+		c = following(t)
+		if r := vote(t, c, lapsed, candidate); !r.Granted || r.Term != 5 {
+			t.Fatalf("reply %+v once the promise ran out", r)
+		}
+	})
+	t.Run("a leader withholds while its lease is valid", func(t *testing.T) {
+		c := leading(t)
+		if r := vote(t, c, t0.Add(span-1), candidate); !withheld(c, r, 1, ruleSelf) || !c.IsLeader() {
+			t.Fatalf("reply %+v, leader=%v at term %d", r, c.IsLeader(), c.term)
+		}
+		if r := vote(t, c, t0.Add(span), candidate); !r.Granted || c.IsLeader() {
+			t.Fatalf("reply %+v, leader=%v once the lease ran out", r, c.IsLeader())
+		}
+	})
+	t.Run("a member that never had a leader withholds nothing", func(t *testing.T) {
+		c := ruleCore(t, NewMemoryStore(), nil, 0)
+		if r := vote(t, c, t0, candidate); !r.Granted {
+			t.Fatalf("reply %+v at a cold start", r)
+		}
+	})
+	t.Run("a restart remembers nothing, so boot counts as a contact", func(t *testing.T) {
+		c := ruleCore(t, NewMemoryStore(), entriesUpTo(3, 2), 2)
+		if r := vote(t, c, t0.Add(etmin-1), candidate); !withheld(c, r, 2, "") {
+			t.Fatalf("reply %+v, term %d: a member that may have promised a leader its patience granted", r, c.term)
+		}
+		if r := vote(t, c, lapsed, candidate); !r.Granted {
+			t.Fatalf("reply %+v an election timeout after boot", r)
+		}
+	})
+	t.Run("the campaign a departing leader asked for is not withheld from, and says so", func(t *testing.T) {
+		c := following(t)
+		asked := candidate
+		asked.Transfer = true
+		if r := vote(t, c, t0, asked); !r.Granted || r.Term != 5 {
+			t.Fatalf("reply %+v to a transfer's candidate", r)
+		}
+		transfers := func(msgs []Message) (n int) {
+			for _, m := range msgs {
+				if m.Vote != nil && m.Vote.Transfer {
+					n++
+				}
+			}
+			return n
+		}
+		f := following(t)
+		f.TimeoutNow(t0, &timeoutNowArgs{appendEntriesArgs{Term: 1, Leader: "sm://peer-a"}})
+		if msgs := f.Take().Msgs; len(msgs) != 2 || transfers(msgs) != 2 {
+			t.Fatalf("after TimeoutNow: %+v, want two vote requests marked Transfer", msgs)
+		}
+		f.Tick(f.Deadline())
+		if msgs := f.Take().Msgs; len(msgs) != 2 || transfers(msgs) != 0 {
+			t.Fatalf("after a timeout: %+v, want two vote requests not marked", msgs)
+		}
+	})
 }
 
 // TestRestoreThenApplyOrder: a state machine behind the log's first
@@ -865,9 +1126,10 @@ func TestHeldRequests(t *testing.T) {
 	if c.Hold(t0, "b") {
 		t.Fatal("a follower that can name its leader held a request")
 	}
-	// A vote request from a newer term un-names the leader: the member
-	// holds again, and nothing happens until the bound.
-	if _, err := c.RequestVote(t0, &requestVoteArgs{Term: 2, Candidate: "sm://peer-b"}); err != nil || c.Leader() != "" {
+	// A vote request from a newer term, once the member listens to one,
+	// un-names the leader: the member holds again, and nothing happens
+	// until the bound.
+	if _, err := c.RequestVote(lapsed, &requestVoteArgs{Term: 2, Candidate: "sm://peer-b"}); err != nil || c.Leader() != "" {
 		t.Fatalf("leader %q after voting in a newer term (%v)", c.Leader(), err)
 	}
 	c.Take()
@@ -1089,11 +1351,20 @@ func TestLedgerRules(t *testing.T) {
 			c.Persisted(t0, c.Take().Persist[0].Seq, storeErr)
 			return c, c.Take(), ApplyTask{}
 		}, []exit{{"done", "w", storeErr}}},
-		{"round confirmed", func(t *testing.T) (*Core, Effects, ApplyTask) {
+		{"confirmed under the lease", func(t *testing.T) (*Core, Effects, ApplyTask) {
 			c, _ := leading(t)
 			c.Read(t0, "r", never)
+			if eff := c.Take(); len(eff.Reads) != 0 || len(eff.Msgs) != 0 {
+				t.Fatalf("resolved before its read index was applied, or probed for: %+v", eff)
+			}
+			c.Applied(1)
+			return c, c.Take(), ApplyTask{}
+		}, []exit{{"round", "r", nil}}},
+		{"round confirmed", func(t *testing.T) (*Core, Effects, ApplyTask) {
+			c, _ := leading(t)
+			c.Read(lapsed, "r", never)
 			for _, m := range c.Take().Msgs {
-				c.AppendReply(t0, m, &appendEntriesReply{Term: 1})
+				c.AppendReply(lapsed, m, &appendEntriesReply{Term: 1})
 			}
 			if eff := c.Take(); len(eff.Reads) != 0 {
 				t.Fatalf("round resolved before its read index was applied: %+v", eff.Reads)
@@ -1103,8 +1374,8 @@ func TestLedgerRules(t *testing.T) {
 		}, []exit{{"round", "r", nil}}},
 		{"round failed", func(t *testing.T) (*Core, Effects, ApplyTask) {
 			c, _ := leading(t)
-			c.Read(t0, "r", never)
-			c.Tick(t0.Add(c.cfg.ElectionTimeoutMin))
+			c.Read(lapsed, "r", never)
+			c.Tick(lapsed.Add(c.cfg.ElectionTimeoutMin))
 			return c, c.Take(), ApplyTask{}
 		}, []exit{{"round", "r", ErrTimeout}}},
 		{"deadline passed at a leader cut off from its quorum", func(t *testing.T) (*Core, Effects, ApplyTask) {
@@ -1147,7 +1418,7 @@ func TestLedgerRules(t *testing.T) {
 			c.Applied(1)
 			c.Compact([]byte("fsm"), "s")
 			c.Propose(t0, []byte("x"), "w", never)
-			c.Read(t0, "r", never)
+			c.Read(lapsed, "r", never) // in a round: the lease would have served it
 			// Log traffic waiting for the disk, as a follower keeps it.
 			c.acks = append(c.acks, request{tag: "a", index: 9, term: 1})
 			if eff := c.Take(); len(exits(eff, ApplyTask{})) != 0 || c.outstanding() != 4 || s.LastIndex() != 1 {

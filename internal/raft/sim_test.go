@@ -22,7 +22,10 @@ import (
 // behind a simulated disk: every message, timer, disk write, fault,
 // crash and client operation of a run derives from one seed, so two
 // runs of a seed execute the same events in the same order (checked by
-// trace hash) and a failing seed is its own reproduction. A Persist
+// trace hash) and a failing seed is its own reproduction. Every member
+// reads the time off a clock of its own, which runs at a seeded rate
+// within 5 % of true: nothing a core decides may rest on two members
+// agreeing what time it is, or how fast it passes. A Persist
 // reaches the store, and the core hears Persisted, after seeded virtual
 // time; a crash takes every write still on its way. After every event
 // the harness checks election safety, log matching, leader completeness
@@ -75,6 +78,15 @@ type raftSimConfig struct {
 	// (TestRaftSimCatchesForgottenTag): a proposal whose entry a newer
 	// leader overwrote drops out of the ledger unanswered.
 	fastRestart, neverRelease, forgetOverwritten bool
+	// The four ways of getting the lease wrong
+	// (TestRaftSimCatchesBrokenLease). grantInsideLease: a member's last
+	// contact with its leader is wiped just before it handles a
+	// RequestVote, so it never withholds. forgetContactOnRestart: a member
+	// that restarts does not count its boot as a contact.
+	// leaseSurvivesTransfer: a leader that has told a successor to campaign
+	// goes on trusting its lease. leaseFromReply: the lease counts from when
+	// an acknowledgement arrived, not from when what it acknowledges left.
+	grantInsideLease, forgetContactOnRestart, leaseSurvivesTransfer, leaseFromReply bool
 }
 
 // The disks of the seed matrix: one faster than a network round trip
@@ -176,6 +188,7 @@ type opReg struct {
 type simMember struct {
 	id    int32
 	addr  string
+	rate  float64      // of its clock: seconds it counts per true second
 	store *MemoryStore // what the disk holds: survives crashes
 	core  *Core        // nil while crashed
 	fsm   *simFSM
@@ -259,6 +272,15 @@ type raftSim struct {
 	booted, firstCommit, exitAt time.Time
 	exiting                     int32 // the member on its way out, -1 if none
 	exitGap                     time.Duration
+	// lostAt is when the schedule last took the leader away — crashed it,
+	// cut it off or left it in the minority — and gaps how long the group
+	// then went, each time, before an entry was committed again.
+	lostAt time.Time
+	gaps   []time.Duration
+	// ackLag is how much longer than any other message an answer to log
+	// traffic or to a probe takes on its way to slowAcks (nil: nobody).
+	slowAcks *simMember
+	ackLag   time.Duration
 
 	elections, restores, holds int
 	err                        error
@@ -274,8 +296,10 @@ type raftSimResult struct {
 	// exit (zero when there was none).
 	Holds              int
 	ColdStart, ExitGap time.Duration
-	History            []sim.Op
-	Err                error
+	// Gaps are the commit gaps after each unplanned loss of the leader.
+	Gaps    []time.Duration
+	History []sim.Op
+	Err     error
 }
 
 func (r *raftSimResult) String() string {
@@ -305,6 +329,11 @@ func runRaftSim(cfg raftSimConfig) *raftSimResult {
 		}
 		partStart := 2*time.Second + time.Duration(s.Rand().Int63n(int64(time.Second)))
 		partitions = []sim.PartitionWindow{{Start: partStart, End: partStart + 1500*time.Millisecond, Left: left}}
+		s.At(partStart, func() {
+			if m := h.leader(); m != nil && h.net.Partitioned(m.id, int32(perm[cfg.Nodes-1]), s.Now()) {
+				h.lost() // the leader is on the minority's side
+			}
+		})
 	}
 	h.net = sim.NewNet(cfg.Nodes, cfg.Seed, time.Millisecond, time.Millisecond, cfg.Faults, h.start, partitions)
 
@@ -313,7 +342,7 @@ func runRaftSim(cfg raftSimConfig) *raftSimResult {
 		h.byAddr[h.addrs[i]] = int32(i)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		m := &simMember{id: int32(i), addr: h.addrs[i], store: NewMemoryStore()}
+		m := &simMember{id: int32(i), addr: h.addrs[i], rate: 0.95 + 0.1*s.Rand().Float64(), store: NewMemoryStore()}
 		h.members = append(h.members, m)
 		var at time.Duration
 		if cfg.Stagger > 0 {
@@ -347,7 +376,7 @@ func runRaftSim(cfg raftSimConfig) *raftSimResult {
 	r := &raftSimResult{
 		TraceHash: s.Trace.Hash(), TraceCount: s.Trace.Count(), Events: s.Events(),
 		Ops: len(h.history), Elections: h.elections, Restores: h.restores, Holds: h.holds,
-		ColdStart: h.firstCommit.Sub(h.booted), ExitGap: h.exitGap, History: h.history, Err: h.err,
+		ColdStart: h.firstCommit.Sub(h.booted), ExitGap: h.exitGap, Gaps: h.gaps, History: h.history, Err: h.err,
 	}
 	if h.firstCommit.IsZero() {
 		r.ColdStart = math.MaxInt64
@@ -358,9 +387,10 @@ func runRaftSim(cfg raftSimConfig) *raftSimResult {
 // faultSchedule is what every seed of the matrix goes through besides
 // the partition window and the message faults: a seeded victim crashes
 // and restarts on a seeded schedule. Later whoever leads is cut off from
-// everyone while it keeps running — the deposed leader that still
-// believes it leads — later still whoever leads then crashes, and in the
-// end the power fails.
+// every member while it keeps running and the clients still reach it —
+// the deposed leader that still believes it leads, and answers reads for
+// as long as it trusts its lease — later still whoever leads then
+// crashes, and in the end the power fails.
 func (h *raftSim) faultSchedule(victim int32) {
 	s := h.sim
 	crashAt := 5*time.Second + time.Duration(s.Rand().Int63n(int64(time.Second)))
@@ -369,6 +399,7 @@ func (h *raftSim) faultSchedule(victim int32) {
 	s.At(7500*time.Millisecond, func() {
 		if m := h.leader(); m != nil {
 			h.net.SetDown(m.id, true)
+			h.lost()
 			s.At(1200*time.Millisecond, func() { h.net.SetDown(m.id, m.core == nil) })
 		}
 	})
@@ -388,6 +419,13 @@ func (h *raftSim) faultSchedule(victim int32) {
 	}
 }
 
+// lost notes that the group has just been deprived of its leader.
+func (h *raftSim) lost() {
+	if h.lostAt.IsZero() {
+		h.lostAt = h.sim.Now()
+	}
+}
+
 // leader returns a running member that believes it leads, if any.
 func (h *raftSim) leader() *simMember {
 	for _, m := range h.members {
@@ -404,11 +442,24 @@ func (h *raftSim) failf(format string, args ...interface{}) {
 	}
 }
 
+// now is what m's clock reads: the clocks agreed when the run started
+// and have each kept their own pace since. until is how long from now,
+// in true time, before it reads at.
+func (h *raftSim) now(m *simMember) time.Time {
+	return h.start.Add(time.Duration(float64(h.sim.Now().Sub(h.start)) * m.rate))
+}
+
+func (h *raftSim) until(m *simMember, at time.Time) time.Duration {
+	// Two nanoseconds late rather than one early to rounding: a timer that
+	// fires before its member's clock says so would be armed again at once.
+	return h.start.Add(time.Duration(float64(at.Sub(h.start))/m.rate) + 2).Sub(h.sim.Now())
+}
+
 // boot starts (or restarts) a member on its surviving store with a
 // fresh state machine.
 func (h *raftSim) boot(m *simMember) {
 	rng := rand.New(rand.NewSource(h.cfg.Seed*1_000_003 + int64(m.id)*101 + int64(m.epoch)))
-	now := h.sim.Now()
+	now := h.now(m)
 	core, err := NewCore("sim", m.addr, h.addrs, m.store, h.cfg.Protocol, rng, now)
 	if err != nil {
 		h.failf("n%d: NewCore: %v", m.id, err)
@@ -418,6 +469,9 @@ func (h *raftSim) boot(m *simMember) {
 		// Broken twin: a member that has had a leader is as impatient as
 		// one that never did.
 		core.electionAt = now.Add(time.Duration(h.sim.Rand().Int63n(int64(h.cfg.Protocol.HeartbeatInterval))))
+	}
+	if h.cfg.forgetContactOnRestart {
+		core.contact = time.Time{}
 	}
 	m.core, m.fsm, m.in, m.out = core, &simFSM{kv: map[string]string{}}, 0, 0
 	m.role, m.seenCommit, m.armed, m.diskFree = Follower, 0, time.Time{}, time.Time{}
@@ -431,6 +485,9 @@ func (h *raftSim) crash(id int32) {
 		return
 	}
 	h.sim.Trace.Record(h.sim.Now(), evCrash, id, -1, m.core.term)
+	if m.core.IsLeader() {
+		h.lost()
+	}
 	h.net.SetDown(id, true)
 	m.core, m.fsm = nil, nil
 	m.epoch++
@@ -472,8 +529,11 @@ func (h *raftSim) settle(m *simMember) {
 			// durable.
 			durable := m.core.persisted
 			m.core.persisted = m.core.lastIndex()
-			m.core.advanceCommit(h.sim.Now())
+			m.core.advanceCommit(h.now(m))
 			m.core.persisted = durable
+		}
+		if h.cfg.leaseSurvivesTransfer {
+			m.core.transferred = false
 		}
 		if h.cfg.forgetOverwritten {
 			// Broken twin: whoever waits where another term's entry now is.
@@ -567,7 +627,7 @@ func (h *raftSim) write(m *simMember, p Persist) {
 			return
 		}
 		m.version++
-		m.core.Persisted(h.sim.Now(), p.Seq, nil)
+		m.core.Persisted(h.now(m), p.Seq, nil)
 		h.settle(m)
 	})
 }
@@ -575,12 +635,12 @@ func (h *raftSim) write(m *simMember, p Persist) {
 func (h *raftSim) arm(m *simMember, d time.Time) {
 	m.armed = d
 	epoch := m.epoch
-	h.sim.At(d.Sub(h.sim.Now()), func() {
+	h.sim.At(h.until(m, d), func() {
 		if h.err != nil || m.epoch != epoch || m.core == nil || !m.armed.Equal(d) {
 			return
 		}
 		m.armed = time.Time{}
-		if now := h.sim.Now(); !m.core.Deadline().After(now) {
+		if now := h.now(m); !m.core.Deadline().After(now) {
 			m.core.Tick(now)
 		}
 		h.settle(m)
@@ -641,26 +701,36 @@ func (h *raftSim) send(from *simMember, msg Message) {
 		if dst.core == nil {
 			return
 		}
-		now := h.sim.Now()
+		at, now := h.sim.Now(), h.now(dst)
 		// reply carries the answer back, whenever the member gives it.
 		reply := func(vote *requestVoteReply, app *appendEntriesReply) {
-			h.transmit(to, from.id, func() {
-				if from.core == nil || from.epoch != epoch {
-					return
-				}
-				now := h.sim.Now()
-				if vote != nil {
-					h.sim.Trace.Record(now, evReply, to, from.id, vote.Term<<1|b2u(vote.Granted))
-					from.core.VoteReply(now, msg, vote)
-				} else {
-					h.sim.Trace.Record(now, evReply, to, from.id, app.Term<<1|b2u(app.Success))
-					from.core.AppendReply(now, msg, app)
-				}
-				h.settle(from)
-			})
+			carry := func() {
+				h.transmit(to, from.id, func() {
+					if from.core == nil || from.epoch != epoch {
+						return
+					}
+					at, now := h.sim.Now(), h.now(from)
+					if vote != nil {
+						h.sim.Trace.Record(at, evReply, to, from.id, vote.Term<<1|b2u(vote.Granted))
+						from.core.VoteReply(now, msg, vote)
+					} else {
+						h.sim.Trace.Record(at, evReply, to, from.id, app.Term<<1|b2u(app.Success))
+						if h.cfg.leaseFromReply {
+							msg.Sent = now // broken twin: as if it had only just left
+						}
+						from.core.AppendReply(now, msg, app)
+					}
+					h.settle(from)
+				})
+			}
+			if app != nil && from == h.slowAcks {
+				h.sim.At(h.ackLag, carry)
+			} else {
+				carry()
+			}
 		}
 		if msg.TimeoutNow != nil {
-			h.sim.Trace.Record(now, evDeliver, from.id, to, (msg.TimeoutNow.PrevLogIndex+uint64(len(msg.TimeoutNow.Entries)))<<8|4)
+			h.sim.Trace.Record(at, evDeliver, from.id, to, (msg.TimeoutNow.PrevLogIndex+uint64(len(msg.TimeoutNow.Entries)))<<8|4)
 			dst.core.TimeoutNow(now, msg.TimeoutNow) // nobody waits for the reply
 			h.settle(dst)
 			return
@@ -669,7 +739,10 @@ func (h *raftSim) send(from *simMember, msg Message) {
 			if h.cfg.forgetVotes {
 				dst.core.votedFor = ""
 			}
-			h.sim.Trace.Record(now, evDeliver, from.id, to, msg.Vote.Term<<8|1)
+			if h.cfg.grantInsideLease {
+				dst.core.contact = time.Time{}
+			}
+			h.sim.Trace.Record(at, evDeliver, from.id, to, msg.Vote.Term<<8|1)
 			vote, err := dst.core.RequestVote(now, msg.Vote)
 			h.settle(dst)
 			if err == nil { // else the member could not persist: it stays silent
@@ -682,10 +755,10 @@ func (h *raftSim) send(from *simMember, msg Message) {
 		dst.in++
 		tag := &opReg{reply: func(app *appendEntriesReply) { reply(nil, app) }}
 		if msg.Snapshot != nil {
-			h.sim.Trace.Record(now, evDeliver, from.id, to, msg.Snapshot.LastIndex<<8|2)
+			h.sim.Trace.Record(at, evDeliver, from.id, to, msg.Snapshot.LastIndex<<8|2)
 			dst.core.InstallSnapshot(now, msg.Snapshot, tag)
 		} else {
-			h.sim.Trace.Record(now, evDeliver, from.id, to, (msg.Append.PrevLogIndex+uint64(len(msg.Append.Entries)))<<8|3)
+			h.sim.Trace.Record(at, evDeliver, from.id, to, (msg.Append.PrevLogIndex+uint64(len(msg.Append.Entries)))<<8|3)
 			dst.core.AppendEntries(now, msg.Append, tag)
 		}
 		if h.cfg.ackBeforeDurable {
@@ -770,7 +843,7 @@ func (h *raftSim) submit(op *clientOp) {
 // begin hands reg's operation to m's core — which, having no leader to
 // name, parks it the first time round instead.
 func (h *raftSim) begin(m *simMember, reg opReg) {
-	op, now, first, t := reg.op, h.sim.Now(), !reg.held, &reg
+	op, now, first, t := reg.op, h.now(m), !reg.held, &reg
 	reg.held, reg.since = true, now
 	m.in++
 	if first && m.core.Hold(now, t) {
@@ -872,8 +945,9 @@ func (h *raftSim) checkInvariants(m *simMember) {
 		return
 	}
 	for _, hd := range m.core.held {
-		if reg := hd.tag.(*opReg); now.Sub(reg.since) > h.cfg.Protocol.ElectionTimeoutMax {
-			h.failf("n%d has held client %d's operation for %v: the bound is %v", m.id, reg.op.client, now.Sub(reg.since), h.cfg.Protocol.ElectionTimeoutMax)
+		reg := hd.tag.(*opReg)
+		if held := h.now(m).Sub(reg.since); held > h.cfg.Protocol.ElectionTimeoutMax { // by the member's clock, like the bound
+			h.failf("n%d has held client %d's operation for %v: the bound is %v", m.id, reg.op.client, held, h.cfg.Protocol.ElectionTimeoutMax)
 			return
 		}
 	}
@@ -900,6 +974,10 @@ func (h *raftSim) checkInvariants(m *simMember) {
 				}
 				if !h.exitAt.IsZero() && h.exitGap == 0 {
 					h.exitGap = now.Sub(h.exitAt) // still 0 for what the leaver itself committed last
+				}
+				if !h.lostAt.IsZero() {
+					h.gaps = append(h.gaps, now.Sub(h.lostAt))
+					h.lostAt = time.Time{}
 				}
 			} else if ref.Term != e.Term || !bytes.Equal(ref.Data, e.Data) {
 				h.failf("n%d commits %d/%q at index %d, %d/%q was committed there", m.id, e.Term, e.Data, idx, ref.Term, ref.Data)
@@ -980,6 +1058,13 @@ func replayLine(t *testing.T, seed int64) string {
 // linearizable. Deterministic per seed: a seed that passes once always
 // passes.
 func TestRaftSimSeedMatrix(t *testing.T) {
+	var gaps []time.Duration
+	defer func() {
+		if len(gaps) > 0 {
+			sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+			t.Logf("no commit after the leader was lost (%d times): median %v, worst %v", len(gaps), gaps[len(gaps)/2], gaps[len(gaps)-1])
+		}
+	}()
 	for _, nodes := range []int{3, 5} {
 		for _, disk := range simDisks {
 			for _, seed := range testutil.SimSeeds(t, 8) {
@@ -992,6 +1077,7 @@ func TestRaftSimSeedMatrix(t *testing.T) {
 						t.Log(replayLine(t, seed))
 						t.Fatal(r.Err)
 					}
+					gaps = append(gaps, r.Gaps...)
 					// The schedule must have exercised what it claims to.
 					if r.Ops < 100 || r.Elections < 2 || r.Restores == 0 {
 						t.Log(replayLine(t, seed))
@@ -1187,7 +1273,7 @@ func TestRaftSimPlannedExit(t *testing.T) {
 	exits := map[string]func(h *raftSim, m *simMember){
 		"stop": func(h *raftSim, m *simMember) { h.stop(m.id) },
 		"remove": func(h *raftSim, m *simMember) {
-			if m.core.ChangeConfig(h.sim.Now(), m.addr, true, nil, time.Time{}) == 0 {
+			if m.core.ChangeConfig(h.now(m), m.addr, true, nil, time.Time{}) == 0 {
 				h.failf("n%d: the leader refused to remove itself", m.id)
 			}
 			h.settle(m)
@@ -1208,6 +1294,8 @@ func TestRaftSimPlannedExit(t *testing.T) {
 		for _, nodes := range []int{3, 5} {
 			for _, faults := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/n=%d/faults=%v", name, nodes, faults), func(t *testing.T) {
+					var worst time.Duration
+					defer func() { t.Logf("worst gap after the exit: %v", worst) }()
 					for _, seed := range testutil.SimSeeds(t, 8) {
 						cfg := quietRaftSimConfig(nodes, seed, scenario)
 						bound := 5*simMaxDelay + cfg.PersistMax
@@ -1220,6 +1308,7 @@ func TestRaftSimPlannedExit(t *testing.T) {
 							t.Log(replayLine(t, seed))
 							t.Fatal(r.Err)
 						}
+						worst = max(worst, r.ExitGap)
 						if r.ExitGap <= 0 || r.ExitGap > bound || r.Ops < 50 {
 							t.Log(replayLine(t, seed))
 							t.Fatalf("seed %d: no commit for %v after the leader left, bound %v (%s)", seed, r.ExitGap, bound, r)
@@ -1334,4 +1423,174 @@ func TestRaftSimCatchesBrokenTiming(t *testing.T) {
 			return cfg
 		}, "has held client")
 	})
+}
+
+// --- the lease ---
+
+// leaseAttack is a schedule that gets a second leader elected, and writes
+// committed under it, while the first is cut off from its peers — not
+// from the clients — and may still trust its lease: harmless when every
+// rule the lease rests on holds, a stale read when one does not. The seed
+// matrix is too kind for that: its members campaign only after their
+// leader has been silent for an election timeout, by which time any lease
+// has run out. Each field is one way a member asks for votes, or answers,
+// sooner.
+type leaseAttack struct {
+	// candidate: a follower is cut off alone until it campaigns, and let
+	// back in the instant before its next attempt: a member with nothing
+	// to catch up on asking for votes while the others still hear the
+	// leader.
+	candidate bool
+	// restart: the other follower crashes and restarts just before.
+	restart bool
+	// transfer: the leader names its successor, and stays.
+	transfer bool
+	// lull: the answers to what the leader sends take that much longer
+	// than other messages, and the cut falls just before its next
+	// heartbeat: what it last sent is at its oldest, the answer at its
+	// newest.
+	lull time.Duration
+}
+
+func (atk leaseAttack) scenario(h *raftSim) {
+	for at := time.Second; at < h.cfg.Duration-1500*time.Millisecond; at += 1300 * time.Millisecond {
+		h.sim.At(at, func() { atk.episode(h) })
+	}
+}
+
+// writes switches the writing clients' puts on or off.
+func (h *raftSim) writes(on bool) {
+	for _, cl := range h.clients[1:] {
+		cl.putFrac = 0
+		if on {
+			cl.putFrac = 0.5
+		}
+	}
+}
+
+func (atk leaseAttack) episode(h *raftSim) {
+	a := h.leader()
+	var others []*simMember
+	for _, m := range h.members {
+		if m != a && m.core != nil {
+			others = append(others, m)
+		}
+	}
+	if a == nil || len(others) < 2 {
+		return
+	}
+	b, c := others[0], others[1]
+	// From here to the cut nothing is appended: whoever campaigns has the
+	// whole log, and only heartbeats leave the leader.
+	h.writes(false)
+	h.net.SetDown(c.id, atk.candidate)
+	if atk.lull > 0 {
+		h.slowAcks, h.ackLag = a, atk.lull
+	}
+	strike := func() {
+		if atk.transfer {
+			a.core.Transfer()
+			h.settle(a)
+		}
+		h.net.SetDown(a.id, true)
+		h.net.SetDown(c.id, false)
+		// The reader stays with the leader it knows; the writers go to its
+		// successor the moment there is one.
+		h.clients[0].guess = a.id
+		var follow func()
+		follow = func() {
+			for _, m := range h.members {
+				if m != a && m.core != nil && m.core.IsLeader() {
+					h.writes(true)
+					for _, cl := range h.clients[1:] {
+						cl.seed = m.id
+					}
+					return
+				}
+			}
+			if h.net.Down(a.id) {
+				h.sim.At(2*time.Millisecond, follow)
+			}
+		}
+		follow()
+		h.sim.At(450*time.Millisecond, func() {
+			h.net.SetDown(a.id, a.core == nil)
+			h.slowAcks = nil
+			h.writes(true)
+			for _, cl := range h.clients[1:] {
+				cl.seed = -1
+			}
+		})
+	}
+	var aim func()
+	aim = func() {
+		wait := 10 * time.Millisecond
+		switch {
+		case atk.candidate:
+			wait = h.until(c, c.core.electionAt)
+		case atk.lull > 0:
+			wait = h.until(a, a.core.heartbeatAt)
+		}
+		if wait < 10*time.Millisecond {
+			h.sim.At(wait+time.Millisecond, aim) // too close: the one after
+			return
+		}
+		if atk.restart {
+			h.sim.At(wait-7*time.Millisecond, func() { h.crash(b.id) })
+			h.sim.At(wait-4*time.Millisecond, func() { h.restart(b.id) })
+		}
+		h.sim.At(wait-time.Millisecond, strike)
+	}
+	h.sim.At(350*time.Millisecond, aim)
+}
+
+// TestRaftSimCatchesBrokenLease: the four rules that make a read under
+// the lease safe, each broken by a hook in this file on an untouched Core
+// and each, under the schedule that leans on it, answered by a history
+// the checker rejects: a voter that does not withhold, a restarted member
+// that does not count its boot as a contact, a leader that trusts its
+// lease after naming a successor, and a lease counted from when an
+// acknowledgement arrived instead of from when what it acknowledges left.
+func TestRaftSimCatchesBrokenLease(t *testing.T) {
+	twins := []struct {
+		name    string
+		nodes   int
+		attack  leaseAttack
+		breakIt func(cfg *raftSimConfig)
+	}{
+		{"grantInsideLease", 3, leaseAttack{candidate: true}, func(cfg *raftSimConfig) { cfg.grantInsideLease = true }},
+		{"forgetContactOnRestart", 3, leaseAttack{candidate: true, restart: true}, func(cfg *raftSimConfig) { cfg.forgetContactOnRestart = true }},
+		{"leaseSurvivesTransfer", 3, leaseAttack{transfer: true}, func(cfg *raftSimConfig) { cfg.leaseSurvivesTransfer = true }},
+		{"leaseFromReply", 5, leaseAttack{lull: 80 * time.Millisecond}, func(cfg *raftSimConfig) { cfg.leaseFromReply = true }},
+	}
+	for _, tw := range twins {
+		config := func(seed int64) raftSimConfig {
+			cfg := quietRaftSimConfig(tw.nodes, seed, tw.attack.scenario)
+			cfg.Duration = 8 * time.Second
+			if tw.attack.lull > 0 {
+				// Heartbeats far apart and timers close together: the followers'
+				// patience starts long before the leader hears that it did, and
+				// ends soon after the leader's own should have.
+				cfg.Protocol.HeartbeatInterval = 100 * time.Millisecond
+				cfg.Protocol.ElectionTimeoutMax = 200 * time.Millisecond
+			}
+			return cfg
+		}
+		t.Run(tw.name+"/sound", func(t *testing.T) { // the schedule alone breaks nothing
+			for _, seed := range testutil.SimSeeds(t, 8) {
+				r := runRaftSim(config(seed))
+				if r.Err != nil || r.Elections < 3 {
+					t.Log(replayLine(t, seed))
+					t.Fatalf("%v (%s)", r.Err, r)
+				}
+			}
+		})
+		t.Run(tw.name, func(t *testing.T) {
+			caughtBy(t, func(seed int64) raftSimConfig {
+				cfg := config(seed)
+				tw.breakIt(&cfg)
+				return cfg
+			}, "not linearizable")
+		})
+	}
 }

@@ -20,6 +20,9 @@ type requestVoteArgs struct {
 	Candidate    string
 	LastLogIndex uint64
 	LastLogTerm  uint64
+	// Transfer: the leader told the candidate to campaign (TimeoutNow), so
+	// voters do not withhold on that leader's account.
+	Transfer bool
 }
 
 func (a *requestVoteArgs) Proc(p *codec.Proc) {
@@ -28,6 +31,7 @@ func (a *requestVoteArgs) Proc(p *codec.Proc) {
 	p.String(&a.Candidate)
 	p.Uint64(&a.LastLogIndex)
 	p.Uint64(&a.LastLogTerm)
+	p.Bool(&a.Transfer)
 }
 
 type requestVoteReply struct {

@@ -19,17 +19,23 @@
 # bound — better (ten pairs or more, at least 9/10 of them won and medians
 # further apart than the parent's quartiles), worse (the change's median beyond the
 # bound), unresolved (the parent's quartiles further apart than the
-# bound, or a lean that is neither), else within bound — and `make loc`
-# of both sides.
+# bound, or a lean that is neither), else within bound — then, not judged,
+# each side's median of every diagnostic named in DIAG, which is how a
+# verdict gets its mechanism from the instrument ("rounds per read 1.00 ->
+# 0.00") instead of from prose; pairs.json keeps those medians too — and
+# `make loc` of both sides.
 #
 # OUT=<dir> chooses where results go (default: a fresh directory under
-# ${TMPDIR:-/tmp}).
+# ${TMPDIR:-/tmp}). DIAG="name ..." lists the diagnostics: any metric name
+# a run's JSON has (default: window.raft.readindex_rounds_per_read p99_us);
+# one a workload does not report reads n/a.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
+	sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
 	exit 2
 fi
+DIAG="${DIAG:-window.raft.readindex_rounds_per_read p99_us}"
 parent_ref=$1
 workload=$2
 shift 2
@@ -48,7 +54,7 @@ mkdir -p "$out"
 parent_commit="$(git -C "$root" rev-parse "$parent_ref")"
 cp "$(git -C "$root" rev-parse --absolute-git-dir)/index" "$out/index"
 change_tree="$(GIT_INDEX_FILE="$out/index" git -C "$root" add -A && GIT_INDEX_FILE="$out/index" git -C "$root" write-tree)"
-trap 'rm -rf "$out/parent" "$out/change" "$out/index"' EXIT
+trap 'rm -rf "$out/parent" "$out/change" "$out/index" "$out/diag"' EXIT
 
 # checkout <side> <tree-ish>: the side's sources in <out>/<side>, and its
 # benchmark built there with bench/run.sh's own settings.
@@ -83,7 +89,7 @@ for pair in $(seq 1 "$pairs"); do
 	done
 done
 
-# metric <file> <name>: the end-to-end metric's value in a run's JSON,
+# metric <file> <name>: a metric's value in a run's JSON,
 # whose layout is one "name" line followed by one "value" line.
 metric() {
 	awk -v name="\"$2\"" '
@@ -92,12 +98,42 @@ metric() {
 	' "$1"
 }
 
+# quartiles: q1 median q3 of the numbers on stdin.
+quartiles() {
+	sort -g | awk '{ v[NR] = $1 } END {
+		q = int((NR + 3) / 4)
+		printf "%g %g %g\n", v[q], (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) / 2, v[NR + 1 - q]
+	}'
+}
+
+# $out/diag: one line per diagnostic in DIAG — name, parent median, change
+# median over all pairs; n/a for a side none of whose runs reports it.
+for name in $DIAG; do
+	line=$name
+	for side in parent change; do
+		vals=$(for pair in $(seq 1 "$pairs"); do metric "$out/$pair-$side.json" "$name"; done)
+		if [ -z "$vals" ]; then
+			line="$line n/a"
+		else
+			line="$line $(echo "$vals" | quartiles | cut -d' ' -f2)"
+		fi
+	done
+	echo "$line"
+done >"$out/diag"
+
 {
 	echo "{"
 	echo "  \"workload\": \"$workload\","
 	echo "  \"parent\": \"$parent_commit\","
 	echo "  \"change_tree\": \"$change_tree\","
 	echo "  \"pairs\": $pairs,"
+	echo "  \"diag_medians\": {"
+	sep=""
+	while read -r name pm cm; do
+		printf '%s    "%s": {"parent": "%s", "change": "%s"}' "$sep" "$name" "$pm" "$cm"
+		sep=$',\n'
+	done <"$out/diag"
+	printf '\n  },\n'
 	echo "  \"runs\": ["
 	n=$(wc -l <"$out/order")
 	i=0
@@ -110,14 +146,6 @@ metric() {
 	echo "  ]"
 	echo "}"
 } >"$out/pairs.json"
-
-# quartiles: q1 median q3 of the numbers on stdin.
-quartiles() {
-	sort -g | awk '{ v[NR] = $1 } END {
-		q = int((NR + 3) / 4)
-		printf "%g %g %g\n", v[q], (v[int((NR + 1) / 2)] + v[int(NR / 2) + 1]) / 2, v[NR + 1 - q]
-	}'
-}
 
 # verdict <better> <wins> <losses> <parent q1 median q3> <change median> <bound>:
 # the rules of the simplicity-review guide, applied mechanically. Ties
@@ -164,6 +192,11 @@ awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
 		printf '%-10s %-7s %12s %12s %12s   %s\n' "$name" change "$cq1" "$cmed" "$cq3" "$wins/$pairs pairs, worse in $losses"
 		printf '%-10s %-7s %s (bound %s)\n' "$name" verdict "$(verdict "$better" "$wins" "$losses" "$pq1" "$pmed" "$pq3" "$cmed" "$bound")" "$bound"
 	done
+echo
+echo "diagnostics, median per side (not judged):"
+while read -r name pm cm; do
+	printf '%-45s parent %12s   change %12s\n' "$name" "$pm" "$cm"
+done <"$out/diag"
 echo
 echo "make loc: parent $(loc parent), change $(loc change)"
 echo "every run: $out/pairs.json"
