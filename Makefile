@@ -49,11 +49,15 @@ reshard-soak:
 		-timeout 900s ./internal/yokan/router/
 
 # Deterministic simulation suite (DESIGN.md §14, EXPERIMENTS.md E14).
-# Five legs, in order:
-#   1. the SWIM core: its purity check and probe-round rule tables
-#      (internal/ssg), then on sim.Net the 1k-node seed matrix (SIM_SEEDS
-#      seeds), the replay and partition-heal tests and the broken-
-#      refutation twin, under the race detector;
+# Five legs, in order; both cores run on one harness (sim.Harness, DESIGN.md
+# §17), every simulated member on a clock of its own seeded pace (±5 %):
+#   1. the SWIM core: its purity check and every rule table (any test
+#      named *Rules, internal/ssg), then the skewed-clock 1k-node seed
+#      matrix (SIM_SEEDS seeds) with the ledger check after every step
+#      (tags handed to an engine = tags handed back + ping-reqs kept), the
+#      replay and partition-heal tests and two broken twins (a refutation
+#      without the incarnation bump; forgetRelay, a timed-out ping-req
+#      dropped unanswered), under the race detector;
 #   2. the raft core on sim.Net: SIM_SEEDS seeds of 3- and 5-member
 #      groups, each on a simulated disk faster and on one slower than
 #      the network, under loss/dup/delay, a partition, crash-restarts
@@ -69,8 +73,7 @@ reshard-soak:
 #      forgets it may have promised, a lease that survives a transfer and
 #      one counted from the reply), each of which must fail, and the
 #      no-fault scenarios for cold start, planned leader exits and held
-#      requests, every member on a clock of its own pace, under the race
-#      detector;
+#      requests, under the race detector;
 #   3. the live-raft linearizability harness under -race at a few seeds
 #      (races surface independent of history count);
 #   4. the full SIM_HISTORIES-seed linearizability sweep plus the
@@ -87,9 +90,9 @@ SIM_HISTORIES ?= 100
 SIM_SOAK_MS ?=
 sim:
 	$(GO) test -race -count=1 -timeout 300s \
-		-run 'TestEngineIsPure|TestProbeRoundRules|TestRelayRules|TestRefutationBumpsIncarnation|TestPingerBelievedDeadIsTold|TestOversleptRoundRendersNoVerdict|TestSuspicionWindowFollowsGroupSize' ./internal/ssg/
+		-run 'TestEngineIsPure|Rules|TestRefutationBumpsIncarnation|TestPingerBelievedDeadIsTold|TestOversleptRoundRendersNoVerdict|TestSuspicionWindowFollowsGroupSize' ./internal/ssg/
 	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
-		-run 'TestSwimSeedMatrix1k|TestSwimDeterministicReplay|TestSwimPartitionHeals|TestSwimCatchesBrokenRefutation' ./internal/sim/
+		-run 'TestSwimSeedMatrix1k|TestSwimDeterministicReplay|TestSwimPartitionHeals|TestSwimCatchesBrokenRefutation|TestSwimCatchesForgottenRelay' ./internal/sim/
 	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
 		-run 'TestRaftSim' ./internal/raft/
 	SIM_HISTORIES=8 $(GO) test -race -count=1 -timeout 1200s \

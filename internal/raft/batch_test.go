@@ -127,8 +127,8 @@ func (s *gatedStore) appendSizes() []int {
 
 // queuedWrites is how many Persists wait for the writer.
 func (n *Node) queuedWrites() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.drv.Lock()
+	defer n.drv.Unlock()
 	return len(n.queue)
 }
 

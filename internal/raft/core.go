@@ -30,12 +30,11 @@ import (
 // (ApplyTask.Tags), with the round that confirms or fails it
 // (ReadRound), or in a Done with what ended it otherwise; log traffic in
 // its Ack, a held request in Released. Surrender takes whatever is left.
-// A driver therefore keeps no table of requests. Two drivers run it: the
-// live Node (node.go), which wraps one Core in a mutex and wires it to
-// margo RPCs, a timer goroutine, per-peer senders, the one store writer
-// and the one applier; and the deterministic simulator (sim_test.go),
-// which runs a group of Cores single-threaded on sim.Sim + sim.Net with
-// a disk whose writes take seeded virtual time, so the code that grants
+// A driver therefore keeps no table of requests. Two runtimes run it
+// (DESIGN.md §17): the live Node (node.go), one Core on a margo.Driver
+// plus the one store writer and the one applier; and the deterministic
+// simulator (sim_test.go), which runs a group of Cores on sim.Harness
+// with a disk whose writes take seeded virtual time, so the code that grants
 // votes in production is the code whose invariants, the ledger's
 // included, are checked under seeded faults.
 //

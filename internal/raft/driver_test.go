@@ -302,11 +302,12 @@ func TestClientConfigChangeFollowsLeaderHint(t *testing.T) {
 	}
 }
 
-// TestNodeGoroutinesJoinedByStop: elections, reads and writes leave no
-// goroutine behind — timer loop, writer, applier, senders — once the
-// nodes are stopped and their instances finalized (the cluster's
-// cleanup does both when the subtest ends). One member writes to a
-// real file store, so its writer is stopped in the middle of real work.
+// TestNodeGoroutinesJoinedByStop: what the node adds to its driver
+// (TestDriverStopJoinsEveryGoroutine, internal/margo) leaves no goroutine
+// behind either — the writer, stopped in the middle of real work on a
+// file store, the applier, the lanes to a peer that crashed — once the
+// nodes are stopped and their instances finalized (the cluster's cleanup
+// does both when the subtest ends).
 func TestNodeGoroutinesJoinedByStop(t *testing.T) {
 	before := testutil.GoroutineCount()
 	t.Run("cluster", func(t *testing.T) {
@@ -321,7 +322,7 @@ func TestNodeGoroutinesJoinedByStop(t *testing.T) {
 		t.Cleanup(func() { fs.Close() }) // after the node's own cleanup has stopped it
 		single := singleNode(t, fs, newKVFSM(), fastRaftCfg())
 		go func() {
-			for i := 0; single.ctx.Err() == nil; i++ {
+			for i := 0; single.drv.Context().Err() == nil; i++ {
 				_, _ = single.Apply(ctx, []byte(fmt.Sprintf("set s%d v", i)))
 			}
 		}()

@@ -3,6 +3,7 @@ package raft
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -240,8 +241,8 @@ func TestStopAnswersEveryKeptHandle(t *testing.T) {
 	}
 	<-entered
 	await(t, "every request to reach the log", []*Node{node}, func() bool {
-		node.mu.Lock()
-		defer node.mu.Unlock()
+		node.drv.Lock()
+		defer node.drv.Unlock()
 		return node.core.outstanding() == kept
 	})
 	stopped := make(chan struct{})
@@ -272,11 +273,16 @@ type lockFreeStore struct {
 func (s *lockFreeStore) check(call int, name string) {
 	s.calls[call].Add(1)
 	n := s.node.Load()
-	if !n.mu.TryLock() {
-		s.t.Errorf("Store.%s was called with Node.mu held", name)
-		return
+	// Another goroutine may hold the lock for a moment (a test reading
+	// Status, the timer loop); a caller that held it across this call
+	// would hold it for as long as the check waits.
+	for start := time.Now(); !n.drv.TryLock(); runtime.Gosched() {
+		if time.Since(start) > time.Second {
+			s.t.Errorf("Store.%s was called with the node's lock held", name)
+			return
+		}
 	}
-	n.mu.Unlock()
+	n.drv.Unlock()
 }
 
 func (s *lockFreeStore) Append(entries []LogEntry) error {
@@ -296,7 +302,7 @@ func (s *lockFreeStore) SaveSnapshot(index, term uint64, data []byte) error {
 
 // TestStoreWritesHappenOutsideTheLock drives a follower through an
 // append, a conflicting overwrite, a snapshot install and a local
-// compaction: every store write they cause finds Node.mu free.
+// compaction: every store write they cause finds the node's lock free.
 func TestStoreWritesHappenOutsideTheLock(t *testing.T) {
 	h := newHandDriven(t)
 	fs, err := NewFileStore(t.TempDir(), false)
@@ -413,9 +419,9 @@ func TestSampledRequestRecordsItsOwnSpan(t *testing.T) {
 		t.Fatalf("a read served under the lease recorded a round: %v", got["round"])
 	}
 	// The same leader without its lease, as after a transfer: a round.
-	leader.mu.Lock()
+	leader.drv.Lock()
 	leader.core.transferred = true
-	leader.mu.Unlock()
+	leader.drv.Unlock()
 	if out, err := client.Read(ctx, []byte("get k")); err != nil || string(out) != "w" {
 		t.Fatalf("read: %q, %v", out, err)
 	}

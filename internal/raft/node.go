@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"mochi/internal/clock"
@@ -73,7 +72,7 @@ type outcome struct {
 // waiter is one proposal, configuration change, read or snapshot on its
 // way through the group, and the tag the core knows it by: the node
 // keeps it nowhere. When the core hands it back — beside its entry, with
-// its round, in a Done — resolve is called, once, with mu released. The
+// its round, in a Done — resolve is called, once, with the lock released. The
 // blocking API's resolve writes to a channel; an RPC's answers its kept
 // handle, unless the answer is "no leader" and the request can still be
 // held.
@@ -118,28 +117,15 @@ const (
 
 var phases = [...]string{"persist", "replicate", "round"}
 
-// after is what a step leaves to do once mu is released: answers to
-// kept AppendEntries and InstallSnapshot handles, resolutions, and held
-// requests to start again.
-type after struct {
-	acks  []Ack
-	done  []resolved
-	again []interface{}
-}
-
-type resolved struct {
-	w *waiter
-	o outcome
-}
-
-// lanes are the two mailboxes of one peer: log traffic (votes,
-// AppendEntries, InstallSnapshot) and ReadIndex probes. Each holds the
-// latest message only — the core retransmits on its heartbeat, so a
-// message that was never sent is replaced, not queued. Probes have
-// their own lane so a read never waits behind an AppendEntries that is
-// already on the wire.
-type lanes struct {
-	log, probe chan Message
+// reply is what a step leaves for after the driver's lock, in order: an
+// answer to kept log traffic (ack.Tag set), Stop's handover (send), a
+// held request to start again (again), or w's resolution with o.
+type reply struct {
+	ack   Ack
+	send  *Message
+	w     *waiter
+	o     outcome
+	again bool
 }
 
 // handlers serve every member an instance hosts: a request names its
@@ -167,18 +153,17 @@ var members = margo.NewGroups(func(inst *margo.Instance, lookup func(string) *No
 	)
 })
 
-// Node is one member of a Raft group: the driver of one Core. It owns
-// no protocol state and no table of requests: a request goes into the
-// core as a tag — its *waiter, or the *mercury.Handle of log traffic —
-// and is answered when the core hands the tag back. mu serializes every
-// step of the core, and is never held across a wait: not for the
-// disk (the writer goroutine carries out the core's Persists with mu
-// released), not for a peer, not for the FSM. Five kinds of goroutine
-// exist, all started here or when a peer is first addressed and all
-// joined by Stop: the timer loop, the writer (the only caller of the
-// store's Append, TruncateFrom and SaveSnapshot), the applier (the only
-// caller of the FSM's Apply, ApplyBatch, Restore and Snapshot), and two
-// senders per peer.
+// Node is one member of a Raft group: one Core on a margo.Driver. It
+// owns no protocol state and no table of requests: a request goes into
+// the core as a tag — its *waiter, or the *mercury.Handle of log traffic
+// — and is answered when the core hands the tag back. The driver's lock
+// serializes every step of the core and is never held across a wait: not
+// for the disk (the writer goroutine carries out the core's Persists
+// with it released), not for a peer, not for the FSM. Besides the
+// driver's timer loop and its two lanes per peer, the node runs the
+// writer (the only caller of the store's Append, TruncateFrom and
+// SaveSnapshot) and the applier (the only caller of the FSM's Apply,
+// ApplyBatch, Restore and Snapshot); Stop joins them all.
 type Node struct {
 	inst  *margo.Instance
 	clk   clock.Clock
@@ -188,28 +173,20 @@ type Node struct {
 	store Store
 	cfg   Config
 	met   *nodeMetrics
+	drv   *margo.Driver[reply]
 
-	mu      sync.Mutex
+	// Guarded by the driver's lock.
 	core    *Core
-	stopped bool
-	seen    Transition        // the core's last, for the election metrics
-	since   time.Time         // when the member last lost sight of a leader
-	watch   chan struct{}     // closed at the next step, when somebody asked (changed)
-	sampled []*waiter         // the proposals in the core that carry a span, for mark
-	queue   []Persist         // for the writer, in Seq order
-	run     []LogEntry        // the writer's own: a run of Persists as one write
-	senders map[string]*lanes // by peer address
-	armed   time.Time         // the deadline the timer loop sleeps on
+	seen    Transition                         // the core's last, for the election metrics
+	since   time.Time                          // when the member last lost sight of a leader
+	sampled []*waiter                          // the proposals in the core that carry a span, for mark
+	queue   []Persist                          // for the writer, in Seq order
+	run     []LogEntry                         // the writer's own: a run of Persists as one write
+	senders map[string][2]*margo.Lane[Message] // by peer address: log traffic, probes
 
 	applyWake chan struct{}   // buffered(1): the core has work for the applier
 	writeWake chan struct{}   // buffered(1): the queue has work for the writer
-	rearm     chan struct{}   // buffered(1): the timer loop's deadline moved earlier
 	snapReq   chan chan error // TakeSnapshot requests, served by the applier
-
-	ctx      context.Context // cancelled by Stop
-	cancel   context.CancelFunc
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
 // NewNode creates and starts a Raft member. peers is the initial
@@ -225,33 +202,31 @@ func NewNode(inst *margo.Instance, group string, peers []string, store Store, fs
 		store:     store,
 		cfg:       cfg.withDefaults(),
 		met:       newNodeMetrics(inst.Metrics(), group),
-		senders:   map[string]*lanes{},
+		senders:   map[string][2]*margo.Lane[Message]{},
 		applyWake: make(chan struct{}, 1),
 		writeWake: make(chan struct{}, 1),
-		rearm:     make(chan struct{}, 1),
 		snapReq:   make(chan chan error),
 	}
-	n.ctx, n.cancel = context.WithCancel(context.Background())
 	rng := rand.New(rand.NewSource(int64(mercury.NameToID(n.id + "/" + group))))
-	var err error
 	n.since = n.clk.Now()
-	if n.core, err = NewCore(group, n.id, peers, store, n.cfg, rng, n.since); err == nil {
-		n.seen = Transition{Term: n.core.Status().Term}
-		// Bring the FSM up to the stored snapshot before anything can
-		// race with it.
-		err = n.applyPending()
+	core, err := NewCore(group, n.id, peers, store, n.cfg, rng, n.since)
+	if err != nil {
+		return nil, err
 	}
-	if err == nil {
+	n.core, n.seen = core, Transition{Term: core.Status().Term}
+	n.drv = margo.NewDriver(n.clk, core, n.dispatch, n.finish)
+	// Bring the FSM up to the stored snapshot before anything can race
+	// with it.
+	if err = n.applyPending(); err == nil {
 		err = members.Attach(inst, group, n)
 	}
 	if err != nil {
-		n.cancel()
+		n.drv.Stop(func(time.Time) {})
 		return nil, err
 	}
-	n.wg.Add(3)
-	go n.timerLoop()
-	go n.writer()
-	go n.applier()
+	n.drv.Go(n.writer)
+	n.drv.Go(n.applier)
+	n.drv.Start()
 	return n, nil
 }
 
@@ -263,22 +238,22 @@ func (n *Node) Group() string { return n.group }
 
 // Status returns a snapshot of protocol state.
 func (n *Node) Status() Status {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.drv.Lock()
+	defer n.drv.Unlock()
 	return n.core.Status()
 }
 
 // Leader returns the current leader hint ("" if unknown).
 func (n *Node) Leader() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.drv.Lock()
+	defer n.drv.Unlock()
 	return n.core.Leader()
 }
 
 // IsLeader reports whether this node currently leads.
 func (n *Node) IsLeader() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.drv.Lock()
+	defer n.drv.Unlock()
 	return n.core.IsLeader()
 }
 
@@ -289,57 +264,33 @@ func (n *Node) IsLeader() bool {
 // RPC nobody waits on for longer than a heartbeat interval. The store is
 // not closed.
 func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		var out after
-		n.mu.Lock()
+	n.drv.Stop(func(time.Time) {
 		n.core.Transfer()
-		handover := n.core.Take().Msgs
-		n.stopped = true
-		n.core.Surrender(ErrStopped)
-		n.dispatch(&out)
-		n.queue = nil
-		n.mu.Unlock()
-		for _, m := range handover {
-			n.send(m)
+		for _, m := range n.core.Take().Msgs {
+			n.drv.Reply(reply{send: &m})
 		}
-		n.cancel()
-		n.finish(&out)
+		n.core.Surrender(ErrStopped)
+		n.queue = nil
 	})
-	n.wg.Wait()
 	members.Detach(n.inst, n.group, n)
 }
 
 // --- stepping the core ---
 
-// step runs one core input under mu, carries out its effects and, with
-// mu released, sends the answers it produced. A stopped node runs
-// nothing and step says so.
-func (n *Node) step(f func(c *Core, now time.Time)) bool {
-	var out after
-	n.mu.Lock()
-	if n.stopped {
-		n.mu.Unlock()
-		return false
-	}
-	f(n.core, n.clk.Now())
-	n.dispatch(&out)
-	n.mu.Unlock()
-	n.finish(&out)
-	return true
-}
-
-// dispatch carries out what the last step asked for, except for what
-// must not happen under mu, which it adds to out. Caller holds mu.
-func (n *Node) dispatch(out *after) {
+// dispatch carries out what the last step asked for, leaving what must
+// not happen under the driver's lock to its replies. Caller holds it.
+func (n *Node) dispatch() {
 	eff := n.core.Take()
 	for _, m := range eff.Msgs {
 		n.post(m)
 	}
 	if len(eff.Persist) > 0 {
 		n.queue = append(n.queue, eff.Persist...)
-		signal(n.writeWake)
+		margo.Signal(n.writeWake)
 	}
-	out.acks = append(out.acks, eff.Acks...)
+	for _, a := range eff.Acks {
+		n.drv.Reply(reply{ack: a})
+	}
 	for _, r := range eff.Reads {
 		if r.Round != 0 {
 			n.met.readRounds.Inc()
@@ -352,11 +303,11 @@ func (n *Node) dispatch(out *after) {
 			if w.span != nil && r.Round != 0 {
 				w.span.ended[phaseRound] = n.clk.Now()
 			}
-			out.done = append(out.done, resolved{w, outcome{err: r.Err}})
+			n.drv.Reply(reply{w: w, o: outcome{err: r.Err}})
 		}
 	}
 	for _, d := range eff.Done {
-		n.answer(out, d.Tag, outcome{err: d.Err})
+		n.answer(d.Tag, outcome{err: d.Err})
 	}
 	if eff.StoreErrors > 0 {
 		n.met.appendErrors.Add(float64(eff.StoreErrors))
@@ -364,25 +315,20 @@ func (n *Node) dispatch(out *after) {
 	for _, t := range eff.Transitions {
 		n.observe(t)
 	}
-	out.again = append(out.again, eff.Released...)
+	for _, tag := range eff.Released {
+		n.drv.Reply(reply{w: tag.(*waiter), again: true})
+	}
 	if eff.Apply {
 		if len(n.sampled) > 0 {
 			n.mark(phaseReplicate, n.core.Status().CommitIndex, n.clk.Now())
 		}
-		signal(n.applyWake)
-	}
-	if n.core.Deadline().Before(n.armed) {
-		signal(n.rearm)
-	}
-	if n.watch != nil {
-		close(n.watch)
-		n.watch = nil
+		margo.Signal(n.applyWake)
 	}
 }
 
 // observe feeds one transition to the election metrics: how a candidacy
 // ended, and how long the member went without a leader to name. Caller
-// holds mu.
+// holds the driver's lock.
 func (n *Node) observe(t Transition) {
 	if n.seen.Role == Candidate {
 		outcome := [...]string{Follower: "lost", Candidate: "no_winner", Leader: "won"}[t.Role]
@@ -397,21 +343,10 @@ func (n *Node) observe(t Transition) {
 	n.seen = t
 }
 
-// changed returns a channel that is closed after the node's next step:
-// what a test waits on between two looks at Status or at its FSM.
-func (n *Node) changed() <-chan struct{} {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.watch == nil {
-		n.watch = make(chan struct{})
-	}
-	return n.watch
-}
-
 // sample puts w on the list mark walks, if it is a sampled request the
 // core appended at index; answer takes it off as it queues o, the
 // outcome of the request the core has handed back as tag. Caller holds
-// mu.
+// the driver's lock.
 func (n *Node) sample(w *waiter, index uint64) {
 	if w.span != nil && index != 0 {
 		w.span.index = index
@@ -419,7 +354,7 @@ func (n *Node) sample(w *waiter, index uint64) {
 	}
 }
 
-func (n *Node) answer(out *after, tag interface{}, o outcome) {
+func (n *Node) answer(tag interface{}, o outcome) {
 	w := tag.(*waiter)
 	for i := range n.sampled {
 		if n.sampled[i] == w {
@@ -427,11 +362,11 @@ func (n *Node) answer(out *after, tag interface{}, o outcome) {
 			break
 		}
 	}
-	out.done = append(out.done, resolved{w, o})
+	n.drv.Reply(reply{w: w, o: o})
 }
 
 // mark ends the phase now for every sampled proposal at or below index
-// that is still in it. Caller holds mu.
+// that is still in it. Caller holds the driver's lock.
 func (n *Node) mark(phase int, index uint64, now time.Time) {
 	for _, w := range n.sampled {
 		if w.span.index <= index && w.span.ended[phase].IsZero() {
@@ -440,24 +375,25 @@ func (n *Node) mark(phase int, index uint64, now time.Time) {
 	}
 }
 
-// finish does what a step left for after mu: every kept handle is
-// answered and every waiter resolved here, exactly once.
-func (n *Node) finish(out *after) {
-	for _, a := range out.acks {
-		if h := a.Tag.(*mercury.Handle); a.Err != nil {
-			_ = h.RespondError(a.Err)
+// finish carries out one reply with the driver's lock released: every
+// kept handle is answered and every waiter resolved here, exactly once.
+func (n *Node) finish(r reply) {
+	switch {
+	case r.send != nil:
+		n.send(*r.send)
+	case r.ack.Tag != nil:
+		if h := r.ack.Tag.(*mercury.Handle); r.ack.Err != nil {
+			_ = h.RespondError(r.ack.Err)
 		} else {
-			margo.Reply(h, a.Reply)
+			margo.Reply(h, r.ack.Reply)
 		}
-	}
-	for _, d := range out.done {
-		if d.o.err == nil && !d.w.arrived.IsZero() {
-			n.met.commitLatency.Observe(n.clk.Now().Sub(d.w.arrived).Seconds())
+	case r.again:
+		n.begin(r.w)
+	default:
+		if r.o.err == nil && !r.w.arrived.IsZero() {
+			n.met.commitLatency.Observe(n.clk.Now().Sub(r.w.arrived).Seconds())
 		}
-		d.w.resolve(d.o)
-	}
-	for _, tag := range out.again {
-		n.begin(tag.(*waiter))
+		r.w.resolve(r.o)
 	}
 }
 
@@ -482,83 +418,23 @@ func (n *Node) commitSpan(s *span, failed bool) {
 	}
 }
 
-func signal(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
-
-// timerLoop sleeps until the core's deadline and ticks it. A deadline
-// that moves later (every heartbeat pushes a follower's election timeout
-// out) costs nothing: the loop wakes at the old one, finds nothing due
-// and re-arms.
-func (n *Node) timerLoop() {
-	defer n.wg.Done()
-	t := n.clk.NewTimer(time.Hour)
-	defer t.Stop()
-	for {
-		var out after
-		n.mu.Lock()
-		now := n.clk.Now()
-		if !n.core.Deadline().After(now) {
-			n.core.Tick(now)
-			n.dispatch(&out)
-		}
-		armed := n.core.Deadline()
-		n.armed = armed
-		n.mu.Unlock()
-		n.finish(&out)
-		t.Reset(armed.Sub(now))
-		select {
-		case <-t.C():
-		case <-n.rearm:
-		case <-n.ctx.Done():
-			return
-		}
-	}
-}
-
 // --- senders ---
 
-// post hands m to its peer's lane, starting the peer's senders on
-// first use. Caller holds mu, which makes it the only producer.
+// post hands m to its peer's lane — log traffic or probes — starting the
+// peer's lanes on first use. Each lane holds the latest message only: the
+// core retransmits on its heartbeat, so a message that was never sent is
+// replaced, not queued, and a read never waits behind an AppendEntries
+// already on the wire. Caller holds the driver's lock.
 func (n *Node) post(m Message) {
-	if n.stopped {
-		return
-	}
-	l := n.senders[m.To]
-	if l == nil {
-		l = &lanes{log: make(chan Message, 1), probe: make(chan Message, 1)}
+	l, ok := n.senders[m.To]
+	if !ok {
+		l = [2]*margo.Lane[Message]{margo.NewLane(n.drv, 1, n.send), margo.NewLane(n.drv, 1, n.send)}
 		n.senders[m.To] = l
-		n.wg.Add(2)
-		go n.sender(l.log)
-		go n.sender(l.probe)
 	}
-	box := l.log
 	if m.Round != 0 {
-		box = l.probe
-	}
-	select {
-	case box <- m:
-	default:
-		select {
-		case <-box: // never sent: superseded
-		default:
-		}
-		box <- m
-	}
-}
-
-func (n *Node) sender(box <-chan Message) {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.ctx.Done():
-			return
-		case m := <-box:
-			n.send(m)
-		}
+		l[1].Post(m)
+	} else {
+		l[0].Post(m)
 	}
 }
 
@@ -577,7 +453,7 @@ func (n *Node) send(m Message) {
 	case m.Round != 0:
 		timeout = n.cfg.ElectionTimeoutMin
 	}
-	ctx, cancel := context.WithTimeout(n.ctx, timeout)
+	ctx, cancel := context.WithTimeout(n.drv.Context(), timeout)
 	defer cancel()
 	if m.TimeoutNow != nil {
 		_ = n.inst.Call(ctx, m.To, rpc, mercury.AnyProvider, args, nil) // the successor's election is the answer
@@ -586,43 +462,42 @@ func (n *Node) send(m Message) {
 	if m.Vote != nil {
 		var r requestVoteReply
 		if n.inst.Call(ctx, m.To, rpc, mercury.AnyProvider, args, &r) == nil {
-			n.step(func(c *Core, now time.Time) { c.VoteReply(now, m, &r) })
+			n.drv.Step(func(now time.Time) { n.core.VoteReply(now, m, &r) })
 		}
 		return
 	}
 	var r appendEntriesReply
 	if n.inst.Call(ctx, m.To, rpc, mercury.AnyProvider, args, &r) == nil {
-		n.step(func(c *Core, now time.Time) { c.AppendReply(now, m, &r) })
+		n.drv.Step(func(now time.Time) { n.core.AppendReply(now, m, &r) })
 	}
 }
 
 // --- writer ---
 
-// writer carries out the core's Persists, in order, with mu released,
+// writer carries out the core's Persists, in order, with the lock released,
 // and reports each batch back as one Persisted step. It takes
 // everything queued at once: what arrived during the previous write —
 // the proposals of every client that was not waiting on it — becomes
 // one store write, one fsync. That is the whole of group commit.
-func (n *Node) writer() {
-	defer n.wg.Done()
+func (n *Node) writer(done <-chan struct{}) {
 	var ops, spare []Persist
 	for {
-		n.mu.Lock()
+		n.drv.Lock()
 		ops, n.queue = n.queue, spare[:0]
 		leading := n.core.IsLeader()
-		n.mu.Unlock()
+		n.drv.Unlock()
 		if len(ops) == 0 {
 			spare = ops
 			select {
 			case <-n.writeWake:
 				continue
-			case <-n.ctx.Done():
+			case <-done:
 				return
 			}
 		}
 		seq, through, err := n.write(ops, leading)
-		n.step(func(c *Core, now time.Time) {
-			c.Persisted(now, seq, err)
+		n.drv.Step(func(now time.Time) {
+			n.core.Persisted(now, seq, err)
 			if err != nil {
 				n.queue = n.queue[:0] // void, the core has said
 			} else if len(n.sampled) > 0 {
@@ -667,11 +542,10 @@ func (n *Node) write(ops []Persist, leading bool) (seq, through uint64, err erro
 
 // --- applier ---
 
-func (n *Node) applier() {
-	defer n.wg.Done()
+func (n *Node) applier(done <-chan struct{}) {
 	for {
 		select {
-		case <-n.ctx.Done():
+		case <-done:
 			return
 		case <-n.applyWake:
 			_ = n.applyPending() // a failed restore is retried on the next wakeup
@@ -681,20 +555,17 @@ func (n *Node) applier() {
 	}
 }
 
-// applyPending runs the core's apply tasks until none is left: one
-// lock acquisition fetches a task (and answers whom the core found
-// overwritten on the way), the FSM runs it outside the lock, and one
-// re-acquisition reports it applied and answers the tags that came with
-// it. Only the applier goroutine calls it (and NewNode, before that
-// exists).
+// applyPending runs the core's apply tasks until none is left: one step
+// fetches a task (and answers whom the core found overwritten on the
+// way), the FSM runs it outside the lock, and one more reports it
+// applied and answers the tags that came with it — itself, if the node
+// stopped meanwhile. Only the applier goroutine calls it (and NewNode,
+// before that exists).
 func (n *Node) applyPending() error {
 	for {
-		var out after
-		n.mu.Lock()
-		task, ok := n.core.NextApply()
-		n.dispatch(&out)
-		n.mu.Unlock()
-		n.finish(&out)
+		var task ApplyTask
+		ok := false
+		n.drv.Step(func(time.Time) { task, ok = n.core.NextApply() })
 		if !ok {
 			return nil
 		}
@@ -705,18 +576,23 @@ func (n *Node) applyPending() error {
 		} else if err := n.fsm.Restore(task.Snapshot); err != nil {
 			return err
 		}
-		out = after{}
-		n.mu.Lock()
-		n.core.Applied(task.Index)
-		for i, tag := range task.Tags {
-			if tag != nil {
-				n.answer(&out, tag, outcome{result: results[i]})
+		due := false
+		if !n.drv.Step(func(time.Time) {
+			n.core.Applied(task.Index)
+			for i, tag := range task.Tags {
+				if tag != nil {
+					n.answer(tag, outcome{result: results[i]})
+				}
 			}
+			due = n.core.SnapshotDue()
+		}) {
+			for i, tag := range task.Tags {
+				if tag != nil {
+					n.finish(reply{w: tag.(*waiter), o: outcome{result: results[i]}})
+				}
+			}
+			return nil
 		}
-		due := n.core.SnapshotDue()
-		n.dispatch(&out)
-		n.mu.Unlock()
-		n.finish(&out)
 		if due {
 			_ = n.snapshot()
 		}
@@ -754,9 +630,9 @@ func (n *Node) applyRun(entries []LogEntry) [][]byte {
 // once the store has the snapshot. It runs on the applier, so the FSM
 // is exactly at that entry while it is captured.
 func (n *Node) snapshot() error {
-	n.mu.Lock()
+	n.drv.Lock()
 	ok := n.core.Compactable()
-	n.mu.Unlock()
+	n.drv.Unlock()
 	if !ok {
 		return nil
 	}
@@ -777,7 +653,7 @@ func (n *Node) TakeSnapshot() error {
 	select {
 	case n.snapReq <- req:
 		return <-req
-	case <-n.ctx.Done():
+	case <-n.drv.Context().Done():
 		return ErrStopped
 	}
 }
@@ -812,7 +688,7 @@ func changeConfig(addr string, remove bool) operation {
 // did not ask the core, is w's answer.
 func (n *Node) begin(w *waiter) {
 	err := error(ErrStopped)
-	n.step(func(c *Core, now time.Time) { err = w.start(n, c, now, w) })
+	n.drv.Step(func(now time.Time) { err = w.start(n, n.core, now, w) })
 	if err != nil {
 		w.resolve(outcome{err: err})
 	}
@@ -828,7 +704,7 @@ func (n *Node) block(ctx context.Context, start operation) ([]byte, error) {
 		return o.result, o.err
 	case <-ctx.Done():
 		return nil, fmt.Errorf("%w: %v", ErrTimeout, ctx.Err())
-	case <-n.ctx.Done():
+	case <-n.drv.Context().Done():
 		return nil, ErrStopped
 	}
 }
@@ -872,7 +748,7 @@ func (r *handlers) handleTimeoutNow(_ context.Context, _ *mercury.Handle, a *tim
 		return nil, fmt.Errorf("raft: unknown group %q", a.Group)
 	}
 	var reply *timeoutNowReply
-	if !n.step(func(c *Core, now time.Time) { reply = c.TimeoutNow(now, a) }) {
+	if !n.drv.Step(func(now time.Time) { reply = n.core.TimeoutNow(now, a) }) {
 		return nil, ErrStopped
 	}
 	return reply, nil
@@ -885,7 +761,7 @@ func (r *handlers) handleVote(_ context.Context, _ *mercury.Handle, a *requestVo
 	}
 	var reply *requestVoteReply
 	err := error(ErrStopped)
-	n.step(func(c *Core, now time.Time) { reply, err = c.RequestVote(now, a) })
+	n.drv.Step(func(now time.Time) { reply, err = n.core.RequestVote(now, a) })
 	if err != nil {
 		// The core could not persist what the reply would say: the
 		// candidate gets no reply.
@@ -905,7 +781,7 @@ func logTraffic[A any](r *handlers, group func(*A) string, input func(*Core, tim
 		if n == nil {
 			return nil, fmt.Errorf("raft: unknown group %q", group(a))
 		}
-		if !n.step(func(c *Core, now time.Time) { input(c, now, a, h) }) {
+		if !n.drv.Step(func(now time.Time) { input(n.core, now, a, h) }) {
 			return nil, ErrStopped
 		}
 		return nil, nil
@@ -949,7 +825,7 @@ func (r *handlers) serve(ctx context.Context, h *mercury.Handle, group, name str
 // says whether it did.
 func (n *Node) hold(w *waiter) (held bool) {
 	w.held = true
-	n.step(func(c *Core, now time.Time) { held = c.Hold(now, w) })
+	n.drv.Step(func(now time.Time) { held = n.core.Hold(now, w) })
 	return held
 }
 

@@ -156,7 +156,7 @@ func await(t testing.TB, what string, nodes []*Node, cond func() bool) {
 	for {
 		cases := []reflect.SelectCase{timeout}
 		for _, n := range nodes {
-			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(n.changed())})
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(n.drv.Changed())})
 		}
 		if cond() { // after the channels were taken: no step is missed
 			return

@@ -17,21 +17,18 @@ import (
 	"mochi/internal/testutil"
 )
 
-// This file runs the production Core, unmodified, as a group of
-// single-threaded event handlers on sim.Sim + sim.Net with MemoryStore
-// behind a simulated disk: every message, timer, disk write, fault,
-// crash and client operation of a run derives from one seed, so two
-// runs of a seed execute the same events in the same order (checked by
-// trace hash) and a failing seed is its own reproduction. Every member
-// reads the time off a clock of its own, which runs at a seeded rate
-// within 5 % of true: nothing a core decides may rest on two members
-// agreeing what time it is, or how fast it passes. A Persist
-// reaches the store, and the core hears Persisted, after seeded virtual
-// time; a crash takes every write still on its way. After every event
-// the harness checks election safety, log matching, leader completeness
-// and state-machine safety, and that every tag a core was handed is back,
-// once, or still in its ledger; at the end it feeds the clients' history
-// to the linearizability checker. No goroutine, sleep or wall clock here.
+// This file runs the production Core, unmodified, as a group on
+// sim.Harness (clocks of their own pace, incarnations, the seeded
+// network) with MemoryStore behind a simulated disk: every message,
+// timer, disk write, fault, crash and client operation of a run derives
+// from one seed, so two runs of a seed execute the same events in the
+// same order (checked by trace hash) and a failing seed is its own
+// reproduction. A Persist reaches the store, and the core hears
+// Persisted, after seeded virtual time; a crash takes every write still
+// on its way. After every step the harness checks election safety, log
+// matching, leader completeness, state-machine safety and the ledger; at
+// the end it feeds the clients' history to the linearizability checker.
+// No goroutine, sleep or wall clock here.
 
 // Trace event kinds (sim.Trace).
 const (
@@ -186,19 +183,12 @@ type opReg struct {
 }
 
 type simMember struct {
-	id    int32
-	addr  string
-	rate  float64      // of its clock: seconds it counts per true second
-	store *MemoryStore // what the disk holds: survives crashes
-	core  *Core        // nil while crashed
-	fsm   *simFSM
-	// epoch counts incarnations: a reply addressed to an earlier one is
-	// dropped, like an RPC whose caller died, and so is a disk write
-	// issued by one.
-	epoch    int
-	armed    time.Time
+	*sim.Member
+	addr     string
+	store    *MemoryStore // what the disk holds: survives crashes
+	core     *Core        // nil while crashed
+	fsm      *simFSM
 	diskFree time.Time // when the disk is done with what it was handed
-	in, out  int       // tags this incarnation's core was handed, and has handed back
 
 	// What the invariant checks saw last. version counts changes of the
 	// log, in memory or on disk.
@@ -246,10 +236,8 @@ type simClient struct {
 }
 
 type raftSim struct {
+	*sim.Harness
 	cfg     raftSimConfig
-	sim     *sim.Sim
-	net     *sim.Net
-	start   time.Time
 	members []*simMember
 	addrs   []string
 	byAddr  map[string]int32
@@ -283,7 +271,6 @@ type raftSim struct {
 	ackLag   time.Duration
 
 	elections, restores, holds int
-	err                        error
 }
 
 type raftSimResult struct {
@@ -308,48 +295,50 @@ func (r *raftSimResult) String() string {
 }
 
 func runRaftSim(cfg raftSimConfig) *raftSimResult {
-	s := sim.New(cfg.Seed)
 	h := &raftSim{
+		Harness:   sim.NewHarness(cfg.Seed),
 		cfg:       cfg,
-		sim:       s,
-		start:     s.Now(),
 		byAddr:    map[string]int32{},
 		leaderOf:  map[uint64]int32{},
 		committed: map[uint64]LogEntry{},
 		applied:   map[uint64]LogEntry{},
 		exiting:   -1,
 	}
+	h.DupDelay = 3 * time.Millisecond
+	h.Wake = func(m *sim.Member) { h.wake(h.members[m.ID]) }
+	h.Invariants = func(m *sim.Member) { h.checkInvariants(h.members[m.ID]) }
 	// One partition window isolating a minority, drawn from the seed.
-	perm := s.Rand().Perm(cfg.Nodes)
+	perm := h.Rand().Perm(cfg.Nodes)
 	var partitions []sim.PartitionWindow
 	if cfg.Scenario == nil {
 		var left []int32
 		for _, i := range perm[:cfg.Nodes/2] {
 			left = append(left, int32(i))
 		}
-		partStart := 2*time.Second + time.Duration(s.Rand().Int63n(int64(time.Second)))
+		partStart := 2*time.Second + time.Duration(h.Rand().Int63n(int64(time.Second)))
 		partitions = []sim.PartitionWindow{{Start: partStart, End: partStart + 1500*time.Millisecond, Left: left}}
-		s.At(partStart, func() {
-			if m := h.leader(); m != nil && h.net.Partitioned(m.id, int32(perm[cfg.Nodes-1]), s.Now()) {
+		h.At(partStart, func() {
+			if m := h.leader(); m != nil && h.Net.Partitioned(m.ID, int32(perm[cfg.Nodes-1]), h.Now()) {
 				h.lost() // the leader is on the minority's side
 			}
 		})
 	}
-	h.net = sim.NewNet(cfg.Nodes, cfg.Seed, time.Millisecond, time.Millisecond, cfg.Faults, h.start, partitions)
+	h.Net = sim.NewNet(cfg.Nodes, cfg.Seed, time.Millisecond, time.Millisecond, cfg.Faults, h.Start, partitions)
 
 	for i := 0; i < cfg.Nodes; i++ {
 		h.addrs = append(h.addrs, fmt.Sprintf("sim://n%d", i))
 		h.byAddr[h.addrs[i]] = int32(i)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		m := &simMember{id: int32(i), addr: h.addrs[i], rate: 0.95 + 0.1*s.Rand().Float64(), store: NewMemoryStore()}
+		m := &simMember{Member: h.NewMember(int32(i)), addr: h.addrs[i], store: NewMemoryStore()}
+		m.Crashed = true // until it boots
 		h.members = append(h.members, m)
 		var at time.Duration
 		if cfg.Stagger > 0 {
-			at = time.Duration(s.Rand().Int63n(int64(cfg.Stagger)))
+			at = time.Duration(h.Rand().Int63n(int64(cfg.Stagger)))
 		}
-		s.At(at, func() {
-			h.booted = s.Now()
+		h.At(at, func() {
+			h.booted = h.Now()
 			h.boot(m)
 		})
 	}
@@ -364,19 +353,19 @@ func runRaftSim(cfg raftSimConfig) *raftSimResult {
 			cl.putFrac = 0
 		}
 		h.clients = append(h.clients, cl)
-		s.At(500*time.Millisecond+time.Duration(i)*7*time.Millisecond, func() { h.nextOp(cl) })
+		h.At(500*time.Millisecond+time.Duration(i)*7*time.Millisecond, func() { h.nextOp(cl) })
 	}
 
-	s.RunFor(cfg.Duration)
-	if h.err == nil {
+	h.RunFor(cfg.Duration)
+	if h.Err == nil {
 		if res := sim.Check(sim.KVModel(), h.history); !res.Ok {
-			h.failf("history of %d ops is not linearizable; bad window:\n%s", len(h.history), sim.FormatOps(res.Bad))
+			h.Failf("history of %d ops is not linearizable; bad window:\n%s", len(h.history), sim.FormatOps(res.Bad))
 		}
 	}
 	r := &raftSimResult{
-		TraceHash: s.Trace.Hash(), TraceCount: s.Trace.Count(), Events: s.Events(),
+		TraceHash: h.Trace.Hash(), TraceCount: h.Trace.Count(), Events: h.Events(),
 		Ops: len(h.history), Elections: h.elections, Restores: h.restores, Holds: h.holds,
-		ColdStart: h.firstCommit.Sub(h.booted), ExitGap: h.exitGap, Gaps: h.gaps, History: h.history, Err: h.err,
+		ColdStart: h.firstCommit.Sub(h.booted), ExitGap: h.exitGap, Gaps: h.gaps, History: h.history, Err: h.Err,
 	}
 	if h.firstCommit.IsZero() {
 		r.ColdStart = math.MaxInt64
@@ -392,28 +381,27 @@ func runRaftSim(cfg raftSimConfig) *raftSimResult {
 // as long as it trusts its lease — later still whoever leads then
 // crashes, and in the end the power fails.
 func (h *raftSim) faultSchedule(victim int32) {
-	s := h.sim
-	crashAt := 5*time.Second + time.Duration(s.Rand().Int63n(int64(time.Second)))
-	s.At(crashAt, func() { h.crash(victim) })
-	s.At(crashAt+800*time.Millisecond, func() { h.restart(victim) })
-	s.At(7500*time.Millisecond, func() {
+	crashAt := 5*time.Second + time.Duration(h.Rand().Int63n(int64(time.Second)))
+	h.At(crashAt, func() { h.crash(victim) })
+	h.At(crashAt+800*time.Millisecond, func() { h.restart(victim) })
+	h.At(7500*time.Millisecond, func() {
 		if m := h.leader(); m != nil {
-			h.net.SetDown(m.id, true)
+			h.Net.SetDown(m.ID, true)
 			h.lost()
-			s.At(1200*time.Millisecond, func() { h.net.SetDown(m.id, m.core == nil) })
+			h.At(1200*time.Millisecond, func() { h.Net.SetDown(m.ID, m.core == nil) })
 		}
 	})
-	s.At(9500*time.Millisecond, func() {
+	h.At(9500*time.Millisecond, func() {
 		if m := h.leader(); m != nil {
-			h.crash(m.id)
-			s.At(700*time.Millisecond, func() { h.restart(m.id) })
+			h.crash(m.ID)
+			h.At(700*time.Millisecond, func() { h.restart(m.ID) })
 		}
 	})
 	for _, at := range h.cfg.PowerCuts {
-		s.At(at, func() {
+		h.At(at, func() {
 			for _, m := range h.members {
-				h.crash(m.id)
-				s.At(300*time.Millisecond+time.Duration(m.id)*40*time.Millisecond, func() { h.restart(m.id) })
+				h.crash(m.ID)
+				h.At(300*time.Millisecond+time.Duration(m.ID)*40*time.Millisecond, func() { h.restart(m.ID) })
 			}
 		})
 	}
@@ -422,7 +410,7 @@ func (h *raftSim) faultSchedule(victim int32) {
 // lost notes that the group has just been deprived of its leader.
 func (h *raftSim) lost() {
 	if h.lostAt.IsZero() {
-		h.lostAt = h.sim.Now()
+		h.lostAt = h.Now()
 	}
 }
 
@@ -436,66 +424,46 @@ func (h *raftSim) leader() *simMember {
 	return nil
 }
 
-func (h *raftSim) failf(format string, args ...interface{}) {
-	if h.err == nil {
-		h.err = fmt.Errorf("at %s: %s", h.sim.Now().Sub(h.start), fmt.Sprintf(format, args...))
-	}
-}
-
-// now is what m's clock reads: the clocks agreed when the run started
-// and have each kept their own pace since. until is how long from now,
-// in true time, before it reads at.
-func (h *raftSim) now(m *simMember) time.Time {
-	return h.start.Add(time.Duration(float64(h.sim.Now().Sub(h.start)) * m.rate))
-}
-
-func (h *raftSim) until(m *simMember, at time.Time) time.Duration {
-	// Two nanoseconds late rather than one early to rounding: a timer that
-	// fires before its member's clock says so would be armed again at once.
-	return h.start.Add(time.Duration(float64(at.Sub(h.start))/m.rate) + 2).Sub(h.sim.Now())
-}
-
 // boot starts (or restarts) a member on its surviving store with a
 // fresh state machine.
 func (h *raftSim) boot(m *simMember) {
-	rng := rand.New(rand.NewSource(h.cfg.Seed*1_000_003 + int64(m.id)*101 + int64(m.epoch)))
-	now := h.now(m)
+	rng := rand.New(rand.NewSource(h.cfg.Seed*1_000_003 + int64(m.ID)*101 + int64(m.Epoch)))
+	now := h.Clock(m.Member)
 	core, err := NewCore("sim", m.addr, h.addrs, m.store, h.cfg.Protocol, rng, now)
 	if err != nil {
-		h.failf("n%d: NewCore: %v", m.id, err)
+		h.Failf("n%d: NewCore: %v", m.ID, err)
 		return
 	}
 	if h.cfg.fastRestart && core.term > 0 {
 		// Broken twin: a member that has had a leader is as impatient as
 		// one that never did.
-		core.electionAt = now.Add(time.Duration(h.sim.Rand().Int63n(int64(h.cfg.Protocol.HeartbeatInterval))))
+		core.electionAt = now.Add(time.Duration(h.Rand().Int63n(int64(h.cfg.Protocol.HeartbeatInterval))))
 	}
 	if h.cfg.forgetContactOnRestart {
 		core.contact = time.Time{}
 	}
-	m.core, m.fsm, m.in, m.out = core, &simFSM{kv: map[string]string{}}, 0, 0
-	m.role, m.seenCommit, m.armed, m.diskFree = Follower, 0, time.Time{}, time.Time{}
+	m.core, m.fsm, m.Crashed = core, &simFSM{kv: map[string]string{}}, false
+	m.role, m.seenCommit, m.diskFree = Follower, 0, time.Time{}
 	m.version++
 	h.settle(m)
 }
 
 func (h *raftSim) crash(id int32) {
 	m := h.members[id]
-	if m.core == nil || h.err != nil {
+	if m.core == nil || h.Err != nil {
 		return
 	}
-	h.sim.Trace.Record(h.sim.Now(), evCrash, id, -1, m.core.term)
+	h.Trace.Record(h.Now(), evCrash, id, -1, m.core.term)
 	if m.core.IsLeader() {
 		h.lost()
 	}
-	h.net.SetDown(id, true)
+	h.Crash(m.Member)
 	m.core, m.fsm = nil, nil
-	m.epoch++
 	// Ops registered here are in limbo: their clients time out. The log
 	// is back to what the disk holds.
 	m.version++
 	if id == h.exiting && h.exitAt.IsZero() {
-		h.exitAt = h.sim.Now()
+		h.exitAt = h.Now()
 	}
 }
 
@@ -503,7 +471,7 @@ func (h *raftSim) crash(id int32) {
 // down.
 func (h *raftSim) stop(id int32) {
 	m := h.members[id]
-	if m.core == nil || h.err != nil {
+	if m.core == nil || h.Err != nil {
 		return
 	}
 	m.core.Transfer()
@@ -512,24 +480,24 @@ func (h *raftSim) stop(id int32) {
 }
 
 func (h *raftSim) restart(id int32) {
-	if h.err != nil || h.members[id].core != nil {
+	if h.Err != nil || h.members[id].core != nil {
 		return // two crashes overlapped and the earlier restart got here first
 	}
-	h.sim.Trace.Record(h.sim.Now(), evRestart, id, -1, 0)
-	h.net.SetDown(id, false)
+	h.Trace.Record(h.Now(), evRestart, id, -1, 0)
+	h.Restart(h.members[id].Member)
 	h.boot(h.members[id])
 }
 
 // settle is what a driver does after a step: carry out the effects, run
 // the state machine, re-arm the timer — then check the invariants.
 func (h *raftSim) settle(m *simMember) {
-	for h.err == nil {
+	for h.Err == nil {
 		if h.cfg.selfCountAtPersist && m.core.IsLeader() {
 			// Broken twin: the leader's own copy counts before it is
 			// durable.
 			durable := m.core.persisted
 			m.core.persisted = m.core.lastIndex()
-			m.core.advanceCommit(h.now(m))
+			m.core.advanceCommit(h.Clock(m.Member))
 			m.core.persisted = durable
 		}
 		if h.cfg.leaseSurvivesTransfer {
@@ -557,13 +525,17 @@ func (h *raftSim) settle(m *simMember) {
 			m.core.Compact(m.fsm.snapshot(), nil)
 		}
 	}
-	if h.err != nil {
-		return
+	if h.Err == nil {
+		h.Stepped(m.Member, m.core.Deadline())
 	}
-	if d := m.core.Deadline(); m.armed.IsZero() || d.Before(m.armed) {
-		h.arm(m, d)
+}
+
+// wake ticks m's core if its deadline has come.
+func (h *raftSim) wake(m *simMember) {
+	if now := h.Clock(m.Member); !m.core.Deadline().After(now) {
+		m.core.Tick(now)
 	}
-	h.checkInvariants(m)
+	h.settle(m)
 }
 
 func (h *raftSim) dispatch(m *simMember, eff Effects) {
@@ -599,10 +571,10 @@ func (h *raftSim) dispatch(m *simMember, eff Effects) {
 	}
 }
 
-// back counts out again a tag that was counted into m's core (m.in) with
+// back counts out again a tag that was counted into m's core (m.In) with
 // the input it went with.
 func (h *raftSim) back(m *simMember, tag interface{}) opReg {
-	m.out++
+	m.Out++
 	return *tag.(*opReg)
 }
 
@@ -611,38 +583,19 @@ func (h *raftSim) back(m *simMember, tag interface{}) opReg {
 // hear Persisted; a crash before that loses it.
 func (h *raftSim) write(m *simMember, p Persist) {
 	m.version++
-	now := h.sim.Now()
-	took := h.cfg.PersistMin + time.Duration(h.sim.Rand().Int63n(int64(h.cfg.PersistMax-h.cfg.PersistMin)+1))
+	now := h.Now()
+	took := h.cfg.PersistMin + time.Duration(h.Rand().Int63n(int64(h.cfg.PersistMax-h.cfg.PersistMin)+1))
 	if m.diskFree.Before(now) {
 		m.diskFree = now
 	}
 	m.diskFree = m.diskFree.Add(took)
-	epoch := m.epoch
-	h.sim.At(m.diskFree.Sub(now), func() {
-		if h.err != nil || m.epoch != epoch {
-			return
-		}
+	h.After(m.Member, m.diskFree.Sub(now), func() {
 		if err := p.writeTo(m.store); err != nil {
-			h.failf("n%d: persist %d: %v", m.id, p.Seq, err)
+			h.Failf("n%d: persist %d: %v", m.ID, p.Seq, err)
 			return
 		}
 		m.version++
-		m.core.Persisted(h.now(m), p.Seq, nil)
-		h.settle(m)
-	})
-}
-
-func (h *raftSim) arm(m *simMember, d time.Time) {
-	m.armed = d
-	epoch := m.epoch
-	h.sim.At(h.until(m, d), func() {
-		if h.err != nil || m.epoch != epoch || m.core == nil || !m.armed.Equal(d) {
-			return
-		}
-		m.armed = time.Time{}
-		if now := h.now(m); !m.core.Deadline().After(now) {
-			m.core.Tick(now)
-		}
+		m.core.Persisted(h.Clock(m.Member), p.Seq, nil)
 		h.settle(m)
 	})
 }
@@ -653,27 +606,27 @@ func (h *raftSim) arm(m *simMember, d time.Time) {
 func (h *raftSim) apply(m *simMember, task ApplyTask) {
 	if task.Restore {
 		if task.Index <= m.fsm.last {
-			h.failf("n%d: restore to %d but the FSM is already at %d", m.id, task.Index, m.fsm.last)
+			h.Failf("n%d: restore to %d but the FSM is already at %d", m.ID, task.Index, m.fsm.last)
 		}
 		if err := m.fsm.restore(task.Snapshot); err != nil {
-			h.failf("n%d: restore: %v", m.id, err)
+			h.Failf("n%d: restore: %v", m.ID, err)
 		}
 		if m.fsm.last != task.Index {
-			h.failf("n%d: snapshot labelled %d holds state at %d", m.id, task.Index, m.fsm.last)
+			h.Failf("n%d: snapshot labelled %d holds state at %d", m.ID, task.Index, m.fsm.last)
 		}
 		h.restores++
 		return
 	}
 	for i, e := range task.Entries {
 		if e.Index != m.fsm.last+1 {
-			h.failf("n%d: FSM at %d handed index %d", m.id, m.fsm.last, e.Index)
+			h.Failf("n%d: FSM at %d handed index %d", m.ID, m.fsm.last, e.Index)
 			return
 		}
 		if ref, ok := h.applied[e.Index]; !ok {
 			h.applied[e.Index] = e
 		} else if ref.Term != e.Term || !bytes.Equal(ref.Data, e.Data) {
-			h.failf("state-machine safety: n%d applies %d/%q at index %d, another member applied %d/%q",
-				m.id, e.Term, e.Data, e.Index, ref.Term, ref.Data)
+			h.Failf("state-machine safety: n%d applies %d/%q at index %d, another member applied %d/%q",
+				m.ID, e.Term, e.Data, e.Index, ref.Term, ref.Data)
 			return
 		}
 		m.fsm.last = e.Index
@@ -694,27 +647,20 @@ func (h *raftSim) apply(m *simMember, task ApplyTask) {
 // send puts one request on the simulated wire; the receiver's reply
 // travels back the same way, each leg with its own fault draw.
 func (h *raftSim) send(from *simMember, msg Message) {
-	to := h.byAddr[msg.To]
-	epoch := from.epoch
-	h.transmit(from.id, to, func() {
-		dst := h.members[to]
-		if dst.core == nil {
-			return
-		}
-		at, now := h.sim.Now(), h.now(dst)
+	to, epoch := h.byAddr[msg.To], from.Epoch
+	dst := h.members[to]
+	h.Transmit(from.Member, dst.Member, dst.Epoch, func() {
+		at, now := h.Now(), h.Clock(dst.Member)
 		// reply carries the answer back, whenever the member gives it.
 		reply := func(vote *requestVoteReply, app *appendEntriesReply) {
 			carry := func() {
-				h.transmit(to, from.id, func() {
-					if from.core == nil || from.epoch != epoch {
-						return
-					}
-					at, now := h.sim.Now(), h.now(from)
+				h.Transmit(dst.Member, from.Member, epoch, func() {
+					at, now := h.Now(), h.Clock(from.Member)
 					if vote != nil {
-						h.sim.Trace.Record(at, evReply, to, from.id, vote.Term<<1|b2u(vote.Granted))
+						h.Trace.Record(at, evReply, to, from.ID, vote.Term<<1|b2u(vote.Granted))
 						from.core.VoteReply(now, msg, vote)
 					} else {
-						h.sim.Trace.Record(at, evReply, to, from.id, app.Term<<1|b2u(app.Success))
+						h.Trace.Record(at, evReply, to, from.ID, app.Term<<1|b2u(app.Success))
 						if h.cfg.leaseFromReply {
 							msg.Sent = now // broken twin: as if it had only just left
 						}
@@ -724,13 +670,13 @@ func (h *raftSim) send(from *simMember, msg Message) {
 				})
 			}
 			if app != nil && from == h.slowAcks {
-				h.sim.At(h.ackLag, carry)
+				h.At(h.ackLag, carry)
 			} else {
 				carry()
 			}
 		}
 		if msg.TimeoutNow != nil {
-			h.sim.Trace.Record(at, evDeliver, from.id, to, (msg.TimeoutNow.PrevLogIndex+uint64(len(msg.TimeoutNow.Entries)))<<8|4)
+			h.Trace.Record(at, evDeliver, from.ID, to, (msg.TimeoutNow.PrevLogIndex+uint64(len(msg.TimeoutNow.Entries)))<<8|4)
 			dst.core.TimeoutNow(now, msg.TimeoutNow) // nobody waits for the reply
 			h.settle(dst)
 			return
@@ -742,7 +688,7 @@ func (h *raftSim) send(from *simMember, msg Message) {
 			if h.cfg.grantInsideLease {
 				dst.core.contact = time.Time{}
 			}
-			h.sim.Trace.Record(at, evDeliver, from.id, to, msg.Vote.Term<<8|1)
+			h.Trace.Record(at, evDeliver, from.ID, to, msg.Vote.Term<<8|1)
 			vote, err := dst.core.RequestVote(now, msg.Vote)
 			h.settle(dst)
 			if err == nil { // else the member could not persist: it stays silent
@@ -752,13 +698,13 @@ func (h *raftSim) send(from *simMember, msg Message) {
 		}
 		// Log traffic is answered by the Ack carrying its tag: in the
 		// step below, or in the one that hears from the disk.
-		dst.in++
+		dst.In++
 		tag := &opReg{reply: func(app *appendEntriesReply) { reply(nil, app) }}
 		if msg.Snapshot != nil {
-			h.sim.Trace.Record(at, evDeliver, from.id, to, msg.Snapshot.LastIndex<<8|2)
+			h.Trace.Record(at, evDeliver, from.ID, to, msg.Snapshot.LastIndex<<8|2)
 			dst.core.InstallSnapshot(now, msg.Snapshot, tag)
 		} else {
-			h.sim.Trace.Record(at, evDeliver, from.id, to, (msg.Append.PrevLogIndex+uint64(len(msg.Append.Entries)))<<8|3)
+			h.Trace.Record(at, evDeliver, from.ID, to, (msg.Append.PrevLogIndex+uint64(len(msg.Append.Entries)))<<8|3)
 			dst.core.AppendEntries(now, msg.Append, tag)
 		}
 		if h.cfg.ackBeforeDurable {
@@ -779,32 +725,16 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-func (h *raftSim) transmit(from, to int32, deliver func()) {
-	lat, dup, ok := h.net.Deliver(from, to, h.sim.Now())
-	if !ok {
-		return
-	}
-	guarded := func() {
-		if h.err == nil {
-			deliver()
-		}
-	}
-	h.sim.At(lat, guarded)
-	if dup {
-		h.sim.At(lat+3*time.Millisecond, guarded)
-	}
-}
-
 // --- clients ---
 
 var simKeys = []string{"a", "b", "c", "d"}
 
 // nextOp starts a client's next operation after its think time.
 func (h *raftSim) nextOp(cl *simClient) {
-	if h.err != nil || h.sim.Now().Sub(h.start) > h.cfg.Duration-time.Second {
+	if h.Err != nil || h.Now().Sub(h.Start) > h.cfg.Duration-time.Second {
 		return // leave the last second for operations in flight to settle
 	}
-	now := h.sim.Now()
+	now := h.Now()
 	op := &clientOp{
 		client:   cl.id,
 		put:      cl.rng.Float64() < cl.putFrac,
@@ -819,13 +749,13 @@ func (h *raftSim) nextOp(cl *simClient) {
 	if cl.seed >= 0 {
 		cl.guess = cl.seed
 	}
-	h.sim.At(600*time.Millisecond, func() { h.timeout(op) })
+	h.At(600*time.Millisecond, func() { h.timeout(op) })
 	h.submit(op)
 }
 
 // submit hands op to the member its client believes leads.
 func (h *raftSim) submit(op *clientOp) {
-	if h.err != nil || op.done {
+	if h.Err != nil || op.done {
 		return
 	}
 	cl := h.clients[op.client]
@@ -843,9 +773,9 @@ func (h *raftSim) submit(op *clientOp) {
 // begin hands reg's operation to m's core — which, having no leader to
 // name, parks it the first time round instead.
 func (h *raftSim) begin(m *simMember, reg opReg) {
-	op, now, first, t := reg.op, h.now(m), !reg.held, &reg
+	op, now, first, t := reg.op, h.Clock(m.Member), !reg.held, &reg
 	reg.held, reg.since = true, now
-	m.in++
+	m.In++
 	if first && m.core.Hold(now, t) {
 		if h.holds++; h.cfg.neverRelease {
 			// Broken twin: the bound that lets a hold go never comes.
@@ -875,8 +805,8 @@ func (h *raftSim) retry(reg opReg, err error) {
 	} else {
 		cl.guess = (cl.guess + 1) % int32(h.cfg.Nodes)
 	}
-	h.sim.At(10*time.Millisecond, func() {
-		if op.gen == reg.gen && h.sim.Now().Before(op.deadline) {
+	h.At(10*time.Millisecond, func() {
+		if op.gen == reg.gen && h.Now().Before(op.deadline) {
 			h.submit(op)
 		}
 	})
@@ -884,22 +814,22 @@ func (h *raftSim) retry(reg opReg, err error) {
 
 func (h *raftSim) finish(op *clientOp, out sim.KVOutput) {
 	op.done = true
-	now := h.sim.Now()
+	now := h.Now()
 	in := sim.KVInput{Op: sim.KVGet, Key: op.key}
 	if op.put {
 		in = sim.KVInput{Op: sim.KVPut, Key: op.key, Value: op.value}
 	}
 	h.history = append(h.history, sim.Op{Client: op.client, Input: in, Output: out, Call: op.call, Return: now.UnixNano()})
-	h.sim.Trace.Record(now, evClientOp, int32(op.client), -1, uint64(len(h.history)))
+	h.Trace.Record(now, evClientOp, int32(op.client), -1, uint64(len(h.history)))
 	cl := h.clients[op.client]
-	h.sim.At(time.Duration(10+cl.rng.Intn(40))*time.Millisecond, func() { h.nextOp(cl) })
+	h.At(time.Duration(10+cl.rng.Intn(40))*time.Millisecond, func() { h.nextOp(cl) })
 }
 
 // timeout gives up on op. A put that some member appended may still
 // commit: it stays in the history as ambiguous, concurrent with
 // everything after it. A read that never returned observed nothing.
 func (h *raftSim) timeout(op *clientOp) {
-	if op.done || h.err != nil {
+	if op.done || h.Err != nil {
 		return
 	}
 	op.done = true
@@ -918,22 +848,22 @@ func (h *raftSim) timeout(op *clientOp) {
 
 func (h *raftSim) checkInvariants(m *simMember) {
 	st := m.core.Status()
-	now := h.sim.Now()
+	now := h.Now()
 	// Election safety: at most one leader per term.
 	if st.Role == Leader {
-		if prev, ok := h.leaderOf[st.Term]; ok && prev != m.id {
-			h.failf("election safety: n%d and n%d both led term %d", prev, m.id, st.Term)
+		if prev, ok := h.leaderOf[st.Term]; ok && prev != m.ID {
+			h.Failf("election safety: n%d and n%d both led term %d", prev, m.ID, st.Term)
 			return
 		}
-		h.leaderOf[st.Term] = m.id
+		h.leaderOf[st.Term] = m.ID
 	}
 	if st.Role != m.role {
-		h.sim.Trace.Record(now, evRole, m.id, -1, st.Term<<2|uint64(st.Role))
+		h.Trace.Record(now, evRole, m.ID, -1, st.Term<<2|uint64(st.Role))
 		if st.Role == Leader {
 			h.elections++
 			h.checkLeaderCompleteness(m, st.Term)
 		}
-		if m.role == Leader && m.id == h.exiting && h.exitAt.IsZero() {
+		if m.role == Leader && m.ID == h.exiting && h.exitAt.IsZero() {
 			h.exitAt = now
 		}
 		m.role = st.Role
@@ -941,29 +871,28 @@ func (h *raftSim) checkInvariants(m *simMember) {
 	// A follower restart never deposes a healthy leader, and a held
 	// request is answered within an election timeout.
 	if h.settledTerm != 0 && st.Term > h.settledTerm {
-		h.failf("n%d moved to term %d: a follower restart deposed the healthy leader of term %d", m.id, st.Term, h.settledTerm)
+		h.Failf("n%d moved to term %d: a follower restart deposed the healthy leader of term %d", m.ID, st.Term, h.settledTerm)
 		return
 	}
 	for _, hd := range m.core.held {
 		reg := hd.tag.(*opReg)
-		if held := h.now(m).Sub(reg.since); held > h.cfg.Protocol.ElectionTimeoutMax { // by the member's clock, like the bound
-			h.failf("n%d has held client %d's operation for %v: the bound is %v", m.id, reg.op.client, held, h.cfg.Protocol.ElectionTimeoutMax)
+		if held := h.Clock(m.Member).Sub(reg.since); held > h.cfg.Protocol.ElectionTimeoutMax { // by the member's clock, like the bound
+			h.Failf("n%d has held client %d's operation for %v: the bound is %v", m.ID, reg.op.client, held, h.cfg.Protocol.ElectionTimeoutMax)
 			return
 		}
 	}
 	// The ledger: tags in = tags out + tags held; one back twice is one out too many.
-	if k := m.core.outstanding(); m.in != m.out+k {
-		h.failf("ledger: n%d was handed %d tags, has handed back %d and holds %d", m.id, m.in, m.out, k)
+	if !h.Ledger(m.Member, m.core.outstanding()) {
 		return
 	}
 	// Committed entries are committed for good, and identically
 	// everywhere.
 	if st.CommitIndex > m.seenCommit {
-		h.sim.Trace.Record(now, evCommit, m.id, -1, st.CommitIndex)
+		h.Trace.Record(now, evCommit, m.ID, -1, st.CommitIndex)
 		for idx := max(m.seenCommit+1, m.firstIndex()); idx <= st.CommitIndex; idx++ {
 			e, err := m.entry(idx)
 			if err != nil {
-				h.failf("n%d: commit index %d beyond its log: %v", m.id, st.CommitIndex, err)
+				h.Failf("n%d: commit index %d beyond its log: %v", m.ID, st.CommitIndex, err)
 				return
 			}
 			if ref, ok := h.committed[idx]; !ok {
@@ -980,7 +909,7 @@ func (h *raftSim) checkInvariants(m *simMember) {
 					h.lostAt = time.Time{}
 				}
 			} else if ref.Term != e.Term || !bytes.Equal(ref.Data, e.Data) {
-				h.failf("n%d commits %d/%q at index %d, %d/%q was committed there", m.id, e.Term, e.Data, idx, ref.Term, ref.Data)
+				h.Failf("n%d commits %d/%q at index %d, %d/%q was committed there", m.ID, e.Term, e.Data, idx, ref.Term, ref.Data)
 				return
 			}
 		}
@@ -1002,8 +931,8 @@ func (h *raftSim) checkInvariants(m *simMember) {
 // committed before it was elected (or a snapshot that covers it).
 func (h *raftSim) checkLeaderCompleteness(m *simMember, term uint64) {
 	if m.lastIndex() < h.maxCommitted {
-		h.failf("leader completeness: n%d leads term %d with last index %d, index %d is committed",
-			m.id, term, m.lastIndex(), h.maxCommitted)
+		h.Failf("leader completeness: n%d leads term %d with last index %d, index %d is committed",
+			m.ID, term, m.lastIndex(), h.maxCommitted)
 		return
 	}
 	for idx := m.firstIndex(); idx <= h.maxCommitted; idx++ {
@@ -1012,8 +941,8 @@ func (h *raftSim) checkLeaderCompleteness(m *simMember, term uint64) {
 			continue // committed while every observer had it compacted
 		}
 		if e, err := m.entry(idx); err != nil || e.Term != ref.Term || !bytes.Equal(e.Data, ref.Data) {
-			h.failf("leader completeness: n%d leads term %d without committed entry %d (%d/%q): has %d/%q, %v",
-				m.id, term, idx, ref.Term, ref.Data, e.Term, e.Data, err)
+			h.Failf("leader completeness: n%d leads term %d without committed entry %d (%d/%q): has %d/%q, %v",
+				m.ID, term, idx, ref.Term, ref.Data, e.Term, e.Data, err)
 			return
 		}
 	}
@@ -1037,8 +966,8 @@ func (h *raftSim) checkLogMatching(a, b *simMember) {
 		ea, _ := a.entry(idx)
 		eb, _ := b.entry(idx)
 		if ea.Term != eb.Term || ea.Type != eb.Type || !bytes.Equal(ea.Data, eb.Data) {
-			h.failf("log matching: n%d and n%d agree at index %d (term %d) but differ at %d: %d/%q vs %d/%q",
-				a.id, b.id, agree, ea.Term, idx, ea.Term, ea.Data, eb.Term, eb.Data)
+			h.Failf("log matching: n%d and n%d agree at index %d (term %d) but differ at %d: %d/%q vs %d/%q",
+				a.ID, b.ID, agree, ea.Term, idx, ea.Term, ea.Data, eb.Term, eb.Data)
 			return
 		}
 	}
@@ -1046,9 +975,21 @@ func (h *raftSim) checkLogMatching(a, b *simMember) {
 
 // --- tests ---
 
-// replayLine is the reproduction line every failing sim run prints.
-func replayLine(t *testing.T, seed int64) string {
-	return testutil.ReplayLine(t, seed, "./internal/raft/")
+// mustRun runs cfg, which must end with no violation.
+func mustRun(t *testing.T, cfg raftSimConfig) *raftSimResult {
+	t.Helper()
+	r := runRaftSim(cfg)
+	if r.Err != nil {
+		fail(t, cfg.Seed, "%v", r.Err)
+	}
+	return r
+}
+
+// fail prints the line that replays seed, then fails t.
+func fail(t *testing.T, seed int64, format string, args ...interface{}) {
+	t.Helper()
+	t.Log(testutil.ReplayLine(t, seed, "./internal/raft/"))
+	t.Fatalf(format, args...)
 }
 
 // TestRaftSimSeedMatrix: 3- and 5-member groups, on a disk faster and
@@ -1071,17 +1012,12 @@ func TestRaftSimSeedMatrix(t *testing.T) {
 				t.Run(fmt.Sprintf("n=%d/disk=%s/seed=%d", nodes, disk.name, seed), func(t *testing.T) {
 					cfg := testRaftSimConfig(nodes, seed)
 					cfg.PersistMin, cfg.PersistMax = disk.min, disk.max
-					r := runRaftSim(cfg)
+					r := mustRun(t, cfg)
 					t.Logf("%s", r)
-					if r.Err != nil {
-						t.Log(replayLine(t, seed))
-						t.Fatal(r.Err)
-					}
 					gaps = append(gaps, r.Gaps...)
 					// The schedule must have exercised what it claims to.
 					if r.Ops < 100 || r.Elections < 2 || r.Restores == 0 {
-						t.Log(replayLine(t, seed))
-						t.Fatalf("thin run: %s", r)
+						fail(t, seed, "thin run: %s", r)
 					}
 				})
 			}
@@ -1094,14 +1030,10 @@ func TestRaftSimSeedMatrix(t *testing.T) {
 // produces a different one.
 func TestRaftSimDeterministicReplay(t *testing.T) {
 	seed := testutil.SimSeeds(t, 1)[0]
-	a := runRaftSim(testRaftSimConfig(5, seed))
+	a := mustRun(t, testRaftSimConfig(5, seed))
 	b := runRaftSim(testRaftSimConfig(5, seed))
 	t.Logf("run1: %s", a)
 	t.Logf("run2: %s", b)
-	if a.Err != nil {
-		t.Log(replayLine(t, seed))
-		t.Fatal(a.Err)
-	}
 	if a.String() != b.String() || len(a.History) != len(b.History) {
 		t.Fatalf("replay diverged:\n  run1: %s\n  run2: %s", a, b)
 	}
@@ -1116,34 +1048,13 @@ func TestRaftSimDeterministicReplay(t *testing.T) {
 }
 
 // caughtBy runs broken over the seeds until one of them fails, which
-// must be with one of the violations in want, identically on replay,
-// and with a replay line that pins the seed.
+// must be with one of the violations in want (testutil.CatchTwin).
 func caughtBy(t *testing.T, broken func(seed int64) raftSimConfig, want ...string) {
 	t.Helper()
-	for _, seed := range testutil.SimSeeds(t, 8) {
+	testutil.CatchTwin(t, "./internal/raft/", func(seed int64) (uint64, error) {
 		r := runRaftSim(broken(seed))
-		if r.Err == nil {
-			continue
-		}
-		expected := false
-		for _, w := range want {
-			expected = expected || strings.Contains(r.Err.Error(), w)
-		}
-		if !expected {
-			t.Fatalf("seed %d: the broken rule surfaced as %v, want one of %q", seed, r.Err, want)
-		}
-		line := replayLine(t, seed)
-		t.Logf("caught: %v\n%s", r.Err, line)
-		if !strings.Contains(line, fmt.Sprintf("SIM_SEED=%d go test", seed)) {
-			t.Fatalf("replay line %q does not pin the seed", line)
-		}
-		// The line is only worth printing if the seed reproduces.
-		if again := runRaftSim(broken(seed)); again.Err == nil || again.Err.Error() != r.Err.Error() || again.TraceHash != r.TraceHash {
-			t.Fatalf("seed %d did not replay: %v (trace %016x) then %v (trace %016x)", seed, r.Err, r.TraceHash, again.Err, again.TraceHash)
-		}
-		return
-	}
-	t.Fatal("the broken rule went unnoticed on every seed")
+		return r.TraceHash, r.Err
+	}, want...)
 }
 
 // TestRaftSimCatchesBrokenRule proves the invariant checks have teeth:
@@ -1182,10 +1093,7 @@ func TestRaftSimCatchesBrokenDurability(t *testing.T) {
 	}
 	t.Run("sound", func(t *testing.T) { // the schedule alone breaks nothing
 		for _, seed := range testutil.SimSeeds(t, 8) {
-			if r := runRaftSim(brownout(seed)); r.Err != nil {
-				t.Log(replayLine(t, seed))
-				t.Fatal(r.Err)
-			}
+			mustRun(t, brownout(seed))
 		}
 	})
 	t.Run("leader counts itself at Persist", func(t *testing.T) {
@@ -1239,14 +1147,9 @@ func TestRaftSimColdStart(t *testing.T) {
 				for _, seed := range seeds {
 					cfg := quietRaftSimConfig(nodes, seed, func(*raftSim) {})
 					cfg.Stagger, cfg.Duration = stagger, 2*time.Second
-					r := runRaftSim(cfg)
-					if r.Err != nil {
-						t.Log(replayLine(t, seed))
-						t.Fatal(r.Err)
-					}
+					r := mustRun(t, cfg)
 					if r.ColdStart > 2*cfg.Protocol.ElectionTimeoutMax {
-						t.Log(replayLine(t, seed))
-						t.Fatalf("seed %d: first commit %v after the last member started", seed, r.ColdStart)
+						fail(t, seed, "seed %d: first commit %v after the last member started", seed, r.ColdStart)
 					}
 					if r.ColdStart <= cfg.Protocol.HeartbeatInterval+4*simMaxDelay+cfg.PersistMax {
 						prompt++
@@ -1271,23 +1174,23 @@ func TestRaftSimColdStart(t *testing.T) {
 // timeouts.
 func TestRaftSimPlannedExit(t *testing.T) {
 	exits := map[string]func(h *raftSim, m *simMember){
-		"stop": func(h *raftSim, m *simMember) { h.stop(m.id) },
+		"stop": func(h *raftSim, m *simMember) { h.stop(m.ID) },
 		"remove": func(h *raftSim, m *simMember) {
-			if m.core.ChangeConfig(h.now(m), m.addr, true, nil, time.Time{}) == 0 {
-				h.failf("n%d: the leader refused to remove itself", m.id)
+			if m.core.ChangeConfig(h.Clock(m.Member), m.addr, true, nil, time.Time{}) == 0 {
+				h.Failf("n%d: the leader refused to remove itself", m.ID)
 			}
 			h.settle(m)
 		},
 	}
 	for name, exit := range exits {
 		scenario := func(h *raftSim) {
-			h.sim.At(1500*time.Millisecond, func() {
+			h.At(1500*time.Millisecond, func() {
 				m := h.leader()
 				if m == nil {
-					h.failf("no leader to send away")
+					h.Failf("no leader to send away")
 					return
 				}
-				h.exiting = m.id
+				h.exiting = m.ID
 				exit(h, m)
 			})
 		}
@@ -1303,15 +1206,10 @@ func TestRaftSimPlannedExit(t *testing.T) {
 							cfg.Faults = testRaftSimConfig(nodes, seed).Faults
 							bound = 2 * cfg.Protocol.ElectionTimeoutMax
 						}
-						r := runRaftSim(cfg)
-						if r.Err != nil {
-							t.Log(replayLine(t, seed))
-							t.Fatal(r.Err)
-						}
+						r := mustRun(t, cfg)
 						worst = max(worst, r.ExitGap)
 						if r.ExitGap <= 0 || r.ExitGap > bound || r.Ops < 50 {
-							t.Log(replayLine(t, seed))
-							t.Fatalf("seed %d: no commit for %v after the leader left, bound %v (%s)", seed, r.ExitGap, bound, r)
+							fail(t, seed, "seed %d: no commit for %v after the leader left, bound %v (%s)", seed, r.ExitGap, bound, r)
 						}
 					}
 				})
@@ -1325,11 +1223,11 @@ func TestRaftSimPlannedExit(t *testing.T) {
 // timer has run out the member knows no leader, and no transition will
 // ever name one: only the bound lets its held requests go.
 func isolatedSeed(h *raftSim) {
-	h.sim.At(time.Second, func() {
+	h.At(time.Second, func() {
 		for _, m := range h.members {
 			if !m.core.IsLeader() {
-				h.net.SetDown(m.id, true)
-				h.clients[0].seed = m.id
+				h.Net.SetDown(m.ID, true)
+				h.clients[0].seed = m.ID
 				return
 			}
 		}
@@ -1342,11 +1240,7 @@ func isolatedSeed(h *raftSim) {
 // event), and then from the leader.
 func TestRaftSimHeldRequestsAreBounded(t *testing.T) {
 	for _, seed := range testutil.SimSeeds(t, 8) {
-		r := runRaftSim(quietRaftSimConfig(3, seed, isolatedSeed))
-		if r.Err != nil {
-			t.Log(replayLine(t, seed))
-			t.Fatal(r.Err)
-		}
+		r := mustRun(t, quietRaftSimConfig(3, seed, isolatedSeed))
 		reads := 0
 		for _, op := range r.History {
 			if op.Client == 0 && time.Duration(op.Call-r.History[0].Call) > time.Second {
@@ -1354,8 +1248,7 @@ func TestRaftSimHeldRequestsAreBounded(t *testing.T) {
 			}
 		}
 		if r.Holds < 3 || reads < 3 {
-			t.Log(replayLine(t, seed))
-			t.Fatalf("seed %d: %d operations held, %d of client 0's completed while its seed was cut off (%s)", seed, r.Holds, reads, r)
+			fail(t, seed, "seed %d: %d operations held, %d of client 0's completed while its seed was cut off (%s)", seed, r.Holds, reads, r)
 		}
 	}
 }
@@ -1363,18 +1256,18 @@ func TestRaftSimHeldRequestsAreBounded(t *testing.T) {
 // followerRestart restarts a follower of a group nothing is wrong with.
 // From then on nobody has cause to leave the leader's term.
 func followerRestart(h *raftSim) {
-	h.sim.At(1500*time.Millisecond, func() {
+	h.At(1500*time.Millisecond, func() {
 		leader := h.leader()
 		if leader == nil {
-			h.failf("no leader")
+			h.Failf("no leader")
 			return
 		}
 		for _, m := range h.members {
 			if m != leader {
-				h.crash(m.id)
-				h.sim.At(200*time.Millisecond, func() {
+				h.crash(m.ID)
+				h.At(200*time.Millisecond, func() {
 					h.settledTerm = leader.core.term
-					h.restart(m.id)
+					h.restart(m.ID)
 				})
 				return
 			}
@@ -1402,10 +1295,7 @@ func TestRaftSimCatchesBrokenTiming(t *testing.T) {
 	t.Run("sound", func(t *testing.T) { // the schedules alone break nothing
 		for _, seed := range testutil.SimSeeds(t, 8) {
 			for _, nodes := range []int{3, 5} {
-				if r := runRaftSim(quietRaftSimConfig(nodes, seed, followerRestart)); r.Err != nil {
-					t.Log(replayLine(t, seed))
-					t.Fatal(r.Err)
-				}
+				mustRun(t, quietRaftSimConfig(nodes, seed, followerRestart))
 			}
 		}
 	})
@@ -1454,7 +1344,7 @@ type leaseAttack struct {
 
 func (atk leaseAttack) scenario(h *raftSim) {
 	for at := time.Second; at < h.cfg.Duration-1500*time.Millisecond; at += 1300 * time.Millisecond {
-		h.sim.At(at, func() { atk.episode(h) })
+		h.At(at, func() { atk.episode(h) })
 	}
 }
 
@@ -1483,7 +1373,7 @@ func (atk leaseAttack) episode(h *raftSim) {
 	// From here to the cut nothing is appended: whoever campaigns has the
 	// whole log, and only heartbeats leave the leader.
 	h.writes(false)
-	h.net.SetDown(c.id, atk.candidate)
+	h.Net.SetDown(c.ID, atk.candidate)
 	if atk.lull > 0 {
 		h.slowAcks, h.ackLag = a, atk.lull
 	}
@@ -1492,29 +1382,29 @@ func (atk leaseAttack) episode(h *raftSim) {
 			a.core.Transfer()
 			h.settle(a)
 		}
-		h.net.SetDown(a.id, true)
-		h.net.SetDown(c.id, false)
+		h.Net.SetDown(a.ID, true)
+		h.Net.SetDown(c.ID, false)
 		// The reader stays with the leader it knows; the writers go to its
 		// successor the moment there is one.
-		h.clients[0].guess = a.id
+		h.clients[0].guess = a.ID
 		var follow func()
 		follow = func() {
 			for _, m := range h.members {
 				if m != a && m.core != nil && m.core.IsLeader() {
 					h.writes(true)
 					for _, cl := range h.clients[1:] {
-						cl.seed = m.id
+						cl.seed = m.ID
 					}
 					return
 				}
 			}
-			if h.net.Down(a.id) {
-				h.sim.At(2*time.Millisecond, follow)
+			if h.Net.Down(a.ID) {
+				h.At(2*time.Millisecond, follow)
 			}
 		}
 		follow()
-		h.sim.At(450*time.Millisecond, func() {
-			h.net.SetDown(a.id, a.core == nil)
+		h.At(450*time.Millisecond, func() {
+			h.Net.SetDown(a.ID, a.core == nil)
 			h.slowAcks = nil
 			h.writes(true)
 			for _, cl := range h.clients[1:] {
@@ -1527,21 +1417,21 @@ func (atk leaseAttack) episode(h *raftSim) {
 		wait := 10 * time.Millisecond
 		switch {
 		case atk.candidate:
-			wait = h.until(c, c.core.electionAt)
+			wait = h.Until(c.Member, c.core.electionAt)
 		case atk.lull > 0:
-			wait = h.until(a, a.core.heartbeatAt)
+			wait = h.Until(a.Member, a.core.heartbeatAt)
 		}
 		if wait < 10*time.Millisecond {
-			h.sim.At(wait+time.Millisecond, aim) // too close: the one after
+			h.At(wait+time.Millisecond, aim) // too close: the one after
 			return
 		}
 		if atk.restart {
-			h.sim.At(wait-7*time.Millisecond, func() { h.crash(b.id) })
-			h.sim.At(wait-4*time.Millisecond, func() { h.restart(b.id) })
+			h.At(wait-7*time.Millisecond, func() { h.crash(b.ID) })
+			h.At(wait-4*time.Millisecond, func() { h.restart(b.ID) })
 		}
-		h.sim.At(wait-time.Millisecond, strike)
+		h.At(wait-time.Millisecond, strike)
 	}
-	h.sim.At(350*time.Millisecond, aim)
+	h.At(350*time.Millisecond, aim)
 }
 
 // TestRaftSimCatchesBrokenLease: the four rules that make a read under
@@ -1580,8 +1470,7 @@ func TestRaftSimCatchesBrokenLease(t *testing.T) {
 			for _, seed := range testutil.SimSeeds(t, 8) {
 				r := runRaftSim(config(seed))
 				if r.Err != nil || r.Elections < 3 {
-					t.Log(replayLine(t, seed))
-					t.Fatalf("%v (%s)", r.Err, r)
+					fail(t, seed, "%v (%s)", r.Err, r)
 				}
 			}
 		})

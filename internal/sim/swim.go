@@ -52,9 +52,9 @@ type SwimConfig struct {
 	Partitions []PartitionWindow
 
 	// tamper, set only by tests, may rewrite a message as it leaves
-	// node from: the broken-rule twins use it to prove that the checks
-	// a run ends with can fail.
-	tamper func(from int32, m *ssg.Msg)
+	// node from, or say the engine never sent it: the broken-rule twins
+	// use it to prove that the checks a run makes can fail.
+	tamper func(from int32, m *ssg.Msg) bool
 }
 
 func (c SwimConfig) withDefaults() SwimConfig {
@@ -117,6 +117,10 @@ type SwimResult struct {
 	// end of the run, a surviving observer still believes a surviving
 	// target dead — the convergence/reconciliation failure metric.
 	StaleDeadBeliefs int
+
+	// Err is the first broken invariant: a tag an engine was handed that
+	// it neither handed back nor keeps.
+	Err error
 }
 
 type killRec struct {
@@ -126,17 +130,18 @@ type killRec struct {
 	deadSeen  int
 }
 
-type swimDriver struct {
-	sim     *Sim
-	net     *Net
-	cfg     SwimConfig
-	engines []*ssg.Engine
-	stats   ssg.Stats
-	// armed[i] is the deadline node i's pending wake-up is for (zero:
-	// none pending — the node is parked until something steps it).
-	armed []time.Time
+// swimMember is one node: its harness member and its engine.
+type swimMember struct {
+	*Member
+	eng *ssg.Engine
+}
 
-	killed  []bool
+type swimDriver struct {
+	*Harness
+	cfg     SwimConfig
+	members []swimMember
+	stats   ssg.Stats
+
 	killRec map[int32]*killRec
 
 	falseSuspicions int64
@@ -149,22 +154,25 @@ type swimDriver struct {
 // same counters, same curves.
 //
 // The driver decides nothing about the protocol: it steps each node's
-// ssg.Engine with what reaches it, carries the engine's messages over
-// Net, wakes it at its own Deadline, and keeps score.
+// ssg.Engine, on a clock of the node's own pace, with what reaches it,
+// carries the engine's messages over Net — a ping is its own tag, its
+// Seq the pinger's number — wakes it at its own Deadline, and keeps
+// score; after every step it checks that every tag it handed an engine
+// came back once or is still kept.
 func RunSwim(cfg SwimConfig) *SwimResult {
 	cfg = cfg.withDefaults()
 	start := time.Now()
-	s := New(cfg.Seed)
 	d := &swimDriver{
-		sim:           s,
+		Harness:       NewHarness(cfg.Seed),
 		cfg:           cfg,
-		engines:       make([]*ssg.Engine, cfg.Nodes),
-		armed:         make([]time.Time, cfg.Nodes),
-		killed:        make([]bool, cfg.Nodes),
+		members:       make([]swimMember, cfg.Nodes),
 		killRec:       map[int32]*killRec{},
 		falseDeadVict: map[int32]bool{},
 	}
-	d.net = NewNet(cfg.Nodes, cfg.Seed, cfg.Latency, cfg.Jitter, cfg.Faults, s.Now(), cfg.Partitions)
+	d.DupDelay = cfg.Jitter
+	d.Wake = d.tick
+	d.Invariants = func(m *Member) { d.Ledger(m, d.members[m.ID].eng.Kept()) }
+	d.Net = NewNet(cfg.Nodes, cfg.Seed, cfg.Latency, cfg.Jitter, cfg.Faults, d.Now(), cfg.Partitions)
 
 	// Bootstrap: every node knows the full member list (the paper's
 	// static bootstrap). Interning all addresses up front fixes the
@@ -176,15 +184,16 @@ func RunSwim(cfg SwimConfig) *SwimResult {
 	for i := range ids {
 		ids[i] = tbl.Intern(fmt.Sprintf("n%05d", i))
 	}
-	for i := range d.engines {
+	for i := range d.members {
 		rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(i)))
-		d.engines[i] = ssg.NewEngine(tbl, ids[i], ids, cfg.Protocol, rng, &d.stats, s.Now())
+		m := d.NewMember(int32(i))
+		d.members[i] = swimMember{m, ssg.NewEngine(tbl, ids[i], ids, cfg.Protocol, rng, &d.stats, d.Clock(m))}
 	}
 
 	// Kill schedule.
 	kills := cfg.Kills
 	if kills == nil && cfg.KillCount > 0 {
-		perm := s.Rand().Perm(cfg.Nodes)
+		perm := d.Rand().Perm(cfg.Nodes)
 		window := cfg.Duration / 2
 		for i := 0; i < cfg.KillCount && i < cfg.Nodes; i++ {
 			at := cfg.Duration/4 + time.Duration(int64(window)*int64(i)/int64(cfg.KillCount))
@@ -193,8 +202,11 @@ func RunSwim(cfg SwimConfig) *SwimResult {
 	}
 	d.dissemTarget = int(math.Ceil(0.99 * float64(cfg.Nodes-len(kills)-1)))
 	for _, k := range kills {
-		k := k
-		s.At(k.At, func() { d.kill(k.Node) })
+		d.At(k.At, func() {
+			d.Crash(d.members[k.Node].Member)
+			d.killRec[k.Node] = &killRec{at: d.Now()}
+			d.Trace.Record(d.Now(), evKill, k.Node, -1, 0)
+		})
 	}
 
 	// Flappers: the last Flappers non-killed nodes cycle down/up.
@@ -208,119 +220,98 @@ func RunSwim(cfg SwimConfig) *SwimResult {
 			continue
 		}
 		flapped++
-		id := int32(i)
 		// Stagger flap cycles so flappers do not move in lockstep.
-		offset := time.Duration(s.Rand().Int63n(int64(cfg.FlapPeriod)))
-		s.At(cfg.FlapPeriod+offset, func() { d.flapDown(id) })
+		offset := time.Duration(d.Rand().Int63n(int64(cfg.FlapPeriod)))
+		d.At(cfg.FlapPeriod+offset, func() { d.flapDown(d.members[i].Member) })
 	}
 
-	for i := range d.engines {
-		d.settle(int32(i), s.Now(), false)
+	for i := range d.members {
+		d.settle(int32(i), false)
 	}
-	s.RunFor(cfg.Duration)
+	d.RunFor(cfg.Duration)
 	return d.result(start)
-}
-
-func (d *swimDriver) kill(id int32) {
-	d.killed[id] = true
-	d.net.SetDown(id, true)
-	d.killRec[id] = &killRec{at: d.sim.Now()}
-	d.sim.Trace.Record(d.sim.Now(), evKill, id, -1, 0)
 }
 
 // flapDown freezes a node — no messages in or out, no timers — for
 // FlapDown; flapUp thaws it with its protocol state intact, so what it
 // believed and what was said about it meanwhile have to be reconciled.
-func (d *swimDriver) flapDown(id int32) {
-	if d.killed[id] {
+func (d *swimDriver) flapDown(m *Member) {
+	if m.Crashed {
 		return
 	}
-	d.net.SetDown(id, true)
-	d.sim.Trace.Record(d.sim.Now(), evFlap, id, -1, 0)
-	d.sim.At(d.cfg.FlapDown, func() { d.flapUp(id) })
+	d.Freeze(m)
+	d.Trace.Record(d.Now(), evFlap, m.ID, -1, 0)
+	d.At(d.cfg.FlapDown, func() { d.flapUp(m) })
 }
 
-func (d *swimDriver) flapUp(id int32) {
-	if d.killed[id] {
+func (d *swimDriver) flapUp(m *Member) {
+	if m.Crashed {
 		return
 	}
-	d.net.SetDown(id, false)
-	d.sim.Trace.Record(d.sim.Now(), evFlap, id, -1, 1)
-	d.sim.At(d.cfg.FlapPeriod, func() { d.flapDown(id) })
-	d.tick(id)
+	d.Trace.Record(d.Now(), evFlap, m.ID, -1, 1)
+	d.At(d.cfg.FlapPeriod, func() { d.flapDown(m) })
+	d.Thaw(m)
 }
 
-// tick fires node i's due timers, if any, and settles.
-func (d *swimDriver) tick(i int32) {
-	now := d.sim.Now()
-	if !d.engines[i].Deadline().After(now) {
-		d.engines[i].Tick(now)
+// tick fires a node's due timers, if any, and settles.
+func (d *swimDriver) tick(m *Member) {
+	e, now := d.members[m.ID].eng, d.Clock(m)
+	if !e.Deadline().After(now) {
+		e.Tick(now)
 	}
-	d.settle(i, now, true)
+	d.settle(m.ID, true)
 }
 
 // settle is what a driver does after a step: report the transitions,
 // send the messages, re-arm the timer. ticked says the step was a
 // Tick, the only step in which an engine suspects first-hand.
-func (d *swimDriver) settle(i int32, now time.Time, ticked bool) {
-	eff := d.engines[i].Take()
+func (d *swimDriver) settle(i int32, ticked bool) {
+	m, now := d.members[i], d.Now()
+	eff := m.eng.Take()
 	for _, t := range eff.Transitions {
 		d.onTransition(i, now, t, ticked)
 	}
-	for _, m := range eff.Msgs {
-		if d.cfg.tamper != nil {
-			d.cfg.tamper(i, &m)
-		}
-		d.sim.Trace.Record(now, evSend, i, m.To, uint64(m.Kind)<<56|m.Seq)
-		lat, dup, ok := d.net.Deliver(i, m.To, now)
-		if !ok {
+	for _, msg := range eff.Msgs {
+		if d.cfg.tamper != nil && !d.cfg.tamper(i, &msg) {
 			continue
 		}
-		d.sim.At(lat, func() { d.deliver(i, m) })
-		if dup {
-			d.sim.At(lat+d.cfg.Jitter, func() { d.deliver(i, m) })
+		seq := msg.Seq
+		if msg.Kind == ssg.MsgAck {
+			seq = msg.Tag.(*ssg.Msg).Seq
+			m.Out++
 		}
+		d.Trace.Record(now, evSend, i, msg.To, uint64(msg.Kind)<<56|seq)
+		to := d.members[msg.To]
+		d.Transmit(m.Member, to.Member, to.Epoch, func() { d.deliver(i, &msg) })
 	}
-	if at := d.engines[i].Deadline(); d.armed[i].IsZero() || at.Before(d.armed[i]) {
-		d.armed[i] = at
-		d.sim.At(at.Sub(now), func() {
-			// A killed node's timers never fire again; a frozen one
-			// stays parked until flapUp; a superseded wake-up is void.
-			if d.killed[i] || !d.armed[i].Equal(at) {
-				return
-			}
-			d.armed[i] = time.Time{}
-			if !d.net.Down(i) {
-				d.tick(i)
-			}
-		})
-	}
+	d.Stepped(m.Member, m.eng.Deadline())
 }
 
-// deliver lands one message at its destination.
-func (d *swimDriver) deliver(from int32, m ssg.Msg) {
-	if d.killed[m.To] || d.net.Down(m.To) {
-		return
-	}
-	e, now := d.engines[m.To], d.sim.Now()
-	switch m.Kind {
+// deliver lands one message at its destination. A ping or ping-req is
+// its own tag: the ack that hands it back answers the sender's number.
+func (d *swimDriver) deliver(from int32, msg *ssg.Msg) {
+	to := d.members[msg.To]
+	e, now := to.eng, d.Clock(to.Member)
+	switch msg.Kind {
 	case ssg.MsgPing:
-		e.Ping(now, from, m.Seq, m.Updates)
+		to.In++
+		e.Ping(now, from, msg, msg.Updates)
 	case ssg.MsgPingReq:
-		e.PingReq(now, from, m.Seq, m.Target, m.Updates)
+		to.In++
+		e.PingReq(now, from, msg, msg.Target, msg.Updates)
 	case ssg.MsgAck:
-		e.Ack(now, from, m.Seq, m.OK, m.Updates)
+		e.Ack(now, from, msg.Tag.(*ssg.Msg).Seq, msg.OK, msg.Updates)
 	}
-	d.settle(m.To, now, false)
+	d.settle(msg.To, false)
 }
 
 func (d *swimDriver) onTransition(observer int32, now time.Time, t ssg.Transition, ticked bool) {
-	d.sim.Trace.Record(now, evTransition, observer, t.ID, uint64(t.New)<<32|t.Incarnation&0xffffffff)
+	d.Trace.Record(now, evTransition, observer, t.ID, uint64(t.New)<<32|t.Incarnation&0xffffffff)
 	switch {
 	case t.New == ssg.StateSuspect && ticked:
 		// First-hand false positive: the target was up and reachable,
 		// yet the whole probe round failed (message loss ate every leg).
-		if !d.killed[t.ID] && !d.net.Down(t.ID) && !d.net.Partitioned(observer, t.ID, now) {
+		if !d.members[t.ID].Crashed && !d.Net.Down(t.ID) && !d.Net.Partitioned(observer, t.ID, now) {
 			d.falseSuspicions++
 		}
 	case t.New == ssg.StateDead:
@@ -332,7 +323,7 @@ func (d *swimDriver) onTransition(observer int32, now time.Time, t ssg.Transitio
 			if rec.deadSeen >= d.dissemTarget && rec.dissemAt.IsZero() {
 				rec.dissemAt = now
 			}
-		} else if !d.killed[t.ID] && !d.net.Down(t.ID) {
+		} else if !d.members[t.ID].Crashed && !d.Net.Down(t.ID) {
 			d.falseDeadVict[t.ID] = true
 		}
 	}
@@ -344,9 +335,9 @@ func (d *swimDriver) result(start time.Time) *SwimResult {
 		Seed:            d.cfg.Seed,
 		VirtualDuration: d.cfg.Duration,
 		Wall:            time.Since(start),
-		Events:          d.sim.Events(),
-		TraceHash:       d.sim.Trace.Hash(),
-		TraceCount:      d.sim.Trace.Count(),
+		Events:          d.Events(),
+		TraceHash:       d.Trace.Hash(),
+		TraceCount:      d.Trace.Count(),
 		Kills:           len(d.killRec),
 		FalseSuspicions: d.falseSuspicions,
 		FalseDeaths:     int64(len(d.falseDeadVict)),
@@ -355,16 +346,17 @@ func (d *swimDriver) result(start time.Time) *SwimResult {
 		AcksReceived:    d.stats.AcksReceived.Load(),
 		UpdatesGossiped: d.stats.UpdatesGossiped.Load(),
 		Refutations:     d.stats.RefutationsSent.Load(),
+		Err:             d.Err,
 	}
-	for i := range d.engines {
-		if d.killed[i] {
+	for i, o := range d.members {
+		if o.Crashed {
 			continue
 		}
-		for j := range d.engines {
-			if j == i || d.killed[j] {
+		for j, t := range d.members {
+			if j == i || t.Crashed {
 				continue
 			}
-			if st, _, ok := d.engines[i].State(int32(j)); ok && st == ssg.StateDead {
+			if st, _, ok := o.eng.State(int32(j)); ok && st == ssg.StateDead {
 				r.StaleDeadBeliefs++
 			}
 		}

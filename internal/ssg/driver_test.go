@@ -58,7 +58,11 @@ func TestPingReqDoesNotParkTheVia(t *testing.T) {
 		}
 		relayed <- r
 	}()
-	time.Sleep(20 * time.Millisecond) // the via is now waiting on the black hole
+	eventually(t, []*Group{g}, 10*time.Second, func() bool {
+		g.drv.Lock()
+		defer g.drv.Unlock()
+		return g.eng.Kept() == 1
+	}, "the via never took the ping-req") // it now waits on the black hole
 
 	start := time.Now()
 	var ack ackReply
@@ -81,20 +85,21 @@ func TestPingReqDoesNotParkTheVia(t *testing.T) {
 // TestOnChangeDeliveredInOrder: callbacks see a member's transitions in
 // the order they happened, however slow a callback is. Before, every
 // transition got its own goroutine, so a callback that took its time
-// over alive→suspect saw suspect→dead first.
+// over alive→suspect saw suspect→dead first. Here that callback waits
+// until all three transitions have happened.
 func TestOnChangeDeliveredInOrder(t *testing.T) {
 	c := newClusterN(t, 1, quietCfg())
 	g := c.groups[0]
 	const peer = "sm://ordered"
 	var mu sync.Mutex
 	var seen []State
-	done := make(chan struct{})
+	done, slow := make(chan struct{}), make(chan struct{})
 	g.OnChange(func(m Member, _, s State) {
 		if m.Addr != peer {
 			return
 		}
 		if s == StateSuspect {
-			time.Sleep(50 * time.Millisecond)
+			<-slow
 		}
 		mu.Lock()
 		seen = append(seen, s)
@@ -107,6 +112,7 @@ func TestOnChangeDeliveredInOrder(t *testing.T) {
 	for _, s := range []State{StateAlive, StateSuspect, StateDead} {
 		g.applyUpdates([]Update{{Addr: peer, Incarnation: 1, State: s}})
 	}
+	close(slow)
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
@@ -119,8 +125,10 @@ func TestOnChangeDeliveredInOrder(t *testing.T) {
 	}
 }
 
-// TestGroupGoroutinesJoinedByStop: probing, relaying, a death and its
-// callbacks leave no goroutine behind once the groups are stopped —
+// TestGroupGoroutinesJoinedByStop: what a group adds to its driver
+// (TestDriverStopJoinsEveryGoroutine, internal/margo) leaves no goroutine
+// behind either — lane workers blocked in pings and ping-reqs to a member
+// that swallows them, a death's callbacks — once the groups are stopped;
 // the instances are still up, so whatever is left would be the groups'.
 func TestGroupGoroutinesJoinedByStop(t *testing.T) {
 	f := mercury.NewFabric()

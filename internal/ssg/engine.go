@@ -17,13 +17,12 @@ import (
 // an ack from a peer, membership assertions); outputs are the Effects
 // each step leaves behind plus the next timer deadline. Members are
 // dense int32 IDs throughout; addresses exist only in the AddrTable.
-// Two drivers run it:
+// Two runtimes run it (DESIGN.md §17):
 //
-//   - the live Group (group.go), which wraps one Engine in a mutex and
-//     wires it to margo RPCs, a timer goroutine, a few senders and the
-//     one notifier goroutine that calls membership callbacks; and
+//   - the live Group (group.go), one Engine on a margo.Driver wired to
+//     margo RPCs; and
 //   - the deterministic simulator (internal/sim), which runs thousands
-//     of engines single-threaded on sim.Sim + sim.Net, so the code that
+//     of engines on sim.Harness, each on a clock of its own, so the code that
 //     decides "ping-req", "suspect", "dead" and "refute" in production
 //     is the code that is checked at 10k nodes.
 //
@@ -83,18 +82,21 @@ const (
 	MsgPing MsgKind = iota + 1
 	// MsgPingReq asks To to ping Target and report back.
 	MsgPingReq
-	// MsgAck answers the ping or ping-req the receiver sent as Seq.
+	// MsgAck answers the ping or ping-req that was handed in with Tag.
 	MsgAck
 )
 
 // Msg is one message the engine wants delivered. Seq is the sender's
-// number for a ping or ping-req and comes back unchanged in the ack
-// that answers it.
+// number for a ping or ping-req: its driver steps Ack with it when the
+// answer comes. Tag, on an ack, is the opaque tag the ping or ping-req
+// it answers came in with — tag in, tag out: the engine hands back
+// every tag once, and the driver keeps no table.
 type Msg struct {
 	Kind   MsgKind
 	To     int32
 	Target int32 // MsgPingReq only
 	Seq    uint64
+	Tag    interface{}
 	// OK on an ack to a ping-req says the target answered the relayed
 	// ping; an ack to a ping always carries true.
 	OK bool
@@ -176,9 +178,9 @@ type round struct {
 
 // relay is a ping in flight on behalf of a ping-req.
 type relay struct {
-	seq      uint64 // of our ping to target
-	from     int32  // who asked
-	reqSeq   uint64 // their number for the ping-req
+	seq      uint64      // of our ping to target
+	from     int32       // who asked
+	tag      interface{} // the ping-req's, for the answer
 	target   int32
 	deadline time.Time
 }
@@ -392,7 +394,7 @@ func (e *Engine) Tick(now time.Time) {
 	for len(e.relays) > 0 && !now.Before(e.relays[0].deadline) {
 		r := e.relays[0]
 		e.relays = e.relays[1:]
-		e.send(Msg{Kind: MsgAck, To: r.from, Seq: r.reqSeq, Updates: e.takeGossip()})
+		e.send(Msg{Kind: MsgAck, To: r.from, Tag: r.tag, Updates: e.takeGossip()})
 	}
 	switch {
 	case !now.Before(e.periodAt):
@@ -440,22 +442,22 @@ func (e *Engine) send(m Msg) { e.eff.Msgs = append(e.eff.Msgs, m) }
 // ours. If the pinger itself is locally believed suspect or dead the
 // ack says so: telling it triggers its refutation, SWIM's mechanism
 // for recovering from false positives.
-func (e *Engine) Ping(now time.Time, from int32, seq uint64, ups []IDUpdate) {
+func (e *Engine) Ping(now time.Time, from int32, tag interface{}, ups []IDUpdate) {
 	e.Apply(now, ups)
 	reply := e.takeGossip()
 	if s, inc, ok := e.State(from); ok && (s == StateDead || s == StateSuspect) {
 		reply = append(reply, IDUpdate{ID: from, Incarnation: inc, State: s})
 	}
-	e.send(Msg{Kind: MsgAck, To: from, Seq: seq, OK: true, Updates: reply})
+	e.send(Msg{Kind: MsgAck, To: from, Tag: tag, OK: true, Updates: reply})
 }
 
 // PingReq handles a request to probe target on from's behalf: ping it
-// and remember whom to tell. The answer is an ack to from carrying seq,
+// and keep tag until there is an answer — an ack to from carrying it,
 // sent when target acks or, with OK false, when PingTimeout runs out.
-func (e *Engine) PingReq(now time.Time, from int32, seq uint64, target int32, ups []IDUpdate) {
+func (e *Engine) PingReq(now time.Time, from int32, tag interface{}, target int32, ups []IDUpdate) {
 	e.Apply(now, ups)
 	e.seq++
-	e.relays = append(e.relays, relay{seq: e.seq, from: from, reqSeq: seq, target: target, deadline: now.Add(e.cfg.PingTimeout)})
+	e.relays = append(e.relays, relay{seq: e.seq, from: from, tag: tag, target: target, deadline: now.Add(e.cfg.PingTimeout)})
 	e.stats.PingsSent.Add(1)
 	e.send(Msg{Kind: MsgPing, To: target, Seq: e.seq, Timeout: e.cfg.PingTimeout, Updates: e.takeGossip()})
 }
@@ -485,9 +487,21 @@ func (e *Engine) Ack(now time.Time, from int32, seq uint64, ok bool, ups []IDUpd
 	if relayed >= 0 {
 		rl := e.relays[relayed]
 		e.relays = append(e.relays[:relayed], e.relays[relayed+1:]...)
-		e.send(Msg{Kind: MsgAck, To: rl.from, Seq: rl.reqSeq, OK: ok, Updates: e.takeGossip()})
+		e.send(Msg{Kind: MsgAck, To: rl.from, Tag: rl.tag, OK: ok, Updates: e.takeGossip()})
 	}
 }
+
+// Surrender answers every ping-req the engine still keeps with "no":
+// what a driver does on its way out.
+func (e *Engine) Surrender() {
+	for _, r := range e.relays {
+		e.send(Msg{Kind: MsgAck, To: r.from, Tag: r.tag})
+	}
+	e.relays = nil
+}
+
+// Kept is how many tags the engine holds: the ping-reqs not answered yet.
+func (e *Engine) Kept() int { return len(e.relays) }
 
 // noteAlive records an ack as evidence of life: a member we believed
 // dead is resurrected (its refutation gossip will follow with a higher

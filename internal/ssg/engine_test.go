@@ -175,18 +175,22 @@ func TestProbeRoundRules(t *testing.T) {
 }
 
 // TestRelayRules drives the via's side: a ping-req becomes a ping to
-// the target bounded by the via's own PingTimeout, and is answered
-// exactly once — yes when the target acks, no when the timeout runs out.
+// the target bounded by the via's own PingTimeout, and its tag comes back
+// exactly once — yes when the target acks, no when the timeout runs out
+// or when the driver surrenders it on its way out.
 func TestRelayRules(t *testing.T) {
-	const asker, target, askerSeq = int32(3), int32(4), uint64(77)
+	const asker, target = int32(3), int32(4)
+	tag := &struct{ name string }{"the asker's ping-req"}
 	cases := []struct {
-		name   string
-		ackAt  time.Duration // target's ack, since the ping-req (0: never)
-		wantOK bool
-		wantAt time.Duration
+		name      string
+		ackAt     time.Duration // target's ack, since the ping-req (0: never)
+		surrender bool          // the driver stops at wantAt
+		wantOK    bool
+		wantAt    time.Duration
 	}{
-		{"target acks: yes at once", 10 * time.Millisecond, true, 10 * time.Millisecond},
-		{"via with no route: no at its own PingTimeout", 0, false, rigCfg.PingTimeout},
+		{"target acks: yes at once", 10 * time.Millisecond, false, true, 10 * time.Millisecond},
+		{"via with no route: no at its own PingTimeout", 0, false, false, rigCfg.PingTimeout},
+		{"driver stops: Surrender says no at once", 0, true, false, 10 * time.Millisecond},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -195,11 +199,11 @@ func TestRelayRules(t *testing.T) {
 			r.e.Ack(r.now, r.msgs[0].To, r.msgs[0].Seq, true, nil)
 			r.msgs = nil
 			start := r.now
-			r.e.PingReq(r.now, asker, askerSeq, target, nil)
+			r.e.PingReq(r.now, asker, tag, target, nil)
 			r.collect()
 			pings := r.sent(MsgPing)
-			if len(pings) != 1 || pings[0].To != target || pings[0].Timeout != rigCfg.PingTimeout {
-				t.Fatalf("relayed pings %+v, want one to %d bounded by PingTimeout", pings, target)
+			if len(pings) != 1 || pings[0].To != target || pings[0].Timeout != rigCfg.PingTimeout || r.e.Kept() != 1 {
+				t.Fatalf("relayed pings %+v, %d tags kept: want one to %d bounded by PingTimeout, and the tag", pings, r.e.Kept(), target)
 			}
 			if d := r.e.Deadline(); d.After(start.Add(rigCfg.PingTimeout)) {
 				t.Fatalf("deadline %v does not cover the relay's timeout", d.Sub(start))
@@ -210,9 +214,13 @@ func TestRelayRules(t *testing.T) {
 				r.collect()
 			}
 			r.runTo(start.Add(c.wantAt))
+			if c.surrender {
+				r.e.Surrender()
+				r.collect()
+			}
 			acks := r.sent(MsgAck)
-			if len(acks) != 1 || acks[0].To != asker || acks[0].Seq != askerSeq || acks[0].OK != c.wantOK {
-				t.Fatalf("answers %+v, want one to %d with seq %d ok=%v", acks, asker, askerSeq, c.wantOK)
+			if len(acks) != 1 || acks[0].To != asker || acks[0].Tag != tag || acks[0].OK != c.wantOK || r.e.Kept() != 0 {
+				t.Fatalf("answers %+v, %d tags kept: want one to %d with the tag, ok=%v", acks, r.e.Kept(), asker, c.wantOK)
 			}
 			// A second (or late) ack from the target finds no relay to settle.
 			r.runTo(r.now.Add(time.Millisecond))
@@ -237,8 +245,8 @@ func TestRefutationBumpsIncarnation(t *testing.T) {
 	r.e.Ping(r.now, 2, 9, nil)
 	r.collect()
 	ack := r.sent(MsgAck)[0]
-	if ack.To != 2 || ack.Seq != 9 || !ack.OK {
-		t.Fatalf("ack %+v, want one to 2 with seq 9", ack)
+	if ack.To != 2 || ack.Tag != 9 || !ack.OK {
+		t.Fatalf("ack %+v, want one to 2 with tag 9", ack)
 	}
 	found := false
 	for _, u := range ack.Updates {

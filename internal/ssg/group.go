@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"mochi/internal/clock"
 	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
@@ -45,7 +43,7 @@ type Stats struct {
 	RefutationsSent atomic.Int64
 }
 
-// call is one ping or ping-req on its way to a sender.
+// call is one ping or ping-req on its way to the lane.
 type call struct {
 	to      int32
 	seq     uint64
@@ -55,54 +53,32 @@ type call struct {
 	timeout time.Duration
 }
 
-// reply is the answer to a kept handle, sent once mu is released.
+// reply is the answer to a kept handle, sent once the lock is released.
 type reply struct {
 	h   *mercury.Handle
 	ack *ackReply
 }
 
-// change is one transition on its way to the membership callbacks.
-type change struct {
-	m        Member
-	old, new State
-}
-
-// Group is one process's membership in a named SSG group: the driver
-// of one Engine. It owns no protocol state and decides nothing. mu
-// serializes every step of the engine and guards the driver's tables
-// and the address table. Three kinds of goroutine exist, all started
-// by create and joined by Stop: the timer loop, the senders (a ping or
-// ping-req is a blocking RPC whose reply is the ack), and the notifier,
-// the only caller of membership callbacks. Addresses become IDs, and
-// back, here and nowhere else.
+// Group is one process's membership in a named SSG group: one Engine on
+// a margo.Driver. It owns no protocol state, decides nothing and keeps
+// no table of requests: a ping's or ping-req's handle is the tag the
+// engine hands back in the ack that answers it. Besides the driver's
+// timer loop and notifier (the only caller of membership callbacks), its
+// one lane's workers perform pings and ping-reqs, blocking RPCs whose
+// reply is the ack. Addresses become IDs, and back, here and nowhere
+// else.
 type Group struct {
 	inst *margo.Instance
-	clk  clock.Clock
 	name string
 	self string
+	drv  *margo.Driver[reply]
+	out  *margo.Lane[call]
 
-	mu        sync.Mutex
+	// Guarded by the driver's lock.
 	tbl       *AddrTable
 	eng       *Engine
 	callbacks []MembershipCallback
 	left      bool
-	// handles are the pings and ping-reqs the engine has not answered
-	// yet, by the number this driver gave them: the wire carries none,
-	// the RPC pairs request and reply. A ping-req's handle waits here
-	// for the relayed ping's outcome while its execution stream is free.
-	handles map[uint64]*mercury.Handle
-	hseq    uint64
-	changes []change  // not yet delivered, in order
-	armed   time.Time // the deadline the timer loop sleeps on
-
-	out    chan call     // to the senders; full means lost, as on any datagram fabric
-	notify chan struct{} // buffered(1): changes is non-empty
-	rearm  chan struct{} // buffered(1): the engine's deadline moved earlier
-
-	ctx      context.Context // cancelled by Stop
-	cancel   context.CancelFunc
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 
 	stats Stats
 }
@@ -112,37 +88,22 @@ type Group struct {
 // addresses"): every process calls Create with the same list. The
 // local address is added if absent.
 func Create(inst *margo.Instance, name string, bootstrap []string, cfg Config) (*Group, error) {
-	g := &Group{
-		inst:    inst,
-		clk:     inst.Clock(),
-		name:    name,
-		self:    inst.Addr(),
-		tbl:     NewAddrTable(),
-		handles: map[uint64]*mercury.Handle{},
-		notify:  make(chan struct{}, 1),
-		rearm:   make(chan struct{}, 1),
-	}
-	g.ctx, g.cancel = context.WithCancel(context.Background())
+	g := &Group{inst: inst, name: name, self: inst.Addr(), tbl: NewAddrTable()}
 	ids := make([]int32, len(bootstrap))
 	for i, a := range bootstrap {
 		ids[i] = g.tbl.Intern(a)
 	}
 	rng := rand.New(rand.NewSource(int64(mercury.NameToID(g.self + "/" + name))))
-	g.eng = NewEngine(g.tbl, g.tbl.Intern(g.self), ids, cfg, rng, &g.stats, g.clk.Now())
-	// One sender per RPC a member can have outstanding in a quiet group:
+	g.eng = NewEngine(g.tbl, g.tbl.Intern(g.self), ids, cfg, rng, &g.stats, inst.Clock().Now())
+	g.drv = margo.NewDriver(inst.Clock(), g.eng, g.dispatch, func(r reply) { margo.Reply(r.h, r.ack) })
+	// One worker per RPC a member can have outstanding in a quiet group:
 	// its own round's ping and k ping-reqs, and as many relayed pings.
-	senders := 1 + 2*g.eng.Config().IndirectPings
-	g.out = make(chan call, senders)
+	g.out = margo.NewLane(g.drv, 1+2*g.eng.Config().IndirectPings, g.send)
 	if err := groups.Attach(g.inst, g.name, g); err != nil {
-		g.cancel()
+		g.drv.Stop(func(time.Time) {})
 		return nil, err
 	}
-	g.wg.Add(2 + senders)
-	go g.timerLoop()
-	go g.notifier()
-	for i := 0; i < senders; i++ {
-		go g.sender()
-	}
+	g.drv.Start()
 	return g, nil
 }
 
@@ -163,7 +124,7 @@ func Join(ctx context.Context, inst *margo.Instance, name, seedAddr string, cfg 
 	}
 	// Announce ourselves so the join propagates even if the seed's
 	// gossip is slow.
-	g.step(func(e *Engine, _ time.Time) { e.AnnounceSelf() })
+	g.drv.Step(func(time.Time) { g.eng.AnnounceSelf() })
 	return g, nil
 }
 
@@ -181,30 +142,30 @@ func (g *Group) Stats() *Stats { return &g.stats }
 // goroutine: a slow one delays the ones behind it (and Stop), never
 // the protocol.
 func (g *Group) OnChange(cb MembershipCallback) {
-	g.mu.Lock()
+	g.drv.Lock()
 	g.callbacks = append(g.callbacks, cb)
-	g.mu.Unlock()
+	g.drv.Unlock()
 }
 
 // View returns a snapshot of the membership.
 func (g *Group) View() View {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.drv.Lock()
+	defer g.drv.Unlock()
 	return g.eng.View()
 }
 
 // Leave departs gracefully: the leave is pushed to a few peers and
 // the protocol stops.
 func (g *Group) Leave(ctx context.Context) error {
-	g.mu.Lock()
+	g.drv.Lock()
 	if g.left {
-		g.mu.Unlock()
+		g.drv.Unlock()
 		return ErrLeft
 	}
 	g.left = true
 	_, inc, _ := g.eng.State(g.tbl.Intern(g.self))
 	peers := g.eng.View().Alive()
-	g.mu.Unlock()
+	g.drv.Unlock()
 	args := pingArgs{
 		Group:   g.name,
 		From:    g.self,
@@ -221,20 +182,10 @@ func (g *Group) Leave(ctx context.Context) error {
 }
 
 // Stop halts the protocol without announcing departure (a crash, from
-// the group's perspective) and waits for the group's goroutines.
+// the group's perspective) and waits for the group's goroutines. The
+// ping-reqs it still keeps are answered "no".
 func (g *Group) Stop() {
-	g.stopOnce.Do(func() {
-		g.cancel() // no step runs from here on
-		g.mu.Lock()
-		var unanswered []reply
-		for seq, h := range g.handles {
-			unanswered = append(unanswered, reply{h, &ackReply{}})
-			delete(g.handles, seq)
-		}
-		g.mu.Unlock()
-		send(unanswered)
-	})
-	g.wg.Wait()
+	g.drv.Stop(func(time.Time) { g.eng.Surrender() })
 	groups.Detach(g.inst, g.name, g)
 }
 
@@ -257,34 +208,15 @@ func FetchView(ctx context.Context, inst *margo.Instance, addr, name string) (Vi
 
 // --- stepping the engine ---
 
-// step runs one engine input under mu and carries out its effects. A
-// stopped group runs nothing and reports false.
-func (g *Group) step(f func(e *Engine, now time.Time)) bool {
-	g.mu.Lock()
-	if g.ctx.Err() != nil {
-		g.mu.Unlock()
-		return false
-	}
-	f(g.eng, g.clk.Now())
-	replies := g.dispatch()
-	g.mu.Unlock()
-	send(replies)
-	return true
-}
-
-// dispatch carries out what the last step asked for, except for the
-// answers to kept handles, which it returns: they go out once mu is
-// released. Caller holds mu.
-func (g *Group) dispatch() []reply {
+// dispatch carries out what the last step asked for: acks answer kept
+// handles once the lock is released, pings and ping-reqs go to the lane,
+// transitions to the notifier. Caller holds the driver's lock.
+func (g *Group) dispatch() {
 	eff := g.eng.Take()
-	var replies []reply
 	for _, m := range eff.Msgs {
 		ups := g.addrs(m.Updates)
 		if m.Kind == MsgAck {
-			if h := g.handles[m.Seq]; h != nil {
-				delete(g.handles, m.Seq)
-				replies = append(replies, reply{h, &ackReply{OK: m.OK, Updates: ups}})
-			}
+			g.drv.Reply(reply{m.Tag.(*mercury.Handle), &ackReply{OK: m.OK, Updates: ups}})
 			continue
 		}
 		c := call{to: m.To, seq: m.Seq, addr: g.tbl.Addr(m.To), timeout: m.Timeout,
@@ -292,38 +224,21 @@ func (g *Group) dispatch() []reply {
 		if m.Kind == MsgPingReq {
 			c.rpc, c.args = rpcPingReq, &pingReqArgs{Group: g.name, From: g.self, Target: g.tbl.Addr(m.Target), Updates: ups}
 		}
-		select {
-		case g.out <- c:
-		default:
-		}
+		g.out.Post(c)
 	}
 	for _, t := range eff.Transitions {
-		g.changes = append(g.changes, change{Member{Addr: g.tbl.Addr(t.ID), Incarnation: t.Incarnation, State: t.New}, t.Old, t.New})
-	}
-	if len(g.changes) > 0 {
-		signal(g.notify)
-	}
-	if g.eng.Deadline().Before(g.armed) {
-		signal(g.rearm)
-	}
-	return replies
-}
-
-func send(replies []reply) {
-	for _, r := range replies {
-		margo.Reply(r.h, r.ack)
-	}
-}
-
-func signal(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
+		m, cbs := Member{Addr: g.tbl.Addr(t.ID), Incarnation: t.Incarnation, State: t.New}, g.callbacks
+		g.drv.Notify(func() {
+			for _, cb := range cbs {
+				cb(m, t.Old, t.New)
+			}
+		})
 	}
 }
 
 // addrs and ids translate assertions at the wire edge: IDs to addresses
-// on the way out, addresses interned on the way in. Caller holds mu.
+// on the way out, addresses interned on the way in. Caller holds the
+// driver's lock.
 func (g *Group) addrs(ups []IDUpdate) []Update {
 	out := make([]Update, len(ups))
 	for i, u := range ups {
@@ -340,85 +255,25 @@ func (g *Group) ids(ups []Update) []IDUpdate {
 	return out
 }
 
-// timerLoop sleeps until the engine's deadline and ticks it.
-func (g *Group) timerLoop() {
-	defer g.wg.Done()
-	t := g.clk.NewTimer(time.Hour)
-	defer t.Stop()
-	for {
-		var wait time.Duration
-		if !g.step(func(e *Engine, now time.Time) {
-			if !e.Deadline().After(now) {
-				e.Tick(now)
-			}
-			g.armed = e.Deadline()
-			wait = g.armed.Sub(now)
-		}) {
-			return
-		}
-		t.Reset(wait)
-		select {
-		case <-t.C():
-		case <-g.rearm:
-		case <-g.ctx.Done():
-			return
-		}
-	}
-}
-
-// sender performs the engine's pings and ping-reqs. The RPC's reply is
-// the ack; a failed RPC is not reported: the engine's own timers cover
-// silence.
-func (g *Group) sender() {
-	defer g.wg.Done()
-	for {
-		select {
-		case <-g.ctx.Done():
-			return
-		case c := <-g.out:
-			ctx, cancel := context.WithTimeout(g.ctx, c.timeout)
-			var r ackReply
-			err := g.inst.Call(ctx, c.addr, c.rpc, mercury.AnyProvider, c.args, &r)
-			cancel()
-			if err == nil {
-				g.step(func(e *Engine, now time.Time) { e.Ack(now, c.to, c.seq, r.OK, g.ids(r.Updates)) })
-			}
-		}
-	}
-}
-
-// notifier delivers transitions to the membership callbacks, in order.
-func (g *Group) notifier() {
-	defer g.wg.Done()
-	for {
-		select {
-		case <-g.ctx.Done():
-			return
-		case <-g.notify:
-		}
-		g.mu.Lock()
-		changes, cbs := g.changes, g.callbacks // callbacks only ever grows: the header is a snapshot
-		g.changes = nil
-		g.mu.Unlock()
-		for _, c := range changes {
-			for _, cb := range cbs {
-				cb(c.m, c.old, c.new)
-			}
-		}
+// send performs one ping or ping-req. The RPC's reply is the ack; a
+// failed RPC is not reported: the engine's own timers cover silence.
+func (g *Group) send(c call) {
+	ctx, cancel := context.WithTimeout(g.drv.Context(), c.timeout)
+	var r ackReply
+	err := g.inst.Call(ctx, c.addr, c.rpc, mercury.AnyProvider, c.args, &r)
+	cancel()
+	if err == nil {
+		g.drv.Step(func(now time.Time) { g.eng.Ack(now, c.to, c.seq, r.OK, g.ids(r.Updates)) })
 	}
 }
 
 // --- RPC handlers (registry level) ---
 
-// keep registers h as unanswered and runs f with the number the
-// engine's ack will carry. The handler that called it returns without
-// replying; a stopped or unknown group answers "no" at once.
-func (g *Group) keep(h *mercury.Handle, f func(e *Engine, now time.Time, seq uint64)) (codec.Message, error) {
-	if g == nil || !g.step(func(e *Engine, now time.Time) {
-		g.hseq++
-		g.handles[g.hseq] = h
-		f(e, now, g.hseq)
-	}) {
+// kept steps the engine with a ping or ping-req whose handle is its tag,
+// and returns without replying: the engine's ack answers it. A stopped
+// or unknown group answers "no" at once.
+func (g *Group) kept(f func(now time.Time)) (codec.Message, error) {
+	if g == nil || !g.drv.Step(f) {
 		return &ackReply{}, nil
 	}
 	return nil, nil
@@ -426,27 +281,25 @@ func (g *Group) keep(h *mercury.Handle, f func(e *Engine, now time.Time, seq uin
 
 func (r *handlers) handlePing(_ context.Context, h *mercury.Handle, args *pingArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
-	return g.keep(h, func(e *Engine, now time.Time, seq uint64) {
-		e.Ping(now, g.tbl.Intern(args.From), seq, g.ids(args.Updates))
-	})
+	return g.kept(func(now time.Time) { g.eng.Ping(now, g.tbl.Intern(args.From), h, g.ids(args.Updates)) })
 }
 
 func (r *handlers) handlePingReq(_ context.Context, h *mercury.Handle, args *pingReqArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
-	return g.keep(h, func(e *Engine, now time.Time, seq uint64) {
-		e.PingReq(now, g.tbl.Intern(args.From), seq, g.tbl.Intern(args.Target), g.ids(args.Updates))
+	return g.kept(func(now time.Time) {
+		g.eng.PingReq(now, g.tbl.Intern(args.From), h, g.tbl.Intern(args.Target), g.ids(args.Updates))
 	})
 }
 
 func (r *handlers) handleJoin(_ context.Context, _ *mercury.Handle, args *joinArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
 	if g != nil && args.Addr != "" {
-		g.step(func(e *Engine, now time.Time) {
+		g.drv.Step(func(now time.Time) {
 			up := IDUpdate{ID: g.tbl.Intern(args.Addr), State: StateAlive}
-			if _, old, ok := e.State(up.ID); ok {
+			if _, old, ok := g.eng.State(up.ID); ok {
 				up.Incarnation = old + 1
 			}
-			e.Apply(now, []IDUpdate{up})
+			g.eng.Apply(now, []IDUpdate{up})
 		})
 	}
 	return g.viewReplyNow(), nil
@@ -455,7 +308,7 @@ func (r *handlers) handleJoin(_ context.Context, _ *mercury.Handle, args *joinAr
 func (r *handlers) handleLeave(_ context.Context, _ *mercury.Handle, args *pingArgs) (codec.Message, error) {
 	g := r.lookup(args.Group)
 	if g != nil {
-		g.step(func(e *Engine, now time.Time) { e.Apply(now, g.ids(args.Updates)) })
+		g.drv.Step(func(now time.Time) { g.eng.Apply(now, g.ids(args.Updates)) })
 	}
 	return &ackReply{OK: g != nil}, nil
 }

@@ -1,6 +1,7 @@
 package ssg
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -81,17 +82,15 @@ func TestDetectionScalesWithSuspicionConfig(t *testing.T) {
 		victim := f.insts[2].Addr()
 		start := time.Now()
 		f.fabric.Kill(victim)
-		deadline := time.Now().Add(20 * time.Second)
-		for time.Now().Before(deadline) {
+		eventually(t, f.groups[:1], 20*time.Second, func() bool {
 			for _, m := range f.groups[0].View().Members {
 				if m.Addr == victim && m.State == StateDead {
-					return time.Since(start)
+					return true
 				}
 			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		t.Fatalf("never detected with %d suspicion periods", periods)
-		return 0
+			return false
+		}, fmt.Sprintf("never detected with %d suspicion periods", periods))
+		return time.Since(start)
 	}
 	short := measure(2)
 	long := measure(12)

@@ -61,15 +61,15 @@ func newSimCluster(t *testing.T, n int, cfg Config) *simCluster {
 	return c
 }
 
-// step advances one protocol period after the standing tickers are
-// parked, then yields so the protocol loops can consume their ticks.
+// step advances one protocol period once every group's timer loop is
+// parked on the clock; a loop whose timer fired is not parked again until
+// it has stepped, so the next step waits for that.
 func (c *simCluster) step(t *testing.T, period time.Duration) {
 	t.Helper()
 	if !c.clk.WaitForWaiters(len(c.groups), 5*time.Second) {
 		t.Fatal("protocol timers never armed on the sim clock")
 	}
 	c.clk.Advance(period)
-	time.Sleep(200 * time.Microsecond)
 }
 
 // TestProtocolLoadOnSimClock is the deflaked version of the old
@@ -86,7 +86,7 @@ func TestProtocolLoadOnSimClock(t *testing.T) {
 		// out and its ack land (wall time) before the next Advance
 		// closes the window, or a slow machine turns a healthy round
 		// into ping-reqs.
-		eventually(t, 5*time.Second, func() bool {
+		eventually(t, c.groups, 5*time.Second, func() bool {
 			for _, g := range c.groups {
 				if st := g.Stats(); st.PingsSent.Load() <= int64(i) || st.AcksReceived.Load() != st.PingsSent.Load() {
 					return false
@@ -134,11 +134,6 @@ func TestFailureDetectionOnSimClock(t *testing.T) {
 	const maxRounds = 200
 	for i := 0; i < maxRounds && !allDead(); i++ {
 		c.step(t, cfg.ProtocolPeriod)
-		// Sends happen in wall time; give them a moment to land before
-		// the next virtual period.
-		if i%10 == 9 {
-			time.Sleep(2 * time.Millisecond)
-		}
 	}
 	if !allDead() {
 		t.Fatalf("victim not declared dead by all survivors within %d periods", maxRounds)
@@ -175,7 +170,14 @@ func TestGroupShutdownLeaksNoGoroutines(t *testing.T) {
 			groups = append(groups, g)
 		}
 		// Let a few protocol rounds run so RPCs are in flight.
-		time.Sleep(50 * time.Millisecond)
+		eventually(t, groups, 10*time.Second, func() bool {
+			for _, g := range groups {
+				if g.Stats().PingsSent.Load() < 3 {
+					return false
+				}
+			}
+			return true
+		}, "the groups never probed")
 		for _, g := range groups {
 			g.Stop()
 		}

@@ -3,6 +3,7 @@ package ssg
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -26,12 +27,12 @@ func fastCfg() Config {
 // had sent them, and takeGossip drains one message's worth of its
 // gossip queue: the tests' way in to the update rules of a live group.
 func (g *Group) applyUpdates(ups []Update) {
-	g.step(func(e *Engine, now time.Time) { e.Apply(now, g.ids(ups)) })
+	g.drv.Step(func(now time.Time) { g.eng.Apply(now, g.ids(ups)) })
 }
 
 func (g *Group) takeGossip() []Update {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+	g.drv.Lock()
+	defer g.drv.Unlock()
 	return g.addrs(g.eng.takeGossip())
 }
 
@@ -79,23 +80,24 @@ func newClusterN(t *testing.T, n int, cfg Config) *cluster {
 	return c
 }
 
-// eventually polls cond until it holds or the budget runs out. The
-// budget is iteration-based (d / 5ms polls) rather than a wall-clock
-// deadline so that the VM's forward clock jumps cannot expire it
-// early.
-func eventually(t *testing.T, d time.Duration, cond func() bool, msg string) {
+// eventually waits until cond holds, looking again after every step of
+// groups (each steps at least once a protocol period), and fails the
+// test after d.
+func eventually(t *testing.T, groups []*Group, d time.Duration, cond func() bool, msg string) {
 	t.Helper()
-	iters := int(d / (5 * time.Millisecond))
-	for i := 0; i < iters; i++ {
-		if cond() {
+	timeout := reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(time.After(d))}
+	for {
+		cases := []reflect.SelectCase{timeout}
+		for _, g := range groups {
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(g.drv.Changed())})
+		}
+		if cond() { // after the channels were taken: no step is missed
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		if i, _, _ := reflect.Select(cases); i == 0 {
+			t.Fatal("condition never held: " + msg)
+		}
 	}
-	if cond() {
-		return
-	}
-	t.Fatal("condition never held: " + msg)
 }
 
 func TestBootstrapViewsConverge(t *testing.T) {
@@ -132,7 +134,7 @@ func TestFailureDetection(t *testing.T) {
 	victim := c.insts[4].Addr()
 	c.fabric.Kill(victim)
 	// All survivors must eventually declare the victim dead.
-	eventually(t, 10*time.Second, func() bool {
+	eventually(t, c.groups[:4], 10*time.Second, func() bool {
 		for _, g := range c.groups[:4] {
 			dead := false
 			for _, m := range g.View().Members {
@@ -169,7 +171,7 @@ func TestFailureCallbacks(t *testing.T) {
 		mu.Unlock()
 	})
 	c.fabric.Kill(victim)
-	eventually(t, 10*time.Second, func() bool {
+	eventually(t, c.groups[:2], 10*time.Second, func() bool {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, s := range events[victim] {
@@ -215,7 +217,7 @@ func TestJoinPropagates(t *testing.T) {
 		t.Fatalf("joiner sees %d members", g.View().Size())
 	}
 	// Every original member eventually learns about the joiner.
-	eventually(t, 10*time.Second, func() bool {
+	eventually(t, c.groups, 10*time.Second, func() bool {
 		for _, og := range c.groups {
 			if og.View().Size() != 4 {
 				return false
@@ -248,7 +250,7 @@ func TestGracefulLeave(t *testing.T) {
 	if err := leaver.Leave(ctx); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, 10*time.Second, func() bool {
+	eventually(t, c.groups[:3], 10*time.Second, func() bool {
 		for _, g := range c.groups[:3] {
 			found := false
 			for _, m := range g.View().Members {
@@ -276,7 +278,7 @@ func TestRefutationResurrectsFalseSuspect(t *testing.T) {
 	// Inject a false suspicion at group 0; gossip should reach the
 	// accused, which refutes with a higher incarnation.
 	c.groups[0].applyUpdates([]Update{{Addr: accused, Incarnation: 0, State: StateSuspect}})
-	eventually(t, 10*time.Second, func() bool {
+	eventually(t, c.groups, 10*time.Second, func() bool {
 		for _, g := range c.groups {
 			for _, m := range g.View().Members {
 				if m.Addr == accused {
@@ -301,7 +303,7 @@ func TestPartitionedMemberResurrectsAfterHeal(t *testing.T) {
 		rest = append(rest, inst.Addr())
 	}
 	c.fabric.Partition(rest, []string{isolated})
-	eventually(t, 10*time.Second, func() bool {
+	eventually(t, c.groups, 10*time.Second, func() bool {
 		for _, m := range c.groups[0].View().Members {
 			if m.Addr == isolated && m.State == StateDead {
 				return true
@@ -312,7 +314,7 @@ func TestPartitionedMemberResurrectsAfterHeal(t *testing.T) {
 	c.fabric.Heal()
 	// After healing, the isolated member's pings earn it a dead rumor
 	// about itself, which it refutes; everyone resurrects it.
-	eventually(t, 15*time.Second, func() bool {
+	eventually(t, c.groups, 15*time.Second, func() bool {
 		for _, g := range c.groups {
 			ok := false
 			for _, m := range g.View().Members {
