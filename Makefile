@@ -172,7 +172,9 @@ bench-pairs:
 # by the input size, accepted input round-trips, no truncated message
 # decodes), the router shard-map encoding and snapshot merge, the
 # Prometheus exposition round trip (render → parse → re-render,
-# exercised by the federation path on remote snapshots) — plus the
+# exercised by the federation path on remote snapshots), the durable log
+# reader (any file: a prefix of whole frames replayed, the rest cut,
+# the next append replayed last) — plus the
 # yokan op-script target, which runs differential op sequences
 # (multi-key batches, shard-boundary keys) against a reference model.
 # Go allows one -fuzz pattern per invocation, so targets run one by one.
@@ -189,6 +191,7 @@ fuzz:
 	$(GO) test ./internal/yokan/router/ -run '^FuzzShardMapWire$$'       -fuzz '^FuzzShardMapWire$$'       -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/yokan/router/ -run '^FuzzSnapshotMerge$$'      -fuzz '^FuzzSnapshotMerge$$'      -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/metrics/ -run '^FuzzPrometheusExposition$$' -fuzz '^FuzzPrometheusExposition$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/durable/ -run '^FuzzOpenLog$$'      -fuzz '^FuzzOpenLog$$'      -fuzztime $(FUZZTIME)
 
 # Transport connection-scaling sweep (EXPERIMENTS.md E12): real TCP
 # sockets from tens to hundreds of client classes against one server,

@@ -2,6 +2,8 @@ package raft
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -89,6 +91,116 @@ func TestFileStoreFormatUnchanged(t *testing.T) {
 		}
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s differs from what the parent build wrote:\nparent %x\n   now %x", n, a, b)
+		}
+	}
+}
+
+// sameEntries reports whether s holds exactly want after its snapshot.
+func sameEntries(s *FileStore, want []LogEntry) bool {
+	first := s.FirstIndex()
+	if s.LastIndex() != first+uint64(len(want))-1 {
+		return false
+	}
+	for i, w := range want {
+		e, err := s.Entry(first + uint64(i))
+		if err != nil || e.Index != w.Index || e.Term != w.Term || e.Type != w.Type || !bytes.Equal(e.Data, w.Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFileStoreCrashPoints: the parent-written store, its log cut at
+// every byte as a crash could leave it, reopens holding exactly the
+// entries whose frames end at or before the cut; an entry appended then
+// is there, last, at the next reopen. Before the torn tail was cut off at
+// open, every cut inside a frame (a 14-byte tear of entry 4's, say) lost
+// that appended entry: it sat behind the tear.
+func TestFileStoreCrashPoints(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(parentStore, "log.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ends []int // where each frame ends: the log holds entries 3..5
+	for off := 0; off+4 <= len(raw); ends = append(ends, off) {
+		off += 4 + int(binary.LittleEndian.Uint32(raw[off:]))
+	}
+	if len(ends) != 3 || ends[2] != len(raw) {
+		t.Fatalf("fixture frames end at %v of %d bytes", ends, len(raw))
+	}
+	base := t.TempDir()
+	for n := 0; n <= len(raw); n++ {
+		dir := filepath.Join(base, fmt.Sprint(n))
+		for name, data := range map[string][]byte{"log.bin": raw[:n], "meta.bin": nil, "snapshot.bin": nil} {
+			if data == nil {
+				data, _ = os.ReadFile(filepath.Join(parentStore, name))
+			}
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		kept := 0
+		for kept < len(ends) && ends[kept] <= n {
+			kept++
+		}
+		want := append([]LogEntry(nil), formatEntries[2:2+kept]...)
+		s, err := NewFileStore(dir, true)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", n, err)
+		}
+		if !sameEntries(s, want) {
+			t.Fatalf("cut at %d: reopened to [%d, %d], want entries 3..%d", n, s.FirstIndex(), s.LastIndex(), 2+kept)
+		}
+		next := LogEntry{Index: uint64(3 + kept), Term: 4, Type: EntryCommand, Data: []byte("after the crash")}
+		if err := s.Append([]LogEntry{next}); err != nil {
+			t.Fatalf("cut at %d: %v", n, err)
+		}
+		s.Close()
+		if s, err = NewFileStore(dir, true); err != nil {
+			t.Fatal(err)
+		}
+		if !sameEntries(s, append(want, next)) {
+			t.Fatalf("cut at %d: after one more append reopened to [%d, %d], want entries 3..%d", n, s.FirstIndex(), s.LastIndex(), 3+kept)
+		}
+		s.Close()
+	}
+}
+
+// TestFileStoreUnreadableSnapshotKeepsTheLog: a compacted store whose
+// snapshot is lost or torn does not open — its log starts past the
+// snapshot, a gap without it — and the log is left byte for byte as it
+// was, not cut to the gap.
+func TestFileStoreUnreadableSnapshotKeepsTheLog(t *testing.T) {
+	snap, err := os.ReadFile(filepath.Join(parentStore, "snapshot.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, snapshot := range map[string][]byte{"lost": nil, "torn": snap[:len(snap)-3]} {
+		dir := t.TempDir()
+		for _, n := range []string{"meta.bin", "log.bin"} {
+			raw, err := os.ReadFile(filepath.Join(parentStore, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, n), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if snapshot != nil {
+			if err := os.WriteFile(filepath.Join(dir, "snapshot.bin"), snapshot, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s, err := NewFileStore(dir, true); err == nil {
+			s.Close()
+			t.Fatalf("%s snapshot: the store opened, holding [%d, %d]", name, s.FirstIndex(), s.LastIndex())
+		}
+		before, _ := os.ReadFile(filepath.Join(parentStore, "log.bin"))
+		if after, _ := os.ReadFile(filepath.Join(dir, "log.bin")); !bytes.Equal(before, after) {
+			t.Fatalf("%s snapshot: log.bin went from %d bytes to %d", name, len(before), len(after))
 		}
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"mochi/internal/codec"
+	"mochi/internal/durable"
 )
 
 // writeTo carries p out on s: the one place a Persist becomes Store
@@ -186,40 +186,36 @@ func (s *MemoryStore) Snapshot() ([]byte, uint64, uint64, error) {
 func (s *MemoryStore) Close() error { return nil }
 
 // FileStore persists Raft state under a directory: a metadata file
-// (term/vote), an append-only log file, and a snapshot file. It keeps
-// a MemoryStore as its in-RAM image — updated once the bytes are on
-// disk, so a reader never sees what a crash could take back — and
-// rewrites the log file on truncation/compaction (simple and
-// crash-safe via rename; every rename is followed by a sync of the
-// directory, or the new name itself could be lost).
+// (term/vote), a log of entries and a snapshot file, all written through
+// durable (DESIGN.md §8). It keeps a MemoryStore as its in-RAM image —
+// updated once the bytes are on disk, so a reader never sees what a
+// crash could take back — and rewrites the log on truncation and
+// compaction.
 type FileStore struct {
-	dir    string
-	mem    *MemoryStore
-	nosync bool
-	logF   *os.File
-	syncs  atomic.Uint64
-	buf    []byte // Append's frame buffer, reused: there is one writer
+	dir  string
+	mem  *MemoryStore
+	disk durable.Disk
+	log  *durable.Log
+	buf  []byte // Append's frame buffer, reused: there is one writer
 }
 
 // Syncs returns how many fsyncs this store has issued (0 when opened
-// with nosync). The E15 benchmark divides it by operations to show
-// group commit dropping fsyncs/op below 1.
-func (s *FileStore) Syncs() uint64 { return s.syncs.Load() }
+// with nosync); the benchmark's raft.fsyncs_per_op divides it by
+// operations.
+func (s *FileStore) Syncs() uint64 { return s.disk.Syncs() }
 
 // NewFileStore opens (or creates) a durable store in dir.
 func NewFileStore(dir string, nosync bool) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &FileStore{dir: dir, mem: NewMemoryStore(), nosync: nosync}
-	if err := s.load(); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(s.logPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	s := &FileStore{dir: dir, mem: NewMemoryStore(), disk: durable.Disk{NoSync: nosync}}
+	s.load()
+	log, err := s.disk.OpenLog(s.logPath(), s.replay)
 	if err != nil {
 		return nil, err
 	}
-	s.logF = f
+	s.log = log
 	return s, nil
 }
 
@@ -227,8 +223,8 @@ func (s *FileStore) metaPath() string { return filepath.Join(s.dir, "meta.bin") 
 func (s *FileStore) logPath() string  { return filepath.Join(s.dir, "log.bin") }
 func (s *FileStore) snapPath() string { return filepath.Join(s.dir, "snapshot.bin") }
 
-func (s *FileStore) load() error {
-	// Snapshot first: it defines firstIndex.
+// load reads the snapshot, which defines firstIndex, and the term/vote.
+func (s *FileStore) load() {
 	if raw, err := os.ReadFile(s.snapPath()); err == nil && len(raw) > 0 {
 		d := codec.NewDecoder(raw)
 		idx := d.Uint64()
@@ -247,85 +243,33 @@ func (s *FileStore) load() error {
 			s.mem.term, s.mem.votedFor = term, voted
 		}
 	}
-	// Replay the log, tolerating a torn tail.
-	raw, err := os.ReadFile(s.logPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
+}
+
+// replay loads one frame of the log: an entry the snapshot covers is
+// skipped, one at or below the end loaded so far replaces the tail from
+// there. An entry that does not follow the log (a snapshot that could
+// not be read leaves a gap) fails the open rather than cutting the log.
+func (s *FileStore) replay(frame []byte) error {
+	var e LogEntry
+	if codec.Unmarshal(frame, &e) != nil {
+		return durable.ErrCorrupt
 	}
-	off := 0
-	for off+4 <= len(raw) {
-		n := int(uint32(raw[off]) | uint32(raw[off+1])<<8 | uint32(raw[off+2])<<16 | uint32(raw[off+3])<<24)
-		if off+4+n > len(raw) {
-			break
-		}
-		var e LogEntry
-		if err := codec.Unmarshal(raw[off+4:off+4+n], &e); err != nil {
-			break
-		}
-		off += 4 + n
-		// Entries covered by the snapshot or superseded by a
-		// truncation-rewrite are skipped/over-written.
-		if e.Index < s.mem.firstIndex {
-			continue
-		}
-		if e.Index <= s.mem.LastIndex() {
-			// Overwrite due to an old truncation: drop the tail.
-			if err := s.mem.TruncateFrom(e.Index); err != nil {
-				return err
-			}
-		}
-		if err := s.mem.Append([]LogEntry{e}); err != nil {
+	if e.Index < s.mem.firstIndex {
+		return nil
+	}
+	if e.Index <= s.mem.LastIndex() {
+		if err := s.mem.TruncateFrom(e.Index); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-func (s *FileStore) sync(f *os.File) error {
-	if s.nosync {
-		return nil
-	}
-	s.syncs.Add(1)
-	return f.Sync()
-}
-
-// replaceFile makes data the content of path, atomically and durably:
-// the bytes are synced under a temporary name, renamed over path, and
-// the directory is synced so the rename survives a power loss too.
-func (s *FileStore) replaceFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(data); err == nil {
-		err = s.sync(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil || s.nosync {
-		return err
-	}
-	d, err := os.Open(s.dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return s.sync(d)
+	return s.mem.Append([]LogEntry{e})
 }
 
 func (s *FileStore) SetState(term uint64, votedFor string) error {
 	enc := codec.NewEncoder(nil)
 	enc.Uint64(term)
 	enc.String(votedFor)
-	if err := s.replaceFile(s.metaPath(), enc.Bytes()); err != nil {
+	if err := s.disk.Replace(s.metaPath(), enc.Bytes()); err != nil {
 		return err
 	}
 	return s.mem.SetState(term, votedFor)
@@ -333,31 +277,17 @@ func (s *FileStore) SetState(term uint64, votedFor string) error {
 
 func (s *FileStore) State() (uint64, string, error) { return s.mem.State() }
 
-// appendFrame appends e to buf as the log file holds it: a 4-byte
-// little-endian length, then the encoded entry.
-func appendFrame(buf []byte, e *LogEntry) []byte {
-	at := len(buf)
-	buf = codec.MarshalAppend(append(buf, 0, 0, 0, 0), e)
-	n := len(buf) - at - 4
-	buf[at], buf[at+1], buf[at+2], buf[at+3] = byte(n), byte(n>>8), byte(n>>16), byte(n>>24)
-	return buf
-}
-
 func (s *FileStore) Append(entries []LogEntry) error {
 	// A gap must be refused before it reaches the file, where it would
 	// make the log unreadable.
 	if len(entries) > 0 && entries[0].Index != s.mem.LastIndex()+1 {
 		return fmt.Errorf("raft: append gap: entry %d, want %d", entries[0].Index, s.mem.LastIndex()+1)
 	}
-	// One write and one fsync for the whole batch.
 	s.buf = s.buf[:0]
 	for i := range entries {
-		s.buf = appendFrame(s.buf, &entries[i])
+		s.buf = durable.Frame(s.buf, &entries[i])
 	}
-	if _, err := s.logF.Write(s.buf); err != nil {
-		return err
-	}
-	if err := s.sync(s.logF); err != nil {
+	if err := s.log.Append(s.buf); err != nil {
 		return err
 	}
 	return s.mem.Append(entries)
@@ -373,20 +303,9 @@ func (s *FileStore) Term(i uint64) (uint64, error)             { return s.mem.Te
 func (s *FileStore) rewriteLog() error {
 	var frames []byte
 	for i := range s.mem.log { // no lock: only this, the one writer, ever changes it
-		frames = appendFrame(frames, &s.mem.log[i])
+		frames = durable.Frame(frames, &s.mem.log[i])
 	}
-	if err := s.replaceFile(s.logPath(), frames); err != nil {
-		return err
-	}
-	if s.logF != nil {
-		s.logF.Close()
-	}
-	nf, err := os.OpenFile(s.logPath(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	s.logF = nf
-	return nil
+	return s.log.Rewrite(frames)
 }
 
 func (s *FileStore) TruncateFrom(index uint64) error {
@@ -401,7 +320,7 @@ func (s *FileStore) SaveSnapshot(index, term uint64, data []byte) error {
 	enc.Uint64(index)
 	enc.Uint64(term)
 	enc.BytesField(data)
-	if err := s.replaceFile(s.snapPath(), enc.Bytes()); err != nil {
+	if err := s.disk.Replace(s.snapPath(), enc.Bytes()); err != nil {
 		return err
 	}
 	if err := s.mem.SaveSnapshot(index, term, data); err != nil {
@@ -412,9 +331,4 @@ func (s *FileStore) SaveSnapshot(index, term uint64, data []byte) error {
 
 func (s *FileStore) Snapshot() ([]byte, uint64, uint64, error) { return s.mem.Snapshot() }
 
-func (s *FileStore) Close() error {
-	if s.logF != nil {
-		return s.logF.Close()
-	}
-	return nil
-}
+func (s *FileStore) Close() error { return s.log.Close() }

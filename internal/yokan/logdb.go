@@ -2,19 +2,19 @@ package yokan
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
 
 	"mochi/internal/codec"
+	"mochi/internal/durable"
 )
 
 // logDB is the persistent backend: an append-only log of put/erase
-// records indexed by an in-memory skip list. Opening replays the log;
-// Compact rewrites it to only live records. This is the backend whose
-// files REMI migrates and whose checkpoints land on the "parallel
-// file system" (§7, Observation 9).
+// records (a durable.Log) indexed by an in-memory skip list. Opening
+// replays the log; Compact rewrites it to only live records. This is
+// the backend whose files REMI migrates and whose checkpoints land on
+// the "parallel file system" (§7, Observation 9).
 //
 // Writes go through group commit: concurrent writers enqueue their
 // records into a shared batch and the first of them (the leader)
@@ -27,8 +27,8 @@ import (
 // commitLocked, identical semantics). Reads never queue behind a
 // commit — they go straight to the internally locked index.
 type logDB struct {
-	path   string
-	noSync bool
+	path string
+	disk durable.Disk
 
 	index  *skipDB
 	closed atomic.Bool
@@ -41,7 +41,7 @@ type logDB struct {
 	// commitMu serializes commits, compaction, flush, and file
 	// lifecycle.
 	commitMu sync.Mutex
-	file     *os.File
+	log      *durable.Log
 	// garbage counts dead records; Compact resets it.
 	garbage int
 	// frame is the commit staging buffer, reused across batches.
@@ -65,15 +65,13 @@ func (r *logRecord) Proc(p *codec.Proc) {
 	p.BytesCopy(&r.value)
 }
 
-// logOp is one queued mutation. The key/value slices are borrowed
-// from the caller, which stays blocked until the batch commits, so
-// the leader may read them without copying; the index copies on
-// apply.
+// logOp is one queued mutation, framed as its record. The key/value
+// slices are borrowed from the caller, which stays blocked until the
+// batch commits, so the leader may read them without copying; the
+// index copies on apply.
 type logOp struct {
-	op    uint8
-	key   []byte
-	value []byte
-	err   error
+	logRecord
+	err error
 }
 
 // logBatch is one group commit in formation. done closes after the
@@ -84,83 +82,34 @@ type logBatch struct {
 }
 
 func openLogDB(path string, noSync bool) (*logDB, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	d := &logDB{path: path, disk: durable.Disk{NoSync: noSync}, index: newSkipDB()}
+	log, err := d.disk.OpenLog(path, d.replay)
 	if err != nil {
 		return nil, fmt.Errorf("yokan: open log: %w", err)
 	}
-	d := &logDB{path: path, file: f, index: newSkipDB(), noSync: noSync}
-	if err := d.replay(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
-	}
+	d.log = log
 	return d, nil
 }
 
-// replay rebuilds the index from the log. A truncated final record
-// (torn write at crash) is tolerated and the file truncated to the
-// last complete record.
-func (d *logDB) replay() error {
-	if _, err := d.file.Seek(0, io.SeekStart); err != nil {
-		return err
+// replay applies one record of the log to the index.
+func (d *logDB) replay(frame []byte) error {
+	var rec logRecord
+	if codec.Unmarshal(frame, &rec) != nil {
+		return durable.ErrCorrupt
 	}
-	var lastGood int64
-	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(d.file, lenBuf[:]); err != nil {
-			if err == io.EOF {
-				break
-			}
-			// torn length prefix
-			break
+	switch rec.op {
+	case logOpPut:
+		if ok, _ := d.index.Exists(rec.key); ok {
+			d.garbage++
 		}
-		n := int(uint32(lenBuf[0]) | uint32(lenBuf[1])<<8 | uint32(lenBuf[2])<<16 | uint32(lenBuf[3])<<24)
-		body := make([]byte, n)
-		if _, err := io.ReadFull(d.file, body); err != nil {
-			break // torn record
-		}
-		var rec logRecord
-		if err := codec.Unmarshal(body, &rec); err != nil {
-			break // corrupt tail
-		}
-		switch rec.op {
-		case logOpPut:
-			if ok, _ := d.index.Exists(rec.key); ok {
-				d.garbage++
-			}
-			if err := d.index.Put(rec.key, rec.value); err != nil {
-				return err
-			}
-		case logOpErase:
-			if err := d.index.Erase(rec.key); err != nil && err != ErrKeyNotFound {
-				return err
-			}
-			d.garbage += 2
-		}
-		pos, err := d.file.Seek(0, io.SeekCurrent)
-		if err != nil {
+		return d.index.Put(rec.key, rec.value)
+	case logOpErase:
+		d.garbage += 2
+		if err := d.index.Erase(rec.key); err != nil && err != ErrKeyNotFound {
 			return err
 		}
-		lastGood = pos
 	}
-	return d.file.Truncate(lastGood)
-}
-
-// appendFrame encodes one record into the staging buffer with its
-// length prefix.
-func appendFrame(buf []byte, op uint8, key, value []byte) []byte {
-	e := codec.GetEncoder()
-	rec := logRecord{op: op, key: key, value: value}
-	rec.Proc(e.Proc())
-	body := e.Bytes()
-	n := len(body)
-	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-	buf = append(buf, body...)
-	codec.PutEncoder(e)
-	return buf
+	return nil
 }
 
 // enqueue joins ops to the forming batch, reporting whether the
@@ -225,36 +174,26 @@ func (d *logDB) commitLocked(b *logBatch) {
 	buf := d.frame[:0]
 	accepted := 0
 	for _, op := range b.ops {
-		switch op.op {
-		case logOpPut:
-			if exists(op.key) {
-				d.garbage++ // overwritten record becomes dead
-			}
-			note(op.key, true)
-			buf = appendFrame(buf, logOpPut, op.key, op.value)
-			accepted++
-		case logOpErase:
-			if !exists(op.key) {
-				op.err = ErrKeyNotFound
-				continue
-			}
-			note(op.key, false)
+		put := op.op == logOpPut
+		switch present := exists(op.key); {
+		case put && present:
+			d.garbage++ // overwritten record becomes dead
+		case !put && !present:
+			op.err = ErrKeyNotFound
+			continue
+		case !put:
 			d.garbage += 2 // the put and the tombstone
-			buf = appendFrame(buf, logOpErase, op.key, nil)
-			accepted++
 		}
+		note(op.key, put)
+		buf = durable.Frame(buf, &op.logRecord)
+		accepted++
 	}
 	d.frame = buf[:0]
 	if accepted == 0 {
 		return
 	}
-	var ioErr error
-	if _, err := d.file.Write(buf); err != nil {
-		ioErr = fmt.Errorf("yokan: log append: %w", err)
-	} else if !d.noSync {
-		ioErr = d.file.Sync()
-	}
-	if ioErr != nil {
+	if err := d.log.Append(buf); err != nil {
+		ioErr := fmt.Errorf("yokan: log append: %w", err)
 		for _, op := range b.ops {
 			if op.err == nil {
 				op.err = ioErr
@@ -280,7 +219,7 @@ func (d *logDB) commitLocked(b *logBatch) {
 // run pushes ops through a group commit (serially when there is no
 // fsync to share) and returns the first op's error.
 func (d *logDB) run(ops ...*logOp) error {
-	if d.noSync {
+	if d.disk.NoSync {
 		d.commitMu.Lock()
 		b := logBatch{ops: ops}
 		d.commitLocked(&b)
@@ -308,7 +247,7 @@ func (d *logDB) Put(key, value []byte) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	op := logOp{op: logOpPut, key: key, value: value}
+	op := logOp{logRecord: logRecord{op: logOpPut, key: key, value: value}}
 	return d.run(&op)
 }
 
@@ -327,7 +266,7 @@ func (d *logDB) PutMulti(pairs []KeyValue) error {
 		if len(kv.Key) == 0 {
 			return ErrEmptyKey
 		}
-		ops[i] = logOp{op: logOpPut, key: kv.Key, value: kv.Value}
+		ops[i] = logOp{logRecord: logRecord{op: logOpPut, key: kv.Key, value: kv.Value}}
 		ptrs[i] = &ops[i]
 	}
 	return d.run(ptrs...)
@@ -340,7 +279,7 @@ func (d *logDB) Erase(key []byte) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	op := logOp{op: logOpErase, key: key}
+	op := logOp{logRecord: logRecord{op: logOpErase, key: key}}
 	return d.run(&op)
 }
 
@@ -388,7 +327,7 @@ func (d *logDB) Flush() error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	return d.file.Sync()
+	return d.log.Sync()
 }
 
 // Garbage reports the number of dead records in the log.
@@ -405,39 +344,17 @@ func (d *logDB) Compact() error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	tmpPath := d.path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
 	kvs, err := d.index.ListKeyValues(nil, nil, 0)
 	if err != nil {
-		tmp.Close()
 		return err
 	}
+	var frames []byte
 	for _, kv := range kvs {
-		frame := appendFrame(nil, logOpPut, kv.Key, kv.Value)
-		if _, err := tmp.Write(frame); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
-		}
+		frames = durable.Frame(frames, &logRecord{op: logOpPut, key: kv.Key, value: kv.Value})
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
+	if err := d.log.Rewrite(frames); err != nil {
 		return err
 	}
-	tmp.Close()
-	d.file.Close()
-	if err := os.Rename(tmpPath, d.path); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(d.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	d.file = f
 	d.garbage = 0
 	return nil
 }
@@ -452,7 +369,7 @@ func (d *logDB) Close() error {
 	if d.closed.Swap(true) {
 		return nil
 	}
-	return d.file.Close()
+	return d.log.Close()
 }
 
 func (d *logDB) Destroy() error {

@@ -11,6 +11,7 @@ import (
 
 	"mochi/internal/argobots"
 	"mochi/internal/codec"
+	"mochi/internal/durable"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
 )
@@ -347,7 +348,7 @@ func (p *Provider) handleGetConfig(_ context.Context, h *mercury.Handle) {
 // (one file named after the provider ID), the §7 Observation 9
 // "leveraging parallel file systems" path. It is exposed through the
 // provider's Bedrock module. The file is one put of everything the
-// database holds, in putArgs's encoding.
+// database holds, in putArgs's encoding, replaced atomically and synced.
 func (p *Provider) Checkpoint(dir string) error {
 	db, err := p.database()
 	if err != nil {
@@ -358,11 +359,7 @@ func (p *Provider) Checkpoint(dir string) error {
 		return err
 	}
 	path := filepath.Join(dir, fmt.Sprintf("yokan-%d.ckpt", p.id))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, codec.Marshal(&putArgs{Pairs: kvs}), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return new(durable.Disk).Replace(path, codec.Marshal(&putArgs{Pairs: kvs}))
 }
 
 // Restore replaces the database contents with the checkpoint found in

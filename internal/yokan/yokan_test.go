@@ -303,6 +303,59 @@ func TestLogCompaction(t *testing.T) {
 	}
 }
 
+// TestLogCompactFailureKeepsTheLog: a compaction whose rename fails —
+// the log's name is a non-empty directory now — reports it, leaves no
+// temporary file, and the database still takes writes.
+func TestLogCompactFailureKeepsTheLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "compact.log")
+	db, err := Open(Config{Type: "log", Path: path, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.(*logDB).Compact(); err == nil {
+		t.Fatal("compaction renamed its log over a directory")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the failed compaction left its temporary file: %v", err)
+	}
+	if err := db.Put([]byte("k2"), []byte("v2")); err != nil {
+		t.Fatalf("put after a failed compaction: %v", err)
+	}
+}
+
+// TestLogFlushSyncsEvenWithNoSync: Flush is an explicit durability point
+// (the provider's Flush RPC, a migration's source) and fsyncs the log
+// though NoSync skips the fsync of every write.
+func TestLogFlushSyncsEvenWithNoSync(t *testing.T) {
+	db, err := openLogDB(filepath.Join(t.TempDir(), "flush.log"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.disk.Syncs(); n != 0 {
+		t.Fatalf("a NoSync put issued %d fsyncs", n)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.disk.Syncs(); n != 1 {
+		t.Fatalf("Flush issued %d fsyncs, want 1", n)
+	}
+}
+
 func TestLogFilesAndDestroy(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "destroy.log")
 	db, err := Open(Config{Type: "log", Path: path, NoSync: true})
