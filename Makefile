@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-alloc bench-selftest bench-e2e bench-pairs bench-c10k bench-observe bench-full fuzz examples vet fmt-check loc lint reshard-soak observe-smoke sim sim-curves ci clean
+.PHONY: all build test race bench-alloc bench-selftest bench-e2e bench-pairs bench-observe fuzz examples vet fmt-check loc lint reshard-soak observe-smoke sim ci clean
 
 all: build test
 
@@ -48,14 +48,17 @@ reshard-soak:
 		-run 'TestReshardUnderLiveTraffic|TestReshardSoakChaos' \
 		-timeout 900s ./internal/yokan/router/
 
-# Deterministic simulation suite (DESIGN.md §14, EXPERIMENTS.md E14).
+# Deterministic simulation suite (DESIGN.md §14, EXPERIMENTS.md E4/E14).
 # Five legs, in order; both cores run on one harness (sim.Harness, DESIGN.md
 # §17), every simulated member on a clock of its own seeded pace (±5 %):
 #   1. the SWIM core: its purity check and every rule table (any test
 #      named *Rules, internal/ssg), then the skewed-clock 1k-node seed
 #      matrix (SIM_SEEDS seeds) with the ledger check after every step
 #      (tags handed to an engine = tags handed back + ping-reqs kept), the
-#      replay and partition-heal tests and two broken twins (a refutation
+#      SWIM shapes at SIM_SEEDS seeds (probe load and pinned-window
+#      detection flat from 250 to 1000 nodes, the suspicion window
+#      against false deaths at 25 % loss), the replay and partition-heal
+#      tests and two broken twins (a refutation
 #      without the incarnation bump; forgetRelay, a timed-out ping-req
 #      dropped unanswered), under the race detector;
 #   2. the raft core on sim.Net: SIM_SEEDS seeds of 3- and 5-member
@@ -92,7 +95,7 @@ sim:
 	$(GO) test -race -count=1 -timeout 300s \
 		-run 'TestEngineIsPure|Rules|TestRefutationBumpsIncarnation|TestPingerBelievedDeadIsTold|TestOversleptRoundRendersNoVerdict|TestSuspicionWindowFollowsGroupSize' ./internal/ssg/
 	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
-		-run 'TestSwimSeedMatrix1k|TestSwimDeterministicReplay|TestSwimPartitionHeals|TestSwimCatchesBrokenRefutation|TestSwimCatchesForgottenRelay' ./internal/sim/
+		-run 'TestSwimSeedMatrix1k|TestSwimShapes|TestSwimDeterministicReplay|TestSwimPartitionHeals|TestSwimCatchesBrokenRefutation|TestSwimCatchesForgottenRelay' ./internal/sim/
 	SIM_SEEDS=$(SIM_SEEDS) $(GO) test -race -count=1 -timeout 1200s -v \
 		-run 'TestRaftSim' ./internal/raft/
 	SIM_HISTORIES=8 $(GO) test -race -count=1 -timeout 1200s \
@@ -104,27 +107,8 @@ sim:
 		SIM_SOAK_MS=$(SIM_SOAK_MS) $(GO) test -count=1 -timeout 1200s -v -run 'TestSwimSoak' ./internal/sim/; \
 	fi
 
-# E14 curves: detection latency and false positives vs cluster size
-# and loss, on the deterministic simulator (1k and 4k nodes, one
-# virtual minute per cell). The leg runs twice and the trace-identity
-# lines must match — same binary, same seed, same trace. CI uploads
-# both tables as artifacts.
-sim-curves:
-	$(GO) run ./cmd/mochi-bench -quick -only E14 | tee sim-e14-run1.txt
-	$(GO) run ./cmd/mochi-bench -quick -only E14 | tee sim-e14-run2.txt
-	@a=$$(grep 'trace-identity:' sim-e14-run1.txt); \
-	b=$$(grep 'trace-identity:' sim-e14-run2.txt); \
-	if [ -z "$$a" ] || [ "$$a" != "$$b" ]; then \
-		echo "trace identity violated:"; echo " run1: $$a"; echo " run2: $$b"; exit 1; \
-	fi; \
-	echo "trace identity holds: $$a"
-
 # Everything the CI workflow runs, in the same order. Run before pushing.
 ci: build vet fmt-check test race
-
-# One testing.B benchmark per experiment (quick sweeps).
-bench:
-	$(GO) test -bench=. -benchmem
 
 # Allocation regression gate for the RPC hot path: fails if the pinned
 # AllocsPerRun budgets (codec round trip == 0, sm forward <= 2, the
@@ -193,15 +177,6 @@ fuzz:
 	$(GO) test ./internal/metrics/ -run '^FuzzPrometheusExposition$$' -fuzz '^FuzzPrometheusExposition$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/durable/ -run '^FuzzOpenLog$$'      -fuzz '^FuzzOpenLog$$'      -fuzztime $(FUZZTIME)
 
-# Transport connection-scaling sweep (EXPERIMENTS.md E12): real TCP
-# sockets from tens to hundreds of client classes against one server,
-# pool size 1 vs 4. No standing workload opens more than a handful of
-# sockets, so this is where the pool_size/accept_loops shape shows.
-# CI runs this in bench-smoke and uploads the table; drop -quick for
-# the thousand-socket cells at three GOMAXPROCS widths.
-bench-c10k:
-	$(GO) run ./cmd/mochi-bench -quick -only E12
-
 # The introspection-plane smoke (EXPERIMENTS.md E13): the multi-node
 # metrics federation, exemplar→trace resolution, SLO burn-rate health
 # flip and profile RPCs, all under the race detector. When
@@ -221,10 +196,6 @@ bench-observe:
 	$(GO) test -run '^$$' -bench 'BenchmarkTracker|BenchmarkAggregator|BenchmarkRuntimeScrape' \
 		-benchtime=10000x -benchmem ./internal/observe/
 	$(GO) test -run '^$$' -bench 'BenchmarkForward' -benchtime=10000x -benchmem ./internal/margo/
-
-# Full experiment sweeps with pretty tables (minutes).
-bench-full:
-	$(GO) run ./cmd/mochi-bench
 
 examples:
 	$(GO) run ./examples/quickstart

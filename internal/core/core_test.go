@@ -385,6 +385,7 @@ func TestVirtualKVReplication(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		inst.EnableMonitoring()
 		insts = append(insts, inst)
 		if _, err := yokan.NewProvider(inst, 1, nil, yokan.Config{Type: "map"}); err != nil {
 			t.Fatal(err)
@@ -427,6 +428,29 @@ func TestVirtualKVReplication(t *testing.T) {
 	h := yokan.NewClient(cinst).Handle(vinst.Addr(), 7)
 	if err := h.Put(ctx, []byte("rk"), []byte("rv")); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := h.Get(ctx, []byte("rk")); err != nil {
+		t.Fatal(err)
+	}
+	// Write all, read one, counted where the requests landed: each
+	// backend's monitor records a request before its handler runs.
+	handled := func(inst *margo.Instance, rpc string) (n int64) {
+		if st, ok := inst.Stats().FindByName(rpc); ok {
+			for _, ts := range st.Target {
+				n += ts.ULT.Queued.Num
+			}
+		}
+		return n
+	}
+	var gets int64
+	for _, inst := range insts {
+		if puts := handled(inst, yokan.RPCPut); puts != 1 {
+			t.Fatalf("backend %s handled %d puts, want 1", inst.Addr(), puts)
+		}
+		gets += handled(inst, yokan.RPCGet)
+	}
+	if gets != 1 {
+		t.Fatalf("backends handled %d gets, want 1", gets)
 	}
 	// The value landed on all three replicas.
 	for _, b := range backends {

@@ -125,21 +125,37 @@ func TestMigrateBulkLargeFile(t *testing.T) {
 	verifyArrived(t, env.root, files)
 }
 
+// smallFiles is n files of size bytes each.
+func smallFiles(n, size int) map[string][]byte {
+	files := map[string][]byte{}
+	for i := 0; i < n; i++ {
+		files[fmt.Sprintf("db/f%04d.dat", i)] = bytes.Repeat([]byte{byte(i)}, size)
+	}
+	return files
+}
+
+// Small files share chunks and large ones are split, so a chunked
+// migration sends exactly ⌈total/ChunkSize⌉ chunk RPCs.
 func TestMigrateChunkedManySmallFiles(t *testing.T) {
-	env := newMigEnv(t)
-	files := testFiles(false)
-	fs := writeSourceFiles(t, "yokan", files)
-	stats, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{Method: MethodChunked, ChunkSize: 512, Pipeline: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		files map[string][]byte
+		chunk int
+	}{
+		{testFiles(false), 512},
+		{smallFiles(256, 4<<10), 64 << 10},
+	} {
+		env := newMigEnv(t)
+		fs := writeSourceFiles(t, "yokan", tc.files)
+		stats, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{Method: MethodChunked, ChunkSize: tc.chunk, Pipeline: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int((fs.TotalBytes() + int64(tc.chunk) - 1) / int64(tc.chunk))
+		if stats.Method != MethodChunked || stats.Files != len(tc.files) || stats.Chunks != want {
+			t.Fatalf("stats = %+v, want %d chunks", stats, want)
+		}
+		verifyArrived(t, env.root, tc.files)
 	}
-	if stats.Method != MethodChunked || stats.Files != 16 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if stats.Chunks < 16 {
-		t.Fatalf("chunks = %d", stats.Chunks)
-	}
-	verifyArrived(t, env.root, files)
 }
 
 func TestMigrateAutoSelectsByMeanSize(t *testing.T) {
@@ -303,21 +319,26 @@ func TestMigrationStatsBytes(t *testing.T) {
 }
 
 // Under an HPC cost model, bulk must beat chunked for one large file
-// and chunked must beat bulk for many small files when the chunk
-// pipeline can amortize; this is the paper's Observation 4 rationale
-// and the E3 experiment's expected shape (full sweep in the bench).
+// and chunked must beat bulk for many small files, where one bulk pull
+// per file costs more than a few packed chunks: the paper's Observation 4
+// rationale, and the trade-off Mercury draws between eager RPCs and
+// bulk transfers.
 func TestMethodTradeoffShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive")
 	}
 	run := func(files map[string][]byte, m Method) time.Duration {
 		f := mercury.NewFabric()
+		// Per-message costs an order of magnitude above a loaded host's
+		// scheduling jitter, so that the model decides the outcome. An RPC
+		// is two RPC messages (2 ms), a bulk pull two bulk messages
+		// (0.8 ms); 64 KiB chunks go one at a time. One 1 MiB file: chunked 18 RPCs = 36 ms,
+		// bulk one RPC and one pull = 2.8 ms. 256 files of 4 KiB: chunked
+		// the same 36 ms, bulk 2 ms + 256 pulls = 207 ms. Both modeled
+		// gaps exceed 5x.
 		f.SetModel(&mercury.HPCModel{
-			// Per-message cost an order of magnitude above this box's
-			// scheduling jitter, so that the model decides the outcome:
-			// 16 chunk round trips against one bulk handshake.
 			RPCOverhead:  time.Millisecond,
-			BulkOverhead: 20 * time.Microsecond,
+			BulkOverhead: 400 * time.Microsecond,
 			BytesPerSec:  2e9,
 			EagerLimit:   4096,
 		})
@@ -343,8 +364,16 @@ func TestMethodTradeoffShape(t *testing.T) {
 	big := testFiles(true) // one 1MB file
 	bulkBig := run(big, MethodBulk)
 	chunkBig := run(big, MethodChunked)
+	t.Logf("one large file: bulk %v, chunked %v", bulkBig, chunkBig)
 	if bulkBig >= chunkBig {
 		t.Errorf("large file: bulk (%v) not faster than chunked (%v)", bulkBig, chunkBig)
+	}
+	small := smallFiles(256, 4<<10)
+	bulkSmall := run(small, MethodBulk)
+	chunkSmall := run(small, MethodChunked)
+	t.Logf("256 small files: bulk %v, chunked %v", bulkSmall, chunkSmall)
+	if chunkSmall >= bulkSmall {
+		t.Errorf("small files: chunked (%v) not faster than bulk (%v)", chunkSmall, bulkSmall)
 	}
 }
 

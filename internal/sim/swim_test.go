@@ -14,9 +14,8 @@ import (
 
 // testSwimConfig is the shared base scenario: 2% message loss (harsh
 // for a datacenter link but survivable — at sustained 10% loss SWIM
-// sheds live members transiently by design; the E14 curves sweep that
-// regime), a bit of delay and duplication, five kills mid-run, two
-// flappers.
+// sheds live members transiently by design), a bit of delay and
+// duplication, five kills mid-run, two flappers.
 func testSwimConfig(nodes int, seed int64, dur time.Duration) SwimConfig {
 	return SwimConfig{
 		Nodes:    nodes,
@@ -93,6 +92,58 @@ func TestSwimSeedMatrix1k(t *testing.T) {
 			}
 			if r.FalseSuspectRate > 5.0 {
 				fail(t, seed, "false-suspect rate %.2f/node-min", r.FalseSuspectRate)
+			}
+		})
+	}
+}
+
+// TestSwimShapes pins the shapes SWIM is chosen for, on virtual time:
+// the probe load per member and period does not grow with the group;
+// neither does detection once the suspicion window is pinned (ssg's
+// default window adds periods per decade of members, by design); and on
+// a lossy network the suspicion window is what keeps live members alive.
+func TestSwimShapes(t *testing.T) {
+	for _, seed := range testutil.SimSeeds(t, 1) {
+		seed := seed
+		t.Run("seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
+			run := func(cfg SwimConfig, susp int) *SwimResult {
+				cfg.Protocol.SuspicionPeriods = susp
+				r := RunSwim(cfg)
+				t.Logf("suspicion %d: %s", susp, r)
+				if r.Err != nil {
+					fail(t, seed, "%v", r.Err)
+				}
+				return r
+			}
+			// Pings per member per period (testSwimConfig's period is 1 s).
+			load := func(r *SwimResult) float64 {
+				return float64(r.PingsSent) / float64(r.Nodes) / r.VirtualDuration.Seconds()
+			}
+			pinned := func(nodes int) *SwimResult {
+				cfg := testSwimConfig(nodes, seed, time.Minute)
+				cfg.KillCount = 15 // enough kills for a stable median
+				r := run(cfg, 5)
+				if r.Detected != r.Kills {
+					fail(t, seed, "%d nodes: detected %d of %d kills", nodes, r.Detected, r.Kills)
+				}
+				return r
+			}
+			small, large := pinned(250), pinned(1000)
+			if ls, ll := load(small), load(large); ll < 0.9*ls || ll > 1.1*ls {
+				fail(t, seed, "pings per member per period: %.3f at 1000 nodes, %.3f at 250", ll, ls)
+			}
+			if large.DetectP50 > small.DetectP50*5/4 {
+				fail(t, seed, "detection p50 with a pinned window: %s at 1000 nodes, %s at 250", large.DetectP50, small.DetectP50)
+			}
+			// Nobody dies here: every death is false. The default window
+			// may still lose a member on an unlucky seed, but at most a
+			// quarter of what a one-period window loses.
+			lossy := testSwimConfig(12, seed, time.Minute)
+			lossy.KillCount, lossy.Flappers = 0, 0
+			lossy.Faults = mercury.ChaosConfig{DropRate: 0.25}
+			short, def := run(lossy, 1), run(lossy, 0)
+			if short.FalseDeaths < int64(lossy.Nodes/2) || 4*def.FalseDeaths > short.FalseDeaths {
+				fail(t, seed, "false deaths at 25%% loss: %d with a one-period window, %d with the default", short.FalseDeaths, def.FalseDeaths)
 			}
 		})
 	}

@@ -458,7 +458,9 @@ func TestQuickSkiplistOrdering(t *testing.T) {
 	}
 }
 
-func BenchmarkBackendPut(b *testing.B) {
+// benchBackends runs bench on each backend, opened with n 100-byte
+// values under the keys %016d.
+func benchBackends(b *testing.B, n int, bench func(b *testing.B, db Database)) {
 	for _, typ := range []string{"map", "skiplist", "btree", "log"} {
 		b.Run(typ, func(b *testing.B) {
 			cfg := Config{Type: typ, NoSync: true}
@@ -470,33 +472,6 @@ func BenchmarkBackendPut(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer db.Close()
-			key := make([]byte, 16)
-			val := make([]byte, 100)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(key, fmt.Sprintf("%016d", i))
-				if err := db.Put(key, val); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkBackendGet(b *testing.B) {
-	for _, typ := range []string{"map", "skiplist", "btree", "log"} {
-		b.Run(typ, func(b *testing.B) {
-			cfg := Config{Type: typ, NoSync: true}
-			if typ == "log" {
-				cfg.Path = filepath.Join(b.TempDir(), "bench.log")
-			}
-			db, err := Open(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			const n = 10000
 			for i := 0; i < n; i++ {
 				if err := db.Put([]byte(fmt.Sprintf("%016d", i)), make([]byte, 100)); err != nil {
 					b.Fatal(err)
@@ -504,13 +479,52 @@ func BenchmarkBackendGet(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Get([]byte(fmt.Sprintf("%016d", i%n))); err != nil {
-					b.Fatal(err)
-				}
-			}
+			bench(b, db)
 		})
 	}
+}
+
+func BenchmarkBackendPut(b *testing.B) {
+	benchBackends(b, 0, func(b *testing.B, db Database) {
+		key := make([]byte, 16)
+		val := make([]byte, 100)
+		for i := 0; i < b.N; i++ {
+			copy(key, fmt.Sprintf("%016d", i))
+			if err := db.Put(key, val); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkBackendGet(b *testing.B) {
+	const n = 10000
+	benchBackends(b, n, func(b *testing.B, db Database) {
+		for i := 0; i < b.N; i++ {
+			if _, err := db.Get([]byte(fmt.Sprintf("%016d", i%n))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkBackendScan reads one 512-key ListKeys page per op, walking
+// 10k keys and starting over: the map backend sorts its keys for every
+// page, the ordered backends seek and walk.
+func BenchmarkBackendScan(b *testing.B) {
+	benchBackends(b, 10000, func(b *testing.B, db Database) {
+		var from []byte
+		for i := 0; i < b.N; i++ {
+			page, err := db.ListKeys(from, nil, 512)
+			if err != nil {
+				b.Fatal(err)
+			}
+			from = nil
+			if len(page) == 512 {
+				from = page[len(page)-1]
+			}
+		}
+	})
 }
 
 // TestScanBoundedAndTolerant: Scan visits every pair of a quiescent
