@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -350,16 +351,19 @@ func TestMigrateProviderBetweenProcesses(t *testing.T) {
 		}
 	}
 
-	// Migrate via the bedrock API.
+	// Migrate via the bedrock API, as a move.
 	sh := bedrock.NewClient(cli).MakeServiceHandle(src.Addr())
-	if err := sh.MigrateProvider(ctx, "kvstore", dst.Addr(), dst.RemiProviderID(), "auto", false); err != nil {
+	if err := sh.MigrateProvider(ctx, "kvstore", dst.Addr(), dst.RemiProviderID(), "auto", true); err != nil {
 		t.Fatal(err)
 	}
 
-	// The source no longer serves it; the destination does, with the
-	// same provider ID and data.
+	// The source no longer serves it nor keeps its file; the destination
+	// does, with the same provider ID and data.
 	if len(src.Providers()) != 0 {
 		t.Fatalf("source still has %v", src.Providers())
+	}
+	if _, err := os.Stat(filepath.Join(srcRoot, "db.log")); !os.IsNotExist(err) {
+		t.Fatalf("source file survived the move: %v", err)
 	}
 	if got := dst.Providers(); len(got) != 1 || got[0] != "kvstore" {
 		t.Fatalf("dest providers = %v", got)

@@ -20,9 +20,6 @@ type Options struct {
 	ChunkSize int
 	// Pipeline is the number of chunk RPCs kept in flight (default 8).
 	Pipeline int
-	// RemoveSource deletes source files after a successful migration
-	// (the "move" semantic used when draining a node).
-	RemoveSource bool
 }
 
 func (o Options) withDefaults() Options {
@@ -54,13 +51,15 @@ func NewClient(inst *margo.Instance) *Client {
 	return &Client{inst: inst}
 }
 
-// Migrate transfers fs to the REMI provider at (addr, providerID).
+// Migrate transfers fs to the REMI provider at (addr, providerID). It
+// returns once the destination has verified the fileset, written it
+// durably (unless it is in-memory) and run its callback; fs's files are
+// left in place.
 func (c *Client) Migrate(ctx context.Context, addr string, providerID uint16, fs *FileSet, opts Options) (Stats, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	method := opts.Method
 	if method == MethodAuto {
-		// Chunks are reassembled in files, so memory goes by bulk.
 		if fs.InMemory() || len(fs.Files) == 0 || fs.TotalBytes()/int64(max(len(fs.Files), 1)) >= AutoThreshold {
 			method = MethodBulk
 		} else {
@@ -93,14 +92,7 @@ func (c *Client) Migrate(ctx context.Context, addr string, providerID uint16, fs
 		return stats, err
 	}
 	stats.Duration = time.Since(start)
-	if opts.RemoveSource && !fs.InMemory() {
-		for _, fi := range fs.Files {
-			if rerr := os.Remove(filepath.Join(fs.Root, fi.RelPath)); rerr != nil && err == nil {
-				err = rerr
-			}
-		}
-	}
-	return stats, err
+	return stats, nil
 }
 
 // sourceData returns the content of one fileset entry: the bytes the
@@ -248,8 +240,8 @@ loop:
 			pendingBytes += end - off
 			off = end
 		}
-		// Zero-length files still need their (empty) content created;
-		// the destination already truncated them in begin.
+		// A zero-length file sends no segment: the destination lands
+		// it from the size Begin declared.
 	}
 	flush()
 	wg.Wait()

@@ -12,17 +12,20 @@ import (
 
 	"mochi/internal/argobots"
 	"mochi/internal/codec"
+	"mochi/internal/durable"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
 )
 
 // MigratedCallback is invoked on the destination once a fileset has
-// fully arrived and verified, on the ULT of the handler that completed
-// it and under that handler's context (so spans it records join the
-// migration's trace). Every entry carries the verified bytes in Data,
-// valid until the callback returns (the provider receives the next
-// fileset into the same memory); unless the fileset is in-memory they
-// are also on disk under Root.
+// fully arrived, passed its checksums and, unless it is in-memory, been
+// written durably under Root (each file replaced: temporary name,
+// fsync, rename, directory fsync). It runs on the ULT of the handler
+// that completed the fileset and under that handler's context (so
+// spans it records join the migration's trace), before the source
+// hears that the migration succeeded. Every entry carries the verified
+// bytes in Data, valid until the callback returns (the provider
+// receives the next fileset into the same memory).
 // Bedrock uses it to instantiate a new provider over the received
 // files (§6 Observation 5).
 type MigratedCallback func(ctx context.Context, fs *FileSet)
@@ -34,22 +37,18 @@ type Provider struct {
 	id   uint16
 	root string
 	rpcs *margo.RPCSet
+	disk durable.Disk
 
 	mu       sync.Mutex
 	xferSeq  uint64
-	inflight map[uint64]*incoming
+	inflight map[uint64]*FileSet // chunked transfers between Begin and End
 	callback MigratedCallback
 	closed   bool
-	// spare is the largest receive buffer a finished bulk migration
-	// handed back: a provider that receives filesets of one size over
-	// and over (a shard ping-ponging between two nodes) pulls each into
-	// memory it already owns.
+	// spare is the largest receive buffer a finished migration handed
+	// back: a provider that receives filesets of one size over and over
+	// (a shard ping-ponging between two nodes) receives each into memory
+	// it already owns.
 	spare []byte
-}
-
-type incoming struct {
-	fs    *FileSet
-	files []*os.File
 }
 
 // NewProvider creates a REMI provider writing incoming filesets under
@@ -61,7 +60,7 @@ func NewProvider(inst *margo.Instance, id uint16, pool *argobots.Pool, root stri
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, err
 	}
-	p := &Provider{inst: inst, id: id, root: root, inflight: map[uint64]*incoming{}}
+	p := &Provider{inst: inst, id: id, root: root, inflight: map[uint64]*FileSet{}}
 	var err error
 	p.rpcs, err = inst.RegisterSet(id, pool,
 		margo.RPC{Name: rpcBegin, Handler: margo.Serve(p.handleBegin)},
@@ -95,14 +94,7 @@ func (p *Provider) Close() error {
 		return nil
 	}
 	p.closed = true
-	for _, in := range p.inflight {
-		for _, f := range in.files {
-			if f != nil {
-				f.Close()
-			}
-		}
-	}
-	p.inflight = map[uint64]*incoming{}
+	p.inflight = map[uint64]*FileSet{}
 	p.mu.Unlock()
 	p.rpcs.Close()
 	return nil
@@ -118,40 +110,58 @@ func status(err error) (codec.Message, error) {
 	return &r, nil
 }
 
+// makeFileSet checks what a Begin declares and gives each entry a
+// receive buffer of its declared size for its bytes to arrive in.
 func (p *Provider) makeFileSet(args *beginArgs) (*FileSet, error) {
-	fs := &FileSet{Class: args.Class, Root: p.root, Metadata: args.Meta}
-	if args.InMemory {
-		fs.Root = ""
+	switch m := Method(args.Method); {
+	case m != MethodBulk && m != MethodChunked:
+		return nil, errors.New("remi: begin with unresolved method")
+	case m == MethodChunked && args.InMemory:
+		return nil, errors.New("remi: chunked transfer of an in-memory fileset")
 	}
 	for _, wf := range args.Files {
 		if err := validateRelPath(wf.RelPath); err != nil {
 			return nil, err
 		}
-		fs.Files = append(fs.Files, FileInfo{RelPath: wf.RelPath, Size: wf.Size, CRC: wf.CRC})
+		if wf.Size < 0 {
+			return nil, fmt.Errorf("%w: %q declares size %d", ErrBadFileSet, wf.RelPath, wf.Size)
+		}
+	}
+	p.mu.Lock()
+	closed := p.closed
+	p.mu.Unlock()
+	if closed {
+		return nil, ErrClosed
+	}
+	fs := &FileSet{Class: args.Class, Root: p.root, Metadata: args.Meta}
+	if args.InMemory {
+		fs.Root = ""
+	}
+	for _, wf := range args.Files {
+		fs.Files = append(fs.Files, FileInfo{RelPath: wf.RelPath, Size: wf.Size, CRC: wf.CRC, Data: p.receiveBuffer(wf.Size)})
 	}
 	return fs, nil
 }
 
 // handleBegin starts a transfer. For MethodBulk the whole migration
 // completes inside this handler: the destination pulls each exposed
-// file in one bulk operation, verifies it, and writes it out.
+// file in one bulk operation, then lands the fileset.
 func (p *Provider) handleBegin(ctx context.Context, _ *mercury.Handle, args *beginArgs) (codec.Message, error) {
 	var reply beginReply
 	fs, err := p.makeFileSet(args)
-	if err == nil {
-		switch {
-		case Method(args.Method) == MethodBulk:
-			if err = p.pullAll(ctx, args, fs); err == nil {
-				p.notify(ctx, fs)
-			}
-			p.recycle(fs)
-		case Method(args.Method) != MethodChunked:
-			err = errors.New("remi: begin with unresolved method")
-		case fs.InMemory():
-			err = errors.New("remi: chunked transfer of an in-memory fileset")
-		default:
-			reply.XferID, err = p.beginChunked(fs)
+	switch {
+	case err != nil:
+	case Method(args.Method) == MethodChunked:
+		p.mu.Lock()
+		p.xferSeq++
+		reply.XferID = p.xferSeq
+		p.inflight[p.xferSeq] = fs
+		p.mu.Unlock()
+	default:
+		if err = p.pullAll(ctx, args, fs); err == nil {
+			err = p.land(ctx, fs)
 		}
+		p.recycle(fs)
 	}
 	if err != nil {
 		reply.Status, reply.Err = 1, err.Error()
@@ -168,21 +178,12 @@ func (p *Provider) handleBegin(ctx context.Context, _ *mercury.Handle, args *beg
 // on the node).
 const pullTimeout = 10 * time.Second
 
-// pullAll runs under the handler context so the bulk pulls inherit its
-// trace context (each transfer records a bulk phase span when sampled).
+// pullAll pulls each file into its receive buffer. It runs under the
+// handler context so the bulk pulls inherit its trace context (each
+// transfer records a bulk phase span when sampled).
 func (p *Provider) pullAll(ctx context.Context, args *beginArgs, fs *FileSet) error {
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
 	for i, wf := range args.Files {
-		// The region the pull fills is the buffer that is checksummed,
-		// written out and handed to the callback.
-		buf := p.receiveBuffer(wf.Size)
-		fs.Files[i].Data = buf
-		local := p.inst.Class().CreateBulk(buf, mercury.BulkReadWrite)
+		local := p.inst.Class().CreateBulk(fs.Files[i].Data, mercury.BulkReadWrite)
 		pctx := ctx
 		var cancel context.CancelFunc
 		if _, ok := ctx.Deadline(); !ok {
@@ -196,25 +197,44 @@ func (p *Provider) pullAll(ctx context.Context, args *beginArgs, fs *FileSet) er
 		if err != nil {
 			return fmt.Errorf("remi: bulk pull of %s: %w", wf.RelPath, err)
 		}
-		if crc32.ChecksumIEEE(buf) != wf.CRC {
-			return fmt.Errorf("%w: %s", ErrChecksum, wf.RelPath)
-		}
-		if fs.InMemory() {
-			continue
-		}
-		dst := filepath.Join(p.root, wf.RelPath)
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			return err
-		}
-		if err := os.WriteFile(dst, buf, 0o644); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
-// receiveBuffer returns n bytes to pull a file into: the spare buffer
-// if it is large enough, else fresh memory.
+// land finishes a migration, whichever method carried it: every entry
+// must match its checksum before any is written, an on-disk fileset is
+// then replaced file by file under Root, and only then does the
+// callback see it. The handler replies after land returns, so a source
+// that hears "migrated" knows the files are durable here.
+func (p *Provider) land(ctx context.Context, fs *FileSet) error {
+	for _, fi := range fs.Files {
+		if crc32.ChecksumIEEE(fi.Data) != fi.CRC {
+			return fmt.Errorf("%w: %s", ErrChecksum, fi.RelPath)
+		}
+	}
+	for _, fi := range fs.Files {
+		if fs.InMemory() {
+			break
+		}
+		dst := filepath.Join(fs.Root, fi.RelPath)
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		if err := p.disk.Replace(dst, fi.Data); err != nil {
+			return err
+		}
+	}
+	p.mu.Lock()
+	cb := p.callback
+	p.mu.Unlock()
+	if cb != nil {
+		cb(ctx, fs)
+	}
+	return nil
+}
+
+// receiveBuffer returns n bytes to receive a file into: the spare
+// buffer if it is large enough, else fresh memory.
 func (p *Provider) receiveBuffer(n int64) []byte {
 	p.mu.Lock()
 	buf := p.spare
@@ -244,86 +264,34 @@ func (p *Provider) recycle(fs *FileSet) {
 	p.mu.Unlock()
 }
 
-func (p *Provider) beginChunked(fs *FileSet) (uint64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return 0, ErrClosed
-	}
-	in := &incoming{fs: fs, files: make([]*os.File, len(fs.Files))}
-	for i, fi := range fs.Files {
-		dst := filepath.Join(p.root, fi.RelPath)
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			return 0, err
-		}
-		f, err := os.Create(dst)
-		if err != nil {
-			return 0, err
-		}
-		if err := f.Truncate(fi.Size); err != nil {
-			f.Close()
-			return 0, err
-		}
-		in.files[i] = f
-	}
-	p.xferSeq++
-	p.inflight[p.xferSeq] = in
-	return p.xferSeq, nil
-}
-
+// handleChunk copies each segment into its file's receive buffer. It
+// holds the lock while it copies, so no segment lands once End has
+// taken the transfer.
 func (p *Provider) handleChunk(_ context.Context, _ *mercury.Handle, args *chunkArgs) (codec.Message, error) {
 	p.mu.Lock()
-	in, ok := p.inflight[args.XferID]
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	fs, ok := p.inflight[args.XferID]
 	if !ok {
 		return status(ErrNoTransfer)
 	}
 	for _, seg := range args.Segments {
-		if int(seg.FileIdx) >= len(in.files) {
-			return status(fmt.Errorf("%w: file index %d", ErrBadFileSet, seg.FileIdx))
+		if int(seg.FileIdx) >= len(fs.Files) || seg.Offset < 0 || seg.Offset > fs.Files[seg.FileIdx].Size-int64(len(seg.Data)) {
+			return status(fmt.Errorf("%w: %d bytes at offset %d of file %d", ErrBadFileSet, len(seg.Data), seg.Offset, seg.FileIdx))
 		}
-		if _, err := in.files[seg.FileIdx].WriteAt(seg.Data, seg.Offset); err != nil {
-			return status(err)
-		}
+		copy(fs.Files[seg.FileIdx].Data[seg.Offset:], seg.Data)
 	}
 	return status(nil)
 }
 
 func (p *Provider) handleEnd(ctx context.Context, _ *mercury.Handle, args *endArgs) (codec.Message, error) {
 	p.mu.Lock()
-	in, ok := p.inflight[args.XferID]
+	fs, ok := p.inflight[args.XferID]
 	delete(p.inflight, args.XferID)
 	p.mu.Unlock()
 	if !ok {
 		return status(ErrNoTransfer)
 	}
-	// Verify checksums. Durability policy is the receiving provider's
-	// concern (it flushes when it adopts the files), so no per-file
-	// fsync here — the bulk path behaves the same way.
-	var err error
-	for i, fi := range in.fs.Files {
-		f := in.files[i]
-		f.Close()
-		data, rerr := os.ReadFile(filepath.Join(p.root, fi.RelPath))
-		if rerr != nil && err == nil {
-			err = rerr
-		}
-		if rerr == nil && crc32.ChecksumIEEE(data) != fi.CRC && err == nil {
-			err = fmt.Errorf("%w: %s", ErrChecksum, fi.RelPath)
-		}
-		in.fs.Files[i].Data = data
-	}
-	if err == nil {
-		p.notify(ctx, in.fs)
-	}
+	err := p.land(ctx, fs)
+	p.recycle(fs)
 	return status(err)
-}
-
-func (p *Provider) notify(ctx context.Context, fs *FileSet) {
-	p.mu.Lock()
-	cb := p.callback
-	p.mu.Unlock()
-	if cb != nil {
-		cb(ctx, fs)
-	}
 }

@@ -5,9 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,19 +227,6 @@ func TestMigratedCallbackFires(t *testing.T) {
 	}
 }
 
-func TestRemoveSourceAfterMigration(t *testing.T) {
-	env := newMigEnv(t)
-	files := map[string][]byte{"move-me.dat": []byte("payload")}
-	fs := writeSourceFiles(t, "x", files)
-	if _, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{Method: MethodBulk, RemoveSource: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(fs.Root, "move-me.dat")); !os.IsNotExist(err) {
-		t.Fatal("source file survived move")
-	}
-	verifyArrived(t, env.root, files)
-}
-
 func TestPathEscapeRejected(t *testing.T) {
 	env := newMigEnv(t)
 	fs := &FileSet{
@@ -274,16 +265,7 @@ func TestMigrateToUnknownProviderFails(t *testing.T) {
 
 func TestChunkForUnknownTransferRejected(t *testing.T) {
 	env := newMigEnv(t)
-	out, err := env.src.ForwardProvider(mctx(t), env.dst.Addr(), rpcChunk, 4,
-		mustMarshal(&chunkArgs{XferID: 12345, Segments: []segment{{Data: []byte("x")}}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var r statusReply
-	if err := unmarshal(out, &r); err != nil {
-		t.Fatal(err)
-	}
-	if r.Status == 0 {
+	if r := sendChunk(t, env, 12345, segment{Data: []byte("x")}); r.Status == 0 {
 		t.Fatal("chunk for unknown transfer accepted")
 	}
 }
@@ -334,8 +316,13 @@ func TestMethodTradeoffShape(t *testing.T) {
 		// is two RPC messages (2 ms), a bulk pull two bulk messages
 		// (0.8 ms); 64 KiB chunks go one at a time. One 1 MiB file: chunked 18 RPCs = 36 ms,
 		// bulk one RPC and one pull = 2.8 ms. 256 files of 4 KiB: chunked
-		// the same 36 ms, bulk 2 ms + 256 pulls = 207 ms. Both modeled
-		// gaps exceed 5x.
+		// the same 36 ms, bulk 2 ms + 256 pulls = 207 ms. Both legs then
+		// land every file through durable.Disk.Replace (on a 2-vCPU Xeon
+		// VM about 180 µs per 4 KiB file: ~45 ms per 256-file leg), and
+		// the host's timers overshoot every modeled message, so the logged
+		// gaps are narrower than the model's: about 11 ms against 50 ms for
+		// the large file (≈4x), 500–600 ms against 280–400 ms for the small
+		// ones (≈1.5x).
 		f.SetModel(&mercury.HPCModel{
 			RPCOverhead:  time.Millisecond,
 			BulkOverhead: 400 * time.Microsecond,
@@ -424,8 +411,9 @@ func TestInMemoryFileSetTouchesNoDisk(t *testing.T) {
 		if !fs.InMemory() {
 			t.Fatal("a fileset without a root is not in-memory")
 		}
-		// MethodAuto must not pick chunks: they are reassembled in files.
-		stats, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{Method: MethodAuto, RemoveSource: true})
+		// MethodAuto must not pick chunks: an in-memory fileset moves by
+		// bulk only.
+		stats, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{Method: MethodAuto})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,6 +437,9 @@ func TestInMemoryFileSetTouchesNoDisk(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(env.root); err != nil || len(entries) != 0 {
 		t.Fatalf("destination root holds %d entries (%v), want none", len(entries), err)
+	}
+	if n := env.prov.disk.Syncs(); n != 0 {
+		t.Fatalf("in-memory filesets cost %d fsyncs, want none", n)
 	}
 
 	fs := &FileSet{Class: "mem"}
@@ -485,5 +476,44 @@ func TestFileSetIsSnapshotOfItsFiles(t *testing.T) {
 		if !bytes.Equal(data, files["db.log"]) {
 			t.Fatalf("%v: callback saw %d bytes, want the file's %d", m, len(data), len(files["db.log"]))
 		}
+	}
+}
+
+// TestNoDirectFileWrites: the destination writes files only through
+// durable.Disk, so no non-test file of the package creates, writes or
+// fsyncs a file itself.
+func TestNoDirectFileWrites(t *testing.T) {
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	banned := map[string]bool{"os.Create": true, "os.WriteFile": true, "os.OpenFile": true}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			name := sel.Sel.Name
+			if x, ok := sel.X.(*ast.Ident); ok {
+				name = x.Name + "." + name
+			}
+			if banned[name] || sel.Sel.Name == "Sync" {
+				t.Errorf("%s: %s writes a file outside durable.Disk", fset.Position(call.Pos()), name)
+			}
+			return true
+		})
 	}
 }

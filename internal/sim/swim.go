@@ -390,8 +390,8 @@ func (d *swimDriver) result(start time.Time) *SwimResult {
 	return r
 }
 
-// String renders the one-line summary used by mochi-bench and the CI
-// log (stable formatting: part of the replay-identity diff).
+// String renders the one-line summary the simulation tests log (stable
+// formatting: part of the replay-identity diff).
 func (r *SwimResult) String() string {
 	return fmt.Sprintf(
 		"swim n=%d seed=%d virt=%s events=%d trace=%016x kills=%d detected=%d dissem=%d detect_p50=%s detect_p99=%s dissem_p50=%s false_suspect=%d false_dead=%d fs_rate=%.4f/node-min refutes=%d pings=%d",
