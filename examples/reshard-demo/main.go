@@ -2,7 +2,7 @@
 // three Bedrock processes, resharded online under live traffic
 // (DESIGN.md §9). Two processes own the shards at bootstrap; the
 // third is a spare. A writer keeps appending while every shard on
-// node 0 migrates to the spare through the dual-write protocol, then
+// node 0 migrates to the spare (snapshot, then the move's log), then
 // the demo verifies that not a single acked write went missing.
 //
 // Run with: go run ./examples/reshard-demo
@@ -103,8 +103,8 @@ func main() {
 		}
 	}()
 
-	// Move every shard node-0 owns to the spare, one dual-write
-	// migration at a time, while the writer keeps going.
+	// Move every shard node-0 owns to the spare, one migration at
+	// a time, while the writer keeps going.
 	time.Sleep(100 * time.Millisecond)
 	spare := router.Owner{Addr: "sm://node-2", Provider: providerID}
 	reshard := router.Migrator(client)

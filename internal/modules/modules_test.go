@@ -171,6 +171,34 @@ func TestYokanStaleConfigKeysRejected(t *testing.T) {
 	}
 }
 
+// TestXkvUnknownConfigKeyRejected: an xkv provider config carrying a key
+// the module does not know — an option that was removed, or a typo — is
+// refused at start with an error naming the key, never ignored.
+func TestXkvUnknownConfigKeyRejected(t *testing.T) {
+	RegisterBuiltins()
+	f := mercury.NewFabric()
+	cls, _ := f.NewClass("mods-xkv-unknown")
+	inst, err := margo.New(cls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Finalize()
+	xkv, _ := bedrock.LookupModule("xkv")
+	for key, cfg := range map[string]string{
+		"stage_timeout_ms": `{"stage_timeout_ms":2000}`,
+		"remi_provider":    `{"remi_provider":3}`,
+	} {
+		pi, err := xkv.StartProvider(bedrock.ProviderArgs{Instance: inst, Name: "xkv", ProviderID: 9, Config: json.RawMessage(cfg)})
+		if err == nil {
+			pi.Close()
+			t.Fatalf("config with unknown key %q accepted", key)
+		}
+		if !containsStr(err.Error(), `"`+key+`"`) {
+			t.Fatalf("unknown key %q: error %v does not name it", key, err)
+		}
+	}
+}
+
 func containsStr(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {

@@ -1,6 +1,7 @@
 package modules
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -36,8 +37,6 @@ type XkvConfig struct {
 	Dir string `json:"dir,omitempty"`
 	// RemiProviderID receives shard snapshots (0 = provider_id+1).
 	RemiProviderID uint16 `json:"remi_provider_id,omitempty"`
-	// StageTimeoutMS bounds one dual-write forward (0 = 2000).
-	StageTimeoutMS int `json:"stage_timeout_ms,omitempty"`
 	// Bootstrap, when present, adopts the initial shard map at start.
 	// Absent, the node waits for a bootstrap install RPC or joins
 	// through a later migration.
@@ -64,9 +63,13 @@ func (x *xkvInstance) Node() *router.Node { return x.node }
 
 // StartProvider implements bedrock.Module.
 func (*XkvModule) StartProvider(args bedrock.ProviderArgs) (bedrock.ProviderInstance, error) {
+	// Unknown keys are refused, as yokan.Config refuses them: a key
+	// for an option that no longer exists must fail loudly.
 	var cfg XkvConfig
 	if len(args.Config) > 0 {
-		if err := json.Unmarshal(args.Config, &cfg); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(args.Config))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&cfg); err != nil {
 			return nil, fmt.Errorf("modules: xkv config: %w", err)
 		}
 	}
@@ -75,7 +78,6 @@ func (*XkvModule) StartProvider(args bedrock.ProviderArgs) (bedrock.ProviderInst
 		RemiProviderID: cfg.RemiProviderID,
 		Backend:        cfg.Backend,
 		Dir:            cfg.Dir,
-		StageTimeoutMS: cfg.StageTimeoutMS,
 	})
 	if err != nil {
 		return nil, err

@@ -94,8 +94,8 @@ const scanPage = 256
 // the runtime's 10 ms preemption. The price is that it
 // is not a point-in-time view: a pair written or erased while the scan
 // runs may be visited in either state or not at all (callers that need
-// consistency pair the scan with a log of concurrent writes, as the
-// router's dual-write window does). key and value are valid only
+// consistency pair the scan with a log of concurrent writes, as a
+// moving router shard does). key and value are valid only
 // during the call and must not be modified; fn may run under the
 // backend's read lock, so it must be short and must not call into db.
 func Scan(db Database, fn func(key, value []byte)) error {

@@ -56,14 +56,12 @@ func wireProtos() []codectest.Message {
 	return []codectest.Message{
 		&opArgs{Epoch: 1, Shard: 2, Keys: [][]byte{[]byte("k")}},
 		&opReply{Status: statusStale, Map: []byte{1, 2}},
-		&stageArgs{Shard: 1, MigID: 99, Pairs: nil},
-		&promoteArgs{Shard: 1, MigID: 99, Map: []byte{3}},
+		&promoteArgs{Shard: 1, MigID: 99, Map: []byte{3}, Log: []byte{4}},
 		&statsReply{Epoch: 7, Stats: []ShardStat{{Shard: 1, Ops: 2, Bytes: 3}}},
 		&prepareReply{Status: 0, RemiProvider: 10},
 		&installArgs{Bootstrap: true, Map: []byte{9}},
 		&reshardArgs{Shard: 3, Dst: Owner{Addr: "sm://x", Provider: 1}},
 		&opArgs{Epoch: 1, Shard: 2, Pairs: []yokan.KeyValue{{Key: []byte("k"), Value: []byte("v")}}},
-		&stageArgs{Shard: 1, MigID: 99, Seq: 4, Erase: true, Keys: [][]byte{[]byte("k")}},
 		&mapReply{Map: []byte{1}},
 		&statusReply{Status: statusError, Err: "boom"},
 		&prepareArgs{Shard: 1, MigID: 99},
@@ -95,8 +93,8 @@ func TestWireGolden(t *testing.T) {
 // fails to decode must never be marked merged.
 func FuzzSnapshotMerge(f *testing.F) {
 	snap := codec.NewEncoder(nil)
-	snap.BytesField([]byte("key"))
-	snap.BytesField([]byte("value"))
+	logPut(snap, []byte("key"), []byte("value"))
+	logErase(snap, []byte("key"))
 	f.Add(snap.Bytes())
 	f.Add(snap.Bytes()[:snap.Len()-1])
 
@@ -106,7 +104,7 @@ func FuzzSnapshotMerge(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		inc := &staging{db: db, tombstones: map[string]struct{}{}, lastSeq: map[string]uint64{}}
+		inc := &staging{db: db}
 		d := codec.NewDecoder(data)
 		for done := false; !done; {
 			if done, err = mergeBatch(inc, d, mergeBatchKeys); err != nil {

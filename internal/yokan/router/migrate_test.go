@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io/fs"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -46,11 +47,10 @@ func shardOwnedBy(t *testing.T, m *Map, owner Owner) uint32 {
 
 // TestDataPathServesWhileMergeParked is the head-of-line test: with
 // the destination's snapshot receive parked on its migration xstream,
-// Put and Get to the migrating shard (whose writes dual-forward to the
-// destination's Stage handler), to another shard on the source and to
-// a shard the destination owns all complete. When the REMI provider
-// shared the RPC execution stream none of the calls to the destination
-// could, and the ones below timed out.
+// Put and Get to the migrating shard (whose writes the source logs),
+// to another shard on the source and to a shard the destination owns
+// all complete. When the REMI provider shared the RPC execution stream
+// the calls to the destination could not, and timed out.
 func TestDataPathServesWhileMergeParked(t *testing.T) {
 	c := newCluster(t, clusterConfig{nodes: 2, shards: 8})
 	ctx := tctx(t, 20*time.Second)
@@ -96,7 +96,7 @@ func TestDataPathServesWhileMergeParked(t *testing.T) {
 	}
 	cancel()
 	if src.Stats().DualWrites == 0 {
-		t.Fatal("the put to the migrating shard did not dual-forward")
+		t.Fatal("the put to the migrating shard was not logged")
 	}
 
 	close(release)
@@ -110,10 +110,125 @@ func TestDataPathServesWhileMergeParked(t *testing.T) {
 	}
 }
 
+// TestUnreachableDestinationDoesNotStallWrites: a write to a moving
+// shard is acked by the source alone, so a destination cut off in the
+// middle of the move costs the writer nothing; the flip, which needs the
+// destination, fails instead, and the source keeps the write.
+func TestUnreachableDestinationDoesNotStallWrites(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 4, ownerNodes: 1})
+	ctx := tctx(t, 20*time.Second)
+	src, dst := c.nodes[0], c.nodes[1]
+	r := c.router()
+	key := keyOnShard(c.initial, 0, "k")
+	if err := r.Put(ctx, key, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+
+	inWindow, release := make(chan struct{}), make(chan struct{})
+	testHookDualWindow = func() { close(inWindow); <-release }
+	t.Cleanup(func() { testHookDualWindow = nil })
+	fctx, cancel := context.WithTimeout(ctx, time.Second)
+	defer cancel()
+	flipped := make(chan error, 1)
+	go func() { flipped <- src.Reshard(fctx, 0, dst.Self()) }()
+	select {
+	case <-inWindow:
+	case err := <-flipped:
+		t.Fatalf("reshard ended before its window: %v", err)
+	}
+
+	c.fabric.Partition([]string{dst.Self().Addr})
+	start := time.Now()
+	err := r.Put(ctx, key, []byte("during"))
+	if took := time.Since(start); err != nil || took > 500*time.Millisecond {
+		t.Fatalf("put to the moving shard with the destination cut off: %v after %v", err, took)
+	}
+	close(release)
+	if err := <-flipped; err == nil {
+		t.Fatal("the flip committed to an unreachable destination")
+	}
+	c.fabric.Heal()
+	if v, err := r.Get(ctx, key); err != nil || string(v) != "during" {
+		t.Fatalf("get after the failed flip: %q, %v", v, err)
+	}
+}
+
+// fourRPCXstreams gives a node one RPC pool drained by four xstreams,
+// so its data handlers run concurrently (margo's default is one).
+const fourRPCXstreams = `{
+  "argobots": {
+    "pools": [{"name": "rpc", "type": "fifo_wait", "access": "mpmc"}],
+    "xstreams": [
+      {"name": "es0", "scheduler": {"type": "basic_wait", "pools": ["rpc"]}},
+      {"name": "es1", "scheduler": {"type": "basic_wait", "pools": ["rpc"]}},
+      {"name": "es2", "scheduler": {"type": "basic_wait", "pools": ["rpc"]}},
+      {"name": "es3", "scheduler": {"type": "basic_wait", "pools": ["rpc"]}}
+    ]
+  },
+  "rpc_pool": "rpc",
+  "progress_pool": "rpc"
+}`
+
+// TestSameKeyWritesAgreeAcrossFlip pins "log order is apply order":
+// with each node's handlers on four xstreams, eight writers race puts
+// to one key inside the window, and the value the source serves before
+// each flip is the one the destination serves after it.
+func TestSameKeyWritesAgreeAcrossFlip(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 1, ownerNodes: 1, margo: fourRPCXstreams})
+	ctx := tctx(t, 60*time.Second)
+	r := c.router()
+	key := []byte("contended")
+	inWindow, release := make(chan struct{}), make(chan struct{})
+	testHookDualWindow = func() { inWindow <- struct{}{}; <-release }
+	t.Cleanup(func() { testHookDualWindow = nil })
+
+	for flip := 0; flip < 20; flip++ {
+		src, dst := c.nodes[flip%2], c.nodes[(flip+1)%2]
+		flipped := make(chan error, 1)
+		go func() { flipped <- src.Reshard(ctx, 0, dst.Self()) }()
+		select {
+		case <-inWindow:
+		case err := <-flipped:
+			t.Fatalf("flip %d ended before its window: %v", flip, err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					if err := r.Put(ctx, key, []byte(fmt.Sprintf("f%d-w%d-%d", flip, w, i))); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		if err := <-errs; err != nil {
+			t.Fatalf("flip %d: put: %v", flip, err)
+		}
+		before, err := r.Get(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release <- struct{}{}
+		if err := <-flipped; err != nil {
+			t.Fatalf("flip %d: %v", flip, err)
+		}
+		after, err := r.Get(ctx, key)
+		if err != nil || string(after) != string(before) {
+			t.Fatalf("flip %d: the source served %q, the destination serves %q (%v)", flip, before, after, err)
+		}
+	}
+}
+
 // TestCommandedReshardLeavesNodeServing: a reshard commanded over RPC
 // (the balancer's path) runs on neither the source's RPC execution
 // stream — a Get to the source completes while the flip is parked in
-// its dual-write window — nor its migration stream: two nodes
+// the window before its flip — nor its migration stream: two nodes
 // commanded toward each other, both held in their windows until both
 // are there, each still receive the other's snapshot and finish.
 func TestCommandedReshardLeavesNodeServing(t *testing.T) {
@@ -336,24 +451,6 @@ func TestClusterClosesLeakFree(t *testing.T) {
 	testutil.WaitGoroutinesSettle(t, before, 2)
 }
 
-// stagedOp is one dual-written operation of the merge property test.
-type stagedOp struct {
-	seq   uint64
-	erase bool
-	key   string
-	val   string
-}
-
-func (o stagedOp) args() *stageArgs {
-	a := &stageArgs{Seq: o.seq, Erase: o.erase}
-	if o.erase {
-		a.Keys = [][]byte{[]byte(o.key)}
-	} else {
-		a.Pairs = []yokan.KeyValue{{Key: []byte(o.key), Value: []byte(o.val)}}
-	}
-	return a
-}
-
 func newStaging(t *testing.T) *staging {
 	t.Helper()
 	db, err := yokan.Open(yokan.Config{Type: "map", Shards: 1})
@@ -361,7 +458,7 @@ func newStaging(t *testing.T) *staging {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	return &staging{db: db, tombstones: map[string]struct{}{}, lastSeq: map[string]uint64{}}
+	return &staging{db: db}
 }
 
 func dbContents(t *testing.T, db yokan.Database) map[string]string {
@@ -377,77 +474,98 @@ func dbContents(t *testing.T, db yokan.Database) map[string]string {
 	return out
 }
 
-// TestBatchedMergeInterleavingProperty: whatever way staged puts and
-// erases — delivered out of order and duplicated, as an at-least-once
-// transport may — interleave with the merge's batches, the staging
-// database ends as "the snapshot, then every staged operation in Seq
-// order". Seeded: a failure prints the seed that replays it.
-func TestBatchedMergeInterleavingProperty(t *testing.T) {
-	for seed := int64(1); seed <= 200; seed++ {
+// write puts key=val (or erases key, when val is empty) on a shard the
+// way a data RPC does: under the shard's read lock, through put or
+// erase, which log it while the shard moves.
+func write(n *Node, sh *shard, key, val string) error {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if val == "" {
+		return n.erase(context.Background(), sh, &opArgs{Keys: [][]byte{[]byte(key)}}, nil)
+	}
+	return n.put(context.Background(), sh, &opArgs{Pairs: []yokan.KeyValue{{Key: []byte(key), Value: []byte(val)}}}, nil)
+}
+
+// land is the destination's side of a flip: the snapshot merged into an
+// empty staging area in batches of the sizes batch returns, then the
+// log replayed on top. It returns what the destination then holds.
+func land(t *testing.T, snap, log []byte, batch func() int) map[string]string {
+	t.Helper()
+	inc := newStaging(t)
+	d := codec.NewDecoder(snap)
+	for done := false; !done; {
+		var err error
+		if done, err = mergeBatch(inc, d, batch()); err != nil {
+			t.Fatalf("merge: %v", err)
+		}
+	}
+	if done, err := replay(inc.db, codec.NewDecoder(log), math.MaxInt); !done || err != nil {
+		t.Fatalf("replay: done=%v, %v", done, err)
+	}
+	return dbContents(t, inc.db)
+}
+
+// TestSnapshotThenLogReproducesSource: whatever way four writers'
+// puts and erases on 40 overlapping keys interleave with an unlocked
+// cut, the snapshot merged in random batch sizes and the log replayed
+// on top reproduce the source. Seeded: a failure prints the seed that
+// replays the writers' operations.
+func TestSnapshotThenLogReproducesSource(t *testing.T) {
+	const keyspace, writers, opsEach = 40, 4, 50
+	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		const keyspace = 40
-		key := func() string { return fmt.Sprintf("k%02d", rng.Intn(keyspace)) }
-
-		// The snapshot holds a random subset of the key space.
-		want := map[string]string{}
-		e := codec.NewEncoder(nil)
+		src, err := yokan.Open(yokan.Config{Type: "map", Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < keyspace; i++ {
-			if rng.Intn(3) > 0 {
-				k := fmt.Sprintf("k%02d", i)
-				want[k] = "snap-" + k
-				e.BytesField([]byte(k))
-				e.BytesField([]byte(want[k]))
-			}
-		}
-		// The staged stream, and what it makes of the snapshot when
-		// applied in Seq order.
-		var ops []stagedOp
-		for seq := uint64(1); seq <= uint64(rng.Intn(60)); seq++ {
-			op := stagedOp{seq: seq, key: key(), erase: rng.Intn(3) == 0}
-			if op.erase {
-				delete(want, op.key)
-			} else {
-				op.val = fmt.Sprintf("staged-%d", seq)
-				want[op.key] = op.val
-			}
-			ops = append(ops, op)
-		}
-		// Delivery: shuffled, with duplicates.
-		deliver := append([]stagedOp(nil), ops...)
-		for _, op := range ops {
-			if rng.Intn(4) == 0 {
-				deliver = append(deliver, op)
-			}
-		}
-		rng.Shuffle(len(deliver), func(i, j int) { deliver[i], deliver[j] = deliver[j], deliver[i] })
-
-		inc := newStaging(t)
-		d := codec.NewDecoder(e.Bytes())
-		batch := 1 + rng.Intn(7)
-		merged := false
-		for len(deliver) > 0 || !merged {
-			if !merged && (len(deliver) == 0 || rng.Intn(2) == 0) {
-				done, err := mergeBatch(inc, d, batch)
-				if err != nil {
-					t.Fatalf("seed %d: merge: %v", seed, err)
+			if rng.Intn(2) == 0 {
+				if err := src.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("old")); err != nil {
+					t.Fatal(err)
 				}
-				merged = done
-				continue
 			}
-			inc.mu.Lock()
-			err := applyStaged(inc, deliver[0].args())
-			inc.mu.Unlock()
-			if err != nil {
-				t.Fatalf("seed %d: stage: %v", seed, err)
-			}
-			deliver = deliver[1:]
 		}
-		if !inc.merged {
-			t.Fatalf("seed %d: merge finished without marking the staging area merged", seed)
+		n, sh := &Node{}, &shard{db: src, log: codec.NewEncoder(nil)}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		errs := make(chan error, writers)
+		for w := 0; w < writers; w++ {
+			wrng := rand.New(rand.NewSource(seed*writers + int64(w)))
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < opsEach; i++ {
+					key, val := fmt.Sprintf("k%02d", wrng.Intn(keyspace)), ""
+					if wrng.Intn(3) > 0 {
+						val = fmt.Sprintf("w%d-%d", w, i)
+					}
+					if err := write(n, sh, key, val); err != nil && !yokan.IsNotFound(err) {
+						errs <- err
+						return
+					}
+					runtime.Gosched()
+				}
+			}(w)
 		}
-		if got := dbContents(t, inc.db); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("seed %d (batch %d): staging database\n got %v\nwant %v", seed, batch, got, want)
+		close(start)
+		snap, err := cutSnapshot(src, nil)
+		wg.Wait()
+		close(errs)
+		if err == nil {
+			err = <-errs
 		}
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		sh.mu.Lock() // the flip's drain
+		log := sh.log.Bytes()
+		sh.mu.Unlock()
+		got := land(t, snap, log, func() int { return 1 + rng.Intn(7) })
+		if want := dbContents(t, src); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: destination differs from source:\n got %v\nwant %v", seed, got, want)
+		}
+		src.Close()
 	}
 }
 
@@ -468,9 +586,9 @@ func (m *mutateMidScan) ListKeyValues(from, prefix []byte, max int) ([]yokan.Key
 
 // TestUnlockedCutUnderDualWrite covers what can happen to a key while
 // the cut runs without a lock — erased, overwritten, created, ahead of
-// the scan or behind it — each change also forwarded to the staging
-// area as the dual-write path would: the cut must not fail, and
-// snapshot plus staged stream must reproduce the source.
+// the scan or behind it — each change made through the data path of a
+// moving shard, which logs it: the cut must not fail, and snapshot plus
+// log must reproduce the source.
 func TestUnlockedCutUnderDualWrite(t *testing.T) {
 	src, err := yokan.Open(yokan.Config{Type: "skiplist", Shards: 1})
 	if err != nil {
@@ -483,44 +601,25 @@ func TestUnlockedCutUnderDualWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inc := newStaging(t)
-	var seq uint64
+	n, sh := &Node{}, &shard{db: src, log: codec.NewEncoder(nil)}
 	change := func(key, val string) {
-		seq++
-		op := stagedOp{seq: seq, key: key, val: val, erase: val == ""}
-		if op.erase {
-			err = src.Erase([]byte(key))
-		} else {
-			err = src.Put([]byte(key), []byte(val))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		inc.mu.Lock()
-		defer inc.mu.Unlock()
-		if err := applyStaged(inc, op.args()); err != nil {
+		if err := write(n, sh, key, val); err != nil {
 			t.Fatal(err)
 		}
 	}
 	db := &mutateMidScan{Database: src, mutate: func() {
-		change("k0003", "")     // erased behind the scan: in the snapshot, dead by tombstone
+		change("k0003", "")     // erased behind the scan: in the snapshot, erased by the log
 		change("k0005", "new")  // overwritten behind the scan: the snapshot has the old value
 		change("k0500", "")     // erased ahead of the scan: skipped
 		change("k0501", "new")  // overwritten ahead of the scan
-		change("k0000a", "new") // created behind the scan: only in the staged stream
+		change("k0000a", "new") // created behind the scan: only in the log
 		change("k0599a", "new") // created ahead of the scan
 	}}
 	snap, err := cutSnapshot(db, nil)
 	if err != nil {
 		t.Fatalf("cut across concurrent changes: %v", err)
 	}
-	d := codec.NewDecoder(snap)
-	for done := false; !done; {
-		if done, err = mergeBatch(inc, d, 64); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, got := dbContents(t, src), dbContents(t, inc.db)
+	want, got := dbContents(t, src), land(t, snap, sh.log.Bytes(), func() int { return 64 })
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("destination differs from source:\n got %v\nwant %v", got, want)
 	}
@@ -533,8 +632,7 @@ func TestUnlockedCutUnderDualWrite(t *testing.T) {
 // merge and leaves the staging area unmerged, so promote refuses.
 func TestMergeRejectsCorruptSnapshot(t *testing.T) {
 	e := codec.NewEncoder(nil)
-	e.BytesField([]byte("k"))
-	e.BytesField([]byte("value"))
+	logPut(e, []byte("k"), []byte("value"))
 	inc := newStaging(t)
 	if done, err := mergeBatch(inc, codec.NewDecoder(e.Bytes()[:e.Len()-2]), mergeBatchKeys); err == nil || done || inc.merged {
 		t.Fatalf("truncated snapshot merged: done=%v err=%v", done, err)

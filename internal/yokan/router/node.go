@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -19,16 +20,6 @@ import (
 	"mochi/internal/yokan"
 )
 
-// Shard modes. Owned is the steady state. Dual is the migration
-// window: the source stays authoritative (every write applies locally
-// first) but forwards each write to the destination's staging area
-// before acking, so an acked write exists on both sides whichever way
-// the migration ends.
-const (
-	modeOwned = iota
-	modeDual
-)
-
 // shard is one locally resident shard.
 type shard struct {
 	id uint32
@@ -36,23 +27,19 @@ type shard struct {
 
 	// mu is the reconfiguration fence: every data operation holds it
 	// for read, the flip holds it for write. Acquiring the write lock
-	// therefore *is* the drain — it waits out in-flight operations
-	// (including their dual-write forwards) and blocks new ones for
-	// the one RTT the promote takes.
+	// therefore *is* the drain — it waits out in-flight operations and
+	// blocks new ones for the one RTT the promote takes.
 	mu      sync.RWMutex
-	mode    int
-	dualDst Owner
 	migID   uint64
 	dropped bool // shard moved away; set before removal from the table
 
-	// abortFlag is set by a data operation whose dual-write forward
-	// failed (it cannot take mu for write — it holds it for read), and
-	// checked by the flip under the write lock: a failed forward
-	// always either aborts the migration or is observed before the
-	// flip commits.
-	abortFlag atomic.Bool
-	// stageSeq numbers the dual-write stream (see stageArgs.Seq).
-	stageSeq atomic.Uint64
+	// log is set while the shard moves (set and cleared under mu held
+	// for write): every write applied to db is appended to it, and the
+	// flip hands it to the destination inside the promote. A write
+	// holds logMu across its apply and its append, so log order is
+	// apply order.
+	log   *codec.Encoder
+	logMu sync.Mutex
 
 	ops   atomic.Uint64 // cumulative data operations (load signal)
 	bytes atomic.Int64  // approximate resident bytes (data signal)
@@ -63,13 +50,6 @@ type staging struct {
 	migID uint64
 	mu    sync.Mutex
 	db    yokan.Database
-	// tombstones records keys erased through the dual-write stream
-	// before the snapshot arrived, so the merge cannot resurrect
-	// them: the snapshot is older than any staged operation.
-	tombstones map[string]struct{}
-	// lastSeq records the highest stage sequence applied per key, so
-	// delayed duplicates of older writes cannot clobber newer ones.
-	lastSeq map[string]uint64
 	// merging is set by the one snapshot delivery that merges (a
 	// duplicate delivery finds it set); merged once it has finished.
 	merging bool
@@ -97,8 +77,6 @@ type Options struct {
 	// Group, when set, is the SSG group used to disseminate new maps
 	// after a flip.
 	Group *ssg.Group
-	// StageTimeoutMS bounds one dual-write forward (0 = 2000).
-	StageTimeoutMS int
 }
 
 // Node serves a slice of the sharded keyspace: it owns some shards'
@@ -237,7 +215,6 @@ func (n *Node) register() (err error) {
 		margo.RPC{Name: RPCStats, Handler: n.handleStats},
 		margo.RPC{Name: RPCReshard, Handler: margo.Serve(n.handleReshard)},
 		margo.RPC{Name: RPCMigratePrepare, Pool: n.migPool, Handler: margo.Serve(n.handlePrepare)},
-		margo.RPC{Name: RPCMigrateStage, Handler: margo.Serve(n.handleStage)},
 		margo.RPC{Name: RPCMigratePromote, Handler: margo.Serve(n.handlePromote)},
 		margo.RPC{Name: RPCMigrateAbort, Pool: n.migPool, Handler: margo.Serve(n.handleAbort)},
 	)
@@ -251,7 +228,9 @@ func (n *Node) Self() Owner { return Owner{Addr: n.inst.Addr(), Provider: n.id} 
 // bootstrap).
 func (n *Node) CurrentMap() *Map { return n.cur.Load() }
 
-// NodeStats reports the node's reconfiguration counters.
+// NodeStats reports the node's reconfiguration counters. DualWrites
+// counts the writes logged while a shard moved: they reach the
+// destination a second time, in the promote.
 type NodeStats struct {
 	Redirects  uint64
 	DualWrites uint64
@@ -402,33 +381,6 @@ func statusFromErr(err error) (uint8, string) {
 	}
 }
 
-// dualForward ships one applied write to the destination's staging
-// area and acks only on success; a failure marks the migration
-// aborted so the flip can never commit without this write.
-// Called with sh.mu held for read.
-func (n *Node) dualForward(ctx context.Context, sh *shard, erase bool, keys [][]byte, pairs []yokan.KeyValue) {
-	n.dualWrites.Add(1)
-	args := &stageArgs{Shard: sh.id, MigID: sh.migID, Seq: sh.stageSeq.Add(1), Erase: erase, Keys: keys, Pairs: pairs}
-	stageTimeout := n.opts.StageTimeoutMS
-	if stageTimeout <= 0 {
-		stageTimeout = 2000
-	}
-	sctx, cancel := context.WithTimeout(ctx, msDuration(stageTimeout))
-	defer cancel()
-	var reply statusReply
-	err := n.inst.Call(sctx, sh.dualDst.Addr, RPCMigrateStage, sh.dualDst.Provider, args, &reply)
-	if err == nil && reply.Status != statusOK {
-		err = fmt.Errorf("router: stage rejected: %s", reply.Err)
-	}
-	if err != nil {
-		// The write is applied locally (the source stays
-		// authoritative), so the safe resolution is to abort the
-		// migration, not the write.
-		sh.abortFlag.Store(true)
-		go n.abortRemote(sh.dualDst, sh.id, sh.migID)
-	}
-}
-
 // serveShard binds one data operation: it resolves the shard the
 // client routed to, runs op under the shard's read lock (the
 // reconfiguration fence) and answers with op's outcome, or with a
@@ -451,36 +403,44 @@ func (n *Node) serveShard(op func(ctx context.Context, sh *shard, args *opArgs, 
 	})
 }
 
-// put applies a put to the local shard, dual-forwarding it during a
-// migration window.
-func (n *Node) put(ctx context.Context, sh *shard, args *opArgs, _ *opReply) (err error) {
+// put applies a put to the local shard, logging it while the shard
+// moves.
+func (n *Node) put(_ context.Context, sh *shard, args *opArgs, _ *opReply) (err error) {
+	if sh.log != nil {
+		sh.logMu.Lock()
+		defer sh.logMu.Unlock()
+	}
 	var delta int64
 	for _, kv := range args.Pairs {
 		if err = sh.db.Put(kv.Key, kv.Value); err != nil {
 			break
 		}
+		if sh.log != nil {
+			n.dualWrites.Add(1)
+			logPut(sh.log, kv.Key, kv.Value)
+		}
 		delta += int64(len(kv.Key) + len(kv.Value))
-	}
-	if err == nil && sh.mode == modeDual {
-		n.dualForward(ctx, sh, false, nil, args.Pairs)
 	}
 	sh.ops.Add(1)
 	sh.bytes.Add(delta)
 	return err
 }
 
-// erase removes a key, dual-forwarding the erase during a migration
-// window (the staging side records a tombstone).
-func (n *Node) erase(ctx context.Context, sh *shard, args *opArgs, _ *opReply) (err error) {
+// erase removes keys from the local shard, logging each erase while the
+// shard moves.
+func (n *Node) erase(_ context.Context, sh *shard, args *opArgs, _ *opReply) (err error) {
+	if sh.log != nil {
+		sh.logMu.Lock()
+		defer sh.logMu.Unlock()
+	}
 	for _, k := range args.Keys {
 		if err = sh.db.Erase(k); err != nil {
 			break
 		}
-	}
-	// Forward even a not-found erase: a concurrent snapshot merge
-	// could otherwise resurrect a key this node already dropped.
-	if (err == nil || yokan.IsNotFound(err)) && sh.mode == modeDual {
-		n.dualForward(ctx, sh, true, args.Keys, nil)
+		if sh.log != nil {
+			n.dualWrites.Add(1)
+			logErase(sh.log, k)
+		}
 	}
 	sh.ops.Add(1)
 	return err
@@ -615,78 +575,17 @@ func (n *Node) prepare(args *prepareArgs) error {
 	if err != nil {
 		return err
 	}
-	n.incoming[args.Shard] = &staging{
-		migID:      args.MigID,
-		db:         db,
-		tombstones: map[string]struct{}{},
-		lastSeq:    map[string]uint64{},
-	}
+	n.incoming[args.Shard] = &staging{migID: args.MigID, db: db}
 	return nil
 }
 
-// handleStage applies one dual-written operation to the staging area.
-// A stage arriving after the migration promoted is always a
-// transport-level duplicate whose reply nobody awaits: each forward
-// runs under the shard's read lock, the flip runs under its write
-// lock, so every forward the source acted on completed before the
-// promote was issued. Rejecting late arrivals (rather than applying
-// them to the now-owned shard) is what keeps a chaos-delayed
-// duplicate of an *older* write from clobbering a newer one.
-func (n *Node) handleStage(_ context.Context, _ *mercury.Handle, args *stageArgs) (codec.Message, error) {
-	n.mu.Lock()
-	inc := n.incoming[args.Shard]
-	n.mu.Unlock()
-	if inc == nil || inc.migID != args.MigID {
-		return status(errors.New("router: no such migration"))
-	}
-	inc.mu.Lock()
-	err := applyStaged(inc, args)
-	inc.mu.Unlock()
-	return status(err)
-}
-
-// applyStaged applies one dual-written operation to a staging area.
-// Per-key sequence gating makes application idempotent *and*
-// order-insensitive: at-least-once transports can deliver a duplicate
-// of an older operation after a newer one, and replaying it blindly
-// would silently roll the key back. Called with inc.mu held.
-func applyStaged(inc *staging, args *stageArgs) error {
-	if args.Erase {
-		for _, k := range args.Keys {
-			if args.Seq <= inc.lastSeq[string(k)] {
-				continue // duplicate of an operation already superseded
-			}
-			inc.lastSeq[string(k)] = args.Seq
-			if !inc.merged {
-				inc.tombstones[string(k)] = struct{}{}
-			}
-			if err := inc.db.Erase(k); err != nil && !yokan.IsNotFound(err) {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, kv := range args.Pairs {
-		if args.Seq <= inc.lastSeq[string(kv.Key)] {
-			continue
-		}
-		inc.lastSeq[string(kv.Key)] = args.Seq
-		if !inc.merged {
-			// A later staged erase must still win over this put's
-			// tombstone shadow.
-			delete(inc.tombstones, string(kv.Key))
-		}
-		if err := inc.db.Put(kv.Key, kv.Value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// handlePromote commits the flip on the destination: the staging area
-// becomes the owned shard, and the attached map (which names this
-// node the owner) becomes current *before* the source stops serving —
-// the ordering that makes the redirect chain always land.
+// handlePromote commits the flip on the destination: the source's log
+// is replayed on top of the merged snapshot, the staging area becomes
+// the owned shard, and the attached map (which names this node the
+// owner) becomes current *before* the source stops serving — the
+// ordering that makes the redirect chain always land. The replay runs
+// under n.mu and inc.mu, so a duplicate promote finds either the
+// staging area untouched or the shard installed, never half a replay.
 func (n *Node) handlePromote(_ context.Context, _ *mercury.Handle, args *promoteArgs) (codec.Message, error) {
 	m, err := DecodeMap(args.Map)
 	if err != nil {
@@ -705,11 +604,15 @@ func (n *Node) handlePromote(_ context.Context, _ *mercury.Handle, args *promote
 		return status(errors.New("router: no such migration"))
 	}
 	inc.mu.Lock()
-	merged := inc.merged
+	if inc.merged {
+		_, err = replay(inc.db, codec.NewDecoder(args.Log), math.MaxInt)
+	} else {
+		err = errors.New("router: snapshot not merged")
+	}
 	inc.mu.Unlock()
-	if !merged {
+	if err != nil {
 		n.mu.Unlock()
-		return status(errors.New("router: snapshot not merged"))
+		return status(err)
 	}
 	delete(n.incoming, args.Shard)
 	n.shards[args.Shard] = &shard{id: args.Shard, db: inc.db, migID: args.MigID}
@@ -737,9 +640,8 @@ func (n *Node) handleAbort(_ context.Context, _ *mercury.Handle, args *abortArgs
 }
 
 // mergeBatchKeys bounds how many snapshot entries one hold of a staging
-// area's lock merges, and so how long a Stage handler (a client's
-// dual-written Put, on the RPC pool) can wait for a merge running on
-// the migration pool.
+// area's lock merges, and so how long the processor goes without a
+// yield, and a promote or an abort waits, behind a merge.
 const mergeBatchKeys = 256
 
 // testHookMerge, when non-nil, runs on the migration xstream after a
@@ -747,14 +649,8 @@ const mergeBatchKeys = 256
 var testHookMerge func()
 
 // receiveSnapshot is the REMI arrival callback: it merges a shard
-// snapshot into the staging area. Staged operations are newer than
-// the snapshot by construction (dual-write starts before the snapshot
-// is cut), so the merge only fills keys the stream has not touched:
-// tombstoned keys stay dead, staged values win. That rule is per key,
-// so the merge may release the staging lock between batches and let
-// staged operations interleave: one that lands before its key's batch
-// is found there and wins; one that lands after overwrites (or erases)
-// what the batch wrote.
+// snapshot into the empty staging area. Writes the source applies from
+// here to the flip are in its log, which the promote replays on top.
 func (n *Node) receiveSnapshot(ctx context.Context, fs *remi.FileSet) {
 	if fs.Class != snapshotClass || len(fs.Files) == 0 {
 		return
@@ -792,35 +688,53 @@ func (n *Node) receiveSnapshot(ctx context.Context, fs *remi.FileSet) {
 	end(err) // an error leaves merged unset: promote refuses, the source aborts
 }
 
-// mergeBatch merges up to max entries of an encoded shard snapshot
-// into the staging database under one hold of the staging lock,
-// skipping keys the dual-write stream already decided. After the last
-// entry it marks the staging area merged and reports done.
+// mergeBatch replays up to max entries of an encoded shard snapshot
+// into the staging database under one hold of the staging lock. After
+// the last entry it marks the staging area merged and reports done.
 func mergeBatch(inc *staging, d *codec.Decoder, max int) (done bool, err error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
+	if done, err = replay(inc.db, d, max); done {
+		inc.merged = true
+	}
+	return done, err
+}
+
+// A moving shard's log and a shard snapshot share one encoding: a
+// sequence of entries, each an erase flag, a key and — for a put — a
+// value. A snapshot is a log of puts; replay applies either.
+
+func logPut(e *codec.Encoder, key, value []byte) {
+	e.Bool(false)
+	e.BytesField(key)
+	e.BytesField(value)
+}
+
+func logErase(e *codec.Encoder, key []byte) {
+	e.Bool(true)
+	e.BytesField(key)
+}
+
+// replay applies up to max entries of an encoded log to db, in order,
+// and reports whether it reached the end. Erasing an absent key is not
+// an error: the snapshot may never have seen the key the log erases.
+func replay(db yokan.Database, d *codec.Decoder, max int) (done bool, err error) {
 	for i := 0; i < max && d.Remaining() > 0; i++ {
-		k := d.BytesField()
-		v := d.BytesField()
+		erase, k := d.Bool(), d.BytesField()
+		var v []byte
+		if !erase {
+			v = d.BytesField()
+		}
 		if d.Err() != nil {
 			return false, d.Err()
 		}
-		if _, dead := inc.tombstones[string(k)]; dead {
-			continue
-		}
-		if ok, err := inc.db.Exists(k); err != nil {
-			return false, err
-		} else if ok {
-			continue // staged write is newer than the snapshot
-		}
-		if err := inc.db.Put(k, v); err != nil {
+		if erase {
+			if err := db.Erase(k); err != nil && !yokan.IsNotFound(err) {
+				return false, err
+			}
+		} else if err := db.Put(k, v); err != nil {
 			return false, err
 		}
 	}
-	if d.Remaining() > 0 {
-		return false, nil
-	}
-	inc.merged = true
-	inc.tombstones = nil
-	return true, nil
+	return d.Remaining() == 0, nil
 }

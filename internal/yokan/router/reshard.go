@@ -18,39 +18,35 @@ const snapshotClass = "xkv-shard"
 const (
 	metaShard = "xkv_shard"
 	metaMig   = "xkv_mig"
-	metaEpoch = "xkv_epoch"
 )
 
-func msDuration(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
-
 // testHookDualWindow, when non-nil, runs after the snapshot has been
-// migrated and before the flip. Tests use it to hold the dual-write
-// window open long enough for concurrent traffic to cross it — on a
-// small database the window is otherwise a few microseconds wide.
+// migrated and before the flip. Tests use it to hold the logged window
+// open long enough for concurrent traffic to cross it — on a small
+// database the window is otherwise a few microseconds wide.
 var testHookDualWindow func()
 
 // Reshard moves one shard this node owns to dst, under live traffic,
 // without losing an acked write. The protocol (DESIGN.md §9):
 //
 //  1. prepare: dst opens a staging database for the shard.
-//  2. dual-write: every write to the shard keeps applying locally
-//     (the source stays authoritative) and is synchronously forwarded
-//     to the staging area before it is acked — from here on, any
-//     acked write exists on both sides.
+//  2. log: every write to the shard keeps applying locally (the
+//     source stays authoritative and acks on its own) and is appended,
+//     in apply order, to the shard's in-memory log.
 //  3. snapshot: the shard is encoded into one buffer, without holding
 //     any lock across it (cutSnapshot), and REMI-migrated to dst from
-//     that buffer; dst merges it *under* the staged stream (staged
-//     values and tombstones win — they are newer by construction).
+//     that buffer; dst merges it into its empty staging area.
 //  4. flip: under the shard's write lock (which drains in-flight
-//     operations — this is the drain window), the source commits the
-//     new map at dst (promote), marks the local shard dropped, and
-//     only then publishes the map locally and gossips it. Destination
-//     before source: at every instant some node serves the shard, and
-//     a redirect chain of length ≤ 2 lands on it.
+//     operations — this is the drain window), the source sends the log
+//     and the new map to dst (promote), which replays the log on top of
+//     the snapshot and commits; the source then marks the local shard
+//     dropped, and only then publishes the map locally and gossips it.
+//     Destination before source: at every instant some node serves
+//     the shard, and a redirect chain of length ≤ 2 lands on it.
 //
-// Any failure before the flip aborts: dst drops the staging area and
-// the source reverts to exclusive ownership. Nothing is lost — the
-// source applied every acked write locally throughout.
+// Any failure before the flip commits aborts: dst drops the staging
+// area and the source stops logging. Nothing is lost — the source
+// applied every acked write locally throughout.
 //
 // Reshard blocks for the whole flip and waits on dst's migration
 // xstream: call it from a goroutine, never from a ULT.
@@ -94,29 +90,28 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 		return fmt.Errorf("router: prepare rejected: %s", prep.Err)
 	}
 
-	// 2. enter the dual-write window.
+	// 2. start the log.
 	sh.mu.Lock()
-	if sh.dropped || sh.mode != modeOwned {
+	if sh.dropped || sh.log != nil {
 		sh.mu.Unlock()
 		n.abortRemote(dst, shardID, mig)
 		return fmt.Errorf("router: shard %d already migrating", shardID)
 	}
-	sh.mode = modeDual
-	sh.dualDst = dst
-	sh.migID = mig
-	sh.abortFlag.Store(false)
+	sh.log = codec.NewEncoder(nil)
 	sh.mu.Unlock()
 
 	fail := func(stage string, err error) error {
-		n.revertDual(sh, mig)
+		sh.mu.Lock()
+		sh.log = nil
+		sh.mu.Unlock()
 		n.abortRemote(dst, shardID, mig)
 		return fmt.Errorf("router: %s: %w", stage, err)
 	}
 
-	// 3. snapshot and REMI-migrate. The snapshot is cut after
-	// dual-write is on, so every write it misses is in the staged
-	// stream. It never touches disk on either side: the buffer it is
-	// encoded into is the region dst pulls.
+	// 3. snapshot and REMI-migrate. The snapshot is cut after the log
+	// started, so every write it misses is in the log. It never touches
+	// disk on either side: the buffer it is encoded into is the region
+	// dst pulls.
 	_, endPhase := n.phase(ctx, "snapshot")
 	snap, err := cutSnapshot(sh.db, n.takeSnapBuf())
 	endPhase(err)
@@ -126,7 +121,6 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 	fs := &remi.FileSet{Class: snapshotClass, Metadata: map[string]string{
 		metaShard: strconv.FormatUint(uint64(shardID), 10),
 		metaMig:   strconv.FormatUint(mig, 10),
-		metaEpoch: strconv.FormatUint(m.Epoch, 10),
 	}}
 	fs.AddBytes("shard.snap", snap)
 	tctx, endPhase := n.phase(ctx, "transfer")
@@ -143,25 +137,21 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 	}
 
 	// 4. flip. The write lock drains in-flight operations (each holds
-	// the read lock across its local apply *and* its dual-write
-	// forward) and blocks new ones for the promote round-trip, so no
-	// write can slip between "dst committed" and "src stopped".
+	// the read lock across its apply and its append) and blocks new
+	// ones for the promote round-trip, so the log is complete when it
+	// leaves and no write can slip between "dst committed" and "src
+	// stopped".
 	newMap := n.cur.Load().WithOwner(shardID, dst)
 	sh.mu.Lock()
-	if sh.abortFlag.Load() || sh.mode != modeDual || sh.migID != mig {
-		sh.mu.Unlock()
-		n.abortRemote(dst, shardID, mig)
-		return fmt.Errorf("router: migration aborted by a failed dual-write")
-	}
 	var pr statusReply
 	pctx, endPhase := n.phase(ctx, "promote")
-	perr := n.inst.Call(pctx, dst.Addr, RPCMigratePromote, dst.Provider, &promoteArgs{Shard: shardID, MigID: mig, Map: EncodeMap(newMap)}, &pr)
+	perr := n.inst.Call(pctx, dst.Addr, RPCMigratePromote, dst.Provider, &promoteArgs{Shard: shardID, MigID: mig, Map: EncodeMap(newMap), Log: sh.log.Bytes()}, &pr)
 	if perr == nil && pr.Status != statusOK {
 		perr = fmt.Errorf("%s", pr.Err)
 	}
 	endPhase(perr)
+	sh.log = nil
 	if perr != nil {
-		sh.mode = modeOwned
 		sh.mu.Unlock()
 		n.abortRemote(dst, shardID, mig)
 		return fmt.Errorf("router: promote: %w", perr)
@@ -182,21 +172,17 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 	return nil
 }
 
-// cutSnapshot encodes every pair of db into buf as (key, value) byte
-// fields and returns the encoded bytes. It holds no lock across the
-// cut (yokan.Scan): no operation on the shard ever waits for more than
-// one bounded step of it. The result is not a point-in-time image — it
-// need not be, because dual-write is already on: a key overwritten or
-// created during the cut is in the staged stream, which wins at merge
-// whichever version the cut saw (or missed), and a key erased during
-// the cut is either skipped here or dead at the destination by its
-// staged tombstone.
+// cutSnapshot encodes every pair of db into buf as a log of puts and
+// returns the encoded bytes. It holds no lock across the cut
+// (yokan.Scan): no operation on the shard ever waits for more than one
+// bounded step of it. The result is not a point-in-time image — it
+// need not be, because the log has already started: every write the
+// cut races is in the log, which the destination replays after the
+// snapshot, so whatever version of a key the cut saw (or missed), the
+// key ends at its last logged state.
 func cutSnapshot(db yokan.Database, buf []byte) ([]byte, error) {
 	e := codec.NewEncoder(buf)
-	err := yokan.Scan(db, func(key, value []byte) {
-		e.BytesField(key)
-		e.BytesField(value)
-	})
+	err := yokan.Scan(db, func(key, value []byte) { logPut(e, key, value) })
 	return e.Bytes(), err
 }
 
@@ -245,16 +231,6 @@ func (n *Node) phase(ctx context.Context, name string) (context.Context, func(er
 			Err:      err != nil,
 		})
 	}
-}
-
-// revertDual returns a shard to exclusive local ownership after a
-// failed migration attempt.
-func (n *Node) revertDual(sh *shard, mig uint64) {
-	sh.mu.Lock()
-	if sh.mode == modeDual && sh.migID == mig {
-		sh.mode = modeOwned
-	}
-	sh.mu.Unlock()
 }
 
 // abortRemote tears down the staging area at dst, best effort.

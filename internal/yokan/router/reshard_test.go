@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,20 +18,31 @@ import (
 )
 
 // TestReshardUnderLiveTraffic migrates a shard while writers hammer
-// the keyspace and verifies the invariant the dual-write window
-// exists for: every write acked before, during, or after the move is
-// present afterwards.
+// the keyspace and verifies the invariant the move's log exists for:
+// every write acked before, during, or after the move is present
+// afterwards.
 func TestReshardUnderLiveTraffic(t *testing.T) {
 	c := newCluster(t, clusterConfig{nodes: 3, shards: 8, ownerNodes: 2})
 	ctx := tctx(t, 30*time.Second)
+	dualWrites := func() uint64 {
+		var total uint64
+		for _, nd := range c.nodes {
+			total += nd.Stats().DualWrites
+		}
+		return total
+	}
 
-	// Hold each migration's dual-write window open for a few
-	// milliseconds: on an idle in-process fabric the whole
+	// Hold each migration's window open until a live write has been
+	// logged in it: on an idle in-process fabric the whole
 	// prepare→flip sequence is microseconds wide, and whether a
 	// concurrent write lands inside it would be a scheduler
 	// coin-flip. The hook runs between the snapshot transfer and the
-	// flip, exactly where live writes must dual-forward to survive.
-	testHookDualWindow = func() { time.Sleep(5 * time.Millisecond) }
+	// flip, exactly where live writes must be logged to survive.
+	testHookDualWindow = func() {
+		for before := dualWrites(); dualWrites() == before && ctx.Err() == nil; {
+			runtime.Gosched()
+		}
+	}
 	t.Cleanup(func() { testHookDualWindow = nil })
 
 	// Ballast gives each shard's snapshot real width.
@@ -48,7 +61,16 @@ func TestReshardUnderLiveTraffic(t *testing.T) {
 		wg      sync.WaitGroup
 		ledgers = make([]map[string]string, workers)
 		werrs   = make([]error, workers)
+		acked   atomic.Int64 // ledger entries written, all workers
 	)
+	// awaitAcked returns once the workers' ledgers have grown by n.
+	awaitAcked := func(n int64) {
+		for target := acked.Load() + n; acked.Load() < target; runtime.Gosched() {
+			if ctx.Err() != nil {
+				t.Fatalf("workers stopped acking: %v", ctx.Err())
+			}
+		}
+	}
 	for w := 0; w < workers; w++ {
 		ledgers[w] = map[string]string{}
 		wg.Add(1)
@@ -69,13 +91,14 @@ func TestReshardUnderLiveTraffic(t *testing.T) {
 					return
 				}
 				ledgers[w][key] = val
+				acked.Add(1)
 			}
 		}(w)
 	}
 
 	// Let traffic build, then move every shard owned by node 0 to
 	// node 2 (the spare), one at a time, mid-run.
-	time.Sleep(50 * time.Millisecond)
+	awaitAcked(200)
 	moved := 0
 	for s := 0; s < 8; s++ {
 		m := c.nodes[0].CurrentMap()
@@ -90,14 +113,7 @@ func TestReshardUnderLiveTraffic(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("node 0 owned nothing to move")
 	}
-	dualWrites := func() uint64 {
-		var total uint64
-		for _, nd := range c.nodes {
-			total += nd.Stats().DualWrites
-		}
-		return total
-	}
-	time.Sleep(50 * time.Millisecond)
+	awaitAcked(200)
 	close(stop)
 	wg.Wait()
 	for w, err := range werrs {
@@ -136,7 +152,7 @@ func TestReshardUnderLiveTraffic(t *testing.T) {
 		t.Fatalf("count: got %d (%v), want %d", got, err, total+ballast)
 	}
 	if dualWrites() == 0 {
-		t.Fatal("no write crossed the dual-write window; the test raced past the migration")
+		t.Fatal("no write crossed a move's window; the test raced past the migration")
 	}
 	// Node 0 must have released everything it moved.
 	c.nodes[0].mu.Lock()
@@ -182,8 +198,9 @@ func TestReshardSoakChaos(t *testing.T) {
 	// put replayed after a newer one would legitimately roll the key
 	// back — that is a property of the data model, not of
 	// reconfiguration. Node links lose, duplicate, *and* delay: the
-	// migration protocol (stage seq gating, idempotent
-	// prepare/promote) is specified to survive exactly that.
+	// migration protocol (idempotent prepare and promote, one merge per
+	// snapshot, the log inside the promote) is specified to survive
+	// exactly that.
 	c.client.Class().SetChaos(mercury.NewChaos(mercury.ChaosConfig{
 		Seed:      42,
 		DropRate:  0.05,
@@ -265,8 +282,9 @@ func TestReshardSoakChaos(t *testing.T) {
 
 	// The reconfiguration driver: walk shards round-robin, moving
 	// each to the node after its current owner, until time is up.
-	// Chaos can abort a migration (a lost stage forward aborts by
-	// design); that is a clean failure — retry with a new migration.
+	// Chaos can abort a migration (a lost prepare, transfer or promote
+	// fails the flip); that is a clean failure — retry with a new
+	// migration.
 	flips := 0
 	rng := rand.New(rand.NewSource(7))
 	for s := 0; time.Now().Before(deadline); s = (s + 1) % 8 {

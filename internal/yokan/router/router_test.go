@@ -37,6 +37,8 @@ type clusterConfig struct {
 	// nodes (0 = all nodes own shards round-robin).
 	ownerNodes int
 	resilience *resilience.Config
+	// margo is each node's margo configuration ("" = the default).
+	margo string
 }
 
 func newCluster(t testing.TB, cfg clusterConfig) *cluster {
@@ -48,7 +50,7 @@ func newCluster(t testing.TB, cfg clusterConfig) *cluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst, err := margo.New(cls, nil)
+		inst, err := margo.New(cls, []byte(cfg.margo))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,6 @@ const (
 	RPCReshard    = "xkv_reshard"
 
 	RPCMigratePrepare = "xkv_mig_prepare"
-	RPCMigrateStage   = "xkv_mig_stage"
 	RPCMigratePromote = "xkv_mig_promote"
 	RPCMigrateAbort   = "xkv_mig_abort"
 )
@@ -43,7 +42,8 @@ const (
 // opArgs is the argument frame of every data RPC: the client's map
 // epoch and the shard it routed to, plus the keys or pairs. Servers
 // route by (Shard, local ownership); Epoch is diagnostic and lets a
-// server distinguish a stale client from a corrupted one.
+// server distinguish a stale client from a corrupted one. Decoded
+// slices alias the decoder's buffer.
 type opArgs struct {
 	Epoch uint64
 	Shard uint32
@@ -54,15 +54,8 @@ type opArgs struct {
 func (a *opArgs) Proc(p *codec.Proc) {
 	p.Uint64(&a.Epoch)
 	p.Uint32(&a.Shard)
-	procKeysPairs(p, &a.Keys, &a.Pairs)
-}
-
-// procKeysPairs is the payload shared by opArgs and stageArgs: a key
-// list (get/erase/exists) then a pair list (put). Decoded slices alias
-// the decoder's buffer.
-func procKeysPairs(p *codec.Proc, keys *[][]byte, pairs *[]yokan.KeyValue) {
-	codec.Slice(p, keys, (*codec.Proc).Bytes)
-	yokan.ProcPairs(p, pairs)
+	codec.Slice(p, &a.Keys, (*codec.Proc).Bytes)
+	yokan.ProcPairs(p, &a.Pairs)
 }
 
 // procStatus is how every reply begins.
@@ -148,42 +141,22 @@ func (r *prepareReply) Proc(p *codec.Proc) {
 	p.Uint16(&r.RemiProvider)
 }
 
-// stageArgs forwards one write of the dual-write window to the
-// destination: puts carry Pairs, erases carry Keys with Erase set.
-// Seq orders the stream per migration: transports deliver
-// at-least-once and out of order (a delayed duplicate can arrive
-// after a newer write to the same key), so the staging side applies
-// an operation to a key only if its Seq exceeds the last one applied
-// there.
-type stageArgs struct {
-	Shard uint32
-	MigID uint64
-	Seq   uint64
-	Erase bool
-	Keys  [][]byte
-	Pairs []yokan.KeyValue
-}
-
-func (a *stageArgs) Proc(p *codec.Proc) {
-	p.Uint32(&a.Shard)
-	p.Uint64(&a.MigID)
-	p.Uvarint(&a.Seq)
-	p.Bool(&a.Erase)
-	procKeysPairs(p, &a.Keys, &a.Pairs)
-}
-
-// promoteArgs commits the flip at the destination: the staging area
-// becomes the owned shard and the attached map becomes current.
+// promoteArgs commits the flip at the destination: Log, the writes the
+// source applied while the shard moved, is replayed on top of the
+// snapshot, the staging area becomes the owned shard and the attached
+// map becomes current.
 type promoteArgs struct {
 	Shard uint32
 	MigID uint64
 	Map   []byte
+	Log   []byte
 }
 
 func (a *promoteArgs) Proc(p *codec.Proc) {
 	p.Uint32(&a.Shard)
 	p.Uint64(&a.MigID)
 	p.Bytes(&a.Map)
+	p.Bytes(&a.Log)
 }
 
 // abortArgs tears down a staging area after a failed migration.
