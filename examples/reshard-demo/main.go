@@ -33,10 +33,10 @@ func main() {
 	defer cancel()
 
 	// Three bedrock processes share one keyspace: the identical
-	// bootstrap block makes each derive the same epoch-1 map, so no
-	// coordination service is needed. node-2 is not listed as an
-	// owner — it starts as a routing spare and gains shards only by
-	// migration.
+	// bootstrap block makes each derive the same map, every shard at
+	// version 0, so no coordination service is needed. node-2 is not
+	// listed as an owner — it starts as a routing spare and gains
+	// shards only by migration.
 	owners := `["sm://node-0", "sm://node-1"]`
 	cfg := fmt.Sprintf(`{
 	  "libraries": {"xkv": "libxkv.so"},
@@ -75,7 +75,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("bootstrap: epoch %d, %d shards over 2 owners + 1 spare\n",
-		r.Map().Epoch, len(r.Map().Owners))
+		r.Map().Epoch(), len(r.Map().Owners))
 
 	// Live traffic: one writer appends versioned values while the
 	// reshard runs; the ledger records what was acked.
@@ -137,6 +137,6 @@ func main() {
 		}
 	}
 	fmt.Printf("moved %d shards to the spare at epoch %d; %d acked writes verified, 0 lost\n",
-		moved, r.Map().Epoch, len(ledger))
+		moved, r.Map().Epoch(), len(ledger))
 	fmt.Printf("shard 0 now owned by %s\n", r.Map().Owners[0].Addr)
 }

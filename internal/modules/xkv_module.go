@@ -13,8 +13,8 @@ import (
 // XkvBootstrap seeds the initial shard map of a sharded keyspace.
 // Exactly one logical keyspace is described by the same bootstrap
 // block in every member's configuration: the map it derives is a pure
-// function of the block, so every process adopts the identical epoch-1
-// map without coordination.
+// function of the block, so every process adopts the identical map,
+// every shard at version 0, without coordination.
 type XkvBootstrap struct {
 	// Shards is the fixed shard count of the keyspace.
 	Shards int `json:"shards"`
@@ -38,8 +38,8 @@ type XkvConfig struct {
 	// RemiProviderID receives shard snapshots (0 = provider_id+1).
 	RemiProviderID uint16 `json:"remi_provider_id,omitempty"`
 	// Bootstrap, when present, adopts the initial shard map at start.
-	// Absent, the node waits for a bootstrap install RPC or joins
-	// through a later migration.
+	// Absent, the node owns nothing until a migration promotes a
+	// shard onto it.
 	Bootstrap *XkvBootstrap `json:"bootstrap,omitempty"`
 }
 

@@ -129,10 +129,7 @@ func xkvBedrockReshard(t *testing.T) {
 	if err := r.Refresh(ctx); err != nil {
 		t.Fatalf("refresh: %v", err)
 	}
-	if got := r.Map(); got.Epoch <= m.Epoch {
-		t.Fatalf("epoch did not advance: %d -> %d", m.Epoch, got.Epoch)
-	}
-	if got := r.Map().Owners[0]; got != spare {
-		t.Fatalf("shard 0 owned by %v, want spare %v", got, spare)
+	if got := r.Map(); got.Owners[0] != spare || got.Versions[0] != m.Versions[0]+1 {
+		t.Fatalf("shard 0 owned by %v at version %d, want spare %v at %d", got.Owners[0], got.Versions[0], spare, m.Versions[0]+1)
 	}
 }

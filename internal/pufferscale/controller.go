@@ -108,7 +108,7 @@ func (c *Controller) execute(ctx context.Context, resources []Resource, nodes []
 	sort.SliceStable(plan.Moves, func(i, j int) bool {
 		return rate[plan.Moves[i].ResourceID] > rate[plan.Moves[j].ResourceID]
 	})
-	_, err = plan.Execute(ctx, c.Migrate, 1)
+	_, err = plan.Execute(ctx, c.Migrate)
 	return plan, err
 }
 

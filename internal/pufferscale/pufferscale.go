@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Errors returned by the rebalancer.
@@ -211,44 +210,14 @@ func Rebalance(resources []Resource, nodes []string, obj Objectives) (*Plan, err
 // REMI-backed migration of a Yokan provider).
 type Migrator func(ctx context.Context, m Move) error
 
-// Execute runs the plan's moves with the given parallelism, stopping
-// at the first error (already-completed moves are reported).
-func (p *Plan) Execute(ctx context.Context, migrate Migrator, parallelism int) (completed []Move, err error) {
-	if parallelism <= 0 {
-		parallelism = 1
-	}
-	sem := make(chan struct{}, parallelism)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
+// Execute runs the plan's moves one at a time, in order, stopping at
+// the first error (already-completed moves are reported).
+func (p *Plan) Execute(ctx context.Context, migrate Migrator) (completed []Move, err error) {
 	for _, m := range p.Moves {
-		// The slot first: only then are the moves before this one
-		// known to have ended, and whether one of them failed.
-		sem <- struct{}{}
-		mu.Lock()
-		failed := firstErr != nil
-		mu.Unlock()
-		if failed {
-			break
+		if err := migrate(ctx, m); err != nil {
+			return completed, fmt.Errorf("pufferscale: move %s (%s->%s): %w", m.ResourceID, m.From, m.To, err)
 		}
-		wg.Add(1)
-		go func(m Move) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := migrate(ctx, m); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("pufferscale: move %s (%s->%s): %w", m.ResourceID, m.From, m.To, err)
-				}
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
-			completed = append(completed, m)
-			mu.Unlock()
-		}(m)
+		completed = append(completed, m)
 	}
-	wg.Wait()
-	sort.Slice(completed, func(i, j int) bool { return completed[i].ResourceID < completed[j].ResourceID })
-	return completed, firstErr
+	return completed, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -160,14 +159,11 @@ func TestExecuteRunsAllMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
 	executed := map[string]bool{}
 	done, err := p.Execute(context.Background(), func(_ context.Context, m Move) error {
-		mu.Lock()
 		executed[m.ResourceID] = true
-		mu.Unlock()
 		return nil
-	}, 4)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,16 +185,13 @@ func TestExecuteStopsOnError(t *testing.T) {
 	}
 	boom := errors.New("migration failed")
 	count := 0
-	var mu sync.Mutex
 	done, err := p.Execute(context.Background(), func(_ context.Context, m Move) error {
-		mu.Lock()
-		defer mu.Unlock()
 		count++
 		if count == 3 {
 			return boom
 		}
 		return nil
-	}, 1)
+	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}

@@ -15,8 +15,7 @@ import (
 // a pufferscale.Controller sees it. A resource is a shard, named by its
 // number; a node is an owner, named by Owner.String. The policy —
 // rates, the threshold, the plan, one move at a time — is the
-// controller's, and the controller is the coordinator the epoch
-// protocol assumes: one per keyspace.
+// controller's.
 
 // Inventory returns the controller's view of r's keyspace: each call
 // refreshes r's map and samples every owner's per-shard counters

@@ -54,14 +54,14 @@ func FuzzShardMapWire(f *testing.F) {
 // the order the fuzz selector and testdata/wire.golden number them.
 func wireProtos() []codectest.Message {
 	return []codectest.Message{
-		&opArgs{Epoch: 1, Shard: 2, Keys: [][]byte{[]byte("k")}},
+		&opArgs{Shard: 2, Keys: [][]byte{[]byte("k")}},
 		&opReply{Status: statusStale, Map: []byte{1, 2}},
 		&promoteArgs{Shard: 1, MigID: 99, Map: []byte{3}, Log: []byte{4}},
-		&statsReply{Epoch: 7, Stats: []ShardStat{{Shard: 1, Ops: 2, Bytes: 3}}},
+		&statsReply{Stats: []ShardStat{{Shard: 1, Ops: 2, Bytes: 3}}},
 		&prepareReply{Status: 0, RemiProvider: 10},
-		&installArgs{Bootstrap: true, Map: []byte{9}},
+		&installArgs{Map: []byte{9}},
 		&reshardArgs{Shard: 3, Dst: Owner{Addr: "sm://x", Provider: 1}},
-		&opArgs{Epoch: 1, Shard: 2, Pairs: []yokan.KeyValue{{Key: []byte("k"), Value: []byte("v")}}},
+		&opArgs{Shard: 2, Pairs: []yokan.KeyValue{{Key: []byte("k"), Value: []byte("v")}}},
 		&mapReply{Map: []byte{1}},
 		&statusReply{Status: statusError, Err: "boom"},
 		&prepareArgs{Shard: 1, MigID: 99},

@@ -8,8 +8,8 @@
 //
 // Routing is two-level, the classic "many fixed shards over few
 // movable owners" design: a key hashes onto a virtual-node ring whose
-// points map to a fixed set of shards, and an epoch-versioned map
-// assigns each shard to an owner (address, provider ID). Moving data
+// points map to a fixed set of shards, and a versioned map assigns
+// each shard to an owner (address, provider ID). Moving data
 // never rehashes keys — only the shard→owner assignment changes, so a
 // reshard touches exactly one shard's pairs and every other key keeps
 // routing without interruption.
@@ -18,7 +18,9 @@ package router
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"mochi/internal/codec"
 )
@@ -43,10 +45,19 @@ type Owner struct {
 
 func (o Owner) String() string { return fmt.Sprintf("%s/%d", o.Addr, o.Provider) }
 
-// Map is the epoch-versioned shard map. It is immutable once built:
-// mutation happens by deriving a successor with WithOwner (epoch+1),
-// so a *Map can be published through an atomic pointer and read
-// lock-free on every operation.
+func (o Owner) less(p Owner) bool {
+	return o.Addr < p.Addr || o.Addr == p.Addr && o.Provider < p.Provider
+}
+
+// Map is the shard map: each shard's owner and the version of that
+// entry. It is immutable once built: a move derives a successor with
+// WithOwner, and a holder adopts a map it hears through Merge, so a
+// *Map can be published through an atomic pointer and read lock-free
+// on every operation.
+//
+// Only a shard's owner bumps its version, by moving it, one move at a
+// time: each shard's history is a chain of its own, and flips of
+// different shards commute.
 //
 // The ring is derived deterministically from (len(Owners), VNodes)
 // alone — ring point j of shard i is the hash of "shard/i/j" — so two
@@ -54,9 +65,9 @@ func (o Owner) String() string { return fmt.Sprintf("%s/%d", o.Addr, o.Provider)
 // regardless of how the map was serialized, merged, or re-decoded.
 // Owner changes never move ring points.
 type Map struct {
-	Epoch  uint64
-	VNodes int
-	Owners []Owner // indexed by shard
+	VNodes   int
+	Owners   []Owner  // indexed by shard
+	Versions []uint64 // indexed by shard: bumped by each move of it
 
 	ring []ringEntry
 }
@@ -66,8 +77,9 @@ type ringEntry struct {
 	shard uint32
 }
 
-// NewMap builds an epoch-0 map assigning shard i to owners[i%len].
-// nshards is the fixed shard count for the life of the keyspace.
+// NewMap builds a map assigning shard i to owners[i%len], every shard
+// at version 0. nshards is the fixed shard count for the life of the
+// keyspace.
 func NewMap(nshards int, owners []Owner, vnodes int) (*Map, error) {
 	if nshards < 1 || nshards > MaxShards {
 		return nil, fmt.Errorf("router: shard count %d out of range [1,%d]", nshards, MaxShards)
@@ -81,7 +93,7 @@ func NewMap(nshards int, owners []Owner, vnodes int) (*Map, error) {
 	if vnodes < 1 || vnodes > MaxVNodes {
 		return nil, fmt.Errorf("router: vnodes %d out of range [1,%d]", vnodes, MaxVNodes)
 	}
-	m := &Map{Epoch: 0, VNodes: vnodes, Owners: make([]Owner, nshards)}
+	m := &Map{VNodes: vnodes, Owners: make([]Owner, nshards), Versions: make([]uint64, nshards)}
 	for i := range m.Owners {
 		m.Owners[i] = owners[i%len(owners)]
 	}
@@ -93,7 +105,7 @@ func NewMap(nshards int, owners []Owner, vnodes int) (*Map, error) {
 func (m *Map) NumShards() int { return len(m.Owners) }
 
 // buildRing derives the sorted virtual-node ring. Points depend only
-// on the shard count and vnode density, never on owners or epoch.
+// on the shard count and vnode density, never on owners or versions.
 func (m *Map) buildRing() {
 	m.ring = make([]ringEntry, 0, len(m.Owners)*m.VNodes)
 	var name [32]byte
@@ -161,13 +173,69 @@ func (m *Map) OwnerOf(key []byte) (uint32, Owner) {
 }
 
 // WithOwner derives the successor map: identical except shard is
-// assigned to o and the epoch is bumped. The ring is shared — ring
-// points never depend on ownership.
+// assigned to o at the next version. The ring is shared — ring points
+// never depend on ownership.
 func (m *Map) WithOwner(shard uint32, o Owner) *Map {
-	owners := make([]Owner, len(m.Owners))
-	copy(owners, m.Owners)
-	owners[shard] = o
-	return &Map{Epoch: m.Epoch + 1, VNodes: m.VNodes, Owners: owners, ring: m.ring}
+	next := m.clone()
+	next.Owners[shard] = o
+	next.Versions[shard]++
+	return next
+}
+
+func (m *Map) clone() *Map {
+	return &Map{VNodes: m.VNodes, Owners: slices.Clone(m.Owners), Versions: slices.Clone(m.Versions), ring: m.ring}
+}
+
+// Merge is how every holder adopts a map it hears: shard by shard it
+// keeps the higher-versioned entry of m and o (on a tie, which only
+// diverged histories produce, the greater owner), so it is
+// commutative, associative and idempotent, and the order in which maps
+// arrive does not matter. It returns m itself when o adds nothing, when
+// o is nil, or when o has another shard count or vnode density; o when
+// m is nil.
+func (m *Map) Merge(o *Map) *Map {
+	if m == nil {
+		return o
+	}
+	if o == nil || len(o.Owners) != len(m.Owners) || o.VNodes != m.VNodes {
+		return m
+	}
+	out := m
+	for s, v := range o.Versions {
+		if v > m.Versions[s] || v == m.Versions[s] && m.Owners[s].less(o.Owners[s]) {
+			if out == m {
+				out = m.clone()
+			}
+			out.Owners[s], out.Versions[s] = o.Owners[s], v
+		}
+	}
+	return out
+}
+
+// mergeInto folds m into the map p publishes and reports whether that
+// changed it: the one way a node or a router adopts a map it hears.
+func mergeInto(p *atomic.Pointer[Map], m *Map) bool {
+	for {
+		cur := p.Load()
+		next := cur.Merge(m)
+		if next == cur {
+			return false
+		}
+		if p.CompareAndSwap(cur, next) {
+			return true
+		}
+	}
+}
+
+// Epoch sums the shard versions: a number that grows with every flip,
+// for logs, the demo and tests that check a whole map's flip count. No
+// node or router compares it: maps are ordered by Merge alone.
+func (m *Map) Epoch() uint64 {
+	var e uint64
+	for _, v := range m.Versions {
+		e += v
+	}
+	return e
 }
 
 // Nodes returns the distinct owner addresses, in first-seen order.
@@ -183,11 +251,10 @@ func (m *Map) Nodes() []string {
 	return out
 }
 
-// Proc describes the map: epoch, vnode density, then the shard→owner
-// table. The ring is derived, never serialized; decoding validates the
-// header and rebuilds it.
+// Proc describes the map: vnode density, then the shard→owner table
+// and the shard versions. The ring is derived, never serialized;
+// decoding validates the header and rebuilds it.
 func (m *Map) Proc(p *codec.Proc) {
-	p.Uint64(&m.Epoch)
 	vn := uint64(m.VNodes)
 	p.Uvarint(&vn)
 	if p.Decoding() { // a map is shared and immutable: encoding writes nothing
@@ -197,13 +264,17 @@ func (m *Map) Proc(p *codec.Proc) {
 		m.VNodes = int(vn)
 	}
 	codec.Slice(p, &m.Owners, procOwner)
+	codec.Slice(p, &m.Versions, (*codec.Proc).Uvarint)
 	if p.Decoding() {
 		if n := len(m.Owners); n < 1 || n > MaxShards {
 			p.Fail(fmt.Errorf("%d shards, outside [1,MaxShards=%d]", n, MaxShards))
-			m.Owners = nil
+		} else if len(m.Versions) != n {
+			p.Fail(fmt.Errorf("%d versions for %d shards", len(m.Versions), n))
+		} else {
+			m.buildRing()
 			return
 		}
-		m.buildRing()
+		m.Owners = nil
 	}
 }
 

@@ -267,12 +267,9 @@ func TestCommandedReshardLeavesNodeServing(t *testing.T) {
 		}
 	}
 	cancel()
-	// Both snapshots have crossed. Let the flips commit one after the
-	// other: each derives its map from the node's current one, and two
-	// flips that commit at once would publish different maps under one
-	// epoch (DESIGN.md §9: one move at a time).
+	// Both snapshots have crossed; both flips commit at once.
+	close(gate)
 	for i := 0; i < 2; i++ {
-		gate <- struct{}{}
 		if err := <-errs; err != nil {
 			t.Fatalf("commanded reshard: %v", err)
 		}
@@ -286,6 +283,199 @@ func TestCommandedReshardLeavesNodeServing(t *testing.T) {
 		if v, err := r.Get(ctx, k); err != nil || string(v) != "v" {
 			t.Fatalf("get %s after the swap: %q, %v", k, v, err)
 		}
+	}
+}
+
+// slowLinks delays every message between two addresses, both ways.
+type slowLinks struct {
+	a, b string
+	d    time.Duration
+}
+
+func (l slowLinks) Delay(src, dst string, _ mercury.OpClass, _ int) time.Duration {
+	if src == l.a && dst == l.b || src == l.b && dst == l.a {
+		return l.d
+	}
+	return 0
+}
+
+// TestConcurrentFlipsOfDisjointShards: nodes 0 and 1 each move one of
+// their shards to the spare, both flips held in their windows until
+// both are there and released together, so both derive their new map
+// from the same one: what the two sources tell each other arrives late.
+// Each map bumps only its own shard's version, so the two merge in any
+// order: every node ends knowing both flips, and every key is readable
+// through the test's router and through a fresh one.
+func TestConcurrentFlipsOfDisjointShards(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 3, shards: 8, ownerNodes: 2})
+	ctx := tctx(t, 20*time.Second)
+	c.fabric.SetModel(slowLinks{c.nodes[0].Self().Addr, c.nodes[1].Self().Addr, 100 * time.Millisecond})
+	spare := c.nodes[2].Self()
+	s0, s1 := shardOwnedBy(t, c.initial, c.nodes[0].Self()), shardOwnedBy(t, c.initial, c.nodes[1].Self())
+	r := c.router()
+	keys := make([][]byte, 200)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%d", i))
+		if err := r.Put(ctx, keys[i], keys[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var both sync.WaitGroup
+	both.Add(2)
+	inWindow, gate := make(chan struct{}), make(chan struct{})
+	go func() { both.Wait(); close(inWindow) }()
+	testHookDualWindow = func() { both.Done(); <-gate }
+	t.Cleanup(func() { testHookDualWindow = nil })
+	errs := make(chan error, 2)
+	go func() { errs <- c.nodes[0].Reshard(ctx, s0, spare) }()
+	go func() { errs <- c.nodes[1].Reshard(ctx, s1, spare) }()
+	select {
+	case <-inWindow:
+	case err := <-errs:
+		t.Fatalf("a flip ended before both reached their windows: %v", err)
+	}
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("reshard: %v", err)
+		}
+	}
+
+	for _, rr := range []*Router{r, c.router()} {
+		for _, k := range keys {
+			if v, err := rr.Get(ctx, k); err != nil || string(v) != string(k) {
+				t.Fatalf("get %s after both flips: %q, %v", k, v, err)
+			}
+		}
+	}
+	for _, nd := range c.nodes {
+		if m := nd.CurrentMap(); m.Owners[s0] != spare || m.Owners[s1] != spare {
+			t.Fatalf("%v: shards %d and %d owned by %v and %v, want both on the spare", nd.Self(), s0, s1, m.Owners[s0], m.Owners[s1])
+		}
+	}
+}
+
+// loseFlip runs a flip of shard 0 from node 0 to node 1 whose promote
+// and abort are both lost: node 1 is cut off inside the window. The
+// source keeps the shard; node 1 keeps a staging area with the snapshot
+// merged, which no abort will ever tear down.
+func loseFlip(t *testing.T, c *cluster) {
+	t.Helper()
+	inWindow, release := make(chan struct{}), make(chan struct{})
+	testHookDualWindow = func() { close(inWindow); <-release }
+	defer func() { testHookDualWindow = nil }()
+	fctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	flipped := make(chan error, 1)
+	go func() { flipped <- c.nodes[0].Reshard(fctx, 0, c.nodes[1].Self()) }()
+	select {
+	case <-inWindow:
+	case err := <-flipped:
+		t.Fatalf("reshard ended before its window: %v", err)
+	}
+	c.fabric.Partition([]string{c.nodes[1].Self().Addr})
+	close(release)
+	if err := <-flipped; err == nil {
+		t.Fatal("the flip committed to a cut-off destination")
+	}
+	c.fabric.Heal()
+}
+
+// TestRestartedSourceGetsAFreshMigration: a source restarted at the
+// same address starts its next move under a fresh migration ID, so the
+// destination's staging area from before the restart — holding the
+// shard as it was then — is replaced, not taken for this move's.
+func TestRestartedSourceGetsAFreshMigration(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 4, ownerNodes: 1, backend: yokan.Config{Type: "log"}})
+	ctx := tctx(t, 20*time.Second)
+	r := c.router()
+	key := keyOnShard(c.initial, 0, "k")
+	if err := r.Put(ctx, key, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	loseFlip(t, c)
+	if err := r.Put(ctx, key, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	c.restart(t, 0)
+	if err := c.nodes[0].Reshard(ctx, 0, c.nodes[1].Self()); err != nil {
+		t.Fatalf("reshard after the restart: %v", err)
+	}
+	if v, err := c.router().Get(ctx, key); err != nil || string(v) != "new" {
+		t.Fatalf("get after the flip: %q, %v; want the acked \"new\"", v, err)
+	}
+}
+
+// TestLostAbortDoesNotBarTheDestination: a staging area whose abort was
+// lost belongs to a dead attempt, so the next move of the shard to the
+// same destination replaces it and commits.
+func TestLostAbortDoesNotBarTheDestination(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 4, ownerNodes: 1})
+	ctx := tctx(t, 20*time.Second)
+	r := c.router()
+	key := keyOnShard(c.initial, 0, "k")
+	if err := r.Put(ctx, key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	loseFlip(t, c)
+	if err := c.nodes[0].Reshard(ctx, 0, c.nodes[1].Self()); err != nil {
+		t.Fatalf("reshard after a lost abort: %v", err)
+	}
+	if v, err := r.Get(ctx, key); err != nil || string(v) != "v" {
+		t.Fatalf("get after the flip: %q, %v", v, err)
+	}
+}
+
+// TestAbortAndPrepareInterleave: an abort of a dead attempt and a
+// prepare under a fresh ID race on the log backend, where both staging
+// areas of the shard have the same file. Whatever the order, the fresh
+// area starts empty and its file stays on disk.
+func TestAbortAndPrepareInterleave(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 4, ownerNodes: 1, backend: yokan.Config{Type: "log"}})
+	dst := c.nodes[1]
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 1000; i++ {
+		dead, live := rng.Uint64(), rng.Uint64()
+		if err := dst.prepare(&prepareArgs{Shard: 0, MigID: dead}); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.incoming[0].db.Put([]byte("stale"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		yieldsA, yieldsP := rng.Intn(4), rng.Intn(4)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < yieldsA; j++ {
+				runtime.Gosched()
+			}
+			dst.handleAbort(context.Background(), nil, &abortArgs{Shard: 0, MigID: dead})
+		}()
+		var perr error
+		go func() {
+			defer wg.Done()
+			for j := 0; j < yieldsP; j++ {
+				runtime.Gosched()
+			}
+			perr = dst.prepare(&prepareArgs{Shard: 0, MigID: live})
+		}()
+		wg.Wait()
+		if perr != nil {
+			t.Fatalf("round %d: prepare: %v", i, perr)
+		}
+		inc := dst.incoming[0]
+		if inc == nil || inc.migID != live {
+			t.Fatalf("round %d: no staging area under the live ID", i)
+		}
+		if ok, _ := inc.db.Exists([]byte("stale")); ok {
+			t.Fatalf("round %d: the live staging area holds the dead attempt's key", i)
+		}
+		if files := filesUnder(t, dst.dir); len(files) != 1 {
+			t.Fatalf("round %d: files under the node: %v; want the live area's log", i, files)
+		}
+		dst.handleAbort(context.Background(), nil, &abortArgs{Shard: 0, MigID: live})
 	}
 }
 

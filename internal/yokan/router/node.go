@@ -16,7 +16,6 @@ import (
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
 	"mochi/internal/remi"
-	"mochi/internal/ssg"
 	"mochi/internal/yokan"
 )
 
@@ -59,9 +58,8 @@ type staging struct {
 // Options configures a Node.
 type Options struct {
 	// ProviderID is the router provider's ID. All nodes of one
-	// sharded keyspace must use the same ID (the way bedrock names a
-	// provider consistently across processes); map dissemination to
-	// SSG members that own no shard yet relies on it.
+	// sharded keyspace use the same ID, the way bedrock names a
+	// provider consistently across processes.
 	ProviderID uint16
 	// RemiProviderID is the REMI provider receiving shard snapshots
 	// (0 = ProviderID+1).
@@ -74,9 +72,6 @@ type Options struct {
 	// log-backend shards; shard snapshots travel in memory). Empty = a
 	// fresh temp directory.
 	Dir string
-	// Group, when set, is the SSG group used to disseminate new maps
-	// after a flip.
-	Group *ssg.Group
 }
 
 // Node serves a slice of the sharded keyspace: it owns some shards'
@@ -109,10 +104,9 @@ type Node struct {
 
 	cur atomic.Pointer[Map]
 
-	mu       sync.Mutex // guards shards, incoming, migSeq, closed, snapBuf
+	mu       sync.Mutex // guards shards, incoming, closed, snapBuf
 	shards   map[uint32]*shard
 	incoming map[uint32]*staging
-	migSeq   uint64
 	closed   bool
 	// snapBuf is the spare snapshot buffer: a flip encodes into it (it
 	// doubles as the registered region REMI exposes) and hands it back,
@@ -125,9 +119,8 @@ type Node struct {
 	reshards   atomic.Uint64
 }
 
-// NewNode creates a router node. It owns no shards until a map is
-// adopted (Adopt or a bootstrap install RPC) or a migration promotes
-// one onto it.
+// NewNode creates a router node. It owns no shards until Adopt gives
+// it a map or a migration promotes one onto it.
 func NewNode(inst *margo.Instance, opts Options) (*Node, error) {
 	if opts.RemiProviderID == 0 {
 		opts.RemiProviderID = opts.ProviderID + 1
@@ -246,15 +239,10 @@ func (n *Node) Stats() NodeStats {
 	}
 }
 
-// Adopt installs m as the node's initial map and opens empty
-// databases for the shards it assigns to this node. It is the
-// programmatic form of a bootstrap install RPC and is only legal
-// before any map is set.
+// Adopt installs m as the node's initial map and opens databases for
+// the shards it assigns to this node. It is only legal before any map
+// is set.
 func (n *Node) Adopt(m *Map) error {
-	return n.bootstrap(m)
-}
-
-func (n *Node) bootstrap(m *Map) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -290,19 +278,6 @@ func (n *Node) openShardDB(shardID uint32) (yokan.Database, error) {
 		cfg.Path = filepath.Join(n.dir, fmt.Sprintf("shard-%04d.log", shardID))
 	}
 	return yokan.Open(cfg)
-}
-
-// installMap publishes m if it is newer than the current map.
-func (n *Node) installMap(m *Map) bool {
-	for {
-		cur := n.cur.Load()
-		if cur != nil && cur.Epoch >= m.Epoch {
-			return false
-		}
-		if n.cur.CompareAndSwap(cur, m) {
-			return true
-		}
-	}
 }
 
 // Close deregisters the node, waits out the migrations it is running,
@@ -490,21 +465,14 @@ func status(err error) (codec.Message, error) {
 
 func (n *Node) handleInstallMap(_ context.Context, _ *mercury.Handle, args *installArgs) (codec.Message, error) {
 	m, err := DecodeMap(args.Map)
-	switch {
-	case err != nil:
-	case args.Bootstrap:
-		err = n.bootstrap(m)
-	default:
-		n.installMap(m)
+	if err == nil {
+		mergeInto(&n.cur, m)
 	}
 	return status(err)
 }
 
 func (n *Node) handleStats(_ context.Context, h *mercury.Handle) {
 	var r statsReply
-	if m := n.cur.Load(); m != nil {
-		r.Epoch = m.Epoch
-	}
 	n.mu.Lock()
 	for _, sh := range n.shards {
 		b := sh.bytes.Load()
@@ -556,6 +524,10 @@ func (n *Node) handlePrepare(_ context.Context, _ *mercury.Handle, args *prepare
 	return r, nil
 }
 
+// prepare opens the staging area. One left under another migration ID
+// is a dead attempt — only the owner moves a shard, one move at a time,
+// and a live attempt's prepare precedes its snapshot and promote — so
+// it is torn down, as a lost abort would have.
 func (n *Node) prepare(args *prepareArgs) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -569,7 +541,8 @@ func (n *Node) prepare(args *prepareArgs) error {
 		if inc.migID == args.MigID {
 			return nil // duplicate prepare: idempotent
 		}
-		return errors.New("router: shard already staging under another migration")
+		delete(n.incoming, args.Shard)
+		inc.destroy()
 	}
 	db, err := n.openShardDB(args.Shard)
 	if err != nil {
@@ -582,9 +555,9 @@ func (n *Node) prepare(args *prepareArgs) error {
 // handlePromote commits the flip on the destination: the source's log
 // is replayed on top of the merged snapshot, the staging area becomes
 // the owned shard, and the attached map (which names this node the
-// owner) becomes current *before* the source stops serving — the
-// ordering that makes the redirect chain always land. The replay runs
-// under n.mu and inc.mu, so a duplicate promote finds either the
+// owner) is merged into the node's *before* the source stops serving —
+// the ordering that makes the redirect chain always land. The replay
+// runs under n.mu and inc.mu, so a duplicate promote finds either the
 // staging area untouched or the shard installed, never half a replay.
 func (n *Node) handlePromote(_ context.Context, _ *mercury.Handle, args *promoteArgs) (codec.Message, error) {
 	m, err := DecodeMap(args.Map)
@@ -595,7 +568,7 @@ func (n *Node) handlePromote(_ context.Context, _ *mercury.Handle, args *promote
 	if sh := n.shards[args.Shard]; sh != nil && sh.migID == args.MigID {
 		// Duplicate promote (retried RPC): already committed.
 		n.mu.Unlock()
-		n.installMap(m)
+		mergeInto(&n.cur, m)
 		return status(nil)
 	}
 	inc := n.incoming[args.Shard]
@@ -617,26 +590,29 @@ func (n *Node) handlePromote(_ context.Context, _ *mercury.Handle, args *promote
 	delete(n.incoming, args.Shard)
 	n.shards[args.Shard] = &shard{id: args.Shard, db: inc.db, migID: args.MigID}
 	n.mu.Unlock()
-	n.installMap(m)
+	mergeInto(&n.cur, m)
 	return status(nil)
 }
 
-// handleAbort tears down a staging area after a failed migration.
+// handleAbort tears down a staging area after a failed migration. It
+// destroys the area under n.mu, as prepare does: on the log backend
+// every staging area of a shard has the same file, which a prepare
+// must not reopen before the dead attempt's copy is removed.
 func (n *Node) handleAbort(_ context.Context, _ *mercury.Handle, args *abortArgs) (codec.Message, error) {
 	n.mu.Lock()
-	inc := n.incoming[args.Shard]
-	if inc != nil && inc.migID == args.MigID {
+	defer n.mu.Unlock()
+	if inc := n.incoming[args.Shard]; inc != nil && inc.migID == args.MigID {
 		delete(n.incoming, args.Shard)
-	} else {
-		inc = nil
-	}
-	n.mu.Unlock()
-	if inc != nil {
-		inc.mu.Lock()
-		inc.db.Destroy()
-		inc.mu.Unlock()
+		inc.destroy()
 	}
 	return status(nil)
+}
+
+// destroy drops a staging area's database once no merge batch holds it.
+func (inc *staging) destroy() {
+	inc.mu.Lock()
+	inc.db.Destroy()
+	inc.mu.Unlock()
 }
 
 // mergeBatchKeys bounds how many snapshot entries one hold of a staging

@@ -2,7 +2,9 @@ package router
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand/v2"
 	"strconv"
 	"time"
 
@@ -29,10 +31,12 @@ var testHookDualWindow func()
 // Reshard moves one shard this node owns to dst, under live traffic,
 // without losing an acked write. The protocol (DESIGN.md §9):
 //
-//  1. prepare: dst opens a staging database for the shard.
-//  2. log: every write to the shard keeps applying locally (the
-//     source stays authoritative and acks on its own) and is appended,
-//     in apply order, to the shard's in-memory log.
+//  1. claim: the shard's log starts, which also refuses a second move
+//     of the shard until this one ends. From here every write to the
+//     shard keeps applying locally (the source stays authoritative and
+//     acks on its own) and is appended, in apply order, to the log.
+//  2. prepare: dst opens a staging database for the shard under this
+//     attempt's random migration ID.
 //  3. snapshot: the shard is encoded into one buffer, without holding
 //     any lock across it (cutSnapshot), and REMI-migrated to dst from
 //     that buffer; dst merges it into its empty staging area.
@@ -42,7 +46,9 @@ var testHookDualWindow func()
 //     the snapshot and commits; the source then marks the local shard
 //     dropped, and only then publishes the map locally and gossips it.
 //     Destination before source: at every instant some node serves
-//     the shard, and a redirect chain of length ≤ 2 lands on it.
+//     the shard, and a redirect chain of length ≤ 2 lands on it. The
+//     new map bumps only this shard's version, so it merges with the
+//     maps of flips of other shards in any order.
 //
 // Any failure before the flip commits aborts: dst drops the staging
 // area and the source stops logging. Nothing is lost — the source
@@ -71,41 +77,37 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 		return fmt.Errorf("router: node closed")
 	}
 	sh := n.shards[shardID]
-	n.migSeq++
-	seq := n.migSeq
 	n.mu.Unlock()
 	if sh == nil {
 		return fmt.Errorf("router: shard %d not resident", shardID)
 	}
-	// Migration IDs must not collide across sources: derive from the
-	// node identity and a local sequence number.
-	mig := hashBytes([]byte(fmt.Sprintf("%s/%d/%d", self.Addr, self.Provider, seq)))
 
-	// 1. prepare.
-	var prep prepareReply
-	if err := n.inst.Call(ctx, dst.Addr, RPCMigratePrepare, dst.Provider, &prepareArgs{Shard: shardID, MigID: mig}, &prep); err != nil {
-		return fmt.Errorf("router: prepare: %w", err)
-	}
-	if prep.Status != statusOK {
-		return fmt.Errorf("router: prepare rejected: %s", prep.Err)
-	}
-
-	// 2. start the log.
+	// 1. claim. The ID is random, so no attempt — not even one of a
+	// source restarted at the same address — reuses another's staging
+	// area.
 	sh.mu.Lock()
 	if sh.dropped || sh.log != nil {
 		sh.mu.Unlock()
-		n.abortRemote(dst, shardID, mig)
 		return fmt.Errorf("router: shard %d already migrating", shardID)
 	}
 	sh.log = codec.NewEncoder(nil)
 	sh.mu.Unlock()
-
+	mig := rand.Uint64()
 	fail := func(stage string, err error) error {
 		sh.mu.Lock()
 		sh.log = nil
 		sh.mu.Unlock()
 		n.abortRemote(dst, shardID, mig)
 		return fmt.Errorf("router: %s: %w", stage, err)
+	}
+
+	// 2. prepare.
+	var prep prepareReply
+	if err := n.inst.Call(ctx, dst.Addr, RPCMigratePrepare, dst.Provider, &prepareArgs{Shard: shardID, MigID: mig}, &prep); err != nil {
+		return fail("prepare", err)
+	}
+	if prep.Status != statusOK {
+		return fail("prepare", errors.New(prep.Err))
 	}
 
 	// 3. snapshot and REMI-migrate. The snapshot is cut after the log
@@ -162,7 +164,7 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 	n.mu.Lock()
 	delete(n.shards, shardID)
 	n.mu.Unlock()
-	n.installMap(newMap)
+	mergeInto(&n.cur, newMap)
 	sh.db.Destroy()
 	n.reshards.Add(1)
 
@@ -241,26 +243,15 @@ func (n *Node) abortRemote(dst Owner, shardID uint32, mig uint64) {
 	_ = n.inst.Call(ctx, dst.Addr, RPCMigrateAbort, dst.Provider, &abortArgs{Shard: shardID, MigID: mig}, &r)
 }
 
-// disseminate pushes a freshly committed map to the rest of the
-// cluster: every distinct owner in the map, plus — when an SSG group
-// is attached — every alive member (spare nodes own nothing yet but
-// still route and can be a migration destination). The destination
-// already installed the map during promote, but a duplicate install
-// is a cheap no-op.
+// disseminate pushes a freshly committed map to every other distinct
+// owner in it, which merges it into its own. The destination already
+// merged the map during promote, but a duplicate merge is a no-op.
 func (n *Node) disseminate(ctx context.Context, m *Map) {
 	self := n.Self()
 	targets := map[Owner]bool{}
 	for _, o := range m.Owners {
 		if o != self {
 			targets[o] = true
-		}
-	}
-	if g := n.opts.Group; g != nil {
-		for _, addr := range g.View().Alive() {
-			o := Owner{Addr: addr, Provider: n.id}
-			if o != self {
-				targets[o] = true
-			}
 		}
 	}
 	enc := EncodeMap(m)

@@ -280,42 +280,48 @@ func TestReshardSoakChaos(t *testing.T) {
 		}(w)
 	}
 
-	// The reconfiguration driver: walk shards round-robin, moving
-	// each to the node after its current owner, until time is up.
-	// Chaos can abort a migration (a lost prepare, transfer or promote
-	// fails the flip); that is a clean failure — retry with a new
-	// migration.
-	flips := 0
-	rng := rand.New(rand.NewSource(7))
-	for s := 0; time.Now().Before(deadline); s = (s + 1) % 8 {
-		m, err := FetchMap(ctx, c.client, c.insts[rng.Intn(len(c.insts))].Addr(), testProviderID)
-		if err != nil {
-			continue
-		}
-		src := m.Owners[s]
-		var srcNode *Node
-		for _, nd := range c.nodes {
-			if nd.Self() == src {
-				srcNode = nd
+	// The reconfiguration driver: two movers, one over the even shards
+	// and one over the odd, each walking its shards round-robin and
+	// moving each to the node after its current owner, until time is
+	// up — so flips of different shards commit concurrently. Chaos can
+	// abort a migration (a lost prepare, transfer or promote fails the
+	// flip); that is a clean failure — retry with a new migration.
+	var flips, aborts atomic.Int64
+	var movers sync.WaitGroup
+	for first := 0; first < 2; first++ {
+		movers.Add(1)
+		go func() {
+			defer movers.Done()
+			rng := rand.New(rand.NewSource(int64(7 + first)))
+			for s := first; time.Now().Before(deadline); s = (s + 2) % 8 {
+				m, err := FetchMap(ctx, c.client, c.insts[rng.Intn(len(c.insts))].Addr(), testProviderID)
+				if err != nil {
+					continue
+				}
+				src := m.Owners[s]
+				var srcNode *Node
+				var dst Owner
+				for i, nd := range c.nodes {
+					if nd.Self() == src {
+						srcNode, dst = nd, c.nodes[(i+1)%len(c.nodes)].Self()
+					}
+				}
+				if srcNode == nil {
+					continue
+				}
+				sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+				err = srcNode.Reshard(sctx, uint32(s), dst)
+				cancel()
+				if err == nil {
+					flips.Add(1)
+				} else {
+					aborts.Add(1)
+				}
+				time.Sleep(10 * time.Millisecond)
 			}
-		}
-		if srcNode == nil {
-			continue
-		}
-		var dst Owner
-		for i, nd := range c.nodes {
-			if nd.Self() == src {
-				dst = c.nodes[(i+1)%len(c.nodes)].Self()
-			}
-		}
-		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		err = srcNode.Reshard(sctx, uint32(s), dst)
-		cancel()
-		if err == nil {
-			flips++
-		}
-		time.Sleep(10 * time.Millisecond)
+		}()
 	}
+	movers.Wait()
 	close(stop)
 	wg.Wait()
 	for w, err := range werrs {
@@ -323,7 +329,7 @@ func TestReshardSoakChaos(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	if flips == 0 {
+	if flips.Load() == 0 {
 		t.Fatal("no migration completed during the soak")
 	}
 
@@ -343,7 +349,7 @@ func TestReshardSoakChaos(t *testing.T) {
 		for k, want := range ledgers[w] {
 			v, err := r.Get(ctx, []byte(k))
 			if err != nil {
-				t.Fatalf("lost acked write %q after %d flips: %v", k, flips, err)
+				t.Fatalf("lost acked write %q after %d flips: %v", k, flips.Load(), err)
 			}
 			if string(v) != want {
 				t.Fatalf("key %q: got %q want %q", k, v, want)
@@ -356,5 +362,5 @@ func TestReshardSoakChaos(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("soak: %v, %d flips, %d acked keys verified, 0 lost", duration, flips, checked)
+	t.Logf("soak: %v, %d flips (%d aborted), %d acked keys verified, 0 lost", duration, flips.Load(), aborts.Load(), checked)
 }

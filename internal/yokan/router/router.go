@@ -33,9 +33,10 @@ const (
 
 // Router is the client-side consistent-hash router: it holds the
 // current shard map (lock-free, swapped on redirects) and forwards
-// each operation to the shard's owner. A stale-epoch redirect carries
-// the server's newer map; the router installs it and retries, so one
-// reconfiguration costs in-flight requests at most one extra hop.
+// each operation to the shard's owner. A node that no longer owns the
+// shard redirects with its own map; the router merges it into its
+// own and retries, so one reconfiguration costs in-flight requests at
+// most one extra hop.
 type Router struct {
 	inst *margo.Instance
 	cur  atomic.Pointer[Map]
@@ -86,23 +87,9 @@ func FetchMap(ctx context.Context, inst *margo.Instance, addr string, provider u
 func (r *Router) Map() *Map { return r.cur.Load() }
 
 // Stats reports how many redirects this router absorbed and how many
-// newer maps it installed from them.
+// of their maps changed its own.
 func (r *Router) Stats() (redirects, installs uint64) {
 	return r.redirects.Load(), r.installs.Load()
-}
-
-// install adopts m if it is newer than the current map.
-func (r *Router) install(m *Map) bool {
-	for {
-		cur := r.cur.Load()
-		if cur != nil && cur.Epoch >= m.Epoch {
-			return false
-		}
-		if r.cur.CompareAndSwap(cur, m) {
-			r.installs.Add(1)
-			return true
-		}
-	}
 }
 
 // backoff waits out the nth retry of an operation inside a flip
@@ -124,7 +111,7 @@ var opArgsPool = sync.Pool{New: func() any { return new(opArgs) }}
 // nil), following redirects, and returns the reply once it reports
 // success. Transport-level retries (drops, resets, timeouts) belong to
 // the margo resilience layer underneath; this loop only handles the
-// routing protocol: statusStale installs the newer map and re-routes,
+// routing protocol: statusStale merges the server's map and re-routes,
 // statusRetry backs off through the flip window.
 func (r *Router) op(ctx context.Context, rpc string, shard uint32, key, value []byte) (*opReply, error) {
 	args := opArgsPool.Get().(*opArgs)
@@ -149,7 +136,6 @@ func (r *Router) op(ctx context.Context, rpc string, shard uint32, key, value []
 		if key != nil {
 			shard = m.ShardOf(key)
 		}
-		args.Epoch = m.Epoch
 		args.Shard = shard
 		owner := m.Owners[shard]
 		reply := &opReply{}
@@ -167,8 +153,10 @@ func (r *Router) op(ctx context.Context, rpc string, shard uint32, key, value []
 			if err != nil {
 				return nil, fmt.Errorf("router: redirect with bad map: %w", err)
 			}
-			if !r.install(nm) {
-				// The server's map is not newer than ours: both
+			if mergeInto(&r.cur, nm) {
+				r.installs.Add(1)
+			} else {
+				// The server's map adds nothing to ours: both
 				// sides are catching up with a flip in progress.
 				// Back off instead of spinning on the same answer.
 				retries++
@@ -237,9 +225,9 @@ func (r *Router) Count(ctx context.Context) (int, error) {
 	return total, nil
 }
 
-// Refresh fetches the map from the current owner set, adopting it if
-// newer. Useful after a long idle period; normal traffic self-heals
-// through redirects.
+// Refresh fetches the map from the current owner set and merges it.
+// Useful after a long idle period; normal traffic self-heals through
+// redirects.
 func (r *Router) Refresh(ctx context.Context) error {
 	m := r.cur.Load()
 	if m == nil {
@@ -252,7 +240,7 @@ func (r *Router) Refresh(ctx context.Context) error {
 			lastErr = err
 			continue
 		}
-		r.install(nm)
+		mergeInto(&r.cur, nm)
 		return nil
 	}
 	return lastErr

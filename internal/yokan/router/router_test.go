@@ -39,6 +39,8 @@ type clusterConfig struct {
 	resilience *resilience.Config
 	// margo is each node's margo configuration ("" = the default).
 	margo string
+	// backend templates each node's shard databases ("" = map).
+	backend yokan.Config
 }
 
 func newCluster(t testing.TB, cfg clusterConfig) *cluster {
@@ -57,7 +59,7 @@ func newCluster(t testing.TB, cfg clusterConfig) *cluster {
 		if cfg.resilience != nil {
 			inst.SetResilience(cfg.resilience)
 		}
-		n, err := NewNode(inst, Options{ProviderID: testProviderID, Dir: t.TempDir()})
+		n, err := NewNode(inst, Options{ProviderID: testProviderID, Dir: t.TempDir(), Backend: cfg.backend})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,6 +108,30 @@ func newCluster(t testing.TB, cfg clusterConfig) *cluster {
 }
 
 func (c *cluster) router() *Router { return NewRouter(c.client, c.initial) }
+
+// restart stops node i and starts it again at the same address and
+// directory, adopting the initial map as a process restarted from the
+// same bootstrap block would.
+func (c *cluster) restart(t *testing.T, i int) {
+	t.Helper()
+	old := c.nodes[i]
+	old.Close()
+	c.insts[i].Finalize()
+	c.fabric.Remove(old.Self().Addr)
+	cls, err := c.fabric.NewClass(fmt.Sprintf("xkv-node-%d", i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.insts[i], err = margo.New(cls, nil); err != nil {
+		t.Fatal(err)
+	}
+	if c.nodes[i], err = NewNode(c.insts[i], Options{ProviderID: testProviderID, Dir: old.dir, Backend: old.opts.Backend}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.nodes[i].Adopt(c.initial); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func tctx(t testing.TB, d time.Duration) context.Context {
 	t.Helper()
@@ -196,8 +222,8 @@ func TestStaleRouterFollowsRedirect(t *testing.T) {
 		t.Fatalf("reshard: %v", err)
 	}
 
-	// The stale router still has the epoch-0 map; every key must
-	// still resolve, and afterwards its map must be the new epoch.
+	// The stale router still has the initial map; every key must
+	// still resolve, and afterwards its map must have shard 0's move.
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("key-%d", i))
 		v, err := stale.Get(ctx, k)
@@ -208,8 +234,8 @@ func TestStaleRouterFollowsRedirect(t *testing.T) {
 			t.Fatalf("stale get %d: got %q", i, v)
 		}
 	}
-	if got := stale.Map().Epoch; got != 1 {
-		t.Fatalf("stale router map epoch: got %d want 1", got)
+	if m := stale.Map(); m.Versions[0] != 1 || m.Epoch() != 1 {
+		t.Fatalf("stale router's map: shard 0 at version %d, epoch %d; want 1, 1", m.Versions[0], m.Epoch())
 	}
 	redirects, installs := stale.Stats()
 	if redirects == 0 || installs == 0 {
@@ -238,9 +264,9 @@ func TestReshardToDeadDestinationAborts(t *testing.T) {
 	if err == nil {
 		t.Fatal("reshard to dead destination succeeded")
 	}
-	// Source must still serve all data at the original epoch.
-	if got := c.nodes[0].CurrentMap().Epoch; got != 0 {
-		t.Fatalf("epoch moved after failed reshard: %d", got)
+	// Source must still serve all data under the initial map.
+	if got := c.nodes[0].CurrentMap().Epoch(); got != 0 {
+		t.Fatalf("map at epoch %d after a failed reshard", got)
 	}
 	for i := 0; i < 50; i++ {
 		if _, err := r.Get(ctx, []byte(fmt.Sprintf("k%d", i))); err != nil {
@@ -305,13 +331,13 @@ func TestControllerMovesHotShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Epoch != uint64(len(plan.Moves)) {
-		t.Fatalf("epoch after %d moves: %d", len(plan.Moves), m.Epoch)
+	if m.Epoch() != uint64(len(plan.Moves)) {
+		t.Fatalf("epoch after %d moves: %d", len(plan.Moves), m.Epoch())
 	}
 	for _, mv := range plan.Moves {
 		s, _ := strconv.Atoi(mv.ResourceID)
-		if m.Owners[s].String() != mv.To {
-			t.Fatalf("shard %d owned by %v, want %s", s, m.Owners[s], mv.To)
+		if m.Owners[s].String() != mv.To || m.Versions[s] != 1 {
+			t.Fatalf("shard %d owned by %v at version %d, want %s at 1", s, m.Owners[s], m.Versions[s], mv.To)
 		}
 	}
 	for i := 0; i < 40; i++ {

@@ -39,20 +39,16 @@ const (
 	statusRetry    = 4
 )
 
-// opArgs is the argument frame of every data RPC: the client's map
-// epoch and the shard it routed to, plus the keys or pairs. Servers
-// route by (Shard, local ownership); Epoch is diagnostic and lets a
-// server distinguish a stale client from a corrupted one. Decoded
-// slices alias the decoder's buffer.
+// opArgs is the argument frame of every data RPC: the shard the
+// client routed to, plus the keys or pairs. Servers route by (Shard,
+// local ownership). Decoded slices alias the decoder's buffer.
 type opArgs struct {
-	Epoch uint64
 	Shard uint32
 	Keys  [][]byte         // get/erase/exists
 	Pairs []yokan.KeyValue // put
 }
 
 func (a *opArgs) Proc(p *codec.Proc) {
-	p.Uint64(&a.Epoch)
 	p.Uint32(&a.Shard)
 	codec.Slice(p, &a.Keys, (*codec.Proc).Bytes)
 	yokan.ProcPairs(p, &a.Pairs)
@@ -94,20 +90,12 @@ func (r *mapReply) Proc(p *codec.Proc) {
 	p.Bytes(&r.Map)
 }
 
-// installArgs carries a map to install. Bootstrap additionally asks
-// the node to open empty databases for shards the new map assigns to
-// it — legal only while the node has no map yet (cluster bring-up);
-// during normal operation shard databases are created exclusively by
-// the migration protocol.
+// installArgs carries a map for the node to merge into its own.
 type installArgs struct {
-	Bootstrap bool
-	Map       []byte
+	Map []byte
 }
 
-func (a *installArgs) Proc(p *codec.Proc) {
-	p.Bool(&a.Bootstrap)
-	p.Bytes(&a.Map)
-}
+func (a *installArgs) Proc(p *codec.Proc) { p.Bytes(&a.Map) }
 
 // statusReply answers control RPCs that return no payload.
 type statusReply struct {
@@ -144,7 +132,7 @@ func (r *prepareReply) Proc(p *codec.Proc) {
 // promoteArgs commits the flip at the destination: Log, the writes the
 // source applied while the shard moved, is replayed on top of the
 // snapshot, the staging area becomes the owned shard and the attached
-// map becomes current.
+// map is merged into the destination's.
 type promoteArgs struct {
 	Shard uint32
 	MigID uint64
@@ -194,13 +182,11 @@ type ShardStat struct {
 type statsReply struct {
 	Status uint8
 	Err    string
-	Epoch  uint64
 	Stats  []ShardStat
 }
 
 func (r *statsReply) Proc(p *codec.Proc) {
 	procStatus(p, &r.Status, &r.Err)
-	p.Uint64(&r.Epoch)
 	codec.Slice(p, &r.Stats, func(p *codec.Proc, s *ShardStat) {
 		p.Uint32(&s.Shard)
 		p.Uvarint(&s.Ops)

@@ -12,7 +12,6 @@ import (
 // decoder and nothing was left for Finish to complain about.
 func TestOpArgsTruncatedAfterCountIsRejected(t *testing.T) {
 	e := codec.NewEncoder(nil)
-	e.Uint64(7) // epoch
 	e.Uint32(3) // shard
 	e.Uvarint(5)
 	var a opArgs
