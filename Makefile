@@ -114,7 +114,8 @@ ci: build vet fmt-check test race
 # AllocsPerRun budgets (codec round trip == 0, sm forward <= 2, the
 # traced-but-unsampled forward <= 2 with tracers installed, the margo
 # forward with the resilience layer enabled adding zero over its plain
-# baseline, and the yokan multi-op per-key deltas — PutMulti <= 0.5,
+# baseline, a served forward recording Listing 1 on both sides <= 5
+# (TestStatsAllocsPinned), and the yokan multi-op per-key deltas — PutMulti <= 0.5,
 # GetMulti <= 1.5 per key over sm transport) regress, and for the
 # per-byte path of a shard flip: a 4 MiB bulk pull over TCP allocates
 # O(1) (TestBulkPullAllocsPinned), and a 4 MiB flip at most 4x its
@@ -190,12 +191,14 @@ observe-smoke:
 
 # Observability overhead numbers for the EXPERIMENTS.md E13 table: SLO
 # tracker on the handler path, a 3-node federation merge, one Go
-# runtime-metrics scrape, and the forward path with tracing compiled
-# in (the exemplar branch rides the existing slow-path commit).
+# runtime-metrics scrape, the forward path with tracing compiled in
+# (the exemplar branch rides the existing slow-path commit), and the
+# per-RPC cost of the always-on Listing-1 record (BenchmarkMargoEcho,
+# EXPERIMENTS.md E1).
 bench-observe:
 	$(GO) test -run '^$$' -bench 'BenchmarkTracker|BenchmarkAggregator|BenchmarkRuntimeScrape' \
 		-benchtime=10000x -benchmem ./internal/observe/
-	$(GO) test -run '^$$' -bench 'BenchmarkForward' -benchtime=10000x -benchmem ./internal/margo/
+	$(GO) test -run '^$$' -bench 'BenchmarkForward|BenchmarkMargoEcho' -benchtime=10000x -benchmem ./internal/margo/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
-	"time"
 
-	"mochi/internal/clock"
 	"mochi/internal/pufferscale"
 	"mochi/internal/yokan"
 )
@@ -85,8 +83,8 @@ func placement(t *testing.T, svc *Service) (perNode map[string]int, keys int) {
 	return perNode, keys
 }
 
-// TestServiceControllerReactsToSkew: the service's controller, run on
-// a simulated clock, detects a data-skewed placement from the service's
+// TestServiceControllerReactsToSkew: the service's controller, stepped
+// once per tick, detects a data-skewed placement from the service's
 // own inventory and migrates databases with real REMI migrations until
 // every node holds one, without any operator action — and then leaves
 // the balanced service alone.
@@ -95,40 +93,25 @@ func TestServiceControllerReactsToSkew(t *testing.T) {
 	fill(t, svc, 4, 30)
 
 	c := svc.Controller(pufferscale.Objectives{WData: 1, WTime: 0.1})
-	sampled := make(chan struct{})
-	inventory := c.Inventory
-	c.Inventory = func(ctx context.Context) ([]pufferscale.Resource, []string, error) {
-		sampled <- struct{}{}
-		return inventory(ctx)
-	}
-	var moves []pufferscale.Move // written by Run's goroutine between two samples
+	var moves []pufferscale.Move
 	migrate := c.Migrate
 	c.Migrate = func(ctx context.Context, m pufferscale.Move) error {
 		moves = append(moves, m)
 		return migrate(ctx, m)
 	}
-	clk := clock.NewSim(time.Time{})
-	ctx, cancel := context.WithCancel(sctx(t))
-	done := make(chan error, 1)
-	go func() { done <- c.Run(ctx, clk, time.Second) }()
 	tick := func() {
 		t.Helper()
-		if !clk.WaitForWaiters(1, 5*time.Second) {
-			t.Fatal("Run never armed its ticker")
+		if _, err := c.Step(sctx(t)); err != nil {
+			t.Fatal(err)
 		}
-		clk.Advance(time.Second)
-		<-sampled
 	}
 	tick() // primes
 	tick() // measures the skew and rebalances
-	tick() // the step before has ended
 	if len(moves) != 3 {
 		t.Fatalf("moves after the rebalancing step: %+v", moves)
 	}
 	tick()
 	tick()
-	cancel()
-	<-done
 	if len(moves) != 3 {
 		t.Fatalf("controller kept rebalancing a balanced service: %+v", moves)
 	}
@@ -151,6 +134,84 @@ func TestServiceControllerIdleOnBalancedService(t *testing.T) {
 		if plan, err := c.Step(sctx(t)); plan != nil || err != nil {
 			t.Fatalf("step %d on a balanced service: plan %+v, err %v", i, plan, err)
 		}
+	}
+}
+
+// TestInventorySeesLoadWithoutASwitch: the controller's inventory
+// reads the always-on per-RPC record, so with monitoring never enabled
+// five Puts to a database are five units of its load.
+func TestInventorySeesLoadWithoutASwitch(t *testing.T) {
+	svc, _ := startService(t, kvSpec(t, RecoverNone), 2, 4)
+	p0, _ := svc.Process("node-0")
+	h := yokan.NewClient(svc.Admin()).Handle(p0.Addr(), nodeProviderID("node-0"))
+	for i := 0; i < 5; i++ {
+		if err := h.Put(sctx(t), []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resources, _, err := svc.inventory(sctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range resources {
+		if r.ID == "db-node-0" {
+			if r.Load < 5 {
+				t.Fatalf("db-node-0 load %g after 5 puts", r.Load)
+			}
+			return
+		}
+	}
+	t.Fatalf("db-node-0 missing from the inventory %+v", resources)
+}
+
+// TestControllerBalancesLoadWithoutASwitch: two equal databases per
+// node and traffic to node-0's only — data balanced, load skewed. With
+// monitoring never enabled, a load-weighted Step still sees the skew
+// and moves a database.
+func TestControllerBalancesLoadWithoutASwitch(t *testing.T) {
+	base := t.TempDir()
+	spec := Spec{
+		GroupName: "load-service",
+		SSG:       fastSSG(),
+		NodeConfig: func(node string) []byte {
+			dir := filepath.Join(base, node)
+			id := 10 * nodeProviderID(node)
+			db := func(i int) string {
+				return fmt.Sprintf(`{"name": "db-%s-%d", "type": "yokan", "provider_id": %d,
+				  "config": {"type": "log", "path": %q, "no_sync": true}}`,
+					node, i, id+uint16(i), filepath.Join(dir, fmt.Sprintf("db-%d.log", i)))
+			}
+			return []byte(fmt.Sprintf(`{"libraries": {"yokan": "x"}, "remi_root": %q, "providers": [%s, %s]}`,
+				filepath.Join(dir, "remi"), db(1), db(2)))
+		},
+	}
+	svc, _ := startService(t, spec, 2, 4)
+	cli := yokan.NewClient(svc.Admin())
+	each := func(nodes []string, op func(h *yokan.DatabaseHandle) error) {
+		t.Helper()
+		for _, node := range nodes {
+			p, _ := svc.Process(node)
+			for i := uint16(1); i <= 2; i++ {
+				if err := op(cli.Handle(p.Addr(), 10*nodeProviderID(node)+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	each(svc.Nodes(), func(h *yokan.DatabaseHandle) error { return h.Put(sctx(t), []byte("k"), make([]byte, 1024)) })
+	c := svc.Controller(pufferscale.Objectives{WLoad: 1})
+	if plan, err := c.Step(sctx(t)); plan != nil || err != nil {
+		t.Fatalf("priming step: plan %+v, err %v", plan, err)
+	}
+	for i := 0; i < 20; i++ {
+		each([]string{"node-0"}, func(h *yokan.DatabaseHandle) error { _, err := h.Get(sctx(t), []byte("k")); return err })
+	}
+	plan, err := c.Step(sctx(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan == nil || len(plan.Moves) == 0 {
+		t.Fatalf("load-skewed, data-balanced service: plan %+v", plan)
 	}
 }
 

@@ -347,7 +347,6 @@ func TestServiceFailureDetectionAndRecovery(t *testing.T) {
 
 func TestServiceMonitoringAggregation(t *testing.T) {
 	svc, _ := startService(t, kvSpec(t, RecoverNone), 2, 4)
-	svc.EnableMonitoring()
 	ctx := sctx(t)
 	node0 := svc.Nodes()[0]
 	p0, _ := svc.Process(node0)

@@ -308,8 +308,8 @@ func (s *Service) Shrink(ctx context.Context, node string) error {
 	return nil
 }
 
-// CollectStats aggregates every member's margo monitoring snapshot
-// (§4 made service-wide).
+// CollectStats gathers every member's Listing-1 statistics (§4 made
+// service-wide).
 func (s *Service) CollectStats() map[string]*margo.StatsSnapshot {
 	s.mu.Lock()
 	procs := make([]*Process, 0, len(s.procs))
@@ -324,17 +324,8 @@ func (s *Service) CollectStats() map[string]*margo.StatsSnapshot {
 	return out
 }
 
-// EnableMonitoring turns on the default monitor on every member.
-func (s *Service) EnableMonitoring() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range s.procs {
-		p.Server.Instance().EnableMonitoring()
-	}
-}
-
 // providerLoad extracts a provider's cumulative request count from a
-// stats snapshot (target-side ULT executions).
+// member's always-on Listing-1 record (target-side ULT executions).
 func providerLoad(st *margo.StatsSnapshot, providerID uint16) float64 {
 	var load float64
 	for _, rs := range st.RPCs {
@@ -394,9 +385,9 @@ func (s *Service) migrate(ctx context.Context, m pufferscale.Move) error {
 
 // Controller returns the service's feedback loop (§2.3, §6
 // Observation 6): monitored per-provider load (§4) and on-disk sizes
-// are its inventory, REMI-backed migrations its mover. Run it for
-// introspection-driven rebalancing with no operator in the loop; Step
-// and Apply drive it by hand.
+// are its inventory, REMI-backed migrations its mover. Step it on a
+// timer for introspection-driven rebalancing with no operator in the
+// loop, or Apply a plan by hand.
 func (s *Service) Controller(obj pufferscale.Objectives) *pufferscale.Controller {
 	return &pufferscale.Controller{Inventory: s.inventory, Migrate: s.migrate, Objectives: obj}
 }

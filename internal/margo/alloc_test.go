@@ -66,6 +66,54 @@ func TestForwardResilientAllocsPinned(t *testing.T) {
 	}
 }
 
+// forwardAllocs is what a served in-process forward allocated before
+// margo recorded Listing 1 on every RPC, with the per-RPC statistics
+// switched off.
+const forwardAllocs = 5
+
+// TestStatsAllocsPinned: recording Listing 1 on both sides of every
+// RPC is free in allocations. After one warm-up a served forward, whose
+// origin and target cells both count it, allocates no more than a
+// forward did before the record was always on. The least of three
+// measurements is judged: a dispatch that finds no resident worker idle
+// spawns one, which now and then costs a whole allocation per op.
+func TestStatsAllocsPinned(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc pinning is meaningless under the race detector")
+	}
+	f := mercury.NewFabric()
+	srv := newInstance(t, f, "pin-srv", "")
+	cli := newInstance(t, f, "pin-cli", "")
+	if _, err := srv.RegisterProvider("echo", 3, nil, func(_ context.Context, h *mercury.Handle) {
+		_ = h.Respond(h.Input())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("ping-payload-161616")
+	ctx := context.Background()
+	forward := func() {
+		if _, err := cli.ForwardProvider(ctx, srv.Addr(), "echo", 3, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	forward()
+	least := testing.AllocsPerRun(500, forward)
+	for i := 0; i < 2 && least > forwardAllocs; i++ {
+		least = min(least, testing.AllocsPerRun(500, forward))
+	}
+	t.Logf("recorded forward: %.2f allocs/op (pin %d)", least, forwardAllocs)
+	if least > forwardAllocs {
+		t.Fatalf("a recorded forward allocates %.2f/op, want <= %d", least, forwardAllocs)
+	}
+	origin, _ := cli.Stats().FindByName("echo")
+	target, _ := srv.Stats().FindByName("echo")
+	if origin == nil || target == nil ||
+		origin.Origin["sent to "+srv.Addr()].Duration.Num < 502 ||
+		target.Target["received from "+cli.Addr()].ULT.Duration.Num < 502 {
+		t.Fatalf("Listing 1 did not record every forward: origin %+v, target %+v", origin, target)
+	}
+}
+
 // BenchmarkForwardBaseline measures the margo forward path without a
 // resilience policy installed (single attempt, as before this layer
 // existed).

@@ -15,11 +15,12 @@ type Config struct {
 	Argobots     argobots.Config `json:"argobots"`
 	ProgressPool string          `json:"progress_pool,omitempty"`
 	RPCPool      string          `json:"rpc_pool,omitempty"`
-	// EnableMonitoring turns on the default statistics monitor (§4).
+	// EnableMonitoring starts the periodic progress sampler (§4).
+	// Per-RPC statistics are always recorded and need no switch.
 	EnableMonitoring bool `json:"enable_monitoring,omitempty"`
 	// MonitoringSampleMS is the period, in milliseconds, at which the
-	// monitor samples in-flight RPC counts and pool depths (default
-	// 100ms when monitoring is enabled).
+	// sampler records in-flight RPC counts and pool depths (default
+	// 100ms).
 	MonitoringSampleMS int `json:"monitoring_sample_ms,omitempty"`
 	// MonitoringOutput, when set, makes Finalize write the Listing-1
 	// statistics JSON to this file (§4: "outputs them as JSON when

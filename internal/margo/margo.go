@@ -6,10 +6,11 @@
 // On top of that core it implements the two runtime-level requirements
 // of dynamic services:
 //
-//   - Performance introspection (§4): a customizable monitoring
-//     infrastructure with injection points across the lifetime of an
-//     RPC, plus a default statistics monitor whose JSON output follows
-//     the paper's Listing 1.
+//   - Performance introspection (§4): one always-on per-RPC record
+//     (metrics.go), rendered both as the paper's Listing 1 (Stats) and
+//     as the mochi_rpc_* metric families, plus injection points across
+//     the lifetime of an RPC for user callbacks (AddHook) and an opt-in
+//     periodic progress sampler (EnableMonitoring).
 //   - Online reconfiguration (§5): pools and execution streams can be
 //     added and removed while the process runs, with Margo enforcing
 //     validity (unique names, no removal of in-use pools).
@@ -63,8 +64,8 @@ type Instance struct {
 	progressPool *argobots.Pool
 	rpcPool      *argobots.Pool
 
-	monitor *Monitor
 	metrics *instMetrics
+	sampler sampler
 	tracer  *trace.Tracer
 	hooks   hookSet
 
@@ -113,14 +114,15 @@ func NewWithClock(class *mercury.Class, rawConfig []byte, clk clock.Clock) (*Ins
 	pp.Retain()
 	rp.Retain()
 
-	// The pull-based metrics layer is always on: atomic histograms are
-	// cheap enough for the hot path, and a scrape that starts after the
-	// service has been running must still see full distributions.
+	// The per-RPC record is always on: atomic cells are cheap enough
+	// for the hot path, and a scrape or a controller that starts after
+	// the service has been running must still see everything. It is
+	// also the class's one bulk observer.
 	reg := metrics.NewRegistry()
 	inst.metrics = newInstMetrics(reg)
-	inst.hooks.add(inst.metrics.hook())
 	rt.RegisterMetrics(reg)
 	class.SetMetrics(reg)
+	class.SetMonitor(inst.metrics)
 
 	// Tracing is always wired (head sampling defaults to off, tail
 	// sampling to the slow-RPC threshold); the bedrock monitoring block
@@ -131,11 +133,6 @@ func NewWithClock(class *mercury.Class, rawConfig []byte, clk clock.Clock) (*Ins
 	inst.tracer.SetProcess(class.Addr())
 	class.SetTracer(inst.tracer)
 
-	sample := time.Duration(cfg.MonitoringSampleMS) * time.Millisecond
-	if sample <= 0 {
-		sample = 100 * time.Millisecond
-	}
-	inst.monitor = newMonitor(inst, sample)
 	if cfg.EnableMonitoring {
 		inst.EnableMonitoring()
 	}
@@ -211,6 +208,7 @@ type dispatchTask struct {
 	h        Handler
 	hd       *mercury.Handle
 	info     RPCInfo
+	cell     *cell
 	tc       trace.SpanContext
 	queuedAt time.Time
 	run      argobots.ULT
@@ -229,11 +227,12 @@ func init() {
 }
 
 func (t *dispatchTask) exec() {
-	m, h, hd, info, tc, queuedAt := t.m, t.h, t.hd, t.info, t.tc, t.queuedAt
+	m, h, hd, info, c, tc, queuedAt := t.m, t.h, t.hd, t.info, t.cell, t.tc, t.queuedAt
 	*t = dispatchTask{run: t.run}
 	dispatchTaskPool.Put(t)
 	started := m.clk.Now()
 	queueWait := started.Sub(queuedAt)
+	m.metrics.handlerStarted(c, queueWait, info.Bytes)
 	m.hooks.onHandlerStart(info, queueWait)
 	// Server-side span lifecycle: a server span covering queue wait +
 	// handler runtime, with queue and handler phase children. The
@@ -259,6 +258,7 @@ func (t *dispatchTask) exec() {
 	ctx := withCurrentRPC(base, info)
 	h(ctx, hd)
 	ran := m.clk.Since(started)
+	m.metrics.handlerEnded(c, ran)
 	m.hooks.onHandlerEnd(info, ran)
 	if record && (tc.Sampled() || tr.Slow(queueWait+ran)) {
 		tail := !tc.Sampled()
@@ -298,7 +298,8 @@ func (t *dispatchTask) exec() {
 }
 
 // dispatch submits the handler as a ULT, recording queueing and
-// execution timings through the hook points (§4).
+// execution timings in the target cell and through the hook points
+// (§4).
 func (m *Instance) dispatch(pool *argobots.Pool, h Handler, hd *mercury.Handle) {
 	t := dispatchTaskPool.Get().(*dispatchTask)
 	t.m, t.h, t.hd = m, h, hd
@@ -315,6 +316,7 @@ func (m *Instance) dispatch(pool *argobots.Pool, h Handler, hd *mercury.Handle) 
 	// (Trace context, by contrast, does travel on the wire; capture it
 	// before the handle can be released.)
 	t.tc = hd.Trace()
+	t.cell = m.metrics.target(t.info)
 	t.queuedAt = m.clk.Now()
 	if err := pool.Submit(t.run); err != nil {
 		*t = dispatchTask{run: t.run}
@@ -367,6 +369,7 @@ func (m *Instance) ForwardProvider(ctx context.Context, dst string, name string,
 		}
 	}
 	start := m.clk.Now()
+	c := m.metrics.forwarding(info)
 	m.hooks.onForwardStart(info)
 	var out []byte
 	var err error
@@ -376,6 +379,7 @@ func (m *Instance) ForwardProvider(ctx context.Context, dst string, name string,
 		out, err = m.forwardResilient(ctx, mgr, dst, provider, input, info, tc, clientSpan)
 	}
 	d := m.clk.Since(start)
+	m.metrics.forwarded(c, d, len(input), err)
 	m.hooks.onForwardEnd(info, d, err)
 	if tc.Sampled() || tr.Slow(d) {
 		tr.Commit(trace.Span{
@@ -398,7 +402,7 @@ func (m *Instance) ForwardProvider(ctx context.Context, dst string, name string,
 		sec := d.Seconds()
 		id := tc.TraceID.String()
 		ts := float64(start.UnixNano()) / 1e9
-		m.metrics.seriesFor(info).fwd.SetExemplar(sec, id, ts)
+		c.dHist.SetExemplar(sec, id, ts)
 		m.metrics.aggFwd.SetExemplar(sec, id, ts)
 	}
 	return out, err
@@ -458,21 +462,21 @@ func (m *Instance) GetConfig() ([]byte, error) {
 	return json.MarshalIndent(cfg, "", "  ")
 }
 
-// EnableMonitoring installs the default statistics monitor and starts
-// its periodic sampler.
+// EnableMonitoring starts the periodic progress sampler (§4: in-flight
+// RPCs and pool sizes, in Stats().Samples). Per-RPC statistics need no
+// switch: they are always recorded.
 func (m *Instance) EnableMonitoring() {
-	m.monitor.enable()
+	m.startSampler()
 }
 
-// DisableMonitoring stops the default monitor (recorded statistics are
-// kept).
-func (m *Instance) DisableMonitoring() {
-	m.monitor.disable()
-}
-
-// Stats returns a snapshot of the default monitor's statistics.
+// Stats renders the per-RPC record as Listing 1, with the progress
+// samples taken so far.
 func (m *Instance) Stats() *StatsSnapshot {
-	return m.monitor.snapshot()
+	out := m.metrics.snapshot(m.Addr())
+	m.sampler.mu.Lock()
+	out.Samples = append([]ProgressSample(nil), m.sampler.samples...)
+	m.sampler.mu.Unlock()
+	return out
 }
 
 // Tracer returns the instance's span sink and sampling configuration.
@@ -487,7 +491,7 @@ func (m *Instance) AddHook(h *Hook) func() {
 	return m.hooks.add(h)
 }
 
-// Finalize shuts the runtime down: the monitor stops, xstreams join,
+// Finalize shuts the runtime down: the sampler stops, xstreams join,
 // and the mercury class closes.
 func (m *Instance) Finalize() {
 	m.mu.Lock()
@@ -499,11 +503,11 @@ func (m *Instance) Finalize() {
 	out := m.cfg.MonitoringOutput
 	m.mu.Unlock()
 	if out != "" {
-		if raw, err := m.monitor.snapshot().JSON(); err == nil {
+		if raw, err := m.Stats().JSON(); err == nil {
 			_ = os.WriteFile(out, raw, 0o644)
 		}
 	}
-	m.monitor.disable()
+	m.stopSampler()
 	m.rt.Stop()
 	_ = m.class.Close()
 }

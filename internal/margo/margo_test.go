@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mochi/internal/argobots"
+	"mochi/internal/clock"
 	"mochi/internal/mercury"
 	"mochi/internal/testutil"
 )
@@ -372,10 +373,21 @@ func TestMonitoringProgressSamples(t *testing.T) {
 	}
 }
 
-func TestMonitoringOverheadOnlyWhenEnabled(t *testing.T) {
+// TestStatsRecordedWithoutEnabling: per-RPC statistics need no switch;
+// EnableMonitoring starts only the progress sampler.
+func TestStatsRecordedWithoutEnabling(t *testing.T) {
 	f := mercury.NewFabric()
 	server := newInstance(t, f, "off-srv", "")
-	client := newInstance(t, f, "off-cli", "")
+	cls, err := f.NewClass("off-cli")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := clock.NewSim(time.Time{})
+	client, err := NewWithClock(cls, []byte(`{"monitoring_sample_ms": 10}`), sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Finalize()
 	if _, err := server.Register("echo", func(_ context.Context, h *mercury.Handle) {
 		_ = h.Respond(nil)
 	}); err != nil {
@@ -384,23 +396,17 @@ func TestMonitoringOverheadOnlyWhenEnabled(t *testing.T) {
 	if _, err := client.Forward(shortCtx(t), server.Addr(), "echo", nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(client.Stats().RPCs); n != 0 {
-		t.Fatalf("monitor disabled but recorded %d rpcs", n)
+	st, ok := client.Stats().FindByName("echo")
+	if !ok || st.Origin["sent to "+server.Addr()].Duration.Num != 1 {
+		t.Fatalf("forward not recorded without EnableMonitoring: %+v", st)
+	}
+	sim.Advance(time.Second)
+	if n, timers := len(client.Stats().Samples), sim.PendingTimers(); n != 0 || timers != 0 {
+		t.Fatalf("before EnableMonitoring: %d progress samples, %d timers", n, timers)
 	}
 	client.EnableMonitoring()
-	if _, err := client.Forward(shortCtx(t), server.Addr(), "echo", nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(client.Stats().RPCs); n != 1 {
-		t.Fatalf("monitor enabled but recorded %d rpcs", n)
-	}
-	client.DisableMonitoring()
-	if _, err := client.Forward(shortCtx(t), server.Addr(), "echo", nil); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := client.Stats().FindByName("echo")
-	if st.Origin["sent to "+server.Addr()].Duration.Num != 1 {
-		t.Fatal("stats recorded while disabled")
+	if !sim.WaitForWaiters(1, 5*time.Second) {
+		t.Fatal("sampler never armed its ticker")
 	}
 }
 
@@ -497,15 +503,10 @@ func TestFinalizeStopsEverything(t *testing.T) {
 	testutil.WaitGoroutinesSettle(t, before, 2)
 }
 
-func BenchmarkMargoEchoMonitoringOff(b *testing.B) {
-	benchEcho(b, false)
-}
-
-func BenchmarkMargoEchoMonitoringOn(b *testing.B) {
-	benchEcho(b, true)
-}
-
-func benchEcho(b *testing.B, monitoring bool) {
+// BenchmarkMargoEcho is one in-process echo forward, both sides
+// recording Listing 1 and the mochi_rpc_* families: the per-RPC cost of
+// the introspection record (EXPERIMENTS.md E1).
+func BenchmarkMargoEcho(b *testing.B) {
 	f := mercury.NewFabric()
 	scls, _ := f.NewClass("bsrv")
 	ccls, _ := f.NewClass("bcli")
@@ -519,10 +520,6 @@ func benchEcho(b *testing.B, monitoring bool) {
 		b.Fatal(err)
 	}
 	defer client.Finalize()
-	if monitoring {
-		server.EnableMonitoring()
-		client.EnableMonitoring()
-	}
 	if _, err := server.Register("echo", func(_ context.Context, h *mercury.Handle) {
 		_ = h.Respond(h.Input())
 	}); err != nil {

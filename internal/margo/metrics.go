@@ -1,10 +1,13 @@
 package margo
 
 import (
+	"math"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"mochi/internal/mercury"
 	"mochi/internal/metrics"
 	"mochi/internal/resilience"
 )
@@ -16,11 +19,14 @@ import (
 // per-RPC series client-side.
 const aggLabel = "_all"
 
-// instMetrics is the always-on metrics surface of one margo instance.
-// Unlike the Listing-1 stats monitor (enable/disable, mutex-guarded
-// maps), these are plain atomic histogram/counter updates and stay hot
-// regardless of EnableMonitoring — the low-overhead pull-based layer
-// that rebalancers and operators scrape continuously.
+// instMetrics is the per-RPC record of one margo instance, always on
+// (§4: introspection "at no engineering cost"). Each Listing-1 row is
+// kept per side and per peer in one cell, created on first sight and
+// updated with atomics after that; the cell also observes into its
+// (rpc, provider) histogram series and the _all aggregate. Listing 1
+// (Instance.Stats) and the mochi_rpc_* families are two renderings of
+// these cells, so they cannot disagree, and the load a controller reads
+// needs no switch.
 type instMetrics struct {
 	reg *metrics.Registry
 
@@ -30,39 +36,60 @@ type instMetrics struct {
 	fwdErrors  *metrics.CounterVec   // mochi_rpc_forward_errors_total{rpc}
 	inflight   *metrics.Gauge        // mochi_rpc_inflight
 
+	aggFwd, aggQueue, aggRun *metrics.Histogram // the _all series
+	bulkPull, bulkPush       *metrics.Histogram // mochi_bulk_transfer_bytes{op}
+
 	// Resilience series. These fire on the retry/breaker slow paths
 	// only, so plain With lookups are fine.
 	retries    *metrics.CounterVec // mochi_rpc_retries_total{rpc}
 	brkState   *metrics.GaugeVec   // mochi_rpc_breaker_state{peer}
 	brkRejects *metrics.CounterVec // mochi_rpc_breaker_rejections_total{peer}
 
-	// The hook below runs on every RPC, so it must not pay
-	// HistogramVec.With — a variadic slice plus a joined label-key
-	// string per call — each time. The _all aggregate series are
-	// resolved once (lazily, aggOnce) into direct histogram pointers,
-	// and per-(name,provider) series are cached under a struct key.
-	aggOnce  sync.Once
-	aggFwd   *metrics.Histogram
-	aggQueue *metrics.Histogram
-	aggRun   *metrics.Histogram
-
-	seriesMu sync.RWMutex
-	series   map[seriesKey]*rpcSeries
+	// Cells are never evicted, as Listing 1's rows never were.
+	mu    sync.RWMutex
+	cells map[cellKey]*cell
+	bulk  map[string]*bulkCell
 }
 
-// seriesKey identifies one (rpc, provider) label pair without string
-// concatenation.
-type seriesKey struct {
-	name     string
-	provider uint16
+// cellKey names one cell: a Listing-1 row (parent, rpc, provider), the
+// side that saw it and the peer. The target side never knows the remote
+// parent and records the paper's 65535 sentinel, as Listing 1 does.
+type cellKey struct {
+	name, peer     string
+	parent         mercury.RPCID
+	provider       uint16
+	parentProvider uint16
+	target         bool
 }
 
-// rpcSeries holds the resolved histogram series for one label pair.
-type rpcSeries struct {
-	fwd   *metrics.Histogram
-	queue *metrics.Histogram
-	run   *metrics.Histogram
+// cell is one side's record of one Listing-1 row with one peer. On the
+// origin side d is the forward round trip; on the target side q is the
+// queue wait and d the handler's run time. Durations are nanoseconds.
+type cell struct {
+	cellKey
+	id           mercury.RPCID
+	q, d, bytes  acc
+	errors       atomic.Int64
+	qHist, dHist *metrics.Histogram // the row's (rpc, provider) series
 }
+
+// acc accumulates num/sum/min/max of one quantity with atomics. num
+// is counted last, so a reader that loads it first and sees n > 0 sees
+// a min and max that include the first n values.
+type acc struct{ num, sum, min, max atomic.Int64 }
+
+func (a *acc) add(v int64) {
+	for m := a.min.Load(); v < m && !a.min.CompareAndSwap(m, v); m = a.min.Load() {
+	}
+	for m := a.max.Load(); v > m && !a.max.CompareAndSwap(m, v); m = a.max.Load() {
+	}
+	a.sum.Add(v)
+	a.num.Add(1)
+}
+
+// bulkCell counts the bulk transfers this process initiated with one
+// peer.
+type bulkCell struct{ pulls, pushes, in, out atomic.Int64 }
 
 func newInstMetrics(reg *metrics.Registry) *instMetrics {
 	im := &instMetrics{
@@ -86,46 +113,112 @@ func newInstMetrics(reg *metrics.Registry) *instMetrics {
 			"Forwards rejected without a network attempt because the destination's breaker was open.", "peer"),
 		inflight: reg.Gauge("mochi_rpc_inflight",
 			"RPCs forwarded by this process still awaiting a response.").With(),
-		series: map[seriesKey]*rpcSeries{},
+		cells: map[cellKey]*cell{},
+		bulk:  map[string]*bulkCell{},
 	}
-	// Pre-create the aggregate series so every family has concrete
-	// (zero-valued) histogram series from the first scrape.
-	im.ensureAgg()
+	// The aggregate and both bulk series exist from the first scrape.
+	im.aggFwd = im.fwdLatency.With(aggLabel, aggLabel)
+	im.aggQueue = im.queueDelay.With(aggLabel, aggLabel)
+	im.aggRun = im.handlerRun.With(aggLabel, aggLabel)
+	bulk := reg.Histogram("mochi_bulk_transfer_bytes",
+		"Completed bulk (RDMA-like) transfer sizes in bytes, by direction.",
+		metrics.SizeBuckets, "op")
+	im.bulkPull = bulk.With(mercury.BulkPull.String())
+	im.bulkPush = bulk.With(mercury.BulkPush.String())
 	return im
 }
 
-// ensureAgg resolves the _all aggregate series exactly once.
-func (im *instMetrics) ensureAgg() {
-	im.aggOnce.Do(func() {
-		im.aggFwd = im.fwdLatency.With(aggLabel, aggLabel)
-		im.aggQueue = im.queueDelay.With(aggLabel, aggLabel)
-		im.aggRun = im.handlerRun.With(aggLabel, aggLabel)
-	})
+// cell returns the cell for k, creating it on first sight. The fast
+// path is one read-locked struct-keyed map hit: no allocation.
+func (im *instMetrics) cell(k cellKey) *cell {
+	im.mu.RLock()
+	c := im.cells[k]
+	im.mu.RUnlock()
+	if c != nil {
+		return c
+	}
+	im.mu.Lock()
+	defer im.mu.Unlock()
+	if c = im.cells[k]; c == nil {
+		c = &cell{cellKey: k, id: mercury.NameToID(k.name)}
+		for _, a := range []*acc{&c.q, &c.d, &c.bytes} {
+			a.min.Store(math.MaxInt64)
+		}
+		pl := providerLabel(k.provider)
+		if k.target {
+			c.qHist, c.dHist = im.queueDelay.With(k.name, pl), im.handlerRun.With(k.name, pl)
+		} else {
+			c.dHist = im.fwdLatency.With(k.name, pl)
+		}
+		im.cells[k] = c
+	}
+	return c
 }
 
-// seriesFor returns the cached histogram series for (name, provider),
-// resolving and caching them on first sight of the pair. The fast path
-// is a read-locked struct-keyed map hit: no allocation, no label join.
-func (im *instMetrics) seriesFor(info RPCInfo) *rpcSeries {
-	k := seriesKey{info.Name, info.Provider}
-	im.seriesMu.RLock()
-	s := im.series[k]
-	im.seriesMu.RUnlock()
-	if s != nil {
-		return s
+// forwarding counts a forward described by info in flight and returns
+// the cell that forwarded records it into.
+func (im *instMetrics) forwarding(info RPCInfo) *cell {
+	im.inflight.Inc()
+	return im.cell(cellKey{info.Name, info.Peer, info.ParentID, info.Provider, info.ParentProvider, false})
+}
+
+// target returns the cell an inbound RPC described by info records into.
+func (im *instMetrics) target(info RPCInfo) *cell {
+	return im.cell(cellKey{info.Name, info.Peer, noParent32, info.Provider, noParent16, true})
+}
+
+// forwarded records one finished forward of n request bytes.
+func (im *instMetrics) forwarded(c *cell, d time.Duration, n int, err error) {
+	im.inflight.Dec()
+	c.d.add(int64(d))
+	c.bytes.add(int64(n))
+	c.dHist.Observe(d.Seconds())
+	im.aggFwd.Observe(d.Seconds())
+	if err != nil {
+		c.errors.Add(1)
+		im.fwdErrors.With(c.name).Inc()
 	}
-	im.seriesMu.Lock()
-	if s = im.series[k]; s == nil {
-		pl := providerLabel(info.Provider)
-		s = &rpcSeries{
-			fwd:   im.fwdLatency.With(info.Name, pl),
-			queue: im.queueDelay.With(info.Name, pl),
-			run:   im.handlerRun.With(info.Name, pl),
+}
+
+// handlerStarted records an inbound RPC of n bytes whose ULT starts
+// after waiting queued in its pool.
+func (im *instMetrics) handlerStarted(c *cell, queued time.Duration, n int) {
+	c.q.add(int64(queued))
+	c.bytes.add(int64(n))
+	c.qHist.Observe(queued.Seconds())
+	im.aggQueue.Observe(queued.Seconds())
+}
+
+// handlerEnded records the handler's run time.
+func (im *instMetrics) handlerEnded(c *cell, ran time.Duration) {
+	c.d.add(int64(ran))
+	c.dHist.Observe(ran.Seconds())
+	im.aggRun.Observe(ran.Seconds())
+}
+
+// BulkTransferred implements mercury.Monitor: margo.New installs the
+// record as its class's one bulk observer.
+func (im *instMetrics) BulkTransferred(op mercury.BulkOp, peer string, bytes int) {
+	im.mu.RLock()
+	b := im.bulk[peer]
+	im.mu.RUnlock()
+	if b == nil {
+		im.mu.Lock()
+		if b = im.bulk[peer]; b == nil {
+			b = &bulkCell{}
+			im.bulk[peer] = b
 		}
-		im.series[k] = s
+		im.mu.Unlock()
 	}
-	im.seriesMu.Unlock()
-	return s
+	if op == mercury.BulkPull {
+		b.pulls.Add(1)
+		b.in.Add(int64(bytes))
+		im.bulkPull.Observe(float64(bytes))
+	} else {
+		b.pushes.Add(1)
+		b.out.Add(int64(bytes))
+		im.bulkPush.Observe(float64(bytes))
+	}
 }
 
 func providerLabel(p uint16) string {
@@ -133,34 +226,6 @@ func providerLabel(p uint16) string {
 		return "any"
 	}
 	return strconv.Itoa(int(p))
-}
-
-// hook returns the monitoring hook that feeds the histograms; it is
-// installed permanently at instance creation.
-func (im *instMetrics) hook() *Hook {
-	im.ensureAgg()
-	return &Hook{
-		OnForwardStart: func(RPCInfo) { im.inflight.Inc() },
-		OnForwardEnd: func(info RPCInfo, d time.Duration, err error) {
-			im.inflight.Dec()
-			s := d.Seconds()
-			im.seriesFor(info).fwd.Observe(s)
-			im.aggFwd.Observe(s)
-			if err != nil {
-				im.fwdErrors.With(info.Name).Inc()
-			}
-		},
-		OnHandlerStart: func(info RPCInfo, queued time.Duration) {
-			s := queued.Seconds()
-			im.seriesFor(info).queue.Observe(s)
-			im.aggQueue.Observe(s)
-		},
-		OnHandlerEnd: func(info RPCInfo, d time.Duration) {
-			s := d.Seconds()
-			im.seriesFor(info).run.Observe(s)
-			im.aggRun.Observe(s)
-		},
-	}
 }
 
 // retried counts one retry attempt for the named RPC.

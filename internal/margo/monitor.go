@@ -103,8 +103,8 @@ func (s *hookSet) onHandlerEnd(i RPCInfo, d time.Duration) {
 	}
 }
 
-// DurationStats accumulates num/avg/min/max/sum for a series of
-// durations (seconds, like Listing 1).
+// DurationStats is num/avg/min/max/sum of a series of durations
+// (seconds, like Listing 1).
 type DurationStats struct {
 	Num int64   `json:"num"`
 	Avg float64 `json:"avg"`
@@ -113,20 +113,7 @@ type DurationStats struct {
 	Sum float64 `json:"sum"`
 }
 
-func (s *DurationStats) add(d time.Duration) {
-	v := d.Seconds()
-	s.Num++
-	s.Sum += v
-	if s.Num == 1 || v < s.Min {
-		s.Min = v
-	}
-	if v > s.Max {
-		s.Max = v
-	}
-	s.Avg = s.Sum / float64(s.Num)
-}
-
-// SizeStats accumulates message-size statistics.
+// SizeStats is the same for message sizes in bytes.
 type SizeStats struct {
 	Num int64 `json:"num"`
 	Avg int64 `json:"avg"`
@@ -135,17 +122,22 @@ type SizeStats struct {
 	Sum int64 `json:"sum"`
 }
 
-func (s *SizeStats) add(n int) {
-	v := int64(n)
-	s.Num++
-	s.Sum += v
-	if s.Num == 1 || v < s.Min {
-		s.Min = v
+func (a *acc) sizes() SizeStats {
+	s := SizeStats{Num: a.num.Load()}
+	if s.Num > 0 {
+		s.Sum, s.Min, s.Max = a.sum.Load(), a.min.Load(), a.max.Load()
+		s.Avg = s.Sum / s.Num
 	}
-	if v > s.Max {
-		s.Max = v
+	return s
+}
+
+func (a *acc) durations() DurationStats {
+	s := a.sizes()
+	d := DurationStats{Num: s.Num, Min: float64(s.Min) / 1e9, Max: float64(s.Max) / 1e9, Sum: float64(s.Sum) / 1e9}
+	if d.Num > 0 {
+		d.Avg = d.Sum / float64(d.Num)
 	}
-	s.Avg = s.Sum / s.Num
+	return d
 }
 
 // OriginStats is the origin-side view of one (rpc, peer) pair.
@@ -195,7 +187,7 @@ type BulkStats struct {
 	BytesOut int64 `json:"bytes_pushed"`
 }
 
-// StatsSnapshot is the JSON-ready monitor state (Listing 1 schema:
+// StatsSnapshot is the per-RPC record rendered as Listing 1 (schema:
 // a top-level "rpcs" object keyed by
 // "parent_rpc_id:parent_provider_id:rpc_id:provider_id").
 type StatsSnapshot struct {
@@ -205,237 +197,118 @@ type StatsSnapshot struct {
 	Samples []ProgressSample      `json:"progress_samples,omitempty"`
 }
 
-// MarshalJSON is the standard encoding; method present for clarity.
+// JSON renders the snapshot as indented Listing-1 JSON.
 func (s *StatsSnapshot) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// Monitor is the default monitoring implementation (§4): it records
-// per-RPC statistics on both origin and target sides, samples runtime
-// gauges periodically, and serializes to Listing 1's JSON schema.
-type Monitor struct {
-	inst   *Instance
-	period time.Duration
-
-	mu       sync.Mutex
-	enabled  bool
-	rpcs     map[string]*RPCStats
-	bulk     map[string]*BulkStats
-	samples  []ProgressSample
-	inFlight int64
-
-	stop   chan struct{}
-	stopWG sync.WaitGroup
-
-	hookRemove func()
-}
-
-func newMonitor(inst *Instance, period time.Duration) *Monitor {
-	return &Monitor{
-		inst:   inst,
-		period: period,
-		rpcs:   map[string]*RPCStats{},
-		bulk:   map[string]*BulkStats{},
-	}
-}
-
-// BulkTransferred implements mercury.Monitor: the margo monitor
-// installs itself on the class while enabled so bulk operations are
-// captured alongside RPC statistics.
-func (mo *Monitor) BulkTransferred(op mercury.BulkOp, peer string, bytes int) {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	bs, ok := mo.bulk[peer]
-	if !ok {
-		bs = &BulkStats{}
-		mo.bulk[peer] = bs
-	}
-	if op == mercury.BulkPull {
-		bs.Pulls++
-		bs.BytesIn += int64(bytes)
-	} else {
-		bs.Pushes++
-		bs.BytesOut += int64(bytes)
-	}
-}
-
-var _ mercury.Monitor = (*Monitor)(nil)
-
-func statKey(info RPCInfo) string {
-	return fmt.Sprintf("%d:%d:%d:%d", uint32(info.ParentID), info.ParentProvider, uint32(info.ID), info.Provider)
-}
-
-func (mo *Monitor) get(info RPCInfo) *RPCStats {
-	key := statKey(info)
-	st, ok := mo.rpcs[key]
-	if !ok {
-		st = &RPCStats{
-			RPCID:            uint32(info.ID),
-			ProviderID:       info.Provider,
-			ParentRPCID:      uint32(info.ParentID),
-			ParentProviderID: info.ParentProvider,
-			Name:             info.Name,
-			Origin:           map[string]*OriginStats{},
-			Target:           map[string]*TargetStats{},
+// snapshot renders the record's cells as Listing 1.
+func (im *instMetrics) snapshot(addr string) *StatsSnapshot {
+	out := &StatsSnapshot{Address: addr, RPCs: map[string]*RPCStats{}}
+	im.mu.RLock()
+	defer im.mu.RUnlock()
+	for _, c := range im.cells {
+		row := fmt.Sprintf("%d:%d:%d:%d", uint32(c.parent), c.parentProvider, uint32(c.id), c.provider)
+		st, ok := out.RPCs[row]
+		if !ok {
+			st = &RPCStats{
+				RPCID:            uint32(c.id),
+				ProviderID:       c.provider,
+				ParentRPCID:      uint32(c.parent),
+				ParentProviderID: c.parentProvider,
+				Name:             c.name,
+				Origin:           map[string]*OriginStats{},
+				Target:           map[string]*TargetStats{},
+			}
+			out.RPCs[row] = st
 		}
-		mo.rpcs[key] = st
+		if c.target {
+			ts := &TargetStats{Bytes: c.bytes.sizes()}
+			ts.ULT.Queued, ts.ULT.Duration = c.q.durations(), c.d.durations()
+			st.Target["received from "+c.peer] = ts
+		} else {
+			st.Origin["sent to "+c.peer] = &OriginStats{Duration: c.d.durations(), Bytes: c.bytes.sizes(), Errors: c.errors.Load()}
+		}
 	}
-	return st
+	if len(im.bulk) > 0 {
+		out.Bulk = make(map[string]*BulkStats, len(im.bulk))
+		for peer, b := range im.bulk {
+			out.Bulk[peer] = &BulkStats{Pulls: b.pulls.Load(), Pushes: b.pushes.Load(), BytesIn: b.in.Load(), BytesOut: b.out.Load()}
+		}
+	}
+	return out
 }
 
-func (mo *Monitor) enable() {
-	mo.mu.Lock()
-	if mo.enabled {
-		mo.mu.Unlock()
+// sampler is the periodic progress sampler, started by EnableMonitoring
+// and stopped by Finalize.
+type sampler struct {
+	mu      sync.Mutex
+	stop    chan struct{} // nil until started
+	done    chan struct{}
+	samples []ProgressSample
+}
+
+// startSampler launches the sampling loop unless it runs already.
+func (m *Instance) startSampler() {
+	s := &m.sampler
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stop != nil {
 		return
 	}
-	mo.enabled = true
-	mo.stop = make(chan struct{})
-	mo.mu.Unlock()
-
-	hook := &Hook{
-		OnForwardStart: func(info RPCInfo) {
-			mo.mu.Lock()
-			mo.inFlight++
-			mo.mu.Unlock()
-		},
-		OnForwardEnd: func(info RPCInfo, d time.Duration, err error) {
-			mo.mu.Lock()
-			mo.inFlight--
-			st := mo.get(info)
-			key := "sent to " + info.Peer
-			os, ok := st.Origin[key]
-			if !ok {
-				os = &OriginStats{}
-				st.Origin[key] = os
-			}
-			os.Duration.add(d)
-			os.Bytes.add(info.Bytes)
-			if err != nil {
-				os.Errors++
-			}
-			mo.mu.Unlock()
-		},
-		OnHandlerStart: func(info RPCInfo, queued time.Duration) {
-			mo.mu.Lock()
-			ts := mo.target(info)
-			ts.ULT.Queued.add(queued)
-			ts.Bytes.add(info.Bytes)
-			mo.mu.Unlock()
-		},
-		OnHandlerEnd: func(info RPCInfo, d time.Duration) {
-			mo.mu.Lock()
-			mo.target(info).ULT.Duration.add(d)
-			mo.mu.Unlock()
-		},
+	s.stop, s.done = make(chan struct{}), make(chan struct{})
+	period := time.Duration(m.cfg.MonitoringSampleMS) * time.Millisecond
+	if period <= 0 {
+		period = 100 * time.Millisecond
 	}
-	mo.hookRemove = mo.inst.hooks.add(hook)
-	mo.inst.class.SetMonitor(mo) // capture bulk transfers too
-
-	mo.stopWG.Add(1)
-	go mo.sampleLoop()
+	go m.sampleLoop(period, s.stop, s.done)
 }
 
-func (mo *Monitor) target(info RPCInfo) *TargetStats {
-	// Target-side statistics never know the remote parent; use the
-	// sentinel key like Listing 1's target process does.
-	tInfo := info
-	tInfo.ParentID = mercury.RPCID(noParent32)
-	tInfo.ParentProvider = noParent16
-	st := mo.get(tInfo)
-	key := "received from " + info.Peer
-	ts, ok := st.Target[key]
-	if !ok {
-		ts = &TargetStats{}
-		st.Target[key] = ts
-	}
-	return ts
-}
-
-func (mo *Monitor) sampleLoop() {
-	defer mo.stopWG.Done()
-	tick := mo.inst.clk.NewTicker(mo.period)
+func (m *Instance) sampleLoop(period time.Duration, stop, done chan struct{}) {
+	defer close(done)
+	tick := m.clk.NewTicker(period)
 	defer tick.Stop()
 	for {
 		select {
 		case <-tick.C():
-			mo.sampleOnce()
-		case <-mo.stop:
+			m.sampleOnce()
+		case <-stop:
 			return
 		}
 	}
 }
 
-func (mo *Monitor) sampleOnce() {
-	rt := mo.inst.Runtime()
+func (m *Instance) sampleOnce() {
 	sizes := map[string]int{}
-	for _, name := range rt.PoolNames() {
-		if p, ok := rt.FindPool(name); ok {
+	for _, name := range m.rt.PoolNames() {
+		if p, ok := m.rt.FindPool(name); ok {
 			sizes[name] = p.Len()
 		}
 	}
-	mo.mu.Lock()
-	mo.samples = append(mo.samples, ProgressSample{
-		TimestampMS: mo.inst.clk.Now().UnixMilli(),
-		InFlight:    mo.inFlight,
+	s := &m.sampler
+	s.mu.Lock()
+	s.samples = append(s.samples, ProgressSample{
+		TimestampMS: m.clk.Now().UnixMilli(),
+		InFlight:    int64(m.metrics.inflight.Value()),
 		PoolSizes:   sizes,
 	})
 	// Bound memory: keep the most recent 10k samples.
-	if len(mo.samples) > 10000 {
-		mo.samples = mo.samples[len(mo.samples)-10000:]
+	if len(s.samples) > 10000 {
+		s.samples = s.samples[len(s.samples)-10000:]
 	}
-	mo.mu.Unlock()
+	s.mu.Unlock()
 }
 
-func (mo *Monitor) disable() {
-	mo.mu.Lock()
-	if !mo.enabled {
-		mo.mu.Unlock()
-		return
+// stopSampler ends the sampling loop, if it runs, and waits for it.
+func (m *Instance) stopSampler() {
+	s := &m.sampler
+	s.mu.Lock()
+	stop, done := s.stop, s.done
+	s.mu.Unlock()
+	if stop != nil {
+		close(stop)
+		<-done
 	}
-	mo.enabled = false
-	stop := mo.stop
-	mo.mu.Unlock()
-	if mo.hookRemove != nil {
-		mo.hookRemove()
-		mo.hookRemove = nil
-	}
-	mo.inst.class.SetMonitor(nil)
-	close(stop)
-	mo.stopWG.Wait()
-}
-
-// snapshot deep-copies the current statistics.
-func (mo *Monitor) snapshot() *StatsSnapshot {
-	mo.mu.Lock()
-	defer mo.mu.Unlock()
-	out := &StatsSnapshot{
-		Address: mo.inst.Addr(),
-		RPCs:    make(map[string]*RPCStats, len(mo.rpcs)),
-	}
-	for k, v := range mo.rpcs {
-		cp := *v
-		cp.Origin = make(map[string]*OriginStats, len(v.Origin))
-		for ok2, ov := range v.Origin {
-			o := *ov
-			cp.Origin[ok2] = &o
-		}
-		cp.Target = make(map[string]*TargetStats, len(v.Target))
-		for tk, tv := range v.Target {
-			tcp := *tv
-			cp.Target[tk] = &tcp
-		}
-		out.RPCs[k] = &cp
-	}
-	if len(mo.bulk) > 0 {
-		out.Bulk = make(map[string]*BulkStats, len(mo.bulk))
-		for k, v := range mo.bulk {
-			cp := *v
-			out.Bulk[k] = &cp
-		}
-	}
-	out.Samples = append([]ProgressSample(nil), mo.samples...)
-	return out
 }
 
 // Keys returns the sorted stat keys in the snapshot, convenience for

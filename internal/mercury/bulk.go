@@ -160,10 +160,7 @@ func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor
 			copy(remote.mem[remoteOff:remoteOff+size], local.mem[localOff:localOff+size])
 		}
 		remote.busy.RUnlock()
-		if m := c.mon(); m != nil {
-			m.BulkTransferred(op, desc.Addr, int(size))
-		}
-		c.recordBulk(op, int(size))
+		c.bulkDone(op, desc.Addr, size)
 		return nil
 	}
 
@@ -224,10 +221,7 @@ func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor
 	if status != 0 {
 		return fmt.Errorf("%w: %s", ErrBadBulk, errmsg)
 	}
-	if m := c.mon(); m != nil {
-		m.BulkTransferred(op, desc.Addr, int(size))
-	}
-	c.recordBulk(op, int(size))
+	c.bulkDone(op, desc.Addr, size)
 	return nil
 }
 

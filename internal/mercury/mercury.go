@@ -297,9 +297,8 @@ type Class struct {
 	landMu   sync.Mutex
 	landings map[uint64][]byte
 
-	monitor   atomic.Pointer[monitorHolder]
-	bulkBytes atomic.Pointer[bulkMetrics]
-	tracer    atomic.Pointer[trace.Tracer]
+	monitor atomic.Pointer[monitorHolder]
+	tracer  atomic.Pointer[trace.Tracer]
 
 	authMu      sync.RWMutex
 	auth        authState
@@ -325,9 +324,9 @@ type Class struct {
 // interface value.
 type monitorHolder struct{ m Monitor }
 
-// Monitor observes bulk transfers; the margo layer installs one for the
-// bulk statistics of the paper's §4 performance introspection (RPC
-// events it takes from its own hook points).
+// Monitor observes finished bulk transfers. margo.New installs its
+// per-RPC record as the class's one observer, so bulk statistics sit
+// beside the RPC statistics of the paper's §4 introspection.
 type Monitor interface {
 	// BulkTransferred fires on completion of a bulk operation.
 	BulkTransferred(op BulkOp, peer string, bytes int)
@@ -342,12 +341,11 @@ func (c *Class) SetMonitor(m Monitor) {
 	c.monitor.Store(&monitorHolder{m})
 }
 
-func (c *Class) mon() Monitor {
-	h := c.monitor.Load()
-	if h == nil {
-		return nil
+// bulkDone reports a finished transfer to the observer, if any.
+func (c *Class) bulkDone(op BulkOp, peer string, size uint64) {
+	if h := c.monitor.Load(); h != nil {
+		h.m.BulkTransferred(op, peer, int(size))
 	}
-	return h.m
 }
 
 func newClass(tr transport) *Class {

@@ -9,45 +9,11 @@ type transportMetrics interface {
 	setMetrics(reg *metrics.Registry)
 }
 
-// SetMetrics installs a metrics registry on the class: every completed
-// bulk transfer records its size into a bytes-by-direction histogram,
-// and transports exporting wire-level series register them too.
-// Both direction series are created eagerly so scrapers see the family
-// before the first transfer. Passing nil uninstalls. The margo layer
-// calls this when it builds its registry; manual classes may too.
+// SetMetrics installs a metrics registry on the class for transports
+// that export wire-level series. Passing nil uninstalls. The margo
+// layer calls this when it builds its registry; manual classes may too.
 func (c *Class) SetMetrics(reg *metrics.Registry) {
 	if tm, ok := c.tr.(transportMetrics); ok {
 		tm.setMetrics(reg)
-	}
-	if reg == nil {
-		c.bulkBytes.Store(nil)
-		return
-	}
-	vec := reg.Histogram("mochi_bulk_transfer_bytes",
-		"Completed bulk (RDMA-like) transfer sizes in bytes, by direction.",
-		metrics.SizeBuckets, "op")
-	h := &bulkMetrics{
-		pull: vec.With(BulkPull.String()),
-		push: vec.With(BulkPush.String()),
-	}
-	c.bulkBytes.Store(h)
-}
-
-// bulkMetrics caches the two direction series so the transfer path
-// does a plain atomic observe, no map lookups.
-type bulkMetrics struct {
-	pull *metrics.Histogram
-	push *metrics.Histogram
-}
-
-func (c *Class) recordBulk(op BulkOp, bytes int) {
-	h := c.bulkBytes.Load()
-	if h == nil {
-		return
-	}
-	if op == BulkPull {
-		h.pull.Observe(float64(bytes))
-	} else {
-		h.push.Observe(float64(bytes))
 	}
 }

@@ -3,9 +3,6 @@ package pufferscale
 import (
 	"context"
 	"sort"
-	"time"
-
-	"mochi/internal/clock"
 )
 
 // imbalanceThreshold is the max/mean ratio, of load or of data, above
@@ -110,22 +107,4 @@ func (c *Controller) execute(ctx context.Context, resources []Resource, nodes []
 	})
 	_, err = plan.Execute(ctx, c.Migrate)
 	return plan, err
-}
-
-// Run steps every interval on clk until ctx ends, which also interrupts
-// a migration in progress: Migrate runs under ctx. A failed step ends
-// the loop with its error; whether to start again is the caller's call.
-func (c *Controller) Run(ctx context.Context, clk clock.Clock, interval time.Duration) error {
-	t := clk.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C():
-			if _, err := c.Step(ctx); err != nil {
-				return err
-			}
-		}
-	}
 }

@@ -2,13 +2,9 @@ package pufferscale
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
-
-	"mochi/internal/clock"
 )
 
 // fakeService is an inventory and a mover over an in-memory placement:
@@ -18,15 +14,11 @@ type fakeService struct {
 	resources []Resource // Load is the cumulative counter
 	nodes     []string
 	moves     []Move
-	sampled   chan struct{} // when set, receives once per Inventory call
 }
 
 func (f *fakeService) inventory(context.Context) ([]Resource, []string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.sampled != nil {
-		f.sampled <- struct{}{}
-	}
 	return append([]Resource(nil), f.resources...), f.nodes, nil
 }
 
@@ -227,67 +219,26 @@ func TestApplyDrainsLeftOutNode(t *testing.T) {
 	}
 }
 
-// Run steps on the injected clock's ticks.
+// A loop over Step, one per tick: the first primes, the next decides
+// and moves.
 func TestRunStepsOnTicks(t *testing.T) {
-	clk := clock.NewSim(time.Time{})
 	f := twoByTwo()
-	f.sampled = make(chan struct{})
 	c := f.controller()
 	c.Objectives = Objectives{WLoad: 1, WTime: 0.1}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- c.Run(ctx, clk, time.Second) }()
-	tick := func() {
+	tick := func() *Plan {
 		t.Helper()
-		if !clk.WaitForWaiters(1, 5*time.Second) {
-			t.Fatal("Run never armed its ticker")
+		plan, err := c.Step(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
-		clk.Advance(time.Second)
-		<-f.sampled
+		return plan
 	}
-	tick() // primes
+	if plan := tick(); plan != nil {
+		t.Fatalf("the priming tick planned %+v", plan)
+	}
 	f.serve(900, "a", "b")
 	f.serve(10, "c", "d")
-	tick() // decides, moves
-	tick() // by now the step before has ended
-	f.mu.Lock()
-	moved := len(f.moves)
-	f.mu.Unlock()
-	if moved == 0 {
+	if plan := tick(); plan == nil || len(f.moves) == 0 {
 		t.Fatal("no move after a tick over skewed rates")
-	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run returned %v", err)
-	}
-}
-
-// Cancelling Run's context interrupts a migration in progress: the
-// mover runs under that context, so a hung migration cannot hold the
-// loop's owner.
-func TestRunCancelInterruptsMigration(t *testing.T) {
-	clk := clock.NewSim(time.Time{})
-	f := twoByTwo()
-	f.sampled = make(chan struct{}, 2)
-	c := f.controller()
-	migrating := make(chan struct{})
-	c.Migrate = func(ctx context.Context, _ Move) error {
-		close(migrating)
-		<-ctx.Done()
-		return ctx.Err()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- c.Run(ctx, clk, time.Second) }()
-	clk.WaitForWaiters(1, 5*time.Second)
-	clk.Advance(time.Second)
-	<-f.sampled
-	f.serve(900, "a", "b")
-	clk.WaitForWaiters(1, 5*time.Second)
-	clk.Advance(time.Second)
-	<-migrating
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run returned %v", err)
 	}
 }
