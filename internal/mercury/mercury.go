@@ -734,7 +734,9 @@ func (h *Handle) respond(status uint8, errmsg string, output []byte) error {
 }
 
 // Close shuts the class down: the address becomes unreachable and all
-// registered state is dropped.
+// registered state is dropped. The transport stops before the handlers
+// go, so a request it has already read still finds its handler (whose
+// reply may no longer get out) instead of being answered "no handler".
 func (c *Class) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -742,8 +744,11 @@ func (c *Class) Close() error {
 		return nil
 	}
 	c.closed = true
-	c.handlers = map[rpcKey]*rpcEntry{}
 	c.mu.Unlock()
 	close(c.workDone)
-	return c.tr.close()
+	err := c.tr.close()
+	c.mu.Lock()
+	c.handlers = map[rpcKey]*rpcEntry{}
+	c.mu.Unlock()
+	return err
 }

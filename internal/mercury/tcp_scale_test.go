@@ -1,14 +1,18 @@
 package mercury
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"mochi/internal/codec"
 	"mochi/internal/metrics"
 	"mochi/internal/testutil"
 )
@@ -64,6 +68,91 @@ func TestTCPConcurrentSendClose(t *testing.T) {
 		a.Close()
 		b.Close()
 		cancel()
+	}
+}
+
+// closeHook runs before inside Close: after the class is marked closed,
+// before its transport stops — where a request the transport has already
+// read meets the handler table.
+type closeHook struct {
+	transport
+	before func()
+}
+
+func (h *closeHook) close() error {
+	if h.before != nil {
+		h.before()
+	}
+	return h.transport.close()
+}
+
+// TestCloseNeverAnswersNoHandler: a request the transport reads while
+// Close runs is answered by its handler, never "no handler", which its
+// caller would take for an RPC the peer lacks. Each round a seeded
+// schedule sends one request over net.Pipe either before Close or inside
+// it, after the class is marked closed and before its transport stops.
+// Handlers used to be dropped before the transport stopped, and a
+// request inside Close then read status 1.
+func TestCloseNeverAnswersNoHandler(t *testing.T) {
+	const seed = 46
+	rng := rand.New(rand.NewPCG(seed, 0))
+	seen := map[string]int{}
+	for round := 0; round < 12; round++ {
+		b, err := NewTCPClassOptions("127.0.0.1:0", TCPOptions{PoolSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Register("echo", func(h *Handle) { _ = h.Respond(h.Input()) })
+		hook := &closeHook{transport: b.tr}
+		b.tr = hook
+		client, server := net.Pipe()
+		go hook.transport.(*tcpTransport).serveInbound(server)
+		statuses := make(chan uint8, 4)
+		go func() { // every response frame the peer sends, until the pipe closes
+			defer close(statuses)
+			br := bufio.NewReader(client)
+			var scratch []byte
+			for {
+				n, err := readFrameLen(br)
+				if err != nil {
+					return
+				}
+				m, err := readFrameBody(br, n, &scratch)
+				if err != nil {
+					return
+				}
+				statuses <- m.status
+			}
+		}()
+		call := func(when string) {
+			m := &message{kind: msgRequest, seq: uint64(round + 1), id: NameToID("echo"), provider: AnyProvider, src: "tcp://pipe-peer", payload: []byte("x")}
+			enc := codec.NewEncoder(nil)
+			enc.Uint32(0)
+			m.Proc(enc.Proc())
+			frame := enc.Bytes()
+			binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+			if _, err := client.Write(frame); err != nil {
+				t.Fatalf("seed %d round %d, %s: the request was not read: %v", seed, round, when, err)
+			}
+			if st, ok := <-statuses; !ok || st != 0 {
+				t.Fatalf("seed %d round %d, %s: response status %d (pipe open %v), want 0", seed, round, when, st, ok)
+			}
+		}
+		if rng.IntN(2) == 0 {
+			call("before Close")
+			seen["before Close"]++
+		} else {
+			hook.before = func() { call("inside Close") }
+			seen["inside Close"]++
+		}
+		b.Close()
+		for st := range statuses { // the pipe closes with the transport
+			t.Fatalf("seed %d round %d: a response with status %d after Close", seed, round, st)
+		}
+		client.Close()
+	}
+	if len(seen) != 2 {
+		t.Fatalf("seed %d covers %v, want both schedules", seed, seen)
 	}
 }
 

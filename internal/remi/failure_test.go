@@ -157,19 +157,24 @@ func TestChunkOutOfRangeRejected(t *testing.T) {
 }
 
 // TestLandedFilesAreDurable: by either method, n landed files cost the
-// provider 2n fsyncs — each file's and its directory's — and leave no
+// provider 2n fsyncs — each file's and its directory's — plus one per
+// directory the landing had to create (sub and sub/deeper, each synced
+// into its parent; none when a second landing finds them), and leave no
 // temporary file behind.
 func TestLandedFilesAreDurable(t *testing.T) {
 	files := map[string][]byte{"a.dat": []byte("a"), "sub/b.dat": []byte("bb"), "sub/deeper/c.dat": {}}
 	for _, m := range []Method{MethodBulk, MethodChunked} {
 		env := newMigEnv(t)
 		fs := writeSourceFiles(t, "x", files)
-		if _, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{Method: m}); err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		verifyArrived(t, env.root, files)
-		if got, want := env.prov.disk.Syncs(), uint64(2*len(files)); got != want {
-			t.Fatalf("%v: %d fsyncs, want %d", m, got, want)
+		for i, created := range []int{2, 0} {
+			before := env.prov.disk.Syncs()
+			if _, err := env.client.Migrate(mctx(t), env.dst.Addr(), 4, fs, Options{Method: m}); err != nil {
+				t.Fatalf("%v: %v", m, err)
+			}
+			verifyArrived(t, env.root, files)
+			if got, want := env.prov.disk.Syncs()-before, uint64(2*len(files)+created); got != want {
+				t.Fatalf("%v, landing %d: %d fsyncs, want %d", m, i+1, got, want)
+			}
 		}
 		filepath.WalkDir(env.root, func(path string, _ iofs.DirEntry, err error) error {
 			if err == nil && strings.HasSuffix(path, ".tmp") {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -57,10 +56,10 @@ type Provider struct {
 // fileset inside one handler, so a node that must keep serving while
 // it receives gives REMI a pool of its own.
 func NewProvider(inst *margo.Instance, id uint16, pool *argobots.Pool, root string) (*Provider, error) {
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	p := &Provider{inst: inst, id: id, root: root, inflight: map[uint64]*FileSet{}}
+	if err := p.disk.MkdirAll(root); err != nil {
 		return nil, err
 	}
-	p := &Provider{inst: inst, id: id, root: root, inflight: map[uint64]*FileSet{}}
 	var err error
 	p.rpcs, err = inst.RegisterSet(id, pool,
 		margo.RPC{Name: rpcBegin, Handler: margo.Serve(p.handleBegin)},
@@ -217,7 +216,7 @@ func (p *Provider) land(ctx context.Context, fs *FileSet) error {
 			break
 		}
 		dst := filepath.Join(fs.Root, fi.RelPath)
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		if err := p.disk.MkdirAll(filepath.Dir(dst)); err != nil {
 			return err
 		}
 		if err := p.disk.Replace(dst, fi.Data); err != nil {

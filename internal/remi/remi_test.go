@@ -479,15 +479,16 @@ func TestFileSetIsSnapshotOfItsFiles(t *testing.T) {
 	}
 }
 
-// TestNoDirectFileWrites: the destination writes files only through
-// durable.Disk, so no non-test file of the package creates, writes or
-// fsyncs a file itself.
+// TestNoDirectFileWrites: the destination writes files and makes
+// directories only through durable.Disk, so no non-test file of the
+// package creates, writes or fsyncs a file, or creates a directory,
+// itself.
 func TestNoDirectFileWrites(t *testing.T) {
 	paths, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	banned := map[string]bool{"os.Create": true, "os.WriteFile": true, "os.OpenFile": true}
+	banned := map[string]bool{"os.Create": true, "os.WriteFile": true, "os.OpenFile": true, "os.Mkdir": true, "os.MkdirAll": true}
 	fset := token.NewFileSet()
 	for _, path := range paths {
 		if strings.HasSuffix(path, "_test.go") {

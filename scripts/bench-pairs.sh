@@ -19,7 +19,10 @@
 # bound — better (ten pairs or more, at least 9/10 of them won and medians
 # further apart than the parent's quartiles), worse (the change's median beyond the
 # bound), unresolved (the parent's quartiles further apart than the
-# bound, or a lean that is neither), else within bound — then, not judged,
+# bound, or a lean that is neither), else within bound — and beside it,
+# not part of the verdict, the paired statistics: the median over pairs
+# of ln(change/parent) with the ratio it stands for, and the sign count,
+# in k of n pairs the change was the better one — then, not judged,
 # each side's median of every diagnostic named in DIAG, which is how a
 # verdict gets its mechanism from the instrument ("rounds per read 1.00 ->
 # 0.00") instead of from prose; pairs.json keeps those medians too — and
@@ -32,7 +35,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
+	sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
 	exit 2
 fi
 DIAG="${DIAG:-window.raft.readindex_rounds_per_read p99_us}"
@@ -178,10 +181,11 @@ awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
 	on && $1 == "\"better\":" { better = $2 }
 	on && $1 == "\"bound\":" { print name, better, $2 }' "$root/BENCHMARK.json" |
 	while read -r name better bound; do
-		wins=0 losses=0
+		wins=0 losses=0 ratios=""
 		for pair in $(seq 1 "$pairs"); do
 			p=$(metric "$out/$pair-parent.json" "$name")
 			c=$(metric "$out/$pair-change.json" "$name")
+			ratios="$ratios $(awk -v p="$p" -v c="$c" 'BEGIN { if (p > 0 && c > 0) printf "%.6f", log(c / p) }')"
 			[ "$better" = lower ] && { t=$p p=$c c=$t; }
 			wins=$((wins + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c > p) ? 1 : 0 }')))
 			losses=$((losses + $(awk -v p="$p" -v c="$c" 'BEGIN { print (c < p) ? 1 : 0 }')))
@@ -191,6 +195,9 @@ awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
 		printf '%-10s %-7s %12s %12s %12s\n' "$name" parent "$pq1" "$pmed" "$pq3"
 		printf '%-10s %-7s %12s %12s %12s   %s\n' "$name" change "$cq1" "$cmed" "$cq3" "$wins/$pairs pairs, worse in $losses"
 		printf '%-10s %-7s %s (bound %s)\n' "$name" verdict "$(verdict "$better" "$wins" "$losses" "$pq1" "$pmed" "$pq3" "$cmed" "$bound")" "$bound"
+		lr=$(echo "$ratios" | tr ' ' '\n' | grep . | quartiles | cut -d' ' -f2 || true)
+		printf '%-10s %-7s median ln(change/parent) %s (x%s), sign %s of %s pairs better\n' "$name" paired \
+			"${lr:-n/a}" "$(awk -v r="${lr:-0}" 'BEGIN { printf "%.3f", exp(r) }')" "$wins" "$pairs"
 	done
 echo
 echo "diagnostics, median per side (not judged):"
