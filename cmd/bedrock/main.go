@@ -77,9 +77,6 @@ func main() {
 	var topts mercury.TCPOptions
 	if t := cfg.Margo.Transport; t != nil {
 		topts.PoolSize = t.PoolSize
-		topts.AcceptLoops = t.AcceptLoops
-		topts.ReadBuffer = t.ReadBufferBytes
-		topts.ScratchCap = t.ScratchCapBytes
 	}
 	class, err := mercury.NewTCPClassOptions(*listen, topts)
 	if err != nil {

@@ -60,6 +60,18 @@ func TestMetricsHTTPEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A handler's end is recorded after its reply has left. MyPoolX has
+	// one xstream, so once a ULT pushed behind the three puts has run,
+	// their handlers have finished and been recorded.
+	pool, ok := srv.Instance().FindPoolByName("MyPoolX")
+	if !ok {
+		t.Fatal("MyPoolX not found")
+	}
+	th, err := pool.Push(func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.Join()
 
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {

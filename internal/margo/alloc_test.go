@@ -75,8 +75,7 @@ const forwardAllocs = 5
 // RPC is free in allocations. After one warm-up a served forward, whose
 // origin and target cells both count it, allocates no more than a
 // forward did before the record was always on. The least of three
-// measurements is judged: a dispatch that finds no resident worker idle
-// spawns one, which now and then costs a whole allocation per op.
+// measurements is judged, a margin for scheduler noise.
 func TestStatsAllocsPinned(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc pinning is meaningless under the race detector")

@@ -1,6 +1,7 @@
 package margo
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -31,27 +32,32 @@ type Config struct {
 	// single-attempt behaviour.
 	Resilience *resilience.Config `json:"resilience,omitempty"`
 	// Transport tunes the TCP transport layer. Nil selects the built-in
-	// defaults (pool and accept-loop counts sized from GOMAXPROCS).
+	// default (a pool size sized from GOMAXPROCS).
 	Transport *TransportConfig `json:"transport,omitempty"`
 }
 
-// TransportConfig exposes the mercury TCP transport knobs in process
-// configuration (DESIGN.md §12). Zero values select defaults.
+// TransportConfig exposes the mercury TCP transport's one knob in
+// process configuration (DESIGN.md §12). Zero selects the default.
 type TransportConfig struct {
 	// PoolSize is the number of connections kept per destination;
 	// in-flight RPCs are striped across them by sequence number.
 	// Default min(4, GOMAXPROCS), clamped to [1, 64].
 	PoolSize int `json:"pool_size,omitempty"`
-	// AcceptLoops is the number of goroutines accepting inbound
-	// connections. Default min(4, GOMAXPROCS), clamped to [1, 16].
-	AcceptLoops int `json:"accept_loops,omitempty"`
-	// ReadBufferBytes sizes the per-connection buffered reader that
-	// batches frame ingress into large read(2) calls. Default 64KiB.
-	ReadBufferBytes int `json:"read_buffer_bytes,omitempty"`
-	// ScratchCapBytes caps the per-connection frame scratch buffer; a
-	// frame larger than this is still handled but its buffer is
-	// released afterwards instead of being kept for reuse. Default 1MiB.
-	ScratchCapBytes int `json:"scratch_cap_bytes,omitempty"`
+}
+
+// UnmarshalJSON rejects keys the block does not know, naming the key,
+// as yokan.Config does: a misspelt knob, or one for an option that no
+// longer exists, must fail loudly rather than quietly run the default.
+func (t *TransportConfig) UnmarshalJSON(data []byte) error {
+	type plain TransportConfig // same fields, no UnmarshalJSON: no recursion
+	p := plain(*t)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
+		return fmt.Errorf("margo: transport: %w", err)
+	}
+	*t = TransportConfig(p)
+	return nil
 }
 
 // defaultConfig is used when New is given empty JSON: one pool drained
@@ -99,19 +105,8 @@ func ParseConfig(raw []byte) (Config, error) {
 	if cfg.RPCPool == "" {
 		cfg.RPCPool = cfg.Argobots.Pools[0].Name
 	}
-	if t := cfg.Transport; t != nil {
-		if t.PoolSize < 0 {
-			return Config{}, fmt.Errorf("margo: transport.pool_size must be >= 0, got %d", t.PoolSize)
-		}
-		if t.AcceptLoops < 0 {
-			return Config{}, fmt.Errorf("margo: transport.accept_loops must be >= 0, got %d", t.AcceptLoops)
-		}
-		if t.ReadBufferBytes < 0 {
-			return Config{}, fmt.Errorf("margo: transport.read_buffer_bytes must be >= 0, got %d", t.ReadBufferBytes)
-		}
-		if t.ScratchCapBytes < 0 {
-			return Config{}, fmt.Errorf("margo: transport.scratch_cap_bytes must be >= 0, got %d", t.ScratchCapBytes)
-		}
+	if t := cfg.Transport; t != nil && t.PoolSize < 0 {
+		return Config{}, fmt.Errorf("margo: transport.pool_size must be >= 0, got %d", t.PoolSize)
 	}
 	return cfg, nil
 }

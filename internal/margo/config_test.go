@@ -6,14 +6,7 @@ import (
 )
 
 func TestParseConfigTransport(t *testing.T) {
-	cfg, err := ParseConfig([]byte(`{
-		"transport": {
-			"pool_size": 8,
-			"accept_loops": 2,
-			"read_buffer_bytes": 32768,
-			"scratch_cap_bytes": 524288
-		}
-	}`))
+	cfg, err := ParseConfig([]byte(`{"transport": {"pool_size": 8}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +14,7 @@ func TestParseConfigTransport(t *testing.T) {
 	if tr == nil {
 		t.Fatal("transport section dropped")
 	}
-	if tr.PoolSize != 8 || tr.AcceptLoops != 2 || tr.ReadBufferBytes != 32768 || tr.ScratchCapBytes != 524288 {
+	if tr.PoolSize != 8 {
 		t.Fatalf("transport = %+v", *tr)
 	}
 	// Absent section stays nil so callers can distinguish "defaults".
@@ -35,10 +28,18 @@ func TestParseConfigTransport(t *testing.T) {
 }
 
 func TestParseConfigTransportRejectsNegative(t *testing.T) {
-	for _, field := range []string{"pool_size", "accept_loops", "read_buffer_bytes", "scratch_cap_bytes"} {
-		raw := []byte(`{"transport": {"` + field + `": -1}}`)
-		if _, err := ParseConfig(raw); err == nil || !strings.Contains(err.Error(), field) {
-			t.Fatalf("%s: err = %v", field, err)
+	if _, err := ParseConfig([]byte(`{"transport": {"pool_size": -1}}`)); err == nil || !strings.Contains(err.Error(), "pool_size") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestParseConfigTransportRejectsUnknownKey pins the strict decode: a
+// knob that no longer exists, or a misspelt one, fails and is named.
+func TestParseConfigTransportRejectsUnknownKey(t *testing.T) {
+	for _, key := range []string{"accept_loops", "pool_sise"} {
+		raw := []byte(`{"transport": {"pool_size": 2, "` + key + `": 1}}`)
+		if _, err := ParseConfig(raw); err == nil || !strings.Contains(err.Error(), key) {
+			t.Fatalf("%s: err = %v", key, err)
 		}
 	}
 }

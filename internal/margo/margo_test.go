@@ -305,6 +305,65 @@ func TestMonitoringStatsListing1Schema(t *testing.T) {
 	}
 }
 
+// TestNestedRPCChainOverTCP runs client → B → A → B over TCP with one
+// connection per destination, so A's request to B and B's reply to A
+// share connections with the chain's other hops. Requests complete in
+// the goroutine that reads them, straight into the argobots pool: the
+// chain finishes as long as B has an xstream free for the inner call
+// while another one holds the outer.
+func TestNestedRPCChainOverTCP(t *testing.T) {
+	const twoXstreams = `{
+	  "argobots": {
+	    "pools": [ {"name": "P", "type": "fifo_wait", "access": "mpmc"} ],
+	    "xstreams": [
+	      {"name": "ES0", "scheduler": {"type": "basic_wait", "pools": ["P"]}},
+	      {"name": "ES1", "scheduler": {"type": "basic_wait", "pools": ["P"]}}
+	    ]
+	  }
+	}`
+	newTCP := func(cfg string) *Instance {
+		cls, err := mercury.NewTCPClassOptions("127.0.0.1:0", mercury.TCPOptions{PoolSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := New(cls, []byte(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(inst.Finalize)
+		return inst
+	}
+	client, a, b := newTCP(""), newTCP(twoXstreams), newTCP(twoXstreams)
+	relay := func(self *Instance, next, dst string) Handler {
+		return func(ctx context.Context, h *mercury.Handle) {
+			out, err := self.Forward(ctx, dst, next, h.Input())
+			if err != nil {
+				_ = h.RespondError(err)
+				return
+			}
+			_ = h.Respond(append(out, self.Addr()...))
+		}
+	}
+	register := func(inst *Instance, name string, h Handler) {
+		if _, err := inst.Register(name, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register(b, "outer", relay(b, "mid", a.Addr()))
+	register(a, "mid", relay(a, "inner", b.Addr()))
+	register(b, "inner", func(_ context.Context, h *mercury.Handle) { _ = h.Respond(h.Input()) })
+	want := "x" + a.Addr() + b.Addr()
+	for i := 0; i < 10; i++ {
+		out, err := client.Forward(shortCtx(t), b.Addr(), "outer", []byte("x"))
+		if err != nil {
+			t.Fatalf("chain %d: %v", i, err)
+		}
+		if string(out) != want {
+			t.Fatalf("chain %d answered %q, want %q", i, out, want)
+		}
+	}
+}
+
 func TestNestedRPCRecordsParent(t *testing.T) {
 	f := mercury.NewFabric()
 	a := newInstance(t, f, "nest-a", "")

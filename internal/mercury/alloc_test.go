@@ -37,8 +37,8 @@ func TestForwardAllocsPinned(t *testing.T) {
 	payload := []byte("ping-payload-161616")
 	ctx := context.Background()
 
-	// Warm the pools (messages, handles, reply channels, buffers) and
-	// the resident dispatch workers before measuring.
+	// Warm the pools (messages, handles, reply channels, buffers)
+	// before measuring.
 	for i := 0; i < 50; i++ {
 		if _, err := a.Forward(ctx, b.Addr(), id, payload); err != nil {
 			t.Fatal(err)

@@ -211,11 +211,11 @@ func preciseDelay(ctx context.Context, d time.Duration) error {
 
 // smTransport is one endpoint's attachment to a Fabric. Delivery is
 // direct: send hands the duplicated message straight to the receiving
-// class's dispatch (which never blocks — responses are posted
-// non-blockingly and request handling goes to a worker or a fresh
-// goroutine), exactly as the TCP transport's read loop does. The
-// earlier inbox-plus-progress-goroutine design cost two extra
-// park/wake handoffs per RPC for no added semantics.
+// class's dispatch, so the sender's goroutine is the receiver's
+// progress context — it posts a response to its waiter and runs a
+// request's handler (see Handler), exactly as the TCP transport's read
+// loop does. The earlier inbox-plus-progress-goroutine design cost two
+// extra park/wake handoffs per RPC for no added semantics.
 type smTransport struct {
 	fabric   *Fabric
 	address  string

@@ -36,9 +36,9 @@ func TestWireGolden(t *testing.T) { codectest.Golden(t, wireProtos()...) }
 // frameReader returns an unconnected TCP transport and a reader over
 // data, to drive the connection read path (readMessage) from bytes.
 func frameReader(data []byte) (*tcpTransport, *bufio.Reader) {
-	tr := &tcpTransport{opts: TCPOptions{}.withDefaults()}
+	tr := &tcpTransport{}
 	tr.class = newClass(tr)
-	return tr, bufio.NewReaderSize(bytes.NewReader(data), tr.opts.ReadBuffer)
+	return tr, bufio.NewReaderSize(bytes.NewReader(data), readBufferSize)
 }
 
 // validFrame encodes one message exactly as tcpTransport.send does:

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -57,10 +56,14 @@ func NameToID(name string) RPCID {
 }
 
 // Handler processes an incoming RPC. Implementations must eventually
-// call h.Respond or h.RespondError exactly once. Each inbound request
-// is dispatched on its own goroutine; the margo layer narrows this to
-// the paper's model by immediately submitting a ULT to an argobots
-// pool and returning.
+// call h.Respond or h.RespondError exactly once. A handler is Mercury's
+// progress-context callback: it runs in the goroutine that received the
+// request (the TCP connection's read loop, or the sm sender), so it
+// must return promptly and never wait on the network — while it runs,
+// nothing else arriving on that connection, its own nested RPCs'
+// replies included, is read. Work that blocks belongs elsewhere; the
+// margo layer's callback only submits a ULT to an argobots pool, which
+// is where the paper's handlers run.
 type Handler func(h *Handle)
 
 type rpcKey struct {
@@ -307,17 +310,6 @@ type Class struct {
 	// chaos, when set, injects transport-level faults into every
 	// outbound message (see ChaosTransport).
 	chaos atomic.Pointer[ChaosTransport]
-
-	// Resident dispatch workers. A goroutine per inbound request would
-	// be correct but costly: each fresh goroutine starts on a 2 KiB
-	// stack and the handler call path overflows it, so every request
-	// would pay a stack copy (and a closure allocation). Idle resident
-	// workers with already-grown stacks take the messages instead; if
-	// none is idle, dispatch falls back to spawning, so slow handlers
-	// never delay other requests.
-	workCh   chan *message
-	workDone chan struct{}
-	workOnce sync.Once
 }
 
 // monitorHolder wraps the monitor so an atomic.Pointer can hold an
@@ -354,8 +346,6 @@ func newClass(tr transport) *Class {
 		handlers: map[rpcKey]*rpcEntry{},
 		bulks:    map[uint64]*Bulk{},
 		landings: map[uint64][]byte{},
-		workCh:   make(chan *message), // unbuffered: hand off only to an idle worker
-		workDone: make(chan struct{}),
 	}
 	c.pending.init()
 	return c
@@ -499,10 +489,11 @@ func (c *Class) forwardProvider(ctx context.Context, dst string, id RPCID, provi
 	}
 }
 
-// dispatch is called by transports for every inbound message.
-// Requests and bulk operations run on their own goroutine so that a
-// handler performing nested RPCs can never starve the progress loop
-// that must deliver its responses; responses are routed inline.
+// dispatch is called by transports for every inbound message, in the
+// goroutine that received it. Responses go to their waiting forwarder
+// and requests run their handler right here (see Handler). Bulk
+// operations write to the network, so each gets a goroutine of its
+// own: a read loop must not wait on a write.
 func (c *Class) dispatch(m *message) {
 	switch m.kind {
 	case msgResponse, msgBulkAck:
@@ -511,63 +502,12 @@ func (c *Class) dispatch(m *message) {
 			m.releasePayload()
 			putMessage(m)
 		}
-	default:
-		c.submit(m)
-	}
-}
-
-// dispatchWorkers bounds the resident worker set; overflow beyond it
-// spawns goroutines as before.
-var dispatchWorkers = func() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	if n > 16 {
-		n = 16
-	}
-	return n
-}()
-
-// submit hands an inbound request or bulk operation to an idle resident
-// worker, or to a fresh goroutine if all workers are busy. Handing off
-// (rather than running the handler on the progress loop) keeps the
-// guarantee that a handler performing nested RPCs can never starve the
-// progress loop that must deliver its responses.
-func (c *Class) submit(m *message) {
-	c.workOnce.Do(c.startWorkers)
-	select {
-	case c.workCh <- m:
-	default:
-		go c.handleMessage(m)
-	}
-}
-
-func (c *Class) startWorkers() {
-	for i := 0; i < dispatchWorkers; i++ {
-		go c.dispatchWorker()
-	}
-}
-
-func (c *Class) dispatchWorker() {
-	for {
-		select {
-		case m := <-c.workCh:
-			c.handleMessage(m)
-		case <-c.workDone:
-			return
-		}
-	}
-}
-
-func (c *Class) handleMessage(m *message) {
-	switch m.kind {
 	case msgRequest:
 		c.handleRequest(m)
 	case msgBulkRead:
-		c.handleBulkRead(m)
+		go c.handleBulkRead(m)
 	case msgBulkWrite:
-		c.handleBulkWrite(m)
+		go c.handleBulkWrite(m)
 	default:
 		m.releasePayload()
 		putMessage(m)
@@ -576,6 +516,7 @@ func (c *Class) handleMessage(m *message) {
 
 // respondStatus sends a handler-less error response for an inbound
 // request (unauthorized, no handler) and reclaims the request message.
+// It writes to the network, so it runs on a goroutine of its own.
 func (c *Class) respondStatus(m *message, status uint8) {
 	resp := getMessage()
 	resp.kind = msgResponse
@@ -592,12 +533,12 @@ func (c *Class) respondStatus(m *message, status uint8) {
 
 func (c *Class) handleRequest(m *message) {
 	if !c.verifyInbound(m) {
-		c.respondStatus(m, 3)
+		go c.respondStatus(m, 3)
 		return
 	}
 	entry := c.lookup(m.id, m.provider)
 	if entry == nil {
-		c.respondStatus(m, 1)
+		go c.respondStatus(m, 1)
 		return
 	}
 	h := getHandle()
@@ -745,7 +686,6 @@ func (c *Class) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	close(c.workDone)
 	err := c.tr.close()
 	c.mu.Lock()
 	c.handlers = map[rpcKey]*rpcEntry{}

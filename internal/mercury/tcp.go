@@ -30,8 +30,20 @@ const maxFrame = 64 << 20
 // pooled buffer only for the pool to drop it.
 const bulkFrameMin = 64 << 10
 
-// TCPOptions tunes the TCP transport for scale. The zero value selects
-// defaults sized for the host (see each field); NewTCPClass uses it.
+// readBufferSize sizes each connection's buffered reader, so a burst
+// of small frames queued in the socket buffer drains with one read(2)
+// instead of two syscalls per frame.
+const readBufferSize = 64 << 10
+
+// scratchCap caps the per-connection frame-body scratch buffer. After a
+// frame larger than this is read the scratch is released, so one
+// oversized frame (up to maxFrame) does not pin its footprint for the
+// connection's lifetime — at thousands of connections that would be a
+// silent memory bomb.
+const scratchCap = 1 << 20
+
+// TCPOptions tunes the TCP transport. The zero value selects defaults
+// sized for the host; NewTCPClass uses it.
 type TCPOptions struct {
 	// PoolSize is the number of connections kept per destination.
 	// In-flight RPCs are striped over the pool by sequence number, so
@@ -39,49 +51,13 @@ type TCPOptions struct {
 	// sockets instead of serializing on one write path. Default
 	// min(4, GOMAXPROCS), clamped to [1, 64].
 	PoolSize int
-	// AcceptLoops is the number of concurrent accept goroutines
-	// (ingress shards). Connections accepted by different shards are
-	// fully independent, so one listener saturates multiple cores.
-	// Default min(4, GOMAXPROCS), clamped to [1, 16].
-	AcceptLoops int
-	// ReadBuffer sizes each connection's buffered reader. Bursts of
-	// small frames queued in the socket buffer are drained with one
-	// read(2) instead of two syscalls per frame. Default 64 KiB.
-	ReadBuffer int
-	// ScratchCap caps the per-connection frame-body scratch buffer.
-	// After a frame larger than this is processed the scratch is
-	// released, so one oversized frame (up to maxFrame) does not pin
-	// its worst-case footprint for the connection's lifetime — at
-	// thousands of connections that would be a silent memory bomb.
-	// Default 1 MiB.
-	ScratchCap int
 }
 
 func (o TCPOptions) withDefaults() TCPOptions {
 	if o.PoolSize <= 0 {
-		o.PoolSize = runtime.GOMAXPROCS(0)
-		if o.PoolSize > 4 {
-			o.PoolSize = 4
-		}
+		o.PoolSize = min(4, runtime.GOMAXPROCS(0))
 	}
-	if o.PoolSize > 64 {
-		o.PoolSize = 64
-	}
-	if o.AcceptLoops <= 0 {
-		o.AcceptLoops = runtime.GOMAXPROCS(0)
-		if o.AcceptLoops > 4 {
-			o.AcceptLoops = 4
-		}
-	}
-	if o.AcceptLoops > 16 {
-		o.AcceptLoops = 16
-	}
-	if o.ReadBuffer <= 0 {
-		o.ReadBuffer = 64 << 10
-	}
-	if o.ScratchCap <= 0 {
-		o.ScratchCap = 1 << 20
-	}
+	o.PoolSize = min(o.PoolSize, 64)
 	return o
 }
 
@@ -106,13 +82,12 @@ func NewTCPClassOptions(listenAddr string, opts TCPOptions) (*Class, error) {
 		opts:     opts.withDefaults(),
 		pools:    map[string]*connPool{},
 		routes:   map[string][]*tcpConn{},
+		inbound:  map[*tcpConn]struct{}{},
 		done:     make(chan struct{}),
 	}
 	cls := newClass(tr)
 	tr.class = cls
-	for i := 0; i < tr.opts.AcceptLoops; i++ {
-		go tr.acceptLoop()
-	}
+	go tr.acceptLoop()
 	return cls, nil
 }
 
@@ -132,6 +107,9 @@ type tcpTransport struct {
 	// connection count per pair and lets non-accepting clients
 	// (NAT'd tools, short-lived queriers) receive responses.
 	routes map[string][]*tcpConn
+	// inbound holds every accepted connection, routed or not, so close
+	// reaches one whose peer has not sent a frame yet.
+	inbound map[*tcpConn]struct{}
 
 	done     chan struct{}
 	stopOnce sync.Once
@@ -335,12 +313,13 @@ func (t *tcpTransport) addr() string { return t.address }
 
 // acceptBackoffMax caps the exponential backoff between accept
 // retries. Temporary accept errors (EMFILE under connection storms,
-// ECONNABORTED) must not hot-spin the accept shard.
+// ECONNABORTED) must not hot-spin the accept loop.
 const acceptBackoffMax = 100 * time.Millisecond
 
-// acceptLoop is one ingress shard. AcceptLoops of them run
-// concurrently against the shared listener; the kernel distributes
-// incoming connections across whichever are blocked in accept(2).
+// acceptLoop is the listener's one accept goroutine. More would not
+// accept in parallel: Go's poll.FD.Accept holds the listener fd's read
+// lock, so concurrent Accept calls on one listener take turns. Each
+// accepted connection gets its own reader at once.
 func (t *tcpTransport) acceptLoop() {
 	backoff := time.Duration(0)
 	for {
@@ -377,6 +356,16 @@ func (t *tcpTransport) acceptLoop() {
 // address is known, and dispatches every message.
 func (t *tcpTransport) serveInbound(conn net.Conn) {
 	tc := newTCPConn(conn, t)
+	t.mu.Lock()
+	select {
+	case <-t.done:
+		t.mu.Unlock()
+		conn.Close()
+		return
+	default:
+	}
+	t.inbound[tc] = struct{}{}
+	t.mu.Unlock()
 	if met := t.metrics(); met != nil {
 		met.inbound.Inc()
 	}
@@ -385,12 +374,15 @@ func (t *tcpTransport) serveInbound(conn net.Conn) {
 		if src != "" {
 			t.dropRoute(src, tc)
 		}
+		t.mu.Lock()
+		delete(t.inbound, tc)
+		t.mu.Unlock()
 		conn.Close()
 		if met := t.metrics(); met != nil {
 			met.inbound.Dec()
 		}
 	}()
-	br := bufio.NewReaderSize(conn, t.opts.ReadBuffer)
+	br := bufio.NewReaderSize(conn, readBufferSize)
 	var scratch []byte
 	for {
 		m, err := t.readMessage(br, &scratch)
@@ -543,7 +535,7 @@ func (t *tcpTransport) dial(ctx context.Context, dst string, slot int, pd *pendi
 				met.outbound.Dec()
 			}
 		}()
-		br := bufio.NewReaderSize(conn, t.opts.ReadBuffer)
+		br := bufio.NewReaderSize(conn, readBufferSize)
 		var scratch []byte
 		for {
 			m, err := t.readMessage(br, &scratch)
@@ -707,8 +699,9 @@ func (t *tcpTransport) close() error {
 				}
 			}
 		}
-		for _, conns := range t.routes {
-			victims = append(victims, conns...)
+		// Every routed connection is an inbound one.
+		for tc := range t.inbound {
+			victims = append(victims, tc)
 		}
 		t.pools = map[string]*connPool{}
 		t.routes = map[string][]*tcpConn{}
@@ -736,7 +729,7 @@ func (t *tcpTransport) readMessage(br *bufio.Reader, scratch *[]byte) (*message,
 			}
 		}
 		m, err := readFrameBody(br, n, scratch)
-		if cap(*scratch) > t.opts.ScratchCap {
+		if cap(*scratch) > scratchCap {
 			// An oversized frame grew the scratch; release it so the
 			// next frame re-allocates at the normal chunk size.
 			*scratch = nil

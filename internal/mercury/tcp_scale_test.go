@@ -322,11 +322,11 @@ func TestTCPResponseRidesInboundConn(t *testing.T) {
 }
 
 // TestTCPAcceptBackoffCountsErrors kills the listener out from under
-// the accept shards (without closing the transport) and checks they
-// back off and count failures instead of hot-spinning, then that class
-// shutdown still terminates them.
+// the accept loop (without closing the transport) and checks it backs
+// off and counts failures instead of hot-spinning, then that class
+// shutdown still terminates it.
 func TestTCPAcceptBackoffCountsErrors(t *testing.T) {
-	cls, err := NewTCPClassOptions("127.0.0.1:0", TCPOptions{AcceptLoops: 2})
+	cls, err := NewTCPClass("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,21 +355,20 @@ func TestTCPAcceptBackoffCountsErrors(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not terminate backing-off accept loops")
+		t.Fatal("Close did not terminate the backing-off accept loop")
 	}
 }
 
-// TestTCPScratchShrinksAfterOversizedFrame drives an oversized payload
-// through a transport configured with a tiny scratch cap and checks
-// normal traffic continues: the shrink path must release the buffer
-// without corrupting the stream.
+// TestTCPScratchShrinksAfterOversizedFrame drives a payload larger
+// than the scratch cap through the transport and checks normal traffic
+// continues: the shrink path must release the buffer without
+// corrupting the stream.
 func TestTCPScratchShrinksAfterOversizedFrame(t *testing.T) {
-	opts := TCPOptions{ScratchCap: 8 << 10}
-	a, err := NewTCPClassOptions("127.0.0.1:0", opts)
+	a, err := NewTCPClass("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewTCPClassOptions("127.0.0.1:0", opts)
+	b, err := NewTCPClass("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +377,7 @@ func TestTCPScratchShrinksAfterOversizedFrame(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	big := make([]byte, 256<<10)
+	big := make([]byte, 2*scratchCap)
 	for i := range big {
 		big[i] = byte(i * 7)
 	}

@@ -3,12 +3,14 @@ package mercury
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"mochi/internal/metrics"
 	"mochi/internal/testutil"
 )
 
@@ -152,6 +154,35 @@ func TestTCPCloseReapsGoroutines(t *testing.T) {
 	a.Close()
 	b.Close()
 	testutil.WaitGoroutinesSettle(t, before, 2)
+}
+
+// TestTCPCloseClosesSilentInbound dials a class and sends nothing, so
+// the accepted connection joins no response route, then closes the
+// class: the connection must be closed with it (the dialer reads EOF),
+// not left to a reader that outlives the class.
+func TestTCPCloseClosesSilentInbound(t *testing.T) {
+	cls, err := NewTCPClass("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	cls.SetMetrics(reg)
+	conn, err := net.Dial("tcp", cls.Addr()[len("tcp://"):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// Close only once the connection is accepted: one still in the
+	// listen backlog would be reset, not served and closed.
+	if got := bmInboundEventually(cls.tr.(*tcpTransport).metrics(), 1, 5*time.Second); got != 1 {
+		t.Fatalf("inbound gauge = %v, want 1", got)
+	}
+	cls.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var b [1]byte
+	if _, err := conn.Read(b[:]); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after Close = %v, want EOF", err)
+	}
 }
 
 // TestTCPConcurrentFrameIntegrity hammers one TCP connection from many

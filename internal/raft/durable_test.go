@@ -3,6 +3,7 @@ package raft
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -60,6 +61,21 @@ func TestSetStateIsDurable(t *testing.T) {
 	defer ns.Close()
 	if err := ns.SetState(3, "sm://alice"); err != nil || ns.Syncs() != 0 {
 		t.Fatalf("nosync store: %v, %d fsyncs", err, ns.Syncs())
+	}
+}
+
+// TestNewFileStoreSyncsNewDirectories: a store whose directory a crash
+// can take back loses the votes and entries it acknowledged. Opening
+// one two new levels deep syncs each new directory into its parent —
+// two fsyncs, and the log file itself none until the first append.
+func TestNewFileStoreSyncsNewDirectories(t *testing.T) {
+	fs, err := NewFileStore(filepath.Join(t.TempDir(), "a", "b"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if got := fs.Syncs(); got != 2 {
+		t.Fatalf("opening a store two new levels deep issued %d fsyncs, want 2", got)
 	}
 }
 

@@ -206,10 +206,10 @@ func (s *FileStore) Syncs() uint64 { return s.disk.Syncs() }
 
 // NewFileStore opens (or creates) a durable store in dir.
 func NewFileStore(dir string, nosync bool) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s := &FileStore{dir: dir, mem: NewMemoryStore(), disk: durable.Disk{NoSync: nosync}}
+	if err := s.disk.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	s := &FileStore{dir: dir, mem: NewMemoryStore(), disk: durable.Disk{NoSync: nosync}}
 	s.load()
 	log, err := s.disk.OpenLog(s.logPath(), s.replay)
 	if err != nil {

@@ -145,8 +145,8 @@ func TestGroupGoroutinesJoinedByStop(t *testing.T) {
 		}
 		t.Cleanup(inst.Finalize)
 		insts, addrs = append(insts, inst), append(addrs, inst.Addr())
-		// An instance starts its dispatch workers with the first request
-		// it receives; have that happen before the count is taken.
+		// Serve one request first, so whatever an instance starts on its
+		// first request is running before the count is taken.
 		warm, err := Create(inst, "warm", nil, quietCfg())
 		if err != nil {
 			t.Fatal(err)

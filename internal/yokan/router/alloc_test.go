@@ -27,9 +27,7 @@ func TestRouterOpAllocsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Best of three: which goroutine serves a request depends on the
-	// scheduler (mercury spawns one when its resident workers are busy),
-	// and a run that lands in that mode pays one more allocation per op.
+	// Best of three, a margin for scheduler noise.
 	put, get := math.Inf(1), math.Inf(1)
 	for i := 0; i < 3; i++ {
 		put = min(put, testing.AllocsPerRun(500, func() {
