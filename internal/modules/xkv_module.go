@@ -35,8 +35,6 @@ type XkvConfig struct {
 	Backend yokan.Config `json:"backend"`
 	// Dir is the node's scratch root (empty = fresh temp dir).
 	Dir string `json:"dir,omitempty"`
-	// RemiProviderID receives shard snapshots (0 = provider_id+1).
-	RemiProviderID uint16 `json:"remi_provider_id,omitempty"`
 	// Bootstrap, when present, adopts the initial shard map at start.
 	// Absent, the node owns nothing until a migration promotes a
 	// shard onto it.
@@ -74,10 +72,9 @@ func (*XkvModule) StartProvider(args bedrock.ProviderArgs) (bedrock.ProviderInst
 		}
 	}
 	node, err := router.NewNode(args.Instance, router.Options{
-		ProviderID:     args.ProviderID,
-		RemiProviderID: cfg.RemiProviderID,
-		Backend:        cfg.Backend,
-		Dir:            cfg.Dir,
+		ProviderID: args.ProviderID,
+		Backend:    cfg.Backend,
+		Dir:        cfg.Dir,
 	})
 	if err != nil {
 		return nil, err

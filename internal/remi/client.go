@@ -57,7 +57,7 @@ func NewClient(inst *margo.Instance) *Client {
 // left in place.
 func (c *Client) Migrate(ctx context.Context, addr string, providerID uint16, fs *FileSet, opts Options) (Stats, error) {
 	opts = opts.withDefaults()
-	start := time.Now()
+	start := c.inst.Clock().Now()
 	method := opts.Method
 	if method == MethodAuto {
 		if fs.InMemory() || len(fs.Files) == 0 || fs.TotalBytes()/int64(max(len(fs.Files), 1)) >= AutoThreshold {
@@ -91,7 +91,7 @@ func (c *Client) Migrate(ctx context.Context, addr string, providerID uint16, fs
 	if err != nil {
 		return stats, err
 	}
-	stats.Duration = time.Since(start)
+	stats.Duration = c.inst.Clock().Since(start)
 	return stats, nil
 }
 

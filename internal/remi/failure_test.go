@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mochi/internal/clock"
 	"mochi/internal/margo"
 )
 
@@ -152,6 +153,55 @@ func TestChunkOutOfRangeRejected(t *testing.T) {
 	var r statusReply
 	if err := env.src.Call(mctx(t), env.dst.Addr(), rpcEnd, 4, &endArgs{XferID: xfer}, &r); err != nil || r.Status != 0 {
 		t.Fatalf("end: %v %q", err, r.Err)
+	}
+	verifyArrived(t, env.root, map[string][]byte{"f.dat": data})
+}
+
+// TestIdleChunkedTransfersAreReaped: a chunked transfer that no Begin
+// or Chunk has touched for longer than pullTimeout is dropped by the
+// next Begin, so its receive buffer does not wait for Close, even
+// though all its bytes had arrived; one whose last chunk is recent
+// survives and lands.
+func TestIdleChunkedTransfersAreReaped(t *testing.T) {
+	sim := clock.NewSim(time.Time{})
+	env := newMigEnvAt(t, sim)
+	data := []byte("abcd")
+	begin := func() uint64 {
+		t.Helper()
+		xfer, err := env.client.begin(mctx(t), env.dst.Addr(), 4, &beginArgs{
+			Method: uint8(MethodChunked), Files: []wireFile{{RelPath: "f.dat", Size: 4, CRC: crc32.ChecksumIEEE(data)}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return xfer
+	}
+	chunk := func(xfer uint64, from, to int) {
+		t.Helper()
+		if r := sendChunk(t, env, xfer, segment{Offset: int64(from), Data: data[from:to]}); r.Status != 0 {
+			t.Fatalf("chunk: %s", r.Err)
+		}
+	}
+	end := func(xfer uint64) statusReply {
+		t.Helper()
+		var r statusReply
+		if err := env.src.Call(mctx(t), env.dst.Addr(), rpcEnd, 4, &endArgs{XferID: xfer}, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	idle, live := begin(), begin()
+	chunk(idle, 0, 4)
+	chunk(live, 0, 2)
+	sim.Advance(6 * time.Second)
+	chunk(live, 2, 4)
+	sim.Advance(5 * time.Second)
+	begin()
+	if r := end(idle); r.Status == 0 || !strings.Contains(r.Err, ErrNoTransfer.Error()) {
+		t.Fatalf("end of a transfer idle for 11s: status %d %q, want %v", r.Status, r.Err, ErrNoTransfer)
+	}
+	if r := end(live); r.Status != 0 {
+		t.Fatalf("end of a transfer last touched 5s ago: %s", r.Err)
 	}
 	verifyArrived(t, env.root, map[string][]byte{"f.dat": data})
 }

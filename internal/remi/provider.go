@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"path/filepath"
 	"sync"
 	"time"
@@ -40,7 +41,7 @@ type Provider struct {
 
 	mu       sync.Mutex
 	xferSeq  uint64
-	inflight map[uint64]*FileSet // chunked transfers between Begin and End
+	inflight map[uint64]*transfer // chunked transfers between Begin and End
 	callback MigratedCallback
 	closed   bool
 	// spare is the largest receive buffer a finished migration handed
@@ -50,13 +51,20 @@ type Provider struct {
 	spare []byte
 }
 
+// transfer is a chunked transfer's fileset and the time its last Begin
+// or Chunk arrived.
+type transfer struct {
+	*FileSet
+	touched time.Time
+}
+
 // NewProvider creates a REMI provider writing incoming filesets under
 // root. Its handlers run on pool (nil selects the instance's RPC
 // pool): a bulk migration pulls, verifies and hands over the whole
 // fileset inside one handler, so a node that must keep serving while
 // it receives gives REMI a pool of its own.
 func NewProvider(inst *margo.Instance, id uint16, pool *argobots.Pool, root string) (*Provider, error) {
-	p := &Provider{inst: inst, id: id, root: root, inflight: map[uint64]*FileSet{}}
+	p := &Provider{inst: inst, id: id, root: root, inflight: map[uint64]*transfer{}}
 	if err := p.disk.MkdirAll(root); err != nil {
 		return nil, err
 	}
@@ -93,7 +101,7 @@ func (p *Provider) Close() error {
 		return nil
 	}
 	p.closed = true
-	p.inflight = map[uint64]*FileSet{}
+	p.inflight = map[uint64]*transfer{}
 	p.mu.Unlock()
 	p.rpcs.Close()
 	return nil
@@ -144,9 +152,15 @@ func (p *Provider) makeFileSet(args *beginArgs) (*FileSet, error) {
 
 // handleBegin starts a transfer. For MethodBulk the whole migration
 // completes inside this handler: the destination pulls each exposed
-// file in one bulk operation, then lands the fileset.
+// file in one bulk operation, then lands the fileset. Every Begin first
+// drops the chunked transfers idle for longer than pullTimeout, whose
+// receive buffers nothing else would free before Close.
 func (p *Provider) handleBegin(ctx context.Context, _ *mercury.Handle, args *beginArgs) (codec.Message, error) {
 	var reply beginReply
+	now := p.inst.Clock().Now()
+	p.mu.Lock()
+	maps.DeleteFunc(p.inflight, func(_ uint64, x *transfer) bool { return now.Sub(x.touched) > pullTimeout })
+	p.mu.Unlock()
 	fs, err := p.makeFileSet(args)
 	switch {
 	case err != nil:
@@ -154,7 +168,7 @@ func (p *Provider) handleBegin(ctx context.Context, _ *mercury.Handle, args *beg
 		p.mu.Lock()
 		p.xferSeq++
 		reply.XferID = p.xferSeq
-		p.inflight[p.xferSeq] = fs
+		p.inflight[p.xferSeq] = &transfer{fs, now}
 		p.mu.Unlock()
 	default:
 		if err = p.pullAll(ctx, args, fs); err == nil {
@@ -174,7 +188,7 @@ func (p *Provider) handleBegin(ctx context.Context, _ *mercury.Handle, args *beg
 // forever — and with it the execution stream of the pool the provider
 // was registered on, so one wedged pull starves every later migration
 // into this provider (and, on the default RPC pool, every other RPC
-// on the node).
+// on the node). It also bounds a chunked transfer's idle time.
 const pullTimeout = 10 * time.Second
 
 // pullAll pulls each file into its receive buffer. It runs under the
@@ -273,6 +287,7 @@ func (p *Provider) handleChunk(_ context.Context, _ *mercury.Handle, args *chunk
 	if !ok {
 		return status(ErrNoTransfer)
 	}
+	fs.touched = p.inst.Clock().Now()
 	for _, seg := range args.Segments {
 		if int(seg.FileIdx) >= len(fs.Files) || seg.Offset < 0 || seg.Offset > fs.Files[seg.FileIdx].Size-int64(len(seg.Data)) {
 			return status(fmt.Errorf("%w: %d bytes at offset %d of file %d", ErrBadFileSet, len(seg.Data), seg.Offset, seg.FileIdx))
@@ -290,7 +305,7 @@ func (p *Provider) handleEnd(ctx context.Context, _ *mercury.Handle, args *endAr
 	if !ok {
 		return status(ErrNoTransfer)
 	}
-	err := p.land(ctx, fs)
-	p.recycle(fs)
+	err := p.land(ctx, fs.FileSet)
+	p.recycle(fs.FileSet)
 	return status(err)
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"mochi/internal/clock"
 	"mochi/internal/codec"
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
@@ -29,7 +30,10 @@ type migEnv struct {
 	root   string // destination root
 }
 
-func newMigEnv(t *testing.T) *migEnv {
+func newMigEnv(t *testing.T) *migEnv { return newMigEnvAt(t, clock.New()) }
+
+// newMigEnvAt is newMigEnv with the destination on clk.
+func newMigEnvAt(t *testing.T, clk clock.Clock) *migEnv {
 	t.Helper()
 	f := mercury.NewFabric()
 	scls, _ := f.NewClass("remi-src")
@@ -38,7 +42,7 @@ func newMigEnv(t *testing.T) *migEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := margo.New(dcls, nil)
+	dst, err := margo.NewWithClock(dcls, nil, clk)
 	if err != nil {
 		t.Fatal(err)
 	}

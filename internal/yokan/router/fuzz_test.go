@@ -58,13 +58,11 @@ func wireProtos() []codectest.Message {
 		&opReply{Status: statusStale, Map: []byte{1, 2}},
 		&promoteArgs{Shard: 1, MigID: 99, Map: []byte{3}, Log: []byte{4}},
 		&statsReply{Stats: []ShardStat{{Shard: 1, Ops: 2, Bytes: 3}}},
-		&prepareReply{Status: 0, RemiProvider: 10},
 		&installArgs{Map: []byte{9}},
 		&reshardArgs{Shard: 3, Dst: Owner{Addr: "sm://x", Provider: 1}},
 		&opArgs{Shard: 2, Pairs: []yokan.KeyValue{{Key: []byte("k"), Value: []byte("v")}}},
 		&mapReply{Map: []byte{1}},
 		&statusReply{Status: statusError, Err: "boom"},
-		&prepareArgs{Shard: 1, MigID: 99},
 		&abortArgs{Shard: 1, MigID: 99},
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -427,23 +429,36 @@ func TestLostAbortDoesNotBarTheDestination(t *testing.T) {
 	}
 }
 
-// TestAbortAndPrepareInterleave: an abort of a dead attempt and a
-// prepare under a fresh ID race on the log backend, where both staging
-// areas of the shard have the same file. Whatever the order, the fresh
-// area starts empty and its file stays on disk.
-func TestAbortAndPrepareInterleave(t *testing.T) {
+// arrival is the REMI fileset a flip of shard under migration mig
+// delivers, carrying snap.
+func arrival(shard uint32, mig uint64, snap []byte) *remi.FileSet {
+	fs := &remi.FileSet{Class: snapshotClass, Metadata: map[string]string{
+		metaShard: fmt.Sprint(shard),
+		metaMig:   fmt.Sprint(mig),
+	}}
+	fs.AddBytes("shard.snap", snap)
+	return fs
+}
+
+// TestAbortAndArrivalInterleave: an abort of a dead attempt and the
+// arrival of a fresh attempt's snapshot race on the log backend, where
+// both staging areas of the shard have the same file. Whatever the
+// order, the fresh area holds its snapshot and nothing of the dead
+// attempt, and its file stays on disk.
+func TestAbortAndArrivalInterleave(t *testing.T) {
 	c := newCluster(t, clusterConfig{nodes: 2, shards: 4, ownerNodes: 1, backend: yokan.Config{Type: "log"}})
 	dst := c.nodes[1]
+	ctx := context.Background()
+	snap := codec.NewEncoder(nil)
+	logPut(snap, []byte("fresh"), []byte("v"))
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 1000; i++ {
 		dead, live := rng.Uint64(), rng.Uint64()
-		if err := dst.prepare(&prepareArgs{Shard: 0, MigID: dead}); err != nil {
-			t.Fatal(err)
-		}
+		dst.receiveSnapshot(ctx, arrival(0, dead, nil))
 		if err := dst.incoming[0].db.Put([]byte("stale"), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
-		yieldsA, yieldsP := rng.Intn(4), rng.Intn(4)
+		yieldsA, yieldsR := rng.Intn(4), rng.Intn(4)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
@@ -451,31 +466,30 @@ func TestAbortAndPrepareInterleave(t *testing.T) {
 			for j := 0; j < yieldsA; j++ {
 				runtime.Gosched()
 			}
-			dst.handleAbort(context.Background(), nil, &abortArgs{Shard: 0, MigID: dead})
+			dst.handleAbort(ctx, nil, &abortArgs{Shard: 0, MigID: dead})
 		}()
-		var perr error
 		go func() {
 			defer wg.Done()
-			for j := 0; j < yieldsP; j++ {
+			for j := 0; j < yieldsR; j++ {
 				runtime.Gosched()
 			}
-			perr = dst.prepare(&prepareArgs{Shard: 0, MigID: live})
+			dst.receiveSnapshot(ctx, arrival(0, live, snap.Bytes()))
 		}()
 		wg.Wait()
-		if perr != nil {
-			t.Fatalf("round %d: prepare: %v", i, perr)
-		}
 		inc := dst.incoming[0]
-		if inc == nil || inc.migID != live {
-			t.Fatalf("round %d: no staging area under the live ID", i)
+		if inc == nil || inc.migID != live || !inc.merged {
+			t.Fatalf("round %d: no merged staging area under the live ID", i)
 		}
 		if ok, _ := inc.db.Exists([]byte("stale")); ok {
 			t.Fatalf("round %d: the live staging area holds the dead attempt's key", i)
 		}
+		if ok, _ := inc.db.Exists([]byte("fresh")); !ok {
+			t.Fatalf("round %d: the live staging area lacks its snapshot", i)
+		}
 		if files := filesUnder(t, dst.dir); len(files) != 1 {
 			t.Fatalf("round %d: files under the node: %v; want the live area's log", i, files)
 		}
-		dst.handleAbort(context.Background(), nil, &abortArgs{Shard: 0, MigID: live})
+		dst.handleAbort(ctx, nil, &abortArgs{Shard: 0, MigID: live})
 	}
 }
 
@@ -500,43 +514,173 @@ func filesUnder(t *testing.T, dir string) []string {
 
 // TestAbortedMigrationsLeaveNoFiles: neither a flip that aborts on the
 // source (dead destination, after the snapshot was cut) nor a snapshot
-// that reaches a destination whose migration was aborted leaves a file
-// behind — the snapshot lives in memory on both sides.
+// that reaches a destination after its migration was aborted leaves a
+// file behind. The snapshot lives in memory on both sides, and an
+// arrival that comes too late finds the source's region freed.
 func TestAbortedMigrationsLeaveNoFiles(t *testing.T) {
-	c := newCluster(t, clusterConfig{nodes: 2, shards: 4, ownerNodes: 1})
-	ctx := tctx(t, 20*time.Second)
-	src, dst := c.nodes[0], c.nodes[1]
-	r := c.router()
-	for i := 0; i < 200; i++ {
-		if err := r.Put(ctx, []byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte("v"), 100)); err != nil {
-			t.Fatal(err)
+	ctx := tctx(t, 30*time.Second)
+	fill := func(r *Router) {
+		t.Helper()
+		for i := 0; i < 200; i++ {
+			if err := r.Put(ctx, []byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte("v"), 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(r *Router) {
+		t.Helper()
+		for i := 0; i < 200; i++ {
+			if _, err := r.Get(ctx, []byte(fmt.Sprintf("k%d", i))); err != nil {
+				t.Fatalf("get after aborted flip: %v", err)
+			}
 		}
 	}
 
-	// The destination dies between prepare and the snapshot transfer:
-	// its REMI provider goes away, so Migrate fails after the cut.
-	dst.remiP.Close()
-	if err := src.Reshard(ctx, 0, dst.Self()); err == nil {
+	// The destination's REMI provider goes away, so Migrate fails after
+	// the cut.
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 4, ownerNodes: 1})
+	fill(c.router())
+	c.nodes[1].remiP.Close()
+	if err := c.nodes[0].Reshard(ctx, 0, c.nodes[1].Self()); err == nil {
 		t.Fatal("reshard succeeded without a REMI provider at the destination")
 	}
-
-	// A snapshot that arrives for a migration aborted meanwhile.
-	snap, err := cutSnapshot(src.lookupShard(1).db, nil)
-	if err != nil || len(snap) == 0 {
-		t.Fatalf("cut: %d bytes, %v", len(snap), err)
-	}
-	late := &remi.FileSet{Class: snapshotClass, Metadata: map[string]string{metaShard: "1", metaMig: "12345"}}
-	late.AddBytes("shard.snap", snap)
-	dst.receiveSnapshot(ctx, late)
-
 	for _, nd := range c.nodes {
 		if left := filesUnder(t, nd.dir); len(left) != 0 {
 			t.Fatalf("files left behind under %s: %v", nd.dir, left)
 		}
 	}
-	for i := 0; i < 200; i++ {
-		if _, err := r.Get(ctx, []byte(fmt.Sprintf("k%d", i))); err != nil {
-			t.Fatalf("get after aborted flip: %v", err)
+	check(c.router())
+
+	// The snapshot reaches the destination only after the source gave
+	// up and sent its abort: a blocking ULT parks the destination's
+	// migration xstream, with the REMI begin and the abort queued behind
+	// it, until the reshard has failed.
+	c = newCluster(t, clusterConfig{nodes: 2, shards: 4, ownerNodes: 1, backend: yokan.Config{Type: "log"}})
+	src, dst := c.nodes[0], c.nodes[1]
+	r := c.router()
+	fill(r)
+	release := make(chan struct{})
+	parked, err := dst.migPool.Push(func() { <-release })
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
+	err = src.Reshard(sctx, 0, dst.Self())
+	cancel()
+	if err == nil {
+		t.Fatal("reshard committed through a parked destination")
+	}
+	close(release)
+	parked.Join()
+	barrier, err := dst.migPool.Push(func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	barrier.Join()
+	if begins, ok := dst.inst.Stats().FindByName("remi_begin"); !ok || len(begins.Target) == 0 {
+		t.Fatal("the late snapshot never reached the destination's REMI handler")
+	}
+	dst.mu.Lock()
+	left := len(dst.incoming)
+	dst.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d staging areas outlived their abort", left)
+	}
+	if files := filesUnder(t, dst.dir); len(files) != 0 {
+		t.Fatalf("files left behind under %s: %v", dst.dir, files)
+	}
+	if err := src.Reshard(ctx, 0, dst.Self()); err != nil {
+		t.Fatalf("reshard after the late arrival: %v", err)
+	}
+	check(r)
+}
+
+// TestArrivalForAnOwnedShardKeepsNoState: a snapshot of a shard the
+// destination already has resident opens no staging area, so the
+// source's promote finds no such migration and the source keeps
+// serving the shard.
+func TestArrivalForAnOwnedShardKeepsNoState(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 4, ownerNodes: 1})
+	ctx := tctx(t, 20*time.Second)
+	src, dst := c.nodes[0], c.nodes[1]
+	r := c.router()
+	key := keyOnShard(c.initial, 0, "k")
+	if err := r.Put(ctx, key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	db, err := dst.openShardDB(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst.mu.Lock()
+	dst.shards[0] = &shard{id: 0, db: db}
+	dst.mu.Unlock()
+
+	err = src.Reshard(ctx, 0, dst.Self())
+	if err == nil || !strings.Contains(err.Error(), "no such migration") {
+		t.Fatalf("reshard onto an owner: %v; want the promote to find no such migration", err)
+	}
+	dst.mu.Lock()
+	inc := dst.incoming[0]
+	dst.mu.Unlock()
+	if inc != nil {
+		t.Fatal("the arrival opened a staging area for a shard the destination owns")
+	}
+	if src.lookupShard(0) == nil || src.Stats().Reshards != 0 {
+		t.Fatal("the source gave up the shard")
+	}
+	if err := r.Put(ctx, key, []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := r.Get(ctx, key); err != nil || string(v) != "w" {
+		t.Fatalf("get from the source after the failed flip: %q, %v", v, err)
+	}
+}
+
+// TestFlipAsksTheDestinationTwice: one flip costs the destination two
+// RPCs of the migration protocol, the REMI begin its snapshot arrives
+// by and the promote, plus the map the source gossips afterwards. The
+// destination's Listing-1 record holds those three rows and no other.
+func TestFlipAsksTheDestinationTwice(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 4, ownerNodes: 1})
+	ctx := tctx(t, 20*time.Second)
+	src, dst := c.nodes[0], c.nodes[1]
+	if err := src.Reshard(ctx, 0, dst.Self()); err != nil {
+		t.Fatal(err)
+	}
+	var served []string
+	for _, st := range dst.inst.Stats().RPCs {
+		if len(st.Target) > 0 {
+			served = append(served, st.Name)
+		}
+	}
+	slices.Sort(served)
+	if want := []string{"remi_begin", RPCInstallMap, RPCMigratePromote}; !slices.Equal(served, want) {
+		t.Fatalf("the destination served %v for one flip, want %v", served, want)
+	}
+}
+
+// TestNewNodeRefusesTheLastProviderIDs: a node's REMI provider is at
+// ProviderID+1, which for the two highest IDs is mercury.AnyProvider or
+// wraps to 0.
+func TestNewNodeRefusesTheLastProviderIDs(t *testing.T) {
+	cls, err := mercury.NewFabric().NewClass("xkv-ids")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := margo.New(cls, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Finalize()
+	for _, id := range []uint16{65534, 65535} {
+		n, err := NewNode(inst, Options{ProviderID: id, Dir: t.TempDir()})
+		if err == nil {
+			n.Close()
+			t.Fatalf("provider ID %d accepted", id)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprint(id)) {
+			t.Fatalf("provider ID %d refused with %q, which does not name it", id, err)
 		}
 	}
 }

@@ -44,26 +44,22 @@ type shard struct {
 	bytes atomic.Int64  // approximate resident bytes (data signal)
 }
 
-// staging is an in-flight incoming shard on the destination.
+// staging is an incoming shard on the destination, opened by the
+// arrival of its snapshot; merged is set once the snapshot is in.
 type staging struct {
-	migID uint64
-	mu    sync.Mutex
-	db    yokan.Database
-	// merging is set by the one snapshot delivery that merges (a
-	// duplicate delivery finds it set); merged once it has finished.
-	merging bool
-	merged  bool
+	migID  uint64
+	mu     sync.Mutex
+	db     yokan.Database
+	merged bool
 }
 
 // Options configures a Node.
 type Options struct {
 	// ProviderID is the router provider's ID. All nodes of one
 	// sharded keyspace use the same ID, the way bedrock names a
-	// provider consistently across processes.
+	// provider consistently across processes. The node's REMI
+	// provider, which receives shard snapshots, is ProviderID+1.
 	ProviderID uint16
-	// RemiProviderID is the REMI provider receiving shard snapshots
-	// (0 = ProviderID+1).
-	RemiProviderID uint16
 	// Backend templates each shard's database. The "log" backend
 	// gets a per-shard path under Dir. Stripe count defaults to 1:
 	// shards are already the unit of parallelism here.
@@ -89,8 +85,8 @@ type Node struct {
 
 	// migPool (one pool, one xstream, both created by NewNode) runs
 	// every handler that can take milliseconds — the REMI provider's
-	// (pull, verify and merge a whole snapshot), prepare and abort
-	// (open or destroy a shard database) — so that the data path,
+	// (pull a whole snapshot, open a staging database and merge into
+	// it) and abort (destroy one) — so that the data path,
 	// which stays on the instance's RPC pool, never queues behind one:
 	// ULTs here are closures that run to completion on their xstream.
 	migPool *argobots.Pool
@@ -120,10 +116,11 @@ type Node struct {
 }
 
 // NewNode creates a router node. It owns no shards until Adopt gives
-// it a map or a migration promotes one onto it.
+// it a map or a migration promotes one onto it. It refuses ProviderID
+// 65534 and 65535: ProviderID+1 would be mercury.AnyProvider or 0.
 func NewNode(inst *margo.Instance, opts Options) (*Node, error) {
-	if opts.RemiProviderID == 0 {
-		opts.RemiProviderID = opts.ProviderID + 1
+	if opts.ProviderID >= mercury.AnyProvider-1 {
+		return nil, fmt.Errorf("router: provider ID %d leaves no REMI provider ID after it", opts.ProviderID)
 	}
 	dir := opts.Dir
 	if dir == "" {
@@ -160,7 +157,7 @@ func NewNode(inst *margo.Instance, opts Options) (*Node, error) {
 		_ = inst.RemovePool(pool.Name())
 		return nil, fmt.Errorf("router: migration xstream: %w", err)
 	}
-	rp, err := remi.NewProvider(inst, opts.RemiProviderID, pool, filepath.Join(dir, "in"))
+	rp, err := remi.NewProvider(inst, opts.ProviderID+1, pool, filepath.Join(dir, "in"))
 	if err != nil {
 		n.removeMigPool()
 		return nil, err
@@ -194,8 +191,8 @@ func (n *Node) removeMigPool() {
 }
 
 // register installs the node's RPCs: everything on the instance's RPC
-// pool except prepare and abort, which open or destroy a shard
-// database and so belong on the migration pool.
+// pool except abort, which destroys a shard database and so belongs on
+// the migration pool.
 func (n *Node) register() (err error) {
 	n.rpcs, err = n.inst.RegisterSet(n.id, nil,
 		margo.RPC{Name: RPCPut, Handler: n.serveShard(n.put)},
@@ -207,7 +204,6 @@ func (n *Node) register() (err error) {
 		margo.RPC{Name: RPCInstallMap, Handler: margo.Serve(n.handleInstallMap)},
 		margo.RPC{Name: RPCStats, Handler: n.handleStats},
 		margo.RPC{Name: RPCReshard, Handler: margo.Serve(n.handleReshard)},
-		margo.RPC{Name: RPCMigratePrepare, Pool: n.migPool, Handler: margo.Serve(n.handlePrepare)},
 		margo.RPC{Name: RPCMigratePromote, Handler: margo.Serve(n.handlePromote)},
 		margo.RPC{Name: RPCMigrateAbort, Pool: n.migPool, Handler: margo.Serve(n.handleAbort)},
 	)
@@ -517,41 +513,6 @@ func (n *Node) handleReshard(ctx context.Context, h *mercury.Handle, args *resha
 	return nil, nil
 }
 
-// handlePrepare opens a staging area for an incoming shard.
-func (n *Node) handlePrepare(_ context.Context, _ *mercury.Handle, args *prepareArgs) (codec.Message, error) {
-	r := &prepareReply{RemiProvider: n.opts.RemiProviderID}
-	r.Status, r.Err = statusFromErr(n.prepare(args))
-	return r, nil
-}
-
-// prepare opens the staging area. One left under another migration ID
-// is a dead attempt — only the owner moves a shard, one move at a time,
-// and a live attempt's prepare precedes its snapshot and promote — so
-// it is torn down, as a lost abort would have.
-func (n *Node) prepare(args *prepareArgs) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return errors.New("router: node closed")
-	}
-	if _, own := n.shards[args.Shard]; own {
-		return errors.New("router: destination already owns shard")
-	}
-	if inc := n.incoming[args.Shard]; inc != nil {
-		if inc.migID == args.MigID {
-			return nil // duplicate prepare: idempotent
-		}
-		delete(n.incoming, args.Shard)
-		inc.destroy()
-	}
-	db, err := n.openShardDB(args.Shard)
-	if err != nil {
-		return err
-	}
-	n.incoming[args.Shard] = &staging{migID: args.MigID, db: db}
-	return nil
-}
-
 // handlePromote commits the flip on the destination: the source's log
 // is replayed on top of the merged snapshot, the staging area becomes
 // the owned shard, and the attached map (which names this node the
@@ -595,8 +556,8 @@ func (n *Node) handlePromote(_ context.Context, _ *mercury.Handle, args *promote
 }
 
 // handleAbort tears down a staging area after a failed migration. It
-// destroys the area under n.mu, as prepare does: on the log backend
-// every staging area of a shard has the same file, which a prepare
+// destroys the area under n.mu, as an arrival does: on the log backend
+// every staging area of a shard has the same file, which an arrival
 // must not reopen before the dead attempt's copy is removed.
 func (n *Node) handleAbort(_ context.Context, _ *mercury.Handle, args *abortArgs) (codec.Message, error) {
 	n.mu.Lock()
@@ -624,9 +585,9 @@ const mergeBatchKeys = 256
 // snapshot has arrived and before it is merged.
 var testHookMerge func()
 
-// receiveSnapshot is the REMI arrival callback: it merges a shard
-// snapshot into the empty staging area. Writes the source applies from
-// here to the flip are in its log, which the promote replays on top.
+// receiveSnapshot is the REMI arrival callback: it opens the shard's
+// staging area and merges the snapshot into it. Later writes are in the
+// source's log, which the promote replays on top.
 func (n *Node) receiveSnapshot(ctx context.Context, fs *remi.FileSet) {
 	if fs.Class != snapshotClass || len(fs.Files) == 0 {
 		return
@@ -635,18 +596,9 @@ func (n *Node) receiveSnapshot(ctx context.Context, fs *remi.FileSet) {
 	if err != nil {
 		return
 	}
-	n.mu.Lock()
-	inc := n.incoming[shardID]
-	n.mu.Unlock()
-	if inc == nil || inc.migID != migID {
-		return // aborted, or never prepared
-	}
-	inc.mu.Lock()
-	dup := inc.merging
-	inc.merging = true
-	inc.mu.Unlock()
-	if dup {
-		return // duplicate delivery
+	inc := n.openStaging(shardID, migID)
+	if inc == nil {
+		return
 	}
 	if testHookMerge != nil {
 		testHookMerge()
@@ -662,6 +614,33 @@ func (n *Node) receiveSnapshot(ctx context.Context, fs *remi.FileSet) {
 		runtime.Gosched()
 	}
 	end(err) // an error leaves merged unset: promote refuses, the source aborts
+}
+
+// openStaging opens the staging area an arrival merges into; nil keeps
+// no state (node closed, shard owned, duplicate delivery, or a database
+// that did not open: the promote then finds no such migration). An area
+// under another migration ID is a dead attempt — one move of a shard at
+// a time, and its arrival precedes its promote — so it is torn down.
+func (n *Node) openStaging(shardID uint32, migID uint64) *staging {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, own := n.shards[shardID]; own || n.closed {
+		return nil
+	}
+	if inc := n.incoming[shardID]; inc != nil {
+		if inc.migID == migID {
+			return nil
+		}
+		delete(n.incoming, shardID)
+		inc.destroy()
+	}
+	db, err := n.openShardDB(shardID)
+	if err != nil {
+		return nil
+	}
+	inc := &staging{migID: migID, db: db}
+	n.incoming[shardID] = inc
+	return inc
 }
 
 // mergeBatch replays up to max entries of an encoded shard snapshot

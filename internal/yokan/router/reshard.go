@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"strconv"
@@ -35,24 +34,26 @@ var testHookDualWindow func()
 //     of the shard until this one ends. From here every write to the
 //     shard keeps applying locally (the source stays authoritative and
 //     acks on its own) and is appended, in apply order, to the log.
-//  2. prepare: dst opens a staging database for the shard under this
-//     attempt's random migration ID.
-//  3. snapshot: the shard is encoded into one buffer, without holding
-//     any lock across it (cutSnapshot), and REMI-migrated to dst from
-//     that buffer; dst merges it into its empty staging area.
-//  4. flip: under the shard's write lock (which drains in-flight
+//  2. snapshot: the shard is encoded into one buffer, without holding
+//     any lock across it (cutSnapshot), and REMI-migrated from that
+//     buffer to dst's REMI provider (dst.Provider+1), stamped with this
+//     attempt's random migration ID. Its arrival opens dst's staging
+//     database for the shard and merges the snapshot into it.
+//  3. flip: under the shard's write lock (which drains in-flight
 //     operations — this is the drain window), the source sends the log
 //     and the new map to dst (promote), which replays the log on top of
 //     the snapshot and commits; the source then marks the local shard
-//     dropped, and only then publishes the map locally and gossips it.
+//     dropped, and only then publishes the map locally.
 //     Destination before source: at every instant some node serves
 //     the shard, and a redirect chain of length ≤ 2 lands on it. The
 //     new map bumps only this shard's version, so it merges with the
 //     maps of flips of other shards in any order.
+//  4. gossip: the new map goes to every other owner.
 //
 // Any failure before the flip commits aborts: dst drops the staging
 // area and the source stops logging. Nothing is lost — the source
-// applied every acked write locally throughout.
+// applied every acked write locally throughout, and no late arrival of
+// the snapshot outlives the abort (DESIGN.md §9).
 //
 // Reshard blocks for the whole flip and waits on dst's migration
 // xstream: call it from a goroutine, never from a ULT.
@@ -101,16 +102,7 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 		return fmt.Errorf("router: %s: %w", stage, err)
 	}
 
-	// 2. prepare.
-	var prep prepareReply
-	if err := n.inst.Call(ctx, dst.Addr, RPCMigratePrepare, dst.Provider, &prepareArgs{Shard: shardID, MigID: mig}, &prep); err != nil {
-		return fail("prepare", err)
-	}
-	if prep.Status != statusOK {
-		return fail("prepare", errors.New(prep.Err))
-	}
-
-	// 3. snapshot and REMI-migrate. The snapshot is cut after the log
+	// 2. snapshot and REMI-migrate. The snapshot is cut after the log
 	// started, so every write it misses is in the log. It never touches
 	// disk on either side: the buffer it is encoded into is the region
 	// dst pulls.
@@ -126,7 +118,7 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 	}}
 	fs.AddBytes("shard.snap", snap)
 	tctx, endPhase := n.phase(ctx, "transfer")
-	_, err = n.remiC.Migrate(tctx, dst.Addr, prep.RemiProvider, fs, remi.Options{})
+	_, err = n.remiC.Migrate(tctx, dst.Addr, dst.Provider+1, fs, remi.Options{})
 	endPhase(err)
 	// Migrate has deregistered the region, which waits out any reader
 	// still sending from it: the buffer is free for the next flip.
@@ -138,7 +130,7 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 		testHookDualWindow()
 	}
 
-	// 4. flip. The write lock drains in-flight operations (each holds
+	// 3. flip. The write lock drains in-flight operations (each holds
 	// the read lock across its apply and its append) and blocks new
 	// ones for the promote round-trip, so the log is complete when it
 	// leaves and no write can slip between "dst committed" and "src
@@ -168,7 +160,7 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 	sh.db.Destroy()
 	n.reshards.Add(1)
 
-	// 5. gossip the new map: best effort, bounded — anyone missed
+	// 4. gossip the new map: best effort, bounded — anyone missed
 	// learns it through a redirect.
 	n.disseminate(ctx, newMap)
 	return nil
@@ -219,7 +211,7 @@ func (n *Node) phase(ctx context.Context, name string) (context.Context, func(er
 		return ctx, noPhase
 	}
 	tr := n.inst.Tracer()
-	id, start := tr.NewID(), time.Now()
+	id, start := tr.NewID(), n.inst.Clock().Now()
 	pctx := trace.NewContext(ctx, trace.SpanContext{TraceID: sc.TraceID, Parent: id, Flags: sc.Flags})
 	return pctx, func(err error) {
 		tr.Commit(trace.Span{
@@ -229,7 +221,7 @@ func (n *Node) phase(ctx context.Context, name string) (context.Context, func(er
 			Name:     name,
 			Kind:     trace.KindPhase,
 			Start:    start.UnixNano(),
-			Duration: int64(time.Since(start)),
+			Duration: int64(n.inst.Clock().Since(start)),
 			Err:      err != nil,
 		})
 	}

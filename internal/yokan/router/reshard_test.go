@@ -34,7 +34,7 @@ func TestReshardUnderLiveTraffic(t *testing.T) {
 
 	// Hold each migration's window open until a live write has been
 	// logged in it: on an idle in-process fabric the whole
-	// prepare→flip sequence is microseconds wide, and whether a
+	// snapshot→flip sequence is microseconds wide, and whether a
 	// concurrent write lands inside it would be a scheduler
 	// coin-flip. The hook runs between the snapshot transfer and the
 	// flip, exactly where live writes must be logged to survive.
@@ -198,7 +198,7 @@ func TestReshardSoakChaos(t *testing.T) {
 	// put replayed after a newer one would legitimately roll the key
 	// back — that is a property of the data model, not of
 	// reconfiguration. Node links lose, duplicate, *and* delay: the
-	// migration protocol (idempotent prepare and promote, one merge per
+	// migration protocol (an idempotent arrival and promote, one merge per
 	// snapshot, the log inside the promote) is specified to survive
 	// exactly that.
 	c.client.Class().SetChaos(mercury.NewChaos(mercury.ChaosConfig{
@@ -284,7 +284,7 @@ func TestReshardSoakChaos(t *testing.T) {
 	// and one over the odd, each walking its shards round-robin and
 	// moving each to the node after its current owner, until time is
 	// up — so flips of different shards commit concurrently. Chaos can
-	// abort a migration (a lost prepare, transfer or promote fails the
+	// abort a migration (a lost transfer or promote fails the
 	// flip); that is a clean failure — retry with a new migration.
 	var flips, aborts atomic.Int64
 	var movers sync.WaitGroup

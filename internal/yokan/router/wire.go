@@ -19,7 +19,6 @@ const (
 	RPCStats      = "xkv_stats"
 	RPCReshard    = "xkv_reshard"
 
-	RPCMigratePrepare = "xkv_mig_prepare"
 	RPCMigratePromote = "xkv_mig_promote"
 	RPCMigrateAbort   = "xkv_mig_abort"
 )
@@ -104,30 +103,6 @@ type statusReply struct {
 }
 
 func (r *statusReply) Proc(p *codec.Proc) { procStatus(p, &r.Status, &r.Err) }
-
-// prepareArgs opens a staging area for shard at the destination.
-type prepareArgs struct {
-	Shard uint32
-	MigID uint64
-}
-
-func (a *prepareArgs) Proc(p *codec.Proc) {
-	p.Uint32(&a.Shard)
-	p.Uint64(&a.MigID)
-}
-
-// prepareReply tells the source which REMI provider to ship the
-// snapshot to.
-type prepareReply struct {
-	Status       uint8
-	Err          string
-	RemiProvider uint16
-}
-
-func (r *prepareReply) Proc(p *codec.Proc) {
-	procStatus(p, &r.Status, &r.Err)
-	p.Uint16(&r.RemiProvider)
-}
 
 // promoteArgs commits the flip at the destination: Log, the writes the
 // source applied while the shard moved, is replayed on top of the
