@@ -353,7 +353,7 @@ func TestMigrateProviderBetweenProcesses(t *testing.T) {
 
 	// Migrate via the bedrock API, as a move.
 	sh := bedrock.NewClient(cli).MakeServiceHandle(src.Addr())
-	if err := sh.MigrateProvider(ctx, "kvstore", dst.Addr(), dst.RemiProviderID(), "auto", true); err != nil {
+	if err := sh.MigrateProvider(ctx, "kvstore", dst.Addr(), dst.RemiProviderID(), "auto"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -383,7 +383,7 @@ func TestMigrateInMemoryProviderFails(t *testing.T) {
 	srv := newServer(t, f, "mig-mem", listing3JSON) // map backend: no files
 	cli := newClientInst(t, f, "mig-mem-cli")
 	sh := bedrock.NewClient(cli).MakeServiceHandle(srv.Addr())
-	err := sh.MigrateProvider(bctx(t), "myProviderA", "sm://nowhere", 0, "auto", false)
+	err := sh.MigrateProvider(bctx(t), "myProviderA", "sm://nowhere", 0, "auto")
 	if err == nil {
 		t.Fatal("migrating an in-memory provider succeeded")
 	}

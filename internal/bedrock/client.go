@@ -99,14 +99,13 @@ func (sh *ServiceHandle) StopProvider(ctx context.Context, name string) error {
 }
 
 // MigrateProvider moves a provider's resource to another bedrock
-// process and stops it locally (§6).
-func (sh *ServiceHandle) MigrateProvider(ctx context.Context, name, destAddr string, destRemiID uint16, method string, removeSource bool) error {
+// process, stops it locally and deletes its files there (§6).
+func (sh *ServiceHandle) MigrateProvider(ctx context.Context, name, destAddr string, destRemiID uint16, method string) error {
 	return sh.do(ctx, rpcMigrate, migrateArgs{
-		Name:         name,
-		DestAddr:     destAddr,
-		DestRemiID:   destRemiID,
-		Method:       method,
-		RemoveSource: removeSource,
+		Name:       name,
+		DestAddr:   destAddr,
+		DestRemiID: destRemiID,
+		Method:     method,
 	})
 }
 

@@ -40,11 +40,10 @@ type loadModuleArgs struct {
 }
 
 type migrateArgs struct {
-	Name         string `json:"name"`
-	DestAddr     string `json:"dest_addr"`
-	DestRemiID   uint16 `json:"dest_remi_id,omitempty"`
-	Method       string `json:"method,omitempty"`
-	RemoveSource bool   `json:"remove_source,omitempty"`
+	Name       string `json:"name"`
+	DestAddr   string `json:"dest_addr"`
+	DestRemiID uint16 `json:"dest_remi_id,omitempty"`
+	Method     string `json:"method,omitempty"`
 }
 
 type checkpointArgs struct {
@@ -208,7 +207,7 @@ func (s *Server) rpcMigrate(ctx context.Context, args *migrateArgs) (any, error)
 	// bulk transfers — a migration shows up as one tree.
 	mctx, cancel := context.WithTimeout(ctx, 5*time.Minute)
 	defer cancel()
-	return nil, s.MigrateProvider(mctx, args.Name, args.DestAddr, args.DestRemiID, method, args.RemoveSource)
+	return nil, s.MigrateProvider(mctx, args.Name, args.DestAddr, args.DestRemiID, method)
 }
 
 // rpcPin handles remote dependency pinning (phase 1 of the

@@ -471,8 +471,10 @@ func (s *Server) StopProvider(name string) error {
 // MigrateProvider moves a provider's resource to the process at
 // destAddr (which must run a REMI-enabled bedrock) and stops the
 // local provider. The destination re-instantiates it from the
-// migrated files (§6, Observation 5).
-func (s *Server) MigrateProvider(ctx context.Context, name, destAddr string, destRemiID uint16, method remi.Method, removeSource bool) error {
+// migrated files (§6, Observation 5). Once it has, the local files are
+// deleted: a stopped provider's files have no reader, and a provider
+// restarted from the same config would reopen pre-migration data.
+func (s *Server) MigrateProvider(ctx context.Context, name, destAddr string, destRemiID uint16, method remi.Method) error {
 	s.mu.Lock()
 	rec, ok := s.providers[name]
 	if !ok {
@@ -529,10 +531,8 @@ func (s *Server) MigrateProvider(ctx context.Context, name, destAddr string, des
 	if err := s.StopProvider(name); err != nil {
 		return err
 	}
-	if removeSource {
-		for _, f := range files {
-			_ = os.Remove(f)
-		}
+	for _, f := range files {
+		_ = os.Remove(f)
 	}
 	return nil
 }

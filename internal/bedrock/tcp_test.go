@@ -2,6 +2,7 @@ package bedrock_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -77,12 +78,15 @@ func TestTCPDeployment(t *testing.T) {
 	}
 
 	// Migrate the provider between the two TCP processes.
-	if err := sh.MigrateProvider(ctx, "db", dst.Addr(), dst.RemiProviderID(), "chunked", false); err != nil {
+	if err := sh.MigrateProvider(ctx, "db", dst.Addr(), dst.RemiProviderID(), "chunked"); err != nil {
 		t.Fatal(err)
 	}
 	h2 := yokan.NewClient(cli).Handle(dst.Addr(), 3)
 	if n, err := h2.Count(ctx); err != nil || n != 20 {
 		t.Fatalf("migrated count = %d, %v", n, err)
+	}
+	if _, err := os.Stat(filepath.Join(srcRoot, "db.log")); !os.IsNotExist(err) {
+		t.Fatalf("source file survived the move: %v", err)
 	}
 
 	// Remote shutdown (the daemon's exit path).

@@ -84,7 +84,7 @@ func TestMigrateTraceTree(t *testing.T) {
 	// Sample only the migration itself, not the fill traffic above.
 	cli.Tracer().SetSampleRate(1)
 	sh := bedrock.NewClient(cli).MakeServiceHandle(src.Addr())
-	if err := sh.MigrateProvider(ctx, "db", dst.Addr(), dst.RemiProviderID(), "bulk", false); err != nil {
+	if err := sh.MigrateProvider(ctx, "db", dst.Addr(), dst.RemiProviderID(), "bulk"); err != nil {
 		t.Fatal(err)
 	}
 	cli.Tracer().SetSampleRate(0)

@@ -380,7 +380,7 @@ func (s *Service) migrate(ctx context.Context, m pufferscale.Move) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSuchNode, m.To)
 	}
-	return src.Server.MigrateProvider(ctx, m.ResourceID, dst.Addr(), dst.Server.RemiProviderID(), remi.MethodAuto, true)
+	return src.Server.MigrateProvider(ctx, m.ResourceID, dst.Addr(), dst.Server.RemiProviderID(), remi.MethodAuto)
 }
 
 // Controller returns the service's feedback loop (§2.3, §6

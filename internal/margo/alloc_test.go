@@ -113,6 +113,59 @@ func TestStatsAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestKeptHandleAllocsPinned: a handler that returns with its handle
+// kept, answered later from another goroutine, costs no allocation
+// over one that answers at once — the server span riding the handle to
+// its reply, and the hold that keeps the handle past its handler, are
+// values in pooled objects. The least of three measurements is judged.
+func TestKeptHandleAllocsPinned(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc pinning is meaningless under the race detector")
+	}
+	f := mercury.NewFabric()
+	srv := newInstance(t, f, "kept-srv", "")
+	cli := newInstance(t, f, "kept-cli", "")
+	kept := make(chan *mercury.Handle, 1)
+	go func() {
+		for h := range kept {
+			_ = h.Respond(h.Input())
+		}
+	}()
+	t.Cleanup(func() { close(kept) })
+	if _, err := srv.Register("now", func(_ context.Context, h *mercury.Handle) {
+		_ = h.Respond(h.Input())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Register("later", func(_ context.Context, h *mercury.Handle) {
+		kept <- h
+	}); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("ping-payload-161616")
+	ctx := context.Background()
+	measure := func(rpc string) float64 {
+		forward := func() {
+			if _, err := cli.Forward(ctx, srv.Addr(), rpc, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			forward()
+		}
+		least := testing.AllocsPerRun(500, forward)
+		for i := 0; i < 2; i++ {
+			least = min(least, testing.AllocsPerRun(500, forward))
+		}
+		return least
+	}
+	now, later := measure("now"), measure("later")
+	t.Logf("answered at once: %.2f allocs/op, kept and answered later: %.2f", now, later)
+	if later > now {
+		t.Fatalf("a kept handle allocates %.2f/op, one answered at once %.2f/op", later, now)
+	}
+}
+
 // BenchmarkForwardBaseline measures the margo forward path without a
 // resilience policy installed (single attempt, as before this layer
 // existed).

@@ -32,13 +32,9 @@ func forwardExemplars(t *testing.T, inst *Instance, rpc string) []metrics.Exempl
 // committed span tree — the histogram-to-trace link of the
 // introspection plane.
 func TestForwardExemplarOnSlowRPC(t *testing.T) {
-	f := mercury.NewFabric()
-	client := newInstance(t, f, "ex-cli", "")
-	server := newInstance(t, f, "ex-srv", "")
-	client.Tracer().SetSlowThreshold(5 * time.Millisecond)
-	server.Tracer().SetSlowThreshold(5 * time.Millisecond)
+	client, server, sim := simPair(t, mercury.NewFabric(), "ex", 5*time.Millisecond)
 	if _, err := server.Register("slow_ex", func(_ context.Context, h *mercury.Handle) {
-		time.Sleep(20 * time.Millisecond)
+		sim.Advance(20 * time.Millisecond)
 		_ = h.Respond(nil)
 	}); err != nil {
 		t.Fatal(err)
@@ -59,7 +55,7 @@ func TestForwardExemplarOnSlowRPC(t *testing.T) {
 	}
 
 	// The trace ID must resolve to the committed spans on both sides.
-	spans := gatherSpans(t, 4, client.Tracer(), server.Tracer())
+	spans := gatherSpans(t, 3, client.Tracer(), server.Tracer())
 	resolved := 0
 	for _, s := range spans {
 		if s.TraceID.String() == ex[0].TraceID {

@@ -129,7 +129,7 @@ func NewWithClock(class *mercury.Class, rawConfig []byte, clk clock.Clock) (*Ins
 	// tunes rates via Tracer(). Installing the tracer on the class lets
 	// bulk transfers issued from handlers record phase spans in the
 	// same ring.
-	inst.tracer = trace.NewTracer(trace.DefaultCapacity)
+	inst.tracer = trace.NewTracer(trace.DefaultCapacity, clk)
 	inst.tracer.SetProcess(class.Addr())
 	class.SetTracer(inst.tracer)
 
@@ -209,7 +209,6 @@ type dispatchTask struct {
 	hd       *mercury.Handle
 	info     RPCInfo
 	cell     *cell
-	tc       trace.SpanContext
 	queuedAt time.Time
 	run      argobots.ULT
 }
@@ -227,74 +226,37 @@ func init() {
 }
 
 func (t *dispatchTask) exec() {
-	m, h, hd, info, c, tc, queuedAt := t.m, t.h, t.hd, t.info, t.cell, t.tc, t.queuedAt
+	m, h, hd, info, c, queuedAt := t.m, t.h, t.hd, t.info, t.cell, t.queuedAt
 	*t = dispatchTask{run: t.run}
 	dispatchTaskPool.Put(t)
 	started := m.clk.Now()
 	queueWait := started.Sub(queuedAt)
 	m.metrics.handlerStarted(c, queueWait, info.Bytes)
 	m.hooks.onHandlerStart(info, queueWait)
-	// Server-side span lifecycle: a server span covering queue wait +
-	// handler runtime, with queue and handler phase children. The
-	// handler span's ID rides in the handler context so nested
-	// forwards and bulk transfers become its children. Spans are kept
-	// as stack values until the commit decision at the end — head
-	// sampling commits always, tail sampling commits only if the RPC
-	// turned out slow (children committed themselves under the same
-	// rule, so slow trees stay connected).
-	tr := m.tracer
-	base := context.Background()
-	var serverSpan, handlerSpan trace.ID
-	record := tc.Valid() && (tc.Sampled() || tr.TailEnabled())
-	if record {
-		serverSpan = tr.NewID()
-		handlerSpan = tr.NewID()
-		base = trace.NewContext(base, trace.SpanContext{
-			TraceID: tc.TraceID,
-			Parent:  handlerSpan,
-			Flags:   tc.Flags,
-		})
+	// The server span, from dispatch, rides the handle to the reply, so
+	// it covers a handle kept past its handler through the answer; the
+	// hold keeps it open past a reply that comes before the handler
+	// returns. Its children are the queue wait and the handler, whose
+	// context makes nested forwards and bulk transfers its children.
+	span := m.tracer.Start(hd.Trace(), info.Name, trace.KindServer, queuedAt)
+	span.Peer, span.Bytes = info.Peer, int64(info.Bytes)
+	hd.SetSpan(span)
+	hd.Hold()
+	server := hd.Span()
+	queue := m.tracer.Start(server, "queue", trace.KindQueue, queuedAt)
+	queue.End(started, false)
+	handler := m.tracer.Start(server, "handler", trace.KindHandler, started)
+	ctx := context.Background()
+	if sc := handler.Context(); sc.Valid() {
+		ctx = trace.NewContext(ctx, sc)
 	}
-	ctx := withCurrentRPC(base, info)
-	h(ctx, hd)
+	h(withCurrentRPC(ctx, info), hd)
 	ran := m.clk.Since(started)
+	ended := started.Add(ran)
 	m.metrics.handlerEnded(c, ran)
 	m.hooks.onHandlerEnd(info, ran)
-	if record && (tc.Sampled() || tr.Slow(queueWait+ran)) {
-		tail := !tc.Sampled()
-		tr.Commit(trace.Span{
-			TraceID:  tc.TraceID,
-			SpanID:   serverSpan,
-			Parent:   tc.Parent,
-			Name:     info.Name,
-			Kind:     trace.KindServer,
-			Peer:     info.Peer,
-			Start:    queuedAt.UnixNano(),
-			Duration: int64(queueWait + ran),
-			Bytes:    int64(info.Bytes),
-			Tail:     tail,
-		})
-		tr.Commit(trace.Span{
-			TraceID:  tc.TraceID,
-			SpanID:   tr.NewID(),
-			Parent:   serverSpan,
-			Name:     "queue",
-			Kind:     trace.KindQueue,
-			Start:    queuedAt.UnixNano(),
-			Duration: int64(queueWait),
-			Tail:     tail,
-		})
-		tr.Commit(trace.Span{
-			TraceID:  tc.TraceID,
-			SpanID:   handlerSpan,
-			Parent:   serverSpan,
-			Name:     "handler",
-			Kind:     trace.KindHandler,
-			Start:    started.UnixNano(),
-			Duration: int64(ran),
-			Tail:     tail,
-		})
-	}
+	handler.End(ended, false)
+	hd.Done(ended)
 }
 
 // dispatch submits the handler as a ULT, recording queueing and
@@ -313,9 +275,7 @@ func (m *Instance) dispatch(pool *argobots.Pool, h Handler, hd *mercury.Handle) 
 	// Parent RPC propagation: the wire does not carry parent IDs in
 	// this reproduction, so the target side records the paper's 65535
 	// "no parent" sentinel unless set by nesting within this process.
-	// (Trace context, by contrast, does travel on the wire; capture it
-	// before the handle can be released.)
-	t.tc = hd.Trace()
+	// (Trace context, by contrast, does travel on the wire.)
 	t.cell = m.metrics.target(t.info)
 	t.queuedAt = m.clk.Now()
 	if err := pool.Submit(t.run); err != nil {
@@ -351,24 +311,15 @@ func (m *Instance) ForwardProvider(ctx context.Context, dst string, name string,
 	}
 	// Client span: every forward carries a trace context on the wire —
 	// a fresh root (head-sample decision taken here) when the caller's
-	// ctx has none, a child of the surrounding handler span otherwise.
-	// IDs are generated even for unsampled traces (two atomic ops) so
-	// that spans tail-sampled independently on different hops of one
-	// slow request still share a trace ID.
-	tr := m.tracer
-	clientSpan := tr.NewID()
-	var parentSpan trace.ID
-	var tc trace.SpanContext
-	if psc, ok := trace.FromContext(ctx); ok && psc.Valid() {
-		parentSpan = psc.Parent
-		tc = trace.SpanContext{TraceID: psc.TraceID, Parent: clientSpan, Flags: psc.Flags}
-	} else {
-		tc = trace.SpanContext{TraceID: tr.NewID(), Parent: clientSpan}
-		if tr.SampleHead() {
-			tc.Flags = trace.FlagSampled
-		}
+	// ctx has none, a child of the surrounding span otherwise.
+	parent, _ := trace.FromContext(ctx)
+	if !parent.Valid() {
+		parent = m.tracer.Root()
 	}
 	start := m.clk.Now()
+	client := m.tracer.Start(parent, name, trace.KindClient, start)
+	client.Peer, client.Bytes = dst, int64(len(input))
+	tc := client.Context()
 	c := m.metrics.forwarding(info)
 	m.hooks.onForwardStart(info)
 	var out []byte
@@ -376,29 +327,16 @@ func (m *Instance) ForwardProvider(ctx context.Context, dst string, name string,
 	if mgr := m.res.Load(); mgr == nil {
 		out, err = m.class.ForwardProviderTrace(ctx, dst, info.ID, provider, input, tc)
 	} else {
-		out, err = m.forwardResilient(ctx, mgr, dst, provider, input, info, tc, clientSpan)
+		out, err = m.forwardResilient(ctx, mgr, dst, provider, input, info, tc)
 	}
 	d := m.clk.Since(start)
 	m.metrics.forwarded(c, d, len(input), err)
 	m.hooks.onForwardEnd(info, d, err)
-	if tc.Sampled() || tr.Slow(d) {
-		tr.Commit(trace.Span{
-			TraceID:  tc.TraceID,
-			SpanID:   clientSpan,
-			Parent:   parentSpan,
-			Name:     name,
-			Kind:     trace.KindClient,
-			Peer:     dst,
-			Start:    start.UnixNano(),
-			Duration: int64(d),
-			Bytes:    int64(len(input)),
-			Err:      err != nil,
-			Tail:     !tc.Sampled(),
-		})
+	if client.End(start.Add(d), err != nil) {
 		// Exemplar: pin this trace ID to the latency bucket the RPC
 		// landed in, linking the histogram's tail straight to a span
-		// tree. Runs only for sampled/slow RPCs, so the common path
-		// pays nothing (and stays inside the alloc pins).
+		// tree. Runs only for recorded RPCs, so the common path pays
+		// nothing (and stays inside the alloc pins).
 		sec := d.Seconds()
 		id := tc.TraceID.String()
 		ts := float64(start.UnixNano()) / 1e9

@@ -46,17 +46,17 @@ func (m *Instance) Resilience() *resilience.Manager { return m.res.Load() }
 // mochi_rpc_retries_total. When no retry occurs this path allocates
 // nothing beyond the single-attempt one (the per-attempt timeout, when
 // configured, is the documented exception).
-func (m *Instance) forwardResilient(ctx context.Context, mgr *resilience.Manager, dst string, provider uint16, input []byte, info RPCInfo, tc trace.SpanContext, clientSpan trace.ID) ([]byte, error) {
+func (m *Instance) forwardResilient(ctx context.Context, mgr *resilience.Manager, dst string, provider uint16, input []byte, info RPCInfo, tc trace.SpanContext) ([]byte, error) {
 	pol := mgr.Policy()
 	br := mgr.Breaker(dst)
-	tr := m.tracer
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if br != nil && !br.Allow() {
 			m.metrics.breakerRejected(dst)
 			return nil, resilience.OpenError(dst, lastErr)
 		}
-		attemptStart := m.clk.Now()
+		try := m.tracer.Start(tc, info.Name, trace.KindRetry, m.clk.Now())
+		try.Peer = dst
 		actx, cancel := mgr.AttemptContext(ctx)
 		out, err := m.class.ForwardProviderTrace(actx, dst, info.ID, provider, input, tc)
 		cancel()
@@ -77,20 +77,7 @@ func (m *Instance) forwardResilient(ctx context.Context, mgr *resilience.Manager
 			return nil, err
 		}
 		m.metrics.retried(info.Name)
-		if ad := m.clk.Since(attemptStart); tc.Sampled() || tr.Slow(ad) {
-			tr.Commit(trace.Span{
-				TraceID:  tc.TraceID,
-				SpanID:   tr.NewID(),
-				Parent:   clientSpan,
-				Name:     info.Name,
-				Kind:     trace.KindRetry,
-				Peer:     dst,
-				Start:    attemptStart.UnixNano(),
-				Duration: int64(ad),
-				Err:      true,
-				Tail:     !tc.Sampled(),
-			})
-		}
+		try.End(m.clk.Now(), true)
 		if !resilience.Sleep(ctx, m.clk, mgr.Backoff(attempt)) {
 			return nil, err
 		}

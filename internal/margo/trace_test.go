@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mochi/internal/clock"
 	"mochi/internal/mercury"
 	"mochi/internal/trace"
 )
@@ -214,18 +215,36 @@ func TestTraceUnsampledCommitsNothing(t *testing.T) {
 	}
 }
 
+// simPair returns a client and a server instance on one simulated
+// clock, both with their tail threshold at slow.
+func simPair(t *testing.T, f *mercury.Fabric, prefix string, slow time.Duration) (client, server *Instance, sim *clock.Sim) {
+	t.Helper()
+	sim = clock.NewSim(time.Unix(1_700_000_000, 0))
+	instance := func(name string) *Instance {
+		cls, err := f.NewClass(prefix + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := NewWithClock(cls, nil, sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(inst.Finalize)
+		inst.Tracer().SetSlowThreshold(slow)
+		return inst
+	}
+	return instance("-cli"), instance("-srv"), sim
+}
+
 // TestTraceTailSamplesSlowRPC: with head sampling off, a handler
-// slower than the tail threshold still records its server-side spans,
-// and the origin records the matching client span, all under one
-// trace ID.
+// slower than the tail threshold records the spans that were each
+// slow — its server and handler spans — and the origin records the
+// matching client span, all under one trace ID; the fast queue wait
+// records nothing.
 func TestTraceTailSamplesSlowRPC(t *testing.T) {
-	f := mercury.NewFabric()
-	client := newInstance(t, f, "tail-cli", "")
-	server := newInstance(t, f, "tail-srv", "")
-	client.Tracer().SetSlowThreshold(10 * time.Millisecond)
-	server.Tracer().SetSlowThreshold(10 * time.Millisecond)
+	client, server, sim := simPair(t, mercury.NewFabric(), "tail", 10*time.Millisecond)
 	if _, err := server.Register("slow_rpc", func(_ context.Context, h *mercury.Handle) {
-		time.Sleep(30 * time.Millisecond)
+		sim.Advance(30 * time.Millisecond)
 		_ = h.Respond(nil)
 	}); err != nil {
 		t.Fatal(err)
@@ -233,18 +252,62 @@ func TestTraceTailSamplesSlowRPC(t *testing.T) {
 	if _, err := client.Forward(shortCtx(t), server.Addr(), "slow_rpc", nil); err != nil {
 		t.Fatal(err)
 	}
-	spans := gatherSpans(t, 4, client.Tracer(), server.Tracer())
-	traceID := spans[0].TraceID
+	spans := gatherSpans(t, 3, client.Tracer(), server.Tracer())
+	spanTree(t, spans)
 	for _, s := range spans {
-		if s.TraceID != traceID {
-			t.Fatalf("tail spans split across trace IDs: %+v", spans)
-		}
-		if !s.Tail {
-			t.Fatalf("tail-sampled span not marked: %+v", s)
+		if !s.Tail || s.Duration != int64(30*time.Millisecond) {
+			t.Fatalf("want three tail spans of 30ms: %+v", spans)
 		}
 	}
 	findSpan(t, spans, trace.KindClient, "slow_rpc")
 	findSpan(t, spans, trace.KindServer, "slow_rpc")
+	findSpan(t, spans, trace.KindHandler, "handler")
+	if len(spans) != 3 {
+		t.Fatalf("want client, server and handler spans only: %+v", spans)
+	}
+}
+
+// TestServerSpanEndsWithTheRPC: the server span ends where the RPC
+// does — at the reply of a handle kept past its handler, and at the
+// handler's return when the reply came first — so it covers its queue
+// and handler children either way.
+func TestServerSpanEndsWithTheRPC(t *testing.T) {
+	client, server, sim := simPair(t, mercury.NewFabric(), "ends", time.Hour)
+	client.Tracer().SetSampleRate(1)
+	kept := make(chan *mercury.Handle)
+	go func() {
+		for h := range kept {
+			sim.Advance(10 * time.Millisecond)
+			_ = h.Respond(nil)
+		}
+	}()
+	t.Cleanup(func() { close(kept) })
+	if _, err := server.Register("later", func(_ context.Context, h *mercury.Handle) {
+		kept <- h
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.Register("first", func(_ context.Context, h *mercury.Handle) {
+		_ = h.Respond(nil)
+		sim.Advance(10 * time.Millisecond)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, rpc := range []string{"later", "first"} {
+		if _, err := client.Forward(shortCtx(t), server.Addr(), rpc, nil); err != nil {
+			t.Fatal(err)
+		}
+		spans := gatherSpans(t, 3*(i+1), server.Tracer())
+		s := findSpan(t, spans, trace.KindServer, rpc)
+		if s.Duration != int64(10*time.Millisecond) {
+			t.Fatalf("%s: server span of %v, want 10ms: %+v", rpc, time.Duration(s.Duration), spans)
+		}
+		for _, k := range spans {
+			if k.Parent == s.SpanID && (k.Start < s.Start || k.Start+k.Duration > s.Start+s.Duration) {
+				t.Fatalf("%s: child %+v outside its server span %+v", rpc, k, s)
+			}
+		}
+	}
 }
 
 // BenchmarkForwardTraced measures the margo forward path at the three

@@ -5,6 +5,7 @@ import (
 	"context"
 	"testing"
 
+	"mochi/internal/clock"
 	"mochi/internal/testutil"
 	"mochi/internal/trace"
 )
@@ -80,8 +81,8 @@ func TestForwardTracedUnsampledAllocsPinned(t *testing.T) {
 	}
 	defer a.Close()
 	defer b.Close()
-	ta := trace.NewTracer(64)
-	tb := trace.NewTracer(64)
+	ta := trace.NewTracer(64, clock.New())
+	tb := trace.NewTracer(64, clock.New())
 	a.SetTracer(ta)
 	b.SetTracer(tb)
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"mochi/internal/codec"
+	"mochi/internal/trace"
 )
 
 // BulkAccess controls what remote peers may do with an exposed region.
@@ -132,13 +133,20 @@ func (c *Class) acquireBulk(id uint64) *Bulk {
 // On the simulated fabric a transfer is charged one bulk-handshake
 // cost plus size/bandwidth, regardless of size — the property that
 // makes RDMA preferable to chunked RPCs for large payloads.
+//
+// A transfer under a traced ctx is a bulk span of the installed tracer.
 func (c *Class) BulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor, remoteOff uint64, local *Bulk, localOff uint64, size uint64) error {
-	if tr, sc, start, ok := c.bulkSpanStart(ctx); ok {
-		err := c.bulkTransfer(ctx, op, desc, remoteOff, local, localOff, size)
-		c.bulkSpanEnd(tr, sc, start, op, desc.Addr, size, err)
-		return err
+	name := "bulk_push"
+	if op == BulkPull {
+		name = "bulk_pull"
 	}
-	return c.bulkTransfer(ctx, op, desc, remoteOff, local, localOff, size)
+	tr := c.tracer.Load()
+	sc, _ := trace.FromContext(ctx)
+	sp := tr.Start(sc, name, trace.KindBulk, tr.Now())
+	sp.Peer, sp.Bytes = desc.Addr, int64(size)
+	err := c.bulkTransfer(ctx, op, desc, remoteOff, local, localOff, size)
+	sp.End(tr.Now(), err != nil)
+	return err
 }
 
 func (c *Class) bulkTransfer(ctx context.Context, op BulkOp, desc BulkDescriptor, remoteOff uint64, local *Bulk, localOff uint64, size uint64) error {

@@ -8,6 +8,7 @@ import (
 
 	"mochi/internal/codec"
 	"mochi/internal/codec/codectest"
+	"mochi/internal/trace"
 )
 
 // wireProtos is one prototype of every message mercury itself encodes,
@@ -18,7 +19,7 @@ func wireProtos() []codectest.Message {
 		&message{
 			kind: msgRequest, seq: 7, id: NameToID("fuzz"), provider: 3, src: "sm://fuzz-src",
 			status: 2, errmsg: "boom", auth: "token", payload: []byte("payload"),
-			bulkID: 1, bulkOff: 2, bulkLen: 3, traceID: 4, traceSpan: 5, traceFlag: 1,
+			bulkID: 1, bulkOff: 2, bulkLen: 3, tc: trace.SpanContext{TraceID: 4, Parent: 5, Flags: 1},
 		},
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mochi/internal/codec"
 	"mochi/internal/trace"
@@ -123,9 +124,7 @@ type message struct {
 	// the origin, so nothing needs to travel back). The fields live in
 	// the pooled message rather than a side allocation so carrying a
 	// trace costs the hot path nothing.
-	traceID   uint64
-	traceSpan uint64
-	traceFlag uint8
+	tc trace.SpanContext
 }
 
 // msgPool recycles message structs across the send and receive paths.
@@ -194,9 +193,9 @@ func (m *message) procTail(p *codec.Proc) {
 	p.Uint64(&m.bulkID)
 	p.Uint64(&m.bulkOff)
 	p.Uint64(&m.bulkLen)
-	p.Uint64(&m.traceID)
-	p.Uint64(&m.traceSpan)
-	p.Uint8(&m.traceFlag)
+	p.Uint64((*uint64)(&m.tc.TraceID))
+	p.Uint64((*uint64)(&m.tc.Parent))
+	p.Uint8(&m.tc.Flags)
 }
 
 // pendingTable maps in-flight sequence numbers to reply channels. It
@@ -440,9 +439,7 @@ func (c *Class) forwardProvider(ctx context.Context, dst string, id RPCID, provi
 	req.src = c.Addr()
 	req.auth = c.outgoingToken()
 	req.payload = input
-	req.traceID = uint64(tc.TraceID)
-	req.traceSpan = uint64(tc.Parent)
-	req.traceFlag = tc.Flags
+	req.tc = tc
 	err := c.send(ctx, dst, req)
 	req.payload = nil // borrowed from the caller, not ours to recycle
 	putMessage(req)
@@ -550,9 +547,7 @@ func (c *Class) handleRequest(m *message) {
 	h.seq = m.seq
 	h.input = m.payload
 	h.inputPooled = m.payloadPooled
-	h.traceID = m.traceID
-	h.traceSpan = m.traceSpan
-	h.traceFlag = m.traceFlag
+	h.tc = m.tc
 	// The handle now owns the payload; the message shell goes back.
 	m.payload = nil
 	m.payloadPooled = false
@@ -565,6 +560,10 @@ func (c *Class) handleRequest(m *message) {
 // returns, after which both may be reused for an unrelated RPC.
 // Handlers that need either for longer must copy first (see DESIGN.md
 // "Hot-path memory discipline").
+//
+// A handle carries the span that measures its RPC on the target
+// (SetSpan) to the point every answer passes through: the span ends at
+// the reply, or at the last Done of a Hold taken before it.
 type Handle struct {
 	class       *Class
 	name        string
@@ -574,10 +573,10 @@ type Handle struct {
 	seq         uint64
 	input       []byte
 	inputPooled bool
-	traceID     uint64
-	traceSpan   uint64
-	traceFlag   uint8
+	tc          trace.SpanContext
 	responded   atomic.Bool
+	span        trace.Live
+	holds       atomic.Int32 // the reply's, and one per Hold
 }
 
 var handlePool = sync.Pool{New: func() any { return new(Handle) }}
@@ -585,13 +584,42 @@ var handlePool = sync.Pool{New: func() any { return new(Handle) }}
 func getHandle() *Handle {
 	h := handlePool.Get().(*Handle)
 	h.responded.Store(false)
+	h.holds.Store(1)
 	return h
 }
 
+// SetSpan attaches the span that measures this RPC on its target.
+func (h *Handle) SetSpan(s trace.Live) { h.span = s }
+
+// Span is the trace context of work done for this RPC: its server
+// span's. A handler that answers after it returns reads it while it
+// still holds the handle, unanswered.
+func (h *Handle) Span() trace.SpanContext { return h.span.Context() }
+
+// Hold keeps the handle, and its span, open past the reply until the
+// matching Done: margo holds a handle while its handler runs, so the
+// server span covers both the handler and the answer.
+func (h *Handle) Hold() { h.holds.Add(1) }
+
+// Done lets go of a Hold at the instant at. If the reply came first,
+// the span ends there.
+func (h *Handle) Done(at time.Time) {
+	if h.holds.Add(-1) == 0 {
+		h.end(at)
+	}
+}
+
+// end ends the span at at and recycles the handle: the last of the
+// reply and the holds calls it.
+func (h *Handle) end(at time.Time) {
+	h.span.End(at, h.span.Err)
+	h.release()
+}
+
 // release recycles the handle and its pooled input buffer. Called
-// exactly once, from Respond/RespondError, after the response is on
-// the wire (so responses echoing the input are copied before the
-// buffer is reused).
+// exactly once, from end, after the response is on the wire
+// (so responses echoing the input are copied before the buffer is
+// reused).
 func (h *Handle) release() {
 	if h.inputPooled {
 		codec.PutBuffer(h.input)
@@ -604,9 +632,8 @@ func (h *Handle) release() {
 	h.id = 0
 	h.provider = 0
 	h.seq = 0
-	h.traceID = 0
-	h.traceSpan = 0
-	h.traceFlag = 0
+	h.tc = trace.SpanContext{}
+	h.span = trace.Live{}
 	handlePool.Put(h)
 }
 
@@ -632,13 +659,7 @@ func (h *Handle) Class() *Class { return h.class }
 // Trace returns the trace context the caller propagated with this
 // request (zero, i.e. !Valid(), when the caller sent none). Like the
 // rest of the handle it is only meaningful until Respond/RespondError.
-func (h *Handle) Trace() trace.SpanContext {
-	return trace.SpanContext{
-		TraceID: trace.ID(h.traceID),
-		Parent:  trace.ID(h.traceSpan),
-		Flags:   h.traceFlag,
-	}
-}
+func (h *Handle) Trace() trace.SpanContext { return h.tc }
 
 // Respond sends the RPC's output back to the caller. output is
 // borrowed for the duration of the call (transports copy or serialize
@@ -670,7 +691,10 @@ func (h *Handle) respond(status uint8, errmsg string, output []byte) error {
 	err := h.class.send(context.Background(), h.src, resp)
 	resp.payload = nil // borrowed from the handler
 	putMessage(resp)
-	h.release()
+	h.span.Err = status != 0
+	if h.holds.Add(-1) == 0 {
+		h.end(h.class.Tracer().Now())
+	}
 	return err
 }
 

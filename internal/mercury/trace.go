@@ -1,62 +1,14 @@
 package mercury
 
-import (
-	"context"
-	"time"
-
-	"mochi/internal/trace"
-)
+import "mochi/internal/trace"
 
 // SetTracer installs a tracer on the class (nil uninstalls). The class
-// itself only records bulk-transfer phase spans — request/response
-// span lifecycles belong to the margo layer, which installs its
-// instance tracer here so transfers issued from handlers land in the
-// same ring as the surrounding spans.
+// itself only opens bulk-transfer spans — request/response span
+// lifecycles belong to the margo layer, whose server spans the handles
+// carry to their reply. margo installs its instance tracer here so
+// transfers issued from handlers land in the same ring, timed on the
+// same clock, as the surrounding spans.
 func (c *Class) SetTracer(t *trace.Tracer) { c.tracer.Store(t) }
 
 // Tracer returns the installed tracer, or nil.
 func (c *Class) Tracer() *trace.Tracer { return c.tracer.Load() }
-
-// bulkSpanStart decides whether the bulk transfer beginning now should
-// be measured: a tracer must be installed and ctx must carry a trace
-// that is either head-sampled or eligible for tail sampling. With
-// tracing uninstalled or no trace in ctx, the cost is one atomic load
-// (plus one context lookup when a tracer exists).
-func (c *Class) bulkSpanStart(ctx context.Context) (*trace.Tracer, trace.SpanContext, time.Time, bool) {
-	tr := c.tracer.Load()
-	if tr == nil {
-		return nil, trace.SpanContext{}, time.Time{}, false
-	}
-	sc, ok := trace.FromContext(ctx)
-	if !ok || !sc.Valid() || (!sc.Sampled() && !tr.TailEnabled()) {
-		return nil, trace.SpanContext{}, time.Time{}, false
-	}
-	return tr, sc, time.Now(), true
-}
-
-// bulkSpanEnd commits the bulk span if the trace is sampled or the
-// transfer itself crossed the tail-sampler threshold. Failed transfers
-// are recorded too (Err set) under the same rules.
-func (c *Class) bulkSpanEnd(tr *trace.Tracer, sc trace.SpanContext, start time.Time, op BulkOp, peer string, size uint64, err error) {
-	d := time.Since(start)
-	if !sc.Sampled() && !tr.Slow(d) {
-		return
-	}
-	name := "bulk_push"
-	if op == BulkPull {
-		name = "bulk_pull"
-	}
-	tr.Commit(trace.Span{
-		TraceID:  sc.TraceID,
-		SpanID:   tr.NewID(),
-		Parent:   sc.Parent,
-		Name:     name,
-		Kind:     trace.KindBulk,
-		Peer:     peer,
-		Start:    start.UnixNano(),
-		Duration: int64(d),
-		Bytes:    int64(size),
-		Err:      err != nil,
-		Tail:     !sc.Sampled(),
-	})
-}

@@ -393,11 +393,11 @@ func TestFileStoreAppendAllocsPinned(t *testing.T) {
 }
 
 // TestSampledRequestRecordsItsOwnSpan: the handler of an RPC-borne Apply
-// or Read returns long before the request is answered, so margo's
-// handler span no longer covers it; on a sampled request the node
-// commits a span of its own, arrival to reply, under that handler span,
-// with a child per phase — a read has its round child only when a round
-// was run for it — and nothing at all on an unsampled one.
+// or Read returns long before the request is answered, and the handle
+// it keeps carries margo's server span to the reply. On a sampled
+// request that server span is the request's root on the leader, with a
+// child per phase inside it — a read has its round child only when a
+// round was run for it — and a fast unsampled request records no phase.
 func TestSampledRequestRecordsItsOwnSpan(t *testing.T) {
 	c := newRaftCluster(t, 3, fastRaftCfg())
 	leader := c.waitLeader()
@@ -405,22 +405,14 @@ func TestSampledRequestRecordsItsOwnSpan(t *testing.T) {
 	client := NewClient(inst, "g", []string{leader.ID()})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
-	phases := func() map[string][]trace.Span {
-		byName := map[string][]trace.Span{}
-		for _, s := range c.insts[leader.ID()].Tracer().Spans() {
-			if s.Kind == trace.KindPhase {
-				byName[s.Name] = append(byName[s.Name], s)
-			}
-		}
-		return byName
-	}
+	tr := c.insts[leader.ID()].Tracer()
 	if _, err := client.Apply(ctx, []byte("set k v")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Read(ctx, []byte("get k")); err != nil {
 		t.Fatal(err)
 	}
-	if got := phases(); len(got) != 0 {
+	if got := spansOf(tr, trace.KindPhase); len(got) != 0 {
 		t.Fatalf("unsampled requests recorded %v", got)
 	}
 
@@ -431,7 +423,7 @@ func TestSampledRequestRecordsItsOwnSpan(t *testing.T) {
 	if out, err := client.Read(ctx, []byte("get k")); err != nil || string(out) != "w" {
 		t.Fatalf("read: %q, %v", out, err)
 	}
-	if got := phases(); len(got["round"]) != 0 {
+	if got := spansOf(tr, trace.KindPhase); len(got["round"]) != 0 {
 		t.Fatalf("a read served under the lease recorded a round: %v", got["round"])
 	}
 	// The same leader without its lease, as after a transfer: a round.
@@ -441,31 +433,81 @@ func TestSampledRequestRecordsItsOwnSpan(t *testing.T) {
 	if out, err := client.Read(ctx, []byte("get k")); err != nil || string(out) != "w" {
 		t.Fatalf("read: %q, %v", out, err)
 	}
-	got := phases()
-	handlers := map[trace.ID]bool{}
-	for _, s := range c.insts[leader.ID()].Tracer().Spans() {
-		if s.Kind == trace.KindHandler {
-			handlers[s.SpanID] = true
+	var servers map[string][]trace.Span
+	await(t, "the server spans", []*Node{leader}, func() bool {
+		servers = spansOf(tr, trace.KindServer)
+		return len(servers[rpcApply]) == 1 && len(servers[rpcRead]) == 2
+	})
+	got := spansOf(tr, trace.KindPhase)
+	for _, want := range []struct{ rpc, child string }{{rpcApply, "replicate"}, {rpcRead, "round"}} {
+		s := servers[want.rpc][len(servers[want.rpc])-1]
+		if !hasChildInside(s, got[want.child]) {
+			t.Errorf("%s has no %q child inside it: %v", want.rpc, want.child, got[want.child])
 		}
 	}
-	for _, want := range []struct {
-		name  string
-		n     int
-		child string // of the last one
-	}{{"raft.apply", 1, "replicate"}, {"raft.read", 2, "round"}} {
-		if len(got[want.name]) != want.n {
-			t.Fatalf("%d %s spans, want %d (all phases: %v)", len(got[want.name]), want.name, want.n, got)
+}
+
+// TestSlowPutIsTailSampled: with head sampling off and the leader's
+// tail threshold below a Put's commit time, one Put over RPC leaves
+// its raft_apply server span, tail-flagged, covering the request from
+// its arrival through its reply, with its persist and replicate phases
+// inside it in the same trace.
+func TestSlowPutIsTailSampled(t *testing.T) {
+	c := newRaftCluster(t, 3, fastRaftCfg())
+	leader := c.waitLeader()
+	client := NewClient(clientInstance(t, c.fabric, "tail-client"), "g", []string{leader.ID()})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	tr := c.insts[leader.ID()].Tracer()
+	tr.SetSlowThreshold(time.Nanosecond)
+	if _, err := client.Apply(ctx, []byte("set k v")); err != nil {
+		t.Fatal(err)
+	}
+	var server trace.Span
+	await(t, "the raft_apply server span", []*Node{leader}, func() bool {
+		ss := spansOf(tr, trace.KindServer)[rpcApply]
+		if len(ss) == 1 {
+			server = ss[0]
 		}
-		s := got[want.name][want.n-1]
-		if !handlers[s.Parent] {
-			t.Errorf("%s is not a child of the handler span that received the request", want.name)
-		}
-		found := false
-		for _, k := range got[want.child] {
-			found = found || (k.Parent == s.SpanID && k.TraceID == s.TraceID && k.Start == s.Start && k.Duration <= s.Duration)
-		}
-		if !found {
-			t.Errorf("%s has no %q child inside it: %v", want.name, want.child, got[want.child])
+		return len(ss) == 1
+	})
+	if !server.Tail {
+		t.Fatalf("server span not tail-flagged: %+v", server)
+	}
+	phases := spansOf(tr, trace.KindPhase)
+	for _, name := range []string{"persist", "replicate"} {
+		if !hasChildInside(server, phases[name]) {
+			t.Fatalf("no %s phase inside %+v: %v", name, server, phases)
 		}
 	}
+	// The handler returned with the handle kept, long before the commit
+	// the server span waited for.
+	for _, h := range spansOf(tr, trace.KindHandler)["handler"] {
+		if h.Parent == server.SpanID && h.Start+h.Duration >= phases["replicate"][0].Start+phases["replicate"][0].Duration {
+			t.Fatalf("the handler %+v outlasted the replication %+v", h, phases["replicate"][0])
+		}
+	}
+}
+
+// spansOf indexes the spans of kind that tr holds by name.
+func spansOf(tr *trace.Tracer, kind trace.Kind) map[string][]trace.Span {
+	byName := map[string][]trace.Span{}
+	for _, s := range tr.Spans() {
+		if s.Kind == kind {
+			byName[s.Name] = append(byName[s.Name], s)
+		}
+	}
+	return byName
+}
+
+// hasChildInside reports whether one of kids is a child of parent, in
+// its trace, whose interval lies inside parent's.
+func hasChildInside(parent trace.Span, kids []trace.Span) bool {
+	for _, k := range kids {
+		if k.Parent == parent.SpanID && k.TraceID == parent.TraceID &&
+			k.Start >= parent.Start && k.Start+k.Duration <= parent.Start+parent.Duration {
+			return true
+		}
+	}
+	return false
 }

@@ -87,7 +87,7 @@ type waiter struct {
 	// blocking API has its ctx instead): the core times it out.
 	deadline time.Time
 	arrived  time.Time // proposals only: feeds the commit-latency histogram
-	span     *span     // a sampled RPC only
+	span     span      // zero but for an RPC in a trace
 }
 
 // operation is one of propose, read and changeConfig: it hands w's
@@ -95,20 +95,21 @@ type waiter struct {
 // final instead: the core was not asked.
 type operation func(n *Node, c *Core, now time.Time, w *waiter) error
 
-// span is what a sampled RPC-borne Apply or Read records about itself.
-// margo's server and handler spans end when the handler returns, which
-// is now long before the request is answered.
+// span is what an RPC-borne Apply or Read records about itself: a child
+// of margo's server span — which the kept handle carries to the reply —
+// per phase, from arrival to the end of the phase. A phase that does
+// not end before the reply is not recorded.
 type span struct {
-	sc      trace.SpanContext
-	name    string
+	sc      trace.SpanContext // the server span's
 	arrived time.Time
-	index   uint64                 // where the core appended it; 0: nowhere
-	ended   [len(phases)]time.Time // by phase; zero: not before the reply
+	index   uint64            // where the core appended it; 0: nowhere
+	ended   [len(phases)]bool // by phase
 }
 
 // The phases of a request, each recorded as a child span from arrival
 // to: the leader's own disk has the entry, a quorum has it, the read's
-// round is confirmed (a read served under the lease had none).
+// round is confirmed (a read served under the lease had none). They
+// overlap, which is the point.
 const (
 	phasePersist = iota
 	phaseReplicate
@@ -179,7 +180,7 @@ type Node struct {
 	core    *Core
 	seen    Transition                         // the core's last, for the election metrics
 	since   time.Time                          // when the member last lost sight of a leader
-	sampled []*waiter                          // the proposals in the core that carry a span, for mark
+	traced  []*waiter                          // the proposals in the core that carry a span, for mark
 	queue   []Persist                          // for the writer, in Seq order
 	run     []LogEntry                         // the writer's own: a run of Persists as one write
 	senders map[string][2]*margo.Lane[Message] // by peer address: log traffic, probes
@@ -300,8 +301,8 @@ func (n *Node) dispatch() {
 		}
 		for _, tag := range r.Tags {
 			w := tag.(*waiter)
-			if w.span != nil && r.Round != 0 {
-				w.span.ended[phaseRound] = n.clk.Now()
+			if r.Round != 0 && w.span.sc.Valid() {
+				w.span.end(n.inst.Tracer(), phaseRound, n.clk.Now())
 			}
 			n.drv.Reply(reply{w: w, o: outcome{err: r.Err}})
 		}
@@ -319,7 +320,7 @@ func (n *Node) dispatch() {
 		n.drv.Reply(reply{w: tag.(*waiter), again: true})
 	}
 	if eff.Apply {
-		if len(n.sampled) > 0 {
+		if len(n.traced) > 0 {
 			n.mark(phaseReplicate, n.core.Status().CommitIndex, n.clk.Now())
 		}
 		margo.Signal(n.applyWake)
@@ -343,35 +344,44 @@ func (n *Node) observe(t Transition) {
 	n.seen = t
 }
 
-// sample puts w on the list mark walks, if it is a sampled request the
+// track puts w on the list mark walks, if it is a traced request the
 // core appended at index; answer takes it off as it queues o, the
 // outcome of the request the core has handed back as tag. Caller holds
 // the driver's lock.
-func (n *Node) sample(w *waiter, index uint64) {
-	if w.span != nil && index != 0 {
+func (n *Node) track(w *waiter, index uint64) {
+	if w.span.sc.Valid() && index != 0 {
 		w.span.index = index
-		n.sampled = append(n.sampled, w)
+		n.traced = append(n.traced, w)
 	}
 }
 
 func (n *Node) answer(tag interface{}, o outcome) {
 	w := tag.(*waiter)
-	for i := range n.sampled {
-		if n.sampled[i] == w {
-			n.sampled = append(n.sampled[:i], n.sampled[i+1:]...)
+	for i := range n.traced {
+		if n.traced[i] == w {
+			n.traced = append(n.traced[:i], n.traced[i+1:]...)
 			break
 		}
 	}
 	n.drv.Reply(reply{w: w, o: o})
 }
 
-// mark ends the phase now for every sampled proposal at or below index
-// that is still in it. Caller holds the driver's lock.
+// mark ends the phase now for every traced proposal at or below index.
+// Caller holds the driver's lock.
 func (n *Node) mark(phase int, index uint64, now time.Time) {
-	for _, w := range n.sampled {
-		if w.span.index <= index && w.span.ended[phase].IsZero() {
-			w.span.ended[phase] = now
+	for _, w := range n.traced {
+		if w.span.index <= index {
+			w.span.end(n.inst.Tracer(), phase, now)
 		}
+	}
+}
+
+// end records the phase, arrival to now, the first time it ends.
+func (s *span) end(tr *trace.Tracer, phase int, now time.Time) {
+	if !s.ended[phase] {
+		s.ended[phase] = true
+		sp := tr.Start(s.sc, phases[phase], trace.KindPhase, s.arrived)
+		sp.End(now, false)
 	}
 }
 
@@ -394,27 +404,6 @@ func (n *Node) finish(r reply) {
 			n.met.commitLatency.Observe(n.clk.Now().Sub(r.w.arrived).Seconds())
 		}
 		r.w.resolve(r.o)
-	}
-}
-
-// commitSpan records s, arrival to reply, under the handler span that
-// received the request, with a child for each phase that ended before
-// the reply. All of them start at arrival: the phases overlap, which is
-// the point.
-func (n *Node) commitSpan(s *span, failed bool) {
-	tr := n.inst.Tracer()
-	record := func(id, parent trace.ID, name string, end time.Time, failed bool) {
-		tr.Commit(trace.Span{
-			TraceID: s.sc.TraceID, SpanID: id, Parent: parent, Name: name, Kind: trace.KindPhase,
-			Start: s.arrived.UnixNano(), Duration: int64(end.Sub(s.arrived)), Err: failed,
-		})
-	}
-	id := tr.NewID()
-	record(id, s.sc.Parent, s.name, n.clk.Now(), failed)
-	for phase, end := range s.ended {
-		if !end.IsZero() {
-			record(tr.NewID(), id, phases[phase], end, false)
-		}
 	}
 }
 
@@ -500,7 +489,7 @@ func (n *Node) writer(done <-chan struct{}) {
 			n.core.Persisted(now, seq, err)
 			if err != nil {
 				n.queue = n.queue[:0] // void, the core has said
-			} else if len(n.sampled) > 0 {
+			} else if len(n.traced) > 0 {
 				n.mark(phasePersist, through, now)
 			}
 		})
@@ -663,7 +652,7 @@ func (n *Node) TakeSnapshot() error {
 func propose(cmd []byte) operation {
 	return func(n *Node, c *Core, now time.Time, w *waiter) error {
 		w.arrived = now
-		n.sample(w, c.Propose(now, cmd, w, w.deadline))
+		n.track(w, c.Propose(now, cmd, w, w.deadline))
 		return nil
 	}
 }
@@ -679,7 +668,7 @@ func read(n *Node, c *Core, now time.Time, w *waiter) error {
 
 func changeConfig(addr string, remove bool) operation {
 	return func(n *Node, c *Core, now time.Time, w *waiter) error {
-		n.sample(w, c.ChangeConfig(now, addr, remove, w, w.deadline))
+		n.track(w, c.ChangeConfig(now, addr, remove, w, w.deadline))
 		return nil
 	}
 }
@@ -794,8 +783,9 @@ func logTraffic[A any](r *handlers, group func(*A) string, input func(*Core, tim
 // execution stream is free while the group works. Whoever resolves the
 // waiter sends the reply. A member with no leader to name does not
 // refuse the first time round: the waiter is parked in the core and
-// started again when the core lets it go (Core.Hold).
-func (r *handlers) serve(ctx context.Context, h *mercury.Handle, group, name string, result func(*Node) []byte, start operation) (codec.Message, error) {
+// started again when the core lets it go (Core.Hold). The request's
+// phases are children of the server span the handle carries.
+func (r *handlers) serve(h *mercury.Handle, group string, result func(*Node) []byte, start operation) (codec.Message, error) {
 	n := r.lookup(group)
 	if n == nil {
 		return &applyReply{Err: "unknown group"}, nil
@@ -810,13 +800,8 @@ func (r *handlers) serve(ctx context.Context, h *mercury.Handle, group, name str
 			o.result = result(n)
 		}
 		margo.Reply(h, n.reply(o))
-		if w.span != nil {
-			n.commitSpan(w.span, o.err != nil)
-		}
 	}
-	if sc, ok := trace.FromContext(ctx); ok && sc.Sampled() {
-		w.span = &span{sc: sc, name: name, arrived: now}
-	}
+	w.span = span{sc: h.Span(), arrived: now}
 	n.begin(w)
 	return nil, nil
 }
@@ -838,18 +823,18 @@ func (n *Node) reply(o outcome) *applyReply {
 	return &applyReply{OK: true, Result: o.result}
 }
 
-func (r *handlers) handleApply(ctx context.Context, h *mercury.Handle, a *applyArgs) (codec.Message, error) {
-	return r.serve(ctx, h, a.Group, "raft.apply", nil, propose(a.Cmd))
+func (r *handlers) handleApply(_ context.Context, h *mercury.Handle, a *applyArgs) (codec.Message, error) {
+	return r.serve(h, a.Group, nil, propose(a.Cmd))
 }
 
-func (r *handlers) handleRead(ctx context.Context, h *mercury.Handle, a *readArgs) (codec.Message, error) {
-	return r.serve(ctx, h, a.Group, "raft.read",
+func (r *handlers) handleRead(_ context.Context, h *mercury.Handle, a *readArgs) (codec.Message, error) {
+	return r.serve(h, a.Group,
 		func(n *Node) []byte { return n.fsm.(ReaderFSM).Read(a.Query) }, // read has checked the assertion
 		read)
 }
 
-func (r *handlers) handleConfigChange(ctx context.Context, h *mercury.Handle, a *configChangeArgs) (codec.Message, error) {
-	return r.serve(ctx, h, a.Group, "raft.config_change", nil, changeConfig(a.Addr, a.Remove))
+func (r *handlers) handleConfigChange(_ context.Context, h *mercury.Handle, a *configChangeArgs) (codec.Message, error) {
+	return r.serve(h, a.Group, nil, changeConfig(a.Addr, a.Remove))
 }
 
 func (r *handlers) handleStatus(_ context.Context, _ *mercury.Handle, args *statusArgs) (codec.Message, error) {

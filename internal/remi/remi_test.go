@@ -320,13 +320,12 @@ func TestMethodTradeoffShape(t *testing.T) {
 		// is two RPC messages (2 ms), a bulk pull two bulk messages
 		// (0.8 ms); 64 KiB chunks go one at a time. One 1 MiB file: chunked 18 RPCs = 36 ms,
 		// bulk one RPC and one pull = 2.8 ms. 256 files of 4 KiB: chunked
-		// the same 36 ms, bulk 2 ms + 256 pulls = 207 ms. Both legs then
-		// land every file through durable.Disk.Replace (on a 2-vCPU Xeon
-		// VM about 180 µs per 4 KiB file: ~45 ms per 256-file leg), and
-		// the host's timers overshoot every modeled message, so the logged
-		// gaps are narrower than the model's: about 11 ms against 50 ms for
-		// the large file (≈4x), 500–600 ms against 280–400 ms for the small
-		// ones (≈1.5x).
+		// the same 36 ms, bulk 2 ms + 256 pulls = 207 ms. The host's
+		// timers overshoot every modeled message, so the logged gaps are
+		// narrower than the model's. Both legs land every file through
+		// durable.Disk.Replace, without the fsyncs: on a loaded host they
+		// are the same for both methods and vary by more than the gap
+		// (TestLandedFilesAreDurable pins landing durability).
 		f.SetModel(&mercury.HPCModel{
 			RPCOverhead:  time.Millisecond,
 			BulkOverhead: 400 * time.Microsecond,
@@ -345,6 +344,7 @@ func TestMethodTradeoffShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer prov.Close()
+		prov.disk.NoSync = true
 		fs := writeSourceFiles(t, "x", files)
 		stats, err := NewClient(src).Migrate(mctx(t), dst.Addr(), 4, fs, Options{Method: m, ChunkSize: 64 * 1024, Pipeline: 1})
 		if err != nil {

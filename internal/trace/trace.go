@@ -93,7 +93,8 @@ const (
 	// from send to response.
 	KindClient Kind = "client"
 	// KindServer measures an inbound RPC end to end on the target:
-	// queue wait plus handler runtime.
+	// from its dispatch to its reply, or to its handler's return if
+	// that comes later.
 	KindServer Kind = "server"
 	// KindQueue measures the wait in the argobots pool between dispatch
 	// and the handler ULT starting.
@@ -104,9 +105,9 @@ const (
 	// handler, with Bytes carrying the transfer size.
 	KindBulk Kind = "bulk"
 	// KindPhase measures a named step inside a component's operation
-	// (a reshard's snapshot, transfer, merge, promote): where a long
-	// handler or client call spent its time. RPCs and bulk transfers
-	// issued during the step are its children.
+	// (a reshard's snapshot, transfer, merge, promote; a replicated
+	// request's persist, replicate, round): where a long RPC or client
+	// call spent its time.
 	KindPhase Kind = "phase"
 	// KindRetry measures one failed attempt that the resilience layer
 	// retried; it is a child of the client span covering the whole
@@ -131,8 +132,8 @@ type Span struct {
 	Bytes    int64  `json:"bytes,omitempty"`
 	Err      bool   `json:"error,omitempty"`
 	// Tail marks a span captured by the slow-RPC tail sampler rather
-	// than the head sampler; tail trees may be partial (only the hops
-	// that were individually slow recorded themselves).
+	// than the head sampler; tail trees may be partial (only the spans
+	// that were each slow recorded themselves), but stay connected.
 	Tail bool `json:"tail,omitempty"`
 }
 
@@ -144,6 +145,16 @@ type ctxKey struct{}
 // NewContext returns a context carrying sc.
 func NewContext(parent context.Context, sc SpanContext) context.Context {
 	return context.WithValue(parent, ctxKey{}, sc)
+}
+
+// Nest returns ctx for work done under l: carrying l's context in a
+// head-sampled trace; otherwise ctx itself, whose span covers l's, so a
+// tail tree stays connected and l costs no context allocation.
+func (l *Live) Nest(ctx context.Context) context.Context {
+	if l.flags&FlagSampled == 0 {
+		return ctx
+	}
+	return NewContext(ctx, l.Context())
 }
 
 // FromContext extracts the SpanContext stored by NewContext.

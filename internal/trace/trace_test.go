@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mochi/internal/clock"
 )
 
 func TestIDJSONRoundTrip(t *testing.T) {
@@ -50,7 +52,7 @@ func TestSpanContextFromContext(t *testing.T) {
 // the oldest spans are the ones evicted and that Spans() stays in
 // commit order.
 func TestRingEvictionOrder(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer(4, clock.New())
 	for i := 0; i < 10; i++ {
 		tr.Commit(Span{TraceID: 1, SpanID: ID(i + 1), Start: int64(i)})
 	}
@@ -72,7 +74,7 @@ func TestRingEvictionOrder(t *testing.T) {
 }
 
 func TestSetCapacityKeepsNewest(t *testing.T) {
-	tr := NewTracer(8)
+	tr := NewTracer(8, clock.New())
 	for i := 0; i < 6; i++ {
 		tr.Commit(Span{SpanID: ID(i + 1)})
 	}
@@ -95,25 +97,25 @@ func TestSetCapacityKeepsNewest(t *testing.T) {
 }
 
 func TestSampleRates(t *testing.T) {
-	tr := NewTracer(1)
+	tr := NewTracer(1, clock.New())
 	if tr.SampleRate() != 0 {
 		t.Fatalf("default rate = %v, want 0", tr.SampleRate())
 	}
 	for i := 0; i < 100; i++ {
-		if tr.SampleHead() {
+		if tr.sampleHead() {
 			t.Fatal("rate 0 sampled")
 		}
 	}
 	tr.SetSampleRate(1)
 	for i := 0; i < 100; i++ {
-		if !tr.SampleHead() {
+		if !tr.sampleHead() {
 			t.Fatal("rate 1 did not sample")
 		}
 	}
 	tr.SetSampleRate(0.5)
 	hits := 0
 	for i := 0; i < 10000; i++ {
-		if tr.SampleHead() {
+		if tr.sampleHead() {
 			hits++
 		}
 	}
@@ -123,28 +125,80 @@ func TestSampleRates(t *testing.T) {
 }
 
 func TestTailSampler(t *testing.T) {
-	tr := NewTracer(1)
-	if !tr.TailEnabled() || tr.SlowThreshold() != DefaultSlowThreshold {
-		t.Fatalf("default tail config: enabled=%v threshold=%v", tr.TailEnabled(), tr.SlowThreshold())
+	tr := NewTracer(1, clock.New())
+	if tr.SlowThreshold() != DefaultSlowThreshold {
+		t.Fatalf("default tail threshold %v", tr.SlowThreshold())
 	}
-	if tr.Slow(DefaultSlowThreshold - 1) {
+	if tr.isSlow(DefaultSlowThreshold - 1) {
 		t.Fatal("sub-threshold latency reported slow")
 	}
-	if !tr.Slow(DefaultSlowThreshold) {
+	if !tr.isSlow(DefaultSlowThreshold) {
 		t.Fatal("threshold latency not reported slow")
 	}
 	tr.SetSlowThreshold(-1)
-	if tr.TailEnabled() || tr.Slow(time.Hour) {
+	if tr.SlowThreshold() != 0 || tr.isSlow(time.Hour) {
 		t.Fatal("disabled tail sampler still firing")
 	}
 	tr.SetSlowThreshold(time.Millisecond)
-	if !tr.Slow(2 * time.Millisecond) {
+	if !tr.isSlow(2 * time.Millisecond) {
 		t.Fatal("re-enabled tail sampler not firing")
 	}
 }
 
+// TestLiveCommitRule: a span is committed if and only if its trace is
+// head-sampled or it ran for at least the tail threshold; the zero
+// Live, and a span opened without a trace, record nothing; and none of
+// it allocates.
+func TestLiveCommitRule(t *testing.T) {
+	sim := clock.NewSim(time.Unix(100, 0))
+	tr := NewTracer(16, sim)
+	tr.SetSlowThreshold(time.Second)
+	root := SpanContext{TraceID: 7, Parent: 9}
+	for _, c := range []struct {
+		name   string
+		parent SpanContext
+		ran    time.Duration
+		commit bool
+	}{
+		{"unsampled fast", root, time.Second - 1, false},
+		{"unsampled slow", root, time.Second, true},
+		{"sampled fast", SpanContext{TraceID: 7, Parent: 9, Flags: FlagSampled}, 0, true},
+		{"no trace", SpanContext{}, time.Hour, false},
+	} {
+		tr.Reset()
+		l := tr.Start(c.parent, c.name, KindPhase, tr.Now())
+		sim.Advance(c.ran)
+		if got := l.End(tr.Now(), true); got != c.commit || tr.Len() != map[bool]int{false: 0, true: 1}[c.commit] {
+			t.Fatalf("%s: End = %v with %d spans, want %v", c.name, got, tr.Len(), c.commit)
+		}
+		if !c.commit {
+			continue
+		}
+		s := tr.Spans()[0]
+		want := Span{TraceID: 7, SpanID: l.SpanID, Parent: 9, Name: c.name, Kind: KindPhase,
+			Start:    sim.Now().Add(-c.ran).UnixNano(),
+			Duration: int64(c.ran), Err: true, Tail: !c.parent.Sampled()}
+		if s != want {
+			t.Fatalf("%s: committed %+v, want %+v", c.name, s, want)
+		}
+		if cc := l.Context(); cc.TraceID != 7 || cc.Parent != l.SpanID || cc.Flags != c.parent.Flags {
+			t.Fatalf("%s: children's context %+v", c.name, cc)
+		}
+	}
+	var zero Live
+	if zero.End(tr.Now(), false) || zero.Context().Valid() {
+		t.Fatal("the zero Live records something")
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		l := tr.Start(root, "x", KindPhase, tr.Now())
+		l.End(tr.Now(), false)
+	}); avg != 0 {
+		t.Fatalf("an unsampled span allocates %.1f times, want 0", avg)
+	}
+}
+
 func TestNewIDUniqueNonZero(t *testing.T) {
-	tr := NewTracer(1)
+	tr := NewTracer(1, clock.New())
 	seen := map[ID]bool{}
 	for i := 0; i < 10000; i++ {
 		id := tr.NewID()
@@ -162,7 +216,7 @@ func TestNewIDUniqueNonZero(t *testing.T) {
 // snapshot; the race leg of CI verifies memory safety, this verifies
 // nothing is lost below capacity.
 func TestConcurrentCommit(t *testing.T) {
-	tr := NewTracer(10000)
+	tr := NewTracer(10000, clock.New())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

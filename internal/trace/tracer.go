@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mochi/internal/clock"
 )
 
 // Defaults for a freshly constructed Tracer.
@@ -20,14 +22,15 @@ const (
 // Tracer is a per-process span sink plus the two sampling decisions:
 //
 //   - Head sampling: a probabilistic decision taken once, at the root
-//     of a trace, and propagated in SpanContext.Flags. The decision is
-//     a single atomic load (plus one PRNG step when the rate is
-//     strictly between 0 and 1); at the default rate of 0 it costs one
-//     load and one compare.
-//   - Tail sampling: an always-on latency threshold. Every span
-//     recorder compares its own duration against the threshold and
-//     commits the span if it was slow, so outliers are captured even
-//     with head sampling off.
+//     of a trace (Root), and propagated in SpanContext.Flags. The
+//     decision is a single atomic load (plus one PRNG step when the
+//     rate is strictly between 0 and 1); at the default rate of 0 it
+//     costs one load and one compare.
+//   - Tail sampling: an always-on latency threshold. A span that ran
+//     at least that long is committed even when its trace was not
+//     head-sampled, so outliers are captured with head sampling off.
+//
+// Both meet in one rule, applied by Live.End to every span.
 //
 // Completed spans are committed by value into a bounded ring that
 // overwrites its oldest entry when full, so a tracer's memory is fixed
@@ -45,6 +48,8 @@ type Tracer struct {
 	rng atomic.Uint64
 	// proc labels spans committed here with the owning process address.
 	proc atomic.Pointer[string]
+	// clk times every span opened here.
+	clk clock.Clock
 
 	mu      sync.Mutex
 	buf     []Span
@@ -58,13 +63,13 @@ var seedCounter atomic.Uint64
 
 // NewTracer returns a tracer with the given ring capacity (0 selects
 // DefaultCapacity), head sampling off, and tail sampling at
-// DefaultSlowThreshold.
-func NewTracer(capacity int) *Tracer {
+// DefaultSlowThreshold, timing its spans on clk.
+func NewTracer(capacity int, clk clock.Clock) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	t := &Tracer{buf: make([]Span, capacity)}
-	t.rng.Store(uint64(time.Now().UnixNano()) ^ (seedCounter.Add(1) << 32))
+	t := &Tracer{buf: make([]Span, capacity), clk: clk}
+	t.rng.Store(uint64(clk.Now().UnixNano()) ^ (seedCounter.Add(1) << 32))
 	t.slow.Store(int64(DefaultSlowThreshold))
 	return t
 }
@@ -117,17 +122,14 @@ func (t *Tracer) SlowThreshold() time.Duration {
 	return time.Duration(t.slow.Load())
 }
 
-// TailEnabled reports whether the tail sampler is active.
-func (t *Tracer) TailEnabled() bool { return t.slow.Load() > 0 }
-
-// Slow reports whether d crosses the tail sampler's threshold.
-func (t *Tracer) Slow(d time.Duration) bool {
+// isSlow reports whether d crosses the tail sampler's threshold.
+func (t *Tracer) isSlow(d time.Duration) bool {
 	ns := t.slow.Load()
 	return ns > 0 && int64(d) >= ns
 }
 
-// SampleHead takes the head-sampling decision for a new root trace.
-func (t *Tracer) SampleHead() bool {
+// sampleHead takes the head-sampling decision for a new root trace.
+func (t *Tracer) sampleHead() bool {
 	th := t.head.Load()
 	if th == 0 {
 		return false
@@ -161,6 +163,68 @@ func (t *Tracer) NewID() ID {
 			return ID(v)
 		}
 	}
+}
+
+// Root opens a new trace: a fresh ID, sampled or not, so that spans
+// tail-sampled on different hops share it, and the head decision.
+func (t *Tracer) Root() SpanContext {
+	sc := SpanContext{TraceID: t.NewID()}
+	if t.sampleHead() {
+		sc.Flags = FlagSampled
+	}
+	return sc
+}
+
+// Live is a span that has started and not yet ended. Every span the
+// runtime records follows one rule: End commits it if and only if its
+// trace is head-sampled or it ran for at least the tail threshold. As
+// every parent's interval covers its children's, a slow child implies a
+// slow parent, and a tail tree stays connected. A Live is a value, so
+// neither Start nor End allocates; the zero Live records nothing.
+type Live struct {
+	Span  // as far as known at the start; the opener may add Peer and Bytes
+	tr    *Tracer
+	start time.Time
+	flags uint8
+}
+
+// Now reads the clock spans are timed on (the instance clock), for
+// emitters without one of their own; the zero time without a tracer.
+func (t *Tracer) Now() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return t.clk.Now()
+}
+
+// Start opens a span named name at the instant at, under parent: in
+// parent's trace, a child of parent.Parent. Without a tracer, or a
+// trace in parent, the span records nothing.
+func (t *Tracer) Start(parent SpanContext, name string, kind Kind, at time.Time) Live {
+	if t == nil || !parent.Valid() {
+		return Live{}
+	}
+	s := Span{TraceID: parent.TraceID, SpanID: t.NewID(), Parent: parent.Parent, Name: name, Kind: kind}
+	return Live{Span: s, tr: t, start: at, flags: parent.Flags}
+}
+
+// Context is the trace context of work done under l: l's trace, with l
+// as the parent. It is zero when l records nothing.
+func (l *Live) Context() SpanContext {
+	return SpanContext{TraceID: l.TraceID, Parent: l.SpanID, Flags: l.flags}
+}
+
+// End closes l at the instant at, commits it under the rule, and
+// reports whether it did. Ending the zero Live does nothing.
+func (l *Live) End(at time.Time, failed bool) bool {
+	d, sampled := at.Sub(l.start), l.flags&FlagSampled != 0
+	if l.tr == nil || !sampled && !l.tr.isSlow(d) {
+		return false
+	}
+	s := l.Span
+	s.Start, s.Duration, s.Err, s.Tail = l.start.UnixNano(), int64(d), failed, !sampled
+	l.tr.Commit(s)
+	return true
 }
 
 // Commit appends a completed span to the ring, evicting the oldest

@@ -1092,8 +1092,8 @@ func TestReshardPhasesTraced(t *testing.T) {
 	}
 	unsampled := trace.NewContext(ctx, trace.SpanContext{TraceID: 7, Parent: 8})
 	if avg := testing.AllocsPerRun(100, func() {
-		_, end := src.phase(unsampled, "snapshot")
-		end(nil)
+		_, sp := src.phase(unsampled, "snapshot")
+		sp.End(src.inst.Clock().Now(), false)
 	}); avg != 0 {
 		t.Fatalf("an unsampled phase allocates %.1f times, want 0", avg)
 	}
@@ -1135,5 +1135,46 @@ func TestReshardPhasesTraced(t *testing.T) {
 	}
 	if !under(merge.Parent, onSrc["transfer"].SpanID) {
 		t.Fatal("the merge phase is not a descendant of the transfer phase")
+	}
+}
+
+// TestCommandedReshardIsTailSampled: a flip commanded over xkv_reshard,
+// the balancer's path, with head sampling off and the source's tail
+// threshold below the flip's duration, records the source's phases as
+// children of the xkv_reshard server span — which the kept handle ends
+// at the reply — each inside its interval.
+func TestCommandedReshardIsTailSampled(t *testing.T) {
+	c := newCluster(t, clusterConfig{nodes: 2, shards: 2, ownerNodes: 1})
+	ctx := tctx(t, 20*time.Second)
+	src, dst := c.nodes[0], c.nodes[1]
+	tr := src.inst.Tracer()
+	tr.SetSlowThreshold(time.Nanosecond)
+	if err := Migrator(c.client)(ctx, move(0, src.Self(), dst.Self())); err != nil {
+		t.Fatal(err)
+	}
+	var server trace.Span
+	phases := map[string]trace.Span{}
+	// The server span ends at the reply, unless the handler that kept
+	// the handle has not yet returned: then just after.
+	for server.SpanID == 0 && ctx.Err() == nil {
+		runtime.Gosched()
+		for _, s := range tr.Spans() {
+			switch {
+			case s.Kind == trace.KindServer && s.Name == RPCReshard:
+				server = s
+			case s.Kind == trace.KindPhase:
+				phases[s.Name] = s
+			}
+		}
+	}
+	if !server.Tail {
+		t.Fatalf("no tail-sampled %s server span: %+v", RPCReshard, server)
+	}
+	for _, name := range []string{"snapshot", "transfer", "promote"} {
+		s, ok := phases[name]
+		if !ok || s.Parent != server.SpanID || s.TraceID != server.TraceID ||
+			s.Start < server.Start || s.Start+s.Duration > server.Start+server.Duration {
+			t.Fatalf("phase %q: %+v, want a child inside %+v", name, s, server)
+		}
 	}
 }

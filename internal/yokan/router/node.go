@@ -16,6 +16,7 @@ import (
 	"mochi/internal/margo"
 	"mochi/internal/mercury"
 	"mochi/internal/remi"
+	"mochi/internal/trace"
 	"mochi/internal/yokan"
 )
 
@@ -489,7 +490,8 @@ func (n *Node) handleStats(_ context.Context, h *mercury.Handle) {
 // flip; the migration pool, and two nodes commanded toward each other
 // each hold the xstream the other's snapshot needs, until pullTimeout.
 // It runs on a goroutine of its own, which keeps the handle and answers
-// the RPC when done.
+// the RPC when done; the flip's phases are children of the RPC's server
+// span, which the handle ends at that answer.
 func (n *Node) handleReshard(ctx context.Context, h *mercury.Handle, args *reshardArgs) (codec.Message, error) {
 	n.mu.Lock()
 	if n.closed {
@@ -498,9 +500,10 @@ func (n *Node) handleReshard(ctx context.Context, h *mercury.Handle, args *resha
 	}
 	n.commanded.Add(1) // under mu: Close waits only after setting closed
 	n.mu.Unlock()
+	ctx = trace.NewContext(ctx, h.Span())
 	go func() {
 		defer n.commanded.Done()
-		// ctx carries the caller's trace; Close cancels the migration.
+		// Close cancels the migration.
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 		defer context.AfterFunc(n.stop, cancel)()
@@ -603,7 +606,7 @@ func (n *Node) receiveSnapshot(ctx context.Context, fs *remi.FileSet) {
 	if testHookMerge != nil {
 		testHookMerge()
 	}
-	_, end := n.phase(ctx, "merge")
+	_, sp := n.phase(ctx, "merge")
 	d := codec.NewDecoder(fs.Files[0].Data)
 	for done := false; !done && err == nil; {
 		done, err = mergeBatch(inc, d, mergeBatchKeys)
@@ -613,7 +616,7 @@ func (n *Node) receiveSnapshot(ctx context.Context, fs *remi.FileSet) {
 		// processor, as a yielding Argobots ULT would.
 		runtime.Gosched()
 	}
-	end(err) // an error leaves merged unset: promote refuses, the source aborts
+	sp.End(n.inst.Clock().Now(), err != nil) // an error leaves merged unset: promote refuses, the source aborts
 }
 
 // openStaging opens the staging area an arrival merges into; nil keeps

@@ -106,9 +106,9 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 	// started, so every write it misses is in the log. It never touches
 	// disk on either side: the buffer it is encoded into is the region
 	// dst pulls.
-	_, endPhase := n.phase(ctx, "snapshot")
+	_, sp := n.phase(ctx, "snapshot")
 	snap, err := cutSnapshot(sh.db, n.takeSnapBuf())
-	endPhase(err)
+	sp.End(n.inst.Clock().Now(), err != nil)
 	if err != nil {
 		return fail("snapshot", err)
 	}
@@ -117,9 +117,9 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 		metaMig:   strconv.FormatUint(mig, 10),
 	}}
 	fs.AddBytes("shard.snap", snap)
-	tctx, endPhase := n.phase(ctx, "transfer")
+	tctx, sp := n.phase(ctx, "transfer")
 	_, err = n.remiC.Migrate(tctx, dst.Addr, dst.Provider+1, fs, remi.Options{})
-	endPhase(err)
+	sp.End(n.inst.Clock().Now(), err != nil)
 	// Migrate has deregistered the region, which waits out any reader
 	// still sending from it: the buffer is free for the next flip.
 	n.putSnapBuf(snap)
@@ -138,12 +138,12 @@ func (n *Node) Reshard(ctx context.Context, shardID uint32, dst Owner) error {
 	newMap := n.cur.Load().WithOwner(shardID, dst)
 	sh.mu.Lock()
 	var pr statusReply
-	pctx, endPhase := n.phase(ctx, "promote")
+	pctx, sp := n.phase(ctx, "promote")
 	perr := n.inst.Call(pctx, dst.Addr, RPCMigratePromote, dst.Provider, &promoteArgs{Shard: shardID, MigID: mig, Map: EncodeMap(newMap), Log: sh.log.Bytes()}, &pr)
 	if perr == nil && pr.Status != statusOK {
 		perr = fmt.Errorf("%s", pr.Err)
 	}
-	endPhase(perr)
+	sp.End(n.inst.Clock().Now(), perr != nil)
 	sh.log = nil
 	if perr != nil {
 		sh.mu.Unlock()
@@ -196,35 +196,14 @@ func (n *Node) putSnapBuf(buf []byte) {
 	n.mu.Unlock()
 }
 
-// noPhase ends a phase that is not being recorded.
-func noPhase(error) {}
-
-// phase opens a child span of ctx's trace named name when, and only
-// when, that trace is head-sampled: the flip's phases (snapshot,
-// transfer, promote on the source; merge on the destination) then
-// show in the trace tree, and RPCs issued under the returned context
-// nest below the phase. The returned func commits the span. An
-// unsampled flip pays one context lookup and allocates nothing.
-func (n *Node) phase(ctx context.Context, name string) (context.Context, func(error)) {
-	sc, ok := trace.FromContext(ctx)
-	if !ok || !sc.Sampled() {
-		return ctx, noPhase
-	}
-	tr := n.inst.Tracer()
-	id, start := tr.NewID(), n.inst.Clock().Now()
-	pctx := trace.NewContext(ctx, trace.SpanContext{TraceID: sc.TraceID, Parent: id, Flags: sc.Flags})
-	return pctx, func(err error) {
-		tr.Commit(trace.Span{
-			TraceID:  sc.TraceID,
-			SpanID:   id,
-			Parent:   sc.Parent,
-			Name:     name,
-			Kind:     trace.KindPhase,
-			Start:    start.UnixNano(),
-			Duration: int64(n.inst.Clock().Since(start)),
-			Err:      err != nil,
-		})
-	}
+// phase opens a child span of ctx's trace named name: one of the flip's
+// phases (snapshot, transfer, promote on the source; merge on the
+// destination). The RPCs issued under the returned context nest below
+// it as Live.Nest says; an unsampled phase allocates nothing.
+func (n *Node) phase(ctx context.Context, name string) (context.Context, trace.Live) {
+	sc, _ := trace.FromContext(ctx)
+	sp := n.inst.Tracer().Start(sc, name, trace.KindPhase, n.inst.Clock().Now())
+	return sp.Nest(ctx), sp
 }
 
 // abortRemote tears down the staging area at dst, best effort.

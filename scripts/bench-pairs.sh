@@ -21,8 +21,12 @@
 # bound), unresolved (the parent's quartiles further apart than the
 # bound, or a lean that is neither), else within bound — and beside it,
 # not part of the verdict, the paired statistics: the median over pairs
-# of ln(change/parent) with the ratio it stands for, and the sign count,
-# in k of n pairs the change was the better one — then, not judged,
+# of ln(change/parent) with the ratio it stands for, the distribution-free
+# interval for that median (the k-th smallest and k-th largest of the n
+# paired ln ratios, k the largest whose coverage 1 - 2 P(Binomial(n, 1/2)
+# < k) is at least 95 %, else 1; n = 6 gives min..max at 96.9 %, n = 10
+# the 2nd..9th at 97.9 %) with its coverage, and the sign count, in k of
+# n pairs the change was the better one — then, not judged,
 # each side's median of every diagnostic named in DIAG, which is how a
 # verdict gets its mechanism from the instrument ("rounds per read 1.00 ->
 # 0.00") instead of from prose; pairs.json keeps those medians too — and
@@ -35,7 +39,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
+	sed -n '2,38p' "$0" | sed 's/^# \{0,1\}//'
 	exit 2
 fi
 DIAG="${DIAG:-window.raft.readindex_rounds_per_read p99_us}"
@@ -150,6 +154,27 @@ done >"$out/diag"
 	echo "}"
 } >"$out/pairs.json"
 
+# interval: the k-th smallest and k-th largest of the numbers on stdin
+# and the coverage of that interval for their median, k as in the header.
+interval() {
+	sort -g | awk '{ v[NR] = $1 } END {
+		n = NR
+		if (n == 0) exit
+		p = 0.5 ^ n # P(B = j), from j = 0
+		cum = p     # P(B <= k - 1)
+		k = 1
+		cov = 1 - 2 * cum
+		for (j = 1; j + 1 <= n + 1 - (j + 1); j++) {
+			p = p * (n - j + 1) / j
+			if (1 - 2 * (cum + p) < 0.95) break
+			cum += p
+			k = j + 1
+			cov = 1 - 2 * cum
+		}
+		printf "%g %g %.1f %d\n", v[k], v[n + 1 - k], 100 * cov, k
+	}'
+}
+
 # verdict <better> <wins> <losses> <parent q1 median q3> <change median> <bound>:
 # the rules of the simplicity-review guide, applied mechanically. Ties
 # count for neither side.
@@ -196,8 +221,12 @@ awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
 		printf '%-10s %-7s %12s %12s %12s   %s\n' "$name" change "$cq1" "$cmed" "$cq3" "$wins/$pairs pairs, worse in $losses"
 		printf '%-10s %-7s %s (bound %s)\n' "$name" verdict "$(verdict "$better" "$wins" "$losses" "$pq1" "$pmed" "$pq3" "$cmed" "$bound")" "$bound"
 		lr=$(echo "$ratios" | tr ' ' '\n' | grep . | quartiles | cut -d' ' -f2 || true)
+		read -r lo hi cov k < <(echo "$ratios" | tr ' ' '\n' | grep . | interval || true)
 		printf '%-10s %-7s median ln(change/parent) %s (x%s), sign %s of %s pairs better\n' "$name" paired \
 			"${lr:-n/a}" "$(awk -v r="${lr:-0}" 'BEGIN { printf "%.3f", exp(r) }')" "$wins" "$pairs"
+		printf '%-10s %-7s interval for that median %s..%s (x%s..x%s), order statistic %s, coverage %s %%\n' "$name" paired \
+			"${lo:-n/a}" "${hi:-n/a}" "$(awk -v r="${lo:-0}" 'BEGIN { printf "%.3f", exp(r) }')" \
+			"$(awk -v r="${hi:-0}" 'BEGIN { printf "%.3f", exp(r) }')" "${k:-n/a}" "${cov:-n/a}"
 	done
 echo
 echo "diagnostics, median per side (not judged):"
